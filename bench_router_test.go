@@ -4,7 +4,8 @@ package gridbw
 // against the owning shard (the baseline every routed number is judged
 // by), proxied through gridbwrouter's same-shard fast path (one extra
 // HTTP hop — the routing tax), and driven through the cross-shard
-// two-phase hold protocol (RESERVE×2 + CONFIRM×2 against both owners).
+// two-phase hold protocol (RESERVE×2 + CONFIRM×2 against both owners),
+// singly and as a mixed batch.
 // scripts/bench.sh router snapshots these into BENCH_router.json; the
 // routed same-shard figure staying within 2× of direct is the router's
 // latency budget.
@@ -130,4 +131,42 @@ func BenchmarkRouterCrossShardSubmit(b *testing.B) {
 	rb := newRouterBench(b)
 	from, to := rb.pair(b, true)
 	rb.submitLoop(b, client.New(rb.routerURL, nil), from, to)
+}
+
+// BenchmarkRouterCrossShardBatch is one 16-item binary batch through the
+// router, half its items cross-shard: two same-shard slices plus the three
+// hold waves — at most 3 list-shaped calls per shard, however many items.
+func BenchmarkRouterCrossShardBatch(b *testing.B) {
+	rb := newRouterBench(b)
+	sFrom, sTo := rb.pair(b, false)
+	xFrom, xTo := rb.pair(b, true)
+	c := client.New(rb.routerURL, nil)
+	ctx := context.Background()
+	reqs := make([]server.SubmitRequest, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := float64(rb.shards[0].Now())
+		for j := range reqs {
+			from, to := sFrom, sTo
+			if j%2 == 1 {
+				from, to = xFrom, xTo
+			}
+			reqs[j] = server.SubmitRequest{
+				From: from, To: to,
+				VolumeBytes: 1e8, MaxRateBps: 2e7,
+				NotBeforeS: now, DeadlineS: now + 100,
+			}
+		}
+		items, err := c.SubmitBatchBinary(ctx, reqs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, it := range items {
+			if it.Error != "" || !it.Reservation.Accepted {
+				b.Fatalf("batch %d item %d: %+v", i, j, it)
+			}
+		}
+		rb.ns.Add(int64(2 * time.Second))
+	}
 }

@@ -48,7 +48,7 @@ func run(args []string) error {
 	addr := fset.String("addr", ":8090", "listen address")
 	seed := fset.Uint64("seed", 0, "consistent-hash ring seed; all router instances must agree")
 	replicas := fset.Int("replicas", 0, "vnodes per shard on the ring (0 = default 64)")
-	holdTTL := fset.Duration("hold-ttl", 0, "TTL of unconfirmed cross-shard holds (0 = default 5s)")
+	holdTTL := fset.Duration("hold-ttl", 0, "TTL of unconfirmed cross-shard holds; each protocol step waits a quarter of it for a shard (0 = default 5s)")
 	timeout := fset.Duration("timeout", 0, "per-attempt deadline of shard calls (0 = client default 10s)")
 	maxBatch := fset.Int("max-batch", 0, "submissions accepted per POST /v1/batch call (0 = default 1024)")
 	drainTimeout := fset.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window for in-flight requests")

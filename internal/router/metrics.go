@@ -9,6 +9,15 @@ import (
 	"gridbw/internal/metrics"
 )
 
+// The hold protocol's calls, indexing shardMetrics' hold counters.
+const (
+	opReserve = iota
+	opConfirm
+	opAbort
+)
+
+var holdOpNames = [...]string{opReserve: "reserve", opConfirm: "confirm", opAbort: "abort"}
+
 // shardMetrics counts one shard's proxied calls: volume, failures, and a
 // latency histogram over every round trip the router made to it.
 type shardMetrics struct {
@@ -16,6 +25,10 @@ type shardMetrics struct {
 	calls  atomic.Uint64
 	errors atomic.Uint64
 	lat    *metrics.Histogram
+	// List-shaped hold calls and the holds they carried, by op: items over
+	// calls is the cross-shard batching factor.
+	holdCalls [len(holdOpNames)]atomic.Uint64
+	holdItems [len(holdOpNames)]atomic.Uint64
 }
 
 func (sm *shardMetrics) observe(d time.Duration, err error) {
@@ -24,6 +37,12 @@ func (sm *shardMetrics) observe(d time.Duration, err error) {
 		sm.errors.Add(1)
 	}
 	sm.lat.Record(d)
+}
+
+func (sm *shardMetrics) observeHold(op, items int, d time.Duration, err error) {
+	sm.holdCalls[op].Add(1)
+	sm.holdItems[op].Add(uint64(items))
+	sm.observe(d, err)
 }
 
 // routerMetrics is the router's whole observability surface, rendered as
@@ -81,6 +100,14 @@ func (m *routerMetrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE gridbwrouter_shard_latency_seconds summary\n")
 	for _, sm := range m.shards {
 		writeLatency(w, "gridbwrouter_shard_latency_seconds", fmt.Sprintf("shard=%q", sm.name), sm.lat)
+	}
+	fmt.Fprintf(w, "# TYPE gridbwrouter_hold_calls_total counter\n")
+	fmt.Fprintf(w, "# TYPE gridbwrouter_hold_items_total counter\n")
+	for _, sm := range m.shards {
+		for op, name := range holdOpNames {
+			fmt.Fprintf(w, "gridbwrouter_hold_calls_total{shard=%q,op=%q} %d\n", sm.name, name, sm.holdCalls[op].Load())
+			fmt.Fprintf(w, "gridbwrouter_hold_items_total{shard=%q,op=%q} %d\n", sm.name, name, sm.holdItems[op].Load())
+		}
 	}
 	fmt.Fprintf(w, "# TYPE gridbwrouter_cross_shard_total counter\n")
 	fmt.Fprintf(w, "gridbwrouter_cross_shard_total %d\n", m.crossTotal.Load())

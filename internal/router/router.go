@@ -13,7 +13,9 @@
 // ingress owner (which runs the one-sided admission search and proposes a
 // grant), RESERVE on the egress owner (authoritative check of the
 // proposal), then CONFIRM on both on dual success or ABORT on any
-// failure. Shard groups keep independent service clocks, so the proposed
+// failure. The hold calls are list-shaped and the cross-shard items of one
+// client call travel together, one call per shard per protocol step (see
+// crossShard). Shard groups keep independent service clocks, so the proposed
 // window crosses shards as offsets from the proposing shard's clock (see
 // server.HoldReserveJSON.RelTimes). Unconfirmed holds roll back on their
 // TTL, so a router crash between the two RESERVEs or CONFIRMs can delay
@@ -68,7 +70,8 @@ type Config struct {
 	// instances must agree on them.
 	Seed     uint64
 	Replicas int
-	// HoldTTL bounds unconfirmed cross-shard holds. Default 5s.
+	// HoldTTL bounds unconfirmed cross-shard holds, and a quarter of it
+	// each step of the protocol that places and commits them. Default 5s.
 	HoldTTL time.Duration
 	// MaxBatch bounds one POST /v1/batch. Default 1024.
 	MaxBatch int
@@ -215,168 +218,333 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	inIdx, egIdx := rt.ring.OwnerIn(ws.From), rt.ring.OwnerEg(ws.To)
+	var res server.ReservationJSON
 	if inIdx == egIdx {
 		sh := rt.shards[inIdx]
 		t0 := time.Now()
-		res, err := sh.c.Submit(r.Context(), body)
+		res, err = sh.c.Submit(r.Context(), body)
 		sh.met.observe(time.Since(t0), err)
-		if err != nil {
-			writeUpstreamError(w, err)
-			return
-		}
 		res.ID = rt.visibleID(res.ID, inIdx)
-		code := http.StatusCreated
-		if !res.Accepted {
-			code = http.StatusOK
-		}
-		writeJSON(w, code, res)
-		return
+	} else {
+		it := &crossItem{ws: ws, owner: [2]int{inIdx, egIdx}}
+		rt.crossShard(r.Context(), []*crossItem{it})
+		res, err = it.res, it.err
 	}
-	res, code, err := rt.crossShard(r.Context(), ws, inIdx, egIdx)
 	if err != nil {
 		writeUpstreamError(w, err)
 		return
 	}
+	code := http.StatusCreated
+	if !res.Accepted {
+		code = http.StatusOK
+	}
 	writeJSON(w, code, res)
 }
 
-// crossReject is the domain-refusal answer of a cross-shard submission.
-func crossReject(id int, reason string) server.ReservationJSON {
-	return server.ReservationJSON{
-		ID: id, Accepted: false, State: string(server.StateRejected),
+// The two sides of a cross-shard item, indexing crossItem's arrays.
+const (
+	ingress = iota
+	egress
+)
+
+// crossItem is one cross-shard submission on its way through crossShard,
+// which settles it with an answer (res) or a shard-side failure (err).
+type crossItem struct {
+	ws    server.WireSubmission
+	owner [2]int // owning shard index, per side
+	hold  string
+	// resv is each side's RESERVE answer, cerr its CONFIRM failure, and
+	// abort marks the sides that may still book capacity to roll back.
+	resv    [2]server.HoldReserveResponseJSON
+	cerr    [2]error
+	abort   [2]bool
+	settled bool
+	res     server.ReservationJSON
+	err     error
+}
+
+// crossID is the item's client-visible ID: the ingress owner's local one,
+// namespaced.
+func (rt *Router) crossID(it *crossItem) int {
+	return rt.visibleID(it.resv[ingress].ID, it.owner[ingress])
+}
+
+// reject settles the item as a domain refusal (HTTP 200, not an error).
+func (rt *Router) reject(it *crossItem, reason string) {
+	it.settled = true
+	it.res = server.ReservationJSON{
+		ID: rt.crossID(it), Accepted: false, State: string(server.StateRejected),
 		Reason: reason, Routed: server.RoutedCrossShard,
 	}
 }
 
-// crossShard drives one submission through the two-phase hold protocol:
-// RESERVE ingress → RESERVE egress → CONFIRM both, aborting both sides on
-// any failure. A nil error with a non-accepted reservation is a domain
-// rejection (HTTP 200); errors are shard-side failures the caller relays.
-func (rt *Router) crossShard(ctx context.Context, ws server.WireSubmission, inIdx, egIdx int) (server.ReservationJSON, int, error) {
-	t0 := time.Now()
-	res, code, err := rt.crossShardOnce(ctx, ws, inIdx, egIdx)
-	rt.met.observeCross(time.Since(t0), err, err == nil && res.Accepted)
-	return res, code, err
+// fail settles the item as a shard-side failure for the caller to relay.
+func (it *crossItem) fail(err error) {
+	it.settled = true
+	it.err = err
 }
 
-func (rt *Router) crossShardOnce(ctx context.Context, ws server.WireSubmission, inIdx, egIdx int) (server.ReservationJSON, int, error) {
-	// Relative and absolute times cannot mix across shards: RelTimes marks
-	// the whole window as offsets from the deciding shard's clock, and an
-	// absolute instant from the client's view of one shard means nothing on
-	// the other.
-	if (ws.RelNotBefore && !ws.RelDeadline && ws.Deadline != 0) ||
-		(!ws.RelNotBefore && ws.RelDeadline && ws.NotBefore != 0) {
-		return server.ReservationJSON{}, 0,
-			&client.APIError{StatusCode: http.StatusBadRequest,
-				Message: "cross-shard submission mixes relative and absolute times"}
-	}
-	if ws.IdempotencyKey == "" {
-		ws.IdempotencyKey = client.NewIdempotencyKey()
-	}
-	// The hold key derives from the idempotency key, so a client retry of
-	// the whole submission converges on the same pair of holds instead of
-	// booking fresh ones.
-	hold := "x-" + ws.IdempotencyKey
-	inSh, egSh := rt.shards[inIdx], rt.shards[egIdx]
-	rel := ws.RelNotBefore || ws.RelDeadline
+// side is one half of a cross-shard item: its hold on one owner.
+type side struct {
+	it    *crossItem
+	which int // ingress or egress
+}
 
-	rin, err := rt.holdReserve(ctx, inSh, server.HoldReserveJSON{
-		Hold: hold, Side: trace.HoldSideIngress,
-		Point: ws.From, PeerPoint: ws.To,
-		TTLS: rt.holdTTL.Seconds(), RelTimes: rel,
-		VolumeBytes: float64(ws.Volume), MaxRateBps: float64(ws.MaxRate),
-		NotBeforeS: float64(ws.NotBefore), DeadlineS: float64(ws.Deadline),
+// unsettled lists one side of every item still in the protocol, in
+// request order.
+func unsettled(items []*crossItem, which int) []side {
+	var out []side
+	for _, it := range items {
+		if !it.settled {
+			out = append(out, side{it, which})
+		}
+	}
+	return out
+}
+
+// perShard runs call once per shard owning any of sides, handing it that
+// shard's sides in the order given, all shards in parallel, and returns
+// once every call has. A call touches only the sides it is handed. The last
+// shard runs on the caller's goroutine: both RESERVE steps of a single
+// submit have one shard each, and need no goroutine at all.
+func (rt *Router) perShard(ctx context.Context, sides []side, call func(ctx context.Context, sh *shard, sides []side)) {
+	groups := make([][]side, len(rt.shards))
+	n := 0
+	for _, sd := range sides {
+		i := sd.it.owner[sd.which]
+		if groups[i] == nil {
+			n++
+		}
+		groups[i] = append(groups[i], sd)
+	}
+	var wg sync.WaitGroup
+	for i, group := range groups {
+		if group == nil {
+			continue
+		}
+		if n--; n == 0 {
+			call(ctx, rt.shards[i], group)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			call(ctx, rt.shards[i], group)
+		}()
+	}
+	wg.Wait()
+}
+
+// itemError lifts the per-item failure of a list-shaped hold call back
+// into the error a one-item call would have returned.
+func itemError(code int, msg string) error {
+	return &client.APIError{StatusCode: code, Message: msg}
+}
+
+// crossShard drives the cross-shard items of one client call (a single
+// submit is the one-item case) through the two-phase hold protocol in
+// three waves, each one list-shaped call per shard involved: RESERVE on
+// the ingress owners, RESERVE on the egress owners carrying the grants the
+// first wave proposed, CONFIRM on every owner carrying its ingress-side
+// and egress-side keys alike. Lists keep request order, so a shard decides
+// its items in the order one-at-a-time submission would. Sides that booked
+// but did not commit as a pair are rolled back by one detached ABORT call
+// per shard. With S shards that is at most 3·S hold trips per client call
+// instead of four per item. A shard that does not answer within a wave's
+// deadline costs the items that touch it, not the rest of the call.
+func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
+	t0 := time.Now()
+	for _, it := range items {
+		ws := &it.ws
+		// Relative and absolute times cannot mix across shards: RelTimes
+		// marks the whole window as offsets from the deciding shard's clock,
+		// and an absolute instant from the client's view of one shard means
+		// nothing on the other.
+		if (ws.RelNotBefore && !ws.RelDeadline && ws.Deadline != 0) ||
+			(!ws.RelNotBefore && ws.RelDeadline && ws.NotBefore != 0) {
+			it.fail(itemError(http.StatusBadRequest, "cross-shard submission mixes relative and absolute times"))
+			continue
+		}
+		if ws.IdempotencyKey == "" {
+			ws.IdempotencyKey = client.NewIdempotencyKey()
+		}
+		// The hold key derives from the idempotency key, so a client retry
+		// of the whole submission converges on the same pair of holds
+		// instead of booking fresh ones.
+		it.hold = "x-" + ws.IdempotencyKey
+	}
+
+	// The calls of a wave return together, so each wave runs under its own
+	// deadline, a quarter of the hold TTL: a shard that stops answering fails
+	// its own items (for the caller to retry) after that long, and the three
+	// waves still reach CONFIRM with every other shard's first holds live.
+	wave := func(sides []side, call func(ctx context.Context, sh *shard, sides []side)) {
+		ctx, cancel := context.WithTimeout(ctx, rt.holdTTL/4)
+		defer cancel()
+		rt.perShard(ctx, sides, call)
+	}
+	reserve := func(which int, request func(*crossItem) server.HoldReserveJSON) {
+		wave(unsettled(items, which), func(ctx context.Context, sh *shard, sides []side) {
+			reqs := make([]server.HoldReserveJSON, len(sides))
+			for j, sd := range sides {
+				reqs[j] = request(sd.it)
+			}
+			resps, err := sh.reserve(ctx, reqs)
+			for j, sd := range sides {
+				it := sd.it
+				switch {
+				case err != nil:
+					it.abort[which] = true // the call may have landed all the same
+					it.fail(err)
+				case resps[j].Code != 0:
+					it.fail(itemError(resps[j].Code, resps[j].Error))
+				case !resps[j].Held:
+					// A refused hold books nothing on this side.
+					it.resv[which] = resps[j]
+					rt.reject(it, resps[j].Reason)
+				default:
+					it.resv[which] = resps[j]
+				}
+				if it.settled && which == egress {
+					it.abort[ingress] = true // proposed and booked, never to commit
+				}
+			}
+		})
+	}
+	// Wave 1: each ingress owner runs the one-sided search and proposes.
+	reserve(ingress, func(it *crossItem) server.HoldReserveJSON {
+		ws := &it.ws
+		return server.HoldReserveJSON{
+			Hold: it.hold, Side: trace.HoldSideIngress,
+			Point: ws.From, PeerPoint: ws.To,
+			TTLS: rt.holdTTL.Seconds(), RelTimes: ws.RelNotBefore || ws.RelDeadline,
+			VolumeBytes: float64(ws.Volume), MaxRateBps: float64(ws.MaxRate),
+			NotBeforeS: float64(ws.NotBefore), DeadlineS: float64(ws.Deadline),
+		}
 	})
-	if err != nil {
-		go rt.abortPair(inSh, inSh, hold)
-		return server.ReservationJSON{}, 0, err
-	}
-	id := rt.visibleID(rin.ID, inIdx)
-	if !rin.Held {
-		return crossReject(id, rin.Reason), http.StatusOK, nil
-	}
-	// The grant window crosses clocks as offsets from the ingress shard's
-	// NowS; the egress shard resolves them against its own clock.
-	reg, err := rt.holdReserve(ctx, egSh, server.HoldReserveJSON{
-		Hold: hold, Side: trace.HoldSideEgress,
-		Point: ws.To, PeerPoint: ws.From,
-		TTLS: rt.holdTTL.Seconds(), RelTimes: true,
-		RateBps: rin.RateBps,
-		SigmaS:  rin.SigmaS - rin.NowS, TauS: rin.TauS - rin.NowS,
-		VolumeBytes: float64(ws.Volume), MaxRateBps: float64(ws.MaxRate),
+	// Wave 2: each egress owner checks the proposals. A grant window
+	// crosses clocks as offsets from the ingress shard's NowS; the egress
+	// shard resolves them against its own clock.
+	reserve(egress, func(it *crossItem) server.HoldReserveJSON {
+		ws, rin := &it.ws, &it.resv[ingress]
+		return server.HoldReserveJSON{
+			Hold: it.hold, Side: trace.HoldSideEgress,
+			Point: ws.To, PeerPoint: ws.From,
+			TTLS: rt.holdTTL.Seconds(), RelTimes: true,
+			RateBps: rin.RateBps,
+			SigmaS:  rin.SigmaS - rin.NowS, TauS: rin.TauS - rin.NowS,
+			VolumeBytes: float64(ws.Volume), MaxRateBps: float64(ws.MaxRate),
+		}
 	})
-	if err != nil {
-		go rt.abortPair(inSh, egSh, hold)
-		return server.ReservationJSON{}, 0, err
-	}
-	if !reg.Held {
-		go rt.abortPair(inSh, egSh, hold)
-		return crossReject(id, reg.Reason), http.StatusOK, nil
-	}
-	if _, err := rt.confirmHold(ctx, inSh, hold, rin.Epoch); err != nil {
-		go rt.abortPair(inSh, egSh, hold)
-		if client.IsConflict(err) {
-			// The ingress hold rolled back (TTL lapse, or a racing cancel)
-			// before the commit: a clean rejection, not a shard failure.
-			return crossReject(id, "hold expired before confirm"), http.StatusOK, nil
+	// Wave 3: every owner commits, all at once — abort compensates a
+	// confirmed side, so committing the ingress side first buys nothing.
+	wave(append(unsettled(items, ingress), unsettled(items, egress)...), func(ctx context.Context, sh *shard, sides []side) {
+		refs := make([]server.HoldRefJSON, len(sides))
+		for j, sd := range sides {
+			refs[j] = server.HoldRefJSON{Hold: sd.it.hold, Epoch: sd.it.resv[sd.which].Epoch}
 		}
-		return server.ReservationJSON{}, 0, err
-	}
-	if _, err := rt.confirmHold(ctx, egSh, hold, reg.Epoch); err != nil {
-		// The ingress side already committed: the abort below is the
-		// compensating release, converging both sides to absent.
-		go rt.abortPair(inSh, egSh, hold)
-		if client.IsConflict(err) {
-			return crossReject(id, "hold expired before confirm"), http.StatusOK, nil
+		sts, err := sh.confirm(ctx, refs)
+		for j, sd := range sides {
+			sd.it.cerr[sd.which] = err
+			if err == nil && sts[j].Code != 0 {
+				sd.it.cerr[sd.which] = itemError(sts[j].Code, sts[j].Error)
+			}
 		}
-		return server.ReservationJSON{}, 0, err
-	}
-	state := string(server.StateActive)
-	if rin.SigmaS > rin.NowS {
-		state = string(server.StateBooked)
-	}
-	return server.ReservationJSON{
-		ID: id, Accepted: true, State: state,
-		RateBps: rin.RateBps, SigmaS: rin.SigmaS, TauS: rin.TauS,
-		Routed: server.RoutedCrossShard,
-	}, http.StatusCreated, nil
-}
+	})
 
-func (rt *Router) holdReserve(ctx context.Context, sh *shard, req server.HoldReserveJSON) (server.HoldReserveResponseJSON, error) {
-	t0 := time.Now()
-	resp, err := sh.c.HoldReserve(ctx, req)
-	sh.met.observe(time.Since(t0), err)
-	return resp, err
-}
-
-// confirmHold commits one side, riding out a failover mid-hold: a 403
-// after the client's built-in rediscovery means the lineage changed (the
-// reserve-time epoch is fenced) — refresh the epoch from the new primary
-// and present it once. The promoted follower replayed the hold from the
-// WAL, so the confirm lands on real state.
-func (rt *Router) confirmHold(ctx context.Context, sh *shard, hold string, epoch uint64) (server.HoldStateJSON, error) {
-	t0 := time.Now()
-	st, err := sh.c.HoldConfirm(ctx, hold, epoch)
-	if err != nil && client.IsReadOnly(err) {
-		if rs, rerr := sh.c.Replication(ctx); rerr == nil && rs.Role == "primary" && rs.Epoch != epoch {
-			st, err = sh.c.HoldConfirm(ctx, hold, rs.Epoch)
+	var rollback []side
+	for _, it := range items {
+		if !it.settled {
+			err := it.cerr[ingress]
+			if err == nil {
+				err = it.cerr[egress]
+			}
+			rin := &it.resv[ingress]
+			switch {
+			case err == nil:
+				it.res = server.ReservationJSON{
+					ID: rt.crossID(it), Accepted: true, State: string(server.StateActive),
+					RateBps: rin.RateBps, SigmaS: rin.SigmaS, TauS: rin.TauS,
+					Routed: server.RoutedCrossShard,
+				}
+				if rin.SigmaS > rin.NowS {
+					it.res.State = string(server.StateBooked)
+				}
+			case client.IsConflict(err):
+				// A hold rolled back (TTL lapse, or a racing cancel) before
+				// the commit: a clean rejection, not a shard failure. The
+				// abort is the compensating release of a side that did commit.
+				it.abort = [2]bool{true, true}
+				rt.reject(it, "hold expired before confirm")
+			default:
+				it.abort = [2]bool{true, true}
+				it.fail(err)
+			}
+		}
+		rt.met.observeCross(time.Since(t0), it.err, it.err == nil && it.res.Accepted)
+		for which, on := range it.abort {
+			if on {
+				rollback = append(rollback, side{it, which})
+			}
 		}
 	}
-	sh.met.observe(time.Since(t0), err)
-	return st, err
+	if len(rollback) > 0 {
+		go rt.abortSides(rollback)
+	}
 }
 
-// abortPair converges both sides of a hold to aborted, best-effort and
-// detached from the request context (the client may be gone). Failures
-// are tolerable: the shard-side TTL is the backstop that actually
-// guarantees no capacity leaks.
-func (rt *Router) abortPair(a, b *shard, hold string) {
+// abortSides converges the given holds to aborted, one call per shard,
+// best-effort and detached from the request context (the client may be
+// gone). Failures are tolerable: the shard-side TTL is the backstop that
+// actually guarantees no capacity leaks.
+func (rt *Router) abortSides(sides []side) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	_, _ = a.c.HoldAbort(ctx, hold)
-	if b != a {
-		_, _ = b.c.HoldAbort(ctx, hold)
+	rt.perShard(ctx, sides, func(ctx context.Context, sh *shard, sides []side) {
+		refs := make([]server.HoldRefJSON, len(sides))
+		for j, sd := range sides {
+			refs[j] = server.HoldRefJSON{Hold: sd.it.hold}
+		}
+		_, _ = sh.abort(ctx, refs)
+	})
+}
+
+func (sh *shard) reserve(ctx context.Context, reqs []server.HoldReserveJSON) ([]server.HoldReserveResponseJSON, error) {
+	t0 := time.Now()
+	resps, err := sh.c.HoldReserve(ctx, reqs)
+	sh.met.observeHold(opReserve, len(reqs), time.Since(t0), err)
+	return resps, err
+}
+
+// confirm commits one shard's share of a wave, riding out a failover
+// mid-hold: a 403 after the client's built-in rediscovery means the
+// lineage changed (a reserve-time epoch is fenced) — refresh the epoch
+// from the new primary and present it once. The promoted follower replayed
+// the holds from the WAL, so the confirm lands on real state.
+func (sh *shard) confirm(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
+	t0 := time.Now()
+	sts, err := sh.c.HoldConfirm(ctx, refs)
+	if err != nil && client.IsReadOnly(err) {
+		if rs, rerr := sh.c.Replication(ctx); rerr == nil && rs.Role == "primary" {
+			stale := false
+			for j := range refs {
+				stale = stale || refs[j].Epoch != rs.Epoch
+				refs[j].Epoch = rs.Epoch
+			}
+			if stale {
+				sts, err = sh.c.HoldConfirm(ctx, refs)
+			}
+		}
 	}
+	sh.met.observeHold(opConfirm, len(refs), time.Since(t0), err)
+	return sts, err
+}
+
+func (sh *shard) abort(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
+	t0 := time.Now()
+	sts, err := sh.c.HoldAbort(ctx, refs)
+	sh.met.observeHold(opAbort, len(refs), time.Since(t0), err)
+	return sts, err
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -438,11 +606,13 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Split by owning shard: same-shard slices forward as one wire batch
-	// per shard, cross-shard items each run the two-phase protocol. Every
-	// goroutine writes only its own result slots; gather is by index, so
-	// the response preserves request order no matter the completion order.
+	// per shard, cross-shard items run the two-phase protocol together.
+	// Every goroutine writes only its own result slots; gather is by index,
+	// so the response preserves request order no matter the completion
+	// order.
 	groups := make(map[int][]int)
 	var cross []int
+	var crossItems []*crossItem
 	for i := range subs {
 		if items[i].Error != "" {
 			continue
@@ -452,6 +622,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			groups[inIdx] = append(groups[inIdx], i)
 		} else {
 			cross = append(cross, i)
+			crossItems = append(crossItems, &crossItem{ws: subs[i], owner: [2]int{inIdx, egIdx}})
 		}
 	}
 	rt.met.observeBatch(len(groups), len(cross))
@@ -484,18 +655,15 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}(shardIdx, idxs)
 	}
-	for _, i := range cross {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			inIdx, egIdx := rt.ring.OwnerIn(subs[i].From), rt.ring.OwnerEg(subs[i].To)
-			rj, _, err := rt.crossShard(r.Context(), subs[i], inIdx, egIdx)
-			if err != nil {
-				items[i] = server.BatchItemJSON{Error: err.Error()}
-				return
+	if len(cross) > 0 {
+		rt.crossShard(r.Context(), crossItems)
+		for j, i := range cross {
+			if it := crossItems[j]; it.err != nil {
+				items[i] = server.BatchItemJSON{Error: it.err.Error()}
+			} else {
+				items[i] = server.BatchItemJSON{Reservation: &it.res}
 			}
-			items[i] = server.BatchItemJSON{Reservation: &rj}
-		}(i)
+		}
 	}
 	wg.Wait()
 
@@ -561,7 +729,10 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeUpstreamError(w, err)
 		return
 	}
-	st, aerr := sh.c.HoldAbortByID(r.Context(), local)
+	sts, aerr := sh.abort(r.Context(), []server.HoldRefJSON{{ID: &local}})
+	if aerr == nil && sts[0].Code != 0 {
+		aerr = itemError(sts[0].Code, sts[0].Error)
+	}
 	if aerr != nil {
 		if client.IsNotFound(aerr) {
 			writeUpstreamError(w, err) // the original 404: nothing here at all
@@ -572,11 +743,12 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	// The ID backed an ingress-side hold on shardIdx; the answer names the
 	// egress point, whose owner holds the other half.
+	st := sts[0]
 	peer := rt.shards[rt.ring.OwnerEg(st.PeerPoint)]
 	if peer != sh {
 		ctx, cancel := context.WithTimeout(r.Context(), 3*time.Second)
 		defer cancel()
-		_, _ = peer.c.HoldAbort(ctx, st.Hold)
+		_, _ = peer.abort(ctx, []server.HoldRefJSON{{Hold: st.Hold}})
 	}
 	writeJSON(w, http.StatusOK, server.ReservationJSON{
 		ID: visible, Accepted: true, State: string(server.StateCancelled),

@@ -72,16 +72,25 @@ func caps(n int, bw units.Bandwidth) []units.Bandwidth {
 // newTier boots nShards in-process daemons (egressBw lets a test starve
 // one side) and a router over them.
 func newTier(t *testing.T, nShards int, egressBw units.Bandwidth) *testTier {
+	return newTierWith(t, nShards, func(_ int, cfg *server.Config) {
+		cfg.Egress = caps(testPoints, egressBw)
+	})
+}
+
+// newTierWith is newTier with each shard's configuration open to tune.
+func newTierWith(t *testing.T, nShards int, tune func(shard int, cfg *server.Config)) *testTier {
 	t.Helper()
 	tier := &testTier{}
 	var shards []ShardConfig
 	for i := 0; i < nShards; i++ {
 		evs := newEventBuf()
-		srv, err := server.New(server.Config{
+		cfg := server.Config{
 			Ingress:   caps(testPoints, units.GBps),
-			Egress:    caps(testPoints, egressBw),
+			Egress:    caps(testPoints, units.GBps),
 			Decisions: evs,
-		})
+		}
+		tune(i, &cfg)
+		srv, err := server.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

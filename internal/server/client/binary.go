@@ -6,13 +6,10 @@ package client
 // framed once and the identical bytes re-sent per attempt.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"time"
 
 	"gridbw/internal/server"
 )
@@ -42,25 +39,9 @@ func (c *Client) SubmitBatchBinary(ctx context.Context, reqs []server.SubmitRequ
 		if err != nil {
 			return nil, fmt.Errorf("request %d: %w", i, err)
 		}
-		if ws.IdempotencyKey == "" {
-			ws.IdempotencyKey = NewIdempotencyKey()
-		}
 		subs[i] = ws
 	}
-	blob := server.AppendBinaryBatchRequest(nil, subs)
-	var out []server.BatchItemJSON
-	err := c.doRaw(ctx, "/v1/batch", server.BinaryBatchContentType, blob, func(body []byte) error {
-		var derr error
-		out, derr = server.DecodeBinaryBatchResponse(body)
-		return derr
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) != len(reqs) {
-		return nil, fmt.Errorf("gridbwd: batch answered %d results for %d requests", len(out), len(reqs))
-	}
-	return out, nil
+	return c.SubmitBatchWire(ctx, subs)
 }
 
 // SubmitBatchWire is SubmitBatchBinary for callers that already hold
@@ -76,8 +57,11 @@ func (c *Client) SubmitBatchWire(ctx context.Context, subs []server.WireSubmissi
 	}
 	blob := server.AppendBinaryBatchRequest(nil, subs)
 	var out []server.BatchItemJSON
-	err := c.doRaw(ctx, "/v1/batch", server.BinaryBatchContentType, blob, func(body []byte) error {
-		var derr error
+	err := c.call(ctx, http.MethodPost, "/v1/batch", server.BinaryBatchContentType, blob, func(r io.Reader) error {
+		body, derr := io.ReadAll(r)
+		if derr != nil {
+			return derr
+		}
 		out, derr = server.DecodeBinaryBatchResponse(body)
 		return derr
 	})
@@ -88,72 +72,4 @@ func (c *Client) SubmitBatchWire(ctx context.Context, subs []server.WireSubmissi
 		return nil, fmt.Errorf("gridbwd: batch answered %d results for %d requests", len(out), len(subs))
 	}
 	return out, nil
-}
-
-// doRaw is do for non-JSON bodies: the same retry/failover loop around
-// attemptRaw, re-sending the identical pre-encoded blob per attempt.
-func (c *Client) doRaw(ctx context.Context, path, contentType string, blob []byte, decode func([]byte) error) error {
-	retries := c.opts.MaxRetries
-	if retries < 0 {
-		retries = 0
-	}
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = c.attemptRaw(ctx, c.Endpoint(), path, contentType, blob, decode)
-		if err == nil {
-			return nil
-		}
-		moved := false
-		if c.multi() && failoverWorthy(err) {
-			moved = true
-			c.rediscover(ctx)
-		}
-		if (!retryable(err) && !moved) || attempt >= retries {
-			return err
-		}
-		if ctx.Err() != nil {
-			return err
-		}
-		if serr := c.opts.Sleep(ctx, c.backoff(attempt, err)); serr != nil {
-			return err
-		}
-	}
-}
-
-// attemptRaw runs one POST of a pre-encoded body under the per-attempt
-// deadline. Error responses still carry the JSON envelope and map to the
-// same APIError the JSON methods surface.
-func (c *Client) attemptRaw(ctx context.Context, base, path, contentType string, blob []byte, decode func([]byte) error) error {
-	if c.opts.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(blob))
-	if err != nil {
-		return fmt.Errorf("gridbwd: %w", err)
-	}
-	req.Header.Set("Content-Type", contentType)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("gridbwd: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		ae := &APIError{StatusCode: resp.StatusCode, Message: apiErrorMessage(resp)}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-				ae.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return ae
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("gridbwd: read response: %w", err)
-	}
-	if err := decode(body); err != nil {
-		return fmt.Errorf("gridbwd: decode response: %w", err)
-	}
-	return nil
 }

@@ -282,13 +282,8 @@ func (c *Client) backoff(attempt int, err error) time.Duration {
 	return d + time.Duration(c.opts.Jitter()*float64(d)/2)
 }
 
-// do runs one retrying call. The body is marshalled once and the same
-// bytes re-sent per attempt, so every retry carries the complete request
-// (including the same idempotency key). On a failover-worthy error a
-// multi-endpoint client re-discovers the primary before the next attempt,
-// which makes the error itself worth that attempt even when it is not
-// transiently retryable (a 403 from a follower will not heal by waiting,
-// but it will by moving).
+// do runs one retrying JSON call: the body is marshalled once and sent
+// through call.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var blob []byte
 	if body != nil {
@@ -297,13 +292,26 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 			return fmt.Errorf("gridbwd: encode request: %w", err)
 		}
 	}
+	return c.call(ctx, method, path, "application/json", blob, func(r io.Reader) error {
+		return json.NewDecoder(r).Decode(out)
+	})
+}
+
+// call is the one retry/failover loop under every method, JSON or binary.
+// The same pre-encoded bytes are re-sent per attempt, so every retry
+// carries the complete request (including the same idempotency key). On a
+// failover-worthy error a multi-endpoint client re-discovers the primary
+// before the next attempt, which makes the error itself worth that attempt
+// even when it is not transiently retryable (a 403 from a follower will
+// not heal by waiting, but it will by moving).
+func (c *Client) call(ctx context.Context, method, path, contentType string, blob []byte, decode func(io.Reader) error) error {
 	retries := c.opts.MaxRetries
 	if retries < 0 {
 		retries = 0
 	}
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = c.attempt(ctx, c.Endpoint(), method, path, blob, out)
+		err = c.attempt(ctx, c.Endpoint(), method, path, contentType, blob, decode)
 		if err == nil {
 			return nil
 		}
@@ -360,7 +368,7 @@ func (c *Client) rediscover(ctx context.Context) {
 	for i, base := range endpoints {
 		go func(i int, base string) {
 			var rs server.ReplicationStatus
-			err := c.attempt(ctx, base, http.MethodGet, "/v1/replication/status", nil, &rs)
+			err := c.attemptJSON(ctx, base, http.MethodGet, "/v1/replication/status", &rs)
 			ch <- answer{i, rs, err}
 		}(i, base)
 	}
@@ -405,8 +413,6 @@ func (c *Client) rediscover(ctx context.Context) {
 	c.mu.Unlock()
 }
 
-// attempt runs one HTTP round trip against base under the per-attempt
-// deadline.
 // apiErrorMessage extracts the error text of a non-2xx response: the JSON
 // error envelope when present, otherwise the raw body (a 409 cancel
 // answer carries the reservation, not an envelope), otherwise the status.
@@ -422,7 +428,10 @@ func apiErrorMessage(resp *http.Response) string {
 	return msg
 }
 
-func (c *Client) attempt(ctx context.Context, base, method, path string, blob []byte, out any) error {
+// attempt runs one HTTP round trip against base under the per-attempt
+// deadline, handing a 2xx body to decode. Error responses carry the JSON
+// envelope whatever the request's codec and surface as *APIError.
+func (c *Client) attempt(ctx context.Context, base, method, path, contentType string, blob []byte, decode func(io.Reader) error) error {
 	if c.opts.CallTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
@@ -437,7 +446,7 @@ func (c *Client) attempt(ctx context.Context, base, method, path string, blob []
 		return fmt.Errorf("gridbwd: %w", err)
 	}
 	if blob != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -453,13 +462,18 @@ func (c *Client) attempt(ctx context.Context, base, method, path string, blob []
 		}
 		return ae
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decode(resp.Body); err != nil {
 		return fmt.Errorf("gridbwd: decode response: %w", err)
 	}
 	return nil
+}
+
+// attemptJSON is one unretried attempt of a body-less JSON call — the
+// probes that want the current truth of one endpoint.
+func (c *Client) attemptJSON(ctx context.Context, base, method, path string, out any) error {
+	return c.attempt(ctx, base, method, path, "", nil, func(r io.Reader) error {
+		return json.NewDecoder(r).Decode(out)
+	})
 }
 
 // Submit posts a reservation request and returns the daemon's decision.
@@ -517,41 +531,44 @@ func (c *Client) Cancel(ctx context.Context, id int) (server.ReservationJSON, er
 	return out, err
 }
 
-// HoldReserve places one side of a cross-shard two-phase admission. The
-// call retries and fails over like any write; the hold key makes retries
-// idempotent on the daemon.
-func (c *Client) HoldReserve(ctx context.Context, req server.HoldReserveJSON) (server.HoldReserveResponseJSON, error) {
-	var out server.HoldReserveResponseJSON
-	err := c.do(ctx, http.MethodPost, "/v1/reserve", req, &out)
-	return out, err
+// holdCall posts one list-shaped hold call and checks the answer lines up
+// with the list. The call retries and fails over like any write; hold
+// keys make the retries idempotent on the daemon.
+func holdCall[A, Q any](ctx context.Context, c *Client, path string, holds []Q) ([]A, error) {
+	var out server.HoldResultsJSON[A]
+	if err := c.do(ctx, http.MethodPost, path, server.HoldListJSON[Q]{Holds: holds}, &out); err != nil {
+		return nil, err
+	}
+	if len(out.Results) != len(holds) {
+		return nil, fmt.Errorf("gridbwd: %s answered %d results for %d holds", path, len(out.Results), len(holds))
+	}
+	return out.Results, nil
 }
 
-// HoldConfirm commits a held reservation. A non-zero epoch must match the
-// shard's current fencing epoch (the one HoldReserve answered); a 403
-// after the built-in failover retries means the shard changed lineage
-// mid-hold — refresh the epoch via Replication and confirm once more, or
-// abort both sides.
-func (c *Client) HoldConfirm(ctx context.Context, hold string, epoch uint64) (server.HoldStateJSON, error) {
-	var out server.HoldStateJSON
-	err := c.do(ctx, http.MethodPost, "/v1/confirm", server.HoldRefJSON{Hold: hold, Epoch: epoch}, &out)
-	return out, err
+// HoldReserve places one side each of a list of cross-shard two-phase
+// admissions, decided in list order; one answer per hold. An answer with
+// Code set is that item's own failure, not the call's.
+func (c *Client) HoldReserve(ctx context.Context, reqs []server.HoldReserveJSON) ([]server.HoldReserveResponseJSON, error) {
+	return holdCall[server.HoldReserveResponseJSON](ctx, c, "/v1/reserve", reqs)
 }
 
-// HoldAbort rolls a hold back by key. Always safe: aborting an unknown or
-// already-aborted hold is a recorded no-op on the daemon.
-func (c *Client) HoldAbort(ctx context.Context, hold string) (server.HoldStateJSON, error) {
-	var out server.HoldStateJSON
-	err := c.do(ctx, http.MethodPost, "/v1/abort", server.HoldRefJSON{Hold: hold}, &out)
-	return out, err
+// HoldConfirm commits held reservations. A non-zero epoch on a ref must
+// match the shard's current fencing epoch (the one HoldReserve answered);
+// a 403 after the built-in failover retries means the shard changed
+// lineage mid-hold — refresh the epoch via Replication and confirm once
+// more, or abort both sides. A per-item 409 is a hold that rolled back
+// before the commit.
+func (c *Client) HoldConfirm(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
+	return holdCall[server.HoldStateJSON](ctx, c, "/v1/confirm", refs)
 }
 
-// HoldAbortByID aborts the hold backing an ingress-side local request ID —
-// the cancel path of a cross-shard reservation. The answer names the hold
-// key and the peer point so the caller can abort the other side too.
-func (c *Client) HoldAbortByID(ctx context.Context, id int) (server.HoldStateJSON, error) {
-	var out server.HoldStateJSON
-	err := c.do(ctx, http.MethodPost, "/v1/abort", server.HoldRefJSON{ID: &id}, &out)
-	return out, err
+// HoldAbort rolls holds back, by key or (the cancel path of a cross-shard
+// reservation) by the ingress-side local request ID, whose answer names
+// the hold key and the peer point so the caller can abort the other side
+// too. Always safe: aborting an unknown or already-aborted key is a
+// recorded no-op on the daemon.
+func (c *Client) HoldAbort(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
+	return holdCall[server.HoldStateJSON](ctx, c, "/v1/abort", refs)
 }
 
 // Status fetches the live control-plane view.
@@ -566,7 +583,7 @@ func (c *Client) Status(ctx context.Context) (server.StatusJSON, error) {
 // current truth, not an eventually-friendly answer.
 func (c *Client) Health(ctx context.Context) (server.HealthJSON, error) {
 	var out server.HealthJSON
-	err := c.attempt(ctx, c.Endpoint(), http.MethodGet, "/v1/healthz", nil, &out)
+	err := c.attemptJSON(ctx, c.Endpoint(), http.MethodGet, "/v1/healthz", &out)
 	return out, err
 }
 
@@ -583,7 +600,7 @@ func (c *Client) Replication(ctx context.Context) (server.ReplicationStatus, err
 // Not retried — failover tooling wants to observe each attempt.
 func (c *Client) Promote(ctx context.Context) (server.PromoteJSON, error) {
 	var out server.PromoteJSON
-	err := c.attempt(ctx, c.Endpoint(), http.MethodPost, "/v1/replication/promote", nil, &out)
+	err := c.attemptJSON(ctx, c.Endpoint(), http.MethodPost, "/v1/replication/promote", &out)
 	return out, err
 }
 

@@ -23,6 +23,14 @@ package server
 // rolls back when its TTL lapses — the same expiry semantics as
 // distributed.Config.ReserveTimeout, so capacity cannot leak.
 //
+// All three calls are list-shaped: one call carries every hold the router
+// has for this shard in the current wave, takes s.mu and advances the
+// clock once, and decides the items in list order through the per-hold
+// code below — one WAL event per hold, exactly the stream one-item calls
+// would have written. A failure of the call as a whole (closed, read-only,
+// poisoned WAL, fenced epoch) is an error; a failure of one item is that
+// item's Code/Error and leaves its neighbours alone.
+//
 // Every transition is WAL-logged (trace.EventHold*) and replayed by
 // followers and boot recovery, so holds survive failover: a promoted
 // follower re-arms the TTL and release timers its primary had pending.
@@ -159,6 +167,11 @@ type HoldReserveResponseJSON struct {
 	// shard (whose service clock is independent).
 	NowS   float64 `json:"now_s"`
 	Reason string  `json:"reason,omitempty"`
+	// Code and Error report this item's own failure as the HTTP status and
+	// message a one-item call would have answered (400: malformed); zero
+	// when the item was decided.
+	Code  int    `json:"code,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // HoldRefJSON addresses a hold on POST /v1/confirm and /v1/abort: by key,
@@ -184,31 +197,74 @@ type HoldStateJSON struct {
 	Side      string `json:"side,omitempty"`
 	PeerPoint int    `json:"peer_point"`
 	Epoch     uint64 `json:"epoch"`
+	// Code and Error report this item's own failure (400: no key or id,
+	// 404: unknown hold, 409: confirm of a hold that already rolled back —
+	// the caller must abort the peer side); zero when the item was applied.
+	Code  int    `json:"code,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
-// HoldReserve places (or idempotently re-answers) a one-sided hold.
-func (s *Server) HoldReserve(req HoldReserveJSON) (HoldReserveResponseJSON, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// HoldListJSON is the body of POST /v1/reserve (T = HoldReserveJSON) and
+// of POST /v1/confirm and /v1/abort (T = HoldRefJSON): every hold one
+// caller has for this shard, decided in list order.
+type HoldListJSON[T any] struct {
+	Holds []T `json:"holds"`
+}
+
+// HoldResultsJSON answers a HoldListJSON, one result per hold in list
+// order (HoldReserveResponseJSON for reserve, HoldStateJSON otherwise).
+type HoldResultsJSON[T any] struct {
+	Results []T `json:"results"`
+}
+
+// holdGateLocked is the whole-call gate of the three hold calls.
+func (s *Server) holdGateLocked() error {
 	if s.closed {
-		return HoldReserveResponseJSON{}, ErrClosed
+		return ErrClosed
 	}
 	if s.repl.following {
-		return HoldReserveResponseJSON{}, ErrReadOnly
+		return ErrReadOnly
 	}
-	if s.wal != nil && s.wal.Poisoned() != nil {
-		// A hold that cannot be WAL-logged would vanish on failover while
-		// its peer side survives — exactly the half-commit the protocol
-		// exists to prevent. Refuse outright.
-		return HoldReserveResponseJSON{}, ErrDurabilityLost
-	}
-	if req.Hold == "" {
-		return HoldReserveResponseJSON{}, fmt.Errorf("server: reserve without hold key")
+	return nil
+}
+
+// HoldReserve places (or idempotently re-answers) one-sided holds, in
+// list order under one pass of the service clock.
+func (s *Server) HoldReserve(reqs []HoldReserveJSON) ([]HoldReserveResponseJSON, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.holdGateLocked(); err != nil {
+		return nil, err
 	}
 	s.advanceLocked()
+	out := make([]HoldReserveResponseJSON, len(reqs))
+	for i, req := range reqs {
+		if s.wal != nil && s.wal.Poisoned() != nil {
+			// A hold that cannot be WAL-logged would vanish on failover while
+			// its peer side survives — exactly the half-commit the protocol
+			// exists to prevent. Refuse outright, also when an earlier hold
+			// of this list poisoned the log: the caller's abort (or the TTL)
+			// rolls back the ones already booked.
+			return nil, ErrDurabilityLost
+		}
+		e, err := s.holdReserveLocked(req)
+		if err != nil {
+			out[i] = HoldReserveResponseJSON{Hold: req.Hold, ID: -1, Code: http.StatusBadRequest, Error: err.Error()}
+			continue
+		}
+		out[i] = s.holdReserveAnswerLocked(e)
+	}
+	return out, nil
+}
+
+// holdReserveLocked decides one hold of a RESERVE list.
+func (s *Server) holdReserveLocked(req HoldReserveJSON) (*holdEntry, error) {
+	if req.Hold == "" {
+		return nil, fmt.Errorf("server: reserve without hold key")
+	}
 	if e, ok := s.holds[req.Hold]; ok {
 		// Idempotent re-delivery: answer what the first reserve decided.
-		return s.holdReserveAnswerLocked(e), nil
+		return e, nil
 	}
 	ttl := time.Duration(req.TTLS * float64(time.Second))
 	if ttl <= 0 {
@@ -221,20 +277,18 @@ func (s *Server) HoldReserve(req HoldReserveJSON) (HoldReserveResponseJSON, erro
 	expireAt := now + units.Time(ttl.Seconds())
 
 	var e *holdEntry
+	var err error
 	switch req.Side {
 	case trace.HoldSideIngress:
-		var err error
-		if e, err = s.holdReserveIngressLocked(req, now, expireAt); err != nil {
-			return HoldReserveResponseJSON{}, err
-		}
+		e, err = s.holdReserveIngressLocked(req, now, expireAt)
 	case trace.HoldSideEgress:
-		var err error
-		if e, err = s.holdReserveEgressLocked(req, now, expireAt); err != nil {
-			return HoldReserveResponseJSON{}, err
-		}
+		e, err = s.holdReserveEgressLocked(req, now, expireAt)
 	default:
-		return HoldReserveResponseJSON{}, fmt.Errorf("server: unknown hold side %q (want %q or %q)",
+		err = fmt.Errorf("server: unknown hold side %q (want %q or %q)",
 			req.Side, trace.HoldSideIngress, trace.HoldSideEgress)
+	}
+	if err != nil {
+		return nil, err
 	}
 	s.holds[req.Hold] = e
 	if e.id >= 0 {
@@ -252,7 +306,7 @@ func (s *Server) HoldReserve(req HoldReserveJSON) (HoldReserveResponseJSON, erro
 		// but it holds no capacity and needs no WAL record.
 		s.retireHoldLocked(req.Hold)
 	}
-	return s.holdReserveAnswerLocked(e), nil
+	return e, nil
 }
 
 func (s *Server) holdReserveAnswerLocked(e *holdEntry) HoldReserveResponseJSON {
@@ -388,39 +442,50 @@ func (s *Server) holdReserveEgressLocked(req HoldReserveJSON, now, expireAt unit
 	return e, nil
 }
 
-// HoldConfirm commits a held reservation: the capacity stays booked and
+// HoldConfirm commits held reservations: the capacity stays booked and
 // releases on schedule at τ. Confirming a confirmed hold is idempotent;
-// confirming an aborted one is ErrHoldAborted (the router must abort the
-// peer); an unknown key is ErrNotFound. A non-zero epoch that does not
-// match the shard's fences the confirm off — the reserve was placed on a
-// deposed lineage.
-func (s *Server) HoldConfirm(key string, epoch uint64) (HoldStateJSON, error) {
+// confirming an aborted one is that item's 409 (ErrHoldAborted — the
+// router must abort the peer); an unknown key its 404. A non-zero epoch
+// that does not match the shard's fences the whole call off — the reserve
+// was placed on a deposed lineage, and the caller refreshes and re-sends.
+func (s *Server) HoldConfirm(refs []HoldRefJSON) ([]HoldStateJSON, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return HoldStateJSON{}, ErrClosed
+	if err := s.holdGateLocked(); err != nil {
+		return nil, err
 	}
-	if s.repl.following {
-		return HoldStateJSON{}, ErrReadOnly
-	}
-	if epoch != 0 && epoch != s.repl.epoch {
-		return HoldStateJSON{}, &FencedError{Batch: epoch, Current: s.repl.epoch}
+	for _, ref := range refs {
+		if ref.Epoch != 0 && ref.Epoch != s.repl.epoch {
+			return nil, &FencedError{Batch: ref.Epoch, Current: s.repl.epoch}
+		}
 	}
 	s.advanceLocked()
+	out := make([]HoldStateJSON, len(refs))
+	for i, ref := range refs {
+		out[i] = s.holdConfirmLocked(ref.Hold)
+	}
+	return out, nil
+}
+
+func (s *Server) holdConfirmLocked(key string) HoldStateJSON {
+	if key == "" {
+		return HoldStateJSON{Code: http.StatusBadRequest, Error: "server: confirm without hold key"}
+	}
 	e, ok := s.holds[key]
 	if !ok {
-		return HoldStateJSON{}, ErrNotFound
+		return HoldStateJSON{Hold: key, Code: http.StatusNotFound, Error: ErrNotFound.Error()}
 	}
 	switch e.state {
 	case holdAborted:
-		return s.holdStateLocked(e, false), ErrHoldAborted
-	case holdConfirmed:
-		return s.holdStateLocked(e, false), nil
+		st := s.holdStateLocked(e, false)
+		st.Code, st.Error = http.StatusConflict, ErrHoldAborted.Error()
+		return st
+	case holdHeld:
+		e.state = holdConfirmed
+		s.logHoldLocked(trace.EventHoldConfirm, e)
+		s.armHoldReleaseLocked(key, e)
 	}
-	e.state = holdConfirmed
-	s.logHoldLocked(trace.EventHoldConfirm, e)
-	s.armHoldReleaseLocked(key, e)
-	return s.holdStateLocked(e, false), nil
+	return s.holdStateLocked(e, false)
 }
 
 // armHoldReleaseLocked schedules a confirmed hold's on-time release at τ.
@@ -435,46 +500,52 @@ func (s *Server) armHoldReleaseLocked(key string, e *holdEntry) {
 	}
 }
 
-// HoldAbort rolls a hold back, totally: held and confirmed holds release
+// HoldAbort rolls holds back, totally: held and confirmed holds release
 // their capacity (the latter is the compensating abort of a router that
 // crashed between CONFIRMs, or a cross-shard cancel), aborted holds are
 // a no-op, and an unknown key leaves a refusal tombstone so a late
 // RESERVE retry of an already-aborted pair cannot book fresh capacity.
 // Abort is never fenced and never fails on state — it must always be able
-// to converge both sides.
-func (s *Server) HoldAbort(key string) (HoldStateJSON, error) {
+// to converge both sides. A ref without a key names the ingress-side local
+// request ID instead — the cancel path: the router resolves a client
+// cancel of a cross-shard reservation into an abort on both owners.
+func (s *Server) HoldAbort(refs []HoldRefJSON) ([]HoldStateJSON, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return HoldStateJSON{}, ErrClosed
-	}
-	if s.repl.following {
-		return HoldStateJSON{}, ErrReadOnly
+	if err := s.holdGateLocked(); err != nil {
+		return nil, err
 	}
 	s.advanceLocked()
+	out := make([]HoldStateJSON, len(refs))
+	for i, ref := range refs {
+		key := ref.Hold
+		if key == "" {
+			if ref.ID == nil || *ref.ID < 0 {
+				out[i] = HoldStateJSON{Code: http.StatusBadRequest, Error: "server: abort needs a hold key or id"}
+				continue
+			}
+			var ok bool
+			if key, ok = s.holdsByID[request.ID(*ref.ID)]; !ok {
+				out[i] = HoldStateJSON{Code: http.StatusNotFound, Error: ErrNotFound.Error()}
+				continue
+			}
+		}
+		out[i] = s.holdAbortLocked(key)
+	}
+	return out, nil
+}
+
+func (s *Server) holdAbortLocked(key string) HoldStateJSON {
 	e, ok := s.holds[key]
 	if !ok {
 		e = &holdEntry{key: key, id: -1, peer: -1, state: holdAborted, reason: "aborted before reserve"}
 		s.holds[key] = e
 		s.retireHoldLocked(key)
 		s.logHoldLocked(trace.EventHoldAbort, e)
-		return s.holdStateLocked(e, false), nil
+		return s.holdStateLocked(e, false)
 	}
 	released := s.holdRollbackLocked(e, trace.EventHoldAbort)
-	return s.holdStateLocked(e, released), nil
-}
-
-// HoldAbortByID aborts the hold backing ingress-side local request id —
-// the cancel path: the router resolves a client cancel of a cross-shard
-// reservation into an abort on both owners.
-func (s *Server) HoldAbortByID(id request.ID) (HoldStateJSON, error) {
-	s.mu.Lock()
-	key, ok := s.holdsByID[id]
-	s.mu.Unlock()
-	if !ok {
-		return HoldStateJSON{}, ErrNotFound
-	}
-	return s.HoldAbort(key)
+	return s.holdStateLocked(e, released)
 }
 
 // holdRollbackLocked releases whatever the hold still books and marks it
@@ -722,88 +793,34 @@ func (s *Server) armHoldTimersLocked() int {
 
 // --- HTTP surface -------------------------------------------------------
 
-func (s *Server) handleHoldReserve(w http.ResponseWriter, r *http.Request) {
-	var body HoldReserveJSON
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode reserve: %w", err))
-		return
-	}
-	resp, err := s.HoldReserve(body)
-	switch {
-	case errors.Is(err, ErrClosed), errors.Is(err, ErrDurabilityLost):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrReadOnly):
-		writeError(w, http.StatusForbidden, err)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-	case resp.Held:
-		writeJSON(w, http.StatusCreated, resp)
-	default:
-		writeJSON(w, http.StatusOK, resp)
-	}
-}
-
-func (s *Server) handleHoldConfirm(w http.ResponseWriter, r *http.Request) {
-	var body HoldRefJSON
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode confirm: %w", err))
-		return
-	}
-	if body.Hold == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("confirm without hold key"))
-		return
-	}
-	resp, err := s.HoldConfirm(body.Hold, body.Epoch)
-	var fenced *FencedError
-	switch {
-	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrReadOnly), errors.As(err, &fenced):
-		writeError(w, http.StatusForbidden, err)
-	case errors.Is(err, ErrNotFound):
-		writeError(w, http.StatusNotFound, err)
-	case errors.Is(err, ErrHoldAborted):
-		writeJSON(w, http.StatusConflict, resp)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		writeJSON(w, http.StatusOK, resp)
-	}
-}
-
-func (s *Server) handleHoldAbort(w http.ResponseWriter, r *http.Request) {
-	var body HoldRefJSON
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode abort: %w", err))
-		return
-	}
-	var resp HoldStateJSON
-	var err error
-	switch {
-	case body.Hold != "":
-		resp, err = s.HoldAbort(body.Hold)
-	case body.ID != nil && *body.ID >= 0:
-		resp, err = s.HoldAbortByID(request.ID(*body.ID))
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("abort needs a hold key or id"))
-		return
-	}
-	switch {
-	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrReadOnly):
-		writeError(w, http.StatusForbidden, err)
-	case errors.Is(err, ErrNotFound):
-		writeError(w, http.StatusNotFound, err)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		writeJSON(w, http.StatusOK, resp)
+// holdHandler serves one list-shaped hold call: the body is bounded like a
+// batch; whole-call failures keep the status codes the failover-aware
+// client keys on (503 retry, 403 move to the primary or refresh the
+// epoch); per-item outcomes ride a 200.
+func holdHandler[Q, A any](s *Server, call func([]Q) ([]A, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var body HoldListJSON[Q]
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&body); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("decode holds: %w", err))
+			return
+		}
+		if n := len(body.Holds); n == 0 || n > s.maxBatch {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("hold list of %d outside [1,%d]", n, s.maxBatch))
+			return
+		}
+		results, err := call(body.Holds)
+		var fenced *FencedError
+		switch {
+		case errors.Is(err, ErrClosed), errors.Is(err, ErrDurabilityLost):
+			writeError(w, http.StatusServiceUnavailable, err)
+		case errors.Is(err, ErrReadOnly), errors.As(err, &fenced):
+			writeError(w, http.StatusForbidden, err)
+		case err != nil:
+			writeError(w, http.StatusBadRequest, err)
+		default:
+			writeJSON(w, http.StatusOK, HoldResultsJSON[A]{Results: results})
+		}
 	}
 }

@@ -2,13 +2,19 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"gridbw/internal/faults"
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wal"
 )
 
 // holdConfig is a 2-point platform where one full-capacity hold saturates
@@ -40,6 +46,32 @@ func fullReserveRel(hold string) server.HoldReserveJSON {
 	return r
 }
 
+// reserve1, confirm1 and abort1 drive the list-shaped hold calls with a
+// single hold.
+func reserve1(s *server.Server, req server.HoldReserveJSON) (server.HoldReserveResponseJSON, error) {
+	out, err := s.HoldReserve([]server.HoldReserveJSON{req})
+	if err != nil {
+		return server.HoldReserveResponseJSON{}, err
+	}
+	return out[0], nil
+}
+
+func confirm1(s *server.Server, hold string, epoch uint64) (server.HoldStateJSON, error) {
+	out, err := s.HoldConfirm([]server.HoldRefJSON{{Hold: hold, Epoch: epoch}})
+	if err != nil {
+		return server.HoldStateJSON{}, err
+	}
+	return out[0], nil
+}
+
+func abort1(s *server.Server, hold string) (server.HoldStateJSON, error) {
+	out, err := s.HoldAbort([]server.HoldRefJSON{{Hold: hold}})
+	if err != nil {
+		return server.HoldStateJSON{}, err
+	}
+	return out[0], nil
+}
+
 // TestHoldReserveProposesAndBooks: an ingress-side RESERVE runs the
 // one-sided admission search, proposes a concrete grant, and actually
 // books it — a second saturating reserve is refused while the first is
@@ -48,7 +80,7 @@ func TestHoldReserveProposesAndBooks(t *testing.T) {
 	clk := &fakeClock{}
 	s := newTestServer(t, holdConfig(clk, nil))
 
-	r1, err := s.HoldReserve(fullReserve("h1"))
+	r1, err := reserve1(s, fullReserve("h1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +91,7 @@ func TestHoldReserveProposesAndBooks(t *testing.T) {
 		t.Fatalf("ingress reserve allocated no local ID: %+v", r1)
 	}
 
-	r2, err := s.HoldReserve(fullReserve("h2"))
+	r2, err := reserve1(s, fullReserve("h2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +99,7 @@ func TestHoldReserveProposesAndBooks(t *testing.T) {
 		t.Fatalf("saturating second reserve = %+v, want a reasoned refusal", r2)
 	}
 	// The refusal is remembered: a duplicate delivery answers identically.
-	r2b, err := s.HoldReserve(fullReserve("h2"))
+	r2b, err := reserve1(s, fullReserve("h2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +109,7 @@ func TestHoldReserveProposesAndBooks(t *testing.T) {
 
 	// Duplicate of the held side answers the same grant without booking
 	// twice.
-	r1b, err := s.HoldReserve(fullReserve("h1"))
+	r1b, err := reserve1(s, fullReserve("h1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +128,11 @@ func TestHoldConfirmReleasesOnSchedule(t *testing.T) {
 	var buf bytes.Buffer
 	s := newTestServer(t, holdConfig(clk, trace.NewDecisionLog(&buf)))
 
-	r, err := s.HoldReserve(fullReserve("h1"))
+	r, err := reserve1(s, fullReserve("h1"))
 	if err != nil || !r.Held {
 		t.Fatalf("reserve: %v %+v", err, r)
 	}
-	st, err := s.HoldConfirm("h1", 0)
+	st, err := confirm1(s, "h1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +140,7 @@ func TestHoldConfirmReleasesOnSchedule(t *testing.T) {
 		t.Fatalf("confirm state = %q", st.State)
 	}
 	// Confirm is idempotent.
-	if st2, err := s.HoldConfirm("h1", 0); err != nil || st2.State != "confirmed" {
+	if st2, err := confirm1(s, "h1", 0); err != nil || st2.State != "confirmed" {
 		t.Fatalf("confirm replay: %v %+v", err, st2)
 	}
 
@@ -116,7 +148,7 @@ func TestHoldConfirmReleasesOnSchedule(t *testing.T) {
 	// saturating reserve still refuses.
 	clk.advance(7 * time.Second)
 	s.Now()
-	if r2, err := s.HoldReserve(fullReserve("h2")); err != nil || r2.Held {
+	if r2, err := reserve1(s, fullReserve("h2")); err != nil || r2.Held {
 		t.Fatalf("reserve against confirmed hold: %v %+v, want refusal", err, r2)
 	}
 
@@ -125,7 +157,7 @@ func TestHoldConfirmReleasesOnSchedule(t *testing.T) {
 	if held, confirmed := s.HoldStats(); held != 0 || confirmed != 0 {
 		t.Fatalf("holds after τ = %d/%d, want released", held, confirmed)
 	}
-	if r3, err := s.HoldReserve(fullReserveRel("h3")); err != nil || !r3.Held {
+	if r3, err := reserve1(s, fullReserveRel("h3")); err != nil || !r3.Held {
 		t.Fatalf("reserve after release: %v %+v, want capacity back", err, r3)
 	}
 	assertHoldEvent(t, &buf, trace.EventHoldRelease, "h1")
@@ -138,7 +170,7 @@ func TestHoldTTLExpiry(t *testing.T) {
 	var buf bytes.Buffer
 	s := newTestServer(t, holdConfig(clk, trace.NewDecisionLog(&buf)))
 
-	if r, err := s.HoldReserve(fullReserve("h1")); err != nil || !r.Held {
+	if r, err := reserve1(s, fullReserve("h1")); err != nil || !r.Held {
 		t.Fatalf("reserve: %v %+v", err, r)
 	}
 	clk.advance(6 * time.Second) // past TTL 5
@@ -150,10 +182,10 @@ func TestHoldTTLExpiry(t *testing.T) {
 
 	// A late CONFIRM of the lapsed hold is the conflict the router maps to
 	// "abort the peer side".
-	if _, err := s.HoldConfirm("h1", 0); !errors.Is(err, server.ErrHoldAborted) {
-		t.Fatalf("confirm after expiry: %v, want ErrHoldAborted", err)
+	if st, err := confirm1(s, "h1", 0); err != nil || st.Code != http.StatusConflict {
+		t.Fatalf("confirm after expiry: %v %+v, want the item's 409", err, st)
 	}
-	if r, err := s.HoldReserve(fullReserveRel("h2")); err != nil || !r.Held {
+	if r, err := reserve1(s, fullReserveRel("h2")); err != nil || !r.Held {
 		t.Fatalf("reserve after expiry: %v %+v, want capacity back", err, r)
 	}
 }
@@ -165,14 +197,14 @@ func TestHoldAbortTombstone(t *testing.T) {
 	clk := &fakeClock{}
 	s := newTestServer(t, holdConfig(clk, nil))
 
-	st, err := s.HoldAbort("ghost")
+	st, err := abort1(s, "ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Released {
 		t.Fatalf("abort of unknown key released capacity: %+v", st)
 	}
-	r, err := s.HoldReserve(fullReserve("ghost"))
+	r, err := reserve1(s, fullReserve("ghost"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +212,7 @@ func TestHoldAbortTombstone(t *testing.T) {
 		t.Fatalf("reserve resurrected an aborted key: %+v", r)
 	}
 	// Abort stays idempotent on the tombstone.
-	if _, err := s.HoldAbort("ghost"); err != nil {
+	if _, err := abort1(s, "ghost"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -191,16 +223,16 @@ func TestHoldConfirmFencing(t *testing.T) {
 	clk := &fakeClock{}
 	s := newTestServer(t, holdConfig(clk, nil))
 
-	r, err := s.HoldReserve(fullReserve("h1"))
+	r, err := reserve1(s, fullReserve("h1"))
 	if err != nil || !r.Held {
 		t.Fatalf("reserve: %v %+v", err, r)
 	}
 	var fenced *server.FencedError
-	if _, err := s.HoldConfirm("h1", r.Epoch+7); !errors.As(err, &fenced) {
+	if _, err := confirm1(s, "h1", r.Epoch+7); !errors.As(err, &fenced) {
 		t.Fatalf("confirm with wrong epoch: %v, want FencedError", err)
 	}
 	// The hold survives the fenced attempt; the correct epoch commits.
-	if st, err := s.HoldConfirm("h1", r.Epoch); err != nil || st.State != "confirmed" {
+	if st, err := confirm1(s, "h1", r.Epoch); err != nil || st.State != "confirmed" {
 		t.Fatalf("confirm with reserve-time epoch: %v %+v", err, st)
 	}
 }
@@ -211,11 +243,11 @@ func TestHoldSnapshotRoundTrip(t *testing.T) {
 	clk := &fakeClock{}
 	s := newTestServer(t, holdConfig(clk, nil))
 
-	r, err := s.HoldReserve(fullReserve("h1"))
+	r, err := reserve1(s, fullReserve("h1"))
 	if err != nil || !r.Held {
 		t.Fatalf("reserve: %v %+v", err, r)
 	}
-	if _, err := s.HoldConfirm("h1", 0); err != nil {
+	if _, err := confirm1(s, "h1", 0); err != nil {
 		t.Fatal(err)
 	}
 	snap := s.Snapshot()
@@ -228,12 +260,12 @@ func TestHoldSnapshotRoundTrip(t *testing.T) {
 	if held, confirmed := restored.HoldStats(); held != 0 || confirmed != 1 {
 		t.Fatalf("restored holds = %d/%d, want 0 held / 1 confirmed", held, confirmed)
 	}
-	if r2, err := restored.HoldReserve(fullReserve("h2")); err != nil || r2.Held {
+	if r2, err := reserve1(restored, fullReserve("h2")); err != nil || r2.Held {
 		t.Fatalf("restored reserve: %v %+v, want refusal while h1 is booked", err, r2)
 	}
 	clk.advance(11 * time.Second)
 	restored.Now()
-	if r3, err := restored.HoldReserve(fullReserveRel("h3")); err != nil || !r3.Held {
+	if r3, err := reserve1(restored, fullReserveRel("h3")); err != nil || !r3.Held {
 		t.Fatalf("restored reserve after τ: %v %+v, want capacity back", err, r3)
 	}
 }
@@ -247,7 +279,7 @@ func TestHoldEgressRelTimes(t *testing.T) {
 	clk.advance(100 * time.Second) // egress shard service clock well past 0
 	s.Now()
 
-	st, err := s.HoldReserve(server.HoldReserveJSON{
+	st, err := reserve1(s, server.HoldReserveJSON{
 		Hold: "h1", Side: trace.HoldSideEgress,
 		Point: 0, PeerPoint: 1, TTLS: 5, RelTimes: true,
 		RateBps: 1e9, SigmaS: 0, TauS: 10,
@@ -265,7 +297,7 @@ func TestHoldEgressRelTimes(t *testing.T) {
 	}
 	// The booking is authoritative: a second saturating egress check on
 	// the same point must refuse while the first window is held.
-	st2, err := s.HoldReserve(server.HoldReserveJSON{
+	st2, err := reserve1(s, server.HoldReserveJSON{
 		Hold: "h2", Side: trace.HoldSideEgress,
 		Point: 0, PeerPoint: 1, TTLS: 5, RelTimes: true,
 		RateBps: 1e9, SigmaS: 0, TauS: 10,
@@ -291,4 +323,224 @@ func assertHoldEvent(t *testing.T, buf *bytes.Buffer, kind, hold string) {
 		}
 	}
 	t.Fatalf("no %s event for hold %q in the decision log", kind, hold)
+}
+
+// holdEvents lists the logged hold transitions as "kind:key", in log order.
+func holdEvents(t *testing.T, buf *bytes.Buffer) []string {
+	t.Helper()
+	events, err := trace.ReadDecisions(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, ev := range events {
+		if ev.Hold != "" {
+			out = append(out, ev.Kind+":"+ev.Hold)
+		}
+	}
+	return out
+}
+
+// TestHoldReserveListOrder: one RESERVE list is decided in list order
+// through the per-hold code — the first saturating hold wins, a repeated
+// key answers the first one's decision and books once, a malformed item
+// fails alone — and logs exactly the events one-item calls would have.
+func TestHoldReserveListOrder(t *testing.T) {
+	clk := &fakeClock{}
+	var buf bytes.Buffer
+	s := newTestServer(t, holdConfig(clk, trace.NewDecisionLog(&buf)))
+
+	bad := fullReserve("bad")
+	bad.Point = 99
+	out, err := s.HoldReserve([]server.HoldReserveJSON{
+		fullReserve("h1"), bad, fullReserve("h2"), fullReserve("h1"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out[0].Held || out[0].Code != 0 {
+		t.Errorf("first saturating hold = %+v, want held", out[0])
+	}
+	if out[1].Code != http.StatusBadRequest || out[1].Error == "" || out[1].Held {
+		t.Errorf("out-of-range item = %+v, want its own 400", out[1])
+	}
+	if out[2].Held || out[2].Reason == "" || out[2].Code != 0 {
+		t.Errorf("second saturating hold = %+v, want a reasoned refusal", out[2])
+	}
+	if !out[3].Held || out[3].ID != out[0].ID || out[3].RateBps != out[0].RateBps {
+		t.Errorf("repeated key = %+v, want the first decision %+v", out[3], out[0])
+	}
+	if out[0].NowS != out[3].NowS {
+		t.Errorf("now_s differs within one list: %g vs %g", out[0].NowS, out[3].NowS)
+	}
+	if held, confirmed := s.HoldStats(); held != 1 || confirmed != 0 {
+		t.Fatalf("holds = %d held / %d confirmed, want 1/0", held, confirmed)
+	}
+	if got := holdEvents(t, &buf); len(got) != 1 || got[0] != trace.EventHoldReserve+":h1" {
+		t.Errorf("logged %v, want the one hold_reserve of h1", got)
+	}
+}
+
+// TestHoldConfirmListPartial: one expired hold in a CONFIRM list answers
+// its own 409 while its neighbours commit, an unknown key its 404, and a
+// fenced epoch anywhere in the list refuses the whole call untouched.
+func TestHoldConfirmListPartial(t *testing.T) {
+	clk := &fakeClock{}
+	var buf bytes.Buffer
+	s := newTestServer(t, holdConfig(clk, trace.NewDecisionLog(&buf)))
+
+	short := fullReserve("short")
+	short.TTLS = 1
+	other := fullReserve("long")
+	other.Point, other.TTLS = 1, 30
+	rs, err := s.HoldReserve([]server.HoldReserveJSON{short, other})
+	if err != nil || !rs[0].Held || !rs[1].Held {
+		t.Fatalf("reserve: %v %+v", err, rs)
+	}
+	clk.advance(2 * time.Second) // past short's TTL only
+	s.Now()
+
+	var fenced *server.FencedError
+	if _, err := s.HoldConfirm([]server.HoldRefJSON{
+		{Hold: "long"}, {Hold: "short", Epoch: rs[0].Epoch + 3},
+	}); !errors.As(err, &fenced) {
+		t.Fatalf("confirm list with a stale epoch: %v, want FencedError", err)
+	}
+	if _, confirmed := s.HoldStats(); confirmed != 0 {
+		t.Fatalf("fenced call confirmed %d holds, want none", confirmed)
+	}
+
+	out, err := s.HoldConfirm([]server.HoldRefJSON{
+		{Hold: "short", Epoch: rs[0].Epoch}, {Hold: "long", Epoch: rs[1].Epoch}, {Hold: "ghost"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Code != http.StatusConflict || out[0].State != "aborted" {
+		t.Errorf("expired hold = %+v, want 409 aborted", out[0])
+	}
+	if out[1].Code != 0 || out[1].State != "confirmed" {
+		t.Errorf("live hold = %+v, want confirmed", out[1])
+	}
+	if out[2].Code != http.StatusNotFound {
+		t.Errorf("unknown hold = %+v, want 404", out[2])
+	}
+	if held, confirmed := s.HoldStats(); held != 0 || confirmed != 1 {
+		t.Fatalf("holds = %d held / %d confirmed, want 0/1", held, confirmed)
+	}
+
+	// The peer-side abort of the failed pair travels in one list with an
+	// abort by request ID (the cancel path) of the committed one.
+	id := rs[1].ID
+	ab, err := s.HoldAbort([]server.HoldRefJSON{{Hold: "short"}, {ID: &id}, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ab[0].Released || ab[0].State != "aborted" {
+		t.Errorf("abort of the expired hold = %+v, want a released-nothing no-op", ab[0])
+	}
+	if !ab[1].Released || ab[1].Hold != "long" {
+		t.Errorf("abort by id = %+v, want hold long released", ab[1])
+	}
+	if ab[2].Code != http.StatusBadRequest {
+		t.Errorf("empty ref = %+v, want 400", ab[2])
+	}
+	want := []string{
+		trace.EventHoldReserve + ":short", trace.EventHoldReserve + ":long",
+		trace.EventHoldExpire + ":short", trace.EventHoldConfirm + ":long",
+		trace.EventHoldAbort + ":long",
+	}
+	got := holdEvents(t, &buf)
+	if len(got) != len(want) {
+		t.Fatalf("logged %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("logged %v, want %v", got, want)
+		}
+	}
+}
+
+// TestHoldHTTPList: the wire form — {"holds":[…]} in, {"results":[…]} out
+// on all three paths, and an empty list is a 400.
+func TestHoldHTTPList(t *testing.T) {
+	clk := &fakeClock{}
+	s := newTestServer(t, holdConfig(clk, nil))
+	web := httptest.NewServer(s.Handler())
+	defer web.Close()
+
+	post := func(path, body string, out any) int {
+		t.Helper()
+		resp, err := http.Post(web.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if out != nil && resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode
+	}
+	var rs server.HoldResultsJSON[server.HoldReserveResponseJSON]
+	code := post("/v1/reserve", `{"holds":[
+		{"hold":"a","side":"in","point":0,"peer_point":1,"volume_bytes":1e9,"max_rate_bps":1e8,"deadline_s":100},
+		{"hold":"b","side":"eg","point":1,"peer_point":0,"rate_bps":1e8,"sigma_s":0,"tau_s":10}]}`, &rs)
+	if code != http.StatusOK || len(rs.Results) != 2 || !rs.Results[0].Held || !rs.Results[1].Held {
+		t.Fatalf("reserve = %d %+v", code, rs)
+	}
+	var st server.HoldResultsJSON[server.HoldStateJSON]
+	if code := post("/v1/confirm", `{"holds":[{"hold":"a"},{"hold":"b"}]}`, &st); code != http.StatusOK ||
+		len(st.Results) != 2 || st.Results[0].State != "confirmed" || st.Results[1].State != "confirmed" {
+		t.Fatalf("confirm = %d %+v", code, st)
+	}
+	if code := post("/v1/abort", `{"holds":[{"hold":"a"},{"hold":"b"}]}`, &st); code != http.StatusOK ||
+		!st.Results[0].Released || !st.Results[1].Released {
+		t.Fatalf("abort = %d %+v", code, st)
+	}
+	for _, path := range []string{"/v1/reserve", "/v1/confirm", "/v1/abort"} {
+		if code := post(path, `{"holds":[]}`, nil); code != http.StatusBadRequest {
+			t.Errorf("%s with an empty list = %d, want 400", path, code)
+		}
+		if code := post(path, `{"hold":"a"}`, nil); code != http.StatusBadRequest {
+			t.Errorf("%s with the single-object body = %d, want 400", path, code)
+		}
+	}
+}
+
+// TestHoldReserveListPoisonedMidway: a disk fault that poisons the WAL
+// while hold i of a RESERVE list is logged must stop the list there — no
+// later hold may be booked and answered held without a durable record. The
+// call fails whole, and the caller's abort returns what was booked.
+func TestHoldReserveListPoisonedMidway(t *testing.T) {
+	dfs := faults.NewDiskFS(nil, faults.DiskConfig{Seed: 1})
+	l, _, err := wal.Open(t.TempDir(), wal.Options{FS: dfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := uniformConfig(nil)
+	cfg.WAL = l
+	s := newTestServer(t, cfg)
+
+	list := make([]server.HoldReserveJSON, 3)
+	refs := make([]server.HoldRefJSON, len(list))
+	for i := range list {
+		list[i] = fullReserve(string(rune('a' + i)))
+		list[i].VolumeBytes = 1e9 // all three fit side by side
+		refs[i].Hold = list[i].Hold
+	}
+	dfs.FailNextFsyncs(1)
+	if _, err := s.HoldReserve(list); !errors.Is(err, server.ErrDurabilityLost) {
+		t.Fatalf("reserve list across the fault: %v, want ErrDurabilityLost", err)
+	}
+	if held, confirmed := s.HoldStats(); held != 1 || confirmed != 0 {
+		t.Fatalf("after the poisoned list: %d held / %d confirmed, want only the hold that met the fault", held, confirmed)
+	}
+	if _, err := s.HoldAbort(refs); err != nil {
+		t.Fatal(err)
+	}
+	if held, confirmed := s.HoldStats(); held != 0 || confirmed != 0 {
+		t.Fatalf("after the abort: %d held / %d confirmed, want 0/0", held, confirmed)
+	}
 }

@@ -163,9 +163,9 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/requests", s.shed(http.HandlerFunc(s.handleSubmit)))
 	mux.Handle("POST /v1/batch", s.shed(http.HandlerFunc(s.handleBatch)))
-	mux.Handle("POST /v1/reserve", s.shed(http.HandlerFunc(s.handleHoldReserve)))
-	mux.HandleFunc("POST /v1/confirm", s.handleHoldConfirm)
-	mux.HandleFunc("POST /v1/abort", s.handleHoldAbort)
+	mux.Handle("POST /v1/reserve", s.shed(holdHandler(s, s.HoldReserve)))
+	mux.Handle("POST /v1/confirm", holdHandler(s, s.HoldConfirm))
+	mux.Handle("POST /v1/abort", holdHandler(s, s.HoldAbort))
 	mux.HandleFunc("GET /v1/requests/{id}", s.handleGet)
 	mux.HandleFunc("DELETE /v1/requests/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)

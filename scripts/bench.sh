@@ -15,8 +15,14 @@
 #              repetitions, the standard noise floor for trend lines
 #
 # The JSON shape is stable and diff-friendly:
-#   {"schema":1,"go":"go1.22.x","benchtime":"200x","benchmarks":[
+#   {"schema":1,"go":"go1.22.x","benchtime":"200x",
+#    "machine":{"goos":...,"goarch":...,"cpu":...,"num_cpu":N,"gomaxprocs":N},
+#    "benchmarks":[
 #     {"name":"ServerAdmit","ns_per_op":...,"b_per_op":...,"allocs_per_op":...}]}
+#
+# "machine" is the box the numbers came from: goos, goarch and the CPU
+# model as `go test` prints them, the online CPU count, and the GOMAXPROCS
+# the benchmarks ran with (the -N suffix of their names; 1 when absent).
 #
 # Benchmarks that report a custom p99-ns/op metric (the sync-ack admission
 # path) get an extra "p99_ns_per_op" field, taken from the same repetition
@@ -34,13 +40,19 @@ COUNT="${COUNT:-3}"
 OUT="BENCH_${NAME}.json"
 
 GOVER="$(go env GOVERSION)"
+NUMCPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
 
 go test -run='^$' -bench "${REGEX}" -benchmem -benchtime "${BENCHTIME}" -count "${COUNT}" . |
 	tee /dev/stderr |
-	awk -v go="${GOVER}" -v benchtime="${BENCHTIME}" '
+	awk -v go="${GOVER}" -v benchtime="${BENCHTIME}" -v numcpu="${NUMCPU}" '
+	/^goos: / { goos = $2 }
+	/^goarch: / { goarch = $2 }
+	/^cpu: / { cpu = $0; sub(/^cpu: /, "", cpu); gsub(/["\\]/, "", cpu) }
 	/^Benchmark/ && NF >= 7 {
 		name = $1
 		sub(/^Benchmark/, "", name)
+		procs = 1
+		if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1) + 0
 		sub(/-[0-9]+$/, "", name)
 		# Walk unit labels instead of fixed columns: benchmarks may emit
 		# custom metrics (e.g. submissions/op) between the standard ones.
@@ -59,7 +71,10 @@ go test -run='^$' -bench "${REGEX}" -benchmem -benchtime "${BENCHTIME}" -count "
 		}
 	}
 	END {
-		printf "{\n  \"schema\": 1,\n  \"go\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", go, benchtime
+		printf "{\n  \"schema\": 1,\n  \"go\": \"%s\",\n  \"benchtime\": \"%s\",\n", go, benchtime
+		printf "  \"machine\": {\"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\", \"num_cpu\": %d, \"gomaxprocs\": %d},\n", \
+			goos, goarch, cpu, numcpu, procs
+		printf "  \"benchmarks\": [\n"
 		for (i = 1; i <= n; i++) {
 			name = order[i]
 			extra = ""
