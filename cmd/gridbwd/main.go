@@ -6,15 +6,16 @@
 // submissions beyond its in-flight limit, and persists its control-plane
 // state twice over: a JSON snapshot of the ledger, and — with -wal — a
 // segmented, CRC-framed write-ahead log of every admission decision.
-// Boot recovers along the strongest available path: snapshot plus the
-// WAL suffix past it, then full WAL replay, then the legacy JSON-lines
-// decision log, then a fresh server.
+// Every boot is "install one snapshot (or a fresh server), then replay the
+// WAL past it": snapshot plus the WAL suffix, else the full WAL, else
+// fresh. -decision-log is an audit export only — a JSON-lines copy of
+// every decision for tailing — and is never read at boot.
 //
-// With -follow the daemon boots as a warm standby instead: it replays
-// its own WAL (or the re-seed snapshot a compacted primary once shipped
-// it), then continuously pulls the primary's decision stream, refusing
-// writes (403) until POST /v1/replication/promote turns it into the
-// primary under a higher fencing epoch. Adding -watch runs the failover
+// With -follow the daemon is a warm standby: it boots the same way from
+// its own WAL (on top of the re-seed snapshot a compacted primary once
+// shipped it, if any), then continuously pulls the primary's decision
+// stream, refusing writes (403) until POST /v1/replication/promote turns
+// it into the primary under a higher fencing epoch. Adding -watch runs the failover
 // watchdog in-process: the standby probes the primary's health itself
 // and, after enough consecutive misses, a replication-lag check and —
 // with -peers — a majority vote across the group, promotes itself; no
@@ -39,7 +40,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -77,8 +77,8 @@ func run(args []string) error {
 	policy := fset.String("policy", "minbw", "bandwidth-assignment policy: minbw, minbw-strict, or f=<x>")
 	snapshot := fset.String("snapshot", "", "snapshot file: restored at boot if present, written on shutdown")
 	snapshotEvery := fset.Duration("snapshot-every", 0, "also write the snapshot periodically (0 = only on shutdown)")
-	decisionLog := fset.String("decision-log", "", "append admission decisions as JSON lines to this file; also a boot fallback when snapshot and WAL are unusable")
-	walDir := fset.String("wal", "", "write-ahead log directory: every decision is CRC-framed and segmented here; the primary recovery source and the replication stream")
+	decisionLog := fset.String("decision-log", "", "append admission decisions as JSON lines to this file: an audit export only, never read at boot (recovery is -snapshot and -wal)")
+	walDir := fset.String("wal", "", "write-ahead log directory: every decision is CRC-framed and segmented here; the recovery source and the replication stream")
 	walFsync := fset.String("wal-fsync", "always", "WAL durability: always (fsync every append), interval, or never")
 	walFsyncInterval := fset.Duration("wal-fsync-interval", 0, "fsync period under -wal-fsync=interval (0 = 100ms)")
 	walSegmentBytes := fset.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold (0 = 8 MiB)")
@@ -108,7 +108,6 @@ func run(args []string) error {
 	}
 	bc := bootConfig{
 		snapshotPath: *snapshot,
-		logPath:      *decisionLog,
 		policy:       *policy,
 		follow:       *follow,
 		base: server.Config{
@@ -283,10 +282,9 @@ func newInProcessWatchdog(srv *server.Server, primary string, cfg cluster.Config
 // bootConfig gathers everything bootServer needs to bring a server up.
 // base carries the runtime wiring (Decisions, WAL, limits); the platform
 // flags live beside it because snapshot restore forbids platform fields
-// in its Config while fresh boot and log replay require them.
+// in its Config while a fresh server requires them.
 type bootConfig struct {
 	snapshotPath    string
-	logPath         string
 	ingress, egress []units.Bandwidth
 	policy          string
 	follow          string
@@ -301,227 +299,105 @@ func (bc bootConfig) platformConfig() server.Config {
 	return cfg
 }
 
-// bootServer brings up the control plane along the first viable recovery
-// path — snapshot restore plus the WAL suffix past it, then full WAL
-// replay, then decision-log replay, then a fresh server — and reports
-// which path was taken. With -follow it boots a warm standby instead.
+// bootServer brings up the control plane and reports how. Every boot is
+// the same three steps — install a base (one snapshot, or a fresh server),
+// replay the WAL past the position the base covers, start pulling if
+// following — and the ladder only chooses the base: the snapshot with its
+// WAL suffix, then a fresh server with the whole WAL, which is a plain
+// fresh boot when there is no WAL history.
+//
+// A primary's base is its -snapshot file. A follower's is the snapshot a
+// re-seed left in its WAL directory: its local WAL no longer reaches back
+// past that file, so an unusable one refuses the boot rather than letting
+// the follower silently diverge from its persisted cursor.
 func bootServer(bc bootConfig) (*server.Server, string, error) {
+	bc.base.Follow = bc.follow
+	snapPath, snapKind := bc.snapshotPath, "snapshot"
 	if bc.follow != "" {
-		return bootFollower(bc)
+		snapPath, snapKind = "", "reseed snapshot"
+		if bc.wal != nil {
+			snapPath = filepath.Join(bc.wal.Dir(), server.ReseedSnapshotName)
+		}
 	}
-	if bc.snapshotPath != "" {
-		f, err := os.Open(bc.snapshotPath)
-		switch {
-		case err == nil:
-			snap, rerr := server.ReadSnapshot(f)
+	var snap *server.Snapshot
+	var snapErr error
+	if snapPath != "" {
+		f, err := os.Open(snapPath)
+		if err == nil {
+			snap, snapErr = server.ReadSnapshot(f)
 			f.Close()
-			if rerr == nil {
-				srv, how, serr := bootFromSnapshot(bc, snap)
-				if serr == nil {
-					return srv, how, nil
-				}
-				rerr = serr
-			}
-			// The snapshot exists but cannot be used. Refusing to start
-			// would keep the whole control plane down over one bad file;
-			// the WAL (or the decision log) carries enough to rebuild.
-			srv, how, ferr := bootFallback(bc)
-			if ferr != nil {
-				return nil, "", fmt.Errorf("snapshot %s unusable (%v); %w", bc.snapshotPath, rerr, ferr)
-			}
-			log.Printf("snapshot %s unusable (%v); falling back to %s", bc.snapshotPath, rerr, how)
-			return srv, how, nil
-		case errors.Is(err, fs.ErrNotExist):
-			// First boot with this snapshot path: recover from the WAL
-			// below if it holds history, else start fresh.
-		default:
-			return nil, "", err
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			snapErr = err
 		}
 	}
-	if bc.wal != nil && bc.wal.Records() > 0 {
-		srv, how, err := bootFallback(bc)
-		if err != nil {
-			// A WAL full of decisions must not be silently discarded by a
-			// fresh boot; surface why it cannot be replayed.
-			return nil, "", err
-		}
-		return srv, how, nil
-	}
-	srv, err := server.New(bc.platformConfig())
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, fmt.Sprintf("fresh server (%s, policy %s)", srv.Network(), srv.PolicyName()), nil
-}
 
-// bootFromSnapshot restores the snapshot and replays the WAL suffix past
-// the position it recorded — the decisions made after the snapshot was
-// written and before the crash.
-func bootFromSnapshot(bc bootConfig, snap *server.Snapshot) (*server.Server, string, error) {
-	srv, err := server.NewFromSnapshot(snap, bc.base)
-	if err != nil {
-		return nil, "", err
-	}
-	suffix := 0
-	if bc.wal != nil {
-		events, _, err := server.ReadWALEvents(bc.wal, snap.WALPos())
-		if err == nil {
-			suffix, err = srv.ApplyEvents(events)
+	boot := func(base *server.Snapshot) (*server.Server, string, error) {
+		var srv *server.Server
+		var err error
+		var how string
+		// No base snapshot means all of history: a compacted prefix must
+		// answer ErrCompacted, not be skipped as a silent gap.
+		from := wal.Pos{Seg: 1}
+		if base == nil {
+			srv, err = server.New(bc.platformConfig())
+			how = "fresh server"
+		} else {
+			srv, err = server.NewFromSnapshot(base, bc.base) // the snapshot carries the platform
+			how = fmt.Sprintf("restored %s %s (clock at %s)", snapKind, snapPath, units.Time(base.NowS))
+			if !base.WALPos().IsZero() {
+				from = base.WALPos()
+			}
 		}
 		if err != nil {
-			srv.Close()
-			return nil, "", fmt.Errorf("WAL suffix past snapshot: %w", err)
+			return nil, "", err
 		}
+		if bc.wal != nil {
+			events, _, err := server.ReadWALEvents(bc.wal, from)
+			if err == nil {
+				_, err = srv.ApplyEvents(events)
+			}
+			if err != nil {
+				srv.Close()
+				return nil, "", fmt.Errorf("replay WAL %s from %v: %w", bc.wal.Dir(), from, err)
+			}
+			if len(events) > 0 {
+				how += fmt.Sprintf(", replayed %d WAL events from %v", len(events), from)
+			}
+		}
+		if bc.follow != "" {
+			if err := srv.StartFollowing(); err != nil {
+				srv.Close()
+				return nil, "", err
+			}
+			how = fmt.Sprintf("following %s at epoch %d: %s", bc.follow, srv.Epoch(), how)
+		}
+		return srv, fmt.Sprintf("%s; %s, policy %s, %d live reservations",
+			how, srv.Network(), srv.PolicyName(), len(srv.LiveReservations())), nil
 	}
-	how := fmt.Sprintf("restored snapshot %s: %d live reservations, clock at %s",
-		bc.snapshotPath, len(snap.Live), units.Time(snap.NowS))
-	if suffix > 0 {
-		how += fmt.Sprintf(", replayed %d WAL events past it", suffix)
-	}
-	return srv, how, nil
-}
 
-// bootFallback recovers without a usable snapshot: full WAL replay when
-// the WAL holds history, else the legacy JSON-lines decision log.
-func bootFallback(bc bootConfig) (*server.Server, string, error) {
-	var walErr error
-	if bc.wal != nil && bc.wal.Records() > 0 {
-		srv, how, err := bootFromWAL(bc)
+	if snap != nil {
+		srv, how, err := boot(snap)
 		if err == nil {
 			return srv, how, nil
 		}
-		walErr = err
-		log.Printf("WAL replay failed (%v); trying the decision log", err)
+		snapErr = err
 	}
-	srv, how, err := bootFromLog(bc)
-	if err != nil && walErr != nil {
-		return nil, "", fmt.Errorf("%v; %w", walErr, err)
+	if snapErr != nil {
+		snapErr = fmt.Errorf("%s %s unusable (%w)", snapKind, snapPath, snapErr)
+		if bc.follow != "" || bc.wal == nil || bc.wal.Records() == 0 {
+			// Nothing below this rung can rebuild the state the file held;
+			// a fresh boot would silently discard it.
+			return nil, "", fmt.Errorf("%w and no full WAL history to rebuild from", snapErr)
+		}
+		// Refusing to start would keep the whole control plane down over
+		// one bad file; the WAL carries enough to rebuild.
+		log.Printf("%v; falling back to full WAL replay", snapErr)
+	}
+	srv, how, err := boot(nil)
+	if err != nil && snapErr != nil {
+		return nil, "", fmt.Errorf("%v; %w", snapErr, err)
 	}
 	return srv, how, err
-}
-
-// bootFromWAL rebuilds the server by strictly replaying the whole WAL:
-// the same audit semantics as the decision log, read from CRC-framed
-// segments that a torn tail truncates instead of poisons.
-func bootFromWAL(bc bootConfig) (*server.Server, string, error) {
-	events, _, err := server.ReadWALEvents(bc.wal, wal.Pos{})
-	if err != nil {
-		return nil, "", fmt.Errorf("WAL replay: %w", err)
-	}
-	srv, err := server.NewFromDecisions(events, bc.platformConfig())
-	if err != nil {
-		return nil, "", fmt.Errorf("WAL replay: %w", err)
-	}
-	return srv, fmt.Sprintf("replayed WAL %s: %d events, %d live reservations",
-		bc.wal.Dir(), len(events), len(srv.LiveReservations())), nil
-}
-
-// bootFromLog rebuilds the server by replaying the decision audit log.
-// The read is torn-tail tolerant: a crash mid-line costs the broken tail,
-// counted and logged, not the whole recovery path — but a log with no
-// surviving events at all is corruption, not history, and stays an error.
-func bootFromLog(bc bootConfig) (*server.Server, string, error) {
-	if bc.logPath == "" {
-		return nil, "", errors.New("no decision log configured to recover from")
-	}
-	blob, err := os.ReadFile(bc.logPath)
-	if err != nil {
-		return nil, "", fmt.Errorf("decision-log recovery: %w", err)
-	}
-	events, dropped, err := trace.RecoverDecisions(bytes.NewReader(blob))
-	if err != nil {
-		return nil, "", fmt.Errorf("decision-log recovery: %w", err)
-	}
-	if dropped > 0 && len(events) == 0 {
-		return nil, "", fmt.Errorf("decision-log recovery: %s is wholly corrupt (%d lines dropped)", bc.logPath, dropped)
-	}
-	if dropped > 0 {
-		log.Printf("decision log %s: dropped %d corrupt trailing line(s), replaying the %d surviving events",
-			bc.logPath, dropped, len(events))
-	}
-	srv, err := server.NewFromDecisions(events, bc.platformConfig())
-	if err != nil {
-		return nil, "", fmt.Errorf("decision-log recovery: %w", err)
-	}
-	return srv, fmt.Sprintf("replayed decision log %s: %d events, %d live reservations",
-		bc.logPath, len(events), len(srv.LiveReservations())), nil
-}
-
-// bootFollower boots the warm standby. A follower that once re-seeded
-// from the primary's snapshot left that snapshot in its WAL directory —
-// and its local WAL no longer reaches back past it — so that snapshot
-// (plus the WAL suffix past the position it recorded) is the mandatory
-// restore path when present. Otherwise the follower's own WAL is replayed
-// tolerantly from the start. Either way the pull loop then resumes
-// against the primary from the persisted cursor.
-func bootFollower(bc bootConfig) (*server.Server, string, error) {
-	if bc.wal != nil {
-		reseedPath := filepath.Join(bc.wal.Dir(), server.ReseedSnapshotName)
-		if f, err := os.Open(reseedPath); err == nil {
-			snap, rerr := server.ReadSnapshot(f)
-			f.Close()
-			if rerr != nil {
-				// The local WAL alone cannot rebuild a re-seeded follower
-				// (the pre-reseed history was compacted away); starting
-				// fresh would silently diverge from the persisted cursor.
-				return nil, "", fmt.Errorf("follower: reseed snapshot %s unusable: %w", reseedPath, rerr)
-			}
-			return bootFollowerFromReseed(bc, snap, reseedPath)
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return nil, "", err
-		}
-	}
-	cfg := bc.platformConfig()
-	cfg.Follow = bc.follow
-	srv, err := server.New(cfg)
-	if err != nil {
-		return nil, "", err
-	}
-	applied := 0
-	if bc.wal != nil && bc.wal.Records() > 0 {
-		events, _, err := server.ReadWALEvents(bc.wal, wal.Pos{})
-		if err == nil {
-			applied, err = srv.ApplyEvents(events)
-		}
-		if err != nil {
-			srv.Close()
-			return nil, "", fmt.Errorf("follower: replay own WAL: %w", err)
-		}
-	}
-	if err := srv.StartFollowing(); err != nil {
-		srv.Close()
-		return nil, "", err
-	}
-	return srv, fmt.Sprintf("following %s (epoch %d, %d local WAL events replayed)",
-		bc.follow, srv.Epoch(), applied), nil
-}
-
-// bootFollowerFromReseed restores a re-seeded follower: the persisted
-// reseed snapshot carries the state as of the re-seed with the follower's
-// local WAL frontier at that moment, so restore plus the local suffix
-// past it reproduces exactly what the follower had applied.
-func bootFollowerFromReseed(bc bootConfig, snap *server.Snapshot, path string) (*server.Server, string, error) {
-	cfg := bc.base
-	cfg.Follow = bc.follow
-	srv, err := server.NewFromSnapshot(snap, cfg)
-	if err != nil {
-		return nil, "", fmt.Errorf("follower: restore reseed snapshot %s: %w", path, err)
-	}
-	applied := 0
-	events, _, err := server.ReadWALEvents(bc.wal, snap.WALPos())
-	if err == nil {
-		applied, err = srv.ApplyEvents(events)
-	}
-	if err != nil {
-		srv.Close()
-		return nil, "", fmt.Errorf("follower: replay WAL past reseed snapshot: %w", err)
-	}
-	if err := srv.StartFollowing(); err != nil {
-		srv.Close()
-		return nil, "", err
-	}
-	return srv, fmt.Sprintf("following %s from reseed snapshot %s (epoch %d, %d live reservations, %d local WAL events past it)",
-		bc.follow, path, srv.Epoch(), len(srv.LiveReservations()), applied), nil
 }
 
 // splitPeers parses the -peers list into trimmed base URLs.
@@ -551,7 +427,7 @@ func parseCaps(list string) ([]units.Bandwidth, error) {
 // the WAL segments the snapshot now wholly covers.
 func persistSnapshot(srv *server.Server, path string, l *wal.Log, compact bool) error {
 	snap := srv.Snapshot()
-	if err := writeSnapFile(snap, path); err != nil {
+	if err := snap.WriteFile(path); err != nil {
 		return err
 	}
 	if l != nil && compact {
@@ -562,15 +438,4 @@ func persistSnapshot(srv *server.Server, path string, l *wal.Log, compact bool) 
 		}
 	}
 	return nil
-}
-
-// writeSnapshotAtomic captures the current state and writes it durably.
-func writeSnapshotAtomic(srv *server.Server, path string) error {
-	return writeSnapFile(srv.Snapshot(), path)
-}
-
-// writeSnapFile writes the snapshot durably (temp file + fsync + rename +
-// directory fsync).
-func writeSnapFile(snap *server.Snapshot, path string) error {
-	return snap.WriteFile(path)
 }

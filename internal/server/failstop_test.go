@@ -138,7 +138,10 @@ func TestWALPoisonRefusesDurableUntilRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read recovered events: %v", err)
 	}
-	s2, err := server.NewFromDecisions(events, cfg2)
+	s2, err := server.New(cfg2)
+	if err == nil {
+		_, err = s2.ApplyEvents(events)
+	}
 	if err != nil {
 		t.Fatalf("boot after restart: %v", err)
 	}

@@ -768,29 +768,6 @@ func maxTime(a, b units.Time) units.Time {
 	return b
 }
 
-// armHoldTimersLocked re-arms every pending hold timer after a promotion
-// or a restore: held holds get their TTL rollback, confirmed ones their
-// on-time release. Deadlines already in the past fire on the next clock
-// advance.
-func (s *Server) armHoldTimersLocked() int {
-	now := s.sim.Now()
-	armed := 0
-	for key, e := range s.holds {
-		if !e.booked {
-			continue
-		}
-		switch e.state {
-		case holdHeld:
-			s.sim.At(maxTime(e.expireAt, now), s.holdExpireEvent(key))
-			armed++
-		case holdConfirmed:
-			s.sim.At(maxTime(e.tau, now), s.holdReleaseEvent(key))
-			armed++
-		}
-	}
-	return armed
-}
-
 // --- HTTP surface -------------------------------------------------------
 
 // holdHandler serves one list-shaped hold call: the body is bounded like a

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"gridbw/internal/request"
+	"gridbw/internal/topology"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
@@ -220,8 +221,10 @@ func (s *Server) ApplyShipped(b ShippedBatch) error {
 }
 
 // ApplyEvents tolerantly replays recovered events — the WAL suffix past a
-// snapshot, or a follower's own WAL at boot — into the server. The events
-// are not re-recorded: they already live in the local WAL.
+// snapshot, or the whole WAL onto a fresh server — for primaries and
+// followers alike. Every accept and hold is booked through the ledger's
+// capacity check, so a log that over-commits a point is refused. The
+// events are not re-recorded: they already live in the local WAL.
 func (s *Server) ApplyEvents(events []trace.Event) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -309,6 +312,69 @@ func (s *Server) applyEventLocked(ev trace.Event, toWAL bool) error {
 	return nil
 }
 
+// grantFromEvent reconstructs the request and grant an accept event
+// recorded, re-deriving the submission echo older logs omitted (the
+// daemon's grants always satisfy vol = bw·(τ−σ) exactly).
+func grantFromEvent(ev trace.Event, net *topology.Network) (request.Request, request.Grant, error) {
+	id := request.ID(ev.Request)
+	g := request.Grant{
+		Request:   id,
+		Bandwidth: units.Bandwidth(ev.RateBps),
+		Sigma:     units.Time(ev.SigmaS),
+		Tau:       units.Time(ev.TauS),
+	}
+	if g.Tau <= g.Sigma || g.Bandwidth <= 0 {
+		return request.Request{}, g, fmt.Errorf("reservation %d has degenerate grant", ev.Request)
+	}
+	vol := units.Volume(ev.VolumeB)
+	maxRate := units.Bandwidth(ev.MaxRateBps)
+	if vol <= 0 {
+		vol = g.Bandwidth.For(g.Tau - g.Sigma)
+		maxRate = g.Bandwidth
+	}
+	r := request.Request{
+		ID:      id,
+		Ingress: topology.PointID(ev.Ingress), Egress: topology.PointID(ev.Egress),
+		Start: g.Sigma, Finish: g.Tau,
+		Volume: vol, MaxRate: maxRate,
+	}
+	if int(r.Ingress) >= net.NumIngress() || int(r.Egress) >= net.NumEgress() ||
+		r.Ingress < 0 || r.Egress < 0 {
+		return r, g, fmt.Errorf("reservation %d routed through unknown point", ev.Request)
+	}
+	return r, g, nil
+}
+
+// armTimersLocked schedules everything a follower defers to its primary's
+// shipped events: the expiry of every live reservation at τ, the TTL
+// rollback of every held hold and the on-time release of every confirmed
+// one. Instants already past fire on the next clock advance. It reports
+// how many timers it armed.
+func (s *Server) armTimersLocked() int {
+	now := s.sim.Now()
+	armed := 0
+	for id, e := range s.resv {
+		if e.state == StateActive {
+			e.expire = s.sim.At(maxTime(e.grant.Tau, now), s.expireEvent(id))
+			armed++
+		}
+	}
+	for key, e := range s.holds {
+		if !e.booked {
+			continue
+		}
+		switch e.state {
+		case holdHeld:
+			s.sim.At(maxTime(e.expireAt, now), s.holdExpireEvent(key))
+			armed++
+		case holdConfirmed:
+			s.sim.At(maxTime(e.tau, now), s.holdReleaseEvent(key))
+			armed++
+		}
+	}
+	return armed
+}
+
 // reanchorLocked pulls the service clock forward to the primary's event
 // time: a replica that booted later than its primary would otherwise sit
 // hours behind, and promotion would misread every booked window. Only the
@@ -371,25 +437,9 @@ func (s *Server) Promote() (uint64, error) {
 			s.stats.RecordLogAppendFailure()
 		}
 	}
-	now := s.sim.Now()
-	armed := 0
-	for id, e := range s.resv {
-		if e.state != StateActive {
-			continue
-		}
-		at := e.grant.Tau
-		if at < now {
-			at = now
-		}
-		e.expire = s.sim.At(at, s.expireEvent(id))
-		armed++
-	}
-	// Cross-shard holds the deposed primary left pending get their timers
-	// back too: unconfirmed ones still roll back on TTL, confirmed ones
-	// still release at τ.
-	armed += s.armHoldTimersLocked()
+	armed := s.armTimersLocked()
 	s.appendEventLocked(trace.Event{
-		At: float64(now), Kind: trace.EventPromote, Request: -1,
+		At: float64(s.sim.Now()), Kind: trace.EventPromote, Request: -1,
 		Reason: fmt.Sprintf("epoch %d, %d live reservations", epoch, armed),
 	})
 	s.mu.Unlock()

@@ -5,9 +5,9 @@ package server
 // meant a manual resync — stop the standby, copy state by hand, restart.
 // Now the pull loop downloads GET /v1/replication/snapshot (a fresh,
 // consistent snapshot carrying the fencing epoch and the exact WAL
-// position it covers), rebuilds the follower's ledger through the same
-// equation-(1) replay the boot ladder uses, persists the new cursor, and
-// resumes pulling from the snapshot's frontier.
+// position it covers), installs it through the same snapshot installer
+// boot uses (equation (1) re-checked for every reservation and hold),
+// persists the new cursor, and resumes pulling from the snapshot's frontier.
 //
 // Crash safety mirrors the boot ladder: the follower's own WAL no longer
 // covers its state after a re-seed (the compacted gap is missing from
@@ -25,8 +25,6 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"gridbw/internal/alloc"
-	"gridbw/internal/request"
 	"gridbw/internal/topology"
 	"gridbw/internal/trace"
 )
@@ -54,13 +52,14 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // Reseed replaces a follower's entire control-plane state with snap —
-// the recovery from a compacted-away pull cursor. The snapshot's live
-// reservations are replayed through a fresh sharded ledger (re-checking
-// equation (1)), the idempotency cache is rebuilt from the snapshot's
-// decisions, the pull cursor jumps to the WAL position the snapshot
-// covers, and the fencing epoch is adopted — a snapshot from an epoch
-// older than the follower's own is refused with FencedError, so a
-// deposed primary cannot re-seed a follower of the new lineage backwards.
+// the recovery from a compacted-away pull cursor. It is the snapshot
+// installer NewFromSnapshot uses, with persistence between its two halves:
+// the snapshot's reservations and holds are replayed through a fresh
+// sharded ledger (re-checking equation (1)) and its idempotency decisions
+// validated, then the pull cursor jumps to the WAL position the snapshot
+// covers and the fencing epoch is adopted — a snapshot from an epoch older
+// than the follower's own is refused with FencedError, so a deposed primary
+// cannot re-seed a follower of the new lineage backwards.
 //
 // Persistence happens before the in-memory swap: the snapshot (rewritten
 // to record the follower's local WAL frontier) lands in the WAL directory
@@ -68,12 +67,6 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 // any instant leaves a bootable state; a persistence failure aborts the
 // re-seed with the follower unchanged.
 func (s *Server) Reseed(snap *Snapshot) error {
-	if snap.Version < 1 || snap.Version > SnapshotVersion {
-		return fmt.Errorf("server: reseed: unsupported snapshot version %d", snap.Version)
-	}
-	if snap.NowS < 0 || snap.NextID < 0 {
-		return fmt.Errorf("server: reseed: negative clock or ID counter")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -90,18 +83,9 @@ func (s *Server) Reseed(snap *Snapshot) error {
 	}
 
 	// Phase 1 — build and validate everything fallibly, touching no
-	// shared state: the fresh ledger replays every live grant through the
-	// capacity checks, and the idempotency decisions are validated against
-	// the snapshot's own registry.
-	fresh := alloc.NewSharded(s.net)
-	entries, err := liveFromSnapshot(snap, s.net, fresh)
+	// shared state.
+	st, err := buildSnapState(snap, s.net)
 	if err != nil {
-		return fmt.Errorf("server: reseed: %w", err)
-	}
-	oldIdem, oldOrder := s.idem, s.idemOrder
-	s.idem, s.idemOrder = make(map[string]*idemEntry), nil
-	if err := s.restoreIdempotency(snap, entries); err != nil {
-		s.idem, s.idemOrder = oldIdem, oldOrder
 		return fmt.Errorf("server: reseed: %w", err)
 	}
 
@@ -115,7 +99,6 @@ func (s *Server) Reseed(snap *Snapshot) error {
 		local.WALSeg, local.WALOff = localEnd.Seg, localEnd.Off
 		path := filepath.Join(s.wal.Dir(), ReseedSnapshotName)
 		if err := local.WriteFile(path); err != nil {
-			s.idem, s.idemOrder = oldIdem, oldOrder
 			return fmt.Errorf("server: reseed: persist snapshot: %w", err)
 		}
 		if snap.Epoch > s.repl.epoch {
@@ -134,26 +117,12 @@ func (s *Server) Reseed(snap *Snapshot) error {
 		}
 	}
 
-	// Phase 3 — swap, infallibly. Followers never arm expiry timers, but
-	// cancel defensively in case this state was restored by an older boot
-	// path that did.
-	for _, e := range s.resv {
-		if e.state == StateActive {
-			s.sim.Cancel(e.expire)
-		}
-	}
-	s.ledger = fresh
-	s.resv = entries
-	s.finished = nil
-	if request.ID(snap.NextID) > s.nextID {
-		s.nextID = request.ID(snap.NextID)
-	}
-	localFailures, reseeds := s.stats.LogAppendFailures, s.stats.Reseeds
-	admitLat := s.stats.AdmitLatency // process-local, never shipped in snapshots
-	s.stats = snap.Counters
-	s.stats.LogAppendFailures += localFailures
+	// Phase 3 — swap, infallibly. A follower arms no timers, so the state
+	// displaced here leaves none behind. The re-seed count is this
+	// follower's own history, not the donor's.
+	reseeds := s.stats.Reseeds
+	s.adoptLocked(snap, st)
 	s.stats.Reseeds = reseeds
-	s.stats.AdmitLatency = admitLat
 	s.stats.RecordReseed()
 	if snap.Epoch > s.repl.epoch {
 		s.repl.epoch = snap.Epoch
@@ -161,11 +130,10 @@ func (s *Server) Reseed(snap *Snapshot) error {
 	s.repl.cursor = snap.WALPos()
 	s.repl.lagBytes = 0
 	s.repl.lastPull = s.clock()
-	s.reanchorLocked(snap.NowS)
 	s.appendEventLocked(trace.Event{
 		At: snap.NowS, Kind: trace.EventRestore, Request: -1,
 		Reason: fmt.Sprintf("reseed: epoch %d, %d live reservations, cursor %v",
-			s.repl.epoch, len(snap.Live), s.repl.cursor),
+			s.repl.epoch, len(st.resv), s.repl.cursor),
 	})
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"gridbw/internal/request"
 	"gridbw/internal/server"
+	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
 )
@@ -241,6 +243,15 @@ func TestReseedRefusals(t *testing.T) {
 		t.Fatalf("cross-platform reseed: err = %v, want platform mismatch", err)
 	}
 
+	// Only the current snapshot format is installed.
+	old := *snap
+	old.Version = server.SnapshotVersion - 1
+	wide := uniformConfig(nil)
+	wide.Follow = "http://127.0.0.1:0"
+	if err := newTestServer(t, wide).Reseed(&old); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("old-version reseed: err = %v, want unsupported version", err)
+	}
+
 	// A primary is nobody's re-seed target.
 	p := newTestServer(t, uniformConfig(nil))
 	if err := p.Reseed(snap); !errors.Is(err, server.ErrNotFollower) {
@@ -248,50 +259,84 @@ func TestReseedRefusals(t *testing.T) {
 	}
 }
 
-// TestReseedRestoresIdempotency proves a re-seeded follower inherits the
-// donor's idempotency decisions: after promotion, re-sending a key the old
-// primary already answered returns the original reservation instead of
-// booking twice.
-func TestReseedRestoresIdempotency(t *testing.T) {
-	dcfg := uniformConfig(nil)
-	dcfg.WAL = openTestWAL(t)
-	donor := newTestServer(t, dcfg)
-	first, err := donor.Submit(server.Submission{
-		From: 0, To: 1, Volume: 1e9, Deadline: 3600, MaxRate: 50e6,
-		IdempotencyKey: "carried-key",
-	})
-	if err != nil || !first.Accepted {
-		t.Fatalf("donor submit: %v %+v", err, first)
+// TestReseedCarriesHolds: a re-seed installs the donor's cross-shard holds
+// along with its reservations — the same snapshot installer a boot uses —
+// so the follower, once promoted, keeps the held capacity refused, rolls
+// the held hold back at its TTL and releases the confirmed one at τ. Holds
+// the follower had applied before the re-seed go with the ledger they were
+// booked in.
+func TestReseedCarriesHolds(t *testing.T) {
+	clk := &fakeClock{}
+	donor := newTestServer(t, holdConfig(clk, nil))
+	onPoint := func(hold string, point int) server.HoldReserveJSON {
+		r := fullReserve(hold)
+		r.Point, r.PeerPoint = point, 1-point
+		return r
+	}
+	if r, err := reserve1(donor, onPoint("held", 0)); err != nil || !r.Held {
+		t.Fatalf("reserve held: %v %+v", err, r)
+	}
+	if r, err := reserve1(donor, onPoint("confirmed", 1)); err != nil || !r.Held {
+		t.Fatalf("reserve confirmed: %v %+v", err, r)
+	}
+	if st, err := confirm1(donor, "confirmed", 0); err != nil || st.State != "confirmed" {
+		t.Fatalf("confirm: %v %+v", err, st)
 	}
 	snap := donor.Snapshot()
 
-	fcfg := uniformConfig(nil)
-	fcfg.WAL = openTestWAL(t)
-	fcfg.Follow = "http://127.0.0.1:0"
+	fcfg := holdConfig(clk, nil)
+	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
 	f := newTestServer(t, fcfg)
+	// History the re-seed displaces: a hold shipped before the cursor was
+	// compacted away, which the donor's snapshot no longer knows.
+	if err := f.ApplyShipped(server.ShippedBatch{Epoch: 1, Events: []trace.Event{{
+		Kind: trace.EventHoldReserve, Request: -1, Ingress: 1, Egress: 0,
+		Hold: "stale", Side: trace.HoldSideEgress, RateBps: 1e9, SigmaS: 0, TauS: 10, ExpireS: 5,
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	if held, _ := f.HoldStats(); held != 1 {
+		t.Fatalf("follower holds before reseed = %d held, want the 1 shipped", held)
+	}
+
 	if err := f.Reseed(snap); err != nil {
 		t.Fatal(err)
 	}
-	st := f.Status()
-	if st.Active != 1 {
-		t.Fatalf("active after reseed = %d, want 1", st.Active)
+	if held, confirmed := f.HoldStats(); held != 1 || confirmed != 1 {
+		t.Fatalf("follower holds after reseed = %d held / %d confirmed, want the donor's 1/1", held, confirmed)
 	}
-	if f.ReplicationStatus().Cursor != snap.WALPos() {
-		t.Fatalf("cursor after reseed = %v, want the snapshot frontier %v",
-			f.ReplicationStatus().Cursor, snap.WALPos())
+	if got := f.Snapshot().Holds; !reflect.DeepEqual(got, snap.Holds) {
+		t.Fatalf("follower holds after reseed\n got %+v\nwant %+v", got, snap.Holds)
 	}
 
 	if _, err := f.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	again, err := f.Submit(server.Submission{
-		From: 0, To: 1, Volume: 1e9, Deadline: 3600, MaxRate: 50e6,
-		IdempotencyKey: "carried-key",
-	})
-	if err != nil || again.ID != first.ID {
-		t.Fatalf("re-sent key after failover: id %d err %v, want the donor's id %d", again.ID, err, first.ID)
+	if r, err := reserve1(f, onPoint("late", 0)); err != nil || r.Held {
+		t.Fatalf("reserve over the held capacity: %v %+v, want a refusal", err, r)
 	}
-	if got := f.Status().Active; got != 1 {
-		t.Fatalf("active after idempotent re-send = %d, want still 1", got)
+	// The displaced hold's egress point is free again.
+	if r, err := reserve1(f, server.HoldReserveJSON{
+		Hold: "egress-free", Side: trace.HoldSideEgress, Point: 0, PeerPoint: 1, TTLS: 1,
+		RateBps: 1e9, SigmaS: 0, TauS: 10,
+	}); err != nil || !r.Held {
+		t.Fatalf("reserve on the displaced hold's point: %v %+v, want held", err, r)
+	}
+
+	clk.advance(6 * time.Second) // past the held hold's 5s TTL
+	if held, confirmed := f.HoldStats(); held != 0 || confirmed != 1 {
+		t.Fatalf("holds past the TTL = %d held / %d confirmed, want 0/1", held, confirmed)
+	}
+	afterTTL := fullReserveRel("after-ttl")
+	afterTTL.TTLS = 1
+	if r, err := reserve1(f, afterTTL); err != nil || !r.Held {
+		t.Fatalf("reserve after the TTL rollback: %v %+v, want the capacity back", err, r)
+	}
+	clk.advance(5 * time.Second) // past the confirmed hold's τ = 10
+	if held, confirmed := f.HoldStats(); held != 0 || confirmed != 0 {
+		t.Fatalf("holds past τ = %d held / %d confirmed, want 0/0", held, confirmed)
+	}
+	if err := f.VerifyInvariant(); err != nil {
+		t.Fatal(err)
 	}
 }

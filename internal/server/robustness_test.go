@@ -274,55 +274,10 @@ func TestIdempotencyHeaderSpellings(t *testing.T) {
 	}
 }
 
-// TestSnapshotCarriesIdempotencyKeys: a restored daemon still refuses to
-// double-book a retry that crosses the restart.
-func TestSnapshotCarriesIdempotencyKeys(t *testing.T) {
-	clk := &fakeClock{}
-	s := newTestServer(t, uniformConfig(clk))
-	sub := server.Submission{
-		From: 0, To: 1, Volume: 100 * units.GB, Deadline: 400,
-		MaxRate: 1 * units.GBps, IdempotencyKey: "restart-safe",
-	}
-	d1, err := s.Submit(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	snap, err := server.ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.IdempotencyDecisions) != 1 {
-		t.Fatalf("snapshot idempotency decisions = %v", snap.IdempotencyDecisions)
-	}
-	if sd := snap.IdempotencyDecisions["restart-safe"]; sd.ID != int(d1.ID) || !sd.Accepted {
-		t.Fatalf("snapshot idempotency decision = %+v, want accepted id %d", sd, d1.ID)
-	}
-	s2, err := server.NewFromSnapshot(snap, server.Config{Clock: clk.now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	d2, err := s2.Submit(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.ID != d1.ID {
-		t.Errorf("post-restart retry booked %d, want original %d", d2.ID, d1.ID)
-	}
-	if st := s2.Status(); st.Stats.Accepted != 1 {
-		t.Errorf("accepted = %d after restart retry, want 1", st.Stats.Accepted)
-	}
-}
-
-// TestNewFromDecisions rebuilds the daemon from its audit log alone and
-// checks the result against the live server it mirrors.
-func TestNewFromDecisions(t *testing.T) {
+// TestReplayFullLog rebuilds the daemon from its decision history alone —
+// a fresh server plus ApplyEvents, the full-WAL boot rung — and checks the
+// result against the live server it mirrors.
+func TestReplayFullLog(t *testing.T) {
 	var log bytes.Buffer
 	clk := &fakeClock{}
 	cfg := uniformConfig(clk)
@@ -358,15 +313,10 @@ func TestNewFromDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := server.NewFromDecisions(events, server.Config{
-		Ingress: []units.Bandwidth{1 * units.GBps, 1 * units.GBps},
-		Egress:  []units.Bandwidth{1 * units.GBps, 1 * units.GBps},
-		Clock:   clk.now,
-	})
-	if err != nil {
-		t.Fatal(err)
+	s2 := newTestServer(t, uniformConfig(clk))
+	if n, err := s2.ApplyEvents(events); err != nil || n != len(events) {
+		t.Fatalf("replay applied %d of %d events: %v", n, len(events), err)
 	}
-	defer s2.Close()
 
 	if err := s2.VerifyInvariant(); err != nil {
 		t.Error(err)
@@ -396,10 +346,10 @@ func TestNewFromDecisions(t *testing.T) {
 	}
 }
 
-// TestNewFromDecisionsExpiresPassedWindows: a reservation whose τ(r)
-// passed before the log ends — the daemon died before writing the expire
-// event — comes back expired, not active.
-func TestNewFromDecisionsExpiresPassedWindows(t *testing.T) {
+// TestReplayExpiresPassedWindows: a reservation whose τ(r) passed before
+// the log ends — the daemon died before writing the expire event — comes
+// back expired, not active.
+func TestReplayExpiresPassedWindows(t *testing.T) {
 	events := []trace.Event{
 		{At: 0, Kind: trace.EventAccept, Request: 0, Ingress: 0, Egress: 0,
 			RateBps: 1e9, SigmaS: 0, TauS: 10, VolumeB: 1e10, MaxRateBps: 1e9},
@@ -409,20 +359,46 @@ func TestNewFromDecisionsExpiresPassedWindows(t *testing.T) {
 			Reason: "capacity saturated"},
 	}
 	clk := &fakeClock{}
-	s, err := server.NewFromDecisions(events, server.Config{
+	s := newTestServer(t, server.Config{
 		Ingress: []units.Bandwidth{1 * units.GBps},
 		Egress:  []units.Bandwidth{1 * units.GBps},
 		Clock:   clk.now,
 	})
-	if err != nil {
+	if _, err := s.ApplyEvents(events); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if live := s.LiveReservations(); len(live) != 0 {
 		t.Errorf("live = %d, want 0", len(live))
 	}
 	st := s.Status()
 	if st.Stats.Accepted != 1 || st.Stats.Expired != 1 {
 		t.Errorf("counters = %+v, want accepted 1 expired 1", st.Stats)
+	}
+	if st.Now != 50 {
+		t.Errorf("service clock resumed at %v, want the last event's 50", st.Now)
+	}
+}
+
+// TestReplayRefusesOverCapacityLog: replay books every accept and hold
+// through the ledger's capacity check, so a log that over-commits a point
+// is refused — whichever event kind carries the excess.
+func TestReplayRefusesOverCapacityLog(t *testing.T) {
+	full := trace.Event{At: 0, Kind: trace.EventAccept, Request: 0, Ingress: 0, Egress: 0,
+		RateBps: 1e9, SigmaS: 0, TauS: 10, VolumeB: 1e10, MaxRateBps: 1e9}
+	excess := map[string]trace.Event{
+		"accept": {At: 1, Kind: trace.EventAccept, Request: 1, Ingress: 0, Egress: 0,
+			RateBps: 1e8, SigmaS: 1, TauS: 5, VolumeB: 4e8, MaxRateBps: 1e8},
+		"hold": {At: 1, Kind: trace.EventHoldReserve, Request: 1, Ingress: 0, Egress: -1,
+			Hold: "h", Side: trace.HoldSideIngress, RateBps: 1e8, SigmaS: 1, TauS: 5, ExpireS: 6},
+	}
+	for name, ev := range excess {
+		s := newTestServer(t, server.Config{
+			Ingress: []units.Bandwidth{1 * units.GBps},
+			Egress:  []units.Bandwidth{1 * units.GBps},
+			Clock:   (&fakeClock{}).now,
+		})
+		if n, err := s.ApplyEvents([]trace.Event{full, ev}); err == nil || n != 1 {
+			t.Errorf("%s: over-capacity log applied %d events, err %v; want refusal after 1", name, n, err)
+		}
 	}
 }

@@ -28,8 +28,11 @@
 // The whole control-plane state — capacities, policy, clock, counters and
 // every live reservation — round-trips through a JSON Snapshot, so a
 // restarted daemon resumes without ever violating the capacity constraint
-// of equation (1): restore replays the live grants into a fresh ledger,
-// which re-checks the constraint system.
+// of equation (1): restore replays the live grants and holds into a fresh
+// ledger, which re-checks the constraint system. State is only ever rebuilt
+// two ways — one snapshot installer (snapshot.go: NewFromSnapshot and a
+// follower's Reseed) and one event replayer (replication.go: ApplyEvents
+// for a boot's WAL suffix, ApplyShipped for a follower's stream).
 package server
 
 import (
@@ -338,11 +341,25 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	name := cfg.Policy
-	if name == "" {
-		name = "minbw"
+	s, err := newServer(cfg, net, cfg.Policy)
+	if err != nil {
+		return nil, err
 	}
-	pol, err := core.ParsePolicy(name)
+	if err := s.initRepl(cfg, 0); err != nil {
+		return nil, err
+	}
+	go s.loop()
+	return s, nil
+}
+
+// newServer builds an idle server for net with the service clock at 0: no
+// replication role resolved yet, no expiry loop running. policyName
+// defaults to "minbw".
+func newServer(cfg Config, net *topology.Network, policyName string) (*Server, error) {
+	if policyName == "" {
+		policyName = "minbw"
+	}
+	pol, err := core.ParsePolicy(policyName)
 	if err != nil {
 		return nil, err
 	}
@@ -351,16 +368,6 @@ func New(cfg Config) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("server: unknown sync mode %q (want off, one or quorum)", cfg.SyncMode)
 	}
-	s := newServer(cfg, net, pol, name)
-	s.epoch = s.clock()
-	if err := s.initRepl(cfg, 0); err != nil {
-		return nil, err
-	}
-	go s.loop()
-	return s, nil
-}
-
-func newServer(cfg Config, net *topology.Network, pol policy.Policy, name string) *Server {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
@@ -407,8 +414,9 @@ func newServer(cfg Config, net *topology.Network, pol policy.Policy, name string
 	s := &Server{
 		net:        net,
 		pol:        pol,
-		policyName: name,
+		policyName: policyName,
 		clock:      clock,
+		epoch:      clock(),
 		decisions:  cfg.Decisions,
 		wal:        cfg.WAL,
 		retention:  retention,
@@ -441,7 +449,7 @@ func newServer(cfg Config, net *topology.Network, pol policy.Policy, name string
 		e.fire = func(*des.Simulator) { s.fireExpire(e) }
 		return e
 	}
-	return s
+	return s, nil
 }
 
 // allocEntry takes a recycled (or fresh) entry from the pool. Entries that
@@ -553,6 +561,7 @@ func (s *Server) loop() {
 		} else {
 			s.loopNext = units.Time(math.Inf(1))
 		}
+		epoch := s.epoch // replay re-anchors it under s.mu
 		s.mu.Unlock()
 
 		if !timer.Stop() {
@@ -563,7 +572,7 @@ func (s *Server) loop() {
 		}
 		sleep := time.Hour
 		if ok {
-			sleep = s.epoch.Add(time.Duration(float64(next) * float64(time.Second))).Sub(s.clock())
+			sleep = epoch.Add(time.Duration(float64(next) * float64(time.Second))).Sub(s.clock())
 			if sleep < 0 {
 				sleep = 0
 			}

@@ -6,10 +6,8 @@ import (
 	"io"
 	"path/filepath"
 	"slices"
-	"time"
 
 	"gridbw/internal/alloc"
-	"gridbw/internal/core"
 	"gridbw/internal/metrics"
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
@@ -18,12 +16,9 @@ import (
 	"gridbw/internal/wal"
 )
 
-// SnapshotVersion is bumped on incompatible snapshot schema changes.
-// Version 2 replaced the live-only idempotency key map with full cached
-// decisions, so retries of rejected or already-finished submissions stay
-// idempotent across a restart. Version 3 added cross-shard holds, so
-// tentative and confirmed one-sided bookings survive a snapshot-based
-// restore. Older snapshots are still readable.
+// SnapshotVersion is bumped on incompatible snapshot schema changes. It is
+// the only version restored: a snapshot is a checkpoint of the WAL, so a
+// daemon upgraded past its snapshot's format recovers from the WAL instead.
 const SnapshotVersion = 3
 
 // snapReservation is the wire form of one live reservation: the full
@@ -95,16 +90,12 @@ type Snapshot struct {
 	WALSeg uint64            `json:"wal_seg,omitempty"`
 	WALOff int64             `json:"wal_off,omitempty"`
 	Live   []snapReservation `json:"reservations"`
-	// Idempotency is the legacy (version 1) key map: submission key to the
-	// live reservation it booked. Read for compatibility, never written.
-	Idempotency map[string]int `json:"idempotency_keys,omitempty"`
 	// IdempotencyDecisions maps submission keys to their full cached
 	// decisions — including rejections and terminal reservations — so a
 	// client retrying with the same key after a daemon restart gets the
 	// original answer instead of booking a duplicate transfer.
 	IdempotencyDecisions map[string]snapDecision `json:"idempotency_decisions,omitempty"`
-	// Holds are the cross-shard one-sided bookings alive at snapshot time
-	// (version 3).
+	// Holds are the cross-shard one-sided bookings alive at snapshot time.
 	Holds []snapHold `json:"holds,omitempty"`
 }
 
@@ -271,25 +262,31 @@ func (snap *Snapshot) WALPos() wal.Pos {
 	return wal.Pos{Seg: snap.WALSeg, Off: snap.WALOff}
 }
 
-// ReadSnapshot parses a snapshot. All versions from 1 (live-only
-// idempotency keys) through the current one are accepted.
+// ReadSnapshot parses a snapshot of the current SnapshotVersion. Older
+// formats are refused: the WAL is the recovery source for a daemon whose
+// snapshot predates this build.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var snap Snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("server: decode snapshot: %w", err)
 	}
-	if snap.Version < 1 || snap.Version > SnapshotVersion {
-		return nil, fmt.Errorf("server: unsupported snapshot version %d (want 1..%d)", snap.Version, SnapshotVersion)
+	if snap.Version != SnapshotVersion {
+		return nil, unsupportedVersion(snap.Version)
 	}
 	return &snap, nil
+}
+
+func unsupportedVersion(v int) error {
+	return fmt.Errorf("server: unsupported snapshot version %d (only version %d is restored; recover older state from the WAL)",
+		v, SnapshotVersion)
 }
 
 // NewFromSnapshot restores a server from snap. Platform capacities and
 // policy come from the snapshot; cfg supplies the runtime wiring (Clock,
 // Decisions, FinishedRetention — its Ingress/Egress/Policy fields must be
-// empty). Every live reservation is replayed through the ledger, so a
-// tampered or inconsistent snapshot fails restore instead of admitting an
-// infeasible state.
+// empty). Every live reservation and hold is replayed through the ledger,
+// so a tampered or inconsistent snapshot fails restore instead of admitting
+// an infeasible state.
 func NewFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	if len(cfg.Ingress) != 0 || len(cfg.Egress) != 0 || cfg.Policy != "" {
 		return nil, fmt.Errorf("server: restore takes platform and policy from the snapshot")
@@ -305,61 +302,59 @@ func NewFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: restore: %w", err)
 	}
-	name := snap.Policy
-	if name == "" {
-		name = "minbw"
+	st, err := buildSnapState(snap, net)
+	if err != nil {
+		return nil, err
 	}
-	pol, err := core.ParsePolicy(name)
+	s, err := newServer(cfg, net, snap.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("server: restore: %w", err)
-	}
-	if snap.NowS < 0 || snap.NextID < 0 {
-		return nil, fmt.Errorf("server: restore: negative clock or ID counter")
-	}
-
-	s := newServer(cfg, net, pol, name)
-	// Anchor the epoch so service time resumes exactly at NowS.
-	s.epoch = s.clock().Add(-time.Duration(snap.NowS * float64(time.Second)))
-	s.nextID = request.ID(snap.NextID)
-	s.stats = snap.Counters
-
-	entries, err := liveFromSnapshot(snap, net, s.ledger)
-	if err != nil {
-		return nil, err
-	}
-	for id, e := range entries {
-		if cfg.Follow == "" {
-			// A follower deliberately leaves expiry timers unarmed: the
-			// primary's shipped expire events retire grants, and Promote
-			// arms the timers when the follower takes over.
-			e.expire = s.sim.At(e.grant.Tau, s.expireEvent(id))
-		}
-		s.resv[id] = e
-	}
-	if err := s.restoreIdempotency(snap, s.resv); err != nil {
-		return nil, err
-	}
-	if err := s.restoreHolds(snap, cfg.Follow != ""); err != nil {
-		return nil, err
 	}
 	if err := s.initRepl(cfg, snap.Epoch); err != nil {
 		return nil, err
 	}
+	s.adoptLocked(snap, st)
 	s.appendEventLocked(trace.Event{
 		At: snap.NowS, Kind: trace.EventRestore, Request: -1,
-		Reason: fmt.Sprintf("%d live reservations", len(snap.Live)),
+		Reason: fmt.Sprintf("%d live reservations", len(st.resv)),
 	})
 	go s.loop()
 	return s, nil
 }
 
-// liveFromSnapshot validates snap's live reservations and reserves each
-// grant in ledger — the ledger re-checks equation (1), so an infeasible
-// or tampered snapshot is rejected rather than silently over-committing a
-// point. The returned entries carry no expiry timers; callers arm them
-// (or deliberately do not, on a follower).
-func liveFromSnapshot(snap *Snapshot, net *topology.Network, ledger *alloc.Sharded) (map[request.ID]*entry, error) {
-	entries := make(map[request.ID]*entry, len(snap.Live))
+// snapState is the control-plane state one snapshot describes, built apart
+// from any live server so that a snapshot which fails validation leaves
+// nothing half-installed.
+type snapState struct {
+	ledger    *alloc.Sharded
+	resv      map[request.ID]*entry
+	idem      map[string]*idemEntry
+	idemKeys  []string // sorted: the FIFO eviction order is the same on every restore
+	holds     map[string]*holdEntry
+	holdsByID map[request.ID]string
+}
+
+// buildSnapState is the one snapshot installer's fallible half: it replays
+// snap's live reservations and holds into a fresh ledger — which re-checks
+// equation (1), so an infeasible or tampered snapshot is refused rather
+// than over-committing a point — and validates the idempotency decisions
+// against the registry it just built. No shared state is touched and no
+// timers are armed; adoptLocked does both.
+func buildSnapState(snap *Snapshot, net *topology.Network) (*snapState, error) {
+	if snap.Version != SnapshotVersion {
+		return nil, unsupportedVersion(snap.Version)
+	}
+	if snap.NowS < 0 || snap.NextID < 0 {
+		return nil, fmt.Errorf("server: restore: negative clock or ID counter")
+	}
+	st := &snapState{
+		ledger:    alloc.NewSharded(net),
+		resv:      make(map[request.ID]*entry, len(snap.Live)),
+		idem:      make(map[string]*idemEntry, len(snap.IdempotencyDecisions)),
+		holds:     make(map[string]*holdEntry, len(snap.Holds)),
+		holdsByID: make(map[request.ID]string),
+	}
+
 	for _, sr := range snap.Live {
 		r := request.Request{
 			ID:      request.ID(sr.ID),
@@ -389,24 +384,49 @@ func liveFromSnapshot(snap *Snapshot, net *topology.Network, ledger *alloc.Shard
 		if g.Tau <= g.Sigma || g.Bandwidth <= 0 {
 			return nil, fmt.Errorf("server: restore: reservation %d has degenerate grant", sr.ID)
 		}
-		if err := ledger.Reserve(r, g); err != nil {
+		if err := st.ledger.Reserve(r, g); err != nil {
 			return nil, fmt.Errorf("server: restore: %w", err)
 		}
-		entries[r.ID] = &entry{req: r, grant: g, state: StateActive}
+		st.resv[r.ID] = &entry{req: r, grant: g, state: StateActive}
 	}
-	return entries, nil
-}
 
-// restoreHolds rebuilds the cross-shard hold registry: each persisted
-// hold re-books its one-sided capacity through the ledger's own checks,
-// and (unless following) re-arms its TTL rollback or on-time release.
-func (s *Server) restoreHolds(snap *Snapshot, following bool) error {
+	for key := range snap.IdempotencyDecisions {
+		st.idemKeys = append(st.idemKeys, key)
+	}
+	slices.Sort(st.idemKeys)
+	for _, key := range st.idemKeys {
+		sd := snap.IdempotencyDecisions[key]
+		d := Decision{
+			ID: request.ID(sd.ID), Accepted: sd.Accepted, State: State(sd.State),
+			Rate: units.Bandwidth(sd.RateBps), Sigma: units.Time(sd.SigmaS), Tau: units.Time(sd.TauS),
+			Reason: sd.Reason,
+		}
+		switch d.State {
+		case StateBooked, StateActive, StateExpired, StateCancelled, StateRejected:
+		default:
+			return nil, fmt.Errorf("server: restore: idempotency key %q has unknown state %q", key, sd.State)
+		}
+		if d.Accepted {
+			if int(d.ID) >= snap.NextID || d.ID < 0 {
+				return nil, fmt.Errorf("server: restore: idempotency key %q for reservation %d not below next_id %d",
+					key, sd.ID, snap.NextID)
+			}
+			if _, live := st.resv[d.ID]; !live && (d.State == StateBooked || d.State == StateActive) {
+				return nil, fmt.Errorf("server: restore: idempotency key %q claims live reservation %d absent from snapshot",
+					key, sd.ID)
+			}
+		}
+		e := &idemEntry{done: make(chan struct{}), d: d}
+		close(e.done)
+		st.idem[key] = e
+	}
+
 	for _, sh := range snap.Holds {
-		if _, dup := s.holds[sh.Key]; dup {
-			return fmt.Errorf("server: restore: duplicate hold %q", sh.Key)
+		if _, dup := st.holds[sh.Key]; dup {
+			return nil, fmt.Errorf("server: restore: duplicate hold %q", sh.Key)
 		}
 		e := &holdEntry{
-			key: sh.Key, side: sh.Side, peer: sh.PeerPoint,
+			key: sh.Key, side: sh.Side, point: topology.PointID(sh.Point), peer: sh.PeerPoint,
 			id:    request.ID(sh.ID),
 			bw:    units.Bandwidth(sh.RateBps),
 			sigma: units.Time(sh.SigmaS), tau: units.Time(sh.TauS),
@@ -419,92 +439,55 @@ func (s *Server) restoreHolds(snap *Snapshot, following bool) error {
 		}
 		switch sh.Side {
 		case trace.HoldSideIngress:
-			if sh.Point < 0 || sh.Point >= s.net.NumIngress() {
-				return fmt.Errorf("server: restore: hold %q on unknown ingress %d", sh.Key, sh.Point)
+			if sh.Point < 0 || sh.Point >= net.NumIngress() {
+				return nil, fmt.Errorf("server: restore: hold %q on unknown ingress %d", sh.Key, sh.Point)
 			}
 		case trace.HoldSideEgress:
-			if sh.Point < 0 || sh.Point >= s.net.NumEgress() {
-				return fmt.Errorf("server: restore: hold %q on unknown egress %d", sh.Key, sh.Point)
+			if sh.Point < 0 || sh.Point >= net.NumEgress() {
+				return nil, fmt.Errorf("server: restore: hold %q on unknown egress %d", sh.Key, sh.Point)
 			}
 		default:
-			return fmt.Errorf("server: restore: hold %q has unknown side %q", sh.Key, sh.Side)
+			return nil, fmt.Errorf("server: restore: hold %q has unknown side %q", sh.Key, sh.Side)
 		}
-		e.point = topology.PointID(sh.Point)
 		if sh.RateBps <= 0 || sh.TauS <= sh.SigmaS {
-			return fmt.Errorf("server: restore: hold %q has degenerate grant", sh.Key)
+			return nil, fmt.Errorf("server: restore: hold %q has degenerate grant", sh.Key)
 		}
-		if err := s.ledger.HoldReserve(e.dir(), e.point, e.sigma, e.tau, e.bw); err != nil {
-			return fmt.Errorf("server: restore: hold %q: %w", sh.Key, err)
+		if err := st.ledger.HoldReserve(e.dir(), e.point, e.sigma, e.tau, e.bw); err != nil {
+			return nil, fmt.Errorf("server: restore: hold %q: %w", sh.Key, err)
 		}
 		e.booked = true
-		s.holds[sh.Key] = e
+		st.holds[sh.Key] = e
 		if e.id >= 0 {
-			s.holdsByID[e.id] = sh.Key
+			st.holdsByID[e.id] = sh.Key
 		}
 	}
-	if !following {
-		s.armHoldTimersLocked()
-	}
-	return nil
+	return st, nil
 }
 
-// restoreIdempotency rebuilds the idempotency cache, validating live
-// claims against resv (the registry the snapshot restored). Version-2
-// snapshots carry full decisions; the legacy version-1 map only knew live
-// keys. Keys are inserted in sorted order so the FIFO eviction queue is
-// deterministic across restores.
-func (s *Server) restoreIdempotency(snap *Snapshot, resv map[request.ID]*entry) error {
-	settled := func(d Decision) *idemEntry {
-		e := &idemEntry{done: make(chan struct{}), d: d}
-		close(e.done)
-		return e
+// adoptLocked is the installer's infallible half: st replaces the ledger,
+// the registry, the idempotency cache and the hold table wholesale — so
+// nothing of the state it displaces stays booked against a ledger that is
+// gone — and the counters, ID allocator and clock anchor resume from snap.
+// Expiry, TTL and release timers are armed unless following: a follower's
+// are retired by the primary's shipped events and armed by Promote.
+func (s *Server) adoptLocked(snap *Snapshot, st *snapState) {
+	s.ledger, s.resv, s.finished = st.ledger, st.resv, nil
+	s.holds, s.holdsByID, s.holdsDone = st.holds, st.holdsByID, nil
+	s.idem, s.idemOrder = make(map[string]*idemEntry, len(st.idem)), nil
+	for _, key := range st.idemKeys {
+		s.rememberLocked(key, st.idem[key])
 	}
-	keys := make([]string, 0, len(snap.IdempotencyDecisions))
-	for key := range snap.IdempotencyDecisions {
-		keys = append(keys, key)
+	if id := request.ID(snap.NextID); id > s.nextID {
+		s.nextID = id
 	}
-	slices.Sort(keys)
-	for _, key := range keys {
-		sd := snap.IdempotencyDecisions[key]
-		d := Decision{
-			ID: request.ID(sd.ID), Accepted: sd.Accepted, State: State(sd.State),
-			Rate: units.Bandwidth(sd.RateBps), Sigma: units.Time(sd.SigmaS), Tau: units.Time(sd.TauS),
-			Reason: sd.Reason,
-		}
-		switch d.State {
-		case StateBooked, StateActive, StateExpired, StateCancelled, StateRejected:
-		default:
-			return fmt.Errorf("server: restore: idempotency key %q has unknown state %q", key, sd.State)
-		}
-		if d.Accepted {
-			if int(d.ID) >= snap.NextID || d.ID < 0 {
-				return fmt.Errorf("server: restore: idempotency key %q for reservation %d not below next_id %d",
-					key, sd.ID, snap.NextID)
-			}
-			if _, live := resv[d.ID]; !live && (d.State == StateBooked || d.State == StateActive) {
-				return fmt.Errorf("server: restore: idempotency key %q claims live reservation %d absent from snapshot",
-					key, sd.ID)
-			}
-		}
-		s.rememberLocked(key, settled(d))
+	// Append failures and the latency histogram describe this process, not
+	// the state it adopts.
+	failures, latency := s.stats.LogAppendFailures, s.stats.AdmitLatency
+	s.stats = snap.Counters
+	s.stats.LogAppendFailures += failures
+	s.stats.AdmitLatency = latency
+	s.reanchorLocked(snap.NowS)
+	if !s.repl.following {
+		s.armTimersLocked()
 	}
-
-	// Legacy version-1 map: key -> live reservation ID.
-	legacy := make([]string, 0, len(snap.Idempotency))
-	for key := range snap.Idempotency {
-		legacy = append(legacy, key)
-	}
-	slices.Sort(legacy)
-	for _, key := range legacy {
-		id := snap.Idempotency[key]
-		e, ok := resv[request.ID(id)]
-		if !ok {
-			return fmt.Errorf("server: restore: idempotency key for unknown reservation %d", id)
-		}
-		s.rememberLocked(key, settled(Decision{
-			ID: e.req.ID, Accepted: true, State: StateActive,
-			Rate: e.grant.Bandwidth, Sigma: e.grant.Sigma, Tau: e.grant.Tau,
-		}))
-	}
-	return nil
 }

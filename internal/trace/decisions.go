@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -63,8 +62,8 @@ type Event struct {
 	RateBps float64 `json:"rate_bps,omitempty"`
 	SigmaS  float64 `json:"sigma_s,omitempty"`
 	TauS    float64 `json:"tau_s,omitempty"`
-	// VolumeB and MaxRateBps echo the submission so the log alone can
-	// rebuild server state (disaster recovery when the snapshot is
+	// VolumeB and MaxRateBps echo the submission so the WAL alone can
+	// rebuild server state (recovery when the snapshot is missing or
 	// corrupt). Old logs omit them; replay then derives the volume from
 	// the grant (rate·(tau−sigma) is exact for the daemon's grants).
 	VolumeB    float64 `json:"volume_bytes,omitempty"`
@@ -82,10 +81,10 @@ type Event struct {
 	ExpireS float64 `json:"expire_s,omitempty"`
 }
 
-// DecisionSink receives admission events as they are decided.
-// *DecisionLog is the plain JSON-lines implementation; the daemon's
-// WAL-backed log satisfies it too, and tests inject failing sinks to
-// exercise the durability-degraded path.
+// DecisionSink receives admission events as they are decided — a
+// write-only audit tee beside the WAL, never read back at boot.
+// *DecisionLog is the plain JSON-lines implementation; tests inject failing
+// sinks to exercise the durability-degraded path.
 type DecisionSink interface {
 	Append(Event) error
 }
@@ -134,41 +133,4 @@ func ReadDecisions(r io.Reader) ([]Event, error) {
 		return nil, fmt.Errorf("trace: read decisions: %w", err)
 	}
 	return out, nil
-}
-
-// RecoverDecisions parses a JSON Lines decision stream the way crash
-// recovery must: at the first malformed line — a torn tail from a daemon
-// killed mid-append, or corruption further up — parsing stops and the
-// rest of the stream is dropped, so the result is always a valid prefix.
-// It returns the surviving events and how many non-blank lines were
-// dropped; the error is reserved for reader failures, never for content.
-func RecoverDecisions(r io.Reader) ([]Event, int, error) {
-	var out []Event
-	dropped := 0
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		if dropped > 0 {
-			// Already past the tear: count the remainder, keep nothing.
-			dropped++
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			dropped++
-			continue
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			// An over-long line is torn garbage, not a reader failure.
-			return out, dropped + 1, nil
-		}
-		return nil, 0, fmt.Errorf("trace: recover decisions: %w", err)
-	}
-	return out, dropped, nil
 }
