@@ -872,6 +872,82 @@ func BenchmarkReplSyncAckAdmit(b *testing.B) {
 	b.ReportMetric(float64(p99.Nanoseconds()), "p99-ns/op")
 }
 
+// BenchmarkReplApplyShipped times the follower's side of replication
+// alone: one op is one shipped event decoded, applied and appended to the
+// follower's WAL, in the 26-event batches a busy primary's pull answers
+// carry, cursor record included. The frames are a real primary's (accepts
+// and the expiries the advancing clock fires), read back the way the pull
+// handler reads them. The WAL fsyncs on its interval, as the end-to-end
+// benchmark's followers do, so the figure is the layer's own CPU and
+// page-cache cost — what is left of a sync-ack wait besides the HTTP trip.
+func BenchmarkReplApplyShipped(b *testing.B) {
+	const perBatch = 26
+	caps := []units.Bandwidth{10 * units.GBps, 10 * units.GBps}
+	pwal, _, err := wal.Open(b.TempDir(), wal.Options{Policy: wal.SyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pwal.Close()
+	var ns atomic.Int64
+	clock := func() time.Time { return time.Unix(0, ns.Load()) }
+	primary, err := server.New(server.Config{Ingress: caps, Egress: caps, Policy: "f=0.5", Clock: clock, WAL: pwal})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer primary.Close()
+	for i := 0; pwal.Records() < uint64(b.N); i++ {
+		now := primary.Now()
+		if d, err := primary.Submit(server.Submission{
+			From: i % 2, To: (i / 2) % 2,
+			Volume: 1 * units.GB, MaxRate: 200 * units.MBps,
+			NotBefore: now, Deadline: now + 100,
+		}); err != nil || !d.Accepted {
+			b.Fatalf("request %d: %v %+v", i, err, d)
+		}
+		ns.Add(int64(2 * time.Second))
+	}
+	var batches []server.ShippedBatch
+	pos := wal.Pos{Seg: 1}
+	for left := b.N; left > 0; {
+		payloads, start, next, err := pwal.ReadFrom(pos, min(perBatch, left), 0)
+		if err != nil || len(payloads) == 0 {
+			b.Fatalf("read primary WAL at %v: %d records, %v", pos, len(payloads), err)
+		}
+		events := make([]json.RawMessage, len(payloads))
+		for i, p := range payloads {
+			events[i] = p
+		}
+		batches = append(batches, server.ShippedBatch{Epoch: 1, From: start, Next: next, End: next, Events: events})
+		pos, left = next, left-len(payloads)
+	}
+
+	fwal, _, err := wal.Open(b.TempDir(), wal.Options{Policy: wal.SyncInterval})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fwal.Close()
+	follower, err := server.New(server.Config{
+		Ingress: caps, Egress: caps, Clock: clock, WAL: fwal,
+		Follow: "http://127.0.0.1:0", // never started: batches are applied directly
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer follower.Close()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, batch := range batches {
+		if err := follower.ApplyShipped(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if fwal.Records() != uint64(b.N) || fwal.Cursor() != pos {
+		b.Fatalf("follower WAL holds %d records at cursor %v, want %d at %v", fwal.Records(), fwal.Cursor(), b.N, pos)
+	}
+}
+
 func BenchmarkMaxMinShare(b *testing.B) {
 	net := topology.Uniform(10, 10, 1*units.GBps)
 	flows := make([]maxmin.Flow, 100)

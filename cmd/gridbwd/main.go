@@ -365,11 +365,14 @@ func bootServer(bc bootConfig) (*server.Server, string, error) {
 			}
 		}
 		if bc.follow != "" {
+			// The cursor is the one WAL recovery accepted: after a crash it
+			// may sit a batch (after a power loss, more) behind the local log.
+			resume := srv.ReplicationStatus().Cursor
 			if err := srv.StartFollowing(); err != nil {
 				srv.Close()
 				return nil, "", err
 			}
-			how = fmt.Sprintf("following %s at epoch %d: %s", bc.follow, srv.Epoch(), how)
+			how = fmt.Sprintf("following %s at epoch %d from cursor %v: %s", bc.follow, srv.Epoch(), resume, how)
 		}
 		return srv, fmt.Sprintf("%s; %s, policy %s, %d live reservations",
 			how, srv.Network(), srv.PolicyName(), len(srv.LiveReservations())), nil

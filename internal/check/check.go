@@ -85,45 +85,125 @@ type Op struct {
 // Recorder accumulates client-observed ops, preserving per-recorder
 // insertion order (the order the client observed responses). Safe for
 // concurrent use.
+//
+// A load run records every exchange it makes, so the history is the
+// harness's largest live allocation. It is therefore kept packed — the
+// fields that repeat from op to op are interned as one shape index — and in
+// fixed-size chunks, so growing it never copies what is already recorded.
 type Recorder struct {
-	mu  sync.Mutex
-	ops []Op
+	mu     sync.Mutex
+	n      int
+	chunks [][]packedOp // every chunk but the last is full
+	shapes []opShape
+	shape  map[opShape]uint32
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+// recorderChunkOps sizes one chunk: 4096 packed ops are 320 KiB.
+const recorderChunkOps = 4096
+
+// opShape is the part of an Op that takes few distinct values over a run:
+// who was asked, what, and how it went.
+type opShape struct {
+	node, kind, durability, routed, err string
+	epoch                               uint64
+	accepted, durable                   bool
+}
+
+// packedOp is the per-op remainder, 80 bytes against Op's 168.
+type packedOp struct {
+	key                            string
+	id, ingress, egress            int
+	volumeB, rateBps, sigmaS, tauS float64
+	shape                          uint32
+}
+
+// NewRecorder returns an empty recorder, its first chunk in place so the
+// first recorded op does not stall the others behind an allocation.
+func NewRecorder() *Recorder {
+	return &Recorder{
+		chunks: [][]packedOp{make([]packedOp, 0, recorderChunkOps)},
+		shape:  make(map[opShape]uint32),
+	}
+}
 
 // Record appends one observed op.
 func (r *Recorder) Record(op Op) {
+	sh := opShape{
+		node: op.Node, kind: op.Kind, durability: op.Durability, routed: op.Routed, err: op.Err,
+		epoch: op.Epoch, accepted: op.Accepted, durable: op.Durable,
+	}
 	r.mu.Lock()
-	r.ops = append(r.ops, op)
+	defer r.mu.Unlock()
+	idx, ok := r.shape[sh]
+	if !ok {
+		idx = uint32(len(r.shapes))
+		r.shapes = append(r.shapes, sh)
+		r.shape[sh] = idx
+	}
+	if r.n == len(r.chunks)*recorderChunkOps {
+		r.chunks = append(r.chunks, make([]packedOp, 0, recorderChunkOps))
+	}
+	last := &r.chunks[len(r.chunks)-1]
+	*last = append(*last, packedOp{
+		key: op.Key, id: op.ID, ingress: op.Ingress, egress: op.Egress,
+		volumeB: op.VolumeB, rateBps: op.RateBps, sigmaS: op.SigmaS, tauS: op.TauS,
+		shape: idx,
+	})
+	r.n++
+}
+
+// each calls fn with every recorded op in observation order. Recorded ops
+// and shapes are never rewritten, so it walks a view taken under the lock
+// without holding it.
+func (r *Recorder) each(fn func(Op) error) error {
+	r.mu.Lock()
+	chunks := append([][]packedOp(nil), r.chunks...)
+	shapes := r.shapes
 	r.mu.Unlock()
+	for _, chunk := range chunks {
+		for _, p := range chunk {
+			sh := shapes[p.shape]
+			if err := fn(Op{
+				Node: sh.node, Kind: sh.kind, Key: p.key, ID: p.id,
+				Accepted: sh.accepted, Durable: sh.durable, Durability: sh.durability,
+				Err: sh.err, Epoch: sh.epoch, Routed: sh.routed,
+				Ingress: p.ingress, Egress: p.egress,
+				VolumeB: p.volumeB, RateBps: p.rateBps, SigmaS: p.sigmaS, TauS: p.tauS,
+			}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Ops returns a copy of the recorded history in observation order.
 func (r *Recorder) Ops() []Op {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Op(nil), r.ops...)
+	out := make([]Op, 0, r.Len())
+	r.each(func(op Op) error {
+		out = append(out, op)
+		return nil
+	})
+	return out
 }
 
 // Len reports how many ops are recorded.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.ops)
+	return r.n
 }
 
 // WriteJSONL streams the history as JSON Lines, one op per line, so a
 // harness process can hand it to an out-of-process checker.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, op := range r.Ops() {
+	return r.each(func(op Op) error {
 		if err := enc.Encode(op); err != nil {
 			return fmt.Errorf("check: write op: %w", err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ReadJSONL parses a JSON Lines op history, skipping blank lines.

@@ -2,9 +2,13 @@ package check
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"gridbw/internal/trace"
 )
@@ -176,5 +180,75 @@ func TestRecorderConcurrentAndJSONLRoundTrip(t *testing.T) {
 
 	if _, err := ReadJSONL(strings.NewReader("{bad json\n")); err == nil {
 		t.Fatal("malformed JSONL accepted")
+	}
+}
+
+// The recorder stores ops packed; what it hands back must equal what was
+// recorded in every field, across chunk boundaries, for values at the
+// edges of each field's type and for more distinct strings than a byte
+// could index — through Ops and through the JSONL export alike.
+func TestRecorderReturnsEveryFieldAsRecorded(t *testing.T) {
+	if got, whole := unsafe.Sizeof(packedOp{}), unsafe.Sizeof(Op{}); got != 80 || whole != 168 {
+		t.Errorf("packed op is %d bytes and Op %d; the Recorder comment says 80 and 168", got, whole)
+	}
+	n := 2*recorderChunkOps + 37
+	want := make([]Op, n)
+	for i := range want {
+		op := Op{
+			Node: fmt.Sprintf("node-%d", i%300), Kind: []string{OpSubmit, OpCancel, OpStatus}[i%3],
+			Key: fmt.Sprintf("key-%d", i), ID: i - 5,
+			Accepted: i%2 == 0, Durable: i%3 == 0,
+			Durability: []string{"", "replicated", "degraded"}[i%3],
+			Err:        fmt.Sprintf("dial tcp 127.0.0.1:%d: connection refused", 40000+i%700),
+			Epoch:      uint64(i % 5), Routed: []string{"", "cross_shard"}[i%2],
+			Ingress: i % 11, Egress: i % 13,
+			VolumeB: float64(i) * 1e9, RateBps: 1e8 / float64(i+1), SigmaS: float64(i) / 7, TauS: float64(i) + 0.5,
+		}
+		switch i {
+		case 0:
+			op = Op{} // every field zero
+		case 1:
+			op.ID, op.Ingress, op.Egress, op.Epoch = math.MaxInt, math.MinInt, math.MaxInt, math.MaxUint64
+		}
+		want[i] = op
+	}
+	r := NewRecorder()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ { // readers race the writer; run under -race
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r.Len() < n {
+				ops := r.Ops()
+				if len(ops) > 0 && !reflect.DeepEqual(ops[len(ops)-1], want[len(ops)-1]) {
+					t.Errorf("mid-run Ops()[%d] = %+v, want %+v", len(ops)-1, ops[len(ops)-1], want[len(ops)-1])
+					return
+				}
+			}
+		}()
+	}
+	for _, op := range want {
+		r.Record(op)
+	}
+	wg.Wait()
+
+	if got := r.Ops(); !reflect.DeepEqual(got, want) {
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("Ops()[%d] = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+		t.Fatalf("Ops() returned %d ops, want %d", len(got), len(want))
+	}
+	var buf bytes.Buffer
+	if err := r.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("JSONL round trip differs from the recorded history (%d ops, want %d)", len(got), len(want))
 	}
 }

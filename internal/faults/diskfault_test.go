@@ -140,7 +140,7 @@ func TestMetaRenameFailureKeepsOldValue(t *testing.T) {
 	if err := l.SaveEpoch(4); err == nil {
 		t.Fatal("SaveEpoch under rename fault: want error")
 	}
-	got, err := wal.LoadEpoch(dir)
+	got, err := l.LoadEpoch()
 	if err != nil {
 		t.Fatalf("LoadEpoch: %v", err)
 	}
@@ -159,8 +159,55 @@ func TestMetaRenameFailureKeepsOldValue(t *testing.T) {
 	if err := l.SaveEpoch(5); err == nil {
 		t.Fatal("SaveEpoch under dir-fsync fault: want error")
 	}
-	if got, _ := wal.LoadEpoch(dir); got != 3 && got != 5 {
+	if got, _ := l.LoadEpoch(); got != 3 && got != 5 {
 		t.Fatalf("epoch after failed dir fsync = %d, want old 3 or new 5", got)
+	}
+}
+
+// A cursor save torn at any byte must cost exactly that save: the record
+// lives in two alternating slots, so boot falls back to the other slot —
+// the previous cursor — and never reads a torn one.
+func TestCursorRecordShortWriteEveryOffset(t *testing.T) {
+	const recordBytes = 48
+	for keep := int64(0); keep < recordBytes; keep++ {
+		dir := t.TempDir()
+		dfs := faults.NewDiskFS(nil, faults.DiskConfig{})
+		l := openWAL(t, dir, dfs, wal.SyncNever)
+		// Two good saves fill both slots; the torn third overwrites the
+		// older one.
+		good := wal.Pos{Seg: 1, Off: 200}
+		for _, p := range []wal.Pos{{Seg: 1, Off: 100}, good} {
+			if _, err := l.Append([]byte("frame")); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.SaveCursor(p, l.End()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dfs.ShortNextWrite(keep)
+		if err := l.SaveCursor(wal.Pos{Seg: 1, Off: 300}, l.End()); !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("keep=%d: torn save = %v, want the injected error", keep, err)
+		}
+		if got := l.Cursor(); got != good {
+			t.Fatalf("keep=%d: live cursor after a failed save = %v, want %v", keep, got, good)
+		}
+		l.Close()
+
+		l = openWAL(t, dir, dfs, wal.SyncNever)
+		if got := l.Cursor(); got != good {
+			t.Fatalf("keep=%d: boot resumed at %v, want %v", keep, got, good)
+		}
+		// The next save lands in the torn slot and is the newest again.
+		next := wal.Pos{Seg: 1, Off: 400}
+		if err := l.SaveCursor(next, l.End()); err != nil {
+			t.Fatalf("keep=%d: save after the tear: %v", keep, err)
+		}
+		l.Close()
+		l = openWAL(t, dir, dfs, wal.SyncNever)
+		if got := l.Cursor(); got != next {
+			t.Fatalf("keep=%d: boot after the repair resumed at %v, want %v", keep, got, next)
+		}
+		l.Close()
 	}
 }
 

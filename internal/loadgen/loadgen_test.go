@@ -340,8 +340,15 @@ func TestHistoryRecordsClientObservations(t *testing.T) {
 		DrainTimeout: 2 * time.Second,
 		Backend:      be,
 		Now:          clock.Now,
-		SleepUntil:   clock.SleepUntil,
-		History:      hist,
+		// The virtual clock never waits, so the dispatcher can hand out all
+		// 40 arrivals before the first submit has pushed its ID, and every
+		// cancel then finds nothing to revoke (about 1 run in 500). A real
+		// millisecond per arrival lets each op finish before the next.
+		SleepUntil: func(ctx context.Context, at time.Time) error {
+			time.Sleep(time.Millisecond)
+			return clock.SleepUntil(ctx, at)
+		},
+		History: hist,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -130,7 +130,7 @@ func TestRecoveryRoutesAgree(t *testing.T) {
 		t.Fatalf("cursor after reseed = %v, want the snapshot frontier %v", cur, mid.WALPos())
 	}
 	if err := reseeded.ApplyShipped(server.ShippedBatch{
-		Epoch: donor.Epoch(), From: mid.WALPos(), Next: end, End: end, Events: suffix,
+		Epoch: donor.Epoch(), From: mid.WALPos(), Next: end, End: end, Events: frames(t, suffix...),
 	}); err != nil {
 		t.Fatal(err)
 	}

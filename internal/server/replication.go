@@ -12,11 +12,17 @@ package server
 //     whose epoch is higher refuses the batch outright, so a deposed
 //     primary — still running after its follower was promoted — can never
 //     push its decisions into the new primary's lineage.
-//   - Idempotent apply: the follower's pull cursor is persisted after the
-//     applied records, so a crash can rewind it. Re-delivered accepts that
-//     match the applied grant byte-for-byte are skipped, and cancels or
-//     expires of missing/terminal reservations are tolerated; replay from
-//     any earlier cursor converges on the same state.
+//   - Idempotent apply: the follower's pull cursor is recorded after the
+//     applied records (wal/cursor.go), so a crash can rewind it — and boot
+//     refuses a record that outran the local log, so nothing can carry it
+//     past them. Re-delivered accepts that match the applied grant
+//     byte-for-byte are skipped, and cancels or expires of missing/terminal
+//     reservations are tolerated; replay from any earlier cursor converges
+//     on the same state.
+//   - Verbatim frames: the primary ships its WAL payloads as they are and
+//     the follower appends the bytes it received, so every member's log
+//     holds the same frames and positions are comparable across the group
+//     (what keeping the cursor across a failover relies on).
 //   - Read-only while following: a follower answers every Submit and
 //     Cancel with ErrReadOnly until promoted, so the only writer of its
 //     ledger is the shipped stream. Promotion schedules the expiry timers
@@ -71,7 +77,7 @@ type replState struct {
 	lagBytes  int64   // primary bytes not yet applied, from the last batch
 	lastPull  time.Time
 	lastErr   string
-	stopPull  chan struct{}
+	stopPull  context.CancelFunc // cancels the pull loop's context
 	pullDone  chan struct{}
 	// votedEpoch/votedFor is the durable vote-once record: the highest
 	// epoch this node granted a promotion vote in and the candidate it
@@ -85,27 +91,28 @@ type replState struct {
 // fenced by the sender's epoch. End is the sender's append frontier and
 // LagBytes the exact committed bytes between Next and End, so the
 // follower can report how far behind it runs without guessing at segment
-// sizes it cannot see.
+// sizes it cannot see. Events are the sender's WAL payloads verbatim, each
+// one JSON-encoded trace.Event.
 type ShippedBatch struct {
-	Epoch    uint64        `json:"epoch"`
-	From     wal.Pos       `json:"from"`
-	Next     wal.Pos       `json:"next"`
-	End      wal.Pos       `json:"end"`
-	LagBytes int64         `json:"lag_bytes"`
-	Events   []trace.Event `json:"events"`
+	Epoch    uint64            `json:"epoch"`
+	From     wal.Pos           `json:"from"`
+	Next     wal.Pos           `json:"next"`
+	End      wal.Pos           `json:"end"`
+	LagBytes int64             `json:"lag_bytes"`
+	Events   []json.RawMessage `json:"events"`
 }
 
 // initRepl resolves the fencing epoch — the largest of the explicit
 // config, the snapshot's recorded value and the WAL directory's saved one,
-// defaulting to 1 — and, when following, restores the persisted pull
-// cursor. Called before the server goes concurrent.
+// defaulting to 1 — and, when following, resumes from the pull cursor the
+// WAL recovered. Called before the server goes concurrent.
 func (s *Server) initRepl(cfg Config, snapEpoch uint64) error {
 	epoch := cfg.Epoch
 	if snapEpoch > epoch {
 		epoch = snapEpoch
 	}
 	if s.wal != nil {
-		saved, err := wal.LoadEpoch(s.wal.Dir())
+		saved, err := s.wal.LoadEpoch()
 		if err != nil {
 			return err
 		}
@@ -118,7 +125,7 @@ func (s *Server) initRepl(cfg Config, snapEpoch uint64) error {
 	}
 	s.repl.epoch = epoch
 	if s.wal != nil {
-		v, err := wal.LoadVote(s.wal.Dir())
+		v, err := s.wal.LoadVote()
 		if err != nil {
 			return err
 		}
@@ -128,11 +135,7 @@ func (s *Server) initRepl(cfg Config, snapEpoch uint64) error {
 		s.repl.following = true
 		s.repl.source = strings.TrimRight(cfg.Follow, "/")
 		if s.wal != nil {
-			cur, err := wal.LoadCursor(s.wal.Dir())
-			if err != nil {
-				return err
-			}
-			s.repl.cursor = cur
+			s.repl.cursor = s.wal.Cursor()
 		}
 	}
 	return nil
@@ -165,21 +168,47 @@ func (s *Server) stopPullLocked() chan struct{} {
 	if s.repl.stopPull == nil {
 		return nil
 	}
-	select {
-	case <-s.repl.stopPull:
-	default:
-		close(s.repl.stopPull)
-	}
+	s.repl.stopPull()
 	return s.repl.pullDone
 }
 
 // ApplyShipped replays one pulled batch into a follower. The batch is
 // fenced (an epoch older than the receiver's is refused — the sender is a
 // deposed primary) and the apply is idempotent, so a cursor that rewound
-// across a crash re-delivers harmlessly.
+// across a crash re-delivers harmlessly. Every element is decoded before
+// anything is touched: a malformed one fails the batch with nothing
+// applied and nothing appended.
 func (s *Server) ApplyShipped(b ShippedBatch) error {
+	events, err := decodeEvents(b.Events)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	if err := s.applyShippedLocked(b, events); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	// The cursor record says "everything before Next is in my log, which
+	// ended here", so it is only written while the log still takes appends,
+	// and written outside s.mu: it is ordered after the appends by the local
+	// end it carries, not by a lock or an fsync.
+	record := s.wal != nil && s.wal.Poisoned() == nil
+	var localEnd wal.Pos
+	if record {
+		localEnd = s.wal.End()
+	}
+	s.mu.Unlock()
+	if record {
+		if err := s.wal.SaveCursor(b.Next, localEnd); err != nil {
+			s.mu.Lock()
+			s.stats.RecordLogAppendFailure()
+			s.mu.Unlock()
+		}
+	}
+	return nil
+}
+
+func (s *Server) applyShippedLocked(b ShippedBatch, events []trace.Event) error {
 	if s.closed {
 		return ErrClosed
 	}
@@ -200,23 +229,15 @@ func (s *Server) ApplyShipped(b ShippedBatch) error {
 	if !s.repl.cursor.IsZero() && b.From != s.repl.cursor {
 		return fmt.Errorf("server: replication gap: batch starts at %v, cursor at %v", b.From, s.repl.cursor)
 	}
-	for _, ev := range b.Events {
-		if err := s.applyEventLocked(ev, true); err != nil {
+	for i, ev := range events {
+		if err := s.applyEventLocked(ev, b.Events[i]); err != nil {
 			return err
 		}
 	}
 	s.repl.cursor = b.Next
-	s.repl.applied += uint64(len(b.Events))
+	s.repl.applied += uint64(len(events))
 	s.repl.lagBytes = b.LagBytes
 	s.repl.lastPull = s.clock()
-	if s.wal != nil {
-		// The cursor is persisted after the records it covers, so a crash
-		// between the two re-pulls an already-applied suffix — which the
-		// idempotent apply skips — instead of losing one.
-		if err := s.wal.SaveCursor(b.Next); err != nil {
-			s.stats.RecordLogAppendFailure()
-		}
-	}
 	return nil
 }
 
@@ -233,7 +254,7 @@ func (s *Server) ApplyEvents(events []trace.Event) (int, error) {
 	}
 	applied := 0
 	for _, ev := range events {
-		if err := s.applyEventLocked(ev, false); err != nil {
+		if err := s.applyEventLocked(ev, nil); err != nil {
 			return applied, err
 		}
 		applied++
@@ -246,8 +267,10 @@ func (s *Server) ApplyEvents(events []trace.Event) (int, error) {
 // double-book capacity or re-enter the local WAL, so replay converges
 // from any cursor. While following, accepts are booked without expiry
 // timers: the primary's shipped expire events retire them, and Promote
-// arms the timers when the follower takes over.
-func (s *Server) applyEventLocked(ev trace.Event, toWAL bool) error {
+// arms the timers when the follower takes over. frame is the payload a
+// shipped event arrived as, appended to the local WAL as received; nil for
+// a recovered event, which the local WAL already holds.
+func (s *Server) applyEventLocked(ev trace.Event, frame []byte) error {
 	switch ev.Kind {
 	case trace.EventAccept:
 		r, g, err := grantFromEvent(ev, s.net)
@@ -306,8 +329,8 @@ func (s *Server) applyEventLocked(ev trace.Event, toWAL bool) error {
 		s.nextID = request.ID(ev.Request + 1)
 	}
 	s.reanchorLocked(ev.At)
-	if toWAL {
-		s.appendEventLocked(ev)
+	if frame != nil {
+		s.appendFrameLocked(ev, frame)
 	}
 	return nil
 }
@@ -465,9 +488,12 @@ func (s *Server) StartFollowing() error {
 	if s.repl.stopPull != nil {
 		return nil
 	}
-	s.repl.stopPull = make(chan struct{})
+	// The loop's one context: every request it makes derives from it, so
+	// stopping the loop aborts whatever is in flight.
+	ctx, cancel := context.WithCancel(context.Background())
+	s.repl.stopPull = cancel
 	s.repl.pullDone = make(chan struct{})
-	go s.pullLoop(s.repl.source, s.repl.stopPull, s.repl.pullDone)
+	go s.pullLoop(ctx, s.repl.source, s.repl.pullDone)
 	return nil
 }
 
@@ -498,20 +524,20 @@ func (s *Server) setPullError(err error) {
 // divergence errors halt the loop — retrying cannot fix them, and
 // continuing would corrupt the replica. The last error is surfaced on
 // /v1/replication/status.
-func (s *Server) pullLoop(source string, stop, done chan struct{}) {
+func (s *Server) pullLoop(ctx context.Context, source string, done chan struct{}) {
 	defer close(done)
 	hc := &http.Client{Timeout: pullWait + 10*time.Second}
 	backoff := pullBaseBackoff
 	failures := 0
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		b, err := pullOnce(hc, source, s.cursorNow(), s.replID, stop)
+	// searching: the last probe of the peers found no primary. The group is
+	// mid-election, so the loop probes again after every failed pull, on a
+	// fixed pullBaseBackoff cadence, instead of letting a promotion that
+	// lands just after a probe wait out a doubled transport backoff.
+	searching := false
+	for ctx.Err() == nil {
+		b, err := pullOnce(ctx, hc, source, s.cursorNow(), s.replID)
 		if err == nil {
-			failures = 0
+			failures, searching = 0, false
 			if err = s.ApplyShipped(b); err == nil {
 				s.setPullError(nil)
 				backoff = pullBaseBackoff
@@ -525,7 +551,7 @@ func (s *Server) pullLoop(source string, stop, done chan struct{}) {
 				// The source is a deposed primary: this follower's epoch
 				// already moved past the stream it serves. Find the lineage
 				// that deposed it instead of halting.
-				if next, ok := s.rediscoverPrimary(hc, stop); ok && next != source {
+				if next, ok := s.rediscoverPrimary(ctx, hc); ok && next != source {
 					source = next
 					backoff = pullBaseBackoff
 					s.setPullError(nil)
@@ -538,11 +564,11 @@ func (s *Server) pullLoop(source string, stop, done chan struct{}) {
 		if errors.Is(err, errPullGone) {
 			// The primary compacted our cursor away; rebuild from its
 			// snapshot and resume pulling at the snapshot's frontier.
-			err = s.reseedFromSource(hc, source, stop)
+			err = s.reseedFromSource(ctx, hc, source)
 			if err == nil {
 				s.setPullError(nil)
 				backoff = pullBaseBackoff
-				failures = 0
+				failures, searching = 0, false
 				continue
 			}
 			if errors.Is(err, ErrNotFollower) || errors.Is(err, ErrClosed) {
@@ -559,22 +585,27 @@ func (s *Server) pullLoop(source string, stop, done chan struct{}) {
 			// pull, which will 410 again and re-attempt the re-seed.
 		}
 		s.setPullError(err)
-		if failures++; failures >= refollowAfter {
+		if failures++; len(s.peers) > 0 && (searching || failures >= refollowAfter) {
 			failures = 0
-			if next, ok := s.rediscoverPrimary(hc, stop); ok && next != source {
+			next, ok := s.rediscoverPrimary(ctx, hc)
+			if ok && next != source {
 				source = next
 				backoff = pullBaseBackoff
+				searching = false
 				s.setPullError(nil)
 				continue
 			}
+			if searching = !ok; searching {
+				backoff = pullBaseBackoff
+			}
 		}
 		select {
-		case <-stop:
+		case <-ctx.Done():
 			return
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > pullMaxBackoff {
-			backoff = pullMaxBackoff
+		if !searching {
+			backoff = min(2*backoff, pullMaxBackoff)
 		}
 	}
 }
@@ -586,24 +617,17 @@ func (s *Server) pullLoop(source string, stop, done chan struct{}) {
 // lineage are ignored (the probing node itself answers as a follower, so
 // listing yourself among the peers is harmless). On success the
 // follower's source is re-pointed; the pull cursor is kept — every
-// follower re-appends the identical shipped frames to its own WAL, so
+// follower appends the shipped frames to its own WAL as received, so
 // positions are comparable across group members, and a genuine divergence
 // still halts on the gap check.
-func (s *Server) rediscoverPrimary(hc *http.Client, stop <-chan struct{}) (string, bool) {
+func (s *Server) rediscoverPrimary(ctx context.Context, hc *http.Client) (string, bool) {
 	peers := s.peers
 	if len(peers) == 0 {
 		return "", false
 	}
 	minEpoch := s.Epoch()
-	ctx, cancel := context.WithTimeout(context.Background(), refollowProbeTTL)
+	ctx, cancel := context.WithTimeout(ctx, refollowProbeTTL)
 	defer cancel()
-	go func() {
-		select {
-		case <-stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
 	type probe struct {
 		url     string
 		epoch   uint64
@@ -675,20 +699,11 @@ func normalizePeers(peers []string) []string {
 	return out
 }
 
-// pullOnce runs one long-poll round trip, aborted early if stop closes.
-// The follower's id rides along so the primary can attribute the cursor:
-// a presented cursor acknowledges that everything before it is applied
-// and persisted on this follower.
-func pullOnce(hc *http.Client, source string, cur wal.Pos, id string, stop <-chan struct{}) (ShippedBatch, error) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		select {
-		case <-stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
+// pullOnce runs one long-poll round trip under the loop's context. The
+// follower's id rides along so the primary can attribute the cursor: a
+// presented cursor acknowledges that everything before it is applied on
+// this follower and appended to its WAL under its own sync policy.
+func pullOnce(ctx context.Context, hc *http.Client, source string, cur wal.Pos, id string) (ShippedBatch, error) {
 	u := fmt.Sprintf("%s/v1/replication/pull?seg=%d&off=%d&max=%d&wait_ms=%d&id=%s",
 		source, cur.Seg, cur.Off, pullMaxRecords, pullWait.Milliseconds(), url.QueryEscape(id))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
@@ -948,8 +963,8 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	}
 	pos := wal.Pos{Seg: seg, Off: int64(off)}
 	// The presented cursor doubles as a durability ack: the follower only
-	// advances it after the covered records are applied and persisted
-	// locally, so everything before pos is replicated on that follower.
+	// advances it after the covered records are applied and appended to its
+	// own WAL, so everything before pos is replicated on that follower.
 	// A zero cursor has nothing to acknowledge yet. A cursor past the
 	// local frontier cannot be acknowledging local history — it is a
 	// buggy or wrong-lineage caller, and recording it would forward-run
@@ -992,10 +1007,11 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	events, err := decodeEvents(payloads)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+	// The payloads ship as they sit in the WAL: the follower appends the
+	// same bytes, and only it ever decodes them.
+	events := make([]json.RawMessage, len(payloads))
+	for i, p := range payloads {
+		events[i] = p
 	}
 	end := s.wal.End()
 	lag, err := s.wal.SizeBetween(next, end)
@@ -1015,14 +1031,14 @@ func queryUint(v string) (uint64, error) {
 	return strconv.ParseUint(v, 10, 64)
 }
 
-func decodeEvents(payloads [][]byte) ([]trace.Event, error) {
-	events := make([]trace.Event, 0, len(payloads))
-	for _, p := range payloads {
-		var ev trace.Event
-		if err := json.Unmarshal(p, &ev); err != nil {
+// decodeEvents decodes WAL payloads — read from the local log, or shipped
+// from a primary's — refusing the whole list on the first malformed one.
+func decodeEvents[P ~[]byte](payloads []P) ([]trace.Event, error) {
+	events := make([]trace.Event, len(payloads))
+	for i, p := range payloads {
+		if err := json.Unmarshal(p, &events[i]); err != nil {
 			return nil, fmt.Errorf("server: WAL record: %w", err)
 		}
-		events = append(events, ev)
 	}
 	return events, nil
 }

@@ -12,6 +12,7 @@ import (
 	"gridbw/internal/request"
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
+	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
 )
@@ -24,6 +25,20 @@ func openTestWAL(t *testing.T) *wal.Log {
 	}
 	t.Cleanup(func() { l.Close() })
 	return l
+}
+
+// frames encodes events the way a primary's WAL holds and ships them.
+func frames(t *testing.T, events ...trace.Event) []json.RawMessage {
+	t.Helper()
+	out := make([]json.RawMessage, len(events))
+	for i, ev := range events {
+		blob, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = blob
+	}
+	return out
 }
 
 // waitFor polls cond on real time — the pull loop runs on real goroutines

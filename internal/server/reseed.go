@@ -106,7 +106,7 @@ func (s *Server) Reseed(snap *Snapshot) error {
 				s.stats.RecordLogAppendFailure()
 			}
 		}
-		if err := s.wal.SaveCursor(snap.WALPos()); err != nil {
+		if err := s.wal.SaveCursor(snap.WALPos(), localEnd); err != nil {
 			s.stats.RecordLogAppendFailure()
 		}
 		// The pre-reseed local segments are covered by the persisted
@@ -165,18 +165,9 @@ func (s *Server) checkPlatformLocked(snap *Snapshot) error {
 }
 
 // reseedFromSource downloads the primary's snapshot and re-seeds this
-// follower from it — the pull loop's answer to 410 Gone. stop aborts the
-// download early.
-func (s *Server) reseedFromSource(hc *http.Client, source string, stop <-chan struct{}) error {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		select {
-		case <-stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
+// follower from it — the pull loop's answer to 410 Gone, under the loop's
+// context.
+func (s *Server) reseedFromSource(ctx context.Context, hc *http.Client, source string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, source+"/v1/replication/snapshot", nil)
 	if err != nil {
 		return fmt.Errorf("server: reseed: %w", err)

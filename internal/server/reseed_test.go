@@ -185,12 +185,8 @@ func TestReplPullStaleCursorReseeds(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(fwal.Dir(), server.ReseedSnapshotName)); err != nil {
 		t.Fatalf("reseed snapshot not persisted: %v", err)
 	}
-	cur, err := wal.LoadCursor(fwal.Dir())
-	if err != nil {
-		t.Fatalf("cursor not persisted: %v", err)
-	}
-	if cur.IsZero() {
-		t.Fatal("persisted cursor still zero after reseed")
+	if fwal.Cursor().IsZero() {
+		t.Fatal("recorded cursor still zero after reseed")
 	}
 
 	// And pulling continues live past the re-seed.
@@ -289,10 +285,10 @@ func TestReseedCarriesHolds(t *testing.T) {
 	f := newTestServer(t, fcfg)
 	// History the re-seed displaces: a hold shipped before the cursor was
 	// compacted away, which the donor's snapshot no longer knows.
-	if err := f.ApplyShipped(server.ShippedBatch{Epoch: 1, Events: []trace.Event{{
+	if err := f.ApplyShipped(server.ShippedBatch{Epoch: 1, Events: frames(t, trace.Event{
 		Kind: trace.EventHoldReserve, Request: -1, Ingress: 1, Egress: 0,
 		Hold: "stale", Side: trace.HoldSideEgress, RateBps: 1e9, SigmaS: 0, TauS: 10, ExpireS: 5,
-	}}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 	if held, _ := f.HoldStats(); held != 1 {

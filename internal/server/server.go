@@ -975,12 +975,22 @@ func (s *Server) logLocked(kind string, r request.Request, g request.Grant, reas
 // are counted, flipping the durability-degraded health signal — the
 // daemon keeps serving, but operators are paged about the hole.
 func (s *Server) appendEventLocked(ev trace.Event) {
+	var frame []byte
 	if s.wal != nil {
-		blob, err := json.Marshal(ev)
-		if err == nil {
-			_, err = s.wal.Append(blob)
+		var err error
+		if frame, err = json.Marshal(ev); err != nil {
+			s.stats.RecordLogAppendFailure()
 		}
-		if err != nil {
+	}
+	s.appendFrameLocked(ev, frame)
+}
+
+// appendFrameLocked is appendEventLocked for an event whose WAL payload
+// already exists: a follower appends the frame its primary shipped, not a
+// re-encoding of it, so the two logs hold the same bytes.
+func (s *Server) appendFrameLocked(ev trace.Event, frame []byte) {
+	if s.wal != nil && frame != nil {
+		if _, err := s.wal.Append(frame); err != nil {
 			s.stats.RecordLogAppendFailure()
 		}
 	}

@@ -129,25 +129,25 @@ func TestAcksSnapshotIsCopy(t *testing.T) {
 }
 
 func TestSaveLoadVote(t *testing.T) {
-	dir := t.TempDir()
-	if v, err := LoadVote(dir); err != nil || v != (Vote{}) {
+	l, _ := mustOpen(t, t.TempDir(), Options{})
+	if v, err := l.LoadVote(); err != nil || v != (Vote{}) {
 		t.Fatalf("empty dir: vote %+v err %v", v, err)
 	}
 	want := Vote{Epoch: 4, Candidate: "node-b"}
-	if err := SaveVote(dir, want); err != nil {
+	if err := l.SaveVote(want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadVote(dir)
+	got, err := l.LoadVote()
 	if err != nil || got != want {
 		t.Fatalf("round-trip vote %+v err %v, want %+v", got, err, want)
 	}
 	// Overwrite: the latest vote wins (a node votes once per epoch but
 	// across epochs the file advances).
 	want = Vote{Epoch: 5, Candidate: "node-c"}
-	if err := SaveVote(dir, want); err != nil {
+	if err := l.SaveVote(want); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := LoadVote(dir); got != want {
+	if got, _ := l.LoadVote(); got != want {
 		t.Fatalf("overwritten vote = %+v, want %+v", got, want)
 	}
 }

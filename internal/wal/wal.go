@@ -179,17 +179,25 @@ type Recovery struct {
 	// DroppedSegments counts whole segments removed because they sat
 	// beyond a torn middle segment (disk corruption, not a crash).
 	DroppedSegments int
+	// StaleCursors counts cursor records erased because they claimed a
+	// local frontier past the recovered one — the trace of a power loss
+	// that kept the record and lost the appends it covered.
+	StaleCursors int
 }
 
 // Clean reports whether recovery found nothing to repair.
 func (r Recovery) Clean() bool { return r.TornSegment == 0 && r.DroppedSegments == 0 }
 
 func (r Recovery) String() string {
-	if r.Clean() {
-		return fmt.Sprintf("%d records, clean tail", r.Records)
+	s := fmt.Sprintf("%d records, clean tail", r.Records)
+	if !r.Clean() {
+		s = fmt.Sprintf("%d records, truncated %d bytes of segment %d (%d later segments dropped)",
+			r.Records, r.TruncatedBytes, r.TornSegment, r.DroppedSegments)
 	}
-	return fmt.Sprintf("%d records, truncated %d bytes of segment %d (%d later segments dropped)",
-		r.Records, r.TruncatedBytes, r.TornSegment, r.DroppedSegments)
+	if r.StaleCursors > 0 {
+		s += fmt.Sprintf(", erased %d replication cursor records past the recovered frontier", r.StaleCursors)
+	}
+	return s
 }
 
 // Log is a segmented append log. Append, Sync and Close serialize behind
@@ -212,6 +220,16 @@ type Log struct {
 
 	stopSync chan struct{}
 	syncDone chan struct{}
+
+	// The follower's cursor record (cursor.go), guarded by curMu, which is
+	// never held together with mu.
+	curMu        sync.Mutex
+	curF         File   // the record file, opened by the first write
+	curSeq       uint64 // sequence of the newest record written
+	curSlot      int    // slot the next record goes to
+	cursor       Pos
+	legacyCursor bool // a JSON cursor file is still on disk
+	curClosed    bool
 }
 
 func segName(seg uint64) string { return fmt.Sprintf("%s%08d%s", segPrefix, seg, segSuffix) }
@@ -294,6 +312,11 @@ func Open(dir string, opt Options) (*Log, Recovery, error) {
 	}
 	l.records = rec.Records
 	l.synced = Pos{l.seg, l.off}
+	if err := l.loadCursor(&rec); err != nil {
+		l.closeCursor()
+		l.f.Close()
+		return nil, rec, err
+	}
 	if l.opt.Policy == SyncInterval {
 		l.stopSync = make(chan struct{})
 		l.syncDone = make(chan struct{})
@@ -542,6 +565,7 @@ func (l *Log) Close() error {
 		close(stop)
 		<-done
 	}
+	l.closeCursor()
 	return err
 }
 
@@ -744,9 +768,11 @@ func (l *Log) FirstPos() Pos {
 }
 
 // Meta files: tiny durable key facts living beside the segments — the
-// fencing epoch and a follower's replication cursor. Written with the
-// full tmp → fsync → rename → fsync(dir) dance so a crash leaves either
-// the old value or the new one, never a torn file.
+// fencing epoch and the promotion vote. Written with the full tmp → fsync
+// → rename → fsync(dir) dance so a crash leaves either the old value or
+// the new one, never a torn file, and read and written through the log's
+// filesystem seam. (The replication cursor changes once per shipped batch
+// and cannot afford that; see cursor.go.)
 
 func writeMeta(fsys FS, dir, name string, data []byte) error {
 	path := filepath.Join(dir, name)
@@ -774,60 +800,34 @@ func writeMeta(fsys FS, dir, name string, data []byte) error {
 	return fsys.SyncDir(dir)
 }
 
-// SaveEpoch durably records the fencing epoch in the log's directory
-// through the log's filesystem seam.
+// readMeta returns the named meta file's content; nil when none was saved.
+func (l *Log) readMeta(name string) ([]byte, error) {
+	blob, err := l.fs.ReadFile(filepath.Join(l.dir, name))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	return blob, nil
+}
+
+// SaveEpoch durably records the fencing epoch in the log's directory.
 func (l *Log) SaveEpoch(epoch uint64) error {
 	return writeMeta(l.fs, l.dir, "epoch", []byte(strconv.FormatUint(epoch, 10)))
 }
 
-// SaveCursor durably records a follower's replication cursor through the
-// log's filesystem seam.
-func (l *Log) SaveCursor(pos Pos) error {
-	blob, err := json.Marshal(pos)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return writeMeta(l.fs, l.dir, "cursor", blob)
-}
-
-// SaveVote durably records a promotion vote through the log's
-// filesystem seam.
-func (l *Log) SaveVote(v Vote) error {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return writeMeta(l.fs, l.dir, "vote", blob)
-}
-
-// SaveEpoch durably records the fencing epoch in dir.
-func SaveEpoch(dir string, epoch uint64) error {
-	return writeMeta(OSFS{}, dir, "epoch", []byte(strconv.FormatUint(epoch, 10)))
-}
-
-// LoadEpoch reads the fencing epoch saved in dir; 0 when none was saved.
-func LoadEpoch(dir string) (uint64, error) {
-	blob, err := os.ReadFile(filepath.Join(dir, "epoch"))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+// LoadEpoch reads the saved fencing epoch; 0 when none was saved.
+func (l *Log) LoadEpoch() (uint64, error) {
+	blob, err := l.readMeta("epoch")
+	if blob == nil {
+		return 0, err
 	}
 	n, err := strconv.ParseUint(strings.TrimSpace(string(blob)), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("wal: epoch file: %w", err)
 	}
 	return n, nil
-}
-
-// SaveCursor durably records a follower's position into its primary's WAL.
-func SaveCursor(dir string, pos Pos) error {
-	blob, err := json.Marshal(pos)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return writeMeta(OSFS{}, dir, "cursor", blob)
 }
 
 // Vote is the durable record of a promotion vote: which candidate this
@@ -838,45 +838,25 @@ type Vote struct {
 	Candidate string `json:"candidate"`
 }
 
-// SaveVote durably records a promotion vote in dir.
-func SaveVote(dir string, v Vote) error {
+// SaveVote durably records a promotion vote in the log's directory.
+func (l *Log) SaveVote(v Vote) error {
 	blob, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	return writeMeta(OSFS{}, dir, "vote", blob)
+	return writeMeta(l.fs, l.dir, "vote", blob)
 }
 
-// LoadVote reads the last promotion vote saved in dir; the zero Vote
-// when none was saved.
-func LoadVote(dir string) (Vote, error) {
-	blob, err := os.ReadFile(filepath.Join(dir, "vote"))
-	if errors.Is(err, os.ErrNotExist) {
-		return Vote{}, nil
-	}
-	if err != nil {
-		return Vote{}, fmt.Errorf("wal: %w", err)
-	}
+// LoadVote reads the last saved promotion vote; the zero Vote when none
+// was saved.
+func (l *Log) LoadVote() (Vote, error) {
 	var v Vote
+	blob, err := l.readMeta("vote")
+	if blob == nil {
+		return v, err
+	}
 	if err := json.Unmarshal(blob, &v); err != nil {
 		return Vote{}, fmt.Errorf("wal: vote file: %w", err)
 	}
 	return v, nil
-}
-
-// LoadCursor reads the replication cursor saved in dir; the zero Pos when
-// none was saved (pull restarts from the beginning — apply is idempotent).
-func LoadCursor(dir string) (Pos, error) {
-	blob, err := os.ReadFile(filepath.Join(dir, "cursor"))
-	if errors.Is(err, os.ErrNotExist) {
-		return Pos{}, nil
-	}
-	if err != nil {
-		return Pos{}, fmt.Errorf("wal: %w", err)
-	}
-	var pos Pos
-	if err := json.Unmarshal(blob, &pos); err != nil {
-		return Pos{}, fmt.Errorf("wal: cursor file: %w", err)
-	}
-	return pos, nil
 }

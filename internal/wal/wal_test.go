@@ -329,26 +329,16 @@ func TestAppendBounds(t *testing.T) {
 	}
 }
 
-func TestEpochAndCursorMeta(t *testing.T) {
-	dir := t.TempDir()
-	if e, err := LoadEpoch(dir); err != nil || e != 0 {
+func TestEpochMeta(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{})
+	if e, err := l.LoadEpoch(); err != nil || e != 0 {
 		t.Fatalf("LoadEpoch on empty dir = %d, %v", e, err)
 	}
-	if err := SaveEpoch(dir, 7); err != nil {
+	if err := l.SaveEpoch(7); err != nil {
 		t.Fatal(err)
 	}
-	if e, err := LoadEpoch(dir); err != nil || e != 7 {
+	if e, err := l.LoadEpoch(); err != nil || e != 7 {
 		t.Fatalf("LoadEpoch = %d, %v, want 7", e, err)
-	}
-	if p, err := LoadCursor(dir); err != nil || !p.IsZero() {
-		t.Fatalf("LoadCursor on empty dir = %v, %v", p, err)
-	}
-	want := Pos{3, 1234}
-	if err := SaveCursor(dir, want); err != nil {
-		t.Fatal(err)
-	}
-	if p, err := LoadCursor(dir); err != nil || p != want {
-		t.Fatalf("LoadCursor = %v, %v, want %v", p, err, want)
 	}
 }
 
