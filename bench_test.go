@@ -398,16 +398,43 @@ func BenchmarkSchedulerWindow400(b *testing.B) {
 
 // --- substrate micro-benchmarks ----------------------------------------
 
+// BenchmarkProfileReserveRelease times one reserve plus its release. The
+// sparse case works on a near-empty profile; the dense case on what a
+// loaded daemon's profiles look like (bench/ workload batch_dense): about
+// 3600 breakpoints, every span opening two new ones and covering hundreds
+// of segments.
 func BenchmarkProfileReserveRelease(b *testing.B) {
-	p := alloc.NewProfile(1 * units.GBps)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := units.Time(i % 1000)
-		if err := p.Reserve(t0, t0+10, 100*units.MBps); err != nil {
-			b.Fatal(err)
+	b.Run("sparse", func(b *testing.B) {
+		p := alloc.NewProfile(1 * units.GBps)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t0 := units.Time(i % 1000)
+			if err := p.Reserve(t0, t0+10, 100*units.MBps); err != nil {
+				b.Fatal(err)
+			}
+			p.Release(t0, t0+10, 100*units.MBps)
 		}
-		p.Release(t0, t0+10, 100*units.MBps)
-	}
+	})
+	b.Run("dense", func(b *testing.B) {
+		p := alloc.NewProfile(1 * units.GBps)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 1800; i++ {
+			t0 := units.Time(rng.Float64() * 4000)
+			if err := p.Reserve(t0, t0+units.Time(100+rng.Float64()*400), 2*units.MBps); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(p.Breakpoints()), "breakpoints")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t0 := units.Time(rng.Float64() * 3600)
+			t1 := t0 + units.Time(100+rng.Float64()*400)
+			if err := p.Reserve(t0, t1, 1*units.MBps); err != nil {
+				b.Fatal(err)
+			}
+			p.Release(t0, t1, 1*units.MBps)
+		}
+	})
 }
 
 // BenchmarkServerAdmit times one gridbwd admission end to end — request
@@ -608,37 +635,24 @@ func BenchmarkClientSubmitRetry(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileMaxUsed contrasts the exact breakpoint scan with the
-// bucketed cache on a long-lived, densely fragmented profile: 20k
-// half-second reservations spread over ~an hour, queried with the wide
-// spans a WINDOW(400) policy asks for. The raw scan walks every
-// breakpoint under the span; the cache walks one slot per second.
+// BenchmarkProfileMaxUsed times MaxUsedIn on a long-lived, densely
+// fragmented profile: 20k half-second reservations spread over ~an hour,
+// queried with the wide spans a WINDOW(400) policy asks for.
 func BenchmarkProfileMaxUsed(b *testing.B) {
-	fill := func(b *testing.B, p *alloc.Profile) {
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < 20000; i++ {
-			t0 := units.Time(rng.Float64() * 4000)
-			if err := p.Reserve(t0, t0+0.5, 1*units.MBps); err != nil {
-				b.Fatal(err)
-			}
+	p := alloc.NewProfile(1 * units.GBps)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		t0 := units.Time(rng.Float64() * 4000)
+		if err := p.Reserve(t0, t0+0.5, 1*units.MBps); err != nil {
+			b.Fatal(err)
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		p    *alloc.Profile
-	}{
-		{"raw", alloc.NewProfile(1 * units.GBps)},
-		{"bucketed", alloc.NewBucketedProfile(1*units.GBps, alloc.DefaultBucketWidth, alloc.DefaultBucketCount)},
-	} {
-		fill(b, tc.p)
-		b.Run(tc.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(2))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				t0 := units.Time(rng.Float64() * 3600)
-				_ = tc.p.MaxUsedIn(t0, t0+400)
-			}
-		})
+	rng = rand.New(rand.NewSource(2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := units.Time(rng.Float64() * 3600)
+		_ = p.MaxUsedIn(t0, t0+400)
 	}
 }
 

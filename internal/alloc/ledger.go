@@ -53,14 +53,8 @@ func (l *Ledger) Reserve(r request.Request, g request.Grant) error {
 	if _, dup := l.granted[r.ID]; dup {
 		return fmt.Errorf("alloc: request %d already granted", r.ID)
 	}
-	in := l.ingress[int(r.Ingress)]
-	eg := l.egress[int(r.Egress)]
-	if err := in.Reserve(g.Sigma, g.Tau, g.Bandwidth); err != nil {
-		return fmt.Errorf("alloc: ingress %d: %w", r.Ingress, err)
-	}
-	if err := eg.Reserve(g.Sigma, g.Tau, g.Bandwidth); err != nil {
-		in.Release(g.Sigma, g.Tau, g.Bandwidth)
-		return fmt.Errorf("alloc: egress %d: %w", r.Egress, err)
+	if err := reservePair(l.ingress[int(r.Ingress)], l.egress[int(r.Egress)], r, g); err != nil {
+		return err
 	}
 	l.granted[r.ID] = g
 	return nil
@@ -124,5 +118,21 @@ func (l *Ledger) CheckInvariant() error {
 			return fmt.Errorf("egress %d: %w", e, err)
 		}
 	}
+	return nil
+}
+
+// reservePair books g on the ingress and egress profiles of r's route, or
+// on neither: both sides are checked before either changes.
+func reservePair(in, eg *Profile, r request.Request, g request.Grant) error {
+	if e := in.refusal(g.Sigma, g.Tau, g.Bandwidth); e != nil {
+		e.Dir, e.Point = topology.Ingress, r.Ingress
+		return e
+	}
+	if e := eg.refusal(g.Sigma, g.Tau, g.Bandwidth); e != nil {
+		e.Dir, e.Point = topology.Egress, r.Egress
+		return e
+	}
+	in.add(g.Sigma, g.Tau, g.Bandwidth)
+	eg.add(g.Sigma, g.Tau, g.Bandwidth)
 	return nil
 }

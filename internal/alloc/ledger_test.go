@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -54,7 +56,7 @@ func TestLedgerReserveBothSides(t *testing.T) {
 	}
 }
 
-func TestLedgerEgressFailureRollsBackIngress(t *testing.T) {
+func TestLedgerEgressRefusalLeavesIngressUntouched(t *testing.T) {
 	l := NewLedger(testNet())
 	// Saturate egress 1 via a different ingress.
 	r0 := req(0, 1, 1)
@@ -63,11 +65,25 @@ func TestLedgerEgressFailureRollsBackIngress(t *testing.T) {
 	}
 	// Now ingress 0 has room but egress 1 does not.
 	r1 := req(1, 0, 1)
-	if err := l.Reserve(r1, grant(t, r1, 500*units.MBps)); err == nil {
+	g1 := grant(t, r1, 500*units.MBps)
+	err := l.Reserve(r1, g1)
+	if err == nil {
 		t.Fatal("overlapping egress reservation accepted")
 	}
-	if got := l.Ingress(0).UsedAt(10); got != 0 {
-		t.Errorf("ingress not rolled back: %v", got)
+	// The refusal is typed, names the point, and renders the full text.
+	var ce *CapacityError
+	if !errors.Is(err, ErrOverCapacity) || !errors.As(err, &ce) {
+		t.Fatalf("refusal %v (%T) is not a *CapacityError matching ErrOverCapacity", err, err)
+	}
+	if ce.Dir != topology.Egress || ce.Point != 1 || ce.Want != 500*units.MBps || ce.Used != 1*units.GBps || ce.Cap != 1*units.GBps {
+		t.Errorf("refusal fields = %+v", *ce)
+	}
+	want := fmt.Sprintf("alloc: egress 1: alloc: reserving 500MB/s on [%v, %v) exceeds capacity 1GB/s (used 1GB/s)", g1.Sigma, g1.Tau)
+	if err.Error() != want {
+		t.Errorf("refusal text %q, want %q", err, want)
+	}
+	if got, bps := l.Ingress(0).UsedAt(10), l.Ingress(0).Breakpoints(); got != 0 || bps != 1 {
+		t.Errorf("refused reservation left ingress 0 at %v with %d breakpoints", got, bps)
 	}
 	if l.NumGranted() != 1 {
 		t.Errorf("NumGranted = %d", l.NumGranted())

@@ -24,9 +24,11 @@ func buildBusyProfile(tb testing.TB, n int) *Profile {
 // reference the binary-searched implementation must match.
 func naiveBreakpointTimes(p *Profile, from, to units.Time) []units.Time {
 	var out []units.Time
-	for _, t := range p.times {
-		if t > from && t <= to {
-			out = append(out, t)
+	for _, b := range p.blocks {
+		for _, t := range b.times[:b.n] {
+			if t > from && t <= to {
+				out = append(out, t)
+			}
 		}
 	}
 	return out

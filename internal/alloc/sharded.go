@@ -58,20 +58,18 @@ func (sh *shard) lock() {
 
 func (sh *shard) unlock() { sh.mu.Unlock() }
 
-// NewSharded returns an empty sharded ledger over net. Its profiles carry
-// the bucketed live-window cache (see NewBucketedProfile): admission
-// answers are identical to plain profiles, but MaxUsedIn over the live
-// window is O(buckets) instead of a breakpoint scan.
+// NewSharded returns an empty sharded ledger over net, on the same
+// profiles as Ledger.
 func NewSharded(net *topology.Network) *Sharded {
 	l := &Sharded{net: net}
 	for i := 0; i < net.NumIngress(); i++ {
 		l.in = append(l.in, &shard{
-			p:       NewBucketedProfile(net.Bin(topology.PointID(i)), DefaultBucketWidth, DefaultBucketCount),
+			p:       NewProfile(net.Bin(topology.PointID(i))),
 			granted: make(map[request.ID]grantRecord),
 		})
 	}
 	for e := 0; e < net.NumEgress(); e++ {
-		l.eg = append(l.eg, &shard{p: NewBucketedProfile(net.Bout(topology.PointID(e)), DefaultBucketWidth, DefaultBucketCount)})
+		l.eg = append(l.eg, &shard{p: NewProfile(net.Bout(topology.PointID(e)))})
 	}
 	return l
 }
@@ -121,8 +119,8 @@ func (tx *PairTx) Covers(in, eg topology.PointID) bool {
 }
 
 // Reserve commits grant g for request r on both locked points, atomically:
-// if the egress side rejects, the ingress side is rolled back. The request
-// must route through the transaction's pair.
+// both sides are checked before either is booked. The request must route
+// through the transaction's pair.
 func (tx *PairTx) Reserve(r request.Request, g request.Grant) error {
 	if !tx.Covers(r.Ingress, r.Egress) {
 		return fmt.Errorf("alloc: request %d routes %d->%d outside locked pair %d->%d",
@@ -134,12 +132,8 @@ func (tx *PairTx) Reserve(r request.Request, g request.Grant) error {
 	if _, dup := tx.in.granted[r.ID]; dup {
 		return fmt.Errorf("alloc: request %d already granted", r.ID)
 	}
-	if err := tx.in.p.Reserve(g.Sigma, g.Tau, g.Bandwidth); err != nil {
-		return fmt.Errorf("alloc: ingress %d: %w", r.Ingress, err)
-	}
-	if err := tx.eg.p.Reserve(g.Sigma, g.Tau, g.Bandwidth); err != nil {
-		tx.in.p.Release(g.Sigma, g.Tau, g.Bandwidth)
-		return fmt.Errorf("alloc: egress %d: %w", r.Egress, err)
+	if err := reservePair(tx.in.p, tx.eg.p, r, g); err != nil {
+		return err
 	}
 	tx.in.granted[r.ID] = grantRecord{egress: r.Egress, grant: g}
 	return nil
@@ -196,9 +190,11 @@ func (tx *PointTx) Unlock() {
 func (l *Sharded) HoldReserve(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth) error {
 	tx := l.LockPoint(dir, p)
 	defer tx.Unlock()
-	if err := tx.Profile().Reserve(sigma, tau, bw); err != nil {
-		return fmt.Errorf("alloc: %v %d: %w", dir, p, err)
+	if e := tx.Profile().refusal(sigma, tau, bw); e != nil {
+		e.Dir, e.Point = dir, p
+		return e
 	}
+	tx.Profile().add(sigma, tau, bw)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestShardedReserveBothSides(t *testing.T) {
 	}
 }
 
-func TestShardedEgressFailureRollsBackIngress(t *testing.T) {
+func TestShardedEgressRefusalLeavesIngressUntouched(t *testing.T) {
 	l := NewSharded(testNet())
 	// Saturate egress 1 via ingress 1, then fail a 0->1 reservation.
 	r0 := req(0, 1, 1)
@@ -42,12 +43,17 @@ func TestShardedEgressFailureRollsBackIngress(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1 := req(1, 0, 1)
-	if err := l.Reserve(r1, grant(t, r1, 600*units.MBps)); err == nil {
-		t.Fatal("overlapping reservation on saturated egress accepted")
+	tx := l.Pair(0, 1)
+	defer tx.Unlock()
+	err := tx.Reserve(r1, grant(t, r1, 600*units.MBps))
+	var ce *CapacityError
+	if !errors.Is(err, ErrOverCapacity) || !errors.As(err, &ce) || ce.Dir != topology.Egress || ce.Point != 1 {
+		t.Fatalf("reservation on saturated egress: %v, want a *CapacityError naming egress 1", err)
 	}
-	in, _ := l.UsageAt(10)
-	if in[0] != 0 {
-		t.Errorf("failed reservation left %v on ingress 0", in[0])
+	// Both sides are judged before either is booked: the ingress profile
+	// was never written to.
+	if got, bps := tx.Ingress().UsedAt(10), tx.Ingress().Breakpoints(); got != 0 || bps != 1 {
+		t.Errorf("refused reservation left ingress 0 at %v with %d breakpoints", got, bps)
 	}
 }
 

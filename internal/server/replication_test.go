@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gridbw/internal/alloc"
 	"gridbw/internal/request"
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
@@ -368,5 +369,25 @@ func TestApplyEventsIdempotent(t *testing.T) {
 	}
 	if err := s.VerifyInvariant(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestApplyEventsReportsTheCapacityRefusalInFull: the admission path
+// throws a refusal's text away, but a log that does not fit the platform
+// (a replica configured with less capacity than its primary) must say
+// which point, which span and by how much — and stay matchable.
+func TestApplyEventsReportsTheCapacityRefusalInFull(t *testing.T) {
+	s := newTestServer(t, uniformConfig(nil))
+	accept := func(id int, rate float64) trace.Event {
+		return trace.Event{Kind: trace.EventAccept, Request: id, Ingress: 1, Egress: 0,
+			RateBps: rate, SigmaS: 10, TauS: 20, VolumeB: rate * 10, MaxRateBps: 1e9}
+	}
+	n, err := s.ApplyEvents([]trace.Event{accept(0, 8e8), accept(1, 6e8)})
+	if n != 1 || !errors.Is(err, alloc.ErrOverCapacity) {
+		t.Fatalf("applied %d, %v; want 1 and an over-capacity refusal", n, err)
+	}
+	want := "server: apply: alloc: ingress 1: alloc: reserving 600MB/s on [10s, 20s) exceeds capacity 1GB/s (used 800MB/s)"
+	if err.Error() != want {
+		t.Fatalf("refusal text %q, want %q", err, want)
 	}
 }
