@@ -133,7 +133,7 @@ func BenchmarkRouterCrossShardSubmit(b *testing.B) {
 	rb.submitLoop(b, client.New(rb.routerURL, nil), from, to)
 }
 
-// BenchmarkRouterCrossShardBatch is one 16-item binary batch through the
+// BenchmarkRouterCrossShardBatch is one 16-item framed batch through the
 // router, half its items cross-shard: two same-shard slices plus the three
 // hold waves — at most 3 list-shaped calls per shard, however many items.
 func BenchmarkRouterCrossShardBatch(b *testing.B) {
@@ -158,7 +158,7 @@ func BenchmarkRouterCrossShardBatch(b *testing.B) {
 				NotBeforeS: now, DeadlineS: now + 100,
 			}
 		}
-		items, err := c.SubmitBatchBinary(ctx, reqs)
+		items, err := c.SubmitBatch(ctx, reqs)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,9 +26,11 @@
 package gridbw
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -656,13 +658,16 @@ func BenchmarkProfileMaxUsed(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchCodec times one round trip (encode + decode) of a
-// 64-submission batch and its 64-result response through each wire
-// codec. Both sub-benchmarks carry the same information; the binary
-// frame exists because the JSON envelope dominates gridbwload's CPU at
-// high offered rates.
+// BenchmarkBatchCodec times one round trip (encode + decode of the
+// request and of its answer) through each wire codec, for each shape the
+// request plane carries: a 64-submission batch ("json" / "binary"), a
+// single submit, and the hold lists of one cross-shard wave pair (a
+// 16-hold RESERVE and its 16-ref CONFIRM). Both codecs carry the same
+// information; the frames exist because encoding/json on both ends costs
+// more than the admission it carries. items/op says how many records an op
+// moved, so ns and allocs per item are the per-op figures over it.
 func BenchmarkBatchCodec(b *testing.B) {
-	const n = 64
+	const n, nHolds = 64, 16
 	reqs := make([]server.SubmitRequest, n)
 	subs := make([]server.WireSubmission, n)
 	results := make([]server.BatchResult, n)
@@ -690,30 +695,46 @@ func BenchmarkBatchCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	copy(items, dec)
+	reserves := make([]server.HoldReserveJSON, nHolds)
+	reserved := make([]server.HoldReserveResponseJSON, nHolds)
+	refs := make([]server.HoldRefJSON, nHolds)
+	states := make([]server.HoldStateJSON, nHolds)
+	for i := range reserves {
+		hold := fmt.Sprintf("x-bench-key-%04d", i)
+		reserves[i] = server.HoldReserveJSON{
+			Hold: hold, Side: "in", Point: i % 8, PeerPoint: (i / 2) % 8, TTLS: 5,
+			VolumeBytes: 1e9, MaxRateBps: 2e8, NotBeforeS: 1000, DeadlineS: 1100,
+		}
+		reserved[i] = server.HoldReserveResponseJSON{
+			Hold: hold, Held: true, ID: i + 1, RateBps: 1e8, SigmaS: 1000, TauS: 1010, Epoch: 1, NowS: 1000,
+		}
+		refs[i] = server.HoldRefJSON{Hold: hold, Epoch: 1}
+		states[i] = server.HoldStateJSON{Hold: hold, State: "confirmed", Side: "in", PeerPoint: (i / 2) % 8, Epoch: 1}
+	}
 
+	// viaJSON is one JSON round trip of a request and its answer.
+	viaJSON := func(b *testing.B, req, gotReq, resp, gotResp any) {
+		for _, leg := range [][2]any{{req, gotReq}, {resp, gotResp}} {
+			blob, err := json.Marshal(leg[0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := json.Unmarshal(blob, leg[1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	b.Run("json", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			req, err := json.Marshal(server.BatchRequest{Requests: reqs})
-			if err != nil {
-				b.Fatal(err)
-			}
 			var gotReq server.BatchRequest
-			if err := json.Unmarshal(req, &gotReq); err != nil {
-				b.Fatal(err)
-			}
-			resp, err := json.Marshal(server.BatchResponse{Results: items})
-			if err != nil {
-				b.Fatal(err)
-			}
 			var gotResp server.BatchResponse
-			if err := json.Unmarshal(resp, &gotResp); err != nil {
-				b.Fatal(err)
-			}
+			viaJSON(b, server.BatchRequest{Requests: reqs}, &gotReq, server.BatchResponse{Results: items}, &gotResp)
 			if len(gotReq.Requests) != n || len(gotResp.Results) != n {
 				b.Fatal("lossy round trip")
 			}
 		}
+		b.ReportMetric(n, "items/op")
 	})
 	b.Run("binary", func(b *testing.B) {
 		var reqBuf, respBuf []byte
@@ -733,13 +754,96 @@ func BenchmarkBatchCodec(b *testing.B) {
 				b.Fatal("lossy round trip")
 			}
 		}
+		b.ReportMetric(n, "items/op")
+	})
+	b.Run("submit-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var gotReq server.SubmitRequest
+			var gotResp server.ReservationJSON
+			viaJSON(b, reqs[i%n], &gotReq, items[i%n].Reservation, &gotResp)
+			if gotReq.IdempotencyKey == "" || !gotResp.Accepted {
+				b.Fatal("lossy round trip")
+			}
+		}
+		b.ReportMetric(1, "items/op")
+	})
+	b.Run("submit-frame", func(b *testing.B) {
+		var reqBuf, respBuf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			reqBuf = server.AppendBinarySubmitRequest(reqBuf[:0], &subs[i%n])
+			gotReq, err := server.DecodeBinarySubmitRequest(reqBuf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			respBuf = server.AppendBinaryBatchResponse(respBuf[:0], results[i%n:i%n+1])
+			gotResp, err := server.DecodeBinarySubmitResponse(respBuf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if gotReq.IdempotencyKey == "" || !gotResp.Accepted {
+				b.Fatal("lossy round trip")
+			}
+		}
+		b.ReportMetric(1, "items/op")
+	})
+	b.Run("holds-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var gotReserves server.HoldListJSON[server.HoldReserveJSON]
+			var gotReserved server.HoldResultsJSON[server.HoldReserveResponseJSON]
+			viaJSON(b, server.HoldListJSON[server.HoldReserveJSON]{Holds: reserves}, &gotReserves,
+				server.HoldResultsJSON[server.HoldReserveResponseJSON]{Results: reserved}, &gotReserved)
+			var gotRefs server.HoldListJSON[server.HoldRefJSON]
+			var gotStates server.HoldResultsJSON[server.HoldStateJSON]
+			viaJSON(b, server.HoldListJSON[server.HoldRefJSON]{Holds: refs}, &gotRefs,
+				server.HoldResultsJSON[server.HoldStateJSON]{Results: states}, &gotStates)
+			if len(gotReserves.Holds) != nHolds || len(gotReserved.Results) != nHolds ||
+				len(gotRefs.Holds) != nHolds || len(gotStates.Results) != nHolds {
+				b.Fatal("lossy round trip")
+			}
+		}
+		b.ReportMetric(2*nHolds, "items/op")
+	})
+	b.Run("holds-frame", func(b *testing.B) {
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = server.AppendHoldReserveList(buf[:0], reserves)
+			gotReserves, err := server.DecodeHoldReserveList(buf, nHolds)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = server.AppendHoldReserveResults(buf[:0], reserved)
+			gotReserved, err := server.DecodeHoldReserveResults(buf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = server.AppendHoldRefList(buf[:0], refs)
+			gotRefs, err := server.DecodeHoldRefList(buf, nHolds)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = server.AppendHoldStates(buf[:0], states)
+			gotStates, err := server.DecodeHoldStates(buf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(gotReserves) != nHolds || len(gotReserved) != nHolds || len(gotRefs) != nHolds || len(gotStates) != nHolds {
+				b.Fatal("lossy round trip")
+			}
+		}
+		b.ReportMetric(2*nHolds, "items/op")
 	})
 }
 
 // BenchmarkServerBatchHTTP measures a 64-submission batch end to end —
 // client encode, HTTP POST, server decode, admission, response encode,
-// client decode — under each codec. The admission work is identical, so
-// the per-op gap is pure wire-format overhead.
+// client decode — under each codec: "binary" is client.SubmitBatch, which
+// speaks frames; "json" is the curl face of the same handler, posted and
+// decoded by hand. The admission work is identical, so the per-op gap is
+// pure wire-format overhead.
 func BenchmarkServerBatchHTTP(b *testing.B) {
 	const batch = 64
 	run := func(b *testing.B, binary bool) {
@@ -771,14 +875,13 @@ func BenchmarkServerBatchHTTP(b *testing.B) {
 				}
 			}
 			var items []server.BatchItemJSON
-			var err error
 			if binary {
-				items, err = c.SubmitBatchBinary(ctx, reqs)
+				var err error
+				if items, err = c.SubmitBatch(ctx, reqs); err != nil {
+					b.Fatal(err)
+				}
 			} else {
-				items, err = c.SubmitBatch(ctx, reqs)
-			}
-			if err != nil {
-				b.Fatal(err)
+				items = postJSONBatch(b, ts, reqs)
 			}
 			for _, it := range items {
 				if it.Error != "" || it.Reservation == nil || !it.Reservation.Accepted {
@@ -797,6 +900,29 @@ func BenchmarkServerBatchHTTP(b *testing.B) {
 	}
 	b.Run("json", func(b *testing.B) { run(b, false) })
 	b.Run("binary", func(b *testing.B) { run(b, true) })
+}
+
+// postJSONBatch is POST /v1/batch the way a JSON caller makes it.
+func postJSONBatch(b *testing.B, ts *httptest.Server, reqs []server.SubmitRequest) []server.BatchItemJSON {
+	for i := range reqs {
+		reqs[i].IdempotencyKey = client.NewIdempotencyKey() // as the client does
+	}
+	blob, err := json.Marshal(server.BatchRequest{Requests: reqs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out server.BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		b.Fatalf("JSON batch: HTTP %d, %v", resp.StatusCode, err)
+	}
+	// Read to EOF, or the connection is not kept alive for the next op.
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return out.Results
 }
 
 // BenchmarkReplSyncAckAdmit measures the synchronous-ack admission path

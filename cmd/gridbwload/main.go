@@ -76,7 +76,6 @@ func run(args []string, stdout io.Writer) error {
 		burstFac = fs.Float64("burst-factor", 3, "burst mode: on-phase rate as a multiple of the mean")
 		mix      = fs.String("mix", "submit=90,cancel=5,batch=5", "operation weights")
 		batchSz  = fs.Int("batch-size", 8, "submissions per batch operation")
-		codec    = fs.String("codec", "json", "batch wire format: json or binary (length-prefixed frames; cheaper per batch)")
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-request deadline")
 		retries  = fs.Int("retries", 2, "extra attempts after transport failures (same idempotency key); negative disables")
 		seed     = fs.Int64("seed", 1, "seed for the arrival schedule and request draws")
@@ -110,7 +109,6 @@ func run(args []string, stdout io.Writer) error {
 		FailOn:       *failOn,
 		PromAddr:     *prom,
 		DrainTimeout: *drain,
-		Codec:        *codec,
 		Durable:      *durable,
 	}
 	for i, t := range cfg.Targets {

@@ -50,7 +50,7 @@ func main() {
 		}
 		if d.Accepted {
 			fmt.Printf("%-34s ACCEPTED #%d at %s, window [%gs, %gs]\n",
-				what, d.ID, d.Rate, d.SigmaS, d.TauS)
+				what, d.ID, units.Bandwidth(d.RateBps), d.SigmaS, d.TauS)
 		} else {
 			fmt.Printf("%-34s rejected (%s)\n", what, d.Reason)
 		}

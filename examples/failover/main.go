@@ -106,7 +106,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("booked #%d at %s via %s\n", r.ID, r.Rate, c.Endpoint())
+		fmt.Printf("booked #%d at %s via %s\n", r.ID, units.Bandwidth(r.RateBps), c.Endpoint())
 	}
 	// Wait until every primary WAL record reached the standby. (LagBytes
 	// alone is as-of the standby's last pull — a decision acked after that

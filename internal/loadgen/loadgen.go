@@ -36,14 +36,6 @@ type Backend interface {
 	Cancel(ctx context.Context, id int) (server.ReservationJSON, error)
 }
 
-// binaryBatcher is the optional Backend extension for the length-prefixed
-// binary batch codec. The daemon client implements it; scripted test
-// fakes need not. Config.Codec "binary" uses it when present and falls
-// back to JSON SubmitBatch otherwise.
-type binaryBatcher interface {
-	SubmitBatchBinary(ctx context.Context, reqs []server.SubmitRequest) ([]server.BatchItemJSON, error)
-}
-
 // Mix sets the relative weights of the operation types; weights need not
 // sum to anything particular.
 type Mix struct {
@@ -109,10 +101,6 @@ type Config struct {
 	HTTPClient *http.Client
 	// Backend substitutes the daemon client entirely (tests).
 	Backend Backend
-	// Codec selects the batch wire format: "json" (default) or "binary"
-	// (the length-prefixed frame of POST /v1/batch, roughly halving
-	// per-batch encode cost). Single submits and cancels stay JSON.
-	Codec string
 	// DrainTimeout bounds the wait for in-flight requests after the last
 	// arrival. Default 30s.
 	DrainTimeout time.Duration
@@ -246,11 +234,6 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.VUs < 1 {
 		return Report{}, fmt.Errorf("loadgen: need at least one virtual user")
-	}
-	switch cfg.Codec {
-	case "", "json", "binary":
-	default:
-		return Report{}, fmt.Errorf("loadgen: unknown codec %q (want json or binary)", cfg.Codec)
 	}
 	var gate *Gate
 	if cfg.FailOn != "" {
@@ -510,14 +493,8 @@ func executeCancel(ctx context.Context, cfg Config, backend Backend, rec *Record
 }
 
 func executeBatch(ctx context.Context, cfg Config, backend Backend, rec *Recorder, ring *idRing, o op) {
-	submit := backend.SubmitBatch
-	if cfg.Codec == "binary" {
-		if bb, ok := backend.(binaryBatcher); ok {
-			submit = bb.SubmitBatchBinary
-		}
-	}
 	for attempt := 0; ; attempt++ {
-		items, err := submit(ctx, o.reqs)
+		items, err := backend.SubmitBatch(ctx, o.reqs)
 		if err != nil {
 			out, retryable := classify(ctx, err)
 			if retryable && attempt < cfg.Retries {
@@ -537,9 +514,6 @@ func executeBatch(ctx context.Context, cfg Config, backend Backend, rec *Recorde
 			switch {
 			case it.Reservation != nil:
 				cfg.history(submitOp(o.reqs[i], *it.Reservation, nil))
-				// Routed markers only survive the JSON codec; the binary
-				// response frame has no slot for them, so binary-batch runs
-				// against a router undercount cross_shard.
 				if it.Reservation.Routed == server.RoutedCrossShard {
 					rec.crossShard(o.phase, lat)
 				}

@@ -4,9 +4,11 @@
 // shard owns the pair.
 //
 // A pair whose two points hash to one shard is proxied straight through —
-// single submits, cancels, lookups, and whole batch slices (JSON or the
-// binary codec) — with the shard's local request IDs namespaced into
-// client-visible IDs (visible = local×N + shard). A pair whose points
+// single submits, cancels, lookups, and whole batch slices — with the
+// shard's local request IDs namespaced into client-visible IDs (visible =
+// local×N + shard). Submits and batches arrive as JSON or in the frames of
+// server/wire.go and are answered in kind; toward the shards every
+// submission and every hold list is a frame. A pair whose points
 // land on different shards cannot be admitted by either one's two-sided
 // pipeline; the router drives the wire form of the two-phase protocol
 // that internal/distributed proved under fault injection: RESERVE on the
@@ -33,16 +35,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
 	"gridbw/internal/trace"
+	"gridbw/internal/units"
 )
 
 const (
@@ -196,23 +197,31 @@ func writeUpstreamError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadGateway, err)
 }
 
+// handleSubmit routes one submission, arriving as JSON or as the
+// one-record frame a client.Client sends, and answers in the same codec.
+// Either way a same-shard record travels on to its owner as a frame.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var body server.SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	if hk := r.Header.Get("Idempotency-Key"); hk != "" {
-		if body.IdempotencyKey != "" && body.IdempotencyKey != hk {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("idempotency_key body field and Idempotency-Key header disagree"))
-			return
+	framed := server.Framed(r)
+	var ws server.WireSubmission
+	var buf *server.FrameBuf // nil on the JSON path
+	var err error
+	if framed {
+		if buf, err = server.ReadFrame(r); err == nil {
+			ws, err = server.DecodeBinarySubmitRequest(buf.B)
 		}
-		body.IdempotencyKey = hk
+		if err == nil {
+			ws.IdempotencyKey, err = server.HeaderIdempotencyKey(r, ws.IdempotencyKey)
+		}
+	} else {
+		var body server.SubmitRequest
+		if err = server.DecodeJSON(r, "request", &body); err == nil {
+			body.IdempotencyKey, err = server.HeaderIdempotencyKey(r, body.IdempotencyKey)
+		}
+		if err == nil {
+			ws, err = body.Wire()
+		}
 	}
-	ws, err := body.Wire()
+	defer buf.Release()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -222,9 +231,14 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if inIdx == egIdx {
 		sh := rt.shards[inIdx]
 		t0 := time.Now()
-		res, err = sh.c.Submit(r.Context(), body)
+		res, err = sh.c.SubmitWire(r.Context(), ws)
 		sh.met.observe(time.Since(t0), err)
 		res.ID = rt.visibleID(res.ID, inIdx)
+		if res.Accepted && !framed {
+			// The shard's frame carries no human string; the JSON face of a
+			// proxied decision keeps the one the shard's own JSON has.
+			res.Rate = units.Bandwidth(res.RateBps).String()
+		}
 	} else {
 		it := &crossItem{ws: ws, owner: [2]int{inIdx, egIdx}}
 		rt.crossShard(r.Context(), []*crossItem{it})
@@ -237,6 +251,11 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	code := http.StatusCreated
 	if !res.Accepted {
 		code = http.StatusOK
+	}
+	if framed {
+		buf.B = server.AppendBinaryBatchItems(buf.B[:0], []server.BatchItemJSON{{Reservation: &res}})
+		server.WriteFrame(w, code, buf.B)
+		return
 	}
 	writeJSON(w, code, res)
 }
@@ -548,20 +567,16 @@ func (sh *shard) abort(ctx context.Context, refs []server.HoldRefJSON) ([]server
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	binary := strings.HasPrefix(r.Header.Get("Content-Type"), server.BinaryBatchContentType)
+	framed := server.Framed(r)
 	var subs []server.WireSubmission
 	var items []server.BatchItemJSON
-	if binary {
-		data, err := io.ReadAll(io.LimitReader(r.Body, int64(server.MaxBinaryBatchBytes)+1))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
-			return
+	var buf *server.FrameBuf // nil on the JSON path
+	if framed {
+		var err error
+		if buf, err = server.ReadFrame(r); err == nil {
+			subs, err = server.DecodeBinaryBatchRequest(buf.B, rt.maxBatch)
 		}
-		if len(data) > server.MaxBinaryBatchBytes {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("binary batch exceeds %d bytes", server.MaxBinaryBatchBytes))
-			return
-		}
-		subs, err = server.DecodeBinaryBatchRequest(data, rt.maxBatch)
+		defer buf.Release()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -569,19 +584,16 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		items = make([]server.BatchItemJSON, len(subs))
 	} else {
 		var body server.BatchRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return
+		err := server.DecodeJSON(r, "request", &body)
+		switch {
+		case err != nil:
+		case len(body.Requests) == 0:
+			err = fmt.Errorf("empty batch")
+		case len(body.Requests) > rt.maxBatch:
+			err = fmt.Errorf("batch of %d exceeds limit %d", len(body.Requests), rt.maxBatch)
 		}
-		if len(body.Requests) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
-			return
-		}
-		if len(body.Requests) > rt.maxBatch {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("batch of %d exceeds limit %d", len(body.Requests), rt.maxBatch))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		subs = make([]server.WireSubmission, len(body.Requests))
@@ -667,12 +679,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	if binary {
-		blob := server.AppendBinaryBatchItems(nil, items)
-		w.Header().Set("Content-Type", server.BinaryBatchContentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(blob)
+	if framed {
+		buf.B = server.AppendBinaryBatchItems(buf.B[:0], items)
+		server.WriteFrame(w, http.StatusOK, buf.B)
 		return
 	}
 	writeJSON(w, http.StatusOK, server.BatchResponse{Results: items})

@@ -2,15 +2,19 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"gridbw/internal/chaosnet"
+	"gridbw/internal/request"
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
 	"gridbw/internal/trace"
@@ -59,6 +63,24 @@ type testTier struct {
 	servers []*server.Server
 	backs   []*httptest.Server
 	events  []*eventBuf
+
+	// shardCalls counts what reached the shards, by "METHOD path codec".
+	mu         sync.Mutex
+	shardCalls map[string]int
+}
+
+// recording counts every request a shard receives, by route and codec.
+func (tier *testTier) recording(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		codec := "json"
+		if server.Framed(r) {
+			codec = "framed"
+		}
+		tier.mu.Lock()
+		tier.shardCalls[r.Method+" "+r.URL.Path+" "+codec]++
+		tier.mu.Unlock()
+		next.ServeHTTP(w, r)
+	})
 }
 
 func caps(n int, bw units.Bandwidth) []units.Bandwidth {
@@ -80,7 +102,7 @@ func newTier(t *testing.T, nShards int, egressBw units.Bandwidth) *testTier {
 // newTierWith is newTier with each shard's configuration open to tune.
 func newTierWith(t *testing.T, nShards int, tune func(shard int, cfg *server.Config)) *testTier {
 	t.Helper()
-	tier := &testTier{}
+	tier := &testTier{shardCalls: map[string]int{}}
 	var shards []ShardConfig
 	for i := 0; i < nShards; i++ {
 		evs := newEventBuf()
@@ -94,7 +116,7 @@ func newTierWith(t *testing.T, nShards int, tune func(shard int, cfg *server.Con
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv.Handler())
+		ts := httptest.NewServer(tier.recording(srv.Handler()))
 		tier.servers = append(tier.servers, srv)
 		tier.backs = append(tier.backs, ts)
 		tier.events = append(tier.events, evs)
@@ -412,18 +434,20 @@ func TestBatchSplitOrdering(t *testing.T) {
 }
 
 // TestBinaryBatchThroughRouter: the GBB1/GBR1 codec crosses the router
-// with the same split/namespace semantics as JSON.
+// with the same split/namespace semantics as JSON, the cross-shard marker
+// of accepted and rejected decisions included.
 func TestBinaryBatchThroughRouter(t *testing.T) {
 	tier := newTier(t, 2, units.GBps)
 	sFrom, sTo, xFrom, xTo := tier.pairs(t)
 
-	subs := make([]server.WireSubmission, 2)
-	var err error
-	if subs[0], err = submitReq(sFrom, sTo).Wire(); err != nil {
-		t.Fatal(err)
-	}
-	if subs[1], err = submitReq(xFrom, xTo).Wire(); err != nil {
-		t.Fatal(err)
+	infeasible := submitReq(xFrom, xTo)
+	infeasible.VolumeBytes = 1e12 // 1 TB in 1000 s at 100 MB/s: a domain rejection
+	subs := make([]server.WireSubmission, 3)
+	for i, req := range []server.SubmitRequest{submitReq(sFrom, sTo), submitReq(xFrom, xTo), infeasible} {
+		var err error
+		if subs[i], err = req.Wire(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	blob := server.AppendBinaryBatchRequest(nil, subs)
 	resp, err := http.Post(tier.web.URL+"/v1/batch", server.BinaryBatchContentType, bytes.NewReader(blob))
@@ -442,12 +466,12 @@ func TestBinaryBatchThroughRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(items) != 2 {
-		t.Fatalf("items = %d, want 2", len(items))
+	if len(items) != 3 {
+		t.Fatalf("items = %d, want 3", len(items))
 	}
 	for i, it := range items {
-		if it.Error != "" || it.Reservation == nil || !it.Reservation.Accepted {
-			t.Fatalf("item %d = %+v, want accepted", i, it)
+		if it.Error != "" || it.Reservation == nil || it.Reservation.Accepted != (i < 2) {
+			t.Fatalf("item %d = %+v, want a decision, accepted for the first two", i, it)
 		}
 	}
 	if got, want := items[0].Reservation.ID%2, tier.rt.Ring().OwnerIn(sFrom); got != want {
@@ -455,6 +479,69 @@ func TestBinaryBatchThroughRouter(t *testing.T) {
 	}
 	if got, want := items[1].Reservation.ID%2, tier.rt.Ring().OwnerIn(xFrom); got != want {
 		t.Errorf("cross item ID from shard %d, want ingress owner %d", got, want)
+	}
+	if r := items[0].Reservation.Routed; r != "" {
+		t.Errorf("same-shard item routed %q, want no marker", r)
+	}
+	for _, i := range []int{1, 2} {
+		if r := items[i].Reservation; r.Routed != server.RoutedCrossShard {
+			t.Errorf("cross-shard item %d (accepted=%v) routed %q, want %q", i, r.Accepted, r.Routed, server.RoutedCrossShard)
+		}
+	}
+}
+
+// TestFramedSubmitThroughRouter: a client.Client pointed at the router
+// submits in frames; same-shard records travel on to their owner as
+// frames, cross-shard ones drive the hold waves as list frames, and the
+// decisions — marker, namespaced ID, idempotent replay — are the ones the
+// JSON face gives. Nothing on the request plane reaches a shard as JSON.
+func TestFramedSubmitThroughRouter(t *testing.T) {
+	tier := newTier(t, 2, units.GBps)
+	sFrom, sTo, xFrom, xTo := tier.pairs(t)
+	ring := tier.rt.Ring()
+	c := client.New(tier.web.URL, nil)
+	ctx := context.Background()
+
+	same := submitReq(sFrom, sTo)
+	same.IdempotencyKey = "same-1"
+	res, err := c.Submit(ctx, same)
+	if err != nil || !res.Accepted || res.Routed != "" || res.ID%2 != ring.OwnerIn(sFrom) {
+		t.Fatalf("same-shard submit = %+v, %v", res, err)
+	}
+	if again, err := c.Submit(ctx, same); err != nil || again.ID != res.ID || again.RateBps != res.RateBps {
+		t.Errorf("same-shard replay = %+v, %v; first answer %+v", again, err, res)
+	}
+	if got, err := tier.servers[ring.OwnerIn(sFrom)].Lookup(request.ID(res.ID / 2)); err != nil || !got.Accepted {
+		t.Errorf("owner does not know reservation %d: %+v, %v", res.ID, got, err)
+	}
+
+	cross := submitReq(xFrom, xTo)
+	cross.IdempotencyKey = "cross-1"
+	res, err = c.Submit(ctx, cross)
+	if err != nil || !res.Accepted || res.Routed != server.RoutedCrossShard || res.ID%2 != ring.OwnerIn(xFrom) {
+		t.Fatalf("cross-shard submit = %+v, %v", res, err)
+	}
+	waitHolds(t, tier.servers[ring.OwnerIn(xFrom)], "ingress owner", 0, 1)
+	waitHolds(t, tier.servers[ring.OwnerEg(xTo)], "egress owner", 0, 1)
+
+	refused := submitReq(xFrom, xTo)
+	refused.VolumeBytes = 1e12
+	res, err = c.Submit(ctx, refused)
+	if err != nil || res.Accepted || res.Routed != server.RoutedCrossShard || res.Reason == "" {
+		t.Errorf("cross-shard rejection = %+v, %v; want the marker and a reason", res, err)
+	}
+
+	tier.mu.Lock()
+	defer tier.mu.Unlock()
+	for _, route := range []string{"POST /v1/requests", "POST /v1/reserve", "POST /v1/confirm"} {
+		if tier.shardCalls[route+" framed"] == 0 {
+			t.Errorf("no framed %s reached a shard: %v", route, tier.shardCalls)
+		}
+	}
+	for call, n := range tier.shardCalls {
+		if strings.HasPrefix(call, "POST ") && strings.HasSuffix(call, " json") {
+			t.Errorf("%d × %s reached a shard; the request plane between processes is framed", n, call)
+		}
 	}
 }
 

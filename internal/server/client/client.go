@@ -1,6 +1,14 @@
 // Package client is the typed Go client of the gridbwd HTTP API — the
-// counterpart middleware links against instead of hand-rolling JSON.
+// counterpart middleware links against instead of hand-rolling requests.
 // All calls take a context; cancelling it aborts the HTTP round trip.
+//
+// Calls that carry a body — Submit, SubmitBatch and the three hold calls —
+// speak the daemon's internal wire (the length-prefixed frames of
+// server/wire.go); the body-less ones read JSON. Client and daemons build
+// from one module, so there is no version to negotiate: a request is
+// always framed, and the answer is decoded by its own Content-Type, which
+// is JSON for every error envelope and for a proxy or test double that
+// answers the way curl would be answered.
 //
 // The client is failure-aware by default: every call gets a per-attempt
 // deadline, transient failures (transport errors, 429, 502/503/504) are
@@ -282,36 +290,28 @@ func (c *Client) backoff(attempt int, err error) time.Duration {
 	return d + time.Duration(c.opts.Jitter()*float64(d)/2)
 }
 
-// do runs one retrying JSON call: the body is marshalled once and sent
-// through call.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	var blob []byte
-	if body != nil {
-		var err error
-		if blob, err = json.Marshal(body); err != nil {
-			return fmt.Errorf("gridbwd: encode request: %w", err)
-		}
-	}
-	return c.call(ctx, method, path, "application/json", blob, func(r io.Reader) error {
-		return json.NewDecoder(r).Decode(out)
-	})
+// do runs one retrying body-less call answered in JSON.
+func (c *Client) do(ctx context.Context, method, path string, out any) error {
+	return c.call(ctx, method, path, nil, out, nil)
 }
 
-// call is the one retry/failover loop under every method, JSON or binary.
-// The same pre-encoded bytes are re-sent per attempt, so every retry
-// carries the complete request (including the same idempotency key). On a
+// call is the one retry/failover loop under every method. frame is the
+// encoded request (nil for a body-less call) and the same bytes are re-sent
+// per attempt, so every retry carries the complete request (including the
+// same idempotency key). The answer lands in jsonOut when the daemon
+// answers JSON, else in whatever fromFrame decodes it into. On a
 // failover-worthy error a multi-endpoint client re-discovers the primary
 // before the next attempt, which makes the error itself worth that attempt
 // even when it is not transiently retryable (a 403 from a follower will
 // not heal by waiting, but it will by moving).
-func (c *Client) call(ctx context.Context, method, path, contentType string, blob []byte, decode func(io.Reader) error) error {
+func (c *Client) call(ctx context.Context, method, path string, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
 	retries := c.opts.MaxRetries
 	if retries < 0 {
 		retries = 0
 	}
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = c.attempt(ctx, c.Endpoint(), method, path, contentType, blob, decode)
+		err = c.attempt(ctx, c.Endpoint(), method, path, frame, jsonOut, fromFrame)
 		if err == nil {
 			return nil
 		}
@@ -428,25 +428,44 @@ func apiErrorMessage(resp *http.Response) string {
 	return msg
 }
 
+// encodeFrame encodes one request into the bytes every attempt of its call
+// sends. The encoder runs in pooled scratch, so a long list costs no
+// growth reallocations, and the result is one exact-size copy that the
+// garbage collector owns: net/http may still be reading a request body
+// after RoundTrip has returned (an answer can overtake the write; only the
+// body's Close says otherwise), and a body type that reports Close is one
+// net/http no longer recognises as in-memory, which makes it flush the
+// request line and headers in a write of their own before the body —
+// a second syscall per call, more than the copy costs.
+func encodeFrame[T any](encode func([]byte, T) []byte, v T) []byte {
+	scratch := server.NewFrameBuf()
+	defer scratch.Release()
+	scratch.B = encode(scratch.B, v)
+	return bytes.Clone(scratch.B)
+}
+
+var frameContentType = []string{server.BinaryBatchContentType}
+
 // attempt runs one HTTP round trip against base under the per-attempt
-// deadline, handing a 2xx body to decode. Error responses carry the JSON
-// envelope whatever the request's codec and surface as *APIError.
-func (c *Client) attempt(ctx context.Context, base, method, path, contentType string, blob []byte, decode func(io.Reader) error) error {
+// deadline and decodes a 2xx answer by its own Content-Type. Error
+// responses carry the JSON envelope whatever the request's codec and
+// surface as *APIError.
+func (c *Client) attempt(ctx context.Context, base, method, path string, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
 	if c.opts.CallTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
 		defer cancel()
 	}
-	var rd io.Reader
-	if blob != nil {
-		rd = bytes.NewReader(blob)
+	var body io.Reader
+	if frame != nil {
+		body = bytes.NewReader(frame)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
 	if err != nil {
 		return fmt.Errorf("gridbwd: %w", err)
 	}
-	if blob != nil {
-		req.Header.Set("Content-Type", contentType)
+	if frame != nil {
+		req.Header["Content-Type"] = frameContentType
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -462,7 +481,16 @@ func (c *Client) attempt(ctx context.Context, base, method, path, contentType st
 		}
 		return ae
 	}
-	if err := decode(resp.Body); err != nil {
+	if fromFrame != nil && strings.HasPrefix(resp.Header.Get("Content-Type"), server.BinaryBatchContentType) {
+		buf := server.NewFrameBuf()
+		defer buf.Release()
+		if err = buf.ReadBody(resp.Body, resp.ContentLength); err == nil {
+			err = fromFrame(buf.B)
+		}
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(jsonOut)
+	}
+	if err != nil {
 		return fmt.Errorf("gridbwd: decode response: %w", err)
 	}
 	return nil
@@ -471,22 +499,38 @@ func (c *Client) attempt(ctx context.Context, base, method, path, contentType st
 // attemptJSON is one unretried attempt of a body-less JSON call — the
 // probes that want the current truth of one endpoint.
 func (c *Client) attemptJSON(ctx context.Context, base, method, path string, out any) error {
-	return c.attempt(ctx, base, method, path, "", nil, func(r io.Reader) error {
-		return json.NewDecoder(r).Decode(out)
-	})
+	return c.attempt(ctx, base, method, path, nil, out, nil)
 }
 
 // Submit posts a reservation request and returns the daemon's decision.
 // A rejection is a normal answer (Accepted == false), not an error. If
 // req carries no idempotency key, one is generated, so the retry loop
 // (and any caller-level retry of the returned error) can never book the
-// same submission twice.
+// same submission twice. The decision's human-readable Rate string is
+// empty — the frame carries RateBps only.
 func (c *Client) Submit(ctx context.Context, req server.SubmitRequest) (server.ReservationJSON, error) {
-	if req.IdempotencyKey == "" {
-		req.IdempotencyKey = NewIdempotencyKey()
+	ws, err := req.Wire()
+	if err != nil {
+		// Quantities that do not parse cannot be framed; this is the answer
+		// the daemon gives the same request in JSON.
+		return server.ReservationJSON{}, &APIError{StatusCode: http.StatusBadRequest, Message: err.Error()}
 	}
+	return c.SubmitWire(ctx, ws)
+}
+
+// SubmitWire is Submit for callers that already hold the wire record — the
+// router forwards a same-shard submission without a detour through the
+// JSON request shape.
+func (c *Client) SubmitWire(ctx context.Context, ws server.WireSubmission) (server.ReservationJSON, error) {
+	if ws.IdempotencyKey == "" {
+		ws.IdempotencyKey = NewIdempotencyKey()
+	}
+	frame := encodeFrame(server.AppendBinarySubmitRequest, &ws)
 	var out server.ReservationJSON
-	err := c.do(ctx, http.MethodPost, "/v1/requests", req, &out)
+	err := c.call(ctx, http.MethodPost, "/v1/requests", frame, &out, func(b []byte) (err error) {
+		out, err = server.DecodeBinarySubmitResponse(b)
+		return err
+	})
 	return out, err
 }
 
@@ -495,21 +539,65 @@ func (c *Client) Submit(ctx context.Context, req server.SubmitRequest) (server.R
 // idempotency key get a generated one (on a copy — the caller's slice is
 // not modified), so the retry loop re-sends the identical batch and the
 // daemon answers already-decided items from its idempotency cache instead
-// of booking them twice.
+// of booking them twice. An item whose quantities do not parse fails in its
+// own slot, with the error the daemon gives it in a JSON batch, and the
+// rest are sent.
 func (c *Client) SubmitBatch(ctx context.Context, reqs []server.SubmitRequest) ([]server.BatchItemJSON, error) {
-	keyed := make([]server.SubmitRequest, len(reqs))
+	out := make([]server.BatchItemJSON, len(reqs))
+	subs := make([]server.WireSubmission, 0, len(reqs))
 	for i, req := range reqs {
-		if req.IdempotencyKey == "" {
-			req.IdempotencyKey = NewIdempotencyKey()
+		ws, err := req.Wire()
+		if err != nil {
+			out[i].Error = err.Error()
+			continue
 		}
-		keyed[i] = req
+		subs = append(subs, ws)
 	}
-	var out server.BatchResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/batch", server.BatchRequest{Requests: keyed}, &out); err != nil {
+	if len(subs) == 0 && len(reqs) > 0 {
+		return out, nil
+	}
+	res, err := c.SubmitBatchWire(ctx, subs)
+	if err != nil {
 		return nil, err
 	}
-	if len(out.Results) != len(reqs) {
-		return nil, fmt.Errorf("gridbwd: batch answered %d results for %d requests", len(out.Results), len(reqs))
+	next := 0
+	for i := range out {
+		if out[i].Error == "" {
+			out[i] = res[next]
+			next++
+		}
+	}
+	return out, nil
+}
+
+// SubmitBatchBinary is SubmitBatch under the name it had while SubmitBatch
+// still spoke JSON; bench/drive.go is its last caller.
+func (c *Client) SubmitBatchBinary(ctx context.Context, reqs []server.SubmitRequest) ([]server.BatchItemJSON, error) {
+	return c.SubmitBatch(ctx, reqs)
+}
+
+// SubmitBatchWire is SubmitBatch for callers that already hold decoded
+// wire records — the router re-shards incoming batches without a detour
+// through the JSON request shape. Records missing an idempotency key get a
+// generated one (subs is modified in place, so retries at any layer re-send
+// the same keys).
+func (c *Client) SubmitBatchWire(ctx context.Context, subs []server.WireSubmission) ([]server.BatchItemJSON, error) {
+	for i := range subs {
+		if subs[i].IdempotencyKey == "" {
+			subs[i].IdempotencyKey = NewIdempotencyKey()
+		}
+	}
+	frame := encodeFrame(server.AppendBinaryBatchRequest, subs)
+	var out server.BatchResponse
+	err := c.call(ctx, http.MethodPost, "/v1/batch", frame, &out, func(b []byte) (err error) {
+		out.Results, err = server.DecodeBinaryBatchResponse(b)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(out.Results) != len(subs) {
+		return nil, fmt.Errorf("gridbwd: batch answered %d results for %d requests", len(out.Results), len(subs))
 	}
 	return out.Results, nil
 }
@@ -517,7 +605,7 @@ func (c *Client) SubmitBatch(ctx context.Context, reqs []server.SubmitRequest) (
 // Get looks up one reservation.
 func (c *Client) Get(ctx context.Context, id int) (server.ReservationJSON, error) {
 	var out server.ReservationJSON
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/requests/%d", id), nil, &out)
+	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/requests/%d", id), &out)
 	return out, err
 }
 
@@ -527,16 +615,21 @@ func (c *Client) Get(ctx context.Context, id int) (server.ReservationJSON, error
 // safe, and the usual transient classification applies.
 func (c *Client) Cancel(ctx context.Context, id int) (server.ReservationJSON, error) {
 	var out server.ReservationJSON
-	err := c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/requests/%d", id), nil, &out)
+	err := c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/requests/%d", id), &out)
 	return out, err
 }
 
 // holdCall posts one list-shaped hold call and checks the answer lines up
 // with the list. The call retries and fails over like any write; hold
 // keys make the retries idempotent on the daemon.
-func holdCall[A, Q any](ctx context.Context, c *Client, path string, holds []Q) ([]A, error) {
+func holdCall[Q, A any](ctx context.Context, c *Client, path string, holds []Q,
+	encode func([]byte, []Q) []byte, decode func([]byte) ([]A, error)) ([]A, error) {
 	var out server.HoldResultsJSON[A]
-	if err := c.do(ctx, http.MethodPost, path, server.HoldListJSON[Q]{Holds: holds}, &out); err != nil {
+	err := c.call(ctx, http.MethodPost, path, encodeFrame(encode, holds), &out, func(b []byte) (err error) {
+		out.Results, err = decode(b)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	if len(out.Results) != len(holds) {
@@ -549,7 +642,7 @@ func holdCall[A, Q any](ctx context.Context, c *Client, path string, holds []Q) 
 // admissions, decided in list order; one answer per hold. An answer with
 // Code set is that item's own failure, not the call's.
 func (c *Client) HoldReserve(ctx context.Context, reqs []server.HoldReserveJSON) ([]server.HoldReserveResponseJSON, error) {
-	return holdCall[server.HoldReserveResponseJSON](ctx, c, "/v1/reserve", reqs)
+	return holdCall(ctx, c, "/v1/reserve", reqs, server.AppendHoldReserveList, server.DecodeHoldReserveResults)
 }
 
 // HoldConfirm commits held reservations. A non-zero epoch on a ref must
@@ -559,7 +652,7 @@ func (c *Client) HoldReserve(ctx context.Context, reqs []server.HoldReserveJSON)
 // more, or abort both sides. A per-item 409 is a hold that rolled back
 // before the commit.
 func (c *Client) HoldConfirm(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
-	return holdCall[server.HoldStateJSON](ctx, c, "/v1/confirm", refs)
+	return holdCall(ctx, c, "/v1/confirm", refs, server.AppendHoldRefList, server.DecodeHoldStates)
 }
 
 // HoldAbort rolls holds back, by key or (the cancel path of a cross-shard
@@ -568,13 +661,13 @@ func (c *Client) HoldConfirm(ctx context.Context, refs []server.HoldRefJSON) ([]
 // too. Always safe: aborting an unknown or already-aborted key is a
 // recorded no-op on the daemon.
 func (c *Client) HoldAbort(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
-	return holdCall[server.HoldStateJSON](ctx, c, "/v1/abort", refs)
+	return holdCall(ctx, c, "/v1/abort", refs, server.AppendHoldRefList, server.DecodeHoldStates)
 }
 
 // Status fetches the live control-plane view.
 func (c *Client) Status(ctx context.Context) (server.StatusJSON, error) {
 	var out server.StatusJSON
-	err := c.do(ctx, http.MethodGet, "/v1/status", nil, &out)
+	err := c.do(ctx, http.MethodGet, "/v1/status", &out)
 	return out, err
 }
 
@@ -591,7 +684,7 @@ func (c *Client) Health(ctx context.Context) (server.HealthJSON, error) {
 // epoch, cursor, and lag. Works on primaries and followers alike.
 func (c *Client) Replication(ctx context.Context) (server.ReplicationStatus, error) {
 	var out server.ReplicationStatus
-	err := c.do(ctx, http.MethodGet, "/v1/replication/status", nil, &out)
+	err := c.do(ctx, http.MethodGet, "/v1/replication/status", &out)
 	return out, err
 }
 
@@ -607,7 +700,7 @@ func (c *Client) Promote(ctx context.Context) (server.PromoteJSON, error) {
 // Metrics fetches the metrics counters in their JSON form.
 func (c *Client) Metrics(ctx context.Context) (server.MetricsJSON, error) {
 	var out server.MetricsJSON
-	err := c.do(ctx, http.MethodGet, "/v1/metricsz", nil, &out)
+	err := c.do(ctx, http.MethodGet, "/v1/metricsz", &out)
 	return out, err
 }
 

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -200,11 +199,7 @@ func TestSubmitRetryNeverBooksTwice(t *testing.T) {
 func TestIdempotencyKeyStable(t *testing.T) {
 	var seen []string
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var body server.SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			t.Error(err)
-		}
-		seen = append(seen, body.IdempotencyKey)
+		seen = append(seen, framedKey(t, r))
 		w.Write([]byte(`{"id":0,"accepted":true,"state":"active"}`))
 	}))
 	defer ts.Close()

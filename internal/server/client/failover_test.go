@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -38,16 +39,29 @@ func newFakeDaemon(t *testing.T, role string, epoch uint64, submit http.HandlerF
 		json.NewEncoder(w).Encode(server.ReplicationStatus{Role: d.role, Epoch: d.epoch})
 	})
 	mux.HandleFunc("POST /v1/requests", func(w http.ResponseWriter, r *http.Request) {
-		var body server.SubmitRequest
-		json.NewDecoder(r.Body).Decode(&body)
 		d.mu.Lock()
-		d.keys = append(d.keys, body.IdempotencyKey)
+		d.keys = append(d.keys, framedKey(t, r))
 		d.mu.Unlock()
 		d.submit(w, r)
 	})
 	d.ts = httptest.NewServer(mux)
 	t.Cleanup(d.ts.Close)
 	return d
+}
+
+// framedKey decodes the one-record frame a Submit sends and returns its
+// idempotency key.
+func framedKey(t *testing.T, r *http.Request) string {
+	t.Helper()
+	blob, err := io.ReadAll(r.Body)
+	if err != nil {
+		t.Error(err)
+	}
+	ws, err := server.DecodeBinarySubmitRequest(blob)
+	if err != nil {
+		t.Errorf("submit body is not a one-record frame: %v", err)
+	}
+	return ws.IdempotencyKey
 }
 
 func (d *fakeDaemon) seenKeys() []string {

@@ -44,8 +44,6 @@ import (
 	"net/http"
 	"time"
 
-	"encoding/json"
-
 	"gridbw/internal/des"
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
@@ -770,32 +768,41 @@ func maxTime(a, b units.Time) units.Time {
 
 // --- HTTP surface -------------------------------------------------------
 
-// holdHandler serves one list-shaped hold call: the body is bounded like a
-// batch; whole-call failures keep the status codes the failover-aware
-// client keys on (503 retry, 403 move to the primary or refresh the
-// epoch); per-item outcomes ride a 200.
-func holdHandler[Q, A any](s *Server, call func([]Q) ([]A, error)) http.HandlerFunc {
+// holdHandler serves one list-shaped hold call, in JSON or in the list
+// frames of wire.go: the body is bounded like a batch; whole-call failures
+// keep the status codes the failover-aware client keys on (writeCallError);
+// per-item outcomes ride a 200.
+func holdHandler[Q, A any](s *Server, call func([]Q) ([]A, error),
+	decode func([]byte, int) ([]Q, error), encode func([]byte, []A) []byte) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var body HoldListJSON[Q]
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode holds: %w", err))
-			return
+		framed := Framed(r)
+		var holds []Q
+		var buf *FrameBuf // nil on the JSON path
+		var err error
+		if framed {
+			if buf, err = ReadFrame(r); err == nil {
+				holds, err = decode(buf.B, s.maxBatch)
+			}
+		} else {
+			var body HoldListJSON[Q]
+			err = DecodeJSON(r, "holds", &body)
+			if n := len(body.Holds); err == nil && (n == 0 || n > s.maxBatch) {
+				err = fmt.Errorf("hold list of %d outside [1,%d]", n, s.maxBatch)
+			}
+			holds = body.Holds
 		}
-		if n := len(body.Holds); n == 0 || n > s.maxBatch {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("hold list of %d outside [1,%d]", n, s.maxBatch))
-			return
-		}
-		results, err := call(body.Holds)
-		var fenced *FencedError
-		switch {
-		case errors.Is(err, ErrClosed), errors.Is(err, ErrDurabilityLost):
-			writeError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, ErrReadOnly), errors.As(err, &fenced):
-			writeError(w, http.StatusForbidden, err)
-		case err != nil:
+		defer buf.Release()
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		results, err := call(holds)
+		switch {
+		case err != nil:
+			writeCallError(w, err)
+		case framed:
+			buf.B = encode(buf.B[:0], results)
+			WriteFrame(w, http.StatusOK, buf.B)
 		default:
 			writeJSON(w, http.StatusOK, HoldResultsJSON[A]{Results: results})
 		}

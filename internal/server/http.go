@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -163,9 +162,9 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/requests", s.shed(http.HandlerFunc(s.handleSubmit)))
 	mux.Handle("POST /v1/batch", s.shed(http.HandlerFunc(s.handleBatch)))
-	mux.Handle("POST /v1/reserve", s.shed(holdHandler(s, s.HoldReserve)))
-	mux.Handle("POST /v1/confirm", holdHandler(s, s.HoldConfirm))
-	mux.Handle("POST /v1/abort", holdHandler(s, s.HoldAbort))
+	mux.Handle("POST /v1/reserve", s.shed(holdHandler(s, s.HoldReserve, DecodeHoldReserveList, AppendHoldReserveResults)))
+	mux.Handle("POST /v1/confirm", holdHandler(s, s.HoldConfirm, DecodeHoldRefList, AppendHoldStates))
+	mux.Handle("POST /v1/abort", holdHandler(s, s.HoldAbort, DecodeHoldRefList, AppendHoldStates))
 	mux.HandleFunc("GET /v1/requests/{id}", s.handleGet)
 	mux.HandleFunc("DELETE /v1/requests/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
@@ -259,8 +258,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, body)
 }
 
+// Header values every answer sets, preset so that setting one allocates
+// nothing. Shared by all responses and never written to.
+var (
+	jsonContentType  = []string{"application/json"}
+	frameContentType = []string{BinaryBatchContentType}
+)
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -269,63 +275,84 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, ErrorJSON{Error: err.Error()})
 }
 
-// parseSubmission resolves the dual numeric/string quantity fields
-// against the current service clock.
-func (s *Server) parseSubmission(body SubmitRequest) (Submission, error) {
-	sub := Submission{
-		From:           body.From,
-		To:             body.To,
-		Volume:         units.Volume(body.VolumeBytes),
-		MaxRate:        units.Bandwidth(body.MaxRateBps),
-		NotBefore:      units.Time(body.NotBeforeS),
-		Deadline:       units.Time(body.DeadlineS),
-		IdempotencyKey: body.IdempotencyKey,
-		Durable:        body.Durable,
+// writeCallError answers the failure of a core call as a whole with the
+// status codes the failover-aware client keys on: 503 retry (draining, or
+// a poisoned WAL), 403 move to the primary or refresh the epoch, 400 the
+// request itself.
+func writeCallError(w http.ResponseWriter, err error) {
+	var fenced *FencedError
+	switch {
+	case errors.Is(err, ErrClosed), errors.Is(err, ErrDurabilityLost):
+		writeError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, ErrReadOnly), errors.As(err, &fenced):
+		writeError(w, http.StatusForbidden, err)
+	default:
+		writeError(w, http.StatusBadRequest, err)
 	}
-	if body.Volume != "" {
-		if body.VolumeBytes != 0 {
-			return sub, fmt.Errorf("both volume and volume_bytes set")
-		}
-		v, err := units.ParseVolume(body.Volume)
-		if err != nil {
-			return sub, err
-		}
-		sub.Volume = v
+}
+
+// Framed reports whether the caller speaks the internal wire (wire.go)
+// rather than JSON; the answer goes back in the same codec. Errors answer
+// as JSON envelopes either way — status codes carry the contract.
+func Framed(r *http.Request) bool {
+	return strings.HasPrefix(r.Header.Get("Content-Type"), BinaryBatchContentType)
+}
+
+// WriteFrame answers with an encoded frame.
+func WriteFrame(w http.ResponseWriter, code int, frame []byte) {
+	h := w.Header()
+	h["Content-Type"] = frameContentType
+	// net/http computes the length itself of a body that fits its 2 KiB
+	// write buffer; beyond that, saying it up front avoids chunking.
+	if len(frame) > 2048 {
+		h["Content-Length"] = []string{strconv.Itoa(len(frame))}
 	}
-	if body.MaxRate != "" {
-		if body.MaxRateBps != 0 {
-			return sub, fmt.Errorf("both max_rate and max_rate_bps set")
-		}
-		b, err := units.ParseBandwidth(body.MaxRate)
-		if err != nil {
-			return sub, err
-		}
-		sub.MaxRate = b
+	w.WriteHeader(code)
+	_, _ = w.Write(frame)
+}
+
+// ReadFrame reads a framed request body into a pooled buffer, which the
+// handler decodes, encodes its answer over, and releases.
+func ReadFrame(r *http.Request) (*FrameBuf, error) {
+	buf := NewFrameBuf()
+	return buf, buf.ReadBody(r.Body, r.ContentLength)
+}
+
+// DecodeJSON is the strict JSON decode of a request body; what names the
+// body in the error.
+func DecodeJSON(r *http.Request, what string, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decode %s: %w", what, err)
 	}
-	if body.StartIn != "" || body.DeadlineIn != "" {
-		now := s.Now()
-		if body.StartIn != "" {
-			if body.NotBeforeS != 0 {
-				return sub, fmt.Errorf("both start_in and not_before_s set")
-			}
-			d, err := units.ParseTime(body.StartIn)
-			if err != nil {
-				return sub, err
-			}
-			sub.NotBefore = now + d
-		}
-		if body.DeadlineIn != "" {
-			if body.DeadlineS != 0 {
-				return sub, fmt.Errorf("both deadline_in and deadline_s set")
-			}
-			d, err := units.ParseTime(body.DeadlineIn)
-			if err != nil {
-				return sub, err
-			}
-			sub.Deadline = now + d
+	return nil
+}
+
+// HeaderIdempotencyKey merges a submission's body key with the
+// Idempotency-Key request header, its equivalent spelling: either may be
+// absent, but two that disagree are an error.
+func HeaderIdempotencyKey(r *http.Request, bodyKey string) (string, error) {
+	hk := r.Header.Get("Idempotency-Key")
+	if hk == "" {
+		return bodyKey, nil
+	}
+	if bodyKey != "" && bodyKey != hk {
+		return "", fmt.Errorf("idempotency_key body field and Idempotency-Key header disagree")
+	}
+	return hk, nil
+}
+
+// nowFor reads the service clock once for the records of one call, so they
+// share a consistent "now" — and only if one of them carries a relative
+// time: a call without any never takes the clock's lock.
+func (s *Server) nowFor(wire ...WireSubmission) units.Time {
+	for i := range wire {
+		if wire[i].RelNotBefore || wire[i].RelDeadline {
+			return s.Now()
 		}
 	}
-	return sub, nil
+	return 0
 }
 
 func decisionJSON(d Decision) ReservationJSON {
@@ -344,37 +371,34 @@ func decisionJSON(d Decision) ReservationJSON {
 	return out
 }
 
+// handleSubmit decides one submission: a SubmitRequest in JSON, or the
+// one-record frame the client and the router send.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var body SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
+	framed := Framed(r)
+	var ws WireSubmission
+	var buf *FrameBuf // nil on the JSON path
+	var err error
+	if framed {
+		if buf, err = ReadFrame(r); err == nil {
+			ws, err = DecodeBinarySubmitRequest(buf.B)
+		}
+	} else {
+		var body SubmitRequest
+		if err = DecodeJSON(r, "request", &body); err == nil {
+			ws, err = body.Wire()
+		}
 	}
-	sub, err := s.parseSubmission(body)
+	defer buf.Release()
+	if err == nil {
+		ws.IdempotencyKey, err = HeaderIdempotencyKey(r, ws.IdempotencyKey)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if hk := r.Header.Get("Idempotency-Key"); hk != "" {
-		if sub.IdempotencyKey != "" && sub.IdempotencyKey != hk {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("idempotency_key body field and Idempotency-Key header disagree"))
-			return
-		}
-		sub.IdempotencyKey = hk
-	}
-	res, err := s.submitOne(sub)
-	switch {
-	case errors.Is(err, ErrClosed), errors.Is(err, ErrDurabilityLost):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, ErrReadOnly):
-		writeError(w, http.StatusForbidden, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+	res, err := s.submitOne(ws.resolve(s.nowFor(ws)))
+	if err != nil {
+		writeCallError(w, err)
 		return
 	}
 	code := http.StatusCreated
@@ -383,120 +407,103 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// HTTP failure; 200 keeps it distinct from 4xx client errors.
 		code = http.StatusOK
 	}
+	if framed {
+		buf.B = AppendBinaryBatchResponse(buf.B[:0], []BatchResult{res})
+		WriteFrame(w, code, buf.B)
+		return
+	}
 	rj := decisionJSON(res.Decision)
 	rj.Durability = res.Durability
 	writeJSON(w, code, rj)
 }
 
-// handleBatch decides a whole BatchRequest in one SubmitBatch pass.
-// Malformed items fail individually in their result slot; only an empty
-// or oversized batch, an undecodable body, or a draining server fail the
-// whole call. A request Content-Type of BinaryBatchContentType selects
-// the length-prefixed binary codec (see wire.go) for both directions.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, BinaryBatchContentType) {
-		s.handleBatchBinary(w, r)
-		return
-	}
+// decodeJSONBatch reads a BatchRequest into wire records. An item whose
+// quantities do not parse is that item's failure, reported in bad at its
+// input position (bad is nil when every item parsed).
+func (s *Server) decodeJSONBatch(r *http.Request) (wire []WireSubmission, bad []error, err error) {
 	var body BatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
+	if err = DecodeJSON(r, "request", &body); err != nil {
+		return nil, nil, err
 	}
 	if len(body.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
-		return
+		return nil, nil, fmt.Errorf("empty batch")
 	}
 	if len(body.Requests) > s.maxBatch {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d exceeds limit %d", len(body.Requests), s.maxBatch))
-		return
+		return nil, nil, fmt.Errorf("batch of %d exceeds limit %d", len(body.Requests), s.maxBatch)
 	}
-	out := BatchResponse{Results: make([]BatchItemJSON, len(body.Requests))}
-	var subs []Submission
-	var subIdx []int
+	wire = make([]WireSubmission, len(body.Requests))
 	for i, req := range body.Requests {
-		sub, err := s.parseSubmission(req)
-		if err != nil {
-			out.Results[i].Error = err.Error()
-			continue
-		}
-		subs = append(subs, sub)
-		subIdx = append(subIdx, i)
-	}
-	if len(subs) > 0 {
-		results, err := s.SubmitBatch(subs)
-		if errors.Is(err, ErrClosed) {
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		if errors.Is(err, ErrReadOnly) {
-			writeError(w, http.StatusForbidden, err)
-			return
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		for j, res := range results {
-			i := subIdx[j]
-			if res.Err != nil {
-				out.Results[i].Error = res.Err.Error()
-				continue
+		if wire[i], err = req.Wire(); err != nil {
+			if bad == nil {
+				bad = make([]error, len(wire))
 			}
-			d := decisionJSON(res.Decision)
-			d.Durability = res.Durability
-			out.Results[i].Reservation = &d
+			bad[i] = err
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	return wire, bad, nil
 }
 
-// handleBatchBinary is the binary-codec arm of handleBatch. Unlike JSON,
-// a malformed frame fails the whole batch — per-item salvage of a broken
-// binary stream would decide requests the client never meant to send.
-// Errors still answer as JSON envelopes; status codes carry the contract.
-func (s *Server) handleBatchBinary(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, wireMaxBatchBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
-		return
+// handleBatch decides a whole batch in one SubmitBatch pass. In JSON,
+// malformed items fail individually in their result slot and only an
+// empty or oversized batch, an undecodable body, or a draining server
+// fail the whole call. A malformed frame fails the whole batch — per-item
+// salvage of a broken binary stream would decide requests the client
+// never meant to send.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	framed := Framed(r)
+	var wire []WireSubmission
+	var bad []error   // JSON only: per-item parse failures, by input position
+	var buf *FrameBuf // nil on the JSON path
+	var err error
+	if framed {
+		if buf, err = ReadFrame(r); err == nil {
+			wire, err = DecodeBinaryBatchRequest(buf.B, s.maxBatch)
+		}
+	} else {
+		wire, bad, err = s.decodeJSONBatch(r)
 	}
-	if len(data) > wireMaxBatchBytes {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("binary batch exceeds %d bytes", wireMaxBatchBytes))
-		return
-	}
-	wire, err := DecodeBinaryBatchRequest(data, s.maxBatch)
+	defer buf.Release()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// One clock read resolves every relative time in the batch, so items
-	// of one call share a consistent "now" just like the JSON path.
-	now := s.Now()
-	subs := make([]Submission, len(wire))
+	now := s.nowFor(wire...)
+	subs := make([]Submission, 0, len(wire))
 	for i := range wire {
-		subs[i] = wire[i].resolve(now)
+		if bad == nil || bad[i] == nil {
+			subs = append(subs, wire[i].resolve(now))
+		}
 	}
-	results, err := s.SubmitBatch(subs)
-	switch {
-	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, ErrReadOnly):
-		writeError(w, http.StatusForbidden, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+	var results []BatchResult
+	if len(subs) > 0 {
+		if results, err = s.SubmitBatch(subs); err != nil {
+			writeCallError(w, err)
+			return
+		}
+	}
+	if framed {
+		buf.B = AppendBinaryBatchResponse(buf.B[:0], results)
+		WriteFrame(w, http.StatusOK, buf.B)
 		return
 	}
-	blob := AppendBinaryBatchResponse(nil, results)
-	w.Header().Set("Content-Type", BinaryBatchContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(blob)
+	out := BatchResponse{Results: make([]BatchItemJSON, len(wire))}
+	next := 0
+	for i := range out.Results {
+		if bad != nil && bad[i] != nil {
+			out.Results[i].Error = bad[i].Error()
+			continue
+		}
+		res := results[next]
+		next++
+		if res.Err != nil {
+			out.Results[i].Error = res.Err.Error()
+			continue
+		}
+		d := decisionJSON(res.Decision)
+		d.Durability = res.Durability
+		out.Results[i].Reservation = &d
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 func pathID(r *http.Request) (int, error) {

@@ -1,70 +1,108 @@
 package server
 
-// Length-prefixed binary batch codec. POST /v1/batch accepts (and then
-// answers with) this framing when the request Content-Type is
-// BinaryBatchContentType; JSON remains the default. The format exists for
-// the load-generation hot path: a 64-item JSON batch spends more time in
-// encoding/json than the admission pipeline itself, while these frames
-// encode and decode with two small allocations per call.
+// The internal wire: length-prefixed binary frames. Every call one gridbw
+// process makes on another's request plane — a single submit, a batch, the
+// three list-shaped hold calls — travels in this framing when the request
+// Content-Type is BinaryBatchContentType, and is answered in it. JSON
+// stays the default for everything else (curl, dashboards): each handler
+// decodes by the request's Content-Type, makes one core call, and encodes
+// in the caller's codec. The format exists because encoding/json on both
+// ends costs more than the admission pipeline itself, while these frames
+// encode into a reused buffer and decode with one allocation per list plus
+// one per non-empty string.
 //
-// Request frame (all integers little-endian):
+// Every frame (all integers little-endian):
 //
-//	magic "GBB1" | u32 bodyLen | u32 count | count × record
-//	record: u8 flags | u32 from | u32 to | f64 volume | f64 maxRate
-//	        | f64 notBefore | f64 deadline | u16 keyLen | key bytes
-//	flags: bit0 durable, bit1 notBefore-relative, bit2 deadline-relative
-//
-// Relative times are resolved against a single service-clock read per
-// batch on the server, mirroring the JSON fields start_in/deadline_in.
-//
-// Response frame:
-//
-//	magic "GBR1" | u32 bodyLen | u32 count | count × item
-//	item: u8 kind; kind 0 (error):    u16 msgLen | msg bytes
-//	               kind 1 (decision): u64 id | u8 accepted | u8 state
-//	                                  | u8 durability | f64 rate
-//	                                  | f64 sigma | f64 tau
-//	                                  | u16 reasonLen | reason bytes
+//	magic (4 bytes) | u32 bodyLen | u32 count | count × record
 //
 // bodyLen counts every byte after itself, so a reader can frame the
 // message off a stream before parsing. A malformed frame rejects the
-// whole batch (HTTP 400) — there is no per-item decode salvage, unlike
-// JSON where parse errors fail item slots individually.
+// whole call (HTTP 400) — there is no per-item decode salvage, unlike
+// JSON where parse errors fail item slots individually. str16 below is
+// u16 length | bytes.
+//
+// Submissions — POST /v1/batch, and POST /v1/requests with count = 1:
+//
+//	"GBB1" record: u8 flags | u32 from | u32 to | f64 volume | f64 maxRate
+//	               | f64 notBefore | f64 deadline | str16 key
+//	flags: bit0 durable, bit1 notBefore-relative, bit2 deadline-relative
+//
+// Relative times are resolved against a single service-clock read per
+// call on the server, mirroring the JSON fields start_in/deadline_in.
+//
+// Decisions — the answer to either, one item per record:
+//
+//	"GBR1" item: u8 kind; kind 0 (error):    str16 msg
+//	                      kind 1 (decision): u64 id | u8 flags | u8 state
+//	                                         | u8 durability | f64 rate
+//	                                         | f64 sigma | f64 tau
+//	                                         | str16 reason
+//	flags: bit0 accepted, bit1 routed cross-shard (set by the router tier)
+//
+// Hold lists — POST /v1/reserve ("GHQ1" → "GHA1"), POST /v1/confirm and
+// /v1/abort ("GHF1" → "GHS1"); the fields are those of the JSON shapes in
+// holds.go, in declaration order:
+//
+//	"GHQ1" record: u8 flags | str16 hold | str16 side | u32 point
+//	               | u32 peerPoint | f64 ttl | f64 volume | f64 maxRate
+//	               | f64 notBefore | f64 deadline | f64 rate | f64 sigma
+//	               | f64 tau                          flags: bit0 relTimes
+//	"GHA1" item:   u8 flags | str16 hold | u64 id | f64 rate | f64 sigma
+//	               | f64 tau | u64 epoch | f64 now | str16 reason
+//	               | u16 code | str16 error           flags: bit0 held
+//	"GHF1" record: u8 flags | str16 hold | u64 id | u64 epoch
+//	                                                  flags: bit0 id present
+//	"GHS1" item:   u8 flags | str16 hold | str16 state | str16 side
+//	               | u32 peerPoint | u64 epoch | u16 code | str16 error
+//	                                                  flags: bit0 released
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"sync"
 
+	"gridbw/internal/trace"
 	"gridbw/internal/units"
 )
 
-// BinaryBatchContentType selects the binary batch codec on POST /v1/batch.
+// BinaryBatchContentType is the request Content-Type that selects the
+// frames of this file on every endpoint that has them (the name is from
+// when POST /v1/batch was the only one); the answer carries it back.
 const BinaryBatchContentType = "application/x-gridbw-batch"
 
-// MaxBinaryBatchBytes is the body-size cap of a binary batch request —
+// MaxBinaryBatchBytes is the body-size cap of a framed request —
 // exported so proxying tiers bound their reads identically.
 const MaxBinaryBatchBytes = wireMaxBatchBytes
 
 const (
-	wireReqMagic  = "GBB1"
-	wireRespMagic = "GBR1"
+	wireReqMagic      = "GBB1"
+	wireRespMagic     = "GBR1"
+	wireReserveMagic  = "GHQ1"
+	wireReservedMagic = "GHA1"
+	wireRefMagic      = "GHF1"
+	wireStateMagic    = "GHS1"
 
 	wireFlagDurable     = 1 << 0
 	wireFlagRelNotBefor = 1 << 1
 	wireFlagRelDeadline = 1 << 2
 
+	wireFlagAccepted = 1 << 0
+	wireFlagRouted   = 1 << 1
+
 	wireKindError    = 0
 	wireKindDecision = 1
 
-	// wireMaxBatchBytes caps how much of a binary body the handler reads:
-	// generous for any in-limit batch (records are ~40 bytes plus key),
+	// wireMaxBatchBytes caps how much of a framed body a handler reads:
+	// generous for any in-limit list (records are ~50-80 bytes plus keys),
 	// small enough that a garbage length prefix cannot balloon memory.
 	wireMaxBatchBytes = 8 << 20
 )
 
-// WireSubmission is one record of a binary batch request: a Submission
-// plus the relative-time flags the server resolves against its clock.
+// WireSubmission is one record of a framed submit or batch request: a
+// Submission plus the relative-time flags the server resolves against its
+// clock.
 type WireSubmission struct {
 	From, To  int
 	Volume    units.Volume
@@ -105,8 +143,9 @@ func (ws WireSubmission) resolve(now units.Time) Submission {
 // Wire resolves the dual numeric/string quantity fields of the JSON
 // request shape into a wire record without touching a clock: relative
 // times stay relative (flagged), so whichever daemon finally decides the
-// submission resolves them against its own service clock. The client's
-// binary batch path and the router's re-sharding path share this.
+// submission resolves them against its own service clock. The daemon's
+// JSON decoders, the client's encoders and the router's re-sharding path
+// share this.
 func (req SubmitRequest) Wire() (WireSubmission, error) {
 	ws := WireSubmission{
 		From:           req.From,
@@ -168,6 +207,33 @@ func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
+// appendStr16 appends s behind its u16 length, cut at what that can say.
+func appendStr16(dst []byte, s string) []byte {
+	s = s[:min(len(s), math.MaxUint16)]
+	return append(appendU16(dst, uint16(len(s))), s...)
+}
+
+func flagIf(on bool, bit byte) byte {
+	if on {
+		return bit
+	}
+	return 0
+}
+
+// beginFrame appends a frame header for count records and returns the
+// offset of its length prefix, which endFrame fills in.
+func beginFrame(dst []byte, magic string, count int) ([]byte, int) {
+	dst = append(dst, magic...)
+	lenAt := len(dst)
+	dst = appendU32(dst, 0)
+	return appendU32(dst, uint32(count)), lenAt
+}
+
+func endFrame(dst []byte, lenAt int) []byte {
+	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
+	return dst
+}
+
 // wireReader walks a frame body with bounds checks; after any failure
 // r.err is set and further reads return zero values.
 type wireReader struct {
@@ -224,6 +290,9 @@ func (r *wireReader) u64(what string) uint64 {
 
 func (r *wireReader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
 
+// i32 reads a point index: an int that travels as its low 32 bits.
+func (r *wireReader) i32(what string) int { return int(int32(r.u32(what))) }
+
 func (r *wireReader) bytes(n int, what string) []byte {
 	if r.err != nil || n < 0 || r.off+n > len(r.data) {
 		r.fail(what)
@@ -232,6 +301,28 @@ func (r *wireReader) bytes(n int, what string) []byte {
 	b := r.data[r.off : r.off+n]
 	r.off += n
 	return b
+}
+
+// str16 reads a length-prefixed string. The few values the protocol
+// itself defines (hold sides and states) come back as constants, without
+// allocating.
+func (r *wireReader) str16(what string) string {
+	b := r.bytes(int(r.u16(what)), what)
+	switch string(b) {
+	case "":
+		return ""
+	case trace.HoldSideIngress:
+		return trace.HoldSideIngress
+	case trace.HoldSideEgress:
+		return trace.HoldSideEgress
+	case "held":
+		return "held"
+	case "confirmed":
+		return "confirmed"
+	case "aborted":
+		return "aborted"
+	}
+	return string(b)
 }
 
 // frameBody validates a magic + length prefix and returns the framed body.
@@ -250,88 +341,130 @@ func frameBody(data []byte, magic string) ([]byte, error) {
 	return body, nil
 }
 
+// openFrame checks a frame's header and returns a reader over its body,
+// positioned behind the record count it also returns.
+func openFrame(data []byte, magic string) (wireReader, int, error) {
+	body, err := frameBody(data, magic)
+	r := wireReader{data: body}
+	if err != nil {
+		return r, 0, err
+	}
+	count := int(r.u32("count"))
+	return r, count, r.err
+}
+
+// finish reports what went wrong reading a frame's count records, a frame
+// that goes on behind them included.
+func (r *wireReader) finish(count int) error {
+	if r.err == nil && r.off != len(r.data) {
+		return fmt.Errorf("wire: %d trailing bytes after %d records", len(r.data)-r.off, count)
+	}
+	return r.err
+}
+
+// decodeList parses one frame into its records. maxCount bounds the
+// declared count before any allocation (0: no bound) and minRecord is the
+// shortest encoding of one record, so a count the body cannot hold is
+// rejected before allocating for it too.
+func decodeList[T any](data []byte, magic string, minRecord, maxCount int, record func(*wireReader, *T)) ([]T, error) {
+	r, count, err := openFrame(data, magic)
+	if err != nil {
+		return nil, err
+	}
+	if maxCount > 0 && count > maxCount {
+		return nil, fmt.Errorf("wire: list of %d exceeds limit %d", count, maxCount)
+	}
+	if count > len(r.data)/minRecord {
+		return nil, fmt.Errorf("wire: count %d exceeds body capacity", count)
+	}
+	out := make([]T, count)
+	for i := range out {
+		record(&r, &out[i])
+		if r.err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, r.err)
+		}
+	}
+	return out, r.finish(count)
+}
+
+// decodeRequestList is decodeList for the request side, where an empty
+// list is malformed too.
+func decodeRequestList[T any](data []byte, magic string, minRecord, maxCount int, record func(*wireReader, *T)) ([]T, error) {
+	out, err := decodeList(data, magic, minRecord, maxCount, record)
+	if err == nil && len(out) == 0 {
+		return nil, fmt.Errorf("wire: empty list")
+	}
+	return out, err
+}
+
+// --- submissions ---------------------------------------------------------
+
+func appendSubmission(dst []byte, ws *WireSubmission) []byte {
+	dst = append(dst, flagIf(ws.Durable, wireFlagDurable)|
+		flagIf(ws.RelNotBefore, wireFlagRelNotBefor)|flagIf(ws.RelDeadline, wireFlagRelDeadline))
+	dst = appendU32(dst, uint32(ws.From))
+	dst = appendU32(dst, uint32(ws.To))
+	dst = appendF64(dst, float64(ws.Volume))
+	dst = appendF64(dst, float64(ws.MaxRate))
+	dst = appendF64(dst, float64(ws.NotBefore))
+	dst = appendF64(dst, float64(ws.Deadline))
+	return appendStr16(dst, ws.IdempotencyKey)
+}
+
+func readSubmission(r *wireReader, ws *WireSubmission) {
+	flags := r.u8("flags")
+	ws.Durable = flags&wireFlagDurable != 0
+	ws.RelNotBefore = flags&wireFlagRelNotBefor != 0
+	ws.RelDeadline = flags&wireFlagRelDeadline != 0
+	ws.From = r.i32("from")
+	ws.To = r.i32("to")
+	ws.Volume = units.Volume(r.f64("volume"))
+	ws.MaxRate = units.Bandwidth(r.f64("max_rate"))
+	ws.NotBefore = units.Time(r.f64("not_before"))
+	ws.Deadline = units.Time(r.f64("deadline"))
+	ws.IdempotencyKey = r.str16("key")
+}
+
 // AppendBinaryBatchRequest appends the framed request for subs to dst and
 // returns it.
 func AppendBinaryBatchRequest(dst []byte, subs []WireSubmission) []byte {
-	dst = append(dst, wireReqMagic...)
-	lenAt := len(dst)
-	dst = appendU32(dst, 0)
-	dst = appendU32(dst, uint32(len(subs)))
+	dst, lenAt := beginFrame(dst, wireReqMagic, len(subs))
 	for i := range subs {
-		ws := &subs[i]
-		var flags byte
-		if ws.Durable {
-			flags |= wireFlagDurable
-		}
-		if ws.RelNotBefore {
-			flags |= wireFlagRelNotBefor
-		}
-		if ws.RelDeadline {
-			flags |= wireFlagRelDeadline
-		}
-		dst = append(dst, flags)
-		dst = appendU32(dst, uint32(ws.From))
-		dst = appendU32(dst, uint32(ws.To))
-		dst = appendF64(dst, float64(ws.Volume))
-		dst = appendF64(dst, float64(ws.MaxRate))
-		dst = appendF64(dst, float64(ws.NotBefore))
-		dst = appendF64(dst, float64(ws.Deadline))
-		dst = appendU16(dst, uint16(len(ws.IdempotencyKey)))
-		dst = append(dst, ws.IdempotencyKey...)
+		dst = appendSubmission(dst, &subs[i])
 	}
-	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
-	return dst
+	return endFrame(dst, lenAt)
+}
+
+// AppendBinarySubmitRequest appends the one-record frame POST /v1/requests
+// takes.
+func AppendBinarySubmitRequest(dst []byte, ws *WireSubmission) []byte {
+	dst, lenAt := beginFrame(dst, wireReqMagic, 1)
+	return endFrame(appendSubmission(dst, ws), lenAt)
 }
 
 // DecodeBinaryBatchRequest parses a framed batch request. maxCount bounds
 // the declared record count before any allocation (the server passes its
 // MaxBatch; pass 0 for no bound).
 func DecodeBinaryBatchRequest(data []byte, maxCount int) ([]WireSubmission, error) {
-	body, err := frameBody(data, wireReqMagic)
-	if err != nil {
-		return nil, err
-	}
-	r := &wireReader{data: body}
-	count := int(r.u32("count"))
-	if r.err != nil {
-		return nil, r.err
-	}
-	if count == 0 {
-		return nil, fmt.Errorf("wire: empty batch")
-	}
-	if maxCount > 0 && count > maxCount {
-		return nil, fmt.Errorf("wire: batch of %d exceeds limit %d", count, maxCount)
-	}
-	// Even a keyless record is 45 bytes; a count the body cannot hold is
-	// rejected before allocating for it.
-	if count > len(body)/45 {
-		return nil, fmt.Errorf("wire: count %d exceeds body capacity", count)
-	}
-	subs := make([]WireSubmission, count)
-	for i := range subs {
-		ws := &subs[i]
-		flags := r.u8("flags")
-		ws.Durable = flags&wireFlagDurable != 0
-		ws.RelNotBefore = flags&wireFlagRelNotBefor != 0
-		ws.RelDeadline = flags&wireFlagRelDeadline != 0
-		ws.From = int(int32(r.u32("from")))
-		ws.To = int(int32(r.u32("to")))
-		ws.Volume = units.Volume(r.f64("volume"))
-		ws.MaxRate = units.Bandwidth(r.f64("max_rate"))
-		ws.NotBefore = units.Time(r.f64("not_before"))
-		ws.Deadline = units.Time(r.f64("deadline"))
-		if n := int(r.u16("key length")); n > 0 {
-			ws.IdempotencyKey = string(r.bytes(n, "key"))
-		}
-		if r.err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, r.err)
-		}
-	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %d records", len(body)-r.off, count)
-	}
-	return subs, nil
+	// A keyless record is 43 bytes.
+	return decodeRequestList(data, wireReqMagic, 43, maxCount, readSubmission)
 }
+
+// DecodeBinarySubmitRequest parses the one-record frame of a single
+// submit; any other count is malformed.
+func DecodeBinarySubmitRequest(data []byte) (ws WireSubmission, err error) {
+	r, count, err := openFrame(data, wireReqMagic)
+	if err == nil && count != 1 {
+		err = fmt.Errorf("wire: %d records in a single submit", count)
+	}
+	if err != nil {
+		return ws, err
+	}
+	readSubmission(&r, &ws)
+	return ws, r.finish(1)
+}
+
+// --- decisions -----------------------------------------------------------
 
 // Compact state and durability codes. Unknown values round-trip as the
 // rejected / empty fallbacks rather than failing the frame — the codec
@@ -376,131 +509,319 @@ func durabilityFromCode(c byte) string {
 	}
 }
 
+func appendErrorItem(dst []byte, msg string) []byte {
+	return appendStr16(append(dst, wireKindError), msg)
+}
+
+func appendDecisionItem(dst []byte, rj *ReservationJSON) []byte {
+	dst = append(dst, wireKindDecision)
+	dst = appendU64(dst, uint64(rj.ID))
+	dst = append(dst,
+		flagIf(rj.Accepted, wireFlagAccepted)|flagIf(rj.Routed == RoutedCrossShard, wireFlagRouted),
+		stateCode(State(rj.State)), durabilityCode(rj.Durability))
+	dst = appendF64(dst, rj.RateBps)
+	dst = appendF64(dst, rj.SigmaS)
+	dst = appendF64(dst, rj.TauS)
+	return appendStr16(dst, rj.Reason)
+}
+
 // AppendBinaryBatchResponse appends the framed response for results to
 // dst and returns it.
 func AppendBinaryBatchResponse(dst []byte, results []BatchResult) []byte {
-	dst = append(dst, wireRespMagic...)
-	lenAt := len(dst)
-	dst = appendU32(dst, 0)
-	dst = appendU32(dst, uint32(len(results)))
+	dst, lenAt := beginFrame(dst, wireRespMagic, len(results))
 	for i := range results {
 		res := &results[i]
 		if res.Err != nil {
-			msg := res.Err.Error()
-			dst = append(dst, wireKindError)
-			dst = appendU16(dst, uint16(min(len(msg), math.MaxUint16)))
-			dst = append(dst, msg[:min(len(msg), math.MaxUint16)]...)
+			dst = appendErrorItem(dst, res.Err.Error())
 			continue
 		}
 		d := &res.Decision
-		dst = append(dst, wireKindDecision)
-		dst = appendU64(dst, uint64(d.ID))
-		if d.Accepted {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = append(dst, stateCode(d.State), durabilityCode(res.Durability))
-		dst = appendF64(dst, float64(d.Rate))
-		dst = appendF64(dst, float64(d.Sigma))
-		dst = appendF64(dst, float64(d.Tau))
-		dst = appendU16(dst, uint16(min(len(d.Reason), math.MaxUint16)))
-		dst = append(dst, d.Reason[:min(len(d.Reason), math.MaxUint16)]...)
+		dst = appendDecisionItem(dst, &ReservationJSON{
+			ID: int(d.ID), Accepted: d.Accepted, State: string(d.State), Durability: res.Durability,
+			RateBps: float64(d.Rate), SigmaS: float64(d.Sigma), TauS: float64(d.Tau), Reason: d.Reason,
+		})
 	}
-	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
-	return dst
+	return endFrame(dst, lenAt)
 }
 
 // AppendBinaryBatchItems appends the framed response for items already in
 // the JSON item shape — the router's gather format: shard answers arrive
 // as BatchItemJSON and leave in the caller's codec without a detour
-// through the server-internal BatchResult. The Routed marker has no slot
-// in the binary frame and is dropped; JSON callers keep it.
+// through the server-internal BatchResult.
 func AppendBinaryBatchItems(dst []byte, items []BatchItemJSON) []byte {
-	dst = append(dst, wireRespMagic...)
-	lenAt := len(dst)
-	dst = appendU32(dst, 0)
-	dst = appendU32(dst, uint32(len(items)))
+	dst, lenAt := beginFrame(dst, wireRespMagic, len(items))
 	for i := range items {
 		it := &items[i]
-		if it.Reservation == nil {
-			msg := it.Error
-			if msg == "" {
-				msg = "no result"
-			}
-			dst = append(dst, wireKindError)
-			dst = appendU16(dst, uint16(min(len(msg), math.MaxUint16)))
-			dst = append(dst, msg[:min(len(msg), math.MaxUint16)]...)
-			continue
+		switch {
+		case it.Reservation != nil:
+			dst = appendDecisionItem(dst, it.Reservation)
+		case it.Error != "":
+			dst = appendErrorItem(dst, it.Error)
+		default:
+			dst = appendErrorItem(dst, "no result")
 		}
-		rj := it.Reservation
-		dst = append(dst, wireKindDecision)
-		dst = appendU64(dst, uint64(rj.ID))
-		if rj.Accepted {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = append(dst, stateCode(State(rj.State)), durabilityCode(rj.Durability))
-		dst = appendF64(dst, rj.RateBps)
-		dst = appendF64(dst, rj.SigmaS)
-		dst = appendF64(dst, rj.TauS)
-		dst = appendU16(dst, uint16(min(len(rj.Reason), math.MaxUint16)))
-		dst = append(dst, rj.Reason[:min(len(rj.Reason), math.MaxUint16)]...)
 	}
-	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
-	return dst
+	return endFrame(dst, lenAt)
+}
+
+// wireItem is one decoded response item, before it takes the pointer
+// shape of BatchItemJSON.
+type wireItem struct {
+	rj    ReservationJSON
+	err   string
+	isErr bool
+}
+
+func readItem(r *wireReader, it *wireItem) {
+	switch kind := r.u8("kind"); kind {
+	case wireKindError:
+		it.err, it.isErr = r.str16("error"), true
+	case wireKindDecision:
+		rj := &it.rj
+		rj.ID = int(r.u64("id"))
+		flags := r.u8("flags")
+		rj.Accepted = flags&wireFlagAccepted != 0
+		if flags&wireFlagRouted != 0 {
+			rj.Routed = RoutedCrossShard
+		}
+		rj.State = string(stateFromCode(r.u8("state")))
+		rj.Durability = durabilityFromCode(r.u8("durability"))
+		rj.RateBps = r.f64("rate")
+		rj.SigmaS = r.f64("sigma")
+		rj.TauS = r.f64("tau")
+		rj.Reason = r.str16("reason")
+	default:
+		if r.err == nil {
+			r.err = fmt.Errorf("wire: unknown item kind %d", kind)
+		}
+	}
 }
 
 // DecodeBinaryBatchResponse parses a framed batch response into the same
 // per-item form the JSON endpoint answers with, so callers classify
 // results identically under either codec. (The human-readable Rate string
-// is left empty — binary callers have RateBps.)
+// is left empty — the frame carries RateBps only.) The reservations of one
+// response share one allocation.
 func DecodeBinaryBatchResponse(data []byte) ([]BatchItemJSON, error) {
-	body, err := frameBody(data, wireRespMagic)
+	// kind + u16 length is the 3-byte minimum item.
+	items, err := decodeList(data, wireRespMagic, 3, 0, readItem)
 	if err != nil {
 		return nil, err
 	}
-	r := &wireReader{data: body}
-	count := int(r.u32("count"))
-	if r.err != nil {
-		return nil, r.err
-	}
-	// kind + u16 length is the 3-byte minimum item.
-	if count > len(body)/3 {
-		return nil, fmt.Errorf("wire: count %d exceeds body capacity", count)
-	}
-	out := make([]BatchItemJSON, count)
-	for i := range out {
-		switch kind := r.u8("kind"); kind {
-		case wireKindError:
-			n := int(r.u16("error length"))
-			out[i].Error = string(r.bytes(n, "error"))
-		case wireKindDecision:
-			rj := &ReservationJSON{}
-			rj.ID = int(r.u64("id"))
-			rj.Accepted = r.u8("accepted") != 0
-			rj.State = string(stateFromCode(r.u8("state")))
-			rj.Durability = durabilityFromCode(r.u8("durability"))
-			rj.RateBps = r.f64("rate")
-			rj.SigmaS = r.f64("sigma")
-			rj.TauS = r.f64("tau")
-			n := int(r.u16("reason length"))
-			if n > 0 {
-				rj.Reason = string(r.bytes(n, "reason"))
-			}
-			out[i].Reservation = rj
-		default:
-			if r.err == nil {
-				r.err = fmt.Errorf("wire: unknown item kind %d", kind)
-			}
+	out := make([]BatchItemJSON, len(items))
+	for i := range items {
+		if items[i].isErr {
+			out[i].Error = items[i].err
+		} else {
+			out[i].Reservation = &items[i].rj
 		}
-		if r.err != nil {
-			return nil, fmt.Errorf("item %d: %w", i, r.err)
-		}
-	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %d items", len(body)-r.off, count)
 	}
 	return out, nil
+}
+
+// DecodeBinarySubmitResponse parses the one-item answer to a framed
+// single submit.
+func DecodeBinarySubmitResponse(data []byte) (ReservationJSON, error) {
+	r, count, err := openFrame(data, wireRespMagic)
+	if err == nil && count != 1 {
+		err = fmt.Errorf("wire: %d items answer one submission", count)
+	}
+	if err != nil {
+		return ReservationJSON{}, err
+	}
+	var it wireItem
+	readItem(&r, &it)
+	if err := r.finish(1); err != nil {
+		return ReservationJSON{}, err
+	}
+	if it.isErr {
+		return ReservationJSON{}, fmt.Errorf("wire: error item answers one submission: %s", it.err)
+	}
+	return it.rj, nil
+}
+
+// --- hold lists ----------------------------------------------------------
+
+// AppendHoldReserveList appends the framed POST /v1/reserve body.
+func AppendHoldReserveList(dst []byte, reqs []HoldReserveJSON) []byte {
+	dst, lenAt := beginFrame(dst, wireReserveMagic, len(reqs))
+	for i := range reqs {
+		q := &reqs[i]
+		dst = append(dst, flagIf(q.RelTimes, 1))
+		dst = appendStr16(dst, q.Hold)
+		dst = appendStr16(dst, q.Side)
+		dst = appendU32(dst, uint32(q.Point))
+		dst = appendU32(dst, uint32(q.PeerPoint))
+		for _, v := range [...]float64{q.TTLS, q.VolumeBytes, q.MaxRateBps, q.NotBeforeS, q.DeadlineS, q.RateBps, q.SigmaS, q.TauS} {
+			dst = appendF64(dst, v)
+		}
+	}
+	return endFrame(dst, lenAt)
+}
+
+// DecodeHoldReserveList parses a framed POST /v1/reserve body of at most
+// maxCount holds.
+func DecodeHoldReserveList(data []byte, maxCount int) ([]HoldReserveJSON, error) {
+	return decodeRequestList(data, wireReserveMagic, 77, maxCount, func(r *wireReader, q *HoldReserveJSON) {
+		q.RelTimes = r.u8("flags")&1 != 0
+		q.Hold = r.str16("hold")
+		q.Side = r.str16("side")
+		q.Point = r.i32("point")
+		q.PeerPoint = r.i32("peer_point")
+		for _, v := range [...]*float64{&q.TTLS, &q.VolumeBytes, &q.MaxRateBps, &q.NotBeforeS, &q.DeadlineS, &q.RateBps, &q.SigmaS, &q.TauS} {
+			*v = r.f64("quantity")
+		}
+	})
+}
+
+// AppendHoldReserveResults appends the framed POST /v1/reserve answer.
+func AppendHoldReserveResults(dst []byte, resps []HoldReserveResponseJSON) []byte {
+	dst, lenAt := beginFrame(dst, wireReservedMagic, len(resps))
+	for i := range resps {
+		a := &resps[i]
+		dst = append(dst, flagIf(a.Held, 1))
+		dst = appendStr16(dst, a.Hold)
+		dst = appendU64(dst, uint64(a.ID))
+		dst = appendF64(dst, a.RateBps)
+		dst = appendF64(dst, a.SigmaS)
+		dst = appendF64(dst, a.TauS)
+		dst = appendU64(dst, a.Epoch)
+		dst = appendF64(dst, a.NowS)
+		dst = appendStr16(dst, a.Reason)
+		dst = appendU16(dst, uint16(a.Code))
+		dst = appendStr16(dst, a.Error)
+	}
+	return endFrame(dst, lenAt)
+}
+
+// DecodeHoldReserveResults parses a framed POST /v1/reserve answer.
+func DecodeHoldReserveResults(data []byte) ([]HoldReserveResponseJSON, error) {
+	return decodeList(data, wireReservedMagic, 57, 0, func(r *wireReader, a *HoldReserveResponseJSON) {
+		a.Held = r.u8("flags")&1 != 0
+		a.Hold = r.str16("hold")
+		a.ID = int(int64(r.u64("id")))
+		a.RateBps = r.f64("rate")
+		a.SigmaS = r.f64("sigma")
+		a.TauS = r.f64("tau")
+		a.Epoch = r.u64("epoch")
+		a.NowS = r.f64("now")
+		a.Reason = r.str16("reason")
+		a.Code = int(r.u16("code"))
+		a.Error = r.str16("error")
+	})
+}
+
+// AppendHoldRefList appends the framed POST /v1/confirm or /v1/abort body.
+func AppendHoldRefList(dst []byte, refs []HoldRefJSON) []byte {
+	dst, lenAt := beginFrame(dst, wireRefMagic, len(refs))
+	for i := range refs {
+		ref := &refs[i]
+		id := 0
+		if ref.ID != nil {
+			id = *ref.ID
+		}
+		dst = append(dst, flagIf(ref.ID != nil, 1))
+		dst = appendStr16(dst, ref.Hold)
+		dst = appendU64(dst, uint64(id))
+		dst = appendU64(dst, ref.Epoch)
+	}
+	return endFrame(dst, lenAt)
+}
+
+// DecodeHoldRefList parses a framed POST /v1/confirm or /v1/abort body of
+// at most maxCount refs.
+func DecodeHoldRefList(data []byte, maxCount int) ([]HoldRefJSON, error) {
+	return decodeRequestList(data, wireRefMagic, 19, maxCount, func(r *wireReader, ref *HoldRefJSON) {
+		hasID := r.u8("flags")&1 != 0
+		ref.Hold = r.str16("hold")
+		if v := int(int64(r.u64("id"))); hasID {
+			id := v
+			ref.ID = &id
+		}
+		ref.Epoch = r.u64("epoch")
+	})
+}
+
+// AppendHoldStates appends the framed POST /v1/confirm or /v1/abort answer.
+func AppendHoldStates(dst []byte, sts []HoldStateJSON) []byte {
+	dst, lenAt := beginFrame(dst, wireStateMagic, len(sts))
+	for i := range sts {
+		st := &sts[i]
+		dst = append(dst, flagIf(st.Released, 1))
+		dst = appendStr16(dst, st.Hold)
+		dst = appendStr16(dst, st.State)
+		dst = appendStr16(dst, st.Side)
+		dst = appendU32(dst, uint32(st.PeerPoint))
+		dst = appendU64(dst, st.Epoch)
+		dst = appendU16(dst, uint16(st.Code))
+		dst = appendStr16(dst, st.Error)
+	}
+	return endFrame(dst, lenAt)
+}
+
+// DecodeHoldStates parses a framed POST /v1/confirm or /v1/abort answer.
+func DecodeHoldStates(data []byte) ([]HoldStateJSON, error) {
+	return decodeList(data, wireStateMagic, 23, 0, func(r *wireReader, st *HoldStateJSON) {
+		st.Released = r.u8("flags")&1 != 0
+		st.Hold = r.str16("hold")
+		st.State = r.str16("state")
+		st.Side = r.str16("side")
+		st.PeerPoint = r.i32("peer_point")
+		st.Epoch = r.u64("epoch")
+		st.Code = int(r.u16("code"))
+		st.Error = r.str16("error")
+	})
+}
+
+// --- buffers -------------------------------------------------------------
+
+// FrameBuf is a pooled byte buffer for one framed exchange: a handler reads
+// the request body into B and — the decoders having copied every string
+// out — encodes its answer over the same bytes; the client encodes requests
+// in one and reads answers into one.
+type FrameBuf struct{ B []byte }
+
+var frameBufPool = sync.Pool{New: func() any { return &FrameBuf{B: make([]byte, 0, 1024)} }}
+
+// NewFrameBuf returns an empty buffer from the pool.
+func NewFrameBuf() *FrameBuf {
+	fb := frameBufPool.Get().(*FrameBuf)
+	fb.B = fb.B[:0]
+	return fb
+}
+
+// Release returns the buffer to the pool; nothing may read B afterwards.
+// Releasing a nil buffer (a handler's, on its JSON path) does nothing.
+func (fb *FrameBuf) Release() {
+	// A rare huge list should not pin its megabytes in the pool.
+	if fb != nil && cap(fb.B) <= 64<<10 {
+		frameBufPool.Put(fb)
+	}
+}
+
+// ReadBody fills B with all of r, a framed body of at most
+// MaxBinaryBatchBytes. size is the body's declared length, or negative
+// when unknown.
+func (fb *FrameBuf) ReadBody(r io.Reader, size int64) error {
+	b := fb.B[:0]
+	if size > int64(cap(b)) && size <= wireMaxBatchBytes {
+		b = make([]byte, 0, size)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		fb.B = b
+		if len(b) > wireMaxBatchBytes {
+			return fmt.Errorf("wire: framed body exceeds %d bytes", wireMaxBatchBytes)
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("read body: %w", err)
+		}
+	}
 }
