@@ -1,8 +1,10 @@
 package alloc
 
 import (
+	"container/heap"
 	"fmt"
 
+	"gridbw/internal/request"
 	"gridbw/internal/topology"
 	"gridbw/internal/units"
 )
@@ -17,6 +19,28 @@ type Counters struct {
 	net *topology.Network
 	ali []units.Bandwidth
 	ale []units.Bandwidth
+	// ends holds what Reserve booked, earliest τ first, for AdvanceTo.
+	ends endHeap
+}
+
+// end is one booked transfer's completion: what to give back, and when.
+type end struct {
+	tau    units.Time
+	bw     units.Bandwidth
+	in, eg topology.PointID
+}
+
+type endHeap []end
+
+func (h endHeap) Len() int           { return len(h) }
+func (h endHeap) Less(i, j int) bool { return h[i].tau < h[j].tau }
+func (h endHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *endHeap) Push(x any)        { *h = append(*h, x.(end)) }
+func (h *endHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
 }
 
 // NewCounters returns zeroed counters for net.
@@ -54,6 +78,27 @@ func (c *Counters) Acquire(i, e topology.PointID, bw units.Bandwidth) error {
 	c.ali[int(i)] += bw
 	c.ale[int(e)] += bw
 	return nil
+}
+
+// Reserve acquires g's bandwidth on r's route and remembers to give it
+// back at τ: the on-line heuristics book a transfer for its whole life in
+// one step. It makes Counters an admit.Booker.
+func (c *Counters) Reserve(r request.Request, g request.Grant) error {
+	if err := c.Acquire(r.Ingress, r.Egress, g.Bandwidth); err != nil {
+		return err
+	}
+	heap.Push(&c.ends, end{tau: g.Tau, bw: g.Bandwidth, in: r.Ingress, eg: r.Egress})
+	return nil
+}
+
+// AdvanceTo releases every transfer Reserve booked whose τ is at or before
+// now, earliest first. Algorithm 2 reclaims at t = τ before it admits the
+// arrivals of the same t, so callers advance first and decide second.
+func (c *Counters) AdvanceTo(now units.Time) {
+	for len(c.ends) > 0 && c.ends[0].tau <= now {
+		e := heap.Pop(&c.ends).(end)
+		c.ReleasePair(e.in, e.eg, e.bw)
+	}
 }
 
 // ReleasePair subtracts bw at both points; the inverse of Acquire.

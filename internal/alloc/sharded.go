@@ -78,8 +78,8 @@ func NewSharded(net *topology.Network) *Sharded {
 func (l *Sharded) Network() *topology.Network { return l.net }
 
 // PairTx holds the (ingress, egress) shard pair of one route locked, so a
-// caller can run a whole admission search — candidate enumeration, policy
-// assignment, reserve — against a consistent view of both profiles.
+// caller can take a whole admission step — or a batch's worth of them for
+// one route — against a consistent view of both profiles.
 // Callers must Unlock exactly once, and must not retain the profiles past
 // it.
 type PairTx struct {
@@ -152,11 +152,12 @@ func (tx *PairTx) Unlock() {
 // PointTx holds a single access point's shard locked, for one-sided
 // operations: the cross-shard hold protocol books capacity on only the
 // half of a route this ledger owns, so it needs one profile, not a pair.
-// Callers must Unlock exactly once and must not retain the profile past
-// it. A PointTx never nests inside a PairTx (single-shard lock, so the
-// global order is trivially respected).
+// Callers must Unlock exactly once. A PointTx never nests inside a PairTx
+// (single-shard lock, so the global order is trivially respected).
 type PointTx struct {
 	sh       *shard
+	dir      topology.Direction
+	point    topology.PointID
 	unlocked bool
 }
 
@@ -169,11 +170,20 @@ func (l *Sharded) LockPoint(dir topology.Direction, p topology.PointID) *PointTx
 		sh = l.eg[int(p)]
 	}
 	sh.lock()
-	return &PointTx{sh: sh}
+	return &PointTx{sh: sh, dir: dir, point: p}
 }
 
-// Profile returns the locked point's profile.
-func (tx *PointTx) Profile() *Profile { return tx.sh.p }
+// Reserve books g on the locked point only, or changes nothing. The grant
+// is not indexed by request: the hold that asked for it remembers it and
+// gives it back through HoldRelease.
+func (tx *PointTx) Reserve(_ request.Request, g request.Grant) error {
+	if e := tx.sh.p.refusal(g.Sigma, g.Tau, g.Bandwidth); e != nil {
+		e.Dir, e.Point = tx.dir, tx.point
+		return e
+	}
+	tx.sh.p.add(g.Sigma, g.Tau, g.Bandwidth)
+	return nil
+}
 
 // Unlock releases the point. Unlocking twice panics, like sync.Mutex.
 func (tx *PointTx) Unlock() {
@@ -190,19 +200,14 @@ func (tx *PointTx) Unlock() {
 func (l *Sharded) HoldReserve(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth) error {
 	tx := l.LockPoint(dir, p)
 	defer tx.Unlock()
-	if e := tx.Profile().refusal(sigma, tau, bw); e != nil {
-		e.Dir, e.Point = dir, p
-		return e
-	}
-	tx.Profile().add(sigma, tau, bw)
-	return nil
+	return tx.Reserve(request.Request{}, request.Grant{Bandwidth: bw, Sigma: sigma, Tau: tau})
 }
 
 // HoldRelease returns a one-sided booking made by HoldReserve.
 func (l *Sharded) HoldRelease(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth) {
 	tx := l.LockPoint(dir, p)
 	defer tx.Unlock()
-	tx.Profile().Release(sigma, tau, bw)
+	tx.sh.p.Release(sigma, tau, bw)
 }
 
 // Reserve commits grant g for request r, taking the pair locks itself.

@@ -19,11 +19,11 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"strconv"
 	"strings"
 
+	"gridbw/internal/admit"
 	"gridbw/internal/alloc"
 	"gridbw/internal/policy"
 	"gridbw/internal/request"
@@ -71,32 +71,10 @@ type System struct {
 	net      *topology.Network
 	pol      policy.Policy
 	counters *alloc.Counters
-	done     releaseHeap
 	now      units.Time
 	nextID   request.ID
 
 	submitted, accepted int
-}
-
-type release struct {
-	at units.Time
-	bw units.Bandwidth
-	in topology.PointID
-	eg topology.PointID
-}
-
-type releaseHeap []release
-
-func (h releaseHeap) Len() int           { return len(h) }
-func (h releaseHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h releaseHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *releaseHeap) Push(x any)        { *h = append(*h, x.(release)) }
-func (h *releaseHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // NewSystem validates the configuration and builds a service with the
@@ -130,10 +108,7 @@ func (s *System) AdvanceTo(t units.Time) error {
 		return fmt.Errorf("core: clock cannot move from %v back to %v", s.now, t)
 	}
 	s.now = t
-	for len(s.done) > 0 && s.done[0].at <= s.now {
-		r := heap.Pop(&s.done).(release)
-		s.counters.ReleasePair(r.in, r.eg, r.bw)
-	}
+	s.counters.AdvanceTo(t)
 	return nil
 }
 
@@ -161,20 +136,12 @@ func (s *System) Submit(tr Transfer) (Decision, error) {
 	s.nextID++
 	s.submitted++
 
-	bw, err := s.pol.Assign(r, s.now)
-	if err != nil {
-		return Decision{Reason: "policy: " + err.Error()}, nil
+	g, no := admit.At(s.counters, s.pol, r, s.now)
+	if no.Cause != admit.Admitted {
+		return Decision{Reason: no.String()}, nil
 	}
-	g, err := request.NewGrant(r, s.now, bw)
-	if err != nil {
-		return Decision{Reason: "grant: " + err.Error()}, nil
-	}
-	if err := s.counters.Acquire(r.Ingress, r.Egress, bw); err != nil {
-		return Decision{Reason: "capacity: " + err.Error()}, nil
-	}
-	heap.Push(&s.done, release{at: g.Tau, bw: bw, in: r.Ingress, eg: r.Egress})
 	s.accepted++
-	return Decision{Accepted: true, Rate: bw, Start: g.Sigma, Finish: g.Tau}, nil
+	return Decision{Accepted: true, Rate: g.Bandwidth, Start: g.Sigma, Finish: g.Tau}, nil
 }
 
 // Stats reports lifetime counters: submissions, acceptances and the

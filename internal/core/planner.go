@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sort"
 
+	"gridbw/internal/admit"
 	"gridbw/internal/alloc"
+	"gridbw/internal/policy"
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
 	"gridbw/internal/units"
@@ -21,20 +23,13 @@ import (
 // at the policy's rate and commits the reservation on both points.
 type Planner struct {
 	net    *topology.Network
-	pol    policyAssign
+	pol    policy.Policy
 	ledger *alloc.Ledger
 	now    units.Time
 	nextID request.ID
 	booked map[request.ID]request.Request
 
 	submitted, accepted int
-}
-
-// policyAssign is the minimal policy surface the planner needs; satisfied
-// by policy.Policy.
-type policyAssign interface {
-	Name() string
-	Assign(r request.Request, start units.Time) (units.Bandwidth, error)
 }
 
 // AdvanceTransfer is a transfer request that may start in the future.
@@ -156,39 +151,26 @@ func (p *Planner) tryReserve(r request.Request) (Reservation, bool) {
 	candidates = append(candidates, eg.BreakpointTimes(r.Start, latest)...)
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
 
-	var lastReason string
+	var reason string
 	for i, sigma := range candidates {
 		if i > 0 && sigma == candidates[i-1] {
 			continue
 		}
-		bw, err := p.pol.Assign(r, sigma)
-		if err != nil {
-			lastReason = "policy: " + err.Error()
-			continue
+		g, no := admit.At(p.ledger, p.pol, r, sigma)
+		switch no.Cause {
+		case admit.Admitted:
+			p.booked[r.ID] = r
+			return Reservation{
+				Accepted: true, ID: r.ID,
+				Rate: g.Bandwidth, Start: g.Sigma, Finish: g.Tau,
+			}, true
+		case admit.Capacity:
+			reason = "capacity"
+		default:
+			reason = no.String()
 		}
-		g, err := request.NewGrant(r, sigma, bw)
-		if err != nil {
-			lastReason = "grant: " + err.Error()
-			continue
-		}
-		if !p.ledger.Fits(r, g) {
-			lastReason = "capacity"
-			continue
-		}
-		if err := p.ledger.Reserve(r, g); err != nil {
-			lastReason = "capacity: " + err.Error()
-			continue
-		}
-		p.booked[r.ID] = r
-		return Reservation{
-			Accepted: true, ID: r.ID,
-			Rate: g.Bandwidth, Start: g.Sigma, Finish: g.Tau,
-		}, true
 	}
-	if lastReason == "" {
-		lastReason = "no feasible start in window"
-	}
-	return Reservation{ID: r.ID, Reason: lastReason}, false
+	return Reservation{ID: r.ID, Reason: reason}, false
 }
 
 // Cancel releases a previously accepted reservation, freeing its window

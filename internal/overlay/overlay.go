@@ -12,10 +12,10 @@
 package overlay
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
+	"gridbw/internal/admit"
 	"gridbw/internal/alloc"
 	"gridbw/internal/des"
 	"gridbw/internal/policy"
@@ -118,27 +118,6 @@ func (rep *Report) MeanOverheadRatio() float64 {
 	return sum / float64(n)
 }
 
-type completion struct {
-	tau units.Time
-	bw  units.Bandwidth
-	in  topology.PointID
-	eg  topology.PointID
-}
-
-type completionHeap []completion
-
-func (h completionHeap) Len() int           { return len(h) }
-func (h completionHeap) Less(i, j int) bool { return h[i].tau < h[j].tau }
-func (h completionHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x any)        { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
 // Run simulates the reservation protocol for every request in reqs.
 // Each request is submitted at its ts(r); the admission decision lands at
 // ts(r) + ClientRouterDelay + 2·RouterRouterDelay, and the grant's σ is
@@ -150,7 +129,6 @@ func Run(net *topology.Network, reqs *request.Set, cfg Config) (*Report, error) 
 	}
 	sim := des.New()
 	counters := alloc.NewCounters(net)
-	var done completionHeap
 	out := sched.NewOutcome("overlay/"+cfg.Policy.Name(), net, reqs)
 	resv := make([]Reservation, reqs.Len())
 
@@ -159,28 +137,13 @@ func Run(net *topology.Network, reqs *request.Set, cfg Config) (*Report, error) 
 		rec := &resv[int(r.ID)]
 		rec.DecidedAt = now
 		// Release transfers finished by now before admitting.
-		for len(done) > 0 && done[0].tau <= now {
-			c := heap.Pop(&done).(completion)
-			counters.ReleasePair(c.in, c.eg, c.bw)
-		}
-		bw, err := cfg.Policy.Assign(r, now)
-		if err != nil {
-			rec.Reason = "policy: " + err.Error()
+		counters.AdvanceTo(now)
+		g, no := admit.At(counters, cfg.Policy, r, now)
+		if no.Cause != admit.Admitted {
+			rec.Reason = no.String()
 			out.Reject(r.ID, rec.Reason)
 			return
 		}
-		g, err := request.NewGrant(r, now, bw)
-		if err != nil {
-			rec.Reason = "grant: " + err.Error()
-			out.Reject(r.ID, rec.Reason)
-			return
-		}
-		if err := counters.Acquire(r.Ingress, r.Egress, bw); err != nil {
-			rec.Reason = "capacity: " + err.Error()
-			out.Reject(r.ID, rec.Reason)
-			return
-		}
-		heap.Push(&done, completion{tau: g.Tau, bw: bw, in: r.Ingress, eg: r.Egress})
 		rec.Accepted = true
 		rec.Grant = g
 		out.Accept(g)

@@ -26,6 +26,7 @@ package request
 
 import (
 	"fmt"
+	"math"
 
 	"gridbw/internal/topology"
 	"gridbw/internal/units"
@@ -49,9 +50,23 @@ type Request struct {
 	MaxRate units.Bandwidth
 }
 
+// Finite reports whether every quantity of r is a finite number. Text
+// formats cannot spell NaN or ±Inf but binary frames can, and every
+// comparison below lets a NaN through.
+func (r Request) Finite() bool {
+	for _, x := range [...]float64{float64(r.Start), float64(r.Finish), float64(r.Volume), float64(r.MaxRate)} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Validate checks the structural invariants of a request.
 func (r Request) Validate() error {
 	switch {
+	case !r.Finite():
+		return fmt.Errorf("request %d: non-finite volume, rate or time", r.ID)
 	case r.Finish <= r.Start:
 		return fmt.Errorf("request %d: empty window [%v, %v]", r.ID, r.Start, r.Finish)
 	case r.Volume <= 0:

@@ -12,7 +12,7 @@
 // land on different shards cannot be admitted by either one's two-sided
 // pipeline; the router drives the wire form of the two-phase protocol
 // that internal/distributed proved under fault injection: RESERVE on the
-// ingress owner (which runs the one-sided admission search and proposes a
+// ingress owner (which takes the one-sided admission step and proposes a
 // grant), RESERVE on the egress owner (authoritative check of the
 // proposal), then CONFIRM on both on dual success or ABORT on any
 // failure. The hold calls are list-shaped and the cross-shard items of one
@@ -430,7 +430,7 @@ func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
 			}
 		})
 	}
-	// Wave 1: each ingress owner runs the one-sided search and proposes.
+	// Wave 1: each ingress owner takes the one-sided step and proposes.
 	reserve(ingress, func(it *crossItem) server.HoldReserveJSON {
 		ws := &it.ws
 		return server.HoldReserveJSON{

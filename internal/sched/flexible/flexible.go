@@ -16,10 +16,10 @@
 package flexible
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
+	"gridbw/internal/admit"
 	"gridbw/internal/alloc"
 	"gridbw/internal/policy"
 	"gridbw/internal/request"
@@ -27,41 +27,6 @@ import (
 	"gridbw/internal/topology"
 	"gridbw/internal/units"
 )
-
-// completion is a pending transfer end.
-type completion struct {
-	at request.ID
-	// tau is the completion instant.
-	tau units.Time
-	bw  units.Bandwidth
-	in  topology.PointID
-	eg  topology.PointID
-}
-
-// completionHeap pops the earliest tau first.
-type completionHeap []completion
-
-func (h completionHeap) Len() int           { return len(h) }
-func (h completionHeap) Less(i, j int) bool { return h[i].tau < h[j].tau }
-func (h completionHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x any)        { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-func (h completionHeap) peek() completion { return h[0] }
-func (h completionHeap) empty() bool      { return len(h) == 0 }
-
-// releaseFinished returns capacity of all transfers with tau <= now.
-func releaseFinished(h *completionHeap, counters *alloc.Counters, now units.Time) {
-	for !h.empty() && h.peek().tau <= now {
-		c := heap.Pop(h).(completion)
-		counters.ReleasePair(c.in, c.eg, c.bw)
-	}
-}
 
 // Greedy is Algorithm 2: first-come first-serve admission at arrival time.
 type Greedy struct {
@@ -92,29 +57,15 @@ func (g Greedy) Schedule(net *topology.Network, reqs *request.Set) (*sched.Outco
 	})
 
 	counters := alloc.NewCounters(net)
-	var done completionHeap
 	for _, r := range order {
-		now := r.Start
-		// Reclaim bandwidth of transfers finished by now (Algorithm 2
-		// reclaims at t = tau before admitting arrivals at the same t).
-		releaseFinished(&done, counters, now)
-
-		bw, err := g.Policy.Assign(r, now)
-		if err != nil {
-			out.Reject(r.ID, "policy: "+err.Error())
-			continue
+		// Algorithm 2 reclaims at t = τ before admitting arrivals at the
+		// same t.
+		counters.AdvanceTo(r.Start)
+		if grant, no := admit.At(counters, g.Policy, r, r.Start); no.Cause != admit.Admitted {
+			out.Reject(r.ID, no.String())
+		} else {
+			out.Accept(grant)
 		}
-		grant, err := request.NewGrant(r, now, bw)
-		if err != nil {
-			out.Reject(r.ID, "grant: "+err.Error())
-			continue
-		}
-		if err := counters.Acquire(r.Ingress, r.Egress, bw); err != nil {
-			out.Reject(r.ID, "capacity: "+err.Error())
-			continue
-		}
-		heap.Push(&done, completion{at: r.ID, tau: grant.Tau, bw: bw, in: r.Ingress, eg: r.Egress})
-		out.Accept(grant)
 	}
 	return out, nil
 }
@@ -130,6 +81,11 @@ type Window struct {
 // Name implements sched.Scheduler.
 func (w Window) Name() string {
 	return fmt.Sprintf("window(%v)/%s", w.Step, w.Policy.Name())
+}
+
+// Schedule implements sched.Scheduler.
+func (w Window) Schedule(net *topology.Network, reqs *request.Set) (*sched.Outcome, error) {
+	return decideAtTicks(net, reqs, "window", w.Name, w.Policy, w.Step, cost, stopInterval)
 }
 
 // cost implements the §5.2 cost: the larger of the two point utilizations
@@ -148,15 +104,42 @@ func cost(net *topology.Network, counters *alloc.Counters, r request.Request, bw
 	return ce
 }
 
-// Schedule implements sched.Scheduler.
-func (w Window) Schedule(net *topology.Network, reqs *request.Set) (*sched.Outcome, error) {
-	if w.Policy == nil {
-		return nil, fmt.Errorf("flexible: window heuristic needs a policy")
+// missRule is what a decision interval does when its best-scored candidate
+// does not fit — the one thing, beside the score, that tells the interval
+// heuristics apart.
+type missRule int
+
+const (
+	// stopInterval is Algorithm 3: the cheapest candidate costs more than
+	// 1, so it and everything still undecided is rejected.
+	stopInterval missRule = iota
+	// skipCandidate rejects that candidate alone and keeps deciding.
+	skipCandidate
+	// carryOver ends the interval and keeps the undecided for the next
+	// tick, until their deadline is out of reach.
+	carryOver
+)
+
+type candidate struct {
+	r  request.Request
+	bw units.Bandwidth
+}
+
+// decideAtTicks is the loop Window, WindowRetry and WindowScored share.
+// kind names the heuristic in configuration errors; name is only called
+// once the policy is known to be there.
+func decideAtTicks(net *topology.Network, reqs *request.Set, kind string, name func() string,
+	pol policy.Policy, step units.Time, score ScoreFunc, miss missRule) (*sched.Outcome, error) {
+	if pol == nil {
+		return nil, fmt.Errorf("flexible: %s heuristic needs a policy", kind)
 	}
-	if w.Step <= 0 {
-		return nil, fmt.Errorf("flexible: non-positive window step %v", w.Step)
+	if step <= 0 {
+		return nil, fmt.Errorf("flexible: non-positive window step %v", step)
 	}
-	out := sched.NewOutcome(w.Name(), net, reqs)
+	if score == nil {
+		return nil, fmt.Errorf("flexible: %s heuristic needs a score function", kind)
+	}
+	out := sched.NewOutcome(name(), net, reqs)
 	all := reqs.All()
 	sort.SliceStable(all, func(i, j int) bool {
 		if all[i].Start != all[j].Start {
@@ -166,63 +149,72 @@ func (w Window) Schedule(net *topology.Network, reqs *request.Set) (*sched.Outco
 	})
 
 	counters := alloc.NewCounters(net)
-	var done completionHeap
 	next := 0 // index into all of the first request not yet considered
+	// pool holds the undecided; only carryOver leaves any in it between
+	// ticks.
+	var pool []candidate
 
 	// Ticks run at the END of each interval: requests arriving in
 	// [T−Step, T) are decided at T.
-	for tick := w.Step; next < len(all); tick += w.Step {
-		releaseFinished(&done, counters, tick)
-
-		// Candidates: arrivals strictly before this tick.
-		type candidate struct {
-			r  request.Request
-			bw units.Bandwidth
+	for tick := step; next < len(all) || len(pool) > 0; tick += step {
+		counters.AdvanceTo(tick)
+		for ; next < len(all) && all[next].Start < tick; next++ {
+			pool = append(pool, candidate{r: all[next]})
 		}
-		var cands []candidate
-		for next < len(all) && all[next].Start < tick {
-			r := all[next]
-			next++
-			bw, err := w.Policy.Assign(r, tick)
-			if err != nil {
-				out.Reject(r.ID, "policy: "+err.Error())
+
+		// This tick's rates. A carried request whose deadline is out of
+		// reach even at full host rate is dropped with its own reason.
+		cands := pool[:0]
+		for _, c := range pool {
+			if miss == carryOver && (tick >= c.r.Finish || c.r.EffectiveMinRate(tick) > c.r.MaxRate*(1+units.Eps)) {
+				out.Reject(c.r.ID, fmt.Sprintf("deadline unreachable by tick %v", tick))
 				continue
 			}
-			cands = append(cands, candidate{r: r, bw: bw})
+			bw, err := pol.Assign(c.r, tick)
+			if err != nil {
+				out.Reject(c.r.ID, "policy: "+err.Error())
+				continue
+			}
+			cands = append(cands, candidate{c.r, bw})
 		}
 
-		// Admit candidates in min-cost order, recomputing costs as
-		// occupancy grows; stop as soon as even the cheapest exceeds 1.
+		// Admit in best-score order, rescoring as occupancy grows.
 		for len(cands) > 0 {
 			best := 0
-			bestCost := cost(net, counters, cands[0].r, cands[0].bw)
+			bestScore := score(net, counters, cands[0].r, cands[0].bw)
 			for i := 1; i < len(cands); i++ {
-				c := cost(net, counters, cands[i].r, cands[i].bw)
-				if c < bestCost ||
-					(c == bestCost && cands[i].r.ID < cands[best].r.ID) {
-					best, bestCost = i, c
+				s := score(net, counters, cands[i].r, cands[i].bw)
+				if s < bestScore || (s == bestScore && cands[i].r.ID < cands[best].r.ID) {
+					best, bestScore = i, s
 				}
 			}
-			if bestCost > 1+units.Eps {
-				for _, c := range cands {
-					out.Reject(c.r.ID, fmt.Sprintf("cost %.3f > 1 at tick %v", cost(net, counters, c.r, c.bw), tick))
+			c := cands[best]
+			if !counters.Fits(c.r.Ingress, c.r.Egress, c.bw) {
+				switch miss {
+				case stopInterval:
+					for _, c := range cands {
+						out.Reject(c.r.ID, fmt.Sprintf("cost %.3f > 1 at tick %v", cost(net, counters, c.r, c.bw), tick))
+					}
+					cands = cands[:0]
+				case skipCandidate:
+					out.Reject(c.r.ID, fmt.Sprintf("capacity at tick %v", tick))
+					cands = append(cands[:best], cands[best+1:]...)
+					continue
 				}
 				break
 			}
-			c := cands[best]
 			cands = append(cands[:best], cands[best+1:]...)
-			grant, err := request.NewGrant(c.r, tick, c.bw)
-			if err != nil {
-				out.Reject(c.r.ID, "grant: "+err.Error())
-				continue
+			grant, no := admit.At(counters, pol, c.r, tick)
+			switch no.Cause {
+			case admit.Admitted:
+				out.Accept(grant)
+			case admit.Capacity:
+				return nil, fmt.Errorf("flexible: admission disagreed with fit check: %w", no.Err)
+			default:
+				out.Reject(c.r.ID, no.String())
 			}
-			if err := counters.Acquire(c.r.Ingress, c.r.Egress, c.bw); err != nil {
-				// cost <= 1 guarantees fit; a failure here is a bug.
-				return nil, fmt.Errorf("flexible: admission disagreed with cost: %w", err)
-			}
-			heap.Push(&done, completion{at: c.r.ID, tau: grant.Tau, bw: c.bw, in: c.r.Ingress, eg: c.r.Egress})
-			out.Accept(grant)
 		}
+		pool = cands
 	}
 	return out, nil
 }

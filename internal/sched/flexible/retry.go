@@ -1,11 +1,8 @@
 package flexible
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 
-	"gridbw/internal/alloc"
 	"gridbw/internal/policy"
 	"gridbw/internal/request"
 	"gridbw/internal/sched"
@@ -36,101 +33,5 @@ func (w WindowRetry) Name() string {
 
 // Schedule implements sched.Scheduler.
 func (w WindowRetry) Schedule(net *topology.Network, reqs *request.Set) (*sched.Outcome, error) {
-	if w.Policy == nil {
-		return nil, fmt.Errorf("flexible: window-retry heuristic needs a policy")
-	}
-	if w.Step <= 0 {
-		return nil, fmt.Errorf("flexible: non-positive window step %v", w.Step)
-	}
-	out := sched.NewOutcome(w.Name(), net, reqs)
-	all := reqs.All()
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Start != all[j].Start {
-			return all[i].Start < all[j].Start
-		}
-		return all[i].ID < all[j].ID
-	})
-
-	counters := alloc.NewCounters(net)
-	var done completionHeap
-	next := 0
-	var pending []request.Request
-
-	for tick := w.Step; next < len(all) || len(pending) > 0; tick += w.Step {
-		releaseFinished(&done, counters, tick)
-
-		for next < len(all) && all[next].Start < tick {
-			pending = append(pending, all[next])
-			next++
-		}
-
-		// Drop pending requests whose deadline is no longer reachable even
-		// at full host rate from this tick.
-		alive := pending[:0]
-		for _, r := range pending {
-			if tick >= r.Finish || r.EffectiveMinRate(tick) > r.MaxRate*(1+units.Eps) {
-				out.Reject(r.ID, fmt.Sprintf("deadline unreachable by tick %v", tick))
-				continue
-			}
-			alive = append(alive, r)
-		}
-		pending = alive
-
-		// Assign rates for this tick and admit in min-cost order; unlike
-		// Window, the leftovers stay pending.
-		type candidate struct {
-			r  request.Request
-			bw units.Bandwidth
-		}
-		var cands []candidate
-		kept := pending[:0]
-		for _, r := range pending {
-			bw, err := w.Policy.Assign(r, tick)
-			if err != nil {
-				out.Reject(r.ID, "policy: "+err.Error())
-				continue
-			}
-			cands = append(cands, candidate{r: r, bw: bw})
-			kept = append(kept, r)
-		}
-		pending = kept
-
-		admitted := map[request.ID]bool{}
-		for len(cands) > 0 {
-			best := 0
-			bestCost := cost(net, counters, cands[0].r, cands[0].bw)
-			for i := 1; i < len(cands); i++ {
-				c := cost(net, counters, cands[i].r, cands[i].bw)
-				if c < bestCost || (c == bestCost && cands[i].r.ID < cands[best].r.ID) {
-					best, bestCost = i, c
-				}
-			}
-			if bestCost > 1+units.Eps {
-				break // leftovers retry next tick
-			}
-			c := cands[best]
-			cands = append(cands[:best], cands[best+1:]...)
-			grant, err := request.NewGrant(c.r, tick, c.bw)
-			if err != nil {
-				out.Reject(c.r.ID, "grant: "+err.Error())
-				admitted[c.r.ID] = true // decided (terminally)
-				continue
-			}
-			if err := counters.Acquire(c.r.Ingress, c.r.Egress, c.bw); err != nil {
-				return nil, fmt.Errorf("flexible: admission disagreed with cost: %w", err)
-			}
-			heap.Push(&done, completion{at: c.r.ID, tau: grant.Tau, bw: c.bw, in: c.r.Ingress, eg: c.r.Egress})
-			out.Accept(grant)
-			admitted[c.r.ID] = true
-		}
-		// Keep only undecided requests pending.
-		kept = pending[:0]
-		for _, r := range pending {
-			if !admitted[r.ID] {
-				kept = append(kept, r)
-			}
-		}
-		pending = kept
-	}
-	return out, nil
+	return decideAtTicks(net, reqs, "window-retry", w.Name, w.Policy, w.Step, cost, carryOver)
 }

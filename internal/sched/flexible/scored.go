@@ -1,9 +1,7 @@
 package flexible
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 
 	"gridbw/internal/alloc"
 	"gridbw/internal/policy"
@@ -42,11 +40,7 @@ type WindowScored struct {
 }
 
 // CostScore is the paper's §5.2 cost as a ScoreFunc.
-func CostScore() ScoreFunc {
-	return func(net *topology.Network, counters *alloc.Counters, r request.Request, bw units.Bandwidth) float64 {
-		return cost(net, counters, r, bw)
-	}
-}
+func CostScore() ScoreFunc { return cost }
 
 // EDFScore orders by urgency: the latest instant the transfer could still
 // start and meet its deadline at full host rate. Earlier = more urgent.
@@ -92,73 +86,5 @@ func (w WindowScored) Name() string {
 
 // Schedule implements sched.Scheduler.
 func (w WindowScored) Schedule(net *topology.Network, reqs *request.Set) (*sched.Outcome, error) {
-	if w.Policy == nil {
-		return nil, fmt.Errorf("flexible: scored window heuristic needs a policy")
-	}
-	if w.Step <= 0 {
-		return nil, fmt.Errorf("flexible: non-positive window step %v", w.Step)
-	}
-	if w.Score == nil {
-		return nil, fmt.Errorf("flexible: scored window heuristic needs a score function")
-	}
-	out := sched.NewOutcome(w.Name(), net, reqs)
-	all := reqs.All()
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Start != all[j].Start {
-			return all[i].Start < all[j].Start
-		}
-		return all[i].ID < all[j].ID
-	})
-
-	counters := alloc.NewCounters(net)
-	var done completionHeap
-	next := 0
-	for tick := w.Step; next < len(all); tick += w.Step {
-		releaseFinished(&done, counters, tick)
-
-		type candidate struct {
-			r  request.Request
-			bw units.Bandwidth
-		}
-		var cands []candidate
-		for next < len(all) && all[next].Start < tick {
-			r := all[next]
-			next++
-			bw, err := w.Policy.Assign(r, tick)
-			if err != nil {
-				out.Reject(r.ID, "policy: "+err.Error())
-				continue
-			}
-			cands = append(cands, candidate{r: r, bw: bw})
-		}
-		// Score once per interval (scores may inspect occupancy, which
-		// changes as we admit — recompute greedily like Window does).
-		for len(cands) > 0 {
-			best := 0
-			bestScore := w.Score(net, counters, cands[0].r, cands[0].bw)
-			for i := 1; i < len(cands); i++ {
-				s := w.Score(net, counters, cands[i].r, cands[i].bw)
-				if s < bestScore || (s == bestScore && cands[i].r.ID < cands[best].r.ID) {
-					best, bestScore = i, s
-				}
-			}
-			c := cands[best]
-			cands = append(cands[:best], cands[best+1:]...)
-			if !counters.Fits(c.r.Ingress, c.r.Egress, c.bw) {
-				out.Reject(c.r.ID, fmt.Sprintf("capacity at tick %v", tick))
-				continue // skip, keep trying the rest
-			}
-			grant, err := request.NewGrant(c.r, tick, c.bw)
-			if err != nil {
-				out.Reject(c.r.ID, "grant: "+err.Error())
-				continue
-			}
-			if err := counters.Acquire(c.r.Ingress, c.r.Egress, c.bw); err != nil {
-				return nil, fmt.Errorf("flexible: admission disagreed with fit check: %w", err)
-			}
-			heap.Push(&done, completion{at: c.r.ID, tau: grant.Tau, bw: c.bw, in: c.r.Ingress, eg: c.r.Egress})
-			out.Accept(grant)
-		}
-	}
-	return out, nil
+	return decideAtTicks(net, reqs, "scored window", w.Name, w.Policy, w.Step, w.Score, skipCandidate)
 }

@@ -2,10 +2,12 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
 
+	"gridbw/internal/admit"
 	"gridbw/internal/alloc"
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
@@ -16,14 +18,15 @@ import (
 // The batched admission pipeline. One SubmitBatch call decides N
 // submissions in three phases:
 //
-//  1. Under s.mu: validate, resolve or seed the idempotency cache, clamp
-//     NotBefore to the advanced clock, allocate IDs and settle the domain
-//     rejections that need no capacity lookup.
-//  2. Without s.mu: sort the survivors by (ingress, egress) pair and run
-//     the admission search — breakpoint enumeration, policy assignment,
-//     the two-sided reserve — holding each pair's shard locks once per
-//     group instead of once per submission. Disjoint pairs from other
-//     calls proceed in parallel throughout this phase.
+//  1. Under s.mu: clamp NotBefore to the advanced clock, run admit.Check
+//     (a malformed submission is that item's error), resolve or seed the
+//     idempotency cache, allocate IDs and settle the two refusals that
+//     need no capacity lookup.
+//  2. Without s.mu: sort the survivors by (ingress, egress) pair and take
+//     the admission step for each — admit.At at its one instant,
+//     max(NotBefore, now) — holding each pair's shard locks once per group
+//     instead of once per submission. Disjoint pairs from other calls
+//     proceed in parallel throughout this phase.
 //  3. Under s.mu again: publish the accepted entries, schedule expiries,
 //     audit the decision log and fill the idempotency slots.
 //
@@ -32,9 +35,9 @@ import (
 // decided in (ingress, egress, input) order.
 //
 // Every per-call structure — the item table, the pending/waiting lists,
-// the candidate-start scratch, the pair transaction — lives in a pooled
-// batchScratch, so the steady-state pipeline performs no heap allocation
-// of its own: Submit runs allocation-free end to end.
+// the pair transaction — lives in a pooled batchScratch, so the
+// steady-state pipeline performs no heap allocation of its own: Submit
+// runs allocation-free end to end.
 
 // Durability outcomes for decisions that waited on synchronous follower
 // acks. Empty means no sync-ack wait applied to the call (async mode and
@@ -73,13 +76,8 @@ type batchItem struct {
 	ent  *idemEntry // placeholder this call must fill, if keyed
 	wait *idemEntry // existing slot to resolve instead of admitting
 
-	// pending marks items that entered the phase-2 admission search.
+	// pending marks items that entered the phase-2 admission step.
 	pending bool
-
-	// minRateV caches r.MinRate() — a division the feasibility check and
-	// the rigidity classification would otherwise each redo. Zero means
-	// "not computed yet" (a real MinRate is always positive).
-	minRateV units.Bandwidth
 
 	// Admission outcome (phase 2).
 	g        request.Grant
@@ -87,23 +85,14 @@ type batchItem struct {
 	reason   string
 }
 
-// minRate computes r.MinRate once per item.
-func (it *batchItem) minRate() units.Bandwidth {
-	if it.minRateV == 0 {
-		it.minRateV = it.r.MinRate()
-	}
-	return it.minRateV
-}
-
 // batchScratch is the pooled working set of one submitMany call.
 type batchScratch struct {
 	subs1   [1]Submission // backing array for the single-submission path
 	items   []batchItem   // one per submission, indexed by input position
 	results []BatchResult // one per submission, indexed by input position
-	pending []*batchItem  // survivors entering the admission search
+	pending []*batchItem  // survivors entering the admission step
 	waiting []*batchItem  // idempotent hits resolved in phase 4
 	decided []int         // input indices whose decision this call published
-	cands   []units.Time  // candidate-start scratch for admitTx
 	tx      alloc.PairTx  // reusable pair transaction
 }
 
@@ -176,6 +165,16 @@ func (s *Server) submitOne(sub Submission) (BatchResult, error) {
 	return res, nil
 }
 
+// clampStart is max(notBefore, now): a request cannot start in the past.
+// A notBefore of −Inf is kept as it is, for admit.Check to refuse like any
+// other non-finite quantity instead of passing as "now".
+func clampStart(notBefore, now units.Time) units.Time {
+	if notBefore < now && !math.IsInf(float64(notBefore), -1) {
+		return now
+	}
+	return notBefore
+}
+
 // byPair orders phase-2 survivors by (ingress, egress) so consecutive
 // items share one shard-pair lock acquisition. Kept a named function so
 // the sort call carries no closure.
@@ -225,6 +224,19 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 			results[i].Err = err
 			continue
 		}
+		r := request.Request{
+			Ingress: topology.PointID(sub.From),
+			Egress:  topology.PointID(sub.To),
+			Start:   clampStart(sub.NotBefore, now),
+			Finish:  sub.Deadline,
+			Volume:  sub.Volume,
+			MaxRate: sub.MaxRate,
+		}
+		checked := admit.Check(r)
+		if checked.Cause == admit.Malformed {
+			results[i].Err = fmt.Errorf("server: %w", checked.Err)
+			continue
+		}
 		if walPoisoned && (s.syncNeed > 0 || sub.Durable) {
 			results[i].Err = ErrDurabilityLost
 			continue
@@ -241,49 +253,24 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 			it.ent = &idemEntry{done: make(chan struct{})}
 			s.rememberLocked(key, it.ent)
 		}
-		notBefore := sub.NotBefore
-		if notBefore < now {
-			notBefore = now
-		}
-		id := s.nextID
+		r.ID = s.nextID
 		s.nextID++
-		it.r = request.Request{
-			ID:      id,
-			Ingress: topology.PointID(sub.From),
-			Egress:  topology.PointID(sub.To),
-			Start:   notBefore,
-			Finish:  sub.Deadline,
-			Volume:  sub.Volume,
-			MaxRate: sub.MaxRate,
-		}
-		// Window and rate infeasibility are domain rejections, not API
-		// errors; they need no capacity lookup, so they settle here.
-		switch {
-		case it.r.Finish <= it.r.Start:
-			d := s.rejectLocked(it.r, fmt.Sprintf("empty window: deadline %v not after start %v", it.r.Finish, it.r.Start))
+		it.r = r
+		if checked.Cause != admit.Admitted {
+			// An empty window or a volume MaxRate cannot move in it is a
+			// decision, not an API error, and needs no capacity lookup.
+			d := s.rejectLocked(r, checked.Err.Error())
 			s.settleLocked(it, d, nil)
 			results[i].Decision = d
 			sc.decided = append(sc.decided, i)
-		case it.minRate() > it.r.MaxRate*(1+units.Eps):
-			d := s.rejectLocked(it.r, fmt.Sprintf("infeasible: needs %v to move %v in window but MaxRate is %v",
-				it.minRate(), it.r.Volume, it.r.MaxRate))
-			s.settleLocked(it, d, nil)
-			results[i].Decision = d
-			sc.decided = append(sc.decided, i)
-		default:
-			if err := it.r.Validate(); err != nil {
-				err = fmt.Errorf("server: %w", err)
-				s.settleLocked(it, Decision{}, err)
-				results[i].Err = err
-				continue
-			}
-			it.pending = true
-			sc.pending = append(sc.pending, it)
+			continue
 		}
+		it.pending = true
+		sc.pending = append(sc.pending, it)
 	}
 	s.mu.Unlock()
 
-	// Phase 2: admission searches under shard pair locks only. Sorting by
+	// Phase 2: admission steps under shard pair locks only. Sorting by
 	// point pair lets consecutive items share one lock acquisition and
 	// keeps the ingress-before-egress global order.
 	if len(sc.pending) > 1 {
@@ -299,7 +286,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 			s.ledger.LockPair(tx, it.r.Ingress, it.r.Egress)
 			locked = true
 		}
-		s.admitTx(tx, it, sc)
+		s.admitTx(tx, it)
 	}
 	if locked {
 		tx.Unlock()
@@ -409,43 +396,23 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 	return nil
 }
 
-// admitTx runs the admission search for one validated request against its
-// locked point pair: rigid requests search every candidate start
-// (book-ahead); flexible requests are decided at their earliest admissible
-// instant only. On success the grant is already committed to the ledger.
-func (s *Server) admitTx(tx *alloc.PairTx, it *batchItem, sc *batchScratch) {
-	r := it.r
-	latest := r.Finish - r.Volume.Over(r.MaxRate)
-	candidates := append(sc.cands[:0], r.Start)
-	rigid := units.ApproxEq(float64(it.minRate()), float64(r.MaxRate))
-	if rigid && latest > r.Start {
-		candidates = tx.Ingress().AppendBreakpointTimes(candidates, r.Start, latest)
-		candidates = tx.Egress().AppendBreakpointTimes(candidates, r.Start, latest)
-		slices.Sort(candidates)
-	}
-	sc.cands = candidates
-
-	it.reason = "no feasible start in window"
-	for i, sigma := range candidates {
-		if i > 0 && sigma == candidates[i-1] {
-			continue
-		}
-		bw, err := s.pol.Assign(r, sigma)
-		if err != nil {
-			it.reason = "policy: " + err.Error()
-			continue
-		}
-		g, err := request.NewGrant(r, sigma, bw)
-		if err != nil {
-			it.reason = "grant: " + err.Error()
-			continue
-		}
-		if err := tx.Reserve(r, g); err != nil {
-			it.reason = "capacity saturated"
-			continue
-		}
+// admitTx takes the admission step for one checked request against its
+// locked point pair. A request is decided at exactly one instant, its
+// Start = max(NotBefore, now): a flexible one as Algorithm 2 decides an
+// arrival, a booked-ahead one as a fixed rectangle at NotBefore. The start
+// is never slid later in the window — a request rigid enough to need that
+// (MinRate ≈ MaxRate) has a window at most Eps wider than its transfer, so
+// there is nowhere to slide to. On success the grant is already committed
+// to the ledger.
+func (s *Server) admitTx(tx *alloc.PairTx, it *batchItem) {
+	g, no := admit.At(tx, s.pol, it.r, it.r.Start)
+	switch no.Cause {
+	case admit.Admitted:
 		it.g, it.accepted = g, true
-		return
+	case admit.Capacity:
+		it.reason = "capacity saturated"
+	default:
+		it.reason = no.String()
 	}
 }
 

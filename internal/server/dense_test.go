@@ -86,8 +86,12 @@ func (g *denseGen) batch(subs []server.Submission, clk *fakeClock, srv *server.S
 }
 
 func denseServer(tb testing.TB) (*server.Server, *fakeClock) {
-	tb.Helper()
 	clk := &fakeClock{}
+	return denseServerOn(tb, clk), clk
+}
+
+func denseServerOn(tb testing.TB, clk *fakeClock) *server.Server {
+	tb.Helper()
 	caps := make([]units.Bandwidth, densePoints)
 	for i := range caps {
 		caps[i] = denseCapacity
@@ -97,7 +101,7 @@ func denseServer(tb testing.TB) (*server.Server, *fakeClock) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { srv.Close() })
-	return srv, clk
+	return srv
 }
 
 // flatOracle is an access point's usage kept the plain way: one sorted

@@ -157,3 +157,72 @@ func TestWALPoisonRefusesDurableUntilRestart(t *testing.T) {
 		t.Fatalf("durable submit after restart: %v %+v", err, d)
 	}
 }
+
+// A follower's pull cursor is its durability ack. When its WAL fail-stops
+// mid-stream it must stop moving that cursor: the frames of the batch that
+// hit the fault are in its memory and not in its log, and a primary that
+// saw the cursor pass them would answer a durable submit "replicated" on
+// the strength of a copy that a restart of the follower forgets.
+func TestPoisonedFollowerStopsAcking(t *testing.T) {
+	pl := openTestWAL(t)
+	pcfg := uniformConfig(nil)
+	pcfg.WAL = pl
+	pcfg.SyncMode = "one"
+	pcfg.SyncTimeout = 300 * time.Millisecond
+	primary := newTestServer(t, pcfg)
+	ts := httptest.NewServer(primary.Handler())
+	defer ts.Close()
+
+	dfs := faults.NewDiskFS(nil, faults.DiskConfig{Seed: 1})
+	fl, _, err := wal.Open(t.TempDir(), wal.Options{FS: dfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	fcfg := uniformConfig(nil)
+	fcfg.WAL = fl
+	fcfg.Follow = ts.URL
+	fcfg.ReplID = "f1"
+	follower := newTestServer(t, fcfg)
+	if err := follower.StartFollowing(); err != nil {
+		t.Fatal(err)
+	}
+
+	durable := func(i int) server.BatchResult {
+		t.Helper()
+		res, err := primary.SubmitBatch([]server.Submission{submission(i, true)})
+		if err != nil || res[0].Err != nil || !res[0].Decision.Accepted {
+			t.Fatalf("durable submit %d: %v %+v", i, err, res)
+		}
+		return res[0]
+	}
+	for i := 0; i < 3; i++ {
+		if res := durable(i); res.Durability != server.DurabilityReplicated {
+			t.Fatalf("healthy follower: submit %d answered %q", i, res.Durability)
+		}
+	}
+	// The ack for the last healthy frame rides on the follower's next pull.
+	healthy := pl.End()
+	waitFor(t, "ack of the healthy prefix", func() bool { return primary.FollowerAcks()["f1"].Pos == healthy })
+
+	// The next frame the follower appends hits a failed fsync.
+	dfs.FailNextFsyncs(1)
+	for i := 3; i < 6; i++ {
+		if res := durable(i); res.Durability != server.DurabilityDegraded {
+			t.Fatalf("submit %d answered %q although its only follower never persisted it", i, res.Durability)
+		}
+	}
+	if !follower.WALPoisoned() {
+		t.Fatal("follower WAL not poisoned")
+	}
+	if got := primary.FollowerAcks()["f1"].Pos; got != healthy {
+		t.Fatalf("ack table moved to %v past the poison point %v", got, healthy)
+	}
+	// Fail-stop: the pull loop halted with the cause on display.
+	waitFor(t, "pull loop halt", func() bool {
+		return strings.Contains(follower.ReplicationStatus().LastError, "WAL poisoned")
+	})
+	if got := follower.ReplicationStatus().Cursor; got != healthy {
+		t.Fatalf("follower cursor %v, want it held at %v", got, healthy)
+	}
+}

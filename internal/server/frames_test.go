@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"gridbw/internal/server"
+	"gridbw/internal/units"
 )
 
 // The JSON≡frames proof. Two identical daemons on one fake clock are driven
@@ -403,6 +405,10 @@ func TestMalformedFrameBooksNothing(t *testing.T) {
 		}
 		refused(path, "another endpoint's frame", other)
 	}
+	// A well-formed frame whose numbers are not: JSON cannot say NaN, the
+	// frame can (nonfinite_test.go goes through every field).
+	refused("/v1/requests", "NaN volume", server.AppendBinarySubmitRequest(nil, &server.WireSubmission{
+		From: 0, To: 1, Volume: units.Volume(math.NaN()), MaxRate: 1e8, Deadline: 100, IdempotencyKey: "nan"}))
 	two := server.AppendBinaryBatchRequest(nil, make([]server.WireSubmission, 2))
 	refused("/v1/requests", "two-record frame", two)
 	big := server.AppendBinaryBatchRequest(nil, make([]server.WireSubmission, faceMaxBatch+1))

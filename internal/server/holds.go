@@ -6,7 +6,7 @@ package server
 // The router drives the wire form of the protocol that
 // internal/distributed proved under fault injection:
 //
-//	RESERVE (ingress owner)  one-sided admission search over the ingress
+//	RESERVE (ingress owner)  the admission step against the ingress
 //	                         profile only; proposes a concrete grant and
 //	                         books tentative capacity under a TTL
 //	RESERVE (egress owner)   authoritative one-sided check of the proposed
@@ -34,16 +34,18 @@ package server
 // Every transition is WAL-logged (trace.EventHold*) and replayed by
 // followers and boot recovery, so holds survive failover: a promoted
 // follower re-arms the TTL and release timers its primary had pending.
-// All hold state is guarded by s.mu; the one-sided searches take the
+// All hold state is guarded by s.mu; the one-sided bookings take the
 // single point-shard lock under it, the same nesting direction as the
 // expiry and cancel paths.
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
+	"gridbw/internal/admit"
 	"gridbw/internal/des"
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
@@ -118,7 +120,7 @@ func (e *holdEntry) dir() topology.Direction {
 }
 
 // HoldReserveJSON is the POST /v1/reserve body. The ingress side carries
-// the submission (this shard runs the one-sided admission search and
+// the submission (this shard takes the one-sided admission step and
 // proposes the grant); the egress side carries the proposed grant for an
 // authoritative one-sided check.
 type HoldReserveJSON struct {
@@ -264,6 +266,9 @@ func (s *Server) holdReserveLocked(req HoldReserveJSON) (*holdEntry, error) {
 		// Idempotent re-delivery: answer what the first reserve decided.
 		return e, nil
 	}
+	if !finite(req.TTLS) {
+		return nil, fmt.Errorf("server: non-finite hold TTL")
+	}
 	ttl := time.Duration(req.TTLS * float64(time.Second))
 	if ttl <= 0 {
 		ttl = defaultHoldTTL
@@ -323,16 +328,13 @@ func (s *Server) holdReserveAnswerLocked(e *holdEntry) HoldReserveResponseJSON {
 	return resp
 }
 
-// holdReserveIngressLocked runs the one-sided admission search: the same
-// breakpoint-candidate enumeration and policy assignment as admitTx, but
-// against only the ingress profile — the egress owner's authoritative
-// check is the second RESERVE of the protocol.
+// holdReserveIngressLocked takes the admission step one-sided: the same
+// check and the same one instant, max(NotBefore, now), as admitTx, booked
+// against the ingress profile only — the egress owner's authoritative check
+// of the grant it proposes is the second RESERVE of the protocol.
 func (s *Server) holdReserveIngressLocked(req HoldReserveJSON, now, expireAt units.Time) (*holdEntry, error) {
 	if req.Point < 0 || req.Point >= s.net.NumIngress() {
 		return nil, fmt.Errorf("server: ingress %d out of range [0,%d)", req.Point, s.net.NumIngress())
-	}
-	if req.VolumeBytes <= 0 || req.MaxRateBps <= 0 {
-		return nil, fmt.Errorf("server: non-positive volume or max rate")
 	}
 	start := units.Time(req.NotBeforeS)
 	deadline := units.Time(req.DeadlineS)
@@ -340,61 +342,37 @@ func (s *Server) holdReserveIngressLocked(req HoldReserveJSON, now, expireAt uni
 		start += now
 		deadline += now
 	}
-	if start < now {
-		start = now
+	r := request.Request{
+		ID: s.nextID, Ingress: topology.PointID(req.Point), Egress: topology.PointID(req.PeerPoint),
+		Start: clampStart(start, now), Finish: deadline,
+		Volume: units.Volume(req.VolumeBytes), MaxRate: units.Bandwidth(req.MaxRateBps),
 	}
-	e := &holdEntry{
-		key: req.Hold, side: trace.HoldSideIngress,
-		point: topology.PointID(req.Point), peer: req.PeerPoint,
-		id:       s.nextID,
-		volume:   units.Volume(req.VolumeBytes),
-		maxRate:  units.Bandwidth(req.MaxRateBps),
-		expireAt: expireAt,
+	checked := admit.Check(r)
+	if checked.Cause == admit.Malformed {
+		return nil, fmt.Errorf("server: %w", checked.Err)
 	}
 	s.nextID++
-	r := request.Request{
-		ID: e.id, Ingress: e.point, Egress: topology.PointID(req.PeerPoint),
-		Start: start, Finish: deadline, Volume: e.volume, MaxRate: e.maxRate,
+	e := &holdEntry{
+		key: req.Hold, side: trace.HoldSideIngress,
+		point: r.Ingress, peer: req.PeerPoint,
+		id: r.ID, volume: r.Volume, maxRate: r.MaxRate,
+		expireAt: expireAt, state: holdAborted,
 	}
-	if deadline <= start {
-		e.state, e.reason = holdAborted, fmt.Sprintf("empty window: deadline %v not after start %v", deadline, start)
+	if checked.Cause != admit.Admitted {
+		e.reason = checked.Err.Error()
 		return e, nil
 	}
-	if r.MinRate() > r.MaxRate*(1+units.Eps) {
-		e.state, e.reason = holdAborted, fmt.Sprintf("infeasible: needs %v to move %v in window but MaxRate is %v",
-			r.MinRate(), r.Volume, r.MaxRate)
-		return e, nil
-	}
-
-	latest := r.Finish - r.Volume.Over(r.MaxRate)
 	tx := s.ledger.LockPoint(topology.Ingress, e.point)
 	defer tx.Unlock()
-	candidates := []units.Time{r.Start}
-	if units.ApproxEq(float64(r.MinRate()), float64(r.MaxRate)) && latest > r.Start {
-		candidates = tx.Profile().AppendBreakpointTimes(candidates, r.Start, latest)
-	}
-	e.state, e.reason = holdAborted, "no feasible start in window"
-	for i, sigma := range candidates {
-		if i > 0 && sigma == candidates[i-1] {
-			continue
-		}
-		bw, err := s.pol.Assign(r, sigma)
-		if err != nil {
-			e.reason = "policy: " + err.Error()
-			continue
-		}
-		g, err := request.NewGrant(r, sigma, bw)
-		if err != nil {
-			e.reason = "grant: " + err.Error()
-			continue
-		}
-		if err := tx.Profile().Reserve(g.Sigma, g.Tau, g.Bandwidth); err != nil {
-			e.reason = "ingress capacity saturated"
-			continue
-		}
+	g, no := admit.At(tx, s.pol, r, r.Start)
+	switch no.Cause {
+	case admit.Admitted:
 		e.bw, e.sigma, e.tau = g.Bandwidth, g.Sigma, g.Tau
-		e.state, e.reason, e.booked = holdHeld, "", true
-		break
+		e.state, e.booked = holdHeld, true
+	case admit.Capacity:
+		e.reason = "ingress capacity saturated"
+	default:
+		e.reason = no.String()
 	}
 	return e, nil
 }
@@ -405,18 +383,15 @@ func (s *Server) holdReserveEgressLocked(req HoldReserveJSON, now, expireAt unit
 	if req.Point < 0 || req.Point >= s.net.NumEgress() {
 		return nil, fmt.Errorf("server: egress %d out of range [0,%d)", req.Point, s.net.NumEgress())
 	}
-	sigma := units.Time(req.SigmaS)
-	tau := units.Time(req.TauS)
+	sigma, tau := units.Time(req.SigmaS), units.Time(req.TauS)
 	if req.RelTimes {
-		sigma += now
-		tau += now
-		if sigma < now {
-			// In-flight delay pushed the proposed start into this shard's
-			// past; book from now so the window stays live.
-			sigma = now
-		}
+		// In-flight delay may have pushed the proposed start into this
+		// shard's past; book from now so the window stays live.
+		sigma, tau = clampStart(sigma+now, now), tau+now
 	}
-	if req.RateBps <= 0 || tau <= sigma {
+	// The proposal is numbers off a frame that no admit.Check has seen on
+	// this shard, and every one of them is booked or logged.
+	if !finite(float64(sigma), float64(tau), req.RateBps, req.VolumeBytes, req.MaxRateBps) || req.RateBps <= 0 || tau <= sigma {
 		return nil, fmt.Errorf("server: degenerate proposed grant")
 	}
 	e := &holdEntry{
@@ -430,9 +405,7 @@ func (s *Server) holdReserveEgressLocked(req HoldReserveJSON, now, expireAt unit
 		maxRate:  units.Bandwidth(req.MaxRateBps),
 		expireAt: expireAt,
 	}
-	tx := s.ledger.LockPoint(topology.Egress, e.point)
-	defer tx.Unlock()
-	if err := tx.Profile().Reserve(e.sigma, e.tau, e.bw); err != nil {
+	if err := s.ledger.HoldReserve(topology.Egress, e.point, e.sigma, e.tau, e.bw); err != nil {
 		e.state, e.reason = holdAborted, "egress capacity saturated"
 		return e, nil
 	}
@@ -757,6 +730,17 @@ func holdPeerFromEvent(ev trace.Event) int {
 		return ev.Egress
 	}
 	return ev.Ingress
+}
+
+// finite reports whether none of xs is NaN or ±Inf: frames carry raw float
+// bits, and a comparison like x <= 0 lets a NaN through.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 func maxTime(a, b units.Time) units.Time {

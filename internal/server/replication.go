@@ -189,10 +189,10 @@ func (s *Server) ApplyShipped(b ShippedBatch) error {
 		return err
 	}
 	// The cursor record says "everything before Next is in my log, which
-	// ended here", so it is only written while the log still takes appends,
-	// and written outside s.mu: it is ordered after the appends by the local
-	// end it carries, not by a lock or an fsync.
-	record := s.wal != nil && s.wal.Poisoned() == nil
+	// ended here" — true, or applyShippedLocked would have refused the batch
+	// on a poisoned log — and is written outside s.mu: it is ordered after
+	// the appends by the local end it carries, not by a lock or an fsync.
+	record := s.wal != nil
 	var localEnd wal.Pos
 	if record {
 		localEnd = s.wal.End()
@@ -233,6 +233,14 @@ func (s *Server) applyShippedLocked(b ShippedBatch, events []trace.Event) error 
 		if err := s.applyEventLocked(ev, b.Events[i]); err != nil {
 			return err
 		}
+	}
+	if s.wal != nil && s.wal.Poisoned() != nil {
+		// The cursor this node presents on its next pull is its ack: moved
+		// past frames the local log never took, it would let a quorum
+		// submit be answered "replicated" on their strength. Fail-stop, as
+		// for a primary: the pull loop halts on this error, and only a
+		// restart — which re-reads what is really on disk — clears it.
+		return ErrDurabilityLost
 	}
 	s.repl.cursor = b.Next
 	s.repl.applied += uint64(len(events))

@@ -9,21 +9,22 @@
 // pairs decide fully in parallel. What remains global — the service
 // clock, the expiry event queue, the reservation registry, ID allocation
 // and the idempotency cache — lives behind one small mutex (s.mu) whose
-// critical sections are map operations, never admission searches.
+// critical sections are map operations, never admission steps.
 //
 // Lock order: s.mu first, shard locks second (the expiry and cancel paths
 // revoke through the sharded ledger while holding s.mu). The admission
 // path holds shard locks without s.mu and must never take it; it re-enters
 // s.mu only after releasing the pair.
 //
-// Admission is the paper's machinery unchanged — rigid requests
-// (MinRate ≈ MaxRate) get book-ahead admission, searching the earliest
-// feasible start over the profiles' usage breakpoints exactly like
-// core.Planner; flexible requests get immediate-start admission at the
-// configured policy's rate, like the §5.1 GREEDY step. Grants expire as
-// their τ(r) passes: a des.Simulator orders the expiry events and a
-// background goroutine sleeps until the next deadline (des.Next) and fires
-// them against real time, returning capacity to the ledger.
+// Admission is the paper's §5.1 GREEDY step and the very function the
+// simulator runs (internal/admit): a request is decided once, at
+// max(NotBefore, now), at the configured policy's rate, against the time
+// profiles of its two points. A NotBefore in the future books a fixed
+// rectangle ahead; no start is ever slid later in a window (core.Planner
+// is the service that searches). Grants expire as their τ(r) passes: a
+// des.Simulator orders the expiry events and a background goroutine sleeps
+// until the next deadline (des.Next) and fires them against real time,
+// returning capacity to the ledger.
 //
 // The whole control-plane state — capacities, policy, clock, counters and
 // every live reservation — round-trips through a JSON Snapshot, so a
@@ -286,7 +287,7 @@ type Server struct {
 
 	// mu is the small global section: the service clock and expiry queue,
 	// the reservation registry, ID allocation, counters and the
-	// idempotency cache. Admission searches never run under it.
+	// idempotency cache. Admission steps never run under it.
 	mu        sync.Mutex
 	sim       *des.Simulator
 	epoch     time.Time // wall instant of service time 0
@@ -616,20 +617,15 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// validateSubmission rejects malformed submissions before they enter the
-// pipeline. It reads only immutable state, so it needs no lock.
+// validateSubmission rejects submissions that name no access point of this
+// platform; admit.Check judges the quantities. It reads only immutable
+// state, so it needs no lock.
 func (s *Server) validateSubmission(sub Submission) error {
 	if sub.From < 0 || sub.From >= s.net.NumIngress() {
 		return fmt.Errorf("server: ingress %d out of range [0,%d)", sub.From, s.net.NumIngress())
 	}
 	if sub.To < 0 || sub.To >= s.net.NumEgress() {
 		return fmt.Errorf("server: egress %d out of range [0,%d)", sub.To, s.net.NumEgress())
-	}
-	if sub.Volume <= 0 {
-		return fmt.Errorf("server: non-positive volume %v", sub.Volume)
-	}
-	if sub.MaxRate <= 0 {
-		return fmt.Errorf("server: non-positive max rate %v", sub.MaxRate)
 	}
 	return nil
 }

@@ -211,6 +211,11 @@ func FuzzDecodeBinaryBatch(f *testing.F) {
 	f.Add(server.AppendHoldReserveResults(nil, []server.HoldReserveResponseJSON{{Hold: "h", Held: true, ID: 4, RateBps: 1e7, TauS: 100, Epoch: 1}, {ID: -1, Code: 400, Error: "no"}}))
 	f.Add(server.AppendHoldRefList(nil, []server.HoldRefJSON{{Hold: "h", Epoch: 1}, {ID: &id}}))
 	f.Add(server.AppendHoldStates(nil, []server.HoldStateJSON{{Hold: "h", State: "confirmed", Side: "eg", PeerPoint: 1, Epoch: 1}}))
+	// Frames carry float bits JSON cannot spell.
+	f.Add(server.AppendBinaryBatchRequest(nil, []server.WireSubmission{
+		{From: 0, To: 1, Volume: units.Volume(math.NaN()), MaxRate: units.Bandwidth(math.Inf(1)), NotBefore: units.Time(math.Inf(-1)), Deadline: 100},
+	}))
+	f.Add(server.AppendHoldReserveList(nil, []server.HoldReserveJSON{{Hold: "h", Side: "eg", Point: 1, RateBps: math.NaN(), SigmaS: math.Inf(-1), TauS: math.Inf(1)}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch := func(b []byte) ([]server.WireSubmission, error) { return server.DecodeBinaryBatchRequest(b, 1024) }
 		reserve := func(b []byte) ([]server.HoldReserveJSON, error) { return server.DecodeHoldReserveList(b, 1024) }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -36,12 +35,11 @@ import (
 //
 // Slots sit one sector apart so a torn sector cannot take both.
 const (
-	cursorFile       = "cursor.rec"
-	legacyCursorFile = "cursor" // the JSON Pos earlier versions renamed into place
-	cursorStride     = 512
-	cursorFileBytes  = 2 * cursorStride
-	cursorRecBytes   = 48
-	cursorMagic      = 0x31435747 // "GWC1", little-endian
+	cursorFile      = "cursor.rec"
+	cursorStride    = 512
+	cursorFileBytes = 2 * cursorStride
+	cursorRecBytes  = 48
+	cursorMagic     = 0x31435747 // "GWC1", little-endian
 )
 
 // cursorRec is one slot's content: magic, seq, Primary, Local, CRC.
@@ -75,8 +73,8 @@ func decodeCursorRec(b []byte) (cursorRec, bool) {
 }
 
 // loadCursor is Open's read of the cursor record, judged against the
-// frontier recovery just established. With no acceptable record it reads
-// the legacy JSON cursor, which the first SaveCursor then removes.
+// frontier recovery just established. With no acceptable record the cursor
+// stays zero: pull from the beginning.
 func (l *Log) loadCursor(rec *Recovery) error {
 	frontier := Pos{l.seg, l.off}
 	blob, err := l.readMeta(cursorFile)
@@ -111,23 +109,10 @@ func (l *Log) loadCursor(rec *Recovery) error {
 			return fmt.Errorf("wal: erase cursor record past the recovered frontier: %w", err)
 		}
 	}
-	if newest < 0 {
-		return l.loadLegacyCursor()
+	if newest >= 0 {
+		l.cursor = best.primary
+		l.curSlot = 1 - newest
 	}
-	l.cursor = best.primary
-	l.curSlot = 1 - newest
-	return nil
-}
-
-func (l *Log) loadLegacyCursor() error {
-	blob, err := l.readMeta(legacyCursorFile)
-	if blob == nil {
-		return err
-	}
-	if err := json.Unmarshal(blob, &l.cursor); err != nil {
-		return fmt.Errorf("wal: cursor file: %w", err)
-	}
-	l.legacyCursor = true
 	return nil
 }
 
@@ -175,12 +160,6 @@ func (l *Log) SaveCursor(primary, local Pos) error {
 		return fmt.Errorf("wal: write cursor record: %w", err)
 	}
 	l.curSeq, l.curSlot, l.cursor = rec.seq, 1-l.curSlot, primary
-	if l.legacyCursor {
-		// Superseded; a leftover would only be read if the record file
-		// vanished, and would then resume from before the upgrade.
-		_ = l.fs.Remove(filepath.Join(l.dir, legacyCursorFile))
-		l.legacyCursor = false
-	}
 	return nil
 }
 

@@ -107,50 +107,6 @@ func TestCursorRecordPastFrontierIsRefusedAndErased(t *testing.T) {
 	}
 }
 
-// The JSON cursor file earlier versions wrote is read once, at the first
-// boot of this version, and removed by the first record that supersedes it.
-func TestLegacyCursorFileIsReadOnceThenSuperseded(t *testing.T) {
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, legacyCursorFile)
-	if err := os.WriteFile(legacy, []byte(`{"seg":2,"off":4096}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, _ := mustOpen(t, dir, Options{})
-	if l.Cursor() != (Pos{2, 4096}) {
-		t.Fatalf("cursor from the legacy file = %v", l.Cursor())
-	}
-	// Until a record exists the legacy file stays the only source.
-	if l, _ = reopen(t, l, Options{}); l.Cursor() != (Pos{2, 4096}) {
-		t.Fatalf("cursor from the legacy file, second boot = %v", l.Cursor())
-	}
-	if err := l.SaveCursor(Pos{2, 8192}, l.End()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy cursor file survived the first record: %v", err)
-	}
-	if l, _ = reopen(t, l, Options{}); l.Cursor() != (Pos{2, 8192}) {
-		t.Fatalf("cursor after the upgrade = %v", l.Cursor())
-	}
-
-	// A record outranks a legacy file that reappears (a lost unlink).
-	if err := os.WriteFile(legacy, []byte(`{"seg":1,"off":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if l, _ = reopen(t, l, Options{}); l.Cursor() != (Pos{2, 8192}) {
-		t.Fatalf("record lost to a stale legacy file: %v", l.Cursor())
-	}
-
-	// A garbled legacy file is an error, as it always was.
-	bad := t.TempDir()
-	if err := os.WriteFile(filepath.Join(bad, legacyCursorFile), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(bad, Options{}); err == nil {
-		t.Fatal("Open accepted a garbled legacy cursor file")
-	}
-}
-
 func TestSaveCursorAfterClose(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{})
 	l.Close()

@@ -223,13 +223,12 @@ type Log struct {
 
 	// The follower's cursor record (cursor.go), guarded by curMu, which is
 	// never held together with mu.
-	curMu        sync.Mutex
-	curF         File   // the record file, opened by the first write
-	curSeq       uint64 // sequence of the newest record written
-	curSlot      int    // slot the next record goes to
-	cursor       Pos
-	legacyCursor bool // a JSON cursor file is still on disk
-	curClosed    bool
+	curMu     sync.Mutex
+	curF      File   // the record file, opened by the first write
+	curSeq    uint64 // sequence of the newest record written
+	curSlot   int    // slot the next record goes to
+	cursor    Pos
+	curClosed bool
 }
 
 func segName(seg uint64) string { return fmt.Sprintf("%s%08d%s", segPrefix, seg, segSuffix) }
