@@ -7,10 +7,13 @@
 //	gridbwctl promote http://b:8081                   promote a standby by hand
 //	gridbwctl watch -primary http://a:8080 -standby http://b:8081
 //	                                                  probe the primary, auto-promote the standby
-//	gridbwctl watch -primary http://a:8080 -standby http://b:8081 \
-//	    -peers http://a:8080,http://c:8082            majority-gated: promote only with peer votes
 //	gridbwctl watch -resume -endpoints http://a:8080,http://b:8081,http://c:8082
 //	                                                  guard the group across successive failovers
+//
+// Whether a promotion needs a majority is decided by the daemon being
+// promoted, not here: a gridbwd started with -peers holds its own vote
+// round and answers a refusal (HTTP 409) without one, so promote and watch
+// are gated exactly alike.
 //
 // Without -resume, watch exits 0 once the standby is primary — whether
 // this watchdog promoted it or found it already promoted — so it can
@@ -24,16 +27,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
 	"gridbw/internal/cluster"
 	"gridbw/internal/server/client"
-	"gridbw/internal/wal"
 )
 
 func main() {
@@ -108,7 +110,9 @@ func runStatus(ctx context.Context, args []string, out io.Writer) error {
 
 // runPromote promotes one standby and prints the resulting role/epoch.
 // Idempotent by the daemon's contract: promoting a primary answers its
-// current epoch.
+// current epoch. A standby whose group denied it a majority refuses, and
+// the returned error carries its answer: votes granted and needed, and the
+// voter that said no.
 func runPromote(ctx context.Context, args []string, out io.Writer) error {
 	if len(args) != 1 {
 		return errors.New("usage: gridbwctl promote <url>")
@@ -133,14 +137,12 @@ func runWatch(ctx context.Context, args []string, out io.Writer) error {
 	interval := fset.Duration("interval", 0, "probe period (0 = 2s, jittered ±25%)")
 	misses := fset.Int("misses", 0, "consecutive probe misses before suspecting the primary (0 = 3)")
 	maxLag := fset.Int64("max-lag", 0, "replication lag in bytes beyond which promotion is held (0 = 1 MiB, negative = unbounded)")
-	peers := fset.String("peers", "", "comma-separated base URLs of the group members that vote on promotion (every member but the standby); empty = legacy single-arbiter")
-	candidate := fset.String("candidate", "", "replication id presented in vote requests when the standby reports none")
 	resume := fset.Bool("resume", false, "re-arm against the rediscovered group after each failover instead of exiting; requires -endpoints")
 	endpoints := fset.String("endpoints", "", "comma-separated base URLs of every group member, for -resume role rediscovery")
 	if err := fset.Parse(args); err != nil {
 		return err
 	}
-	eps := splitList(*endpoints)
+	eps := cluster.SplitURLs(*endpoints)
 	if *resume && len(eps) < 2 {
 		return errors.New("watch -resume needs -endpoints with at least two group members")
 	}
@@ -148,7 +150,7 @@ func runWatch(ctx context.Context, args []string, out io.Writer) error {
 		if !*resume {
 			return errors.New("watch needs -primary and -standby (or -resume with -endpoints)")
 		}
-		p, s, err := discoverRoles(ctx, eps)
+		p, s, err := cluster.Survey(ctx, &http.Client{Timeout: 2 * time.Second}, eps).Roles()
 		if err != nil {
 			return err
 		}
@@ -160,19 +162,9 @@ func runWatch(ctx context.Context, args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "discovered primary %s, standby %s\n", *primary, *standby)
 	}
-	votePeers := splitList(*peers)
-	if *resume && len(votePeers) == 0 {
-		// In resume mode the group is known: everyone but the candidate votes.
-		for _, ep := range eps {
-			if ep != *standby {
-				votePeers = append(votePeers, ep)
-			}
-		}
-	}
 	wd, err := cluster.New(cluster.Config{
 		Primary: *primary, Standby: *standby,
 		Interval: *interval, Misses: *misses, MaxLagBytes: *maxLag,
-		VotePeers: votePeers, Candidate: *candidate,
 		Resume: *resume, Endpoints: eps,
 		OnTransition: func(from, to cluster.State, in cluster.Input) {
 			fmt.Fprintf(out, "%s\twatchdog %s -> %s on %s\n", time.Now().Format(time.RFC3339), from, to, in)
@@ -181,54 +173,10 @@ func runWatch(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "watching %s (standby %s, %d vote peers)\n", *primary, *standby, len(votePeers))
+	fmt.Fprintf(out, "watching %s (standby %s)\n", *primary, *standby)
 	if err := wd.Run(ctx); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "standby %s is primary (epoch %d)\n", *standby, wd.Status().Epoch)
 	return nil
-}
-
-// discoverRoles finds the group's current primary (highest epoch wins)
-// and most caught-up follower over the endpoint list.
-func discoverRoles(ctx context.Context, eps []string) (primary, standby string, err error) {
-	var primaryEpoch uint64
-	var standbyCursor wal.Pos
-	reachable := 0
-	for _, ep := range eps {
-		c := client.NewWithOptions(ep, nil, client.Options{MaxRetries: -1})
-		rs, rerr := c.Replication(ctx)
-		if rerr != nil {
-			continue
-		}
-		reachable++
-		switch rs.Role {
-		case "primary":
-			if primary == "" || rs.Epoch > primaryEpoch {
-				primary, primaryEpoch = ep, rs.Epoch
-			}
-		case "follower":
-			if standby == "" || standbyCursor.Less(rs.Cursor) {
-				standby, standbyCursor = ep, rs.Cursor
-			}
-		}
-	}
-	if primary == "" {
-		return "", "", fmt.Errorf("no primary among %d reachable of %d endpoints", reachable, len(eps))
-	}
-	if standby == "" {
-		return "", "", fmt.Errorf("no follower to guard among %d reachable endpoints", reachable)
-	}
-	return primary, standby, nil
-}
-
-// splitList parses a comma-separated URL list into trimmed entries.
-func splitList(list string) []string {
-	var out []string
-	for _, part := range strings.Split(list, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, strings.TrimRight(p, "/"))
-		}
-	}
-	return out
 }

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"gridbw/internal/server"
+	"gridbw/internal/server/client"
 	"gridbw/internal/units"
+	"gridbw/internal/wal"
 )
 
 func testConfig() server.Config {
@@ -29,6 +31,9 @@ func TestCtlUsageErrors(t *testing.T) {
 		{"promote", "http://a", "http://b"},
 		{"watch"},
 		{"watch", "-primary", "http://a"},
+		// The vote set is the standby daemon's -peers now, not the watchdog's.
+		{"watch", "-primary", "http://a", "-standby", "http://b", "-peers", "http://c"},
+		{"watch", "-primary", "http://a", "-standby", "http://b", "-candidate", "b"},
 	} {
 		if err := run(ctx, args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) accepted, want usage error", args)
@@ -81,6 +86,32 @@ func TestCtlPromote(t *testing.T) {
 	}
 	if s.Following() {
 		t.Fatal("still a follower after gridbwctl promote")
+	}
+
+	// A standby that has peers must win their votes first. With both of
+	// them dark it refuses, and promote reports the refusal — not a fault.
+	dark, dark2 := httptest.NewServer(nil), httptest.NewServer(nil)
+	dark.Close()
+	dark2.Close()
+	l, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cfg.WAL, cfg.ReplID, cfg.Peers = l, "b", []string{dark.URL, dark2.URL}
+	grouped, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grouped.Close()
+	gts := httptest.NewServer(grouped.Handler())
+	defer gts.Close()
+	err = run(context.Background(), []string{"promote", gts.URL}, &out)
+	if err == nil || !client.IsConflict(err) || !strings.Contains(err.Error(), "quorum denied: 0 of 1 needed peer votes for epoch 2") {
+		t.Fatalf("promote without a majority: err = %v, want the 409 refusal", err)
+	}
+	if !grouped.Following() || grouped.Epoch() != 1 {
+		t.Fatal("a refused promote changed the standby's role or epoch")
 	}
 }
 

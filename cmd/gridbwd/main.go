@@ -17,17 +17,18 @@
 // stream, refusing writes (403) until POST /v1/replication/promote turns
 // it into the primary under a higher fencing epoch. Adding -watch runs the failover
 // watchdog in-process: the standby probes the primary's health itself
-// and, after enough consecutive misses, a replication-lag check and —
-// with -peers — a majority vote across the group, promotes itself; no
-// operator in the loop, and never against a group majority.
+// and, after enough consecutive misses and a replication-lag check,
+// promotes itself; no operator in the loop.
 //
 // -peers lists every other member of an N-node replication group. It
 // sizes the synchronous-ack quorum (-repl-sync=quorum parks each
-// admission until ⌊(N+1)/2⌋ follower cursors pass the decision's WAL
-// frame, degrading to async past -repl-sync-timeout rather than failing)
-// and feeds the in-process watchdog's vote set. -repl-id names this
-// daemon in vote requests and follower-lag tables; it defaults to the
-// listen address.
+// admission until ⌊N/2⌋ follower cursors pass the decision's WAL frame,
+// degrading to async past -repl-sync-timeout rather than failing) and it
+// is the daemon's vote set: a daemon started with -peers promotes only
+// after a majority of the group voted for it — whether -watch, gridbwctl
+// or a bare POST /v1/replication/promote asked — and answers 409
+// otherwise. -repl-id names this daemon in vote requests and follower-lag
+// tables; it defaults to the listen address.
 //
 // Examples:
 //
@@ -88,7 +89,7 @@ func run(args []string) error {
 	replID := fset.String("repl-id", "", "replication identity presented on pulls and votes (default: the listen address)")
 	replSync := fset.String("repl-sync", "", "synchronous-ack mode: off, one, or quorum — park each admission until that many follower cursors pass its WAL frame (default off)")
 	replSyncTimeout := fset.Duration("repl-sync-timeout", 0, "sync-ack parking deadline before degrading to async (0 = 2s)")
-	peers := fset.String("peers", "", "comma-separated base URLs of every other replication-group member; sizes the sync-ack quorum and the watchdog's vote set")
+	peers := fset.String("peers", "", "comma-separated base URLs of every other replication-group member; sizes the sync-ack quorum and is the vote set every promotion of this daemon must win a majority of")
 	watch := fset.Bool("watch", false, "run the failover watchdog in-process: probe the -follow primary and self-promote when it dies (majority-gated when -peers is set)")
 	watchInterval := fset.Duration("watch-interval", 0, "watchdog probe period (0 = 2s, jittered ±25%)")
 	watchMisses := fset.Int("watch-misses", 0, "consecutive probe misses before the primary is suspected (0 = 3)")
@@ -101,7 +102,7 @@ func run(args []string) error {
 		return err
 	}
 
-	peerList := splitPeers(*peers)
+	peerList := cluster.SplitURLs(*peers)
 	id := *replID
 	if id == "" {
 		id = *addr
@@ -122,8 +123,8 @@ func run(args []string) error {
 	}
 	if len(peerList) > 0 {
 		// In a group of G = peers+1 members, replicated durability means a
-		// majority holds the frame: the primary plus ⌊G/2⌋ follower acks.
-		bc.base.SyncAcks = (len(peerList) + 1) / 2
+		// majority holds the frame: the primary plus the rest of it.
+		bc.base.SyncAcks = cluster.Majority(len(peerList)+1) - 1
 	}
 	var err error
 	if bc.ingress, err = parseCaps(*ingress); err != nil {
@@ -191,7 +192,6 @@ func run(args []string) error {
 		}
 		wd, err := newInProcessWatchdog(srv, *follow, cluster.Config{
 			Interval: *watchInterval, Misses: *watchMisses, MaxLagBytes: *watchMaxLag,
-			VotePeers: peerList, Candidate: id,
 		})
 		if err != nil {
 			return err
@@ -252,7 +252,7 @@ func run(args []string) error {
 // watchdog's state is surfaced on the daemon's /v1/metricsz.
 func newInProcessWatchdog(srv *server.Server, primary string, cfg cluster.Config) (*cluster.Watchdog, error) {
 	cfg.Primary = primary
-	cfg.StandbyStatus = func(ctx context.Context) (server.ReplicationStatus, error) {
+	cfg.StandbyStatus = func(ctx context.Context) (cluster.ReplicationStatus, error) {
 		return srv.ReplicationStatus(), nil
 	}
 	cfg.Promote = func(ctx context.Context) (uint64, error) {
@@ -262,11 +262,6 @@ func newInProcessWatchdog(srv *server.Server, primary string, cfg cluster.Config
 			return epoch, nil
 		}
 		return epoch, err
-	}
-	cfg.SelfVote = func(ctx context.Context, req server.VoteRequest) (server.VoteResponse, error) {
-		// The candidate's own vote goes through its local vote-once path,
-		// so an endorsement already given to a rival blocks self-promotion.
-		return srv.HandleVote(req), nil
 	}
 	cfg.OnTransition = func(from, to cluster.State, in cluster.Input) {
 		log.Printf("watchdog: %s -> %s on %s", from, to, in)
@@ -401,17 +396,6 @@ func bootServer(bc bootConfig) (*server.Server, string, error) {
 		return nil, "", fmt.Errorf("%v; %w", snapErr, err)
 	}
 	return srv, how, err
-}
-
-// splitPeers parses the -peers list into trimmed base URLs.
-func splitPeers(list string) []string {
-	var out []string
-	for _, part := range strings.Split(list, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, strings.TrimRight(p, "/"))
-		}
-	}
-	return out
 }
 
 func parseCaps(list string) ([]units.Bandwidth, error) {

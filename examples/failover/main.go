@@ -11,6 +11,10 @@
 // epoch is refused (FencedError) and a brand-new follower whose cursor
 // was compacted away re-seeds itself from the snapshot endpoint.
 //
+// This is a pair, so the standby has no Peers and promotes on its own
+// authority. In a group of three or more every daemon lists the others as
+// its Peers, and the same promote call must first win a majority of them.
+//
 // Run with: go run ./examples/failover
 package main
 

@@ -1,30 +1,37 @@
-// Package cluster turns the gridbwd primary/standby pair into a
-// self-healing cluster: a watchdog that notices a dead primary and
-// promotes the standby itself, without a human in the loop.
+// Package cluster is the control plane of a gridbwd replication group, in
+// one place and importing nothing of the daemon: the wire types and the one
+// HTTP caller of each control endpoint (proto.go), the status sweep of a
+// member list and its pickers (survey.go), the election — the grant and
+// epoch-install rules as pure functions, and the vote round (election.go) —
+// and the watchdog that notices a dead primary and promotes the standby
+// without a human in the loop. internal/server imports it and keeps what is
+// its own: state under its lock, vote and epoch persistence, the pull loop.
 //
-// The decision logic is a small deterministic state machine
+// The election sits with the candidate: a daemon that has peers wins a
+// majority vote round before it installs an epoch, whoever asked it to
+// promote. So the watchdog's decision logic is a small deterministic state
+// machine with no election in it,
 //
-//	follower → suspect → electing → promoting → primary
+//	follower → suspect → promoting → primary
 //
 // kept free of clocks and sockets so every transition is unit-testable:
-// the Machine consumes observations (probe hit/miss, standby lag, quorum
-// verdict, promote outcome) and the Watchdog around it supplies them from
-// real HTTP probes on a jittered timer. Promotion is deliberately
-// conservative — it takes K consecutive probe misses to even suspect the
-// primary, a suspect primary is only deposed once the standby's
-// replication lag is within the configured bound (promoting a standby
-// that is far behind the frontier would discard acked decisions), and
-// with a configured voter set the candidate must then collect promotion
-// votes from a majority of the group before the promote is issued. A
-// watchdog that cannot reach a majority stays suspect forever rather
-// than promoting blind.
+// the Machine consumes observations (probe hit/miss, standby lag, promote
+// outcome) and the Watchdog around it supplies them from real HTTP probes
+// on a jittered timer. Promotion is deliberately conservative — it takes K
+// consecutive probe misses to even suspect the primary, and a suspect
+// primary is only deposed once the standby's replication lag is within the
+// configured bound (promoting a standby that is far behind the frontier
+// would discard acked decisions). A promote the standby's group denies is
+// a failed promote: the watchdog falls back to suspect and re-runs the
+// ladder next tick, so one that never reaches a majority holds forever
+// rather than promoting blind.
 //
 // Minority split brain is prevented by the vote round; a majority-side
 // promotion can still depose a primary that is alive but partitioned
-// away. The fencing epoch (internal/server) makes that harmless — the
-// promoted standby refuses every batch from the deposed primary's older
-// epoch, so the deposed primary can keep answering reads but can never
-// write into the new lineage.
+// away. The fencing epoch makes that harmless — the promoted standby
+// refuses every batch from the deposed primary's older epoch, so the
+// deposed primary can keep answering reads but can never write into the
+// new lineage.
 package cluster
 
 import "fmt"
@@ -38,12 +45,8 @@ const (
 	// StateSuspect: K consecutive probes missed; the primary is presumed
 	// dead pending the standby lag check.
 	StateSuspect
-	// StateElecting: the lag check passed; the candidate is collecting
-	// promotion votes from the peer set. Transient within one tick — a
-	// denied quorum falls back to suspect for the next round.
-	StateElecting
-	// StatePromoting: a majority granted the promotion; a promote call is
-	// in flight.
+	// StatePromoting: the lag check passed; a promote call — the standby's
+	// vote round included — is in flight.
 	StatePromoting
 	// StatePrimary: the standby was promoted (or found already promoted).
 	// Terminal — a watchdog's lifetime covers at most one failover.
@@ -56,8 +59,6 @@ func (s State) String() string {
 		return "follower"
 	case StateSuspect:
 		return "suspect"
-	case StateElecting:
-		return "electing"
 	case StatePromoting:
 		return "promoting"
 	case StatePrimary:
@@ -80,16 +81,12 @@ const (
 	LagTooFar
 	// PromoteOK: the promote call succeeded.
 	PromoteOK
-	// PromoteFail: the promote call failed; re-evaluate from suspect.
+	// PromoteFail: the promote call failed — an error, or a vote round
+	// short of a majority; re-evaluate from suspect.
 	PromoteFail
 	// StandbyIsPrimary: the standby reports it is already the primary —
 	// someone else (an operator, another watchdog) won the race.
 	StandbyIsPrimary
-	// QuorumGranted: a majority of the voter group endorsed the candidate.
-	QuorumGranted
-	// QuorumDenied: the vote round failed — too few reachable voters, a
-	// deny, or a more caught-up rival. Re-evaluate from suspect.
-	QuorumDenied
 )
 
 func (in Input) String() string {
@@ -108,10 +105,6 @@ func (in Input) String() string {
 		return "promote-fail"
 	case StandbyIsPrimary:
 		return "standby-is-primary"
-	case QuorumGranted:
-		return "quorum-granted"
-	case QuorumDenied:
-		return "quorum-denied"
 	}
 	return fmt.Sprintf("Input(%d)", int(in))
 }
@@ -172,25 +165,10 @@ func (m *Machine) Step(in Input) State {
 		case ProbeMiss:
 			m.misses++
 		case LagOK:
-			next = StateElecting
+			next = StatePromoting
 		case LagTooFar:
 			// Hold: the standby must not be promoted while it is missing
 			// acked history. Stay suspect and re-check next tick.
-		case StandbyIsPrimary:
-			next = StatePrimary
-		}
-	case StateElecting:
-		switch in {
-		case ProbeOK:
-			// The primary answered mid-election: abandon the round.
-			m.misses = 0
-			next = StateFollower
-		case QuorumGranted:
-			next = StatePromoting
-		case QuorumDenied:
-			// No majority (or a better-placed rival): back to suspect and
-			// re-run the whole ladder next tick.
-			next = StateSuspect
 		case StandbyIsPrimary:
 			next = StatePrimary
 		}
@@ -199,7 +177,8 @@ func (m *Machine) Step(in Input) State {
 		case PromoteOK, StandbyIsPrimary:
 			next = StatePrimary
 		case PromoteFail:
-			// Re-run the suspect checks rather than hammering promote.
+			// No majority, or the call failed: re-run the suspect checks
+			// next tick rather than hammering promote.
 			next = StateSuspect
 		}
 	case StatePrimary:

@@ -19,21 +19,19 @@ func TestMachineTransitions(t *testing.T) {
 		{"ok resets the count", 3, []Input{ProbeMiss, ProbeMiss, ProbeOK, ProbeMiss, ProbeMiss}, StateFollower},
 		{"primary back while suspect", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, ProbeOK}, StateFollower},
 		{"lag holds promotion", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagTooFar, LagTooFar}, StateSuspect},
-		{"lag ok starts election", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagOK}, StateElecting},
-		{"quorum grant promotes", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagOK, QuorumGranted}, StatePromoting},
-		{"quorum denial re-suspects", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagOK, QuorumDenied}, StateSuspect},
-		{"primary back mid-election", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagOK, ProbeOK}, StateFollower},
-		{"promotion completes", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagOK, QuorumGranted, PromoteOK}, StatePrimary},
-		{"promote failure re-suspects", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagOK, QuorumGranted, PromoteFail}, StateSuspect},
-		{"retry after promote failure", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagOK, QuorumGranted, PromoteFail, LagOK, QuorumGranted, PromoteOK}, StatePrimary},
+		// The election is the standby's, inside the promote call: lag OK goes
+		// straight to promoting, and a denied quorum is a promote failure.
+		{"lag ok starts election", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagOK}, StatePromoting},
+		{"probe verdict ignored mid-promote", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagOK, ProbeOK}, StatePromoting},
+		{"promotion completes", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagOK, PromoteOK}, StatePrimary},
+		{"promote failure re-suspects", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagOK, PromoteFail}, StateSuspect},
+		{"retry after promote failure", 3, []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagOK, PromoteFail, LagOK, PromoteOK}, StatePrimary},
 		{"operator beat us from follower", 3, []Input{StandbyIsPrimary}, StatePrimary},
 		{"operator beat us from suspect", 2, []Input{ProbeMiss, ProbeMiss, StandbyIsPrimary}, StatePrimary},
-		{"operator beat us mid-election", 2, []Input{ProbeMiss, ProbeMiss, LagOK, StandbyIsPrimary}, StatePrimary},
-		{"operator beat us mid-promote", 2, []Input{ProbeMiss, ProbeMiss, LagOK, QuorumGranted, StandbyIsPrimary}, StatePrimary},
-		{"primary is terminal", 1, []Input{ProbeMiss, LagOK, QuorumGranted, PromoteOK, ProbeOK, ProbeMiss, LagTooFar, QuorumDenied, PromoteFail}, StatePrimary},
+		{"operator beat us mid-promote", 2, []Input{ProbeMiss, ProbeMiss, LagOK, StandbyIsPrimary}, StatePrimary},
+		{"primary is terminal", 1, []Input{ProbeMiss, LagOK, PromoteOK, ProbeOK, ProbeMiss, LagTooFar, PromoteFail}, StatePrimary},
 		{"stale lag verdict ignored while follower", 3, []Input{LagOK, PromoteOK}, StateFollower},
 		{"stale promote verdict ignored while suspect", 2, []Input{ProbeMiss, ProbeMiss, PromoteOK}, StateSuspect},
-		{"stale quorum verdict ignored while suspect", 2, []Input{ProbeMiss, ProbeMiss, QuorumGranted}, StateSuspect},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,24 +68,21 @@ func TestMachineMissCountResets(t *testing.T) {
 // (held lag checks, repeated misses past K) do not inflate the counter.
 func TestMachineTransitionCount(t *testing.T) {
 	m := NewMachine(2)
-	for _, in := range []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagTooFar, LagOK, QuorumGranted, PromoteOK} {
+	for _, in := range []Input{ProbeMiss, ProbeMiss, ProbeMiss, LagTooFar, LagOK, PromoteOK} {
 		m.Step(in)
 	}
-	// follower→suspect, suspect→electing, electing→promoting, promoting→primary.
-	if m.Transitions() != 4 {
-		t.Fatalf("transitions = %d, want 4", m.Transitions())
+	// follower→suspect, suspect→promoting, promoting→primary.
+	if m.Transitions() != 3 {
+		t.Fatalf("transitions = %d, want 3", m.Transitions())
 	}
 }
 
 func TestStateAndInputStrings(t *testing.T) {
-	if StateSuspect.String() != "suspect" || StateElecting.String() != "electing" || StatePromoting.String() != "promoting" {
+	if StateSuspect.String() != "suspect" || StatePromoting.String() != "promoting" {
 		t.Fatal("state names drifted")
 	}
 	if ProbeMiss.String() != "probe-miss" || StandbyIsPrimary.String() != "standby-is-primary" {
 		t.Fatal("input names drifted")
-	}
-	if QuorumGranted.String() != "quorum-granted" || QuorumDenied.String() != "quorum-denied" {
-		t.Fatal("quorum input names drifted")
 	}
 	if State(42).String() != "State(42)" || Input(42).String() != "Input(42)" {
 		t.Fatal("out-of-range formatting drifted")

@@ -57,13 +57,20 @@ func TestWatchdogResumeSurvivesSuccessiveFailovers(t *testing.T) {
 	ats := httptest.NewServer(aSlot)
 	defer ats.Close()
 
-	// Nodes B and C: followers of A.
-	mkFollower := func(id, source string, epoch uint64) *server.Server {
+	// Nodes B and C: followers of A. Each member's peers — its vote set —
+	// are the other two slots, which exist before the daemons do.
+	bSlot, cSlot := newSwapHandler(downHandler), newSwapHandler(downHandler)
+	bts := httptest.NewServer(bSlot)
+	defer bts.Close()
+	cts := httptest.NewServer(cSlot)
+	defer cts.Close()
+	mkFollower := func(id, source string, epoch uint64, peers ...string) *server.Server {
 		cfg := e2eConfig()
 		cfg.WAL = e2eWAL(t, 1<<20)
 		cfg.ReplID = id
 		cfg.Follow = source
 		cfg.Epoch = epoch
+		cfg.Peers = peers
 		s, err := server.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -73,16 +80,12 @@ func TestWatchdogResumeSurvivesSuccessiveFailovers(t *testing.T) {
 		}
 		return s
 	}
-	b := mkFollower("node-b", ats.URL, 0)
+	b := mkFollower("node-b", ats.URL, 0, ats.URL, cts.URL)
 	defer b.Close()
-	bSlot := newSwapHandler(b.Handler())
-	bts := httptest.NewServer(bSlot)
-	defer bts.Close()
+	bSlot.h.Store(b.Handler())
 
-	c := mkFollower("node-c", ats.URL, 0)
-	cSlot := newSwapHandler(c.Handler())
-	cts := httptest.NewServer(cSlot)
-	defer cts.Close()
+	c := mkFollower("node-c", ats.URL, 0, ats.URL, bts.URL)
+	cSlot.h.Store(c.Handler())
 
 	// Acked load on the founding primary; both followers must hold it
 	// before any failover is allowed to begin.
@@ -104,14 +107,13 @@ func TestWatchdogResumeSurvivesSuccessiveFailovers(t *testing.T) {
 		})
 	}
 
-	// One watchdog for the whole group: B is the first candidate, A and C
-	// vote (G=3, one peer grant completes the majority), and resume mode
-	// re-arms after every completed failover.
+	// One watchdog for the whole group: B is the first candidate — A and C
+	// are its peers (G=3, one peer grant completes the majority) — and
+	// resume mode re-arms after every completed failover.
 	endpoints := []string{ats.URL, bts.URL, cts.URL}
 	wd, err := cluster.New(cluster.Config{
 		Primary: ats.URL, Standby: bts.URL,
-		VotePeers: []string{ats.URL, cts.URL},
-		Resume:    true, Endpoints: endpoints,
+		Resume: true, Endpoints: endpoints,
 		Interval: 10 * time.Millisecond, Misses: 2, MaxLagBytes: 1 << 20,
 	})
 	if err != nil {
@@ -136,11 +138,11 @@ func TestWatchdogResumeSurvivesSuccessiveFailovers(t *testing.T) {
 	// The group heals around the new primary: fresh followers of B take
 	// over the A and C slots (a restarted daemon re-pointed at the new
 	// primary), so a future election can still find a majority.
-	c2 := mkFollower("node-c", bts.URL, 2)
+	c2 := mkFollower("node-c", bts.URL, 2, ats.URL, bts.URL)
 	defer c2.Close()
 	cSlot.h.Store(c2.Handler())
 	c.Close()
-	a2 := mkFollower("node-a", bts.URL, 2)
+	a2 := mkFollower("node-a", bts.URL, 2, bts.URL, cts.URL)
 	defer a2.Close()
 	aSlot.h.Store(a2.Handler())
 	for _, f := range []*server.Server{a2, c2} {

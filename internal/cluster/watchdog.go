@@ -1,19 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
 	"gridbw/internal/metrics"
-	"gridbw/internal/server"
 )
 
 // Watchdog defaults for Config zero values.
@@ -48,43 +43,15 @@ type Config struct {
 	// a 2s timeout.
 	HTTP *http.Client
 
-	// VotePeers lists the base URLs of the group members that vote on the
-	// standby's promotion — every member except the candidate itself (the
-	// primary included: a live primary answers votes with a denial, which
-	// is exactly the "do not depose me needlessly" signal). With N peers
-	// the group size is N+1 and promotion needs ⌊(N+1)/2⌋ peer grants on
-	// top of the candidate's own vote — a strict group majority. The
-	// candidate's own vote is not assumed: it is cast first, through the
-	// candidate's durable vote-once path (see SelfVote), so a candidate
-	// that already endorsed a rival for the proposed epoch aborts the
-	// round instead of counting itself. An empty peer set degenerates to
-	// the legacy single-arbiter ladder: the candidate is its own
-	// majority. Note a 1-peer group (a bare pair) can never fail over
-	// through the quorum gate — the lone voter is the primary whose death
-	// is being voted on; safe majorities start at three members.
-	VotePeers []string
-	// Candidate is the standby's replication id presented in vote
-	// requests when the standby's own status does not report one (legacy
-	// daemons without -repl-id).
-	Candidate string
-
-	// Probe, StandbyStatus, Promote and Vote are the I/O seams. Nil
-	// values probe Primary's healthz, read Standby's replication status,
-	// POST Standby's promote endpoint and POST each peer's vote endpoint
-	// over HTTP. Tests (and the in-process watchdog) inject functions
-	// instead.
+	// Probe, StandbyStatus and Promote are the I/O seams. Nil values probe
+	// Primary's healthz, read Standby's replication status and POST
+	// Standby's promote endpoint over HTTP. Tests (and the in-process
+	// watchdog) inject functions instead. Whether a promote needs a
+	// majority is the standby's business, not the watchdog's: a standby
+	// that has peers runs its own vote round and refuses without one.
 	Probe         func(ctx context.Context) error
-	StandbyStatus func(ctx context.Context) (server.ReplicationStatus, error)
+	StandbyStatus func(ctx context.Context) (ReplicationStatus, error)
 	Promote       func(ctx context.Context) (uint64, error)
-	Vote          func(ctx context.Context, peer string, req server.VoteRequest) (server.VoteResponse, error)
-	// SelfVote casts the candidate's vote for its own promotion through
-	// the candidate's vote-once path — the same persisted one-vote-per-
-	// epoch rules every peer applies, so two candidates that each voted
-	// for themselves can never both collect a majority for that epoch.
-	// Nil POSTs the Standby's own vote endpoint; the in-process watchdog
-	// injects the local server's HandleVote. Required (or derivable from
-	// Standby) whenever VotePeers is non-empty.
-	SelfVote func(ctx context.Context, req server.VoteRequest) (server.VoteResponse, error)
 
 	// Resume re-arms the watchdog after each completed failover instead
 	// of returning from Run: the group's roles are rediscovered over
@@ -97,11 +64,9 @@ type Config struct {
 	Resume    bool
 	Endpoints []string
 
-	// Clock and Sleep are the time seams: Clock stamps observations, Sleep
-	// waits between ticks honoring ctx. Nil means real time. Jitter
+	// Sleep waits between ticks honoring ctx; nil means real time. Jitter
 	// returns a uniform [0,1) draw for the tick jitter; nil uses a
 	// time-derived default.
-	Clock  func() time.Time
 	Sleep  func(ctx context.Context, d time.Duration) error
 	Jitter func() float64
 
@@ -125,10 +90,8 @@ type Status struct {
 type Watchdog struct {
 	cfg           Config
 	probe         func(ctx context.Context) error
-	standbyStatus func(ctx context.Context) (server.ReplicationStatus, error)
+	standbyStatus func(ctx context.Context) (ReplicationStatus, error)
 	promote       func(ctx context.Context) (uint64, error)
-	vote          func(ctx context.Context, peer string, req server.VoteRequest) (server.VoteResponse, error)
-	selfVote      func(ctx context.Context, req server.VoteRequest) (server.VoteResponse, error)
 
 	mu      sync.Mutex
 	m       *Machine
@@ -151,9 +114,6 @@ func New(cfg Config) (*Watchdog, error) {
 	if cfg.HTTP == nil {
 		cfg.HTTP = &http.Client{Timeout: defaultProbeTimeout}
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
@@ -172,50 +132,14 @@ func New(cfg Config) (*Watchdog, error) {
 		}
 	}
 	w := &Watchdog{cfg: cfg, m: NewMachine(cfg.Misses)}
-	w.probe = cfg.Probe
-	if w.probe == nil {
-		if cfg.Primary == "" {
-			return nil, errors.New("cluster: watchdog needs a primary URL (or an injected Probe)")
-		}
-		base := strings.TrimRight(cfg.Primary, "/")
-		w.probe = func(ctx context.Context) error {
-			return probeHealthz(ctx, cfg.HTTP, base)
-		}
+	w.probe, w.standbyStatus, w.promote = cfg.Probe, cfg.StandbyStatus, cfg.Promote
+	if w.probe == nil && cfg.Primary == "" {
+		return nil, errors.New("cluster: watchdog needs a primary URL (or an injected Probe)")
 	}
-	w.standbyStatus = cfg.StandbyStatus
-	w.promote = cfg.Promote
-	if w.standbyStatus == nil || w.promote == nil {
-		if cfg.Standby == "" {
-			return nil, errors.New("cluster: watchdog needs a standby URL (or injected StandbyStatus and Promote)")
-		}
-		base := strings.TrimRight(cfg.Standby, "/")
-		if w.standbyStatus == nil {
-			w.standbyStatus = func(ctx context.Context) (server.ReplicationStatus, error) {
-				return fetchReplStatus(ctx, cfg.HTTP, base)
-			}
-		}
-		if w.promote == nil {
-			w.promote = func(ctx context.Context) (uint64, error) {
-				return postPromote(ctx, cfg.HTTP, base)
-			}
-		}
+	if (w.standbyStatus == nil || w.promote == nil) && cfg.Standby == "" {
+		return nil, errors.New("cluster: watchdog needs a standby URL (or injected StandbyStatus and Promote)")
 	}
-	w.vote = cfg.Vote
-	if w.vote == nil {
-		w.vote = func(ctx context.Context, peer string, req server.VoteRequest) (server.VoteResponse, error) {
-			return postVote(ctx, cfg.HTTP, strings.TrimRight(peer, "/"), req)
-		}
-	}
-	w.selfVote = cfg.SelfVote
-	if w.selfVote == nil && cfg.Standby != "" {
-		base := strings.TrimRight(cfg.Standby, "/")
-		w.selfVote = func(ctx context.Context, req server.VoteRequest) (server.VoteResponse, error) {
-			return postVote(ctx, cfg.HTTP, base, req)
-		}
-	}
-	if w.selfVote == nil && len(cfg.VotePeers) > 0 {
-		return nil, errors.New("cluster: quorum election needs a standby URL (or an injected SelfVote) to cast the candidate's own vote")
-	}
+	w.aim(cfg.Primary, cfg.Standby)
 	if cfg.Resume {
 		if cfg.Probe != nil || cfg.StandbyStatus != nil || cfg.Promote != nil {
 			return nil, errors.New("cluster: resume mode cannot rebuild injected seams; use HTTP config")
@@ -225,6 +149,23 @@ func New(cfg Config) (*Watchdog, error) {
 		}
 	}
 	return w, nil
+}
+
+// aim points the HTTP seams — those not injected — at a primary and a
+// standby.
+func (w *Watchdog) aim(primary, standby string) {
+	hc := w.cfg.HTTP
+	if w.cfg.Probe == nil {
+		w.probe = func(ctx context.Context) error { return ProbeHealthz(ctx, hc, primary) }
+	}
+	if w.cfg.StandbyStatus == nil {
+		w.standbyStatus = func(ctx context.Context) (ReplicationStatus, error) {
+			return FetchStatus(ctx, hc, standby)
+		}
+	}
+	if w.cfg.Promote == nil {
+		w.promote = func(ctx context.Context) (uint64, error) { return PostPromote(ctx, hc, standby) }
+	}
 }
 
 // State reports the current state name — the metricsz hook.
@@ -325,22 +266,14 @@ func (w *Watchdog) Tick(ctx context.Context) State {
 		return w.step(LagTooFar)
 	}
 	state = w.step(LagOK)
-	if state != StateElecting {
-		return state
-	}
-
-	// Election: the candidate needs a group majority before any promote.
-	// The round is transient within this tick — a denied quorum falls
-	// back to suspect and the whole ladder re-runs next tick, so a
-	// watchdog that never reaches a majority holds forever.
-	if !w.collectVotes(ctx, rs) {
-		return w.step(QuorumDenied)
-	}
-	state = w.step(QuorumGranted)
 	if state != StatePromoting {
 		return state
 	}
 
+	// The promote is the election: a standby that has peers collects its
+	// majority before it installs an epoch, and a denied round comes back
+	// as a failed promote — suspect again, the whole ladder re-runs next
+	// tick, so a standby that never reaches a majority is never promoted.
 	epoch, err := w.promote(ctx)
 	w.mu.Lock()
 	w.stats.RecordPromoteAttempt(err == nil)
@@ -354,99 +287,6 @@ func (w *Watchdog) Tick(ctx context.Context) State {
 	}
 	w.setErr(nil)
 	return w.step(PromoteOK)
-}
-
-// collectVotes runs one promotion vote round for the standby described
-// by rs. The candidate first casts its own vote through its durable
-// vote-once path (SelfVote); only if that grant lands — meaning the
-// candidate has not already endorsed a rival for the proposed epoch —
-// are the peers asked, concurrently, and the round succeeds once
-// ⌊G/2⌋ peer grants arrive (G = peers+1; the recorded self-vote
-// completes the strict majority). Because every vote, including the
-// candidate's own, goes through the same persisted one-vote-per-epoch
-// rules, two candidates can never both assemble a majority for the
-// same epoch. Unreachable peers count as denials — a partitioned
-// candidate cannot talk its way past the quorum.
-//
-// When a prior round split the vote (each candidate endorsed itself),
-// that epoch is burned for good — every voter's one durable vote for
-// it is spent — so the next bid goes one past the highest epoch the
-// candidate has voted in, Raft-style. Tick jitter desynchronises
-// rival bids so one of them eventually reaches a majority first.
-func (w *Watchdog) collectVotes(ctx context.Context, rs server.ReplicationStatus) bool {
-	peers := w.cfg.VotePeers
-	if len(peers) == 0 {
-		return true // single-member group: the candidate is its own majority
-	}
-	candidate := rs.ID
-	if candidate == "" {
-		candidate = w.cfg.Candidate
-	}
-	newEpoch := rs.Epoch + 1
-	if rs.VotedEpoch >= newEpoch {
-		// A vote for this (or a later) epoch is already on record — ours
-		// from an earlier failed round, or a rival's. Either way the
-		// number is spent: a fresh round must outbid it, or rounds of
-		// rival candidates that each voted for themselves would deny one
-		// another at the same epoch forever.
-		newEpoch = rs.VotedEpoch + 1
-	}
-	req := server.VoteRequest{
-		Candidate: candidate,
-		NewEpoch:  newEpoch,
-		Epoch:     rs.Epoch,
-		Cursor:    rs.Cursor,
-	}
-	self, err := w.selfVote(ctx, req)
-	if err != nil || !self.Granted {
-		reason := "self-vote not granted"
-		if err != nil {
-			reason = err.Error()
-		} else if self.Reason != "" {
-			reason = self.Reason
-		}
-		w.mu.Lock()
-		w.stats.RecordVoteRound(0, 1, false)
-		w.mu.Unlock()
-		w.setErr(fmt.Errorf("quorum denied: self-vote for epoch %d: %s", req.NewEpoch, reason))
-		return false
-	}
-	type answer struct {
-		resp server.VoteResponse
-		err  error
-	}
-	ch := make(chan answer, len(peers))
-	for _, p := range peers {
-		go func(peer string) {
-			resp, err := w.vote(ctx, peer, req)
-			ch <- answer{resp, err}
-		}(p)
-	}
-	need := (len(peers) + 1) / 2
-	granted, denied := 0, 0
-	lastReason := "no peers answered"
-	for i := 0; i < len(peers) && granted < need; i++ {
-		a := <-ch
-		switch {
-		case a.err != nil:
-			denied++
-			lastReason = a.err.Error()
-		case a.resp.Granted:
-			granted++
-		default:
-			denied++
-			lastReason = a.resp.Reason
-		}
-	}
-	quorum := granted >= need
-	w.mu.Lock()
-	w.stats.RecordVoteRound(granted, denied, quorum)
-	w.mu.Unlock()
-	if !quorum {
-		w.setErr(fmt.Errorf("quorum denied: %d/%d peer votes for epoch %d (need %d): %s",
-			granted, len(peers), req.NewEpoch, need, lastReason))
-	}
-	return quorum
 }
 
 // Run ticks on the jittered interval until the standby is primary or ctx
@@ -473,62 +313,18 @@ func (w *Watchdog) Run(ctx context.Context) error {
 }
 
 // rearm points the watchdog at the group's current roles: the
-// highest-epoch primary becomes the probe target, the most caught-up
-// reachable follower the next candidate, and the ladder restarts from
+// epoch-dominant primary becomes the probe target, the most caught-up
+// follower that answered the next candidate, and the ladder restarts from
 // follower. Only meaningful with HTTP seams — New refuses Resume with
 // injected ones.
 func (w *Watchdog) rearm(ctx context.Context) error {
-	var (
-		primary      string
-		primaryEpoch uint64
-		standby      string
-		standbyCur   server.ReplicationStatus
-	)
-	reachable := 0
-	for _, ep := range w.cfg.Endpoints {
-		base := strings.TrimRight(ep, "/")
-		rs, err := fetchReplStatus(ctx, w.cfg.HTTP, base)
-		if err != nil {
-			continue
-		}
-		reachable++
-		switch rs.Role {
-		case "primary":
-			if primary == "" || rs.Epoch > primaryEpoch {
-				primary, primaryEpoch = base, rs.Epoch
-			}
-		case "follower":
-			if standby == "" || standbyCur.Cursor.Less(rs.Cursor) {
-				standby, standbyCur = base, rs
-			}
-		}
+	primary, standby, err := Survey(ctx, w.cfg.HTTP, w.cfg.Endpoints).Roles()
+	if err != nil {
+		return err
 	}
-	if primary == "" {
-		return fmt.Errorf("no primary among %d reachable of %d endpoints", reachable, len(w.cfg.Endpoints))
-	}
-	if standby == "" {
-		return fmt.Errorf("no follower to guard among %d reachable endpoints", reachable)
-	}
-	hc := w.cfg.HTTP
-	w.probe = func(ctx context.Context) error { return probeHealthz(ctx, hc, primary) }
-	w.standbyStatus = func(ctx context.Context) (server.ReplicationStatus, error) {
-		return fetchReplStatus(ctx, hc, standby)
-	}
-	w.promote = func(ctx context.Context) (uint64, error) { return postPromote(ctx, hc, standby) }
-	w.selfVote = func(ctx context.Context, req server.VoteRequest) (server.VoteResponse, error) {
-		return postVote(ctx, hc, standby, req)
-	}
-	// Everyone but the new candidate votes — the new primary included.
-	var peers []string
-	for _, ep := range w.cfg.Endpoints {
-		if base := strings.TrimRight(ep, "/"); base != standby {
-			peers = append(peers, base)
-		}
-	}
+	w.aim(primary, standby)
 	w.mu.Lock()
 	w.cfg.Primary, w.cfg.Standby = primary, standby
-	w.cfg.VotePeers = peers
-	w.cfg.Candidate = standbyCur.ID
 	w.m = NewMachine(w.cfg.Misses)
 	w.lastErr = ""
 	w.mu.Unlock()
@@ -546,91 +342,4 @@ func (w *Watchdog) tickDelay() time.Duration {
 	d := w.cfg.Interval
 	frac := 0.75 + 0.5*w.cfg.Jitter()
 	return time.Duration(float64(d) * frac)
-}
-
-// probeHealthz counts any transport error or non-200 answer as a miss: a
-// draining daemon (503) is going away and a degraded one still answers
-// 200, so the probe tracks exactly "can this primary serve".
-func probeHealthz(ctx context.Context, hc *http.Client, base string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz answered HTTP %d", resp.StatusCode)
-	}
-	return nil
-}
-
-func fetchReplStatus(ctx context.Context, hc *http.Client, base string) (server.ReplicationStatus, error) {
-	var rs server.ReplicationStatus
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/replication/status", nil)
-	if err != nil {
-		return rs, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return rs, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return rs, fmt.Errorf("replication status answered HTTP %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&rs); err != nil {
-		return rs, fmt.Errorf("decode replication status: %w", err)
-	}
-	return rs, nil
-}
-
-func postVote(ctx context.Context, hc *http.Client, peer string, vr server.VoteRequest) (server.VoteResponse, error) {
-	var out server.VoteResponse
-	blob, err := json.Marshal(vr)
-	if err != nil {
-		return out, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/replication/vote", bytes.NewReader(blob))
-	if err != nil {
-		return out, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(req)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return out, fmt.Errorf("vote answered HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("decode vote answer: %w", err)
-	}
-	return out, nil
-}
-
-func postPromote(ctx context.Context, hc *http.Client, base string) (uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/replication/promote", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		blob, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return 0, fmt.Errorf("promote answered HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(blob)))
-	}
-	var pr server.PromoteJSON
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return 0, fmt.Errorf("decode promote answer: %w", err)
-	}
-	return pr.Epoch, nil
 }

@@ -4,15 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
-	"sync"
 	"testing"
 	"time"
-
-	"gridbw/internal/faults"
-	"gridbw/internal/server"
-	"gridbw/internal/units"
-	"gridbw/internal/wal"
 )
 
 // scriptedSeams is a deterministic watchdog environment: the probe
@@ -41,15 +34,15 @@ func (ss *scriptedSeams) config(k int) Config {
 			ss.probeIdx++
 			return err
 		},
-		StandbyStatus: func(ctx context.Context) (server.ReplicationStatus, error) {
+		StandbyStatus: func(ctx context.Context) (ReplicationStatus, error) {
 			if ss.statusErr != nil {
-				return server.ReplicationStatus{}, ss.statusErr
+				return ReplicationStatus{}, ss.statusErr
 			}
 			role := ss.role
 			if role == "" {
 				role = "follower"
 			}
-			return server.ReplicationStatus{Role: role, Epoch: ss.promoteEpch, LagBytes: ss.lag}, nil
+			return ReplicationStatus{Role: role, Epoch: ss.promoteEpch, LagBytes: ss.lag}, nil
 		},
 		Promote: func(ctx context.Context) (uint64, error) {
 			ss.promotes++
@@ -93,9 +86,8 @@ func TestWatchdogPromotesDeadPrimary(t *testing.T) {
 			t.Fatalf("tick %d: state %v, want %v (all: %v)", i, states[i], want[i], states)
 		}
 	}
-	// The third tick rode the whole ladder: suspect, lag check, election
-	// (trivially granted with no vote peers), promote.
-	wantEdges := []string{"follower->suspect", "suspect->electing", "electing->promoting", "promoting->primary"}
+	// The third tick rode the whole ladder: suspect, lag check, promote.
+	wantEdges := []string{"follower->suspect", "suspect->promoting", "promoting->primary"}
 	if len(edges) != len(wantEdges) {
 		t.Fatalf("edges = %v, want %v", edges, wantEdges)
 	}
@@ -111,8 +103,8 @@ func TestWatchdogPromotesDeadPrimary(t *testing.T) {
 	if st.Stats.Probes != 3 || st.Stats.Misses != 3 || st.Stats.Promotions != 1 {
 		t.Fatalf("stats = %+v", st.Stats)
 	}
-	if st.Stats.Transitions != 4 {
-		t.Fatalf("transitions = %d, want 4", st.Stats.Transitions)
+	if st.Stats.Transitions != 3 {
+		t.Fatalf("transitions = %d, want 3", st.Stats.Transitions)
 	}
 }
 
@@ -320,118 +312,6 @@ func TestWatchdogTickDelayJitter(t *testing.T) {
 	}
 }
 
-// TestWatchdogQuorumDeniedHoldsForever: a candidate that cannot collect a
-// peer majority must never promote, no matter how long the primary stays
-// unreachable — the majority gate, not a timeout, is the promotion
-// authority. Unreachable peers count as denials.
-func TestWatchdogQuorumDeniedHoldsForever(t *testing.T) {
-	ss := &scriptedSeams{probeErrs: errs(1000), promoteEpch: 1}
-	cfg := ss.config(2)
-	cfg.VotePeers = []string{"peer-a", "peer-b", "peer-c"} // G=4, need 2 grants
-	var mu sync.Mutex
-	votes, selfVotes := 0, 0
-	cfg.SelfVote = func(ctx context.Context, req server.VoteRequest) (server.VoteResponse, error) {
-		mu.Lock()
-		selfVotes++
-		mu.Unlock()
-		return server.VoteResponse{Granted: true, Voter: req.Candidate}, nil
-	}
-	cfg.Vote = func(ctx context.Context, peer string, req server.VoteRequest) (server.VoteResponse, error) {
-		mu.Lock()
-		votes++
-		mu.Unlock()
-		switch peer {
-		case "peer-a":
-			return server.VoteResponse{Granted: true, Voter: "a"}, nil // one grant is short of the two needed
-		case "peer-b":
-			return server.VoteResponse{Granted: false, Reason: "already voted"}, nil
-		default:
-			return server.VoteResponse{}, errors.New("dial peer-c: unreachable")
-		}
-	}
-	w, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 50; i++ {
-		if got := w.Tick(ctx); got == StatePromoting || got == StatePrimary {
-			t.Fatalf("tick %d: reached %v without a peer majority", i, got)
-		}
-	}
-	if ss.promotes != 0 {
-		t.Fatalf("promote called %d times without quorum", ss.promotes)
-	}
-	st := w.Status()
-	if st.Stats.VoteRounds == 0 || st.Stats.QuorumHolds != st.Stats.VoteRounds {
-		t.Fatalf("vote rounds %d, quorum holds %d; want every round held", st.Stats.VoteRounds, st.Stats.QuorumHolds)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if votes == 0 {
-		t.Fatal("no peer was ever asked to vote")
-	}
-	if selfVotes == 0 {
-		t.Fatal("the candidate never cast its own vote")
-	}
-}
-
-// TestWatchdogQuorumGrantedPromotes: enough peer grants complete the
-// majority and the promote proceeds; the vote request carries the bumped
-// epoch and the configured candidate id when the standby reports none.
-func TestWatchdogQuorumGrantedPromotes(t *testing.T) {
-	ss := &scriptedSeams{probeErrs: errs(10), promoteEpch: 1}
-	cfg := ss.config(2)
-	cfg.VotePeers = []string{"p1", "p2", "p3", "p4"} // G=5, need 2 grants
-	cfg.Candidate = "standby-volume-b"
-	var mu sync.Mutex
-	var reqs []server.VoteRequest
-	cfg.SelfVote = func(ctx context.Context, req server.VoteRequest) (server.VoteResponse, error) {
-		return server.VoteResponse{Granted: true, Voter: req.Candidate}, nil
-	}
-	cfg.Vote = func(ctx context.Context, peer string, req server.VoteRequest) (server.VoteResponse, error) {
-		mu.Lock()
-		reqs = append(reqs, req)
-		mu.Unlock()
-		if peer == "p1" || peer == "p3" {
-			return server.VoteResponse{Granted: true, Voter: peer}, nil
-		}
-		return server.VoteResponse{Granted: false, Voter: peer, Reason: "candidate behind"}, nil
-	}
-	w, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	var state State
-	for i := 0; i < 10 && state != StatePrimary; i++ {
-		state = w.Tick(ctx)
-	}
-	if state != StatePrimary {
-		t.Fatalf("state = %v, want primary after a granted quorum", state)
-	}
-	if ss.promotes != 1 {
-		t.Fatalf("promotes = %d, want 1", ss.promotes)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reqs) == 0 {
-		t.Fatal("no vote requests issued")
-	}
-	for _, r := range reqs {
-		if r.Candidate != "standby-volume-b" {
-			t.Fatalf("vote candidate = %q, want the configured fallback id", r.Candidate)
-		}
-		if r.NewEpoch != 2 || r.Epoch != 1 {
-			t.Fatalf("vote epochs = new %d over %d, want 2 over 1", r.NewEpoch, r.Epoch)
-		}
-	}
-	st := w.Status()
-	if st.Stats.VotesGranted < 2 {
-		t.Fatalf("votes granted = %d, want >= 2", st.Stats.VotesGranted)
-	}
-}
-
 // TestWatchdogResumeConfigValidation: resume mode is only buildable over
 // HTTP seams with a group to rediscover.
 func TestWatchdogResumeConfigValidation(t *testing.T) {
@@ -449,434 +329,5 @@ func TestWatchdogResumeConfigValidation(t *testing.T) {
 	httpCfg.Endpoints = []string{"http://a", "http://b"}
 	if _, err := New(httpCfg); err != nil {
 		t.Fatalf("valid resume config rejected: %v", err)
-	}
-}
-
-// TestWatchdogQuorumPartitionSeeds is the acceptance sweep for the
-// majority gate: across 25 seeded outage schedules, a watchdog partitioned
-// from a primary that is alive and still admitting must never promote
-// while its vote peers deny the majority — the live primary votes "no"
-// and the third member is dark. Once the third member becomes reachable
-// and grants (a true majority: candidate + one of three), the failover
-// completes and the deposed lineage is fenced everywhere.
-func TestWatchdogQuorumPartitionSeeds(t *testing.T) {
-	for seed := int64(1); seed <= 25; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			t.Parallel()
-			inj, err := faults.New(faults.Config{Seed: seed, MeanUp: 5, MeanDown: 60})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// The primary on the far side of the partition: alive, serving,
-			// and — as a vote peer — denying every deposition attempt.
-			primary, err := server.New(server.Config{
-				Ingress: []units.Bandwidth{1 * units.GBps},
-				Egress:  []units.Bandwidth{1 * units.GBps},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer primary.Close()
-
-			// The third group member: dark during the partition phase, a
-			// real follower of the primary's lineage once reachable.
-			fwal, _, err := wal.Open(t.TempDir(), wal.Options{SegmentBytes: 1 << 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fwal.Close()
-			third, err := server.New(server.Config{
-				Ingress: []units.Bandwidth{1 * units.GBps},
-				Egress:  []units.Bandwidth{1 * units.GBps},
-				WAL:     fwal,
-				Follow:  "http://127.0.0.1:0", // driven directly, never dialed
-				Epoch:   1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer third.Close()
-
-			// The candidate's own durable vote store: its self-vote goes
-			// through the same persisted vote-once path as every peer's.
-			cwal, _, err := wal.Open(t.TempDir(), wal.Options{SegmentBytes: 1 << 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cwal.Close()
-			cand, err := server.New(server.Config{
-				Ingress: []units.Bandwidth{1 * units.GBps},
-				Egress:  []units.Bandwidth{1 * units.GBps},
-				WAL:     cwal,
-				Follow:  "http://127.0.0.1:0",
-				Epoch:   1,
-				ReplID:  "candidate",
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cand.Close()
-
-			probeAt := 0
-			probe := func(ctx context.Context) error {
-				at := units.Time(probeAt)
-				probeAt++
-				if !inj.Arrive("watchdog/primary", at) {
-					return errors.New("probe: partitioned")
-				}
-				return nil
-			}
-			var phase sync.Mutex
-			thirdReachable := false
-			promoted := false
-			cfg := Config{
-				Misses: 3, MaxLagBytes: 100,
-				Probe: probe,
-				StandbyStatus: func(ctx context.Context) (server.ReplicationStatus, error) {
-					return server.ReplicationStatus{Role: "follower", Epoch: 1, ID: "candidate"}, nil
-				},
-				Promote: func(ctx context.Context) (uint64, error) {
-					promoted = true
-					return 2, nil
-				},
-				VotePeers: []string{"live-primary", "third-member"}, // G=3, need 1 peer grant
-				SelfVote: func(ctx context.Context, req server.VoteRequest) (server.VoteResponse, error) {
-					return cand.HandleVote(req), nil
-				},
-				Vote: func(ctx context.Context, peer string, req server.VoteRequest) (server.VoteResponse, error) {
-					if peer == "live-primary" {
-						return primary.HandleVote(req), nil
-					}
-					phase.Lock()
-					up := thirdReachable
-					phase.Unlock()
-					if !up {
-						return server.VoteResponse{}, errors.New("dial third-member: partitioned")
-					}
-					return third.HandleVote(req), nil
-				},
-			}
-			w, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-
-			// Phase A: the watchdog sees only misses, but no majority exists —
-			// the live primary denies and the third member is dark.
-			for i := 0; i < 400; i++ {
-				if got := w.Tick(ctx); got == StatePromoting || got == StatePrimary {
-					t.Fatalf("tick %d: reached %v with the primary alive and no majority", i, got)
-				}
-			}
-			if promoted {
-				t.Fatal("promoted without a majority")
-			}
-			if w.Status().Stats.VoteRounds == 0 {
-				t.Fatalf("seed %d never elected: partition produced no 3-miss window in 400 ticks", seed)
-			}
-			// Clients on the primary's side of the partition are still served.
-			d, err := primary.Submit(server.Submission{
-				From: 0, To: 0, Volume: 1e9, Deadline: 3600, MaxRate: 50e6,
-			})
-			if err != nil || !d.Accepted {
-				t.Fatalf("live partitioned primary stopped serving: %+v, %v", d, err)
-			}
-
-			// Phase B: the third member becomes reachable and grants — now
-			// candidate + third is 2 of 3, a true majority over the lone
-			// primary, and the failover may proceed.
-			phase.Lock()
-			thirdReachable = true
-			phase.Unlock()
-			var state State
-			for i := 0; i < 2000 && state != StatePrimary; i++ {
-				state = w.Tick(ctx)
-			}
-			if state != StatePrimary || !promoted {
-				t.Fatalf("majority available but no promotion (state %v)", state)
-			}
-			if got := w.Status().Epoch; got != 2 {
-				t.Fatalf("installed epoch = %d, want 2", got)
-			}
-
-			// The deposed lineage is fenced at every replica of the new one:
-			// no node admits epoch-1 batches once epoch 2 exists.
-			replica, err := server.New(server.Config{
-				Ingress: []units.Bandwidth{1 * units.GBps},
-				Egress:  []units.Bandwidth{1 * units.GBps},
-				Follow:  "http://127.0.0.1:0",
-				Epoch:   2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer replica.Close()
-			err = replica.ApplyShipped(server.ShippedBatch{Epoch: 1})
-			var fenced *server.FencedError
-			if !errors.As(err, &fenced) {
-				t.Fatalf("deposed primary's batch: err = %v, want FencedError", err)
-			}
-		})
-	}
-}
-
-// TestWatchdogSelfVoteVetoAbortsRound: a candidate that already endorsed
-// a rival for the proposed epoch must abort the round before any peer is
-// asked — its own vote is cast through the durable vote-once path, never
-// assumed.
-func TestWatchdogSelfVoteVetoAbortsRound(t *testing.T) {
-	ss := &scriptedSeams{probeErrs: errs(100), promoteEpch: 1}
-	cfg := ss.config(2)
-	cfg.VotePeers = []string{"p1", "p2"}
-	var mu sync.Mutex
-	peerAsked := 0
-	cfg.SelfVote = func(ctx context.Context, req server.VoteRequest) (server.VoteResponse, error) {
-		return server.VoteResponse{Reason: `already voted for "rival" in epoch 2`}, nil
-	}
-	cfg.Vote = func(ctx context.Context, peer string, req server.VoteRequest) (server.VoteResponse, error) {
-		mu.Lock()
-		peerAsked++
-		mu.Unlock()
-		return server.VoteResponse{Granted: true, Voter: peer}, nil
-	}
-	w, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 20; i++ {
-		if got := w.Tick(ctx); got == StatePromoting || got == StatePrimary {
-			t.Fatalf("tick %d: reached %v past a denied self-vote", i, got)
-		}
-	}
-	if ss.promotes != 0 {
-		t.Fatalf("promote called %d times past a denied self-vote", ss.promotes)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if peerAsked != 0 {
-		t.Fatalf("self-vote veto leaked %d peer vote requests", peerAsked)
-	}
-	if st := w.Status(); !strings.Contains(st.LastError, "self-vote") {
-		t.Fatalf("last error = %q, want the self-vote denial surfaced", st.LastError)
-	}
-}
-
-// TestWatchdogRebidsPastBurnedEpoch: after a split round every voter's
-// one durable vote for the epoch is spent, so the next bid must go one
-// past the highest epoch the candidate has voted in — rival candidates
-// pinned at the same number would deny each other forever.
-func TestWatchdogRebidsPastBurnedEpoch(t *testing.T) {
-	ss := &scriptedSeams{probeErrs: errs(10), promoteEpch: 1}
-	cfg := ss.config(2)
-	cfg.StandbyStatus = func(ctx context.Context) (server.ReplicationStatus, error) {
-		return server.ReplicationStatus{
-			Role: "follower", Epoch: 1, ID: "candidate",
-			VotedEpoch: 4, VotedFor: "rival",
-		}, nil
-	}
-	cfg.VotePeers = []string{"p1", "p2"}
-	var mu sync.Mutex
-	var bids []uint64
-	cfg.SelfVote = func(ctx context.Context, req server.VoteRequest) (server.VoteResponse, error) {
-		mu.Lock()
-		bids = append(bids, req.NewEpoch)
-		mu.Unlock()
-		return server.VoteResponse{Granted: true, Voter: req.Candidate}, nil
-	}
-	cfg.Vote = func(ctx context.Context, peer string, req server.VoteRequest) (server.VoteResponse, error) {
-		return server.VoteResponse{Granted: true, Voter: peer}, nil
-	}
-	w, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	var state State
-	for i := 0; i < 10 && state != StatePrimary; i++ {
-		state = w.Tick(ctx)
-	}
-	if state != StatePrimary {
-		t.Fatalf("state = %v, want primary after a granted quorum", state)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(bids) == 0 {
-		t.Fatal("no self-vote was cast")
-	}
-	for _, b := range bids {
-		if b != 5 {
-			t.Fatalf("bid epoch %d, want 5 (one past the burned vote at 4)", b)
-		}
-	}
-}
-
-// TestWatchdogRivalCandidatesNeverShareEpoch is the regression for the
-// implicit-self-vote hole: primary A is dead, and followers B and C each
-// run a quorum watchdog over the same 3-member group (peers: A plus the
-// rival), racing to promote. Every vote — each candidate's own included —
-// goes through a real server's durable vote-once path, so whatever the
-// interleaving, two lineages must never come up under the same epoch.
-func TestWatchdogRivalCandidatesNeverShareEpoch(t *testing.T) {
-	mk := func(id string) *server.Server {
-		lw, _, err := wal.Open(t.TempDir(), wal.Options{SegmentBytes: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { lw.Close() })
-		s, err := server.New(server.Config{
-			Ingress: []units.Bandwidth{1 * units.GBps},
-			Egress:  []units.Bandwidth{1 * units.GBps},
-			WAL:     lw,
-			Follow:  "http://127.0.0.1:0", // driven directly, never dialed
-			Epoch:   1,
-			ReplID:  id,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	b, c := mk("node-b"), mk("node-c")
-
-	wdFor := func(self, rival *server.Server) *Watchdog {
-		w, err := New(Config{
-			Misses: 1, MaxLagBytes: -1,
-			Probe: func(ctx context.Context) error { return errors.New("probe: primary dead") },
-			StandbyStatus: func(ctx context.Context) (server.ReplicationStatus, error) {
-				return self.ReplicationStatus(), nil
-			},
-			Promote:   func(ctx context.Context) (uint64, error) { return self.Promote() },
-			VotePeers: []string{"dead-primary", "rival"},
-			SelfVote: func(ctx context.Context, req server.VoteRequest) (server.VoteResponse, error) {
-				return self.HandleVote(req), nil
-			},
-			Vote: func(ctx context.Context, peer string, req server.VoteRequest) (server.VoteResponse, error) {
-				if peer == "dead-primary" {
-					return server.VoteResponse{}, errors.New("dial dead-primary: unreachable")
-				}
-				return rival.HandleVote(req), nil
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	wb, wc := wdFor(b, c), wdFor(c, b)
-
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	epochs := make([]uint64, 2)
-	for i, w := range []*Watchdog{wb, wc} {
-		wg.Add(1)
-		go func(i int, w *Watchdog) {
-			defer wg.Done()
-			for n := 0; n < 4000; n++ {
-				if w.Tick(ctx) == StatePrimary {
-					epochs[i] = w.Status().Epoch
-					return
-				}
-				// Stagger the rivals unevenly so the race explores many
-				// interleavings instead of locking into one phase.
-				time.Sleep(time.Duration((n*(i+1))%5) * time.Microsecond)
-			}
-		}(i, w)
-	}
-	wg.Wait()
-
-	if epochs[0] == 0 && epochs[1] == 0 {
-		t.Fatal("no candidate ever won with a reachable rival voter")
-	}
-	if epochs[0] != 0 && epochs[1] != 0 && epochs[0] == epochs[1] {
-		t.Fatalf("split brain: both candidates promoted at epoch %d", epochs[0])
-	}
-	// Cross-check the servers themselves, not just the watchdogs' view.
-	rb, rc := b.ReplicationStatus(), c.ReplicationStatus()
-	if rb.Role == "primary" && rc.Role == "primary" && rb.Epoch == rc.Epoch {
-		t.Fatalf("split brain: both servers primary at epoch %d", rb.Epoch)
-	}
-}
-
-// TestWatchdogPartitionFencing is the split-brain scenario: a seeded
-// fault schedule partitions the watchdog from a primary that is alive and
-// still serving clients. The watchdog — seeing only misses — promotes the
-// standby under a bumped epoch. The deposed primary stays harmless: any
-// replica of the new lineage refuses its batches with a FencedError.
-func TestWatchdogPartitionFencing(t *testing.T) {
-	// The injected partition: an outage schedule for the watchdog→primary
-	// link. The seed is fixed; scan it once to find the first window of
-	// K consecutive down-probes so the assertion cannot flake.
-	inj, err := faults.New(faults.Config{Seed: 7, MeanUp: 5, MeanDown: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 3
-	probeAt := 0
-	primaryAlive := true
-	probe := func(ctx context.Context) error {
-		at := units.Time(probeAt)
-		probeAt++
-		if !primaryAlive {
-			return errors.New("probe: primary gone")
-		}
-		if !inj.Arrive("watchdog/primary", at) {
-			return errors.New("probe: partitioned")
-		}
-		return nil
-	}
-
-	// The standby the watchdog would promote: scripted, always in-sync.
-	promoted := false
-	cfg := Config{
-		Misses: k, MaxLagBytes: 100,
-		Probe: probe,
-		StandbyStatus: func(ctx context.Context) (server.ReplicationStatus, error) {
-			return server.ReplicationStatus{Role: "follower", Epoch: 1}, nil
-		},
-		Promote: func(ctx context.Context) (uint64, error) {
-			promoted = true
-			return 2, nil
-		},
-	}
-	w, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 2000 && w.Tick(ctx) != StatePrimary; i++ {
-	}
-	if !promoted {
-		t.Fatal("seeded partition never produced 3 consecutive misses; pick a different seed")
-	}
-	if !primaryAlive {
-		t.Fatal("test bug: the primary was never killed, yet flag flipped")
-	}
-
-	// The deposed primary is alive on the other side of the partition and
-	// still ships epoch-1 batches. A follower of the new lineage (epoch 2)
-	// must refuse them — that refusal is the whole split-brain defence.
-	fcfg := server.Config{
-		Ingress: []units.Bandwidth{1 * units.GBps},
-		Egress:  []units.Bandwidth{1 * units.GBps},
-		Follow:  "http://127.0.0.1:0", // driven directly, never dialed
-		Epoch:   2,
-	}
-	replica, err := server.New(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer replica.Close()
-	err = replica.ApplyShipped(server.ShippedBatch{Epoch: 1})
-	var fenced *server.FencedError
-	if !errors.As(err, &fenced) {
-		t.Fatalf("deposed primary's batch: err = %v, want FencedError", err)
-	}
-	if fenced.Batch != 1 || fenced.Current != 2 {
-		t.Fatalf("fence = %+v, want batch 1 vs current 2", fenced)
 	}
 }

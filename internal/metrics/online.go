@@ -49,6 +49,15 @@ type Online struct {
 	// and WAL'd locally, but the required follower acks never arrived in
 	// time, so its replication guarantee is the async loss window again.
 	SyncDegraded uint64 `json:"sync_degraded,omitempty"`
+	// VoteRounds counts the promotion vote rounds this node ran as a
+	// candidate; VotesGranted and VotesDenied count the answers collected
+	// across them (unreachable peers count as denied). QuorumHolds counts
+	// rounds that failed to reach a majority — each one is a promotion the
+	// quorum gate refused.
+	VoteRounds   uint64 `json:"vote_rounds,omitempty"`
+	VotesGranted uint64 `json:"votes_granted,omitempty"`
+	VotesDenied  uint64 `json:"votes_denied,omitempty"`
+	QuorumHolds  uint64 `json:"quorum_holds,omitempty"`
 	// AdmitLatency is the wall-clock admission-latency histogram — how long
 	// each submission spent in the server's decide pipeline — so
 	// server-observed latency can sit next to what a load harness measures
@@ -105,6 +114,17 @@ func (o *Online) RecordReseed() { o.Reseeds++ }
 // RecordSyncDegraded counts a submission whose sync-ack wait timed out
 // and fell back to async durability.
 func (o *Online) RecordSyncDegraded() { o.SyncDegraded++ }
+
+// RecordVoteRound counts one promotion vote round: the answers it
+// collected and whether the round reached a majority.
+func (o *Online) RecordVoteRound(granted, denied int, quorum bool) {
+	o.VoteRounds++
+	o.VotesGranted += uint64(granted)
+	o.VotesDenied += uint64(denied)
+	if !quorum {
+		o.QuorumHolds++
+	}
+}
 
 // RecordAdmitLatency records how long one submission spent in the decide
 // pipeline. Like every Online mutation it runs under the caller's lock;

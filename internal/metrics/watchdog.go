@@ -14,22 +14,15 @@ type Watchdog struct {
 	LagHolds uint64 `json:"lag_holds,omitempty"`
 	// PromoteAttempts counts promote calls issued; Promotions counts the
 	// ones that succeeded. A watchdog promotes at most once per lifetime,
-	// but a flaky standby can make the attempt count larger.
+	// but a flaky standby, or one whose group keeps denying it a majority
+	// (the standby counts those rounds, see Online.VoteRounds), can make
+	// the attempt count larger.
 	PromoteAttempts uint64 `json:"promote_attempts,omitempty"`
 	Promotions      uint64 `json:"promotions,omitempty"`
 	// Transitions counts state-machine edges actually taken (self-loops
 	// excluded), so a flapping primary is visible even when the watchdog
 	// never ends up promoting.
 	Transitions uint64 `json:"transitions,omitempty"`
-	// VoteRounds counts promotion vote rounds run; VotesGranted and
-	// VotesDenied count the individual peer answers collected across them
-	// (unreachable peers count as denied). QuorumHolds counts rounds that
-	// failed to reach a majority — each one is a promotion the quorum gate
-	// refused.
-	VoteRounds   uint64 `json:"vote_rounds,omitempty"`
-	VotesGranted uint64 `json:"votes_granted,omitempty"`
-	VotesDenied  uint64 `json:"votes_denied,omitempty"`
-	QuorumHolds  uint64 `json:"quorum_holds,omitempty"`
 }
 
 // RecordProbe counts one primary health probe and whether it missed.
@@ -53,14 +46,3 @@ func (w *Watchdog) RecordPromoteAttempt(ok bool) {
 
 // RecordTransition counts one taken state-machine edge.
 func (w *Watchdog) RecordTransition() { w.Transitions++ }
-
-// RecordVoteRound counts one promotion vote round: the per-peer answers
-// it collected and whether the round reached a majority.
-func (w *Watchdog) RecordVoteRound(granted, denied int, quorum bool) {
-	w.VoteRounds++
-	w.VotesGranted += uint64(granted)
-	w.VotesDenied += uint64(denied)
-	if !quorum {
-		w.QuorumHolds++
-	}
-}

@@ -35,11 +35,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/server"
 )
 
@@ -219,7 +221,7 @@ func IsNotFound(err error) bool {
 }
 
 // IsConflict reports whether err is the daemon's 409 answer (cancel of an
-// already finished reservation).
+// already finished reservation, or a promotion the daemon's group refused).
 func IsConflict(err error) bool {
 	ae, ok := err.(*APIError)
 	return ok && ae.StatusCode == http.StatusConflict
@@ -332,24 +334,13 @@ func (c *Client) call(ctx context.Context, method, path string, frame []byte, js
 	}
 }
 
-// rediscover probes every endpoint's replication status concurrently and
-// re-targets the one that reports itself primary, preferring the highest
-// fencing epoch — during a partition both sides may claim the role, and
-// the higher epoch is the lineage whose writes are not fenced off. The
-// sweep stops early only once a strict majority of the group's members
-// have answered AND the best primary seen is at the answered group's
-// maximum epoch: a majority of live answers none of which out-epochs the
-// chosen primary means no fenced claimant can be hiding a newer lineage
-// among them, while a fast answer from a deposed primary alone proves
-// nothing — the slower, higher-epoch winner must still be waited for.
-// Errors never count toward that majority (a refused dial says nothing
-// about the group), so at worst the sweep drains every endpoint under
-// the per-attempt timeout instead of settling on a stale lineage. When
-// nothing answers as primary the client just rotates, so repeated
-// retries still sweep the list.
+// rediscover surveys every endpoint's replication status (cluster.Survey:
+// concurrent, waiting out a fast answer from a deposed primary, bounded by
+// the per-attempt timeout) and re-targets the epoch-dominant primary. When
+// nothing answers as primary the client just rotates, so repeated retries
+// still sweep the list.
 func (c *Client) rediscover(ctx context.Context) {
 	c.mu.Lock()
-	endpoints := c.endpoints
 	blocked := c.opts.ProbeCooldown > 0 && c.opts.Now().Before(c.probeBlockUntil)
 	c.mu.Unlock()
 	if blocked {
@@ -359,45 +350,19 @@ func (c *Client) rediscover(ctx context.Context) {
 		c.rotate()
 		return
 	}
-	type answer struct {
-		idx int
-		rs  server.ReplicationStatus
-		err error
+	if c.opts.CallTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
+		defer cancel()
 	}
-	ch := make(chan answer, len(endpoints))
-	for i, base := range endpoints {
-		go func(i int, base string) {
-			var rs server.ReplicationStatus
-			err := c.attemptJSON(ctx, base, http.MethodGet, "/v1/replication/status", &rs)
-			ch <- answer{i, rs, err}
-		}(i, base)
-	}
-	majority := len(endpoints)/2 + 1
-	best, bestEpoch := -1, uint64(0)
-	answered, maxEpoch := 0, uint64(0)
-	for n := 1; n <= len(endpoints); n++ {
-		a := <-ch
-		if a.err != nil {
-			continue
-		}
-		answered++
-		if a.rs.Epoch > maxEpoch {
-			maxEpoch = a.rs.Epoch
-		}
-		if a.rs.Role == "primary" && (best == -1 || a.rs.Epoch > bestEpoch) {
-			best, bestEpoch = a.idx, a.rs.Epoch
-		}
-		if answered >= majority && best >= 0 && bestEpoch >= maxEpoch {
-			break
-		}
-	}
+	primary, _, found := cluster.Survey(ctx, c.hc, c.endpoints).Primary(0)
 	c.mu.Lock()
-	if best >= 0 && best != c.cur {
+	defer c.mu.Unlock()
+	if found && primary != c.endpoints[c.cur] {
 		// The sweep actually moved us to a different primary: a useful
 		// answer, so the next failure may probe again immediately (fast
 		// failover convergence is worth the traffic).
-		c.cur = best
-		c.mu.Unlock()
+		c.cur = slices.Index(c.endpoints, primary)
 		return
 	}
 	// Negative result: no primary anywhere, or the sweep re-picked the
@@ -407,10 +372,9 @@ func (c *Client) rediscover(ctx context.Context) {
 	if c.opts.ProbeCooldown > 0 {
 		c.probeBlockUntil = c.opts.Now().Add(c.opts.ProbeCooldown)
 	}
-	if best < 0 {
+	if !found {
 		c.cur = (c.cur + 1) % len(c.endpoints)
 	}
-	c.mu.Unlock()
 }
 
 // apiErrorMessage extracts the error text of a non-2xx response: the JSON
@@ -682,17 +646,20 @@ func (c *Client) Health(ctx context.Context) (server.HealthJSON, error) {
 
 // Replication fetches the daemon's replication view: role, fencing
 // epoch, cursor, and lag. Works on primaries and followers alike.
-func (c *Client) Replication(ctx context.Context) (server.ReplicationStatus, error) {
-	var out server.ReplicationStatus
+func (c *Client) Replication(ctx context.Context) (cluster.ReplicationStatus, error) {
+	var out cluster.ReplicationStatus
 	err := c.do(ctx, http.MethodGet, "/v1/replication/status", &out)
 	return out, err
 }
 
 // Promote turns a following daemon into a primary. Idempotent: promoting
-// a daemon that is already primary answers its current role and epoch.
-// Not retried — failover tooling wants to observe each attempt.
-func (c *Client) Promote(ctx context.Context) (server.PromoteJSON, error) {
-	var out server.PromoteJSON
+// a daemon that is already primary answers its current role and epoch. A
+// daemon that has peers holds its vote round first, and one that is denied
+// a majority answers 409: an *APIError (IsConflict) whose message carries
+// the refusal — votes granted and needed, and who said no. Not retried —
+// failover tooling wants to observe each attempt.
+func (c *Client) Promote(ctx context.Context) (cluster.PromoteJSON, error) {
+	var out cluster.PromoteJSON
 	err := c.attemptJSON(ctx, c.Endpoint(), http.MethodPost, "/v1/replication/promote", &out)
 	return out, err
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/server"
 )
 
@@ -36,7 +37,7 @@ func newFakeDaemon(t *testing.T, role string, epoch uint64, submit http.HandlerF
 		if d.delay > 0 {
 			time.Sleep(d.delay)
 		}
-		json.NewEncoder(w).Encode(server.ReplicationStatus{Role: d.role, Epoch: d.epoch})
+		json.NewEncoder(w).Encode(cluster.ReplicationStatus{Role: d.role, Epoch: d.epoch})
 	})
 	mux.HandleFunc("POST /v1/requests", func(w http.ResponseWriter, r *http.Request) {
 		d.mu.Lock()
@@ -270,7 +271,7 @@ func TestProbeCooldownCachesNegativeSweeps(t *testing.T) {
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /v1/replication/status", func(w http.ResponseWriter, r *http.Request) {
 			probes.Add(1)
-			json.NewEncoder(w).Encode(server.ReplicationStatus{Role: "follower", Epoch: 3})
+			json.NewEncoder(w).Encode(cluster.ReplicationStatus{Role: "follower", Epoch: 3})
 		})
 		mux.HandleFunc("POST /v1/requests", refuseReadOnly)
 		ts := httptest.NewServer(mux)

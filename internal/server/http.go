@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/metrics"
 	"gridbw/internal/request"
 	"gridbw/internal/units"
@@ -600,14 +601,14 @@ type MetricsJSON struct {
 	// degraded to async durability.
 	SyncDegraded uint64 `json:"sync_degraded"`
 	// Followers is the primary's per-follower replication progress.
-	Followers map[string]FollowerStatus `json:"followers,omitempty"`
+	Followers map[string]cluster.FollowerStatus `json:"followers,omitempty"`
 	// AdmitLatency is the server-side admission-latency percentile ladder —
 	// time spent in the decide pipeline per submission — the counterpart of
 	// what gridbwload observes from the client side of the wire. With a
 	// synchronous-ack mode on, the parked replication wait is part of it.
 	AdmitLatency metrics.LatencySummary `json:"admit_latency"`
 	// WatchdogState is the in-process failover watchdog's position in the
-	// follower → suspect → electing → promoting → primary ladder; empty
+	// follower → suspect → promoting → primary ladder; empty
 	// when no watchdog runs in this daemon.
 	WatchdogState string `json:"watchdog_state,omitempty"`
 }
@@ -711,6 +712,14 @@ func (s *Server) writeMetricsText(w http.ResponseWriter) {
 	fmt.Fprintf(w, "gridbwd_reseeds_total %d\n", st.Stats.Reseeds)
 	fmt.Fprintf(w, "# TYPE gridbwd_sync_degraded_total counter\n")
 	fmt.Fprintf(w, "gridbwd_sync_degraded_total %d\n", st.Stats.SyncDegraded)
+	fmt.Fprintf(w, "# TYPE gridbwd_vote_rounds_total counter\n")
+	fmt.Fprintf(w, "gridbwd_vote_rounds_total %d\n", st.Stats.VoteRounds)
+	fmt.Fprintf(w, "# TYPE gridbwd_votes_granted_total counter\n")
+	fmt.Fprintf(w, "gridbwd_votes_granted_total %d\n", st.Stats.VotesGranted)
+	fmt.Fprintf(w, "# TYPE gridbwd_votes_denied_total counter\n")
+	fmt.Fprintf(w, "gridbwd_votes_denied_total %d\n", st.Stats.VotesDenied)
+	fmt.Fprintf(w, "# TYPE gridbwd_quorum_holds_total counter\n")
+	fmt.Fprintf(w, "gridbwd_quorum_holds_total %d\n", st.Stats.QuorumHolds)
 	if len(rs.Followers) > 0 {
 		fmt.Fprintf(w, "# TYPE gridbwd_follower_lag_bytes gauge\n")
 		fmt.Fprintf(w, "# TYPE gridbwd_follower_ack_age_seconds gauge\n")
@@ -727,7 +736,7 @@ func (s *Server) writeMetricsText(w http.ResponseWriter) {
 	}
 	if ws := s.watchdogStateNow(); ws != "" {
 		fmt.Fprintf(w, "# TYPE gridbwd_watchdog_state gauge\n")
-		for _, state := range []string{"follower", "suspect", "electing", "promoting", "primary"} {
+		for _, state := range []string{"follower", "suspect", "promoting", "primary"} {
 			fmt.Fprintf(w, "gridbwd_watchdog_state{state=%q} %d\n", state, boolGauge(state == ws))
 		}
 	}

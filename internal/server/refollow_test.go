@@ -10,31 +10,33 @@ import (
 
 // TestFollowerRediscoversPrimaryAfterFailover is the regression test for
 // the post-election orphan: a three-node group loses its primary, one
-// follower is promoted, and the *other* follower — still pointed at the
-// dead endpoint — must rediscover the epoch-dominant primary from its
-// configured peer list, re-point its pull cursor, and resume applying the
-// new primary's decisions.
+// follower is promoted — by a bare Promote, which on a member that has
+// peers means winning the other follower's vote first — and the *other*
+// follower — still pointed at the dead endpoint — must rediscover the
+// epoch-dominant primary from its configured peer list, re-point its pull
+// cursor, and resume applying the new primary's decisions.
 func TestFollowerRediscoversPrimaryAfterFailover(t *testing.T) {
 	clk := &fakeClock{}
 
-	// The follower servers need their own base URLs in every peer list
-	// before they exist, so each httptest server delegates through a
+	// Every member lists the other two as its peers, so the base URLs must
+	// exist before the servers do: each httptest server delegates through a
 	// late-bound pointer. No request arrives before the pointer is set.
 	var srvP, srvA, srvB *server.Server
 	tsP := newDelegatingServer(t, &srvP)
 	tsA := newDelegatingServer(t, &srvA)
 	tsB := newDelegatingServer(t, &srvB)
-	peers := []string{tsP.URL, tsA.URL, tsB.URL}
 
 	pcfg := uniformConfig(clk)
 	pcfg.WAL = openTestWAL(t)
-	pcfg.Peers = peers
+	pcfg.ReplID = "P"
+	pcfg.Peers = []string{tsA.URL, tsB.URL}
 	srvP = newTestServer(t, pcfg)
 
-	newFollower := func(name string) *server.Server {
+	newFollower := func(name string, peers ...string) *server.Server {
 		cfg := uniformConfig(clk)
 		cfg.WAL = openTestWAL(t)
 		cfg.Follow = tsP.URL
+		cfg.ReplID = name
 		cfg.Peers = peers
 		s := newTestServer(t, cfg)
 		if err := s.StartFollowing(); err != nil {
@@ -42,8 +44,8 @@ func TestFollowerRediscoversPrimaryAfterFailover(t *testing.T) {
 		}
 		return s
 	}
-	srvA = newFollower("A")
-	srvB = newFollower("B")
+	srvA = newFollower("A", tsP.URL, tsB.URL)
+	srvB = newFollower("B", tsP.URL, tsA.URL)
 
 	// Seed history so both followers share the primary's lineage.
 	d, err := srvP.Submit(server.Submission{From: 0, To: 1, Volume: 10e9, Deadline: 400, MaxRate: 100e6})
@@ -62,9 +64,13 @@ func TestFollowerRediscoversPrimaryAfterFailover(t *testing.T) {
 	tsP.Close()
 	srvP.Close()
 
-	// Promote A directly (the watchdog path is exercised elsewhere).
+	// Promote A directly (the watchdog path is exercised elsewhere): B's
+	// grant and A's own vote are two of three.
 	if _, err := srvA.Promote(); err != nil {
 		t.Fatalf("promote A: %v", err)
+	}
+	if rs := srvB.ReplicationStatus(); rs.VotedFor != "A" || rs.VotedEpoch != 2 {
+		t.Fatalf("B's vote record %q@%d, want A@2", rs.VotedFor, rs.VotedEpoch)
 	}
 
 	// B must converge on A without any nudge: its pull loop sees repeated

@@ -42,6 +42,7 @@ import (
 	"strings"
 	"time"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
 	"gridbw/internal/trace"
@@ -417,18 +418,50 @@ func (s *Server) reanchorLocked(at float64) {
 	}
 }
 
+// memberLocked is this node as the election rules of internal/cluster see
+// it.
+func (s *Server) memberLocked() cluster.Member {
+	return cluster.Member{
+		ID: s.replID, Following: s.repl.following, Epoch: s.repl.epoch, Cursor: s.repl.cursor,
+		VotedEpoch: s.repl.votedEpoch, VotedFor: s.repl.votedFor,
+	}
+}
+
 // Promote turns a follower into the primary: the pull loop stops, the
 // fencing epoch grows and is persisted (so the fence survives a crash),
 // every live reservation gets the expiry timer following had deferred,
 // and a promote marker lands in the log. Promoting a primary is answered
 // with ErrNotFollower and the unchanged epoch, making retries harmless.
 //
-// The installed epoch honours the durable vote record: a node whose own
-// election was bid past old-epoch+1 installs the epoch its quorum
-// actually endorsed, and a node that endorsed a rival at or past the
-// epoch it would install refuses outright — two lineages must never
-// share an epoch number.
+// A node that has peers is one member of a group, and installs an epoch
+// only after winning a majority of it: Promote runs the vote round itself —
+// its own vote through HandleVote's durable vote-once path, then the peers,
+// with s.mu released — and answers a *cluster.Refusal without one. Whoever
+// asks (the in-process watchdog, an external one, an operator's curl) goes
+// through the same gate. The epoch installed is cluster.Member.Install's,
+// judged under the lock on the state as it stands after the round: two
+// lineages must never share an epoch number.
 func (s *Server) Promote() (uint64, error) {
+	// One election at a time per candidate: a second caller waits and then
+	// finds the node promoted, instead of outbidding the first one's round.
+	s.promoting.Lock()
+	defer s.promoting.Unlock()
+	s.mu.Lock()
+	me, closed := s.memberLocked(), s.closed
+	s.mu.Unlock()
+	var won uint64
+	if len(s.peers) > 0 && me.Following && !closed {
+		// The kept signature supplies no context; the client's timeout bounds
+		// each vote.
+		tally := cluster.CollectVotes(context.TODO(), &http.Client{Timeout: refollowProbeTTL}, me.Bid(), s.HandleVote, s.peers)
+		s.mu.Lock()
+		s.stats.RecordVoteRound(tally.Granted, tally.Denied, tally.Quorum)
+		s.mu.Unlock()
+		if err := tally.Err(); err != nil {
+			return me.Epoch, err
+		}
+		won = tally.Epoch
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -439,28 +472,17 @@ func (s *Server) Promote() (uint64, error) {
 		s.mu.Unlock()
 		return epoch, ErrNotFollower
 	}
-	next := s.repl.epoch + 1
-	if s.repl.votedEpoch >= next {
-		if s.replID == "" || s.repl.votedFor != s.replID {
-			// This node's durable vote endorses a rival at or past the
-			// epoch it would install; promoting would plant a lineage on
-			// a number the rival's election may own. Refuse and stay a
-			// follower — the watchdog's next round bids past the record.
-			err := fmt.Errorf("server: promotion refused: endorsed %q for epoch %d", s.repl.votedFor, s.repl.votedEpoch)
-			epoch := s.repl.epoch
-			s.mu.Unlock()
-			return epoch, err
-		}
-		// An election with epoch bidding endorsed this node at a higher
-		// number than old-epoch+1; install the quorum-endorsed epoch so
-		// no rival can later be elected under the same number.
-		next = s.repl.votedEpoch
+	epoch, err := s.memberLocked().Install(won)
+	if err != nil {
+		// Stay a follower; the next attempt bids past the vote record.
+		epoch = s.repl.epoch
+		s.mu.Unlock()
+		return epoch, err
 	}
 	s.advanceLocked()
 	s.repl.following = false
 	s.repl.source = ""
-	s.repl.epoch = next
-	epoch := s.repl.epoch
+	s.repl.epoch = epoch
 	done := s.stopPullLocked()
 	if s.wal != nil {
 		if err := s.wal.SaveEpoch(epoch); err != nil {
@@ -618,49 +640,25 @@ func (s *Server) pullLoop(ctx context.Context, source string, done chan struct{}
 	}
 }
 
-// rediscoverPrimary probes every configured peer's replication status
-// concurrently and returns the base URL of the live primary with the
-// highest epoch at or past this follower's own — the epoch-dominant
-// primary. Peers that are down, still followers, or on a superseded
-// lineage are ignored (the probing node itself answers as a follower, so
-// listing yourself among the peers is harmless). On success the
-// follower's source is re-pointed; the pull cursor is kept — every
-// follower appends the shipped frames to its own WAL as received, so
-// positions are comparable across group members, and a genuine divergence
-// still halts on the gap check.
+// rediscoverPrimary surveys the configured peers and re-points the
+// follower at the epoch-dominant live primary — the one with the highest
+// epoch at or past this follower's own. Peers that are down, still
+// followers, or on a superseded lineage are ignored (the probing node itself
+// answers as a follower, so listing yourself among the peers is harmless).
+// The pull cursor is kept — every follower appends the shipped frames to its
+// own WAL as received, so positions are comparable across group members,
+// and a genuine divergence still halts on the gap check.
 func (s *Server) rediscoverPrimary(ctx context.Context, hc *http.Client) (string, bool) {
-	peers := s.peers
-	if len(peers) == 0 {
+	if len(s.peers) == 0 {
 		return "", false
 	}
-	minEpoch := s.Epoch()
 	ctx, cancel := context.WithTimeout(ctx, refollowProbeTTL)
 	defer cancel()
-	type probe struct {
-		url     string
-		epoch   uint64
-		primary bool
+	best, _, ok := cluster.Survey(ctx, hc, s.peers).Primary(s.Epoch())
+	if ok {
+		s.retarget(best)
 	}
-	ch := make(chan probe, len(peers))
-	for _, p := range peers {
-		go func(base string) {
-			rs, err := fetchReplStatus(ctx, hc, base)
-			ch <- probe{url: base, epoch: rs.Epoch, primary: err == nil && rs.Role == "primary"}
-		}(p)
-	}
-	var best string
-	var bestEpoch uint64
-	for range peers {
-		p := <-ch
-		if p.primary && p.epoch >= minEpoch && (best == "" || p.epoch > bestEpoch) {
-			best, bestEpoch = p.url, p.epoch
-		}
-	}
-	if best == "" {
-		return "", false
-	}
-	s.retarget(best)
-	return best, true
+	return best, ok
 }
 
 // retarget re-points the follower's pull source, keeping the status
@@ -671,40 +669,6 @@ func (s *Server) retarget(source string) {
 		s.repl.source = source
 	}
 	s.mu.Unlock()
-}
-
-// fetchReplStatus GETs one peer's /v1/replication/status.
-func fetchReplStatus(ctx context.Context, hc *http.Client, base string) (ReplicationStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/replication/status", nil)
-	if err != nil {
-		return ReplicationStatus{}, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return ReplicationStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 64*1024))
-		return ReplicationStatus{}, fmt.Errorf("server: status probe: HTTP %d", resp.StatusCode)
-	}
-	var rs ReplicationStatus
-	if err := json.NewDecoder(resp.Body).Decode(&rs); err != nil {
-		return ReplicationStatus{}, err
-	}
-	return rs, nil
-}
-
-// normalizePeers trims trailing slashes and drops empty entries from a
-// configured peer list.
-func normalizePeers(peers []string) []string {
-	out := make([]string, 0, len(peers))
-	for _, p := range peers {
-		if p = strings.TrimRight(p, "/"); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // pullOnce runs one long-poll round trip under the loop's context. The
@@ -743,45 +707,10 @@ func pullOnce(ctx context.Context, hc *http.Client, source string, cur wal.Pos, 
 	return b, nil
 }
 
-// FollowerStatus is one follower's replication progress as seen from its
-// primary: the last cursor it presented on pull, how many committed
-// bytes it still trails the frontier by, and how long ago it reported.
-type FollowerStatus struct {
-	Cursor   wal.Pos `json:"cursor"`
-	LagBytes int64   `json:"lag_bytes"`
-	AgeS     float64 `json:"age_s"`
-}
-
-// ReplicationStatus is the GET /v1/replication/status body.
-type ReplicationStatus struct {
-	Role    string  `json:"role"`
-	ID      string  `json:"id,omitempty"`
-	Epoch   uint64  `json:"epoch"`
-	Source  string  `json:"source,omitempty"`
-	Cursor  wal.Pos `json:"cursor"`
-	Applied uint64  `json:"applied_records"`
-	// LagBytes is the primary's committed bytes this follower has not yet
-	// applied, as reported by the last pulled batch; 0 on a primary.
-	LagBytes   int64   `json:"lag_bytes"`
-	LastPullS  float64 `json:"last_pull_age_s,omitempty"`
-	LastError  string  `json:"last_error,omitempty"`
-	WALRecords uint64  `json:"wal_records"`
-	WALEnd     wal.Pos `json:"wal_end"`
-	// Followers maps each identified follower to its progress — only a
-	// primary that has served identified pulls reports any.
-	Followers map[string]FollowerStatus `json:"followers,omitempty"`
-	// SyncMode/SyncAcks echo the configured synchronous-ack durability.
-	SyncMode string `json:"sync_mode,omitempty"`
-	SyncAcks int    `json:"sync_acks,omitempty"`
-	// VotedEpoch/VotedFor expose the durable vote-once record.
-	VotedEpoch uint64 `json:"voted_epoch,omitempty"`
-	VotedFor   string `json:"voted_for,omitempty"`
-}
-
 // ReplicationStatus reports the replication role, epoch, cursor and lag.
-func (s *Server) ReplicationStatus() ReplicationStatus {
+func (s *Server) ReplicationStatus() cluster.ReplicationStatus {
 	s.mu.Lock()
-	rs := ReplicationStatus{
+	rs := cluster.ReplicationStatus{
 		Role: s.roleLocked(), ID: s.replID, Epoch: s.repl.epoch, Source: s.repl.source,
 		Cursor: s.repl.cursor, Applied: s.repl.applied, LagBytes: s.repl.lagBytes,
 		LastError:  s.repl.lastErr,
@@ -805,9 +734,9 @@ func (s *Server) ReplicationStatus() ReplicationStatus {
 				lag = 0
 			}
 			if rs.Followers == nil {
-				rs.Followers = make(map[string]FollowerStatus)
+				rs.Followers = make(map[string]cluster.FollowerStatus)
 			}
-			rs.Followers[id] = FollowerStatus{
+			rs.Followers[id] = cluster.FollowerStatus{
 				Cursor:   fa.Pos,
 				LagBytes: lag,
 				AgeS:     now.Sub(fa.Seen).Seconds(),
@@ -817,20 +746,19 @@ func (s *Server) ReplicationStatus() ReplicationStatus {
 	return rs
 }
 
-// PromoteJSON is the POST /v1/replication/promote body.
-type PromoteJSON struct {
-	Role  string `json:"role"`
-	Epoch uint64 `json:"epoch"`
-}
-
+// handlePromote serves POST /v1/replication/promote. A refused promotion
+// is a protocol answer, not a server fault: 409 with the Refusal as body.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	epoch, err := s.Promote()
+	var refused *cluster.Refusal
 	switch {
 	case errors.Is(err, ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrNotFollower), err == nil:
 		// Already the primary, or just became it: idempotent success.
-		writeJSON(w, http.StatusOK, PromoteJSON{Role: "primary", Epoch: epoch})
+		writeJSON(w, http.StatusOK, cluster.PromoteJSON{Role: "primary", Epoch: epoch})
+	case errors.As(err, &refused):
+		writeJSON(w, http.StatusConflict, refused)
 	default:
 		writeError(w, http.StatusInternalServerError, err)
 	}
@@ -840,90 +768,42 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.ReplicationStatus())
 }
 
-// VoteRequest asks this node to endorse Candidate's promotion to
-// NewEpoch. Epoch and Cursor are the candidate's current lineage and
-// applied frontier, so a voter on the same lineage can refuse a
-// candidate that is behind its own history.
-type VoteRequest struct {
-	Candidate string  `json:"candidate"`
-	NewEpoch  uint64  `json:"new_epoch"`
-	Epoch     uint64  `json:"epoch"`
-	Cursor    wal.Pos `json:"cursor"`
-}
-
-// VoteResponse is one voter's answer: granted or not, plus the voter's
-// own identity, epoch and cursor so a denied candidate can see who beat
-// it and by how much.
-type VoteResponse struct {
-	Granted bool    `json:"granted"`
-	Voter   string  `json:"voter,omitempty"`
-	Epoch   uint64  `json:"epoch"`
-	Cursor  wal.Pos `json:"cursor"`
-	Reason  string  `json:"reason,omitempty"`
-}
-
-// HandleVote decides one promotion-vote request. The grant rules make a
-// split-brain promotion impossible from the minority side:
-//
-//   - a node that is itself a live primary refuses — a vote request that
-//     reached it proves it is alive, and a live primary must not endorse
-//     its own deposition (a dead one simply never answers);
-//   - NewEpoch must beat the voter's current epoch, so votes for already
-//     superseded lineages die;
-//   - one vote per epoch, persisted before the grant leaves the node
-//     (re-granting the same candidate is idempotent, so retries work);
-//   - on the same lineage, a candidate whose applied cursor is behind
-//     the voter's own is refused — promotion must go to the
-//     most-caught-up member or acked history would be discarded.
-func (s *Server) HandleVote(req VoteRequest) VoteResponse {
+// HandleVote decides one promotion-vote request by the grant rules of
+// cluster.Member.Grant, on this node's state under the lock. What is the
+// node's own stays here: a draining node refuses, a grant that changes the
+// vote record is persisted before it leaves the node, and a node with no
+// durable store to persist it in never grants.
+func (s *Server) HandleVote(req cluster.VoteRequest) cluster.VoteResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resp := VoteResponse{Voter: s.replID, Epoch: s.repl.epoch, Cursor: s.repl.cursor}
-	deny := func(reason string) VoteResponse {
-		resp.Reason = reason
-		return resp
-	}
-	if s.closed {
-		return deny("voter is draining")
-	}
-	if req.Candidate == "" {
-		return deny("anonymous candidate")
-	}
-	if !s.repl.following {
-		return deny("voter is a live primary")
-	}
-	if s.wal == nil {
+	me := s.memberLocked()
+	next, reason := me.Grant(req)
+	switch {
+	case s.closed:
+		reason = "voter is draining"
+	case reason != "":
+	case s.wal == nil:
 		// A memory-only vote record is forgotten by a crash-restart, which
 		// could then endorse a rival for the same epoch — the vote-once
 		// guarantee only holds when the vote outlives the process.
-		return deny("no durable vote store")
-	}
-	if req.NewEpoch <= s.repl.epoch {
-		return deny(fmt.Sprintf("stale election: proposed epoch %d not past current %d", req.NewEpoch, s.repl.epoch))
-	}
-	if s.repl.votedEpoch >= req.NewEpoch && s.repl.votedFor != req.Candidate {
-		return deny(fmt.Sprintf("already voted for %q in epoch %d", s.repl.votedFor, s.repl.votedEpoch))
-	}
-	if req.Epoch == s.repl.epoch && req.Cursor.Less(s.repl.cursor) {
-		return deny(fmt.Sprintf("candidate cursor %v behind voter cursor %v", req.Cursor, s.repl.cursor))
-	}
-	if s.repl.votedEpoch < req.NewEpoch || s.repl.votedFor != req.Candidate {
-		if err := s.wal.SaveVote(wal.Vote{Epoch: req.NewEpoch, Candidate: req.Candidate}); err != nil {
+		reason = "no durable vote store"
+	case next != me:
+		if err := s.wal.SaveVote(wal.Vote{Epoch: next.VotedEpoch, Candidate: next.VotedFor}); err != nil {
 			// A vote that cannot be made durable must not be cast: a
 			// crash could forget it and endorse a rival next boot.
 			s.stats.RecordLogAppendFailure()
-			return deny("vote persistence failed")
+			reason = "vote persistence failed"
+			break
 		}
-		s.repl.votedEpoch, s.repl.votedFor = req.NewEpoch, req.Candidate
+		s.repl.votedEpoch, s.repl.votedFor = next.VotedEpoch, next.VotedFor
 	}
-	resp.Granted = true
-	return resp
+	return cluster.VoteResponse{Granted: reason == "", Voter: me.ID, Epoch: me.Epoch, Cursor: me.Cursor, Reason: reason}
 }
 
 // handleVote serves POST /v1/replication/vote. A denied vote is still a
 // 200 — denial is a protocol answer, not a transport failure.
 func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
-	var req VoteRequest
+	var req cluster.VoteRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gridbw/internal/alloc"
+	"gridbw/internal/cluster"
 	"gridbw/internal/request"
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
@@ -178,7 +179,7 @@ func TestVoteRequiresDurableStore(t *testing.T) {
 	cfg.Follow = "http://127.0.0.1:0"
 	cfg.Epoch = 1
 	s := newTestServer(t, cfg)
-	resp := s.HandleVote(server.VoteRequest{Candidate: "b", NewEpoch: 2, Epoch: 1})
+	resp := s.HandleVote(cluster.VoteRequest{Candidate: "b", NewEpoch: 2, Epoch: 1})
 	if resp.Granted || !strings.Contains(resp.Reason, "durable") {
 		t.Fatalf("WAL-less vote answer %+v, want denial citing the missing durable store", resp)
 	}
@@ -189,7 +190,7 @@ func TestVoteRequiresDurableStore(t *testing.T) {
 	dcfg.Follow = "http://127.0.0.1:0"
 	dcfg.Epoch = 1
 	durable := newTestServer(t, dcfg)
-	if resp := durable.HandleVote(server.VoteRequest{Candidate: "b", NewEpoch: 2, Epoch: 1}); !resp.Granted {
+	if resp := durable.HandleVote(cluster.VoteRequest{Candidate: "b", NewEpoch: 2, Epoch: 1}); !resp.Granted {
 		t.Fatalf("durable voter denied: %+v", resp)
 	}
 }

@@ -79,13 +79,18 @@ type Config struct {
 	// the primary daemon at this base URL: submissions and cancels answer
 	// ErrReadOnly until Promote. StartFollowing begins the pull loop.
 	Follow string
-	// Peers lists the base URLs of every replication-group member (self
-	// included — a node recognizes itself by its follower role). A
-	// follower whose pull source stops answering, or turns out to be a
-	// deposed primary, probes the peers for the epoch-dominant live
-	// primary and re-points its pull loop at it — the losing follower of
-	// an election converges onto the winner instead of pulling a dead
-	// endpoint forever.
+	// Peers lists the base URLs of every OTHER replication-group member, so
+	// the group has len(Peers)+1 members. It is the node's vote set: a
+	// follower that has peers promotes only after a majority of the group
+	// (its own recorded vote plus cluster.Majority(len(Peers)+1)-1 of
+	// theirs) endorsed it, and refuses otherwise; one without promotes on
+	// its own authority. It is also where a follower looks when its pull
+	// source stops answering or turns out to be a deposed primary: it
+	// surveys the peers for the epoch-dominant live primary and re-points
+	// its pull loop at it, so the losing follower of an election converges
+	// onto the winner instead of pulling a dead endpoint forever. Listing
+	// the node itself is tolerated and counts for nothing — in a survey it
+	// answers as a follower, in a vote round its grant is ignored.
 	Peers []string
 	// Epoch seeds the fencing epoch; 0 loads it from the WAL directory
 	// (or starts at 1). Promotion increments and persists it.
@@ -279,7 +284,7 @@ type Server struct {
 	durableNeed int
 	syncTimeout time.Duration
 	replID      string
-	peers       []string // replication-group base URLs, immutable
+	peers       []string // the other group members' base URLs, immutable
 
 	// ledger is internally sharded (one lock per access point); it is not
 	// guarded by s.mu. See the package comment for the lock order.
@@ -299,6 +304,10 @@ type Server struct {
 	idemOrder []string  // FIFO eviction queue of idempotency keys
 	repl      replState // replication role, fencing epoch, pull cursor
 	closed    bool
+
+	// promoting serializes Promote calls; it is taken before mu and held
+	// across the vote round, which mu is not.
+	promoting sync.Mutex
 
 	// Cross-shard two-phase holds (see holds.go): every hold this shard
 	// currently knows about by router key, the ingress-side holds by the
@@ -431,7 +440,7 @@ func newServer(cfg Config, net *topology.Network, policyName string) (*Server, e
 		durableNeed: syncAcks,
 		syncTimeout: syncTimeout,
 		replID:      cfg.ReplID,
-		peers:       normalizePeers(cfg.Peers),
+		peers:       cfg.Peers,
 		ledger:      alloc.NewSharded(net),
 		sim:         des.New(),
 		resv:        make(map[request.ID]*entry),
@@ -474,7 +483,7 @@ func (s *Server) freeEntry(e *entry) {
 
 // SetWatchdogState registers a callback reporting the in-process failover
 // watchdog's position in the promotion ladder ("follower", "suspect",
-// "electing", "promoting", "primary") so /v1/metricsz can expose it as a
+// "promoting", "primary") so /v1/metricsz can expose it as a
 // gauge.
 func (s *Server) SetWatchdogState(fn func() string) {
 	s.mu.Lock()

@@ -14,8 +14,10 @@
 #      if the client re-converges on the majority-promoted follower
 #
 # The script exits nonzero if no follower promotes, if both do (split
-# brain), if the promoted follower is not at epoch 2, or if the load
-# run's gate trips.
+# brain), if the promoted follower is not at epoch 2, if a bare
+# `curl -X POST …/v1/replication/promote` of the losing follower is
+# answered anything but 409 (the election sits with the daemon, so no
+# caller walks around it), or if the load run's gate trips.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -128,6 +130,16 @@ if repl_status "${OTHER}" | grep -q '"role":"primary"'; then
 	repl_status "${F2}" >&2
 	exit 1
 fi
+# ... and stays one when an operator leans on it: the winner is a live
+# primary and votes no, so the loser's own round is denied.
+CODE="$(curl -s -o "${WORK}/bare_promote.json" -w '%{http_code}' -X POST "${OTHER}/v1/replication/promote")"
+if [ "${CODE}" != "409" ] || repl_status "${OTHER}" | grep -q '"role":"primary"'; then
+	echo "bare promote of the losing follower answered HTTP ${CODE}, want a 409 refusal:" >&2
+	cat "${WORK}/bare_promote.json" >&2
+	repl_status "${OTHER}" >&2
+	exit 1
+fi
+echo "bare promote of ${OTHER} refused: $(cat "${WORK}/bare_promote.json")"
 
 if ! wait "${LOAD_PID}"; then
 	echo "gridbwload gate violated across the kill/promote cycle:" >&2

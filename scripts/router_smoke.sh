@@ -17,8 +17,9 @@
 #      cross-shard hold committed on both owners or neither, every
 #      cross_shard-acked admission backed by a committed ingress hold
 #
-# The script exits nonzero on a failed promotion, a tripped load gate,
-# any checker violation, or a run that exercised no cross-shard pair
+# The script exits nonzero on a failed promotion, a bare promote of the
+# losing s0 follower answered anything but 409, a tripped load gate, any
+# checker violation, or a run that exercised no cross-shard pair
 # (which would mean the ring or the marker plumbing is broken).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -140,6 +141,19 @@ if [ -z "${NEW}" ]; then
 	exit 1
 fi
 echo "s0 majority-promoted: ${NEW}"
+
+# Exactly one lineage in s0, also when an operator leans on the loser: its
+# bare promote runs the same vote round, the winner votes no, 409.
+OTHER="${F2}"
+if [ "${NEW}" = "${F2}" ]; then
+	OTHER="${F1}"
+fi
+CODE="$(curl -s -o "${WORK}/bare_promote.json" -w '%{http_code}' -X POST "${OTHER}/v1/replication/promote")"
+if [ "${CODE}" != "409" ] || repl_status "${OTHER}" | grep -q '"role":"primary"'; then
+	echo "split brain: bare promote of the losing s0 follower answered HTTP ${CODE}, want a 409 refusal:" >&2
+	cat "${WORK}/bare_promote.json" >&2
+	exit 1
+fi
 
 if ! wait "${LOAD_PID}"; then
 	echo "gridbwload gate violated across the kill/promote cycle:" >&2
