@@ -32,7 +32,6 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -172,16 +171,6 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, server.ErrorJSON{Error: err.Error()})
-}
-
 // writeUpstreamError relays a shard-side failure: API answers pass
 // through with their status (and Retry-After hint), transport-level
 // failures become 502 — the shard may be mid-failover.
@@ -191,39 +180,21 @@ func writeUpstreamError(w http.ResponseWriter, err error) {
 		if ae.RetryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(int((ae.RetryAfter+time.Second-1)/time.Second)))
 		}
-		writeJSON(w, ae.StatusCode, server.ErrorJSON{Error: ae.Message})
+		server.WriteJSON(w, ae.StatusCode, server.ErrorJSON{Error: ae.Message})
 		return
 	}
-	writeError(w, http.StatusBadGateway, err)
+	server.WriteError(w, http.StatusBadGateway, err)
 }
 
 // handleSubmit routes one submission, arriving as JSON or as the
 // one-record frame a client.Client sends, and answers in the same codec.
 // Either way a same-shard record travels on to its owner as a frame.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	framed := server.Framed(r)
-	var ws server.WireSubmission
-	var buf *server.FrameBuf // nil on the JSON path
-	var err error
-	if framed {
-		if buf, err = server.ReadFrame(r); err == nil {
-			ws, err = server.DecodeBinarySubmitRequest(buf.B)
-		}
-		if err == nil {
-			ws.IdempotencyKey, err = server.HeaderIdempotencyKey(r, ws.IdempotencyKey)
-		}
-	} else {
-		var body server.SubmitRequest
-		if err = server.DecodeJSON(r, "request", &body); err == nil {
-			body.IdempotencyKey, err = server.HeaderIdempotencyKey(r, body.IdempotencyKey)
-		}
-		if err == nil {
-			ws, err = body.Wire()
-		}
-	}
+	ws, buf, err := server.DecodeSubmit(r)
 	defer buf.Release()
+	framed := buf != nil
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	inIdx, egIdx := rt.ring.OwnerIn(ws.From), rt.ring.OwnerEg(ws.To)
@@ -257,7 +228,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		server.WriteFrame(w, code, buf.B)
 		return
 	}
-	writeJSON(w, code, res)
+	server.WriteJSON(w, code, res)
 }
 
 // The two sides of a cross-shard item, indexing crossItem's arrays.
@@ -567,46 +538,18 @@ func (sh *shard) abort(ctx context.Context, refs []server.HoldRefJSON) ([]server
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	framed := server.Framed(r)
-	var subs []server.WireSubmission
-	var items []server.BatchItemJSON
-	var buf *server.FrameBuf // nil on the JSON path
-	if framed {
-		var err error
-		if buf, err = server.ReadFrame(r); err == nil {
-			subs, err = server.DecodeBinaryBatchRequest(buf.B, rt.maxBatch)
-		}
-		defer buf.Release()
+	subs, bad, buf, err := server.DecodeBatch(r, rt.maxBatch)
+	defer buf.Release()
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	// Malformed items fail individually in their slot, like the daemon's
+	// JSON batch handler.
+	items := make([]server.BatchItemJSON, len(subs))
+	for i, err := range bad {
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		items = make([]server.BatchItemJSON, len(subs))
-	} else {
-		var body server.BatchRequest
-		err := server.DecodeJSON(r, "request", &body)
-		switch {
-		case err != nil:
-		case len(body.Requests) == 0:
-			err = fmt.Errorf("empty batch")
-		case len(body.Requests) > rt.maxBatch:
-			err = fmt.Errorf("batch of %d exceeds limit %d", len(body.Requests), rt.maxBatch)
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		subs = make([]server.WireSubmission, len(body.Requests))
-		items = make([]server.BatchItemJSON, len(body.Requests))
-		for i, req := range body.Requests {
-			ws, err := req.Wire()
-			if err != nil {
-				// Malformed items fail individually in their slot, like the
-				// daemon's JSON batch handler.
-				items[i].Error = err.Error()
-				continue
-			}
-			subs[i] = ws
+			items[i].Error = err.Error()
 		}
 	}
 	// Missing keys are generated before the scatter so every retry layer
@@ -679,26 +622,18 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	if framed {
+	if buf != nil {
 		buf.B = server.AppendBinaryBatchItems(buf.B[:0], items)
 		server.WriteFrame(w, http.StatusOK, buf.B)
 		return
 	}
-	writeJSON(w, http.StatusOK, server.BatchResponse{Results: items})
-}
-
-func pathID(r *http.Request) (int, error) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil || id < 0 {
-		return 0, fmt.Errorf("bad reservation id %q", r.PathValue("id"))
-	}
-	return id, nil
+	server.WriteJSON(w, http.StatusOK, server.BatchResponse{Results: items})
 }
 
 func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
-	visible, err := pathID(r)
+	visible, err := server.PathID(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	local, shardIdx := rt.splitID(visible)
@@ -711,7 +646,7 @@ func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res.ID = visible
-	writeJSON(w, http.StatusOK, res)
+	server.WriteJSON(w, http.StatusOK, res)
 }
 
 // handleCancel revokes by visible ID. A same-shard reservation cancels
@@ -719,9 +654,9 @@ func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
 // back the ingress side of a cross-shard hold — resolved by ID into an
 // abort on both owners.
 func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
-	visible, err := pathID(r)
+	visible, err := server.PathID(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	local, shardIdx := rt.splitID(visible)
@@ -731,7 +666,7 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 	sh.met.observe(time.Since(t0), err)
 	if err == nil {
 		res.ID = visible
-		writeJSON(w, http.StatusOK, res)
+		server.WriteJSON(w, http.StatusOK, res)
 		return
 	}
 	if !client.IsNotFound(err) {
@@ -744,8 +679,7 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	if aerr != nil {
 		if client.IsNotFound(aerr) {
-			writeUpstreamError(w, err) // the original 404: nothing here at all
-			return
+			aerr = err // the original 404: nothing here at all
 		}
 		writeUpstreamError(w, aerr)
 		return
@@ -759,7 +693,7 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		_, _ = peer.abort(ctx, []server.HoldRefJSON{{Hold: st.Hold}})
 	}
-	writeJSON(w, http.StatusOK, server.ReservationJSON{
+	server.WriteJSON(w, http.StatusOK, server.ReservationJSON{
 		ID: visible, Accepted: true, State: string(server.StateCancelled),
 		Routed: server.RoutedCrossShard,
 	})
@@ -778,7 +712,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for i := range names {
 		names[i] = rt.ring.ShardName(i)
 	}
-	writeJSON(w, http.StatusOK, RouterHealthJSON{Status: "ok", Shards: names})
+	server.WriteJSON(w, http.StatusOK, RouterHealthJSON{Status: "ok", Shards: names})
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {

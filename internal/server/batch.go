@@ -201,13 +201,9 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 
 	// Phase 1: the global section — idempotency, IDs, domain checks.
 	s.mu.Lock()
-	if s.closed {
+	if err := s.writableLocked(); err != nil {
 		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.repl.following {
-		s.mu.Unlock()
-		return ErrReadOnly
+		return err
 	}
 	s.advanceLocked()
 	now := s.sim.Now()

@@ -31,9 +31,12 @@ package server
 // poisoned WAL, fenced epoch) is an error; a failure of one item is that
 // item's Code/Error and leaves its neighbours alone.
 //
-// Every transition is WAL-logged (trace.EventHold*) and replayed by
-// followers and boot recovery, so holds survive failover: a promoted
-// follower re-arms the TTL and release timers its primary had pending.
+// This file decides: what a RESERVE books, which CONFIRM or ABORT applies.
+// The state change itself is one of the hold transitions of state.go (hold,
+// refuse, confirm, rollback, releaseHold), which replay (applyEventLocked)
+// and snapshot install run too. Every transition is WAL-logged
+// (trace.EventHold*), so holds survive failover: a promoted follower re-arms
+// the TTL and release timers its primary had pending.
 // All hold state is guarded by s.mu; the one-sided bookings take the
 // single point-shard lock under it, the same nesting direction as the
 // expiry and cancel paths.
@@ -64,60 +67,6 @@ const (
 // ErrHoldAborted reports a CONFIRM of a hold that already rolled back
 // (TTL lapse or explicit abort) — the router must abort the peer side.
 var ErrHoldAborted = errors.New("server: hold already aborted")
-
-type holdState int
-
-const (
-	holdHeld holdState = iota + 1
-	holdConfirmed
-	holdAborted
-)
-
-func (st holdState) String() string {
-	switch st {
-	case holdHeld:
-		return "held"
-	case holdConfirmed:
-		return "confirmed"
-	case holdAborted:
-		return "aborted"
-	}
-	return fmt.Sprintf("holdState(%d)", int(st))
-}
-
-// holdEntry is one side of a cross-shard admission, keyed by the
-// router-generated hold key both sides share.
-type holdEntry struct {
-	key  string
-	side string // trace.HoldSideIngress or trace.HoldSideEgress
-	// point is the local access point booked; peer is the other side's
-	// point index on its owning shard (audit and cancel routing only).
-	point topology.PointID
-	peer  int
-	// id is the local request ID the ingress side allocated for the pair
-	// (the router namespaces it into the client-visible ID); -1 on the
-	// egress side.
-	id request.ID
-	// The proposed grant and the submission echo behind it.
-	bw       units.Bandwidth
-	sigma    units.Time
-	tau      units.Time
-	volume   units.Volume
-	maxRate  units.Bandwidth
-	expireAt units.Time
-	state    holdState
-	// booked tracks whether the one-sided capacity is currently reserved
-	// in the ledger (false once released, aborted or refused).
-	booked bool
-	reason string // refusal reason for held=false tombstones
-}
-
-func (e *holdEntry) dir() topology.Direction {
-	if e.side == trace.HoldSideIngress {
-		return topology.Ingress
-	}
-	return topology.Egress
-}
 
 // HoldReserveJSON is the POST /v1/reserve body. The ingress side carries
 // the submission (this shard takes the one-sided admission step and
@@ -217,23 +166,12 @@ type HoldResultsJSON[T any] struct {
 	Results []T `json:"results"`
 }
 
-// holdGateLocked is the whole-call gate of the three hold calls.
-func (s *Server) holdGateLocked() error {
-	if s.closed {
-		return ErrClosed
-	}
-	if s.repl.following {
-		return ErrReadOnly
-	}
-	return nil
-}
-
 // HoldReserve places (or idempotently re-answers) one-sided holds, in
 // list order under one pass of the service clock.
 func (s *Server) HoldReserve(reqs []HoldReserveJSON) ([]HoldReserveResponseJSON, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.holdGateLocked(); err != nil {
+	if err := s.writableLocked(); err != nil {
 		return nil, err
 	}
 	s.advanceLocked()
@@ -257,7 +195,9 @@ func (s *Server) HoldReserve(reqs []HoldReserveJSON) ([]HoldReserveResponseJSON,
 	return out, nil
 }
 
-// holdReserveLocked decides one hold of a RESERVE list.
+// holdReserveLocked decides one hold of a RESERVE list: the side's own
+// step decides and books, the transition files the outcome, the TTL is armed
+// and the hold logged.
 func (s *Server) holdReserveLocked(req HoldReserveJSON) (*holdEntry, error) {
 	if req.Hold == "" {
 		return nil, fmt.Errorf("server: reserve without hold key")
@@ -277,15 +217,17 @@ func (s *Server) holdReserveLocked(req HoldReserveJSON) (*holdEntry, error) {
 		ttl = maxHoldTTL
 	}
 	now := s.sim.Now()
-	expireAt := now + units.Time(ttl.Seconds())
-
-	var e *holdEntry
+	h := holdEntry{
+		key: req.Hold, side: req.Side, peer: req.PeerPoint, id: -1,
+		volume: units.Volume(req.VolumeBytes), maxRate: units.Bandwidth(req.MaxRateBps),
+		expireAt: now + units.Time(ttl.Seconds()),
+	}
 	var err error
 	switch req.Side {
 	case trace.HoldSideIngress:
-		e, err = s.holdReserveIngressLocked(req, now, expireAt)
+		err = s.holdProposeLocked(&h, req, now)
 	case trace.HoldSideEgress:
-		e, err = s.holdReserveEgressLocked(req, now, expireAt)
+		err = s.holdCheckLocked(&h, req, now)
 	default:
 		err = fmt.Errorf("server: unknown hold side %q (want %q or %q)",
 			req.Side, trace.HoldSideIngress, trace.HoldSideEgress)
@@ -293,22 +235,15 @@ func (s *Server) holdReserveLocked(req HoldReserveJSON) (*holdEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.holds[req.Hold] = e
-	if e.id >= 0 {
-		s.holdsByID[e.id] = req.Hold
-	}
-	if e.state == holdHeld {
-		s.sim.At(e.expireAt, s.holdExpireEvent(req.Hold))
-		s.logHoldLocked(trace.EventHoldReserve, e)
-		if e.expireAt < s.loopNext {
-			s.poke()
-		}
-	} else {
+	if h.reason != "" {
 		// A refusal is remembered (like the egress refused state in
 		// internal/distributed) so duplicate RESERVEs answer identically,
 		// but it holds no capacity and needs no WAL record.
-		s.retireHoldLocked(req.Hold)
+		return s.refuse(h), nil
 	}
+	e := s.hold(h)
+	s.armHoldTTLLocked(e)
+	s.logHoldLocked(trace.EventHoldReserve, e)
 	return e, nil
 }
 
@@ -328,13 +263,15 @@ func (s *Server) holdReserveAnswerLocked(e *holdEntry) HoldReserveResponseJSON {
 	return resp
 }
 
-// holdReserveIngressLocked takes the admission step one-sided: the same
-// check and the same one instant, max(NotBefore, now), as admitTx, booked
-// against the ingress profile only — the egress owner's authoritative check
-// of the grant it proposes is the second RESERVE of the protocol.
-func (s *Server) holdReserveIngressLocked(req HoldReserveJSON, now, expireAt units.Time) (*holdEntry, error) {
+// holdProposeLocked is the ingress side of a RESERVE: the admission step
+// taken one-sided — the same check and the same one instant, max(NotBefore,
+// now), as admitTx, booked against the ingress profile only; the egress
+// owner's authoritative check of the grant proposed here is the second
+// RESERVE of the protocol. It fills h's point, request ID and grant, or
+// h.reason with why it refused: an empty reason means the grant is booked.
+func (s *Server) holdProposeLocked(h *holdEntry, req HoldReserveJSON, now units.Time) error {
 	if req.Point < 0 || req.Point >= s.net.NumIngress() {
-		return nil, fmt.Errorf("server: ingress %d out of range [0,%d)", req.Point, s.net.NumIngress())
+		return fmt.Errorf("server: ingress %d out of range [0,%d)", req.Point, s.net.NumIngress())
 	}
 	start := units.Time(req.NotBeforeS)
 	deadline := units.Time(req.DeadlineS)
@@ -345,43 +282,38 @@ func (s *Server) holdReserveIngressLocked(req HoldReserveJSON, now, expireAt uni
 	r := request.Request{
 		ID: s.nextID, Ingress: topology.PointID(req.Point), Egress: topology.PointID(req.PeerPoint),
 		Start: clampStart(start, now), Finish: deadline,
-		Volume: units.Volume(req.VolumeBytes), MaxRate: units.Bandwidth(req.MaxRateBps),
+		Volume: h.volume, MaxRate: h.maxRate,
 	}
 	checked := admit.Check(r)
 	if checked.Cause == admit.Malformed {
-		return nil, fmt.Errorf("server: %w", checked.Err)
+		return fmt.Errorf("server: %w", checked.Err)
 	}
 	s.nextID++
-	e := &holdEntry{
-		key: req.Hold, side: trace.HoldSideIngress,
-		point: r.Ingress, peer: req.PeerPoint,
-		id: r.ID, volume: r.Volume, maxRate: r.MaxRate,
-		expireAt: expireAt, state: holdAborted,
-	}
+	h.point, h.id = r.Ingress, r.ID
 	if checked.Cause != admit.Admitted {
-		e.reason = checked.Err.Error()
-		return e, nil
+		h.reason = checked.Err.Error()
+		return nil
 	}
-	tx := s.ledger.LockPoint(topology.Ingress, e.point)
+	tx := s.ledger.LockPoint(topology.Ingress, h.point)
 	defer tx.Unlock()
 	g, no := admit.At(tx, s.pol, r, r.Start)
 	switch no.Cause {
 	case admit.Admitted:
-		e.bw, e.sigma, e.tau = g.Bandwidth, g.Sigma, g.Tau
-		e.state, e.booked = holdHeld, true
+		h.bw, h.sigma, h.tau = g.Bandwidth, g.Sigma, g.Tau
 	case admit.Capacity:
-		e.reason = "ingress capacity saturated"
+		h.reason = "ingress capacity saturated"
 	default:
-		e.reason = no.String()
+		h.reason = no.String()
 	}
-	return e, nil
+	return nil
 }
 
-// holdReserveEgressLocked checks the proposed grant against the egress
-// profile and books it tentatively.
-func (s *Server) holdReserveEgressLocked(req HoldReserveJSON, now, expireAt units.Time) (*holdEntry, error) {
+// holdCheckLocked is the egress side of a RESERVE: it checks the proposed
+// grant against the egress profile and books it tentatively, or fills
+// h.reason if it does not fit.
+func (s *Server) holdCheckLocked(h *holdEntry, req HoldReserveJSON, now units.Time) error {
 	if req.Point < 0 || req.Point >= s.net.NumEgress() {
-		return nil, fmt.Errorf("server: egress %d out of range [0,%d)", req.Point, s.net.NumEgress())
+		return fmt.Errorf("server: egress %d out of range [0,%d)", req.Point, s.net.NumEgress())
 	}
 	sigma, tau := units.Time(req.SigmaS), units.Time(req.TauS)
 	if req.RelTimes {
@@ -392,25 +324,14 @@ func (s *Server) holdReserveEgressLocked(req HoldReserveJSON, now, expireAt unit
 	// The proposal is numbers off a frame that no admit.Check has seen on
 	// this shard, and every one of them is booked or logged.
 	if !finite(float64(sigma), float64(tau), req.RateBps, req.VolumeBytes, req.MaxRateBps) || req.RateBps <= 0 || tau <= sigma {
-		return nil, fmt.Errorf("server: degenerate proposed grant")
+		return fmt.Errorf("server: degenerate proposed grant")
 	}
-	e := &holdEntry{
-		key: req.Hold, side: trace.HoldSideEgress,
-		point: topology.PointID(req.Point), peer: req.PeerPoint,
-		id:       -1,
-		bw:       units.Bandwidth(req.RateBps),
-		sigma:    sigma,
-		tau:      tau,
-		volume:   units.Volume(req.VolumeBytes),
-		maxRate:  units.Bandwidth(req.MaxRateBps),
-		expireAt: expireAt,
+	h.point = topology.PointID(req.Point)
+	h.bw, h.sigma, h.tau = units.Bandwidth(req.RateBps), sigma, tau
+	if s.ledger.HoldReserve(topology.Egress, h.point, sigma, tau, h.bw) != nil {
+		h.reason = "egress capacity saturated"
 	}
-	if err := s.ledger.HoldReserve(topology.Egress, e.point, e.sigma, e.tau, e.bw); err != nil {
-		e.state, e.reason = holdAborted, "egress capacity saturated"
-		return e, nil
-	}
-	e.state, e.booked = holdHeld, true
-	return e, nil
+	return nil
 }
 
 // HoldConfirm commits held reservations: the capacity stays booked and
@@ -422,7 +343,7 @@ func (s *Server) holdReserveEgressLocked(req HoldReserveJSON, now, expireAt unit
 func (s *Server) HoldConfirm(refs []HoldRefJSON) ([]HoldStateJSON, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.holdGateLocked(); err != nil {
+	if err := s.writableLocked(); err != nil {
 		return nil, err
 	}
 	for _, ref := range refs {
@@ -443,32 +364,18 @@ func (s *Server) holdConfirmLocked(key string) HoldStateJSON {
 		return HoldStateJSON{Code: http.StatusBadRequest, Error: "server: confirm without hold key"}
 	}
 	e, ok := s.holds[key]
-	if !ok {
+	switch {
+	case !ok:
 		return HoldStateJSON{Hold: key, Code: http.StatusNotFound, Error: ErrNotFound.Error()}
-	}
-	switch e.state {
-	case holdAborted:
+	case e.state == holdAborted:
 		st := s.holdStateLocked(e, false)
 		st.Code, st.Error = http.StatusConflict, ErrHoldAborted.Error()
 		return st
-	case holdHeld:
-		e.state = holdConfirmed
+	case s.confirm(e):
+		s.armHoldReleaseLocked(e)
 		s.logHoldLocked(trace.EventHoldConfirm, e)
-		s.armHoldReleaseLocked(key, e)
 	}
 	return s.holdStateLocked(e, false)
-}
-
-// armHoldReleaseLocked schedules a confirmed hold's on-time release at τ.
-func (s *Server) armHoldReleaseLocked(key string, e *holdEntry) {
-	at := e.tau
-	if now := s.sim.Now(); at < now {
-		at = now
-	}
-	s.sim.At(at, s.holdReleaseEvent(key))
-	if at < s.loopNext {
-		s.poke()
-	}
 }
 
 // HoldAbort rolls holds back, totally: held and confirmed holds release
@@ -483,7 +390,7 @@ func (s *Server) armHoldReleaseLocked(key string, e *holdEntry) {
 func (s *Server) HoldAbort(refs []HoldRefJSON) ([]HoldStateJSON, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.holdGateLocked(); err != nil {
+	if err := s.writableLocked(); err != nil {
 		return nil, err
 	}
 	s.advanceLocked()
@@ -507,35 +414,12 @@ func (s *Server) HoldAbort(refs []HoldRefJSON) ([]HoldStateJSON, error) {
 }
 
 func (s *Server) holdAbortLocked(key string) HoldStateJSON {
-	e, ok := s.holds[key]
-	if !ok {
-		e = &holdEntry{key: key, id: -1, peer: -1, state: holdAborted, reason: "aborted before reserve"}
-		s.holds[key] = e
-		s.retireHoldLocked(key)
-		s.logHoldLocked(trace.EventHoldAbort, e)
-		return s.holdStateLocked(e, false)
+	if e, ok := s.holds[key]; ok && e.state == holdAborted {
+		return s.holdStateLocked(e, false) // rolled back already: nothing to do, nothing to log
 	}
-	released := s.holdRollbackLocked(e, trace.EventHoldAbort)
+	e, released := s.rollback(key, "aborted before reserve")
+	s.logHoldLocked(trace.EventHoldAbort, e)
 	return s.holdStateLocked(e, released)
-}
-
-// holdRollbackLocked releases whatever the hold still books and marks it
-// aborted, logging the transition as kind (abort vs TTL expiry). It
-// reports whether capacity was actually returned.
-func (s *Server) holdRollbackLocked(e *holdEntry, kind string) bool {
-	if e.state == holdAborted {
-		return false
-	}
-	released := false
-	if e.booked {
-		s.ledger.HoldRelease(e.dir(), e.point, e.sigma, e.tau, e.bw)
-		e.booked = false
-		released = true
-	}
-	e.state = holdAborted
-	s.logHoldLocked(kind, e)
-	s.retireHoldLocked(e.key)
-	return released
 }
 
 // holdExpireEvent returns the TTL rollback callback for an unconfirmed
@@ -543,11 +427,10 @@ func (s *Server) holdRollbackLocked(e *holdEntry, kind string) bool {
 // checks state, so a confirm or abort that won the race makes it a no-op.
 func (s *Server) holdExpireEvent(key string) des.Event {
 	return func(*des.Simulator) {
-		e, ok := s.holds[key]
-		if !ok || e.state != holdHeld {
-			return
+		if e, ok := s.holds[key]; ok && e.state == holdHeld {
+			s.rollback(key, "")
+			s.logHoldLocked(trace.EventHoldExpire, e)
 		}
-		s.holdRollbackLocked(e, trace.EventHoldExpire)
 	}
 }
 
@@ -555,30 +438,8 @@ func (s *Server) holdExpireEvent(key string) des.Event {
 // confirmed hold at τ.
 func (s *Server) holdReleaseEvent(key string) des.Event {
 	return func(*des.Simulator) {
-		e, ok := s.holds[key]
-		if !ok || e.state != holdConfirmed || !e.booked {
-			return
-		}
-		s.ledger.HoldRelease(e.dir(), e.point, e.sigma, e.tau, e.bw)
-		e.booked = false
-		s.logHoldLocked(trace.EventHoldRelease, e)
-		s.retireHoldLocked(key)
-	}
-}
-
-// retireHoldLocked queues a resolved hold for FIFO eviction under the
-// same retention bound as finished reservations, so tombstones answer
-// duplicate protocol messages for a while without growing forever.
-func (s *Server) retireHoldLocked(key string) {
-	s.holdsDone = append(s.holdsDone, key)
-	for len(s.holdsDone) > s.retention {
-		evict := s.holdsDone[0]
-		s.holdsDone = s.holdsDone[1:]
-		if e, ok := s.holds[evict]; ok && (e.state == holdAborted || !e.booked) {
-			delete(s.holds, evict)
-			if e.id >= 0 {
-				delete(s.holdsByID, e.id)
-			}
+		if e, ok := s.holds[key]; ok && s.releaseHold(e) {
+			s.logHoldLocked(trace.EventHoldRelease, e)
 		}
 	}
 }
@@ -632,104 +493,21 @@ func (s *Server) logHoldLocked(kind string, e *holdEntry) {
 	s.appendEventLocked(ev)
 }
 
-// applyHoldEventLocked replays one shipped (or recovered) hold event —
-// the hold half of applyEventLocked. Idempotent like the reservation
-// cases: duplicates and history before this replica's horizon are
-// tolerated. While following, no timers are armed; Promote arms them.
-func (s *Server) applyHoldEventLocked(ev trace.Event) error {
-	switch ev.Kind {
-	case trace.EventHoldReserve:
-		if _, ok := s.holds[ev.Hold]; ok {
-			return nil // duplicate delivery
-		}
-		point, err := holdPointFromEvent(ev, s.net)
-		if err != nil {
-			return err
-		}
-		e := &holdEntry{
-			key: ev.Hold, side: ev.Side, point: point, peer: holdPeerFromEvent(ev),
-			id:    request.ID(ev.Request),
-			bw:    units.Bandwidth(ev.RateBps),
-			sigma: units.Time(ev.SigmaS), tau: units.Time(ev.TauS),
-			volume: units.Volume(ev.VolumeB), maxRate: units.Bandwidth(ev.MaxRateBps),
-			expireAt: units.Time(ev.ExpireS),
-			state:    holdHeld,
-		}
-		if err := s.ledger.HoldReserve(e.dir(), e.point, e.sigma, e.tau, e.bw); err != nil {
-			return fmt.Errorf("server: apply hold: %w", err)
-		}
-		e.booked = true
-		s.holds[ev.Hold] = e
-		if e.id >= 0 {
-			s.holdsByID[e.id] = ev.Hold
-		}
-		if !s.repl.following {
-			s.sim.At(maxTime(e.expireAt, s.sim.Now()), s.holdExpireEvent(ev.Hold))
-			s.poke()
-		}
-	case trace.EventHoldConfirm:
-		e, ok := s.holds[ev.Hold]
-		if !ok || e.state != holdHeld {
-			return nil
-		}
-		e.state = holdConfirmed
-		if !s.repl.following {
-			s.armHoldReleaseLocked(ev.Hold, e)
-		}
-	case trace.EventHoldAbort, trace.EventHoldExpire:
-		e, ok := s.holds[ev.Hold]
-		if !ok {
-			e = &holdEntry{key: ev.Hold, id: -1, peer: -1, state: holdAborted}
-			s.holds[ev.Hold] = e
-			s.retireHoldLocked(ev.Hold)
-			return nil
-		}
-		if e.state == holdAborted {
-			return nil
-		}
-		if e.booked {
-			s.ledger.HoldRelease(e.dir(), e.point, e.sigma, e.tau, e.bw)
-			e.booked = false
-		}
-		e.state = holdAborted
-		s.retireHoldLocked(ev.Hold)
-	case trace.EventHoldRelease:
-		e, ok := s.holds[ev.Hold]
-		if !ok || e.state != holdConfirmed || !e.booked {
-			return nil
-		}
-		s.ledger.HoldRelease(e.dir(), e.point, e.sigma, e.tau, e.bw)
-		e.booked = false
-		s.retireHoldLocked(ev.Hold)
-	default:
-		return fmt.Errorf("server: apply: unknown hold event kind %q", ev.Kind)
+// holdFromEvent decodes the hold a WAL event records — logHoldLocked read
+// backwards.
+func holdFromEvent(ev trace.Event) holdEntry {
+	h := holdEntry{
+		key: ev.Hold, side: ev.Side, point: topology.PointID(ev.Ingress), peer: ev.Egress,
+		id:    request.ID(ev.Request),
+		bw:    units.Bandwidth(ev.RateBps),
+		sigma: units.Time(ev.SigmaS), tau: units.Time(ev.TauS),
+		volume: units.Volume(ev.VolumeB), maxRate: units.Bandwidth(ev.MaxRateBps),
+		expireAt: units.Time(ev.ExpireS),
 	}
-	return nil
-}
-
-// holdPointFromEvent resolves the local point a hold event books, range
-// checking it against this replica's platform.
-func holdPointFromEvent(ev trace.Event, net *topology.Network) (topology.PointID, error) {
-	switch ev.Side {
-	case trace.HoldSideIngress:
-		if ev.Ingress < 0 || ev.Ingress >= net.NumIngress() {
-			return 0, fmt.Errorf("server: apply hold: ingress %d out of range", ev.Ingress)
-		}
-		return topology.PointID(ev.Ingress), nil
-	case trace.HoldSideEgress:
-		if ev.Egress < 0 || ev.Egress >= net.NumEgress() {
-			return 0, fmt.Errorf("server: apply hold: egress %d out of range", ev.Egress)
-		}
-		return topology.PointID(ev.Egress), nil
+	if ev.Side == trace.HoldSideEgress {
+		h.point, h.peer = topology.PointID(ev.Egress), ev.Ingress
 	}
-	return 0, fmt.Errorf("server: apply hold: unknown side %q", ev.Side)
-}
-
-func holdPeerFromEvent(ev trace.Event) int {
-	if ev.Side == trace.HoldSideIngress {
-		return ev.Egress
-	}
-	return ev.Ingress
+	return h
 }
 
 // finite reports whether none of xs is NaN or ±Inf: frames carry raw float
@@ -741,13 +519,6 @@ func finite(xs ...float64) bool {
 		}
 	}
 	return true
-}
-
-func maxTime(a, b units.Time) units.Time {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- HTTP surface -------------------------------------------------------
@@ -777,7 +548,7 @@ func holdHandler[Q, A any](s *Server, call func([]Q) ([]A, error),
 		}
 		defer buf.Release()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		results, err := call(holds)
@@ -788,7 +559,7 @@ func holdHandler[Q, A any](s *Server, call func([]Q) ([]A, error),
 			buf.B = encode(buf.B[:0], results)
 			WriteFrame(w, http.StatusOK, buf.B)
 		default:
-			writeJSON(w, http.StatusOK, HoldResultsJSON[A]{Results: results})
+			WriteJSON(w, http.StatusOK, HoldResultsJSON[A]{Results: results})
 		}
 	}
 }

@@ -188,7 +188,7 @@ func (s *Server) Recoverer(next http.Handler) http.Handler {
 		defer func() {
 			if v := recover(); v != nil {
 				s.recordPanic(r.Method+" "+r.URL.Path, v)
-				writeError(w, http.StatusInternalServerError, fmt.Errorf("internal error"))
+				WriteError(w, http.StatusInternalServerError, fmt.Errorf("internal error"))
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -203,7 +203,7 @@ func (s *Server) shed(next http.Handler) http.Handler {
 		if !s.acquire() {
 			s.recordShed()
 			w.Header().Set("Retry-After", strconv.Itoa(int((s.retryAfter+time.Second-1)/time.Second)))
-			writeError(w, http.StatusTooManyRequests, errOverloaded)
+			WriteError(w, http.StatusTooManyRequests, errOverloaded)
 			return
 		}
 		defer s.release()
@@ -256,7 +256,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body.Status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
+	WriteJSON(w, code, body)
 }
 
 // Header values every answer sets, preset so that setting one allocates
@@ -266,29 +266,33 @@ var (
 	frameContentType = []string{BinaryBatchContentType}
 )
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers with v as a JSON body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, ErrorJSON{Error: err.Error()})
+// WriteError answers with the ErrorJSON envelope of every non-2xx response.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, ErrorJSON{Error: err.Error()})
 }
 
 // writeCallError answers the failure of a core call as a whole with the
 // status codes the failover-aware client keys on: 503 retry (draining, or
-// a poisoned WAL), 403 move to the primary or refresh the epoch, 400 the
-// request itself.
+// a poisoned WAL), 403 move to the primary or refresh the epoch, 404 no such
+// reservation, 400 the request itself.
 func writeCallError(w http.ResponseWriter, err error) {
 	var fenced *FencedError
 	switch {
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrDurabilityLost):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrReadOnly), errors.As(err, &fenced):
-		writeError(w, http.StatusForbidden, err)
+		WriteError(w, http.StatusForbidden, err)
+	case errors.Is(err, ErrNotFound):
+		WriteError(w, http.StatusNotFound, err)
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 	}
 }
 
@@ -372,14 +376,13 @@ func decisionJSON(d Decision) ReservationJSON {
 	return out
 }
 
-// handleSubmit decides one submission: a SubmitRequest in JSON, or the
-// one-record frame the client and the router send.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	framed := Framed(r)
-	var ws WireSubmission
-	var buf *FrameBuf // nil on the JSON path
-	var err error
-	if framed {
+// DecodeSubmit reads the body of POST /v1/requests: a SubmitRequest in JSON,
+// or the one-record frame the client and the router send, with the
+// Idempotency-Key header merged in. buf is the pooled buffer a framed body
+// arrived in — nil marks the JSON face — for the handler to encode its
+// answer over and release; it is set on a failed framed read too.
+func DecodeSubmit(r *http.Request) (ws WireSubmission, buf *FrameBuf, err error) {
+	if Framed(r) {
 		if buf, err = ReadFrame(r); err == nil {
 			ws, err = DecodeBinarySubmitRequest(buf.B)
 		}
@@ -389,12 +392,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			ws, err = body.Wire()
 		}
 	}
-	defer buf.Release()
 	if err == nil {
 		ws.IdempotencyKey, err = HeaderIdempotencyKey(r, ws.IdempotencyKey)
 	}
+	return ws, buf, err
+}
+
+// handleSubmit decides one submission.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	ws, buf, err := DecodeSubmit(r)
+	defer buf.Release()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	res, err := s.submitOne(ws.resolve(s.nowFor(ws)))
@@ -408,29 +417,39 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// HTTP failure; 200 keeps it distinct from 4xx client errors.
 		code = http.StatusOK
 	}
-	if framed {
+	if buf != nil {
 		buf.B = AppendBinaryBatchResponse(buf.B[:0], []BatchResult{res})
 		WriteFrame(w, code, buf.B)
 		return
 	}
 	rj := decisionJSON(res.Decision)
 	rj.Durability = res.Durability
-	writeJSON(w, code, rj)
+	WriteJSON(w, code, rj)
 }
 
-// decodeJSONBatch reads a BatchRequest into wire records. An item whose
-// quantities do not parse is that item's failure, reported in bad at its
-// input position (bad is nil when every item parsed).
-func (s *Server) decodeJSONBatch(r *http.Request) (wire []WireSubmission, bad []error, err error) {
+// DecodeBatch reads the body of POST /v1/batch into at most maxBatch wire
+// records. In JSON, an item whose quantities do not parse is that item's
+// failure, reported in bad at its input position (bad is nil when every item
+// parsed), and only an empty or oversized batch or an undecodable body fail
+// the whole call. A malformed frame fails the whole batch — per-item salvage
+// of a broken binary stream would decide requests the client never meant to
+// send. buf is as for DecodeSubmit.
+func DecodeBatch(r *http.Request, maxBatch int) (wire []WireSubmission, bad []error, buf *FrameBuf, err error) {
+	if Framed(r) {
+		if buf, err = ReadFrame(r); err == nil {
+			wire, err = DecodeBinaryBatchRequest(buf.B, maxBatch)
+		}
+		return wire, nil, buf, err
+	}
 	var body BatchRequest
 	if err = DecodeJSON(r, "request", &body); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if len(body.Requests) == 0 {
-		return nil, nil, fmt.Errorf("empty batch")
+		return nil, nil, nil, fmt.Errorf("empty batch")
 	}
-	if len(body.Requests) > s.maxBatch {
-		return nil, nil, fmt.Errorf("batch of %d exceeds limit %d", len(body.Requests), s.maxBatch)
+	if len(body.Requests) > maxBatch {
+		return nil, nil, nil, fmt.Errorf("batch of %d exceeds limit %d", len(body.Requests), maxBatch)
 	}
 	wire = make([]WireSubmission, len(body.Requests))
 	for i, req := range body.Requests {
@@ -441,31 +460,16 @@ func (s *Server) decodeJSONBatch(r *http.Request) (wire []WireSubmission, bad []
 			bad[i] = err
 		}
 	}
-	return wire, bad, nil
+	return wire, bad, nil, nil
 }
 
-// handleBatch decides a whole batch in one SubmitBatch pass. In JSON,
-// malformed items fail individually in their result slot and only an
-// empty or oversized batch, an undecodable body, or a draining server
-// fail the whole call. A malformed frame fails the whole batch — per-item
-// salvage of a broken binary stream would decide requests the client
-// never meant to send.
+// handleBatch decides a whole batch in one SubmitBatch pass; beyond what
+// DecodeBatch refuses, only a draining server fails the whole call.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	framed := Framed(r)
-	var wire []WireSubmission
-	var bad []error   // JSON only: per-item parse failures, by input position
-	var buf *FrameBuf // nil on the JSON path
-	var err error
-	if framed {
-		if buf, err = ReadFrame(r); err == nil {
-			wire, err = DecodeBinaryBatchRequest(buf.B, s.maxBatch)
-		}
-	} else {
-		wire, bad, err = s.decodeJSONBatch(r)
-	}
+	wire, bad, buf, err := DecodeBatch(r, s.maxBatch)
 	defer buf.Release()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	now := s.nowFor(wire...)
@@ -482,7 +486,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if framed {
+	if buf != nil {
 		buf.B = AppendBinaryBatchResponse(buf.B[:0], results)
 		WriteFrame(w, http.StatusOK, buf.B)
 		return
@@ -504,10 +508,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		d.Durability = res.Durability
 		out.Results[i].Reservation = &d
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
-func pathID(r *http.Request) (int, error) {
+// PathID reads the {id} of a /v1/requests/{id} route.
+func PathID(r *http.Request) (int, error) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil || id < 0 {
 		return 0, fmt.Errorf("bad reservation id %q", r.PathValue("id"))
@@ -516,42 +521,38 @@ func pathID(r *http.Request) (int, error) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	id, err := pathID(r)
+	id, err := PathID(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	d, err := s.Lookup(request.ID(id))
-	if errors.Is(err, ErrNotFound) {
-		writeError(w, http.StatusNotFound, err)
+	if err != nil {
+		writeCallError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, decisionJSON(d))
+	WriteJSON(w, http.StatusOK, decisionJSON(d))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id, err := pathID(r)
+	id, err := PathID(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	d, err := s.Cancel(request.ID(id))
 	switch {
-	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrReadOnly):
-		writeError(w, http.StatusForbidden, err)
-	case errors.Is(err, ErrNotFound):
-		writeError(w, http.StatusNotFound, err)
+	case err == nil:
+		WriteJSON(w, http.StatusOK, decisionJSON(d))
 	case errors.Is(err, ErrFinished):
-		writeJSON(w, http.StatusConflict, decisionJSON(d))
+		WriteJSON(w, http.StatusConflict, decisionJSON(d))
 	default:
-		writeJSON(w, http.StatusOK, decisionJSON(d))
+		writeCallError(w, err)
 	}
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, statusJSON(s.Status()))
+	WriteJSON(w, http.StatusOK, statusJSON(s.Status()))
 }
 
 func statusJSON(st Status) StatusJSON {
@@ -633,7 +634,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		AdmitLatency:        st.Stats.AdmitLatencySummary(),
 		WatchdogState:       s.watchdogStateNow(),
 	}
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) writeMetricsText(w http.ResponseWriter) {

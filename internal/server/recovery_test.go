@@ -20,10 +20,26 @@ import (
 //
 // The history covers every event kind recovery replays: flexible and
 // book-ahead accepts, a reject, a cancel, an expiry, an idempotent re-send,
-// and holds left held, confirmed (across the mid snapshot) and aborted.
+// and holds left held, confirmed (across the mid snapshot), aborted and
+// aborted before they were ever reserved.
+//
+// The policy is an input: under minbw a grant's τ is the submission's
+// deadline, which is what used to hide a replayed reservation recording a
+// different window than the live one. Under f=0.8 and f=1 the two differ.
 func TestRecoveryRoutesAgree(t *testing.T) {
+	for _, policy := range []string{"minbw", "f=0.8", "f=1"} {
+		t.Run(policy, func(t *testing.T) { recoveryRoutesAgree(t, policy) })
+	}
+}
+
+func recoveryRoutesAgree(t *testing.T, policy string) {
 	clk := &fakeClock{}
-	dcfg := uniformConfig(clk)
+	config := func() server.Config {
+		cfg := uniformConfig(clk)
+		cfg.Policy = policy
+		return cfg
+	}
+	dcfg := config()
 	dwal := openTestWAL(t)
 	dcfg.WAL = dwal
 	donor := newTestServer(t, dcfg)
@@ -36,19 +52,24 @@ func TestRecoveryRoutesAgree(t *testing.T) {
 		}
 		return d
 	}
+	// Rates are sized so that everything below fits whichever rate the
+	// policy picks between MinRate and MaxRate.
+	holdRequest := func(key string) server.HoldReserveJSON {
+		return server.HoldReserveJSON{
+			Hold: key, Side: trace.HoldSideIngress, Point: 0, PeerPoint: 1,
+			TTLS: 5, RelTimes: true, VolumeBytes: 1e11, MaxRateBps: 1e8, DeadlineS: 2000,
+		}
+	}
 	reserve := func(key string) {
 		t.Helper()
-		r, err := reserve1(donor, server.HoldReserveJSON{
-			Hold: key, Side: trace.HoldSideIngress, Point: 0, PeerPoint: 1,
-			TTLS: 5, RelTimes: true, VolumeBytes: 1e11, MaxRateBps: 1e9, DeadlineS: 2000,
-		})
+		r, err := reserve1(donor, holdRequest(key))
 		if err != nil || !r.Held {
 			t.Fatalf("reserve %s: %v %+v", key, err, r)
 		}
 	}
 
 	keyed := server.Submission{
-		From: 0, To: 1, Volume: 100 * units.GB, Deadline: 400, MaxRate: 1 * units.GBps,
+		From: 0, To: 1, Volume: 100 * units.GB, Deadline: 400, MaxRate: 500 * units.MBps,
 		IdempotencyKey: "carried-key",
 	}
 	first := submit(keyed, true)
@@ -58,7 +79,7 @@ func TestRecoveryRoutesAgree(t *testing.T) {
 	if _, err := donor.Cancel(cancelled.ID); err != nil {
 		t.Fatal(err)
 	}
-	submit(server.Submission{From: 1, To: 1, Volume: 1 * units.GB, Deadline: 10, MaxRate: 1 * units.GBps}, true) // expires at 10
+	submit(server.Submission{From: 1, To: 1, Volume: 1 * units.GB, Deadline: 10, MaxRate: 200 * units.MBps}, true) // expires by 10
 	reserve("h-confirmed")
 	mid := donor.Snapshot()
 
@@ -73,6 +94,9 @@ func TestRecoveryRoutesAgree(t *testing.T) {
 	reserve("h-aborted")
 	if st, err := abort1(donor, "h-aborted"); err != nil || !st.Released {
 		t.Fatalf("abort: %v %+v", err, st)
+	}
+	if st, err := abort1(donor, "h-never-reserved"); err != nil || st.Released || st.State != "aborted" {
+		t.Fatalf("abort before reserve: %v %+v", err, st)
 	}
 	final := donor.Snapshot()
 	if sd := final.IdempotencyDecisions["carried-key"]; sd.ID != int(first.ID) || !sd.Accepted {
@@ -115,11 +139,11 @@ func TestRecoveryRoutesAgree(t *testing.T) {
 	}
 
 	fromSnapshot := restore(final)
-	fromWAL := newTestServer(t, uniformConfig(clk))
+	fromWAL := newTestServer(t, config())
 	apply(fromWAL, all)
 	fromMid := restore(mid)
 	apply(fromMid, suffix)
-	fcfg := uniformConfig(clk)
+	fcfg := config()
 	fcfg.WAL = openTestWAL(t)
 	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
 	reseeded := newTestServer(t, fcfg)
@@ -139,11 +163,15 @@ func TestRecoveryRoutesAgree(t *testing.T) {
 		name string
 		s    *server.Server
 		keys bool // the route carries idempotency keys (snapshots do, WAL events do not)
+		// The route carries the tombstone of the hold aborted before its
+		// reserve: the events that recorded it do, a snapshot taken after it
+		// does not (snapHold persists only holds that book capacity).
+		tombstone bool
 	}{
-		{"snapshot", fromSnapshot, true},
-		{"full WAL", fromWAL, false},
-		{"mid snapshot + WAL suffix", fromMid, true},
-		{"reseed + shipped suffix", reseeded, true},
+		{"snapshot", fromSnapshot, true, false},
+		{"full WAL", fromWAL, false, true},
+		{"mid snapshot + WAL suffix", fromMid, true, true},
+		{"reseed + shipped suffix", reseeded, true, true},
 	}
 	agree := func(when string) {
 		t.Helper()
@@ -193,9 +221,28 @@ func TestRecoveryRoutesAgree(t *testing.T) {
 		}
 	}
 
+	// A RESERVE arriving late for the pair that was aborted first gets the
+	// donor's refusal, reason included, and books nothing — field for field,
+	// but for the epoch, which is each lineage's own.
+	want, err := reserve1(donor, holdRequest("h-never-reserved"))
+	if err != nil || want.Held || want.Reason != "aborted before reserve" {
+		t.Fatalf("donor's late reserve: %v %+v", err, want)
+	}
+	for _, r := range routes {
+		if !r.tombstone {
+			continue
+		}
+		got, err := reserve1(r.s, holdRequest("h-never-reserved"))
+		want.Epoch = r.s.Epoch()
+		if err != nil || got != want {
+			t.Errorf("%s: late reserve of the aborted pair\n got %+v (%v)\nwant %+v", r.name, got, err, want)
+		}
+	}
+
 	// Every route armed the same timers: the held hold rolls back at its TTL
-	// (25), the flexible transfer expires at 400, the booking turns active
-	// at 1000 and ends at 1100, the confirmed hold releases at its τ.
+	// (25), the flexible transfer expires at its τ (400 at the latest), the
+	// booking turns active at 1000 and ends at 1100, the confirmed hold
+	// releases at its τ (2000 at the latest).
 	for _, at := range []time.Duration{30, 450, 1050, 2100} {
 		clk.advance(at*time.Second - time.Duration(clk.ns.Load()))
 		agree("at t=" + (at * time.Second).String())

@@ -210,11 +210,8 @@ func (s *Server) ApplyShipped(b ShippedBatch) error {
 }
 
 func (s *Server) applyShippedLocked(b ShippedBatch, events []trace.Event) error {
-	if s.closed {
-		return ErrClosed
-	}
-	if !s.repl.following {
-		return ErrNotFollower
+	if err := s.followingLocked(); err != nil {
+		return err
 	}
 	if b.Epoch < s.repl.epoch {
 		return &FencedError{Batch: b.Epoch, Current: s.repl.epoch}
@@ -271,42 +268,32 @@ func (s *Server) ApplyEvents(events []trace.Event) (int, error) {
 	return applied, nil
 }
 
-// applyEventLocked replays one shipped (or recovered) event. Duplicates —
-// re-deliveries of already-applied history — are skipped before they can
-// double-book capacity or re-enter the local WAL, so replay converges
-// from any cursor. While following, accepts are booked without expiry
-// timers: the primary's shipped expire events retire them, and Promote
-// arms the timers when the follower takes over. frame is the payload a
-// shipped event arrived as, appended to the local WAL as received; nil for
-// a recovered event, which the local WAL already holds.
+// applyEventLocked replays one shipped (or recovered) event: decode the
+// record, then the same booking-and-transition the live path ends in
+// (state.go), then the timer the new state waits on — unless following: the
+// primary's shipped events retire what a follower holds, and Promote arms
+// the timers when it takes over. Duplicates — re-deliveries of
+// already-applied history — are skipped before they can double-book capacity
+// or re-enter the local WAL, so replay converges from any cursor. frame is
+// the payload a shipped event arrived as, appended to the local WAL as
+// received; nil for a recovered event, which the local WAL already holds.
 func (s *Server) applyEventLocked(ev trace.Event, frame []byte) error {
 	switch ev.Kind {
 	case trace.EventAccept:
-		r, g, err := grantFromEvent(ev, s.net)
-		if err != nil {
-			return fmt.Errorf("server: apply: %w", err)
-		}
+		r, g := grantFromEvent(ev)
 		if e, ok := s.resv[r.ID]; ok {
 			if e.req == r && e.grant == g {
 				return nil // duplicate delivery of an applied accept
 			}
 			return fmt.Errorf("server: apply: reservation %d already exists with a different grant", r.ID)
 		}
-		if err := s.ledger.Reserve(r, g); err != nil {
+		e, err := s.restore(r, g)
+		if err != nil {
 			return fmt.Errorf("server: apply: %w", err)
 		}
-		e := s.allocEntry()
-		e.req, e.grant, e.state = r, g, StateActive
 		if !s.repl.following {
-			at := g.Tau
-			if now := s.sim.Now(); at < now {
-				at = now
-			}
-			e.expire = s.sim.At(at, s.expireEvent(r.ID))
-			s.poke()
+			s.armExpiryLocked(e)
 		}
-		s.resv[r.ID] = e
-		s.stats.RecordAccept(g.Bandwidth, r.Volume)
 	case trace.EventReject:
 		s.stats.RecordReject()
 	case trace.EventCancel, trace.EventExpire:
@@ -315,19 +302,31 @@ func (s *Server) applyEventLocked(ev trace.Event, frame []byte) error {
 			return nil // duplicate, or history before this replica's horizon
 		}
 		s.sim.Cancel(e.expire)
-		s.ledger.Revoke(e.req)
 		if ev.Kind == trace.EventCancel {
-			e.state = StateCancelled
-			s.stats.RecordCancel()
+			s.finish(e, StateCancelled)
 		} else {
-			e.state = StateExpired
-			s.stats.RecordExpire()
+			s.finish(e, StateExpired)
 		}
-		s.retireLocked(request.ID(ev.Request))
-	case trace.EventHoldReserve, trace.EventHoldConfirm, trace.EventHoldAbort,
-		trace.EventHoldExpire, trace.EventHoldRelease:
-		if err := s.applyHoldEventLocked(ev); err != nil {
-			return err
+	case trace.EventHoldReserve:
+		if _, ok := s.holds[ev.Hold]; ok {
+			return nil // duplicate delivery
+		}
+		e, err := s.restoreHold(holdFromEvent(ev))
+		if err != nil {
+			return fmt.Errorf("server: apply: %w", err)
+		}
+		if !s.repl.following {
+			s.armHoldTTLLocked(e)
+		}
+	case trace.EventHoldConfirm:
+		if e, ok := s.holds[ev.Hold]; ok && s.confirm(e) && !s.repl.following {
+			s.armHoldReleaseLocked(e)
+		}
+	case trace.EventHoldAbort, trace.EventHoldExpire:
+		s.rollback(ev.Hold, ev.Reason)
+	case trace.EventHoldRelease:
+		if e, ok := s.holds[ev.Hold]; ok {
+			s.releaseHold(e)
 		}
 	case trace.EventRestore, trace.EventPanic, trace.EventPromote:
 		// Markers carry no reservation state.
@@ -344,10 +343,10 @@ func (s *Server) applyEventLocked(ev trace.Event, frame []byte) error {
 	return nil
 }
 
-// grantFromEvent reconstructs the request and grant an accept event
-// recorded, re-deriving the submission echo older logs omitted (the
-// daemon's grants always satisfy vol = bw·(τ−σ) exactly).
-func grantFromEvent(ev trace.Event, net *topology.Network) (request.Request, request.Grant, error) {
+// grantFromEvent decodes the request and grant an accept event recorded,
+// re-deriving the submission echo older logs omitted (the daemon's grants
+// always satisfy vol = bw·(τ−σ) exactly).
+func grantFromEvent(ev trace.Event) (request.Request, request.Grant) {
 	id := request.ID(ev.Request)
 	g := request.Grant{
 		Request:   id,
@@ -355,26 +354,18 @@ func grantFromEvent(ev trace.Event, net *topology.Network) (request.Request, req
 		Sigma:     units.Time(ev.SigmaS),
 		Tau:       units.Time(ev.TauS),
 	}
-	if g.Tau <= g.Sigma || g.Bandwidth <= 0 {
-		return request.Request{}, g, fmt.Errorf("reservation %d has degenerate grant", ev.Request)
-	}
 	vol := units.Volume(ev.VolumeB)
 	maxRate := units.Bandwidth(ev.MaxRateBps)
 	if vol <= 0 {
 		vol = g.Bandwidth.For(g.Tau - g.Sigma)
 		maxRate = g.Bandwidth
 	}
-	r := request.Request{
+	return request.Request{
 		ID:      id,
 		Ingress: topology.PointID(ev.Ingress), Egress: topology.PointID(ev.Egress),
 		Start: g.Sigma, Finish: g.Tau,
 		Volume: vol, MaxRate: maxRate,
-	}
-	if int(r.Ingress) >= net.NumIngress() || int(r.Egress) >= net.NumEgress() ||
-		r.Ingress < 0 || r.Egress < 0 {
-		return r, g, fmt.Errorf("reservation %d routed through unknown point", ev.Request)
-	}
-	return r, g, nil
+	}, g
 }
 
 // armTimersLocked schedules everything a follower defers to its primary's
@@ -383,26 +374,23 @@ func grantFromEvent(ev trace.Event, net *topology.Network) (request.Request, req
 // one. Instants already past fire on the next clock advance. It reports
 // how many timers it armed.
 func (s *Server) armTimersLocked() int {
-	now := s.sim.Now()
 	armed := 0
-	for id, e := range s.resv {
+	for _, e := range s.resv {
 		if e.state == StateActive {
-			e.expire = s.sim.At(maxTime(e.grant.Tau, now), s.expireEvent(id))
+			s.armExpiryLocked(e)
 			armed++
 		}
 	}
-	for key, e := range s.holds {
-		if !e.booked {
+	for _, e := range s.holds {
+		switch {
+		case !e.booked:
 			continue
+		case e.state == holdHeld:
+			s.armHoldTTLLocked(e)
+		case e.state == holdConfirmed:
+			s.armHoldReleaseLocked(e)
 		}
-		switch e.state {
-		case holdHeld:
-			s.sim.At(maxTime(e.expireAt, now), s.holdExpireEvent(key))
-			armed++
-		case holdConfirmed:
-			s.sim.At(maxTime(e.tau, now), s.holdReleaseEvent(key))
-			armed++
-		}
+		armed++
 	}
 	return armed
 }
@@ -509,11 +497,8 @@ func (s *Server) Promote() (uint64, error) {
 func (s *Server) StartFollowing() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if !s.repl.following {
-		return ErrNotFollower
+	if err := s.followingLocked(); err != nil {
+		return err
 	}
 	if s.repl.stopPull != nil {
 		return nil
@@ -753,19 +738,19 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var refused *cluster.Refusal
 	switch {
 	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrNotFollower), err == nil:
 		// Already the primary, or just became it: idempotent success.
-		writeJSON(w, http.StatusOK, cluster.PromoteJSON{Role: "primary", Epoch: epoch})
+		WriteJSON(w, http.StatusOK, cluster.PromoteJSON{Role: "primary", Epoch: epoch})
 	case errors.As(err, &refused):
-		writeJSON(w, http.StatusConflict, refused)
+		WriteJSON(w, http.StatusConflict, refused)
 	default:
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 	}
 }
 
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.ReplicationStatus())
+	WriteJSON(w, http.StatusOK, s.ReplicationStatus())
 }
 
 // HandleVote decides one promotion-vote request by the grant rules of
@@ -804,13 +789,11 @@ func (s *Server) HandleVote(req cluster.VoteRequest) cluster.VoteResponse {
 // 200 — denial is a protocol answer, not a transport failure.
 func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 	var req cluster.VoteRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode vote request: %w", err))
+	if err := DecodeJSON(r, "vote request", &req); err != nil {
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.HandleVote(req))
+	WriteJSON(w, http.StatusOK, s.HandleVote(req))
 }
 
 // handleReplPull serves GET /v1/replication/pull?seg=&off=&max=&wait_ms=:
@@ -819,32 +802,21 @@ func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 // the follower must re-seed from a snapshot.
 func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	if s.wal == nil {
-		writeError(w, http.StatusConflict, errors.New("server: replication requires a WAL"))
+		WriteError(w, http.StatusConflict, errors.New("server: replication requires a WAL"))
 		return
 	}
 	q := r.URL.Query()
-	seg, err := queryUint(q.Get("seg"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad seg: %w", err))
-		return
+	var v [4]uint64
+	for i, name := range [...]string{"seg", "off", "max", "wait_ms"} {
+		var err error
+		if v[i], err = queryUint(q.Get(name)); err != nil {
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", name, err))
+			return
+		}
 	}
-	off, err := queryUint(q.Get("off"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad off: %w", err))
-		return
-	}
-	maxRecords, err := queryUint(q.Get("max"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad max: %w", err))
-		return
-	}
+	seg, off, maxRecords, waitMs := v[0], v[1], v[2], v[3]
 	if maxRecords == 0 || maxRecords > 4096 {
 		maxRecords = pullMaxRecords
-	}
-	waitMs, err := queryUint(q.Get("wait_ms"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad wait_ms: %w", err))
-		return
 	}
 	if waitMs > 60_000 {
 		waitMs = 60_000
@@ -889,10 +861,10 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	payloads, start, next, err := s.wal.ReadFrom(pos, int(maxRecords), pullMaxBytes)
 	switch {
 	case errors.Is(err, wal.ErrCompacted):
-		writeError(w, http.StatusGone, err)
+		WriteError(w, http.StatusGone, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	// The payloads ship as they sit in the WAL: the follower appends the
@@ -906,7 +878,7 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		lag = 0
 	}
-	writeJSON(w, http.StatusOK, ShippedBatch{
+	WriteJSON(w, http.StatusOK, ShippedBatch{
 		Epoch: s.Epoch(), From: start, Next: next, End: end,
 		LagBytes: lag, Events: events,
 	})

@@ -23,9 +23,9 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strconv"
 
-	"gridbw/internal/topology"
 	"gridbw/internal/trace"
 )
 
@@ -69,11 +69,8 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Reseed(snap *Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if !s.repl.following {
-		return ErrNotFollower
+	if err := s.followingLocked(); err != nil {
+		return err
 	}
 	if snap.Epoch < s.repl.epoch {
 		return &FencedError{Batch: snap.Epoch, Current: s.repl.epoch}
@@ -84,7 +81,7 @@ func (s *Server) Reseed(snap *Snapshot) error {
 
 	// Phase 1 — build and validate everything fallibly, touching no
 	// shared state.
-	st, err := buildSnapState(snap, s.net)
+	st, idem, err := s.buildSnapState(snap)
 	if err != nil {
 		return fmt.Errorf("server: reseed: %w", err)
 	}
@@ -121,7 +118,7 @@ func (s *Server) Reseed(snap *Snapshot) error {
 	// displaced here leaves none behind. The re-seed count is this
 	// follower's own history, not the donor's.
 	reseeds := s.stats.Reseeds
-	s.adoptLocked(snap, st)
+	s.adoptLocked(snap, st, idem)
 	s.stats.Reseeds = reseeds
 	s.stats.RecordReseed()
 	if snap.Epoch > s.repl.epoch {
@@ -142,21 +139,9 @@ func (s *Server) Reseed(snap *Snapshot) error {
 // server was built for — re-seeding across platforms would replay grants
 // against capacities they were never admitted under.
 func (s *Server) checkPlatformLocked(snap *Snapshot) error {
-	if len(snap.IngressBps) != s.net.NumIngress() || len(snap.EgressBps) != s.net.NumEgress() {
-		return fmt.Errorf("server: reseed: snapshot platform %dx%d, server %dx%d",
-			len(snap.IngressBps), len(snap.EgressBps), s.net.NumIngress(), s.net.NumEgress())
-	}
-	for i, c := range snap.IngressBps {
-		if c != float64(s.net.Bin(topology.PointID(i))) {
-			return fmt.Errorf("server: reseed: ingress %d capacity %g differs from server's %g",
-				i, c, float64(s.net.Bin(topology.PointID(i))))
-		}
-	}
-	for e, c := range snap.EgressBps {
-		if c != float64(s.net.Bout(topology.PointID(e))) {
-			return fmt.Errorf("server: reseed: egress %d capacity %g differs from server's %g",
-				e, c, float64(s.net.Bout(topology.PointID(e))))
-		}
+	if in, eg := capacitiesBps(s.net); !slices.Equal(snap.IngressBps, in) || !slices.Equal(snap.EgressBps, eg) {
+		return fmt.Errorf("server: reseed: snapshot platform %v -> %v differs from server's %v -> %v",
+			snap.IngressBps, snap.EgressBps, in, eg)
 	}
 	if snap.Policy != "" && snap.Policy != s.policyName {
 		return fmt.Errorf("server: reseed: snapshot policy %q differs from server's %q", snap.Policy, s.policyName)

@@ -33,7 +33,9 @@
 // ledger, which re-checks the constraint system. State is only ever rebuilt
 // two ways — one snapshot installer (snapshot.go: NewFromSnapshot and a
 // follower's Reseed) and one event replayer (replication.go: ApplyEvents
-// for a boot's WAL suffix, ApplyShipped for a follower's stream).
+// for a boot's WAL suffix, ApplyShipped for a follower's stream) — and both,
+// like the live paths, change it through the one set of transitions in
+// state.go.
 package server
 
 import (
@@ -41,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -239,19 +240,6 @@ func (e *FencedError) Error() string {
 	return fmt.Sprintf("server: batch epoch %d fenced off (current epoch %d)", e.Batch, e.Current)
 }
 
-type entry struct {
-	req    request.Request
-	grant  request.Grant
-	state  State // StateActive while live (Booked derived from clock), else terminal
-	expire des.Handle
-	// fire is this entry's expiry callback, bound once when the entry is
-	// first created by the pool so re-admissions through a recycled entry
-	// schedule no new closure. It checks the registry still maps the ID to
-	// this entry before acting, so a recycled entry can never be expired by
-	// a stale event.
-	fire des.Event
-}
-
 // idemEntry is one idempotency-cache slot. It is created as a placeholder
 // the moment a keyed submission enters the pipeline — a concurrent retry
 // with the same key waits on done instead of booking a second time — and
@@ -270,7 +258,6 @@ type Server struct {
 	clock      func() time.Time
 	decisions  trace.DecisionSink
 	wal        *wal.Log
-	retention  int
 	maxBatch   int
 
 	// Sync-ack durability: acks tracks each follower's pull cursor (its
@@ -286,20 +273,16 @@ type Server struct {
 	replID      string
 	peers       []string // the other group members' base URLs, immutable
 
-	// ledger is internally sharded (one lock per access point); it is not
-	// guarded by s.mu. See the package comment for the lock order.
-	ledger *alloc.Sharded
-
 	// mu is the small global section: the service clock and expiry queue,
-	// the reservation registry, ID allocation, counters and the
-	// idempotency cache. Admission steps never run under it.
-	mu        sync.Mutex
+	// the reservation state (state.go: registry, holds, ID allocation,
+	// counters) and the idempotency cache. Admission steps never run under
+	// it; the state's ledger has its own per-point locks and is the one part
+	// the admission step touches without mu (see the package comment for the
+	// lock order).
+	mu sync.Mutex
+	state
 	sim       *des.Simulator
 	epoch     time.Time // wall instant of service time 0
-	resv      map[request.ID]*entry
-	finished  []request.ID // FIFO eviction queue of terminal IDs
-	nextID    request.ID
-	stats     metrics.Online
 	idem      map[string]*idemEntry
 	idemOrder []string  // FIFO eviction queue of idempotency keys
 	repl      replState // replication role, fencing epoch, pull cursor
@@ -309,23 +292,10 @@ type Server struct {
 	// across the vote round, which mu is not.
 	promoting sync.Mutex
 
-	// Cross-shard two-phase holds (see holds.go): every hold this shard
-	// currently knows about by router key, the ingress-side holds by the
-	// local request ID they allocated (cancel routing), and the FIFO
-	// eviction queue of resolved holds.
-	holds     map[string]*holdEntry
-	holdsByID map[request.ID]string
-	holdsDone []string
-
 	// watchdogState, when set, reports the in-process failover watchdog's
 	// state for the metrics surface. The callback must not call back into
 	// the server (it is invoked outside s.mu, but re-entry would surprise).
 	watchdogState func() string
-
-	// entryPool recycles reservation entries (and their bound expiry
-	// closures) once they are evicted from the finished FIFO, keeping the
-	// steady-state accept path allocation-free.
-	entryPool sync.Pool
 
 	// inflight is the admission semaphore the HTTP layer acquires around
 	// each submission; nil when shedding is disabled.
@@ -421,7 +391,12 @@ func newServer(cfg Config, net *topology.Network, policyName string) (*Server, e
 	if syncTimeout <= 0 {
 		syncTimeout = defaultSyncTimeout
 	}
+	// Every entry is born here with its expiry callback bound, so whichever
+	// route registers it — admission, replay, snapshot install — it can be
+	// armed without a new closure.
+	entries := new(sync.Pool)
 	s := &Server{
+		state:      *newState(net, retention, entries),
 		net:        net,
 		pol:        pol,
 		policyName: policyName,
@@ -429,7 +404,6 @@ func newServer(cfg Config, net *topology.Network, policyName string) (*Server, e
 		epoch:      clock(),
 		decisions:  cfg.Decisions,
 		wal:        cfg.WAL,
-		retention:  retention,
 		maxBatch:   maxBatch,
 		acks:       wal.NewAcks(clock),
 		syncMode:   syncMode,
@@ -441,12 +415,8 @@ func newServer(cfg Config, net *topology.Network, policyName string) (*Server, e
 		syncTimeout: syncTimeout,
 		replID:      cfg.ReplID,
 		peers:       cfg.Peers,
-		ledger:      alloc.NewSharded(net),
 		sim:         des.New(),
-		resv:        make(map[request.ID]*entry),
 		idem:        make(map[string]*idemEntry),
-		holds:       make(map[string]*holdEntry),
-		holdsByID:   make(map[request.ID]string),
 		inflight:    inflight,
 		retryAfter:  retryAfter,
 		loopNext:    units.Time(math.Inf(1)),
@@ -454,31 +424,12 @@ func newServer(cfg Config, net *topology.Network, policyName string) (*Server, e
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
-	s.entryPool.New = func() any {
+	entries.New = func() any {
 		e := new(entry)
 		e.fire = func(*des.Simulator) { s.fireExpire(e) }
 		return e
 	}
 	return s, nil
-}
-
-// allocEntry takes a recycled (or fresh) entry from the pool. Entries that
-// entered the pool from a non-pool path may lack the bound expiry
-// callback; bind it here so every pooled entry is schedulable.
-func (s *Server) allocEntry() *entry {
-	e := s.entryPool.Get().(*entry)
-	if e.fire == nil {
-		e.fire = func(*des.Simulator) { s.fireExpire(e) }
-	}
-	return e
-}
-
-// freeEntry clears a retired entry's payload and recycles it. Only call
-// once the entry left s.resv and its expiry event has fired or been
-// cancelled.
-func (s *Server) freeEntry(e *entry) {
-	e.req, e.grant, e.state, e.expire = request.Request{}, request.Grant{}, "", des.Handle{}
-	s.entryPool.Put(e)
 }
 
 // SetWatchdogState registers a callback reporting the in-process failover
@@ -662,29 +613,14 @@ func (s *Server) rememberLocked(key string, e *idemEntry) {
 	}
 }
 
-// acceptLocked registers an admitted reservation: the grant was already
+// acceptLocked publishes an admitted reservation: the grant was already
 // committed to the sharded ledger by the admission phase; here the entry
 // becomes visible, its expiry is scheduled and the accept is audited.
 func (s *Server) acceptLocked(r request.Request, g request.Grant) Decision {
-	e := s.allocEntry()
-	e.req, e.grant, e.state = r, g, StateActive
-	at := g.Tau
-	if now := s.sim.Now(); at < now {
-		// The clock passed τ(r) while the admission ran outside s.mu;
-		// fire the expiry on the next advance instead of panicking des.
-		at = now
-	}
-	e.expire = s.sim.At(at, e.fire)
-	s.resv[r.ID] = e
-	s.stats.RecordAccept(g.Bandwidth, r.Volume)
-	s.logLocked(trace.EventAccept, r, g, "")
-	if at < s.loopNext {
-		s.poke()
-	}
-	return Decision{
-		ID: r.ID, Accepted: true, State: s.liveStateLocked(e),
-		Rate: g.Bandwidth, Sigma: g.Sigma, Tau: g.Tau,
-	}
+	e := s.register(r, g)
+	s.armExpiryLocked(e)
+	s.logLocked(trace.EventAccept, e.req, g, "")
+	return s.decisionLocked(e)
 }
 
 func (s *Server) rejectLocked(r request.Request, reason string) Decision {
@@ -693,51 +629,45 @@ func (s *Server) rejectLocked(r request.Request, reason string) Decision {
 	return Decision{ID: r.ID, State: StateRejected, Reason: reason}
 }
 
+// armLocked schedules fn at service time at — or now, if the clock already
+// passed it (while an admission ran outside s.mu, or while this replica
+// followed): the event then fires on the next advance instead of panicking
+// des. The expiry loop is only poked when the event precedes what it sleeps
+// towards.
+func (s *Server) armLocked(at units.Time, fn des.Event) des.Handle {
+	if now := s.sim.Now(); at < now {
+		at = now
+	}
+	h := s.sim.At(at, fn)
+	if at < s.loopNext {
+		s.poke()
+	}
+	return h
+}
+
+// One arming helper per timer the state waits on, for the live path, replay
+// and armTimersLocked alike; a follower arms none.
+
+// armExpiryLocked schedules a live reservation's expiry at τ.
+func (s *Server) armExpiryLocked(e *entry) { e.expire = s.armLocked(e.grant.Tau, e.fire) }
+
+// armHoldTTLLocked schedules a held hold's rollback at its TTL.
+func (s *Server) armHoldTTLLocked(e *holdEntry) { s.armLocked(e.expireAt, s.holdExpireEvent(e.key)) }
+
+// armHoldReleaseLocked schedules a confirmed hold's on-time release at τ.
+func (s *Server) armHoldReleaseLocked(e *holdEntry) { s.armLocked(e.tau, s.holdReleaseEvent(e.key)) }
+
 // fireExpire retires the reservation held by e when its τ(r) passes. It
 // runs with s.mu held: every sim.RunUntil call site is inside
 // advanceLocked. Revoking takes the route's shard locks while holding
 // s.mu — the one permitted nesting direction. The registry identity check
 // guards against stale events on recycled entries.
 func (s *Server) fireExpire(e *entry) {
-	id := e.req.ID
-	if cur, ok := s.resv[id]; !ok || cur != e || e.state != StateActive {
+	if cur, ok := s.resv[e.req.ID]; !ok || cur != e || e.state != StateActive {
 		return
 	}
-	s.ledger.Revoke(e.req)
-	e.state = StateExpired
-	s.stats.RecordExpire()
+	s.finish(e, StateExpired)
 	s.logLocked(trace.EventExpire, e.req, e.grant, "")
-	s.retireLocked(id)
-}
-
-// expireEvent returns a des callback that retires reservation id — the
-// by-ID form used by restore paths whose entries were built outside the
-// pool (snapshot restore, promotion re-arming).
-func (s *Server) expireEvent(id request.ID) des.Event {
-	return func(*des.Simulator) {
-		e, ok := s.resv[id]
-		if !ok || e.state != StateActive {
-			return
-		}
-		s.fireExpire(e)
-	}
-}
-
-// retireLocked records a terminal reservation for later Lookup and evicts
-// the oldest ones beyond the retention bound.
-func (s *Server) retireLocked(id request.ID) {
-	s.finished = append(s.finished, id)
-	for len(s.finished) > s.retention {
-		evict := s.finished[0]
-		s.finished = s.finished[1:]
-		if e, ok := s.resv[evict]; ok {
-			delete(s.resv, evict)
-			// Terminal and evicted: its expiry event fired or was
-			// cancelled, and nothing outside s.mu holds entries, so the
-			// record can be recycled.
-			s.freeEntry(e)
-		}
-	}
 }
 
 // liveStateLocked derives booked vs active from the clock.
@@ -751,6 +681,31 @@ func (s *Server) liveStateLocked(e *entry) State {
 	return StateActive
 }
 
+// writableLocked is the gate of every call that writes — submit, cancel and
+// the three hold calls: a draining server refuses them, and so does a
+// follower, whose only writer is the shipped stream.
+func (s *Server) writableLocked() error {
+	if s.closed {
+		return ErrClosed
+	}
+	if s.repl.following {
+		return ErrReadOnly
+	}
+	return nil
+}
+
+// followingLocked is the gate of what only a follower does: apply the
+// shipped stream, re-seed, run the pull loop.
+func (s *Server) followingLocked() error {
+	if s.closed {
+		return ErrClosed
+	}
+	if !s.repl.following {
+		return ErrNotFollower
+	}
+	return nil
+}
+
 // Cancel revokes a live reservation, returning its capacity at once. A
 // reservation may be cancelled after its σ(r) — the grid job it fed may
 // have aborted — which frees the remaining window too. A draining server
@@ -759,11 +714,8 @@ func (s *Server) liveStateLocked(e *entry) State {
 func (s *Server) Cancel(id request.ID) (Decision, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return Decision{}, ErrClosed
-	}
-	if s.repl.following {
-		return Decision{}, ErrReadOnly
+	if err := s.writableLocked(); err != nil {
+		return Decision{}, err
 	}
 	s.advanceLocked()
 	e, ok := s.resv[id]
@@ -774,11 +726,8 @@ func (s *Server) Cancel(id request.ID) (Decision, error) {
 		return s.decisionLocked(e), ErrFinished
 	}
 	s.sim.Cancel(e.expire)
-	s.ledger.Revoke(e.req)
-	e.state = StateCancelled
-	s.stats.RecordCancel()
+	s.finish(e, StateCancelled)
 	s.logLocked(trace.EventCancel, e.req, e.grant, "")
-	s.retireLocked(id)
 	return s.decisionLocked(e), nil
 }
 
@@ -866,40 +815,19 @@ func (s *Server) LiveReservations() []Reservation {
 	defer s.mu.Unlock()
 	s.advanceLocked()
 	var out []Reservation
-	for _, e := range s.resv {
-		if e.state == StateActive {
-			out = append(out, Reservation{Req: e.req, Grant: e.grant, State: s.liveStateLocked(e)})
-		}
+	for _, id := range s.liveIDs() {
+		e := s.resv[id]
+		out = append(out, Reservation{Req: e.req, Grant: e.grant, State: s.liveStateLocked(e)})
 	}
-	slices.SortFunc(out, func(a, b Reservation) int { return int(a.Req.ID) - int(b.Req.ID) })
 	return out
 }
 
-// VerifyInvariant audits equation (1) across every shard, twice over:
-// first the sharded profiles themselves (all shards locked in the global
-// order, one consistent cut), then an independent replay of the live
-// registry into a fresh single-threaded ledger — if the recorded grants
-// could not be re-admitted, the shards and the registry have diverged.
+// VerifyInvariant audits equation (1) across every shard and against the
+// live registry (state.verify).
 func (s *Server) VerifyInvariant() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ledger.CheckInvariant(); err != nil {
-		return err
-	}
-	var live []*entry
-	for _, e := range s.resv {
-		if e.state == StateActive {
-			live = append(live, e)
-		}
-	}
-	slices.SortFunc(live, func(a, b *entry) int { return int(a.req.ID) - int(b.req.ID) })
-	fresh := alloc.NewLedger(s.net)
-	for _, e := range live {
-		if err := fresh.Reserve(e.req, e.grant); err != nil {
-			return fmt.Errorf("server: live registry fails replay: %w", err)
-		}
-	}
-	return fresh.CheckInvariant()
+	return s.verify()
 }
 
 // Closed reports whether the server is draining (readiness probe input).

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"slices"
 
-	"gridbw/internal/alloc"
 	"gridbw/internal/metrics"
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
@@ -120,13 +119,8 @@ func (s *Server) Snapshot() *Snapshot {
 		end := s.wal.End()
 		snap.WALSeg, snap.WALOff = end.Seg, end.Off
 	}
-	for i := 0; i < s.net.NumIngress(); i++ {
-		snap.IngressBps = append(snap.IngressBps, float64(s.net.Bin(topology.PointID(i))))
-	}
-	for e := 0; e < s.net.NumEgress(); e++ {
-		snap.EgressBps = append(snap.EgressBps, float64(s.net.Bout(topology.PointID(e))))
-	}
-	for _, id := range s.sortedLiveIDsLocked() {
+	snap.IngressBps, snap.EgressBps = capacitiesBps(s.net)
+	for _, id := range s.liveIDs() {
 		e := s.resv[id]
 		snap.Live = append(snap.Live, snapReservation{
 			ID:      int(e.req.ID),
@@ -189,15 +183,16 @@ func (s *Server) Snapshot() *Snapshot {
 	return snap
 }
 
-func (s *Server) sortedLiveIDsLocked() []request.ID {
-	ids := make([]request.ID, 0, len(s.resv))
-	for id, e := range s.resv {
-		if e.state == StateActive {
-			ids = append(ids, id)
-		}
+// capacitiesBps lists net's access-point capacities as a snapshot records
+// them.
+func capacitiesBps(net *topology.Network) (in, eg []float64) {
+	for i := 0; i < net.NumIngress(); i++ {
+		in = append(in, float64(net.Bin(topology.PointID(i))))
 	}
-	slices.Sort(ids)
-	return ids
+	for e := 0; e < net.NumEgress(); e++ {
+		eg = append(eg, float64(net.Bout(topology.PointID(e))))
+	}
+	return in, eg
 }
 
 // WriteSnapshot serializes the current state as indented JSON.
@@ -302,18 +297,18 @@ func NewFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: restore: %w", err)
 	}
-	st, err := buildSnapState(snap, net)
-	if err != nil {
-		return nil, err
-	}
 	s, err := newServer(cfg, net, snap.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("server: restore: %w", err)
 	}
+	st, idem, err := s.buildSnapState(snap)
+	if err != nil {
+		return nil, err
+	}
 	if err := s.initRepl(cfg, snap.Epoch); err != nil {
 		return nil, err
 	}
-	s.adoptLocked(snap, st)
+	s.adoptLocked(snap, st, idem)
 	s.appendEventLocked(trace.Event{
 		At: snap.NowS, Kind: trace.EventRestore, Request: -1,
 		Reason: fmt.Sprintf("%d live reservations", len(st.resv)),
@@ -322,79 +317,83 @@ func NewFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// snapState is the control-plane state one snapshot describes, built apart
-// from any live server so that a snapshot which fails validation leaves
-// nothing half-installed.
-type snapState struct {
-	ledger    *alloc.Sharded
-	resv      map[request.ID]*entry
-	idem      map[string]*idemEntry
-	idemKeys  []string // sorted: the FIFO eviction order is the same on every restore
-	holds     map[string]*holdEntry
-	holdsByID map[request.ID]string
+// idemRow is one validated idempotency decision of a snapshot.
+type idemRow struct {
+	key string
+	e   *idemEntry
 }
 
-// buildSnapState is the one snapshot installer's fallible half: it replays
-// snap's live reservations and holds into a fresh ledger — which re-checks
-// equation (1), so an infeasible or tampered snapshot is refused rather
-// than over-committing a point — and validates the idempotency decisions
-// against the registry it just built. No shared state is touched and no
-// timers are armed; adoptLocked does both.
-func buildSnapState(snap *Snapshot, net *topology.Network) (*snapState, error) {
+// buildSnapState is the one snapshot installer's fallible half. It turns
+// each row of snap into the record a WAL event would have decoded to and
+// runs the same booking and transitions replay runs (state.go), on a state
+// built apart from the server's own, so that a snapshot which fails
+// validation leaves nothing half-installed: the fresh ledger re-checks
+// equation (1), so an infeasible or tampered snapshot is refused rather than
+// over-committing a point. What only a snapshot has is checked here: its
+// version, the next_id bound, and the idempotency decisions (returned in key
+// order, so the FIFO eviction order is the same on every restore) against
+// the registry just built. No shared state is touched and no timers are
+// armed; adoptLocked does both.
+func (s *Server) buildSnapState(snap *Snapshot) (*state, []idemRow, error) {
 	if snap.Version != SnapshotVersion {
-		return nil, unsupportedVersion(snap.Version)
+		return nil, nil, unsupportedVersion(snap.Version)
 	}
 	if snap.NowS < 0 || snap.NextID < 0 {
-		return nil, fmt.Errorf("server: restore: negative clock or ID counter")
+		return nil, nil, fmt.Errorf("server: restore: negative clock or ID counter")
 	}
-	st := &snapState{
-		ledger:    alloc.NewSharded(net),
-		resv:      make(map[request.ID]*entry, len(snap.Live)),
-		idem:      make(map[string]*idemEntry, len(snap.IdempotencyDecisions)),
-		holds:     make(map[string]*holdEntry, len(snap.Holds)),
-		holdsByID: make(map[request.ID]string),
-	}
-
+	st := newState(s.net, s.retention, s.entries)
 	for _, sr := range snap.Live {
+		id := request.ID(sr.ID)
+		if sr.ID >= snap.NextID {
+			return nil, nil, fmt.Errorf("server: restore: reservation %d not below next_id %d", sr.ID, snap.NextID)
+		}
 		r := request.Request{
-			ID:      request.ID(sr.ID),
-			Ingress: topology.PointID(sr.Ingress),
-			Egress:  topology.PointID(sr.Egress),
-			Start:   units.Time(sr.StartS),
-			Finish:  units.Time(sr.FinishS),
-			Volume:  units.Volume(sr.VolumeB),
-			MaxRate: units.Bandwidth(sr.MaxRateBps),
+			ID:      id,
+			Ingress: topology.PointID(sr.Ingress), Egress: topology.PointID(sr.Egress),
+			Start: units.Time(sr.StartS), Finish: units.Time(sr.FinishS),
+			Volume: units.Volume(sr.VolumeB), MaxRate: units.Bandwidth(sr.MaxRateBps),
 		}
-		if int(r.Ingress) >= net.NumIngress() || int(r.Egress) >= net.NumEgress() ||
-			r.Ingress < 0 || r.Egress < 0 {
-			return nil, fmt.Errorf("server: restore: reservation %d routed through unknown point", sr.ID)
+		err := r.Validate()
+		if err == nil {
+			_, err = st.restore(r, request.Grant{
+				Request:   id,
+				Bandwidth: units.Bandwidth(sr.RateBps), Sigma: units.Time(sr.SigmaS), Tau: units.Time(sr.TauS),
+			})
 		}
-		if err := r.Validate(); err != nil {
-			return nil, fmt.Errorf("server: restore: %w", err)
+		if err != nil {
+			return nil, nil, fmt.Errorf("server: restore: %w", err)
 		}
-		if int(r.ID) >= snap.NextID {
-			return nil, fmt.Errorf("server: restore: reservation %d not below next_id %d", sr.ID, snap.NextID)
-		}
-		g := request.Grant{
-			Request:   r.ID,
-			Bandwidth: units.Bandwidth(sr.RateBps),
-			Sigma:     units.Time(sr.SigmaS),
-			Tau:       units.Time(sr.TauS),
-		}
-		if g.Tau <= g.Sigma || g.Bandwidth <= 0 {
-			return nil, fmt.Errorf("server: restore: reservation %d has degenerate grant", sr.ID)
-		}
-		if err := st.ledger.Reserve(r, g); err != nil {
-			return nil, fmt.Errorf("server: restore: %w", err)
-		}
-		st.resv[r.ID] = &entry{req: r, grant: g, state: StateActive}
 	}
+	for _, sh := range snap.Holds {
+		if _, dup := st.holds[sh.Key]; dup {
+			return nil, nil, fmt.Errorf("server: restore: duplicate hold %q", sh.Key)
+		}
+		e, err := st.restoreHold(holdEntry{
+			key: sh.Key, side: sh.Side, point: topology.PointID(sh.Point), peer: sh.PeerPoint,
+			id:    request.ID(sh.ID),
+			bw:    units.Bandwidth(sh.RateBps),
+			sigma: units.Time(sh.SigmaS), tau: units.Time(sh.TauS),
+			volume: units.Volume(sh.VolumeB), maxRate: units.Bandwidth(sh.MaxRateBps),
+			expireAt: units.Time(sh.ExpireS),
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("server: restore: %w", err)
+		}
+		if sh.Confirmed {
+			st.confirm(e)
+		}
+	}
+	// The counters and the ID allocator are the snapshot's own, not a count
+	// of the rows it happens to carry.
+	st.stats, st.nextID = snap.Counters, request.ID(snap.NextID)
 
+	keys := make([]string, 0, len(snap.IdempotencyDecisions))
 	for key := range snap.IdempotencyDecisions {
-		st.idemKeys = append(st.idemKeys, key)
+		keys = append(keys, key)
 	}
-	slices.Sort(st.idemKeys)
-	for _, key := range st.idemKeys {
+	slices.Sort(keys)
+	idem := make([]idemRow, 0, len(keys))
+	for _, key := range keys {
 		sd := snap.IdempotencyDecisions[key]
 		d := Decision{
 			ID: request.ID(sd.ID), Accepted: sd.Accepted, State: State(sd.State),
@@ -404,64 +403,23 @@ func buildSnapState(snap *Snapshot, net *topology.Network) (*snapState, error) {
 		switch d.State {
 		case StateBooked, StateActive, StateExpired, StateCancelled, StateRejected:
 		default:
-			return nil, fmt.Errorf("server: restore: idempotency key %q has unknown state %q", key, sd.State)
+			return nil, nil, fmt.Errorf("server: restore: idempotency key %q has unknown state %q", key, sd.State)
 		}
 		if d.Accepted {
 			if int(d.ID) >= snap.NextID || d.ID < 0 {
-				return nil, fmt.Errorf("server: restore: idempotency key %q for reservation %d not below next_id %d",
+				return nil, nil, fmt.Errorf("server: restore: idempotency key %q for reservation %d not below next_id %d",
 					key, sd.ID, snap.NextID)
 			}
 			if _, live := st.resv[d.ID]; !live && (d.State == StateBooked || d.State == StateActive) {
-				return nil, fmt.Errorf("server: restore: idempotency key %q claims live reservation %d absent from snapshot",
+				return nil, nil, fmt.Errorf("server: restore: idempotency key %q claims live reservation %d absent from snapshot",
 					key, sd.ID)
 			}
 		}
 		e := &idemEntry{done: make(chan struct{}), d: d}
 		close(e.done)
-		st.idem[key] = e
+		idem = append(idem, idemRow{key, e})
 	}
-
-	for _, sh := range snap.Holds {
-		if _, dup := st.holds[sh.Key]; dup {
-			return nil, fmt.Errorf("server: restore: duplicate hold %q", sh.Key)
-		}
-		e := &holdEntry{
-			key: sh.Key, side: sh.Side, point: topology.PointID(sh.Point), peer: sh.PeerPoint,
-			id:    request.ID(sh.ID),
-			bw:    units.Bandwidth(sh.RateBps),
-			sigma: units.Time(sh.SigmaS), tau: units.Time(sh.TauS),
-			volume: units.Volume(sh.VolumeB), maxRate: units.Bandwidth(sh.MaxRateBps),
-			expireAt: units.Time(sh.ExpireS),
-			state:    holdHeld,
-		}
-		if sh.Confirmed {
-			e.state = holdConfirmed
-		}
-		switch sh.Side {
-		case trace.HoldSideIngress:
-			if sh.Point < 0 || sh.Point >= net.NumIngress() {
-				return nil, fmt.Errorf("server: restore: hold %q on unknown ingress %d", sh.Key, sh.Point)
-			}
-		case trace.HoldSideEgress:
-			if sh.Point < 0 || sh.Point >= net.NumEgress() {
-				return nil, fmt.Errorf("server: restore: hold %q on unknown egress %d", sh.Key, sh.Point)
-			}
-		default:
-			return nil, fmt.Errorf("server: restore: hold %q has unknown side %q", sh.Key, sh.Side)
-		}
-		if sh.RateBps <= 0 || sh.TauS <= sh.SigmaS {
-			return nil, fmt.Errorf("server: restore: hold %q has degenerate grant", sh.Key)
-		}
-		if err := st.ledger.HoldReserve(e.dir(), e.point, e.sigma, e.tau, e.bw); err != nil {
-			return nil, fmt.Errorf("server: restore: hold %q: %w", sh.Key, err)
-		}
-		e.booked = true
-		st.holds[sh.Key] = e
-		if e.id >= 0 {
-			st.holdsByID[e.id] = sh.Key
-		}
-	}
-	return st, nil
+	return st, idem, nil
 }
 
 // adoptLocked is the installer's infallible half: st replaces the ledger,
@@ -470,22 +428,18 @@ func buildSnapState(snap *Snapshot, net *topology.Network) (*snapState, error) {
 // gone — and the counters, ID allocator and clock anchor resume from snap.
 // Expiry, TTL and release timers are armed unless following: a follower's
 // are retired by the primary's shipped events and armed by Promote.
-func (s *Server) adoptLocked(snap *Snapshot, st *snapState) {
-	s.ledger, s.resv, s.finished = st.ledger, st.resv, nil
-	s.holds, s.holdsByID, s.holdsDone = st.holds, st.holdsByID, nil
-	s.idem, s.idemOrder = make(map[string]*idemEntry, len(st.idem)), nil
-	for _, key := range st.idemKeys {
-		s.rememberLocked(key, st.idem[key])
-	}
-	if id := request.ID(snap.NextID); id > s.nextID {
-		s.nextID = id
-	}
-	// Append failures and the latency histogram describe this process, not
-	// the state it adopts.
-	failures, latency := s.stats.LogAppendFailures, s.stats.AdmitLatency
-	s.stats = snap.Counters
+func (s *Server) adoptLocked(snap *Snapshot, st *state, idem []idemRow) {
+	// The ID allocator never moves back, and append failures and the latency
+	// histogram describe this process, not the state it adopts.
+	next, failures, latency := s.nextID, s.stats.LogAppendFailures, s.stats.AdmitLatency
+	s.state = *st
+	s.nextID = max(s.nextID, next)
 	s.stats.LogAppendFailures += failures
 	s.stats.AdmitLatency = latency
+	s.idem, s.idemOrder = make(map[string]*idemEntry, len(idem)), nil
+	for _, row := range idem {
+		s.rememberLocked(row.key, row.e)
+	}
 	s.reanchorLocked(snap.NowS)
 	if !s.repl.following {
 		s.armTimersLocked()
