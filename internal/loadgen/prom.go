@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"time"
+
+	"gridbw/internal/metrics"
 )
 
 // promLEBounds are the fixed upper bounds of the exported latency
@@ -20,91 +22,48 @@ var promLEBounds = []time.Duration{
 }
 
 // WritePrometheus renders the recorder's live state in Prometheus text
-// exposition format.
+// exposition format: the list of what gridbwload exports, in page order.
 func (r *Recorder) WritePrometheus(w io.Writer) {
-	fmt.Fprintf(w, "# HELP gridbwload_arrivals_total Scheduled arrivals fired, by phase.\n")
-	fmt.Fprintf(w, "# TYPE gridbwload_arrivals_total counter\n")
+	e := metrics.NewExposition(w)
+	e.Counter("gridbwload_arrivals_total", "Scheduled arrivals fired, by phase.")
 	for _, ps := range r.phases {
-		fmt.Fprintf(w, "gridbwload_arrivals_total{phase=%q} %d\n", ps.name, ps.fired.Load())
+		e.Set(ps.fired.Load(), "phase", ps.name)
 	}
-
-	fmt.Fprintf(w, "# HELP gridbwload_ops_total Operation outcomes, by phase.\n")
-	fmt.Fprintf(w, "# TYPE gridbwload_ops_total counter\n")
+	e.Counter("gridbwload_ops_total", "Operation outcomes, by phase.")
 	for _, ps := range r.phases {
 		for o := Outcome(0); o < numOutcomes; o++ {
 			if n := ps.outcomes[o].Load(); n > 0 {
-				fmt.Fprintf(w, "gridbwload_ops_total{phase=%q,outcome=%q} %d\n", ps.name, o, n)
+				e.Set(n, "phase", ps.name, "outcome", o.String())
 			}
 		}
 	}
-
-	fmt.Fprintf(w, "# HELP gridbwload_cross_shard_total Decisions routed through the cross-shard two-phase protocol, by phase.\n")
-	fmt.Fprintf(w, "# TYPE gridbwload_cross_shard_total counter\n")
+	e.Counter("gridbwload_cross_shard_total", "Decisions routed through the cross-shard two-phase protocol, by phase.")
 	for _, ps := range r.phases {
 		if n := ps.cross.Load(); n > 0 {
-			fmt.Fprintf(w, "gridbwload_cross_shard_total{phase=%q} %d\n", ps.name, n)
+			e.Set(n, "phase", ps.name)
 		}
 	}
+	e.Gauge("gridbwload_inflight_vus", "Virtual users with a request in flight.").Set(r.inflight.Load())
+	e.Gauge("gridbwload_max_vus", "Virtual users the run was given.").Set(r.vus)
 
-	fmt.Fprintf(w, "# HELP gridbwload_inflight_vus Virtual users with a request in flight.\n")
-	fmt.Fprintf(w, "# TYPE gridbwload_inflight_vus gauge\n")
-	fmt.Fprintf(w, "gridbwload_inflight_vus %d\n", r.inflight.Load())
-	fmt.Fprintf(w, "gridbwload_max_vus %d\n", r.vus)
-
-	fmt.Fprintf(w, "# TYPE gridbwload_latency_seconds summary\n")
-	for _, ps := range append(r.phases, r.total) {
-		s := ps.lat.Summary()
-		for _, q := range []struct {
-			label string
-			ms    float64
-		}{
-			{"0.5", s.P50Ms}, {"0.9", s.P90Ms}, {"0.95", s.P95Ms},
-			{"0.99", s.P99Ms}, {"0.999", s.P999Ms},
-		} {
-			fmt.Fprintf(w, "gridbwload_latency_seconds{phase=%q,quantile=%q} %g\n",
-				ps.name, q.label, q.ms/1e3)
-		}
-		fmt.Fprintf(w, "gridbwload_latency_seconds_sum{phase=%q} %g\n", ps.name, ps.lat.Sum().Seconds())
-		fmt.Fprintf(w, "gridbwload_latency_seconds_count{phase=%q} %d\n", ps.name, ps.lat.Count())
-	}
-
-	// Cross-shard decisions carry their own route-tagged summary so the
+	// Cross-shard decisions carry their own route-tagged series so the
 	// two-phase protocol's extra round trips stay visible instead of
-	// averaging into the aggregate tail. Series appear only once a phase
-	// has seen a routed decision.
-	for _, ps := range append(r.phases, r.total) {
-		if ps.latCross.Count() == 0 {
-			continue
+	// averaging into the aggregate tail; they appear only once a phase has
+	// seen a routed decision.
+	e.Summary("gridbwload_latency_seconds", "Wall latency of a completed operation as the client saw it, by phase.")
+	all := append(r.phases, r.total)
+	for _, ps := range all {
+		e.Latency(ps.lat, "phase", ps.name)
+	}
+	for _, ps := range all {
+		if ps.latCross.Count() > 0 {
+			e.Latency(ps.latCross, "phase", ps.name, "route", "cross_shard")
 		}
-		s := ps.latCross.Summary()
-		for _, q := range []struct {
-			label string
-			ms    float64
-		}{
-			{"0.5", s.P50Ms}, {"0.9", s.P90Ms}, {"0.95", s.P95Ms},
-			{"0.99", s.P99Ms}, {"0.999", s.P999Ms},
-		} {
-			fmt.Fprintf(w, "gridbwload_latency_seconds{phase=%q,route=\"cross_shard\",quantile=%q} %g\n",
-				ps.name, q.label, q.ms/1e3)
-		}
-		fmt.Fprintf(w, "gridbwload_latency_seconds_sum{phase=%q,route=\"cross_shard\"} %g\n", ps.name, ps.latCross.Sum().Seconds())
-		fmt.Fprintf(w, "gridbwload_latency_seconds_count{phase=%q,route=\"cross_shard\"} %d\n", ps.name, ps.latCross.Count())
 	}
 
 	// A classic le-bucketed histogram over the whole run for scrapers that
 	// aggregate with histogram_quantile.
-	fmt.Fprintf(w, "# TYPE gridbwload_latency_bucket_seconds histogram\n")
-	for _, le := range promLEBounds {
-		fmt.Fprintf(w, "gridbwload_latency_bucket_seconds_bucket{le=%q} %d\n",
-			formatLE(le), r.total.lat.CumulativeLE(le))
-	}
-	fmt.Fprintf(w, "gridbwload_latency_bucket_seconds_bucket{le=\"+Inf\"} %d\n", r.total.lat.Count())
-	fmt.Fprintf(w, "gridbwload_latency_bucket_seconds_sum %g\n", r.total.lat.Sum().Seconds())
-	fmt.Fprintf(w, "gridbwload_latency_bucket_seconds_count %d\n", r.total.lat.Count())
-}
-
-func formatLE(d time.Duration) string {
-	return fmt.Sprintf("%g", d.Seconds())
+	e.Histogram("gridbwload_latency_bucket_seconds", "The same latency over the whole run, in fixed buckets.").Buckets(r.total.lat, promLEBounds)
 }
 
 // serveProm starts the live observation endpoint on addr: /metrics in
@@ -117,7 +76,7 @@ func (r *Recorder) serveProm(addr string, report func() Report) (string, func(),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Header().Set("Content-Type", metrics.ContentType)
 		r.WritePrometheus(w)
 	})
 	mux.HandleFunc("/report", func(w http.ResponseWriter, _ *http.Request) {

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 	"time"
@@ -90,52 +89,39 @@ func (m *routerMetrics) observeBatch(groups, cross int) {
 	m.batchFanout.Add(uint64(groups + cross))
 }
 
+// write is the list of what gridbwrouter exports, in page order.
 func (m *routerMetrics) write(w io.Writer) {
-	fmt.Fprintf(w, "# TYPE gridbwrouter_shard_calls_total counter\n")
-	fmt.Fprintf(w, "# TYPE gridbwrouter_shard_errors_total counter\n")
+	e := metrics.NewExposition(w)
+	e.Counter("gridbwrouter_shard_calls_total", "Round trips the router made to a shard.")
 	for _, sm := range m.shards {
-		fmt.Fprintf(w, "gridbwrouter_shard_calls_total{shard=%q} %d\n", sm.name, sm.calls.Load())
-		fmt.Fprintf(w, "gridbwrouter_shard_errors_total{shard=%q} %d\n", sm.name, sm.errors.Load())
+		e.Set(sm.calls.Load(), "shard", sm.name)
 	}
-	fmt.Fprintf(w, "# TYPE gridbwrouter_shard_latency_seconds summary\n")
+	e.Counter("gridbwrouter_shard_errors_total", "Round trips to a shard that failed.")
 	for _, sm := range m.shards {
-		writeLatency(w, "gridbwrouter_shard_latency_seconds", fmt.Sprintf("shard=%q", sm.name), sm.lat)
+		e.Set(sm.errors.Load(), "shard", sm.name)
 	}
-	fmt.Fprintf(w, "# TYPE gridbwrouter_hold_calls_total counter\n")
-	fmt.Fprintf(w, "# TYPE gridbwrouter_hold_items_total counter\n")
+	e.Summary("gridbwrouter_shard_latency_seconds", "Duration of a round trip to a shard.")
+	for _, sm := range m.shards {
+		e.Latency(sm.lat, "shard", sm.name)
+	}
+	e.Counter("gridbwrouter_hold_calls_total", "List-shaped hold calls made to a shard, by op.")
 	for _, sm := range m.shards {
 		for op, name := range holdOpNames {
-			fmt.Fprintf(w, "gridbwrouter_hold_calls_total{shard=%q,op=%q} %d\n", sm.name, name, sm.holdCalls[op].Load())
-			fmt.Fprintf(w, "gridbwrouter_hold_items_total{shard=%q,op=%q} %d\n", sm.name, name, sm.holdItems[op].Load())
+			e.Set(sm.holdCalls[op].Load(), "shard", sm.name, "op", name)
 		}
 	}
-	fmt.Fprintf(w, "# TYPE gridbwrouter_cross_shard_total counter\n")
-	fmt.Fprintf(w, "gridbwrouter_cross_shard_total %d\n", m.crossTotal.Load())
-	fmt.Fprintf(w, "# TYPE gridbwrouter_cross_shard_outcomes_total counter\n")
-	fmt.Fprintf(w, "gridbwrouter_cross_shard_outcomes_total{outcome=\"confirmed\"} %d\n", m.crossConfirmed.Load())
-	fmt.Fprintf(w, "gridbwrouter_cross_shard_outcomes_total{outcome=\"rejected\"} %d\n", m.crossRejected.Load())
-	fmt.Fprintf(w, "gridbwrouter_cross_shard_outcomes_total{outcome=\"failed\"} %d\n", m.crossFailed.Load())
-	fmt.Fprintf(w, "# TYPE gridbwrouter_cross_shard_latency_seconds summary\n")
-	writeLatency(w, "gridbwrouter_cross_shard_latency_seconds", "", m.crossLat)
-	fmt.Fprintf(w, "# TYPE gridbwrouter_batches_total counter\n")
-	fmt.Fprintf(w, "gridbwrouter_batches_total %d\n", m.batches.Load())
-	fmt.Fprintf(w, "# TYPE gridbwrouter_batch_fanout_total counter\n")
-	fmt.Fprintf(w, "gridbwrouter_batch_fanout_total %d\n", m.batchFanout.Load())
-}
-
-func writeLatency(w io.Writer, name, label string, h *metrics.Histogram) {
-	sep := ""
-	if label != "" {
-		sep = ","
+	e.Counter("gridbwrouter_hold_items_total", "Holds those calls carried; over hold calls, the cross-shard batching factor.")
+	for _, sm := range m.shards {
+		for op, name := range holdOpNames {
+			e.Set(sm.holdItems[op].Load(), "shard", sm.name, "op", name)
+		}
 	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		fmt.Fprintf(w, "%s{%s%squantile=\"%g\"} %g\n", name, label, sep, q, h.Quantile(q).Seconds())
-	}
-	if label != "" {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, label, h.Sum().Seconds())
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, label, h.Count())
-	} else {
-		fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum().Seconds())
-		fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
-	}
+	e.Counter("gridbwrouter_cross_shard_total", "Submissions decided through the cross-shard two-phase protocol.").Set(m.crossTotal.Load())
+	e.Counter("gridbwrouter_cross_shard_outcomes_total", "How those ended: committed on both owners, rejected by one, or failed on a shard error.")
+	e.Set(m.crossConfirmed.Load(), "outcome", "confirmed")
+	e.Set(m.crossRejected.Load(), "outcome", "rejected")
+	e.Set(m.crossFailed.Load(), "outcome", "failed")
+	e.Summary("gridbwrouter_cross_shard_latency_seconds", "Duration of a whole two-phase run, both RESERVEs and the CONFIRMs.").Latency(m.crossLat)
+	e.Counter("gridbwrouter_batches_total", "Batch calls scattered.").Set(m.batches.Load())
+	e.Counter("gridbwrouter_batch_fanout_total", "Shard groups plus cross-shard singles those batches fanned out to.").Set(m.batchFanout.Load())
 }

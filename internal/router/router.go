@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"gridbw/internal/metrics"
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
 	"gridbw/internal/trace"
@@ -716,6 +717,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Header().Set("Content-Type", metrics.ContentType)
 	rt.met.write(w)
 }

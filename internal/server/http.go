@@ -13,6 +13,7 @@ import (
 	"gridbw/internal/cluster"
 	"gridbw/internal/metrics"
 	"gridbw/internal/request"
+	"gridbw/internal/topology"
 	"gridbw/internal/units"
 )
 
@@ -637,123 +638,85 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, body)
 }
 
+// writeMetricsText is the list of what gridbwd exports, in page order. How a
+// page is spelled is internal/metrics' business (Exposition).
 func (s *Server) writeMetricsText(w http.ResponseWriter) {
-	st := s.Status()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# TYPE gridbwd_requests_submitted_total counter\n")
-	fmt.Fprintf(w, "gridbwd_requests_submitted_total %d\n", st.Stats.Submitted)
-	fmt.Fprintf(w, "# TYPE gridbwd_requests_accepted_total counter\n")
-	fmt.Fprintf(w, "gridbwd_requests_accepted_total %d\n", st.Stats.Accepted)
-	fmt.Fprintf(w, "# TYPE gridbwd_requests_rejected_total counter\n")
-	fmt.Fprintf(w, "gridbwd_requests_rejected_total %d\n", st.Stats.Rejected)
-	fmt.Fprintf(w, "# TYPE gridbwd_reservations_cancelled_total counter\n")
-	fmt.Fprintf(w, "gridbwd_reservations_cancelled_total %d\n", st.Stats.Cancelled)
-	fmt.Fprintf(w, "# TYPE gridbwd_reservations_expired_total counter\n")
-	fmt.Fprintf(w, "gridbwd_reservations_expired_total %d\n", st.Stats.Expired)
-	fmt.Fprintf(w, "# TYPE gridbwd_requests_shed_total counter\n")
-	fmt.Fprintf(w, "gridbwd_requests_shed_total %d\n", st.Stats.Shed)
-	fmt.Fprintf(w, "# TYPE gridbwd_requests_idempotent_hits_total counter\n")
-	fmt.Fprintf(w, "gridbwd_requests_idempotent_hits_total %d\n", st.Stats.IdempotentHits)
-	fmt.Fprintf(w, "# TYPE gridbwd_handler_panics_total counter\n")
-	fmt.Fprintf(w, "gridbwd_handler_panics_total %d\n", st.Stats.Panics)
-	fmt.Fprintf(w, "# TYPE gridbwd_batches_total counter\n")
-	fmt.Fprintf(w, "gridbwd_batches_total %d\n", st.Stats.Batches)
-	fmt.Fprintf(w, "# TYPE gridbwd_batch_requests_total counter\n")
-	fmt.Fprintf(w, "gridbwd_batch_requests_total %d\n", st.Stats.BatchRequests)
-	fmt.Fprintf(w, "# TYPE gridbwd_reservations_booked gauge\n")
-	fmt.Fprintf(w, "gridbwd_reservations_booked %d\n", st.Booked)
-	fmt.Fprintf(w, "# TYPE gridbwd_reservations_active gauge\n")
-	fmt.Fprintf(w, "gridbwd_reservations_active %d\n", st.Active)
-	fmt.Fprintf(w, "# TYPE gridbwd_point_capacity_bps gauge\n")
-	fmt.Fprintf(w, "# TYPE gridbwd_point_used_bps gauge\n")
+	st, rs := s.Status(), s.ReplicationStatus()
+	w.Header().Set("Content-Type", metrics.ContentType)
+	e := metrics.NewExposition(w)
+	e.Counter("gridbwd_requests_submitted_total", "Submissions decided, accepted or rejected.").Set(st.Stats.Submitted)
+	e.Counter("gridbwd_requests_accepted_total", "Submissions granted a reservation; over submitted, the paper's MAX-REQUESTS objective.").Set(st.Stats.Accepted)
+	e.Counter("gridbwd_requests_rejected_total", "Submissions refused by admission control.").Set(st.Stats.Rejected)
+	e.Counter("gridbwd_reservations_cancelled_total", "Reservations cancelled by their client.").Set(st.Stats.Cancelled)
+	e.Counter("gridbwd_reservations_expired_total", "Reservations that ran to the end of their window.").Set(st.Stats.Expired)
+	e.Counter("gridbwd_requests_shed_total", "Submissions refused with 429 over the in-flight limit, before admission.").Set(st.Stats.Shed)
+	e.Counter("gridbwd_requests_idempotent_hits_total", "Retried submissions answered from the idempotency cache.").Set(st.Stats.IdempotentHits)
+	e.Counter("gridbwd_handler_panics_total", "Handler panics recovered by the HTTP middleware.").Set(st.Stats.Panics)
+	e.Counter("gridbwd_batches_total", "Batch calls served.").Set(st.Stats.Batches)
+	e.Counter("gridbwd_batch_requests_total", "Submissions carried by batch calls.").Set(st.Stats.BatchRequests)
+	e.Gauge("gridbwd_reservations_booked", "Reservations granted whose window has not started.").Set(st.Booked)
+	e.Gauge("gridbwd_reservations_active", "Reservations inside their window.").Set(st.Active)
+	point := func(dir topology.Direction, p topology.PointID) []string {
+		return []string{"dir", dir.String(), "point", strconv.Itoa(int(p))}
+	}
+	e.Gauge("gridbwd_point_capacity_bps", "Capacity of an access point, in bytes per second.")
 	for _, p := range st.Points {
-		fmt.Fprintf(w, "gridbwd_point_capacity_bps{dir=%q,point=\"%d\"} %g\n",
-			p.Dir.String(), int(p.Point), float64(p.Capacity))
-		fmt.Fprintf(w, "gridbwd_point_used_bps{dir=%q,point=\"%d\"} %g\n",
-			p.Dir.String(), int(p.Point), float64(p.Used))
+		e.Set(float64(p.Capacity), point(p.Dir, p.Point)...)
 	}
-	fmt.Fprintf(w, "# TYPE gridbwd_shard_lock_acquisitions_total counter\n")
-	fmt.Fprintf(w, "# TYPE gridbwd_shard_lock_contended_total counter\n")
-	for _, sh := range s.ShardStats() {
-		fmt.Fprintf(w, "gridbwd_shard_lock_acquisitions_total{dir=%q,point=\"%d\"} %d\n",
-			sh.Dir.String(), int(sh.Point), sh.Locks)
-		fmt.Fprintf(w, "gridbwd_shard_lock_contended_total{dir=%q,point=\"%d\"} %d\n",
-			sh.Dir.String(), int(sh.Point), sh.Contended)
+	e.Gauge("gridbwd_point_used_bps", "Bandwidth reserved at an access point now, in bytes per second; eq. (1) keeps it at or under capacity, and their ratio is RESOURCE-UTIL.")
+	for _, p := range st.Points {
+		e.Set(float64(p.Used), point(p.Dir, p.Point)...)
 	}
-	fmt.Fprintf(w, "# TYPE gridbwd_service_clock_seconds gauge\n")
-	fmt.Fprintf(w, "gridbwd_service_clock_seconds %g\n", float64(st.Now))
+	shards := s.ShardStats()
+	e.Counter("gridbwd_shard_lock_acquisitions_total", "Acquisitions of an access point's admission lock.")
+	for _, sh := range shards {
+		e.Set(sh.Locks, point(sh.Dir, sh.Point)...)
+	}
+	e.Counter("gridbwd_shard_lock_contended_total", "Acquisitions of an access point's admission lock that had to wait.")
+	for _, sh := range shards {
+		e.Set(sh.Contended, point(sh.Dir, sh.Point)...)
+	}
+	e.Gauge("gridbwd_service_clock_seconds", "The service clock: seconds since this daemon's time zero.").Set(float64(st.Now))
 	if lat := st.Stats.AdmitLatency; lat != nil {
-		fmt.Fprintf(w, "# TYPE gridbwd_admit_latency_seconds summary\n")
-		for _, q := range []struct {
-			label string
-			q     float64
-		}{{"0.5", 0.5}, {"0.9", 0.9}, {"0.95", 0.95}, {"0.99", 0.99}, {"0.999", 0.999}} {
-			fmt.Fprintf(w, "gridbwd_admit_latency_seconds{quantile=%q} %g\n",
-				q.label, lat.Quantile(q.q).Seconds())
-		}
-		fmt.Fprintf(w, "gridbwd_admit_latency_seconds_sum %g\n", lat.Sum().Seconds())
-		fmt.Fprintf(w, "gridbwd_admit_latency_seconds_count %d\n", lat.Count())
+		e.Summary("gridbwd_admit_latency_seconds", "Time a submission spends in the decide pipeline, a sync-ack wait included.").Latency(lat)
 	}
-	fmt.Fprintf(w, "# TYPE gridbwd_log_append_failures_total counter\n")
-	fmt.Fprintf(w, "gridbwd_log_append_failures_total %d\n", st.Stats.LogAppendFailures)
-	fmt.Fprintf(w, "# TYPE gridbwd_durability_degraded gauge\n")
-	fmt.Fprintf(w, "gridbwd_durability_degraded %d\n", boolGauge(st.Stats.DurabilityDegraded()))
-	fmt.Fprintf(w, "# TYPE gridbwd_wal_poisoned gauge\n")
-	fmt.Fprintf(w, "gridbwd_wal_poisoned %d\n", boolGauge(s.WALPoisoned()))
-	fmt.Fprintf(w, "# TYPE gridbwd_replication_epoch gauge\n")
-	fmt.Fprintf(w, "gridbwd_replication_epoch %d\n", st.Epoch)
-	fmt.Fprintf(w, "# TYPE gridbwd_replication_is_follower gauge\n")
-	fmt.Fprintf(w, "gridbwd_replication_is_follower %d\n", boolGauge(st.Role == "follower"))
-	rs := s.ReplicationStatus()
-	fmt.Fprintf(w, "# TYPE gridbwd_replication_lag_bytes gauge\n")
-	fmt.Fprintf(w, "gridbwd_replication_lag_bytes %d\n", rs.LagBytes)
-	fmt.Fprintf(w, "# TYPE gridbwd_replication_applied_records_total counter\n")
-	fmt.Fprintf(w, "gridbwd_replication_applied_records_total %d\n", rs.Applied)
-	fmt.Fprintf(w, "# TYPE gridbwd_reseeds_total counter\n")
-	fmt.Fprintf(w, "gridbwd_reseeds_total %d\n", st.Stats.Reseeds)
-	fmt.Fprintf(w, "# TYPE gridbwd_sync_degraded_total counter\n")
-	fmt.Fprintf(w, "gridbwd_sync_degraded_total %d\n", st.Stats.SyncDegraded)
-	fmt.Fprintf(w, "# TYPE gridbwd_vote_rounds_total counter\n")
-	fmt.Fprintf(w, "gridbwd_vote_rounds_total %d\n", st.Stats.VoteRounds)
-	fmt.Fprintf(w, "# TYPE gridbwd_votes_granted_total counter\n")
-	fmt.Fprintf(w, "gridbwd_votes_granted_total %d\n", st.Stats.VotesGranted)
-	fmt.Fprintf(w, "# TYPE gridbwd_votes_denied_total counter\n")
-	fmt.Fprintf(w, "gridbwd_votes_denied_total %d\n", st.Stats.VotesDenied)
-	fmt.Fprintf(w, "# TYPE gridbwd_quorum_holds_total counter\n")
-	fmt.Fprintf(w, "gridbwd_quorum_holds_total %d\n", st.Stats.QuorumHolds)
+	e.Counter("gridbwd_log_append_failures_total", "Decision-log or WAL appends that failed.").Set(st.Stats.LogAppendFailures)
+	e.Gauge("gridbwd_durability_degraded", "1 once a log append has failed: the audit trail has a hole.").Set(st.Stats.DurabilityDegraded())
+	e.Gauge("gridbwd_wal_poisoned", "1 once a disk fault poisoned the WAL: durable work is refused until restart.").Set(s.WALPoisoned())
+	e.Gauge("gridbwd_replication_epoch", "Fencing epoch of this node's lineage.").Set(st.Epoch)
+	e.Gauge("gridbwd_replication_is_follower", "1 on a read-only follower, 0 on a primary.").Set(st.Role == "follower")
+	e.Gauge("gridbwd_replication_lag_bytes", "Committed bytes of the primary's WAL this follower has yet to apply.").Set(rs.LagBytes)
+	e.Counter("gridbwd_replication_applied_records_total", "Shipped WAL records this follower applied.").Set(rs.Applied)
+	e.Counter("gridbwd_reseeds_total", "Times this follower rebuilt itself from a shipped snapshot after its cursor was compacted away.").Set(st.Stats.Reseeds)
+	e.Counter("gridbwd_sync_degraded_total", "Sync-ack waits that hit their deadline and degraded to async durability.").Set(st.Stats.SyncDegraded)
+	e.Counter("gridbwd_vote_rounds_total", "Promotion vote rounds this node ran as a candidate.").Set(st.Stats.VoteRounds)
+	e.Counter("gridbwd_votes_granted_total", "Votes granted to this candidate.").Set(st.Stats.VotesGranted)
+	e.Counter("gridbwd_votes_denied_total", "Votes denied to this candidate, unreachable peers included.").Set(st.Stats.VotesDenied)
+	e.Counter("gridbwd_quorum_holds_total", "Vote rounds that fell short of a majority.").Set(st.Stats.QuorumHolds)
 	if len(rs.Followers) > 0 {
-		fmt.Fprintf(w, "# TYPE gridbwd_follower_lag_bytes gauge\n")
-		fmt.Fprintf(w, "# TYPE gridbwd_follower_ack_age_seconds gauge\n")
 		ids := make([]string, 0, len(rs.Followers))
 		for id := range rs.Followers {
 			ids = append(ids, id)
 		}
 		slices.Sort(ids)
+		e.Gauge("gridbwd_follower_lag_bytes", "Bytes of this primary's WAL a follower has yet to acknowledge.")
 		for _, id := range ids {
-			f := rs.Followers[id]
-			fmt.Fprintf(w, "gridbwd_follower_lag_bytes{follower=%q} %d\n", id, f.LagBytes)
-			fmt.Fprintf(w, "gridbwd_follower_ack_age_seconds{follower=%q} %g\n", id, f.AgeS)
+			e.Set(rs.Followers[id].LagBytes, "follower", id)
+		}
+		e.Gauge("gridbwd_follower_ack_age_seconds", "Seconds since a follower last presented its cursor.")
+		for _, id := range ids {
+			e.Set(rs.Followers[id].AgeS, "follower", id)
 		}
 	}
 	if ws := s.watchdogStateNow(); ws != "" {
-		fmt.Fprintf(w, "# TYPE gridbwd_watchdog_state gauge\n")
+		e.Gauge("gridbwd_watchdog_state", "1 on the rung of the failover ladder the in-process watchdog stands on.")
 		for _, state := range []string{"follower", "suspect", "promoting", "primary"} {
-			fmt.Fprintf(w, "gridbwd_watchdog_state{state=%q} %d\n", state, boolGauge(state == ws))
+			e.Set(state == ws, "state", state)
 		}
 	}
 	if s.wal != nil {
-		fmt.Fprintf(w, "# TYPE gridbwd_wal_records gauge\n")
-		fmt.Fprintf(w, "gridbwd_wal_records %d\n", rs.WALRecords)
-		fmt.Fprintf(w, "# TYPE gridbwd_wal_segment gauge\n")
-		fmt.Fprintf(w, "gridbwd_wal_segment %d\n", rs.WALEnd.Seg)
-		fmt.Fprintf(w, "# TYPE gridbwd_wal_offset_bytes gauge\n")
-		fmt.Fprintf(w, "gridbwd_wal_offset_bytes %d\n", rs.WALEnd.Off)
+		e.Gauge("gridbwd_wal_records", "Records in the WAL.").Set(rs.WALRecords)
+		e.Gauge("gridbwd_wal_segment", "Segment of the WAL frontier.").Set(rs.WALEnd.Seg)
+		e.Gauge("gridbwd_wal_offset_bytes", "Byte offset of the WAL frontier within its segment.").Set(rs.WALEnd.Off)
 	}
-}
-
-func boolGauge(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

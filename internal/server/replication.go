@@ -41,6 +41,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"gridbw/internal/cluster"
 	"gridbw/internal/request"
@@ -66,6 +68,9 @@ const (
 	// the winner promptly.
 	refollowAfter    = 3
 	refollowProbeTTL = 2 * time.Second
+	// maxFollowerIDLen is the longest id a pull may present; a -repl-id is a
+	// host name or a base URL.
+	maxFollowerIDLen = 128
 )
 
 // replState is the replication role of one server, guarded by s.mu.
@@ -822,6 +827,13 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 		waitMs = 60_000
 	}
 	pos := wal.Pos{Seg: seg, Off: int64(off)}
+	// The id comes from whoever can reach this port and ends up as a row of
+	// the ack table and a label on the metrics page: bound what it can be.
+	id := q.Get("id")
+	if len(id) > maxFollowerIDLen || !utf8.ValidString(id) || strings.ContainsFunc(id, unicode.IsControl) {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad id: want at most %d bytes of UTF-8 without control characters", maxFollowerIDLen))
+		return
+	}
 	// The presented cursor doubles as a durability ack: the follower only
 	// advances it after the covered records are applied and appended to its
 	// own WAL, so everything before pos is replicated on that follower.
@@ -830,7 +842,7 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	// buggy or wrong-lineage caller, and recording it would forward-run
 	// the ack table and falsely satisfy sync-ack quorum waits — so only
 	// positions the WAL has actually written count.
-	if id := q.Get("id"); id != "" && !pos.IsZero() && !s.wal.End().Less(pos) {
+	if id != "" && !pos.IsZero() && !s.wal.End().Less(pos) {
 		s.acks.Record(id, pos)
 	}
 	// A zero cursor asks for the very beginning of history, not for

@@ -28,6 +28,15 @@ type Acks struct {
 	now    func() time.Time
 }
 
+// maxAckRows bounds the ack table. A group has a handful of followers, but
+// an id is whatever a puller presents, so without a bound every id ever seen
+// would stay for the life of the process. Past the cap the least recently
+// seen row goes. Losing a row can only lower Quorum(k) — it is the k-th
+// largest of fewer positions — so a sync-ack wait may get longer, until the
+// evicted follower's next pull puts its row back, but is never falsely
+// satisfied.
+const maxAckRows = 64
+
 // NewAcks returns an empty tracker. now may be nil (wall clock).
 func NewAcks(now func() time.Time) *Acks {
 	if now == nil {
@@ -51,6 +60,15 @@ func (a *Acks) Record(id string, pos Pos) {
 	}
 	a.mu.Lock()
 	prev, ok := a.acked[id]
+	if !ok && len(a.acked) >= maxAckRows {
+		oldest := ""
+		for other, fa := range a.acked {
+			if oldest == "" || fa.Seen.Before(a.acked[oldest].Seen) {
+				oldest = other
+			}
+		}
+		delete(a.acked, oldest)
+	}
 	if !ok || prev.Pos.Less(pos) {
 		a.acked[id] = FollowerAck{Pos: pos, Seen: a.now()}
 		// Broadcast: close-and-recreate, same pattern as Log.Append.

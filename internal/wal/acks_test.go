@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -149,5 +150,42 @@ func TestSaveLoadVote(t *testing.T) {
 	}
 	if got, _ := l.LoadVote(); got != want {
 		t.Fatalf("overwritten vote = %+v, want %+v", got, want)
+	}
+}
+
+// TestAcksTableIsBounded: ids are whatever a puller presents, so a thousand
+// of them must not leave a thousand rows. The follower that keeps pulling
+// keeps its row through the flood and still satisfies a sync-ack wait; the
+// strangers' rows, however far ahead they claim to be, are what goes.
+func TestAcksTableIsBounded(t *testing.T) {
+	now := time.Unix(0, 0)
+	a := NewAcks(func() time.Time { now = now.Add(time.Millisecond); return now })
+	target := Pos{Seg: 1, Off: 500}
+	a.Record("follower", Pos{Seg: 1, Off: 100})
+	for i := 0; i < 1000; i++ {
+		a.Record(fmt.Sprintf("stranger-%d", i), Pos{Seg: 1, Off: 50})
+		if i%(maxAckRows/2) == 0 {
+			a.Record("follower", Pos{Seg: 1, Off: 100}) // its long-poll came back empty
+		}
+	}
+	rows := a.Snapshot()
+	if len(rows) > maxAckRows {
+		t.Fatalf("%d rows after 1000 distinct ids, want at most %d", len(rows), maxAckRows)
+	}
+	if fa, ok := rows["follower"]; !ok || fa.Pos != (Pos{Seg: 1, Off: 100}) {
+		t.Fatalf("the follower that kept pulling lost its row: %+v", rows["follower"])
+	}
+	if _, ok := rows["stranger-0"]; ok {
+		t.Fatal("the least recently seen row survived the flood")
+	}
+	if a.Wait(nil, target, 1, 0) {
+		t.Fatal("wait satisfied before the follower acked the target")
+	}
+	a.Record("follower", target)
+	if !a.Wait(nil, target, 1, time.Second) {
+		t.Fatal("the follower's ack no longer satisfies the wait")
+	}
+	if q := a.Quorum(maxAckRows + 1); !q.IsZero() {
+		t.Fatalf("Quorum(%d) = %v over a table of %d rows", maxAckRows+1, q, maxAckRows)
 	}
 }

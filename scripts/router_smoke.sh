@@ -17,10 +17,13 @@
 #      cross-shard hold committed on both owners or neither, every
 #      cross_shard-acked admission backed by a committed ingress hold
 #
-# The script exits nonzero on a failed promotion, a bare promote of the
-# losing s0 follower answered anything but 409, a tripped load gate, any
-# checker violation, or a run that exercised no cross-shard pair
-# (which would mean the ring or the marker plumbing is broken).
+# The script exits nonzero on a failed promotion, a promoted follower that
+# is not at fencing epoch 2, a second s0 follower claiming primary two
+# seconds later (split brain), a bare promote of the losing s0 follower
+# answered anything but 409, a tripped load gate, any checker violation, or
+# a run that exercised no cross-shard pair (which would mean the ring or
+# the marker plumbing is broken). It is the one real-process smoke of a
+# quorum group failing over.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -142,12 +145,27 @@ if [ -z "${NEW}" ]; then
 fi
 echo "s0 majority-promoted: ${NEW}"
 
-# Exactly one lineage in s0, also when an operator leans on the loser: its
-# bare promote runs the same vote round, the winner votes no, 409.
+if ! repl_status "${NEW}" | grep -q '"epoch":2'; then
+	echo "promoted s0 follower is not at fencing epoch 2:" >&2
+	repl_status "${NEW}" >&2
+	exit 1
+fi
+
+# Exactly one lineage in s0: the follower that lost (or never ran) the
+# election is still a follower once its own watchdog has had its turn ...
 OTHER="${F2}"
 if [ "${NEW}" = "${F2}" ]; then
 	OTHER="${F1}"
 fi
+sleep 2
+if repl_status "${OTHER}" | grep -q '"role":"primary"'; then
+	echo "split brain: both s0 followers claim primary" >&2
+	repl_status "${F1}" >&2
+	repl_status "${F2}" >&2
+	exit 1
+fi
+# ... and stays one when an operator leans on it: its bare promote runs the
+# same vote round, the winner is a live primary and votes no, 409.
 CODE="$(curl -s -o "${WORK}/bare_promote.json" -w '%{http_code}' -X POST "${OTHER}/v1/replication/promote")"
 if [ "${CODE}" != "409" ] || repl_status "${OTHER}" | grep -q '"role":"primary"'; then
 	echo "split brain: bare promote of the losing s0 follower answered HTTP ${CODE}, want a 409 refusal:" >&2
@@ -175,4 +193,4 @@ echo "== replay the client history against both surviving WALs =="
 	-wal "${NEW_WAL}" -wal "${WORK}/s1wal" \
 	-ingress "${CAPS}" -egress "${CAPS}"
 
-echo "router smoke OK: failover mid-load, gate green, multi-WAL invariants clean"
+echo "router smoke OK: one majority-gated promotion to epoch 2, gate green through the failover, multi-WAL invariants clean"
