@@ -259,22 +259,24 @@ func (l *Sharded) NumGranted() int {
 	return n
 }
 
+// UsedAt reports the allocated bandwidth of one point at instant t.
+func (l *Sharded) UsedAt(dir topology.Direction, p topology.PointID, t units.Time) units.Bandwidth {
+	tx := l.LockPoint(dir, p)
+	defer tx.Unlock()
+	return tx.sh.p.UsedAt(t)
+}
+
 // UsageAt reports the allocated bandwidth of every point at instant t.
 // Shards are sampled one at a time, so the view is per-point exact but not
 // a global cut — fine for occupancy dashboards, not for invariant proofs
 // (those go through CheckInvariant, which locks everything).
 func (l *Sharded) UsageAt(t units.Time) (in, eg []units.Bandwidth) {
-	in = make([]units.Bandwidth, len(l.in))
-	for i, sh := range l.in {
-		sh.lock()
-		in[i] = sh.p.UsedAt(t)
-		sh.unlock()
+	in, eg = make([]units.Bandwidth, len(l.in)), make([]units.Bandwidth, len(l.eg))
+	for i := range in {
+		in[i] = l.UsedAt(topology.Ingress, topology.PointID(i), t)
 	}
-	eg = make([]units.Bandwidth, len(l.eg))
-	for e, sh := range l.eg {
-		sh.lock()
-		eg[e] = sh.p.UsedAt(t)
-		sh.unlock()
+	for e := range eg {
+		eg[e] = l.UsedAt(topology.Egress, topology.PointID(e), t)
 	}
 	return in, eg
 }

@@ -189,3 +189,46 @@ func TestShardedStats(t *testing.T) {
 		t.Error("uninvolved ingress 1 shows lock traffic")
 	}
 }
+
+// TestShardedUsedAtReadsOnePoint: the one-point read agrees with UsageAt at
+// every point and instant, on both sides of a booking's half-open span, and
+// locks only the point it reads.
+func TestShardedUsedAtReadsOnePoint(t *testing.T) {
+	l := NewSharded(testNet())
+	if err := l.HoldReserve(topology.Ingress, 1, 10, 20, 300*units.MBps); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.HoldReserve(topology.Egress, 0, 5, 15, 700*units.MBps); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []units.Time{0, 5, 10, 15, 20, 25} {
+		in, eg := l.UsageAt(at)
+		for p := range in {
+			if got := l.UsedAt(topology.Ingress, topology.PointID(p), at); got != in[p] {
+				t.Errorf("UsedAt(ingress %d, %v) = %v, UsageAt says %v", p, at, got, in[p])
+			}
+		}
+		for p := range eg {
+			if got := l.UsedAt(topology.Egress, topology.PointID(p), at); got != eg[p] {
+				t.Errorf("UsedAt(egress %d, %v) = %v, UsageAt says %v", p, at, got, eg[p])
+			}
+		}
+	}
+	if got := l.UsedAt(topology.Ingress, 1, 19.5); got != 300*units.MBps {
+		t.Errorf("inside the span: %v, want 300MB/s", got)
+	}
+	if got := l.UsedAt(topology.Egress, 0, 15); got != 0 {
+		t.Errorf("at the span's end: %v, want 0", got)
+	}
+	before := l.Stats()
+	l.UsedAt(topology.Egress, 1, 0)
+	for i, st := range l.Stats() {
+		want := before[i].Locks
+		if st.Dir == topology.Egress && st.Point == 1 {
+			want++
+		}
+		if st.Locks != want {
+			t.Errorf("%v %d: %d lock acquisitions, want %d", st.Dir, st.Point, st.Locks, want)
+		}
+	}
+}

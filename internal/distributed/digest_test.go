@@ -24,12 +24,14 @@ var update = flag.Bool("update", false, "rewrite testdata/digest.txt from this b
 // schedules of TestFaultInjectionInvariants), at the short horizon also on
 // the workload snapped onGrid — a hash of every record's
 // verdict and grant, bit for bit, and of Report.Faults. The strict MinRate
-// policy ignores the handshake's late start, so its grants fail at ACK and
-// take the rollback-and-abort path. testdata/digest.txt holds the
-// answers of the simulator before its holds moved onto internal/hold: it
-// pins every verdict, also under faults, where Table T8's three decimals
-// would hide a moved one. Re-record it (-update) only for a change meant
-// to move a decision.
+// policy ignores the handshake's late start, so with a message delay every
+// grant it makes misses its deadline and is refused at arrival, before any
+// hold or message. testdata/digest.txt pins every verdict, also under
+// faults, where Table T8's three decimals would hide a moved one. Its f=1
+// and delay=0 lines were recorded while the simulator kept its own hold
+// states and scalar occupancy, so they show that internal/hold and
+// alloc.Sharded changed no decision. Re-record it (-update) only for a
+// change meant to move a decision.
 func TestDecisionsMatchDigest(t *testing.T) {
 	schedules := []*faults.Config{
 		nil,

@@ -4,15 +4,20 @@
 //
 // In the centralized §5 schedulers a single scheduler sees exact
 // occupancy of every access point. Here each ingress router decides
-// *locally*: it knows its own occupancy exactly, but only a periodically
-// synchronized cache of each egress router's occupancy. Admission is
-// two-phase: a locally admitted request tentatively holds its ingress
-// share and sends a RESERVE message to the egress router, which checks
-// its authoritative occupancy and either holds + acknowledges (ACK) or
-// refuses (NACK, the ingress rolls back — a *conflict*). Conflicts are
-// the price of stale state: the experiment of Table T8 sweeps the sync
-// period and measures accept rate and conflict rate against the
-// centralized scheduler on the same workload.
+// *locally*: it knows its own point exactly, but each egress only by the
+// reading of the last sync tick. Every point is one alloc.Profile of one
+// alloc.Sharded, the daemon's store. Admission is two-phase: the ingress
+// decides with admit.At, the daemon's admission step, against a booker
+// that checks the egress reading and then holds the ingress share, and
+// sends a RESERVE carrying the grant to the egress router, which books it
+// with the HoldReserve call of the daemon's egress check and either holds
+// + acknowledges (ACK) or refuses (NACK, the ingress rolls back — a
+// *conflict*). A hold books from the instant its side decides it until τ,
+// so no booking starts after the current instant and the profile's peak
+// over the rest of a grant is the usage now. Conflicts are the price of
+// stale state: the experiment of Table T8 sweeps the sync period and
+// measures accept rate and conflict rate against the centralized
+// scheduler on the same workload.
 //
 // Unlike the first cut, the protocol no longer assumes a perfect
 // network. Messages travel through an optional faults.Injector (drop,
@@ -31,8 +36,8 @@
 //     idempotent under duplicated or reordered messages: a request is held
 //     at most once per side no matter how many RESERVE copies arrive, and
 //     an ABORT that beats its RESERVE leaves a tombstone the late copy
-//     finds. A committed hold gives its capacity back at τ by a des event
-//     that fires before any check at τ.
+//     finds. A committed hold's booking ends at τ, so a check at τ sees
+//     the capacity back.
 //
 // Report.Faults exposes conflict/timeout/leak counters plus the channel
 // statistics, and Config.Observer lets an invariant harness mirror every
@@ -44,6 +49,8 @@ import (
 	"sort"
 	"strconv"
 
+	"gridbw/internal/admit"
+	"gridbw/internal/alloc"
 	"gridbw/internal/des"
 	"gridbw/internal/faults"
 	"gridbw/internal/hold"
@@ -58,8 +65,8 @@ import (
 
 // Config tunes the distributed control plane.
 type Config struct {
-	// SyncPeriod is how often every ingress refreshes its cached view of
-	// all egress occupancies. Zero means read-through (always fresh at
+	// SyncPeriod is how often the egress readings every ingress decides
+	// with are refreshed. Zero means read-through (always fresh at
 	// decision time) — message races remain the only conflict source.
 	SyncPeriod units.Time
 	// MsgDelay is the one-way ingress↔egress message latency.
@@ -201,24 +208,12 @@ func (r *Report) Rate(v Verdict) float64 {
 // never exhausted.
 const maxAttempts = 64
 
-// occupancy is the authoritative bandwidth in use at every access point:
-// what a fit check reads, and what both hold tables give capacity back to.
-type occupancy struct{ in, eg []units.Bandwidth }
-
-// HoldRelease implements hold.Releaser.
-func (o *occupancy) HoldRelease(dir topology.Direction, p topology.PointID, _, _ units.Time, bw units.Bandwidth) {
-	if dir == topology.Ingress {
-		o.in[p] -= bw
-	} else {
-		o.eg[p] -= bw
-	}
-}
-
-// ingPending is one in-flight request on its ingress: its hold, its
-// reservation timeout, and whether the egress acknowledged its CONFIRM
-// and its ABORT.
+// ingPending is one in-flight request on its ingress: its grant, its hold,
+// its reservation timeout, and whether the egress acknowledged its
+// CONFIRM and its ABORT.
 type ingPending struct {
 	r                        request.Request
+	g                        request.Grant
 	hold                     *hold.Entry
 	timeout                  des.Handle
 	confirmAcked, abortAcked bool
@@ -229,20 +224,17 @@ type runner struct {
 	cfg Config
 	net *topology.Network
 	sim *des.Simulator
-	// due queues the release at τ of every committed hold. Like the
-	// daemon's expiry queue it is run up to now before anything reads
-	// occupancy, so a check at τ sees the capacity due back at τ whichever
-	// of the two was scheduled first.
-	due *des.Simulator
 	inj *faults.Injector
 	rto units.Time
 
-	occ occupancy
-	// in and eg are the hold tables of the ingress and the egress side,
+	// ledger books every point, and both hold tables give capacity back to
+	// it; in and eg are the hold tables of the ingress and the egress side,
 	// keyed by request ID.
+	ledger *alloc.Sharded
 	in, eg *hold.Table
-	// Per-ingress cached egress views.
-	cache [][]units.Bandwidth
+	// view is every egress point's usage at the last sync tick, which every
+	// ingress reads when SyncPeriod is set.
+	view []units.Bandwidth
 
 	out      *sched.Outcome
 	records  []Record
@@ -259,35 +251,19 @@ func Run(net *topology.Network, reqs *request.Set, cfg Config) (*Report, error) 
 		rto = cfg.ReserveTimeout / 4
 	}
 	ru := &runner{
-		cfg: cfg,
-		net: net,
-		sim: des.New(),
-		due: des.New(),
-		inj: cfg.Faults,
-		rto: rto,
-		occ: occupancy{in: make([]units.Bandwidth, net.NumIngress()), eg: make([]units.Bandwidth, net.NumEgress())},
+		cfg:    cfg,
+		net:    net,
+		sim:    des.New(),
+		inj:    cfg.Faults,
+		rto:    rto,
+		ledger: alloc.NewSharded(net),
+		view:   make([]units.Bandwidth, net.NumEgress()),
 	}
 	// A request resolves at most once per side, so this retention never
 	// evicts: every tombstone outlives every message that could need it.
-	ru.in, ru.eg = hold.NewTable(&ru.occ, reqs.Len()), hold.NewTable(&ru.occ, reqs.Len())
-	ru.cache = make([][]units.Bandwidth, net.NumIngress())
-	for i := range ru.cache {
-		ru.cache[i] = make([]units.Bandwidth, net.NumEgress())
-	}
+	ru.in, ru.eg = hold.NewTable(ru.ledger, reqs.Len()), hold.NewTable(ru.ledger, reqs.Len())
 	ru.out = sched.NewOutcome(fmt.Sprintf("distributed(sync=%v)/%s", cfg.SyncPeriod, cfg.Policy.Name()), net, reqs)
 	ru.records = make([]Record, reqs.Len())
-
-	// Sync ticks refresh every cache from authoritative state.
-	if cfg.SyncPeriod > 0 {
-		_, spanEnd := reqs.Span()
-		ru.sim.Ticker(0, cfg.SyncPeriod, spanEnd+2*cfg.MsgDelay, func(*des.Simulator, int) bool {
-			ru.advance()
-			for i := range ru.cache {
-				copy(ru.cache[i], ru.occ.eg)
-			}
-			return true
-		})
-	}
 
 	// Arrival events, in deterministic order.
 	order := reqs.All()
@@ -300,20 +276,29 @@ func Run(net *topology.Network, reqs *request.Set, cfg Config) (*Report, error) 
 		}
 		return order[a].ID < order[b].ID
 	})
+	// Sync ticks refresh the view from the ledger. Only an arrival reads
+	// it, so they stop at the last one.
+	if cfg.SyncPeriod > 0 && len(order) > 0 {
+		ru.sim.Ticker(0, cfg.SyncPeriod, order[len(order)-1].Start, func(s *des.Simulator, _ int) bool {
+			for e := range ru.view {
+				ru.view[e] = ru.ledger.UsedAt(topology.Egress, topology.PointID(e), s.Now())
+			}
+			return true
+		})
+	}
 	for _, r := range order {
 		r := r
 		ru.records[int(r.ID)] = Record{Request: r.ID}
 		ru.sim.At(r.Start, func(*des.Simulator) { ru.arrival(r) })
 	}
 	ru.sim.Run()
-	ru.due.Run()
 
-	// At quiescence every committed hold has been released at its τ, so a
-	// hold still booking capacity escaped both its timeout and the abort
-	// protocol: a leak.
+	// A confirmed hold books up to its τ and no further, so a hold still
+	// held at quiescence escaped both its timeout and the abort protocol:
+	// a leak.
 	for _, t := range []*hold.Table{ru.in, ru.eg} {
-		held, confirmed := t.Booked()
-		ru.counters.Leaks += uint64(held + confirmed)
+		held, _ := t.Booked()
+		ru.counters.Leaks += uint64(held)
 	}
 	if ru.inj != nil {
 		ru.counters.Merge(ru.inj.Stats())
@@ -321,11 +306,20 @@ func Run(net *topology.Network, reqs *request.Set, cfg Config) (*Report, error) 
 	return &Report{Records: ru.records, Outcome: ru.out, Faults: ru.counters}, nil
 }
 
-func (ru *runner) readCache(i, e int) units.Bandwidth {
-	if ru.cfg.SyncPeriod == 0 {
-		return ru.occ.eg[e]
+// booker is the ingress side's store for admit.At: it checks the egress
+// reading the ingress has — the ledger's own when SyncPeriod is zero, else
+// the last tick's — and then holds the ingress point from now until τ.
+type booker struct{ *runner }
+
+func (b booker) Reserve(r request.Request, g request.Grant) error {
+	now, e := b.sim.Now(), b.view[r.Egress]
+	if b.cfg.SyncPeriod == 0 {
+		e = b.ledger.UsedAt(topology.Egress, r.Egress, now)
 	}
-	return ru.cache[i][e]
+	if c := b.net.Bout(r.Egress); !units.FitsWithin(e, g.Bandwidth, c) {
+		return &alloc.CapacityError{T0: now, T1: g.Tau, Want: g.Bandwidth, Used: e, Cap: c, Dir: topology.Egress, Point: r.Egress}
+	}
+	return b.ledger.HoldReserve(topology.Ingress, r.Ingress, now, g.Tau, g.Bandwidth)
 }
 
 func (ru *runner) observe(kind HoldKind, dir topology.Direction, p topology.PointID, id request.ID, bw units.Bandwidth, until units.Time) {
@@ -337,17 +331,6 @@ func (ru *runner) observe(kind HoldKind, dir topology.Direction, p topology.Poin
 		Request: id, Bandwidth: bw, Until: until,
 	})
 }
-
-// releaseAt gives a committed hold's capacity back at τ, as the daemon's
-// armHoldReleaseLocked does — at the next advance if a late CONFIRM arrives
-// after τ.
-func (ru *runner) releaseAt(t *hold.Table, e *hold.Entry) {
-	ru.due.At(max(e.Tau, ru.due.Now()), func(*des.Simulator) { t.Release(e) })
-}
-
-// advance releases every committed hold due by now, as the daemon's
-// advanceLocked does before a decision.
-func (ru *runner) advance() { ru.due.RunUntil(ru.sim.Now()) }
 
 func inKey(i topology.PointID) string { return fmt.Sprintf("in/%d", int(i)) }
 func egKey(e topology.PointID) string { return fmt.Sprintf("eg/%d", int(e)) }
@@ -389,35 +372,28 @@ func (ru *runner) deliver(to string, fn func()) {
 	}
 }
 
-// arrival runs the local admission check and, on success, opens the
-// two-phase handshake with a tentative ingress hold.
+// arrival decides the request with the admission step and, on success,
+// opens the two-phase handshake with the tentative ingress hold it booked.
 func (ru *runner) arrival(r request.Request) {
-	now := ru.sim.Now()
-	i, e := int(r.Ingress), int(r.Egress)
 	rec := &ru.records[int(r.ID)]
-
-	// The transfer can only start once the two-phase handshake completes;
-	// assign the rate against that start.
-	sigma := now + 2*ru.cfg.MsgDelay
-	bw, err := ru.cfg.Policy.Assign(r, sigma)
-	if err != nil {
-		rec.Verdict = PolicyReject
-		ru.out.Reject(r.ID, "policy: "+err.Error())
-		return
-	}
-	ru.advance()
-	if !units.FitsWithin(ru.occ.in[i], bw, ru.net.Bin(r.Ingress)) ||
-		!units.FitsWithin(ru.readCache(i, e), bw, ru.net.Bout(r.Egress)) {
+	// The transfer can only start once the two-phase handshake completes.
+	g, no := admit.At(booker{ru}, ru.cfg.Policy, r, ru.sim.Now()+2*ru.cfg.MsgDelay)
+	switch no.Cause {
+	case admit.Admitted:
+	case admit.Capacity:
 		rec.Verdict = LocalReject
 		ru.out.Reject(r.ID, "local view: insufficient capacity")
 		return
+	default:
+		rec.Verdict = PolicyReject
+		ru.out.Reject(r.ID, no.String())
+		return
 	}
-	// Tentative local hold; RESERVE travels to the egress.
-	ru.occ.in[i] += bw
-	ru.observe(HoldAcquire, topology.Ingress, r.Ingress, r.ID, bw, 0)
-	p := &ingPending{r: r, hold: ru.in.Hold(hold.Entry{
-		Key: strconv.Itoa(int(r.ID)), Side: trace.HoldSideIngress, Point: r.Ingress, Peer: e, ID: r.ID,
-		BW: bw, Sigma: sigma,
+	// RESERVE travels to the egress.
+	ru.observe(HoldAcquire, topology.Ingress, r.Ingress, r.ID, g.Bandwidth, 0)
+	p := &ingPending{r: r, g: g, hold: ru.in.Hold(hold.Entry{
+		Key: strconv.Itoa(int(r.ID)), Side: trace.HoldSideIngress, Point: r.Ingress, Peer: int(r.Egress), ID: r.ID,
+		BW: g.Bandwidth, Sigma: ru.sim.Now(), Tau: g.Tau,
 	})}
 	if ru.cfg.ReserveTimeout > 0 {
 		p.timeout = ru.sim.After(ru.cfg.ReserveTimeout, func(*des.Simulator) {
@@ -427,23 +403,23 @@ func (ru *runner) arrival(r request.Request) {
 	ru.send(egKey(r.Egress), func() bool { return p.hold.State != hold.Held }, func() { ru.egressOnReserve(p) })
 }
 
-// egressOnReserve runs the authoritative check exactly once per request;
-// duplicate RESERVE copies re-send the recorded answer without touching
-// occupancy (idempotent commit).
+// egressOnReserve runs the authoritative check exactly once per request,
+// booking from now until τ as the daemon's holdCheckLocked books a proposed
+// grant — a RESERVE landing at or after τ has nothing left to book and is
+// refused; duplicate RESERVE copies re-send the recorded answer without
+// touching the ledger (idempotent commit).
 func (ru *runner) egressOnReserve(p *ingPending) {
 	st, ok := ru.eg.Get(p.hold.Key)
 	if !ok {
 		h := hold.Entry{
 			Key: p.hold.Key, Side: trace.HoldSideEgress, Point: p.r.Egress, Peer: int(p.r.Ingress), ID: -1,
-			BW: p.hold.BW, Sigma: p.hold.Sigma,
+			BW: p.g.Bandwidth, Sigma: ru.sim.Now(), Tau: p.g.Tau,
 		}
-		ru.advance()
-		if units.FitsWithin(ru.occ.eg[int(h.Point)], h.BW, ru.net.Bout(h.Point)) {
-			ru.occ.eg[int(h.Point)] += h.BW
+		if h.Sigma < h.Tau && ru.ledger.HoldReserve(topology.Egress, h.Point, h.Sigma, h.Tau, h.BW) == nil {
 			ru.observe(HoldAcquire, topology.Egress, h.Point, p.r.ID, h.BW, 0)
 			st = ru.eg.Hold(h)
 		} else {
-			h.Reason = "egress capacity saturated"
+			h.Reason = "egress has no room for the grant before τ"
 			st = ru.eg.Refuse(h)
 		}
 	}
@@ -461,19 +437,9 @@ func (ru *runner) ingressOnAck(p *ingPending) {
 		return
 	}
 	ru.sim.Cancel(p.timeout)
-	g, err := request.NewGrant(p.r, p.hold.Sigma, p.hold.BW)
-	if err != nil {
-		// The deadline became unreachable between assign and grant (a
-		// policy that ignores the late start): roll back and abort.
-		ru.rollbackIngress(p, PolicyReject, "grant: "+err.Error())
-		ru.sendAbort(p)
-		return
-	}
-	p.hold.Tau = g.Tau
-	ru.releaseAt(ru.in, p.hold)
-	ru.observe(HoldCommit, topology.Ingress, p.r.Ingress, p.r.ID, p.hold.BW, g.Tau)
-	ru.records[int(p.r.ID)] = Record{Request: p.r.ID, Verdict: Accepted, Grant: g}
-	ru.out.Accept(g)
+	ru.observe(HoldCommit, topology.Ingress, p.r.Ingress, p.r.ID, p.g.Bandwidth, p.g.Tau)
+	ru.records[int(p.r.ID)] = Record{Request: p.r.ID, Verdict: Accepted, Grant: p.g}
+	ru.out.Accept(p.g)
 	ru.send(egKey(p.r.Egress), func() bool { return p.confirmAcked }, func() { ru.egressOnConfirm(p) })
 }
 
@@ -508,8 +474,6 @@ func (ru *runner) rollbackIngress(p *ingPending, v Verdict, reason string) {
 
 func (ru *runner) egressOnConfirm(p *ingPending) {
 	if st, ok := ru.eg.Get(p.hold.Key); ok && ru.eg.Confirm(st) {
-		st.Tau = p.hold.Tau
-		ru.releaseAt(ru.eg, st)
 		ru.observe(HoldCommit, topology.Egress, p.r.Egress, p.r.ID, st.BW, st.Tau)
 	}
 	ru.deliver(inKey(p.r.Ingress), func() { p.confirmAcked = true })

@@ -1,10 +1,15 @@
 package distributed
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"gridbw/internal/admit"
+	"gridbw/internal/alloc"
+	"gridbw/internal/des"
 	"gridbw/internal/policy"
 	"gridbw/internal/request"
 	"gridbw/internal/sched/flexible"
@@ -150,8 +155,9 @@ func TestRollbackFreesIngress(t *testing.T) {
 // TestReleaseAtTauPrecedesSameInstantCheck: capacity due back at τ is free
 // for a check at τ, whichever of the two was scheduled first — an arrival
 // (scheduled before the run), a sync tick (scheduled a period earlier) or a
-// RESERVE (sent before the egress learnt τ) landing on a grant's end sees
-// the release, as the daemon's admission does after advancing its clock.
+// RESERVE (sent before the grant was confirmed) landing on a grant's end
+// finds its booking over, as the daemon's admission does after advancing
+// its clock.
 func TestReleaseAtTauPrecedesSameInstantCheck(t *testing.T) {
 	net := topology.Uniform(2, 1, 1*units.GBps)
 	for _, tc := range []struct {
@@ -170,8 +176,9 @@ func TestReleaseAtTauPrecedesSameInstantCheck(t *testing.T) {
 		{"sync tick", 100, 0,
 			flexReq(0, 0, 0, 0, 100*units.GB, 1*units.GBps, 3),
 			flexReq(1, 1, 0, 150, 100*units.GB, 1*units.GBps, 3), 100},
-		// Request 0 holds egress 0 over [20, 35) and its CONFIRM lands at
-		// 30; request 1's RESERVE, sent at 25 on a stale view, lands at 35.
+		// Request 0 holds egress 0 from its RESERVE at 10 until τ = 35 and
+		// its CONFIRM lands at 30; request 1's RESERVE, sent at 25 on a
+		// stale view, lands at 35.
 		{"egress reserve", 1000, 10,
 			flexReq(0, 0, 0, 0, 15*units.GB, 1*units.GBps, 3),
 			flexReq(1, 1, 0, 25, 15*units.GB, 1*units.GBps, 3), 35},
@@ -270,27 +277,109 @@ func TestStalenessHurts(t *testing.T) {
 }
 
 // TestFreshDistributedTracksCentralized: with read-through state and zero
-// delay, the distributed protocol accepts the same set as the §5 greedy
-// scheduler.
+// delay, the distributed protocol decides every request as the §5 greedy
+// scheduler does — the same verdict and, when accepted, the same grant bit
+// for bit — over three loads and twenty seeds.
 func TestFreshDistributedTracksCentralized(t *testing.T) {
-	cfg := workload.Default(workload.Flexible)
-	cfg.Horizon = 400
-	reqs, err := cfg.Generate(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := cfg.Network()
 	p := policy.FractionMaxRate(1)
-	rep, err := Run(net, reqs, Config{SyncPeriod: 0, MsgDelay: 0, Policy: p})
+	decisions := 0
+	for _, gap := range []units.Time{0.5, 1, 3} {
+		cfg := workload.Default(workload.Flexible)
+		cfg.Horizon, cfg.MeanInterArrival = 400, gap
+		net := cfg.Network()
+		for seed := int64(0); seed < 20; seed++ {
+			reqs, err := cfg.Generate(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Run(net, reqs, Config{SyncPeriod: 0, MsgDelay: 0, Policy: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			central, err := flexible.Greedy{Policy: p}.Schedule(net, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range rep.Records {
+				want := central.Decision(rec.Request)
+				if (rec.Verdict == Accepted) != want.Accepted || (want.Accepted && rec.Grant != want.Grant) {
+					t.Errorf("gap=%v seed=%d request %d: distributed %v %v, greedy accepted=%v %v",
+						gap, seed, rec.Request, rec.Verdict, rec.Grant, want.Accepted, want.Grant)
+				}
+				decisions++
+			}
+		}
+	}
+	t.Logf("%d decisions compared", decisions)
+}
+
+// TestHoldBooksFromDecisionInstant pins the span a hold books: from the
+// instant its side decides it until τ, not the grant's [σ, τ). Request 0 is
+// decided at 0 and granted [20, 30), so its ingress hold books [0, 30).
+// Request 1 leaves the same ingress at 15 and would be granted [35, 45),
+// which does not overlap [20, 30), yet it is refused: the ingress is booked
+// at 15. Booking the grant's own span (distributed book-ahead) accepts it.
+func TestHoldBooksFromDecisionInstant(t *testing.T) {
+	net := topology.Uniform(1, 2, 1*units.GBps)
+	reqs := request.MustNewSet([]request.Request{
+		flexReq(0, 0, 0, 0, 10*units.GB, 1*units.GBps, 4),
+		flexReq(1, 0, 1, 15, 10*units.GB, 1*units.GBps, 4),
+	})
+	rep, err := Run(net, reqs, Config{MsgDelay: 10, Policy: policy.FractionMaxRate(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	central, err := flexible.Greedy{Policy: p}.Schedule(net, reqs)
-	if err != nil {
-		t.Fatal(err)
+	if g := rep.Records[0].Grant; rep.Records[0].Verdict != Accepted || g.Sigma != 20 || g.Tau != 30 {
+		t.Fatalf("first = %v %v, want accepted over [20, 30)", rep.Records[0].Verdict, g)
 	}
-	if rep.Outcome.AcceptedCount() != central.AcceptedCount() {
-		t.Errorf("distributed(0,0) accepted %d, centralized greedy %d",
-			rep.Outcome.AcceptedCount(), central.AcceptedCount())
+	if got := rep.Records[1].Verdict; got != LocalReject {
+		t.Errorf("second = %v, want local-reject: the first hold books its ingress from 0", got)
+	}
+}
+
+// TestBookerRefusalsLeaveLedger drives the ingress booker into Capacity
+// through each of its two checks — a stale egress reading, then the
+// ingress's own point — and finds the ledger as it was both times.
+func TestBookerRefusalsLeaveLedger(t *testing.T) {
+	net := topology.Uniform(1, 1, 1*units.GBps)
+	r := flexReq(0, 0, 0, 0, 10*units.GB, 500*units.MBps, 3)
+	for _, tc := range []struct {
+		name          string
+		view, ingress units.Bandwidth
+		dir           topology.Direction
+	}{
+		{"stale view", 600 * units.MBps, 0, topology.Egress},
+		{"ingress", 0, 600 * units.MBps, topology.Ingress},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ru := &runner{
+				cfg: Config{SyncPeriod: 50, Policy: policy.FractionMaxRate(1)}, net: net, sim: des.New(),
+				ledger: alloc.NewSharded(net), view: []units.Bandwidth{tc.view},
+			}
+			if tc.ingress > 0 {
+				if err := ru.ledger.HoldReserve(topology.Ingress, 0, 0, 100, tc.ingress); err != nil {
+					t.Fatal(err)
+				}
+			}
+			usage := func() (out [][]units.Bandwidth) {
+				for _, at := range []units.Time{0, 10, 20, 99, 100} {
+					in, eg := ru.ledger.UsageAt(at)
+					out = append(out, in, eg)
+				}
+				return out
+			}
+			before := usage()
+			_, no := admit.At(booker{ru}, ru.cfg.Policy, r, 0)
+			var ce *alloc.CapacityError
+			if no.Cause != admit.Capacity || !errors.As(no.Err, &ce) || ce.Dir != tc.dir {
+				t.Fatalf("refusal = %v (%v), want capacity at the %v", no.Cause, no.Err, tc.dir)
+			}
+			if after := usage(); !reflect.DeepEqual(before, after) {
+				t.Errorf("ledger moved: %v, was %v", after, before)
+			}
+			if err := ru.ledger.CheckInvariant(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"gridbw/internal/alloc"
 	"gridbw/internal/faults"
+	"gridbw/internal/metrics"
 	"gridbw/internal/policy"
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
@@ -339,5 +340,74 @@ func TestValidateFaultConfig(t *testing.T) {
 	}
 	if err := (Config{Policy: policy.MinRate(), ReserveTimeout: -1}).Validate(); err == nil {
 		t.Error("negative timeout accepted")
+	}
+}
+
+// TestUnreachableDeadlineRunsNoHandshake: the strict MinRate policy sizes
+// the rate for the requested window, so with a message delay the grant
+// ends past the deadline. The request is refused at arrival, as the
+// daemon's ingress refuses it: no hold is taken and no message is sent.
+func TestUnreachableDeadlineRunsNoHandshake(t *testing.T) {
+	net := topology.Uniform(1, 1, 1*units.GBps)
+	reqs := request.MustNewSet([]request.Request{
+		flexReq(0, 0, 0, 10, 30*units.GB, 300*units.MBps, 3),
+	})
+	inj, err := faults.New(faults.Config{Seed: 3, Drop: 0.2, Duplicate: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []HoldEvent
+	rep, err := Run(net, reqs, Config{
+		MsgDelay: 0.01, ReserveTimeout: 1.5, RetryInterval: 0.4,
+		Policy: policy.StrictRequestedMinRate(), Faults: inj,
+		Observer: func(ev HoldEvent) { events = append(events, ev) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Records[0].Verdict; got != PolicyReject {
+		t.Errorf("verdict = %v, want policy-reject", got)
+	}
+	if len(events) != 0 {
+		t.Errorf("observer saw %d hold events, first %+v; want none", len(events), events[0])
+	}
+	if rep.Faults != (metrics.FaultCounters{}) {
+		t.Errorf("fault counters = %+v, want all zero", rep.Faults)
+	}
+}
+
+// TestReserveAfterTauIsRefused: a RESERVE whose copies are dropped until the
+// grant's τ has passed finds nothing left to book, and the egress NACKs it
+// as the daemon's egress refuses a proposed grant with τ ≤ σ. Here the grant
+// is [0.02, 0.32) and the first copy to survive lands at 0.41.
+func TestReserveAfterTauIsRefused(t *testing.T) {
+	net := topology.Uniform(1, 1, 1*units.GBps)
+	reqs := request.MustNewSet([]request.Request{
+		flexReq(0, 0, 0, 0, 300*units.MB, 1*units.GBps, 3),
+	})
+	inj, err := faults.New(faults.Config{Seed: 0, Drop: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mir := newMirror(t, net)
+	rep, err := Run(net, reqs, Config{
+		MsgDelay: 0.01, ReserveTimeout: 1.5, RetryInterval: 0.4,
+		Policy: policy.FractionMaxRate(1), Faults: inj,
+		Observer: func(ev HoldEvent) {
+			if ev.Dir == topology.Egress {
+				t.Errorf("egress booked at %v: %+v", ev.At, ev)
+			}
+			mir.observe(ev)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mir.finish()
+	if got := rep.Records[0]; got.Verdict != Conflict {
+		t.Errorf("verdict = %v grant %v, want conflict", got.Verdict, got.Grant)
+	}
+	if rep.Faults.Conflicts != 1 || rep.Faults.Leaks != 0 {
+		t.Errorf("conflicts = %d leaks = %d, want 1 and 0", rep.Faults.Conflicts, rep.Faults.Leaks)
 	}
 }

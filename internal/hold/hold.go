@@ -49,8 +49,10 @@ func (st State) String() string {
 	return fmt.Sprintf("holdState(%d)", int(st))
 }
 
-// Releaser takes back what a hold booked. *alloc.Sharded is one; the
-// simulator's scalar occupancy is another.
+// Releaser takes back what a hold booked, over the span Entry.Sigma to
+// Entry.Tau. *alloc.Sharded is the daemon's and the simulator's alike; the
+// interface keeps this package from importing it and lets the tests count
+// releases.
 type Releaser interface {
 	HoldRelease(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth)
 }
@@ -69,7 +71,9 @@ type Entry struct {
 	// ID is the request ID the ingress side allocated for the pair; -1 on
 	// the egress side.
 	ID request.ID
-	// The proposed grant and the submission echo behind it.
+	// The proposed grant and the submission echo behind it. Sigma and Tau
+	// are the span the hold books: the grant's [σ, τ) in the daemon, and in
+	// the simulator from the instant its side decided it until τ.
 	BW       units.Bandwidth
 	Sigma    units.Time
 	Tau      units.Time
