@@ -31,13 +31,17 @@
 //   - Unanswered RESERVE/CONFIRM/ABORT messages are retransmitted with a
 //     bounded attempt budget, so every handshake resolves with
 //     probability 1 under any drop rate below total loss.
-//   - Both sides keep their holds in an internal/hold table — the state
-//     machine the daemon's cross-shard holds run — making every transition
-//     idempotent under duplicated or reordered messages: a request is held
-//     at most once per side no matter how many RESERVE copies arrive, and
-//     an ABORT that beats its RESERVE leaves a tombstone the late copy
-//     finds. A committed hold's booking ends at τ, so a check at τ sees
-//     the capacity back.
+//   - Both sides keep their holds in an internal/hold table and change them
+//     only through hold.Step, the step the daemon's cross-shard holds run,
+//     which picks every transition and makes each idempotent under
+//     duplicated or reordered messages: a request is held at most once per
+//     side no matter how many RESERVE copies arrive, and an ABORT that beats
+//     its RESERVE leaves a tombstone the late copy finds. The simulator only
+//     interprets the result: it sends ACK or NACK, arms the ingress's
+//     reservation timeout for the TTL a held hold waits on, and observes
+//     what moved. The egress arms no TTL (the ingress's timeout and its
+//     ABORT loop resolve it), and no hold arms τ: a committed hold's booking
+//     ends at τ, so a check at τ sees the capacity back.
 //
 // Report.Faults exposes conflict/timeout/leak counters plus the channel
 // statistics, and Config.Observer lets an invariant harness mirror every
@@ -389,18 +393,22 @@ func (ru *runner) arrival(r request.Request) {
 		ru.out.Reject(r.ID, no.String())
 		return
 	}
-	// RESERVE travels to the egress.
+	// RESERVE travels to the egress; it is answered once the ingress hold
+	// waits on its timeout no more.
+	res, _ := ru.in.Step(hold.Msg{Kind: hold.Reserve, Key: strconv.Itoa(int(r.ID)), Decide: func() (hold.Entry, error) {
+		return hold.Entry{
+			Side: trace.HoldSideIngress, Point: r.Ingress, Peer: int(r.Egress), ID: r.ID,
+			BW: g.Bandwidth, Sigma: ru.sim.Now(), Tau: g.Tau,
+		}, nil
+	}})
 	ru.observe(HoldAcquire, topology.Ingress, r.Ingress, r.ID, g.Bandwidth, 0)
-	p := &ingPending{r: r, g: g, hold: ru.in.Hold(hold.Entry{
-		Key: strconv.Itoa(int(r.ID)), Side: trace.HoldSideIngress, Point: r.Ingress, Peer: int(r.Egress), ID: r.ID,
-		BW: g.Bandwidth, Sigma: ru.sim.Now(), Tau: g.Tau,
-	})}
-	if ru.cfg.ReserveTimeout > 0 {
+	p := &ingPending{r: r, g: g, hold: res.Entry}
+	if res.Arm == hold.Lapse && ru.cfg.ReserveTimeout > 0 {
 		p.timeout = ru.sim.After(ru.cfg.ReserveTimeout, func(*des.Simulator) {
 			ru.reserveTimeout(p)
 		})
 	}
-	ru.send(egKey(r.Egress), func() bool { return p.hold.State != hold.Held }, func() { ru.egressOnReserve(p) })
+	ru.send(egKey(r.Egress), func() bool { return p.hold.Waits() != hold.Lapse }, func() { ru.egressOnReserve(p) })
 }
 
 // egressOnReserve runs the authoritative check exactly once per request,
@@ -409,54 +417,52 @@ func (ru *runner) arrival(r request.Request) {
 // refused; duplicate RESERVE copies re-send the recorded answer without
 // touching the ledger (idempotent commit).
 func (ru *runner) egressOnReserve(p *ingPending) {
-	st, ok := ru.eg.Get(p.hold.Key)
-	if !ok {
+	res, _ := ru.eg.Step(hold.Msg{Kind: hold.Reserve, Key: p.hold.Key, Decide: func() (hold.Entry, error) {
 		h := hold.Entry{
-			Key: p.hold.Key, Side: trace.HoldSideEgress, Point: p.r.Egress, Peer: int(p.r.Ingress), ID: -1,
+			Side: trace.HoldSideEgress, Point: p.r.Egress, Peer: int(p.r.Ingress), ID: -1,
 			BW: p.g.Bandwidth, Sigma: ru.sim.Now(), Tau: p.g.Tau,
 		}
-		if h.Sigma < h.Tau && ru.ledger.HoldReserve(topology.Egress, h.Point, h.Sigma, h.Tau, h.BW) == nil {
-			ru.observe(HoldAcquire, topology.Egress, h.Point, p.r.ID, h.BW, 0)
-			st = ru.eg.Hold(h)
-		} else {
+		if !(h.Sigma < h.Tau && ru.ledger.HoldReserve(topology.Egress, h.Point, h.Sigma, h.Tau, h.BW) == nil) {
 			h.Reason = "egress has no room for the grant before τ"
-			st = ru.eg.Refuse(h)
 		}
+		return h, nil
+	}})
+	if res.Log {
+		ru.observe(HoldAcquire, topology.Egress, p.r.Egress, p.r.ID, p.g.Bandwidth, 0)
 	}
-	if st.State == hold.Aborted {
-		ru.deliver(inKey(p.r.Ingress), func() { ru.ingressOnNack(p) })
-	} else {
-		ru.deliver(inKey(p.r.Ingress), func() { ru.ingressOnAck(p) })
-	}
+	ack := res.Answer == hold.Granted
+	ru.deliver(inKey(p.r.Ingress), func() { ru.ingressOnAnswer(p, ack) })
 }
 
-func (ru *runner) ingressOnAck(p *ingPending) {
-	if !ru.in.Confirm(p.hold) {
-		// Duplicate ACK, or an ACK racing a timeout that already rolled
-		// back — the abort loop is converging the egress side.
+// ingressOnAnswer takes the egress's answer to the RESERVE: an ACK commits
+// the ingress hold and sends CONFIRM, a NACK rolls it back. A duplicate
+// answer, or one racing a timeout that already rolled back, moves nothing —
+// the abort loop is converging the egress side.
+func (ru *runner) ingressOnAnswer(p *ingPending, ack bool) {
+	kind := hold.Confirm
+	if !ack {
+		kind = hold.Abort
+	}
+	if res, _ := ru.in.Step(hold.Msg{Kind: kind, Key: p.hold.Key}); !res.Log {
 		return
 	}
 	ru.sim.Cancel(p.timeout)
+	if !ack {
+		ru.counters.Conflicts++
+		ru.rollbackIngress(p, Conflict, "conflict: egress authoritative check failed")
+		return
+	}
 	ru.observe(HoldCommit, topology.Ingress, p.r.Ingress, p.r.ID, p.g.Bandwidth, p.g.Tau)
 	ru.records[int(p.r.ID)] = Record{Request: p.r.ID, Verdict: Accepted, Grant: p.g}
 	ru.out.Accept(p.g)
 	ru.send(egKey(p.r.Egress), func() bool { return p.confirmAcked }, func() { ru.egressOnConfirm(p) })
 }
 
-func (ru *runner) ingressOnNack(p *ingPending) {
-	if p.hold.State != hold.Held {
-		return
-	}
-	ru.sim.Cancel(p.timeout)
-	ru.counters.Conflicts++
-	ru.rollbackIngress(p, Conflict, "conflict: egress authoritative check failed")
-}
-
 // reserveTimeout fires when neither ACK nor NACK resolved the hold in
 // time: the ingress rolls back instead of leaking, then converges the
 // egress with ABORT.
 func (ru *runner) reserveTimeout(p *ingPending) {
-	if p.hold.State != hold.Held {
+	if res, _ := ru.in.Step(hold.Msg{Kind: hold.Lapse, Key: p.hold.Key}); !res.Log {
 		return
 	}
 	ru.counters.Timeouts++
@@ -464,17 +470,16 @@ func (ru *runner) reserveTimeout(p *ingPending) {
 	ru.sendAbort(p)
 }
 
-// rollbackIngress rolls the ingress hold back and records why.
+// rollbackIngress records why the ingress hold rolled back.
 func (ru *runner) rollbackIngress(p *ingPending, v Verdict, reason string) {
-	ru.in.Rollback(p.hold.Key, "")
-	ru.observe(HoldRelease, topology.Ingress, p.r.Ingress, p.r.ID, p.hold.BW, 0)
+	ru.observe(HoldRelease, topology.Ingress, p.r.Ingress, p.r.ID, p.g.Bandwidth, 0)
 	ru.records[int(p.r.ID)].Verdict = v
 	ru.out.Reject(p.r.ID, reason)
 }
 
 func (ru *runner) egressOnConfirm(p *ingPending) {
-	if st, ok := ru.eg.Get(p.hold.Key); ok && ru.eg.Confirm(st) {
-		ru.observe(HoldCommit, topology.Egress, p.r.Egress, p.r.ID, st.BW, st.Tau)
+	if res, _ := ru.eg.Step(hold.Msg{Kind: hold.Confirm, Key: p.hold.Key}); res.Log {
+		ru.observe(HoldCommit, topology.Egress, p.r.Egress, p.r.ID, res.Entry.BW, res.Entry.Tau)
 	}
 	ru.deliver(inKey(p.r.Ingress), func() { p.confirmAcked = true })
 }
@@ -488,8 +493,8 @@ func (ru *runner) sendAbort(p *ingPending) {
 // sees one (only a committed ingress confirms, and it never aborts).
 // Always acknowledge so the abort loop stops.
 func (ru *runner) egressOnAbort(p *ingPending) {
-	if st, released := ru.eg.Rollback(p.hold.Key, ""); released {
-		ru.observe(HoldRelease, topology.Egress, p.r.Egress, p.r.ID, st.BW, 0)
+	if res, _ := ru.eg.Step(hold.Msg{Kind: hold.Abort, Key: p.hold.Key}); res.Released {
+		ru.observe(HoldRelease, topology.Egress, p.r.Egress, p.r.ID, res.Entry.BW, 0)
 	}
 	ru.deliver(inKey(p.r.Ingress), func() { p.abortAcked = true })
 }

@@ -1,15 +1,18 @@
 // Package hold is the one state machine of the two-phase RESERVE / CONFIRM /
 // ABORT protocol: the hold table one side of a cross-point admission keeps,
-// and the transitions that change it. Both users of the protocol change hold
-// state through it and nothing else — the daemon's cross-shard holds
-// (internal/server, one table per shard) and the §7 distributed-admission
-// simulator (internal/distributed, one table per side).
+// and Step, the one function that picks the transition a message takes and
+// takes it. Both users of the protocol change hold state through Step and
+// nothing else — the daemon's cross-shard holds (internal/server, one table per
+// shard: its live calls and timers, its WAL replay and its snapshot install)
+// and the §7 distributed-admission simulator (internal/distributed, one table
+// per side). They interpret the Result: answer, arm the timer it names, log
+// the transitions it marks; none of them chooses a transition.
 //
-// The table books nothing itself: its caller decides and books first (an
-// admission step, a one-sided check, a replayed record) and then files the
-// outcome. It gives capacity back through the one Releaser method, at
-// rollback or at the on-schedule release of τ, so that a key books at most
-// once and every booking is returned exactly once. It knows nothing of
+// The table books nothing itself: a RESERVE carries its side's own step (an
+// admission, a one-sided check, a replayed record), which runs only for a key
+// the table does not know. It gives capacity back through the one Releaser
+// method, at rollback or at the on-schedule release of τ, so that a key books
+// at most once and every booking is returned exactly once. It knows nothing of
 // HTTP, the WAL or a clock; callers serialize.
 package hold
 
@@ -59,8 +62,8 @@ type Releaser interface {
 
 // Entry is one side of a two-phase admission, keyed by the key both sides
 // share. By value it is also the decoded record of one: what a RESERVE, a WAL
-// event or a snapshot row says about a hold, before a transition files it
-// (and sets State and Booked).
+// event or a snapshot row says about a hold, before Step files it (and sets
+// State and Booked).
 type Entry struct {
 	Key  string
 	Side string // trace.HoldSideIngress or trace.HoldSideEgress
@@ -95,6 +98,99 @@ func (e *Entry) Dir() topology.Direction {
 	return topology.Egress
 }
 
+// Kind is what a message asks of the hold under its key.
+type Kind int
+
+const (
+	// Reserve books the key's side once: Msg.Decide runs for a key the
+	// table does not know, and a known key answers what its first RESERVE
+	// decided.
+	Reserve Kind = iota + 1
+	// Confirm commits a held hold; it stays booked until Release.
+	Confirm
+	// Abort rolls the hold back, totally: a held or a confirmed hold returns
+	// what it books, and a key never seen gets a tombstone carrying
+	// Msg.Reason, so a late RESERVE of an already-aborted pair books nothing.
+	Abort
+	// Lapse is the TTL of an unconfirmed hold running out.
+	Lapse
+	// Release is τ of a confirmed hold: its booking returns on schedule.
+	Release
+)
+
+// Msg is one protocol message or timer for the hold under Key.
+type Msg struct {
+	Kind Kind
+	Key  string
+	// Decide, on a Reserve of a key the table does not know, takes the
+	// side's own step and returns the entry it filled: booked, or, when it
+	// refused, with Reason set (a recorded tombstone whose reason is empty
+	// says State Aborted instead). An error files nothing.
+	Decide func() (Entry, error)
+	// Reason is what the tombstone answers when an Abort finds no hold.
+	Reason string
+}
+
+// Answer is what the owner of a hold replies to a message.
+type Answer int
+
+const (
+	// Silent: a timer answers no one.
+	Silent Answer = iota
+	// Granted: a RESERVE holds Entry's grant.
+	Granted
+	// Refused: a RESERVE books nothing; Entry.Reason says why, if it knows.
+	Refused
+	// Committed: a CONFIRM finds the hold confirmed.
+	Committed
+	// RolledBack: an ABORT leaves the hold aborted.
+	RolledBack
+	// NotFound: a CONFIRM of a key the table does not know (404).
+	NotFound
+	// Conflict: a CONFIRM of a hold that already rolled back (409).
+	Conflict
+)
+
+// Waits is the timer e's state waits on, named by the message it delivers:
+// Lapse at ExpireAt for a held hold, Release at Tau for a confirmed one that
+// still books; zero for a hold that waits on nothing.
+func (e *Entry) Waits() Kind {
+	switch {
+	case !e.Booked:
+		return 0
+	case e.State == Held:
+		return Lapse
+	case e.State == Confirmed:
+		return Release
+	}
+	return 0
+}
+
+// Due is the instant the timer that delivers k fires at.
+func (e *Entry) Due(k Kind) units.Time {
+	if k == Lapse {
+		return e.ExpireAt
+	}
+	return e.Tau
+}
+
+// Result is what one Step did.
+type Result struct {
+	// Entry is the hold after the step; nil for a key the table does not
+	// know that the message leaves unknown (a CONFIRM or a timer).
+	Entry  *Entry
+	Answer Answer
+	// Released reports whether capacity came back.
+	Released bool
+	// Arm is the timer the new state waits on when this step entered it
+	// (Entry.Waits), and zero when it entered none or changed nothing.
+	Arm Kind
+	// Log marks a transition worth recording: a hold booked, confirmed,
+	// aborted (a tombstone included), lapsed or released. A refusal, a
+	// duplicate copy and a message the state ignores are not.
+	Log bool
+}
+
 // Table is every hold one owner knows about, by key and (ingress side) by
 // the request ID it allocated, with the FIFO eviction queue of resolved
 // holds.
@@ -124,6 +220,55 @@ func (t *Table) KeyOf(id request.ID) (string, bool) {
 	return key, ok
 }
 
+// Step delivers m to the hold under m.Key: it picks the transition the
+// message takes from the hold's state, takes it, and reports what it did. It
+// is the only way the table changes. Every message is idempotent: a second
+// copy changes nothing and releases nothing. One case per row of the truth
+// table; a message no case takes leaves the hold as it is.
+func (t *Table) Step(m Msg) (Result, error) {
+	e, ok := t.byKey[m.Key]
+	switch {
+	case m.Kind == Reserve && !ok:
+		h, err := m.Decide()
+		if err != nil {
+			return Result{}, err
+		}
+		h.Key = m.Key
+		if h.Reason != "" || h.State == Aborted {
+			return Result{Entry: t.refuse(h), Answer: Refused}, nil
+		}
+		h.State, h.Booked = Held, true
+		return Result{Entry: t.file(h), Answer: Granted, Arm: Lapse, Log: true}, nil
+	case m.Kind == Reserve && e.State == Aborted:
+		return Result{Entry: e, Answer: Refused}, nil
+	case m.Kind == Reserve:
+		return Result{Entry: e, Answer: Granted}, nil
+	case m.Kind == Confirm && !ok:
+		return Result{Answer: NotFound}, nil
+	case m.Kind == Confirm && e.State == Aborted:
+		return Result{Entry: e, Answer: Conflict}, nil
+	case m.Kind == Confirm && e.State == Held:
+		e.State = Confirmed
+		return Result{Entry: e, Answer: Committed, Arm: Release, Log: true}, nil
+	case m.Kind == Confirm:
+		return Result{Entry: e, Answer: Committed}, nil
+	case m.Kind == Abort && !ok:
+		e = t.refuse(Entry{Key: m.Key, ID: -1, Peer: -1, Reason: m.Reason})
+		return Result{Entry: e, Answer: RolledBack, Log: true}, nil
+	case m.Kind == Abort && e.State != Aborted:
+		return Result{Entry: e, Answer: RolledBack, Released: t.rollback(e), Log: true}, nil
+	case m.Kind == Abort:
+		return Result{Entry: e, Answer: RolledBack}, nil
+	case m.Kind == Lapse && ok && e.State == Held:
+		return Result{Entry: e, Released: t.rollback(e), Log: true}, nil
+	case m.Kind == Release && ok && e.Waits() == Release:
+		t.unbook(e)
+		t.retire(e.Key)
+		return Result{Entry: e, Released: true, Log: true}, nil
+	}
+	return Result{Entry: e}, nil
+}
+
 func (t *Table) file(h Entry) *Entry {
 	e := &h
 	t.byKey[e.Key] = e
@@ -133,57 +278,22 @@ func (t *Table) file(h Entry) *Entry {
 	return e
 }
 
-// Hold files a held hold whose one-sided capacity the caller has booked.
-func (t *Table) Hold(h Entry) *Entry {
-	h.State, h.Booked = Held, true
-	return t.file(h)
-}
-
-// Refuse files a tombstone: a hold that books nothing and answers every
-// later message for its key with h.Reason — a refused RESERVE, or an ABORT
-// that arrived before the RESERVE it cancels.
-func (t *Table) Refuse(h Entry) *Entry {
+// refuse files a tombstone: a hold that books nothing and answers every
+// later message for its key with h.Reason.
+func (t *Table) refuse(h Entry) *Entry {
 	h.State, h.Booked = Aborted, false
 	e := t.file(h)
 	t.retire(e.Key)
 	return e
 }
 
-// Confirm commits a held hold: its capacity stays booked until Release at
-// τ. It reports whether the hold was there to commit.
-func (t *Table) Confirm(e *Entry) bool {
-	if e.State != Held {
-		return false
-	}
-	e.State = Confirmed
-	return true
-}
-
-// Rollback leaves the hold under key aborted — an ABORT, or a TTL that
-// lapsed — returning whatever it still books, and reports whether capacity
-// came back. A key never seen gets a tombstone carrying reason, so a late
-// RESERVE of an already-aborted pair books nothing.
-func (t *Table) Rollback(key, reason string) (e *Entry, released bool) {
-	e, ok := t.byKey[key]
-	if !ok {
-		return t.Refuse(Entry{Key: key, ID: -1, Peer: -1, Reason: reason}), false
-	}
-	if e.State != Aborted {
-		released = t.unbook(e)
-		e.State = Aborted
-		t.retire(key)
-	}
-	return e, released
-}
-
-// Release returns a confirmed hold's capacity on schedule, at τ. It
-// reports whether there was anything to return.
-func (t *Table) Release(e *Entry) bool {
-	if e.State != Confirmed || !t.unbook(e) {
-		return false
-	}
+// rollback leaves e aborted, returning whatever it still books, and reports
+// whether capacity came back.
+func (t *Table) rollback(e *Entry) bool {
+	released := t.unbook(e)
+	e.State = Aborted
 	t.retire(e.Key)
-	return true
+	return released
 }
 
 func (t *Table) unbook(e *Entry) bool {
@@ -215,11 +325,10 @@ func (t *Table) retire(key string) {
 // Booked counts the holds that currently book capacity, by state.
 func (t *Table) Booked() (held, confirmed int) {
 	for _, e := range t.byKey {
-		switch {
-		case !e.Booked:
-		case e.State == Held:
+		switch e.Waits() {
+		case Lapse:
 			held++
-		case e.State == Confirmed:
+		case Release:
 			confirmed++
 		}
 	}

@@ -51,53 +51,63 @@ func (c *counter) HoldRelease(dir topology.Direction, p topology.PointID, sigma,
 	}
 }
 
-// deliver applies m to key k the way the callers do and returns the
-// answer: what a RESERVE or CONFIRM answers, "aborted" for an ABORT, "-"
-// for a timer.
-func deliver(tb *Table, c *counter, k int, m msg) (answer string, released bool) {
-	key := fmt.Sprintf("k%d", k)
-	e, ok := tb.Get(key)
+// message is the Msg a caller sends for m to key k: a RESERVE carries the
+// one-sided check, which books (and counts the booking) or refuses; an
+// ABORT carries the reason the daemon files for an unknown key.
+func message(c *counter, k int, m msg) Msg {
+	out := Msg{Kind: [numMsgs]Kind{Reserve, Reserve, Confirm, Abort, Lapse, Release}[m], Key: fmt.Sprintf("k%d", k)}
 	switch m {
 	case reserveFits, reserveRefused:
-		if !ok {
-			h := Entry{Key: key, Side: trace.HoldSideIngress, Point: topology.PointID(k), ID: -1, BW: 10, Sigma: 1, Tau: 2}
-			if m == reserveFits {
-				c.booked[h.Point]++
-				e = tb.Hold(h)
-			} else {
+		out.Decide = func() (Entry, error) {
+			h := Entry{Side: trace.HoldSideIngress, Point: topology.PointID(k), ID: -1, BW: 10, Sigma: 1, Tau: 2}
+			if m == reserveRefused {
 				h.Reason = "saturated"
-				e = tb.Refuse(h)
+			} else {
+				c.booked[h.Point]++
 			}
+			return h, nil
 		}
-		switch {
-		case e.State != Aborted:
-			return "held", false
-		case e.Reason == "":
-			return "refused: hold aborted", false
-		}
-		return "refused: " + e.Reason, false
-	case confirm:
-		switch {
-		case !ok:
-			return "404", false
-		case e.State == Aborted:
-			return "409", false
-		}
-		tb.Confirm(e)
-		return "confirmed", false
 	case abort:
-		_, released = tb.Rollback(key, "aborted before reserve")
-		return "aborted", released
-	case ttl:
-		if ok && e.State == Held {
-			_, released = tb.Rollback(key, "")
-		}
-	case release:
-		if ok {
-			released = tb.Release(e)
-		}
+		out.Reason = "aborted before reserve"
 	}
-	return "-", released
+	return out
+}
+
+// answer words a result as the daemon answers it: what a RESERVE or CONFIRM
+// answers, "aborted" for an ABORT, "-" for a timer.
+func answer(r Result) string {
+	switch r.Answer {
+	case Granted:
+		return "held"
+	case Refused:
+		if r.Entry.Reason == "" {
+			return "refused: hold aborted"
+		}
+		return "refused: " + r.Entry.Reason
+	case Committed:
+		return "confirmed"
+	case RolledBack:
+		return "aborted"
+	case NotFound:
+		return "404"
+	case Conflict:
+		return "409"
+	}
+	return "-"
+}
+
+// step sends m to key k through Step and returns the answer and whether
+// capacity came back. A timer it names must be the one the new state waits
+// on.
+func step(tb *Table, c *counter, k int, m msg) (string, bool) {
+	res, err := tb.Step(message(c, k, m))
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if res.Arm != 0 && res.Arm != res.Entry.Waits() {
+		c.t.Fatalf("%v armed timer %d, but the state waits on %d", m, res.Arm, res.Entry.Waits())
+	}
+	return answer(res), res.Released
 }
 
 // describe is where key k stands: its state and whether it books.
@@ -112,13 +122,13 @@ func describe(tb *Table, k int) string {
 	return e.State.String()
 }
 
-// TestTruthTable drives every (state, message) pair through the table and
-// then the same message again: each row gives the next state, whether
-// capacity came back and the answer, and the second copy must change
-// nothing and release nothing. The starting states are reached by message
-// sequences, so the rows also cover every message out of order: a CONFIRM
-// or ABORT before its RESERVE, a RESERVE after an ABORT, a release before
-// a CONFIRM, a TTL after one.
+// TestTruthTable drives every (state, message) pair through Step and then
+// the same message again: each row gives the next state, whether capacity
+// came back and the answer, and the second copy must change nothing and
+// release nothing. The starting states are reached by message sequences, so
+// the rows also cover every message out of order: a CONFIRM or ABORT before
+// its RESERVE, a RESERVE after an ABORT, a release before a CONFIRM, a TTL
+// after one.
 func TestTruthTable(t *testing.T) {
 	starts := []struct {
 		name string
@@ -172,17 +182,17 @@ func TestTruthTable(t *testing.T) {
 				c := newCounter(t)
 				tb := NewTable(c, 100)
 				for _, p := range st.path {
-					deliver(tb, c, 0, p)
+					step(tb, c, 0, p)
 				}
 				if got := describe(tb, 0); got != st.is {
 					t.Fatalf("start state %s, want %s", got, st.is)
 				}
 				w := want[st.name][m]
-				answer, released := deliver(tb, c, 0, m)
+				answer, released := step(tb, c, 0, m)
 				if got := (row{describe(tb, 0), released, answer}); got != w {
 					t.Fatalf("got %+v, want %+v", got, w)
 				}
-				again, releasedAgain := deliver(tb, c, 0, m)
+				again, releasedAgain := step(tb, c, 0, m)
 				if got := describe(tb, 0); got != w.next || releasedAgain || again != answer {
 					t.Fatalf("second copy: %s, released %v, answer %q; want %s, false, %q", got, releasedAgain, again, w.next, answer)
 				}
@@ -195,17 +205,53 @@ func TestTruthTable(t *testing.T) {
 	}
 }
 
+// TestStepOnAKnownKeyAllocatesNothing: a message for a hold the table
+// already has costs no allocation, whatever its state. AllocsPerRun's
+// warm-up delivers the first copy, which may take a transition; the copies
+// it counts are the duplicates every message must tolerate.
+func TestStepOnAKnownKeyAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, path := range [][]msg{{reserveFits}, {reserveFits, confirm}, {abort}} {
+		for m := msg(0); m < numMsgs; m++ {
+			c := newCounter(t)
+			tb := NewTable(c, 100)
+			for _, p := range path {
+				step(tb, c, 0, p)
+			}
+			next := message(c, 0, m)
+			if n := testing.AllocsPerRun(100, func() { tb.Step(next) }); n != 0 {
+				t.Errorf("%v after %v: %v allocs, want 0", m, path, n)
+			}
+		}
+	}
+}
+
 // TestRetentionEvictsResolvedHolds: the FIFO keeps the last retention
 // resolved holds and forgets older ones, by key and by ID; a booked hold is
 // never evicted.
 func TestRetentionEvictsResolvedHolds(t *testing.T) {
+	do := func(tb *Table, kind Kind, key string) {
+		t.Helper()
+		if _, err := tb.Step(Msg{Kind: kind, Key: key}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// file reserves h.Key with h as its side's decision.
+	file := func(tb *Table, h Entry) {
+		t.Helper()
+		if _, err := tb.Step(Msg{Kind: Reserve, Key: h.Key, Decide: func() (Entry, error) { return h, nil }}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	c := newCounter(t)
 	tb := NewTable(c, 1)
 	c.booked[0]++
-	live := tb.Hold(Entry{Key: "live", Side: trace.HoldSideIngress, ID: 7, BW: 10, Sigma: 1, Tau: 2})
-	tb.Rollback("a", "aborted before reserve")
-	tb.Confirm(live)
-	tb.Refuse(Entry{Key: "b", ID: 8, Reason: "saturated"})
+	file(tb, Entry{Key: "live", Side: trace.HoldSideIngress, ID: 7, BW: 10, Sigma: 1, Tau: 2})
+	do(tb, Abort, "a")
+	do(tb, Confirm, "live")
+	file(tb, Entry{Key: "b", ID: 8, Reason: "saturated"})
 	if got := tb.Retired(); len(got) != 1 || got[0].Key != "b" {
 		t.Fatalf("retired after eviction = %v, want [b]", got)
 	}
@@ -218,8 +264,8 @@ func TestRetentionEvictsResolvedHolds(t *testing.T) {
 	if e, ok := tb.Get("live"); !ok || !e.Booked {
 		t.Fatal("a booked hold was evicted")
 	}
-	tb.Release(live)
-	tb.Rollback("c", "")
+	do(tb, Release, "live")
+	do(tb, Abort, "c")
 	if _, ok := tb.KeyOf(7); ok {
 		t.Fatal("a released hold outlived the retention")
 	}
@@ -232,14 +278,15 @@ func TestRetentionEvictsResolvedHolds(t *testing.T) {
 
 	// Retired keeps resolution order, not key order, and lists a hold
 	// resolved twice (released, then aborted) once, where it first resolved.
+	// A recorded tombstone without a reason is filed refused all the same.
 	tb = NewTable(c, 8)
 	c.booked[0]++
-	done := tb.Hold(Entry{Key: "a", Side: trace.HoldSideIngress, ID: 1, BW: 10, Sigma: 1, Tau: 2})
-	tb.Confirm(done)
-	tb.Rollback("z", "")
-	tb.Release(done)
-	tb.Refuse(Entry{Key: "m", ID: -1})
-	tb.Rollback("a", "")
+	file(tb, Entry{Key: "a", Side: trace.HoldSideIngress, ID: 1, BW: 10, Sigma: 1, Tau: 2})
+	do(tb, Confirm, "a")
+	do(tb, Abort, "z")
+	do(tb, Release, "a")
+	file(tb, Entry{Key: "m", ID: -1, State: Aborted})
+	do(tb, Abort, "a")
 	var keys []string
 	for _, e := range tb.Retired() {
 		keys = append(keys, e.Key)
@@ -247,11 +294,14 @@ func TestRetentionEvictsResolvedHolds(t *testing.T) {
 	if got := fmt.Sprint(keys); got != "[z a m]" {
 		t.Fatalf("retired order %s, want [z a m]", got)
 	}
+	if e, _ := tb.Get("m"); e.State != Aborted || e.Booked {
+		t.Fatalf("recorded tombstone filed as %+v", e)
+	}
 }
 
-// FuzzHoldMessages delivers random message streams over a few keys and
-// checks the machine's contract against a counting releaser: a key is
-// booked at most once, no release returns what was never booked or was
+// FuzzHoldMessages delivers random message streams over a few keys through
+// Step and checks the machine's contract against a counting releaser: a key
+// is booked at most once, no release returns what was never booked or was
 // already returned (the counter fails the test on the spot), a tombstone
 // answers a late RESERVE without booking, and once every held hold's TTL
 // and every confirmed hold's τ has fired, every booking came back exactly
@@ -267,7 +317,7 @@ func FuzzHoldMessages(f *testing.F) {
 		for _, b := range stream {
 			k, m := int(b>>4)%keys, msg(b&0xf)%numMsgs
 			before := describe(tb, k)
-			answer, _ := deliver(tb, c, k, m)
+			answer, _ := step(tb, c, k, m)
 			if n := c.booked[topology.PointID(k)]; n > 1 {
 				t.Fatalf("key %d booked %d times", k, n)
 			}
@@ -279,8 +329,8 @@ func FuzzHoldMessages(f *testing.F) {
 			}
 		}
 		for k := 0; k < keys; k++ {
-			deliver(tb, c, k, ttl)
-			deliver(tb, c, k, release)
+			step(tb, c, k, ttl)
+			step(tb, c, k, release)
 			if p := topology.PointID(k); c.booked[p] != c.released[p] {
 				t.Fatalf("key %d booked %d times, released %d", k, c.booked[p], c.released[p])
 			}

@@ -30,14 +30,17 @@ package server
 // poisoned WAL, fenced epoch) is an error; a failure of one item is that
 // item's Code/Error and leaves its neighbours alone.
 //
-// This file decides: what a RESERVE books, which CONFIRM or ABORT applies.
-// The state change itself is one transition of the hold table (internal/hold:
-// Hold, Refuse, Confirm, Rollback, Release) — the one machine, which replay
-// (applyEventLocked), snapshot install and internal/distributed's §7
-// simulator run too. The table gives capacity back to the shard's ledger
-// through alloc.Sharded.HoldRelease. Every transition is WAL-logged
-// (trace.EventHold*), so holds survive failover: a promoted follower re-arms
-// the TTL and release timers its primary had pending.
+// This file is the daemon's interpreter of internal/hold's Step, the one
+// function that picks the transition a message takes: a RESERVE carries the
+// side's own decision (holdDecideLocked: what it books), and holdStepLocked
+// answers, arms the timer the result names and logs the transitions it marks.
+// The TTL and τ timers deliver their message through the same step. Replay
+// (applyEventLocked) and snapshot install run the same step on decoded
+// records, as does internal/distributed's §7 simulator on its messages. The
+// table gives capacity back to the shard's ledger through
+// alloc.Sharded.HoldRelease. Every transition is WAL-logged (trace.EventHold*),
+// so holds survive failover: a promoted follower re-arms the TTL and release
+// timers its primary had pending.
 // All hold state is guarded by s.mu; the one-sided bookings take the
 // single point-shard lock under it, the same nesting direction as the
 // expiry and cancel paths.
@@ -50,7 +53,6 @@ import (
 	"time"
 
 	"gridbw/internal/admit"
-	"gridbw/internal/des"
 	"gridbw/internal/hold"
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
@@ -187,29 +189,29 @@ func (s *Server) HoldReserve(reqs []HoldReserveJSON) ([]HoldReserveResponseJSON,
 			// rolls back the ones already booked.
 			return nil, ErrDurabilityLost
 		}
-		e, err := s.holdReserveLocked(req)
+		res, err := s.holdStepLocked(hold.Msg{Kind: hold.Reserve, Key: req.Hold, Decide: func() (hold.Entry, error) {
+			return s.holdDecideLocked(req)
+		}})
 		if err != nil {
 			out[i] = HoldReserveResponseJSON{Hold: req.Hold, ID: -1, Code: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
-		out[i] = s.holdReserveAnswerLocked(e)
+		out[i] = s.holdReserveAnswerLocked(res)
 	}
 	return out, nil
 }
 
-// holdReserveLocked decides one hold of a RESERVE list: the side's own
-// step decides and books, the transition files the outcome, the TTL is armed
-// and the hold logged.
-func (s *Server) holdReserveLocked(req HoldReserveJSON) (*hold.Entry, error) {
+// holdDecideLocked is the side's own step of a RESERVE for a key the table
+// does not know: the ingress proposes and books, the egress checks and books.
+// A key the table already has answers what its first RESERVE decided
+// (idempotent re-delivery); a refusal is remembered so duplicates answer
+// identically, but it holds no capacity and needs no WAL record.
+func (s *Server) holdDecideLocked(req HoldReserveJSON) (hold.Entry, error) {
 	if req.Hold == "" {
-		return nil, fmt.Errorf("server: reserve without hold key")
-	}
-	if e, ok := s.holds.Get(req.Hold); ok {
-		// Idempotent re-delivery: answer what the first reserve decided.
-		return e, nil
+		return hold.Entry{}, fmt.Errorf("server: reserve without hold key")
 	}
 	if !finite(req.TTLS) {
-		return nil, fmt.Errorf("server: non-finite hold TTL")
+		return hold.Entry{}, fmt.Errorf("server: non-finite hold TTL")
 	}
 	ttl := time.Duration(req.TTLS * float64(time.Second))
 	if ttl <= 0 {
@@ -220,7 +222,7 @@ func (s *Server) holdReserveLocked(req HoldReserveJSON) (*hold.Entry, error) {
 	}
 	now := s.sim.Now()
 	h := hold.Entry{
-		Key: req.Hold, Side: req.Side, Peer: req.PeerPoint, ID: -1,
+		Side: req.Side, Peer: req.PeerPoint, ID: -1,
 		Volume: units.Volume(req.VolumeBytes), MaxRate: units.Bandwidth(req.MaxRateBps),
 		ExpireAt: now + units.Time(ttl.Seconds()),
 	}
@@ -234,26 +236,16 @@ func (s *Server) holdReserveLocked(req HoldReserveJSON) (*hold.Entry, error) {
 		err = fmt.Errorf("server: unknown hold side %q (want %q or %q)",
 			req.Side, trace.HoldSideIngress, trace.HoldSideEgress)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if h.Reason != "" {
-		// A refusal is remembered so duplicate RESERVEs answer identically,
-		// but it holds no capacity and needs no WAL record.
-		return s.holds.Refuse(h), nil
-	}
-	e := s.holds.Hold(h)
-	s.armHoldTTLLocked(e)
-	s.logHoldLocked(trace.EventHoldReserve, e)
-	return e, nil
+	return h, err
 }
 
-func (s *Server) holdReserveAnswerLocked(e *hold.Entry) HoldReserveResponseJSON {
+func (s *Server) holdReserveAnswerLocked(res hold.Result) HoldReserveResponseJSON {
+	e := res.Entry
 	resp := HoldReserveResponseJSON{
 		Hold: e.Key, ID: int(e.ID), Epoch: s.repl.epoch,
 		NowS: float64(s.sim.Now()), Reason: e.Reason,
 	}
-	if e.State != hold.Aborted {
+	if res.Answer == hold.Granted {
 		resp.Held = true
 		resp.RateBps = float64(e.BW)
 		resp.SigmaS = float64(e.Sigma)
@@ -355,28 +347,13 @@ func (s *Server) HoldConfirm(refs []HoldRefJSON) ([]HoldStateJSON, error) {
 	s.advanceLocked()
 	out := make([]HoldStateJSON, len(refs))
 	for i, ref := range refs {
-		out[i] = s.holdConfirmLocked(ref.Hold)
+		if ref.Hold == "" {
+			out[i] = HoldStateJSON{Code: http.StatusBadRequest, Error: "server: confirm without hold key"}
+			continue
+		}
+		out[i] = s.holdStateLocked(hold.Msg{Kind: hold.Confirm, Key: ref.Hold})
 	}
 	return out, nil
-}
-
-func (s *Server) holdConfirmLocked(key string) HoldStateJSON {
-	if key == "" {
-		return HoldStateJSON{Code: http.StatusBadRequest, Error: "server: confirm without hold key"}
-	}
-	e, ok := s.holds.Get(key)
-	switch {
-	case !ok:
-		return HoldStateJSON{Hold: key, Code: http.StatusNotFound, Error: ErrNotFound.Error()}
-	case e.State == hold.Aborted:
-		st := s.holdResultLocked(e, false)
-		st.Code, st.Error = http.StatusConflict, ErrHoldAborted.Error()
-		return st
-	case s.holds.Confirm(e):
-		s.armHoldReleaseLocked(e)
-		s.logHoldLocked(trace.EventHoldConfirm, e)
-	}
-	return s.holdResultLocked(e, false)
 }
 
 // HoldAbort rolls holds back, totally: held and confirmed holds release
@@ -409,47 +386,51 @@ func (s *Server) HoldAbort(refs []HoldRefJSON) ([]HoldStateJSON, error) {
 				continue
 			}
 		}
-		out[i] = s.holdAbortLocked(key)
+		out[i] = s.holdStateLocked(hold.Msg{Kind: hold.Abort, Key: key, Reason: "aborted before reserve"})
 	}
 	return out, nil
 }
 
-func (s *Server) holdAbortLocked(key string) HoldStateJSON {
-	if e, ok := s.holds.Get(key); ok && e.State == hold.Aborted {
-		return s.holdResultLocked(e, false) // rolled back already: nothing to do, nothing to log
-	}
-	e, released := s.holds.Rollback(key, "aborted before reserve")
-	s.logHoldLocked(trace.EventHoldAbort, e)
-	return s.holdResultLocked(e, released)
+// holdEvents names the WAL event of each logged hold transition, by the
+// message that took it; replay reads it backwards.
+var holdEvents = [...]string{
+	hold.Reserve: trace.EventHoldReserve, hold.Confirm: trace.EventHoldConfirm,
+	hold.Abort: trace.EventHoldAbort, hold.Lapse: trace.EventHoldExpire, hold.Release: trace.EventHoldRelease,
 }
 
-// holdExpireEvent returns the TTL rollback callback for an unconfirmed
-// hold. It runs under s.mu (all sim.RunUntil call sites hold it) and
-// checks state, so a confirm or abort that won the race makes it a no-op.
-func (s *Server) holdExpireEvent(key string) des.Event {
-	return func(*des.Simulator) {
-		if e, ok := s.holds.Get(key); ok && e.State == hold.Held {
-			s.holds.Rollback(key, "")
-			s.logHoldLocked(trace.EventHoldExpire, e)
-		}
+// holdStepLocked is the live path's interpreter of one hold step: the table
+// picks and takes the transition; this arms the timer the result names and
+// logs the transition if it is one to log. The TTL and τ callbacks come back
+// through it.
+func (s *Server) holdStepLocked(m hold.Msg) (hold.Result, error) {
+	res, err := s.holds.Step(m)
+	if err != nil {
+		return res, err
 	}
+	s.armHoldLocked(res.Entry, res.Arm)
+	if res.Log {
+		s.logHoldLocked(holdEvents[m.Kind], res.Entry)
+	}
+	return res, nil
 }
 
-// holdReleaseEvent returns the on-schedule release callback of a
-// confirmed hold at τ.
-func (s *Server) holdReleaseEvent(key string) des.Event {
-	return func(*des.Simulator) {
-		if e, ok := s.holds.Get(key); ok && s.holds.Release(e) {
-			s.logHoldLocked(trace.EventHoldRelease, e)
-		}
+// holdStateLocked steps one CONFIRM or ABORT and answers it: 404 for a key
+// the table does not know, 409 for a CONFIRM of a hold that already rolled
+// back (the router must abort the peer side).
+func (s *Server) holdStateLocked(m hold.Msg) HoldStateJSON {
+	res, _ := s.holdStepLocked(m)
+	if res.Answer == hold.NotFound {
+		return HoldStateJSON{Hold: m.Key, Code: http.StatusNotFound, Error: ErrNotFound.Error()}
 	}
-}
-
-func (s *Server) holdResultLocked(e *hold.Entry, released bool) HoldStateJSON {
-	return HoldStateJSON{
-		Hold: e.Key, State: e.State.String(), Released: released,
+	e := res.Entry
+	st := HoldStateJSON{
+		Hold: e.Key, State: e.State.String(), Released: res.Released,
 		Side: e.Side, PeerPoint: e.Peer, Epoch: s.repl.epoch,
 	}
+	if res.Answer == hold.Conflict {
+		st.Code, st.Error = http.StatusConflict, ErrHoldAborted.Error()
+	}
+	return st
 }
 
 // HoldStats reports how many holds currently book capacity, by state —

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gridbw/internal/faults"
+	"gridbw/internal/hold"
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
@@ -586,5 +587,100 @@ func TestHoldReserveListPoisonedMidway(t *testing.T) {
 	}
 	if held, confirmed := s.HoldStats(); held != 0 || confirmed != 0 {
 		t.Fatalf("after the abort: %d held / %d confirmed, want 0/0", held, confirmed)
+	}
+}
+
+// TestHoldLiveEqualsReplay: on each start path of internal/hold's truth
+// table, a daemon driven through its hold calls and its clock, and a second
+// daemon rebuilt from nothing but the first one's WAL, hold the same table:
+// every hold, the retirement queue, and what books. A path whose refusal
+// writes no WAL record (ROADMAP 2(ii)) is a known exemption, checked rather
+// than skipped: the replay lacks exactly that tombstone, and the day it does
+// not, this test says the exemption is stale.
+func TestHoldLiveEqualsReplay(t *testing.T) {
+	reserve := func(t *testing.T, s *server.Server, key string, held bool) {
+		t.Helper()
+		if r, err := reserve1(s, fullReserve(key)); err != nil || r.Held != held {
+			t.Fatalf("reserve %s: %v %+v, want held=%v", key, err, r, held)
+		}
+	}
+	call := func(t *testing.T, op func(*server.Server, string) (server.HoldStateJSON, error), s *server.Server, key string) {
+		t.Helper()
+		if st, err := op(s, key); err != nil || st.Code != 0 {
+			t.Fatalf("%s: %v %+v", key, err, st)
+		}
+	}
+	confirm := func(s *server.Server, key string) (server.HoldStateJSON, error) { return confirm1(s, key, 0) }
+	paths := []struct {
+		name  string
+		drive func(t *testing.T, s *server.Server, clk *fakeClock)
+		// unlogged is the tombstone a refusal files without a WAL record.
+		unlogged string
+	}{
+		{"unknown", func(*testing.T, *server.Server, *fakeClock) {}, ""},
+		{"held", func(t *testing.T, s *server.Server, _ *fakeClock) { reserve(t, s, "k", true) }, ""},
+		{"refused", func(t *testing.T, s *server.Server, _ *fakeClock) {
+			reserve(t, s, "blocker", true)
+			reserve(t, s, "k", false)
+		}, "k"},
+		{"confirmed", func(t *testing.T, s *server.Server, _ *fakeClock) {
+			reserve(t, s, "k", true)
+			call(t, confirm, s, "k")
+		}, ""},
+		{"released", func(t *testing.T, s *server.Server, clk *fakeClock) {
+			reserve(t, s, "k", true)
+			call(t, confirm, s, "k")
+			clk.advance(11 * time.Second) // past τ = 10
+		}, ""},
+		{"rolled back", func(t *testing.T, s *server.Server, _ *fakeClock) {
+			reserve(t, s, "k", true)
+			call(t, abort1, s, "k")
+		}, ""},
+		{"expired", func(t *testing.T, s *server.Server, clk *fakeClock) {
+			reserve(t, s, "k", true)
+			clk.advance(6 * time.Second) // past the TTL of 5
+		}, ""},
+		{"tombstone", func(t *testing.T, s *server.Server, _ *fakeClock) { call(t, abort1, s, "k") }, ""},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			clk := &fakeClock{}
+			cfg := holdConfig(clk, nil)
+			cfg.WAL = openTestWAL(t)
+			live := newTestServer(t, cfg)
+			p.drive(t, live, clk)
+			live.Now() // fire what the clock made due, so the WAL has it
+			events, _, err := server.ReadWALEvents(cfg.WAL, wal.Pos{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed := newTestServer(t, holdConfig(clk, nil))
+			if n, err := replayed.ApplyEvents(events); err != nil || n != len(events) {
+				t.Fatalf("applied %d of %d events: %v", n, len(events), err)
+			}
+
+			liveHeld, liveConfirmed := live.HoldStats()
+			held, confirmed := replayed.HoldStats()
+			if held != liveHeld || confirmed != liveConfirmed {
+				t.Fatalf("replay books %d held / %d confirmed, live %d / %d", held, confirmed, liveHeld, liveConfirmed)
+			}
+			liveAll, liveRetired := live.HoldRows()
+			all, retired := replayed.HoldRows()
+			if p.unlogged != "" {
+				unlogged := func(e hold.Entry) bool { return e.Key == p.unlogged }
+				if !slices.ContainsFunc(liveRetired, unlogged) || slices.ContainsFunc(retired, unlogged) {
+					t.Fatalf("exemption stale: live retired %v, replay retired %v; %q is no longer a tombstone only the live table has",
+						liveRetired, retired, p.unlogged)
+				}
+				liveAll = slices.DeleteFunc(liveAll, unlogged)
+				liveRetired = slices.DeleteFunc(liveRetired, unlogged)
+			}
+			if !slices.Equal(all, liveAll) {
+				t.Fatalf("replayed holds\n  %+v\nlive\n  %+v", all, liveAll)
+			}
+			if !slices.Equal(retired, liveRetired) {
+				t.Fatalf("replayed retirement queue\n  %+v\nlive\n  %+v", retired, liveRetired)
+			}
+		})
 	}
 }

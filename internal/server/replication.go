@@ -38,6 +38,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -313,26 +314,19 @@ func (s *Server) applyEventLocked(ev trace.Event, frame []byte) error {
 		} else {
 			s.finish(e, StateExpired)
 		}
-	case trace.EventHoldReserve:
-		if _, ok := s.holds.Get(ev.Hold); ok {
-			return nil // duplicate delivery
+	case trace.EventHoldReserve, trace.EventHoldConfirm, trace.EventHoldAbort, trace.EventHoldExpire, trace.EventHoldRelease:
+		m := hold.Msg{Kind: hold.Kind(slices.Index(holdEvents[:], ev.Kind)), Key: ev.Hold, Reason: ev.Reason}
+		if m.Kind == hold.Reserve {
+			m.Decide = func() (hold.Entry, error) { return s.bookHold(holdFromEvent(ev)) }
 		}
-		e, err := s.restoreHold(holdFromEvent(ev))
-		if err != nil {
+		res, err := s.holds.Step(m)
+		switch {
+		case err != nil:
 			return fmt.Errorf("server: apply: %w", err)
-		}
-		if !s.repl.following {
-			s.armHoldTTLLocked(e)
-		}
-	case trace.EventHoldConfirm:
-		if e, ok := s.holds.Get(ev.Hold); ok && s.holds.Confirm(e) && !s.repl.following {
-			s.armHoldReleaseLocked(e)
-		}
-	case trace.EventHoldAbort, trace.EventHoldExpire:
-		s.holds.Rollback(ev.Hold, ev.Reason)
-	case trace.EventHoldRelease:
-		if e, ok := s.holds.Get(ev.Hold); ok {
-			s.holds.Release(e)
+		case m.Kind == hold.Reserve && !res.Log:
+			return nil // duplicate delivery
+		case !s.repl.following:
+			s.armHoldLocked(res.Entry, res.Arm)
 		}
 	case trace.EventRestore, trace.EventPanic, trace.EventPromote:
 		// Markers carry no reservation state.
@@ -388,15 +382,10 @@ func (s *Server) armTimersLocked() int {
 		}
 	}
 	for _, e := range s.holds.All() {
-		switch {
-		case !e.Booked:
-			continue
-		case e.State == hold.Held:
-			s.armHoldTTLLocked(e)
-		case e.State == hold.Confirmed:
-			s.armHoldReleaseLocked(e)
+		if k := e.Waits(); k != 0 {
+			s.armHoldLocked(e, k)
+			armed++
 		}
-		armed++
 	}
 	return armed
 }

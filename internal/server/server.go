@@ -652,11 +652,15 @@ func (s *Server) armLocked(at units.Time, fn des.Event) des.Handle {
 // armExpiryLocked schedules a live reservation's expiry at τ.
 func (s *Server) armExpiryLocked(e *entry) { e.expire = s.armLocked(e.grant.Tau, e.fire) }
 
-// armHoldTTLLocked schedules a held hold's rollback at its TTL.
-func (s *Server) armHoldTTLLocked(e *hold.Entry) { s.armLocked(e.ExpireAt, s.holdExpireEvent(e.Key)) }
-
-// armHoldReleaseLocked schedules a confirmed hold's on-time release at τ.
-func (s *Server) armHoldReleaseLocked(e *hold.Entry) { s.armLocked(e.Tau, s.holdReleaseEvent(e.Key)) }
+// armHoldLocked schedules the timer of hold e that delivers k — the
+// rollback at its TTL or the on-time release at τ — through the live hold
+// step; a zero k arms nothing.
+func (s *Server) armHoldLocked(e *hold.Entry, k hold.Kind) {
+	if k != 0 {
+		m := hold.Msg{Kind: k, Key: e.Key}
+		s.armLocked(e.Due(k), func(*des.Simulator) { s.holdStepLocked(m) })
+	}
+}
 
 // fireExpire retires the reservation held by e when its τ(r) passes. It
 // runs with s.mu held: every sim.RunUntil call site is inside

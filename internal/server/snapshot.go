@@ -388,16 +388,17 @@ func (s *Server) buildSnapState(snap *Snapshot) (*state, []idemRow, error) {
 			Volume: units.Volume(sh.VolumeB), MaxRate: units.Bandwidth(sh.MaxRateBps),
 			ExpireAt: units.Time(sh.ExpireS), Reason: sh.Reason,
 		}
+		decide := func() (hold.Entry, error) { return st.bookHold(h) }
 		if i >= len(snap.Holds) {
-			st.holds.Refuse(h)
-			continue
+			// A tombstone row books nothing: it is filed refused, reason and all.
+			h.State = hold.Aborted
+			decide = func() (hold.Entry, error) { return h, nil }
 		}
-		e, err := st.restoreHold(h)
-		if err != nil {
+		if _, err := st.holds.Step(hold.Msg{Kind: hold.Reserve, Key: sh.Key, Decide: decide}); err != nil {
 			return nil, nil, fmt.Errorf("server: restore: %w", err)
 		}
 		if sh.Confirmed {
-			st.holds.Confirm(e)
+			st.holds.Step(hold.Msg{Kind: hold.Confirm, Key: sh.Key})
 		}
 	}
 	// The counters and the ID allocator are the snapshot's own, not a count

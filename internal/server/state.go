@@ -6,8 +6,8 @@ package server
 // (replication.go) and the snapshot installer (snapshot.go) all change state
 // through these functions and no others, so a primary and the follower that
 // will replace it run the same code for every state change. Hold state
-// changes through the transitions of internal/hold's table, which the §7
-// simulator (internal/distributed) runs too.
+// changes through internal/hold's Step alone, which the §7 simulator
+// (internal/distributed) runs too.
 //
 // The struct knows nothing of HTTP, the WAL, the replication role or the
 // clock. Whoever calls a transition decides first (admission, or decoding a
@@ -132,9 +132,9 @@ func (st *state) finish(e *entry, to State) {
 	}
 }
 
-// restoreHold books a recorded hold and files it held: how replay and
-// snapshot install re-create one.
-func (st *state) restoreHold(h hold.Entry) (*hold.Entry, error) {
+// bookHold range-checks a recorded hold and books it through the ledger:
+// the decision a replayed or installed RESERVE carries to the hold step.
+func (st *state) bookHold(h hold.Entry) (hold.Entry, error) {
 	net, points := st.ledger.Network(), 0
 	switch h.Side {
 	case trace.HoldSideIngress:
@@ -142,18 +142,18 @@ func (st *state) restoreHold(h hold.Entry) (*hold.Entry, error) {
 	case trace.HoldSideEgress:
 		points = net.NumEgress()
 	default:
-		return nil, fmt.Errorf("hold %q has unknown side %q", h.Key, h.Side)
+		return h, fmt.Errorf("hold %q has unknown side %q", h.Key, h.Side)
 	}
 	if h.Point < 0 || int(h.Point) >= points {
-		return nil, fmt.Errorf("hold %q on unknown %s point %d", h.Key, h.Dir(), h.Point)
+		return h, fmt.Errorf("hold %q on unknown %s point %d", h.Key, h.Dir(), h.Point)
 	}
 	if !(h.BW > 0 && h.Tau > h.Sigma) {
-		return nil, fmt.Errorf("hold %q has degenerate grant", h.Key)
+		return h, fmt.Errorf("hold %q has degenerate grant", h.Key)
 	}
 	if err := st.ledger.HoldReserve(h.Dir(), h.Point, h.Sigma, h.Tau, h.BW); err != nil {
-		return nil, fmt.Errorf("hold %q: %w", h.Key, err)
+		return h, fmt.Errorf("hold %q: %w", h.Key, err)
 	}
-	return st.holds.Hold(h), nil
+	return h, nil
 }
 
 // liveIDs lists the reservations holding capacity, in ID order.

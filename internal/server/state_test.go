@@ -32,6 +32,19 @@ func TestStateTransitions(t *testing.T) {
 		BW: units.GBps, Sigma: 10, Tau: 110, Volume: 100 * units.GB, MaxRate: units.GBps, ExpireAt: 15,
 	}
 
+	// step delivers one hold message and fails the test on a decision error.
+	step := func(t *testing.T, st *state, m hold.Msg) hold.Result {
+		t.Helper()
+		res, err := st.holds.Step(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	reserve := func(decide func() (hold.Entry, error)) hold.Msg {
+		return hold.Msg{Kind: hold.Reserve, Key: h.Key, Decide: decide}
+	}
+
 	// The two ways to reach "booked and filed".
 	type booker struct {
 		name   string
@@ -47,10 +60,9 @@ func TestStateTransitions(t *testing.T) {
 			}
 			return st.register(r, g)
 		}, func(t *testing.T, st *state) *hold.Entry {
-			if err := st.ledger.HoldReserve(h.Dir(), h.Point, h.Sigma, h.Tau, h.BW); err != nil {
-				t.Fatal(err)
-			}
-			return st.holds.Hold(h)
+			return step(t, st, reserve(func() (hold.Entry, error) {
+				return h, st.ledger.HoldReserve(h.Dir(), h.Point, h.Sigma, h.Tau, h.BW)
+			})).Entry
 		}},
 		{"replayed", func(t *testing.T, st *state) *entry {
 			e, err := st.restore(r, g)
@@ -59,13 +71,10 @@ func TestStateTransitions(t *testing.T) {
 			}
 			return e
 		}, func(t *testing.T, st *state) *hold.Entry {
-			e, err := st.restoreHold(h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
+			return step(t, st, reserve(func() (hold.Entry, error) { return st.bookHold(h) })).Entry
 		}},
 	}
+	msg := func(kind hold.Kind) hold.Msg { return hold.Msg{Kind: kind, Key: h.Key} }
 
 	lifecycles := []struct {
 		name string
@@ -76,48 +85,52 @@ func TestStateTransitions(t *testing.T) {
 			if key, _ := st.holds.KeyOf(3); e.State != hold.Held || !e.Booked || key != "x-1" {
 				t.Fatalf("held hold = %+v, by id %q", e, key)
 			}
-			if _, err := st.restoreHold(h); err == nil {
+			if _, err := st.bookHold(h); err == nil {
 				t.Fatal("a second full-capacity hold fit beside the first")
 			}
-			if st.holds.Release(e) {
+			if step(t, st, msg(hold.Release)).Released {
 				t.Fatal("released a hold that was never confirmed")
 			}
-			if !st.holds.Confirm(e) || st.holds.Confirm(e) || e.State != hold.Confirmed {
+			if !step(t, st, msg(hold.Confirm)).Log || step(t, st, msg(hold.Confirm)).Log || e.State != hold.Confirmed {
 				t.Fatalf("confirm, then confirm again: %+v", e)
 			}
-			if !st.holds.Release(e) || st.holds.Release(e) || e.Booked {
+			if !step(t, st, msg(hold.Release)).Released || step(t, st, msg(hold.Release)).Released || e.Booked {
 				t.Fatalf("release, then release again: %+v", e)
 			}
 		}},
 		{"reserve, TTL", func(t *testing.T, st *state, b booker) {
 			b.hold(t, st)
-			e, released := st.holds.Rollback("x-1", "")
-			if !released || e.State != hold.Aborted || e.Booked {
-				t.Fatalf("rollback = %+v, released %v", e, released)
+			res := step(t, st, msg(hold.Lapse))
+			if e := res.Entry; !res.Released || e.State != hold.Aborted || e.Booked {
+				t.Fatalf("rollback = %+v, released %v", e, res.Released)
 			}
-			if _, again := st.holds.Rollback("x-1", ""); again {
+			if step(t, st, msg(hold.Lapse)).Released {
 				t.Fatal("a second rollback released capacity again")
 			}
-			if st.holds.Confirm(e) {
+			if step(t, st, msg(hold.Confirm)).Answer != hold.Conflict {
 				t.Fatal("confirmed a hold that rolled back")
 			}
 		}},
 		{"confirm, compensating abort", func(t *testing.T, st *state, b booker) {
-			e := b.hold(t, st)
-			st.holds.Confirm(e)
-			if _, released := st.holds.Rollback("x-1", ""); !released || e.State != hold.Aborted {
-				t.Fatalf("abort of a confirmed hold = %+v, released %v", e, released)
+			b.hold(t, st)
+			step(t, st, msg(hold.Confirm))
+			if res := step(t, st, msg(hold.Abort)); !res.Released || res.Entry.State != hold.Aborted {
+				t.Fatalf("abort of a confirmed hold = %+v, released %v", res.Entry, res.Released)
 			}
 		}},
 		{"abort before reserve, late reserve", func(t *testing.T, st *state, _ booker) {
-			e, released := st.holds.Rollback("x-1", "aborted before reserve")
-			if released || e.State != hold.Aborted || e.Booked || e.Reason != "aborted before reserve" {
-				t.Fatalf("tombstone = %+v, released %v", e, released)
+			res := step(t, st, hold.Msg{Kind: hold.Abort, Key: h.Key, Reason: "aborted before reserve"})
+			if e := res.Entry; res.Released || e.State != hold.Aborted || e.Booked || e.Reason != "aborted before reserve" {
+				t.Fatalf("tombstone = %+v, released %v", e, res.Released)
 			}
 			// The late RESERVE finds the tombstone under its key and books
-			// nothing (holdReserveLocked answers from it).
-			if late, ok := st.holds.Get("x-1"); !ok || late != e {
-				t.Fatalf("late reserve finds %+v, want the tombstone", late)
+			// nothing: its decision never runs.
+			late := step(t, st, reserve(func() (hold.Entry, error) {
+				t.Fatal("a late RESERVE decided past its tombstone")
+				return h, nil
+			}))
+			if late.Answer != hold.Refused || late.Entry != res.Entry {
+				t.Fatalf("late reserve answers %v from %+v, want a refusal from the tombstone", late.Answer, late.Entry)
 			}
 		}},
 		{"accept, cancel", func(t *testing.T, st *state, b booker) {
