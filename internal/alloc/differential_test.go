@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,6 +15,17 @@ import (
 // string, so the seeded property test and the fuzz target share one
 // interpreter: each operation consumes an opcode byte and a few operand
 // bytes, and a schedule that runs out of bytes ends.
+//
+// Every schedule runs twice. The untrimmed run is what an offline Ledger
+// sees: the two agree bit for bit over the whole schedule, past included.
+// In the trimming run some clock advances trim the profile to the new now;
+// the oracle is never trimmed. From then on the two must agree bit for bit
+// on everything at or after the floor: the segment list from the one
+// covering the floor on, every reservation (its start raised to the
+// floor), every release (of spans that may begin before it) and every
+// query, whose start the oracle is handed raised to the floor. A read of
+// the profile wholly before the floor must answer as the oracle does at
+// the floor.
 
 const diffCap = units.Bandwidth(1000)
 
@@ -35,8 +47,17 @@ type diffRun struct {
 	live   []diffResv
 	now    units.Time
 	step   int
-	blocks int // most blocks the profile ever had
+	blocks int  // most blocks the profile ever had
+	trim   bool // whether clock advances may trim the profile
+	trims  int
 }
+
+// from is t raised to the profile's floor: where the oracle is asked what
+// the profile is asked from t.
+func (d *diffRun) from(t units.Time) units.Time { return max(t, d.p.floor) }
+
+// trimmed reports whether the profile has forgotten any of its past.
+func (d *diffRun) trimmed() bool { return d.trims > 0 }
 
 func (d *diffRun) byte() (byte, bool) {
 	if len(d.data) == 0 {
@@ -103,23 +124,33 @@ func (d *diffRun) fatalf(format string, args ...any) {
 	d.t.Fatalf("step %d: "+format, append([]any{d.step}, args...)...)
 }
 
-// sameState demands the two breakpoint lists be bit-equal and audits the
-// directory.
+// sameState demands the two breakpoint lists be bit-equal — once trimmed,
+// from the segment covering the floor on, whose start may differ — and
+// audits the directory.
 func (d *diffRun) sameState() {
 	d.t.Helper()
 	if err := d.p.CheckInvariant(); err != nil {
 		d.fatalf("%v", err)
 	}
-	if got, want := d.p.Breakpoints(), d.o.Breakpoints(); got != want {
-		d.fatalf("Breakpoints() = %d, oracle %d", got, want)
-	}
-	i := 0
+	var times []units.Time
+	var usage []units.Bandwidth
 	for _, b := range d.p.blocks {
-		for j := 0; j < b.n; j++ {
-			if b.times[j] != d.o.times[i] || b.usage[j] != d.o.usage[i] {
-				d.fatalf("segment %d = (%v, %v), oracle (%v, %v)", i, b.times[j], b.usage[j], d.o.times[i], d.o.usage[i])
-			}
-			i++
+		times, usage = append(times, b.times[:b.n]...), append(usage, b.usage[:b.n]...)
+	}
+	ot, ou := d.o.times, d.o.usage
+	if d.trimmed() {
+		i, o := searchLE(times, d.p.floor), d.o.locate(d.p.floor)
+		if usage[i] != ou[o] {
+			d.fatalf("segment covering the floor %v = (%v, %v), oracle (%v, %v)", d.p.floor, times[i], usage[i], ot[o], ou[o])
+		}
+		times, usage, ot, ou = times[i+1:], usage[i+1:], ot[o+1:], ou[o+1:]
+	}
+	if len(times) != len(ot) {
+		d.fatalf("%d breakpoints, oracle %d", len(times), len(ot))
+	}
+	for i := range times {
+		if times[i] != ot[i] || usage[i] != ou[i] {
+			d.fatalf("segment %d = (%v, %v), oracle (%v, %v)", i, times[i], usage[i], ot[i], ou[i])
 		}
 	}
 }
@@ -157,6 +188,9 @@ func (d *diffRun) run() {
 					t1 = t0 + 300
 				}
 			}
+			if t0 = d.from(t0); t1 <= t0 {
+				t1 = t0 + 0.25
+			}
 			errP, errO := d.p.Reserve(t0, t1, bw), d.o.Reserve(t0, t1, bw)
 			if (errP == nil) != (errO == nil) {
 				d.fatalf("Reserve(%v, %v, %v) = %v, oracle %v", t0, t1, bw, errP, errO)
@@ -175,34 +209,54 @@ func (d *diffRun) run() {
 				extra = overRelease
 			}
 			d.release(int(d.operand())*256+int(d.operand()), extra)
-		case 7:
+		case 7: // the clock moves, and in a trimming run now and then the profile forgets the past
 			d.now += units.Time(d.operand() / 16)
+			if d.trim && op >= 192 {
+				d.p.TrimBefore(d.now)
+				d.trims++
+			}
 		case 8: // span queries
 			t0, t1 := d.span()
-			if got, want := d.p.MaxUsedIn(t0, t1), d.o.MaxUsedIn(t0, t1); got != want {
+			o0 := d.from(t0)
+			bw := units.Bandwidth(d.operand() * 4)
+			if t1 <= o0 {
+				// Wholly before the floor: it reads as the floor, and a
+				// booking there books nothing, so it fits.
+				if got, want := d.p.MaxUsedIn(t0, t1), d.o.UsedAt(o0); got != want {
+					d.fatalf("MaxUsedIn(%v, %v) behind the floor = %v, oracle at the floor %v", t0, t1, got, want)
+				}
+				if got := d.p.Integral(t0, t1); got != 0 {
+					d.fatalf("Integral(%v, %v) behind the floor = %v", t0, t1, got)
+				}
+				if !d.p.Fits(t0, t1, bw) {
+					d.fatalf("Fits(%v, %v, %v) behind the floor = false", t0, t1, bw)
+				}
+				break
+			}
+			if got, want := d.p.MaxUsedIn(t0, t1), d.o.MaxUsedIn(o0, t1); got != want {
 				d.fatalf("MaxUsedIn(%v, %v) = %v, oracle %v", t0, t1, got, want)
 			}
-			if got, want := d.p.FreeIn(t0, t1), d.o.FreeIn(t0, t1); got != want {
+			if got, want := d.p.FreeIn(t0, t1), d.o.FreeIn(o0, t1); got != want {
 				d.fatalf("FreeIn(%v, %v) = %v, oracle %v", t0, t1, got, want)
 			}
-			if got, want := d.p.Integral(t0, t1), d.o.Integral(t0, t1); got != want {
+			if got, want := d.p.Integral(t0, t1), d.o.Integral(o0, t1); got != want {
 				d.fatalf("Integral(%v, %v) = %v, oracle %v", t0, t1, got, want)
 			}
-			bw := units.Bandwidth(d.operand() * 4)
-			if got, want := d.p.Fits(t0, t1, bw), d.o.Fits(t0, t1, bw); got != want {
+			if got, want := d.p.Fits(t0, t1, bw), d.o.Fits(o0, t1, bw); got != want {
 				d.fatalf("Fits(%v, %v, %v) = %v, oracle %v", t0, t1, bw, got, want)
 			}
 		case 9: // point and enumeration queries
 			t0, t1 := d.span()
-			if got, want := d.p.UsedAt(t0), d.o.UsedAt(t0); got != want {
+			o0 := d.from(t0)
+			if got, want := d.p.UsedAt(t0), d.o.UsedAt(o0); got != want {
 				d.fatalf("UsedAt(%v) = %v, oracle %v", t0, got, want)
 			}
-			if got, want := d.p.AppendBreakpointTimes(nil, t0, t1), d.o.AppendBreakpointTimes(nil, t0, t1); !slices.Equal(got, want) {
+			if got, want := d.p.AppendBreakpointTimes(nil, t0, t1), d.o.AppendBreakpointTimes(nil, o0, t1); !slices.Equal(got, want) {
 				d.fatalf("AppendBreakpointTimes(%v, %v) = %v, oracle %v", t0, t1, got, want)
 			}
 			bw := units.Bandwidth(d.operand() * 4)
-			gotT, gotOK := d.p.EarliestFit(t0, t1, 3, bw)
-			wantT, wantOK := d.o.EarliestFit(t0, t1, 3, bw)
+			gotT, gotOK := d.p.EarliestFit(o0, t1, 3, bw)
+			wantT, wantOK := d.o.EarliestFit(o0, t1, 3, bw)
 			if gotT != wantT || gotOK != wantOK {
 				d.fatalf("EarliestFit(%v, %v, 3, %v) = %v %v, oracle %v %v", t0, t1, bw, gotT, gotOK, wantT, wantOK)
 			}
@@ -223,7 +277,7 @@ func (d *diffRun) run() {
 		if len(d.p.blocks) > d.blocks {
 			d.blocks = len(d.p.blocks)
 		}
-		if got, want := d.p.Breakpoints(), d.o.Breakpoints(); got != want {
+		if got, want := d.p.Breakpoints(), d.o.Breakpoints(); got != want && !d.trimmed() {
 			d.fatalf("Breakpoints() = %d, oracle %d", got, want)
 		}
 	}
@@ -232,13 +286,13 @@ func (d *diffRun) run() {
 		d.release(0, 0)
 	}
 	d.sameState()
-	if got, want := d.p.MaxUsedIn(-1e6, 1e6), d.o.MaxUsedIn(-1e6, 1e6); got != want {
+	if got, want := d.p.MaxUsedIn(-1e6, 1e6), d.o.MaxUsedIn(d.from(-1e6), 1e6); got != want {
 		d.fatalf("drained MaxUsedIn = %v, oracle %v", got, want)
 	}
 }
 
-func newDiffRun(t testing.TB, data []byte) *diffRun {
-	return &diffRun{t: t, data: data, p: NewProfile(diffCap), o: newFlatProfile(diffCap)}
+func newDiffRun(t testing.TB, data []byte, trim bool) *diffRun {
+	return &diffRun{t: t, data: data, p: NewProfile(diffCap), o: newFlatProfile(diffCap), trim: trim}
 }
 
 func randomSchedule(seed int64, n int) []byte {
@@ -250,22 +304,28 @@ func randomSchedule(seed int64, n int) []byte {
 // TestProfileMatchesFlatRandom is the property test: long seeded schedules
 // that grow the profile to many blocks (block splits), drain it again
 // (block merges and empties), and must agree with the flat oracle on every
-// stored value and every answer along the way.
+// stored value and every answer along the way — untrimmed over the whole
+// schedule, and trimmed from the floor on.
 func TestProfileMatchesFlatRandom(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
-		d := newDiffRun(t, randomSchedule(seed, 60000))
-		d.run()
-		if d.blocks < 4 {
-			t.Errorf("seed %d: the profile never grew past %d blocks; the schedule does not exercise block splits", seed, d.blocks)
-		}
-		if len(d.p.blocks) != 1 || len(d.p.spare) == 0 {
-			t.Errorf("seed %d: drained profile keeps %d blocks (%d spare); blocks are not merged or emptied", seed, len(d.p.blocks), len(d.p.spare))
+		for _, trim := range []bool{false, true} {
+			d := newDiffRun(t, randomSchedule(seed, 60000), trim)
+			d.run()
+			if d.blocks < 4 {
+				t.Errorf("seed %d, trim %v: the profile never grew past %d blocks; the schedule does not exercise block splits", seed, trim, d.blocks)
+			}
+			if len(d.p.blocks) != 1 || len(d.p.spare) == 0 {
+				t.Errorf("seed %d, trim %v: drained profile keeps %d blocks (%d spare); blocks are not merged or emptied", seed, trim, len(d.p.blocks), len(d.p.spare))
+			}
+			if trim != (d.trims > 0) {
+				t.Errorf("seed %d, trim %v: the schedule trimmed %d times", seed, trim, d.trims)
+			}
 		}
 	}
 }
 
 // FuzzProfileMatchesFlat lets the fuzzer search for a schedule on which the
-// blocked store and the flat list disagree.
+// blocked store and the flat list disagree, untrimmed or trimmed.
 func FuzzProfileMatchesFlat(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 40, 0, 3, 200, 8, 1, 10, 1, 200, 50})
@@ -273,7 +333,8 @@ func FuzzProfileMatchesFlat(f *testing.F) {
 		f.Add(randomSchedule(seed, 6000))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		newDiffRun(t, data).run()
+		newDiffRun(t, data, false).run()
+		newDiffRun(t, data, true).run()
 	})
 }
 
@@ -351,7 +412,7 @@ func TestProfileAddAtBlockBoundaries(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := &Profile{capacity: diffCap}
+			p := &Profile{capacity: diffCap, floor: units.Time(math.Inf(-1))}
 			o := &flatProfile{capacity: diffCap}
 			for _, segs := range tc.blocks {
 				b := &block{n: len(segs)}

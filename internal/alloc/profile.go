@@ -83,6 +83,11 @@ func (e *CapacityError) Is(target error) bool { return target == ErrOverCapacity
 // most blockCap consecutive segments. The directory has one entry per
 // block: its first instant and the maximum of its usages. No block is
 // empty.
+//
+// The floor is the instant before which the profile has forgotten its past
+// (TrimBefore); it is −∞ until a trim. Every span method clips its start to
+// it: a read before the floor answers as at the floor, and a booking or
+// release books only what lies at or after it.
 type Profile struct {
 	capacity units.Bandwidth
 	first    []units.Time
@@ -90,6 +95,7 @@ type Profile struct {
 	blocks   []*block
 	n        int      // breakpoints over all blocks
 	spare    []*block // emptied blocks, reused by the next block split
+	floor    units.Time
 }
 
 type block struct {
@@ -109,6 +115,7 @@ func NewProfile(capacity units.Bandwidth) *Profile {
 		peak:     []units.Bandwidth{0},
 		blocks:   []*block{{n: 1}},
 		n:        1,
+		floor:    units.Time(math.Inf(-1)),
 	}
 }
 
@@ -211,6 +218,38 @@ func (p *Profile) dropBlock(k int) {
 	p.blocks = slices.Delete(p.blocks, k, k+1)
 }
 
+// TrimBefore forgets the profile before t: it raises the floor to t and
+// splices every leading block whose successor starts at or before t out of
+// the directory and onto the spare list. The block covering t stays, with
+// whatever of it lies before t. t must be an instant no booking can still
+// start before — the caller's clock, never a future start — and a t at or
+// below the floor changes nothing, so the floor only rises.
+func (p *Profile) TrimBefore(t units.Time) {
+	if !(t > p.floor) {
+		return
+	}
+	p.floor = t
+	k := searchLE(p.first, t)
+	if k == 0 {
+		return
+	}
+	for _, b := range p.blocks[:k] {
+		p.n -= b.n
+	}
+	p.spare = append(p.spare, p.blocks[:k]...)
+	p.first = slices.Delete(p.first, 0, k)
+	p.peak = slices.Delete(p.peak, 0, k)
+	p.blocks = slices.Delete(p.blocks, 0, k)
+}
+
+// clip raises the start of a span to the floor.
+func (p *Profile) clip(t units.Time) units.Time {
+	if t < p.floor {
+		return p.floor
+	}
+	return t
+}
+
 // validSpan panics on degenerate spans; all public span methods share it.
 func validSpan(t0, t1 units.Time) {
 	if t1 <= t0 {
@@ -223,6 +262,9 @@ func validSpan(t0, t1 units.Time) {
 // and a scan of the block it ends in.
 func (p *Profile) MaxUsedIn(t0, t1 units.Time) units.Bandwidth {
 	validSpan(t0, t1)
+	if t0 = p.clip(t0); t1 <= t0 {
+		return p.UsedAt(t0)
+	}
 	var m units.Bandwidth
 	k, j := p.locate(t0)
 	for ; k < len(p.blocks); k, j = k+1, 0 {
@@ -248,7 +290,7 @@ func (p *Profile) MaxUsedIn(t0, t1 units.Time) units.Bandwidth {
 
 // UsedAt reports the usage at instant t.
 func (p *Profile) UsedAt(t units.Time) units.Bandwidth {
-	if t < p.first[0] {
+	if t = p.clip(t); t < p.first[0] {
 		return 0
 	}
 	k, j := p.locate(t)
@@ -273,10 +315,16 @@ func (p *Profile) Fits(t0, t1 units.Time, bw units.Bandwidth) bool {
 // refusal is the one capacity check: nil when an additional bw over
 // [t0, t1) fits, else the refusal, which callers holding the point's name
 // complete with Dir and Point. It returns the concrete type, so compare
-// the result with nil before converting it to error.
+// the result with nil before converting it to error. A span that ends at or
+// before the floor books nothing (add), so it always fits: a replay may
+// re-book such a grant, but a live caller must not decide one, because
+// nothing here can check it (PairTx.Floor, Sharded.Floor).
 func (p *Profile) refusal(t0, t1 units.Time, bw units.Bandwidth) *CapacityError {
 	if bw < 0 {
 		panic(fmt.Sprintf("alloc: negative reservation %v", bw))
+	}
+	if validSpan(t0, t1); t1 <= p.floor {
+		return nil
 	}
 	used := p.MaxUsedIn(t0, t1)
 	if units.FitsWithin(used, bw, p.capacity) {
@@ -311,7 +359,11 @@ func (p *Profile) Release(t0, t1 units.Time, bw units.Bandwidth) {
 // else is untouched and was already merged. Entries only ever move inside
 // their own block, except that a release pours them into free slots of the
 // block to the left (pourLeft); a block left empty leaves the directory.
+// Only the part of the span at or after the floor is shifted.
 func (p *Profile) add(t0, t1 units.Time, bw units.Bandwidth) {
+	if t0 = p.clip(t0); t1 <= t0 {
+		return
+	}
 	k, from := p.split(t0)
 	nb := len(p.blocks)
 	k1, j1 := p.split(t1)
@@ -406,9 +458,9 @@ func (p *Profile) add(t0, t1 units.Time, bw units.Bandwidth) {
 // of block k-1 — all of them if they fit, in which case block k goes and
 // pourLeft reports true, else as many as fit once a quarter of a block is
 // free (a slot or two is not worth shifting block k for). Only releases
-// pour: the past is released and never reserved again, so the blocks of
-// expired grants end up full instead of as drained as the last release
-// left them, while reservations keep finding room to insert into.
+// pour, so a span drained by cancels ends up in full blocks instead of as
+// sparse as the last release left it, while reservations keep finding room
+// to insert into.
 func (p *Profile) pourLeft(k int) (emptied bool) {
 	a, b := p.blocks[k-1], p.blocks[k]
 	m := min(b.n, blockCap-a.n)
@@ -454,8 +506,10 @@ func (p *Profile) clamp(u units.Bandwidth) units.Bandwidth {
 // Integral reports ∫ usage dt over [t0, t1) — allocated volume, used by
 // the utilization metrics. The scan starts at the segment covering t0
 // (binary search), so late windows of long-lived profiles stay cheap.
+// Nothing before the floor is counted.
 func (p *Profile) Integral(t0, t1 units.Time) units.Volume {
 	validSpan(t0, t1)
+	t0 = p.clip(t0)
 	var total units.Volume
 	k, j := p.locate(t0)
 	for ; k < len(p.blocks); k, j = k+1, 0 {
@@ -500,8 +554,10 @@ func (p *Profile) BreakpointTimes(from, to units.Time) []units.Time {
 // returns it — the allocation-free form of BreakpointTimes for callers
 // with a reusable scratch slice. The scan starts at the first breakpoint
 // after `from` (binary search via locate), so enumerating candidates on a
-// long-lived profile costs O(log n + answer).
+// long-lived profile costs O(log n + answer). No breakpoint at or before
+// the floor is listed.
 func (p *Profile) AppendBreakpointTimes(dst []units.Time, from, to units.Time) []units.Time {
+	from = p.clip(from)
 	k, j := p.locate(from)
 	if p.blocks[k].times[j] <= from {
 		// locate returned the segment covering `from`; its breakpoint is

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -345,5 +346,100 @@ func TestZeroCapacityProfile(t *testing.T) {
 	}
 	if !p.Fits(0, 1, 0) {
 		t.Error("zero reservation on zero-capacity point rejected")
+	}
+}
+
+// staircase books n one-second steps of alternating height, so no two
+// neighbours merge and the profile fills whole blocks.
+func staircase(t *testing.T, n int) *Profile {
+	t.Helper()
+	p := NewProfile(100)
+	for i := 0; i < n; i++ {
+		if err := p.Reserve(units.Time(i), units.Time(i+1), units.Bandwidth(1+i%2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// TestTrimBeforeForgetsWholeBlocks: a trim splices the blocks wholly behind
+// the floor out of the directory and onto the spare list; a read before the
+// floor answers as at the floor, a booking wholly before it books nothing,
+// and a lower trim changes nothing.
+func TestTrimBeforeForgetsWholeBlocks(t *testing.T) {
+	p := staircase(t, 1000)
+	blocks, bps := len(p.blocks), p.Breakpoints()
+	p.TrimBefore(500.5)
+	if err := p.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.blocks) > blocks/2+1 || p.Breakpoints() > bps/2+blockCap || len(p.spare) != blocks-len(p.blocks) {
+		t.Fatalf("after the trim: %d of %d blocks, %d of %d breakpoints, %d spare", len(p.blocks), blocks, p.Breakpoints(), bps, len(p.spare))
+	}
+	if p.first[0] > 500.5 || (len(p.first) > 1 && p.first[1] <= 500.5) {
+		t.Fatalf("the first block starts at %v, the second at %v: the block covering the floor must be the first", p.first[0], p.first[1])
+	}
+	atFloor := p.UsedAt(500.5)
+	if atFloor != 1 {
+		t.Fatalf("UsedAt(floor) = %v, want 1", atFloor)
+	}
+	if got := p.UsedAt(17); got != atFloor {
+		t.Errorf("UsedAt(17) = %v, want the floor's %v", got, atFloor)
+	}
+	if got := p.MaxUsedIn(10, 20); got != atFloor {
+		t.Errorf("MaxUsedIn(10, 20) = %v, want the floor's %v", got, atFloor)
+	}
+	if got, want := p.MaxUsedIn(10, 502), units.Bandwidth(2); got != want {
+		t.Errorf("MaxUsedIn(10, 502) = %v, want %v", got, want)
+	}
+	if got, want := p.Integral(0, 510), p.Integral(500.5, 510); got != want {
+		t.Errorf("Integral(0, 510) = %v, want what lies after the floor, %v", got, want)
+	}
+	if got := p.BreakpointTimes(0, 503); !slices.Equal(got, []units.Time{501, 502, 503}) {
+		t.Errorf("BreakpointTimes(0, 503) = %v", got)
+	}
+	n := p.Breakpoints()
+	if err := p.Reserve(10, 20, 100); err != nil {
+		t.Errorf("a booking wholly behind the floor is refused: %v", err)
+	}
+	if err := p.Reserve(10, 501, 100); err == nil {
+		t.Error("a booking over the floor's usage fits")
+	}
+	// What lies behind the floor is forgotten, not released: the floor gets
+	// a breakpoint of its own, and the stale segment before it keeps 1.
+	p.Release(400, 501, 1)
+	if p.Breakpoints() != n+1 || p.UsedAt(500.7) != 0 || p.UsedAt(501) != 2 {
+		t.Errorf("after a release across the floor: %d breakpoints (was %d), usage %v at the floor, %v at 501",
+			p.Breakpoints(), n, p.UsedAt(500.7), p.UsedAt(501))
+	}
+	p.TrimBefore(300)
+	if p.floor != 500.5 {
+		t.Errorf("a lower trim moved the floor to %v", p.floor)
+	}
+	if err := p.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTrimBeforeAllocatesNothing: a window sliding forward, each step booking
+// ahead and trimming behind, reuses the blocks the trims spliced out.
+func TestTrimBeforeAllocatesNothing(t *testing.T) {
+	p := NewProfile(1000)
+	now := units.Time(0)
+	step := func() {
+		if err := p.Reserve(now+50, now+150, units.Bandwidth(1+int(now)%7)); err != nil {
+			t.Fatal(err)
+		}
+		p.TrimBefore(now)
+		now++
+	}
+	for i := 0; i < 5000; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+		t.Errorf("%v allocations per step, want 0", allocs)
+	}
+	if bps := p.Breakpoints(); bps > 2*150+blockCap {
+		t.Errorf("%d breakpoints: the profile keeps more than its window and one block", bps)
 	}
 }

@@ -113,6 +113,10 @@ func (tx *PairTx) Ingress() *Profile { return tx.in.p }
 // Egress returns the locked egress profile.
 func (tx *PairTx) Egress() *Profile { return tx.eg.p }
 
+// Floor reports the later of the two profiles' floors: the pair has
+// forgotten everything before it (Profile.TrimBefore).
+func (tx *PairTx) Floor() units.Time { return max(tx.in.p.floor, tx.eg.p.floor) }
+
 // Covers reports whether the transaction holds the route of (in, eg).
 func (tx *PairTx) Covers(in, eg topology.PointID) bool {
 	return tx.ingress == in && tx.egress == eg
@@ -203,11 +207,32 @@ func (l *Sharded) HoldReserve(dir topology.Direction, p topology.PointID, sigma,
 	return tx.Reserve(request.Request{}, request.Grant{Bandwidth: bw, Sigma: sigma, Tau: tau})
 }
 
-// HoldRelease returns a one-sided booking made by HoldReserve.
-func (l *Sharded) HoldRelease(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth) {
+// Floor reports the floor of one point's profile: it has forgotten
+// everything before it (Profile.TrimBefore).
+func (l *Sharded) Floor(dir topology.Direction, p topology.PointID) units.Time {
 	tx := l.LockPoint(dir, p)
 	defer tx.Unlock()
-	tx.sh.p.Release(sigma, tau, bw)
+	return tx.sh.p.floor
+}
+
+// HoldRelease returns a one-sided booking made by HoldReserve at instant
+// at, as Revoke does: the point forgets its past before at, and the booking
+// is released from max(sigma, at) on. An at of −∞ forgets nothing.
+func (l *Sharded) HoldRelease(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth, at units.Time) {
+	tx := l.LockPoint(dir, p)
+	defer tx.Unlock()
+	giveBack(tx.sh.p, sigma, tau, bw, at)
+}
+
+// giveBack trims p to at and releases bw over what is left of [sigma, tau).
+// at must be an instant the caller's clock has reached: τ for a booking that
+// ran its course, whose span then lies wholly behind the floor and is
+// released without walking a segment; now for one given back early.
+func giveBack(p *Profile, sigma, tau units.Time, bw units.Bandwidth, at units.Time) {
+	p.TrimBefore(at)
+	if from := max(sigma, at); from < tau {
+		p.Release(from, tau, bw)
+	}
 }
 
 // Reserve commits grant g for request r, taking the pair locks itself.
@@ -217,9 +242,13 @@ func (l *Sharded) Reserve(r request.Request, g request.Grant) error {
 	return tx.Reserve(r, g)
 }
 
-// Revoke undoes a previously reserved grant (both sides). Revoking an
+// Revoke undoes a previously reserved grant (both sides) at instant at,
+// which the caller's clock has reached — τ for an expiry, now for a cancel,
+// never a future σ: both points forget their past before at
+// (Profile.TrimBefore) and the grant is released over [max(σ, at), τ), so a
+// booked-ahead grant cancelled before σ is released whole. Revoking an
 // unknown request is a scheduler bug and panics, like Ledger.Revoke.
-func (l *Sharded) Revoke(r request.Request) request.Grant {
+func (l *Sharded) Revoke(r request.Request, at units.Time) request.Grant {
 	in := l.in[int(r.Ingress)]
 	in.lock()
 	rec, ok := in.granted[r.ID]
@@ -230,8 +259,8 @@ func (l *Sharded) Revoke(r request.Request) request.Grant {
 	eg := l.eg[int(rec.egress)]
 	eg.lock()
 	g := rec.grant
-	in.p.Release(g.Sigma, g.Tau, g.Bandwidth)
-	eg.p.Release(g.Sigma, g.Tau, g.Bandwidth)
+	giveBack(in.p, g.Sigma, g.Tau, g.Bandwidth, at)
+	giveBack(eg.p, g.Sigma, g.Tau, g.Bandwidth, at)
 	delete(in.granted, r.ID)
 	eg.unlock()
 	in.unlock()
@@ -255,6 +284,20 @@ func (l *Sharded) NumGranted() int {
 		sh.lock()
 		n += len(sh.granted)
 		sh.unlock()
+	}
+	return n
+}
+
+// Breakpoints reports the breakpoints stored over every point's profile:
+// what the ledger's memory grows with. Shards are read one at a time.
+func (l *Sharded) Breakpoints() int {
+	n := 0
+	for _, side := range [...][]*shard{l.in, l.eg} {
+		for _, sh := range side {
+			sh.lock()
+			n += sh.p.Breakpoints()
+			sh.unlock()
+		}
 	}
 	return n
 }

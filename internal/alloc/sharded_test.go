@@ -64,7 +64,7 @@ func TestShardedRevoke(t *testing.T) {
 	if err := l.Reserve(r, g); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Revoke(r); got != g {
+	if got := l.Revoke(r, 0); got != g {
 		t.Errorf("Revoke returned %+v, want %+v", got, g)
 	}
 	in, eg := l.UsageAt(10)
@@ -76,7 +76,7 @@ func TestShardedRevoke(t *testing.T) {
 			t.Error("double revoke did not panic")
 		}
 	}()
-	l.Revoke(r)
+	l.Revoke(r, 0)
 }
 
 func TestPairTxSemantics(t *testing.T) {
@@ -135,7 +135,7 @@ func TestShardedParallelDisjointPairs(t *testing.T) {
 					return
 				}
 				if k%2 == 0 {
-					l.Revoke(r)
+					l.Revoke(r, units.Time(k))
 				}
 			}
 		}(p)
@@ -230,5 +230,70 @@ func TestShardedUsedAtReadsOnePoint(t *testing.T) {
 		if st.Locks != want {
 			t.Errorf("%v %d: %d lock acquisitions, want %d", st.Dir, st.Point, st.Locks, want)
 		}
+	}
+}
+
+// TestShardedCancelAheadNeverTrimsPastTheClock: cancelling a booked-ahead
+// grant before its σ trims both points to the clock, not to σ, so what the
+// points book between now and σ still counts, and the grant comes back whole.
+func TestShardedCancelAheadNeverTrimsPastTheClock(t *testing.T) {
+	l := NewSharded(testNet())
+	busy := req(0, 0, 1) // 1 GB/s on ingress 0 and egress 1 over [0, 50)
+	if err := l.Reserve(busy, grant(t, busy, 1*units.GBps)); err != nil {
+		t.Fatal(err)
+	}
+	ahead := req(1, 0, 1)
+	ahead.Start, ahead.Finish = 200, 300
+	if err := l.Reserve(ahead, grant(t, ahead, 500*units.MBps)); err != nil {
+		t.Fatal(err)
+	}
+	l.Revoke(ahead, 10) // a cancel at now = 10
+	for _, sh := range []*shard{l.in[0], l.eg[1]} {
+		if sh.p.floor != 10 {
+			t.Errorf("floor after the cancel = %v, want the clock's 10", sh.p.floor)
+		}
+	}
+	in, eg := l.UsageAt(20)
+	if in[0] != 1*units.GBps || eg[1] != 1*units.GBps {
+		t.Errorf("usage at 20 = %v / %v: the booking before σ was forgotten", in, eg)
+	}
+	in, eg = l.UsageAt(250)
+	if in[0] != 0 || eg[1] != 0 {
+		t.Errorf("usage at 250 = %v / %v after the cancel", in, eg)
+	}
+	late := req(2, 0, 1)
+	if err := l.Reserve(late, request.Grant{Request: 2, Bandwidth: 100 * units.MBps, Sigma: 20, Tau: 30}); !errors.Is(err, ErrOverCapacity) {
+		t.Errorf("a booking inside the busy span = %v, want a refusal", err)
+	}
+	if err := l.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardedExpiryIsBoundedByWhatIsLive: grants that overlap and expire in
+// τ order, each revoked at its τ, leave the profiles no deeper than the live
+// grants' breakpoints and one block per point, however many ran their course.
+func TestShardedExpiryIsBoundedByWhatIsLive(t *testing.T) {
+	const live = 40
+	l := NewSharded(testNet())
+	var window []request.Request
+	for i := 0; i < 20000; i++ {
+		r := req(i, 0, 1)
+		// Rates that are not whole numbers leave float residue when released.
+		g := request.Grant{Request: r.ID, Bandwidth: units.Bandwidth(1e7 * (1 + float64(i%13)/7)), Sigma: units.Time(i), Tau: units.Time(i + live)}
+		if err := l.Reserve(r, g); err != nil {
+			t.Fatal(err)
+		}
+		window = append(window, r)
+		if len(window) == live {
+			l.Revoke(window[0], units.Time(window[0].ID+live))
+			window = window[1:]
+		}
+	}
+	if bps, most := l.Breakpoints(), 4*(2*live+blockCap); bps > most {
+		t.Errorf("%d breakpoints over 4 points with %d grants live, want at most %d", bps, live-1, most)
+	}
+	if err := l.CheckInvariant(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -18,6 +18,7 @@ package hold
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -53,11 +54,14 @@ func (st State) String() string {
 }
 
 // Releaser takes back what a hold booked, over the span Entry.Sigma to
-// Entry.Tau. *alloc.Sharded is the daemon's and the simulator's alike; the
-// interface keeps this package from importing it and lets the tests count
-// releases.
+// Entry.Tau, at instant at: the store may forget the point's past before it.
+// The table passes τ for a release on schedule, an instant the owner's clock
+// has reached when its timer fires, and −∞ for a rollback, whose instant it
+// does not know and which may come before a booked-ahead σ. *alloc.Sharded is
+// the daemon's and the simulator's alike; the interface keeps this package
+// from importing it and lets the tests count releases.
 type Releaser interface {
-	HoldRelease(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth)
+	HoldRelease(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth, at units.Time)
 }
 
 // Entry is one side of a two-phase admission, keyed by the key both sides
@@ -262,7 +266,7 @@ func (t *Table) Step(m Msg) (Result, error) {
 	case m.Kind == Lapse && ok && e.State == Held:
 		return Result{Entry: e, Released: t.rollback(e), Log: true}, nil
 	case m.Kind == Release && ok && e.Waits() == Release:
-		t.unbook(e)
+		t.unbook(e, e.Tau)
 		t.retire(e.Key)
 		return Result{Entry: e, Released: true, Log: true}, nil
 	}
@@ -290,17 +294,18 @@ func (t *Table) refuse(h Entry) *Entry {
 // rollback leaves e aborted, returning whatever it still books, and reports
 // whether capacity came back.
 func (t *Table) rollback(e *Entry) bool {
-	released := t.unbook(e)
+	released := t.unbook(e, units.Time(math.Inf(-1)))
 	e.State = Aborted
 	t.retire(e.Key)
 	return released
 }
 
-func (t *Table) unbook(e *Entry) bool {
+// unbook gives back what e still books, at instant at (see Releaser).
+func (t *Table) unbook(e *Entry, at units.Time) bool {
 	if !e.Booked {
 		return false
 	}
-	t.rel.HoldRelease(e.Dir(), e.Point, e.Sigma, e.Tau, e.BW)
+	t.rel.HoldRelease(e.Dir(), e.Point, e.Sigma, e.Tau, e.BW, at)
 	e.Booked = false
 	return true
 }

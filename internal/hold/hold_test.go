@@ -2,6 +2,8 @@ package hold
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,13 +43,50 @@ func newCounter(t *testing.T) *counter {
 	return &counter{t: t, booked: map[topology.PointID]int{}, released: map[topology.PointID]int{}}
 }
 
-func (c *counter) HoldRelease(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth) {
+func (c *counter) HoldRelease(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth, at units.Time) {
 	c.released[p]++
 	if c.released[p] > c.booked[p] {
 		c.t.Fatalf("key %d released %d times, booked %d", p, c.released[p], c.booked[p])
 	}
 	if dir != topology.Ingress || sigma != 1 || tau != 2 || bw != 10 {
 		c.t.Fatalf("key %d released as (%v, %v, %v, %v), not what it booked", p, dir, sigma, tau, bw)
+	}
+	if at != tau && !math.IsInf(float64(at), -1) {
+		c.t.Fatalf("key %d released at %v: neither τ nor a rollback's −∞", p, at)
+	}
+}
+
+// trims records the instant each release names, in seconds.
+type trims []float64
+
+func (ts *trims) HoldRelease(_ topology.Direction, _ topology.PointID, _, _ units.Time, _ units.Bandwidth, at units.Time) {
+	*ts = append(*ts, float64(at))
+}
+
+// TestRollbackNeverTrimsAheadOfTheClock: the table has no clock, so only the
+// release at τ, which its timer delivers once the clock reached τ, may let
+// the store forget the past. An ABORT or a TTL lapse of a booked-ahead hold
+// comes before its σ and must name no instant at all.
+func TestRollbackNeverTrimsAheadOfTheClock(t *testing.T) {
+	var got trims
+	tb := NewTable(&got, 8)
+	ahead := func(key string) {
+		if _, err := tb.Step(Msg{Kind: Reserve, Key: key, Decide: func() (Entry, error) {
+			return Entry{Side: trace.HoldSideIngress, ID: -1, BW: 10, Sigma: 100, Tau: 200, ExpireAt: 5}, nil
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ahead("abort")
+	ahead("lapse")
+	ahead("release")
+	for _, m := range []Msg{{Kind: Abort, Key: "abort"}, {Kind: Lapse, Key: "lapse"}, {Kind: Confirm, Key: "release"}, {Kind: Release, Key: "release"}} {
+		if _, err := tb.Step(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := (trims{math.Inf(-1), math.Inf(-1), 200}); !slices.Equal(got, want) {
+		t.Errorf("releases named %v, want %v (abort, lapse, release at τ)", got, want)
 	}
 }
 

@@ -11,8 +11,9 @@ package hold
 //     refusal, any CONFIRM that does not commit, and any call it gives up
 //     on (a wave's deadline: the call may have landed all the same). A
 //     client retry runs the protocol again under the same key. crossShard
-//     itself spares the egress when a wave-1 call fails, which a retry of
-//     an acknowledged pair turns into a one-sided cancel (DESIGN §11);
+//     aborts both sides on a failed wave too: sparing the egress of a failed
+//     wave-1 call turns a retry of an acknowledged pair into a one-sided
+//     cancel (DESIGN §11, router.TestRetryTimeoutAbortsBothSides);
 //   - a channel that drops, duplicates and reorders, with the coordinator
 //     re-sending a message whose every copy and answer are gone, as
 //     distributed.send does;
@@ -130,7 +131,7 @@ type ledger struct {
 	booked, released [2]int
 }
 
-func (l *ledger) HoldRelease(dir topology.Direction, _ topology.PointID, _, _ units.Time, _ units.Bandwidth) {
+func (l *ledger) HoldRelease(dir topology.Direction, _ topology.PointID, _, _ units.Time, _ units.Bandwidth, _ units.Time) {
 	s := ingress
 	if dir == topology.Egress {
 		s = egress

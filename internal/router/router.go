@@ -385,7 +385,10 @@ func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
 				it := sd.it
 				switch {
 				case err != nil:
-					it.abort[which] = true // the call may have landed all the same
+					// The call may have landed all the same, and on a retry
+					// of an acknowledged pair the other side is confirmed:
+					// roll back both, or the pair is cancelled on one side.
+					it.abort = [2]bool{true, true}
 					it.fail(err)
 				case resps[j].Code != 0:
 					it.fail(itemError(resps[j].Code, resps[j].Error))

@@ -521,3 +521,77 @@ func TestStuckShardSparesHealthyPairs(t *testing.T) {
 		waitHolds(t, srv, shards[i].Name, 0, want)
 	}
 }
+
+// TestRetryTimeoutAbortsBothSides replays the trace the hold model checker
+// found against crossShard's old wave-1 rule: a cross-shard submission is
+// reserved on both owners, confirmed on both and acknowledged; the client
+// retries it under the same idempotency key, and the retry's RESERVE to the
+// ingress owner times out. The router must then abort both sides. Aborting
+// the ingress alone rolled back the confirmed ingress hold and left the
+// egress booked until τ: an acknowledged reservation cancelled on one side.
+func TestRetryTimeoutAbortsBothSides(t *testing.T) {
+	tier := newTier(t, 2, units.GBps)
+	_, _, from, to := tier.pairs(t)
+	ring := tier.rt.Ring()
+	inIdx, egIdx := ring.OwnerIn(from), ring.OwnerEg(to)
+
+	var stall sync.Mutex
+	stalled := false
+	release := make(chan struct{})
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		stall.Lock()
+		swallow := stalled && r.URL.Path == "/v1/reserve"
+		stall.Unlock()
+		if swallow {
+			_, _ = io.Copy(io.Discard, r.Body)
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+			return
+		}
+		tier.servers[inIdx].Handler().ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	defer close(release)
+	shards := make([]ShardConfig, 2)
+	for i := range shards {
+		shards[i] = ShardConfig{Name: fmt.Sprintf("s%d", i), Endpoints: []string{tier.backs[i].URL}}
+	}
+	shards[inIdx].Endpoints = []string{front.URL}
+	rt, err := New(Config{Shards: shards, Seed: 1, HoldTTL: 800 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	web := httptest.NewServer(rt.Handler())
+	defer web.Close()
+	submit := func() (server.ReservationJSON, int) {
+		req := submitReq(from, to)
+		req.IdempotencyKey = "acked"
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(web.URL+"/v1/requests", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var res server.ReservationJSON
+		_ = json.NewDecoder(resp.Body).Decode(&res)
+		return res, resp.StatusCode
+	}
+
+	if res, code := submit(); code != http.StatusCreated || !res.Accepted || res.Routed != server.RoutedCrossShard {
+		t.Fatalf("submit = %d %+v, want an acknowledged cross-shard admission", code, res)
+	}
+	waitHolds(t, tier.servers[inIdx], shards[inIdx].Name, 0, 1)
+	waitHolds(t, tier.servers[egIdx], shards[egIdx].Name, 0, 1)
+
+	stall.Lock()
+	stalled = true
+	stall.Unlock()
+	if res, code := submit(); code < 500 {
+		t.Fatalf("retry with the ingress owner's RESERVE timing out = %d %+v, want a failure", code, res)
+	}
+	// Both or neither: the retry failed, so the pair goes on neither side.
+	waitHolds(t, tier.servers[inIdx], shards[inIdx].Name, 0, 0)
+	waitHolds(t, tier.servers[egIdx], shards[egIdx].Name, 0, 0)
+}

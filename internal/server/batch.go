@@ -309,7 +309,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 			// The server drained between phases; an accepted grant must
 			// not outlive a stopped expiry loop, so give it back.
 			if it.accepted {
-				s.ledger.Revoke(it.r)
+				s.ledger.Revoke(it.r, s.sim.Now())
 			}
 			s.settleLocked(it, Decision{}, ErrClosed)
 			results[it.idx].Err = ErrClosed
@@ -400,7 +400,13 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 // (MinRate ≈ MaxRate) has a window at most Eps wider than its transfer, so
 // there is nowhere to slide to. On success the grant is already committed
 // to the ledger.
+//
+// Phase 1's now may have gone stale while the item waited for its pair
+// locks: another call's expiry or cancel can have moved the pair's floor
+// past it. The start is raised to the floor, the later now the pair has
+// seen, so no grant is decided over a span the profiles have forgotten.
 func (s *Server) admitTx(tx *alloc.PairTx, it *batchItem) {
+	it.r.Start = max(it.r.Start, tx.Floor())
 	g, no := admit.At(tx, s.pol, it.r, it.r.Start)
 	switch no.Cause {
 	case admit.Admitted:

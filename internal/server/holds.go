@@ -321,7 +321,12 @@ func (s *Server) holdCheckLocked(h *hold.Entry, req HoldReserveJSON, now units.T
 	}
 	h.Point = topology.PointID(req.Point)
 	h.BW, h.Sigma, h.Tau = units.Bandwidth(req.RateBps), sigma, tau
-	if s.ledger.HoldReserve(topology.Egress, h.Point, sigma, tau, h.BW) != nil {
+	switch {
+	case tau <= s.ledger.Floor(topology.Egress, h.Point):
+		// An absolute window the profile has already forgotten: nothing
+		// there can be checked, so nothing there is booked.
+		h.Reason = "proposed window already past"
+	case s.ledger.HoldReserve(topology.Egress, h.Point, sigma, tau, h.BW) != nil:
 		h.Reason = "egress capacity saturated"
 	}
 	return nil

@@ -96,6 +96,7 @@ func TestMetricsPage(t *testing.T) {
 		`gridbwd_watchdog_state{state="suspect"}`,
 		`gridbwd_admit_latency_seconds{quantile="0.999"}`,
 		"gridbwd_wal_records",
+		"gridbwd_ledger_breakpoints",
 	} {
 		if !slices.Contains(page.Series, want) {
 			t.Errorf("the fixture does not light %s", want)

@@ -309,11 +309,11 @@ func (s *Server) applyEventLocked(ev trace.Event, frame []byte) error {
 			return nil // duplicate, or history before this replica's horizon
 		}
 		s.sim.Cancel(e.expire)
+		to := StateExpired
 		if ev.Kind == trace.EventCancel {
-			s.finish(e, StateCancelled)
-		} else {
-			s.finish(e, StateExpired)
+			to = StateCancelled
 		}
+		s.finish(e, to, units.Time(ev.At))
 	case trace.EventHoldReserve, trace.EventHoldConfirm, trace.EventHoldAbort, trace.EventHoldExpire, trace.EventHoldRelease:
 		m := hold.Msg{Kind: hold.Kind(slices.Index(holdEvents[:], ev.Kind)), Key: ev.Hold, Reason: ev.Reason}
 		if m.Kind == hold.Reserve {

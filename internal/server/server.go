@@ -671,7 +671,7 @@ func (s *Server) fireExpire(e *entry) {
 	if cur, ok := s.resv[e.req.ID]; !ok || cur != e || e.state != StateActive {
 		return
 	}
-	s.finish(e, StateExpired)
+	s.finish(e, StateExpired, s.sim.Now())
 	s.logLocked(trace.EventExpire, e.req, e.grant, "")
 }
 
@@ -731,7 +731,7 @@ func (s *Server) Cancel(id request.ID) (Decision, error) {
 		return s.decisionLocked(e), ErrFinished
 	}
 	s.sim.Cancel(e.expire)
-	s.finish(e, StateCancelled)
+	s.finish(e, StateCancelled, s.sim.Now())
 	s.logLocked(trace.EventCancel, e.req, e.grant, "")
 	return s.decisionLocked(e), nil
 }

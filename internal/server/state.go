@@ -26,6 +26,7 @@ import (
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
 	"gridbw/internal/trace"
+	"gridbw/internal/units"
 )
 
 type entry struct {
@@ -108,9 +109,16 @@ func (st *state) restore(r request.Request, g request.Grant) (*entry, error) {
 }
 
 // finish ends a live reservation — to is StateCancelled or StateExpired —
-// and returns its capacity. The caller has cancelled the expiry timer.
-func (st *state) finish(e *entry, to State) {
-	st.ledger.Revoke(e.req)
+// and returns its capacity. The caller has cancelled the expiry timer. A
+// cancel returns what is left of the grant from now, the instant the event
+// carries; an expiry returns it at τ, where its whole span lies behind the
+// profiles' new floor and nothing is walked (alloc.Sharded.Revoke).
+func (st *state) finish(e *entry, to State, now units.Time) {
+	at := now
+	if to == StateExpired {
+		at = e.grant.Tau
+	}
+	st.ledger.Revoke(e.req, at)
 	e.state = to
 	if to == StateCancelled {
 		st.stats.RecordCancel()

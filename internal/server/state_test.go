@@ -3,7 +3,9 @@ package server
 import (
 	"sync"
 	"testing"
+	"time"
 
+	"gridbw/internal/alloc"
 	"gridbw/internal/hold"
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
@@ -141,26 +143,26 @@ func TestStateTransitions(t *testing.T) {
 			if _, err := st.restore(r, g); err == nil {
 				t.Fatal("the same reservation restored twice")
 			}
-			st.finish(e, StateCancelled)
+			st.finish(e, StateCancelled, 0)
 			if st.stats.Accepted != 1 || st.stats.Cancelled != 1 || st.resv[7].state != StateCancelled {
 				t.Fatalf("after cancel: %+v, entry %+v", st.stats, st.resv[7])
 			}
 		}},
 		{"accept, expire", func(t *testing.T, st *state, b booker) {
-			st.finish(b.accept(t, st), StateExpired)
+			st.finish(b.accept(t, st), StateExpired, 0)
 			if st.stats.Expired != 1 || len(st.finished) != 1 {
 				t.Fatalf("after expiry: %+v, finished %v", st.stats, st.finished)
 			}
 		}},
 		{"retention evicts and recycles", func(t *testing.T, st *state, b booker) {
 			first := b.accept(t, st)
-			st.finish(first, StateExpired)
+			st.finish(first, StateExpired, 0)
 			second, err := st.restore(request.Request{ID: 8, Ingress: 1, Egress: 0, Volume: units.GB, MaxRate: units.GBps},
 				request.Grant{Request: 8, Bandwidth: units.GBps, Sigma: 0, Tau: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			st.finish(second, StateCancelled) // retention is 1: reservation 7 leaves
+			st.finish(second, StateCancelled, 0) // retention is 1: reservation 7 leaves
 			if _, ok := st.resv[7]; ok || len(st.resv) != 1 || first.state != "" {
 				t.Fatalf("registry %v after eviction, evicted entry %+v", st.resv, first)
 			}
@@ -191,5 +193,36 @@ func TestStateTransitions(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStalePhaseTwoStartIsRaisedToTheFloor: phase 2 of a batch decides with
+// phase 1's now, which another call's expiry or cancel may have overtaken
+// while the item waited for its pair locks. admitTx decides no earlier than
+// the pair's floor: a window that ended behind it is refused instead of
+// granted over a span the profiles no longer hold, and a flexible request
+// starts at the floor.
+func TestStalePhaseTwoStartIsRaisedToTheFloor(t *testing.T) {
+	s, err := New(Config{
+		Ingress: []units.Bandwidth{units.GBps}, Egress: []units.Bandwidth{units.GBps},
+		Policy: "f=1", Clock: func() time.Time { return time.Unix(0, 0) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var tx alloc.PairTx
+	s.ledger.LockPair(&tx, 0, 0)
+	defer tx.Unlock()
+	tx.Egress().TrimBefore(100) // what another call's cancel at 100 s leaves
+	past := &batchItem{r: request.Request{ID: 1, Start: 10, Finish: 50, Volume: 10 * units.GB, MaxRate: units.GBps}}
+	s.admitTx(&tx, past)
+	if past.accepted {
+		t.Errorf("a window that ended at 50 s behind the floor at 100 s was granted %+v", past.g)
+	}
+	flex := &batchItem{r: request.Request{ID: 2, Start: 90, Finish: 1000, Volume: 10 * units.GB, MaxRate: units.GBps}}
+	s.admitTx(&tx, flex)
+	if !flex.accepted || flex.g.Sigma != 100 || flex.r.Start != 100 {
+		t.Errorf("stale start 90 against the floor at 100: accepted %v, σ %v, start %v; want a grant at 100", flex.accepted, flex.g.Sigma, flex.r.Start)
 	}
 }
