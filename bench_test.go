@@ -927,12 +927,21 @@ func postJSONBatch(b *testing.B, ts *httptest.Server, reqs []server.SubmitReques
 
 // BenchmarkReplSyncAckAdmit measures the synchronous-ack admission path
 // end to end: a WAL-backed primary in -repl-sync=one mode with a real
-// follower pulling over HTTP, every submission Durable — so each decide
+// follower replicating over HTTP, every submission Durable — so each decide
 // parks until the follower's cursor passes the decision's WAL frame. The
 // per-op figure is the full replicated-durability admission latency; the
 // extra p99-ns/op metric is the tail the sync-ack SLO is written against.
+// Both WALs run one fsync policy: "always" times mostly the follower's
+// fsync per shipped batch, "interval" (what the quorum_durable workload
+// runs) the replication path itself.
 func BenchmarkReplSyncAckAdmit(b *testing.B) {
-	pwal, _, err := wal.Open(b.TempDir(), wal.Options{})
+	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval} {
+		b.Run("fsync="+policy.String(), func(b *testing.B) { benchReplSyncAckAdmit(b, policy) })
+	}
+}
+
+func benchReplSyncAckAdmit(b *testing.B, policy wal.SyncPolicy) {
+	pwal, _, err := wal.Open(b.TempDir(), wal.Options{Policy: policy})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -954,7 +963,7 @@ func BenchmarkReplSyncAckAdmit(b *testing.B) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	fwal, _, err := wal.Open(b.TempDir(), wal.Options{})
+	fwal, _, err := wal.Open(b.TempDir(), wal.Options{Policy: policy})
 	if err != nil {
 		b.Fatal(err)
 	}

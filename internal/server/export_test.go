@@ -1,6 +1,11 @@
 package server
 
-import "gridbw/internal/hold"
+import (
+	"testing"
+	"time"
+
+	"gridbw/internal/hold"
+)
 
 // HoldRows copies the hold table for the external tests: every hold in key
 // order, then the resolved ones in the order retention evicts them.
@@ -14,4 +19,22 @@ func (s *Server) HoldRows() (all, retired []hold.Entry) {
 		retired = append(retired, *e)
 	}
 	return all, retired
+}
+
+// The replication stream's codec, for the external tests.
+var (
+	AppendReplBatch = appendReplBatch
+	AppendReplGone  = appendReplGone
+	DecodeReplFrame = decodeReplFrame
+	ReadReplFrame   = readReplFrame
+	AppendReplAck   = appendPos
+	DecodeReplAck   = decodeReplAck
+)
+
+// SetStreamClocks shrinks the stream's heartbeat and idle bound until t
+// ends. Call it before starting the servers t uses.
+func SetStreamClocks(t testing.TB, heartbeat, idle time.Duration) {
+	oldHeartbeat, oldIdle := streamHeartbeat, streamIdle
+	streamHeartbeat, streamIdle = heartbeat, idle
+	t.Cleanup(func() { streamHeartbeat, streamIdle = oldHeartbeat, oldIdle })
 }

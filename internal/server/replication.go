@@ -1,10 +1,15 @@
 package server
 
 // Log-shipping replication. The primary's WAL doubles as the replication
-// stream: a follower long-polls GET /v1/replication/pull with its cursor,
-// the primary answers with the decision records past it, and the follower
-// replays them into its own sharded ledger — and into its own WAL, so a
-// promoted follower owns a complete local history.
+// stream: a follower opens GET /v1/replication/pull with its cursor and
+// offers to upgrade the connection; the primary takes it over and writes
+// the decision records past the cursor down it as they are appended, and
+// the follower writes its cursor back after each batch it applied — the
+// durability ack a sync-ack submit waits for. A primary that cannot take the
+// connection over answers one batch as JSON instead and the follower asks
+// again (the long poll every version before the stream spoke). The
+// follower replays each batch into its own sharded ledger — and into its
+// own WAL, so a promoted follower owns a complete local history.
 //
 // Safety rests on three properties:
 //
@@ -31,16 +36,20 @@ package server
 //     promote marker in the log.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -57,11 +66,14 @@ import (
 // Pull-loop tuning: the long-poll window the follower asks for, the batch
 // bound, and the backoff band for transport errors.
 const (
-	pullWait        = 2 * time.Second
-	pullMaxRecords  = 512
-	pullMaxBytes    = 1 << 20
-	pullBaseBackoff = 50 * time.Millisecond
-	pullMaxBackoff  = 2 * time.Second
+	pullWait       = 2 * time.Second
+	pullMaxRecords = 512
+	// pullClampRecords is the most records one batch may carry, whatever a
+	// pull asks for.
+	pullClampRecords = 4096
+	pullMaxBytes     = 1 << 20
+	pullBaseBackoff  = 50 * time.Millisecond
+	pullMaxBackoff   = 2 * time.Second
 	// refollowAfter is how many consecutive transport failures against the
 	// pull source a follower tolerates before probing the peer list for the
 	// epoch-dominant live primary and re-pointing the loop. Three failures
@@ -73,6 +85,17 @@ const (
 	// maxFollowerIDLen is the longest id a pull may present; a -repl-id is a
 	// host name or a base URL.
 	maxFollowerIDLen = 128
+	// replProtocol is the Upgrade token of the replication stream.
+	replProtocol = "gridbw-repl/1"
+)
+
+// The stream's clocks: the primary sends an empty batch after
+// streamHeartbeat with nothing new, and each end gives up on a peer that
+// has not taken a frame (primary) or sent one (follower) for streamIdle.
+// Variables so tests can shrink them.
+var (
+	streamHeartbeat = pullWait
+	streamIdle      = pullWait + 10*time.Second
 )
 
 // replState is the replication role of one server, guarded by s.mu.
@@ -240,11 +263,11 @@ func (s *Server) applyShippedLocked(b ShippedBatch, events []trace.Event) error 
 		}
 	}
 	if s.wal != nil && s.wal.Poisoned() != nil {
-		// The cursor this node presents on its next pull is its ack: moved
-		// past frames the local log never took, it would let a quorum
-		// submit be answered "replicated" on their strength. Fail-stop, as
-		// for a primary: the pull loop halts on this error, and only a
-		// restart — which re-reads what is really on disk — clears it.
+		// The cursor this node sends back is its ack: moved past frames
+		// the local log never took, it would let a quorum submit be
+		// answered "replicated" on their strength. Fail-stop, as for a
+		// primary: the pull loop halts on this error, and only a restart
+		// — which re-reads what is really on disk — clears it.
 		return ErrDurabilityLost
 	}
 	s.repl.cursor = b.Next
@@ -523,20 +546,23 @@ func (s *Server) setPullError(err error) {
 	}
 }
 
-// pullLoop long-polls the primary for records past the cursor and applies
-// each batch. Transport errors back off and retry; after refollowAfter of
-// them in a row the loop probes the peer list for the epoch-dominant live
-// primary and re-points itself — the fix for an election's losing
-// follower, whose source is a dead endpoint. A source whose batches are
-// fenced off (it is a deposed primary the follower has already out-epoched)
-// triggers the same rediscovery immediately. A cursor the primary
-// compacted away (410 Gone) triggers an automatic snapshot re-seed;
-// divergence errors halt the loop — retrying cannot fix them, and
-// continuing would corrupt the replica. The last error is surfaced on
-// /v1/replication/status.
+// pullLoop follows the primary: one pull session after another, each
+// applying every batch it brings. Transport errors back off and retry;
+// after refollowAfter of them in a row the loop probes the peer list for
+// the epoch-dominant live primary and re-points itself — the fix for an
+// election's losing follower, whose source is a dead endpoint. A source
+// whose batches are fenced off (it is a deposed primary the follower has
+// already out-epoched) triggers the same rediscovery immediately. A cursor
+// the primary compacted away (410 Gone, or the gone frame mid-stream)
+// triggers an automatic snapshot re-seed; divergence errors halt the loop —
+// retrying cannot fix them, and continuing would corrupt the replica. The
+// last error is surfaced on /v1/replication/status.
 func (s *Server) pullLoop(ctx context.Context, source string, done chan struct{}) {
 	defer close(done)
 	hc := &http.Client{Timeout: pullWait + 10*time.Second}
+	// A session can last as long as the primary does; its idle watchdog
+	// stands in for the client timeout.
+	sc := &http.Client{}
 	backoff := pullBaseBackoff
 	failures := 0
 	// searching: the last probe of the peers found no primary. The group is
@@ -544,15 +570,18 @@ func (s *Server) pullLoop(ctx context.Context, source string, done chan struct{}
 	// fixed pullBaseBackoff cadence, instead of letting a promotion that
 	// lands just after a probe wait out a doubled transport backoff.
 	searching := false
+	applied := func() {
+		failures, searching, backoff = 0, false, pullBaseBackoff
+		s.setPullError(nil)
+	}
 	for ctx.Err() == nil {
-		b, err := pullOnce(ctx, hc, source, s.cursorNow(), s.replID)
+		err := s.pullSession(ctx, sc, source, applied)
 		if err == nil {
-			failures, searching = 0, false
-			if err = s.ApplyShipped(b); err == nil {
-				s.setPullError(nil)
-				backoff = pullBaseBackoff
-				continue
-			}
+			continue
+		}
+		var bad *applyError
+		if errors.As(err, &bad) {
+			err = bad.err
 			if errors.Is(err, ErrNotFollower) || errors.Is(err, ErrClosed) {
 				return
 			}
@@ -651,40 +680,113 @@ func (s *Server) retarget(source string) {
 	s.mu.Unlock()
 }
 
-// pullOnce runs one long-poll round trip under the loop's context. The
+// applyError is a batch this follower received but could not apply.
+type applyError struct{ err error }
+
+func (e *applyError) Error() string { return e.err.Error() }
+func (e *applyError) Unwrap() error { return e.err }
+
+// pullSession runs one pull against source under the loop's context. The
 // follower's id rides along so the primary can attribute the cursor: a
 // presented cursor acknowledges that everything before it is applied on
-// this follower and appended to its WAL under its own sync policy.
-func pullOnce(ctx context.Context, hc *http.Client, source string, cur wal.Pos, id string) (ShippedBatch, error) {
+// this follower and appended to its WAL under its own sync policy. The
+// request offers to upgrade; a primary that takes the connection over
+// answers 101 and streams batch after batch until one side fails, and the
+// follower writes its cursor back after each batch it applied — the same
+// ack, without a round trip. Any other primary answers one JSON batch, and
+// the loop pulls again. applied runs after every batch that applied. An
+// apply failure comes back as an *applyError, a compacted cursor as
+// errPullGone, anything else is the transport's — including a primary
+// that sent no frame for streamIdle.
+func (s *Server) pullSession(ctx context.Context, hc *http.Client, source string, applied func()) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var idle atomic.Bool
+	watchdog := time.AfterFunc(streamIdle, func() { idle.Store(true); cancel() })
+	defer watchdog.Stop()
+	err := s.pullExchange(ctx, hc, source, watchdog, applied)
+	var bad *applyError
+	if err != nil && idle.Load() && !errors.As(err, &bad) {
+		err = fmt.Errorf("server: pull: nothing from %s for %v: %w", source, streamIdle, err)
+	}
+	return err
+}
+
+func (s *Server) pullExchange(ctx context.Context, hc *http.Client, source string, watchdog *time.Timer, applied func()) error {
+	cur := s.cursorNow()
 	u := fmt.Sprintf("%s/v1/replication/pull?seg=%d&off=%d&max=%d&wait_ms=%d&id=%s",
-		source, cur.Seg, cur.Off, pullMaxRecords, pullWait.Milliseconds(), url.QueryEscape(id))
+		source, cur.Seg, cur.Off, pullMaxRecords, pullWait.Milliseconds(), url.QueryEscape(s.replID))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return ShippedBatch{}, fmt.Errorf("server: pull: %w", err)
+		return fmt.Errorf("server: pull: %w", err)
 	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", replProtocol)
 	resp, err := hc.Do(req)
 	if err != nil {
-		return ShippedBatch{}, fmt.Errorf("server: pull: %w", err)
+		return fmt.Errorf("server: pull: %w", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusGone {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 64*1024))
-		return ShippedBatch{}, errPullGone
-	}
-	if resp.StatusCode != http.StatusOK {
-		var apiErr ErrorJSON
-		msg := resp.Status
-		blob, _ := io.ReadAll(io.LimitReader(resp.Body, 64*1024))
-		if json.Unmarshal(blob, &apiErr) == nil && apiErr.Error != "" {
-			msg = apiErr.Error
+	switch resp.StatusCode {
+	case http.StatusSwitchingProtocols:
+		rw, ok := resp.Body.(io.ReadWriter)
+		if !ok || !strings.EqualFold(resp.Header.Get("Upgrade"), replProtocol) {
+			return fmt.Errorf("server: pull: upgrade to %q, want %q", resp.Header.Get("Upgrade"), replProtocol)
 		}
-		return ShippedBatch{}, fmt.Errorf("server: pull: HTTP %d: %s", resp.StatusCode, msg)
+		// Ending the session — the loop stopping, or the watchdog — closes
+		// the connection under a blocked read.
+		defer context.AfterFunc(ctx, func() { resp.Body.Close() })()
+		return s.followStream(rw, watchdog, applied)
+	case http.StatusOK:
+		var b ShippedBatch
+		if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
+			return fmt.Errorf("server: pull: decode: %w", err)
+		}
+		if err := s.ApplyShipped(b); err != nil {
+			return &applyError{err}
+		}
+		applied()
+		return nil
+	case http.StatusGone:
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 64*1024))
+		return errPullGone
 	}
-	var b ShippedBatch
-	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
-		return ShippedBatch{}, fmt.Errorf("server: pull: decode: %w", err)
+	var apiErr ErrorJSON
+	msg := resp.Status
+	blob, _ := io.ReadAll(io.LimitReader(resp.Body, 64*1024))
+	if json.Unmarshal(blob, &apiErr) == nil && apiErr.Error != "" {
+		msg = apiErr.Error
 	}
-	return b, nil
+	return fmt.Errorf("server: pull: HTTP %d: %s", resp.StatusCode, msg)
+}
+
+// followStream applies the batches a primary streams down rw, writing the
+// cursor back after each one, until a frame fails to arrive, decode or
+// apply, or the primary says the cursor is gone.
+func (s *Server) followStream(rw io.ReadWriter, watchdog *time.Timer, applied func()) error {
+	var frame []byte
+	var ack [wireAckBytes]byte
+	for {
+		var err error
+		if frame, err = readReplFrame(rw, frame); err != nil {
+			return fmt.Errorf("server: pull: stream: %w", err)
+		}
+		watchdog.Reset(streamIdle)
+		b, gone, err := decodeReplFrame(frame)
+		switch {
+		case err != nil:
+			return fmt.Errorf("server: pull: stream: %w", err)
+		case gone:
+			return errPullGone
+		}
+		if err := s.ApplyShipped(b); err != nil {
+			return &applyError{err}
+		}
+		applied()
+		if _, err := rw.Write(appendPos(ack[:0], b.Next)); err != nil {
+			return fmt.Errorf("server: pull: stream: %w", err)
+		}
+	}
 }
 
 // ReplicationStatus reports the replication role, epoch, cursor and lag.
@@ -792,9 +894,14 @@ func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplPull serves GET /v1/replication/pull?seg=&off=&max=&wait_ms=:
-// the records past (seg, off), long-polling up to wait_ms when the caller
-// is already at the frontier. A position compacted away answers 410 Gone —
-// the follower must re-seed from a snapshot.
+// the records past (seg, off). A pull that offers to upgrade to
+// replProtocol, at a cursor this WAL still holds, gets the stream: the
+// connection is taken over and serveStream ships batches down it as they
+// are appended. Every other pull — an older follower's, or one through a
+// ResponseWriter that cannot be taken over — gets one JSON batch,
+// long-polling up to wait_ms when the caller is already at the frontier. A
+// position compacted away answers 410 Gone — the follower must re-seed
+// from a snapshot.
 func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	if s.wal == nil {
 		WriteError(w, http.StatusConflict, errors.New("server: replication requires a WAL"))
@@ -810,7 +917,7 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	seg, off, maxRecords, waitMs := v[0], v[1], v[2], v[3]
-	if maxRecords == 0 || maxRecords > 4096 {
+	if maxRecords == 0 || maxRecords > pullClampRecords {
 		maxRecords = pullMaxRecords
 	}
 	if waitMs > 60_000 {
@@ -824,23 +931,25 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad id: want at most %d bytes of UTF-8 without control characters", maxFollowerIDLen))
 		return
 	}
-	// The presented cursor doubles as a durability ack: the follower only
-	// advances it after the covered records are applied and appended to its
-	// own WAL, so everything before pos is replicated on that follower.
-	// A zero cursor has nothing to acknowledge yet. A cursor past the
-	// local frontier cannot be acknowledging local history — it is a
-	// buggy or wrong-lineage caller, and recording it would forward-run
-	// the ack table and falsely satisfy sync-ack quorum waits — so only
-	// positions the WAL has actually written count.
-	if id != "" && !pos.IsZero() && !s.wal.End().Less(pos) {
-		s.acks.Record(id, pos)
-	}
+	s.recordAck(id, pos)
 	// A zero cursor asks for the very beginning of history, not for
 	// whatever is left of it: pin it to segment 1 so a compacted prefix
 	// answers 410 Gone (and the follower re-seeds) instead of silently
 	// serving a truncated stream the follower would diverge on.
 	if pos.IsZero() {
 		pos = wal.Pos{Seg: 1}
+	}
+	if wantsStream(r) && s.openStream() {
+		// The first batch is read before the connection is taken over, so a
+		// cursor this WAL cannot serve gets the JSON path's answer: 410, or
+		// the long poll and its error.
+		if b, err := s.shipFrom(pos, int(maxRecords)); err == nil {
+			if conn, brw, err := http.NewResponseController(w).Hijack(); err == nil {
+				s.serveStream(conn, brw.Reader, b, id, int(maxRecords))
+				return
+			}
+		}
+		s.streams.Done()
 	}
 	if waitMs > 0 {
 		// A closing server must not strand a poller for the rest of its
@@ -860,7 +969,7 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 		}()
 		s.wal.Wait(wake, pos, time.Duration(waitMs)*time.Millisecond)
 	}
-	payloads, start, next, err := s.wal.ReadFrom(pos, int(maxRecords), pullMaxBytes)
+	b, err := s.shipFrom(pos, int(maxRecords))
 	switch {
 	case errors.Is(err, wal.ErrCompacted):
 		WriteError(w, http.StatusGone, err)
@@ -868,6 +977,29 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		WriteError(w, http.StatusInternalServerError, err)
 		return
+	}
+	WriteJSON(w, http.StatusOK, b)
+}
+
+// recordAck takes a presented cursor as follower id's durability ack: the
+// follower only advances it after the covered records are applied and
+// appended to its own WAL, so everything before pos is replicated on that
+// follower. A zero cursor has nothing to acknowledge yet. A cursor past the
+// local frontier cannot be acknowledging local history — it is a buggy or
+// wrong-lineage caller, and recording it would forward-run the ack table
+// and falsely satisfy sync-ack quorum waits — so only positions the WAL has
+// actually written count.
+func (s *Server) recordAck(id string, pos wal.Pos) {
+	if id != "" && !pos.IsZero() && !s.wal.End().Less(pos) {
+		s.acks.Record(id, pos)
+	}
+}
+
+// shipFrom reads the batch a pull at pos is answered with.
+func (s *Server) shipFrom(pos wal.Pos, maxRecords int) (ShippedBatch, error) {
+	payloads, start, next, err := s.wal.ReadFrom(pos, maxRecords, pullMaxBytes)
+	if err != nil {
+		return ShippedBatch{}, err
 	}
 	// The payloads ship as they sit in the WAL: the follower appends the
 	// same bytes, and only it ever decodes them.
@@ -880,10 +1012,106 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		lag = 0
 	}
-	WriteJSON(w, http.StatusOK, ShippedBatch{
+	return ShippedBatch{
 		Epoch: s.Epoch(), From: start, Next: next, End: end,
 		LagBytes: lag, Events: events,
-	})
+	}, nil
+}
+
+// wantsStream reports whether a pull offers to upgrade to the stream.
+func wantsStream(r *http.Request) bool {
+	if !strings.EqualFold(r.Header.Get("Upgrade"), replProtocol) {
+		return false
+	}
+	for _, v := range r.Header.Values("Connection") {
+		for _, tok := range strings.Split(v, ",") {
+			if strings.EqualFold(strings.TrimSpace(tok), "upgrade") {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// openStream registers a stream unless the server is closing; Close waits
+// for every registered stream to end.
+func (s *Server) openStream() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.streams.Add(1)
+	return true
+}
+
+// serveStream runs one replication stream on a taken-over connection: it
+// answers 101 with the first batch, then writes a batch frame whenever the
+// WAL grows past what it shipped (an empty one after streamHeartbeat with
+// nothing new), while a second goroutine reads the follower's cursor
+// frames into the ack table. A write that takes streamIdle — a follower
+// that stopped reading — ends it, as do a broken connection, a closed WAL,
+// and the server's Close. A cursor compacted away mid-stream gets the gone
+// frame.
+func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, b ShippedBatch, id string, maxRecords int) {
+	defer s.streams.Done()
+	quit := make(chan struct{})
+	var once sync.Once
+	hangUp := func() { once.Do(func() { close(quit); conn.Close() }) }
+	defer hangUp()
+	conn.SetDeadline(time.Time{})
+	go func() {
+		select {
+		case <-s.stop:
+			hangUp()
+		case <-quit:
+		}
+	}()
+	s.streams.Add(1)
+	go func() {
+		defer s.streams.Done()
+		defer hangUp()
+		var ack [wireAckBytes]byte
+		for {
+			if _, err := io.ReadFull(br, ack[:]); err != nil {
+				return
+			}
+			p, err := decodeReplAck(ack[:])
+			if err != nil {
+				return
+			}
+			s.recordAck(id, p)
+		}
+	}()
+
+	buf := []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + replProtocol + "\r\n\r\n")
+	gone := false
+	for {
+		if gone {
+			buf = appendReplGone(buf)
+		} else {
+			buf = appendReplBatch(buf, &b)
+		}
+		conn.SetWriteDeadline(time.Now().Add(streamIdle))
+		if _, err := conn.Write(buf); err != nil || gone {
+			return
+		}
+		buf = buf[:0]
+		s.wal.Wait(quit, b.Next, streamHeartbeat)
+		select {
+		case <-quit:
+			return
+		default:
+		}
+		if s.wal.Closed() {
+			return
+		}
+		var err error
+		if b, err = s.shipFrom(b.Next, maxRecords); err != nil && !errors.Is(err, wal.ErrCompacted) {
+			return
+		}
+		gone = err != nil
+	}
 }
 
 func queryUint(v string) (uint64, error) {

@@ -313,6 +313,10 @@ type Server struct {
 	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
+	// streams counts the replication streams served (and their ack
+	// readers); Close waits for them, since the HTTP server forgets a
+	// connection once it is taken over.
+	streams sync.WaitGroup
 }
 
 // New validates cfg and starts a server with the service clock at 0.
@@ -572,6 +576,7 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	close(s.stop)
 	<-s.done
+	s.streams.Wait()
 	if pullDone != nil {
 		<-pullDone
 	}

@@ -1,0 +1,576 @@
+package server_test
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"gridbw/internal/server"
+	"gridbw/internal/trace"
+	"gridbw/internal/units"
+	"gridbw/internal/wal"
+)
+
+// The replication stream: a pull that offers to upgrade gets one connection
+// that carries every later batch down and the follower's cursor back. These
+// tests pin its failure model — each case the long poll handled by asking
+// again, the stream handles on the open connection — and the JSON answer
+// every pull that cannot stream still gets.
+
+// countPulls fronts h with a counter of pull requests. It hands the
+// ResponseWriter through untouched, so the stream can still take it over.
+func countPulls(h http.Handler, n *atomic.Int64) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/replication/pull" {
+			n.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// plainWriter hides every optional interface of the writer it wraps — no
+// Hijack, no Unwrap — as a tracing or metrics middleware often does.
+type plainWriter struct{ http.ResponseWriter }
+
+func durableOn(t *testing.T, primary *server.Server, i int) server.BatchResult {
+	t.Helper()
+	res, err := primary.SubmitBatch([]server.Submission{submission(i, true)})
+	if err != nil || res[0].Err != nil || !res[0].Decision.Accepted {
+		t.Fatalf("durable submit %d: %v %+v", i, err, res)
+	}
+	return res[0]
+}
+
+func syncPrimary(t *testing.T, w *wal.Log) server.Config {
+	cfg := uniformConfig(nil)
+	cfg.WAL = w
+	cfg.SyncMode = "one"
+	cfg.SyncTimeout = 2 * time.Second
+	return cfg
+}
+
+func startFollower(t *testing.T, source, id string) *server.Server {
+	t.Helper()
+	cfg := uniformConfig(nil)
+	cfg.WAL = openTestWAL(t)
+	cfg.Follow = source
+	cfg.ReplID = id
+	f := newTestServer(t, cfg)
+	if err := f.StartFollowing(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestStreamShipsWithoutRoundTrips: against a handler that can be taken
+// over, a follower makes one pull, and every later durable submit is
+// replicated through that one connection.
+func TestStreamShipsWithoutRoundTrips(t *testing.T) {
+	pcfg := syncPrimary(t, openTestWAL(t))
+	primary := newTestServer(t, pcfg)
+	var pulls atomic.Int64
+	ts := httptest.NewServer(countPulls(primary.Handler(), &pulls))
+	defer ts.Close()
+	startFollower(t, ts.URL, "f1")
+
+	for i := 0; i < 20; i++ {
+		if res := durableOn(t, primary, i); res.Durability != server.DurabilityReplicated {
+			t.Fatalf("submit %d answered %q", i, res.Durability)
+		}
+	}
+	waitFor(t, "the last ack", func() bool { return primary.FollowerAcks()["f1"].Pos == pcfg.WAL.End() })
+	if n := pulls.Load(); n != 1 {
+		t.Fatalf("%d pull requests for 20 replicated submits, want the 1 that opened the stream", n)
+	}
+	if got := primary.Status().Stats.SyncDegraded; got != 0 {
+		t.Fatalf("sync_degraded = %d, want 0", got)
+	}
+}
+
+// TestWrappedHandlerFallsBackToJSON: a primary whose handler sits behind a
+// writer that cannot be taken over answers an upgrading pull with the JSON
+// batch, byte for byte what a pull without Upgrade gets — and a follower of
+// this version replicates through it, its acks satisfying a SyncAcks: 1
+// wait.
+func TestWrappedHandlerFallsBackToJSON(t *testing.T) {
+	clk := &fakeClock{}
+	pcfg := uniformConfig(clk)
+	pcfg.WAL = openTestWAL(t)
+	pcfg.SyncAcks, pcfg.SyncTimeout = 1, 2*time.Second // durable submits wait for one ack
+	primary := newTestServer(t, pcfg)
+	var pulls atomic.Int64
+	h := countPulls(primary.Handler(), &pulls)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(plainWriter{w}, r)
+	}))
+	t.Cleanup(ts.Close) // after the follower's Close ends its long poll
+
+	// The two-submission history goldenBody was captured from.
+	if d, err := primary.Submit(server.Submission{From: 0, To: 1, Volume: 100 * units.GB, Deadline: 400, MaxRate: 1 * units.GBps}); err != nil || !d.Accepted {
+		t.Fatalf("submit: %v %+v", err, d)
+	}
+	if d, err := primary.Submit(server.Submission{From: 0, To: 1, Volume: 1 * units.TB, Deadline: 10, MaxRate: 1 * units.GBps}); err != nil || d.Accepted {
+		t.Fatalf("submit: %v %+v", err, d)
+	}
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/replication/pull?seg=0&off=0&max=512", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", "gridbw-repl/1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || string(body) != goldenBody {
+		t.Fatalf("upgrading pull through a plain writer: HTTP %d, %v:\n got %s\nwant %s", resp.StatusCode, err, body, goldenBody)
+	}
+
+	pulls.Store(0)
+	startFollower(t, ts.URL, "f1")
+	for i := 0; i < 5; i++ {
+		if res := durableOn(t, primary, i); res.Durability != server.DurabilityReplicated {
+			t.Fatalf("submit %d answered %q", i, res.Durability)
+		}
+	}
+	if got := primary.Status().Stats.SyncDegraded; got != 0 {
+		t.Fatalf("sync_degraded = %d, want 0", got)
+	}
+	if n := pulls.Load(); n < 5 {
+		t.Fatalf("%d pulls for 5 replicated submits: the follower did not long-poll", n)
+	}
+}
+
+// rawStream opens a replication stream by hand, as a follower would, and
+// reads the 101 answer.
+type rawStream struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+	buf  []byte
+}
+
+func openRawStream(t *testing.T, base, query string) *rawStream {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	fmt.Fprintf(conn, "GET /v1/replication/pull?%s HTTP/1.1\r\nHost: primary\r\nConnection: Upgrade\r\nUpgrade: gridbw-repl/1\r\n\r\n", query)
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != "gridbw-repl/1" {
+		t.Fatalf("pull answered HTTP %d, Upgrade %q; want 101 to gridbw-repl/1", resp.StatusCode, resp.Header.Get("Upgrade"))
+	}
+	return &rawStream{t: t, conn: conn, br: br}
+}
+
+// next reads one frame; gone reports the gone frame.
+func (r *rawStream) next() (b server.ShippedBatch, gone bool, err error) {
+	r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if r.buf, err = server.ReadReplFrame(r.br, r.buf); err != nil {
+		return b, false, err
+	}
+	return server.DecodeReplFrame(r.buf)
+}
+
+func (r *rawStream) ack(p wal.Pos) {
+	r.t.Helper()
+	if _, err := r.conn.Write(server.AppendReplAck(nil, p)); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// TestStreamAckPastFrontierIsNotRecorded is the stream's twin of the rogue
+// pull in TestSyncAckDurabilityOnTheWire: a cursor frame past anything the
+// WAL wrote is no ack, and a durable submit that only it could satisfy
+// degrades; a cursor frame inside the WAL is recorded.
+func TestStreamAckPastFrontierIsNotRecorded(t *testing.T) {
+	pcfg := syncPrimary(t, openTestWAL(t))
+	pcfg.SyncTimeout = 300 * time.Millisecond
+	primary := newTestServer(t, pcfg)
+	ts := httptest.NewServer(primary.Handler())
+	defer ts.Close()
+
+	rs := openRawStream(t, ts.URL, "seg=0&off=0&id=rogue")
+	if b, gone, err := rs.next(); err != nil || gone || len(b.Events) != 0 || b.Next != (wal.Pos{Seg: 1}) {
+		t.Fatalf("first frame on an empty WAL: %+v gone=%v %v", b, gone, err)
+	}
+	rs.ack(wal.Pos{Seg: 99, Off: 1 << 20})
+	rs.ack(wal.Pos{Seg: 1})
+	waitFor(t, "the in-range ack", func() bool { _, ok := primary.FollowerAcks()["rogue"]; return ok })
+	if got := primary.FollowerAcks()["rogue"].Pos; got != (wal.Pos{Seg: 1}) {
+		t.Fatalf("ack table holds %v for the rogue stream, want 1:0", got)
+	}
+	if res := durableOn(t, primary, 0); res.Durability != server.DurabilityDegraded {
+		t.Fatalf("durable submit with only a rogue stream answered %q, want %q", res.Durability, server.DurabilityDegraded)
+	}
+	// The stream shipped the decision all the same.
+	if b, _, err := rs.next(); err != nil || len(b.Events) != 1 || b.Next != pcfg.WAL.End() {
+		t.Fatalf("frame after the submit: %+v %v", b, err)
+	}
+}
+
+// TestStreamEndsOnClose is the stream's twin of TestReplPullUnblocksOnClose:
+// the HTTP server forgets a connection it handed over, so the primary's
+// Close must end every stream itself, promptly.
+func TestStreamEndsOnClose(t *testing.T) {
+	cfg := uniformConfig(nil)
+	cfg.WAL = openTestWAL(t)
+	s := newTestServer(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	rs := openRawStream(t, ts.URL, "seg=0&off=0&id=f1")
+	if _, _, err := rs.next(); err != nil {
+		t.Fatal(err)
+	}
+
+	closed := make(chan struct{})
+	start := time.Now()
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close waited on an open stream")
+	}
+	if _, _, err := rs.next(); err == nil {
+		t.Fatal("stream still delivering after Close")
+	} else if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("stream ended %v after Close (%v), want at once", waited, err)
+	}
+}
+
+// heldListener hands out connections whose writes can be held, the way a
+// full TCP window holds them: a held Write waits until release, its write
+// deadline, or Close. blocked receives one signal per held Write; closed one
+// per connection closed while a write was held.
+type heldListener struct {
+	net.Listener
+	mu      sync.Mutex
+	release chan struct{} // nil: writes pass
+	blocked chan struct{}
+	closed  chan struct{}
+}
+
+func newHeldListener(l net.Listener) *heldListener {
+	return &heldListener{Listener: l, blocked: make(chan struct{}, 16), closed: make(chan struct{}, 16)}
+}
+
+func (l *heldListener) hold() {
+	l.mu.Lock()
+	l.release = make(chan struct{})
+	l.mu.Unlock()
+}
+
+func (l *heldListener) unhold() {
+	l.mu.Lock()
+	close(l.release)
+	l.release = nil
+	l.mu.Unlock()
+}
+
+func (l *heldListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &heldConn{Conn: c, l: l, gone: make(chan struct{})}, nil
+}
+
+type heldConn struct {
+	net.Conn
+	l        *heldListener
+	mu       sync.Mutex
+	deadline time.Time
+	held     bool
+	gone     chan struct{}
+	once     sync.Once
+}
+
+func (c *heldConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadline = t
+	c.mu.Unlock()
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *heldConn) SetDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadline = t
+	c.mu.Unlock()
+	return c.Conn.SetDeadline(t)
+}
+
+func (c *heldConn) Write(p []byte) (int, error) {
+	c.l.mu.Lock()
+	release := c.l.release
+	c.l.mu.Unlock()
+	if release != nil {
+		c.mu.Lock()
+		c.held = true
+		var timeout <-chan time.Time
+		if !c.deadline.IsZero() {
+			timeout = time.After(time.Until(c.deadline))
+		}
+		c.mu.Unlock()
+		c.l.blocked <- struct{}{}
+		select {
+		case <-release:
+		case <-timeout:
+			return 0, os.ErrDeadlineExceeded
+		case <-c.gone:
+			return 0, net.ErrClosed
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *heldConn) Close() error {
+	c.once.Do(func() {
+		close(c.gone)
+		c.mu.Lock()
+		held := c.held
+		c.mu.Unlock()
+		if held {
+			c.l.closed <- struct{}{}
+		}
+	})
+	return c.Conn.Close()
+}
+
+func heldServer(t *testing.T, h http.Handler) (*httptest.Server, *heldListener) {
+	ts := httptest.NewUnstartedServer(h)
+	hl := newHeldListener(ts.Listener)
+	ts.Listener = hl
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return ts, hl
+}
+
+func waitSignal(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// TestStreamSenderFreedByWriteDeadline: a follower that stops reading
+// leaves the sender's write blocked; the write deadline frees it, and the
+// stream ends without waiting for anything else.
+func TestStreamSenderFreedByWriteDeadline(t *testing.T) {
+	server.SetStreamClocks(t, 50*time.Millisecond, 300*time.Millisecond)
+	cfg := uniformConfig(nil)
+	cfg.WAL = openTestWAL(t)
+	s := newTestServer(t, cfg)
+	ts, hl := heldServer(t, s.Handler())
+
+	rs := openRawStream(t, ts.URL, "seg=0&off=0&id=f1")
+	if _, _, err := rs.next(); err != nil {
+		t.Fatal(err)
+	}
+	hl.hold() // the next heartbeat finds the window full
+	waitSignal(t, hl.blocked, "the sender's write to block")
+	start := time.Now()
+	waitSignal(t, hl.closed, "the sender to give the connection up")
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("sender held %v, want about the 300ms deadline", waited)
+	}
+}
+
+// TestStreamGoneFrameReseeds: the segment the stream stands in is compacted
+// away while its first batch is in flight, so the stream says "gone" — it
+// cannot answer 410 any more — and the follower re-seeds from the snapshot
+// and streams on from there.
+func TestStreamGoneFrameReseeds(t *testing.T) {
+	pcfg := uniformConfig(nil)
+	pwal := openSmallWAL(t)
+	pcfg.WAL = pwal
+	primary := newTestServer(t, pcfg)
+	var pulls atomic.Int64
+	ts, hl := heldServer(t, countPulls(primary.Handler(), &pulls))
+	submit := func(i int) {
+		t.Helper()
+		if d, err := primary.Submit(submission(i, false)); err != nil || !d.Accepted {
+			t.Fatalf("submit %d: %v %+v", i, err, d)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		submit(i)
+	}
+	shipped := pwal.End()
+	hl.hold() // holds the 101 and the first batch, which runs up to shipped
+	follower := startFollower(t, ts.URL, "f1")
+	waitSignal(t, hl.blocked, "the stream's first write")
+	submit(8)
+	submit(9) // the WAL rotates past shipped's segment ...
+	if _, err := pwal.CompactBefore(pwal.End()); err != nil || pwal.FirstPos().Seg <= shipped.Seg {
+		t.Fatalf("compaction left %v, want past %v: %v", pwal.FirstPos(), shipped, err)
+	}
+	hl.unhold() // ... and drops it before the stream reads on from there
+
+	waitFor(t, "the re-seed", func() bool {
+		st := follower.Status()
+		return st.Stats.Reseeds == 1 && st.Active == primary.Status().Active
+	})
+	submit(10)
+	waitFor(t, "streaming past the re-seed", func() bool {
+		_, err := follower.Lookup(10)
+		return err == nil && follower.ReplicationStatus().Cursor == pwal.End()
+	})
+	if rs := follower.ReplicationStatus(); rs.LastError != "" {
+		t.Fatalf("follower holds error %q", rs.LastError)
+	}
+	if n := pulls.Load(); n != 2 {
+		t.Fatalf("%d pulls, want 2: the stream that went, and the one after the re-seed", n)
+	}
+}
+
+// TestFollowerAbandonsSilentPrimary: a primary that took the connection
+// and then sends nothing — not even a heartbeat — is abandoned by the
+// follower's idle watchdog, which pulls again.
+func TestFollowerAbandonsSilentPrimary(t *testing.T) {
+	server.SetStreamClocks(t, 50*time.Millisecond, 300*time.Millisecond)
+	var pulls atomic.Int64
+	silent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		pulls.Add(1)
+		conn, brw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: gridbw-repl/1\r\n\r\n")
+		io.Copy(io.Discard, brw) // until the follower hangs up
+	}))
+	defer silent.Close()
+
+	follower := startFollower(t, silent.URL, "f1")
+	waitFor(t, "a second pull", func() bool { return pulls.Load() >= 2 })
+	if msg := follower.ReplicationStatus().LastError; !strings.Contains(msg, "nothing from") {
+		t.Fatalf("follower's last error %q, want the idle watchdog's", msg)
+	}
+}
+
+// TestReplFramesRoundTripAndRefuse pins the stream codec: a batch and the
+// gone frame decode to what was encoded, and the decoder refuses a count
+// above the pull clamp, a record length of zero or past the WAL's record
+// bound, and every truncation.
+func TestReplFramesRoundTripAndRefuse(t *testing.T) {
+	ev := frames(t,
+		trace.Event{Kind: trace.EventAccept, Request: 3, RateBps: 1e8, TauS: 100, VolumeB: 1e10, MaxRateBps: 1e9},
+		trace.Event{Kind: trace.EventCancel, Request: 3, At: 5})
+	b := server.ShippedBatch{
+		Epoch: 7, From: wal.Pos{Seg: 2, Off: 10}, Next: wal.Pos{Seg: 3, Off: 40},
+		End: wal.Pos{Seg: 4, Off: 1}, LagBytes: 99, Events: ev,
+	}
+	frame := server.AppendReplBatch(nil, &b)
+	got, gone, err := server.DecodeReplFrame(frame)
+	if err != nil || gone {
+		t.Fatalf("decode: %v gone=%v", err, gone)
+	}
+	if blob, _ := json.Marshal(got); string(blob) != string(mustJSON(t, b)) {
+		t.Fatalf("round trip: got %s, want %s", blob, mustJSON(t, b))
+	}
+	for n := range frame {
+		if _, _, err := server.DecodeReplFrame(frame[:n]); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte frame decoded", n, len(frame))
+		}
+	}
+	if _, gone, err := server.DecodeReplFrame(server.AppendReplGone(nil)); err != nil || !gone {
+		t.Fatalf("gone frame: gone=%v %v", gone, err)
+	}
+
+	many := make([]json.RawMessage, 4097)
+	for i := range many {
+		many[i] = json.RawMessage("1")
+	}
+	if _, _, err := server.DecodeReplFrame(server.AppendReplBatch(nil, &server.ShippedBatch{Events: many[:4096]})); err != nil {
+		t.Fatalf("a batch at the clamp: %v", err)
+	}
+	for name, events := range map[string][]json.RawMessage{
+		"count above the clamp": many,
+		"empty record":          {json.RawMessage("1"), json.RawMessage{}},
+		"oversized record":      {json.RawMessage(bytes.Repeat([]byte{'1'}, wal.MaxRecordBytes+1))},
+	} {
+		if _, _, err := server.DecodeReplFrame(server.AppendReplBatch(nil, &server.ShippedBatch{Events: events})); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+	if _, err := server.DecodeReplAck(server.AppendReplAck(nil, wal.Pos{Seg: 1, Off: -1})); err == nil {
+		t.Error("cursor frame with a negative offset decoded")
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	blob, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// FuzzReplFrames: over arbitrary bytes the stream's decoders never panic,
+// what they accept is within the bounds the primary ships under, and it
+// re-encodes to the same bytes.
+func FuzzReplFrames(f *testing.F) {
+	f.Add(server.AppendReplBatch(nil, &server.ShippedBatch{
+		Epoch: 2, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1, Off: 9}, End: wal.Pos{Seg: 1, Off: 9},
+		Events: []json.RawMessage{json.RawMessage(`{"kind":"reject"}`)},
+	}))
+	f.Add(server.AppendReplBatch(nil, &server.ShippedBatch{Epoch: 1, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1}}))
+	f.Add(server.AppendReplGone(nil))
+	f.Add(server.AppendReplAck(nil, wal.Pos{Seg: 3, Off: 4096}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, gone, err := server.DecodeReplFrame(data)
+		switch {
+		case err != nil:
+		case gone:
+			if !bytes.Equal(data, server.AppendReplGone(nil)) {
+				t.Fatalf("gone frame %x is not the canonical one", data)
+			}
+		default:
+			if len(b.Events) > 4096 {
+				t.Fatalf("decoded %d records", len(b.Events))
+			}
+			for i, ev := range b.Events {
+				if len(ev) == 0 || len(ev) > wal.MaxRecordBytes {
+					t.Fatalf("record %d of %d bytes decoded", i, len(ev))
+				}
+			}
+			if re := server.AppendReplBatch(nil, &b); !bytes.Equal(re, data) {
+				t.Fatalf("re-encoding differs:\n got %x\nwant %x", re, data)
+			}
+		}
+		if err == nil {
+			frame, rerr := server.ReadReplFrame(bytes.NewReader(data), nil)
+			if rerr != nil || !bytes.Equal(frame, data) {
+				t.Fatalf("framing off a stream: %x, %v", frame, rerr)
+			}
+		}
+		if p, err := server.DecodeReplAck(data); err == nil {
+			if re := server.AppendReplAck(nil, p); !bytes.Equal(re, data) {
+				t.Fatalf("cursor %v re-encodes to %x, not %x", p, re, data)
+			}
+		}
+	})
+}

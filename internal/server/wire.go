@@ -55,16 +55,29 @@ package server
 //	"GHS1" item:   u8 flags | str16 hold | str16 state | str16 side
 //	               | u32 peerPoint | u64 epoch | u16 code | str16 error
 //	                                                  flags: bit0 released
+//
+// The replication stream — GET /v1/replication/pull upgraded to
+// gridbw-repl/1 (replication.go) — carries one frame per shipped batch from
+// the primary, and a bare 16-byte cursor back from the follower after each:
+//
+//	"GRB1" record: u32 length | payload    (the WAL payload, verbatim)
+//	       header: u32 count | u64 epoch | pos from | pos next | pos end
+//	               | i64 lagBytes, then count records
+//	"GRG1" (gone): u32 count = 0 — the cursor was compacted away
+//	ack:           pos                      pos: u64 seg | i64 off
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wal"
 )
 
 // BinaryBatchContentType is the request Content-Type that selects the
@@ -83,6 +96,8 @@ const (
 	wireReservedMagic = "GHA1"
 	wireRefMagic      = "GHF1"
 	wireStateMagic    = "GHS1"
+	wireBatchMagic    = "GRB1"
+	wireGoneMagic     = "GRG1"
 
 	wireFlagDurable     = 1 << 0
 	wireFlagRelNotBefor = 1 << 1
@@ -96,8 +111,13 @@ const (
 
 	// wireMaxBatchBytes caps how much of a framed body a handler reads:
 	// generous for any in-limit list (records are ~50-80 bytes plus keys),
-	// small enough that a garbage length prefix cannot balloon memory.
+	// small enough that a garbage length prefix cannot balloon memory. It
+	// bounds a replication frame the same way: a shipped batch stops at
+	// pullMaxBytes plus one record.
 	wireMaxBatchBytes = 8 << 20
+
+	wireFrameHeaderSize = 8  // magic | u32 bodyLen
+	wireAckBytes        = 16 // a follower's cursor frame
 )
 
 // WireSubmission is one record of a framed submit or batch request: a
@@ -771,6 +791,118 @@ func DecodeHoldStates(data []byte) ([]HoldStateJSON, error) {
 		st.Code = int(r.u16("code"))
 		st.Error = r.str16("error")
 	})
+}
+
+// --- replication stream --------------------------------------------------
+
+func appendPos(dst []byte, p wal.Pos) []byte {
+	return appendU64(appendU64(dst, p.Seg), uint64(p.Off))
+}
+
+func readPos(r *wireReader, what string) wal.Pos {
+	p := wal.Pos{Seg: r.u64(what), Off: int64(r.u64(what))}
+	if r.err == nil && p.Off < 0 {
+		r.err = fmt.Errorf("wire: negative %s offset", what)
+	}
+	return p
+}
+
+// appendReplBatch appends the stream frame of one shipped batch.
+func appendReplBatch(dst []byte, b *ShippedBatch) []byte {
+	dst, lenAt := beginFrame(dst, wireBatchMagic, len(b.Events))
+	dst = appendU64(dst, b.Epoch)
+	dst = appendPos(dst, b.From)
+	dst = appendPos(dst, b.Next)
+	dst = appendPos(dst, b.End)
+	dst = appendU64(dst, uint64(b.LagBytes))
+	for _, ev := range b.Events {
+		dst = append(appendU32(dst, uint32(len(ev))), ev...)
+	}
+	return endFrame(dst, lenAt)
+}
+
+// appendReplGone appends the frame that tells a follower its cursor was
+// compacted away while it streamed.
+func appendReplGone(dst []byte) []byte {
+	dst, lenAt := beginFrame(dst, wireGoneMagic, 0)
+	return endFrame(dst, lenAt)
+}
+
+// decodeReplFrame parses one stream frame: a shipped batch of at most
+// pullClampRecords records, each 1 to wal.MaxRecordBytes long, or the gone
+// frame. The batch's events alias frame.
+func decodeReplFrame(frame []byte) (b ShippedBatch, gone bool, err error) {
+	if len(frame) >= len(wireGoneMagic) && string(frame[:len(wireGoneMagic)]) == wireGoneMagic {
+		r, count, err := openFrame(frame, wireGoneMagic)
+		if err == nil {
+			err = r.finish(count)
+		}
+		if err == nil && count != 0 {
+			err = fmt.Errorf("wire: gone frame declares %d records", count)
+		}
+		return b, err == nil, err
+	}
+	r, count, err := openFrame(frame, wireBatchMagic)
+	if err != nil {
+		return b, false, err
+	}
+	if count > pullClampRecords {
+		return b, false, fmt.Errorf("wire: batch of %d records exceeds limit %d", count, pullClampRecords)
+	}
+	b.Epoch = r.u64("epoch")
+	b.From = readPos(&r, "from")
+	b.Next = readPos(&r, "next")
+	b.End = readPos(&r, "end")
+	b.LagBytes = int64(r.u64("lag"))
+	// A record is a u32 length and at least one byte.
+	if r.err == nil && count > (len(r.data)-r.off)/5 {
+		r.err = fmt.Errorf("wire: count %d exceeds body capacity", count)
+	}
+	if r.err != nil {
+		return ShippedBatch{}, false, r.err
+	}
+	b.Events = make([]json.RawMessage, count)
+	for i := range b.Events {
+		n := r.u32("record length")
+		if r.err == nil && (n == 0 || n > wal.MaxRecordBytes) {
+			r.err = fmt.Errorf("wire: record length %d outside [1, %d]", n, wal.MaxRecordBytes)
+		}
+		b.Events[i] = r.bytes(int(n), "record")
+		if r.err != nil {
+			return ShippedBatch{}, false, fmt.Errorf("record %d: %w", i, r.err)
+		}
+	}
+	if err := r.finish(count); err != nil {
+		return ShippedBatch{}, false, err
+	}
+	return b, false, nil
+}
+
+// readReplFrame reads one stream frame from r into buf, grown as needed,
+// and returns it; a length prefix past wireMaxBatchBytes is refused before
+// anything is allocated for it.
+func readReplFrame(r io.Reader, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], wireFrameHeaderSize)[:wireFrameHeaderSize]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
+	}
+	n := binary.LittleEndian.Uint32(buf[len(wireBatchMagic):])
+	if n > wireMaxBatchBytes {
+		return buf, fmt.Errorf("wire: replication frame of %d bytes exceeds %d", n, wireMaxBatchBytes)
+	}
+	buf = slices.Grow(buf, int(n))[:wireFrameHeaderSize+int(n)]
+	_, err := io.ReadFull(r, buf[wireFrameHeaderSize:])
+	return buf, err
+}
+
+// decodeReplAck parses a follower's cursor frame, which appendPos writes.
+func decodeReplAck(b []byte) (wal.Pos, error) {
+	if len(b) != wireAckBytes {
+		return wal.Pos{}, fmt.Errorf("wire: cursor frame of %d bytes, want %d", len(b), wireAckBytes)
+	}
+	r := wireReader{data: b}
+	p := readPos(&r, "cursor")
+	return p, r.err
 }
 
 // --- buffers -------------------------------------------------------------

@@ -9,8 +9,9 @@ import (
 // FollowerAck is one follower's durably-applied position as seen by the
 // primary, plus when it last reported. The position is the follower's
 // pull cursor: a follower saves its cursor only after the shipped events
-// are applied and persisted locally, so the cursor it presents on the
-// next pull doubles as an acknowledgement of everything before it.
+// are applied and persisted locally, so the cursor it sends back — after
+// each streamed batch, or on its next pull — doubles as an
+// acknowledgement of everything before it.
 type FollowerAck struct {
 	Pos  Pos       `json:"pos"`
 	Seen time.Time `json:"-"`
@@ -33,7 +34,7 @@ type Acks struct {
 // would stay for the life of the process. Past the cap the least recently
 // seen row goes. Losing a row can only lower Quorum(k) — it is the k-th
 // largest of fewer positions — so a sync-ack wait may get longer, until the
-// evicted follower's next pull puts its row back, but is never falsely
+// evicted follower's next ack puts its row back, but is never falsely
 // satisfied.
 const maxAckRows = 64
 

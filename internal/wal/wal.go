@@ -25,6 +25,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -47,10 +48,15 @@ const (
 	segPrefix = "wal-"
 	segSuffix = ".seg"
 
-	defaultSegmentBytes   = 8 << 20
-	defaultMaxRecordBytes = 1 << 20
-	defaultSyncInterval   = 100 * time.Millisecond
+	defaultSegmentBytes = 8 << 20
+	defaultSyncInterval = 100 * time.Millisecond
+	// readBufferBytes bounds the buffer ReadFrom reads a segment through.
+	readBufferBytes = 256 << 10
 )
+
+// MaxRecordBytes is the default bound on one record (Options.MaxRecordBytes)
+// — and so on one payload a replication stream may carry.
+const MaxRecordBytes = 1 << 20
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -159,7 +165,7 @@ func (o Options) withDefaults() Options {
 		o.Interval = defaultSyncInterval
 	}
 	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = defaultMaxRecordBytes
+		o.MaxRecordBytes = MaxRecordBytes
 	}
 	if o.FS == nil {
 		o.FS = OSFS{}
@@ -545,6 +551,14 @@ func (l *Log) Records() uint64 {
 
 func (l *Log) Dir() string { return l.dir }
 
+// Closed reports whether Close has run: a reader parked in Wait on a closed
+// log returns at once, so a loop around it must stop.
+func (l *Log) Closed() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.closed
+}
+
 // Close syncs and closes the log. Further appends fail with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -570,7 +584,7 @@ func (l *Log) Close() error {
 
 // Wait blocks until the append frontier moves past pos, the timeout
 // lapses, or done is closed; it reports whether records past pos exist.
-// This is the long-poll primitive of the replication pull endpoint.
+// Replication waits here: the stream's sender, and the JSON long poll.
 func (l *Log) Wait(done <-chan struct{}, pos Pos, timeout time.Duration) bool {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -671,11 +685,15 @@ func readFrames(fsys FS, path string, off, limit int64, maxRecords int, maxBytes
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return nil, 0, fmt.Errorf("wal: %w", err)
 	}
+	// One buffer over the committed range, so a batch costs a constant
+	// number of reads instead of two per record. A payload longer than the
+	// buffer is read straight into its own slice.
+	br := bufio.NewReaderSize(f, int(min(limit-off, readBufferBytes)))
 	var out [][]byte
 	var read int64
 	var hdr [headerSize]byte
 	for off+read < limit && len(out) < maxRecords && read < maxBytes {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return nil, 0, fmt.Errorf("wal: corrupt committed frame in %s at %d: %w", filepath.Base(path), off+read, err)
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:4])
@@ -683,7 +701,7 @@ func readFrames(fsys FS, path string, off, limit int64, maxRecords int, maxBytes
 			return nil, 0, fmt.Errorf("wal: corrupt committed frame in %s at %d: bad length %d", filepath.Base(path), off+read, length)
 		}
 		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
+		if _, err := io.ReadFull(br, payload); err != nil {
 			return nil, 0, fmt.Errorf("wal: corrupt committed frame in %s at %d: %w", filepath.Base(path), off+read, err)
 		}
 		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
