@@ -11,8 +11,9 @@
 //     promotion loses is the one lie the quorum design promises never
 //     to tell;
 //  2. idempotency: all accepted submissions sharing an idempotency key
-//     must resolve to the same reservation ID, and no reservation ID is
-//     accepted twice in the survivor's history;
+//     must resolve to the same reservation ID, in what clients saw and in
+//     the survivor's history (its accepts carry their keys), and no
+//     reservation ID is accepted twice in the survivor's history;
 //  3. fencing: the epoch a node reports never decreases over the ops
 //     recorded against it, in observation order;
 //  4. capacity: the accepted grants in the survivor's history, clipped
@@ -313,6 +314,7 @@ func checkIdempotency(ops []Op, fin Final) []Violation {
 		byKey[op.Key] = op.ID
 	}
 	seen := make(map[int]bool)
+	accepted := make(map[string]int) // key -> first reservation accepted under it
 	for _, ev := range fin.Events {
 		if ev.Kind != trace.EventAccept {
 			continue
@@ -322,6 +324,15 @@ func checkIdempotency(ops []Op, fin Final) []Violation {
 				"reservation %d accepted twice in the survivor's history", ev.Request)})
 		}
 		seen[ev.Request] = true
+		if ev.Key == "" {
+			continue
+		}
+		if prev, dup := accepted[ev.Key]; !dup {
+			accepted[ev.Key] = ev.Request
+		} else if prev != ev.Request {
+			out = append(out, Violation{"idempotency", fmt.Sprintf(
+				"key %q accepted twice in the survivor's history: reservations %d and %d", ev.Key, prev, ev.Request)})
+		}
 	}
 	return out
 }

@@ -96,6 +96,33 @@ func TestIdempotencyViolations(t *testing.T) {
 	has(t, Verify(nil, fin), "idempotency")
 }
 
+// TestKeyAcceptedTwiceInHistory: a survivor that lost a key admits its
+// re-send a second time. The client may have seen only the survivor's
+// answer, so its ops show one ID; the survivor's own events name the key on
+// both accepts, and that is flagged.
+func TestKeyAcceptedTwiceInHistory(t *testing.T) {
+	keyed := func(id int, key string) trace.Event {
+		ev := accept(id, 0, 0, 1, 0, 1)
+		ev.Key = key
+		return ev
+	}
+	ops := []Op{{Node: "b", Kind: OpSubmit, Key: "k", ID: 1, Accepted: true}}
+	fin := Final{
+		Events:     []trace.Event{keyed(0, "k"), keyed(1, "k"), keyed(2, "other")},
+		IngressBps: []float64{10}, EgressBps: []float64{10},
+	}
+	vs := Verify(ops, fin)
+	has(t, vs, "idempotency")
+	if len(vs) != 1 || !strings.Contains(vs[0].Detail, `key "k"`) {
+		t.Fatalf("violations %v, want the one for key k", vs)
+	}
+
+	// One key, one accept: the same history without the duplicate is clean.
+	fin.Events = []trace.Event{keyed(0, "k"), keyed(2, "other")}
+	ops[0].ID = 0
+	hasNone(t, Verify(ops, fin), "idempotency")
+}
+
 func TestFencingMonotonic(t *testing.T) {
 	ops := []Op{
 		{Node: "a", Kind: OpStatus, Epoch: 2},

@@ -245,8 +245,10 @@ func foldHolds(fin Final) Final {
 			events = append(events, ev)
 			continue
 		}
-		switch ev.Kind {
-		case trace.EventHoldReserve:
+		switch {
+		case ev.Kind == trace.EventHoldReserve && ev.Reason != "":
+			// A refused RESERVE: its record books nothing.
+		case ev.Kind == trace.EventHoldReserve:
 			acc := ev
 			acc.Kind = trace.EventAccept
 			acc.Request = idFor(ev)
@@ -256,7 +258,7 @@ func foldHolds(fin Final) Final {
 				acc.Ingress = -1
 			}
 			events = append(events, acc)
-		case trace.EventHoldAbort, trace.EventHoldExpire:
+		case ev.Kind == trace.EventHoldAbort || ev.Kind == trace.EventHoldExpire:
 			events = append(events, trace.Event{
 				At: ev.At, Kind: trace.EventCancel, Request: idFor(ev),
 				Ingress: -1, Egress: -1,

@@ -157,6 +157,11 @@ func TestVerifyShardsHoldCapacityFolded(t *testing.T) {
 	if !strings.Contains(vs[0].Detail, "shard a") {
 		t.Errorf("detail = %q, want the shard a prefix", vs[0].Detail)
 	}
+
+	// A refused RESERVE is recorded with its reason and books nothing.
+	refused := mk("x-k2", 1)
+	refused.Reason = "ingress capacity saturated"
+	violations(t, VerifyShards(nil, twoShards([]trace.Event{mk("x-k1", 0), refused}, nil)))
 }
 
 // TestVerifyShardsEgressHoldsDoNotCollide: egress-side hold events all

@@ -170,6 +170,21 @@ func TestSelfDrivingFailover(t *testing.T) {
 	}
 	acked = append(acked, first.ID)
 
+	// A key the dead primary decided is exactly-once on the promoted standby
+	// too: the shipped accept carried it.
+	before = standby.Status().Active
+	resent, err := c.Submit(ctx, server.SubmitRequest{
+		From: 3 % 2, To: (3 + 1) % 2,
+		VolumeBytes: 2e9, DeadlineS: 3600, MaxRateBps: 50e6,
+		IdempotencyKey: "load-3",
+	})
+	if err != nil || resent.ID != acked[3] {
+		t.Fatalf("re-send of pre-failover key load-3: id %d err %v, want its original id %d", resent.ID, err, acked[3])
+	}
+	if got := standby.Status().Active; got != before {
+		t.Fatalf("active went %d -> %d on a re-send of a pre-failover key, want no admission", before, got)
+	}
+
 	// Compact the new primary's WAL down to its live tail: any follower
 	// starting from scratch now finds its cursor gone (410) and must
 	// re-seed from the snapshot endpoint.

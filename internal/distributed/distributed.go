@@ -427,10 +427,10 @@ func (ru *runner) egressOnReserve(p *ingPending) {
 		}
 		return h, nil
 	}})
-	if res.Log {
+	ack := res.Answer == hold.Granted
+	if ack && res.Log {
 		ru.observe(HoldAcquire, topology.Egress, p.r.Egress, p.r.ID, p.g.Bandwidth, 0)
 	}
-	ack := res.Answer == hold.Granted
 	ru.deliver(inKey(p.r.Ingress), func() { ru.ingressOnAnswer(p, ack) })
 }
 

@@ -128,8 +128,7 @@ type Msg struct {
 	Key  string
 	// Decide, on a Reserve of a key the table does not know, takes the
 	// side's own step and returns the entry it filled: booked, or, when it
-	// refused, with Reason set (a recorded tombstone whose reason is empty
-	// says State Aborted instead). An error files nothing.
+	// refused, with Reason set. An error files nothing.
 	Decide func() (Entry, error)
 	// Reason is what the tombstone answers when an Abort finds no hold.
 	Reason string
@@ -189,8 +188,8 @@ type Result struct {
 	// Arm is the timer the new state waits on when this step entered it
 	// (Entry.Waits), and zero when it entered none or changed nothing.
 	Arm Kind
-	// Log marks a transition worth recording: a hold booked, confirmed,
-	// aborted (a tombstone included), lapsed or released. A refusal, a
+	// Log marks a transition worth recording: a hold booked, refused,
+	// confirmed, aborted (a tombstone included), lapsed or released. A
 	// duplicate copy and a message the state ignores are not.
 	Log bool
 }
@@ -238,8 +237,8 @@ func (t *Table) Step(m Msg) (Result, error) {
 			return Result{}, err
 		}
 		h.Key = m.Key
-		if h.Reason != "" || h.State == Aborted {
-			return Result{Entry: t.refuse(h), Answer: Refused}, nil
+		if h.Reason != "" {
+			return Result{Entry: t.refuse(h), Answer: Refused, Log: true}, nil
 		}
 		h.State, h.Booked = Held, true
 		return Result{Entry: t.file(h), Answer: Granted, Arm: Lapse, Log: true}, nil

@@ -317,14 +317,14 @@ func TestRetentionEvictsResolvedHolds(t *testing.T) {
 
 	// Retired keeps resolution order, not key order, and lists a hold
 	// resolved twice (released, then aborted) once, where it first resolved.
-	// A recorded tombstone without a reason is filed refused all the same.
+	// A recorded refusal is filed refused, reason and all.
 	tb = NewTable(c, 8)
 	c.booked[0]++
 	file(tb, Entry{Key: "a", Side: trace.HoldSideIngress, ID: 1, BW: 10, Sigma: 1, Tau: 2})
 	do(tb, Confirm, "a")
 	do(tb, Abort, "z")
 	do(tb, Release, "a")
-	file(tb, Entry{Key: "m", ID: -1, State: Aborted})
+	file(tb, Entry{Key: "m", ID: -1, Reason: "capacity saturated"})
 	do(tb, Abort, "a")
 	var keys []string
 	for _, e := range tb.Retired() {
@@ -333,7 +333,7 @@ func TestRetentionEvictsResolvedHolds(t *testing.T) {
 	if got := fmt.Sprint(keys); got != "[z a m]" {
 		t.Fatalf("retired order %s, want [z a m]", got)
 	}
-	if e, _ := tb.Get("m"); e.State != Aborted || e.Booked {
+	if e, _ := tb.Get("m"); e.State != Aborted || e.Booked || e.Reason != "capacity saturated" {
 		t.Fatalf("recorded tombstone filed as %+v", e)
 	}
 }

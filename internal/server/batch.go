@@ -247,7 +247,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 				continue
 			}
 			it.ent = &idemEntry{done: make(chan struct{})}
-			s.rememberLocked(key, it.ent)
+			s.remember(key, it.ent)
 		}
 		r.ID = s.nextID
 		s.nextID++
@@ -255,7 +255,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		if checked.Cause != admit.Admitted {
 			// An empty window or a volume MaxRate cannot move in it is a
 			// decision, not an API error, and needs no capacity lookup.
-			d := s.rejectLocked(r, checked.Err.Error())
+			d := s.rejectLocked(r, checked.Err.Error(), sub.IdempotencyKey)
 			s.settleLocked(it, d, nil)
 			results[i].Decision = d
 			sc.decided = append(sc.decided, i)
@@ -317,9 +317,9 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		}
 		var d Decision
 		if it.accepted {
-			d = s.acceptLocked(it.r, it.g)
+			d = s.acceptLocked(it.r, it.g, it.sub.IdempotencyKey)
 		} else {
-			d = s.rejectLocked(it.r, it.reason)
+			d = s.rejectLocked(it.r, it.reason, it.sub.IdempotencyKey)
 		}
 		s.settleLocked(it, d, nil)
 		results[it.idx].Decision = d
@@ -435,7 +435,8 @@ func (s *Server) settleLocked(it *batchItem, d Decision, err error) {
 }
 
 // resolveIdem waits for an idempotency slot to settle and re-derives the
-// live state of an accepted reservation, exactly like a fresh Lookup.
+// state of an accepted reservation, exactly like a fresh Lookup; one the
+// registry no longer retains finished long ago.
 func (s *Server) resolveIdem(e *idemEntry) BatchResult {
 	<-e.done
 	s.mu.Lock()
@@ -447,6 +448,8 @@ func (s *Server) resolveIdem(e *idemEntry) BatchResult {
 	d := e.d
 	if le, live := s.resv[d.ID]; live && d.Accepted {
 		d = s.decisionLocked(le)
+	} else if d.Accepted {
+		d.State = StateExpired
 	}
 	return BatchResult{Decision: d}
 }

@@ -9,8 +9,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gridbw/internal/server"
+	"gridbw/internal/trace"
 	"gridbw/internal/units"
 )
 
@@ -324,9 +326,8 @@ func TestSnapshotCarriesTerminalIdempotency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.IdempotencyDecisions) != 2 {
-		t.Fatalf("snapshot carries %d idempotency decisions, want 2 (incl. terminal)",
-			len(snap.IdempotencyDecisions))
+	if keys := snapKeys(snap); len(keys) != 2 {
+		t.Fatalf("snapshot carries idempotency keys %v, want 2 (incl. terminal)", keys)
 	}
 	s2, err := server.NewFromSnapshot(snap, server.Config{Clock: clk.now})
 	if err != nil {
@@ -356,6 +357,42 @@ func TestSnapshotCarriesTerminalIdempotency(t *testing.T) {
 	}
 }
 
+// TestResendOfEvictedReservationIsNotLive: a key outlives its reservation
+// when later reservations finish and push it out of the finished-retention
+// ring. A re-send still answers the original ID, and a terminal state — on
+// the live daemon as after a restore — not the state the decision had when
+// the key was filed.
+func TestResendOfEvictedReservationIsNotLive(t *testing.T) {
+	clk := &fakeClock{}
+	cfg := uniformConfig(clk)
+	cfg.FinishedRetention = 2
+	s := newTestServer(t, cfg)
+	keyed := server.Submission{From: 0, To: 1, Volume: 1 * units.GB, Deadline: 10, MaxRate: 1 * units.GBps, IdempotencyKey: "k"}
+	first, err := s.Submit(keyed)
+	if err != nil || !first.Accepted {
+		t.Fatalf("submit: %v %+v", err, first)
+	}
+	for i := 0; i < 2; i++ {
+		if d, err := s.Submit(server.Submission{From: 1, To: 0, Volume: 1 * units.GB, Deadline: 20, MaxRate: 1 * units.GBps}); err != nil || !d.Accepted {
+			t.Fatalf("submit: %v %+v", err, d)
+		}
+	}
+	clk.advance(30 * time.Second)
+	if d, err := s.Lookup(first.ID); err == nil {
+		t.Fatalf("reservation %d still retained: %+v", first.ID, d)
+	}
+	restored, err := server.NewFromSnapshot(s.Snapshot(), server.Config{Clock: clk.now, FinishedRetention: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	for name, srv := range map[string]*server.Server{"live": s, "restored": restored} {
+		if d, err := srv.Submit(keyed); err != nil || d.ID != first.ID || d.State != server.StateExpired {
+			t.Errorf("%s: re-send = %v %+v, want %d expired", name, err, d, first.ID)
+		}
+	}
+}
+
 // TestSnapshotManyReservationsSorted: the satellite-3 regression — a
 // snapshot with many live reservations lists them in strict ID order (the
 // seed used an O(n²) insertion sort; correctness is the observable part).
@@ -380,12 +417,12 @@ func TestSnapshotManyReservationsSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Live) != n {
-		t.Fatalf("snapshot holds %d reservations, want %d", len(snap.Live), n)
+	if len(snap.Events) != n {
+		t.Fatalf("snapshot holds %d events, want %d accepts", len(snap.Events), n)
 	}
-	for i := 1; i < len(snap.Live); i++ {
-		if snap.Live[i].ID <= snap.Live[i-1].ID {
-			t.Fatalf("snapshot unsorted at %d: %d after %d", i, snap.Live[i].ID, snap.Live[i-1].ID)
+	for i := 1; i < len(snap.Events); i++ {
+		if ev, prev := snap.Events[i], snap.Events[i-1]; ev.Kind != trace.EventAccept || ev.Request <= prev.Request {
+			t.Fatalf("snapshot unsorted at %d: %s %d after %d", i, ev.Kind, ev.Request, prev.Request)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gridbw/internal/hold"
+	"gridbw/internal/topology"
 )
 
 // HoldRows copies the hold table for the external tests: every hold in key
@@ -19,6 +20,36 @@ func (s *Server) HoldRows() (all, retired []hold.Entry) {
 		retired = append(retired, *e)
 	}
 	return all, retired
+}
+
+// IdemOrder lists the filed idempotency keys in the order the cache evicts
+// them.
+func (s *Server) IdemOrder() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var keys []string
+	seen := make(map[string]bool)
+	for _, key := range s.idemOrder {
+		if _, ok := s.idem[key]; ok && !seen[key] {
+			seen[key] = true
+			keys = append(keys, key)
+		}
+	}
+	return keys
+}
+
+// LedgerFloors reports each point's profile floor, ingress points first:
+// the instant before which the point has forgotten its bookings.
+func (s *Server) LedgerFloors() []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var floors []float64
+	for dir, n := range []int{s.net.NumIngress(), s.net.NumEgress()} {
+		for p := range n {
+			floors = append(floors, float64(s.ledger.Floor(topology.Direction(dir), topology.PointID(p))))
+		}
+	}
+	return floors
 }
 
 // The replication stream's codec, for the external tests.

@@ -35,9 +35,9 @@ package server
 // side's own decision (holdDecideLocked: what it books), and holdStepLocked
 // answers, arms the timer the result names and logs the transitions it marks.
 // The TTL and τ timers deliver their message through the same step. Replay
-// (applyEventLocked) and snapshot install run the same step on decoded
-// records, as does internal/distributed's §7 simulator on its messages. The
-// table gives capacity back to the shard's ledger through
+// (applyEventLocked, which also installs a snapshot's events) runs the same
+// step on decoded records, as does internal/distributed's §7 simulator on its
+// messages. The table gives capacity back to the shard's ledger through
 // alloc.Sharded.HoldRelease. Every transition is WAL-logged (trace.EventHold*),
 // so holds survive failover: a promoted follower re-arms the TTL and release
 // timers its primary had pending.
@@ -204,8 +204,8 @@ func (s *Server) HoldReserve(reqs []HoldReserveJSON) ([]HoldReserveResponseJSON,
 // holdDecideLocked is the side's own step of a RESERVE for a key the table
 // does not know: the ingress proposes and books, the egress checks and books.
 // A key the table already has answers what its first RESERVE decided
-// (idempotent re-delivery); a refusal is remembered so duplicates answer
-// identically, but it holds no capacity and needs no WAL record.
+// (idempotent re-delivery); a refusal holds no capacity but is filed and
+// logged, reason and all, so duplicates answer identically on every replay.
 func (s *Server) holdDecideLocked(req HoldReserveJSON) (hold.Entry, error) {
 	if req.Hold == "" {
 		return hold.Entry{}, fmt.Errorf("server: reserve without hold key")
@@ -447,12 +447,18 @@ func (s *Server) HoldStats() (held, confirmed int) {
 	return s.holds.Booked()
 }
 
-// logHoldLocked audits one hold transition. The local point index rides
-// in Ingress or Egress according to the side; the peer side's index (on
-// its own shard) fills the other slot so the log alone names the pair.
+// logHoldLocked audits one hold transition.
 func (s *Server) logHoldLocked(kind string, e *hold.Entry) {
+	s.appendEventLocked(holdEvent(s.sim.Now(), kind, e))
+}
+
+// holdEvent is the one encoder of a hold record, for the live log and the
+// snapshot alike. The local point index rides in Ingress or Egress according
+// to the side; the peer side's index (on its own shard) fills the other slot
+// so the log alone names the pair.
+func holdEvent(at units.Time, kind string, e *hold.Entry) trace.Event {
 	ev := trace.Event{
-		At: float64(s.sim.Now()), Kind: kind, Request: int(e.ID),
+		At: float64(at), Kind: kind, Request: int(e.ID),
 		Ingress: -1, Egress: -1,
 		RateBps: float64(e.BW), SigmaS: float64(e.Sigma), TauS: float64(e.Tau),
 		VolumeB: float64(e.Volume), MaxRateBps: float64(e.MaxRate),
@@ -466,11 +472,11 @@ func (s *Server) logHoldLocked(kind string, e *hold.Entry) {
 	if kind == trace.EventHoldReserve {
 		ev.ExpireS = float64(e.ExpireAt)
 	}
-	s.appendEventLocked(ev)
+	return ev
 }
 
-// holdFromEvent decodes the hold a WAL event records — logHoldLocked read
-// backwards.
+// holdFromEvent decodes the hold a RESERVE record files — holdEvent read
+// backwards; a refusal carries its reason.
 func holdFromEvent(ev trace.Event) hold.Entry {
 	h := hold.Entry{
 		Key: ev.Hold, Side: ev.Side, Point: topology.PointID(ev.Ingress), Peer: ev.Egress,
@@ -478,7 +484,7 @@ func holdFromEvent(ev trace.Event) hold.Entry {
 		BW:    units.Bandwidth(ev.RateBps),
 		Sigma: units.Time(ev.SigmaS), Tau: units.Time(ev.TauS),
 		Volume: units.Volume(ev.VolumeB), MaxRate: units.Bandwidth(ev.MaxRateBps),
-		ExpireAt: units.Time(ev.ExpireS),
+		ExpireAt: units.Time(ev.ExpireS), Reason: ev.Reason,
 	}
 	if ev.Side == trace.HoldSideEgress {
 		h.Point, h.Peer = topology.PointID(ev.Egress), ev.Ingress

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"gridbw/internal/faults"
-	"gridbw/internal/hold"
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
@@ -291,8 +290,10 @@ func TestHoldTombstonesKeepRetirementOrder(t *testing.T) {
 	abort1(s, "0")
 	order := func(snap *server.Snapshot) []string {
 		var keys []string
-		for _, h := range snap.AbortedHolds {
-			keys = append(keys, h.Key)
+		for _, ev := range snap.Events {
+			if ev.Hold != "h1" {
+				keys = append(keys, ev.Hold)
+			}
 		}
 		return keys
 	}
@@ -421,8 +422,10 @@ func TestHoldReserveListOrder(t *testing.T) {
 	if held, confirmed := s.HoldStats(); held != 1 || confirmed != 0 {
 		t.Fatalf("holds = %d held / %d confirmed, want 1/0", held, confirmed)
 	}
-	if got := holdEvents(t, &buf); len(got) != 1 || got[0] != trace.EventHoldReserve+":h1" {
-		t.Errorf("logged %v, want the one hold_reserve of h1", got)
+	// The refusal of h2 is recorded too (its tombstone must survive replay);
+	// the repeated h1 and the malformed item are not.
+	if got := holdEvents(t, &buf); !slices.Equal(got, []string{trace.EventHoldReserve + ":h1", trace.EventHoldReserve + ":h2"}) {
+		t.Errorf("logged %v, want the hold_reserve of h1 and of h2", got)
 	}
 }
 
@@ -591,12 +594,11 @@ func TestHoldReserveListPoisonedMidway(t *testing.T) {
 }
 
 // TestHoldLiveEqualsReplay: on each start path of internal/hold's truth
-// table, a daemon driven through its hold calls and its clock, and a second
-// daemon rebuilt from nothing but the first one's WAL, hold the same table:
-// every hold, the retirement queue, and what books. A path whose refusal
-// writes no WAL record (ROADMAP 2(ii)) is a known exemption, checked rather
-// than skipped: the replay lacks exactly that tombstone, and the day it does
-// not, this test says the exemption is stale.
+// table, a daemon driven through its hold calls and its clock, a second
+// daemon rebuilt from nothing but the first one's WAL, and a third restored
+// from the first one's snapshot hold the same table: every hold, the
+// retirement queue, and what books. A refused RESERVE writes its record and a
+// released hold rides the snapshot, so no path is exempt.
 func TestHoldLiveEqualsReplay(t *testing.T) {
 	reserve := func(t *testing.T, s *server.Server, key string, held bool) {
 		t.Helper()
@@ -614,33 +616,31 @@ func TestHoldLiveEqualsReplay(t *testing.T) {
 	paths := []struct {
 		name  string
 		drive func(t *testing.T, s *server.Server, clk *fakeClock)
-		// unlogged is the tombstone a refusal files without a WAL record.
-		unlogged string
 	}{
-		{"unknown", func(*testing.T, *server.Server, *fakeClock) {}, ""},
-		{"held", func(t *testing.T, s *server.Server, _ *fakeClock) { reserve(t, s, "k", true) }, ""},
+		{"unknown", func(*testing.T, *server.Server, *fakeClock) {}},
+		{"held", func(t *testing.T, s *server.Server, _ *fakeClock) { reserve(t, s, "k", true) }},
 		{"refused", func(t *testing.T, s *server.Server, _ *fakeClock) {
 			reserve(t, s, "blocker", true)
 			reserve(t, s, "k", false)
-		}, "k"},
+		}},
 		{"confirmed", func(t *testing.T, s *server.Server, _ *fakeClock) {
 			reserve(t, s, "k", true)
 			call(t, confirm, s, "k")
-		}, ""},
+		}},
 		{"released", func(t *testing.T, s *server.Server, clk *fakeClock) {
 			reserve(t, s, "k", true)
 			call(t, confirm, s, "k")
 			clk.advance(11 * time.Second) // past τ = 10
-		}, ""},
+		}},
 		{"rolled back", func(t *testing.T, s *server.Server, _ *fakeClock) {
 			reserve(t, s, "k", true)
 			call(t, abort1, s, "k")
-		}, ""},
+		}},
 		{"expired", func(t *testing.T, s *server.Server, clk *fakeClock) {
 			reserve(t, s, "k", true)
 			clk.advance(6 * time.Second) // past the TTL of 5
-		}, ""},
-		{"tombstone", func(t *testing.T, s *server.Server, _ *fakeClock) { call(t, abort1, s, "k") }, ""},
+		}},
+		{"tombstone", func(t *testing.T, s *server.Server, _ *fakeClock) { call(t, abort1, s, "k") }},
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
@@ -658,28 +658,25 @@ func TestHoldLiveEqualsReplay(t *testing.T) {
 			if n, err := replayed.ApplyEvents(events); err != nil || n != len(events) {
 				t.Fatalf("applied %d of %d events: %v", n, len(events), err)
 			}
+			restored, err := server.NewFromSnapshot(live.Snapshot(), server.Config{Clock: clk.now})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restored.Close()
 
 			liveHeld, liveConfirmed := live.HoldStats()
-			held, confirmed := replayed.HoldStats()
-			if held != liveHeld || confirmed != liveConfirmed {
-				t.Fatalf("replay books %d held / %d confirmed, live %d / %d", held, confirmed, liveHeld, liveConfirmed)
-			}
 			liveAll, liveRetired := live.HoldRows()
-			all, retired := replayed.HoldRows()
-			if p.unlogged != "" {
-				unlogged := func(e hold.Entry) bool { return e.Key == p.unlogged }
-				if !slices.ContainsFunc(liveRetired, unlogged) || slices.ContainsFunc(retired, unlogged) {
-					t.Fatalf("exemption stale: live retired %v, replay retired %v; %q is no longer a tombstone only the live table has",
-						liveRetired, retired, p.unlogged)
+			for name, s := range map[string]*server.Server{"replay": replayed, "snapshot": restored} {
+				if held, confirmed := s.HoldStats(); held != liveHeld || confirmed != liveConfirmed {
+					t.Errorf("%s books %d held / %d confirmed, live %d / %d", name, held, confirmed, liveHeld, liveConfirmed)
 				}
-				liveAll = slices.DeleteFunc(liveAll, unlogged)
-				liveRetired = slices.DeleteFunc(liveRetired, unlogged)
-			}
-			if !slices.Equal(all, liveAll) {
-				t.Fatalf("replayed holds\n  %+v\nlive\n  %+v", all, liveAll)
-			}
-			if !slices.Equal(retired, liveRetired) {
-				t.Fatalf("replayed retirement queue\n  %+v\nlive\n  %+v", retired, liveRetired)
+				all, retired := s.HoldRows()
+				if !slices.Equal(all, liveAll) {
+					t.Errorf("%s holds\n  %+v\nlive\n  %+v", name, all, liveAll)
+				}
+				if !slices.Equal(retired, liveRetired) {
+					t.Errorf("%s retirement queue\n  %+v\nlive\n  %+v", name, retired, liveRetired)
+				}
 			}
 		})
 	}

@@ -1,10 +1,14 @@
 package server_test
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"gridbw/internal/hold"
+	"gridbw/internal/request"
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
@@ -21,7 +25,9 @@ import (
 // The history covers every event kind recovery replays: flexible and
 // book-ahead accepts, a reject, a cancel, an expiry, an idempotent re-send,
 // and holds left held, confirmed (across the mid snapshot), aborted and
-// aborted before they were ever reserved.
+// aborted before they were ever reserved. A keyed submission and a cancel
+// on each side of the mid snapshot check that every route carries the
+// idempotency keys and the finished reservations, not only the live ones.
 //
 // The policy is an input: under minbw a grant's τ is the submission's
 // deadline, which is what used to hide a replayed reservation recording a
@@ -32,17 +38,35 @@ func TestRecoveryRoutesAgree(t *testing.T) {
 	}
 }
 
-func recoveryRoutesAgree(t *testing.T, policy string) {
-	clk := &fakeClock{}
-	config := func() server.Config {
-		cfg := uniformConfig(clk)
-		cfg.Policy = policy
-		return cfg
+// recoveryHistory is the history TestRecoveryRoutesAgree recovers: the donor
+// that recorded it with its WAL, the snapshots taken halfway and at the end,
+// and the decisions every route must answer for.
+type recoveryHistory struct {
+	donor                  *server.Server
+	wal                    *wal.Log
+	mid, final             *server.Snapshot
+	keyed, lateKeyed       server.Submission
+	first, late, cancelled server.Decision
+}
+
+// recoveryHold is the hold request of the history. Rates are sized so that
+// everything recorded fits whichever rate the policy picks between MinRate
+// and MaxRate.
+func recoveryHold(key string) server.HoldReserveJSON {
+	return server.HoldReserveJSON{
+		Hold: key, Side: trace.HoldSideIngress, Point: 0, PeerPoint: 1,
+		TTLS: 5, RelTimes: true, VolumeBytes: 1e11, MaxRateBps: 1e8, DeadlineS: 2000,
 	}
-	dcfg := config()
-	dwal := openTestWAL(t)
-	dcfg.WAL = dwal
-	donor := newTestServer(t, dcfg)
+}
+
+// recordRecoveryHistory drives a donor configured by cfg (plus a WAL of its
+// own) on clk through the history.
+func recordRecoveryHistory(t testing.TB, clk *fakeClock, cfg server.Config) recoveryHistory {
+	t.Helper()
+	h := recoveryHistory{wal: openTestWAL(t)}
+	cfg.WAL = h.wal
+	donor := newTestServer(t, cfg)
+	h.donor = donor
 
 	submit := func(sub server.Submission, wantAccept bool) server.Decision {
 		t.Helper()
@@ -52,43 +76,43 @@ func recoveryRoutesAgree(t *testing.T, policy string) {
 		}
 		return d
 	}
-	// Rates are sized so that everything below fits whichever rate the
-	// policy picks between MinRate and MaxRate.
-	holdRequest := func(key string) server.HoldReserveJSON {
-		return server.HoldReserveJSON{
-			Hold: key, Side: trace.HoldSideIngress, Point: 0, PeerPoint: 1,
-			TTLS: 5, RelTimes: true, VolumeBytes: 1e11, MaxRateBps: 1e8, DeadlineS: 2000,
-		}
-	}
 	reserve := func(key string) {
 		t.Helper()
-		r, err := reserve1(donor, holdRequest(key))
+		r, err := reserve1(donor, recoveryHold(key))
 		if err != nil || !r.Held {
 			t.Fatalf("reserve %s: %v %+v", key, err, r)
 		}
 	}
 
-	keyed := server.Submission{
+	h.keyed = server.Submission{
 		From: 0, To: 1, Volume: 100 * units.GB, Deadline: 400, MaxRate: 500 * units.MBps,
 		IdempotencyKey: "carried-key",
 	}
-	first := submit(keyed, true)
+	h.first = submit(h.keyed, true)
 	submit(server.Submission{From: 1, To: 0, Volume: 100 * units.GB, NotBefore: 1000, Deadline: 1100, MaxRate: 1 * units.GBps}, true)
 	submit(server.Submission{From: 0, To: 1, Volume: 1 * units.TB, Deadline: 10, MaxRate: 1 * units.GBps}, false)
-	cancelled := submit(server.Submission{From: 1, To: 1, Volume: 1 * units.GB, Deadline: 500, MaxRate: 100 * units.MBps}, true)
-	if _, err := donor.Cancel(cancelled.ID); err != nil {
+	h.cancelled = submit(server.Submission{From: 1, To: 1, Volume: 1 * units.GB, Deadline: 500, MaxRate: 100 * units.MBps}, true)
+	if _, err := donor.Cancel(h.cancelled.ID); err != nil {
 		t.Fatal(err)
 	}
 	submit(server.Submission{From: 1, To: 1, Volume: 1 * units.GB, Deadline: 10, MaxRate: 200 * units.MBps}, true) // expires by 10
 	reserve("h-confirmed")
-	mid := donor.Snapshot()
+	h.mid = donor.Snapshot()
 
 	if st, err := confirm1(donor, "h-confirmed", 0); err != nil || st.State != "confirmed" {
 		t.Fatalf("confirm: %v %+v", err, st)
 	}
+	h.lateKeyed = server.Submission{
+		From: 1, To: 1, Volume: 10 * units.GB, Deadline: 600, MaxRate: 100 * units.MBps,
+		IdempotencyKey: "late-key",
+	}
+	h.late = submit(h.lateKeyed, true)
+	if _, err := donor.Cancel(h.late.ID); err != nil {
+		t.Fatal(err)
+	}
 	clk.advance(20 * time.Second)
-	if again := submit(keyed, true); again.ID != first.ID {
-		t.Fatalf("donor re-send booked %d, want the original %d", again.ID, first.ID)
+	if again := submit(h.keyed, true); again.ID != h.first.ID {
+		t.Fatalf("donor re-send booked %d, want the original %d", again.ID, h.first.ID)
 	}
 	reserve("h-held")
 	reserve("h-aborted")
@@ -98,9 +122,21 @@ func recoveryRoutesAgree(t *testing.T, policy string) {
 	if st, err := abort1(donor, "h-never-reserved"); err != nil || st.Released || st.State != "aborted" {
 		t.Fatalf("abort before reserve: %v %+v", err, st)
 	}
-	final := donor.Snapshot()
-	if sd := final.IdempotencyDecisions["carried-key"]; sd.ID != int(first.ID) || !sd.Accepted {
-		t.Fatalf("snapshot idempotency decision = %+v, want accepted id %d", sd, first.ID)
+	h.final = donor.Snapshot()
+	return h
+}
+
+func recoveryRoutesAgree(t *testing.T, policy string) {
+	clk := &fakeClock{}
+	config := func() server.Config {
+		cfg := uniformConfig(clk)
+		cfg.Policy = policy
+		return cfg
+	}
+	h := recordRecoveryHistory(t, clk, config())
+	donor, dwal, mid, final := h.donor, h.wal, h.mid, h.final
+	if keys := snapKeys(final); keys["carried-key"] != int(h.first.ID) || keys["late-key"] != int(h.late.ID) {
+		t.Fatalf("snapshot accepts carry keys %v, want carried-key on %d and late-key on %d", keys, h.first.ID, h.late.ID)
 	}
 
 	all, end, err := server.ReadWALEvents(dwal, wal.Pos{})
@@ -162,26 +198,19 @@ func recoveryRoutesAgree(t *testing.T, policy string) {
 	routes := []struct {
 		name string
 		s    *server.Server
-		keys bool // the route carries idempotency keys (snapshots do, WAL events do not)
 	}{
-		{"snapshot", fromSnapshot, true},
-		{"full WAL", fromWAL, false},
-		{"mid snapshot + WAL suffix", fromMid, true},
-		{"reseed + shipped suffix", reseeded, true},
+		{"snapshot", fromSnapshot},
+		{"full WAL", fromWAL},
+		{"mid snapshot + WAL suffix", fromMid},
+		{"reseed + shipped suffix", reseeded},
 	}
 	agree := func(when string) {
 		t.Helper()
 		want, wantPoints := donor.Snapshot(), donor.Status().Points
 		for _, r := range routes {
 			got := r.s.Snapshot()
-			if !reflect.DeepEqual(got.Live, want.Live) {
-				t.Errorf("%s, %s: live set\n got %+v\nwant %+v", when, r.name, got.Live, want.Live)
-			}
-			if !reflect.DeepEqual(got.Holds, want.Holds) {
-				t.Errorf("%s, %s: holds\n got %+v\nwant %+v", when, r.name, got.Holds, want.Holds)
-			}
-			if !reflect.DeepEqual(got.AbortedHolds, want.AbortedHolds) {
-				t.Errorf("%s, %s: hold tombstones\n got %+v\nwant %+v", when, r.name, got.AbortedHolds, want.AbortedHolds)
+			if !reflect.DeepEqual(got.Events, want.Events) {
+				t.Errorf("%s, %s: state\n got %+v\nwant %+v", when, r.name, got.Events, want.Events)
 			}
 			if got.NextID != want.NextID {
 				t.Errorf("%s, %s: next id %d, want %d", when, r.name, got.NextID, want.NextID)
@@ -196,42 +225,72 @@ func recoveryRoutesAgree(t *testing.T, policy string) {
 	}
 
 	agree("at the end of the history")
-	if len(final.Live) != 2 || len(final.Holds) != 2 || len(final.AbortedHolds) != 2 {
-		t.Fatalf("history left %d live reservations, %d holds and %d tombstones, want 2, 2 and 2",
-			len(final.Live), len(final.Holds), len(final.AbortedHolds))
+	held, confirmed := donor.HoldStats()
+	if live := len(donor.LiveReservations()); live != 2 || held != 1 || confirmed != 1 {
+		t.Fatalf("history left %d live reservations and %d/%d held/confirmed holds, want 2 and 1/1", live, held, confirmed)
+	}
+	_, retired := donor.HoldRows()
+	tombstones := 0
+	for _, e := range retired {
+		if e.State == hold.Aborted {
+			tombstones++
+		}
+	}
+	if tombstones != 2 {
+		t.Fatalf("history left %d hold tombstones, want 2 (h-aborted, h-never-reserved)", tombstones)
+	}
+	// Every route files the keys in the donor's order, so a full cache
+	// evicts the same key next on each.
+	wantOrder := []string{h.keyed.IdempotencyKey, h.lateKeyed.IdempotencyKey}
+	if got := donor.IdemOrder(); !reflect.DeepEqual(got, wantOrder) {
+		t.Fatalf("donor files keys %v, want %v", got, wantOrder)
+	}
+	for _, r := range routes {
+		if got := r.s.IdemOrder(); !reflect.DeepEqual(got, wantOrder) {
+			t.Errorf("%s: keys filed in order %v, want the donor's %v", r.name, got, wantOrder)
+		}
 	}
 
-	// The re-sent key answers the original reservation on every route that
-	// carries keys, without booking again.
+	// Every route answers both re-sent keys with the original reservation,
+	// without booking again, counting one idempotent hit each, and still
+	// knows both cancelled reservations.
 	if _, err := reseeded.Promote(); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range routes {
-		if !r.keys {
-			continue
+		for _, resend := range []struct {
+			sub  server.Submission
+			want request.ID
+		}{{h.keyed, h.first.ID}, {h.lateKeyed, h.late.ID}} {
+			before := r.s.Status().Stats
+			again, err := r.s.Submit(resend.sub)
+			if err != nil || again.ID != resend.want {
+				t.Errorf("%s: re-sent %s answered id %d (%v), want the original %d",
+					r.name, resend.sub.IdempotencyKey, again.ID, err, resend.want)
+			}
+			if after := r.s.Status().Stats; after.Accepted != before.Accepted || after.IdempotentHits != before.IdempotentHits+1 {
+				t.Errorf("%s: re-sent %s moved accepted %d -> %d and idempotent hits %d -> %d, want accepted unmoved and one hit",
+					r.name, resend.sub.IdempotencyKey, before.Accepted, after.Accepted, before.IdempotentHits, after.IdempotentHits)
+			}
 		}
-		accepted := r.s.Status().Stats.Accepted
-		again, err := r.s.Submit(keyed)
-		if err != nil || again.ID != first.ID {
-			t.Errorf("%s: re-sent key answered id %d (%v), want the original %d", r.name, again.ID, err, first.ID)
-		}
-		if st := r.s.Status(); st.Stats.Accepted != accepted || st.Stats.IdempotentHits == 0 {
-			t.Errorf("%s: re-send moved accepted %d -> %d with %d idempotent hits",
-				r.name, accepted, st.Stats.Accepted, st.Stats.IdempotentHits)
+		for _, id := range []request.ID{h.cancelled.ID, h.late.ID} {
+			if d, err := r.s.Lookup(id); err != nil || d.State != server.StateCancelled {
+				t.Errorf("%s: lookup of cancelled %d = %+v (%v), want cancelled", r.name, id, d, err)
+			}
 		}
 	}
 
 	// A RESERVE arriving late for the pair that was aborted first gets the
 	// donor's refusal, reason included, and books nothing — field for field,
 	// but for the epoch, which is each lineage's own. Every route carries
-	// the tombstone: the events that recorded it, or the snapshot taken
-	// after it (aborted_holds).
-	want, err := reserve1(donor, holdRequest("h-never-reserved"))
+	// the tombstone: the events that recorded it, in the WAL or in the
+	// snapshot taken after it.
+	want, err := reserve1(donor, recoveryHold("h-never-reserved"))
 	if err != nil || want.Held || want.Reason != "aborted before reserve" {
 		t.Fatalf("donor's late reserve: %v %+v", err, want)
 	}
 	for _, r := range routes {
-		got, err := reserve1(r.s, holdRequest("h-never-reserved"))
+		got, err := reserve1(r.s, recoveryHold("h-never-reserved"))
 		want.Epoch = r.s.Epoch()
 		if err != nil || got != want {
 			t.Errorf("%s: late reserve of the aborted pair\n got %+v (%v)\nwant %+v", r.name, got, err, want)
@@ -254,4 +313,143 @@ func recoveryRoutesAgree(t *testing.T, policy string) {
 			t.Errorf("%s: %d held / %d confirmed holds outlived their timers", r.name, held, confirmed)
 		}
 	}
+}
+
+// tamperedSnapshots derives from snap, a snapshot with a cancel and a live
+// booking that starts after now_s, three copies that each give capacity back
+// ahead of the clock or route an accept through no point, with the names of
+// the tampering. Installed, the first two would move a point's floor past
+// now_s and refuse every admission there until the clock caught up.
+func tamperedSnapshots(t testing.TB, snap *server.Snapshot) map[string]*server.Snapshot {
+	t.Helper()
+	edit := func(change func(events []trace.Event) []trace.Event) *server.Snapshot {
+		c := *snap
+		c.Events = change(append([]trace.Event(nil), snap.Events...))
+		return &c
+	}
+	find := func(events []trace.Event, match func(trace.Event) bool) int {
+		for i, ev := range events {
+			if match(ev) {
+				return i
+			}
+		}
+		t.Fatalf("snapshot has no event to tamper with")
+		return -1
+	}
+	isBookedAhead := func(ev trace.Event) bool {
+		return ev.Kind == trace.EventAccept && ev.Ingress >= 0 && ev.SigmaS > snap.NowS
+	}
+	return map[string]*server.Snapshot{
+		"cancel stamped after now_s": edit(func(events []trace.Event) []trace.Event {
+			i := find(events, func(ev trace.Event) bool { return ev.Kind == trace.EventCancel })
+			events[i].At = snap.NowS + 1000
+			return events
+		}),
+		"expiry of a booking still ahead": edit(func(events []trace.Event) []trace.Event {
+			i := find(events, isBookedAhead)
+			expire := events[i]
+			expire.Kind = trace.EventExpire
+			return slices.Insert(events, i+1, expire)
+		}),
+		"booking routed through no point": edit(func(events []trace.Event) []trace.Event {
+			i := find(events, isBookedAhead)
+			events[i].Ingress, events[i].Egress = -1, -1
+			events[i].Key = ""
+			return events
+		}),
+	}
+}
+
+// TestRestoreRefusesCapacityGivenBackAhead: the installer refuses a snapshot
+// that would make a point forget bookings ahead of the clock — an event not
+// stamped now_s, or an expiry at a τ still to come — and one that drops a
+// booking by stripping its route. A WAL or shipped accept without a route is
+// refused on every route: only a snapshot files a key that way.
+func TestRestoreRefusesCapacityGivenBackAhead(t *testing.T) {
+	clk := &fakeClock{}
+	h := recordRecoveryHistory(t, clk, uniformConfig(clk))
+	if _, err := server.NewFromSnapshot(h.final, server.Config{Clock: clk.now}); err != nil {
+		t.Fatalf("untampered snapshot: %v", err)
+	}
+	for name, snap := range tamperedSnapshots(t, h.final) {
+		if s, err := server.NewFromSnapshot(snap, server.Config{Clock: clk.now}); err == nil {
+			s.Close()
+			t.Errorf("%s: installed", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+	unrouted := trace.Event{Kind: trace.EventAccept, Request: 0, Ingress: -1, Egress: -1,
+		RateBps: 1e8, SigmaS: 0, TauS: 10, VolumeB: 1e9, MaxRateBps: 1e8, Key: "k"}
+	fresh := newTestServer(t, uniformConfig(clk))
+	if n, err := fresh.ApplyEvents([]trace.Event{unrouted}); err == nil || n != 0 {
+		t.Errorf("replay applied %d unrouted accepts (%v), want it refused", n, err)
+	}
+}
+
+// FuzzSnapshotInstall: a re-seed installs a snapshot downloaded from a peer,
+// so the installer reads outside input. Over arbitrary bytes ReadSnapshot
+// and NewFromSnapshot never panic, and a snapshot they accept installs a
+// state that passes the invariant audit, with every event of the input and
+// of the installed state's own snapshot below next_id and no point's floor
+// past now_s. The seeds are the snapshots of TestRecoveryRoutesAgree's
+// history and the tampered copies TestRestoreRefusesCapacityGivenBackAhead
+// refuses.
+func FuzzSnapshotInstall(f *testing.F) {
+	for _, policy := range []string{"minbw", "f=1"} {
+		clk := &fakeClock{}
+		cfg := uniformConfig(clk)
+		cfg.Policy = policy
+		h := recordRecoveryHistory(f, clk, cfg)
+		seeds := []*server.Snapshot{h.mid, h.final}
+		for _, snap := range tamperedSnapshots(f, h.final) {
+			seeds = append(seeds, snap)
+		}
+		for _, snap := range seeds {
+			var buf bytes.Buffer
+			if err := snap.Write(&buf); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	clk := &fakeClock{}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := server.ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		s, err := server.NewFromSnapshot(snap, server.Config{Clock: clk.now})
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		if err := s.VerifyInvariant(); err != nil {
+			t.Fatalf("installed state fails the audit: %v", err)
+		}
+		for i, floor := range s.LedgerFloors() {
+			if floor > snap.NowS {
+				t.Fatalf("point %d forgot its bookings up to %g, past now_s %g", i, floor, snap.NowS)
+			}
+		}
+		for _, sn := range []*server.Snapshot{snap, s.Snapshot()} {
+			for _, ev := range sn.Events {
+				if ev.Request >= sn.NextID {
+					t.Fatalf("installed %s of request %d, not below next_id %d", ev.Kind, ev.Request, sn.NextID)
+				}
+			}
+		}
+	})
+}
+
+// snapKeys maps each idempotency key a snapshot's events carry to the
+// request ID of the decision that carries it.
+func snapKeys(snap *server.Snapshot) map[string]int {
+	keys := make(map[string]int)
+	for _, ev := range snap.Events {
+		if ev.Key != "" {
+			keys[ev.Key] = ev.Request
+		}
+	}
+	return keys
 }

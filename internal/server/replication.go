@@ -298,11 +298,12 @@ func (s *Server) ApplyEvents(events []trace.Event) (int, error) {
 	return applied, nil
 }
 
-// applyEventLocked replays one shipped (or recovered) event: decode the
-// record, then the same booking-and-transition the live path ends in
-// (state.go), then the timer the new state waits on — unless following: the
-// primary's shipped events retire what a follower holds, and Promote arms
-// the timers when it takes over. Duplicates — re-deliveries of
+// applyEventLocked replays one shipped, recovered or snapshotted event — the
+// only code that turns a record into state: decode the record, then the same
+// booking-and-transition the live path ends in (state.go), filing the
+// idempotency key a decision carried, then the timer the new state waits on —
+// unless following: the primary's shipped events retire what a follower
+// holds, and Promote arms the timers when it takes over. Duplicates — re-deliveries of
 // already-applied history — are skipped before they can double-book capacity
 // or re-enter the local WAL, so replay converges from any cursor. frame is
 // the payload a shipped event arrived as, appended to the local WAL as
@@ -317,15 +318,30 @@ func (s *Server) applyEventLocked(ev trace.Event, frame []byte) error {
 			}
 			return fmt.Errorf("server: apply: reservation %d already exists with a different grant", r.ID)
 		}
-		e, err := s.restore(r, g)
-		if err != nil {
-			return fmt.Errorf("server: apply: %w", err)
+		// A snapshot files each key as the decision it answers with; for an
+		// accept that is an accept without a route, which books nothing.
+		// Anywhere else restore refuses an unrouted accept.
+		if s.installing && ev.Ingress < 0 {
+			if ev.Key == "" {
+				return fmt.Errorf("server: apply: reservation %d has neither a route nor a key", r.ID)
+			}
+			if err := r.Validate(); err != nil {
+				return fmt.Errorf("server: apply: %w", err)
+			}
+		} else {
+			e, err := s.restore(r, g)
+			if err != nil {
+				return fmt.Errorf("server: apply: %w", err)
+			}
+			if !s.repl.following {
+				s.armExpiryLocked(e)
+			}
 		}
-		if !s.repl.following {
-			s.armExpiryLocked(e)
-		}
+		// The state a re-send answers is derived when it comes (resolveIdem).
+		s.fileKey(ev.Key, Decision{ID: r.ID, Accepted: true, Rate: g.Bandwidth, Sigma: g.Sigma, Tau: g.Tau})
 	case trace.EventReject:
 		s.stats.RecordReject()
+		s.fileKey(ev.Key, Decision{ID: request.ID(ev.Request), State: StateRejected, Reason: ev.Reason})
 	case trace.EventCancel, trace.EventExpire:
 		e, ok := s.resv[request.ID(ev.Request)]
 		if !ok || e.state != StateActive {

@@ -19,7 +19,7 @@ import (
 	"gridbw/internal/wal"
 )
 
-func openTestWAL(t *testing.T) *wal.Log {
+func openTestWAL(t testing.TB) *wal.Log {
 	t.Helper()
 	l, _, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {

@@ -54,11 +54,11 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 // Reseed replaces a follower's entire control-plane state with snap —
 // the recovery from a compacted-away pull cursor. It is the snapshot
 // installer NewFromSnapshot uses, with persistence between its two halves:
-// the snapshot's reservations and holds are replayed through a fresh
-// sharded ledger (re-checking equation (1)) and its idempotency decisions
-// validated, then the pull cursor jumps to the WAL position the snapshot
-// covers and the fencing epoch is adopted — a snapshot from an epoch older
-// than the follower's own is refused with FencedError, so a deposed primary
+// the snapshot's events are replayed through a fresh sharded ledger
+// (re-checking equation (1)), then the pull cursor jumps to the WAL
+// position the snapshot covers and the fencing epoch is adopted — a
+// snapshot from an epoch older than the follower's own is refused with
+// FencedError, so a deposed primary
 // cannot re-seed a follower of the new lineage backwards.
 //
 // Persistence happens before the in-memory swap: the snapshot (rewritten
@@ -79,9 +79,9 @@ func (s *Server) Reseed(snap *Snapshot) error {
 		return err
 	}
 
-	// Phase 1 — build and validate everything fallibly, touching no
+	// Phase 1 — replay and validate everything fallibly, touching no
 	// shared state.
-	st, idem, err := s.buildSnapState(snap)
+	st, err := s.replaySnapshot(snap)
 	if err != nil {
 		return fmt.Errorf("server: reseed: %w", err)
 	}
@@ -118,7 +118,7 @@ func (s *Server) Reseed(snap *Snapshot) error {
 	// displaced here leaves none behind. The re-seed count is this
 	// follower's own history, not the donor's.
 	reseeds := s.stats.Reseeds
-	s.adoptLocked(snap, st, idem)
+	s.adoptLocked(snap, st)
 	s.stats.Reseeds = reseeds
 	s.stats.RecordReseed()
 	if snap.Epoch > s.repl.epoch {
@@ -130,7 +130,7 @@ func (s *Server) Reseed(snap *Snapshot) error {
 	s.appendEventLocked(trace.Event{
 		At: snap.NowS, Kind: trace.EventRestore, Request: -1,
 		Reason: fmt.Sprintf("reseed: epoch %d, %d live reservations, cursor %v",
-			s.repl.epoch, len(st.resv), s.repl.cursor),
+			s.repl.epoch, len(s.liveIDs()), s.repl.cursor),
 	})
 	return nil
 }

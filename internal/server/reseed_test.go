@@ -301,8 +301,8 @@ func TestReseedCarriesHolds(t *testing.T) {
 	if held, confirmed := f.HoldStats(); held != 1 || confirmed != 1 {
 		t.Fatalf("follower holds after reseed = %d held / %d confirmed, want the donor's 1/1", held, confirmed)
 	}
-	if got := f.Snapshot().Holds; !reflect.DeepEqual(got, snap.Holds) {
-		t.Fatalf("follower holds after reseed\n got %+v\nwant %+v", got, snap.Holds)
+	if got := f.Snapshot().Events; !reflect.DeepEqual(got, snap.Events) {
+		t.Fatalf("follower state after reseed\n got %+v\nwant %+v", got, snap.Events)
 	}
 
 	if _, err := f.Promote(); err != nil {

@@ -274,20 +274,22 @@ type Server struct {
 	replID      string
 	peers       []string // the other group members' base URLs, immutable
 
-	// mu is the small global section: the service clock and expiry queue,
-	// the reservation state (state.go: registry, holds, ID allocation,
-	// counters) and the idempotency cache. Admission steps never run under
-	// it; the state's ledger has its own per-point locks and is the one part
-	// the admission step touches without mu (see the package comment for the
+	// mu is the small global section: the service clock and expiry queue
+	// and the reservation state (state.go: registry, holds, idempotency
+	// cache, ID allocation, counters). Admission steps never run under it;
+	// the state's ledger has its own per-point locks and is the one part the
+	// admission step touches without mu (see the package comment for the
 	// lock order).
 	mu sync.Mutex
 	state
-	sim       *des.Simulator
-	epoch     time.Time // wall instant of service time 0
-	idem      map[string]*idemEntry
-	idemOrder []string  // FIFO eviction queue of idempotency keys
-	repl      replState // replication role, fencing epoch, pull cursor
-	closed    bool
+	sim    *des.Simulator
+	epoch  time.Time // wall instant of service time 0
+	repl   replState // replication role, fencing epoch, pull cursor
+	closed bool
+	// installing marks the scratch server a snapshot replays onto
+	// (replaySnapshot), the one replayer that takes an accept without a
+	// route: a decision the snapshot keeps for its idempotency key alone.
+	installing bool
 
 	// promoting serializes Promote calls; it is taken before mu and held
 	// across the vote round, which mu is not.
@@ -421,7 +423,6 @@ func newServer(cfg Config, net *topology.Network, policyName string) (*Server, e
 		replID:      cfg.ReplID,
 		peers:       cfg.Peers,
 		sim:         des.New(),
-		idem:        make(map[string]*idemEntry),
 		inflight:    inflight,
 		retryAfter:  retryAfter,
 		loopNext:    units.Time(math.Inf(1)),
@@ -607,31 +608,20 @@ func (s *Server) Submit(sub Submission) (Decision, error) {
 	return res.Decision, err
 }
 
-// rememberLocked caches an idempotency-cache slot under its key, bounded
-// by the same FIFO retention as finished reservations.
-func (s *Server) rememberLocked(key string, e *idemEntry) {
-	s.idem[key] = e
-	s.idemOrder = append(s.idemOrder, key)
-	for len(s.idemOrder) > s.retention {
-		evict := s.idemOrder[0]
-		s.idemOrder = s.idemOrder[1:]
-		delete(s.idem, evict)
-	}
-}
-
 // acceptLocked publishes an admitted reservation: the grant was already
 // committed to the sharded ledger by the admission phase; here the entry
-// becomes visible, its expiry is scheduled and the accept is audited.
-func (s *Server) acceptLocked(r request.Request, g request.Grant) Decision {
+// becomes visible, its expiry is scheduled and the accept is audited with
+// the idempotency key it was submitted under.
+func (s *Server) acceptLocked(r request.Request, g request.Grant, key string) Decision {
 	e := s.register(r, g)
 	s.armExpiryLocked(e)
-	s.logLocked(trace.EventAccept, e.req, g, "")
+	s.logLocked(trace.EventAccept, e.req, g, "", key)
 	return s.decisionLocked(e)
 }
 
-func (s *Server) rejectLocked(r request.Request, reason string) Decision {
+func (s *Server) rejectLocked(r request.Request, reason, key string) Decision {
 	s.stats.RecordReject()
-	s.logLocked(trace.EventReject, r, request.Grant{}, reason)
+	s.logLocked(trace.EventReject, r, request.Grant{}, reason, key)
 	return Decision{ID: r.ID, State: StateRejected, Reason: reason}
 }
 
@@ -677,7 +667,7 @@ func (s *Server) fireExpire(e *entry) {
 		return
 	}
 	s.finish(e, StateExpired, s.sim.Now())
-	s.logLocked(trace.EventExpire, e.req, e.grant, "")
+	s.logLocked(trace.EventExpire, e.req, e.grant, "", "")
 }
 
 // liveStateLocked derives booked vs active from the clock.
@@ -737,7 +727,7 @@ func (s *Server) Cancel(id request.ID) (Decision, error) {
 	}
 	s.sim.Cancel(e.expire)
 	s.finish(e, StateCancelled, s.sim.Now())
-	s.logLocked(trace.EventCancel, e.req, e.grant, "")
+	s.logLocked(trace.EventCancel, e.req, e.grant, "", "")
 	return s.decisionLocked(e), nil
 }
 
@@ -902,14 +892,20 @@ func (s *Server) recordPanic(where string, val any) {
 	})
 }
 
-func (s *Server) logLocked(kind string, r request.Request, g request.Grant, reason string) {
-	s.appendEventLocked(trace.Event{
-		At: float64(s.sim.Now()), Kind: kind, Request: int(r.ID),
+func (s *Server) logLocked(kind string, r request.Request, g request.Grant, reason, key string) {
+	s.appendEventLocked(resvEvent(s.sim.Now(), kind, r, g, reason, key))
+}
+
+// resvEvent is the one encoder of a reservation record — grantFromEvent
+// reads it back — for the live log and the snapshot alike.
+func resvEvent(at units.Time, kind string, r request.Request, g request.Grant, reason, key string) trace.Event {
+	return trace.Event{
+		At: float64(at), Kind: kind, Request: int(r.ID),
 		Ingress: int(r.Ingress), Egress: int(r.Egress),
 		RateBps: float64(g.Bandwidth), SigmaS: float64(g.Sigma), TauS: float64(g.Tau),
 		VolumeB: float64(r.Volume), MaxRateBps: float64(r.MaxRate),
-		Reason: reason,
-	})
+		Reason: reason, Key: key,
+	}
 }
 
 // appendEventLocked records one decision event in the durability chain:

@@ -26,7 +26,7 @@ type fakeClock struct{ ns atomic.Int64 }
 func (c *fakeClock) now() time.Time          { return time.Unix(0, c.ns.Load()) }
 func (c *fakeClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
 
-func newTestServer(t *testing.T, cfg server.Config) *server.Server {
+func newTestServer(t testing.TB, cfg server.Config) *server.Server {
 	t.Helper()
 	s, err := server.New(cfg)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"slices"
 
 	"gridbw/internal/hold"
 	"gridbw/internal/metrics"
@@ -19,72 +18,12 @@ import (
 // SnapshotVersion is bumped on incompatible snapshot schema changes. It is
 // the only version restored: a snapshot is a checkpoint of the WAL, so a
 // daemon upgraded past its snapshot's format recovers from the WAL instead.
-const SnapshotVersion = 3
+const SnapshotVersion = 4
 
-// snapReservation is the wire form of one live reservation: the full
-// request plus its grant, so restore can replay it through the ledger's
-// own constraint checks.
-type snapReservation struct {
-	ID         int     `json:"id"`
-	Ingress    int     `json:"ingress"`
-	Egress     int     `json:"egress"`
-	StartS     float64 `json:"start_s"`
-	FinishS    float64 `json:"finish_s"`
-	VolumeB    float64 `json:"volume_bytes"`
-	MaxRateBps float64 `json:"max_rate_bps"`
-	RateBps    float64 `json:"rate_bps"`
-	SigmaS     float64 `json:"sigma_s"`
-	TauS       float64 `json:"tau_s"`
-}
-
-// snapDecision is the wire form of one cached idempotency decision —
-// enough to answer a retry without re-admitting, whatever state the
-// original reservation has reached by now.
-type snapDecision struct {
-	ID       int     `json:"id"`
-	Accepted bool    `json:"accepted"`
-	State    string  `json:"state"`
-	RateBps  float64 `json:"rate_bps,omitempty"`
-	SigmaS   float64 `json:"sigma_s,omitempty"`
-	TauS     float64 `json:"tau_s,omitempty"`
-	Reason   string  `json:"reason,omitempty"`
-}
-
-// snapHold is the wire form of one cross-shard hold. A live
-// (capacity-booking) one re-books on restore; held ones re-arm their TTL
-// rollback, confirmed ones their on-time release at tau. An aborted one —
-// rolled back, refused, or an ABORT that beat its RESERVE — books nothing
-// and is filed again as a tombstone, so a late RESERVE of its pair still
-// books nothing after a restart or a re-seed; Reason is what it answers.
-type snapHold struct {
-	Key        string  `json:"key"`
-	Side       string  `json:"side"`
-	Point      int     `json:"point"`
-	PeerPoint  int     `json:"peer_point"`
-	ID         int     `json:"id"`
-	RateBps    float64 `json:"rate_bps"`
-	SigmaS     float64 `json:"sigma_s"`
-	TauS       float64 `json:"tau_s"`
-	VolumeB    float64 `json:"volume_bytes,omitempty"`
-	MaxRateBps float64 `json:"max_rate_bps,omitempty"`
-	ExpireS    float64 `json:"expire_s"`
-	Confirmed  bool    `json:"confirmed,omitempty"`
-	Reason     string  `json:"reason,omitempty"`
-}
-
-func holdRow(e *hold.Entry) snapHold {
-	return snapHold{
-		Key: e.Key, Side: e.Side, Point: int(e.Point), PeerPoint: e.Peer,
-		ID:      int(e.ID),
-		RateBps: float64(e.BW), SigmaS: float64(e.Sigma), TauS: float64(e.Tau),
-		VolumeB: float64(e.Volume), MaxRateBps: float64(e.MaxRate),
-		ExpireS: float64(e.ExpireAt), Confirmed: e.State == hold.Confirmed,
-		Reason: e.Reason,
-	}
-}
-
-// Snapshot is the persisted control-plane state. Service time is
-// continuous across restarts: a restored daemon resumes at NowS no matter
+// Snapshot is the persisted control-plane state: a compacted WAL. The header
+// holds what no event records; Events is a history that replays, through the
+// WAL's own replayer, into the state the snapshot was taken of. Service time
+// is continuous across restarts: a restored daemon resumes at NowS no matter
 // how long it was down, so booked windows keep their meaning.
 type Snapshot struct {
 	Version    int            `json:"version"`
@@ -100,21 +39,18 @@ type Snapshot struct {
 	// WALSeg/WALOff record the WAL append position this snapshot covers:
 	// boot restores the snapshot, then replays only the WAL suffix past
 	// this position, and compaction may drop whole segments before it.
-	WALSeg uint64            `json:"wal_seg,omitempty"`
-	WALOff int64             `json:"wal_off,omitempty"`
-	Live   []snapReservation `json:"reservations"`
-	// IdempotencyDecisions maps submission keys to their full cached
-	// decisions — including rejections and terminal reservations — so a
-	// client retrying with the same key after a daemon restart gets the
-	// original answer instead of booking a duplicate transfer.
-	IdempotencyDecisions map[string]snapDecision `json:"idempotency_decisions,omitempty"`
-	// Holds are the cross-shard one-sided bookings alive at snapshot time,
-	// in key order. AbortedHolds are the hold table's tombstones in the
-	// order they were retired, so a restored table evicts them as the
-	// donor's would; a separate list, so a reader that predates it skips
-	// them instead of booking them.
-	Holds        []snapHold `json:"holds,omitempty"`
-	AbortedHolds []snapHold `json:"aborted_holds,omitempty"`
+	WALSeg uint64 `json:"wal_seg,omitempty"`
+	WALOff int64  `json:"wal_off,omitempty"`
+	// Events come in an order that books every record feasibly. First the
+	// records that book nothing any more, each booking and then releasing on
+	// its own: every idempotency key in the cache's FIFO order, each on the
+	// decision it answers with (a reject, or an accept without a route, which
+	// books nothing), then finished reservations in finish order and
+	// resolved holds in retirement order. Then the live reservations in ID
+	// order and the live holds in key order. Every event is stamped NowS, and
+	// the installer refuses any other stamp: a cancel gives its capacity back
+	// at that instant.
+	Events []trace.Event `json:"events"`
 }
 
 // Snapshot captures the current state. It works on a closed server, so a
@@ -123,10 +59,11 @@ func (s *Server) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.advanceLocked()
+	now := s.sim.Now()
 	snap := &Snapshot{
 		Version:  SnapshotVersion,
 		Policy:   s.policyName,
-		NowS:     float64(s.sim.Now()),
+		NowS:     float64(now),
 		NextID:   int(s.nextID),
 		Counters: s.stats,
 		Epoch:    s.repl.epoch,
@@ -139,60 +76,78 @@ func (s *Server) Snapshot() *Snapshot {
 		snap.WALSeg, snap.WALOff = end.Seg, end.Off
 	}
 	snap.IngressBps, snap.EgressBps = capacitiesBps(s.net)
+	resv := func(kind string, r request.Request, g request.Grant, reason, key string) {
+		snap.Events = append(snap.Events, resvEvent(now, kind, r, g, reason, key))
+	}
+	holds := func(e *hold.Entry, kinds ...string) {
+		for _, kind := range kinds {
+			snap.Events = append(snap.Events, holdEvent(now, kind, e))
+		}
+	}
+
+	// Every settled key comes first, in the cache's FIFO order, as the
+	// decision it answers with, booking nothing (an accept without a route):
+	// replay files the keys in the order the donor evicts them.
+	seen := make(map[string]bool)
+	for _, key := range s.idemOrder {
+		ie, ok := s.idem[key]
+		if !ok || seen[key] || !isClosed(ie.done) || ie.err != nil {
+			continue // evicted, listed already, still in flight, or failed
+		}
+		seen[key] = true
+		d := ie.d
+		unrouted := request.Request{ID: d.ID, Ingress: -1, Egress: -1}
+		if d.Accepted {
+			resv(trace.EventAccept, unrouted, request.Grant{Bandwidth: d.Rate, Sigma: d.Sigma, Tau: d.Tau}, "", key)
+		} else {
+			resv(trace.EventReject, unrouted, request.Grant{}, d.Reason, key)
+		}
+	}
+	for _, id := range s.finished {
+		e := s.resv[id]
+		end := trace.EventExpire
+		if e.state == StateCancelled {
+			end = trace.EventCancel
+		}
+		resv(trace.EventAccept, e.req, e.grant, "", "")
+		resv(end, e.req, e.grant, "", "")
+	}
+	// Each resolved hold is retired again by the messages that retired it.
+	for _, e := range s.holds.Retired() {
+		switch {
+		case e.Booked:
+			// A key filed again after its first record was evicted: live.
+		case e.Side == "":
+			holds(e, trace.EventHoldAbort) // an ABORT that beat its RESERVE
+		case e.Reason != "":
+			holds(e, trace.EventHoldReserve) // a refused RESERVE
+		case e.State == hold.Confirmed:
+			holds(e, trace.EventHoldReserve, trace.EventHoldConfirm, trace.EventHoldRelease)
+		default:
+			holds(e, trace.EventHoldReserve, trace.EventHoldAbort)
+		}
+	}
 	for _, id := range s.liveIDs() {
 		e := s.resv[id]
-		snap.Live = append(snap.Live, snapReservation{
-			ID:      int(e.req.ID),
-			Ingress: int(e.req.Ingress), Egress: int(e.req.Egress),
-			StartS: float64(e.req.Start), FinishS: float64(e.req.Finish),
-			VolumeB: float64(e.req.Volume), MaxRateBps: float64(e.req.MaxRate),
-			RateBps: float64(e.grant.Bandwidth),
-			SigmaS:  float64(e.grant.Sigma), TauS: float64(e.grant.Tau),
-		})
-	}
-	for key, ie := range s.idem {
-		select {
-		case <-ie.done:
-		default:
-			// Still in flight: the submission will settle after this
-			// snapshot, so it has no decision to persist yet.
-			continue
-		}
-		if ie.err != nil {
-			continue
-		}
-		d := ie.d
-		sd := snapDecision{
-			ID: int(d.ID), Accepted: d.Accepted, State: string(d.State),
-			RateBps: float64(d.Rate), SigmaS: float64(d.Sigma), TauS: float64(d.Tau),
-			Reason: d.Reason,
-		}
-		if d.Accepted {
-			// The cached decision froze the state at decision time;
-			// persist where the reservation actually is now.
-			if e, ok := s.resv[d.ID]; ok {
-				sd.State = string(s.liveStateLocked(e))
-			} else {
-				// Evicted from the registry: terminal long ago.
-				sd.State = string(StateExpired)
-			}
-		}
-		if snap.IdempotencyDecisions == nil {
-			snap.IdempotencyDecisions = make(map[string]snapDecision)
-		}
-		snap.IdempotencyDecisions[key] = sd
+		resv(trace.EventAccept, e.req, e.grant, "", "")
 	}
 	for _, e := range s.holds.All() {
-		if e.Booked {
-			snap.Holds = append(snap.Holds, holdRow(e))
-		}
-	}
-	for _, e := range s.holds.Retired() {
-		if e.State == hold.Aborted {
-			snap.AbortedHolds = append(snap.AbortedHolds, holdRow(e))
+		if e.Booked && e.State == hold.Confirmed {
+			holds(e, trace.EventHoldReserve, trace.EventHoldConfirm)
+		} else if e.Booked {
+			holds(e, trace.EventHoldReserve)
 		}
 	}
 	return snap
+}
+
+func isClosed(c chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
 }
 
 // capacitiesBps lists net's access-point capacities as a snapshot records
@@ -291,9 +246,9 @@ func unsupportedVersion(v int) error {
 // NewFromSnapshot restores a server from snap. Platform capacities and
 // policy come from the snapshot; cfg supplies the runtime wiring (Clock,
 // Decisions, FinishedRetention — its Ingress/Egress/Policy fields must be
-// empty). Every live reservation and hold is replayed through the ledger,
-// so a tampered or inconsistent snapshot fails restore instead of admitting
-// an infeasible state.
+// empty). The snapshot's events replay through the ledger, so a tampered or
+// inconsistent snapshot fails restore instead of admitting an infeasible
+// state.
 func NewFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	if len(cfg.Ingress) != 0 || len(cfg.Egress) != 0 || cfg.Policy != "" {
 		return nil, fmt.Errorf("server: restore takes platform and policy from the snapshot")
@@ -313,140 +268,89 @@ func NewFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: restore: %w", err)
 	}
-	st, idem, err := s.buildSnapState(snap)
+	st, err := s.replaySnapshot(snap)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.initRepl(cfg, snap.Epoch); err != nil {
 		return nil, err
 	}
-	s.adoptLocked(snap, st, idem)
+	s.adoptLocked(snap, st)
 	s.appendEventLocked(trace.Event{
 		At: snap.NowS, Kind: trace.EventRestore, Request: -1,
-		Reason: fmt.Sprintf("%d live reservations", len(st.resv)),
+		Reason: fmt.Sprintf("%d live reservations", len(s.liveIDs())),
 	})
 	go s.loop()
 	return s, nil
 }
 
-// idemRow is one validated idempotency decision of a snapshot.
-type idemRow struct {
-	key string
-	e   *idemEntry
-}
-
-// buildSnapState is the one snapshot installer's fallible half. It turns
-// each row of snap into the record a WAL event would have decoded to and
-// runs the same booking and transitions replay runs (state.go), on a state
-// built apart from the server's own, so that a snapshot which fails
-// validation leaves nothing half-installed: the fresh ledger re-checks
-// equation (1), so an infeasible or tampered snapshot is refused rather than
-// over-committing a point. What only a snapshot has is checked here: its
-// version, the next_id bound, and the idempotency decisions (returned in key
-// order, so the FIFO eviction order is the same on every restore) against
-// the registry just built. No shared state is touched and no timers are
-// armed; adoptLocked does both.
-func (s *Server) buildSnapState(snap *Snapshot) (*state, []idemRow, error) {
+// replaySnapshot is the one snapshot installer's fallible half. It replays
+// snap's events through applyEventLocked — the WAL's replayer, with every
+// check it runs on a record: request.Validate, known kinds and sides, and
+// equation (1) on the fresh ledger — onto a scratch follower of s's platform
+// and policy, which arms no timers and is the one replayer that takes an
+// accept without a route. It adds what only a snapshot can get wrong: the
+// version, an event ID not below next_id, an event not stamped now_s, a
+// non-finite quantity, a point whose profile forgot past now_s (a give-back
+// at a τ still ahead), and a rebuilt state that fails the invariant audit.
+// Nothing of s is touched, so a snapshot that fails leaves nothing
+// half-installed; adoptLocked is the infallible half.
+func (s *Server) replaySnapshot(snap *Snapshot) (*state, error) {
 	if snap.Version != SnapshotVersion {
-		return nil, nil, unsupportedVersion(snap.Version)
+		return nil, unsupportedVersion(snap.Version)
 	}
-	if snap.NowS < 0 || snap.NextID < 0 {
-		return nil, nil, fmt.Errorf("server: restore: negative clock or ID counter")
+	if !(snap.NowS >= 0) || snap.NextID < 0 {
+		return nil, fmt.Errorf("server: restore: negative clock or ID counter")
 	}
-	st := newState(s.net, s.retention, s.entries)
-	for _, sr := range snap.Live {
-		id := request.ID(sr.ID)
-		if sr.ID >= snap.NextID {
-			return nil, nil, fmt.Errorf("server: restore: reservation %d not below next_id %d", sr.ID, snap.NextID)
-		}
-		r := request.Request{
-			ID:      id,
-			Ingress: topology.PointID(sr.Ingress), Egress: topology.PointID(sr.Egress),
-			Start: units.Time(sr.StartS), Finish: units.Time(sr.FinishS),
-			Volume: units.Volume(sr.VolumeB), MaxRate: units.Bandwidth(sr.MaxRateBps),
-		}
-		err := r.Validate()
-		if err == nil {
-			_, err = st.restore(r, request.Grant{
-				Request:   id,
-				Bandwidth: units.Bandwidth(sr.RateBps), Sigma: units.Time(sr.SigmaS), Tau: units.Time(sr.TauS),
-			})
+	sc, err := newServer(Config{Clock: s.clock, FinishedRetention: s.retention}, s.net, s.policyName)
+	if err != nil {
+		return nil, err
+	}
+	// Entries come from s's pool: their expiry callbacks fire on s once the
+	// state is adopted.
+	sc.state = *newState(s.net, s.retention, s.entries)
+	sc.repl.following, sc.installing = true, true
+	for i, ev := range snap.Events {
+		var err error
+		switch {
+		case ev.Request >= snap.NextID || ev.Kind == trace.EventAccept && ev.Request < 0:
+			err = fmt.Errorf("request %d not in [0, next_id %d)", ev.Request, snap.NextID)
+		case !finite(ev.At, ev.RateBps, ev.SigmaS, ev.TauS, ev.VolumeB, ev.MaxRateBps, ev.ExpireS):
+			err = fmt.Errorf("non-finite quantity")
+		case ev.At != snap.NowS:
+			err = fmt.Errorf("stamped %g, not now_s %g", ev.At, snap.NowS)
+		default:
+			err = sc.applyEventLocked(ev, nil)
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("server: restore: %w", err)
+			return nil, fmt.Errorf("server: restore: event %d (%s): %w", i, ev.Kind, err)
 		}
 	}
-	for i, sh := range slices.Concat(snap.Holds, snap.AbortedHolds) {
-		if _, dup := st.holds.Get(sh.Key); dup {
-			return nil, nil, fmt.Errorf("server: restore: duplicate hold %q", sh.Key)
+	for dir, n := range []int{sc.net.NumIngress(), sc.net.NumEgress()} {
+		for p := range n {
+			d := topology.Direction(dir)
+			if floor := sc.ledger.Floor(d, topology.PointID(p)); floor > units.Time(snap.NowS) {
+				return nil, fmt.Errorf("server: restore: %s point %d gave capacity back at %g, past now_s %g",
+					d, p, float64(floor), snap.NowS)
+			}
 		}
-		h := hold.Entry{
-			Key: sh.Key, Side: sh.Side, Point: topology.PointID(sh.Point), Peer: sh.PeerPoint,
-			ID:    request.ID(sh.ID),
-			BW:    units.Bandwidth(sh.RateBps),
-			Sigma: units.Time(sh.SigmaS), Tau: units.Time(sh.TauS),
-			Volume: units.Volume(sh.VolumeB), MaxRate: units.Bandwidth(sh.MaxRateBps),
-			ExpireAt: units.Time(sh.ExpireS), Reason: sh.Reason,
-		}
-		decide := func() (hold.Entry, error) { return st.bookHold(h) }
-		if i >= len(snap.Holds) {
-			// A tombstone row books nothing: it is filed refused, reason and all.
-			h.State = hold.Aborted
-			decide = func() (hold.Entry, error) { return h, nil }
-		}
-		if _, err := st.holds.Step(hold.Msg{Kind: hold.Reserve, Key: sh.Key, Decide: decide}); err != nil {
-			return nil, nil, fmt.Errorf("server: restore: %w", err)
-		}
-		if sh.Confirmed {
-			st.holds.Step(hold.Msg{Kind: hold.Confirm, Key: sh.Key})
-		}
+	}
+	if err := sc.verify(); err != nil {
+		return nil, fmt.Errorf("server: restore: %w", err)
 	}
 	// The counters and the ID allocator are the snapshot's own, not a count
-	// of the rows it happens to carry.
-	st.stats, st.nextID = snap.Counters, request.ID(snap.NextID)
-
-	keys := make([]string, 0, len(snap.IdempotencyDecisions))
-	for key := range snap.IdempotencyDecisions {
-		keys = append(keys, key)
-	}
-	slices.Sort(keys)
-	idem := make([]idemRow, 0, len(keys))
-	for _, key := range keys {
-		sd := snap.IdempotencyDecisions[key]
-		d := Decision{
-			ID: request.ID(sd.ID), Accepted: sd.Accepted, State: State(sd.State),
-			Rate: units.Bandwidth(sd.RateBps), Sigma: units.Time(sd.SigmaS), Tau: units.Time(sd.TauS),
-			Reason: sd.Reason,
-		}
-		switch d.State {
-		case StateBooked, StateActive, StateExpired, StateCancelled, StateRejected:
-		default:
-			return nil, nil, fmt.Errorf("server: restore: idempotency key %q has unknown state %q", key, sd.State)
-		}
-		if d.Accepted {
-			if int(d.ID) >= snap.NextID || d.ID < 0 {
-				return nil, nil, fmt.Errorf("server: restore: idempotency key %q for reservation %d not below next_id %d",
-					key, sd.ID, snap.NextID)
-			}
-			if _, live := st.resv[d.ID]; !live && (d.State == StateBooked || d.State == StateActive) {
-				return nil, nil, fmt.Errorf("server: restore: idempotency key %q claims live reservation %d absent from snapshot",
-					key, sd.ID)
-			}
-		}
-		e := &idemEntry{done: make(chan struct{}), d: d}
-		close(e.done)
-		idem = append(idem, idemRow{key, e})
-	}
-	return st, idem, nil
+	// of the events it replays.
+	sc.stats, sc.nextID = snap.Counters, request.ID(snap.NextID)
+	return &sc.state, nil
 }
 
 // adoptLocked is the installer's infallible half: st replaces the ledger,
-// the registry, the idempotency cache and the hold table wholesale — so
+// the registry, the hold table and the idempotency cache wholesale — so
 // nothing of the state it displaces stays booked against a ledger that is
-// gone — and the counters, ID allocator and clock anchor resume from snap.
-// Expiry, TTL and release timers are armed unless following: a follower's
-// are retired by the primary's shipped events and armed by Promote.
-func (s *Server) adoptLocked(snap *Snapshot, st *state, idem []idemRow) {
+// gone — and the clock anchor resumes from snap. Expiry, TTL and release
+// timers are armed unless following: a follower's are retired by the
+// primary's shipped events and armed by Promote.
+func (s *Server) adoptLocked(snap *Snapshot, st *state) {
 	// The ID allocator never moves back, and append failures and the latency
 	// histogram describe this process, not the state it adopts.
 	next, failures, latency := s.nextID, s.stats.LogAppendFailures, s.stats.AdmitLatency
@@ -454,10 +358,6 @@ func (s *Server) adoptLocked(snap *Snapshot, st *state, idem []idemRow) {
 	s.nextID = max(s.nextID, next)
 	s.stats.LogAppendFailures += failures
 	s.stats.AdmitLatency = latency
-	s.idem, s.idemOrder = make(map[string]*idemEntry, len(idem)), nil
-	for _, row := range idem {
-		s.rememberLocked(row.key, row.e)
-	}
 	s.reanchorLocked(snap.NowS)
 	if !s.repl.following {
 		s.armTimersLocked()

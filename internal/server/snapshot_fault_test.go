@@ -62,9 +62,9 @@ func TestSnapshotRenameFaultKeepsOldSnapshot(t *testing.T) {
 	// The previous snapshot is untouched and no temp debris survives to
 	// confuse a later boot.
 	got := readSnapFile(t, path)
-	if len(got.Live) != len(old.Live) {
-		t.Fatalf("snapshot has %d reservations after torn write, want the old %d",
-			len(got.Live), len(old.Live))
+	if len(got.Events) != len(old.Events) {
+		t.Fatalf("snapshot has %d events after torn write, want the old %d",
+			len(got.Events), len(old.Events))
 	}
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("temp file left behind: %v", err)
@@ -74,8 +74,8 @@ func TestSnapshotRenameFaultKeepsOldSnapshot(t *testing.T) {
 	if err := next.WriteFileFS(dfs, path); err != nil {
 		t.Fatalf("write after fault cleared: %v", err)
 	}
-	if got := readSnapFile(t, path); len(got.Live) != len(next.Live) {
-		t.Fatalf("recovered write lost reservations: %d", len(got.Live))
+	if got := readSnapFile(t, path); len(got.Events) != len(next.Events) {
+		t.Fatalf("recovered write lost events: %d", len(got.Events))
 	}
 }
 
@@ -98,9 +98,9 @@ func TestSnapshotDirSyncFaultReportsNotTaken(t *testing.T) {
 	// it is must parse, and the caller got an error, so it must not have
 	// compacted the WAL past either state.
 	got := readSnapFile(t, path)
-	if n := len(got.Live); n != len(old.Live) && n != len(next.Live) {
-		t.Fatalf("snapshot after dir-fsync fault holds %d reservations, want %d or %d",
-			n, len(old.Live), len(next.Live))
+	if n := len(got.Events); n != len(old.Events) && n != len(next.Events) {
+		t.Fatalf("snapshot after dir-fsync fault holds %d events, want %d or %d",
+			n, len(old.Events), len(next.Events))
 	}
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("temp file left behind: %v", err)

@@ -46,7 +46,8 @@ type entry struct {
 
 // state is everything a WAL event describes: the capacity ledger, the
 // reservation registry with its retention queue, the hold table with its
-// own, the ID allocator and the lifetime counters.
+// own, the idempotency cache with its own, the ID allocator and the lifetime
+// counters.
 type state struct {
 	// ledger is internally sharded (one lock per access point). The live
 	// admission step books through it without the caller's lock; every
@@ -67,6 +68,11 @@ type state struct {
 	// key and by the local request ID an ingress side allocated (cancel
 	// routing). The table gives capacity back to ledger.
 	holds *hold.Table
+
+	// idem maps idempotency keys to their decisions, idemOrder is its FIFO
+	// eviction queue (retention bounds it too).
+	idem      map[string]*idemEntry
+	idemOrder []string
 }
 
 func newState(net *topology.Network, retention int, entries *sync.Pool) *state {
@@ -77,6 +83,38 @@ func newState(net *topology.Network, retention int, entries *sync.Pool) *state {
 		retention: retention,
 		resv:      make(map[request.ID]*entry),
 		holds:     hold.NewTable(ledger, retention),
+		idem:      make(map[string]*idemEntry),
+	}
+}
+
+// remember caches an idempotency-cache slot under its key, bounded by the
+// same FIFO retention as finished reservations.
+func (st *state) remember(key string, e *idemEntry) {
+	st.idem[key] = e
+	st.idemOrder = append(st.idemOrder, key)
+	for len(st.idemOrder) > st.retention {
+		evict := st.idemOrder[0]
+		st.idemOrder = st.idemOrder[1:]
+		delete(st.idem, evict)
+	}
+}
+
+// settled is the done channel every decision filed from a record shares: a
+// recorded decision is settled from the start.
+var settled = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// fileKey files a recorded decision under the key it carried, unless the key
+// is already filed (a re-delivered record).
+func (st *state) fileKey(key string, d Decision) {
+	if key == "" {
+		return
+	}
+	if _, ok := st.idem[key]; !ok {
+		st.remember(key, &idemEntry{done: settled, d: d})
 	}
 }
 
@@ -101,6 +139,11 @@ func (st *state) restore(r request.Request, g request.Grant) (*entry, error) {
 	}
 	if !(g.Bandwidth > 0 && g.Tau > g.Sigma) {
 		return nil, fmt.Errorf("reservation %d has degenerate grant", r.ID)
+	}
+	// The request as granted: its window is the grant's (register).
+	r.Start, r.Finish = g.Sigma, g.Tau
+	if err := r.Validate(); err != nil {
+		return nil, err
 	}
 	if err := st.ledger.Reserve(r, g); err != nil {
 		return nil, err
@@ -141,7 +184,8 @@ func (st *state) finish(e *entry, to State, now units.Time) {
 }
 
 // bookHold range-checks a recorded hold and books it through the ledger:
-// the decision a replayed or installed RESERVE carries to the hold step.
+// the decision a replayed or installed RESERVE carries to the hold step. A
+// recorded refusal (its Reason set) books nothing and is filed refused.
 func (st *state) bookHold(h hold.Entry) (hold.Entry, error) {
 	net, points := st.ledger.Network(), 0
 	switch h.Side {
@@ -154,6 +198,9 @@ func (st *state) bookHold(h hold.Entry) (hold.Entry, error) {
 	}
 	if h.Point < 0 || int(h.Point) >= points {
 		return h, fmt.Errorf("hold %q on unknown %s point %d", h.Key, h.Dir(), h.Point)
+	}
+	if h.Reason != "" {
+		return h, nil
 	}
 	if !(h.BW > 0 && h.Tau > h.Sigma) {
 		return h, fmt.Errorf("hold %q has degenerate grant", h.Key)

@@ -25,7 +25,9 @@ const (
 // transition is WAL-logged so holds survive failover and restart.
 const (
 	// EventHoldReserve: a tentative one-sided hold took [SigmaS, TauS] x
-	// RateBps at the point; it rolls back at ExpireS unless confirmed.
+	// RateBps at the point; it rolls back at ExpireS unless confirmed. With
+	// Reason set it records a refused RESERVE instead: it booked nothing and
+	// leaves a tombstone that answers a late copy with that reason.
 	EventHoldReserve = "hold_reserve"
 	// EventHoldConfirm: the hold committed; capacity stays booked until
 	// TauS.
@@ -69,6 +71,10 @@ type Event struct {
 	VolumeB    float64 `json:"volume_bytes,omitempty"`
 	MaxRateBps float64 `json:"max_rate_bps,omitempty"`
 	Reason     string  `json:"reason,omitempty"`
+	// Key is the idempotency key the submission carried (accept and reject
+	// only), so every replay of the log answers a re-send of the key with
+	// the decision recorded here instead of deciding it again.
+	Key string `json:"key,omitempty"`
 	// Hold and Side identify a cross-shard hold (EventHold* kinds only):
 	// Hold is the router-generated key shared by both sides of the pair,
 	// Side says which half of the route this shard booked (HoldSideIngress
