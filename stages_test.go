@@ -1,0 +1,163 @@
+package gridbw
+
+import (
+	"encoding/json"
+	"errors"
+	"flag"
+	"math"
+	"os"
+	"testing"
+)
+
+// The stage budget of a submit (scripts/stages.sh): BENCH_stages.json holds
+// one column per run, each a scripts/bench.sh snapshot of the stage
+// benchmarks and the wholes, plus the derived lines below. TestStagesSnapshot
+// merges a run into the file when given -stages-column, and otherwise only
+// checks that the file is well-formed: every path's sum is its stages' sum
+// and its residue the whole minus that sum, all from the column's own run.
+// No timing is gated.
+
+var (
+	stagesColumn = flag.String("stages-column", "", "merge the run in -stages-from into BENCH_stages.json as this column")
+	stagesFrom   = flag.String("stages-from", "", "a scripts/bench.sh snapshot of the stage benchmarks and the wholes")
+)
+
+const stagesFile = "BENCH_stages.json"
+
+// stagePaths are the paths a submit can take that a whole measures, and the
+// stages each passes through. "global" is not summed: "idempotency" times
+// the same section with the cache lookup in it. A routed submit is decoded
+// and encoded once more, by the router.
+var stagePaths = []struct {
+	path, whole string
+	stages      []string
+}{
+	{"direct", "RouterDirectSubmit", []string{"Stages/decode", "Stages/idempotency", "Stages/admit", "Stages/encode"}},
+	{"routed", "RouterSameShardSubmit", []string{"Stages/decode", "Stages/decode", "Stages/idempotency", "Stages/admit", "Stages/encode", "Stages/encode"}},
+	{"quorum", "ReplSyncAckAdmit/fsync=interval", []string{"Stages/decode", "Stages/idempotency", "Stages/admit", "Stages/wal-append", "Stages/encode"}},
+}
+
+type stageBench struct {
+	Name        string   `json:"name"`
+	NsPerOp     float64  `json:"ns_per_op"`
+	BPerOp      float64  `json:"b_per_op"`
+	AllocsPerOp float64  `json:"allocs_per_op"`
+	P99NsPerOp  *float64 `json:"p99_ns_per_op,omitempty"`
+}
+
+type stageLine struct {
+	Path      string   `json:"path"`
+	Stages    []string `json:"stages"`
+	SumNs     float64  `json:"sum_ns"`
+	Whole     string   `json:"whole"`
+	WholeNs   float64  `json:"whole_ns"`
+	ResidueNs float64  `json:"residue_ns"`
+}
+
+type stageColumn struct {
+	Name       string          `json:"name"`
+	Go         string          `json:"go"`
+	Benchtime  string          `json:"benchtime"`
+	Machine    json.RawMessage `json:"machine"`
+	Benchmarks []stageBench    `json:"benchmarks"`
+	Paths      []stageLine     `json:"paths"`
+}
+
+type stageSnapshot struct {
+	Schema  int           `json:"schema"`
+	Columns []stageColumn `json:"columns"`
+}
+
+// derivePaths computes a column's lines from its own benchmarks.
+func derivePaths(col *stageColumn) ([]stageLine, error) {
+	ns := map[string]float64{}
+	for _, b := range col.Benchmarks {
+		ns[b.Name] = b.NsPerOp
+	}
+	var lines []stageLine
+	for _, p := range stagePaths {
+		whole, ok := ns[p.whole]
+		if !ok {
+			return nil, errors.New("column " + col.Name + " has no " + p.whole)
+		}
+		line := stageLine{Path: p.path, Stages: p.stages, Whole: p.whole, WholeNs: whole}
+		for _, st := range p.stages {
+			v, ok := ns[st]
+			if !ok {
+				return nil, errors.New("column " + col.Name + " has no " + st)
+			}
+			line.SumNs += v
+		}
+		line.SumNs = math.Round(line.SumNs*100) / 100
+		line.ResidueNs = math.Round((whole-line.SumNs)*100) / 100
+		lines = append(lines, line)
+	}
+	return lines, nil
+}
+
+func TestStagesSnapshot(t *testing.T) {
+	var snap stageSnapshot
+	blob, err := os.ReadFile(stagesFile)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(blob, &snap); err != nil {
+			t.Fatalf("%s: %v", stagesFile, err)
+		}
+	case errors.Is(err, os.ErrNotExist) && *stagesColumn != "":
+		snap.Schema = 1
+	default:
+		t.Fatal(err)
+	}
+	if *stagesColumn != "" {
+		run, err := os.ReadFile(*stagesFrom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := stageColumn{Name: *stagesColumn}
+		if err := json.Unmarshal(run, &col); err != nil {
+			t.Fatalf("%s: %v", *stagesFrom, err)
+		}
+		col.Name = *stagesColumn
+		if col.Paths, err = derivePaths(&col); err != nil {
+			t.Fatal(err)
+		}
+		kept := snap.Columns[:0]
+		for _, c := range snap.Columns {
+			if c.Name != col.Name {
+				kept = append(kept, c)
+			}
+		}
+		snap.Columns = append(kept, col)
+		out, err := json.MarshalIndent(snap, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(stagesFile, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if snap.Schema != 1 || len(snap.Columns) == 0 {
+		t.Fatalf("%s: schema %d with %d columns", stagesFile, snap.Schema, len(snap.Columns))
+	}
+	for i := range snap.Columns {
+		col := &snap.Columns[i]
+		if col.Name == "" || len(col.Machine) == 0 || col.Benchtime == "" {
+			t.Errorf("column %d lacks its name, machine or benchtime", i)
+		}
+		want, err := derivePaths(col)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if len(want) != len(col.Paths) {
+			t.Errorf("column %s: %d paths, want %d", col.Name, len(col.Paths), len(want))
+			continue
+		}
+		for j, w := range want {
+			g := col.Paths[j]
+			if g.Path != w.Path || g.Whole != w.Whole || g.SumNs != w.SumNs || g.WholeNs != w.WholeNs || g.ResidueNs != w.ResidueNs {
+				t.Errorf("column %s path %s = %+v, want %+v from the column's own run", col.Name, w.Path, g, w)
+			}
+		}
+	}
+}
