@@ -103,6 +103,8 @@ func run(args []string) error {
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		log.Printf("drain: %v", err)
 	}
+	// Shutdown does not see the call streams the router took over.
+	rt.Close()
 	return nil
 }
 

@@ -25,9 +25,12 @@
 //
 // Each shard is addressed through a failover-aware server/client over its
 // group members, so primary rediscovery, fencing-epoch preference, and
-// the probe-cooldown negative cache all apply per shard. The router
-// itself keeps no durable state: any instance with the same static
-// configuration routes identically.
+// the probe-cooldown negative cache all apply per shard, and the shard
+// calls ride that client's call stream to each member (server/calls.go).
+// The router serves the same stream to its own callers: submit, batch,
+// get and cancel are one function each (Call), whichever carrier brought
+// the call. The router itself keeps no durable state: any instance with
+// the same static configuration routes identically.
 package router
 
 import (
@@ -35,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -97,6 +99,8 @@ type Router struct {
 	holdTTL  time.Duration
 	maxBatch int
 	met      *routerMetrics
+	// streams is the call streams this router serves; Close ends them.
+	streams server.Streams
 }
 
 // New builds a router over the configured shard groups.
@@ -160,62 +164,108 @@ func (rt *Router) splitID(visible int) (local, shardIdx int) {
 }
 
 // Handler returns the router's HTTP surface: the shard-facing subset of
-// the daemon API plus the router's own Prometheus metrics.
+// the daemon API plus the router's own Prometheus metrics. The four framed
+// calls go through Call, and may take their connection over for the call
+// stream.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/requests", rt.handleSubmit)
-	mux.HandleFunc("POST /v1/batch", rt.handleBatch)
-	mux.HandleFunc("GET /v1/requests/{id}", rt.handleGet)
-	mux.HandleFunc("DELETE /v1/requests/{id}", rt.handleCancel)
+	call := func(op byte, jsonFace http.HandlerFunc) http.Handler {
+		return server.CallRoute(&rt.streams, rt.Call, op, jsonFace)
+	}
+	mux.Handle("POST /v1/requests", call(server.OpSubmit, rt.handleSubmit))
+	mux.Handle("POST /v1/batch", call(server.OpBatch, rt.handleBatch))
+	mux.Handle("GET /v1/requests/{id}", call(server.OpGet, rt.handleGet))
+	mux.Handle("DELETE /v1/requests/{id}", call(server.OpCancel, rt.handleCancel))
 	mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	return mux
 }
 
-// writeUpstreamError relays a shard-side failure: API answers pass
-// through with their status (and Retry-After hint), transport-level
-// failures become 502 — the shard may be mid-failover.
-func writeUpstreamError(w http.ResponseWriter, err error) {
-	var ae *client.APIError
-	if errors.As(err, &ae) {
-		if ae.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int((ae.RetryAfter+time.Second-1)/time.Second)))
-		}
-		server.WriteJSON(w, ae.StatusCode, server.ErrorJSON{Error: ae.Message})
-		return
+// Close ends the call streams the router serves and the ones its shard
+// clients hold. The HTTP server does not: it forgets a connection once it
+// is taken over.
+func (rt *Router) Close() error {
+	rt.streams.Close()
+	for _, sh := range rt.shards {
+		sh.c.Close()
 	}
-	server.WriteError(w, http.StatusBadGateway, err)
+	return nil
 }
 
-// handleSubmit routes one submission, arriving as JSON or as the
-// one-record frame a client.Client sends, and answers in the same codec.
-// Either way a same-shard record travels on to its owner as a frame.
+// Call answers one framed call on either carrier: decode, route, encode.
+// The hold calls are the shards' business; the router answers them as its
+// mux answers the paths it does not serve.
+func (rt *Router) Call(ctx context.Context, c *server.Call) server.Reply {
+	var items []server.BatchItemJSON
+	status := http.StatusOK
+	switch c.Op {
+	case server.OpSubmit:
+		ws, err := c.DecodeSubmit()
+		if err != nil {
+			return server.ErrorReply(http.StatusBadRequest, err)
+		}
+		res, err := rt.submit(ctx, ws)
+		if err != nil {
+			return upstreamReply(err)
+		}
+		if res.Accepted {
+			status = http.StatusCreated
+		}
+		items = []server.BatchItemJSON{{Reservation: &res}}
+	case server.OpBatch:
+		subs, err := server.DecodeBinaryBatchRequest(c.Buf.B, rt.maxBatch)
+		if err != nil {
+			return server.ErrorReply(http.StatusBadRequest, err)
+		}
+		items = rt.batch(ctx, subs, make([]server.BatchItemJSON, len(subs)))
+	case server.OpGet, server.OpCancel:
+		visible, err := server.DecodeIDFrame(c.Buf.B)
+		if err != nil {
+			return server.ErrorReply(http.StatusBadRequest, err)
+		}
+		find := rt.get
+		if c.Op == server.OpCancel {
+			find = rt.cancel
+		}
+		res, err := find(ctx, visible)
+		if err != nil {
+			return upstreamReply(err)
+		}
+		items = []server.BatchItemJSON{{Reservation: &res}}
+	default:
+		return server.ErrorReply(http.StatusNotFound, errors.New("404 page not found"))
+	}
+	c.Buf.B = server.AppendBinaryBatchItems(c.Buf.B[:0], items)
+	return server.Reply{Status: status}
+}
+
+// upstreamReply relays a shard-side failure: API answers pass through
+// with their status (and Retry-After hint), transport-level failures
+// become 502 — the shard may be mid-failover.
+func upstreamReply(err error) server.Reply {
+	var ae *client.APIError
+	if errors.As(err, &ae) {
+		rep := server.Reply{Status: ae.StatusCode, JSON: server.ErrorJSON{Error: ae.Message}}
+		if ae.RetryAfter > 0 {
+			rep.RetryAfter = int((ae.RetryAfter + time.Second - 1) / time.Second)
+		}
+		return rep
+	}
+	return server.ErrorReply(http.StatusBadGateway, err)
+}
+
+func writeUpstreamError(w http.ResponseWriter, err error) {
+	server.WriteReply(w, upstreamReply(err), nil)
+}
+
+// handleSubmit routes one JSON submission. (A framed one is a Call.)
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	ws, buf, err := server.DecodeSubmit(r)
-	defer buf.Release()
-	framed := buf != nil
+	ws, err := server.DecodeSubmit(r)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	inIdx, egIdx := rt.ring.OwnerIn(ws.From), rt.ring.OwnerEg(ws.To)
-	var res server.ReservationJSON
-	if inIdx == egIdx {
-		sh := rt.shards[inIdx]
-		t0 := time.Now()
-		res, err = sh.c.SubmitWire(r.Context(), ws)
-		sh.met.observe(time.Since(t0), err)
-		res.ID = rt.visibleID(res.ID, inIdx)
-		if res.Accepted && !framed {
-			// The shard's frame carries no human string; the JSON face of a
-			// proxied decision keeps the one the shard's own JSON has.
-			res.Rate = units.Bandwidth(res.RateBps).String()
-		}
-	} else {
-		it := &crossItem{ws: ws, owner: [2]int{inIdx, egIdx}}
-		rt.crossShard(r.Context(), []*crossItem{it})
-		res, err = it.res, it.err
-	}
+	res, err := rt.submit(r.Context(), ws)
 	if err != nil {
 		writeUpstreamError(w, err)
 		return
@@ -224,12 +274,29 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !res.Accepted {
 		code = http.StatusOK
 	}
-	if framed {
-		buf.B = server.AppendBinaryBatchItems(buf.B[:0], []server.BatchItemJSON{{Reservation: &res}})
-		server.WriteFrame(w, code, buf.B)
-		return
+	if res.Accepted && res.Routed == "" {
+		// The shard's frame carries no human string; the JSON face of a
+		// proxied decision keeps the one the shard's own JSON has.
+		res.Rate = units.Bandwidth(res.RateBps).String()
 	}
 	server.WriteJSON(w, code, res)
+}
+
+// submit routes one submission: a same-shard record travels on to its
+// owner as a frame, a cross-shard one through the hold protocol.
+func (rt *Router) submit(ctx context.Context, ws server.WireSubmission) (server.ReservationJSON, error) {
+	inIdx, egIdx := rt.ring.OwnerIn(ws.From), rt.ring.OwnerEg(ws.To)
+	if inIdx != egIdx {
+		it := &crossItem{ws: ws, owner: [2]int{inIdx, egIdx}}
+		rt.crossShard(ctx, []*crossItem{it})
+		return it.res, it.err
+	}
+	sh := rt.shards[inIdx]
+	t0 := time.Now()
+	res, err := sh.c.SubmitWire(ctx, ws)
+	sh.met.observe(time.Since(t0), err)
+	res.ID = rt.visibleID(res.ID, inIdx)
+	return res, err
 }
 
 // The two sides of a cross-shard item, indexing crossItem's arrays.
@@ -541,9 +608,9 @@ func (sh *shard) abort(ctx context.Context, refs []server.HoldRefJSON) ([]server
 	return sts, err
 }
 
+// handleBatch routes one JSON batch. (A framed one is a Call.)
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	subs, bad, buf, err := server.DecodeBatch(r, rt.maxBatch)
-	defer buf.Release()
+	subs, bad, err := server.DecodeBatch(r, rt.maxBatch)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, err)
 		return
@@ -556,6 +623,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items[i].Error = err.Error()
 		}
 	}
+	server.WriteJSON(w, http.StatusOK, server.BatchResponse{Results: rt.batch(r.Context(), subs, items)})
+}
+
+// batch routes a batch and returns items, one result per submission in
+// request order. Items that already hold an error are not sent.
+func (rt *Router) batch(ctx context.Context, subs []server.WireSubmission, items []server.BatchItemJSON) []server.BatchItemJSON {
 	// Missing keys are generated before the scatter so every retry layer
 	// below re-sends the same ones.
 	for i := range subs {
@@ -596,7 +669,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				slice[j] = subs[i]
 			}
 			t0 := time.Now()
-			res, err := sh.c.SubmitBatchWire(r.Context(), slice)
+			res, err := sh.c.SubmitBatchWire(ctx, slice)
 			sh.met.observe(time.Since(t0), err)
 			if err != nil {
 				msg := err.Error()
@@ -615,7 +688,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(shardIdx, idxs)
 	}
 	if len(cross) > 0 {
-		rt.crossShard(r.Context(), crossItems)
+		rt.crossShard(ctx, crossItems)
 		for j, i := range cross {
 			if it := crossItems[j]; it.err != nil {
 				items[i] = server.BatchItemJSON{Error: it.err.Error()}
@@ -625,59 +698,61 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	wg.Wait()
-
-	if buf != nil {
-		buf.B = server.AppendBinaryBatchItems(buf.B[:0], items)
-		server.WriteFrame(w, http.StatusOK, buf.B)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, server.BatchResponse{Results: items})
+	return items
 }
 
 func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
+	rt.serveByID(w, r, rt.get)
+}
+
+func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
+	rt.serveByID(w, r, rt.cancel)
+}
+
+// serveByID is the JSON face of a lookup or cancel by visible ID.
+func (rt *Router) serveByID(w http.ResponseWriter, r *http.Request, find func(context.Context, int) (server.ReservationJSON, error)) {
 	visible, err := server.PathID(r)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	local, shardIdx := rt.splitID(visible)
-	sh := rt.shards[shardIdx]
-	t0 := time.Now()
-	res, err := sh.c.Get(r.Context(), local)
-	sh.met.observe(time.Since(t0), err)
+	res, err := find(r.Context(), visible)
 	if err != nil {
 		writeUpstreamError(w, err)
 		return
 	}
-	res.ID = visible
 	server.WriteJSON(w, http.StatusOK, res)
 }
 
-// handleCancel revokes by visible ID. A same-shard reservation cancels
-// straight through; when the owning shard answers 404 the ID may instead
-// back the ingress side of a cross-shard hold — resolved by ID into an
-// abort on both owners.
-func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
-	visible, err := server.PathID(r)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
+// get looks a visible ID up on its owning shard.
+func (rt *Router) get(ctx context.Context, visible int) (server.ReservationJSON, error) {
 	local, shardIdx := rt.splitID(visible)
 	sh := rt.shards[shardIdx]
 	t0 := time.Now()
-	res, err := sh.c.Cancel(r.Context(), local)
+	res, err := sh.c.Get(ctx, local)
+	sh.met.observe(time.Since(t0), err)
+	res.ID = visible
+	return res, err
+}
+
+// cancel revokes by visible ID. A same-shard reservation cancels
+// straight through; when the owning shard answers 404 the ID may instead
+// back the ingress side of a cross-shard hold — resolved by ID into an
+// abort on both owners.
+func (rt *Router) cancel(ctx context.Context, visible int) (server.ReservationJSON, error) {
+	local, shardIdx := rt.splitID(visible)
+	sh := rt.shards[shardIdx]
+	t0 := time.Now()
+	res, err := sh.c.Cancel(ctx, local)
 	sh.met.observe(time.Since(t0), err)
 	if err == nil {
 		res.ID = visible
-		server.WriteJSON(w, http.StatusOK, res)
-		return
+		return res, nil
 	}
 	if !client.IsNotFound(err) {
-		writeUpstreamError(w, err)
-		return
+		return res, err
 	}
-	sts, aerr := sh.abort(r.Context(), []server.HoldRefJSON{{ID: &local}})
+	sts, aerr := sh.abort(ctx, []server.HoldRefJSON{{ID: &local}})
 	if aerr == nil && sts[0].Code != 0 {
 		aerr = itemError(sts[0].Code, sts[0].Error)
 	}
@@ -685,22 +760,21 @@ func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
 		if client.IsNotFound(aerr) {
 			aerr = err // the original 404: nothing here at all
 		}
-		writeUpstreamError(w, aerr)
-		return
+		return res, aerr
 	}
 	// The ID backed an ingress-side hold on shardIdx; the answer names the
 	// egress point, whose owner holds the other half.
 	st := sts[0]
 	peer := rt.shards[rt.ring.OwnerEg(st.PeerPoint)]
 	if peer != sh {
-		ctx, cancel := context.WithTimeout(r.Context(), 3*time.Second)
+		ctx, cancel := context.WithTimeout(ctx, 3*time.Second)
 		defer cancel()
 		_, _ = peer.abort(ctx, []server.HoldRefJSON{{Hold: st.Hold}})
 	}
-	server.WriteJSON(w, http.StatusOK, server.ReservationJSON{
+	return server.ReservationJSON{
 		ID: visible, Accepted: true, State: string(server.StateCancelled),
 		Routed: server.RoutedCrossShard,
-	})
+	}, nil
 }
 
 // RouterHealthJSON is the GET /v1/healthz body: the router is stateless,

@@ -64,12 +64,14 @@ type testTier struct {
 	backs   []*httptest.Server
 	events  []*eventBuf
 
-	// shardCalls counts what reached the shards, by "METHOD path codec".
+	// shardCalls counts what reached the shards over HTTP, by "METHOD path
+	// codec"; plain keeps every call there, off the call stream.
 	mu         sync.Mutex
 	shardCalls map[string]int
+	plain      bool
 }
 
-// recording counts every request a shard receives, by route and codec.
+// recording counts every HTTP request a shard receives, by route and codec.
 func (tier *testTier) recording(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		codec := "json"
@@ -78,9 +80,24 @@ func (tier *testTier) recording(next http.Handler) http.Handler {
 		}
 		tier.mu.Lock()
 		tier.shardCalls[r.Method+" "+r.URL.Path+" "+codec]++
+		pin := tier.plain
 		tier.mu.Unlock()
+		if pin {
+			w = plainWriter{w}
+		}
 		next.ServeHTTP(w, r)
 	})
+}
+
+// plainWriter hides Hijack, as a tracing or metrics middleware often does:
+// the server cannot take the connection over for the call stream, so every
+// call through it stays an HTTP round trip, and a fault double in front of
+// it sees each one.
+type plainWriter struct{ http.ResponseWriter }
+
+// pinHTTP fronts h with plainWriter.
+func pinHTTP(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { h(plainWriter{w}, r) }
 }
 
 func caps(n int, bw units.Bandwidth) []units.Bandwidth {
@@ -130,6 +147,7 @@ func newTierWith(t *testing.T, nShards int, tune func(shard int, cfg *server.Con
 	tier.web = httptest.NewServer(rt.Handler())
 	t.Cleanup(func() {
 		tier.web.Close()
+		rt.Close()
 		for i := range tier.servers {
 			tier.backs[i].Close()
 			tier.servers[i].Close()
@@ -354,7 +372,7 @@ func TestBatchSplitOrdering(t *testing.T) {
 
 	// Rebuild the router with a delaying proxy in front of slowShard's
 	// batch endpoint: its slice finishes last although it appears first.
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	slow := httptest.NewServer(pinHTTP(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/batch" {
 			time.Sleep(300 * time.Millisecond)
 		}
@@ -495,8 +513,39 @@ func TestBinaryBatchThroughRouter(t *testing.T) {
 // frames, cross-shard ones drive the hold waves as list frames, and the
 // decisions — marker, namespaced ID, idempotent replay — are the ones the
 // JSON face gives. Nothing on the request plane reaches a shard as JSON.
+// The shards are pinned to HTTP so every call is counted; the stream twin
+// is TestFramedSubmitThroughRouterStreams.
 func TestFramedSubmitThroughRouter(t *testing.T) {
 	tier := newTier(t, 2, units.GBps)
+	tier.plain = true
+	framedSubmitsThroughRouter(t, tier)
+	tier.mu.Lock()
+	defer tier.mu.Unlock()
+	for _, route := range []string{"POST /v1/requests", "POST /v1/reserve", "POST /v1/confirm"} {
+		if tier.shardCalls[route+" framed"] == 0 {
+			t.Errorf("no framed %s reached a shard: %v", route, tier.shardCalls)
+		}
+	}
+}
+
+// TestFramedSubmitThroughRouterStreams is the same traffic with the call
+// streams on: each shard sees one framed HTTP call, the one that upgraded
+// the router's connection, and everything after it rides the stream.
+func TestFramedSubmitThroughRouterStreams(t *testing.T) {
+	tier := newTier(t, 2, units.GBps)
+	framedSubmitsThroughRouter(t, tier)
+	tier.mu.Lock()
+	defer tier.mu.Unlock()
+	n := 0
+	for _, k := range tier.shardCalls {
+		n += k
+	}
+	if n != 2 {
+		t.Errorf("%d HTTP calls reached the two shards, want one upgrading call each: %v", n, tier.shardCalls)
+	}
+}
+
+func framedSubmitsThroughRouter(t *testing.T, tier *testTier) {
 	sFrom, sTo, xFrom, xTo := tier.pairs(t)
 	ring := tier.rt.Ring()
 	c := client.New(tier.web.URL, nil)
@@ -533,11 +582,6 @@ func TestFramedSubmitThroughRouter(t *testing.T) {
 
 	tier.mu.Lock()
 	defer tier.mu.Unlock()
-	for _, route := range []string{"POST /v1/requests", "POST /v1/reserve", "POST /v1/confirm"} {
-		if tier.shardCalls[route+" framed"] == 0 {
-			t.Errorf("no framed %s reached a shard: %v", route, tier.shardCalls)
-		}
-	}
 	for call, n := range tier.shardCalls {
 		if strings.HasPrefix(call, "POST ") && strings.HasSuffix(call, " json") {
 			t.Errorf("%d × %s reached a shard; the request plane between processes is framed", n, call)

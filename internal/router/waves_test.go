@@ -399,7 +399,7 @@ func TestConfirmListPartialConflict(t *testing.T) {
 	}
 	// The egress owner loses the victim's hold just before it decides the
 	// CONFIRM list that names it.
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	front := httptest.NewServer(pinHTTP(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/confirm" {
 			if _, err := wt.servers[egIdx].HoldAbort([]server.HoldRefJSON{{Hold: "x-victim"}}); err != nil {
 				t.Error(err)
@@ -473,7 +473,7 @@ func TestStuckShardSparesHealthyPairs(t *testing.T) {
 	}
 
 	release := make(chan struct{})
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	front := httptest.NewServer(pinHTTP(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/reserve" {
 			_, _ = io.Copy(io.Discard, r.Body) // lets the server notice the caller hanging up
 			select {
@@ -538,7 +538,7 @@ func TestRetryTimeoutAbortsBothSides(t *testing.T) {
 	var stall sync.Mutex
 	stalled := false
 	release := make(chan struct{})
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	front := httptest.NewServer(pinHTTP(func(w http.ResponseWriter, r *http.Request) {
 		stall.Lock()
 		swallow := stalled && r.URL.Path == "/v1/reserve"
 		stall.Unlock()

@@ -10,6 +10,18 @@
 // is JSON for every error envelope and for a proxy or test double that
 // answers the way curl would be answered.
 //
+// Those five calls, Get and Cancel are the framed calls, and each one
+// offers to upgrade its connection to the call stream (gridbw-call/1,
+// server/calls.go). A daemon or router that takes the offer answers the
+// call as the stream's first frame; from then on every framed call to that
+// endpoint is a tagged frame on that one connection, pipelined with the
+// other callers', instead of an HTTP round trip. A server that ignores the
+// offer answers over HTTP, and the next call offers again. A stream that
+// fails — a read or write error, the per-attempt deadline, a cancelled
+// context — fails every call pending on it with a transport error, which
+// the retry loop below answers like any other: the retry goes over HTTP,
+// with the same idempotency key, and offers again.
+//
 // The client is failure-aware by default: every call gets a per-attempt
 // deadline, transient failures (transport errors, 429, 502/503/504) are
 // retried with exponential backoff and jitter, and Submit attaches an
@@ -43,6 +55,7 @@ import (
 
 	"gridbw/internal/cluster"
 	"gridbw/internal/server"
+	"gridbw/internal/units"
 )
 
 // Defaults for Options' zero values.
@@ -128,7 +141,10 @@ func (o Options) withDefaults() Options {
 // Client talks to a gridbwd daemon — or, given fallback endpoints, to
 // whichever member of a primary/standby pair currently is the primary.
 type Client struct {
-	hc   *http.Client
+	hc *http.Client
+	// uc is hc's transport without hc's Timeout, for the calls that offer
+	// the upgrade: a timeout would wrap a 101's body in a read-only one.
+	uc   *http.Client
 	opts Options
 
 	// mu guards the endpoint list rotation; endpoints is set at
@@ -140,6 +156,13 @@ type Client struct {
 	// this instant, failed sweeps are not repeated (see
 	// Options.ProbeCooldown).
 	probeBlockUntil time.Time
+	// streams is the call stream open to each endpoint, at most one;
+	// offering marks an endpoint with an upgrade offer in flight, so that
+	// concurrent callers do not each open a stream. Close ends the streams
+	// and stops offering.
+	streams  map[string]*callStream
+	offering map[string]bool
+	closed   bool
 }
 
 // New returns a client for the daemon at base (e.g. "http://127.0.0.1:8080")
@@ -162,7 +185,24 @@ func NewWithOptions(base string, hc *http.Client, opts Options, fallbacks ...str
 	for _, f := range fallbacks {
 		endpoints = append(endpoints, strings.TrimRight(f, "/"))
 	}
-	return &Client{hc: hc, opts: opts.withDefaults(), endpoints: endpoints}
+	return &Client{
+		hc: hc, uc: &http.Client{Transport: hc.Transport}, opts: opts.withDefaults(), endpoints: endpoints,
+		streams: map[string]*callStream{}, offering: map[string]bool{},
+	}
+}
+
+// Close ends the client's call streams; later calls go over plain HTTP and
+// offer no upgrade. Calls pending on a stream fail with a transport error.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	streams := c.streams
+	c.streams = map[string]*callStream{}
+	c.mu.Unlock()
+	for _, cs := range streams {
+		cs.fail(errClientClosed)
+	}
+	return nil
 }
 
 // Endpoint reports the endpoint the client currently targets — after a
@@ -292,9 +332,23 @@ func (c *Client) backoff(attempt int, err error) time.Duration {
 	return d + time.Duration(c.opts.Jitter()*float64(d)/2)
 }
 
+// route is how one call travels: over HTTP as method and path, with the
+// frame as the body when body is set; and, when op is set, as that op on
+// the call stream, which makes it a framed call that offers the upgrade.
+type route struct {
+	method, path string
+	op           byte
+	body         bool
+}
+
+// post is the route of a framed call whose frame is its HTTP body.
+func post(path string, op byte) route {
+	return route{method: http.MethodPost, path: path, op: op, body: true}
+}
+
 // do runs one retrying body-less call answered in JSON.
 func (c *Client) do(ctx context.Context, method, path string, out any) error {
-	return c.call(ctx, method, path, nil, out, nil)
+	return c.call(ctx, route{method: method, path: path}, nil, out, nil)
 }
 
 // call is the one retry/failover loop under every method. frame is the
@@ -306,14 +360,14 @@ func (c *Client) do(ctx context.Context, method, path string, out any) error {
 // before the next attempt, which makes the error itself worth that attempt
 // even when it is not transiently retryable (a 403 from a follower will
 // not heal by waiting, but it will by moving).
-func (c *Client) call(ctx context.Context, method, path string, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
+func (c *Client) call(ctx context.Context, rt route, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
 	retries := c.opts.MaxRetries
 	if retries < 0 {
 		retries = 0
 	}
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = c.attempt(ctx, c.Endpoint(), method, path, frame, jsonOut, fromFrame)
+		err = c.attempt(ctx, c.Endpoint(), rt, frame, jsonOut, fromFrame)
 		if err == nil {
 			return nil
 		}
@@ -377,19 +431,19 @@ func (c *Client) rediscover(ctx context.Context) {
 	}
 }
 
-// apiErrorMessage extracts the error text of a non-2xx response: the JSON
-// error envelope when present, otherwise the raw body (a 409 cancel
-// answer carries the reservation, not an envelope), otherwise the status.
-func apiErrorMessage(resp *http.Response) string {
+// apiError reads a non-2xx answer: the JSON error envelope's text when
+// there is one, otherwise the raw body (a 409 cancel answer carries the
+// reservation, not an envelope), otherwise the status line.
+func apiError(code int, status string, body []byte) *APIError {
 	var apiErr server.ErrorJSON
-	msg := resp.Status
-	blob, _ := io.ReadAll(io.LimitReader(resp.Body, 64*1024))
-	if json.Unmarshal(blob, &apiErr) == nil && apiErr.Error != "" {
-		msg = apiErr.Error
-	} else if len(blob) > 0 {
-		msg = strings.TrimSpace(string(blob))
+	ae := &APIError{StatusCode: code, Message: status}
+	if json.Unmarshal(body, &apiErr) == nil && apiErr.Error != "" {
+		ae.Message = apiErr.Error
+		ae.RetryAfter = time.Duration(max(apiErr.RetryAfterS, 0)) * time.Second
+	} else if len(body) > 0 {
+		ae.Message = strings.TrimSpace(string(body))
 	}
-	return msg
+	return ae
 }
 
 // encodeFrame encodes one request into the bytes every attempt of its call
@@ -410,34 +464,51 @@ func encodeFrame[T any](encode func([]byte, T) []byte, v T) []byte {
 
 var frameContentType = []string{server.BinaryBatchContentType}
 
-// attempt runs one HTTP round trip against base under the per-attempt
-// deadline and decodes a 2xx answer by its own Content-Type. Error
-// responses carry the JSON envelope whatever the request's codec and
-// surface as *APIError.
-func (c *Client) attempt(ctx context.Context, base, method, path string, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
+// attempt runs one call against base under the per-attempt deadline: on
+// the endpoint's call stream when one is open, otherwise as an HTTP round
+// trip that decodes a 2xx answer by its own Content-Type. Error responses
+// carry the JSON envelope whatever the request's codec and surface as
+// *APIError.
+func (c *Client) attempt(ctx context.Context, base string, rt route, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
+	if rt.op != 0 {
+		if cs := c.stream(base); cs != nil {
+			return cs.call(ctx, c.opts.CallTimeout, rt.op, frame, jsonOut, fromFrame)
+		}
+	}
 	if c.opts.CallTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
 		defer cancel()
 	}
 	var body io.Reader
-	if frame != nil {
+	if rt.body {
 		body = bytes.NewReader(frame)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
+	req, err := http.NewRequestWithContext(ctx, rt.method, base+rt.path, body)
 	if err != nil {
 		return fmt.Errorf("gridbwd: %w", err)
 	}
-	if frame != nil {
+	if rt.body {
 		req.Header["Content-Type"] = frameContentType
 	}
-	resp, err := c.hc.Do(req)
+	hc := c.hc
+	if rt.op != 0 && c.offer(base) {
+		defer c.offered(base)
+		req.Header["Connection"] = upgradeHeader
+		req.Header["Upgrade"] = callProtocolHeader
+		hc = c.uc
+	}
+	resp, err := hc.Do(req)
 	if err != nil {
 		return fmt.Errorf("gridbwd: %w", err)
+	}
+	if resp.StatusCode == http.StatusSwitchingProtocols {
+		return c.adopt(ctx, base, resp, jsonOut, fromFrame) // it owns the connection
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		ae := &APIError{StatusCode: resp.StatusCode, Message: apiErrorMessage(resp)}
+		blob, _ := io.ReadAll(io.LimitReader(resp.Body, 64*1024))
+		ae := apiError(resp.StatusCode, resp.Status, blob)
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
 			if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
 				ae.RetryAfter = time.Duration(secs) * time.Second
@@ -463,7 +534,7 @@ func (c *Client) attempt(ctx context.Context, base, method, path string, frame [
 // attemptJSON is one unretried attempt of a body-less JSON call — the
 // probes that want the current truth of one endpoint.
 func (c *Client) attemptJSON(ctx context.Context, base, method, path string, out any) error {
-	return c.attempt(ctx, base, method, path, nil, out, nil)
+	return c.attempt(ctx, base, route{method: method, path: path}, nil, out, nil)
 }
 
 // Submit posts a reservation request and returns the daemon's decision.
@@ -491,7 +562,7 @@ func (c *Client) SubmitWire(ctx context.Context, ws server.WireSubmission) (serv
 	}
 	frame := encodeFrame(server.AppendBinarySubmitRequest, &ws)
 	var out server.ReservationJSON
-	err := c.call(ctx, http.MethodPost, "/v1/requests", frame, &out, func(b []byte) (err error) {
+	err := c.call(ctx, post("/v1/requests", server.OpSubmit), frame, &out, func(b []byte) (err error) {
 		out, err = server.DecodeBinarySubmitResponse(b)
 		return err
 	})
@@ -553,7 +624,7 @@ func (c *Client) SubmitBatchWire(ctx context.Context, subs []server.WireSubmissi
 	}
 	frame := encodeFrame(server.AppendBinaryBatchRequest, subs)
 	var out server.BatchResponse
-	err := c.call(ctx, http.MethodPost, "/v1/batch", frame, &out, func(b []byte) (err error) {
+	err := c.call(ctx, post("/v1/batch", server.OpBatch), frame, &out, func(b []byte) (err error) {
 		out.Results, err = server.DecodeBinaryBatchResponse(b)
 		return err
 	})
@@ -568,9 +639,7 @@ func (c *Client) SubmitBatchWire(ctx context.Context, subs []server.WireSubmissi
 
 // Get looks up one reservation.
 func (c *Client) Get(ctx context.Context, id int) (server.ReservationJSON, error) {
-	var out server.ReservationJSON
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/requests/%d", id), &out)
-	return out, err
+	return c.byID(ctx, http.MethodGet, server.OpGet, id)
 }
 
 // Cancel revokes a live reservation and returns its final record.
@@ -578,18 +647,32 @@ func (c *Client) Get(ctx context.Context, id int) (server.ReservationJSON, error
 // (a second cancel answers 409 with the final record), so retries are
 // safe, and the usual transient classification applies.
 func (c *Client) Cancel(ctx context.Context, id int) (server.ReservationJSON, error) {
+	return c.byID(ctx, http.MethodDelete, server.OpCancel, id)
+}
+
+// byID is a lookup or cancel: a body-less request over HTTP, or an id
+// frame on the call stream. A decision frame answers the frame, and the
+// offer too when the server could not take the connection over; it
+// carries no human rate string, filled in here as the JSON face spells it.
+func (c *Client) byID(ctx context.Context, method string, op byte, id int) (server.ReservationJSON, error) {
 	var out server.ReservationJSON
-	err := c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/requests/%d", id), &out)
+	rt := route{method: method, path: "/v1/requests/" + strconv.Itoa(id), op: op}
+	err := c.call(ctx, rt, server.AppendIDFrame(nil, id), &out, func(b []byte) (err error) {
+		if out, err = server.DecodeBinarySubmitResponse(b); err == nil && out.Accepted {
+			out.Rate = units.Bandwidth(out.RateBps).String()
+		}
+		return err
+	})
 	return out, err
 }
 
 // holdCall posts one list-shaped hold call and checks the answer lines up
 // with the list. The call retries and fails over like any write; hold
 // keys make the retries idempotent on the daemon.
-func holdCall[Q, A any](ctx context.Context, c *Client, path string, holds []Q,
+func holdCall[Q, A any](ctx context.Context, c *Client, path string, op byte, holds []Q,
 	encode func([]byte, []Q) []byte, decode func([]byte) ([]A, error)) ([]A, error) {
 	var out server.HoldResultsJSON[A]
-	err := c.call(ctx, http.MethodPost, path, encodeFrame(encode, holds), &out, func(b []byte) (err error) {
+	err := c.call(ctx, post(path, op), encodeFrame(encode, holds), &out, func(b []byte) (err error) {
 		out.Results, err = decode(b)
 		return err
 	})
@@ -606,7 +689,7 @@ func holdCall[Q, A any](ctx context.Context, c *Client, path string, holds []Q,
 // admissions, decided in list order; one answer per hold. An answer with
 // Code set is that item's own failure, not the call's.
 func (c *Client) HoldReserve(ctx context.Context, reqs []server.HoldReserveJSON) ([]server.HoldReserveResponseJSON, error) {
-	return holdCall(ctx, c, "/v1/reserve", reqs, server.AppendHoldReserveList, server.DecodeHoldReserveResults)
+	return holdCall(ctx, c, "/v1/reserve", server.OpReserve, reqs, server.AppendHoldReserveList, server.DecodeHoldReserveResults)
 }
 
 // HoldConfirm commits held reservations. A non-zero epoch on a ref must
@@ -616,7 +699,7 @@ func (c *Client) HoldReserve(ctx context.Context, reqs []server.HoldReserveJSON)
 // more, or abort both sides. A per-item 409 is a hold that rolled back
 // before the commit.
 func (c *Client) HoldConfirm(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
-	return holdCall(ctx, c, "/v1/confirm", refs, server.AppendHoldRefList, server.DecodeHoldStates)
+	return holdCall(ctx, c, "/v1/confirm", server.OpConfirm, refs, server.AppendHoldRefList, server.DecodeHoldStates)
 }
 
 // HoldAbort rolls holds back, by key or (the cancel path of a cross-shard
@@ -625,7 +708,7 @@ func (c *Client) HoldConfirm(ctx context.Context, refs []server.HoldRefJSON) ([]
 // too. Always safe: aborting an unknown or already-aborted key is a
 // recorded no-op on the daemon.
 func (c *Client) HoldAbort(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
-	return holdCall(ctx, c, "/v1/abort", refs, server.AppendHoldRefList, server.DecodeHoldStates)
+	return holdCall(ctx, c, "/v1/abort", server.OpAbort, refs, server.AppendHoldRefList, server.DecodeHoldStates)
 }
 
 // Status fetches the live control-plane view.

@@ -505,43 +505,26 @@ func finite(xs ...float64) bool {
 
 // --- HTTP surface -------------------------------------------------------
 
-// holdHandler serves one list-shaped hold call, in JSON or in the list
-// frames of wire.go: the body is bounded like a batch; whole-call failures
-// keep the status codes the failover-aware client keys on (writeCallError);
-// per-item outcomes ride a 200.
-func holdHandler[Q, A any](s *Server, call func([]Q) ([]A, error),
-	decode func([]byte, int) ([]Q, error), encode func([]byte, []A) []byte) http.HandlerFunc {
+// holdHandler serves one list-shaped hold call in JSON (a framed one is a
+// Call): the list is bounded like a batch; whole-call failures keep the
+// status codes the failover-aware client keys on (writeCallError); per-item
+// outcomes ride a 200.
+func holdHandler[Q, A any](s *Server, call func([]Q) ([]A, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		framed := Framed(r)
-		var holds []Q
-		var buf *FrameBuf // nil on the JSON path
-		var err error
-		if framed {
-			if buf, err = ReadFrame(r); err == nil {
-				holds, err = decode(buf.B, s.maxBatch)
-			}
-		} else {
-			var body HoldListJSON[Q]
-			err = DecodeJSON(r, "holds", &body)
-			if n := len(body.Holds); err == nil && (n == 0 || n > s.maxBatch) {
-				err = fmt.Errorf("hold list of %d outside [1,%d]", n, s.maxBatch)
-			}
-			holds = body.Holds
+		var body HoldListJSON[Q]
+		err := DecodeJSON(r, "holds", &body)
+		if n := len(body.Holds); err == nil && (n == 0 || n > s.maxBatch) {
+			err = fmt.Errorf("hold list of %d outside [1,%d]", n, s.maxBatch)
 		}
-		defer buf.Release()
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		results, err := call(holds)
-		switch {
-		case err != nil:
+		results, err := call(body.Holds)
+		if err != nil {
 			writeCallError(w, err)
-		case framed:
-			buf.B = encode(buf.B[:0], results)
-			WriteFrame(w, http.StatusOK, buf.B)
-		default:
-			WriteJSON(w, http.StatusOK, HoldResultsJSON[A]{Results: results})
+			return
 		}
+		WriteJSON(w, http.StatusOK, HoldResultsJSON[A]{Results: results})
 	}
 }

@@ -156,19 +156,25 @@ type BatchResponse struct {
 // ErrorJSON is the body of every non-2xx response.
 type ErrorJSON struct {
 	Error string `json:"error"`
+	// RetryAfterS is a 429's backoff hint on the call stream, which has no
+	// headers; over HTTP the Retry-After header carries it.
+	RetryAfterS int `json:"retry_after_s,omitempty"`
 }
 
 // Handler returns the daemon's HTTP API: the route mux behind the
-// panic-recovery middleware, with submissions behind load shedding.
+// panic-recovery middleware, with submissions behind load shedding. The
+// seven framed calls go through Call (calls.go), and may take their
+// connection over for the call stream.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/requests", s.shed(http.HandlerFunc(s.handleSubmit)))
-	mux.Handle("POST /v1/batch", s.shed(http.HandlerFunc(s.handleBatch)))
-	mux.Handle("POST /v1/reserve", s.shed(holdHandler(s, s.HoldReserve, DecodeHoldReserveList, AppendHoldReserveResults)))
-	mux.Handle("POST /v1/confirm", holdHandler(s, s.HoldConfirm, DecodeHoldRefList, AppendHoldStates))
-	mux.Handle("POST /v1/abort", holdHandler(s, s.HoldAbort, DecodeHoldRefList, AppendHoldStates))
-	mux.HandleFunc("GET /v1/requests/{id}", s.handleGet)
-	mux.HandleFunc("DELETE /v1/requests/{id}", s.handleCancel)
+	call := func(op byte, jsonFace http.Handler) http.Handler { return CallRoute(&s.conns, s.Call, op, jsonFace) }
+	mux.Handle("POST /v1/requests", call(OpSubmit, s.shed(http.HandlerFunc(s.handleSubmit))))
+	mux.Handle("POST /v1/batch", call(OpBatch, s.shed(http.HandlerFunc(s.handleBatch))))
+	mux.Handle("POST /v1/reserve", call(OpReserve, s.shed(holdHandler(s, s.HoldReserve))))
+	mux.Handle("POST /v1/confirm", call(OpConfirm, holdHandler(s, s.HoldConfirm)))
+	mux.Handle("POST /v1/abort", call(OpAbort, holdHandler(s, s.HoldAbort)))
+	mux.Handle("GET /v1/requests/{id}", call(OpGet, http.HandlerFunc(s.handleGet)))
+	mux.Handle("DELETE /v1/requests/{id}", call(OpCancel, http.HandlerFunc(s.handleCancel)))
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	mux.HandleFunc("GET /v1/metricsz", s.handleMetricsz)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
@@ -203,8 +209,7 @@ func (s *Server) shed(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !s.acquire() {
 			s.recordShed()
-			w.Header().Set("Retry-After", strconv.Itoa(int((s.retryAfter+time.Second-1)/time.Second)))
-			WriteError(w, http.StatusTooManyRequests, errOverloaded)
+			WriteReply(w, s.shedReply(), nil)
 			return
 		}
 		defer s.release()
@@ -213,6 +218,14 @@ func (s *Server) shed(next http.Handler) http.Handler {
 }
 
 var errOverloaded = errors.New("server: overloaded, retry later")
+
+// shedReply is the answer to a submission over the in-flight limit: 429
+// with the Retry-After hint.
+func (s *Server) shedReply() Reply {
+	rep := ErrorReply(http.StatusTooManyRequests, errOverloaded)
+	rep.RetryAfter = int((s.retryAfter + time.Second - 1) / time.Second)
+	return rep
+}
 
 // HealthJSON is the GET /v1/healthz body.
 type HealthJSON struct {
@@ -279,22 +292,10 @@ func WriteError(w http.ResponseWriter, code int, err error) {
 	WriteJSON(w, code, ErrorJSON{Error: err.Error()})
 }
 
-// writeCallError answers the failure of a core call as a whole with the
-// status codes the failover-aware client keys on: 503 retry (draining, or
-// a poisoned WAL), 403 move to the primary or refresh the epoch, 404 no such
-// reservation, 400 the request itself.
+// writeCallError answers the failure of a core call as a whole
+// (callErrorReply).
 func writeCallError(w http.ResponseWriter, err error) {
-	var fenced *FencedError
-	switch {
-	case errors.Is(err, ErrClosed), errors.Is(err, ErrDurabilityLost):
-		WriteError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrReadOnly), errors.As(err, &fenced):
-		WriteError(w, http.StatusForbidden, err)
-	case errors.Is(err, ErrNotFound):
-		WriteError(w, http.StatusNotFound, err)
-	default:
-		WriteError(w, http.StatusBadRequest, err)
-	}
+	WriteReply(w, callErrorReply(err), nil)
 }
 
 // Framed reports whether the caller speaks the internal wire (wire.go)
@@ -317,13 +318,6 @@ func WriteFrame(w http.ResponseWriter, code int, frame []byte) {
 	_, _ = w.Write(frame)
 }
 
-// ReadFrame reads a framed request body into a pooled buffer, which the
-// handler decodes, encodes its answer over, and releases.
-func ReadFrame(r *http.Request) (*FrameBuf, error) {
-	buf := NewFrameBuf()
-	return buf, buf.ReadBody(r.Body, r.ContentLength)
-}
-
 // DecodeJSON is the strict JSON decode of a request body; what names the
 // body in the error.
 func DecodeJSON(r *http.Request, what string, v any) error {
@@ -335,18 +329,17 @@ func DecodeJSON(r *http.Request, what string, v any) error {
 	return nil
 }
 
-// HeaderIdempotencyKey merges a submission's body key with the
-// Idempotency-Key request header, its equivalent spelling: either may be
-// absent, but two that disagree are an error.
-func HeaderIdempotencyKey(r *http.Request, bodyKey string) (string, error) {
-	hk := r.Header.Get("Idempotency-Key")
-	if hk == "" {
+// mergeKey merges a submission's body key with its Idempotency-Key
+// request header, the equivalent spelling: either may be absent, but two
+// that disagree are an error.
+func mergeKey(headerKey, bodyKey string) (string, error) {
+	if headerKey == "" {
 		return bodyKey, nil
 	}
-	if bodyKey != "" && bodyKey != hk {
+	if bodyKey != "" && bodyKey != headerKey {
 		return "", fmt.Errorf("idempotency_key body field and Idempotency-Key header disagree")
 	}
-	return hk, nil
+	return headerKey, nil
 }
 
 // nowFor reads the service clock once for the records of one call, so they
@@ -377,32 +370,22 @@ func decisionJSON(d Decision) ReservationJSON {
 	return out
 }
 
-// DecodeSubmit reads the body of POST /v1/requests: a SubmitRequest in JSON,
-// or the one-record frame the client and the router send, with the
-// Idempotency-Key header merged in. buf is the pooled buffer a framed body
-// arrived in — nil marks the JSON face — for the handler to encode its
-// answer over and release; it is set on a failed framed read too.
-func DecodeSubmit(r *http.Request) (ws WireSubmission, buf *FrameBuf, err error) {
-	if Framed(r) {
-		if buf, err = ReadFrame(r); err == nil {
-			ws, err = DecodeBinarySubmitRequest(buf.B)
-		}
-	} else {
-		var body SubmitRequest
-		if err = DecodeJSON(r, "request", &body); err == nil {
-			ws, err = body.Wire()
-		}
+// DecodeSubmit reads the JSON body of POST /v1/requests, with the
+// Idempotency-Key header merged in. (A framed one is a Call.)
+func DecodeSubmit(r *http.Request) (ws WireSubmission, err error) {
+	var body SubmitRequest
+	if err = DecodeJSON(r, "request", &body); err == nil {
+		ws, err = body.Wire()
 	}
 	if err == nil {
-		ws.IdempotencyKey, err = HeaderIdempotencyKey(r, ws.IdempotencyKey)
+		ws.IdempotencyKey, err = mergeKey(r.Header.Get("Idempotency-Key"), ws.IdempotencyKey)
 	}
-	return ws, buf, err
+	return ws, err
 }
 
-// handleSubmit decides one submission.
+// handleSubmit decides one submission in JSON.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	ws, buf, err := DecodeSubmit(r)
-	defer buf.Release()
+	ws, err := DecodeSubmit(r)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -412,45 +395,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeCallError(w, err)
 		return
 	}
-	code := http.StatusCreated
-	if !res.Decision.Accepted {
-		// An admission rejection is a well-formed domain answer, not an
-		// HTTP failure; 200 keeps it distinct from 4xx client errors.
-		code = http.StatusOK
-	}
-	if buf != nil {
-		buf.B = AppendBinaryBatchResponse(buf.B[:0], []BatchResult{res})
-		WriteFrame(w, code, buf.B)
-		return
-	}
 	rj := decisionJSON(res.Decision)
 	rj.Durability = res.Durability
-	WriteJSON(w, code, rj)
+	WriteJSON(w, submitStatus(res.Decision.Accepted), rj)
 }
 
-// DecodeBatch reads the body of POST /v1/batch into at most maxBatch wire
-// records. In JSON, an item whose quantities do not parse is that item's
+// DecodeBatch reads the JSON body of POST /v1/batch into at most maxBatch
+// wire records. An item whose quantities do not parse is that item's
 // failure, reported in bad at its input position (bad is nil when every item
 // parsed), and only an empty or oversized batch or an undecodable body fail
-// the whole call. A malformed frame fails the whole batch — per-item salvage
-// of a broken binary stream would decide requests the client never meant to
-// send. buf is as for DecodeSubmit.
-func DecodeBatch(r *http.Request, maxBatch int) (wire []WireSubmission, bad []error, buf *FrameBuf, err error) {
-	if Framed(r) {
-		if buf, err = ReadFrame(r); err == nil {
-			wire, err = DecodeBinaryBatchRequest(buf.B, maxBatch)
-		}
-		return wire, nil, buf, err
-	}
+// the whole call. (A framed batch is a Call, and a malformed frame fails the
+// whole batch — per-item salvage of a broken binary stream would decide
+// requests the client never meant to send.)
+func DecodeBatch(r *http.Request, maxBatch int) (wire []WireSubmission, bad []error, err error) {
 	var body BatchRequest
 	if err = DecodeJSON(r, "request", &body); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if len(body.Requests) == 0 {
-		return nil, nil, nil, fmt.Errorf("empty batch")
+		return nil, nil, fmt.Errorf("empty batch")
 	}
 	if len(body.Requests) > maxBatch {
-		return nil, nil, nil, fmt.Errorf("batch of %d exceeds limit %d", len(body.Requests), maxBatch)
+		return nil, nil, fmt.Errorf("batch of %d exceeds limit %d", len(body.Requests), maxBatch)
 	}
 	wire = make([]WireSubmission, len(body.Requests))
 	for i, req := range body.Requests {
@@ -461,14 +427,13 @@ func DecodeBatch(r *http.Request, maxBatch int) (wire []WireSubmission, bad []er
 			bad[i] = err
 		}
 	}
-	return wire, bad, nil, nil
+	return wire, bad, nil
 }
 
-// handleBatch decides a whole batch in one SubmitBatch pass; beyond what
-// DecodeBatch refuses, only a draining server fails the whole call.
+// handleBatch decides a whole JSON batch in one SubmitBatch pass; beyond
+// what DecodeBatch refuses, only a draining server fails the whole call.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	wire, bad, buf, err := DecodeBatch(r, s.maxBatch)
-	defer buf.Release()
+	wire, bad, err := DecodeBatch(r, s.maxBatch)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -486,11 +451,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeCallError(w, err)
 			return
 		}
-	}
-	if buf != nil {
-		buf.B = AppendBinaryBatchResponse(buf.B[:0], results)
-		WriteFrame(w, http.StatusOK, buf.B)
-		return
 	}
 	out := BatchResponse{Results: make([]BatchItemJSON, len(wire))}
 	next := 0

@@ -36,19 +36,16 @@ package server
 //     promote marker in the log.
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unicode"
@@ -784,7 +781,7 @@ func (s *Server) followStream(rw io.ReadWriter, watchdog *time.Timer, applied fu
 	var ack [wireAckBytes]byte
 	for {
 		var err error
-		if frame, err = readReplFrame(rw, frame); err != nil {
+		if frame, err = readFrame(rw, frame); err != nil {
 			return fmt.Errorf("server: pull: stream: %w", err)
 		}
 		watchdog.Reset(streamIdle)
@@ -955,17 +952,16 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	if pos.IsZero() {
 		pos = wal.Pos{Seg: 1}
 	}
-	if wantsStream(r) && s.openStream() {
+	if wantsUpgrade(r, replProtocol) {
 		// The first batch is read before the connection is taken over, so a
 		// cursor this WAL cannot serve gets the JSON path's answer: 410, or
 		// the long poll and its error.
 		if b, err := s.shipFrom(pos, int(maxRecords)); err == nil {
-			if conn, brw, err := http.NewResponseController(w).Hijack(); err == nil {
-				s.serveStream(conn, brw.Reader, b, id, int(maxRecords))
+			if st, ok := s.conns.upgrade(w, r, replProtocol); ok {
+				s.serveStream(st, b, id, int(maxRecords))
 				return
 			}
 		}
-		s.streams.Done()
 	}
 	if waitMs > 0 {
 		// A closing server must not strand a poller for the rest of its
@@ -1034,33 +1030,6 @@ func (s *Server) shipFrom(pos wal.Pos, maxRecords int) (ShippedBatch, error) {
 	}, nil
 }
 
-// wantsStream reports whether a pull offers to upgrade to the stream.
-func wantsStream(r *http.Request) bool {
-	if !strings.EqualFold(r.Header.Get("Upgrade"), replProtocol) {
-		return false
-	}
-	for _, v := range r.Header.Values("Connection") {
-		for _, tok := range strings.Split(v, ",") {
-			if strings.EqualFold(strings.TrimSpace(tok), "upgrade") {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// openStream registers a stream unless the server is closing; Close waits
-// for every registered stream to end.
-func (s *Server) openStream() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.streams.Add(1)
-	return true
-}
-
 // serveStream runs one replication stream on a taken-over connection: it
 // answers 101 with the first batch, then writes a batch frame whenever the
 // WAL grows past what it shipped (an empty one after streamHeartbeat with
@@ -1069,27 +1038,13 @@ func (s *Server) openStream() bool {
 // that stopped reading — ends it, as do a broken connection, a closed WAL,
 // and the server's Close. A cursor compacted away mid-stream gets the gone
 // frame.
-func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, b ShippedBatch, id string, maxRecords int) {
-	defer s.streams.Done()
-	quit := make(chan struct{})
-	var once sync.Once
-	hangUp := func() { once.Do(func() { close(quit); conn.Close() }) }
-	defer hangUp()
-	conn.SetDeadline(time.Time{})
-	go func() {
-		select {
-		case <-s.stop:
-			hangUp()
-		case <-quit:
-		}
-	}()
-	s.streams.Add(1)
-	go func() {
-		defer s.streams.Done()
-		defer hangUp()
+func (s *Server) serveStream(st *stream, b ShippedBatch, id string, maxRecords int) {
+	defer st.end()
+	st.goRun(func() {
+		defer st.hangUp()
 		var ack [wireAckBytes]byte
 		for {
-			if _, err := io.ReadFull(br, ack[:]); err != nil {
+			if _, err := io.ReadFull(st.reader, ack[:]); err != nil {
 				return
 			}
 			p, err := decodeReplAck(ack[:])
@@ -1098,24 +1053,22 @@ func (s *Server) serveStream(conn net.Conn, br *bufio.Reader, b ShippedBatch, id
 			}
 			s.recordAck(id, p)
 		}
-	}()
+	})
 
-	buf := []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + replProtocol + "\r\n\r\n")
+	var buf []byte
 	gone := false
 	for {
 		if gone {
-			buf = appendReplGone(buf)
+			buf = appendReplGone(buf[:0])
 		} else {
-			buf = appendReplBatch(buf, &b)
+			buf = appendReplBatch(buf[:0], &b)
 		}
-		conn.SetWriteDeadline(time.Now().Add(streamIdle))
-		if _, err := conn.Write(buf); err != nil || gone {
+		if err := st.write(buf); err != nil || gone {
 			return
 		}
-		buf = buf[:0]
-		s.wal.Wait(quit, b.Next, streamHeartbeat)
+		s.wal.Wait(st.done(), b.Next, streamHeartbeat)
 		select {
-		case <-quit:
+		case <-st.done():
 			return
 		default:
 		}

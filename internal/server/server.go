@@ -315,10 +315,10 @@ type Server struct {
 	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
-	// streams counts the replication streams served (and their ack
-	// readers); Close waits for them, since the HTTP server forgets a
-	// connection once it is taken over.
-	streams sync.WaitGroup
+	// conns is every connection taken over from net/http: the replication
+	// streams served and the call streams. Close ends them and waits,
+	// since the HTTP server forgets a connection once it is taken over.
+	conns Streams
 }
 
 // New validates cfg and starts a server with the service clock at 0.
@@ -577,7 +577,7 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	close(s.stop)
 	<-s.done
-	s.streams.Wait()
+	s.conns.Close()
 	if pullDone != nil {
 		<-pullDone
 	}

@@ -1,0 +1,200 @@
+package server
+
+import (
+	"bufio"
+	"errors"
+	"net"
+	"net/http"
+	"strings"
+	"sync"
+	"time"
+)
+
+// Streams is the set of connections a process took over from net/http: the
+// replication streams of gridbw-repl/1 and the call streams of
+// gridbw-call/1. Both are upgraded, watched and ended by the one helper
+// here. The HTTP server forgets a connection once it is taken over, so
+// Close is the only thing that ends them: it refuses new ones, hangs up
+// every open one and waits for each goroutine a stream started. The zero
+// value is ready to use.
+type Streams struct {
+	mu     sync.Mutex
+	closed bool
+	stop   chan struct{}
+	wg     sync.WaitGroup
+}
+
+// wantsUpgrade reports whether r offers to upgrade its connection to proto.
+func wantsUpgrade(r *http.Request, proto string) bool {
+	if !strings.EqualFold(r.Header.Get("Upgrade"), proto) {
+		return false
+	}
+	for _, v := range r.Header.Values("Connection") {
+		for v != "" {
+			var tok string
+			tok, v, _ = strings.Cut(v, ",")
+			if strings.EqualFold(strings.TrimSpace(tok), "upgrade") {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// stopCh returns the channel Close closes; mu must be held.
+func (ss *Streams) stopCh() chan struct{} {
+	if ss.stop == nil {
+		ss.stop = make(chan struct{})
+	}
+	return ss.stop
+}
+
+// upgrade takes over r's connection for proto, when r offered it, the set
+// is still open and w can be taken over. Nothing has been written yet: the
+// 101 goes out in front of the stream's first frame. false leaves w to
+// answer over plain HTTP — a writer that hides Hijack (a tracing or
+// metrics middleware) lands there, and so does a request that did not
+// offer.
+func (ss *Streams) upgrade(w http.ResponseWriter, r *http.Request, proto string) (*stream, bool) {
+	if !wantsUpgrade(r, proto) {
+		return nil, false
+	}
+	ss.mu.Lock()
+	if ss.closed {
+		ss.mu.Unlock()
+		return nil, false
+	}
+	stop := ss.stopCh()
+	ss.wg.Add(1)
+	ss.mu.Unlock()
+	conn, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		ss.wg.Done()
+		return nil, false
+	}
+	// net/http may have armed deadlines for the request; the stream keeps
+	// its own.
+	conn.SetDeadline(time.Time{})
+	st := &stream{
+		conn: conn, reader: brw.Reader, set: ss, quit: make(chan struct{}),
+		hello: []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + proto + "\r\n\r\n"),
+	}
+	// The stop watcher: Close hangs the stream up.
+	st.goRun(func() {
+		select {
+		case <-stop:
+			st.hangUp()
+		case <-st.quit:
+		}
+	})
+	return st, true
+}
+
+// Close refuses new streams, hangs up every open one and waits for all of
+// their goroutines.
+func (ss *Streams) Close() {
+	ss.mu.Lock()
+	if !ss.closed {
+		ss.closed = true
+		close(ss.stopCh())
+	}
+	ss.mu.Unlock()
+	ss.wg.Wait()
+}
+
+// stream is one connection taken over by upgrade. Its owner (the goroutine
+// upgrade returned to) reads from reader and ends with end, or hands the
+// stream to goroutines started with goRun and calls release; writes may
+// come from any goroutine.
+type stream struct {
+	conn   net.Conn
+	reader *bufio.Reader
+	set    *Streams
+	quit   chan struct{}
+	once   sync.Once
+
+	wmu   sync.Mutex
+	hello []byte // the 101, sent in front of the first frame
+	wbuf  []byte
+	// wdead and rdead are the write and read deadlines last armed: moving
+	// one costs a timer update in the poller, so each moves once a second
+	// at most, which keeps its bound within a second of what it says.
+	wdead, rdead time.Time
+}
+
+// goRun runs f on a goroutine that Streams.Close waits for.
+func (st *stream) goRun(f func()) {
+	st.set.wg.Add(1)
+	go func() {
+		defer st.set.wg.Done()
+		f()
+	}()
+}
+
+// hangUp closes the connection; every read and write on it fails from here
+// on. Safe to call more than once, from anywhere.
+func (st *stream) hangUp() {
+	st.once.Do(func() {
+		close(st.quit)
+		st.conn.Close()
+	})
+}
+
+// end hangs up and releases the owner's hold on the set; the owner calls it
+// once, when it stops reading.
+func (st *stream) end() {
+	st.hangUp()
+	st.release()
+}
+
+// release gives up the owner's hold on the set without hanging up, once
+// goroutines started with goRun have taken the stream over.
+func (st *stream) release() { st.set.wg.Done() }
+
+// done is closed once the stream hung up.
+func (st *stream) done() <-chan struct{} { return st.quit }
+
+// write sends one frame, the parts of it in order and in one piece, behind
+// the 101 if nothing went out yet. A peer that takes none of it within
+// streamIdle — it stopped reading — ends the stream.
+func (st *stream) write(parts ...[]byte) error {
+	st.wmu.Lock()
+	defer st.wmu.Unlock()
+	var buf []byte
+	if len(parts) == 1 && st.hello == nil {
+		buf = parts[0]
+	} else {
+		buf = append(st.wbuf[:0], st.hello...)
+		st.hello = nil
+		for _, p := range parts {
+			buf = append(buf, p...)
+		}
+		if cap(buf) <= 64<<10 {
+			st.wbuf = buf // a rare huge answer should not stay pinned
+		}
+	}
+	if d := time.Now().Add(streamIdle); d.Sub(st.wdead) > time.Second {
+		st.wdead = d
+		st.conn.SetWriteDeadline(d)
+	}
+	if _, err := st.conn.Write(buf); err != nil {
+		st.hangUp()
+		return err
+	}
+	return nil
+}
+
+// readWithin bounds the reads from here on to d from now, give or take a
+// second. One goroutine at a time may read, and only it may call this.
+func (st *stream) readWithin(d time.Duration) {
+	if t := time.Now().Add(d); t.Sub(st.rdead) > time.Second {
+		st.rdead = t
+		st.conn.SetReadDeadline(t)
+	}
+}
+
+// isTimeout reports whether err is a deadline that passed.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}

@@ -56,6 +56,32 @@ package server
 //	               | u32 peerPoint | u64 epoch | u16 code | str16 error
 //	                                                  flags: bit0 released
 //
+// Lookups and cancels by id — the request frame of a GET or DELETE of
+// /v1/requests/{id} when it travels as a call (below); the answer is a
+// one-item "GBR1":
+//
+//	"GBI1" record: u64 id                             (count = 1)
+//
+// The call stream — any framed call upgraded to gridbw-call/1 (calls.go) —
+// carries tagged calls up and tagged answers down, pipelined: a caller may
+// send call after call without waiting, and the answers come back in
+// whatever order the calls finish. Tag 0 is the call that upgraded the
+// connection, answered first; the caller picks every later tag.
+//
+//	call:   u32 tag | u8 op | frame       op: 1 submit "GBB1", 2 batch
+//	                                      "GBB1", 3 reserve "GHQ1", 4
+//	                                      confirm "GHF1", 5 abort "GHF1",
+//	                                      6 get "GBI1", 7 cancel "GBI1"
+//	answer: u32 tag | u16 status | u8 codec | body
+//	        codec 0: body is the op's answer frame, as over HTTP
+//	        codec 1: body is "GBJ1" | u32 len | JSON — the error envelope
+//	                 (with "retry_after_s" on a 429) or a 409 cancel's
+//	                 reservation
+//
+// status is the HTTP status the same call would get, so every rule the
+// client keys on holds on either carrier. A frame longer than
+// MaxBinaryBatchBytes, an unknown op or a truncated call ends the stream.
+//
 // The replication stream — GET /v1/replication/pull upgraded to
 // gridbw-repl/1 (replication.go) — carries one frame per shipped batch from
 // the primary, and a bare 16-byte cursor back from the follower after each:
@@ -98,6 +124,8 @@ const (
 	wireStateMagic    = "GHS1"
 	wireBatchMagic    = "GRB1"
 	wireGoneMagic     = "GRG1"
+	wireIDMagic       = "GBI1"
+	wireJSONMagic     = "GBJ1"
 
 	wireFlagDurable     = 1 << 0
 	wireFlagRelNotBefor = 1 << 1
@@ -118,6 +146,8 @@ const (
 
 	wireFrameHeaderSize = 8  // magic | u32 bodyLen
 	wireAckBytes        = 16 // a follower's cursor frame
+	callHeaderSize      = 5  // u32 tag | u8 op
+	answerHeaderSize    = 7  // u32 tag | u16 status | u8 codec
 )
 
 // WireSubmission is one record of a framed submit or batch request: a
@@ -793,6 +823,131 @@ func DecodeHoldStates(data []byte) ([]HoldStateJSON, error) {
 	})
 }
 
+// --- lookups and cancels by id -------------------------------------------
+
+// AppendIDFrame appends the request frame of a lookup or cancel of id.
+func AppendIDFrame(dst []byte, id int) []byte {
+	dst, lenAt := beginFrame(dst, wireIDMagic, 1)
+	return endFrame(appendU64(dst, uint64(id)), lenAt)
+}
+
+// DecodeIDFrame parses the request frame of a lookup or cancel.
+func DecodeIDFrame(data []byte) (int, error) {
+	r, count, err := openFrame(data, wireIDMagic)
+	if err == nil && count != 1 {
+		err = fmt.Errorf("wire: %d ids in one lookup", count)
+	}
+	if err != nil {
+		return 0, err
+	}
+	id := r.u64("id")
+	if err := r.finish(1); err != nil {
+		return 0, err
+	}
+	if id > math.MaxInt64 {
+		return 0, fmt.Errorf("bad reservation id %d", id)
+	}
+	return int(id), nil
+}
+
+// --- the call stream -----------------------------------------------------
+
+// The ops of the call stream, in the order of the format comment.
+const (
+	OpSubmit byte = 1 + iota
+	OpBatch
+	OpReserve
+	OpConfirm
+	OpAbort
+	OpGet
+	OpCancel
+	numOps
+)
+
+// The codecs of an answer body.
+const (
+	CodecFrame byte = iota
+	CodecJSON
+)
+
+// AppendCall appends one call of the stream: its tag, its op and the
+// request frame.
+func AppendCall(dst []byte, tag uint32, op byte, frame []byte) []byte {
+	return append(append(appendU32(dst, tag), op), frame...)
+}
+
+// readCall reads one call off r, its frame into buf, grown as needed. An
+// unknown op, a frame past MaxBinaryBatchBytes or a truncated call is an
+// error: the stream cannot be read on behind it.
+func readCall(r io.Reader, buf []byte) (tag uint32, op byte, frame []byte, err error) {
+	var hdr [callHeaderSize]byte
+	if n, err := io.ReadFull(r, hdr[:]); err != nil {
+		if n > 0 {
+			// Not a deadline between calls: the stream is out of step.
+			err = fmt.Errorf("wire: call header cut after %d bytes: %v", n, err)
+		}
+		return 0, 0, buf, err
+	}
+	tag, op = binary.LittleEndian.Uint32(hdr[:]), hdr[4]
+	if op == 0 || op >= numOps {
+		return tag, op, buf, fmt.Errorf("wire: unknown op %d", op)
+	}
+	if frame, err = readFrame(r, buf); err != nil {
+		err = fmt.Errorf("wire: call %d: %v", tag, noEOF(err))
+	}
+	return tag, op, frame, err
+}
+
+// appendAnswerHeader appends the head of one answer of the stream.
+func appendAnswerHeader(dst []byte, tag uint32, status int, codec byte) []byte {
+	return append(appendU16(appendU32(dst, tag), uint16(status)), codec)
+}
+
+// appendJSONFrame appends the body of a JSON answer: v encoded.
+func appendJSONFrame(dst []byte, v any) []byte {
+	dst = append(dst, wireJSONMagic...)
+	lenAt := len(dst)
+	dst = appendU32(dst, 0)
+	blob, err := json.Marshal(v)
+	if err != nil {
+		blob, _ = json.Marshal(ErrorJSON{Error: err.Error()})
+	}
+	return endFrame(append(dst, blob...), lenAt)
+}
+
+// ReadAnswer reads one answer of the stream off r into fb, grown as
+// needed, and returns its body: the answer frame for CodecFrame, the JSON
+// text for CodecJSON. An unknown codec, a body past MaxBinaryBatchBytes or
+// a truncated answer is an error.
+func ReadAnswer(r io.Reader, fb *FrameBuf) (tag uint32, status int, codec byte, body []byte, err error) {
+	var hdr [answerHeaderSize]byte
+	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, 0, nil, err
+	}
+	tag = binary.LittleEndian.Uint32(hdr[:])
+	status = int(binary.LittleEndian.Uint16(hdr[4:]))
+	codec = hdr[6]
+	if codec != CodecFrame && codec != CodecJSON {
+		return tag, status, codec, nil, fmt.Errorf("wire: unknown answer codec %d", codec)
+	}
+	if fb.B, err = readFrame(r, fb.B); err != nil {
+		return tag, status, codec, nil, noEOF(err)
+	}
+	body = fb.B
+	if codec == CodecJSON {
+		body, err = frameBody(body, wireJSONMagic)
+	}
+	return tag, status, codec, body, err
+}
+
+// noEOF turns a clean EOF inside a message into the truncation it is.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 // --- replication stream --------------------------------------------------
 
 func appendPos(dst []byte, p wal.Pos) []byte {
@@ -878,17 +1033,17 @@ func decodeReplFrame(frame []byte) (b ShippedBatch, gone bool, err error) {
 	return b, false, nil
 }
 
-// readReplFrame reads one stream frame from r into buf, grown as needed,
-// and returns it; a length prefix past wireMaxBatchBytes is refused before
-// anything is allocated for it.
-func readReplFrame(r io.Reader, buf []byte) ([]byte, error) {
+// readFrame reads one frame of either stream from r into buf, grown as
+// needed, and returns it; a length prefix past wireMaxBatchBytes is refused
+// before anything is allocated for it.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	buf = slices.Grow(buf[:0], wireFrameHeaderSize)[:wireFrameHeaderSize]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return buf, err
 	}
 	n := binary.LittleEndian.Uint32(buf[len(wireBatchMagic):])
 	if n > wireMaxBatchBytes {
-		return buf, fmt.Errorf("wire: replication frame of %d bytes exceeds %d", n, wireMaxBatchBytes)
+		return buf, fmt.Errorf("wire: frame of %d bytes exceeds %d", n, wireMaxBatchBytes)
 	}
 	buf = slices.Grow(buf, int(n))[:wireFrameHeaderSize+int(n)]
 	_, err := io.ReadFull(r, buf[wireFrameHeaderSize:])
