@@ -25,6 +25,7 @@ import (
 
 	"gridbw/internal/check"
 	"gridbw/internal/server"
+	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
 )
@@ -75,12 +76,13 @@ func run(args []string, stdout io.Writer) error {
 	var shards []check.ShardFinal
 	total := 0
 	for _, dir := range walDirs {
-		l, _, err := wal.Open(dir, wal.Options{})
-		if err != nil {
-			return fmt.Errorf("%s: %w", dir, err)
-		}
-		events, _, err := server.ReadWALEvents(l, wal.Pos{})
-		l.Close()
+		// Read-only: the directory under audit is the evidence, and a
+		// half-written last frame is what recovery would cut, not a verdict.
+		var events []trace.Event
+		_, err := server.ReadWALDir(dir, wal.Pos{}, func(ev trace.Event) error {
+			events = append(events, ev)
+			return nil
+		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", dir, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,6 +79,49 @@ func TestCheckCleanRun(t *testing.T) {
 	if !strings.Contains(out.String(), "0 violations") {
 		t.Fatalf("missing verdict: %s", out.String())
 	}
+}
+
+// TestCheckLeavesATornDirectoryUntouched: the checker audits a directory
+// whose last frame is half-written without repairing it — every file stays
+// byte for byte as it was — and judges the records before the tear.
+func TestCheckLeavesATornDirectoryUntouched(t *testing.T) {
+	dir, ops := seedRun(t, 3)
+	f, err := os.OpenFile(filepath.Join(dir, "wal-00000001.seg"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := wal.AppendFrame(nil, []byte(`{"t_s":0,"kind":"accept","request":9,"ingress":0,"egress":1}`))
+	f.Write(frame[:len(frame)-3])
+	f.Close()
+	before := dirBytes(t, dir)
+	var out bytes.Buffer
+	if err := run([]string{"-history", writeHistory(t, ops), "-wal", dir}, &out); err != nil {
+		t.Fatalf("torn run flagged: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "against 3 logged decisions") {
+		t.Fatalf("verdict %q, want the 3 decisions before the tear", out.String())
+	}
+	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("the checker changed the directory it audited")
+	}
+}
+
+// dirBytes maps each file in dir to its content.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, e := range entries {
+		blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(blob)
+	}
+	return out
 }
 
 func TestCheckDetectsDurableLoss(t *testing.T) {

@@ -1,7 +1,7 @@
-// Command gridbwctl is the failover operations tool for a gridbwd
-// replication group. It is the out-of-process counterpart of the
-// daemon's -watch flag: the same cluster.Watchdog, run from an operator
-// box (or a third machine, where it doubles as an external arbiter).
+// Command gridbwctl is the operations tool for a gridbwd replication
+// group. It is the out-of-process counterpart of the daemon's -watch flag:
+// the same cluster.Watchdog, run from an operator box (or a third machine,
+// where it doubles as an external arbiter). And it reads a daemon's WAL.
 //
 //	gridbwctl status  http://a:8080 http://b:8081     replication view of each endpoint
 //	gridbwctl promote http://b:8081                   promote a standby by hand
@@ -9,6 +9,7 @@
 //	                                                  probe the primary, auto-promote the standby
 //	gridbwctl watch -resume -endpoints http://a:8080,http://b:8081,http://c:8082
 //	                                                  guard the group across successive failovers
+//	gridbwctl tail -wal waldir [-from 3:4096]         print the logged decisions as JSON lines
 //
 // Whether a promotion needs a majority is decided by the daemon being
 // promoted, not here: a gridbwd started with -peers holds its own vote
@@ -22,7 +23,9 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -35,7 +38,10 @@ import (
 	"time"
 
 	"gridbw/internal/cluster"
+	"gridbw/internal/server"
 	"gridbw/internal/server/client"
+	"gridbw/internal/trace"
+	"gridbw/internal/wal"
 )
 
 func main() {
@@ -49,7 +55,7 @@ func main() {
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return errors.New("usage: gridbwctl <status|promote|watch> ...")
+		return errors.New("usage: gridbwctl <status|promote|watch|tail> ...")
 	}
 	switch args[0] {
 	case "status":
@@ -58,8 +64,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return runPromote(ctx, args[1:], out)
 	case "watch":
 		return runWatch(ctx, args[1:], out)
+	case "tail":
+		return runTail(args[1:], out)
 	default:
-		return fmt.Errorf("unknown command %q (want status, promote or watch)", args[0])
+		return fmt.Errorf("unknown command %q (want status, promote, watch or tail)", args[0])
 	}
 }
 
@@ -179,4 +187,33 @@ func runWatch(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "standby %s is primary (epoch %d)\n", *standby, wd.Status().Epoch)
 	return nil
+}
+
+// runTail prints the decisions a WAL directory logged as JSON lines, one
+// trace.Event each, in log order, from -from (default: the oldest record
+// still on disk). It only reads the directory, so it is safe on a live
+// daemon's, and it stops quietly at a half-written last frame.
+func runTail(args []string, out io.Writer) error {
+	fset := flag.NewFlagSet("gridbwctl tail", flag.ContinueOnError)
+	dir := fset.String("wal", "", "the daemon's WAL directory")
+	from := fset.String("from", "", "WAL position SEG:OFF to start at, as /v1/replication/status prints it (default: the oldest record)")
+	if err := fset.Parse(args); err != nil {
+		return err
+	}
+	if *dir == "" || fset.NArg() != 0 {
+		return errors.New("usage: gridbwctl tail -wal DIR [-from SEG:OFF]")
+	}
+	var pos wal.Pos
+	if *from != "" {
+		if _, err := fmt.Sscanf(*from, "%d:%d", &pos.Seg, &pos.Off); err != nil || pos.Off < 0 || pos.String() != *from {
+			return fmt.Errorf("-from %q: want SEG:OFF", *from)
+		}
+	}
+	w := bufio.NewWriter(out)
+	enc := json.NewEncoder(w)
+	_, err := server.ReadWALDir(*dir, pos, func(ev trace.Event) error { return enc.Encode(ev) })
+	if ferr := w.Flush(); err == nil {
+		err = ferr
+	}
+	return err
 }

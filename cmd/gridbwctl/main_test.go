@@ -3,13 +3,20 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
+	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
 )
@@ -34,6 +41,10 @@ func TestCtlUsageErrors(t *testing.T) {
 		// The vote set is the standby daemon's -peers now, not the watchdog's.
 		{"watch", "-primary", "http://a", "-standby", "http://b", "-peers", "http://c"},
 		{"watch", "-primary", "http://a", "-standby", "http://b", "-candidate", "b"},
+		{"tail"},
+		{"tail", "-wal", "d", "extra"},
+		{"tail", "-wal", "d", "-from", "3"},
+		{"tail", "-wal", "d", "-from", "3:-1"},
 	} {
 		if err := run(ctx, args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) accepted, want usage error", args)
@@ -173,4 +184,174 @@ func TestCtlWatch(t *testing.T) {
 			t.Errorf("watch output missing %q:\n%s", want, got)
 		}
 	}
+}
+
+// sink is a Config.Decisions tap keeping every event in order.
+type sink struct {
+	mu     sync.Mutex
+	events []trace.Event
+}
+
+func (k *sink) Append(ev trace.Event) error {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.events = append(k.events, ev)
+	return nil
+}
+
+// TestCtlTailPrintsTheSinkEvents: tail over a daemon's WAL prints exactly
+// the events its decisions sink saw, in order and as JSON lines — accepts,
+// a reject, a cancel, an expiry and the hold transitions — and -from starts
+// past the records before it.
+func TestCtlTailPrintsTheSinkEvents(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var now atomic.Int64
+	seen := &sink{}
+	cfg := testConfig()
+	cfg.WAL, cfg.Decisions = l, seen
+	cfg.Clock = func() time.Time { return time.Unix(0, now.Load()) }
+	s, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	submit := func(sub server.Submission, accept bool) server.Decision {
+		t.Helper()
+		d, err := s.Submit(sub)
+		if err != nil || d.Accepted != accept {
+			t.Fatalf("submit %+v: %v %+v, want accepted=%v", sub, err, d, accept)
+		}
+		return d
+	}
+	submit(server.Submission{From: 0, To: 1, Volume: 1 * units.GB, Deadline: 10, MaxRate: 1 * units.GBps}, true)
+	submit(server.Submission{From: 0, To: 1, Volume: 1 * units.TB, Deadline: 10, MaxRate: 1 * units.GBps}, false)
+	if _, err := s.Cancel(submit(server.Submission{From: 1, To: 0, Volume: 1 * units.GB, Deadline: 100, MaxRate: 100 * units.MBps}, true).ID); err != nil {
+		t.Fatal(err)
+	}
+	from := l.End()
+	for _, key := range []string{"confirmed", "aborted"} {
+		if res, err := s.HoldReserve([]server.HoldReserveJSON{{
+			Hold: key, Side: trace.HoldSideIngress, Point: 1, PeerPoint: 1, TTLS: 5,
+			RelTimes: true, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 100,
+		}}); err != nil || !res[0].Held {
+			t.Fatalf("reserve %s: %v %+v", key, err, res)
+		}
+	}
+	if res, err := s.HoldConfirm([]server.HoldRefJSON{{Hold: "confirmed"}}); err != nil || res[0].Code != 0 {
+		t.Fatalf("confirm: %v %+v", err, res)
+	}
+	if res, err := s.HoldAbort([]server.HoldRefJSON{{Hold: "aborted"}}); err != nil || !res[0].Released {
+		t.Fatalf("abort: %v %+v", err, res)
+	}
+	now.Store(int64(20 * time.Second)) // past the first grant's τ = 10
+	s.Now()
+
+	kinds := make(map[string]bool)
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	fromAt := -1
+	for i, ev := range seen.events {
+		kinds[ev.Kind] = true
+		if ev.Kind == trace.EventHoldReserve && fromAt < 0 {
+			fromAt = i
+		}
+		enc.Encode(ev)
+	}
+	for _, k := range []string{trace.EventAccept, trace.EventReject, trace.EventCancel, trace.EventExpire,
+		trace.EventHoldReserve, trace.EventHoldConfirm, trace.EventHoldAbort} {
+		if !kinds[k] {
+			t.Fatalf("the history has no %s event", k)
+		}
+	}
+	var got bytes.Buffer
+	if err := run(context.Background(), []string{"tail", "-wal", dir}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("tail printed\n%s\nthe sink saw\n%s", got.String(), want.String())
+	}
+
+	got.Reset()
+	if err := run(context.Background(), []string{"tail", "-wal", dir, "-from", from.String()}, &got); err != nil {
+		t.Fatal(err)
+	}
+	var tailEvents []trace.Event
+	dec := json.NewDecoder(&got)
+	for dec.More() {
+		var ev trace.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		tailEvents = append(tailEvents, ev)
+	}
+	if !reflect.DeepEqual(tailEvents, seen.events[fromAt:]) {
+		t.Fatalf("tail -from %v printed %+v, want the sink's events from the first hold on", from, tailEvents)
+	}
+}
+
+// TestCtlTailLeavesATornDirectoryUntouched: tail reads a directory whose
+// last frame is half-written — a live daemon's, mid-append — stops quietly
+// before that frame, and leaves every file byte for byte as it found it.
+func TestCtlTailLeavesATornDirectoryUntouched(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.WAL = l
+	s, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Submit(server.Submission{From: 0, To: 1, Volume: 1 * units.GB, Deadline: 4000, MaxRate: 1 * units.MBps}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	l.Close()
+	seg := filepath.Join(dir, "wal-00000001.seg")
+	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := wal.AppendFrame(nil, []byte(`{"t_s":0,"kind":"accept","request":3,"ingress":0,"egress":1}`))
+	f.Write(frame[:len(frame)/2])
+	f.Close()
+
+	before := dirBytes(t, dir)
+	var got bytes.Buffer
+	if err := run(context.Background(), []string{"tail", "-wal", dir}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(got.String(), "\n"); n != 3 {
+		t.Fatalf("tail printed %d events before the torn frame, want 3:\n%s", n, got.String())
+	}
+	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("tail changed the directory it read")
+	}
+}
+
+// dirBytes maps each file in dir to its content.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, e := range entries {
+		blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(blob)
+	}
+	return out
 }

@@ -235,7 +235,7 @@ func TestPowerLossNeverResumesPastTheLocalLog(t *testing.T) {
 }
 
 // Reseed writes the cursor record: a re-seeded follower that restarts
-// resumes at the snapshot's frontier, on top of the reseed snapshot.
+// resumes at the snapshot's frontier, on top of the checkpoint it wrote.
 func TestReseedWritesTheCursorRecord(t *testing.T) {
 	r := newCursorRig(t, wal.SyncAlways)
 	r.decide(3)

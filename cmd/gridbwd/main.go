@@ -3,18 +3,19 @@
 //
 // It serves the /v1 endpoints (requests, batch, status, metricsz,
 // healthz, replication), expires grants against the wall clock, sheds
-// submissions beyond its in-flight limit, and persists its control-plane
-// state twice over: a JSON snapshot of the ledger, and — with -wal — a
-// segmented, CRC-framed write-ahead log of every admission decision.
-// Every boot is "install one snapshot (or a fresh server), then replay the
-// WAL past it": snapshot plus the WAL suffix, else the full WAL, else
-// fresh. -decision-log is an audit export only — a JSON-lines copy of
-// every decision for tailing — and is never read at boot.
+// submissions beyond its in-flight limit, and — with -wal — persists its
+// control-plane state in one format: a segmented, CRC-framed write-ahead
+// log of every admission decision, and beside the segments a checkpoint in
+// the same frames (-snapshot-every) that lets compaction (-wal-compact)
+// drop the segments it covers. Every boot, primary or follower, is
+// "install the checkpoint (or a fresh server), then replay the WAL past
+// it": the checkpoint plus the WAL suffix, else the whole WAL, else fresh.
+// `gridbwctl tail -wal DIR` prints the logged decisions as JSON lines.
 //
 // With -follow the daemon is a warm standby: it boots the same way from
-// its own WAL (on top of the re-seed snapshot a compacted primary once
-// shipped it, if any), then continuously pulls the primary's decision
-// stream, refusing writes (403) until POST /v1/replication/promote turns
+// its own WAL directory, then continuously pulls the primary's decision
+// stream — which re-seeds it with a checkpoint if its cursor was compacted
+// away — refusing writes (403) until POST /v1/replication/promote turns
 // it into the primary under a higher fencing epoch. Adding -watch runs the failover
 // watchdog in-process: the standby probes the primary's health itself
 // and, after enough consecutive misses and a replication-lag check,
@@ -33,7 +34,7 @@
 // Examples:
 //
 //	gridbwd -addr :8080 -ingress 1GB/s,1GB/s -egress 1GB/s,1GB/s -policy f=0.8
-//	gridbwd -snapshot gridbwd.snap.json -snapshot-every 30s -wal waldir -wal-compact
+//	gridbwd -wal waldir -snapshot-every 30s -wal-compact
 //	gridbwd -addr :8081 -wal standby-wal -follow http://primary:8080
 //	gridbwd -addr :8081 -wal standby-wal -follow http://primary:8080 -watch
 //	gridbwd -addr :8080 -wal pwal -peers http://b:8081,http://c:8082 -repl-sync=quorum
@@ -45,7 +46,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"net/http"
 	"os"
@@ -57,7 +57,6 @@ import (
 	"gridbw/internal/cluster"
 	"gridbw/internal/faults"
 	"gridbw/internal/server"
-	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
 )
@@ -75,14 +74,12 @@ func run(args []string) error {
 	ingress := fset.String("ingress", "1GB/s,1GB/s", "comma-separated ingress capacities")
 	egress := fset.String("egress", "1GB/s,1GB/s", "comma-separated egress capacities")
 	policy := fset.String("policy", "minbw", "bandwidth-assignment policy: minbw, minbw-strict, or f=<x>")
-	snapshot := fset.String("snapshot", "", "snapshot file: restored at boot if present, written on shutdown")
-	snapshotEvery := fset.Duration("snapshot-every", 0, "also write the snapshot periodically (0 = only on shutdown)")
-	decisionLog := fset.String("decision-log", "", "append admission decisions as JSON lines to this file: an audit export only, never read at boot (recovery is -snapshot and -wal)")
-	walDir := fset.String("wal", "", "write-ahead log directory: every decision is CRC-framed and segmented here; the recovery source and the replication stream")
+	snapshotEvery := fset.Duration("snapshot-every", 0, "write a checkpoint into the -wal directory on this period and at shutdown (0 = never); boot installs it and replays only the WAL past it")
+	walDir := fset.String("wal", "", "write-ahead log directory: every decision is CRC-framed and segmented here, beside the checkpoint; the recovery source and the replication stream")
 	walFsync := fset.String("wal-fsync", "always", "WAL durability: always (fsync every append), interval, or never")
 	walFsyncInterval := fset.Duration("wal-fsync-interval", 0, "fsync period under -wal-fsync=interval (0 = 100ms)")
 	walSegmentBytes := fset.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold (0 = 8 MiB)")
-	walCompact := fset.Bool("wal-compact", false, "after each snapshot write, unlink WAL segments the snapshot wholly covers")
+	walCompact := fset.Bool("wal-compact", false, "after each checkpoint write, unlink WAL segments the checkpoint wholly covers")
 	chaosDisk := fset.String("chaos-disk", "", "inject seeded disk faults into the WAL (chaos testing only): seed=N,short=P,write=P,fsync=P,enospc=P,rename=P,dirsync=P")
 	follow := fset.String("follow", "", "boot as a read-only warm standby pulling decisions from the primary at this base URL")
 	replID := fset.String("repl-id", "", "replication identity presented on pulls and votes (default: the listen address)")
@@ -100,6 +97,9 @@ func run(args []string) error {
 	if err := fset.Parse(args); err != nil {
 		return err
 	}
+	if *snapshotEvery > 0 && *walDir == "" {
+		return errors.New("-snapshot-every requires -wal: the checkpoint lives in the WAL directory")
+	}
 
 	peerList := cluster.SplitURLs(*peers)
 	id := *replID
@@ -107,9 +107,8 @@ func run(args []string) error {
 		id = *addr
 	}
 	bc := bootConfig{
-		snapshotPath: *snapshot,
-		policy:       *policy,
-		follow:       *follow,
+		policy: *policy,
+		follow: *follow,
 		base: server.Config{
 			MaxInFlight: *maxInFlight,
 			RetryAfter:  *retryAfter,
@@ -131,14 +130,6 @@ func run(args []string) error {
 	}
 	if bc.egress, err = units.ParseBandwidths(*egress); err != nil {
 		return fmt.Errorf("-egress: %w", err)
-	}
-	if *decisionLog != "" {
-		f, err := os.OpenFile(*decisionLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		bc.base.Decisions = trace.NewDecisionLog(f)
 	}
 	if *walDir != "" {
 		pol, err := wal.ParseSyncPolicy(*walFsync)
@@ -202,7 +193,7 @@ func run(args []string) error {
 		}()
 	}
 
-	if *snapshot != "" && *snapshotEvery > 0 {
+	if *snapshotEvery > 0 {
 		go func() {
 			ticker := time.NewTicker(*snapshotEvery)
 			defer ticker.Stop()
@@ -211,8 +202,8 @@ func run(args []string) error {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
-					if err := persistSnapshot(srv, *snapshot, bc.wal, *walCompact); err != nil {
-						log.Printf("periodic snapshot: %v", err)
+					if err := persistSnapshot(srv, bc.wal, *walCompact); err != nil {
+						log.Printf("periodic checkpoint: %v", err)
 					}
 				}
 			}
@@ -226,7 +217,7 @@ func run(args []string) error {
 	}
 
 	// Graceful shutdown: stop the listener and drain in-flight admissions
-	// within the timeout, then stop the expiry loop and persist the final
+	// within the timeout, then stop the expiry loop and checkpoint the final
 	// ledger so a restart resumes without violating capacity constraints.
 	log.Printf("shutting down: draining for up to %s", *drainTimeout)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
@@ -235,11 +226,11 @@ func run(args []string) error {
 		log.Printf("drain: %v", err)
 	}
 	srv.Close()
-	if *snapshot != "" {
-		if err := persistSnapshot(srv, *snapshot, bc.wal, *walCompact); err != nil {
-			return fmt.Errorf("final snapshot: %w", err)
+	if *snapshotEvery > 0 {
+		if err := persistSnapshot(srv, bc.wal, *walCompact); err != nil {
+			return fmt.Errorf("final checkpoint: %w", err)
 		}
-		log.Printf("wrote %s", *snapshot)
+		log.Printf("wrote %s", filepath.Join(bc.wal.Dir(), server.CheckpointName))
 	}
 	return nil
 }
@@ -274,11 +265,10 @@ func newInProcessWatchdog(srv *server.Server, primary string, cfg cluster.Config
 }
 
 // bootConfig gathers everything bootServer needs to bring a server up.
-// base carries the runtime wiring (Decisions, WAL, limits); the platform
-// flags live beside it because snapshot restore forbids platform fields
-// in its Config while a fresh server requires them.
+// base carries the runtime wiring (WAL, limits); the platform flags live
+// beside it because a restore takes the platform from the checkpoint
+// while a fresh server requires them.
 type bootConfig struct {
-	snapshotPath    string
 	ingress, egress []units.Bandwidth
 	policy          string
 	follow          string
@@ -293,34 +283,32 @@ func (bc bootConfig) platformConfig() server.Config {
 	return cfg
 }
 
-// bootServer brings up the control plane and reports how. Every boot is
-// the same three steps — install a base (one snapshot, or a fresh server),
-// replay the WAL past the position the base covers, start pulling if
-// following — and the ladder only chooses the base: the snapshot with its
-// WAL suffix, then a fresh server with the whole WAL, which is a plain
-// fresh boot when there is no WAL history.
-//
-// A primary's base is its -snapshot file. A follower's is the snapshot a
-// re-seed left in its WAL directory: its local WAL no longer reaches back
-// past that file, so an unusable one refuses the boot rather than letting
-// the follower silently diverge from its persisted cursor.
+// legacyReseedName is the JSON snapshot a follower of an older version
+// wrote into its WAL directory when it re-seeded. Its WAL starts at that
+// re-seed, and this version reads no JSON snapshot, so no boot can rebuild
+// its state.
+const legacyReseedName = "reseed.snap.json"
+
+// bootServer brings up the control plane and reports how. Every boot,
+// primary or follower, is the same three steps — install a base (the WAL
+// directory's checkpoint, or a fresh server), replay the WAL past the
+// position the base covers, start pulling if following — and the only
+// choice is the base: the checkpoint with its WAL suffix, else a fresh
+// server with the whole WAL, which is a plain fresh boot when there is no
+// WAL history. The whole WAL must reach back to its first segment, so a
+// checkpoint that is unusable where compaction (or a re-seed) dropped the
+// WAL's head refuses the boot rather than rebuilding a part of the state.
 func bootServer(bc bootConfig) (*server.Server, string, error) {
 	bc.base.Follow = bc.follow
-	snapPath, snapKind := bc.snapshotPath, "snapshot"
-	if bc.follow != "" {
-		snapPath, snapKind = "", "reseed snapshot"
-		if bc.wal != nil {
-			snapPath = filepath.Join(bc.wal.Dir(), server.ReseedSnapshotName)
-		}
-	}
 	var snap *server.Snapshot
 	var snapErr error
-	if snapPath != "" {
-		f, err := os.Open(snapPath)
-		if err == nil {
+	var snapPath string
+	if bc.wal != nil {
+		snapPath = filepath.Join(bc.wal.Dir(), server.CheckpointName)
+		if f, err := os.Open(snapPath); err == nil {
 			snap, snapErr = server.ReadSnapshot(f)
 			f.Close()
-		} else if !errors.Is(err, fs.ErrNotExist) {
+		} else if !errors.Is(err, os.ErrNotExist) {
 			snapErr = err
 		}
 	}
@@ -329,18 +317,16 @@ func bootServer(bc bootConfig) (*server.Server, string, error) {
 		var srv *server.Server
 		var err error
 		var how string
-		// No base snapshot means all of history: a compacted prefix must
+		// No checkpoint means all of history: a compacted prefix must
 		// answer ErrCompacted, not be skipped as a silent gap.
 		from := wal.Pos{Seg: 1}
 		if base == nil {
 			srv, err = server.New(bc.platformConfig())
 			how = "fresh server"
 		} else {
-			srv, err = server.NewFromSnapshot(base, bc.base) // the snapshot carries the platform
-			how = fmt.Sprintf("restored %s %s (clock at %s)", snapKind, snapPath, units.Time(base.NowS))
-			if !base.WALPos().IsZero() {
-				from = base.WALPos()
-			}
+			srv, err = server.NewFromSnapshot(base, bc.base) // the checkpoint carries the platform
+			how = fmt.Sprintf("restored checkpoint %s (clock at %s)", snapPath, units.Time(base.NowS))
+			from = base.WALPos()
 		}
 		if err != nil {
 			return nil, "", err
@@ -380,31 +366,36 @@ func bootServer(bc bootConfig) (*server.Server, string, error) {
 		snapErr = err
 	}
 	if snapErr != nil {
-		snapErr = fmt.Errorf("%s %s unusable (%w)", snapKind, snapPath, snapErr)
-		if bc.follow != "" || bc.wal == nil || bc.wal.Records() == 0 {
-			// Nothing below this rung can rebuild the state the file held;
-			// a fresh boot would silently discard it.
-			return nil, "", fmt.Errorf("%w and no full WAL history to rebuild from", snapErr)
-		}
 		// Refusing to start would keep the whole control plane down over
-		// one bad file; the WAL carries enough to rebuild.
+		// one bad file; the whole WAL, if it still reaches its head,
+		// carries enough to rebuild.
+		snapErr = fmt.Errorf("checkpoint %s unusable (%w)", snapPath, snapErr)
+		if bc.wal.Records() == 0 {
+			// A fresh boot would silently discard what the checkpoint held.
+			return nil, "", fmt.Errorf("%w and no WAL history to rebuild from", snapErr)
+		}
 		log.Printf("%v; falling back to full WAL replay", snapErr)
+	} else if bc.wal != nil {
+		if _, err := os.Stat(filepath.Join(bc.wal.Dir(), legacyReseedName)); err == nil {
+			return nil, "", fmt.Errorf("%s holds %s, the re-seed of an older version, which this version does not read: wipe the WAL directory and let the follower re-seed",
+				bc.wal.Dir(), legacyReseedName)
+		}
 	}
 	srv, how, err := boot(nil)
 	if err != nil && snapErr != nil {
-		return nil, "", fmt.Errorf("%v; %w", snapErr, err)
+		return nil, "", fmt.Errorf("%v and the whole WAL cannot rebuild the state: %w", snapErr, err)
 	}
 	return srv, how, err
 }
 
-// persistSnapshot writes the snapshot durably and, when asked, compacts
-// the WAL segments the snapshot now wholly covers.
-func persistSnapshot(srv *server.Server, path string, l *wal.Log, compact bool) error {
-	snap := srv.Snapshot()
-	if err := snap.WriteFile(path); err != nil {
+// persistSnapshot writes the checkpoint durably into the WAL directory
+// and, when asked, compacts the WAL segments it now wholly covers.
+func persistSnapshot(srv *server.Server, l *wal.Log, compact bool) error {
+	snap, err := srv.WriteCheckpoint()
+	if err != nil {
 		return err
 	}
-	if l != nil && compact {
+	if compact {
 		if n, err := l.CompactBefore(snap.WALPos()); err != nil {
 			log.Printf("wal compaction: %v", err)
 		} else if n > 0 {

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,16 +15,36 @@ import (
 	"gridbw/internal/wal"
 )
 
-func testBootConfig(dir string) bootConfig {
-	return bootConfig{
-		snapshotPath: filepath.Join(dir, "gridbwd.snap.json"),
-		ingress:      []units.Bandwidth{1 * units.GBps},
-		egress:       []units.Bandwidth{1 * units.GBps},
-		policy:       "minbw",
+// testBootConfig is a one-point platform booting from the WAL directory
+// dir.
+func testBootConfig(t *testing.T, dir string) bootConfig {
+	t.Helper()
+	bc := bootConfig{
+		ingress: []units.Bandwidth{1 * units.GBps},
+		egress:  []units.Bandwidth{1 * units.GBps},
+		policy:  "minbw",
 	}
+	return withWAL(t, bc, dir)
 }
 
-// seedState runs a short daemon lifetime, leaving a snapshot on disk with
+// withWAL opens the WAL in dir for bc's boot.
+func withWAL(t *testing.T, bc bootConfig, dir string) bootConfig {
+	t.Helper()
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	bc.wal, bc.base.WAL = l, l
+	return bc
+}
+
+// checkpointPath is where bc's boot looks for its checkpoint.
+func checkpointPath(bc bootConfig) string {
+	return filepath.Join(bc.wal.Dir(), server.CheckpointName)
+}
+
+// seedState runs a short daemon lifetime, leaving a checkpoint on disk with
 // one live reservation.
 func seedState(t *testing.T, bc bootConfig) server.Decision {
 	t.Helper()
@@ -38,14 +59,14 @@ func seedState(t *testing.T, bc bootConfig) server.Decision {
 	if err != nil || !d.Accepted {
 		t.Fatalf("seed submission: %v %+v", err, d)
 	}
-	if err := s.Snapshot().WriteFile(bc.snapshotPath); err != nil {
+	if err := persistSnapshot(s, bc.wal, false); err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
 func TestBootFreshWhenNoSnapshot(t *testing.T) {
-	bc := testBootConfig(t.TempDir())
+	bc := testBootConfig(t, t.TempDir())
 	srv, how, err := bootServer(bc)
 	if err != nil {
 		t.Fatal(err)
@@ -57,15 +78,15 @@ func TestBootFreshWhenNoSnapshot(t *testing.T) {
 }
 
 func TestBootRestoresSnapshot(t *testing.T) {
-	bc := testBootConfig(t.TempDir())
+	bc := testBootConfig(t, t.TempDir())
 	want := seedState(t, bc)
 	srv, how, err := bootServer(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if !strings.Contains(how, "snapshot") {
-		t.Errorf("recovery path = %q, want snapshot restore", how)
+	if !strings.Contains(how, "restored checkpoint") {
+		t.Errorf("recovery path = %q, want checkpoint restore", how)
 	}
 	live := srv.LiveReservations()
 	if len(live) != 1 || live[0].Req.ID != want.ID {
@@ -73,13 +94,12 @@ func TestBootRestoresSnapshot(t *testing.T) {
 	}
 }
 
-// TestBootFailsWithoutAnyRecoveryPath: a corrupt snapshot with no WAL
+// TestBootFailsWithoutAnyRecoveryPath: a corrupt checkpoint with no WAL
 // history behind it is a hard error naming both problems — a fresh boot
-// would silently discard whatever the snapshot held, and the -decision-log
-// audit export is never a recovery source.
+// would silently discard whatever the checkpoint held.
 func TestBootFailsWithoutAnyRecoveryPath(t *testing.T) {
-	bc := testBootConfig(t.TempDir())
-	if err := os.WriteFile(bc.snapshotPath, []byte("{ not json"), 0o644); err != nil {
+	bc := testBootConfig(t, t.TempDir())
+	if err := os.WriteFile(checkpointPath(bc), []byte("{ not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := bootServer(bc)
@@ -140,13 +160,14 @@ func seedHoldWAL(t *testing.T, bc bootConfig, dir string) server.Decision {
 	return kept
 }
 
-// TestBootFullWALWithHolds: a primary that lost its snapshot — missing,
-// corrupt, or written by a build whose format is no longer restored —
-// boots from its own intact WAL, hold events included, with the live grant
-// and the confirmed hold booked. A WAL whose records over-commit a point
-// still refuses the boot.
+// TestBootFullWALWithHolds: a primary that lost its checkpoint — missing,
+// corrupt, or written by a build whose format is no longer restored (a
+// version 4 JSON snapshot, or a framed header of an older version) — boots
+// from its own intact WAL, hold events included, with the live grant and
+// the confirmed hold booked. A WAL whose records over-commit a point still
+// refuses the boot.
 func TestBootFullWALWithHolds(t *testing.T) {
-	oldFormat, err := json.Marshal(map[string]any{"version": server.SnapshotVersion - 1})
+	oldFormat, err := json.Marshal(map[string]any{"version": server.SnapshotVersion - 1, "events": 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,22 +175,19 @@ func TestBootFullWALWithHolds(t *testing.T) {
 		"missing snapshot":    nil,
 		"corrupt snapshot":    []byte("{ not json"),
 		"old-format snapshot": oldFormat,
+		"old framed header":   wal.AppendFrame(nil, oldFormat),
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			bc := testBootConfig(dir)
-			kept := seedHoldWAL(t, bc, filepath.Join(dir, "wal"))
+			bc := testBootConfig(t, t.TempDir())
+			kept := seedHoldWAL(t, bc, dir)
+			bc = withWAL(t, bc, dir)
 			if snapshot != nil {
-				if err := os.WriteFile(bc.snapshotPath, snapshot, 0o644); err != nil {
+				if err := os.WriteFile(checkpointPath(bc), snapshot, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			l, _, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			bc.wal, bc.base.WAL = l, l
+			l := bc.wal
 
 			srv, how, err := bootServer(bc)
 			if err != nil {
@@ -191,7 +209,7 @@ func TestBootFullWALWithHolds(t *testing.T) {
 			srv.Close()
 
 			// One more record, over the point's capacity: the same boot must
-			// now refuse, naming the snapshot too when there was one.
+			// now refuse, naming the checkpoint too when there was one.
 			tampered, err := json.Marshal(trace.Event{
 				Kind: trace.EventAccept, Request: 99, Ingress: 0, Egress: 0,
 				RateBps: 2e9, SigmaS: 0, TauS: 4000, VolumeB: 8e12, MaxRateBps: 2e9,
@@ -213,8 +231,8 @@ func TestBootFullWALWithHolds(t *testing.T) {
 	}
 }
 
-// TestBootRefusesCompactedFullWAL: with no usable snapshot the WAL has to
-// carry all of history; one whose head was compacted away is refused
+// TestBootRefusesCompactedFullWAL: with no usable checkpoint the WAL has
+// to carry all of history; one whose head was compacted away is refused
 // rather than replayed from wherever it now starts.
 func TestBootRefusesCompactedFullWAL(t *testing.T) {
 	dir := t.TempDir()
@@ -239,5 +257,124 @@ func TestBootRefusesCompactedFullWAL(t *testing.T) {
 	}
 	if _, _, err := bootServer(bc); !errors.Is(err, wal.ErrCompacted) {
 		t.Fatalf("boot from a compacted WAL: err = %v, want ErrCompacted", err)
+	}
+}
+
+// TestFollowerRestartsAfterCompactingCheckpoint: a follower that writes a
+// checkpoint and compacts its WAL behind it — what -snapshot-every with
+// -wal-compact does at every period and at shutdown — boots from that
+// checkpoint and the WAL past it, not from 1:0, which compaction dropped,
+// and follows on.
+func TestFollowerRestartsAfterCompactingCheckpoint(t *testing.T) {
+	pwal, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pwal.Close() })
+	primary, _, err := bootServer(walBootConfig(pwal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	pts := httptest.NewServer(primary.Handler())
+	defer pts.Close()
+
+	fdir := t.TempDir()
+	opt := wal.Options{SegmentBytes: 256}
+	fwal, _, err := wal.Open(fdir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fbc := walBootConfig(fwal)
+	fbc.follow = pts.URL
+	follower, _, err := bootServer(fbc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if d, err := primary.Submit(server.Submission{From: i % 2, To: (i + 1) % 2, Volume: 1 * units.GB, Deadline: 40000, MaxRate: 50 * units.MBps}); err != nil || !d.Accepted {
+			t.Fatalf("submit %d: %v %+v", i, err, d)
+		}
+	}
+	waitUntil(t, "follower catch-up", func() bool { return follower.ReplicationStatus().Cursor == pwal.End() })
+	follower.Close()
+	if err := persistSnapshot(follower, fwal, true); err != nil {
+		t.Fatal(err)
+	}
+	if fwal.FirstPos().Seg == 1 {
+		t.Fatal("compaction kept segment 1; the head is not gone")
+	}
+	fwal.Close()
+
+	fwal2, _, err := wal.Open(fdir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fwal2.Close() })
+	fbc2 := walBootConfig(fwal2)
+	fbc2.follow = pts.URL
+	follower2, how, err := bootServer(fbc2)
+	if err != nil {
+		t.Fatalf("follower reboot after checkpoint and compaction: %v", err)
+	}
+	defer follower2.Close()
+	if !strings.Contains(how, "following") || !strings.Contains(how, "restored checkpoint") {
+		t.Fatalf("reboot path = %q, want a follower restoring its checkpoint", how)
+	}
+	if got := len(follower2.LiveReservations()); got != 8 {
+		t.Fatalf("live after reboot = %d, want 8", got)
+	}
+	if d, err := primary.Submit(server.Submission{From: 0, To: 1, Volume: 1 * units.GB, Deadline: 40000, MaxRate: 50 * units.MBps}); err != nil || !d.Accepted {
+		t.Fatalf("post-reboot submit: %v %+v", err, d)
+	}
+	waitUntil(t, "post-reboot catch-up", func() bool { return len(follower2.LiveReservations()) == 9 })
+	if err := follower2.VerifyInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUpgradeRules pins what an older deployment meets: the command lines
+// of the two deleted flags fail parsing, -snapshot-every without the -wal
+// directory its checkpoint lives in is refused, and a WAL directory holding
+// an older version's re-seed snapshot, whose WAL head is gone, refuses to
+// boot with an error that names the file and the way out.
+func TestUpgradeRules(t *testing.T) {
+	for _, args := range [][]string{
+		{"-snapshot", "gridbwd.snap.json"},
+		{"-decision-log", "decisions.jsonl"},
+		{"-snapshot-every", "30s"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run(%v) started, want it refused", args)
+		}
+	}
+
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	bc := walBootConfig(l)
+	srv, err := server.New(bc.platformConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if d, err := srv.Submit(server.Submission{From: 0, To: 1, Volume: 1 * units.GB, Deadline: 4000, MaxRate: 50 * units.MBps}); err != nil || !d.Accepted {
+			t.Fatalf("submit %d: %v %+v", i, err, d)
+		}
+	}
+	srv.Close()
+	if dropped, err := l.CompactBefore(l.End()); err != nil || dropped == 0 {
+		t.Fatalf("compaction dropped %d segments (%v), want > 0", dropped, err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, legacyReseedName), []byte(`{"version":4,"events":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bc.follow = "http://127.0.0.1:0" // never dialed: the boot refuses first
+	_, _, err = bootServer(bc)
+	if err == nil || !strings.Contains(err.Error(), legacyReseedName) || !strings.Contains(err.Error(), "wipe the WAL directory") {
+		t.Fatalf("boot with a leftover %s: %v, want a refusal naming it and the rule", legacyReseedName, err)
 	}
 }

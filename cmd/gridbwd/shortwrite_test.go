@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,4 +155,89 @@ func TestShortWriteEveryOffsetRecovery(t *testing.T) {
 			t.Logf("%s: swept %d torn-append offsets", tc.name, lastFrame)
 		})
 	}
+	t.Run("checkpoint", func(t *testing.T) {
+		for _, compact := range []bool{false, true} {
+			tornCheckpointEveryOffset(t, compact)
+		}
+	})
+}
+
+// tornCheckpointEveryOffset cuts the checkpoint file at every byte offset
+// and boots. Frames are self-validating, so a cut at a frame boundary is
+// a well-formed shorter checkpoint: only the event count its header
+// declares tells it apart. Every cut must fall back to the whole WAL — and
+// rebuild the full state — or, once compaction dropped the WAL's head,
+// refuse the boot; it must never install fewer events.
+func tornCheckpointEveryOffset(t *testing.T, compact bool) {
+	dir := t.TempDir()
+	opt := wal.Options{}
+	if compact {
+		opt.SegmentBytes = 256
+	}
+	l, _, err := wal.Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	bc := walBootConfig(l)
+	bc.base.Clock = frozenClock()
+	srv, err := server.New(bc.platformConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(i int) {
+		t.Helper()
+		if d, err := srv.Submit(server.Submission{
+			From: i % 2, To: (i + 1) % 2, Volume: 5 * units.GB, Deadline: 40000, MaxRate: 50 * units.MBps,
+		}); err != nil || !d.Accepted {
+			t.Fatalf("submit %d: %v %+v", i, err, d)
+		}
+	}
+	for i := 0; i < shortWriteSeedDecisions; i++ {
+		submit(i)
+	}
+	if err := persistSnapshot(srv, l, compact); err != nil {
+		t.Fatal(err)
+	}
+	submit(shortWriteSeedDecisions) // the suffix past the checkpoint
+	want := len(srv.LiveReservations())
+	srv.Close()
+	if compact && l.FirstPos().Seg == 1 {
+		t.Fatal("compaction kept the WAL's head")
+	}
+	path := filepath.Join(dir, server.CheckpointName)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := func(cut int) (string, error) {
+		t.Helper()
+		if err := os.WriteFile(path, blob[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, how, err := bootServer(bc)
+		if err != nil {
+			return "", err
+		}
+		defer s.Close()
+		if live := len(s.LiveReservations()); live != want {
+			t.Fatalf("compact=%v, cut %d of %d: booted %d live reservations, want %d (%s)", compact, cut, len(blob), live, want, how)
+		}
+		return how, nil
+	}
+	for cut := 0; cut < len(blob); cut++ {
+		how, err := boot(cut)
+		switch {
+		case compact && err == nil:
+			t.Fatalf("cut %d of %d: booted with the WAL's head gone (%s)", cut, len(blob), how)
+		case !compact && err != nil:
+			t.Fatalf("cut %d of %d: %v, want the fall-back to the whole WAL", cut, len(blob), err)
+		case !compact && !strings.Contains(how, "fresh server"):
+			t.Fatalf("cut %d of %d: boot %q, want the fall-back to the whole WAL", cut, len(blob), how)
+		}
+	}
+	if how, err := boot(len(blob)); err != nil || !strings.Contains(how, "restored checkpoint") {
+		t.Fatalf("the whole checkpoint: %q, %v", how, err)
+	}
+	t.Logf("compact=%v: swept %d checkpoint offsets", compact, len(blob))
 }

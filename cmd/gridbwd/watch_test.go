@@ -119,9 +119,9 @@ func TestWatchedFailoverSmoke(t *testing.T) {
 }
 
 // TestBootFollowerFromReseedSnapshot pins the reboot path of a re-seeded
-// follower: the persisted reseed snapshot (not a full local-WAL replay,
-// which would misread the compacted gap) restores the state, and the
-// follower keeps following.
+// follower: the checkpoint the re-seed persisted in its WAL directory (not
+// a full local-WAL replay, which would misread the compacted gap) restores
+// the state, and the follower keeps following.
 func TestBootFollowerFromReseedSnapshot(t *testing.T) {
 	pwal, _, err := wal.Open(t.TempDir(), wal.Options{SegmentBytes: 256})
 	if err != nil {
@@ -148,8 +148,9 @@ func TestBootFollowerFromReseedSnapshot(t *testing.T) {
 		t.Fatalf("compaction dropped %d segments (%v), want > 0", dropped, err)
 	}
 
-	// First follower life: the zero cursor 410s and the pull loop
-	// re-seeds, persisting reseed.snap.json in its WAL directory.
+	// First follower life: the zero cursor is compacted away, so the
+	// stream re-seeds it with a checkpoint, which it persists in its WAL
+	// directory.
 	fdir := t.TempDir()
 	fwal, _, err := wal.Open(fdir, wal.Options{})
 	if err != nil {
@@ -169,8 +170,8 @@ func TestBootFollowerFromReseedSnapshot(t *testing.T) {
 	follower.Close()
 	fwal.Close()
 
-	// Second life: reboot from the same directory. The boot ladder must
-	// pick the reseed snapshot, restore the state, and resume following.
+	// Second life: reboot from the same directory. The boot must install
+	// the checkpoint, restore the state, and resume following.
 	fwal2, _, err := wal.Open(fdir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -183,8 +184,8 @@ func TestBootFollowerFromReseedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower2.Close()
-	if !strings.Contains(how, "reseed snapshot") {
-		t.Fatalf("reboot path = %q, want the reseed-snapshot restore", how)
+	if !strings.Contains(how, "restored checkpoint") {
+		t.Fatalf("reboot path = %q, want the checkpoint restore", how)
 	}
 	if got := follower2.Status().Active; got != wantActive {
 		t.Fatalf("active after reboot = %d, want %d", got, wantActive)

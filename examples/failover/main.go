@@ -9,7 +9,8 @@
 // re-sends its submission under the same idempotency key, which lands
 // exactly once. Finally a late-arriving batch from the deposed primary's
 // epoch is refused (FencedError) and a brand-new follower whose cursor
-// was compacted away re-seeds itself from the snapshot endpoint.
+// was compacted away is re-seeded on its replication stream: the primary
+// sends a checkpoint after the "gone" frame, then the batches past it.
 //
 // This is a pair, so the standby has no Peers and promotes on its own
 // authority. In a group of three or more every daemon lists the others as
@@ -178,9 +179,9 @@ func main() {
 	}
 	replica.Close()
 
-	// Snapshot re-seeding: compact the new primary's WAL, then start a
-	// fresh follower — its zero cursor answers 410 Gone, and the pull
-	// loop re-seeds from GET /v1/replication/snapshot automatically.
+	// Re-seeding: compact the new primary's WAL, then start a fresh
+	// follower — its zero cursor is gone, so its replication stream carries
+	// a checkpoint of the primary's state first and the batches after it.
 	if n, err := swal.CompactBefore(swal.End()); err == nil {
 		fmt.Printf("compacted %d WAL segments on the new primary\n", n)
 	}

@@ -164,6 +164,35 @@ func TestMetaRenameFailureKeepsOldValue(t *testing.T) {
 	}
 }
 
+// A meta file whose write or fsync failed is not taken: the save reports
+// the error, the previous value stays readable, and no temp debris stays.
+// A vote must never count as cast when it did not reach the disk.
+func TestMetaWriteFaultKeepsOldValue(t *testing.T) {
+	dir := t.TempDir()
+	dfs := faults.NewDiskFS(nil, faults.DiskConfig{})
+	l := openWAL(t, dir, dfs, wal.SyncAlways)
+	defer l.Close()
+	if err := l.SaveVote(wal.Vote{Epoch: 3, Candidate: "a"}); err != nil {
+		t.Fatalf("SaveVote: %v", err)
+	}
+	for name, arm := range map[string]func(){
+		"write": func() { dfs.FailNextWrites(1) },
+		"short": func() { dfs.ShortNextWrite(5) },
+		"fsync": func() { dfs.FailNextFsyncs(1) },
+	} {
+		arm()
+		if err := l.SaveVote(wal.Vote{Epoch: 4, Candidate: "b"}); !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("%s fault: SaveVote = %v, want the injected error", name, err)
+		}
+		if v, err := l.LoadVote(); err != nil || v != (wal.Vote{Epoch: 3, Candidate: "a"}) {
+			t.Fatalf("%s fault: vote %+v (%v), want the old 3/a", name, v, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "vote.tmp")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s fault: temp file left behind: %v", name, err)
+		}
+	}
+}
+
 // A cursor save torn at any byte must cost exactly that save: the record
 // lives in two alternating slots, so boot falls back to the other slot —
 // the previous cursor — and never reads a torn one.

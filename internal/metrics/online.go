@@ -35,14 +35,14 @@ type Online struct {
 	// size. Submissions inside a batch also count toward Submitted.
 	Batches       uint64 `json:"batches,omitempty"`
 	BatchRequests uint64 `json:"batch_requests,omitempty"`
-	// LogAppendFailures counts decision-log or WAL appends that failed.
+	// LogAppendFailures counts WAL or decision-sink appends that failed.
 	// Any non-zero value flips the daemon into durability-degraded mode:
 	// it keeps serving, but the audit trail has a hole and a crash could
 	// forget decisions made past the failure.
 	LogAppendFailures uint64 `json:"log_append_failures,omitempty"`
 	// Reseeds counts the times a follower's pull cursor was compacted away
-	// and it rebuilt itself from a shipped snapshot instead of resyncing by
-	// hand.
+	// and it rebuilt itself from a checkpoint shipped on its replication
+	// stream instead of resyncing by hand.
 	Reseeds uint64 `json:"reseeds,omitempty"`
 	// SyncDegraded counts submissions whose synchronous-ack wait hit its
 	// deadline and degraded to async durability: the decision was admitted
@@ -104,11 +104,10 @@ func (o *Online) RecordBatch(n int) {
 	o.BatchRequests += uint64(n)
 }
 
-// RecordLogAppendFailure counts a decision-log or WAL append that failed.
+// RecordLogAppendFailure counts a WAL or decision-sink append that failed.
 func (o *Online) RecordLogAppendFailure() { o.LogAppendFailures++ }
 
-// RecordReseed counts a snapshot re-seed after the pull cursor was
-// compacted away.
+// RecordReseed counts a re-seed after the pull cursor was compacted away.
 func (o *Online) RecordReseed() { o.Reseeds++ }
 
 // RecordSyncDegraded counts a submission whose sync-ack wait timed out

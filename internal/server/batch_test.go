@@ -318,7 +318,7 @@ func TestSnapshotCarriesTerminalIdempotency(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+	if err := s.Snapshot().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -410,7 +410,7 @@ func TestSnapshotManyReservationsSorted(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+	if err := s.Snapshot().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := server.ReadSnapshot(&buf)

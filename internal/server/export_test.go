@@ -1,6 +1,7 @@
 package server
 
 import (
+	"io"
 	"testing"
 	"time"
 
@@ -54,13 +55,23 @@ func (s *Server) LedgerFloors() []float64 {
 
 // The replication stream's codec, for the external tests.
 var (
-	AppendReplBatch = appendReplBatch
-	AppendReplGone  = appendReplGone
-	DecodeReplFrame = decodeReplFrame
-	ReadReplFrame   = readFrame
-	AppendReplAck   = appendPos
-	DecodeReplAck   = decodeReplAck
+	AppendReplBatch  = appendReplBatch
+	AppendReplGone   = appendReplGone
+	AppendReplReseed = appendReplReseed
+	DecodeReplFrame  = decodeReplFrame
+	ReadReplFrame    = readFrame
+	AppendReplAck    = appendPos
+	DecodeReplAck    = decodeReplAck
 )
+
+// FollowStream is the follower's side of one replication stream over rw,
+// as the pull loop runs it once a pull is upgraded: it returns when rw
+// ends or a frame fails.
+func (s *Server) FollowStream(rw io.ReadWriter) error {
+	watchdog := time.NewTimer(time.Hour)
+	defer watchdog.Stop()
+	return s.followStream(rw, watchdog, func() {})
+}
 
 // SetStreamClocks shrinks the stream's heartbeat and idle bound until t
 // ends. Call it before starting the servers t uses.

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -126,8 +125,8 @@ func TestHoldReserveProposesAndBooks(t *testing.T) {
 // until τ and releases on time — not before, not never.
 func TestHoldConfirmReleasesOnSchedule(t *testing.T) {
 	clk := &fakeClock{}
-	var buf bytes.Buffer
-	s := newTestServer(t, holdConfig(clk, trace.NewDecisionLog(&buf)))
+	sink := &eventSink{}
+	s := newTestServer(t, holdConfig(clk, sink))
 
 	r, err := reserve1(s, fullReserve("h1"))
 	if err != nil || !r.Held {
@@ -161,15 +160,15 @@ func TestHoldConfirmReleasesOnSchedule(t *testing.T) {
 	if r3, err := reserve1(s, fullReserveRel("h3")); err != nil || !r3.Held {
 		t.Fatalf("reserve after release: %v %+v, want capacity back", err, r3)
 	}
-	assertHoldEvent(t, &buf, trace.EventHoldRelease, "h1")
+	assertHoldEvent(t, sink, trace.EventHoldRelease, "h1")
 }
 
 // TestHoldTTLExpiry: an unconfirmed hold rolls back when its TTL lapses,
 // the expiry is WAL-visible, and the capacity is reusable.
 func TestHoldTTLExpiry(t *testing.T) {
 	clk := &fakeClock{}
-	var buf bytes.Buffer
-	s := newTestServer(t, holdConfig(clk, trace.NewDecisionLog(&buf)))
+	sink := &eventSink{}
+	s := newTestServer(t, holdConfig(clk, sink))
 
 	if r, err := reserve1(s, fullReserve("h1")); err != nil || !r.Held {
 		t.Fatalf("reserve: %v %+v", err, r)
@@ -179,7 +178,7 @@ func TestHoldTTLExpiry(t *testing.T) {
 	if held, confirmed := s.HoldStats(); held != 0 || confirmed != 0 {
 		t.Fatalf("holds after TTL = %d/%d, want expired", held, confirmed)
 	}
-	assertHoldEvent(t, &buf, trace.EventHoldExpire, "h1")
+	assertHoldEvent(t, sink, trace.EventHoldExpire, "h1")
 
 	// A late CONFIRM of the lapsed hold is the conflict the router maps to
 	// "abort the peer side".
@@ -356,30 +355,22 @@ func TestHoldEgressRelTimes(t *testing.T) {
 	}
 }
 
-// assertHoldEvent scans the decision log for a hold event of one kind.
-func assertHoldEvent(t *testing.T, buf *bytes.Buffer, kind, hold string) {
+// assertHoldEvent scans the events sink saw for a hold event of one kind.
+func assertHoldEvent(t *testing.T, sink *eventSink, kind, hold string) {
 	t.Helper()
-	events, err := trace.ReadDecisions(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events {
+	for _, ev := range sink.Events() {
 		if ev.Kind == kind && ev.Hold == hold {
 			return
 		}
 	}
-	t.Fatalf("no %s event for hold %q in the decision log", kind, hold)
+	t.Fatalf("no %s event for hold %q among the logged events", kind, hold)
 }
 
 // holdEvents lists the logged hold transitions as "kind:key", in log order.
-func holdEvents(t *testing.T, buf *bytes.Buffer) []string {
+func holdEvents(t *testing.T, sink *eventSink) []string {
 	t.Helper()
-	events, err := trace.ReadDecisions(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []string
-	for _, ev := range events {
+	for _, ev := range sink.Events() {
 		if ev.Hold != "" {
 			out = append(out, ev.Kind+":"+ev.Hold)
 		}
@@ -393,8 +384,8 @@ func holdEvents(t *testing.T, buf *bytes.Buffer) []string {
 // fails alone — and logs exactly the events one-item calls would have.
 func TestHoldReserveListOrder(t *testing.T) {
 	clk := &fakeClock{}
-	var buf bytes.Buffer
-	s := newTestServer(t, holdConfig(clk, trace.NewDecisionLog(&buf)))
+	sink := &eventSink{}
+	s := newTestServer(t, holdConfig(clk, sink))
 
 	bad := fullReserve("bad")
 	bad.Point = 99
@@ -424,7 +415,7 @@ func TestHoldReserveListOrder(t *testing.T) {
 	}
 	// The refusal of h2 is recorded too (its tombstone must survive replay);
 	// the repeated h1 and the malformed item are not.
-	if got := holdEvents(t, &buf); !slices.Equal(got, []string{trace.EventHoldReserve + ":h1", trace.EventHoldReserve + ":h2"}) {
+	if got := holdEvents(t, sink); !slices.Equal(got, []string{trace.EventHoldReserve + ":h1", trace.EventHoldReserve + ":h2"}) {
 		t.Errorf("logged %v, want the hold_reserve of h1 and of h2", got)
 	}
 }
@@ -434,8 +425,8 @@ func TestHoldReserveListOrder(t *testing.T) {
 // fenced epoch anywhere in the list refuses the whole call untouched.
 func TestHoldConfirmListPartial(t *testing.T) {
 	clk := &fakeClock{}
-	var buf bytes.Buffer
-	s := newTestServer(t, holdConfig(clk, trace.NewDecisionLog(&buf)))
+	sink := &eventSink{}
+	s := newTestServer(t, holdConfig(clk, sink))
 
 	short := fullReserve("short")
 	short.TTLS = 1
@@ -498,7 +489,7 @@ func TestHoldConfirmListPartial(t *testing.T) {
 		trace.EventHoldExpire + ":short", trace.EventHoldConfirm + ":long",
 		trace.EventHoldAbort + ":long",
 	}
-	got := holdEvents(t, &buf)
+	got := holdEvents(t, sink)
 	if len(got) != len(want) {
 		t.Fatalf("logged %v, want %v", got, want)
 	}

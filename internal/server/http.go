@@ -125,9 +125,9 @@ type StatusJSON struct {
 	BatchRequests  uint64  `json:"batch_requests"`
 	AcceptRate     float64 `json:"accept_rate"`
 	MeanGrantedBps float64 `json:"mean_granted_rate_bps"`
-	// LogAppendFailures and DurabilityDegraded surface decision-log or
-	// WAL appends that failed: the daemon keeps serving, but its audit
-	// trail has a hole a crash could turn into forgotten decisions.
+	// LogAppendFailures and DurabilityDegraded surface WAL or decision-sink
+	// appends that failed: the daemon keeps serving, but its log has a hole
+	// a crash could turn into forgotten decisions.
 	LogAppendFailures  uint64      `json:"log_append_failures"`
 	DurabilityDegraded bool        `json:"durability_degraded"`
 	Points             []PointJSON `json:"points"`
@@ -180,7 +180,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/replication/pull", s.handleReplPull)
 	mux.HandleFunc("GET /v1/replication/status", s.handleReplStatus)
-	mux.HandleFunc("GET /v1/replication/snapshot", s.handleReplSnapshot)
 	mux.HandleFunc("POST /v1/replication/promote", s.handlePromote)
 	mux.HandleFunc("POST /v1/replication/vote", s.handleVote)
 	return s.Recoverer(mux)
@@ -189,7 +188,7 @@ func (s *Server) Handler() http.Handler {
 // Recoverer converts handler panics into 500 responses instead of
 // killing the connection (and, under net/http, only that goroutine —
 // leaving the daemon in an untracked half-broken state). Each recovered
-// panic is counted and audited in the decision log.
+// panic is counted and recorded in the WAL.
 func (s *Server) Recoverer(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -236,8 +235,8 @@ type HealthJSON struct {
 	InFlight    int     `json:"in_flight"`
 	MaxInFlight int     `json:"max_in_flight"`
 	Shed        uint64  `json:"shed_total"`
-	// DurabilityDegraded reports decision-log or WAL append failures; the
-	// daemon still serves (200), but the audit trail has a hole.
+	// DurabilityDegraded reports WAL or decision-sink append failures; the
+	// daemon still serves (200), but its log has a hole.
 	DurabilityDegraded bool `json:"durability_degraded"`
 	// WALPoisoned reports a fail-stopped WAL: durable admissions are
 	// refused (503 with ErrDurabilityLost) until the daemon restarts.
@@ -648,7 +647,7 @@ func (s *Server) writeMetricsText(w http.ResponseWriter) {
 	e.Gauge("gridbwd_replication_is_follower", "1 on a read-only follower, 0 on a primary.").Set(st.Role == "follower")
 	e.Gauge("gridbwd_replication_lag_bytes", "Committed bytes of the primary's WAL this follower has yet to apply.").Set(rs.LagBytes)
 	e.Counter("gridbwd_replication_applied_records_total", "Shipped WAL records this follower applied.").Set(rs.Applied)
-	e.Counter("gridbwd_reseeds_total", "Times this follower rebuilt itself from a shipped snapshot after its cursor was compacted away.").Set(st.Stats.Reseeds)
+	e.Counter("gridbwd_reseeds_total", "Times this follower rebuilt itself from a checkpoint shipped on its replication stream after its cursor was compacted away.").Set(st.Stats.Reseeds)
 	e.Counter("gridbwd_sync_degraded_total", "Sync-ack waits that hit their deadline and degraded to async durability.").Set(st.Stats.SyncDegraded)
 	e.Counter("gridbwd_vote_rounds_total", "Promotion vote rounds this node ran as a candidate.").Set(st.Stats.VoteRounds)
 	e.Counter("gridbwd_votes_granted_total", "Votes granted to this candidate.").Set(st.Stats.VotesGranted)

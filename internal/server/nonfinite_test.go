@@ -150,7 +150,7 @@ func TestNonFiniteQuantitiesBookNothing(t *testing.T) {
 	if srv.Status().Stats.LogAppendFailures != 0 {
 		t.Fatalf("%d events failed to reach the WAL", srv.Status().Stats.LogAppendFailures)
 	}
-	if err := srv.WriteSnapshot(io.Discard); err != nil {
+	if err := srv.Snapshot().Write(io.Discard); err != nil {
 		t.Fatalf("snapshot after the refusals: %v", err)
 	}
 	if err := srv.VerifyInvariant(); err != nil {

@@ -2,6 +2,8 @@ package server_test
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"reflect"
 	"slices"
 	"testing"
@@ -16,11 +18,13 @@ import (
 )
 
 // TestRecoveryRoutesAgree pins the one recovery path: a single recorded
-// history reaches state four ways — the final snapshot alone, a fresh
-// server plus the whole WAL, a mid-history snapshot plus the WAL suffix,
-// and a follower re-seeded from the mid-history snapshot plus the shipped
-// suffix — and all four must agree with the donor that recorded it, now
-// and at every later instant its timers matter.
+// history reaches state four ways — the final checkpoint alone, a fresh
+// server plus the whole WAL, a mid-history checkpoint plus the WAL suffix,
+// and a follower re-seeded over the replication stream (the gone frame,
+// the mid-history checkpoint) plus the suffix shipped on after it — and
+// all four must agree with the donor that recorded it, now and at every
+// later instant its timers matter. Every checkpoint is installed from its
+// bytes.
 //
 // The history covers every event kind recovery replays: flexible and
 // book-ahead accepts, a reject, a cancel, an expiry, an idempotent re-send,
@@ -160,7 +164,15 @@ func recoveryRoutesAgree(t *testing.T, policy string) {
 
 	restore := func(snap *server.Snapshot) *server.Server {
 		t.Helper()
-		s, err := server.NewFromSnapshot(snap, server.Config{Clock: clk.now})
+		var buf bytes.Buffer
+		if err := snap.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		read, err := server.ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := server.NewFromSnapshot(read, server.Config{Clock: clk.now})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,26 +195,36 @@ func recoveryRoutesAgree(t *testing.T, policy string) {
 	fcfg.WAL = openTestWAL(t)
 	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
 	reseeded := newTestServer(t, fcfg)
-	if err := reseeded.Reseed(mid); err != nil {
+	stream, err := server.AppendReplReseed(nil, mid)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cur := reseeded.ReplicationStatus().Cursor; cur != mid.WALPos() {
-		t.Fatalf("cursor after reseed = %v, want the snapshot frontier %v", cur, mid.WALPos())
-	}
-	if err := reseeded.ApplyShipped(server.ShippedBatch{
+	stream = server.AppendReplBatch(stream, &server.ShippedBatch{
 		Epoch: donor.Epoch(), From: mid.WALPos(), Next: end, End: end, Events: frames(t, suffix...),
-	}); err != nil {
-		t.Fatal(err)
+	})
+	var acks bytes.Buffer
+	if err := reseeded.FollowStream(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(stream), &acks}); !errors.Is(err, io.EOF) {
+		t.Fatalf("stream ended with %v, want EOF after the suffix", err)
+	}
+	wantAcks := append(server.AppendReplAck(nil, mid.WALPos()), server.AppendReplAck(nil, end)...)
+	if !bytes.Equal(acks.Bytes(), wantAcks) {
+		t.Fatalf("follower acked %x, want the checkpoint's frontier %v then %v", acks.Bytes(), mid.WALPos(), end)
+	}
+	if st := reseeded.Status(); st.Stats.Reseeds != 1 || reseeded.ReplicationStatus().Cursor != end {
+		t.Fatalf("after the stream: %d reseeds, cursor %v; want 1 and %v", st.Stats.Reseeds, reseeded.ReplicationStatus().Cursor, end)
 	}
 
 	routes := []struct {
 		name string
 		s    *server.Server
 	}{
-		{"snapshot", fromSnapshot},
+		{"checkpoint", fromSnapshot},
 		{"full WAL", fromWAL},
-		{"mid snapshot + WAL suffix", fromMid},
-		{"reseed + shipped suffix", reseeded},
+		{"mid checkpoint + WAL suffix", fromMid},
+		{"reseed over the stream + shipped suffix", reseeded},
 	}
 	agree := func(when string) {
 		t.Helper()
@@ -387,14 +409,14 @@ func TestRestoreRefusesCapacityGivenBackAhead(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotInstall: a re-seed installs a snapshot downloaded from a peer,
-// so the installer reads outside input. Over arbitrary bytes ReadSnapshot
-// and NewFromSnapshot never panic, and a snapshot they accept installs a
-// state that passes the invariant audit, with every event of the input and
-// of the installed state's own snapshot below next_id and no point's floor
-// past now_s. The seeds are the snapshots of TestRecoveryRoutesAgree's
-// history and the tampered copies TestRestoreRefusesCapacityGivenBackAhead
-// refuses.
+// FuzzSnapshotInstall: a re-seed installs a checkpoint a peer streamed, and
+// a boot one read off disk, so the installer reads outside input. Over
+// arbitrary bytes ReadSnapshot and NewFromSnapshot never panic, and a
+// checkpoint they accept installs a state that passes the invariant audit,
+// with every event of the input and of the installed state's own snapshot
+// below next_id and no point's floor past now_s. The seeds are the
+// checkpoint bytes of TestRecoveryRoutesAgree's mid and final snapshots and
+// of the tampered copies TestRestoreRefusesCapacityGivenBackAhead refuses.
 func FuzzSnapshotInstall(f *testing.F) {
 	for _, policy := range []string{"minbw", "f=1"} {
 		clk := &fakeClock{}

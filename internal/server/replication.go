@@ -566,10 +566,10 @@ func (s *Server) setPullError(err error) {
 // election's losing follower, whose source is a dead endpoint. A source
 // whose batches are fenced off (it is a deposed primary the follower has
 // already out-epoched) triggers the same rediscovery immediately. A cursor
-// the primary compacted away (410 Gone, or the gone frame mid-stream)
-// triggers an automatic snapshot re-seed; divergence errors halt the loop —
-// retrying cannot fix them, and continuing would corrupt the replica. The
-// last error is surfaced on /v1/replication/status.
+// the primary compacted away is re-seeded on the stream itself
+// (followStream); divergence errors halt the loop — retrying cannot fix
+// them, and continuing would corrupt the replica. The last error is
+// surfaced on /v1/replication/status.
 func (s *Server) pullLoop(ctx context.Context, source string, done chan struct{}) {
 	defer close(done)
 	hc := &http.Client{Timeout: pullWait + 10*time.Second}
@@ -612,29 +612,6 @@ func (s *Server) pullLoop(ctx context.Context, source string, done chan struct{}
 			}
 			s.setPullError(err)
 			return
-		}
-		if errors.Is(err, errPullGone) {
-			// The primary compacted our cursor away; rebuild from its
-			// snapshot and resume pulling at the snapshot's frontier.
-			err = s.reseedFromSource(ctx, hc, source)
-			if err == nil {
-				s.setPullError(nil)
-				backoff = pullBaseBackoff
-				failures, searching = 0, false
-				continue
-			}
-			if errors.Is(err, ErrNotFollower) || errors.Is(err, ErrClosed) {
-				return
-			}
-			var fenced *FencedError
-			if errors.As(err, &fenced) {
-				// The snapshot came from a deposed lineage; retrying pulls
-				// the same stale history forever. Halt loudly.
-				s.setPullError(err)
-				return
-			}
-			// Transient download/validation failure: back off and retry the
-			// pull, which will 410 again and re-attempt the re-seed.
 		}
 		s.setPullError(err)
 		if failures++; len(s.peers) > 0 && (searching || failures >= refollowAfter) {
@@ -708,9 +685,9 @@ func (e *applyError) Unwrap() error { return e.err }
 // follower writes its cursor back after each batch it applied — the same
 // ack, without a round trip. Any other primary answers one JSON batch, and
 // the loop pulls again. applied runs after every batch that applied. An
-// apply failure comes back as an *applyError, a compacted cursor as
-// errPullGone, anything else is the transport's — including a primary
-// that sent no frame for streamIdle.
+// apply or re-seed failure comes back as an *applyError, anything else is
+// the transport's — including a primary that sent no frame for streamIdle,
+// and a compacted cursor answered 410 by a primary that cannot stream.
 func (s *Server) pullSession(ctx context.Context, hc *http.Client, source string, applied func()) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -761,8 +738,9 @@ func (s *Server) pullExchange(ctx context.Context, hc *http.Client, source strin
 		applied()
 		return nil
 	case http.StatusGone:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 64*1024))
-		return errPullGone
+		// Only the stream carries a re-seed: the primary is of an older
+		// version, or cannot take the connection over. Retry until it can.
+		return fmt.Errorf("server: pull: cursor %v compacted away on %s, which did not stream; a re-seed needs both ends on the replication stream", cur, source)
 	}
 	var apiErr ErrorJSON
 	msg := resp.Status
@@ -775,7 +753,8 @@ func (s *Server) pullExchange(ctx context.Context, hc *http.Client, source strin
 
 // followStream applies the batches a primary streams down rw, writing the
 // cursor back after each one, until a frame fails to arrive, decode or
-// apply, or the primary says the cursor is gone.
+// apply. A gone frame is followed by a checkpoint, which re-seeds the
+// follower at the position it covers; batches from there follow.
 func (s *Server) followStream(rw io.ReadWriter, watchdog *time.Timer, applied func()) error {
 	var frame []byte
 	var ack [wireAckBytes]byte
@@ -786,13 +765,19 @@ func (s *Server) followStream(rw io.ReadWriter, watchdog *time.Timer, applied fu
 		}
 		watchdog.Reset(streamIdle)
 		b, gone, err := decodeReplFrame(frame)
-		switch {
-		case err != nil:
+		if err != nil {
 			return fmt.Errorf("server: pull: stream: %w", err)
-		case gone:
-			return errPullGone
 		}
-		if err := s.ApplyShipped(b); err != nil {
+		if gone {
+			snap, err := readCheckpoint(wal.NewFrameReader(rw, 0))
+			if err != nil {
+				return fmt.Errorf("server: pull: stream: re-seed: %w", err)
+			}
+			if err := s.Reseed(snap); err != nil {
+				return &applyError{err}
+			}
+			b.Next = snap.WALPos()
+		} else if err := s.ApplyShipped(b); err != nil {
 			return &applyError{err}
 		}
 		applied()
@@ -913,8 +898,8 @@ func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 // are appended. Every other pull — an older follower's, or one through a
 // ResponseWriter that cannot be taken over — gets one JSON batch,
 // long-polling up to wait_ms when the caller is already at the frontier. A
-// position compacted away answers 410 Gone — the follower must re-seed
-// from a snapshot.
+// position compacted away is re-seeded on the stream (serveStream) and
+// answered 410 Gone anywhere else.
 func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	if s.wal == nil {
 		WriteError(w, http.StatusConflict, errors.New("server: replication requires a WAL"))
@@ -947,18 +932,20 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	s.recordAck(id, pos)
 	// A zero cursor asks for the very beginning of history, not for
 	// whatever is left of it: pin it to segment 1 so a compacted prefix
-	// answers 410 Gone (and the follower re-seeds) instead of silently
+	// re-seeds the follower (or answers 410 Gone) instead of silently
 	// serving a truncated stream the follower would diverge on.
 	if pos.IsZero() {
 		pos = wal.Pos{Seg: 1}
 	}
 	if wantsUpgrade(r, replProtocol) {
-		// The first batch is read before the connection is taken over, so a
-		// cursor this WAL cannot serve gets the JSON path's answer: 410, or
-		// the long poll and its error.
-		if b, err := s.shipFrom(pos, int(maxRecords)); err == nil {
+		// The first batch is read before the connection is taken over: a
+		// compacted cursor gets the stream, which re-seeds it, and any other
+		// cursor this WAL cannot serve gets the JSON path's answer.
+		b, err := s.shipFrom(pos, int(maxRecords))
+		gone := errors.Is(err, wal.ErrCompacted)
+		if err == nil || gone {
 			if st, ok := s.conns.upgrade(w, r, replProtocol); ok {
-				s.serveStream(st, b, id, int(maxRecords))
+				s.serveStream(st, b, gone, id, int(maxRecords))
 				return
 			}
 		}
@@ -1036,9 +1023,10 @@ func (s *Server) shipFrom(pos wal.Pos, maxRecords int) (ShippedBatch, error) {
 // nothing new), while a second goroutine reads the follower's cursor
 // frames into the ack table. A write that takes streamIdle — a follower
 // that stopped reading — ends it, as do a broken connection, a closed WAL,
-// and the server's Close. A cursor compacted away mid-stream gets the gone
-// frame.
-func (s *Server) serveStream(st *stream, b ShippedBatch, id string, maxRecords int) {
+// and the server's Close. A cursor compacted away, at the start or
+// mid-stream, gets the gone frame and a fresh checkpoint (appendReplReseed),
+// and the stream goes on from the position the checkpoint covers.
+func (s *Server) serveStream(st *stream, b ShippedBatch, gone bool, id string, maxRecords int) {
 	defer st.end()
 	st.goRun(func() {
 		defer st.hangUp()
@@ -1056,17 +1044,21 @@ func (s *Server) serveStream(st *stream, b ShippedBatch, id string, maxRecords i
 	})
 
 	var buf []byte
-	gone := false
 	for {
+		var err error
 		if gone {
-			buf = appendReplGone(buf[:0])
+			snap := s.Snapshot()
+			buf, err = appendReplReseed(buf[:0], snap)
+			b = ShippedBatch{Next: snap.WALPos()}
 		} else {
 			buf = appendReplBatch(buf[:0], &b)
 		}
-		if err := st.write(buf); err != nil || gone {
+		if err != nil || st.write(buf) != nil {
 			return
 		}
-		s.wal.Wait(st.done(), b.Next, streamHeartbeat)
+		if !gone {
+			s.wal.Wait(st.done(), b.Next, streamHeartbeat)
+		}
 		select {
 		case <-st.done():
 			return
@@ -1075,7 +1067,6 @@ func (s *Server) serveStream(st *stream, b ShippedBatch, id string, maxRecords i
 		if s.wal.Closed() {
 			return
 		}
-		var err error
 		if b, err = s.shipFrom(b.Next, maxRecords); err != nil && !errors.Is(err, wal.ErrCompacted) {
 			return
 		}
@@ -1102,25 +1093,35 @@ func decodeEvents[P ~[]byte](payloads []P) ([]trace.Event, error) {
 	return events, nil
 }
 
-// ReadWALEvents decodes every decision event from `from` to the current
-// end of the WAL — the boot-recovery read. It returns the position after
-// the last event read.
+// ReadWALDir decodes the events of the WAL in dir from `from` on without
+// opening it for append (wal.ReadDir: nothing is repaired), handing each to
+// fn in log order, and returns the position after the last one.
+func ReadWALDir(dir string, from wal.Pos, fn func(trace.Event) error) (wal.Pos, error) {
+	return wal.ReadDir(dir, from, func(payload []byte, next wal.Pos) error {
+		var ev trace.Event
+		if err := json.Unmarshal(payload, &ev); err != nil {
+			return fmt.Errorf("server: WAL record before %v: %w", next, err)
+		}
+		return fn(ev)
+	})
+}
+
+// ReadWALEvents decodes every decision event of l from `from` to its end —
+// the boot-recovery read — and returns the position after the last one. A
+// position past the end is an error: a checkpoint that covers appends the
+// log lost must not be booted from, or the next appends would land behind
+// it, where no later boot replays them.
 func ReadWALEvents(l *wal.Log, from wal.Pos) ([]trace.Event, wal.Pos, error) {
-	var out []trace.Event
-	pos := from
-	for {
-		payloads, _, next, err := l.ReadFrom(pos, 4096, 8<<20)
-		if err != nil {
-			return nil, pos, err
-		}
-		events, err := decodeEvents(payloads)
-		if err != nil {
-			return nil, pos, err
-		}
-		out = append(out, events...)
-		if len(payloads) == 0 && next == pos {
-			return out, next, nil
-		}
-		pos = next
+	if end := l.End(); end.Less(from) {
+		return nil, from, fmt.Errorf("server: WAL position %v is past the log's end %v", from, end)
 	}
+	var out []trace.Event
+	end, err := ReadWALDir(l.Dir(), from, func(ev trace.Event) error {
+		out = append(out, ev)
+		return nil
+	})
+	if err != nil {
+		return nil, end, err
+	}
+	return out, end, nil
 }

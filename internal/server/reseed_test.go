@@ -1,13 +1,16 @@
 package server_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -72,10 +75,9 @@ func TestReplPullUnblocksOnClose(t *testing.T) {
 
 // TestReplPullCompactionRace runs a follower's pull loop against a primary
 // whose WAL is being compacted concurrently with new decisions. Whatever
-// the interleaving — clean continue past the compaction, or 410 and a
-// snapshot re-seed — the follower must converge on the primary's exact
-// state; a torn stream would surface as a divergent ledger or a broken
-// invariant.
+// the interleaving — clean continue past the compaction, or a re-seed on
+// the stream — the follower must converge on the primary's exact state; a
+// torn stream would surface as a divergent ledger or a broken invariant.
 func TestReplPullCompactionRace(t *testing.T) {
 	pcfg := uniformConfig(nil)
 	pwal := openSmallWAL(t)
@@ -134,10 +136,11 @@ func TestReplPullCompactionRace(t *testing.T) {
 	t.Logf("converged: %d applied, %d reseeds", rs.Applied, follower.Status().Stats.Reseeds)
 }
 
-// TestReplPullStaleCursorReseeds is the deterministic 410 path end to end
+// TestReplPullStaleCursorReseeds is the deterministic re-seed end to end
 // over the real pull loop: the primary compacts its WAL before the
 // follower ever connects, so the follower's zero cursor is unservable and
-// the loop must download the snapshot, re-seed, and catch up.
+// the stream must carry the checkpoint, re-seed the follower, and catch it
+// up.
 func TestReplPullStaleCursorReseeds(t *testing.T) {
 	pcfg := uniformConfig(nil)
 	pwal := openSmallWAL(t)
@@ -179,11 +182,11 @@ func TestReplPullStaleCursorReseeds(t *testing.T) {
 		return st.Stats.Reseeds == 1 && st.Active == primary.Status().Active
 	})
 
-	// The re-seeded state is durable: the boot snapshot is on disk and the
+	// The re-seeded state is durable: the checkpoint is on disk and the
 	// persisted cursor matches the snapshot frontier, so a reboot replays
 	// only the shipped suffix — never the compacted gap.
-	if _, err := os.Stat(filepath.Join(fwal.Dir(), server.ReseedSnapshotName)); err != nil {
-		t.Fatalf("reseed snapshot not persisted: %v", err)
+	if _, err := os.Stat(filepath.Join(fwal.Dir(), server.CheckpointName)); err != nil {
+		t.Fatalf("checkpoint not persisted: %v", err)
 	}
 	if fwal.Cursor().IsZero() {
 		t.Fatal("recorded cursor still zero after reseed")
@@ -334,5 +337,133 @@ func TestReseedCarriesHolds(t *testing.T) {
 	}
 	if err := f.VerifyInvariant(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReseedStreamCutAtEveryOffset cuts a re-seed — the gone frame and the
+// checkpoint after it — at every byte offset of its checkpoint frames. A
+// cut at a frame boundary leaves well-formed frames, and only the event
+// count the header declares tells the short checkpoint apart: every cut
+// must fail the stream with the follower untouched — no re-seed counted,
+// no state installed, no checkpoint persisted — and never install fewer
+// events.
+func TestReseedStreamCutAtEveryOffset(t *testing.T) {
+	clk := &fakeClock{}
+	h := recordRecoveryHistory(t, clk, uniformConfig(clk))
+	stream, err := server.AppendReplReseed(nil, h.mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := len(server.AppendReplGone(nil))
+	for cut := gone; cut <= len(stream); cut++ {
+		l, _, err := wal.Open(t.TempDir(), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := uniformConfig(clk)
+		cfg.WAL = l
+		cfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
+		f := newTestServer(t, cfg)
+		err = f.FollowStream(struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(stream[:cut]), io.Discard})
+		_, statErr := os.Stat(filepath.Join(cfg.WAL.Dir(), server.CheckpointName))
+		if cut == len(stream) {
+			// The whole re-seed installs, and the stream then ends.
+			if got := f.Snapshot().Events; !errors.Is(err, io.EOF) || !reflect.DeepEqual(got, h.mid.Events) || statErr != nil {
+				t.Fatalf("whole re-seed: %v, %d events installed (want %d), checkpoint %v", err, len(got), len(h.mid.Events), statErr)
+			}
+			break
+		}
+		if err == nil || f.Status().Stats.Reseeds != 0 || len(f.LiveReservations()) != 0 || statErr == nil {
+			t.Fatalf("cut %d of %d: %v, %d reseeds, %d live, checkpoint %v; want the follower untouched",
+				cut, len(stream), err, f.Status().Stats.Reseeds, len(f.LiveReservations()), statErr)
+		}
+		f.Close()
+		l.Close()
+	}
+}
+
+// TestCheckpointWritesSerializeWithReseed: a follower's periodic checkpoint
+// (-snapshot-every) and a re-seed write the same file. However they
+// interleave, the re-seed succeeds and the checkpoint left on disk is
+// never older than the re-seeded state: it holds the donor's events and a
+// WAL position the compacted local log still has.
+func TestCheckpointWritesSerializeWithReseed(t *testing.T) {
+	donor := newTestServer(t, uniformConfig(nil))
+	for i := 0; i < 4; i++ {
+		if d, err := donor.Submit(submission(i, false)); err != nil || !d.Accepted {
+			t.Fatalf("donor submit %d: %v %+v", i, err, d)
+		}
+	}
+	snap := donor.Snapshot()
+	var bulk []trace.Event
+	for i := 0; i < 2000; i++ {
+		bulk = append(bulk, trace.Event{Kind: trace.EventAccept, Request: i, Ingress: 1, Egress: 0,
+			RateBps: 1e3, TauS: 1e6, VolumeB: 1e9, MaxRateBps: 1e3})
+	}
+	for round := 0; round < 5; round++ {
+		fcfg := uniformConfig(nil)
+		fwal := openTestWAL(t)
+		fcfg.WAL = fwal
+		fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
+		f := newTestServer(t, fcfg)
+		// A large state to displace makes the periodic writes slow, which
+		// is when an unserialized one lands after the re-seed's.
+		if err := f.ApplyShipped(server.ShippedBatch{Epoch: 1, Events: frames(t, bulk...)}); err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		wrote := make(chan struct{}, 1)
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case wrote <- struct{}{}:
+				default:
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := f.WriteCheckpoint(); err != nil {
+					t.Errorf("periodic checkpoint: %v", err)
+					return
+				}
+			}
+		}()
+		<-wrote // the periodic writer is running, most likely mid-write
+		err := f.Reseed(snap)
+		close(stop)
+		<-done
+		if err != nil {
+			t.Fatalf("round %d: reseed beside periodic checkpoints: %v", round, err)
+		}
+		blob, err := os.ReadFile(filepath.Join(fwal.Dir(), server.CheckpointName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := server.ReadSnapshot(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("round %d: checkpoint on disk: %v", round, err)
+		}
+		// Each checkpoint stamps its events with its own now_s.
+		unstamped := func(events []trace.Event) []trace.Event {
+			out := slices.Clone(events)
+			for i := range out {
+				out[i].At = 0
+			}
+			return out
+		}
+		if !reflect.DeepEqual(unstamped(got.Events), unstamped(snap.Events)) {
+			t.Fatalf("round %d: checkpoint on disk holds %d events, not the re-seeded %d: an older state was written over the re-seed's", round, len(got.Events), len(snap.Events))
+		}
+		if _, _, err := server.ReadWALEvents(fwal, got.WALPos()); err != nil {
+			t.Fatalf("round %d: checkpoint's WAL position %v: %v", round, got.WALPos(), err)
+		}
+		f.Close()
 	}
 }

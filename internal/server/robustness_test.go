@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -167,10 +166,10 @@ func TestLoadShedding(t *testing.T) {
 // TestRecovererTurnsPanicsInto500: a panicking handler yields a 500 and
 // a counted, audited panic — not a dropped connection.
 func TestRecovererTurnsPanicsInto500(t *testing.T) {
-	var log bytes.Buffer
+	log := &eventSink{}
 	clk := &fakeClock{}
 	cfg := uniformConfig(clk)
-	cfg.Decisions = trace.NewDecisionLog(&log)
+	cfg.Decisions = log
 	s := newTestServer(t, cfg)
 
 	mux := http.NewServeMux()
@@ -189,13 +188,10 @@ func TestRecovererTurnsPanicsInto500(t *testing.T) {
 	if st := s.Status(); st.Stats.Panics != 1 {
 		t.Errorf("panics = %d, want 1", st.Stats.Panics)
 	}
-	events, err := trace.ReadDecisions(&log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := log.Events()
 	if len(events) != 1 || events[0].Kind != trace.EventPanic ||
 		!strings.Contains(events[0].Reason, "kaboom") {
-		t.Errorf("decision log = %+v, want one panic event naming kaboom", events)
+		t.Errorf("logged events = %+v, want one panic event naming kaboom", events)
 	}
 }
 
@@ -278,10 +274,10 @@ func TestIdempotencyHeaderSpellings(t *testing.T) {
 // a fresh server plus ApplyEvents, the full-WAL boot rung — and checks the
 // result against the live server it mirrors.
 func TestReplayFullLog(t *testing.T) {
-	var log bytes.Buffer
+	log := &eventSink{}
 	clk := &fakeClock{}
 	cfg := uniformConfig(clk)
-	cfg.Decisions = trace.NewDecisionLog(&log)
+	cfg.Decisions = log
 	s := newTestServer(t, cfg)
 
 	subs := []server.Submission{
@@ -309,10 +305,7 @@ func TestReplayFullLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, err := trace.ReadDecisions(bytes.NewReader(log.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := log.Events()
 	s2 := newTestServer(t, uniformConfig(clk))
 	if n, err := s2.ApplyEvents(events); err != nil || n != len(events) {
 		t.Fatalf("replay applied %d of %d events: %v", n, len(events), err)

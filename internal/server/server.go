@@ -27,15 +27,15 @@
 // returning capacity to the ledger.
 //
 // The whole control-plane state — capacities, policy, clock, counters and
-// every live reservation — round-trips through a JSON Snapshot, so a
-// restarted daemon resumes without ever violating the capacity constraint
-// of equation (1): restore replays the live grants and holds into a fresh
-// ledger, which re-checks the constraint system. State is only ever rebuilt
-// two ways — one snapshot installer (snapshot.go: NewFromSnapshot and a
-// follower's Reseed) and one event replayer (replication.go: ApplyEvents
-// for a boot's WAL suffix, ApplyShipped for a follower's stream) — and both,
-// like the live paths, change it through the one set of transitions in
-// state.go.
+// every live reservation — round-trips through a Snapshot, written as a
+// WAL-framed checkpoint, so a restarted daemon resumes without ever
+// violating the capacity constraint of equation (1): restore replays the
+// live grants and holds into a fresh ledger, which re-checks the constraint
+// system. State is only ever rebuilt two ways — one snapshot installer
+// (snapshot.go: NewFromSnapshot and a follower's Reseed) and one event
+// replayer (replication.go: ApplyEvents for a boot's WAL suffix,
+// ApplyShipped for a follower's stream) — and both, like the live paths,
+// change it through the one set of transitions in state.go.
 package server
 
 import (
@@ -69,8 +69,8 @@ type Config struct {
 	// Clock supplies wall time; defaults to time.Now. Tests inject a
 	// manual clock for deterministic expiry.
 	Clock func() time.Time
-	// Decisions, when non-nil, receives every admission event. The plain
-	// *trace.DecisionLog writes JSON lines; any sink satisfies it.
+	// Decisions, when non-nil, receives every admission event the WAL
+	// records, in the same order: an in-process tap, not a durable log.
 	Decisions trace.DecisionSink
 	// WAL, when non-nil, is the durable framed decision log: every event
 	// is appended to it (under the fsync policy the WAL was opened with)
@@ -294,6 +294,10 @@ type Server struct {
 	// promoting serializes Promote calls; it is taken before mu and held
 	// across the vote round, which mu is not.
 	promoting sync.Mutex
+	// checkpointing serializes the writers of the WAL directory's
+	// checkpoint (WriteCheckpoint, Reseed); it is taken before mu, so the
+	// state a write captures is never older than the file it replaces.
+	checkpointing sync.Mutex
 
 	// watchdogState, when set, reports the in-process failover watchdog's
 	// state for the metrics surface. The callback must not call back into
@@ -878,8 +882,8 @@ func (s *Server) recordBatch(n int) {
 	s.stats.RecordBatch(n)
 }
 
-// recordPanic counts a recovered handler panic and audits it in the
-// decision log so operators can see crashes that never reached a client.
+// recordPanic counts a recovered handler panic and records it in the WAL,
+// so operators can see crashes that never reached a client.
 func (s *Server) recordPanic(where string, val any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

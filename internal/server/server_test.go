@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,27 @@ type fakeClock struct{ ns atomic.Int64 }
 
 func (c *fakeClock) now() time.Time          { return time.Unix(0, c.ns.Load()) }
 func (c *fakeClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// eventSink is a Config.Decisions tap: it keeps every event the server
+// emits, in order.
+type eventSink struct {
+	mu     sync.Mutex
+	events []trace.Event
+}
+
+func (k *eventSink) Append(ev trace.Event) error {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.events = append(k.events, ev)
+	return nil
+}
+
+// Events copies what the sink saw so far.
+func (k *eventSink) Events() []trace.Event {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return slices.Clone(k.events)
+}
 
 func newTestServer(t testing.TB, cfg server.Config) *server.Server {
 	t.Helper()
@@ -295,7 +317,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+	if err := s.Snapshot().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	blob := buf.String()
@@ -316,7 +338,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 	// Occupancy is preserved exactly: the restored snapshot is identical.
 	var buf2 bytes.Buffer
-	if err := restored.WriteSnapshot(&buf2); err != nil {
+	if err := restored.Snapshot().Write(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if buf2.String() != blob {
@@ -365,17 +387,42 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 		t.Fatalf("seed: %v %+v", err, d)
 	}
 	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+	if err := s.Snapshot().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 
+	// Every frame carries its CRC: one flipped bit anywhere in the
+	// checkpoint is refused before anything installs.
+	for _, at := range []int{3, buf.Len() / 2, buf.Len() - 1} {
+		flipped := bytes.Clone(buf.Bytes())
+		flipped[at] ^= 0x10
+		if _, err := server.ReadSnapshot(bytes.NewReader(flipped)); err == nil {
+			t.Errorf("checkpoint with byte %d flipped read without error", at)
+		}
+	}
+
 	// Doubling a live grant's bandwidth over-commits the point; restore
-	// must refuse rather than violate equation (1).
-	blob := strings.ReplaceAll(buf.String(), "\"rate_bps\": 1000000000", "\"rate_bps\": 2000000000")
-	if blob == buf.String() {
+	// must refuse rather than violate equation (1), even from a checkpoint
+	// whose frames are intact.
+	snap, err := server.ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doubled := 0
+	for i, ev := range snap.Events {
+		if ev.Kind == trace.EventAccept && ev.RateBps == 1e9 {
+			snap.Events[i].RateBps = 2e9
+			doubled++
+		}
+	}
+	if doubled == 0 {
 		t.Fatal("corruption did not apply; grant rate not found in snapshot")
 	}
-	bad, err := server.ReadSnapshot(strings.NewReader(blob))
+	var tampered bytes.Buffer
+	if err := snap.Write(&tampered); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := server.ReadSnapshot(&tampered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,11 +544,10 @@ func TestConcurrentAdmissionStress(t *testing.T) {
 }
 
 // TestDecisionLogAudit checks the admission audit trail: every lifecycle
-// transition is logged and the accepts replay into a fresh ledger.
+// transition reaches the decisions sink with its grant.
 func TestDecisionLogAudit(t *testing.T) {
 	clk := &fakeClock{}
-	var buf bytes.Buffer
-	log := trace.NewDecisionLog(&buf)
+	log := &eventSink{}
 	cfg := uniformConfig(clk)
 	cfg.Decisions = log
 	s := newTestServer(t, cfg)
@@ -516,10 +562,7 @@ func TestDecisionLogAudit(t *testing.T) {
 	clk.advance(200 * time.Second)
 	s.Now() // fires the expiry
 
-	events, err := trace.ReadDecisions(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := log.Events()
 	kinds := make(map[string]int)
 	for _, ev := range events {
 		kinds[ev.Kind]++

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 
 	"gridbw/internal/hold"
 	"gridbw/internal/metrics"
@@ -15,16 +18,25 @@ import (
 	"gridbw/internal/wal"
 )
 
-// SnapshotVersion is bumped on incompatible snapshot schema changes. It is
-// the only version restored: a snapshot is a checkpoint of the WAL, so a
-// daemon upgraded past its snapshot's format recovers from the WAL instead.
-const SnapshotVersion = 4
+// SnapshotVersion is bumped on incompatible checkpoint changes. It is the
+// only version restored: a checkpoint compacts the WAL, so a daemon upgraded
+// past its checkpoint's format recovers from the WAL instead. Version 4 was
+// a JSON file; 5 is the WAL-framed checkpoint.
+const SnapshotVersion = 5
+
+// CheckpointName is the checkpoint file in a WAL directory: the snapshot a
+// boot installs before it replays the WAL past the position it records.
+const CheckpointName = "checkpoint.wal"
 
 // Snapshot is the persisted control-plane state: a compacted WAL. The header
 // holds what no event records; Events is a history that replays, through the
 // WAL's own replayer, into the state the snapshot was taken of. Service time
 // is continuous across restarts: a restored daemon resumes at NowS no matter
 // how long it was down, so booked windows keep their meaning.
+//
+// On disk and on the replication stream a snapshot is a checkpoint: WAL
+// frames (wal.AppendFrame), the header first, declaring how many event
+// frames follow, then one frame per event as the WAL records it.
 type Snapshot struct {
 	Version    int            `json:"version"`
 	Policy     string         `json:"policy"`
@@ -162,60 +174,72 @@ func capacitiesBps(net *topology.Network) (in, eg []float64) {
 	return in, eg
 }
 
-// WriteSnapshot serializes the current state as indented JSON.
-func (s *Server) WriteSnapshot(w io.Writer) error {
-	return s.Snapshot().Write(w)
-}
-
-// Write serializes the snapshot as indented JSON.
+// Write writes the snapshot as a checkpoint.
 func (snap *Snapshot) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
+	blob, err := snap.appendFrames(nil)
+	if err == nil {
+		_, err = w.Write(blob)
+	}
+	if err != nil {
 		return fmt.Errorf("server: write snapshot: %w", err)
 	}
 	return nil
 }
 
-// WriteFile writes the snapshot durably: temp file + fsync + rename +
-// directory fsync, so a crash at any instant leaves either the old file
-// or the new one — complete and durable — never a torn or vanishing one.
-func (snap *Snapshot) WriteFile(path string) error {
-	return snap.WriteFileFS(wal.OSFS{}, path)
+// checkpointHeader is a checkpoint's first frame: the snapshot without its
+// events, and how many event frames follow. Any prefix of a frame sequence
+// is valid frames, so without the count a short checkpoint would install as
+// a smaller state.
+type checkpointHeader struct {
+	*Snapshot
+	Events int `json:"events"`
 }
 
-// WriteFileFS is WriteFile through an injectable filesystem, so fault
-// harnesses can tear the write at any step. On any failure the temp file
-// is removed and the previous snapshot (if any) is left untouched, so
-// the boot ladder can never read a half-written *.snap.json ahead of the
-// WAL; callers must treat an error as "snapshot not taken" and skip WAL
-// compaction.
+// appendFrames appends the snapshot's checkpoint frames to dst.
+func (snap *Snapshot) appendFrames(dst []byte) ([]byte, error) {
+	frame := func(v any) error {
+		blob, err := json.Marshal(v)
+		if err == nil && len(blob) > wal.MaxRecordBytes {
+			err = fmt.Errorf("%w: %d bytes", wal.ErrTooLarge, len(blob))
+		}
+		dst = wal.AppendFrame(dst, blob)
+		return err
+	}
+	if err := frame(checkpointHeader{snap, len(snap.Events)}); err != nil {
+		return dst, err
+	}
+	for _, ev := range snap.Events {
+		if err := frame(ev); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// WriteFileFS writes the checkpoint durably through fsys (wal.WriteFile), so
+// fault harnesses can tear the write at any step: a crash at any instant
+// leaves the old checkpoint or the new one, never a torn one. On any
+// failure the previous checkpoint (if any) is left untouched, so boot can
+// never read a half-written one ahead of the WAL; callers must treat an
+// error as "checkpoint not taken" and skip WAL compaction.
 func (snap *Snapshot) WriteFileFS(fsys wal.FS, path string) error {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
+	blob, err := snap.appendFrames(nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("server: write snapshot: %w", err)
 	}
-	if err := snap.Write(f); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	return wal.WriteFile(fsys, path, blob)
+}
+
+// WriteCheckpoint captures the current state and writes it as the WAL
+// directory's checkpoint, returning what it wrote.
+func (s *Server) WriteCheckpoint() (*Snapshot, error) {
+	s.checkpointing.Lock()
+	defer s.checkpointing.Unlock()
+	if s.wal == nil {
+		return nil, errors.New("server: a checkpoint lives in the WAL directory, and there is no WAL")
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	// The rename is only durable once the directory entry is.
-	return fsys.SyncDir(filepath.Dir(path))
+	snap := s.Snapshot()
+	return snap, snap.WriteFileFS(wal.OSFS{}, filepath.Join(s.wal.Dir(), CheckpointName))
 }
 
 // WALPos reports the WAL position the snapshot covers (zero when the
@@ -224,16 +248,52 @@ func (snap *Snapshot) WALPos() wal.Pos {
 	return wal.Pos{Seg: snap.WALSeg, Off: snap.WALOff}
 }
 
-// ReadSnapshot parses a snapshot of the current SnapshotVersion. Older
+// ReadSnapshot reads a checkpoint of the current SnapshotVersion: exactly
+// the event frames its header declares, and nothing after them. Older
 // formats are refused: the WAL is the recovery source for a daemon whose
-// snapshot predates this build.
+// checkpoint predates this build.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
+	fr := wal.NewFrameReader(bufio.NewReader(r), 0)
+	snap, err := readCheckpoint(fr)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := fr.Next(); err != io.EOF {
+		return nil, fmt.Errorf("server: checkpoint: more than the %d events its header declares (%v)", len(snap.Events), err)
+	}
+	return snap, nil
+}
+
+// readCheckpoint reads one checkpoint's frames from fr — the header, then
+// exactly the events it declares — and no byte past them: on the
+// replication stream, batches follow.
+func readCheckpoint(fr *wal.FrameReader) (*Snapshot, error) {
 	var snap Snapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("server: decode snapshot: %w", err)
+	h := checkpointHeader{Snapshot: &snap}
+	p, err := fr.Next()
+	if err == nil {
+		err = json.Unmarshal(p, &h)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("server: checkpoint header: %w", noEOF(err))
 	}
 	if snap.Version != SnapshotVersion {
 		return nil, unsupportedVersion(snap.Version)
+	}
+	if h.Events < 0 {
+		return nil, fmt.Errorf("server: checkpoint header declares %d events", h.Events)
+	}
+	snap.Events = make([]trace.Event, 0, min(h.Events, 1024))
+	for i := 0; i < h.Events; i++ {
+		var ev trace.Event
+		p, err := fr.Next()
+		if err == nil {
+			err = json.Unmarshal(p, &ev)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("server: checkpoint: event %d of %d: %w", i, h.Events, noEOF(err))
+		}
+		snap.Events = append(snap.Events, ev)
 	}
 	return &snap, nil
 }
@@ -362,4 +422,106 @@ func (s *Server) adoptLocked(snap *Snapshot, st *state) {
 	if !s.repl.following {
 		s.armTimersLocked()
 	}
+}
+
+// Reseed replaces a follower's entire control-plane state with snap — the
+// recovery from a compacted-away pull cursor, whose checkpoint arrives on
+// the replication stream right after the gone frame. It is the snapshot
+// installer NewFromSnapshot uses, with persistence between its two halves:
+// the snapshot's events are replayed through a fresh sharded ledger
+// (re-checking equation (1)), then the pull cursor jumps to the WAL
+// position the snapshot covers and the fencing epoch is adopted — a
+// snapshot from an epoch older than the follower's own is refused with
+// FencedError, so a deposed primary cannot re-seed a follower of the new
+// lineage backwards.
+//
+// Persistence happens before the in-memory swap. The local WAL moves to a
+// fresh segment, the snapshot — recording that segment's start, so a boot
+// replays exactly the shipped records appended after it — becomes the WAL
+// directory's checkpoint, then come the epoch and the cursor, and every
+// older segment is compacted away: the local log no longer starts at its
+// head, so no boot can mistake it for all of history. A crash at any
+// instant leaves a bootable state; a persistence failure aborts the
+// re-seed with the follower unchanged.
+func (s *Server) Reseed(snap *Snapshot) error {
+	s.checkpointing.Lock()
+	defer s.checkpointing.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.followingLocked(); err != nil {
+		return err
+	}
+	if snap.Epoch < s.repl.epoch {
+		return &FencedError{Batch: snap.Epoch, Current: s.repl.epoch}
+	}
+	if err := s.checkPlatformLocked(snap); err != nil {
+		return err
+	}
+
+	// Phase 1 — replay and validate everything fallibly, touching no
+	// shared state.
+	st, err := s.replaySnapshot(snap)
+	if err != nil {
+		return fmt.Errorf("server: reseed: %w", err)
+	}
+
+	// Phase 2 — persist. The checkpoint records the follower's own WAL
+	// position; the cursor records the primary-side position pulling
+	// resumes from.
+	if s.wal != nil {
+		localStart, err := s.wal.Rotate()
+		if err != nil {
+			return fmt.Errorf("server: reseed: %w", err)
+		}
+		local := *snap
+		local.WALSeg, local.WALOff = localStart.Seg, localStart.Off
+		if err := local.WriteFileFS(wal.OSFS{}, filepath.Join(s.wal.Dir(), CheckpointName)); err != nil {
+			return fmt.Errorf("server: reseed: persist checkpoint: %w", err)
+		}
+		if snap.Epoch > s.repl.epoch {
+			if err := s.wal.SaveEpoch(snap.Epoch); err != nil {
+				s.stats.RecordLogAppendFailure()
+			}
+		}
+		if err := s.wal.SaveCursor(snap.WALPos(), localStart); err != nil {
+			s.stats.RecordLogAppendFailure()
+		}
+		if _, err := s.wal.CompactBefore(localStart); err != nil {
+			s.stats.RecordLogAppendFailure()
+		}
+	}
+
+	// Phase 3 — swap, infallibly. A follower arms no timers, so the state
+	// displaced here leaves none behind. The re-seed count is this
+	// follower's own history, not the donor's.
+	reseeds := s.stats.Reseeds
+	s.adoptLocked(snap, st)
+	s.stats.Reseeds = reseeds
+	s.stats.RecordReseed()
+	if snap.Epoch > s.repl.epoch {
+		s.repl.epoch = snap.Epoch
+	}
+	s.repl.cursor = snap.WALPos()
+	s.repl.lagBytes = 0
+	s.repl.lastPull = s.clock()
+	s.appendEventLocked(trace.Event{
+		At: snap.NowS, Kind: trace.EventRestore, Request: -1,
+		Reason: fmt.Sprintf("reseed: epoch %d, %d live reservations, cursor %v",
+			s.repl.epoch, len(s.liveIDs()), s.repl.cursor),
+	})
+	return nil
+}
+
+// checkPlatformLocked verifies snap describes the same access points this
+// server was built for — re-seeding across platforms would replay grants
+// against capacities they were never admitted under.
+func (s *Server) checkPlatformLocked(snap *Snapshot) error {
+	if in, eg := capacitiesBps(s.net); !slices.Equal(snap.IngressBps, in) || !slices.Equal(snap.EgressBps, eg) {
+		return fmt.Errorf("server: reseed: snapshot platform %v -> %v differs from server's %v -> %v",
+			snap.IngressBps, snap.EgressBps, in, eg)
+	}
+	if snap.Policy != "" && snap.Policy != s.policyName {
+		return fmt.Errorf("server: reseed: snapshot policy %q differs from server's %q", snap.Policy, s.policyName)
+	}
+	return nil
 }

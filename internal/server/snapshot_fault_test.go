@@ -11,11 +11,11 @@ import (
 	"gridbw/internal/wal"
 )
 
-// Snapshot writes are the one place a disk fault could corrupt recovery
-// *ahead* of the WAL: the boot ladder prefers *.snap.json, so a
-// half-written snapshot would beat an intact log. These tests tear the
-// write at the rename and dir-fsync steps and demand the previous
-// snapshot stays the one recovery sees.
+// Checkpoint writes are the one place a disk fault could corrupt recovery
+// *ahead* of the WAL: boot prefers the checkpoint, so a half-written one
+// would beat an intact log. These tests tear the write at the rename and
+// dir-fsync steps and demand the previous checkpoint stays the one
+// recovery sees.
 
 func snapshotOf(t *testing.T, accepts int) *server.Snapshot {
 	t.Helper()
@@ -44,10 +44,10 @@ func readSnapFile(t *testing.T, path string) *server.Snapshot {
 
 func TestSnapshotRenameFaultKeepsOldSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "state.snap.json")
+	path := filepath.Join(dir, server.CheckpointName)
 
 	old := snapshotOf(t, 2)
-	if err := old.WriteFile(path); err != nil {
+	if err := old.WriteFileFS(wal.OSFS{}, path); err != nil {
 		t.Fatalf("baseline write: %v", err)
 	}
 
@@ -81,9 +81,9 @@ func TestSnapshotRenameFaultKeepsOldSnapshot(t *testing.T) {
 
 func TestSnapshotDirSyncFaultReportsNotTaken(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "state.snap.json")
+	path := filepath.Join(dir, server.CheckpointName)
 	old := snapshotOf(t, 2)
-	if err := old.WriteFile(path); err != nil {
+	if err := old.WriteFileFS(wal.OSFS{}, path); err != nil {
 		t.Fatalf("baseline write: %v", err)
 	}
 
@@ -109,7 +109,7 @@ func TestSnapshotDirSyncFaultReportsNotTaken(t *testing.T) {
 
 func TestSnapshotCreateFaultLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "state.snap.json")
+	path := filepath.Join(dir, server.CheckpointName)
 	dfs := faults.NewDiskFS(nil, faults.DiskConfig{Seed: 1})
 	dfs.FailNextENOSPC(1)
 	snap := snapshotOf(t, 2)

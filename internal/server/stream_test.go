@@ -398,8 +398,9 @@ func TestStreamSenderFreedByWriteDeadline(t *testing.T) {
 
 // TestStreamGoneFrameReseeds: the segment the stream stands in is compacted
 // away while its first batch is in flight, so the stream says "gone" — it
-// cannot answer 410 any more — and the follower re-seeds from the snapshot
-// and streams on from there.
+// cannot answer 410 any more — and sends a checkpoint after it, which
+// re-seeds the follower, and then streams on from there on the same
+// connection.
 func TestStreamGoneFrameReseeds(t *testing.T) {
 	pcfg := uniformConfig(nil)
 	pwal := openSmallWAL(t)
@@ -439,8 +440,8 @@ func TestStreamGoneFrameReseeds(t *testing.T) {
 	if rs := follower.ReplicationStatus(); rs.LastError != "" {
 		t.Fatalf("follower holds error %q", rs.LastError)
 	}
-	if n := pulls.Load(); n != 2 {
-		t.Fatalf("%d pulls, want 2: the stream that went, and the one after the re-seed", n)
+	if n := pulls.Load(); n != 1 {
+		t.Fatalf("%d pulls, want 1: the re-seed rides the stream that went", n)
 	}
 }
 
@@ -531,7 +532,9 @@ func mustJSON(t *testing.T, v any) []byte {
 
 // FuzzReplFrames: over arbitrary bytes the stream's decoders never panic,
 // what they accept is within the bounds the primary ships under, and it
-// re-encodes to the same bytes.
+// re-encodes to the same bytes. Played down a follower's stream, the same
+// bytes never panic either: a gone frame's checkpoint installs only whole
+// and on the follower's platform, and what installs passes the audit.
 func FuzzReplFrames(f *testing.F) {
 	f.Add(server.AppendReplBatch(nil, &server.ShippedBatch{
 		Epoch: 2, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1, Off: 9}, End: wal.Pos{Seg: 1, Off: 9},
@@ -540,7 +543,34 @@ func FuzzReplFrames(f *testing.F) {
 	f.Add(server.AppendReplBatch(nil, &server.ShippedBatch{Epoch: 1, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1}}))
 	f.Add(server.AppendReplGone(nil))
 	f.Add(server.AppendReplAck(nil, wal.Pos{Seg: 3, Off: 4096}))
+	// A re-seed: the gone frame, a donor's checkpoint, and the batch after.
+	donor := newTestServer(f, uniformConfig(nil))
+	if d, err := donor.Submit(submission(0, false)); err != nil || !d.Accepted {
+		f.Fatalf("donor submit: %v %+v", err, d)
+	}
+	snap := donor.Snapshot()
+	snap.WALSeg = 1
+	reseed, err := server.AppendReplReseed(nil, snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(reseed)
+	f.Add(server.AppendReplBatch(reseed, &server.ShippedBatch{Epoch: snap.Epoch, From: snap.WALPos(), Next: snap.WALPos()}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg := uniformConfig(nil)
+		cfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
+		follower := newTestServer(t, cfg)
+		if err := follower.FollowStream(struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(data), io.Discard}); err == nil {
+			t.Fatal("a stream that ended reported no error")
+		}
+		if err := follower.VerifyInvariant(); err != nil {
+			t.Fatalf("the follower's state after the stream fails the audit: %v", err)
+		}
+		follower.Close()
+
 		b, gone, err := server.DecodeReplFrame(data)
 		switch {
 		case err != nil:
@@ -573,4 +603,40 @@ func FuzzReplFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCompactedCursorWithoutStreamKeepsRetrying: only the stream carries a
+// re-seed. A pull that cannot be taken over — through a writer that hides
+// the connection, as a primary of an older version answers too — still
+// gets 410 at a compacted cursor, and the follower keeps the error on its
+// status and pulls again, installing nothing.
+func TestCompactedCursorWithoutStreamKeepsRetrying(t *testing.T) {
+	pcfg := uniformConfig(nil)
+	pwal := openSmallWAL(t)
+	pcfg.WAL = pwal
+	primary := newTestServer(t, pcfg)
+	for i := 0; i < 8; i++ {
+		if d, err := primary.Submit(submission(i, false)); err != nil || !d.Accepted {
+			t.Fatalf("submit %d: %v %+v", i, err, d)
+		}
+	}
+	if dropped, err := pwal.CompactBefore(pwal.End()); err != nil || dropped == 0 {
+		t.Fatalf("compaction dropped %d segments (%v), want > 0", dropped, err)
+	}
+	var pulls atomic.Int64
+	h := countPulls(primary.Handler(), &pulls)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(plainWriter{w}, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	follower := startFollower(t, ts.URL, "f1")
+	waitFor(t, "a retried pull", func() bool { return pulls.Load() >= 3 })
+	rs := follower.ReplicationStatus()
+	if !strings.Contains(rs.LastError, "compacted away") {
+		t.Fatalf("follower's last error %q, want the compacted cursor", rs.LastError)
+	}
+	if st := follower.Status(); st.Stats.Reseeds != 0 || st.Active != 0 {
+		t.Fatalf("follower re-seeded %d times with %d active, want nothing installed", st.Stats.Reseeds, st.Active)
+	}
 }

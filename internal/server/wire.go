@@ -89,7 +89,10 @@ package server
 //	"GRB1" record: u32 length | payload    (the WAL payload, verbatim)
 //	       header: u32 count | u64 epoch | pos from | pos next | pos end
 //	               | i64 lagBytes, then count records
-//	"GRG1" (gone): u32 count = 0 — the cursor was compacted away
+//	"GRG1" (gone): u32 count = 0 — the cursor was compacted away; a
+//	               checkpoint follows (snapshot.go: WAL frames, the header
+//	               declaring its event count), then batches from the
+//	               position the checkpoint covers
 //	ack:           pos                      pos: u64 seg | i64 off
 
 import (
@@ -977,10 +980,17 @@ func appendReplBatch(dst []byte, b *ShippedBatch) []byte {
 }
 
 // appendReplGone appends the frame that tells a follower its cursor was
-// compacted away while it streamed.
+// compacted away.
 func appendReplGone(dst []byte) []byte {
 	dst, lenAt := beginFrame(dst, wireGoneMagic, 0)
 	return endFrame(dst, lenAt)
+}
+
+// appendReplReseed appends a re-seed: the gone frame, then snap's
+// checkpoint frames, which the follower installs before the batches from
+// the position snap covers.
+func appendReplReseed(dst []byte, snap *Snapshot) ([]byte, error) {
+	return snap.appendFrames(appendReplGone(dst))
 }
 
 // decodeReplFrame parses one stream frame: a shipped batch of at most

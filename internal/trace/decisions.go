@@ -1,13 +1,5 @@
 package trace
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sync"
-)
-
 // Decision-event kinds emitted by the online admission daemon.
 const (
 	EventAccept  = "accept"
@@ -65,7 +57,7 @@ type Event struct {
 	SigmaS  float64 `json:"sigma_s,omitempty"`
 	TauS    float64 `json:"tau_s,omitempty"`
 	// VolumeB and MaxRateBps echo the submission so the WAL alone can
-	// rebuild server state (recovery when the snapshot is missing or
+	// rebuild server state (recovery when the checkpoint is missing or
 	// corrupt). Old logs omit them; replay then derives the volume from
 	// the grant (rate·(tau−sigma) is exact for the daemon's grants).
 	VolumeB    float64 `json:"volume_bytes,omitempty"`
@@ -87,56 +79,9 @@ type Event struct {
 	ExpireS float64 `json:"expire_s,omitempty"`
 }
 
-// DecisionSink receives admission events as they are decided — a
-// write-only audit tee beside the WAL, never read back at boot.
-// *DecisionLog is the plain JSON-lines implementation; tests inject failing
-// sinks to exercise the durability-degraded path.
+// DecisionSink receives admission events as they are decided, in the order
+// the WAL records them. The WAL is the one durable log; a sink is an
+// in-process tap for tests and instruments, never read back at boot.
 type DecisionSink interface {
 	Append(Event) error
-}
-
-// DecisionLog appends admission events as JSON Lines (one object per
-// line, no envelope) so a live daemon's log can be tailed and is valid
-// at every prefix. Append is safe for concurrent use.
-type DecisionLog struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-// NewDecisionLog returns a log writing to w.
-func NewDecisionLog(w io.Writer) *DecisionLog {
-	return &DecisionLog{enc: json.NewEncoder(w)}
-}
-
-// Append writes one event.
-func (l *DecisionLog) Append(ev Event) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.enc.Encode(ev); err != nil {
-		return fmt.Errorf("trace: append decision: %w", err)
-	}
-	return nil
-}
-
-// ReadDecisions parses a JSON Lines decision stream, skipping blank lines.
-func ReadDecisions(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("trace: decision line %d: %w", line, err)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: read decisions: %w", err)
-	}
-	return out, nil
 }

@@ -10,8 +10,9 @@
 // until the first short or corrupt one, truncates the file there, and
 // reports how many complete records survived. A torn tail — the normal
 // aftermath of a crash mid-append — costs at most the records past the
-// last fsync point, never the whole log (contrast the JSON-lines
-// trace.DecisionLog, where one torn line used to abort replay).
+// last fsync point, never the whole log. The same codec frames a
+// checkpoint (AppendFrame), and one read-only reader (FrameReader,
+// ReadDir) serves every reader that must not repair what it reads.
 //
 // The log rotates into numbered segment files at a size threshold, so
 // compaction after a snapshot is an O(1) unlink of whole segments rather
@@ -373,30 +374,133 @@ func scanSegment(fsys FS, path string, maxRecord int) (records uint64, valid int
 		return 0, 0, false, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	var hdr [headerSize]byte
-	buf := make([]byte, 0, 4096)
+	fr := NewFrameReader(bufio.NewReader(f), maxRecord)
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			// A clean EOF at a frame boundary is the normal end; a
-			// partial header is a torn append.
-			return records, valid, errors.Is(err, io.EOF), nil
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		if length == 0 || int(length) > maxRecord {
-			return records, valid, false, nil
-		}
-		if cap(buf) < int(length) {
-			buf = make([]byte, length)
-		}
-		payload := buf[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return records, valid, false, nil
-		}
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return records, valid, false, nil
+		if _, err := fr.Next(); err != nil {
+			// A clean EOF at a frame boundary is the normal end; anything
+			// else is a torn append.
+			return records, fr.Off, err == io.EOF, nil
 		}
 		records++
-		valid += headerSize + int64(length)
+	}
+}
+
+// ErrTorn reports a frame cut short or failing its length or CRC check:
+// the tail a crash mid-append leaves, or corruption anywhere else.
+var ErrTorn = errors.New("wal: torn or corrupt frame")
+
+// AppendFrame appends payload to dst as one frame.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
+}
+
+// FrameReader reads frames one at a time. It takes no byte past the frames
+// it returns, so a stream may carry other data after them, and it only
+// reads: repairing a torn tail is Open's job alone.
+type FrameReader struct {
+	r         io.Reader
+	maxRecord int
+	hdr       [headerSize]byte
+	// Off counts the bytes of the complete frames read so far.
+	Off int64
+}
+
+// NewFrameReader reads frames of at most maxRecord payload bytes from r
+// (MaxRecordBytes when maxRecord is not positive).
+func NewFrameReader(r io.Reader, maxRecord int) *FrameReader {
+	if maxRecord <= 0 {
+		maxRecord = MaxRecordBytes
+	}
+	return &FrameReader{r: r, maxRecord: maxRecord}
+}
+
+// Next returns the next frame's payload in a fresh slice: io.EOF at a
+// clean frame boundary, an error wrapping ErrTorn for a frame cut short or
+// failing its length or CRC check, and any other read error as it came.
+func (fr *FrameReader) Next() ([]byte, error) {
+	var payload []byte
+	_, err := io.ReadFull(fr.r, fr.hdr[:])
+	if err == nil {
+		length := binary.LittleEndian.Uint32(fr.hdr[0:4])
+		if length == 0 || int64(length) > int64(fr.maxRecord) {
+			return nil, fmt.Errorf("%w at %d: bad length %d", ErrTorn, fr.Off, length)
+		}
+		payload = make([]byte, length)
+		if _, err = io.ReadFull(fr.r, payload); err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	switch {
+	case err == io.ErrUnexpectedEOF:
+		return nil, fmt.Errorf("%w at %d: cut short", ErrTorn, fr.Off)
+	case err != nil:
+		return nil, err
+	case crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(fr.hdr[4:8]):
+		return nil, fmt.Errorf("%w at %d: CRC mismatch", ErrTorn, fr.Off)
+	}
+	fr.Off += headerSize + int64(len(payload))
+	return payload, nil
+}
+
+// ReadDir reads the log in dir from pos (the zero Pos: its oldest
+// segment) to its end, calling fn with each payload and the position after
+// it, and returns the position after the last record read. Unlike Open it
+// repairs nothing — no truncation, no unlink — so it is safe on a live
+// daemon's directory and on one under audit. A torn frame at the end of
+// the last segment ends the read quietly, where recovery would cut the
+// log; anywhere else it is an error.
+func ReadDir(dir string, pos Pos, fn func(payload []byte, next Pos) error) (Pos, error) {
+	fsys := OSFS{}
+	segs, err := listSegments(fsys, dir)
+	if err != nil || len(segs) == 0 {
+		return pos, err
+	}
+	if pos.IsZero() {
+		pos = Pos{segs[0], 0}
+	}
+	if pos.Seg < segs[0] {
+		return pos, ErrCompacted
+	}
+	for i, seg := range segs {
+		if seg < pos.Seg {
+			continue
+		}
+		if seg > pos.Seg {
+			pos = Pos{seg, 0}
+		}
+		if err := readSegment(fsys, filepath.Join(dir, segName(seg)), &pos, i == len(segs)-1, fn); err != nil {
+			return pos, err
+		}
+	}
+	return pos, nil
+}
+
+// readSegment is ReadDir over one segment, from pos on.
+func readSegment(fsys FS, path string, pos *Pos, last bool, fn func([]byte, Pos) error) error {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	if _, err := f.Seek(pos.Off, io.SeekStart); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	start := pos.Off
+	fr := NewFrameReader(bufio.NewReaderSize(f, readBufferBytes), 0)
+	for {
+		p, err := fr.Next()
+		switch {
+		case err == io.EOF, errors.Is(err, ErrTorn) && last:
+			return nil
+		case err != nil:
+			return fmt.Errorf("wal: %s: %w", filepath.Base(path), err)
+		}
+		pos.Off = start + fr.Off
+		if err := fn(p, *pos); err != nil {
+			return err
+		}
 	}
 }
 
@@ -422,11 +526,7 @@ func (l *Log) Append(payload []byte) (Pos, error) {
 			return Pos{}, err
 		}
 	}
-	buf := make([]byte, frame)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	copy(buf[headerSize:], payload)
-	if _, err := l.f.Write(buf); err != nil {
+	if _, err := l.f.Write(AppendFrame(make([]byte, 0, frame), payload)); err != nil {
 		// A short or failed write leaves the file offset somewhere inside
 		// a half-written frame; a further append would interleave garbage
 		// into the framing. Fail-stop.
@@ -492,6 +592,24 @@ func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.syncLocked()
+}
+
+// Rotate finishes the active segment, empty or not, and starts the next;
+// it returns the new segment's first position, before which everything can
+// then be compacted away.
+func (l *Log) Rotate() (Pos, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return Pos{}, ErrClosed
+	}
+	if l.poisoned != nil {
+		return Pos{}, l.poisoned
+	}
+	if err := l.rotateLocked(); err != nil {
+		return Pos{}, err
+	}
+	return Pos{l.seg, 0}, nil
 }
 
 func (l *Log) syncLocked() error {
@@ -688,29 +806,20 @@ func readFrames(fsys FS, path string, off, limit int64, maxRecords int, maxBytes
 	// One buffer over the committed range, so a batch costs a constant
 	// number of reads instead of two per record. A payload longer than the
 	// buffer is read straight into its own slice.
-	br := bufio.NewReaderSize(f, int(min(limit-off, readBufferBytes)))
+	fr := NewFrameReader(bufio.NewReaderSize(f, int(min(limit-off, readBufferBytes))), maxRecord)
 	var out [][]byte
-	var read int64
-	var hdr [headerSize]byte
-	for off+read < limit && len(out) < maxRecords && read < maxBytes {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, 0, fmt.Errorf("wal: corrupt committed frame in %s at %d: %w", filepath.Base(path), off+read, err)
+	for off+fr.Off < limit && len(out) < maxRecords && fr.Off < maxBytes {
+		at := off + fr.Off
+		payload, err := fr.Next()
+		if err == nil && off+fr.Off > limit {
+			err = fmt.Errorf("%w: frame ends past the committed %d", ErrTorn, limit)
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		if length == 0 || int(length) > maxRecord || off+read+headerSize+int64(length) > limit {
-			return nil, 0, fmt.Errorf("wal: corrupt committed frame in %s at %d: bad length %d", filepath.Base(path), off+read, length)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, 0, fmt.Errorf("wal: corrupt committed frame in %s at %d: %w", filepath.Base(path), off+read, err)
-		}
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return nil, 0, fmt.Errorf("wal: corrupt committed frame in %s at %d: CRC mismatch", filepath.Base(path), off+read)
+		if err != nil {
+			return nil, 0, fmt.Errorf("wal: corrupt committed frame in %s at %d: %w", filepath.Base(path), at, err)
 		}
 		out = append(out, payload)
-		read += headerSize + int64(length)
 	}
-	return out, read, nil
+	return out, fr.Off, nil
 }
 
 // CompactBefore unlinks every segment wholly before pos — typically the
@@ -791,20 +900,23 @@ func (l *Log) FirstPos() Pos {
 // filesystem seam. (The replication cursor changes once per shipped batch
 // and cannot afford that; see cursor.go.)
 
-func writeMeta(fsys FS, dir, name string, data []byte) error {
-	path := filepath.Join(dir, name)
+// WriteFile writes data to path through fsys durably: temp file, fsync,
+// rename, directory fsync, so a crash at any instant leaves either the old
+// file or the new one — complete and durable — never a torn or vanishing
+// one. On failure the temp file is removed and the old file is untouched.
+func WriteFile(fsys FS, path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write(data); err == nil {
+	if _, err = f.Write(data); err == nil {
 		err = f.Sync()
 	}
 	if err != nil {
 		f.Close()
 		fsys.Remove(tmp)
-		return fmt.Errorf("wal: write %s: %w", name, err)
+		return fmt.Errorf("wal: write %s: %w", filepath.Base(path), err)
 	}
 	if err := f.Close(); err != nil {
 		fsys.Remove(tmp)
@@ -814,7 +926,8 @@ func writeMeta(fsys FS, dir, name string, data []byte) error {
 		fsys.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
-	return fsys.SyncDir(dir)
+	// The rename is only durable once the directory entry is.
+	return fsys.SyncDir(filepath.Dir(path))
 }
 
 // readMeta returns the named meta file's content; nil when none was saved.
@@ -831,7 +944,7 @@ func (l *Log) readMeta(name string) ([]byte, error) {
 
 // SaveEpoch durably records the fencing epoch in the log's directory.
 func (l *Log) SaveEpoch(epoch uint64) error {
-	return writeMeta(l.fs, l.dir, "epoch", []byte(strconv.FormatUint(epoch, 10)))
+	return WriteFile(l.fs, filepath.Join(l.dir, "epoch"), []byte(strconv.FormatUint(epoch, 10)))
 }
 
 // LoadEpoch reads the saved fencing epoch; 0 when none was saved.
@@ -861,7 +974,7 @@ func (l *Log) SaveVote(v Vote) error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	return writeMeta(l.fs, l.dir, "vote", blob)
+	return WriteFile(l.fs, filepath.Join(l.dir, "vote"), blob)
 }
 
 // LoadVote reads the last saved promotion vote; the zero Vote when none

@@ -129,6 +129,15 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), blob[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// The read-only reader sees what recovery will keep, and repairs
+		// nothing.
+		var seen int
+		if end, err := ReadDir(dir, Pos{}, func([]byte, Pos) error { seen++; return nil }); err != nil || seen != n-1 || end != (Pos{1, lastStart}) {
+			t.Fatalf("cut %d: ReadDir read %d records to %v (%v), want %d to %v", cut, seen, end, err, n-1, Pos{1, lastStart})
+		}
+		if size, _ := fileSize(OSFS{}, filepath.Join(dir, segName(1))); size != cut {
+			t.Fatalf("cut %d: ReadDir left %d bytes", cut, size)
+		}
 		l2, rec, err := Open(dir, Options{Policy: SyncNever})
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
@@ -219,6 +228,85 @@ func TestTornMiddleSegmentDropsLaterSegments(t *testing.T) {
 		if !bytes.Equal(p, payloadN(i)) {
 			t.Fatalf("record %d = %q: survivors are not a prefix", i, p)
 		}
+	}
+}
+
+// TestReadDirRefusesATornMiddleSegment: a tear anywhere but in the last
+// segment is corruption, not a crash's tail, and the read-only reader says
+// so instead of stopping quietly. It reads from any frame boundary, and a
+// position before the oldest segment is ErrCompacted.
+func TestReadDirRefusesATornMiddleSegment(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{SegmentBytes: 128, Policy: SyncNever})
+	appendN(t, l, 30)
+	want := readAll(t, l)
+	mid := Pos{2, 0}
+	l.Close()
+	var got [][]byte
+	if _, err := ReadDir(dir, Pos{}, func(p []byte, _ Pos) error { got = append(got, p); return nil }); err != nil || !equalRecords(got, want) {
+		t.Fatalf("ReadDir of the intact log: %d records (%v), want %d", len(got), err, len(want))
+	}
+	got = nil
+	if _, err := ReadDir(dir, mid, func(p []byte, _ Pos) error { got = append(got, p); return nil }); err != nil || len(got) == 0 || !bytes.Equal(got[len(got)-1], want[len(want)-1]) {
+		t.Fatalf("ReadDir from %v: %d records (%v)", mid, len(got), err)
+	}
+	path := filepath.Join(dir, segName(2))
+	size, _ := fileSize(OSFS{}, path)
+	if err := os.Truncate(path, size-5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadDir(dir, Pos{}, func([]byte, Pos) error { return nil }); !errors.Is(err, ErrTorn) {
+		t.Fatalf("ReadDir over a torn middle segment: %v, want ErrTorn", err)
+	}
+	if size2, _ := fileSize(OSFS{}, path); size2 != size-5 {
+		t.Fatalf("ReadDir changed the torn segment: %d bytes", size2)
+	}
+	if err := os.Remove(filepath.Join(dir, segName(1))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadDir(dir, Pos{1, 0}, func([]byte, Pos) error { return nil }); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("ReadDir from a removed segment: %v, want ErrCompacted", err)
+	}
+}
+
+func equalRecords(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRotateDropsTheHead: Rotate starts a fresh segment even when the
+// active one is empty, so compacting before it always drops segment 1 —
+// a read of all of history then answers ErrCompacted — and the log
+// reopens and appends from there.
+func TestRotateDropsTheHead(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{Policy: SyncNever})
+	start, err := l.Rotate()
+	if err != nil || start != (Pos{2, 0}) {
+		t.Fatalf("Rotate of an empty log = %v (%v), want 2:0", start, err)
+	}
+	appendN(t, l, 2)
+	if n, err := l.CompactBefore(start); err != nil || n != 1 {
+		t.Fatalf("compacted %d segments (%v), want 1", n, err)
+	}
+	if _, _, _, err := l.ReadFrom(Pos{Seg: 1}, 10, 1<<20); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("read from 1:0 after the head went: %v, want ErrCompacted", err)
+	}
+	l.Close()
+	l2, rec := mustOpen(t, dir, Options{Policy: SyncNever})
+	if rec.Records != 2 || l2.FirstPos() != start {
+		t.Fatalf("reopened with %d records from %v, want 2 from %v", rec.Records, l2.FirstPos(), start)
+	}
+	l2.Close()
+	if _, err := l2.Rotate(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Rotate after Close: %v, want ErrClosed", err)
 	}
 }
 

@@ -11,7 +11,9 @@
 #      operation with -history
 #   3. mid-plateau the f1 replication link gets latency+jitter, then a
 #      full partition, then heals — all via the gridbwchaos admin API
-#   4. after the run, gridbwcheck replays the client history against the
+#   4. while the primary still runs, gridbwctl tail reads its live WAL
+#      directory: the output must be non-empty JSON lines, one event each
+#   5. after the run, gridbwcheck replays the client history against the
 #      primary's WAL: every "replicated" ack must be in the log, no
 #      idempotency key admitted twice, no capacity oversubscribed
 #
@@ -58,6 +60,7 @@ go build -race -o "${WORK}/gridbwd" ./cmd/gridbwd
 go build -o "${WORK}/gridbwload" ./cmd/gridbwload
 go build -o "${WORK}/gridbwchaos" ./cmd/gridbwchaos
 go build -o "${WORK}/gridbwcheck" ./cmd/gridbwcheck
+go build -o "${WORK}/gridbwctl" ./cmd/gridbwctl
 
 echo "== start the chaos proxies =="
 "${WORK}/gridbwchaos" -admin "${CHAOS_ADMIN}" \
@@ -121,6 +124,22 @@ if ! wait "${LOAD_PID}"; then
 	exit 1
 fi
 tail -5 "${WORK}/load.log"
+
+echo "== gridbwctl tail on the live primary's WAL directory =="
+"${WORK}/gridbwctl" tail -wal "${WORK}/pwal" >"${WORK}/tail.jsonl"
+if ! python3 - "${WORK}/tail.jsonl" <<'PY'
+import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+events = [json.loads(l) for l in lines]
+assert events, "gridbwctl tail printed nothing"
+assert all(isinstance(e, dict) and e.get("kind") for e in events), "an event without a kind"
+print(f"gridbwctl tail: {len(events)} events, {sum(e['kind'] == 'accept' for e in events)} accepts")
+PY
+then
+	echo "gridbwctl tail output is empty or not JSON lines:" >&2
+	head -5 "${WORK}/tail.jsonl" >&2
+	exit 1
+fi
 
 echo "== stop the group and run the invariant checker =="
 kill ${PIDS[@]+"${PIDS[@]}"} 2>/dev/null || true
