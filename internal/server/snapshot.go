@@ -196,20 +196,23 @@ type checkpointHeader struct {
 }
 
 // appendFrames appends the snapshot's checkpoint frames to dst.
+// The header frame is JSON; each event frame is one trace record.
 func (snap *Snapshot) appendFrames(dst []byte) ([]byte, error) {
-	frame := func(v any) error {
-		blob, err := json.Marshal(v)
+	frame := func(blob []byte, err error) error {
 		if err == nil && len(blob) > wal.MaxRecordBytes {
 			err = fmt.Errorf("%w: %d bytes", wal.ErrTooLarge, len(blob))
 		}
 		dst = wal.AppendFrame(dst, blob)
 		return err
 	}
-	if err := frame(checkpointHeader{snap, len(snap.Events)}); err != nil {
+	if err := frame(json.Marshal(checkpointHeader{snap, len(snap.Events)})); err != nil {
 		return dst, err
 	}
-	for _, ev := range snap.Events {
-		if err := frame(ev); err != nil {
+	var rec []byte
+	for i := range snap.Events {
+		var err error
+		rec, err = trace.AppendRecord(rec[:0], &snap.Events[i])
+		if err = frame(rec, err); err != nil {
 			return dst, err
 		}
 	}
@@ -288,7 +291,7 @@ func readCheckpoint(fr *wal.FrameReader) (*Snapshot, error) {
 		var ev trace.Event
 		p, err := fr.Next()
 		if err == nil {
-			err = json.Unmarshal(p, &ev)
+			err = trace.DecodeRecord(p, &ev)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("server: checkpoint: event %d of %d: %w", i, h.Events, noEOF(err))

@@ -5,7 +5,8 @@
 #   scripts/stages.sh COLUMN
 #
 # Runs the stage benchmarks (BenchmarkStages: decode, the global section,
-# the idempotency lookup, admit.At on a dense pair, WAL append, encode) and
+# the idempotency lookup, admit.At on a dense pair, the WAL record's encode,
+# WAL append, the record's decode, encode) and
 # the wholes they add up to (RouterDirectSubmit, RouterSameShardSubmit,
 # ReplSyncAckAdmit) in one go through scripts/bench.sh, and merges the run
 # into BENCH_stages.json as the column named COLUMN (e.g. "parent" on a

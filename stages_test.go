@@ -27,14 +27,16 @@ const stagesFile = "BENCH_stages.json"
 // stagePaths are the paths a submit can take that a whole measures, and the
 // stages each passes through. "global" is not summed: "idempotency" times
 // the same section with the cache lookup in it. A routed submit is decoded
-// and encoded once more, by the router.
+// and encoded once more, by the router. A quorum submit's decision is
+// encoded as a WAL record by the primary and decoded by the follower before
+// it acks.
 var stagePaths = []struct {
 	path, whole string
 	stages      []string
 }{
 	{"direct", "RouterDirectSubmit", []string{"Stages/decode", "Stages/idempotency", "Stages/admit", "Stages/encode"}},
 	{"routed", "RouterSameShardSubmit", []string{"Stages/decode", "Stages/decode", "Stages/idempotency", "Stages/admit", "Stages/encode", "Stages/encode"}},
-	{"quorum", "ReplSyncAckAdmit/fsync=interval", []string{"Stages/decode", "Stages/idempotency", "Stages/admit", "Stages/wal-append", "Stages/encode"}},
+	{"quorum", "ReplSyncAckAdmit/fsync=interval", []string{"Stages/decode", "Stages/idempotency", "Stages/admit", "Stages/record-encode", "Stages/wal-append", "Stages/record-decode", "Stages/encode"}},
 }
 
 type stageBench struct {
