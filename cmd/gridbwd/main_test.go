@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -376,5 +377,136 @@ func TestUpgradeRules(t *testing.T) {
 	_, _, err = bootServer(bc)
 	if err == nil || !strings.Contains(err.Error(), legacyReseedName) || !strings.Contains(err.Error(), "wipe the WAL directory") {
 		t.Fatalf("boot with a leftover %s: %v, want a refusal naming it and the rule", legacyReseedName, err)
+	}
+}
+
+// TestBootMixedLogAfterUpgrade: an earlier build wrote the head of this WAL
+// as JSON records (json.Marshal(trace.Event) is exactly its encoder) and a
+// checkpoint in its format; this build went on with binary records. Both
+// rungs of the boot, the checkpoint plus the WAL past it and the whole WAL,
+// reach the state the all-binary log of the same history boots to.
+func TestBootMixedLogAfterUpgrade(t *testing.T) {
+	bdir := t.TempDir()
+	bl, _, err := wal.Open(bdir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bl.Close()
+	bc := walBootConfig(bl)
+	bc.base.Clock = frozenClock()
+	srv, err := server.New(bc.platformConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(i int, key string, accept bool) server.Decision {
+		t.Helper()
+		volume := 5 * units.GB
+		if !accept {
+			volume = 5 * units.PB
+		}
+		d, err := srv.Submit(server.Submission{
+			From: i % 2, To: (i + 1) % 2, Volume: volume, Deadline: 40000, MaxRate: 50 * units.MBps, IdempotencyKey: key,
+		})
+		if err != nil || d.Accepted != accept {
+			t.Fatalf("submit %d: %v %+v, want accepted=%v", i, err, d, accept)
+		}
+		return d
+	}
+	submit(0, "head-0", true)
+	if _, err := srv.Cancel(submit(1, "", true).ID); err != nil {
+		t.Fatal(err)
+	}
+	submit(2, "head-2", false)
+	res, err := srv.HoldReserve([]server.HoldReserveJSON{{
+		Hold: "h", Side: trace.HoldSideIngress, Point: 0, PeerPoint: 1, VolumeBytes: 1e11, MaxRateBps: 1e8, DeadlineS: 4000,
+	}})
+	if err != nil || !res[0].Held {
+		t.Fatalf("reserve: %v %+v", err, res)
+	}
+	cut := int(bl.Records())
+	mid := srv.Snapshot()
+	if ref, err := srv.HoldConfirm([]server.HoldRefJSON{{Hold: "h"}}); err != nil || ref[0].Code != 0 {
+		t.Fatalf("confirm: %v %+v", err, ref)
+	}
+	submit(3, "tail-3", true)
+	submit(4, "", true)
+	srv.Close()
+	events, _, err := server.ReadWALEvents(bl, wal.Pos{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boot := func(bc bootConfig, wantHow string) []trace.Event {
+		t.Helper()
+		s, how, err := bootServer(bc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if !strings.Contains(how, wantHow) {
+			t.Fatalf("boot %q, want %q", how, wantHow)
+		}
+		return s.Snapshot().Events
+	}
+	want := boot(bc, "fresh server")
+
+	// The same history: the first cut records as the earlier build wrote
+	// them, the rest as this build does, and the earlier build's checkpoint
+	// of the state after the cut.
+	mdir := t.TempDir()
+	ml, _, err := wal.Open(mdir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ml.Close()
+	var midPos wal.Pos
+	for i := range events {
+		var p []byte
+		if i < cut {
+			p, err = json.Marshal(events[i])
+		} else {
+			p, err = trace.AppendRecord(nil, &events[i])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos, err := ml.Append(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == cut-1 {
+			midPos = pos
+		}
+	}
+	mid.WALSeg, mid.WALOff = midPos.Seg, midPos.Off
+	header, err := json.Marshal(struct {
+		*server.Snapshot
+		Events int `json:"events"`
+	}{mid, len(mid.Events)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoint := wal.AppendFrame(nil, header)
+	for _, ev := range mid.Events {
+		p, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkpoint = wal.AppendFrame(checkpoint, p)
+	}
+	mbc := walBootConfig(ml)
+	mbc.base.Clock = frozenClock()
+	if err := os.WriteFile(checkpointPath(mbc), checkpoint, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for rung, wantHow := range []string{"restored checkpoint", "fresh server"} {
+		if got := boot(mbc, wantHow); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: booted\n %+v\nwant the all-binary log's\n %+v", wantHow, got, want)
+		}
+		if rung == 0 {
+			if err := os.Remove(checkpointPath(mbc)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,46 +154,72 @@ func TestFollowerWALIsByteIdenticalToPrimarys(t *testing.T) {
 	}
 }
 
-// The wire shape of a pull answer did not change when its events became
-// raw frames, so a group can mix versions during an upgrade. goldenBody is
-// what the previous encoder (Events []trace.Event through json.Encoder)
-// answered for the two-submission history below, captured from that
-// version; this handler must answer the same bytes, and a follower of this
-// version must apply them.
-const goldenBody = `{"epoch":1,"from":{"seg":1,"off":0},"next":{"seg":1,"off":358},"end":{"seg":1,"off":358},"lag_bytes":0,` +
+// parentBody is what the previous version, whose WAL records were JSON
+// objects, answered a pull for the two-submission history below. A
+// follower of this version refuses it whole: the JSON pull decodes events
+// as base64 records, so an object fails the decode, nothing is applied,
+// and the pull loop keeps the error in last_error. Groups upgrade their
+// followers first.
+const parentBody = `{"epoch":1,"from":{"seg":1,"off":0},"next":{"seg":1,"off":358},"end":{"seg":1,"off":358},"lag_bytes":0,` +
 	`"events":[{"t_s":0,"kind":"accept","request":0,"ingress":0,"egress":1,"rate_bps":250000000,"tau_s":400,"volume_bytes":100000000000,"max_rate_bps":1000000000},` +
 	`{"t_s":0,"kind":"reject","request":1,"ingress":0,"egress":1,"volume_bytes":1000000000000,"max_rate_bps":1000000000,"reason":"infeasible: needs 100GB/s to move 1TB in window but MaxRate is 1GB/s"}]}` + "\n"
+
+// goldenBody is this version's answer for the same history: the same
+// document, each event a trace record in base64. A follower of this
+// version applies it; the parent's decoder refuses it.
+const goldenBody = `{"epoch":1,"from":{"seg":1,"off":0},"next":{"seg":1,"off":152},"end":{"seg":1,"off":152},"lag_bytes":0,` +
+	`"events":["AQAAAAI6AAAAAGXNrUEAAAAAAAB5QAAAAOh2SDdCAAAAAGXNzUEAAAAA","AQECAAIwAAAAopQabUIAAAAAZc3NQURpbmZlYXNpYmxlOiBuZWVkcyAxMDBHQi9zIHRvIG1vdmUgMVRCIGluIHdpbmRvdyBidXQgTWF4UmF0ZSBpcyAxR0IvcwAAAA=="]}` + "\n"
 
 func TestShippedBatchWireShapeIsUnchanged(t *testing.T) {
 	clk := &fakeClock{}
 
-	// Parent → this version: the old body applies on a new follower.
-	var old server.ShippedBatch
-	if err := json.Unmarshal([]byte(goldenBody), &old); err != nil {
-		t.Fatalf("parent-encoded batch does not decode: %v", err)
+	// Parent → this version: refused, nothing applied.
+	parent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, parentBody)
+	}))
+	defer parent.Close()
+	pfcfg := uniformConfig(clk)
+	pfcfg.WAL = openTestWAL(t)
+	pfcfg.Follow = parent.URL
+	pf := newTestServer(t, pfcfg)
+	if err := pf.StartFollowing(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the parent's batch refused", func() bool { return pf.ReplicationStatus().LastError != "" })
+	if rs := pf.ReplicationStatus(); !strings.Contains(rs.LastError, "decode") || rs.Applied != 0 || !rs.Cursor.IsZero() ||
+		pf.Status().Active != 0 || pfcfg.WAL.Records() != 0 {
+		t.Fatalf("after the parent's batch: last_error %q, %d applied, cursor %v, %d active, %d WAL records; want a decode error and nothing applied",
+			rs.LastError, rs.Applied, rs.Cursor, pf.Status().Active, pfcfg.WAL.Records())
+	}
+
+	// This version → this version: the golden body applies, and the
+	// follower logs the records it was sent, not a re-encoding.
+	var golden server.ShippedBatch
+	if err := json.Unmarshal([]byte(goldenBody), &golden); err != nil {
+		t.Fatalf("golden batch does not decode: %v", err)
 	}
 	fcfg := uniformConfig(clk)
 	fcfg.WAL = openTestWAL(t)
 	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
 	f := newTestServer(t, fcfg)
-	if err := f.ApplyShipped(old); err != nil {
-		t.Fatalf("parent-encoded batch does not apply: %v", err)
+	if err := f.ApplyShipped(golden); err != nil {
+		t.Fatalf("golden batch does not apply: %v", err)
 	}
-	if st := f.Status(); st.Active != 1 || f.ReplicationStatus().Cursor != old.Next {
-		t.Fatalf("after the parent's batch: %d active, cursor %v, want 1 and %v", st.Active, f.ReplicationStatus().Cursor, old.Next)
+	if st := f.Status(); st.Active != 1 || f.ReplicationStatus().Cursor != golden.Next {
+		t.Fatalf("after the golden batch: %d active, cursor %v, want 1 and %v", st.Active, f.ReplicationStatus().Cursor, golden.Next)
 	}
-	// The follower logged the frames it was sent, not a re-encoding.
 	logged, _, _, err := fcfg.WAL.ReadFrom(wal.Pos{}, 0, 0)
-	if err != nil || len(logged) != len(old.Events) {
-		t.Fatalf("follower WAL holds %d frames (%v), want %d", len(logged), err, len(old.Events))
+	if err != nil || len(logged) != len(golden.Events) {
+		t.Fatalf("follower WAL holds %d frames (%v), want %d", len(logged), err, len(golden.Events))
 	}
 	for i := range logged {
-		if !bytes.Equal(logged[i], old.Events[i]) {
-			t.Fatalf("follower frame %d = %s, shipped %s", i, logged[i], old.Events[i])
+		if !bytes.Equal(logged[i], golden.Events[i]) {
+			t.Fatalf("follower frame %d = %x, shipped %x", i, logged[i], golden.Events[i])
 		}
 	}
 
-	// This version → parent: the new body is the same JSON document shape.
+	// This version's primary answers the golden body, which the parent's
+	// batch type refuses.
 	pcfg := uniformConfig(clk)
 	pcfg.WAL = openTestWAL(t)
 	primary := newTestServer(t, pcfg)
@@ -215,17 +243,16 @@ func TestShippedBatchWireShapeIsUnchanged(t *testing.T) {
 		LagBytes int64         `json:"lag_bytes"`
 		Events   []trace.Event `json:"events"`
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&parentView); err != nil {
-		t.Fatalf("new body does not decode as the parent's batch: %v", err)
+	if err := json.Unmarshal(body, &parentView); err == nil {
+		t.Fatalf("the parent's batch type decoded this version's body: %+v", parentView)
 	}
 	want, _, err := server.ReadWALEvents(pcfg.WAL, wal.Pos{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(parentView.Events, want) || parentView.Next != pcfg.WAL.End() || parentView.Epoch != 1 {
-		t.Fatalf("parent's view of the new body = %+v, want events %+v up to %v", parentView, want, pcfg.WAL.End())
+	got, _, err := server.ReadWALEvents(fcfg.WAL, wal.Pos{})
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower's events %+v (%v), want the primary's %+v", got, err, want)
 	}
 }
 
@@ -242,10 +269,13 @@ func TestApplyShippedRefusesMalformedBatchWhole(t *testing.T) {
 		Kind: trace.EventAccept, Request: 0, Ingress: 0, Egress: 1,
 		RateBps: 1e8, TauS: 100, VolumeB: 1e10, MaxRateBps: 1e9,
 	})[0]
-	for _, bad := range []string{`{"t_s":`, `{"kind":7}`, `[]`, ``} {
+	// Legacy JSON that fails to decode, and binary records cut short, with a
+	// byte past the end, of an unknown version or of an unknown kind.
+	for _, bad := range []string{`{"t_s":`, `{"kind":7}`, `[]`, ``,
+		string(good[:len(good)-1]), string(good) + "x", "\x02" + string(good[1:]), "\x01\x0c" + string(good[2:])} {
 		err := f.ApplyShipped(server.ShippedBatch{
 			Epoch: 1, Next: wal.Pos{Seg: 1, Off: 500},
-			Events: []json.RawMessage{good, json.RawMessage(bad)},
+			Events: [][]byte{good, []byte(bad)},
 		})
 		if err == nil {
 			t.Fatalf("batch with element %q applied", bad)
@@ -256,10 +286,68 @@ func TestApplyShippedRefusesMalformedBatchWhole(t *testing.T) {
 				bad, st.Active, rs.Applied, rs.Cursor, fcfg.WAL.Records())
 		}
 	}
-	if err := f.ApplyShipped(server.ShippedBatch{Epoch: 1, Next: wal.Pos{Seg: 1, Off: 500}, Events: []json.RawMessage{good}}); err != nil {
+	if err := f.ApplyShipped(server.ShippedBatch{Epoch: 1, Next: wal.Pos{Seg: 1, Off: 500}, Events: [][]byte{good}}); err != nil {
 		t.Fatalf("the well-formed batch: %v", err)
 	}
 	if st := f.Status(); st.Active != 1 || fcfg.WAL.Records() != 1 {
 		t.Fatalf("after the well-formed batch: %d active, %d WAL records, want 1 and 1", st.Active, fcfg.WAL.Records())
+	}
+}
+
+// TestFollowerAppendsParentRecordsAsReceived: an earlier build's primary
+// streams JSON records, and after its failover this build's primary goes on
+// with binary ones. A follower of this build applies both batches and
+// appends every record exactly as received, so its log stays the
+// primary's byte for byte across the upgrade.
+func TestFollowerAppendsParentRecordsAsReceived(t *testing.T) {
+	clk := &fakeClock{}
+	events := []trace.Event{
+		{Kind: trace.EventAccept, Request: 0, Ingress: 0, Egress: 1, RateBps: 1e8, TauS: 100, VolumeB: 1e10, MaxRateBps: 1e9, Key: "k0"},
+		{Kind: trace.EventReject, Request: 1, Ingress: 1, Egress: 0, VolumeB: 1e15, MaxRateBps: 1e9, Reason: "infeasible", Key: "k1"},
+		{At: 1, Kind: trace.EventAccept, Request: 2, Ingress: 1, Egress: 1, RateBps: 1e8, SigmaS: 1, TauS: 50, VolumeB: 4.9e9, MaxRateBps: 1e9},
+		{At: 2, Kind: trace.EventCancel, Request: 2, Ingress: 1, Egress: 1},
+	}
+	var payloads [][]byte
+	for i, ev := range events {
+		p, err := json.Marshal(ev)
+		if i >= 2 {
+			p, err = trace.AppendRecord(nil, &ev)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, p)
+	}
+	var stream []byte
+	var pos wal.Pos
+	for _, batch := range [][][]byte{payloads[:2], payloads[2:]} {
+		next := pos
+		for _, p := range batch {
+			next = wal.Pos{Seg: 1, Off: next.Off + int64(len(wal.AppendFrame(nil, p)))}
+		}
+		stream = server.AppendReplBatch(stream, &server.ShippedBatch{Epoch: 1, From: pos, Next: next, End: next, Events: batch})
+		pos = next
+	}
+
+	fcfg := uniformConfig(clk)
+	fcfg.WAL = openTestWAL(t)
+	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
+	f := newTestServer(t, fcfg)
+	if err := f.FollowStream(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(stream), io.Discard}); !errors.Is(err, io.EOF) {
+		t.Fatalf("stream ended with %v, want EOF after both batches", err)
+	}
+	logged, _, end, err := fcfg.WAL.ReadFrom(wal.Pos{}, 0, 0)
+	if err != nil || !reflect.DeepEqual(logged, payloads) || end != pos {
+		t.Fatalf("follower logged %q up to %v (%v), want %q up to %v", logged, end, err, payloads, pos)
+	}
+	oracle := newTestServer(t, uniformConfig(clk))
+	if n, err := oracle.ApplyEvents(events); err != nil || n != len(events) {
+		t.Fatalf("oracle applied %d of %d: %v", n, len(events), err)
+	}
+	if got, want := f.Snapshot().Events, oracle.Snapshot().Events; !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower state\n %+v\nwant\n %+v", got, want)
 	}
 }

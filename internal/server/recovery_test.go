@@ -475,3 +475,87 @@ func snapKeys(snap *server.Snapshot) map[string]int {
 	}
 	return keys
 }
+
+// TestRawByteKeysSurviveRecovery: an idempotency key is raw bytes — the
+// framed plane carries it unchecked — so every recovery route must give it
+// back byte for byte: the whole WAL replayed onto a fresh server, the
+// checkpoint, and a follower fed the primary's records over the stream.
+// Each re-send then answers its original ID and books nothing. A JSON
+// record wrote a key that is not UTF-8 as U+FFFD, so two such keys came
+// back as one, and both re-sends were admitted again.
+func TestRawByteKeysSurviveRecovery(t *testing.T) {
+	clk := &fakeClock{}
+	cfg := uniformConfig(clk)
+	cfg.WAL = openTestWAL(t)
+	donor := newTestServer(t, cfg)
+	subs := []server.Submission{
+		{From: 0, To: 1, Volume: 1 * units.GB, Deadline: 400, MaxRate: 100 * units.MBps, IdempotencyKey: "\xff"},
+		{From: 1, To: 0, Volume: 1 * units.GB, Deadline: 400, MaxRate: 100 * units.MBps, IdempotencyKey: "\xfe"},
+	}
+	ids := make([]request.ID, len(subs))
+	for i, sub := range subs {
+		d, err := donor.Submit(sub)
+		if err != nil || !d.Accepted {
+			t.Fatalf("submit %q: %v %+v", sub.IdempotencyKey, err, d)
+		}
+		ids[i] = d.ID
+	}
+
+	all, _, err := server.ReadWALEvents(cfg.WAL, wal.Pos{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromWAL := newTestServer(t, uniformConfig(clk))
+	if n, err := fromWAL.ApplyEvents(all); err != nil || n != len(all) {
+		t.Fatalf("applied %d of %d events: %v", n, len(all), err)
+	}
+
+	var buf bytes.Buffer
+	if err := donor.Snapshot().Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	read, err := server.ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromCheckpoint, err := server.NewFromSnapshot(read, server.Config{Clock: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fromCheckpoint.Close() })
+
+	payloads, start, next, err := cfg.WAL.ReadFrom(wal.Pos{}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcfg := uniformConfig(clk)
+	fcfg.WAL = openTestWAL(t)
+	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
+	follower := newTestServer(t, fcfg)
+	stream := server.AppendReplBatch(nil, &server.ShippedBatch{Epoch: donor.Epoch(), From: start, Next: next, End: next, Events: payloads})
+	if err := follower.FollowStream(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(stream), io.Discard}); !errors.Is(err, io.EOF) {
+		t.Fatalf("stream ended with %v, want EOF after the batch", err)
+	}
+	if _, err := follower.Promote(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, r := range []struct {
+		name string
+		s    *server.Server
+	}{{"full WAL", fromWAL}, {"checkpoint", fromCheckpoint}, {"follower over the stream", follower}} {
+		for i, sub := range subs {
+			before := r.s.Status().Stats
+			again, err := r.s.Submit(sub)
+			if err != nil || again.ID != ids[i] {
+				t.Errorf("%s: re-sent %q answered id %d (%v), want the original %d", r.name, sub.IdempotencyKey, again.ID, err, ids[i])
+			}
+			if after := r.s.Status().Stats; after.Accepted != before.Accepted {
+				t.Errorf("%s: re-sent %q booked again: accepted %d -> %d", r.name, sub.IdempotencyKey, before.Accepted, after.Accepted)
+			}
+		}
+	}
+}

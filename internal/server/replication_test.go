@@ -30,11 +30,11 @@ func openTestWAL(t testing.TB) *wal.Log {
 }
 
 // frames encodes events the way a primary's WAL holds and ships them.
-func frames(t *testing.T, events ...trace.Event) []json.RawMessage {
+func frames(t testing.TB, events ...trace.Event) [][]byte {
 	t.Helper()
-	out := make([]json.RawMessage, len(events))
-	for i, ev := range events {
-		blob, err := json.Marshal(ev)
+	out := make([][]byte, len(events))
+	for i := range events {
+		blob, err := trace.AppendRecord(nil, &events[i])
 		if err != nil {
 			t.Fatal(err)
 		}

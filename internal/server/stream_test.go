@@ -500,17 +500,17 @@ func TestReplFramesRoundTripAndRefuse(t *testing.T) {
 		t.Fatalf("gone frame: gone=%v %v", gone, err)
 	}
 
-	many := make([]json.RawMessage, 4097)
+	many := make([][]byte, 4097)
 	for i := range many {
-		many[i] = json.RawMessage("1")
+		many[i] = []byte("1")
 	}
 	if _, _, err := server.DecodeReplFrame(server.AppendReplBatch(nil, &server.ShippedBatch{Events: many[:4096]})); err != nil {
 		t.Fatalf("a batch at the clamp: %v", err)
 	}
-	for name, events := range map[string][]json.RawMessage{
+	for name, events := range map[string][][]byte{
 		"count above the clamp": many,
-		"empty record":          {json.RawMessage("1"), json.RawMessage{}},
-		"oversized record":      {json.RawMessage(bytes.Repeat([]byte{'1'}, wal.MaxRecordBytes+1))},
+		"empty record":          {[]byte("1"), {}},
+		"oversized record":      {bytes.Repeat([]byte{'1'}, wal.MaxRecordBytes+1)},
 	} {
 		if _, _, err := server.DecodeReplFrame(server.AppendReplBatch(nil, &server.ShippedBatch{Events: events})); err == nil {
 			t.Errorf("%s: decoded", name)
@@ -538,7 +538,13 @@ func mustJSON(t *testing.T, v any) []byte {
 func FuzzReplFrames(f *testing.F) {
 	f.Add(server.AppendReplBatch(nil, &server.ShippedBatch{
 		Epoch: 2, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1, Off: 9}, End: wal.Pos{Seg: 1, Off: 9},
-		Events: []json.RawMessage{json.RawMessage(`{"kind":"reject"}`)},
+		Events: [][]byte{[]byte(`{"kind":"reject"}`)},
+	}))
+	f.Add(server.AppendReplBatch(nil, &server.ShippedBatch{
+		Epoch: 2, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1, Off: 150}, End: wal.Pos{Seg: 1, Off: 150},
+		Events: frames(f,
+			trace.Event{Kind: trace.EventAccept, Ingress: 0, Egress: 1, RateBps: 1e8, TauS: 100, VolumeB: 1e10, MaxRateBps: 1e9, Key: "k"},
+			trace.Event{At: 1, Kind: trace.EventCancel}),
 	}))
 	f.Add(server.AppendReplBatch(nil, &server.ShippedBatch{Epoch: 1, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1}}))
 	f.Add(server.AppendReplGone(nil))

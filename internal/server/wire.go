@@ -1026,7 +1026,7 @@ func decodeReplFrame(frame []byte) (b ShippedBatch, gone bool, err error) {
 	if r.err != nil {
 		return ShippedBatch{}, false, r.err
 	}
-	b.Events = make([]json.RawMessage, count)
+	b.Events = make([][]byte, count)
 	for i := range b.Events {
 		n := r.u32("record length")
 		if r.err == nil && (n == 0 || n > wal.MaxRecordBytes) {

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -91,16 +90,30 @@ func (a *Acks) Quorum(k int) Pos {
 	return a.quorumLocked(k)
 }
 
+// quorumLocked runs on every wake of every parked waiter, so it allocates
+// nothing: the table has at most maxAckRows rows, and the k largest
+// positions are kept in descending order in an array on the stack.
 func (a *Acks) quorumLocked(k int) Pos {
 	if k <= 0 || len(a.acked) < k {
 		return Pos{}
 	}
-	ps := make([]Pos, 0, len(a.acked))
+	var top [maxAckRows]Pos
+	n := 0
 	for _, fa := range a.acked {
-		ps = append(ps, fa.Pos)
+		i := n
+		if n < k {
+			n++
+		} else if !top[k-1].Less(fa.Pos) {
+			continue
+		} else {
+			i = k - 1
+		}
+		for ; i > 0 && top[i-1].Less(fa.Pos); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = fa.Pos
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[j].Less(ps[i]) }) // descending
-	return ps[k-1]
+	return top[k-1]
 }
 
 // Wait blocks until at least k followers have acknowledged pos or

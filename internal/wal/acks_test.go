@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -187,5 +188,26 @@ func TestAcksTableIsBounded(t *testing.T) {
 	}
 	if q := a.Quorum(maxAckRows + 1); !q.IsZero() {
 		t.Fatalf("Quorum(%d) = %v over a table of %d rows", maxAckRows+1, q, maxAckRows)
+	}
+}
+
+// Quorum runs on every wake of every parked sync-ack waiter: it must
+// allocate nothing, and it must still be the k-th largest acked position.
+func TestAcksQuorumAllocFreeKthLargest(t *testing.T) {
+	a := NewAcks(nil)
+	var all []Pos
+	for i := 0; i < maxAckRows; i++ {
+		p := Pos{Seg: uint64(1 + i*7%5), Off: int64(i * 37 % 101)}
+		a.Record(fmt.Sprintf("f%d", i), p)
+		all = append(all, p)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[j].Less(all[i]) })
+	for k := 1; k <= maxAckRows; k++ {
+		if got := a.Quorum(k); got != all[k-1] {
+			t.Fatalf("Quorum(%d) = %v, want %v", k, got, all[k-1])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Quorum(maxAckRows / 2) }); n != 0 {
+		t.Fatalf("Quorum allocates %.1f objects, want 0", n)
 	}
 }

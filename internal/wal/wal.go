@@ -224,6 +224,9 @@ type Log struct {
 	notify   chan struct{}
 	closed   bool
 	poisoned error // sticky fail-stop cause; nil while healthy
+	// frame is Append's frame buffer, reused under mu: File.Write keeps no
+	// reference to the bytes it is given.
+	frame []byte
 
 	stopSync chan struct{}
 	syncDone chan struct{}
@@ -526,7 +529,8 @@ func (l *Log) Append(payload []byte) (Pos, error) {
 			return Pos{}, err
 		}
 	}
-	if _, err := l.f.Write(AppendFrame(make([]byte, 0, frame), payload)); err != nil {
+	l.frame = AppendFrame(l.frame[:0], payload)
+	if _, err := l.f.Write(l.frame); err != nil {
 		// A short or failed write leaves the file offset somewhere inside
 		// a half-written frame; a further append would interleave garbage
 		// into the framing. Fail-stop.

@@ -417,6 +417,21 @@ func TestAppendBounds(t *testing.T) {
 	}
 }
 
+// Append reuses one frame buffer, so the only allocation left is the wake
+// channel it replaces for the next Wait.
+func TestAppendAllocatesOnlyTheWakeChannel(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{})
+	payload := payloadN(1)
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 1 {
+		t.Fatalf("Append allocates %.1f objects, want 1", n)
+	}
+}
+
 func TestEpochMeta(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{})
 	if e, err := l.LoadEpoch(); err != nil || e != 0 {
