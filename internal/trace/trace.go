@@ -1,7 +1,9 @@
 // Package trace serializes workloads and scheduling outcomes as
 // versioned JSON, so experiments can be archived, diffed and replayed
 // outside the process that generated them (cmd/gridsim's -save/-load
-// flags, regression fixtures, cross-implementation comparison).
+// flags, regression fixtures, cross-implementation comparison). The
+// daemon's decision events are written as compact binary WAL records
+// (record.go).
 //
 // The format is deliberately flat and explicit — base SI units, dense
 // request IDs — so a trace is self-describing without this package.
