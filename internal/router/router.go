@@ -45,7 +45,6 @@ import (
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
 	"gridbw/internal/trace"
-	"gridbw/internal/units"
 )
 
 const (
@@ -164,18 +163,17 @@ func (rt *Router) splitID(visible int) (local, shardIdx int) {
 }
 
 // Handler returns the router's HTTP surface: the shard-facing subset of
-// the daemon API plus the router's own Prometheus metrics. The four framed
-// calls go through Call, and may take their connection over for the call
-// stream.
+// the daemon API plus the router's own Prometheus metrics. The four
+// request-plane routes are calls through Call (server.CallRoute): framed,
+// or through the JSON codec the daemon's routes share.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	call := func(op byte, jsonFace http.HandlerFunc) http.Handler {
-		return server.CallRoute(&rt.streams, rt.Call, op, jsonFace)
-	}
-	mux.Handle("POST /v1/requests", call(server.OpSubmit, rt.handleSubmit))
-	mux.Handle("POST /v1/batch", call(server.OpBatch, rt.handleBatch))
-	mux.Handle("GET /v1/requests/{id}", call(server.OpGet, rt.handleGet))
-	mux.Handle("DELETE /v1/requests/{id}", call(server.OpCancel, rt.handleCancel))
+	face := server.JSONFace{MaxBatch: rt.maxBatch, BareBatch: true}
+	call := func(op byte) http.Handler { return server.CallRoute(&rt.streams, rt.Call, op, face) }
+	mux.Handle("POST /v1/requests", call(server.OpSubmit))
+	mux.Handle("POST /v1/batch", call(server.OpBatch))
+	mux.Handle("GET /v1/requests/{id}", call(server.OpGet))
+	mux.Handle("DELETE /v1/requests/{id}", call(server.OpCancel))
 	mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	return mux
@@ -192,7 +190,8 @@ func (rt *Router) Close() error {
 	return nil
 }
 
-// Call answers one framed call on either carrier: decode, route, encode.
+// Call answers one call, whichever face or carrier brought it: decode,
+// route, encode.
 // The hold calls are the shards' business; the router answers them as its
 // mux answers the paths it does not serve.
 func (rt *Router) Call(ctx context.Context, c *server.Call) server.Reply {
@@ -217,7 +216,7 @@ func (rt *Router) Call(ctx context.Context, c *server.Call) server.Reply {
 		if err != nil {
 			return server.ErrorReply(http.StatusBadRequest, err)
 		}
-		items = rt.batch(ctx, subs, make([]server.BatchItemJSON, len(subs)))
+		items = rt.batch(ctx, subs)
 	case server.OpGet, server.OpCancel:
 		visible, err := server.DecodeIDFrame(c.Buf.B)
 		if err != nil {
@@ -252,34 +251,6 @@ func upstreamReply(err error) server.Reply {
 		return rep
 	}
 	return server.ErrorReply(http.StatusBadGateway, err)
-}
-
-func writeUpstreamError(w http.ResponseWriter, err error) {
-	server.WriteReply(w, upstreamReply(err), nil)
-}
-
-// handleSubmit routes one JSON submission. (A framed one is a Call.)
-func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	ws, err := server.DecodeSubmit(r)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := rt.submit(r.Context(), ws)
-	if err != nil {
-		writeUpstreamError(w, err)
-		return
-	}
-	code := http.StatusCreated
-	if !res.Accepted {
-		code = http.StatusOK
-	}
-	if res.Accepted && res.Routed == "" {
-		// The shard's frame carries no human string; the JSON face of a
-		// proxied decision keeps the one the shard's own JSON has.
-		res.Rate = units.Bandwidth(res.RateBps).String()
-	}
-	server.WriteJSON(w, code, res)
 }
 
 // submit routes one submission: a same-shard record travels on to its
@@ -428,8 +399,13 @@ func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
 		}
 		// The hold key derives from the idempotency key, so a client retry
 		// of the whole submission converges on the same pair of holds
-		// instead of booking fresh ones.
+		// instead of booking fresh ones. A key within a prefix of the bound
+		// has no hold key, and is refused here rather than costing its
+		// neighbours their shard call.
 		it.hold = "x-" + ws.IdempotencyKey
+		if len(it.hold) > server.MaxKeyBytes {
+			it.fail(itemError(http.StatusBadRequest, fmt.Sprintf("cross-shard hold key of %d bytes exceeds %d", len(it.hold), server.MaxKeyBytes)))
+		}
 	}
 
 	// The calls of a wave return together, so each wave runs under its own
@@ -608,34 +584,17 @@ func (sh *shard) abort(ctx context.Context, refs []server.HoldRefJSON) ([]server
 	return sts, err
 }
 
-// handleBatch routes one JSON batch. (A framed one is a Call.)
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	subs, bad, err := server.DecodeBatch(r, rt.maxBatch)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Malformed items fail individually in their slot, like the daemon's
-	// JSON batch handler.
-	items := make([]server.BatchItemJSON, len(subs))
-	for i, err := range bad {
-		if err != nil {
-			items[i].Error = err.Error()
-		}
-	}
-	server.WriteJSON(w, http.StatusOK, server.BatchResponse{Results: rt.batch(r.Context(), subs, items)})
-}
-
-// batch routes a batch and returns items, one result per submission in
-// request order. Items that already hold an error are not sent.
-func (rt *Router) batch(ctx context.Context, subs []server.WireSubmission, items []server.BatchItemJSON) []server.BatchItemJSON {
+// batch routes a batch and returns one result per submission, in request
+// order.
+func (rt *Router) batch(ctx context.Context, subs []server.WireSubmission) []server.BatchItemJSON {
 	// Missing keys are generated before the scatter so every retry layer
 	// below re-sends the same ones.
 	for i := range subs {
-		if items[i].Error == "" && subs[i].IdempotencyKey == "" {
+		if subs[i].IdempotencyKey == "" {
 			subs[i].IdempotencyKey = client.NewIdempotencyKey()
 		}
 	}
+	items := make([]server.BatchItemJSON, len(subs))
 
 	// Split by owning shard: same-shard slices forward as one wire batch
 	// per shard, cross-shard items run the two-phase protocol together.
@@ -646,9 +605,6 @@ func (rt *Router) batch(ctx context.Context, subs []server.WireSubmission, items
 	var cross []int
 	var crossItems []*crossItem
 	for i := range subs {
-		if items[i].Error != "" {
-			continue
-		}
 		inIdx, egIdx := rt.ring.OwnerIn(subs[i].From), rt.ring.OwnerEg(subs[i].To)
 		if inIdx == egIdx {
 			groups[inIdx] = append(groups[inIdx], i)
@@ -699,29 +655,6 @@ func (rt *Router) batch(ctx context.Context, subs []server.WireSubmission, items
 	}
 	wg.Wait()
 	return items
-}
-
-func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
-	rt.serveByID(w, r, rt.get)
-}
-
-func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
-	rt.serveByID(w, r, rt.cancel)
-}
-
-// serveByID is the JSON face of a lookup or cancel by visible ID.
-func (rt *Router) serveByID(w http.ResponseWriter, r *http.Request, find func(context.Context, int) (server.ReservationJSON, error)) {
-	visible, err := server.PathID(r)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := find(r.Context(), visible)
-	if err != nil {
-		writeUpstreamError(w, err)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, res)
 }
 
 // get looks a visible ID up on its owning shard.

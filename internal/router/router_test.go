@@ -117,7 +117,7 @@ func newTier(t *testing.T, nShards int, egressBw units.Bandwidth) *testTier {
 }
 
 // newTierWith is newTier with each shard's configuration open to tune.
-func newTierWith(t *testing.T, nShards int, tune func(shard int, cfg *server.Config)) *testTier {
+func newTierWith(t testing.TB, nShards int, tune func(shard int, cfg *server.Config)) *testTier {
 	t.Helper()
 	tier := &testTier{shardCalls: map[string]int{}}
 	var shards []ShardConfig
@@ -157,7 +157,7 @@ func newTierWith(t *testing.T, nShards int, tune func(shard int, cfg *server.Con
 }
 
 // pairs scans the point space for a same-shard and a cross-shard pair.
-func (tier *testTier) pairs(t *testing.T) (sameFrom, sameTo, crossFrom, crossTo int) {
+func (tier *testTier) pairs(t testing.TB) (sameFrom, sameTo, crossFrom, crossTo int) {
 	t.Helper()
 	ring := tier.rt.Ring()
 	foundSame, foundCross := false, false

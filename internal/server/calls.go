@@ -63,36 +63,47 @@ func ErrorReply(status int, err error) Reply {
 // Router.Call.
 type CallHandler func(ctx context.Context, c *Call) Reply
 
-// CallRoute serves one route of a framed call. A framed body, or a lookup
-// or cancel by id that offers the call stream, is a Call through h; any
-// other request goes to jsonFace, the route's curl form.
-func CallRoute(ss *Streams, h CallHandler, op byte, jsonFace http.Handler) http.Handler {
+// CallRoute serves one route of the request plane; every request on it is
+// a Call through h. The route reads a body under the framed bound
+// (FrameBuf.ReadBody), or puts the path's id in a request frame. A framed
+// body, or a lookup or cancel by id that offers the call stream, is the
+// call as it is; anything else goes through the op's JSON codec (face).
+func CallRoute(ss *Streams, h CallHandler, op byte, face JSONFace) http.Handler {
 	byID := op == OpGet || op == OpCancel
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c := Call{Op: op}
-		switch {
-		case !byID && Framed(r):
-			c.Buf = NewFrameBuf()
-			if err := c.Buf.ReadBody(r.Body, r.ContentLength); err != nil {
-				c.Buf.Release()
-				WriteError(w, http.StatusBadRequest, err)
-				return
+		c := Call{Op: op, Buf: NewFrameBuf()}
+		var err error
+		if byID {
+			var id int
+			if id, err = pathID(r); err == nil {
+				c.Buf.B = AppendIDFrame(c.Buf.B, id)
 			}
-			c.Key = r.Header.Get("Idempotency-Key")
-		case byID && wantsUpgrade(r, CallProtocol):
-			id, err := PathID(r)
-			if err != nil {
-				WriteError(w, http.StatusBadRequest, err)
-				return
-			}
-			c.Buf = NewFrameBuf()
-			c.Buf.B = AppendIDFrame(c.Buf.B, id)
-		default:
-			jsonFace.ServeHTTP(w, r)
+		} else {
+			err = c.Buf.ReadBody(r.Body, r.ContentLength)
+		}
+		if err != nil {
+			c.Buf.Release()
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		serveCall(w, r, ss, h, &c)
+		if byID && wantsUpgrade(r, CallProtocol) || !byID && Framed(r) {
+			c.Key = r.Header.Get("Idempotency-Key")
+			serveCall(w, r, ss, h, &c)
+			return
+		}
+		rep := jsonOps[op](r, &c, func() Reply { return h(r.Context(), &c) }, face)
+		c.Buf.Release()
+		WriteReply(w, rep, nil)
 	})
+}
+
+// pathID reads the {id} of a /v1/requests/{id} route.
+func pathID(r *http.Request) (int, error) {
+	id, err := strconv.Atoi(r.PathValue("id"))
+	if err != nil || id < 0 {
+		return 0, fmt.Errorf("bad reservation id %q", r.PathValue("id"))
+	}
+	return id, nil
 }
 
 // serveCall answers one call that came over HTTP, and takes the connection
@@ -240,9 +251,9 @@ var serverOps = [numOps]serverOp{
 	OpCancel:  {(*Server).callCancel, false},
 }
 
-// Call answers one framed call on either carrier, keeping every check the
-// HTTP face makes: the in-flight limit with its 429 and Retry-After, and a
-// panic counted and answered 500.
+// Call answers one call, whichever face or carrier brought it: the one
+// in-flight check, with its 429 and Retry-After, and a panic counted and
+// answered 500.
 func (s *Server) Call(_ context.Context, c *Call) (rep Reply) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -257,9 +268,7 @@ func (s *Server) Call(_ context.Context, c *Call) (rep Reply) {
 	if op.shed {
 		if !s.acquire() {
 			s.recordShed()
-			rep = ErrorReply(http.StatusTooManyRequests, errOverloaded)
-			rep.RetryAfter = int((s.retryAfter + time.Second - 1) / time.Second)
-			return rep
+			return s.shedReply()
 		}
 		defer s.release()
 	}
@@ -377,8 +386,10 @@ func (s *Server) callCancel(c *Call) Reply {
 		c.Buf.B = AppendBinaryBatchResponse(c.Buf.B[:0], []BatchResult{{Decision: d}})
 		return Reply{Status: http.StatusOK}
 	case errors.Is(err, ErrFinished):
-		// The final record rides the 409, as in JSON.
-		return Reply{Status: http.StatusConflict, JSON: decisionJSON(d)}
+		// The final record rides the 409, spelled as in JSON.
+		rj := reservationOf(d)
+		spellDecision(&rj, true)
+		return Reply{Status: http.StatusConflict, JSON: rj}
 	default:
 		return callErrorReply(err)
 	}

@@ -560,6 +560,9 @@ func (c *Client) SubmitWire(ctx context.Context, ws server.WireSubmission) (serv
 	if ws.IdempotencyKey == "" {
 		ws.IdempotencyKey = NewIdempotencyKey()
 	}
+	if err := keyFits("idempotency key", ws.IdempotencyKey); err != nil {
+		return server.ReservationJSON{}, err
+	}
 	frame := encodeFrame(server.AppendBinarySubmitRequest, &ws)
 	var out server.ReservationJSON
 	err := c.call(ctx, post("/v1/requests", server.OpSubmit), frame, &out, func(b []byte) (err error) {
@@ -621,6 +624,9 @@ func (c *Client) SubmitBatchWire(ctx context.Context, subs []server.WireSubmissi
 		if subs[i].IdempotencyKey == "" {
 			subs[i].IdempotencyKey = NewIdempotencyKey()
 		}
+		if err := keyFits("idempotency key", subs[i].IdempotencyKey); err != nil {
+			return nil, err
+		}
 	}
 	frame := encodeFrame(server.AppendBinaryBatchRequest, subs)
 	var out server.BatchResponse
@@ -669,8 +675,13 @@ func (c *Client) byID(ctx context.Context, method string, op byte, id int) (serv
 // holdCall posts one list-shaped hold call and checks the answer lines up
 // with the list. The call retries and fails over like any write; hold
 // keys make the retries idempotent on the daemon.
-func holdCall[Q, A any](ctx context.Context, c *Client, path string, op byte, holds []Q,
+func holdCall[Q, A any](ctx context.Context, c *Client, path string, op byte, holds []Q, key func(*Q) string,
 	encode func([]byte, []Q) []byte, decode func([]byte) ([]A, error)) ([]A, error) {
+	for i := range holds {
+		if err := keyFits("hold key", key(&holds[i])); err != nil {
+			return nil, err
+		}
+	}
 	var out server.HoldResultsJSON[A]
 	err := c.call(ctx, post(path, op), encodeFrame(encode, holds), &out, func(b []byte) (err error) {
 		out.Results, err = decode(b)
@@ -685,11 +696,23 @@ func holdCall[Q, A any](ctx context.Context, c *Client, path string, op byte, ho
 	return out.Results, nil
 }
 
+func refKey(ref *server.HoldRefJSON) string { return ref.Hold }
+
+// keyFits refuses, before encoding, a key longer than a frame carries
+// (server.MaxKeyBytes) with the 400 the daemon gives it in JSON: a frame
+// would cut it, and a cut key is another key.
+func keyFits(what, key string) error {
+	if err := server.CheckKey(what, key); err != nil {
+		return &APIError{StatusCode: http.StatusBadRequest, Message: err.Error()}
+	}
+	return nil
+}
+
 // HoldReserve places one side each of a list of cross-shard two-phase
 // admissions, decided in list order; one answer per hold. An answer with
 // Code set is that item's own failure, not the call's.
 func (c *Client) HoldReserve(ctx context.Context, reqs []server.HoldReserveJSON) ([]server.HoldReserveResponseJSON, error) {
-	return holdCall(ctx, c, "/v1/reserve", server.OpReserve, reqs, server.AppendHoldReserveList, server.DecodeHoldReserveResults)
+	return holdCall(ctx, c, "/v1/reserve", server.OpReserve, reqs, func(q *server.HoldReserveJSON) string { return q.Hold }, server.AppendHoldReserveList, server.DecodeHoldReserveResults)
 }
 
 // HoldConfirm commits held reservations. A non-zero epoch on a ref must
@@ -699,7 +722,7 @@ func (c *Client) HoldReserve(ctx context.Context, reqs []server.HoldReserveJSON)
 // more, or abort both sides. A per-item 409 is a hold that rolled back
 // before the commit.
 func (c *Client) HoldConfirm(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
-	return holdCall(ctx, c, "/v1/confirm", server.OpConfirm, refs, server.AppendHoldRefList, server.DecodeHoldStates)
+	return holdCall(ctx, c, "/v1/confirm", server.OpConfirm, refs, refKey, server.AppendHoldRefList, server.DecodeHoldStates)
 }
 
 // HoldAbort rolls holds back, by key or (the cancel path of a cross-shard
@@ -708,7 +731,7 @@ func (c *Client) HoldConfirm(ctx context.Context, refs []server.HoldRefJSON) ([]
 // too. Always safe: aborting an unknown or already-aborted key is a
 // recorded no-op on the daemon.
 func (c *Client) HoldAbort(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
-	return holdCall(ctx, c, "/v1/abort", server.OpAbort, refs, server.AppendHoldRefList, server.DecodeHoldStates)
+	return holdCall(ctx, c, "/v1/abort", server.OpAbort, refs, refKey, server.AppendHoldRefList, server.DecodeHoldStates)
 }
 
 // Status fetches the live control-plane view.

@@ -210,6 +210,9 @@ func (s *Server) holdDecideLocked(req HoldReserveJSON) (hold.Entry, error) {
 	if req.Hold == "" {
 		return hold.Entry{}, fmt.Errorf("server: reserve without hold key")
 	}
+	if err := CheckKey("server: hold key", req.Hold); err != nil {
+		return hold.Entry{}, err
+	}
 	if !finite(req.TTLS) {
 		return hold.Entry{}, fmt.Errorf("server: non-finite hold TTL")
 	}
@@ -501,30 +504,4 @@ func finite(xs ...float64) bool {
 		}
 	}
 	return true
-}
-
-// --- HTTP surface -------------------------------------------------------
-
-// holdHandler serves one list-shaped hold call in JSON (a framed one is a
-// Call): the list is bounded like a batch; whole-call failures keep the
-// status codes the failover-aware client keys on (writeCallError); per-item
-// outcomes ride a 200.
-func holdHandler[Q, A any](s *Server, call func([]Q) ([]A, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var body HoldListJSON[Q]
-		err := DecodeJSON(r, "holds", &body)
-		if n := len(body.Holds); err == nil && (n == 0 || n > s.maxBatch) {
-			err = fmt.Errorf("hold list of %d outside [1,%d]", n, s.maxBatch)
-		}
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, err)
-			return
-		}
-		results, err := call(body.Holds)
-		if err != nil {
-			writeCallError(w, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, HoldResultsJSON[A]{Results: results})
-	}
 }

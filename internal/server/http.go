@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -12,7 +13,6 @@ import (
 
 	"gridbw/internal/cluster"
 	"gridbw/internal/metrics"
-	"gridbw/internal/request"
 	"gridbw/internal/topology"
 	"gridbw/internal/units"
 )
@@ -28,10 +28,14 @@ import (
 //	                          Accept: text/plain
 //	GET    /v1/healthz        readiness probe (503 while draining)
 //
-// Submissions may carry an Idempotency-Key header (or the equivalent
-// body field) making retries safe, and both submission endpoints are
-// bounded by the server's in-flight limit: excess calls get 429 with a
-// Retry-After hint instead of queueing without bound.
+// Each request-plane endpoint is a call (calls.go): JSON is a codec in
+// front of it (jsonface.go), the internal wire's frames are the call as it
+// is. A body of either is read under MaxBinaryBatchBytes (8 MiB) before
+// anything else. Submissions may carry an Idempotency-Key header (or the
+// equivalent body field) of at most MaxKeyBytes, making retries safe, and
+// the submissions and RESERVE are bounded by the server's in-flight limit:
+// excess calls get 429 with a Retry-After hint instead of queueing without
+// bound.
 //
 // Lookup and cancel answer from bounded caches: a reservation stays
 // queryable after it expires or is cancelled only until FinishedRetention
@@ -162,19 +166,21 @@ type ErrorJSON struct {
 }
 
 // Handler returns the daemon's HTTP API: the route mux behind the
-// panic-recovery middleware, with submissions behind load shedding. The
-// seven framed calls go through Call (calls.go), and may take their
-// connection over for the call stream.
+// panic-recovery middleware. The seven request-plane routes are calls
+// (CallRoute): a framed one goes through Call as it is and may take its
+// connection over for the call stream, a JSON one through its op's codec in
+// front of Call.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	call := func(op byte, jsonFace http.Handler) http.Handler { return CallRoute(&s.conns, s.Call, op, jsonFace) }
-	mux.Handle("POST /v1/requests", call(OpSubmit, s.shed(http.HandlerFunc(s.handleSubmit))))
-	mux.Handle("POST /v1/batch", call(OpBatch, s.shed(http.HandlerFunc(s.handleBatch))))
-	mux.Handle("POST /v1/reserve", call(OpReserve, s.shed(holdHandler(s, s.HoldReserve))))
-	mux.Handle("POST /v1/confirm", call(OpConfirm, holdHandler(s, s.HoldConfirm)))
-	mux.Handle("POST /v1/abort", call(OpAbort, holdHandler(s, s.HoldAbort)))
-	mux.Handle("GET /v1/requests/{id}", call(OpGet, http.HandlerFunc(s.handleGet)))
-	mux.Handle("DELETE /v1/requests/{id}", call(OpCancel, http.HandlerFunc(s.handleCancel)))
+	face := JSONFace{MaxBatch: s.maxBatch}
+	call := func(op byte) http.Handler { return CallRoute(&s.conns, s.Call, op, face) }
+	mux.Handle("POST /v1/requests", call(OpSubmit))
+	mux.Handle("POST /v1/batch", call(OpBatch))
+	mux.Handle("POST /v1/reserve", call(OpReserve))
+	mux.Handle("POST /v1/confirm", call(OpConfirm))
+	mux.Handle("POST /v1/abort", call(OpAbort))
+	mux.Handle("GET /v1/requests/{id}", call(OpGet))
+	mux.Handle("DELETE /v1/requests/{id}", call(OpCancel))
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	mux.HandleFunc("GET /v1/metricsz", s.handleMetricsz)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
@@ -201,25 +207,11 @@ func (s *Server) Recoverer(next http.Handler) http.Handler {
 	})
 }
 
-// shed bounds concurrent submissions: when every in-flight slot is
-// taken the request is refused immediately with 429 and a Retry-After
-// hint, so overload degrades into fast, explicit backpressure.
-func (s *Server) shed(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !s.acquire() {
-			s.recordShed()
-			WriteReply(w, s.shedReply(), nil)
-			return
-		}
-		defer s.release()
-		next.ServeHTTP(w, r)
-	})
-}
-
 var errOverloaded = errors.New("server: overloaded, retry later")
 
-// shedReply is the answer to a submission over the in-flight limit: 429
-// with the Retry-After hint.
+// shedReply is the answer to a call over the in-flight limit: 429 with the
+// Retry-After hint, so overload degrades into fast, explicit backpressure
+// instead of queueing without bound.
 func (s *Server) shedReply() Reply {
 	rep := ErrorReply(http.StatusTooManyRequests, errOverloaded)
 	rep.RetryAfter = int((s.retryAfter + time.Second - 1) / time.Second)
@@ -291,12 +283,6 @@ func WriteError(w http.ResponseWriter, code int, err error) {
 	WriteJSON(w, code, ErrorJSON{Error: err.Error()})
 }
 
-// writeCallError answers the failure of a core call as a whole
-// (callErrorReply).
-func writeCallError(w http.ResponseWriter, err error) {
-	WriteReply(w, callErrorReply(err), nil)
-}
-
 // Framed reports whether the caller speaks the internal wire (wire.go)
 // rather than JSON; the answer goes back in the same codec. Errors answer
 // as JSON envelopes either way — status codes carry the contract.
@@ -317,10 +303,10 @@ func WriteFrame(w http.ResponseWriter, code int, frame []byte) {
 	_, _ = w.Write(frame)
 }
 
-// DecodeJSON is the strict JSON decode of a request body; what names the
+// decodeJSON is the strict JSON decode of a request body; what names the
 // body in the error.
-func DecodeJSON(r *http.Request, what string, v any) error {
-	dec := json.NewDecoder(r.Body)
+func decodeJSON(body io.Reader, what string, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decode %s: %w", what, err)
@@ -332,6 +318,9 @@ func DecodeJSON(r *http.Request, what string, v any) error {
 // request header, the equivalent spelling: either may be absent, but two
 // that disagree are an error.
 func mergeKey(headerKey, bodyKey string) (string, error) {
+	if err := CheckKey("Idempotency-Key header", headerKey); err != nil {
+		return "", err
+	}
 	if headerKey == "" {
 		return bodyKey, nil
 	}
@@ -351,164 +340,6 @@ func (s *Server) nowFor(wire ...WireSubmission) units.Time {
 		}
 	}
 	return 0
-}
-
-func decisionJSON(d Decision) ReservationJSON {
-	out := ReservationJSON{
-		ID:       int(d.ID),
-		Accepted: d.Accepted,
-		State:    string(d.State),
-		Reason:   d.Reason,
-	}
-	if d.Accepted {
-		out.RateBps = float64(d.Rate)
-		out.Rate = d.Rate.String()
-		out.SigmaS = float64(d.Sigma)
-		out.TauS = float64(d.Tau)
-	}
-	return out
-}
-
-// DecodeSubmit reads the JSON body of POST /v1/requests, with the
-// Idempotency-Key header merged in. (A framed one is a Call.)
-func DecodeSubmit(r *http.Request) (ws WireSubmission, err error) {
-	var body SubmitRequest
-	if err = DecodeJSON(r, "request", &body); err == nil {
-		ws, err = body.Wire()
-	}
-	if err == nil {
-		ws.IdempotencyKey, err = mergeKey(r.Header.Get("Idempotency-Key"), ws.IdempotencyKey)
-	}
-	return ws, err
-}
-
-// handleSubmit decides one submission in JSON.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	ws, err := DecodeSubmit(r)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := s.submitOne(ws.resolve(s.nowFor(ws)))
-	if err != nil {
-		writeCallError(w, err)
-		return
-	}
-	rj := decisionJSON(res.Decision)
-	rj.Durability = res.Durability
-	WriteJSON(w, submitStatus(res.Decision.Accepted), rj)
-}
-
-// DecodeBatch reads the JSON body of POST /v1/batch into at most maxBatch
-// wire records. An item whose quantities do not parse is that item's
-// failure, reported in bad at its input position (bad is nil when every item
-// parsed), and only an empty or oversized batch or an undecodable body fail
-// the whole call. (A framed batch is a Call, and a malformed frame fails the
-// whole batch — per-item salvage of a broken binary stream would decide
-// requests the client never meant to send.)
-func DecodeBatch(r *http.Request, maxBatch int) (wire []WireSubmission, bad []error, err error) {
-	var body BatchRequest
-	if err = DecodeJSON(r, "request", &body); err != nil {
-		return nil, nil, err
-	}
-	if len(body.Requests) == 0 {
-		return nil, nil, fmt.Errorf("empty batch")
-	}
-	if len(body.Requests) > maxBatch {
-		return nil, nil, fmt.Errorf("batch of %d exceeds limit %d", len(body.Requests), maxBatch)
-	}
-	wire = make([]WireSubmission, len(body.Requests))
-	for i, req := range body.Requests {
-		if wire[i], err = req.Wire(); err != nil {
-			if bad == nil {
-				bad = make([]error, len(wire))
-			}
-			bad[i] = err
-		}
-	}
-	return wire, bad, nil
-}
-
-// handleBatch decides a whole JSON batch in one SubmitBatch pass; beyond
-// what DecodeBatch refuses, only a draining server fails the whole call.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	wire, bad, err := DecodeBatch(r, s.maxBatch)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	now := s.nowFor(wire...)
-	subs := make([]Submission, 0, len(wire))
-	for i := range wire {
-		if bad == nil || bad[i] == nil {
-			subs = append(subs, wire[i].resolve(now))
-		}
-	}
-	var results []BatchResult
-	if len(subs) > 0 {
-		if results, err = s.SubmitBatch(subs); err != nil {
-			writeCallError(w, err)
-			return
-		}
-	}
-	out := BatchResponse{Results: make([]BatchItemJSON, len(wire))}
-	next := 0
-	for i := range out.Results {
-		if bad != nil && bad[i] != nil {
-			out.Results[i].Error = bad[i].Error()
-			continue
-		}
-		res := results[next]
-		next++
-		if res.Err != nil {
-			out.Results[i].Error = res.Err.Error()
-			continue
-		}
-		d := decisionJSON(res.Decision)
-		d.Durability = res.Durability
-		out.Results[i].Reservation = &d
-	}
-	WriteJSON(w, http.StatusOK, out)
-}
-
-// PathID reads the {id} of a /v1/requests/{id} route.
-func PathID(r *http.Request) (int, error) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil || id < 0 {
-		return 0, fmt.Errorf("bad reservation id %q", r.PathValue("id"))
-	}
-	return id, nil
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	id, err := PathID(r)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	d, err := s.Lookup(request.ID(id))
-	if err != nil {
-		writeCallError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, decisionJSON(d))
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id, err := PathID(r)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	d, err := s.Cancel(request.ID(id))
-	switch {
-	case err == nil:
-		WriteJSON(w, http.StatusOK, decisionJSON(d))
-	case errors.Is(err, ErrFinished):
-		WriteJSON(w, http.StatusConflict, decisionJSON(d))
-	default:
-		writeCallError(w, err)
-	}
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

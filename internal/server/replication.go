@@ -885,7 +885,7 @@ func (s *Server) HandleVote(req cluster.VoteRequest) cluster.VoteResponse {
 // 200 — denial is a protocol answer, not a transport failure.
 func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 	var req cluster.VoteRequest
-	if err := DecodeJSON(r, "vote request", &req); err != nil {
+	if err := decodeJSON(r.Body, "vote request", &req); err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}

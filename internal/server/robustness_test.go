@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -82,29 +81,27 @@ func TestIdempotentSubmitCachesRejections(t *testing.T) {
 	}
 }
 
-// TestLoadShedding: with one in-flight slot occupied by a submission
-// whose body never finishes arriving, the next submission is shed with
-// 429 and a Retry-After hint, while read endpoints keep answering.
+// TestLoadShedding: with one in-flight slot occupied by a durable
+// submission parked on its sync-ack wait, the next submission is shed with
+// 429 and a Retry-After hint, while read endpoints keep answering. A JSON
+// body is read and decoded before the in-flight check, as a frame is read
+// before it, so a malformed one is a 400 under overload too.
 func TestLoadShedding(t *testing.T) {
-	clk := &fakeClock{}
-	cfg := uniformConfig(clk)
+	cfg := uniformConfig(nil)
+	cfg.WAL = openTestWAL(t)
 	cfg.MaxInFlight = 1
 	cfg.RetryAfter = 3 * time.Second
+	cfg.SyncTimeout = time.Minute
 	s := newTestServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Occupy the only slot: the handler blocks reading this body.
-	pr, pw := io.Pipe()
-	defer pw.Close()
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/requests", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
+	// Occupy the only slot: with no follower to ack it, a durable
+	// submission waits until the server closes.
 	errc := make(chan error, 1)
 	go func() {
-		resp, err := ts.Client().Do(req)
+		resp, err := ts.Client().Post(ts.URL+"/v1/requests", "application/json",
+			strings.NewReader(`{"from":0,"to":0,"volume_bytes":1,"max_rate_bps":1,"deadline_s":10,"durable":true}`))
 		if resp != nil {
 			resp.Body.Close()
 		}
@@ -113,9 +110,19 @@ func TestLoadShedding(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for s.InFlight() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("blocked submission never took the in-flight slot")
+			t.Fatal("parked submission never took the in-flight slot")
 		}
 		time.Sleep(time.Millisecond)
+	}
+
+	// The body is decoded before the in-flight check.
+	malformed, err := ts.Client().Post(ts.URL+"/v1/requests", "application/json", strings.NewReader(`{"from":`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	malformed.Body.Close()
+	if malformed.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed body under overload answered %d, want 400", malformed.StatusCode)
 	}
 
 	resp, err := ts.Client().Post(ts.URL+"/v1/requests", "application/json",
@@ -151,8 +158,8 @@ func TestLoadShedding(t *testing.T) {
 		t.Errorf("shed_total = %d, want 1", health.Shed)
 	}
 
-	// Release the blocked submission; the slot must come back.
-	pw.CloseWithError(io.ErrClosedPipe)
+	// Release the parked submission; the slot must come back.
+	s.Close()
 	<-errc
 	deadline = time.Now().Add(5 * time.Second)
 	for s.InFlight() != 0 {

@@ -591,7 +591,8 @@ func (s *Server) Close() error {
 }
 
 // validateSubmission rejects submissions that name no access point of this
-// platform; admit.Check judges the quantities. It reads only immutable
+// platform or carry a key past MaxKeyBytes; admit.Check judges the
+// quantities. It reads only immutable
 // state, so it needs no lock.
 func (s *Server) validateSubmission(sub Submission) error {
 	if sub.From < 0 || sub.From >= s.net.NumIngress() {
@@ -600,7 +601,7 @@ func (s *Server) validateSubmission(sub Submission) error {
 	if sub.To < 0 || sub.To >= s.net.NumEgress() {
 		return fmt.Errorf("server: egress %d out of range [0,%d)", sub.To, s.net.NumEgress())
 	}
-	return nil
+	return CheckKey("server: idempotency key", sub.IdempotencyKey)
 }
 
 // Submit decides a reservation request against the live ledger. The

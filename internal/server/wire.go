@@ -4,12 +4,12 @@ package server
 // process makes on another's request plane — a single submit, a batch, the
 // three list-shaped hold calls — travels in this framing when the request
 // Content-Type is BinaryBatchContentType, and is answered in it. JSON
-// stays the default for everything else (curl, dashboards): each handler
-// decodes by the request's Content-Type, makes one core call, and encodes
-// in the caller's codec. The format exists because encoding/json on both
-// ends costs more than the admission pipeline itself, while these frames
-// encode into a reused buffer and decode with one allocation per list plus
-// one per non-empty string.
+// stays the default for everything else (curl, dashboards), as a codec in
+// front of the same call (jsonface.go): it turns the JSON into these frames
+// and the answer frame back into JSON. The format exists because
+// encoding/json on both ends costs more than the admission pipeline itself,
+// while these frames encode into a reused buffer and decode with one
+// allocation per list plus one per non-empty string.
 //
 // Every frame (all integers little-endian):
 //
@@ -196,9 +196,9 @@ func (ws WireSubmission) resolve(now units.Time) Submission {
 // Wire resolves the dual numeric/string quantity fields of the JSON
 // request shape into a wire record without touching a clock: relative
 // times stay relative (flagged), so whichever daemon finally decides the
-// submission resolves them against its own service clock. The daemon's
-// JSON decoders, the client's encoders and the router's re-sharding path
-// share this.
+// submission resolves them against its own service clock. The JSON codec
+// of the daemon and the router, and the client's encoders, share this; it
+// refuses a point or a key a frame cannot carry.
 func (req SubmitRequest) Wire() (WireSubmission, error) {
 	ws := WireSubmission{
 		From:           req.From,
@@ -209,6 +209,15 @@ func (req SubmitRequest) Wire() (WireSubmission, error) {
 		Deadline:       units.Time(req.DeadlineS),
 		Durable:        req.Durable,
 		IdempotencyKey: req.IdempotencyKey,
+	}
+	if err := checkPoint("from", req.From); err != nil {
+		return ws, err
+	}
+	if err := checkPoint("to", req.To); err != nil {
+		return ws, err
+	}
+	if err := CheckKey("idempotency_key", req.IdempotencyKey); err != nil {
+		return ws, err
 	}
 	if req.Volume != "" {
 		if req.VolumeBytes != 0 {
@@ -260,7 +269,33 @@ func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
+// MaxKeyBytes bounds an idempotency key, a hold key and a hold side: what a
+// str16 can carry. It is not a knob. Both faces and the core refuse a
+// longer one, and the client refuses it before encoding, so no key is ever
+// cut; a WAL record with every string at this bound still fits
+// wal.MaxRecordBytes.
+const MaxKeyBytes = math.MaxUint16
+
+// checkKey refuses a key (or a hold side) a str16 cannot carry; what names
+// it in the error.
+func CheckKey(what, key string) error {
+	if len(key) > MaxKeyBytes {
+		return fmt.Errorf("%s of %d bytes exceeds %d", what, len(key), MaxKeyBytes)
+	}
+	return nil
+}
+
+// checkPoint refuses an access-point index that does not travel in a
+// frame's 32 bits, before it is encoded as some other point.
+func checkPoint(what string, p int) error {
+	if p != int(int32(p)) {
+		return fmt.Errorf("%s %d outside the 32-bit point range", what, p)
+	}
+	return nil
+}
+
 // appendStr16 appends s behind its u16 length, cut at what that can say.
+// Keys never reach the cut (MaxKeyBytes); a message may.
 func appendStr16(dst []byte, s string) []byte {
 	s = s[:min(len(s), math.MaxUint16)]
 	return append(appendU16(dst, uint16(len(s))), s...)
@@ -588,13 +623,19 @@ func AppendBinaryBatchResponse(dst []byte, results []BatchResult) []byte {
 			dst = appendErrorItem(dst, res.Err.Error())
 			continue
 		}
-		d := &res.Decision
-		dst = appendDecisionItem(dst, &ReservationJSON{
-			ID: int(d.ID), Accepted: d.Accepted, State: string(d.State), Durability: res.Durability,
-			RateBps: float64(d.Rate), SigmaS: float64(d.Sigma), TauS: float64(d.Tau), Reason: d.Reason,
-		})
+		rj := reservationOf(res.Decision)
+		rj.Durability = res.Durability
+		dst = appendDecisionItem(dst, &rj)
 	}
 	return endFrame(dst, lenAt)
+}
+
+// reservationOf is d in the item shape, as a decision item carries it.
+func reservationOf(d Decision) ReservationJSON {
+	return ReservationJSON{
+		ID: int(d.ID), Accepted: d.Accepted, State: string(d.State), Reason: d.Reason,
+		RateBps: float64(d.Rate), SigmaS: float64(d.Sigma), TauS: float64(d.Tau),
+	}
 }
 
 // AppendBinaryBatchItems appends the framed response for items already in
@@ -1096,8 +1137,8 @@ func (fb *FrameBuf) Release() {
 	}
 }
 
-// ReadBody fills B with all of r, a framed body of at most
-// MaxBinaryBatchBytes. size is the body's declared length, or negative
+// ReadBody fills B with all of r, a request body — framed or JSON — of at
+// most MaxBinaryBatchBytes. size is the body's declared length, or negative
 // when unknown.
 func (fb *FrameBuf) ReadBody(r io.Reader, size int64) error {
 	b := fb.B[:0]
@@ -1112,7 +1153,7 @@ func (fb *FrameBuf) ReadBody(r io.Reader, size int64) error {
 		b = b[:len(b)+n]
 		fb.B = b
 		if len(b) > wireMaxBatchBytes {
-			return fmt.Errorf("wire: framed body exceeds %d bytes", wireMaxBatchBytes)
+			return fmt.Errorf("wire: body exceeds %d bytes", wireMaxBatchBytes)
 		}
 		if err == io.EOF {
 			return nil
