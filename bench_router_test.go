@@ -21,6 +21,7 @@ import (
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 const routerBenchPoints = 8
@@ -92,7 +93,7 @@ func (rb *routerBench) submitLoop(b *testing.B, c *client.Client, from, to int) 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := float64(rb.shards[0].Now())
-		d, err := c.Submit(ctx, server.SubmitRequest{
+		d, err := c.Submit(ctx, wire.SubmitRequest{
 			From: from, To: to,
 			VolumeBytes: 1e9, MaxRateBps: 2e8,
 			NotBeforeS: now, DeadlineS: now + 100,
@@ -142,7 +143,7 @@ func BenchmarkRouterCrossShardBatch(b *testing.B) {
 	xFrom, xTo := rb.pair(b, true)
 	c := client.New(rb.routerURL, nil)
 	ctx := context.Background()
-	reqs := make([]server.SubmitRequest, 16)
+	reqs := make([]wire.SubmitRequest, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -152,7 +153,7 @@ func BenchmarkRouterCrossShardBatch(b *testing.B) {
 			if j%2 == 1 {
 				from, to = xFrom, xTo
 			}
-			reqs[j] = server.SubmitRequest{
+			reqs[j] = wire.SubmitRequest{
 				From: from, To: to,
 				VolumeBytes: 1e8, MaxRateBps: 2e7,
 				NotBeforeS: now, DeadlineS: now + 100,

@@ -58,6 +58,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 	"gridbw/internal/workload"
 )
 
@@ -626,7 +627,7 @@ func BenchmarkClientSubmitRetry(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := srv.Now()
-		d, err := c.Submit(ctx, server.SubmitRequest{
+		d, err := c.Submit(ctx, wire.SubmitRequest{
 			From: i % 2, To: (i / 2) % 2,
 			VolumeBytes: 1e9, MaxRateBps: 2e8,
 			NotBeforeS: float64(now), DeadlineS: float64(now + 100),
@@ -672,18 +673,18 @@ func BenchmarkProfileMaxUsed(b *testing.B) {
 // moved, so ns and allocs per item are the per-op figures over it.
 func BenchmarkBatchCodec(b *testing.B) {
 	const n, nHolds = 64, 16
-	reqs := make([]server.SubmitRequest, n)
-	subs := make([]server.WireSubmission, n)
+	reqs := make([]wire.SubmitRequest, n)
+	subs := make([]wire.Submission, n)
 	results := make([]server.BatchResult, n)
-	items := make([]server.BatchItemJSON, n)
+	items := make([]wire.BatchItemJSON, n)
 	for i := range reqs {
 		key := fmt.Sprintf("bench-key-%04d", i)
-		reqs[i] = server.SubmitRequest{
+		reqs[i] = wire.SubmitRequest{
 			From: i % 2, To: (i / 2) % 2,
 			VolumeBytes: 1e9, MaxRateBps: 2e8, DeadlineS: 1e5,
 			IdempotencyKey: key,
 		}
-		subs[i] = server.WireSubmission{
+		subs[i] = wire.Submission{
 			From: i % 2, To: (i / 2) % 2,
 			Volume: 1 * units.GB, MaxRate: 200 * units.MBps, Deadline: 1e5,
 			IdempotencyKey: key,
@@ -694,26 +695,26 @@ func BenchmarkBatchCodec(b *testing.B) {
 		}}
 	}
 	blob := server.AppendBinaryBatchResponse(nil, results)
-	dec, err := server.DecodeBinaryBatchResponse(blob)
+	dec, err := wire.DecodeBatchResponse(blob)
 	if err != nil {
 		b.Fatal(err)
 	}
 	copy(items, dec)
-	reserves := make([]server.HoldReserveJSON, nHolds)
-	reserved := make([]server.HoldReserveResponseJSON, nHolds)
-	refs := make([]server.HoldRefJSON, nHolds)
-	states := make([]server.HoldStateJSON, nHolds)
+	reserves := make([]wire.HoldReserveJSON, nHolds)
+	reserved := make([]wire.HoldReserveResponseJSON, nHolds)
+	refs := make([]wire.HoldRefJSON, nHolds)
+	states := make([]wire.HoldStateJSON, nHolds)
 	for i := range reserves {
 		hold := fmt.Sprintf("x-bench-key-%04d", i)
-		reserves[i] = server.HoldReserveJSON{
+		reserves[i] = wire.HoldReserveJSON{
 			Hold: hold, Side: "in", Point: i % 8, PeerPoint: (i / 2) % 8, TTLS: 5,
 			VolumeBytes: 1e9, MaxRateBps: 2e8, NotBeforeS: 1000, DeadlineS: 1100,
 		}
-		reserved[i] = server.HoldReserveResponseJSON{
+		reserved[i] = wire.HoldReserveResponseJSON{
 			Hold: hold, Held: true, ID: i + 1, RateBps: 1e8, SigmaS: 1000, TauS: 1010, Epoch: 1, NowS: 1000,
 		}
-		refs[i] = server.HoldRefJSON{Hold: hold, Epoch: 1}
-		states[i] = server.HoldStateJSON{Hold: hold, State: "confirmed", Side: "in", PeerPoint: (i / 2) % 8, Epoch: 1}
+		refs[i] = wire.HoldRefJSON{Hold: hold, Epoch: 1}
+		states[i] = wire.HoldStateJSON{Hold: hold, State: "confirmed", Side: "in", PeerPoint: (i / 2) % 8, Epoch: 1}
 	}
 
 	// viaJSON is one JSON round trip of a request and its answer.
@@ -731,9 +732,9 @@ func BenchmarkBatchCodec(b *testing.B) {
 	b.Run("json", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var gotReq server.BatchRequest
-			var gotResp server.BatchResponse
-			viaJSON(b, server.BatchRequest{Requests: reqs}, &gotReq, server.BatchResponse{Results: items}, &gotResp)
+			var gotReq wire.BatchRequest
+			var gotResp wire.BatchResponse
+			viaJSON(b, wire.BatchRequest{Requests: reqs}, &gotReq, wire.BatchResponse{Results: items}, &gotResp)
 			if len(gotReq.Requests) != n || len(gotResp.Results) != n {
 				b.Fatal("lossy round trip")
 			}
@@ -744,13 +745,13 @@ func BenchmarkBatchCodec(b *testing.B) {
 		var reqBuf, respBuf []byte
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			reqBuf = server.AppendBinaryBatchRequest(reqBuf[:0], subs)
-			gotReq, err := server.DecodeBinaryBatchRequest(reqBuf, n)
+			reqBuf = wire.AppendBatchRequest(reqBuf[:0], subs)
+			gotReq, err := wire.DecodeBatchRequest(reqBuf, n)
 			if err != nil {
 				b.Fatal(err)
 			}
 			respBuf = server.AppendBinaryBatchResponse(respBuf[:0], results)
-			gotResp, err := server.DecodeBinaryBatchResponse(respBuf)
+			gotResp, err := wire.DecodeBatchResponse(respBuf)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -763,8 +764,8 @@ func BenchmarkBatchCodec(b *testing.B) {
 	b.Run("submit-json", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var gotReq server.SubmitRequest
-			var gotResp server.ReservationJSON
+			var gotReq wire.SubmitRequest
+			var gotResp wire.ReservationJSON
 			viaJSON(b, reqs[i%n], &gotReq, items[i%n].Reservation, &gotResp)
 			if gotReq.IdempotencyKey == "" || !gotResp.Accepted {
 				b.Fatal("lossy round trip")
@@ -776,13 +777,13 @@ func BenchmarkBatchCodec(b *testing.B) {
 		var reqBuf, respBuf []byte
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			reqBuf = server.AppendBinarySubmitRequest(reqBuf[:0], &subs[i%n])
-			gotReq, err := server.DecodeBinarySubmitRequest(reqBuf)
+			reqBuf = wire.AppendSubmitRequest(reqBuf[:0], &subs[i%n])
+			gotReq, err := wire.DecodeSubmitRequest(reqBuf)
 			if err != nil {
 				b.Fatal(err)
 			}
 			respBuf = server.AppendBinaryBatchResponse(respBuf[:0], results[i%n:i%n+1])
-			gotResp, err := server.DecodeBinarySubmitResponse(respBuf)
+			gotResp, err := wire.DecodeSubmitResponse(respBuf)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -795,14 +796,14 @@ func BenchmarkBatchCodec(b *testing.B) {
 	b.Run("holds-json", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var gotReserves server.HoldListJSON[server.HoldReserveJSON]
-			var gotReserved server.HoldResultsJSON[server.HoldReserveResponseJSON]
-			viaJSON(b, server.HoldListJSON[server.HoldReserveJSON]{Holds: reserves}, &gotReserves,
-				server.HoldResultsJSON[server.HoldReserveResponseJSON]{Results: reserved}, &gotReserved)
-			var gotRefs server.HoldListJSON[server.HoldRefJSON]
-			var gotStates server.HoldResultsJSON[server.HoldStateJSON]
-			viaJSON(b, server.HoldListJSON[server.HoldRefJSON]{Holds: refs}, &gotRefs,
-				server.HoldResultsJSON[server.HoldStateJSON]{Results: states}, &gotStates)
+			var gotReserves wire.HoldListJSON[wire.HoldReserveJSON]
+			var gotReserved wire.HoldResultsJSON[wire.HoldReserveResponseJSON]
+			viaJSON(b, wire.HoldListJSON[wire.HoldReserveJSON]{Holds: reserves}, &gotReserves,
+				wire.HoldResultsJSON[wire.HoldReserveResponseJSON]{Results: reserved}, &gotReserved)
+			var gotRefs wire.HoldListJSON[wire.HoldRefJSON]
+			var gotStates wire.HoldResultsJSON[wire.HoldStateJSON]
+			viaJSON(b, wire.HoldListJSON[wire.HoldRefJSON]{Holds: refs}, &gotRefs,
+				wire.HoldResultsJSON[wire.HoldStateJSON]{Results: states}, &gotStates)
 			if len(gotReserves.Holds) != nHolds || len(gotReserved.Results) != nHolds ||
 				len(gotRefs.Holds) != nHolds || len(gotStates.Results) != nHolds {
 				b.Fatal("lossy round trip")
@@ -814,23 +815,23 @@ func BenchmarkBatchCodec(b *testing.B) {
 		var buf []byte
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf = server.AppendHoldReserveList(buf[:0], reserves)
-			gotReserves, err := server.DecodeHoldReserveList(buf, nHolds)
+			buf = wire.AppendHoldReserveList(buf[:0], reserves)
+			gotReserves, err := wire.DecodeHoldReserveList(buf, nHolds)
 			if err != nil {
 				b.Fatal(err)
 			}
-			buf = server.AppendHoldReserveResults(buf[:0], reserved)
-			gotReserved, err := server.DecodeHoldReserveResults(buf)
+			buf = wire.AppendHoldReserveResults(buf[:0], reserved)
+			gotReserved, err := wire.DecodeHoldReserveResults(buf)
 			if err != nil {
 				b.Fatal(err)
 			}
-			buf = server.AppendHoldRefList(buf[:0], refs)
-			gotRefs, err := server.DecodeHoldRefList(buf, nHolds)
+			buf = wire.AppendHoldRefList(buf[:0], refs)
+			gotRefs, err := wire.DecodeHoldRefList(buf, nHolds)
 			if err != nil {
 				b.Fatal(err)
 			}
-			buf = server.AppendHoldStates(buf[:0], states)
-			gotStates, err := server.DecodeHoldStates(buf)
+			buf = wire.AppendHoldStates(buf[:0], states)
+			gotStates, err := wire.DecodeHoldStates(buf)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -872,11 +873,11 @@ func BenchmarkServerBatchHTTP(b *testing.B) {
 		c := client.New(ts.URL, ts.Client())
 		defer c.Close()
 		ctx := context.Background()
-		reqs := make([]server.SubmitRequest, batch)
+		reqs := make([]wire.SubmitRequest, batch)
 		submit := func() {
 			now := srv.Now()
 			for k := range reqs {
-				reqs[k] = server.SubmitRequest{
+				reqs[k] = wire.SubmitRequest{
 					From: k % 2, To: (k / 2) % 2,
 					// 100 MB at 100 MB/s granted rate: one-second grants
 					// keep steady-state occupancy well under capacity.
@@ -884,7 +885,7 @@ func BenchmarkServerBatchHTTP(b *testing.B) {
 					NotBeforeS: float64(now), DeadlineS: float64(now + 100),
 				}
 			}
-			var items []server.BatchItemJSON
+			var items []wire.BatchItemJSON
 			if binary {
 				var err error
 				if items, err = c.SubmitBatch(ctx, reqs); err != nil {
@@ -924,11 +925,11 @@ func plainHandler(h http.Handler) http.Handler {
 }
 
 // postJSONBatch is POST /v1/batch the way a JSON caller makes it.
-func postJSONBatch(b *testing.B, ts *httptest.Server, reqs []server.SubmitRequest) []server.BatchItemJSON {
+func postJSONBatch(b *testing.B, ts *httptest.Server, reqs []wire.SubmitRequest) []wire.BatchItemJSON {
 	for i := range reqs {
 		reqs[i].IdempotencyKey = client.NewIdempotencyKey() // as the client does
 	}
-	blob, err := json.Marshal(server.BatchRequest{Requests: reqs})
+	blob, err := json.Marshal(wire.BatchRequest{Requests: reqs})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -937,7 +938,7 @@ func postJSONBatch(b *testing.B, ts *httptest.Server, reqs []server.SubmitReques
 		b.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out server.BatchResponse
+	var out wire.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
 		b.Fatalf("JSON batch: HTTP %d, %v", resp.StatusCode, err)
 	}
@@ -1076,14 +1077,14 @@ func BenchmarkReplApplyShipped(b *testing.B) {
 		}
 		ns.Add(int64(2 * time.Second))
 	}
-	var batches []server.ShippedBatch
+	var batches []wire.ShippedBatch
 	pos := wal.Pos{Seg: 1}
 	for left := b.N; left > 0; {
 		payloads, start, next, err := pwal.ReadFrom(pos, min(perBatch, left), 0)
 		if err != nil || len(payloads) == 0 {
 			b.Fatalf("read primary WAL at %v: %d records, %v", pos, len(payloads), err)
 		}
-		batches = append(batches, server.ShippedBatch{Epoch: 1, From: start, Next: next, End: next, Events: payloads})
+		batches = append(batches, wire.ShippedBatch{Epoch: 1, From: start, Next: next, End: next, Events: payloads})
 		pos, left = next, left-len(payloads)
 	}
 
@@ -1324,11 +1325,11 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 // each path — the residue is the transport's share — are BENCH_stages.json
 // (scripts/stages.sh).
 func BenchmarkStages(b *testing.B) {
-	ws := server.WireSubmission{
+	ws := wire.Submission{
 		From: 0, To: 1, Volume: 1e9, MaxRate: 2e8, Deadline: 100, RelDeadline: true,
 		IdempotencyKey: client.NewIdempotencyKey(),
 	}
-	frame := server.AppendBinarySubmitRequest(nil, &ws)
+	frame := wire.AppendSubmitRequest(nil, &ws)
 	newSrv := func(b *testing.B) *server.Server {
 		srv, err := server.New(server.Config{
 			Ingress: []units.Bandwidth{10 * units.GBps, 10 * units.GBps},
@@ -1344,7 +1345,7 @@ func BenchmarkStages(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := server.DecodeBinarySubmitRequest(frame); err != nil {
+			if _, err := wire.DecodeSubmitRequest(frame); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -19,6 +19,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 func testConfig() server.Config {
@@ -235,17 +236,17 @@ func TestCtlTailPrintsTheSinkEvents(t *testing.T) {
 	}
 	from := l.End()
 	for _, key := range []string{"confirmed", "aborted"} {
-		if res, err := s.HoldReserve([]server.HoldReserveJSON{{
+		if res, err := s.HoldReserve([]wire.HoldReserveJSON{{
 			Hold: key, Side: trace.HoldSideIngress, Point: 1, PeerPoint: 1, TTLS: 5,
 			RelTimes: true, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 100,
 		}}); err != nil || !res[0].Held {
 			t.Fatalf("reserve %s: %v %+v", key, err, res)
 		}
 	}
-	if res, err := s.HoldConfirm([]server.HoldRefJSON{{Hold: "confirmed"}}); err != nil || res[0].Code != 0 {
+	if res, err := s.HoldConfirm([]wire.HoldRefJSON{{Hold: "confirmed"}}); err != nil || res[0].Code != 0 {
 		t.Fatalf("confirm: %v %+v", err, res)
 	}
-	if res, err := s.HoldAbort([]server.HoldRefJSON{{Hold: "aborted"}}); err != nil || !res[0].Released {
+	if res, err := s.HoldAbort([]wire.HoldRefJSON{{Hold: "aborted"}}); err != nil || !res[0].Released {
 		t.Fatalf("abort: %v %+v", err, res)
 	}
 	now.Store(int64(20 * time.Second)) // past the first grant's τ = 10

@@ -16,6 +16,7 @@ import (
 	"gridbw/internal/server/client"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // The chaos matrix: a 3-node quorum group (primary + two followers) runs
@@ -141,9 +142,9 @@ func runChaosCycle(t *testing.T, cycle, netMode, diskMode int, seed int64, submi
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	submitDurable := func(i int) (server.ReservationJSON, string, error) {
+	submitDurable := func(i int) (wire.ReservationJSON, string, error) {
 		key := fmt.Sprintf("chaos-%d-%d", cycle, i)
-		res, err := cl.Submit(ctx, server.SubmitRequest{
+		res, err := cl.Submit(ctx, wire.SubmitRequest{
 			From: i % 2, To: (i + 1) % 2,
 			VolumeBytes: float64(5 * units.GB), DeadlineS: 40000,
 			MaxRateBps:     float64(50 * units.MBps),
@@ -213,7 +214,7 @@ func runChaosCycle(t *testing.T, cycle, netMode, diskMode int, seed int64, submi
 		res, _, err := submitDurable(i)
 		if err == nil && res.Accepted {
 			accepted++
-			if poisonedAt >= 0 && i >= poisonedAt && res.Durability == server.DurabilityReplicated {
+			if poisonedAt >= 0 && i >= poisonedAt && res.Durability == wire.DurabilityReplicated {
 				t.Fatalf("cycle %d: submit %d acked replicated after the primary's fsync fault", cycle, i)
 			}
 		}
@@ -234,7 +235,7 @@ func runChaosCycle(t *testing.T, cycle, netMode, diskMode int, seed int64, submi
 		// Its response, if the client reads one, is a durability promise the
 		// promoted follower must honor.
 		type outcome struct {
-			res server.ReservationJSON
+			res wire.ReservationJSON
 			err error
 		}
 		inflight := make(chan outcome, 1)

@@ -13,6 +13,7 @@ import (
 	"gridbw/internal/server"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // The follower's cursor record is written without an fsync, after the
@@ -87,7 +88,7 @@ func (r *cursorRig) decide(accepts int) {
 
 // ship pulls everything past the follower's cursor and applies it as one
 // batch, returning the batch.
-func (r *cursorRig) ship() server.ShippedBatch {
+func (r *cursorRig) ship() wire.ShippedBatch {
 	r.t.Helper()
 	cur := r.follower.ReplicationStatus().Cursor
 	resp, err := http.Get(fmt.Sprintf("%s/v1/replication/pull?seg=%d&off=%d&max=4096", r.url, cur.Seg, cur.Off))
@@ -95,7 +96,7 @@ func (r *cursorRig) ship() server.ShippedBatch {
 		r.t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var b server.ShippedBatch
+	var b wire.ShippedBatch
 	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil || resp.StatusCode != http.StatusOK || len(b.Events) == 0 {
 		r.t.Fatalf("pull from %v: HTTP %d, %d events, %v", cur, resp.StatusCode, len(b.Events), err)
 	}
@@ -199,21 +200,21 @@ func TestPowerLossNeverResumesPastTheLocalLog(t *testing.T) {
 		name      string
 		keep      func(ends []wal.Pos) int64 // how much of the follower's segment survives
 		wantStale int
-		resume    func(batches []server.ShippedBatch) wal.Pos
+		resume    func(batches []wire.ShippedBatch) wal.Pos
 	}{
 		{"tail behind the newest record lost",
 			func(ends []wal.Pos) int64 { return ends[2].Off - 1 }, 1,
-			func(b []server.ShippedBatch) wal.Pos { return b[1].Next }},
+			func(b []wire.ShippedBatch) wal.Pos { return b[1].Next }},
 		{"tail behind both records lost",
 			func(ends []wal.Pos) int64 { return ends[0].Off + 3 }, 2,
-			func(b []server.ShippedBatch) wal.Pos { return wal.Pos{} }},
+			func(b []wire.ShippedBatch) wal.Pos { return wal.Pos{} }},
 		{"whole log lost",
 			func(ends []wal.Pos) int64 { return 0 }, 2,
-			func(b []server.ShippedBatch) wal.Pos { return wal.Pos{} }},
+			func(b []wire.ShippedBatch) wal.Pos { return wal.Pos{} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newCursorRig(t, wal.SyncInterval)
-			var batches []server.ShippedBatch
+			var batches []wire.ShippedBatch
 			var ends []wal.Pos
 			for i := 0; i < 3; i++ {
 				r.decide(2)

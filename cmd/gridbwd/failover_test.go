@@ -15,6 +15,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // The crash-restart property these tests pin down: whatever byte the
@@ -464,7 +465,7 @@ func TestFollowerCrashRestartAndPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The deposed primary's stream is fenced off the new lineage.
-	if err := follower2.ApplyShipped(server.ShippedBatch{Epoch: 1}); err == nil {
+	if err := follower2.ApplyShipped(wire.ShippedBatch{Epoch: 1}); err == nil {
 		t.Fatal("promoted daemon accepted a deposed primary's batch")
 	}
 }

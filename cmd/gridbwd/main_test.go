@@ -14,6 +14,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // testBootConfig is a one-point platform booting from the WAL directory
@@ -144,7 +145,7 @@ func seedHoldWAL(t *testing.T, bc bootConfig, dir string) server.Decision {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"confirmed", "aborted"} {
-		res, err := s.HoldReserve([]server.HoldReserveJSON{{
+		res, err := s.HoldReserve([]wire.HoldReserveJSON{{
 			Hold: key, Side: trace.HoldSideIngress, Point: 0, PeerPoint: 0,
 			VolumeBytes: 1e11, MaxRateBps: 1e9, DeadlineS: 4000,
 		}})
@@ -152,10 +153,10 @@ func seedHoldWAL(t *testing.T, bc bootConfig, dir string) server.Decision {
 			t.Fatalf("reserve %s: %v %+v", key, err, res)
 		}
 	}
-	if res, err := s.HoldConfirm([]server.HoldRefJSON{{Hold: "confirmed"}}); err != nil || res[0].Code != 0 {
+	if res, err := s.HoldConfirm([]wire.HoldRefJSON{{Hold: "confirmed"}}); err != nil || res[0].Code != 0 {
 		t.Fatalf("confirm: %v %+v", err, res)
 	}
-	if res, err := s.HoldAbort([]server.HoldRefJSON{{Hold: "aborted"}}); err != nil || !res[0].Released {
+	if res, err := s.HoldAbort([]wire.HoldRefJSON{{Hold: "aborted"}}); err != nil || !res[0].Released {
 		t.Fatalf("abort: %v %+v", err, res)
 	}
 	return kept
@@ -417,7 +418,7 @@ func TestBootMixedLogAfterUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	submit(2, "head-2", false)
-	res, err := srv.HoldReserve([]server.HoldReserveJSON{{
+	res, err := srv.HoldReserve([]wire.HoldReserveJSON{{
 		Hold: "h", Side: trace.HoldSideIngress, Point: 0, PeerPoint: 1, VolumeBytes: 1e11, MaxRateBps: 1e8, DeadlineS: 4000,
 	}})
 	if err != nil || !res[0].Held {
@@ -425,7 +426,7 @@ func TestBootMixedLogAfterUpgrade(t *testing.T) {
 	}
 	cut := int(bl.Records())
 	mid := srv.Snapshot()
-	if ref, err := srv.HoldConfirm([]server.HoldRefJSON{{Hold: "h"}}); err != nil || ref[0].Code != 0 {
+	if ref, err := srv.HoldConfirm([]wire.HoldRefJSON{{Hold: "h"}}); err != nil || ref[0].Code != 0 {
 		t.Fatalf("confirm: %v %+v", err, ref)
 	}
 	submit(3, "tail-3", true)

@@ -12,6 +12,7 @@ import (
 	"gridbw/internal/server/client"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 func waitUntil(t *testing.T, what string, cond func() bool) {
@@ -77,7 +78,7 @@ func TestWatchedFailoverSmoke(t *testing.T) {
 		MaxRetries: 6, BaseBackoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond,
 	}, sts.URL)
 	for i := 0; i < 4; i++ {
-		r, err := c.Submit(ctx, server.SubmitRequest{
+		r, err := c.Submit(ctx, wire.SubmitRequest{
 			From: i % 2, To: (i + 1) % 2,
 			VolumeBytes: float64(5 * units.GB), DeadlineS: 40000, MaxRateBps: float64(50 * units.MBps),
 		})
@@ -97,7 +98,7 @@ func TestWatchedFailoverSmoke(t *testing.T) {
 		return standby.Epoch() == 2 && !standby.Following()
 	})
 
-	r, err := c.Submit(ctx, server.SubmitRequest{
+	r, err := c.Submit(ctx, wire.SubmitRequest{
 		From: 0, To: 1, VolumeBytes: 1e9, DeadlineS: 40000, MaxRateBps: 50e6,
 		IdempotencyKey: "smoke-after-kill",
 	})

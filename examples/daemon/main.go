@@ -19,6 +19,7 @@ import (
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 	c := client.New("http://"+ln.Addr().String(), nil)
 	fmt.Printf("gridbwd on %s (%s, policy %s)\n\n", ln.Addr(), srv.Network(), srv.PolicyName())
 
-	report := func(what string, d server.ReservationJSON, err error) {
+	report := func(what string, d wire.ReservationJSON, err error) {
 		if err != nil {
 			log.Fatalf("%s: %v", what, err)
 		}
@@ -58,25 +59,25 @@ func main() {
 
 	// A rigid book-ahead: 360 GB across a maintenance window one hour out.
 	// MinRate equals MaxRate, so the daemon books the exact rectangle.
-	rigid, err := c.Submit(ctx, server.SubmitRequest{
+	rigid, err := c.Submit(ctx, wire.SubmitRequest{
 		From: 0, To: 1, Volume: "360GB", MaxRate: "600MB/s",
 		StartIn: "1h", DeadlineIn: "70m",
 	})
 	report("rigid booking (starts in 1h)", rigid, err)
 
 	// Flexible transfers start immediately at the policy rate f·MaxRate.
-	flex, err := c.Submit(ctx, server.SubmitRequest{
+	flex, err := c.Submit(ctx, wire.SubmitRequest{
 		From: 0, To: 0, Volume: "500GB", MaxRate: "1GB/s", DeadlineIn: "30m",
 	})
 	report("flexible 500GB (0 -> 0)", flex, err)
-	d, err := c.Submit(ctx, server.SubmitRequest{
+	d, err := c.Submit(ctx, wire.SubmitRequest{
 		From: 1, To: 1, Volume: "200GB", MaxRate: "500MB/s", DeadlineIn: "20m",
 	})
 	report("flexible 200GB (1 -> 1)", d, err)
 
 	// Ingress 0 now carries 800 MB/s; a transfer that needs at least
 	// 300 MB/s to meet its deadline no longer fits.
-	d, err = c.Submit(ctx, server.SubmitRequest{
+	d, err = c.Submit(ctx, wire.SubmitRequest{
 		From: 0, To: 0, Volume: "180GB", MaxRate: "1GB/s", DeadlineIn: "10m",
 	})
 	report("overload 180GB (0 -> 0)", d, err)
@@ -99,7 +100,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncancelled #%d (state %s)\n", cancelled.ID, cancelled.State)
-	d, err = c.Submit(ctx, server.SubmitRequest{
+	d, err = c.Submit(ctx, wire.SubmitRequest{
 		From: 0, To: 0, Volume: "180GB", MaxRate: "1GB/s", DeadlineIn: "10m",
 	})
 	report("retry 180GB (0 -> 0)", d, err)

@@ -34,6 +34,7 @@ import (
 	"gridbw/internal/server/client"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 func serve(srv *server.Server) (string, func()) {
@@ -104,7 +105,7 @@ func main() {
 
 	// Book a few transfers on the primary.
 	for i := 0; i < 6; i++ {
-		r, err := c.Submit(ctx, server.SubmitRequest{
+		r, err := c.Submit(ctx, wire.SubmitRequest{
 			From: i % 2, To: (i + 1) % 2,
 			Volume: "2GB", MaxRate: "50MB/s", DeadlineIn: "1h",
 		})
@@ -147,14 +148,14 @@ func main() {
 
 	// The client's next submit re-discovers the primary; the idempotency
 	// key makes the retry exactly-once even if the first answer was lost.
-	r, err := c.Submit(ctx, server.SubmitRequest{
+	r, err := c.Submit(ctx, wire.SubmitRequest{
 		From: 0, To: 1, Volume: "2GB", MaxRate: "50MB/s", DeadlineIn: "1h",
 		IdempotencyKey: "after-the-fire",
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	again, err := c.Submit(ctx, server.SubmitRequest{
+	again, err := c.Submit(ctx, wire.SubmitRequest{
 		From: 0, To: 1, Volume: "2GB", MaxRate: "50MB/s", DeadlineIn: "1h",
 		IdempotencyKey: "after-the-fire",
 	})
@@ -172,7 +173,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = replica.ApplyShipped(server.ShippedBatch{Epoch: 1})
+	err = replica.ApplyShipped(wire.ShippedBatch{Epoch: 1})
 	var fenced *server.FencedError
 	if errors.As(err, &fenced) {
 		fmt.Printf("deposed primary's batch refused: %v\n\n", fenced)

@@ -32,6 +32,7 @@ import (
 	"gridbw/internal/loadgen"
 	"gridbw/internal/server"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 const promAddr = "127.0.0.1:9815"
@@ -126,7 +127,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m server.MetricsJSON
+	var m wire.MetricsJSON
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		log.Fatal(err)
 	}

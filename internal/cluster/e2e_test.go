@@ -14,6 +14,7 @@ import (
 	"gridbw/internal/server/client"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 func e2eConfig() server.Config {
@@ -95,7 +96,7 @@ func TestSelfDrivingFailover(t *testing.T) {
 	// Load: a dozen acked reservations, each under its own idempotency key.
 	var acked []int
 	for i := 0; i < 12; i++ {
-		r, err := c.Submit(ctx, server.SubmitRequest{
+		r, err := c.Submit(ctx, wire.SubmitRequest{
 			From: i % 2, To: (i + 1) % 2,
 			VolumeBytes: 2e9, DeadlineS: 3600, MaxRateBps: 50e6,
 			IdempotencyKey: fmt.Sprintf("load-%d", i),
@@ -145,7 +146,7 @@ func TestSelfDrivingFailover(t *testing.T) {
 	// The client's next submit re-discovers the primary and lands exactly
 	// once: re-sending the same idempotency key answers the same ID.
 	before := standby.Status().Active
-	first, err := c.Submit(ctx, server.SubmitRequest{
+	first, err := c.Submit(ctx, wire.SubmitRequest{
 		From: 0, To: 1, VolumeBytes: 1e9, DeadlineS: 3600, MaxRateBps: 50e6,
 		IdempotencyKey: "failover-submit",
 	})
@@ -158,7 +159,7 @@ func TestSelfDrivingFailover(t *testing.T) {
 	if c.Endpoint() != sts.URL {
 		t.Fatalf("client endpoint after failover = %s, want the standby %s", c.Endpoint(), sts.URL)
 	}
-	retry, err := c.Submit(ctx, server.SubmitRequest{
+	retry, err := c.Submit(ctx, wire.SubmitRequest{
 		From: 0, To: 1, VolumeBytes: 1e9, DeadlineS: 3600, MaxRateBps: 50e6,
 		IdempotencyKey: "failover-submit",
 	})
@@ -173,7 +174,7 @@ func TestSelfDrivingFailover(t *testing.T) {
 	// A key the dead primary decided is exactly-once on the promoted standby
 	// too: the shipped accept carried it.
 	before = standby.Status().Active
-	resent, err := c.Submit(ctx, server.SubmitRequest{
+	resent, err := c.Submit(ctx, wire.SubmitRequest{
 		From: 3 % 2, To: (3 + 1) % 2,
 		VolumeBytes: 2e9, DeadlineS: 3600, MaxRateBps: 50e6,
 		IdempotencyKey: "load-3",
@@ -232,7 +233,7 @@ func TestSelfDrivingFailover(t *testing.T) {
 
 	// The deposed primary's late batch: epoch 1 against the new lineage's
 	// epoch 2 is fenced at every replica, no matter its cursor.
-	err = follower2.ApplyShipped(server.ShippedBatch{Epoch: 1})
+	err = follower2.ApplyShipped(wire.ShippedBatch{Epoch: 1})
 	var fenced *server.FencedError
 	if !errors.As(err, &fenced) {
 		t.Fatalf("deposed-epoch batch: err = %v, want FencedError", err)

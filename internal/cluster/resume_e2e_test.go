@@ -12,6 +12,7 @@ import (
 	"gridbw/internal/cluster"
 	"gridbw/internal/request"
 	"gridbw/internal/server"
+	"gridbw/internal/wire"
 )
 
 // swapHandler lets one stable URL change identity mid-test: the slot a
@@ -190,7 +191,7 @@ func TestWatchdogResumeSurvivesSuccessiveFailovers(t *testing.T) {
 	}
 	defer replica.Close()
 	for _, epoch := range []uint64{1, 2} {
-		err := replica.ApplyShipped(server.ShippedBatch{Epoch: epoch})
+		err := replica.ApplyShipped(wire.ShippedBatch{Epoch: epoch})
 		var fenced *server.FencedError
 		if !errors.As(err, &fenced) {
 			t.Fatalf("epoch-%d batch on the new lineage: err = %v, want FencedError", epoch, err)

@@ -22,18 +22,18 @@ import (
 
 	"gridbw/internal/check"
 	"gridbw/internal/rng"
-	"gridbw/internal/server"
 	"gridbw/internal/server/client"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 	"gridbw/internal/workload"
 )
 
 // Backend is the surface of server/client the harness drives; a seam so
 // tests can substitute a fake daemon with scripted behavior.
 type Backend interface {
-	Submit(ctx context.Context, req server.SubmitRequest) (server.ReservationJSON, error)
-	SubmitBatch(ctx context.Context, reqs []server.SubmitRequest) ([]server.BatchItemJSON, error)
-	Cancel(ctx context.Context, id int) (server.ReservationJSON, error)
+	Submit(ctx context.Context, req wire.SubmitRequest) (wire.ReservationJSON, error)
+	SubmitBatch(ctx context.Context, reqs []wire.SubmitRequest) ([]wire.BatchItemJSON, error)
+	Cancel(ctx context.Context, id int) (wire.ReservationJSON, error)
 }
 
 // Mix sets the relative weights of the operation types; weights need not
@@ -223,7 +223,7 @@ type op struct {
 	kind  opKind
 	phase int
 	t0    time.Time
-	reqs  []server.SubmitRequest
+	reqs  []wire.SubmitRequest
 }
 
 // Run executes the configured scaletest and returns its report. The
@@ -361,7 +361,7 @@ func (d *drawState) draw(phase int, t0 time.Time) op {
 	switch {
 	case pick < d.cfg.Mix.Submit:
 		o.kind = opSubmit
-		o.reqs = []server.SubmitRequest{d.submitReq(fmt.Sprintf("%s-%d", d.runID, idx))}
+		o.reqs = []wire.SubmitRequest{d.submitReq(fmt.Sprintf("%s-%d", d.runID, idx))}
 	case pick < d.cfg.Mix.Submit+d.cfg.Mix.Cancel:
 		o.kind = opCancel
 	default:
@@ -373,11 +373,11 @@ func (d *drawState) draw(phase int, t0 time.Time) op {
 	return o
 }
 
-func (d *drawState) submitReq(key string) server.SubmitRequest {
+func (d *drawState) submitReq(key string) wire.SubmitRequest {
 	vol := rng.Choice(d.volumes, d.cfg.Volumes)
 	rate := units.Bandwidth(d.rates.Uniform(float64(d.cfg.RateMin), float64(d.cfg.RateMax)))
 	deadline := d.cfg.Slack * float64(vol) / float64(rate)
-	return server.SubmitRequest{
+	return wire.SubmitRequest{
 		From:           d.placement.Intn(d.cfg.NumIngress),
 		To:             d.placement.Intn(d.cfg.NumEgress),
 		VolumeBytes:    float64(vol),
@@ -396,7 +396,7 @@ func (c Config) history(op check.Op) {
 }
 
 // submitOp translates one submit exchange into the checker's vocabulary.
-func submitOp(req server.SubmitRequest, res server.ReservationJSON, err error) check.Op {
+func submitOp(req wire.SubmitRequest, res wire.ReservationJSON, err error) check.Op {
 	op := check.Op{
 		Kind: check.OpSubmit, Key: req.IdempotencyKey,
 		Ingress: req.From, Egress: req.To,
@@ -419,50 +419,10 @@ func execute(ctx context.Context, cfg Config, backend Backend, rec *Recorder, ri
 	opCtx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
 
-	switch o.kind {
-	case opSubmit:
-		executeSubmit(opCtx, cfg, backend, rec, ring, o)
-	case opCancel:
+	if o.kind == opCancel {
 		executeCancel(opCtx, cfg, backend, rec, ring, o)
-	case opBatch:
-		executeBatch(opCtx, cfg, backend, rec, ring, o)
-	}
-}
-
-func executeSubmit(ctx context.Context, cfg Config, backend Backend, rec *Recorder, ring *idRing, o op) {
-	req := o.reqs[0]
-	for attempt := 0; ; attempt++ {
-		res, err := backend.Submit(ctx, req)
-		if err == nil {
-			cfg.history(submitOp(req, res, nil))
-			lat := cfg.Now().Sub(o.t0)
-			rec.latency(o.phase, lat)
-			if res.Routed == server.RoutedCrossShard {
-				rec.crossShard(o.phase, lat)
-			}
-			if !res.Accepted {
-				rec.count(o.phase, OutRejected)
-				return
-			}
-			ring.push(res.ID)
-			if attempt > 0 {
-				// A retry that re-sent the same key: the daemon may have
-				// answered from its idempotency cache. One logical
-				// admission, recorded once, here.
-				rec.count(o.phase, OutDeduped)
-			} else {
-				rec.count(o.phase, OutAdmitted)
-			}
-			return
-		}
-		out, retryable := classify(ctx, err)
-		if retryable && attempt < cfg.Retries {
-			continue // same idempotency key, by construction
-		}
-		cfg.history(submitOp(req, server.ReservationJSON{}, err))
-		rec.latency(o.phase, cfg.Now().Sub(o.t0))
-		rec.count(o.phase, out)
-		return
+	} else {
+		executeSubmit(opCtx, cfg, backend, rec, ring, o)
 	}
 }
 
@@ -492,18 +452,30 @@ func executeCancel(ctx context.Context, cfg Config, backend Backend, rec *Record
 	}
 }
 
-func executeBatch(ctx context.Context, cfg Config, backend Backend, rec *Recorder, ring *idRing, o op) {
+// executeSubmit runs a single submit, or a batch, to one classified
+// outcome per submission: a single submit is a batch of one that is not
+// sent as one. A failed call fails every submission in it, and a retry
+// re-sends the same idempotency keys, by construction. A grant after a
+// retry is one logical admission the daemon may have answered from its
+// idempotency cache, recorded once, here.
+func executeSubmit(ctx context.Context, cfg Config, backend Backend, rec *Recorder, ring *idRing, o op) {
+	call := func() ([]wire.BatchItemJSON, error) {
+		if o.kind == opBatch {
+			return backend.SubmitBatch(ctx, o.reqs)
+		}
+		res, err := backend.Submit(ctx, o.reqs[0])
+		return []wire.BatchItemJSON{{Reservation: &res}}, err
+	}
 	for attempt := 0; ; attempt++ {
-		items, err := backend.SubmitBatch(ctx, o.reqs)
+		items, err := call()
 		if err != nil {
 			out, retryable := classify(ctx, err)
 			if retryable && attempt < cfg.Retries {
-				continue // same idempotency keys
+				continue
 			}
 			rec.latency(o.phase, cfg.Now().Sub(o.t0))
-			// The call failed as a unit; every submission in it did.
 			for _, r := range o.reqs {
-				cfg.history(submitOp(r, server.ReservationJSON{}, err))
+				cfg.history(submitOp(r, wire.ReservationJSON{}, err))
 				rec.count(o.phase, out)
 			}
 			return
@@ -511,31 +483,27 @@ func executeBatch(ctx context.Context, cfg Config, backend Backend, rec *Recorde
 		lat := cfg.Now().Sub(o.t0)
 		rec.latency(o.phase, lat)
 		for i, it := range items {
+			res := it.Reservation
 			switch {
-			case it.Reservation != nil:
-				cfg.history(submitOp(o.reqs[i], *it.Reservation, nil))
-				if it.Reservation.Routed == server.RoutedCrossShard {
-					rec.crossShard(o.phase, lat)
+			case res == nil:
+				if it.Error != "" {
+					cfg.history(submitOp(o.reqs[i], wire.ReservationJSON{}, errors.New(it.Error)))
 				}
-			case it.Error != "":
-				cfg.history(submitOp(o.reqs[i], server.ReservationJSON{}, errors.New(it.Error)))
+				rec.count(o.phase, OutError)
+				continue
+			case res.Routed == wire.RoutedCrossShard:
+				rec.crossShard(o.phase, lat)
 			}
-		}
-		for _, it := range items {
+			cfg.history(submitOp(o.reqs[i], *res, nil))
 			switch {
-			case it.Error != "":
-				rec.count(o.phase, OutError)
-			case it.Reservation == nil:
-				rec.count(o.phase, OutError)
-			case it.Reservation.Accepted:
-				ring.push(it.Reservation.ID)
-				if attempt > 0 {
-					rec.count(o.phase, OutDeduped)
-				} else {
-					rec.count(o.phase, OutAdmitted)
-				}
-			default:
+			case !res.Accepted:
 				rec.count(o.phase, OutRejected)
+			case attempt > 0:
+				ring.push(res.ID)
+				rec.count(o.phase, OutDeduped)
+			default:
+				ring.push(res.ID)
+				rec.count(o.phase, OutAdmitted)
 			}
 		}
 		return

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"gridbw/internal/check"
-	"gridbw/internal/server"
+	"gridbw/internal/wire"
 )
 
 // fakeClock satisfies the Now/SleepUntil seams: SleepUntil teleports to
@@ -48,10 +48,10 @@ type fakeBackend struct {
 	mu     sync.Mutex
 	calls  int
 	keys   []string
-	submit func(call int, req server.SubmitRequest) (server.ReservationJSON, error)
+	submit func(call int, req wire.SubmitRequest) (wire.ReservationJSON, error)
 }
 
-func (f *fakeBackend) Submit(ctx context.Context, req server.SubmitRequest) (server.ReservationJSON, error) {
+func (f *fakeBackend) Submit(ctx context.Context, req wire.SubmitRequest) (wire.ReservationJSON, error) {
 	f.mu.Lock()
 	call := f.calls
 	f.calls++
@@ -59,25 +59,25 @@ func (f *fakeBackend) Submit(ctx context.Context, req server.SubmitRequest) (ser
 	fn := f.submit
 	f.mu.Unlock()
 	if fn == nil {
-		return server.ReservationJSON{ID: call + 1, Accepted: true, State: "admitted"}, nil
+		return wire.ReservationJSON{ID: call + 1, Accepted: true, State: "admitted"}, nil
 	}
 	return fn(call, req)
 }
 
-func (f *fakeBackend) SubmitBatch(ctx context.Context, reqs []server.SubmitRequest) ([]server.BatchItemJSON, error) {
-	items := make([]server.BatchItemJSON, len(reqs))
+func (f *fakeBackend) SubmitBatch(ctx context.Context, reqs []wire.SubmitRequest) ([]wire.BatchItemJSON, error) {
+	items := make([]wire.BatchItemJSON, len(reqs))
 	for i, req := range reqs {
 		res, err := f.Submit(ctx, req)
 		if err != nil {
 			return nil, err
 		}
-		items[i] = server.BatchItemJSON{Reservation: &res}
+		items[i] = wire.BatchItemJSON{Reservation: &res}
 	}
 	return items, nil
 }
 
-func (f *fakeBackend) Cancel(ctx context.Context, id int) (server.ReservationJSON, error) {
-	return server.ReservationJSON{ID: id, State: "cancelled"}, nil
+func (f *fakeBackend) Cancel(ctx context.Context, id int) (wire.ReservationJSON, error) {
+	return wire.ReservationJSON{ID: id, State: "cancelled"}, nil
 }
 
 // stallingBackend never answers: every submit blocks until the request
@@ -85,12 +85,12 @@ func (f *fakeBackend) Cancel(ctx context.Context, id int) (server.ReservationJSO
 // does not care.
 type stallingBackend struct{ fakeBackend }
 
-func (s *stallingBackend) Submit(ctx context.Context, req server.SubmitRequest) (server.ReservationJSON, error) {
+func (s *stallingBackend) Submit(ctx context.Context, req wire.SubmitRequest) (wire.ReservationJSON, error) {
 	<-ctx.Done()
-	return server.ReservationJSON{}, ctx.Err()
+	return wire.ReservationJSON{}, ctx.Err()
 }
 
-func (s *stallingBackend) SubmitBatch(ctx context.Context, reqs []server.SubmitRequest) ([]server.BatchItemJSON, error) {
+func (s *stallingBackend) SubmitBatch(ctx context.Context, reqs []wire.SubmitRequest) ([]wire.BatchItemJSON, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -208,13 +208,13 @@ func TestRunHappyPath(t *testing.T) {
 func TestRetryReusesIdempotencyKey(t *testing.T) {
 	clock := newFakeClock()
 	be := &fakeBackend{}
-	be.submit = func(call int, req server.SubmitRequest) (server.ReservationJSON, error) {
+	be.submit = func(call int, req wire.SubmitRequest) (wire.ReservationJSON, error) {
 		if call == 0 {
 			// The daemon admitted it, but the connection died before the
 			// answer came back — the classic double-count trap.
-			return server.ReservationJSON{}, fmt.Errorf("connection reset")
+			return wire.ReservationJSON{}, fmt.Errorf("connection reset")
 		}
-		return server.ReservationJSON{ID: 7, Accepted: true, State: "admitted"}, nil
+		return wire.ReservationJSON{ID: 7, Accepted: true, State: "admitted"}, nil
 	}
 	rep, err := Run(context.Background(), Config{
 		VUs:          1,

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gridbw/internal/server"
+	"gridbw/internal/wire"
 )
 
 var updateJSONFace = flag.Bool("update-json-face", false,
@@ -176,7 +177,7 @@ func TestRouterJSONCallIsNeverUpgraded(t *testing.T) {
 		}
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("Connection", "Upgrade")
-		req.Header.Set("Upgrade", server.CallProtocol)
+		req.Header.Set("Upgrade", wire.CallProtocol)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +186,7 @@ func TestRouterJSONCallIsNeverUpgraded(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode >= 300 || resp.Header.Get("Content-Type") != "application/json" || !json.Valid(blob) {
 			t.Fatalf("JSON %s offering %s answered %d %q %q, want a JSON answer over HTTP",
-				path, server.CallProtocol, resp.StatusCode, resp.Header.Get("Content-Type"), blob)
+				path, wire.CallProtocol, resp.StatusCode, resp.Header.Get("Content-Type"), blob)
 		}
 	}
 }

@@ -6,16 +6,12 @@ import (
 	"time"
 
 	"gridbw/internal/metrics"
+	"gridbw/internal/wire"
 )
 
-// The hold protocol's calls, indexing shardMetrics' hold counters.
-const (
-	opReserve = iota
-	opConfirm
-	opAbort
-)
-
-var holdOpNames = [...]string{opReserve: "reserve", opConfirm: "confirm", opAbort: "abort"}
+// holdOps are the hold protocol's calls, which index shardMetrics' hold
+// counters as op - wire.OpReserve.
+var holdOps = [...]wire.Op{wire.OpReserve, wire.OpConfirm, wire.OpAbort}
 
 // shardMetrics counts one shard's proxied calls: volume, failures, and a
 // latency histogram over every round trip the router made to it.
@@ -26,8 +22,8 @@ type shardMetrics struct {
 	lat    *metrics.Histogram
 	// List-shaped hold calls and the holds they carried, by op: items over
 	// calls is the cross-shard batching factor.
-	holdCalls [len(holdOpNames)]atomic.Uint64
-	holdItems [len(holdOpNames)]atomic.Uint64
+	holdCalls [len(holdOps)]atomic.Uint64
+	holdItems [len(holdOps)]atomic.Uint64
 }
 
 func (sm *shardMetrics) observe(d time.Duration, err error) {
@@ -38,9 +34,9 @@ func (sm *shardMetrics) observe(d time.Duration, err error) {
 	sm.lat.Record(d)
 }
 
-func (sm *shardMetrics) observeHold(op, items int, d time.Duration, err error) {
-	sm.holdCalls[op].Add(1)
-	sm.holdItems[op].Add(uint64(items))
+func (sm *shardMetrics) observeHold(op wire.Op, items int, d time.Duration, err error) {
+	sm.holdCalls[op-wire.OpReserve].Add(1)
+	sm.holdItems[op-wire.OpReserve].Add(uint64(items))
 	sm.observe(d, err)
 }
 
@@ -106,14 +102,14 @@ func (m *routerMetrics) write(w io.Writer) {
 	}
 	e.Counter("gridbwrouter_hold_calls_total", "List-shaped hold calls made to a shard, by op.")
 	for _, sm := range m.shards {
-		for op, name := range holdOpNames {
-			e.Set(sm.holdCalls[op].Load(), "shard", sm.name, "op", name)
+		for i, op := range holdOps {
+			e.Set(sm.holdCalls[i].Load(), "shard", sm.name, "op", op.String())
 		}
 	}
 	e.Counter("gridbwrouter_hold_items_total", "Holds those calls carried; over hold calls, the cross-shard batching factor.")
 	for _, sm := range m.shards {
-		for op, name := range holdOpNames {
-			e.Set(sm.holdItems[op].Load(), "shard", sm.name, "op", name)
+		for i, op := range holdOps {
+			e.Set(sm.holdItems[i].Load(), "shard", sm.name, "op", op.String())
 		}
 	}
 	e.Counter("gridbwrouter_cross_shard_total", "Submissions decided through the cross-shard two-phase protocol.").Set(m.crossTotal.Load())

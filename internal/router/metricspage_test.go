@@ -7,8 +7,8 @@ import (
 
 	"gridbw/internal/metrics"
 	"gridbw/internal/metrics/promtest"
-	"gridbw/internal/server"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 // TestMetricsPage parses the router's text page instead of grepping it: two
@@ -20,7 +20,7 @@ func TestMetricsPage(t *testing.T) {
 	if res, code := tier.submit(t, submitReq(sameFrom, sameTo)); code != http.StatusCreated || !res.Accepted {
 		t.Fatalf("same-shard submit = %d %+v", code, res)
 	}
-	if res, code := tier.submit(t, submitReq(crossFrom, crossTo)); code != http.StatusCreated || res.Routed != server.RoutedCrossShard {
+	if res, code := tier.submit(t, submitReq(crossFrom, crossTo)); code != http.StatusCreated || res.Routed != wire.RoutedCrossShard {
 		t.Fatalf("cross-shard submit = %d %+v", code, res)
 	}
 	tooFast := submitReq(crossFrom, crossTo)
@@ -28,7 +28,7 @@ func TestMetricsPage(t *testing.T) {
 	if res, code := tier.submit(t, tooFast); code != http.StatusOK || res.Accepted {
 		t.Fatalf("infeasible cross-shard submit = %d %+v", code, res)
 	}
-	tier.batch(t, tier.web.URL, []server.SubmitRequest{submitReq(sameFrom, sameTo), submitReq(crossFrom, crossTo)})
+	tier.batch(t, tier.web.URL, []wire.SubmitRequest{submitReq(sameFrom, sameTo), submitReq(crossFrom, crossTo)})
 
 	resp, err := http.Get(tier.web.URL + "/metrics")
 	if err != nil {

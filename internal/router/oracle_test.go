@@ -14,6 +14,7 @@ import (
 	"gridbw/internal/sched/flexible"
 	"gridbw/internal/server"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 	"gridbw/internal/workload"
 )
 
@@ -83,7 +84,7 @@ func routerDecidesLikeGreedy(t *testing.T, nShards int, policy string, n int) (a
 	})
 	for _, r := range reqs {
 		ns.Store(int64(r.Start) * int64(time.Second))
-		res, code := tier.submit(t, server.SubmitRequest{
+		res, code := tier.submit(t, wire.SubmitRequest{
 			From: int(r.Ingress), To: int(r.Egress),
 			VolumeBytes: float64(r.Volume), MaxRateBps: float64(r.MaxRate), DeadlineS: float64(r.Finish),
 		})
@@ -95,7 +96,7 @@ func routerDecidesLikeGreedy(t *testing.T, nShards int, policy string, n int) (a
 			t.Fatalf("%d shards, %s: request %d (%d->%d, routed %q) at %v: tier accepted=%v (%s), GREEDY accepted=%v (%s)",
 				nShards, policy, r.ID, r.Ingress, r.Egress, res.Routed, r.Start, res.Accepted, res.Reason, w.Accepted, w.Reason)
 		}
-		if res.Routed == server.RoutedCrossShard {
+		if res.Routed == wire.RoutedCrossShard {
 			crossed++
 		}
 		if !res.Accepted {

@@ -7,7 +7,7 @@
 // single submits, cancels, lookups, and whole batch slices — with the
 // shard's local request IDs namespaced into client-visible IDs (visible =
 // local×N + shard). Submits and batches arrive as JSON or in the frames of
-// server/wire.go and are answered in kind; toward the shards every
+// internal/wire and are answered in kind; toward the shards every
 // submission and every hold list is a frame. A pair whose points
 // land on different shards cannot be admitted by either one's two-sided
 // pipeline; the router drives the wire form of the two-phase protocol
@@ -19,7 +19,7 @@
 // client call travel together, one call per shard per protocol step (see
 // crossShard). Shard groups keep independent service clocks, so the proposed
 // window crosses shards as offsets from the proposing shard's clock (see
-// server.HoldReserveJSON.RelTimes). Unconfirmed holds roll back on their
+// wire.HoldReserveJSON.RelTimes). Unconfirmed holds roll back on their
 // TTL, so a router crash between the two RESERVEs or CONFIRMs can delay
 // capacity reuse but never leak it.
 //
@@ -45,6 +45,7 @@ import (
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
 	"gridbw/internal/trace"
+	"gridbw/internal/wire"
 )
 
 const (
@@ -162,18 +163,15 @@ func (rt *Router) splitID(visible int) (local, shardIdx int) {
 	return visible / n, visible % n
 }
 
-// Handler returns the router's HTTP surface: the shard-facing subset of
-// the daemon API plus the router's own Prometheus metrics. The four
-// request-plane routes are calls through Call (server.CallRoute): framed,
-// or through the JSON codec the daemon's routes share.
+// Handler returns the router's HTTP surface: the op table's routes of the
+// four ops Call answers (server.CallRoute: framed, or through the JSON
+// codec the daemon's routes share), health, and the router's own metrics.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	face := server.JSONFace{MaxBatch: rt.maxBatch, BareBatch: true}
-	call := func(op byte) http.Handler { return server.CallRoute(&rt.streams, rt.Call, op, face) }
-	mux.Handle("POST /v1/requests", call(server.OpSubmit))
-	mux.Handle("POST /v1/batch", call(server.OpBatch))
-	mux.Handle("GET /v1/requests/{id}", call(server.OpGet))
-	mux.Handle("DELETE /v1/requests/{id}", call(server.OpCancel))
+	for _, op := range [...]wire.Op{wire.OpSubmit, wire.OpBatch, wire.OpGet, wire.OpCancel} {
+		mux.Handle(op.Pattern(), server.CallRoute(&rt.streams, rt.Call, op, face))
+	}
 	mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	return mux
@@ -195,10 +193,10 @@ func (rt *Router) Close() error {
 // The hold calls are the shards' business; the router answers them as its
 // mux answers the paths it does not serve.
 func (rt *Router) Call(ctx context.Context, c *server.Call) server.Reply {
-	var items []server.BatchItemJSON
+	var items []wire.BatchItemJSON
 	status := http.StatusOK
 	switch c.Op {
-	case server.OpSubmit:
+	case wire.OpSubmit:
 		ws, err := c.DecodeSubmit()
 		if err != nil {
 			return server.ErrorReply(http.StatusBadRequest, err)
@@ -210,31 +208,31 @@ func (rt *Router) Call(ctx context.Context, c *server.Call) server.Reply {
 		if res.Accepted {
 			status = http.StatusCreated
 		}
-		items = []server.BatchItemJSON{{Reservation: &res}}
-	case server.OpBatch:
-		subs, err := server.DecodeBinaryBatchRequest(c.Buf.B, rt.maxBatch)
+		items = []wire.BatchItemJSON{{Reservation: &res}}
+	case wire.OpBatch:
+		subs, err := wire.DecodeBatchRequest(c.Buf.B, rt.maxBatch)
 		if err != nil {
 			return server.ErrorReply(http.StatusBadRequest, err)
 		}
 		items = rt.batch(ctx, subs)
-	case server.OpGet, server.OpCancel:
-		visible, err := server.DecodeIDFrame(c.Buf.B)
+	case wire.OpGet, wire.OpCancel:
+		visible, err := wire.DecodeIDFrame(c.Buf.B)
 		if err != nil {
 			return server.ErrorReply(http.StatusBadRequest, err)
 		}
 		find := rt.get
-		if c.Op == server.OpCancel {
+		if c.Op == wire.OpCancel {
 			find = rt.cancel
 		}
 		res, err := find(ctx, visible)
 		if err != nil {
 			return upstreamReply(err)
 		}
-		items = []server.BatchItemJSON{{Reservation: &res}}
+		items = []wire.BatchItemJSON{{Reservation: &res}}
 	default:
 		return server.ErrorReply(http.StatusNotFound, errors.New("404 page not found"))
 	}
-	c.Buf.B = server.AppendBinaryBatchItems(c.Buf.B[:0], items)
+	c.Buf.B = wire.AppendBatchItems(c.Buf.B[:0], items)
 	return server.Reply{Status: status}
 }
 
@@ -244,7 +242,7 @@ func (rt *Router) Call(ctx context.Context, c *server.Call) server.Reply {
 func upstreamReply(err error) server.Reply {
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		rep := server.Reply{Status: ae.StatusCode, JSON: server.ErrorJSON{Error: ae.Message}}
+		rep := server.Reply{Status: ae.StatusCode, JSON: wire.ErrorJSON{Error: ae.Message}}
 		if ae.RetryAfter > 0 {
 			rep.RetryAfter = int((ae.RetryAfter + time.Second - 1) / time.Second)
 		}
@@ -255,7 +253,7 @@ func upstreamReply(err error) server.Reply {
 
 // submit routes one submission: a same-shard record travels on to its
 // owner as a frame, a cross-shard one through the hold protocol.
-func (rt *Router) submit(ctx context.Context, ws server.WireSubmission) (server.ReservationJSON, error) {
+func (rt *Router) submit(ctx context.Context, ws wire.Submission) (wire.ReservationJSON, error) {
 	inIdx, egIdx := rt.ring.OwnerIn(ws.From), rt.ring.OwnerEg(ws.To)
 	if inIdx != egIdx {
 		it := &crossItem{ws: ws, owner: [2]int{inIdx, egIdx}}
@@ -279,16 +277,16 @@ const (
 // crossItem is one cross-shard submission on its way through crossShard,
 // which settles it with an answer (res) or a shard-side failure (err).
 type crossItem struct {
-	ws    server.WireSubmission
+	ws    wire.Submission
 	owner [2]int // owning shard index, per side
 	hold  string
 	// resv is each side's RESERVE answer, cerr its CONFIRM failure, and
 	// abort marks the sides that may still book capacity to roll back.
-	resv    [2]server.HoldReserveResponseJSON
+	resv    [2]wire.HoldReserveResponseJSON
 	cerr    [2]error
 	abort   [2]bool
 	settled bool
-	res     server.ReservationJSON
+	res     wire.ReservationJSON
 	err     error
 }
 
@@ -301,9 +299,9 @@ func (rt *Router) crossID(it *crossItem) int {
 // reject settles the item as a domain refusal (HTTP 200, not an error).
 func (rt *Router) reject(it *crossItem, reason string) {
 	it.settled = true
-	it.res = server.ReservationJSON{
-		ID: rt.crossID(it), Accepted: false, State: string(server.StateRejected),
-		Reason: reason, Routed: server.RoutedCrossShard,
+	it.res = wire.ReservationJSON{
+		ID: rt.crossID(it), Accepted: false, State: wire.StateRejected,
+		Reason: reason, Routed: wire.RoutedCrossShard,
 	}
 }
 
@@ -403,8 +401,8 @@ func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
 		// has no hold key, and is refused here rather than costing its
 		// neighbours their shard call.
 		it.hold = "x-" + ws.IdempotencyKey
-		if len(it.hold) > server.MaxKeyBytes {
-			it.fail(itemError(http.StatusBadRequest, fmt.Sprintf("cross-shard hold key of %d bytes exceeds %d", len(it.hold), server.MaxKeyBytes)))
+		if err := wire.CheckKey("cross-shard hold key", it.hold); err != nil {
+			it.fail(itemError(http.StatusBadRequest, err.Error()))
 		}
 	}
 
@@ -417,9 +415,9 @@ func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
 		defer cancel()
 		rt.perShard(ctx, sides, call)
 	}
-	reserve := func(which int, request func(*crossItem) server.HoldReserveJSON) {
+	reserve := func(which int, request func(*crossItem) wire.HoldReserveJSON) {
 		wave(unsettled(items, which), func(ctx context.Context, sh *shard, sides []side) {
-			reqs := make([]server.HoldReserveJSON, len(sides))
+			reqs := make([]wire.HoldReserveJSON, len(sides))
 			for j, sd := range sides {
 				reqs[j] = request(sd.it)
 			}
@@ -449,9 +447,9 @@ func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
 		})
 	}
 	// Wave 1: each ingress owner takes the one-sided step and proposes.
-	reserve(ingress, func(it *crossItem) server.HoldReserveJSON {
+	reserve(ingress, func(it *crossItem) wire.HoldReserveJSON {
 		ws := &it.ws
-		return server.HoldReserveJSON{
+		return wire.HoldReserveJSON{
 			Hold: it.hold, Side: trace.HoldSideIngress,
 			Point: ws.From, PeerPoint: ws.To,
 			TTLS: rt.holdTTL.Seconds(), RelTimes: ws.RelNotBefore || ws.RelDeadline,
@@ -462,9 +460,9 @@ func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
 	// Wave 2: each egress owner checks the proposals. A grant window
 	// crosses clocks as offsets from the ingress shard's NowS; the egress
 	// shard resolves them against its own clock.
-	reserve(egress, func(it *crossItem) server.HoldReserveJSON {
+	reserve(egress, func(it *crossItem) wire.HoldReserveJSON {
 		ws, rin := &it.ws, &it.resv[ingress]
-		return server.HoldReserveJSON{
+		return wire.HoldReserveJSON{
 			Hold: it.hold, Side: trace.HoldSideEgress,
 			Point: ws.To, PeerPoint: ws.From,
 			TTLS: rt.holdTTL.Seconds(), RelTimes: true,
@@ -476,9 +474,9 @@ func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
 	// Wave 3: every owner commits, all at once — abort compensates a
 	// confirmed side, so committing the ingress side first buys nothing.
 	wave(append(unsettled(items, ingress), unsettled(items, egress)...), func(ctx context.Context, sh *shard, sides []side) {
-		refs := make([]server.HoldRefJSON, len(sides))
+		refs := make([]wire.HoldRefJSON, len(sides))
 		for j, sd := range sides {
-			refs[j] = server.HoldRefJSON{Hold: sd.it.hold, Epoch: sd.it.resv[sd.which].Epoch}
+			refs[j] = wire.HoldRefJSON{Hold: sd.it.hold, Epoch: sd.it.resv[sd.which].Epoch}
 		}
 		sts, err := sh.confirm(ctx, refs)
 		for j, sd := range sides {
@@ -499,13 +497,13 @@ func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
 			rin := &it.resv[ingress]
 			switch {
 			case err == nil:
-				it.res = server.ReservationJSON{
-					ID: rt.crossID(it), Accepted: true, State: string(server.StateActive),
+				it.res = wire.ReservationJSON{
+					ID: rt.crossID(it), Accepted: true, State: wire.StateActive,
 					RateBps: rin.RateBps, SigmaS: rin.SigmaS, TauS: rin.TauS,
-					Routed: server.RoutedCrossShard,
+					Routed: wire.RoutedCrossShard,
 				}
 				if rin.SigmaS > rin.NowS {
-					it.res.State = string(server.StateBooked)
+					it.res.State = wire.StateBooked
 				}
 			case client.IsConflict(err):
 				// A hold rolled back (TTL lapse, or a racing cancel) before
@@ -538,18 +536,18 @@ func (rt *Router) abortSides(sides []side) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	rt.perShard(ctx, sides, func(ctx context.Context, sh *shard, sides []side) {
-		refs := make([]server.HoldRefJSON, len(sides))
+		refs := make([]wire.HoldRefJSON, len(sides))
 		for j, sd := range sides {
-			refs[j] = server.HoldRefJSON{Hold: sd.it.hold}
+			refs[j] = wire.HoldRefJSON{Hold: sd.it.hold}
 		}
 		_, _ = sh.abort(ctx, refs)
 	})
 }
 
-func (sh *shard) reserve(ctx context.Context, reqs []server.HoldReserveJSON) ([]server.HoldReserveResponseJSON, error) {
+func (sh *shard) reserve(ctx context.Context, reqs []wire.HoldReserveJSON) ([]wire.HoldReserveResponseJSON, error) {
 	t0 := time.Now()
 	resps, err := sh.c.HoldReserve(ctx, reqs)
-	sh.met.observeHold(opReserve, len(reqs), time.Since(t0), err)
+	sh.met.observeHold(wire.OpReserve, len(reqs), time.Since(t0), err)
 	return resps, err
 }
 
@@ -558,7 +556,7 @@ func (sh *shard) reserve(ctx context.Context, reqs []server.HoldReserveJSON) ([]
 // lineage changed (a reserve-time epoch is fenced) — refresh the epoch
 // from the new primary and present it once. The promoted follower replayed
 // the holds from the WAL, so the confirm lands on real state.
-func (sh *shard) confirm(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
+func (sh *shard) confirm(ctx context.Context, refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error) {
 	t0 := time.Now()
 	sts, err := sh.c.HoldConfirm(ctx, refs)
 	if err != nil && client.IsReadOnly(err) {
@@ -573,20 +571,20 @@ func (sh *shard) confirm(ctx context.Context, refs []server.HoldRefJSON) ([]serv
 			}
 		}
 	}
-	sh.met.observeHold(opConfirm, len(refs), time.Since(t0), err)
+	sh.met.observeHold(wire.OpConfirm, len(refs), time.Since(t0), err)
 	return sts, err
 }
 
-func (sh *shard) abort(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
+func (sh *shard) abort(ctx context.Context, refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error) {
 	t0 := time.Now()
 	sts, err := sh.c.HoldAbort(ctx, refs)
-	sh.met.observeHold(opAbort, len(refs), time.Since(t0), err)
+	sh.met.observeHold(wire.OpAbort, len(refs), time.Since(t0), err)
 	return sts, err
 }
 
 // batch routes a batch and returns one result per submission, in request
 // order.
-func (rt *Router) batch(ctx context.Context, subs []server.WireSubmission) []server.BatchItemJSON {
+func (rt *Router) batch(ctx context.Context, subs []wire.Submission) []wire.BatchItemJSON {
 	// Missing keys are generated before the scatter so every retry layer
 	// below re-sends the same ones.
 	for i := range subs {
@@ -594,7 +592,7 @@ func (rt *Router) batch(ctx context.Context, subs []server.WireSubmission) []ser
 			subs[i].IdempotencyKey = client.NewIdempotencyKey()
 		}
 	}
-	items := make([]server.BatchItemJSON, len(subs))
+	items := make([]wire.BatchItemJSON, len(subs))
 
 	// Split by owning shard: same-shard slices forward as one wire batch
 	// per shard, cross-shard items run the two-phase protocol together.
@@ -620,7 +618,7 @@ func (rt *Router) batch(ctx context.Context, subs []server.WireSubmission) []ser
 		go func(shardIdx int, idxs []int) {
 			defer wg.Done()
 			sh := rt.shards[shardIdx]
-			slice := make([]server.WireSubmission, len(idxs))
+			slice := make([]wire.Submission, len(idxs))
 			for j, i := range idxs {
 				slice[j] = subs[i]
 			}
@@ -630,7 +628,7 @@ func (rt *Router) batch(ctx context.Context, subs []server.WireSubmission) []ser
 			if err != nil {
 				msg := err.Error()
 				for _, i := range idxs {
-					items[i] = server.BatchItemJSON{Error: msg}
+					items[i] = wire.BatchItemJSON{Error: msg}
 				}
 				return
 			}
@@ -647,9 +645,9 @@ func (rt *Router) batch(ctx context.Context, subs []server.WireSubmission) []ser
 		rt.crossShard(ctx, crossItems)
 		for j, i := range cross {
 			if it := crossItems[j]; it.err != nil {
-				items[i] = server.BatchItemJSON{Error: it.err.Error()}
+				items[i] = wire.BatchItemJSON{Error: it.err.Error()}
 			} else {
-				items[i] = server.BatchItemJSON{Reservation: &it.res}
+				items[i] = wire.BatchItemJSON{Reservation: &it.res}
 			}
 		}
 	}
@@ -658,7 +656,7 @@ func (rt *Router) batch(ctx context.Context, subs []server.WireSubmission) []ser
 }
 
 // get looks a visible ID up on its owning shard.
-func (rt *Router) get(ctx context.Context, visible int) (server.ReservationJSON, error) {
+func (rt *Router) get(ctx context.Context, visible int) (wire.ReservationJSON, error) {
 	local, shardIdx := rt.splitID(visible)
 	sh := rt.shards[shardIdx]
 	t0 := time.Now()
@@ -672,7 +670,7 @@ func (rt *Router) get(ctx context.Context, visible int) (server.ReservationJSON,
 // straight through; when the owning shard answers 404 the ID may instead
 // back the ingress side of a cross-shard hold — resolved by ID into an
 // abort on both owners.
-func (rt *Router) cancel(ctx context.Context, visible int) (server.ReservationJSON, error) {
+func (rt *Router) cancel(ctx context.Context, visible int) (wire.ReservationJSON, error) {
 	local, shardIdx := rt.splitID(visible)
 	sh := rt.shards[shardIdx]
 	t0 := time.Now()
@@ -685,7 +683,7 @@ func (rt *Router) cancel(ctx context.Context, visible int) (server.ReservationJS
 	if !client.IsNotFound(err) {
 		return res, err
 	}
-	sts, aerr := sh.abort(ctx, []server.HoldRefJSON{{ID: &local}})
+	sts, aerr := sh.abort(ctx, []wire.HoldRefJSON{{ID: &local}})
 	if aerr == nil && sts[0].Code != 0 {
 		aerr = itemError(sts[0].Code, sts[0].Error)
 	}
@@ -702,11 +700,11 @@ func (rt *Router) cancel(ctx context.Context, visible int) (server.ReservationJS
 	if peer != sh {
 		ctx, cancel := context.WithTimeout(ctx, 3*time.Second)
 		defer cancel()
-		_, _ = peer.abort(ctx, []server.HoldRefJSON{{Hold: st.Hold}})
+		_, _ = peer.abort(ctx, []wire.HoldRefJSON{{Hold: st.Hold}})
 	}
-	return server.ReservationJSON{
-		ID: visible, Accepted: true, State: string(server.StateCancelled),
-		Routed: server.RoutedCrossShard,
+	return wire.ReservationJSON{
+		ID: visible, Accepted: true, State: wire.StateCancelled,
+		Routed: wire.RoutedCrossShard,
 	}, nil
 }
 

@@ -19,6 +19,7 @@ import (
 	"gridbw/internal/server/client"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 const testPoints = 8
@@ -177,7 +178,7 @@ func (tier *testTier) pairs(t testing.TB) (sameFrom, sameTo, crossFrom, crossTo 
 	return
 }
 
-func (tier *testTier) submit(t *testing.T, req server.SubmitRequest) (server.ReservationJSON, int) {
+func (tier *testTier) submit(t *testing.T, req wire.SubmitRequest) (wire.ReservationJSON, int) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(tier.web.URL+"/v1/requests", "application/json", bytes.NewReader(body))
@@ -185,7 +186,7 @@ func (tier *testTier) submit(t *testing.T, req server.SubmitRequest) (server.Res
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var res server.ReservationJSON
+	var res wire.ReservationJSON
 	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusCreated {
 		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 			t.Fatal(err)
@@ -194,8 +195,8 @@ func (tier *testTier) submit(t *testing.T, req server.SubmitRequest) (server.Res
 	return res, resp.StatusCode
 }
 
-func submitReq(from, to int) server.SubmitRequest {
-	return server.SubmitRequest{
+func submitReq(from, to int) wire.SubmitRequest {
+	return wire.SubmitRequest{
 		From: from, To: to,
 		VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 1000,
 	}
@@ -224,7 +225,7 @@ func TestSameShardProxy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got server.ReservationJSON
+	var got wire.ReservationJSON
 	json.NewDecoder(resp.Body).Decode(&got)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || got.ID != res.ID {
@@ -236,7 +237,7 @@ func TestSameShardProxy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cancelled server.ReservationJSON
+	var cancelled wire.ReservationJSON
 	json.NewDecoder(resp.Body).Decode(&cancelled)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || cancelled.State != string(server.StateCancelled) {
@@ -263,8 +264,8 @@ func TestCrossShardCommit(t *testing.T) {
 	if code != http.StatusCreated || !res.Accepted {
 		t.Fatalf("submit = %d %+v", code, res)
 	}
-	if res.Routed != server.RoutedCrossShard {
-		t.Errorf("routed = %q, want %q", res.Routed, server.RoutedCrossShard)
+	if res.Routed != wire.RoutedCrossShard {
+		t.Errorf("routed = %q, want %q", res.Routed, wire.RoutedCrossShard)
 	}
 	if res.ID%2 != inIdx {
 		t.Errorf("visible ID %d encodes shard %d, want ingress owner %d", res.ID, res.ID%2, inIdx)
@@ -309,7 +310,7 @@ func TestCrossShardEgressRefusal(t *testing.T) {
 	if code != http.StatusOK || res.Accepted {
 		t.Fatalf("submit = %d %+v, want 200 rejection", code, res)
 	}
-	if res.Routed != server.RoutedCrossShard || res.Reason == "" {
+	if res.Routed != wire.RoutedCrossShard || res.Reason == "" {
 		t.Errorf("rejection = %+v, want cross_shard marker and a reason", res)
 	}
 	ev := tier.events[inIdx].waitKind(t, trace.EventHoldAbort, trace.EventHoldExpire)
@@ -346,13 +347,13 @@ func TestCrossShardCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cancelled server.ReservationJSON
+	var cancelled wire.ReservationJSON
 	json.NewDecoder(resp.Body).Decode(&cancelled)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || cancelled.State != string(server.StateCancelled) {
 		t.Fatalf("cancel = %d %+v", resp.StatusCode, cancelled)
 	}
-	if cancelled.Routed != server.RoutedCrossShard {
+	if cancelled.Routed != wire.RoutedCrossShard {
 		t.Errorf("cancel routed = %q, want cross_shard", cancelled.Routed)
 	}
 	for _, idx := range []int{inIdx, egIdx} {
@@ -405,7 +406,7 @@ func TestBatchSplitOrdering(t *testing.T) {
 		}
 	}
 
-	reqs := []server.SubmitRequest{
+	reqs := []wire.SubmitRequest{
 		submitReq(sFrom, sTo), // slow shard
 		submitReq(xFrom, xTo), // cross
 		{From: 0, To: 0, VolumeBytes: 1e9, Volume: "1GB", MaxRateBps: 1e8, DeadlineS: 1000}, // malformed: both volume forms
@@ -414,12 +415,12 @@ func TestBatchSplitOrdering(t *testing.T) {
 	if foundOther {
 		reqs = append(reqs, submitReq(otherFrom, otherTo)) // fast shard
 	}
-	body, _ := json.Marshal(server.BatchRequest{Requests: reqs})
+	body, _ := json.Marshal(wire.BatchRequest{Requests: reqs})
 	resp, err := http.Post(web.URL+"/v1/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out server.BatchResponse
+	var out wire.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +440,7 @@ func TestBatchSplitOrdering(t *testing.T) {
 		}
 	}
 	wantShard(0, slowShard)
-	if it := out.Results[1]; it.Reservation == nil || it.Reservation.Routed != server.RoutedCrossShard {
+	if it := out.Results[1]; it.Reservation == nil || it.Reservation.Routed != wire.RoutedCrossShard {
 		t.Errorf("item 1 = %+v, want cross_shard", it)
 	}
 	if it := out.Results[2]; it.Error == "" || it.Reservation != nil {
@@ -460,15 +461,15 @@ func TestBinaryBatchThroughRouter(t *testing.T) {
 
 	infeasible := submitReq(xFrom, xTo)
 	infeasible.VolumeBytes = 1e12 // 1 TB in 1000 s at 100 MB/s: a domain rejection
-	subs := make([]server.WireSubmission, 3)
-	for i, req := range []server.SubmitRequest{submitReq(sFrom, sTo), submitReq(xFrom, xTo), infeasible} {
+	subs := make([]wire.Submission, 3)
+	for i, req := range []wire.SubmitRequest{submitReq(sFrom, sTo), submitReq(xFrom, xTo), infeasible} {
 		var err error
 		if subs[i], err = req.Wire(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blob := server.AppendBinaryBatchRequest(nil, subs)
-	resp, err := http.Post(tier.web.URL+"/v1/batch", server.BinaryBatchContentType, bytes.NewReader(blob))
+	blob := wire.AppendBatchRequest(nil, subs)
+	resp, err := http.Post(tier.web.URL+"/v1/batch", wire.ContentType, bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +481,7 @@ func TestBinaryBatchThroughRouter(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("binary batch = %d: %s", resp.StatusCode, data)
 	}
-	items, err := server.DecodeBinaryBatchResponse(data)
+	items, err := wire.DecodeBatchResponse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,8 +503,8 @@ func TestBinaryBatchThroughRouter(t *testing.T) {
 		t.Errorf("same-shard item routed %q, want no marker", r)
 	}
 	for _, i := range []int{1, 2} {
-		if r := items[i].Reservation; r.Routed != server.RoutedCrossShard {
-			t.Errorf("cross-shard item %d (accepted=%v) routed %q, want %q", i, r.Accepted, r.Routed, server.RoutedCrossShard)
+		if r := items[i].Reservation; r.Routed != wire.RoutedCrossShard {
+			t.Errorf("cross-shard item %d (accepted=%v) routed %q, want %q", i, r.Accepted, r.Routed, wire.RoutedCrossShard)
 		}
 	}
 }
@@ -567,7 +568,7 @@ func framedSubmitsThroughRouter(t *testing.T, tier *testTier) {
 	cross := submitReq(xFrom, xTo)
 	cross.IdempotencyKey = "cross-1"
 	res, err = c.Submit(ctx, cross)
-	if err != nil || !res.Accepted || res.Routed != server.RoutedCrossShard || res.ID%2 != ring.OwnerIn(xFrom) {
+	if err != nil || !res.Accepted || res.Routed != wire.RoutedCrossShard || res.ID%2 != ring.OwnerIn(xFrom) {
 		t.Fatalf("cross-shard submit = %+v, %v", res, err)
 	}
 	waitHolds(t, tier.servers[ring.OwnerIn(xFrom)], "ingress owner", 0, 1)
@@ -576,7 +577,7 @@ func framedSubmitsThroughRouter(t *testing.T, tier *testTier) {
 	refused := submitReq(xFrom, xTo)
 	refused.VolumeBytes = 1e12
 	res, err = c.Submit(ctx, refused)
-	if err != nil || res.Accepted || res.Routed != server.RoutedCrossShard || res.Reason == "" {
+	if err != nil || res.Accepted || res.Routed != wire.RoutedCrossShard || res.Reason == "" {
 		t.Errorf("cross-shard rejection = %+v, %v; want the marker and a reason", res, err)
 	}
 
@@ -666,7 +667,7 @@ func TestCrossShardBlackholeAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res server.ReservationJSON
+	var res wire.ReservationJSON
 	json.NewDecoder(resp.Body).Decode(&res)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated || !res.Accepted {

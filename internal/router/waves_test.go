@@ -19,6 +19,7 @@ import (
 	"gridbw/internal/server/client"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // owned lists the ingress (or egress) points the ring gives each shard.
@@ -35,15 +36,15 @@ func (tier *testTier) owned(egress bool) [][]int {
 	return out
 }
 
-func (tier *testTier) batch(t *testing.T, url string, reqs []server.SubmitRequest) []server.BatchItemJSON {
+func (tier *testTier) batch(t *testing.T, url string, reqs []wire.SubmitRequest) []wire.BatchItemJSON {
 	t.Helper()
-	body, _ := json.Marshal(server.BatchRequest{Requests: reqs})
+	body, _ := json.Marshal(wire.BatchRequest{Requests: reqs})
 	resp, err := http.Post(url+"/v1/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out server.BatchResponse
+	var out wire.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +137,13 @@ func TestBatchDecisionsMatchSequential(t *testing.T) {
 	if len(ins[a]) < 4 || len(ins[b]) < 2 || len(egs[a]) < 2 || len(egs[b]) < 3 {
 		t.Fatalf("ring split ingress %v egress %v leaves too few points for the scenario", ins, egs)
 	}
-	req := func(from, to int, key string) server.SubmitRequest {
-		return server.SubmitRequest{
+	req := func(from, to int, key string) wire.SubmitRequest {
+		return wire.SubmitRequest{
 			From: from, To: to, IdempotencyKey: key,
 			VolumeBytes: 4e9, MaxRateBps: 4e8, DeadlineIn: "100s",
 		}
 	}
-	reqs := []server.SubmitRequest{
+	reqs := []wire.SubmitRequest{
 		req(ins[a][3], egs[a][1], ""),    // 0 same-shard on a
 		req(ins[a][0], egs[b][0], ""),    // 1 cross a→b
 		req(ins[a][0], egs[b][0], ""),    // 2 cross a→b, same points: both fit
@@ -172,7 +173,7 @@ func TestBatchDecisionsMatchSequential(t *testing.T) {
 			g.TauS != want.TauS || g.Routed != want.Routed || (g.Reason == "") != (want.Reason == "") {
 			t.Errorf("item %d: batched %+v, alone %+v", i, g, want)
 		}
-		if g.Accepted != wantAccepted[i] || (g.Routed == server.RoutedCrossShard) != wantCross[i] {
+		if g.Accepted != wantAccepted[i] || (g.Routed == wire.RoutedCrossShard) != wantCross[i] {
 			t.Errorf("item %d = %+v, want accepted=%v cross=%v", i, g, wantAccepted[i], wantCross[i])
 		}
 	}
@@ -279,7 +280,7 @@ func (wt *walTier) verify(t *testing.T, ops []check.Op) {
 }
 
 // history turns batch answers into the checker's client ops.
-func history(reqs []server.SubmitRequest, items []server.BatchItemJSON) []check.Op {
+func history(reqs []wire.SubmitRequest, items []wire.BatchItemJSON) []check.Op {
 	var ops []check.Op
 	for i, it := range items {
 		op := check.Op{Node: "rt", Kind: check.OpSubmit, Key: reqs[i].IdempotencyKey, Err: it.Error}
@@ -338,7 +339,7 @@ func TestCrossShardBlackholeAbortBatch(t *testing.T) {
 	web := httptest.NewServer(rt.Handler())
 	defer web.Close()
 
-	reqs := []server.SubmitRequest{
+	reqs := []wire.SubmitRequest{
 		submitReq(ins[inIdx][0], egs[egIdx][0]),
 		submitReq(ins[inIdx][2], egs[inIdx][0]), // same-shard on the reachable shard
 		submitReq(ins[inIdx][1], egs[egIdx][0]),
@@ -369,13 +370,13 @@ func TestCrossShardBlackholeAbortBatch(t *testing.T) {
 	// capacity, committing on both owners.
 	proxy.SetRules(chaosnet.Rules{})
 	waitHolds(t, wt.servers[egIdx], shards[egIdx].Name, 0, 0)
-	retry := []server.SubmitRequest{reqs[0], reqs[2], reqs[3]}
+	retry := []wire.SubmitRequest{reqs[0], reqs[2], reqs[3]}
 	for i := range retry {
 		retry[i].IdempotencyKey = fmt.Sprintf("healed-%d", i)
 	}
 	healed := wt.batch(t, web.URL, retry)
 	for i, it := range healed {
-		if it.Error != "" || !it.Reservation.Accepted || it.Reservation.Routed != server.RoutedCrossShard {
+		if it.Error != "" || !it.Reservation.Accepted || it.Reservation.Routed != wire.RoutedCrossShard {
 			t.Errorf("post-heal item %d = %+v, want a cross-shard admission", i, it)
 		}
 	}
@@ -401,7 +402,7 @@ func TestConfirmListPartialConflict(t *testing.T) {
 	// CONFIRM list that names it.
 	front := httptest.NewServer(pinHTTP(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/confirm" {
-			if _, err := wt.servers[egIdx].HoldAbort([]server.HoldRefJSON{{Hold: "x-victim"}}); err != nil {
+			if _, err := wt.servers[egIdx].HoldAbort([]wire.HoldRefJSON{{Hold: "x-victim"}}); err != nil {
 				t.Error(err)
 			}
 		}
@@ -418,7 +419,7 @@ func TestConfirmListPartialConflict(t *testing.T) {
 	web := httptest.NewServer(rt.Handler())
 	defer web.Close()
 
-	reqs := []server.SubmitRequest{
+	reqs := []wire.SubmitRequest{
 		submitReq(ins[inIdx][0], egs[egIdx][0]),
 		submitReq(ins[inIdx][1], egs[egIdx][0]),
 		submitReq(ins[inIdx][2], egs[egIdx][0]),
@@ -433,7 +434,7 @@ func TestConfirmListPartialConflict(t *testing.T) {
 			t.Errorf("item %d accepted = %v, want %v: %+v", i, it.Reservation.Accepted, want, it.Reservation)
 		}
 	}
-	if r := items[1].Reservation; r.Reason == "" || r.Routed != server.RoutedCrossShard {
+	if r := items[1].Reservation; r.Reason == "" || r.Routed != wire.RoutedCrossShard {
 		t.Errorf("victim = %+v, want a reasoned cross-shard rejection", r)
 	}
 	// The victim's ingress side was confirmed by the same wave; the
@@ -455,7 +456,7 @@ func TestStuckShardSparesHealthyPairs(t *testing.T) {
 	const stuck = 2
 	ring := tier.rt.Ring()
 	// pair finds points whose owners satisfy want.
-	pair := func(want func(in, eg int) bool) server.SubmitRequest {
+	pair := func(want func(in, eg int) bool) wire.SubmitRequest {
 		for i := 0; i < testPoints; i++ {
 			for e := 0; e < testPoints; e++ {
 				if in, eg := ring.OwnerIn(i), ring.OwnerEg(e); in != eg && want(in, eg) {
@@ -466,7 +467,7 @@ func TestStuckShardSparesHealthyPairs(t *testing.T) {
 		t.Fatalf("seed gives no such pair over %d points", testPoints)
 		panic("unreachable")
 	}
-	reqs := []server.SubmitRequest{
+	reqs := []wire.SubmitRequest{
 		pair(func(in, eg int) bool { return in != stuck && eg != stuck }),
 		pair(func(in, eg int) bool { return in == stuck }),
 		pair(func(in, eg int) bool { return eg == stuck }),
@@ -503,7 +504,7 @@ func TestStuckShardSparesHealthyPairs(t *testing.T) {
 	if took := time.Since(t0); took >= time.Second {
 		t.Errorf("batch took %v: the healthy pair's holds outlived their TTL only by luck", took)
 	}
-	if it := items[0]; it.Error != "" || !it.Reservation.Accepted || it.Reservation.Routed != server.RoutedCrossShard {
+	if it := items[0]; it.Error != "" || !it.Reservation.Accepted || it.Reservation.Routed != wire.RoutedCrossShard {
 		t.Errorf("pair between healthy shards = %+v, want a cross-shard admission", it)
 	}
 	for i, it := range items[1:] {
@@ -565,7 +566,7 @@ func TestRetryTimeoutAbortsBothSides(t *testing.T) {
 	}
 	web := httptest.NewServer(rt.Handler())
 	defer web.Close()
-	submit := func() (server.ReservationJSON, int) {
+	submit := func() (wire.ReservationJSON, int) {
 		req := submitReq(from, to)
 		req.IdempotencyKey = "acked"
 		body, _ := json.Marshal(req)
@@ -574,12 +575,12 @@ func TestRetryTimeoutAbortsBothSides(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var res server.ReservationJSON
+		var res wire.ReservationJSON
 		_ = json.NewDecoder(resp.Body).Decode(&res)
 		return res, resp.StatusCode
 	}
 
-	if res, code := submit(); code != http.StatusCreated || !res.Accepted || res.Routed != server.RoutedCrossShard {
+	if res, code := submit(); code != http.StatusCreated || !res.Accepted || res.Routed != wire.RoutedCrossShard {
 		t.Fatalf("submit = %d %+v, want an acknowledged cross-shard admission", code, res)
 	}
 	waitHolds(t, tier.servers[inIdx], shards[inIdx].Name, 0, 1)

@@ -13,6 +13,7 @@ import (
 	"gridbw/internal/topology"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // The batched admission pipeline. One SubmitBatch call decides N
@@ -39,21 +40,6 @@ import (
 // steady-state pipeline performs no heap allocation of its own: Submit
 // runs allocation-free end to end.
 
-// Durability outcomes for decisions that waited on synchronous follower
-// acks. Empty means no sync-ack wait applied to the call (async mode and
-// no Durable flag), or the result was served from the idempotency cache
-// by a flight whose wait already answered the original caller.
-const (
-	// DurabilityReplicated: enough follower cursors passed this call's
-	// WAL frontier before the answer left — the decision survives the
-	// loss of the primary.
-	DurabilityReplicated = "replicated"
-	// DurabilityDegraded: the sync-ack deadline lapsed; the decision is
-	// only locally durable and the caller that asked for replicated
-	// durability should retry or escalate.
-	DurabilityDegraded = "degraded"
-)
-
 // BatchResult is one submission's outcome within a batch: either a
 // Decision or a per-item error (malformed submission, or ErrClosed when
 // the server drained mid-batch).
@@ -61,7 +47,7 @@ type BatchResult struct {
 	Decision Decision
 	Err      error
 	// Durability reports the sync-ack outcome for this decision — see the
-	// Durability* constants. A batch waits on one shared WAL frontier, so
+	// wire.Durability* constants. A batch waits on one shared WAL frontier, so
 	// every decision of a call carries the same outcome.
 	Durability string
 }
@@ -350,7 +336,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 	degraded := poisonedLate
 	if poisonedLate {
 		for _, i := range sc.decided {
-			results[i].Durability = DurabilityDegraded
+			results[i].Durability = wire.DurabilityDegraded
 		}
 	}
 	if !syncPos.IsZero() {
@@ -358,9 +344,9 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		// The wait's outcome is part of each answer, not just a global
 		// counter: a caller that asked for replicated durability must be
 		// able to see when its specific ack was not replicated in time.
-		outcome := DurabilityReplicated
+		outcome := wire.DurabilityReplicated
 		if degraded {
-			outcome = DurabilityDegraded
+			outcome = wire.DurabilityDegraded
 		}
 		for _, i := range sc.decided {
 			results[i].Durability = outcome

@@ -14,6 +14,7 @@ import (
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 // TestSubmitBatchMixedOutcomes: one call carrying an accept, a domain
@@ -212,7 +213,7 @@ func TestBatchHTTPEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var out server.BatchResponse
+	var out wire.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"gridbw/internal/request"
+	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 // The request plane's framed calls, independent of what carries them. Each
@@ -22,12 +24,9 @@ import (
 // daemon or router that can take the connection over answers the call,
 // writes 101 and the answer as the first frame of the call stream, and
 // serves tagged calls on that connection from then on, each on its own
-// goroutine (wire.go has the format). A writer that cannot be taken over,
-// or a request without the offer, is answered over plain HTTP, byte for
-// byte as before.
-
-// CallProtocol is the Upgrade token of the call stream.
-const CallProtocol = "gridbw-call/1"
+// goroutine (internal/wire has the format). A writer that cannot be taken
+// over, or a request without the offer, is answered over plain HTTP, byte
+// for byte as before.
 
 // callIdle is how long a call stream with nothing in flight waits for its
 // next call before hanging up; the client's next call then goes over HTTP
@@ -37,8 +36,8 @@ const callIdle = 2 * time.Minute
 // A Call is one framed operation: its op and its request frame in Buf,
 // which the operation encodes its answer frame over.
 type Call struct {
-	Op  byte
-	Buf *FrameBuf
+	Op  wire.Op
+	Buf *wire.FrameBuf
 	// Key is the Idempotency-Key header of a framed HTTP submit, the
 	// equivalent spelling of the frame's key; a stream call has none.
 	Key string
@@ -56,7 +55,7 @@ type Reply struct {
 
 // ErrorReply answers with the error envelope of every non-2xx response.
 func ErrorReply(status int, err error) Reply {
-	return Reply{Status: status, JSON: ErrorJSON{Error: err.Error()}}
+	return Reply{Status: status, JSON: wire.ErrorJSON{Error: err.Error()}}
 }
 
 // CallHandler answers a call. The daemon's is Server.Call, the router's
@@ -68,15 +67,15 @@ type CallHandler func(ctx context.Context, c *Call) Reply
 // (FrameBuf.ReadBody), or puts the path's id in a request frame. A framed
 // body, or a lookup or cancel by id that offers the call stream, is the
 // call as it is; anything else goes through the op's JSON codec (face).
-func CallRoute(ss *Streams, h CallHandler, op byte, face JSONFace) http.Handler {
-	byID := op == OpGet || op == OpCancel
+func CallRoute(ss *Streams, h CallHandler, op wire.Op, face JSONFace) http.Handler {
+	byID := op.ByID()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c := Call{Op: op, Buf: NewFrameBuf()}
+		c := Call{Op: op, Buf: wire.NewFrameBuf()}
 		var err error
 		if byID {
 			var id int
 			if id, err = pathID(r); err == nil {
-				c.Buf.B = AppendIDFrame(c.Buf.B, id)
+				c.Buf.B = wire.AppendIDFrame(c.Buf.B, id)
 			}
 		} else {
 			err = c.Buf.ReadBody(r.Body, r.ContentLength)
@@ -86,7 +85,7 @@ func CallRoute(ss *Streams, h CallHandler, op byte, face JSONFace) http.Handler 
 			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		if byID && wantsUpgrade(r, CallProtocol) || !byID && Framed(r) {
+		if byID && wantsUpgrade(r, wire.CallProtocol) || !byID && Framed(r) {
 			c.Key = r.Header.Get("Idempotency-Key")
 			serveCall(w, r, ss, h, &c)
 			return
@@ -112,7 +111,7 @@ func pathID(r *http.Request) (int, error) {
 // through h on a goroutine of its own, so the handler returns at once.
 func serveCall(w http.ResponseWriter, r *http.Request, ss *Streams, h CallHandler, c *Call) {
 	rep := h(r.Context(), c)
-	if st, ok := ss.upgrade(w, r, CallProtocol); ok {
+	if st, ok := ss.upgrade(w, r, wire.CallProtocol); ok {
 		err := writeAnswer(st, 0, rep, c.Buf)
 		c.Buf.Release()
 		if err != nil {
@@ -137,24 +136,32 @@ func WriteReply(w http.ResponseWriter, rep Reply, frame []byte) {
 		WriteJSON(w, rep.Status, rep.JSON)
 		return
 	}
-	WriteFrame(w, rep.Status, frame)
+	h := w.Header()
+	h["Content-Type"] = frameContentType
+	// net/http computes the length itself of a body that fits its 2 KiB
+	// write buffer; beyond that, saying it up front avoids chunking.
+	if len(frame) > 2048 {
+		h["Content-Length"] = []string{strconv.Itoa(len(frame))}
+	}
+	w.WriteHeader(rep.Status)
+	_, _ = w.Write(frame)
 }
 
 // writeAnswer sends one answer on the stream; buf holds the answer frame,
 // and is overwritten by a JSON reply's body.
-func writeAnswer(st *stream, tag uint32, rep Reply, buf *FrameBuf) error {
-	codec := CodecFrame
+func writeAnswer(st *stream, tag uint32, rep Reply, buf *wire.FrameBuf) error {
+	codec := wire.CodecFrame
 	if rep.JSON != nil {
-		codec = CodecJSON
+		codec = wire.CodecJSON
 		v := rep.JSON
-		if e, ok := v.(ErrorJSON); ok && rep.RetryAfter > 0 {
+		if e, ok := v.(wire.ErrorJSON); ok && rep.RetryAfter > 0 {
 			e.RetryAfterS = rep.RetryAfter
 			v = e
 		}
-		buf.B = appendJSONFrame(buf.B[:0], v)
+		buf.B = wire.AppendJSONFrame(buf.B[:0], v)
 	}
-	var hdr [answerHeaderSize]byte
-	return st.write(appendAnswerHeader(hdr[:0], tag, rep.Status, codec), buf.B)
+	var hdr [wire.AnswerHeaderBytes]byte
+	return st.write(wire.AppendAnswerHeader(hdr[:0], tag, rep.Status, codec), buf.B)
 }
 
 // serveCalls serves calls on st until it ends — the caller hung up or sent
@@ -187,10 +194,10 @@ type callServer struct {
 // own, and none waits for a hand-off before it starts.
 func (cs *callServer) next() {
 	st := cs.st
-	buf := NewFrameBuf()
+	buf := wire.NewFrameBuf()
 	for {
 		st.readWithin(callIdle)
-		tag, op, frame, err := readCall(st.reader, buf.B[:0])
+		tag, op, frame, err := wire.ReadCall(st.reader, buf.B[:0])
 		buf.B = frame
 		if err == nil {
 			cs.inflight.Add(1)
@@ -223,14 +230,6 @@ func recovered(ctx context.Context, h CallHandler, c *Call) (rep Reply) {
 
 var errInternal = errors.New("internal error")
 
-// opName names an op for the panic log.
-func opName(op byte) string {
-	if op > 0 && op < numOps {
-		return [...]string{"", "submit", "batch", "reserve", "confirm", "abort", "get", "cancel"}[op]
-	}
-	return fmt.Sprintf("op %d", op)
-}
-
 // --- the daemon's operations ---------------------------------------------
 
 // serverOp is one row of the daemon's op table: the operation, and whether
@@ -241,14 +240,14 @@ type serverOp struct {
 	shed bool
 }
 
-var serverOps = [numOps]serverOp{
-	OpSubmit:  {(*Server).callSubmit, true},
-	OpBatch:   {(*Server).callBatch, true},
-	OpReserve: {holdCall(DecodeHoldReserveList, (*Server).HoldReserve, AppendHoldReserveResults), true},
-	OpConfirm: {holdCall(DecodeHoldRefList, (*Server).HoldConfirm, AppendHoldStates), false},
-	OpAbort:   {holdCall(DecodeHoldRefList, (*Server).HoldAbort, AppendHoldStates), false},
-	OpGet:     {(*Server).callGet, false},
-	OpCancel:  {(*Server).callCancel, false},
+var serverOps = [...]serverOp{
+	wire.OpSubmit:  {(*Server).callSubmit, true},
+	wire.OpBatch:   {(*Server).callBatch, true},
+	wire.OpReserve: {holdCall(wire.DecodeHoldReserveList, (*Server).HoldReserve, wire.AppendHoldReserveResults), true},
+	wire.OpConfirm: {holdCall(wire.DecodeHoldRefList, (*Server).HoldConfirm, wire.AppendHoldStates), false},
+	wire.OpAbort:   {holdCall(wire.DecodeHoldRefList, (*Server).HoldAbort, wire.AppendHoldStates), false},
+	wire.OpGet:     {byIDCall((*Server).Lookup), false},
+	wire.OpCancel:  {byIDCall((*Server).Cancel), false},
 }
 
 // Call answers one call, whichever face or carrier brought it: the one
@@ -257,12 +256,12 @@ var serverOps = [numOps]serverOp{
 func (s *Server) Call(_ context.Context, c *Call) (rep Reply) {
 	defer func() {
 		if v := recover(); v != nil {
-			s.recordPanic("call "+opName(c.Op), v)
+			s.recordPanic("call "+c.Op.String(), v)
 			rep = ErrorReply(http.StatusInternalServerError, errInternal)
 		}
 	}()
-	if c.Op == 0 || c.Op >= numOps {
-		return ErrorReply(http.StatusNotFound, fmt.Errorf("unknown %s", opName(c.Op)))
+	if !c.Op.Valid() {
+		return ErrorReply(http.StatusNotFound, fmt.Errorf("unknown %s", c.Op))
 	}
 	op := serverOps[c.Op]
 	if op.shed {
@@ -295,12 +294,51 @@ func callErrorReply(err error) Reply {
 
 // DecodeSubmit decodes the one-record frame of a submit call, with the
 // Idempotency-Key header of a framed HTTP submit merged in.
-func (c *Call) DecodeSubmit() (WireSubmission, error) {
-	ws, err := DecodeBinarySubmitRequest(c.Buf.B)
+func (c *Call) DecodeSubmit() (wire.Submission, error) {
+	ws, err := wire.DecodeSubmitRequest(c.Buf.B)
 	if err == nil {
 		ws.IdempotencyKey, err = mergeKey(c.Key, ws.IdempotencyKey)
 	}
 	return ws, err
+}
+
+// resolve converts a wire record to a Submission against the given
+// service-clock reading.
+func resolve(ws *wire.Submission, now units.Time) Submission {
+	sub := Submission{From: ws.From, To: ws.To, Volume: ws.Volume, MaxRate: ws.MaxRate,
+		NotBefore: ws.NotBefore, Deadline: ws.Deadline, IdempotencyKey: ws.IdempotencyKey, Durable: ws.Durable}
+	if ws.RelNotBefore {
+		sub.NotBefore = now + ws.NotBefore
+	}
+	if ws.RelDeadline {
+		sub.Deadline = now + ws.Deadline
+	}
+	return sub
+}
+
+// AppendBinaryBatchResponse appends the answer frame for results to dst
+// and returns it.
+func AppendBinaryBatchResponse(dst []byte, results []BatchResult) []byte {
+	dst, at := wire.BeginAnswer(dst, len(results))
+	for i := range results {
+		res := &results[i]
+		if res.Err != nil {
+			dst = wire.AppendErrorItem(dst, res.Err.Error())
+			continue
+		}
+		rj := reservationOf(res.Decision)
+		rj.Durability = res.Durability
+		dst = wire.AppendDecision(dst, &rj)
+	}
+	return wire.EndAnswer(dst, at)
+}
+
+// reservationOf is d in the item shape, as a decision item carries it.
+func reservationOf(d Decision) wire.ReservationJSON {
+	return wire.ReservationJSON{
+		ID: int(d.ID), Accepted: d.Accepted, State: string(d.State), Reason: d.Reason,
+		RateBps: float64(d.Rate), SigmaS: float64(d.Sigma), TauS: float64(d.Tau),
+	}
 }
 
 func (s *Server) callSubmit(c *Call) Reply {
@@ -308,7 +346,7 @@ func (s *Server) callSubmit(c *Call) Reply {
 	if err != nil {
 		return ErrorReply(http.StatusBadRequest, err)
 	}
-	res, err := s.submitOne(ws.resolve(s.nowFor(ws)))
+	res, err := s.submitOne(resolve(&ws, s.nowFor(ws)))
 	if err != nil {
 		return callErrorReply(err)
 	}
@@ -326,14 +364,14 @@ func submitStatus(accepted bool) int {
 }
 
 func (s *Server) callBatch(c *Call) Reply {
-	wire, err := DecodeBinaryBatchRequest(c.Buf.B, s.maxBatch)
+	recs, err := wire.DecodeBatchRequest(c.Buf.B, s.maxBatch)
 	if err != nil {
 		return ErrorReply(http.StatusBadRequest, err)
 	}
-	now := s.nowFor(wire...)
-	subs := make([]Submission, len(wire))
-	for i := range wire {
-		subs[i] = wire[i].resolve(now)
+	now := s.nowFor(recs...)
+	subs := make([]Submission, len(recs))
+	for i := range recs {
+		subs[i] = resolve(&recs[i], now)
 	}
 	results, err := s.SubmitBatch(subs)
 	if err != nil {
@@ -362,35 +400,26 @@ func holdCall[Q, A any](decode func([]byte, int) ([]Q, error), call func(*Server
 	}
 }
 
-func (s *Server) callGet(c *Call) Reply {
-	id, err := DecodeIDFrame(c.Buf.B)
-	if err != nil {
-		return ErrorReply(http.StatusBadRequest, err)
-	}
-	d, err := s.Lookup(request.ID(id))
-	if err != nil {
-		return callErrorReply(err)
-	}
-	c.Buf.B = AppendBinaryBatchResponse(c.Buf.B[:0], []BatchResult{{Decision: d}})
-	return Reply{Status: http.StatusOK}
-}
-
-func (s *Server) callCancel(c *Call) Reply {
-	id, err := DecodeIDFrame(c.Buf.B)
-	if err != nil {
-		return ErrorReply(http.StatusBadRequest, err)
-	}
-	d, err := s.Cancel(request.ID(id))
-	switch {
-	case err == nil:
-		c.Buf.B = AppendBinaryBatchResponse(c.Buf.B[:0], []BatchResult{{Decision: d}})
-		return Reply{Status: http.StatusOK}
-	case errors.Is(err, ErrFinished):
-		// The final record rides the 409, spelled as in JSON.
-		rj := reservationOf(d)
-		spellDecision(&rj, true)
-		return Reply{Status: http.StatusConflict, JSON: rj}
-	default:
-		return callErrorReply(err)
+// byIDCall is the operation of a lookup (find is Server.Lookup) or a
+// cancel (Server.Cancel) of the id in the call's frame.
+func byIDCall(find func(*Server, request.ID) (Decision, error)) func(*Server, *Call) Reply {
+	return func(s *Server, c *Call) Reply {
+		id, err := wire.DecodeIDFrame(c.Buf.B)
+		if err != nil {
+			return ErrorReply(http.StatusBadRequest, err)
+		}
+		d, err := find(s, request.ID(id))
+		switch {
+		case err == nil:
+			c.Buf.B = AppendBinaryBatchResponse(c.Buf.B[:0], []BatchResult{{Decision: d}})
+			return Reply{Status: http.StatusOK}
+		case errors.Is(err, ErrFinished):
+			// A cancel's final record rides the 409, spelled as in JSON.
+			rj := reservationOf(d)
+			spellDecision(&rj, true)
+			return Reply{Status: http.StatusConflict, JSON: rj}
+		default:
+			return callErrorReply(err)
+		}
 	}
 }

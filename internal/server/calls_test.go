@@ -1,23 +1,27 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
+	"gridbw/internal/wire"
 )
 
 // TestStreamPanickingOpIsCounted: a call that panics on the stream is
 // counted and audited like a handler panic, answers 500, and the calls
 // after it on the same connection go on.
 func TestStreamPanickingOpIsCounted(t *testing.T) {
-	server.PanicOn(t, server.OpGet)
+	server.PanicOn(t, wire.OpGet)
 	srv := newTestServer(t, uniformConfig(nil))
 	var reached atomic.Int64
 	h := srv.Handler()
@@ -29,7 +33,7 @@ func TestStreamPanickingOpIsCounted(t *testing.T) {
 	c := client.NewWithOptions(ts.URL, nil, client.Options{MaxRetries: -1})
 	defer c.Close()
 	ctx := context.Background()
-	req := server.SubmitRequest{From: 0, To: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 1e4}
+	req := wire.SubmitRequest{From: 0, To: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 1e4}
 	first, err := c.Submit(ctx, req)
 	if err != nil || !first.Accepted {
 		t.Fatalf("submit = %+v, %v", first, err)
@@ -57,148 +61,90 @@ func TestUpgradeOfferTokens(t *testing.T) {
 		upgrade    string
 		want       bool
 	}{
-		{[]string{"Upgrade"}, server.CallProtocol, true},
+		{[]string{"Upgrade"}, wire.CallProtocol, true},
 		{[]string{"keep-alive, upgrade"}, "GRIDBW-CALL/1", true},
-		{[]string{"keep-alive", " Upgrade "}, server.CallProtocol, true},
-		{[]string{"keep-alive"}, server.CallProtocol, false},
+		{[]string{"keep-alive", " Upgrade "}, wire.CallProtocol, true},
+		{[]string{"keep-alive"}, wire.CallProtocol, false},
 		{[]string{"Upgrade"}, "gridbw-repl/1", false},
-		{[]string{"upgraded"}, server.CallProtocol, false},
-		{nil, server.CallProtocol, false},
+		{[]string{"upgraded"}, wire.CallProtocol, false},
+		{nil, wire.CallProtocol, false},
 	} {
 		r := httptest.NewRequest(http.MethodGet, "/v1/requests/1", nil)
 		for _, v := range tc.connection {
 			r.Header.Add("Connection", v)
 		}
 		r.Header.Set("Upgrade", tc.upgrade)
-		if got := server.WantsUpgrade(r, server.CallProtocol); got != tc.want {
+		if got := server.WantsUpgrade(r, wire.CallProtocol); got != tc.want {
 			t.Errorf("Connection %q, Upgrade %q: offer = %v, want %v", tc.connection, tc.upgrade, got, tc.want)
 		}
 	}
 }
 
-// callSeeds are one valid call of each op.
-func callSeeds() [][]byte {
-	ws := server.WireSubmission{From: 1, To: 0, Volume: 1e9, MaxRate: 1e8, Deadline: 60, RelDeadline: true, IdempotencyKey: "k"}
-	id := 7
-	frames := map[byte][]byte{
-		server.OpSubmit:  server.AppendBinarySubmitRequest(nil, &ws),
-		server.OpBatch:   server.AppendBinaryBatchRequest(nil, []server.WireSubmission{ws, ws}),
-		server.OpReserve: server.AppendHoldReserveList(nil, []server.HoldReserveJSON{{Hold: "h", Side: "in", Point: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 9}}),
-		server.OpConfirm: server.AppendHoldRefList(nil, []server.HoldRefJSON{{Hold: "h", Epoch: 2}}),
-		server.OpAbort:   server.AppendHoldRefList(nil, []server.HoldRefJSON{{ID: &id}}),
-		server.OpGet:     server.AppendIDFrame(nil, 3),
-		server.OpCancel:  server.AppendIDFrame(nil, 4),
-	}
-	var out [][]byte
-	for op := server.OpSubmit; op <= server.OpCancel; op++ {
-		out = append(out, server.AppendCall(nil, uint32(op)*3, op, frames[op]))
-	}
-	return out
-}
-
-// reencode decodes frame as op's request and encodes it again; ok is false
-// when the decoder refuses it.
-func reencode(op byte, frame []byte) (out []byte, ok bool) {
-	var err error
-	switch op {
-	case server.OpSubmit:
-		var ws server.WireSubmission
-		if ws, err = server.DecodeBinarySubmitRequest(frame); err == nil {
-			out = server.AppendBinarySubmitRequest(nil, &ws)
-		}
-	case server.OpBatch:
-		var subs []server.WireSubmission
-		if subs, err = server.DecodeBinaryBatchRequest(frame, 0); err == nil {
-			out = server.AppendBinaryBatchRequest(nil, subs)
-		}
-	case server.OpReserve:
-		var reqs []server.HoldReserveJSON
-		if reqs, err = server.DecodeHoldReserveList(frame, 0); err == nil {
-			out = server.AppendHoldReserveList(nil, reqs)
-		}
-	case server.OpConfirm, server.OpAbort:
-		var refs []server.HoldRefJSON
-		if refs, err = server.DecodeHoldRefList(frame, 0); err == nil {
-			out = server.AppendHoldRefList(nil, refs)
-		}
-	case server.OpGet, server.OpCancel:
-		var id int
-		if id, err = server.DecodeIDFrame(frame); err == nil {
-			out = server.AppendIDFrame(nil, id)
-		}
-	}
-	return out, err == nil
-}
-
-// FuzzCallFrames: over arbitrary bytes, read as a stream of calls and as a
-// stream of answers, the readers and decoders never panic; they refuse an
-// unknown op or codec, a length past MaxBinaryBatchBytes and every
-// truncation; what they accept re-encodes to the same bytes (a request
-// frame to a fixed point: its flag bits and an absent id's slot are free).
+// FuzzCallFrames plays arbitrary bytes down a live daemon's call stream,
+// behind the call that upgraded it: the daemon answers what it can read
+// and hangs up on what it cannot, and never panics or answers 5xx, and its
+// state passes the audit after. (internal/wire's FuzzCallFrames fuzzes the
+// stream's readers themselves.)
 func FuzzCallFrames(f *testing.F) {
-	for _, seed := range callSeeds() {
-		f.Add(seed)
+	ws := wire.Submission{From: 1, To: 0, Volume: 1e9, MaxRate: 1e8, Deadline: 60, RelDeadline: true, IdempotencyKey: "k"}
+	id := 7
+	frames := map[wire.Op][]byte{
+		wire.OpSubmit:  wire.AppendSubmitRequest(nil, &ws),
+		wire.OpBatch:   wire.AppendBatchRequest(nil, []wire.Submission{ws, ws}),
+		wire.OpReserve: wire.AppendHoldReserveList(nil, []wire.HoldReserveJSON{{Hold: "h", Side: "in", Point: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 9}}),
+		wire.OpConfirm: wire.AppendHoldRefList(nil, []wire.HoldRefJSON{{Hold: "h", Epoch: 2}}),
+		wire.OpAbort:   wire.AppendHoldRefList(nil, []wire.HoldRefJSON{{ID: &id}}),
+		wire.OpGet:     wire.AppendIDFrame(nil, 3),
+		wire.OpCancel:  wire.AppendIDFrame(nil, 4),
 	}
-	f.Add(bytes.Join(callSeeds(), nil))
-	shed := server.AppendAnswerHeader(nil, 9, http.StatusTooManyRequests, server.CodecJSON)
-	f.Add(server.AppendJSONFrame(shed, server.ErrorJSON{Error: "busy", RetryAfterS: 1}))
-	f.Add(append(server.AppendAnswerHeader(nil, 0, http.StatusCreated, server.CodecFrame),
+	var calls [][]byte
+	for op := wire.OpSubmit; op.Valid(); op++ {
+		calls = append(calls, wire.AppendCall(nil, uint32(op)*3, op, frames[op]))
+		f.Add(calls[len(calls)-1])
+	}
+	f.Add(bytes.Join(calls, nil))
+	shed := wire.AppendAnswerHeader(nil, 9, http.StatusTooManyRequests, wire.CodecJSON)
+	f.Add(wire.AppendJSONFrame(shed, wire.ErrorJSON{Error: "busy", RetryAfterS: 1}))
+	f.Add(append(wire.AppendAnswerHeader(nil, 0, http.StatusCreated, wire.CodecFrame),
 		server.AppendBinaryBatchResponse(nil, []server.BatchResult{{}})...))
-	f.Add(server.AppendCall(nil, 1, 9, server.AppendIDFrame(nil, 1)))
-	f.Add(binary.LittleEndian.AppendUint32(append(server.AppendCall(nil, 1, server.OpGet, nil), "GBI1"...), server.MaxBinaryBatchBytes+1))
+	f.Add(wire.AppendCall(nil, 1, 9, wire.AppendIDFrame(nil, 1)))
+	f.Add(binary.LittleEndian.AppendUint32(append(wire.AppendCall(nil, 1, wire.OpGet, nil), "GBI1"...), wire.MaxFrameBytes+1))
+	s := newTestServer(f, uniformConfig(&fakeClock{}))
+	ts := httptest.NewServer(s.Handler())
+	f.Cleanup(ts.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for off := 0; ; {
-			tag, op, frame, err := server.ReadCall(r, nil)
-			if err != nil {
-				break
-			}
-			call := server.AppendCall(nil, tag, op, frame)
-			end := len(data) - r.Len()
-			if !bytes.Equal(call, data[off:end]) {
-				t.Fatalf("call at %d re-encodes to %x, read %x", off, call, data[off:end])
-			}
-			if op < server.OpSubmit || op > server.OpCancel || len(frame) > 8+server.MaxBinaryBatchBytes {
-				t.Fatalf("accepted op %d with a %d-byte frame", op, len(frame))
-			}
-			for _, cut := range []int{len(call) - 1, len(call) / 2, 4} {
-				if _, _, _, err := server.ReadCall(bytes.NewReader(call[:cut]), nil); err == nil {
-					t.Fatalf("a call cut to %d of %d bytes was accepted", cut, len(call))
-				}
-			}
-			if once, ok := reencode(op, frame); ok {
-				twice, ok := reencode(op, once)
-				if !ok || !bytes.Equal(once, twice) {
-					t.Fatalf("op %d frame %x re-encodes to %x, then %x (%v)", op, frame, once, twice, ok)
-				}
-				if (op == server.OpGet || op == server.OpCancel) && !bytes.Equal(once, frame) {
-					t.Fatalf("id frame %x re-encodes to %x", frame, once)
-				}
-			}
-			off = end
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		r = bytes.NewReader(data)
-		fb := server.NewFrameBuf()
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		offer := "GET " + wire.OpGet.Path(0) + " HTTP/1.1\r\nHost: gridbw\r\nConnection: Upgrade\r\nUpgrade: " + wire.CallProtocol + "\r\n\r\n"
+		if _, err := conn.Write(append([]byte(offer), data...)); err != nil {
+			t.Fatal(err)
+		}
+		conn.(*net.TCPConn).CloseWrite()
+		br := bufio.NewReader(conn)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+			t.Fatalf("offer answered %v, %v", resp, err)
+		}
+		fb := wire.NewFrameBuf()
 		defer fb.Release()
-		for off := 0; ; {
-			tag, status, codec, body, err := server.ReadAnswer(r, fb)
+		for {
+			_, status, _, body, err := wire.ReadAnswer(br, fb)
 			if err != nil {
 				break
 			}
-			answer := server.AppendAnswerHeader(nil, tag, status, codec)
-			if codec == server.CodecJSON {
-				answer = binary.LittleEndian.AppendUint32(append(answer, "GBJ1"...), uint32(len(body)))
+			if status >= 500 {
+				t.Fatalf("answered %d %s to %x", status, body, data)
 			}
-			answer = append(answer, body...)
-			end := len(data) - r.Len()
-			if !bytes.Equal(answer, data[off:end]) {
-				t.Fatalf("answer at %d re-encodes to %x, read %x", off, answer, data[off:end])
-			}
-			if _, _, _, _, err := server.ReadAnswer(bytes.NewReader(answer[:len(answer)-1]), server.NewFrameBuf()); err == nil {
-				t.Fatal("an answer cut by one byte was accepted")
-			}
-			off = end
+		}
+		if err := s.VerifyInvariant(); err != nil {
+			t.Fatalf("after %x: %v", data, err)
+		}
+		if st := s.Status(); st.Stats.Panics != 0 {
+			t.Fatalf("%d panics", st.Stats.Panics)
 		}
 	})
 }

@@ -4,23 +4,15 @@
 //
 // Calls that carry a body — Submit, SubmitBatch and the three hold calls —
 // speak the daemon's internal wire (the length-prefixed frames of
-// server/wire.go); the body-less ones read JSON. Client and daemons build
+// internal/wire); the body-less ones read JSON. Client and daemons build
 // from one module, so there is no version to negotiate: a request is
 // always framed, and the answer is decoded by its own Content-Type, which
 // is JSON for every error envelope and for a proxy or test double that
 // answers the way curl would be answered.
 //
-// Those five calls, Get and Cancel are the framed calls, and each one
-// offers to upgrade its connection to the call stream (gridbw-call/1,
-// server/calls.go). A daemon or router that takes the offer answers the
-// call as the stream's first frame; from then on every framed call to that
-// endpoint is a tagged frame on that one connection, pipelined with the
-// other callers', instead of an HTTP round trip. A server that ignores the
-// offer answers over HTTP, and the next call offers again. A stream that
-// fails — a read or write error, the per-attempt deadline, a cancelled
-// context — fails every call pending on it with a transport error, which
-// the retry loop below answers like any other: the retry goes over HTTP,
-// with the same idempotency key, and offers again.
+// Those five calls, Get and Cancel are the framed calls, whose methods and
+// paths are the rows of wire's op table; each one offers to upgrade its
+// connection to the call stream (stream.go).
 //
 // The client is failure-aware by default: every call gets a per-attempt
 // deadline, transient failures (transport errors, 429, 502/503/504) are
@@ -43,7 +35,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -54,8 +45,7 @@ import (
 	"time"
 
 	"gridbw/internal/cluster"
-	"gridbw/internal/server"
-	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 // Defaults for Options' zero values.
@@ -223,13 +213,6 @@ func (c *Client) rotate() {
 	c.mu.Unlock()
 }
 
-// setEndpoint re-targets the endpoint at index i.
-func (c *Client) setEndpoint(i int) {
-	c.mu.Lock()
-	c.cur = i
-	c.mu.Unlock()
-}
-
 // NewIdempotencyKey returns a fresh random submission key.
 func NewIdempotencyKey() string {
 	var b [16]byte
@@ -332,19 +315,18 @@ func (c *Client) backoff(attempt int, err error) time.Duration {
 	return d + time.Duration(c.opts.Jitter()*float64(d)/2)
 }
 
-// route is how one call travels: over HTTP as method and path, with the
-// frame as the body when body is set; and, when op is set, as that op on
-// the call stream, which makes it a framed call that offers the upgrade.
+// route is how one call travels: over HTTP as method and path; and, when
+// op is set, as that op on the call stream, which makes it a framed call
+// that offers the upgrade, and whose frame is its HTTP body unless the op
+// names its reservation by the id in the path.
 type route struct {
 	method, path string
-	op           byte
-	body         bool
+	op           wire.Op
 }
 
-// post is the route of a framed call whose frame is its HTTP body.
-func post(path string, op byte) route {
-	return route{method: http.MethodPost, path: path, op: op, body: true}
-}
+// framed is the route of a framed call of op; id names the reservation of
+// a lookup or cancel.
+func framed(op wire.Op, id int) route { return route{op.Method(), op.Path(id), op} }
 
 // do runs one retrying body-less call answered in JSON.
 func (c *Client) do(ctx context.Context, method, path string, out any) error {
@@ -431,21 +413,6 @@ func (c *Client) rediscover(ctx context.Context) {
 	}
 }
 
-// apiError reads a non-2xx answer: the JSON error envelope's text when
-// there is one, otherwise the raw body (a 409 cancel answer carries the
-// reservation, not an envelope), otherwise the status line.
-func apiError(code int, status string, body []byte) *APIError {
-	var apiErr server.ErrorJSON
-	ae := &APIError{StatusCode: code, Message: status}
-	if json.Unmarshal(body, &apiErr) == nil && apiErr.Error != "" {
-		ae.Message = apiErr.Error
-		ae.RetryAfter = time.Duration(max(apiErr.RetryAfterS, 0)) * time.Second
-	} else if len(body) > 0 {
-		ae.Message = strings.TrimSpace(string(body))
-	}
-	return ae
-}
-
 // encodeFrame encodes one request into the bytes every attempt of its call
 // sends. The encoder runs in pooled scratch, so a long list costs no
 // growth reallocations, and the result is one exact-size copy that the
@@ -456,19 +423,19 @@ func apiError(code int, status string, body []byte) *APIError {
 // request line and headers in a write of their own before the body —
 // a second syscall per call, more than the copy costs.
 func encodeFrame[T any](encode func([]byte, T) []byte, v T) []byte {
-	scratch := server.NewFrameBuf()
+	scratch := wire.NewFrameBuf()
 	defer scratch.Release()
 	scratch.B = encode(scratch.B, v)
 	return bytes.Clone(scratch.B)
 }
 
-var frameContentType = []string{server.BinaryBatchContentType}
+var frameContentType = []string{wire.ContentType}
 
 // attempt runs one call against base under the per-attempt deadline: on
 // the endpoint's call stream when one is open, otherwise as an HTTP round
-// trip that decodes a 2xx answer by its own Content-Type. Error responses
-// carry the JSON envelope whatever the request's codec and surface as
-// *APIError.
+// trip whose answer is read as a stream's is (decodeAnswer), its codec
+// told by its own Content-Type. Error responses carry the JSON envelope
+// whatever the request's codec and surface as *APIError.
 func (c *Client) attempt(ctx context.Context, base string, rt route, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
 	if rt.op != 0 {
 		if cs := c.stream(base); cs != nil {
@@ -481,14 +448,14 @@ func (c *Client) attempt(ctx context.Context, base string, rt route, frame []byt
 		defer cancel()
 	}
 	var body io.Reader
-	if rt.body {
+	if rt.op != 0 && !rt.op.ByID() {
 		body = bytes.NewReader(frame)
 	}
 	req, err := http.NewRequestWithContext(ctx, rt.method, base+rt.path, body)
 	if err != nil {
 		return fmt.Errorf("gridbwd: %w", err)
 	}
-	if rt.body {
+	if body != nil {
 		req.Header["Content-Type"] = frameContentType
 	}
 	hc := c.hc
@@ -506,29 +473,22 @@ func (c *Client) attempt(ctx context.Context, base string, rt route, frame []byt
 		return c.adopt(ctx, base, resp, jsonOut, fromFrame) // it owns the connection
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		blob, _ := io.ReadAll(io.LimitReader(resp.Body, 64*1024))
-		ae := apiError(resp.StatusCode, resp.Status, blob)
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-				ae.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return ae
+	codec := wire.CodecJSON
+	if strings.HasPrefix(resp.Header.Get("Content-Type"), wire.ContentType) {
+		codec = wire.CodecFrame
 	}
-	if fromFrame != nil && strings.HasPrefix(resp.Header.Get("Content-Type"), server.BinaryBatchContentType) {
-		buf := server.NewFrameBuf()
-		defer buf.Release()
-		if err = buf.ReadBody(resp.Body, resp.ContentLength); err == nil {
-			err = fromFrame(buf.B)
-		}
-	} else {
-		err = json.NewDecoder(resp.Body).Decode(jsonOut)
-	}
-	if err != nil {
+	buf := wire.NewFrameBuf()
+	defer buf.Release()
+	if err := buf.ReadBody(resp.Body, resp.ContentLength); err != nil && resp.StatusCode < 300 {
 		return fmt.Errorf("gridbwd: decode response: %w", err)
 	}
-	return nil
+	err = decodeAnswer(resp.StatusCode, codec, buf.B, jsonOut, fromFrame)
+	if ae, ok := err.(*APIError); ok {
+		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
+			ae.RetryAfter = time.Duration(secs) * time.Second
+		}
+	}
+	return err
 }
 
 // attemptJSON is one unretried attempt of a body-less JSON call — the
@@ -543,12 +503,12 @@ func (c *Client) attemptJSON(ctx context.Context, base, method, path string, out
 // (and any caller-level retry of the returned error) can never book the
 // same submission twice. The decision's human-readable Rate string is
 // empty — the frame carries RateBps only.
-func (c *Client) Submit(ctx context.Context, req server.SubmitRequest) (server.ReservationJSON, error) {
+func (c *Client) Submit(ctx context.Context, req wire.SubmitRequest) (wire.ReservationJSON, error) {
 	ws, err := req.Wire()
 	if err != nil {
-		// Quantities that do not parse cannot be framed; this is the answer
-		// the daemon gives the same request in JSON.
-		return server.ReservationJSON{}, &APIError{StatusCode: http.StatusBadRequest, Message: err.Error()}
+		// A request that cannot be framed gets the answer the daemon gives the
+		// same request in JSON.
+		return wire.ReservationJSON{}, badRequest(err)
 	}
 	return c.SubmitWire(ctx, ws)
 }
@@ -556,17 +516,17 @@ func (c *Client) Submit(ctx context.Context, req server.SubmitRequest) (server.R
 // SubmitWire is Submit for callers that already hold the wire record — the
 // router forwards a same-shard submission without a detour through the
 // JSON request shape.
-func (c *Client) SubmitWire(ctx context.Context, ws server.WireSubmission) (server.ReservationJSON, error) {
+func (c *Client) SubmitWire(ctx context.Context, ws wire.Submission) (wire.ReservationJSON, error) {
 	if ws.IdempotencyKey == "" {
 		ws.IdempotencyKey = NewIdempotencyKey()
 	}
-	if err := keyFits("idempotency key", ws.IdempotencyKey); err != nil {
-		return server.ReservationJSON{}, err
+	if err := ws.Check(); err != nil {
+		return wire.ReservationJSON{}, badRequest(err)
 	}
-	frame := encodeFrame(server.AppendBinarySubmitRequest, &ws)
-	var out server.ReservationJSON
-	err := c.call(ctx, post("/v1/requests", server.OpSubmit), frame, &out, func(b []byte) (err error) {
-		out, err = server.DecodeBinarySubmitResponse(b)
+	frame := encodeFrame(wire.AppendSubmitRequest, &ws)
+	var out wire.ReservationJSON
+	err := c.call(ctx, framed(wire.OpSubmit, 0), frame, &out, func(b []byte) (err error) {
+		out, err = wire.DecodeSubmitResponse(b)
 		return err
 	})
 	return out, err
@@ -577,40 +537,27 @@ func (c *Client) SubmitWire(ctx context.Context, ws server.WireSubmission) (serv
 // idempotency key get a generated one (on a copy — the caller's slice is
 // not modified), so the retry loop re-sends the identical batch and the
 // daemon answers already-decided items from its idempotency cache instead
-// of booking them twice. An item whose quantities do not parse fails in its
-// own slot, with the error the daemon gives it in a JSON batch, and the
-// rest are sent.
-func (c *Client) SubmitBatch(ctx context.Context, reqs []server.SubmitRequest) ([]server.BatchItemJSON, error) {
-	out := make([]server.BatchItemJSON, len(reqs))
-	subs := make([]server.WireSubmission, 0, len(reqs))
-	for i, req := range reqs {
-		ws, err := req.Wire()
-		if err != nil {
-			out[i].Error = err.Error()
-			continue
-		}
-		subs = append(subs, ws)
-	}
+// of booking them twice. An item that cannot be framed fails in its own
+// slot, with the error the daemon gives it in a JSON batch, and the rest
+// are sent (wire.SplitBatch).
+func (c *Client) SubmitBatch(ctx context.Context, reqs []wire.SubmitRequest) ([]wire.BatchItemJSON, error) {
+	out, subs := wire.SplitBatch(reqs)
 	if len(subs) == 0 && len(reqs) > 0 {
 		return out, nil
 	}
 	res, err := c.SubmitBatchWire(ctx, subs)
+	if err == nil {
+		err = wire.MergeBatch(out, res)
+	}
 	if err != nil {
 		return nil, err
-	}
-	next := 0
-	for i := range out {
-		if out[i].Error == "" {
-			out[i] = res[next]
-			next++
-		}
 	}
 	return out, nil
 }
 
 // SubmitBatchBinary is SubmitBatch under the name it had while SubmitBatch
 // still spoke JSON; bench/drive.go is its last caller.
-func (c *Client) SubmitBatchBinary(ctx context.Context, reqs []server.SubmitRequest) ([]server.BatchItemJSON, error) {
+func (c *Client) SubmitBatchBinary(ctx context.Context, reqs []wire.SubmitRequest) ([]wire.BatchItemJSON, error) {
 	return c.SubmitBatch(ctx, reqs)
 }
 
@@ -619,19 +566,19 @@ func (c *Client) SubmitBatchBinary(ctx context.Context, reqs []server.SubmitRequ
 // through the JSON request shape. Records missing an idempotency key get a
 // generated one (subs is modified in place, so retries at any layer re-send
 // the same keys).
-func (c *Client) SubmitBatchWire(ctx context.Context, subs []server.WireSubmission) ([]server.BatchItemJSON, error) {
+func (c *Client) SubmitBatchWire(ctx context.Context, subs []wire.Submission) ([]wire.BatchItemJSON, error) {
 	for i := range subs {
 		if subs[i].IdempotencyKey == "" {
 			subs[i].IdempotencyKey = NewIdempotencyKey()
 		}
-		if err := keyFits("idempotency key", subs[i].IdempotencyKey); err != nil {
-			return nil, err
-		}
 	}
-	frame := encodeFrame(server.AppendBinaryBatchRequest, subs)
-	var out server.BatchResponse
-	err := c.call(ctx, post("/v1/batch", server.OpBatch), frame, &out, func(b []byte) (err error) {
-		out.Results, err = server.DecodeBinaryBatchResponse(b)
+	if err := checkAll(subs, (*wire.Submission).Check); err != nil {
+		return nil, err
+	}
+	frame := encodeFrame(wire.AppendBatchRequest, subs)
+	var out wire.BatchResponse
+	err := c.call(ctx, framed(wire.OpBatch, 0), frame, &out, func(b []byte) (err error) {
+		out.Results, err = wire.DecodeBatchResponse(b)
 		return err
 	})
 	if err != nil {
@@ -644,29 +591,27 @@ func (c *Client) SubmitBatchWire(ctx context.Context, subs []server.WireSubmissi
 }
 
 // Get looks up one reservation.
-func (c *Client) Get(ctx context.Context, id int) (server.ReservationJSON, error) {
-	return c.byID(ctx, http.MethodGet, server.OpGet, id)
+func (c *Client) Get(ctx context.Context, id int) (wire.ReservationJSON, error) {
+	return c.byID(ctx, wire.OpGet, id)
 }
 
 // Cancel revokes a live reservation and returns its final record.
 // Cancels are not retried blindly: a cancel is idempotent on the daemon
 // (a second cancel answers 409 with the final record), so retries are
 // safe, and the usual transient classification applies.
-func (c *Client) Cancel(ctx context.Context, id int) (server.ReservationJSON, error) {
-	return c.byID(ctx, http.MethodDelete, server.OpCancel, id)
+func (c *Client) Cancel(ctx context.Context, id int) (wire.ReservationJSON, error) {
+	return c.byID(ctx, wire.OpCancel, id)
 }
 
 // byID is a lookup or cancel: a body-less request over HTTP, or an id
 // frame on the call stream. A decision frame answers the frame, and the
 // offer too when the server could not take the connection over; it
 // carries no human rate string, filled in here as the JSON face spells it.
-func (c *Client) byID(ctx context.Context, method string, op byte, id int) (server.ReservationJSON, error) {
-	var out server.ReservationJSON
-	rt := route{method: method, path: "/v1/requests/" + strconv.Itoa(id), op: op}
-	err := c.call(ctx, rt, server.AppendIDFrame(nil, id), &out, func(b []byte) (err error) {
-		if out, err = server.DecodeBinarySubmitResponse(b); err == nil && out.Accepted {
-			out.Rate = units.Bandwidth(out.RateBps).String()
-		}
+func (c *Client) byID(ctx context.Context, op wire.Op, id int) (wire.ReservationJSON, error) {
+	var out wire.ReservationJSON
+	err := c.call(ctx, framed(op, id), wire.AppendIDFrame(nil, id), &out, func(b []byte) (err error) {
+		out, err = wire.DecodeSubmitResponse(b)
+		out.SpellRate()
 		return err
 	})
 	return out, err
@@ -675,15 +620,13 @@ func (c *Client) byID(ctx context.Context, method string, op byte, id int) (serv
 // holdCall posts one list-shaped hold call and checks the answer lines up
 // with the list. The call retries and fails over like any write; hold
 // keys make the retries idempotent on the daemon.
-func holdCall[Q, A any](ctx context.Context, c *Client, path string, op byte, holds []Q, key func(*Q) string,
+func holdCall[Q, A any](ctx context.Context, c *Client, op wire.Op, holds []Q, check func(*Q) error,
 	encode func([]byte, []Q) []byte, decode func([]byte) ([]A, error)) ([]A, error) {
-	for i := range holds {
-		if err := keyFits("hold key", key(&holds[i])); err != nil {
-			return nil, err
-		}
+	if err := checkAll(holds, check); err != nil {
+		return nil, err
 	}
-	var out server.HoldResultsJSON[A]
-	err := c.call(ctx, post(path, op), encodeFrame(encode, holds), &out, func(b []byte) (err error) {
+	var out wire.HoldResultsJSON[A]
+	err := c.call(ctx, framed(op, 0), encodeFrame(encode, holds), &out, func(b []byte) (err error) {
 		out.Results, err = decode(b)
 		return err
 	})
@@ -691,28 +634,33 @@ func holdCall[Q, A any](ctx context.Context, c *Client, path string, op byte, ho
 		return nil, err
 	}
 	if len(out.Results) != len(holds) {
-		return nil, fmt.Errorf("gridbwd: %s answered %d results for %d holds", path, len(out.Results), len(holds))
+		return nil, fmt.Errorf("gridbwd: %s answered %d results for %d holds", op, len(out.Results), len(holds))
 	}
 	return out.Results, nil
 }
 
-func refKey(ref *server.HoldRefJSON) string { return ref.Hold }
-
-// keyFits refuses, before encoding, a key longer than a frame carries
-// (server.MaxKeyBytes) with the 400 the daemon gives it in JSON: a frame
-// would cut it, and a cut key is another key.
-func keyFits(what, key string) error {
-	if err := server.CheckKey(what, key); err != nil {
-		return &APIError{StatusCode: http.StatusBadRequest, Message: err.Error()}
+// checkAll refuses, before encoding, a list with an item a frame cannot
+// carry (wire's per-shape check): a frame would cut its key, or wrap its
+// point, into another one.
+func checkAll[T any](items []T, check func(*T) error) error {
+	for i := range items {
+		if err := check(&items[i]); err != nil {
+			return badRequest(err)
+		}
 	}
 	return nil
+}
+
+// badRequest is the 400 the daemon gives a request a frame cannot carry.
+func badRequest(err error) *APIError {
+	return &APIError{StatusCode: http.StatusBadRequest, Message: err.Error()}
 }
 
 // HoldReserve places one side each of a list of cross-shard two-phase
 // admissions, decided in list order; one answer per hold. An answer with
 // Code set is that item's own failure, not the call's.
-func (c *Client) HoldReserve(ctx context.Context, reqs []server.HoldReserveJSON) ([]server.HoldReserveResponseJSON, error) {
-	return holdCall(ctx, c, "/v1/reserve", server.OpReserve, reqs, func(q *server.HoldReserveJSON) string { return q.Hold }, server.AppendHoldReserveList, server.DecodeHoldReserveResults)
+func (c *Client) HoldReserve(ctx context.Context, reqs []wire.HoldReserveJSON) ([]wire.HoldReserveResponseJSON, error) {
+	return holdCall(ctx, c, wire.OpReserve, reqs, (*wire.HoldReserveJSON).Check, wire.AppendHoldReserveList, wire.DecodeHoldReserveResults)
 }
 
 // HoldConfirm commits held reservations. A non-zero epoch on a ref must
@@ -721,8 +669,8 @@ func (c *Client) HoldReserve(ctx context.Context, reqs []server.HoldReserveJSON)
 // lineage mid-hold — refresh the epoch via Replication and confirm once
 // more, or abort both sides. A per-item 409 is a hold that rolled back
 // before the commit.
-func (c *Client) HoldConfirm(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
-	return holdCall(ctx, c, "/v1/confirm", server.OpConfirm, refs, refKey, server.AppendHoldRefList, server.DecodeHoldStates)
+func (c *Client) HoldConfirm(ctx context.Context, refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error) {
+	return holdCall(ctx, c, wire.OpConfirm, refs, (*wire.HoldRefJSON).Check, wire.AppendHoldRefList, wire.DecodeHoldStates)
 }
 
 // HoldAbort rolls holds back, by key or (the cancel path of a cross-shard
@@ -730,13 +678,13 @@ func (c *Client) HoldConfirm(ctx context.Context, refs []server.HoldRefJSON) ([]
 // the hold key and the peer point so the caller can abort the other side
 // too. Always safe: aborting an unknown or already-aborted key is a
 // recorded no-op on the daemon.
-func (c *Client) HoldAbort(ctx context.Context, refs []server.HoldRefJSON) ([]server.HoldStateJSON, error) {
-	return holdCall(ctx, c, "/v1/abort", server.OpAbort, refs, refKey, server.AppendHoldRefList, server.DecodeHoldStates)
+func (c *Client) HoldAbort(ctx context.Context, refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error) {
+	return holdCall(ctx, c, wire.OpAbort, refs, (*wire.HoldRefJSON).Check, wire.AppendHoldRefList, wire.DecodeHoldStates)
 }
 
 // Status fetches the live control-plane view.
-func (c *Client) Status(ctx context.Context) (server.StatusJSON, error) {
-	var out server.StatusJSON
+func (c *Client) Status(ctx context.Context) (wire.StatusJSON, error) {
+	var out wire.StatusJSON
 	err := c.do(ctx, http.MethodGet, "/v1/status", &out)
 	return out, err
 }
@@ -744,8 +692,8 @@ func (c *Client) Status(ctx context.Context) (server.StatusJSON, error) {
 // Health fetches the readiness probe. A draining daemon answers 503,
 // surfaced as an *APIError. Health is never retried — a probe wants the
 // current truth, not an eventually-friendly answer.
-func (c *Client) Health(ctx context.Context) (server.HealthJSON, error) {
-	var out server.HealthJSON
+func (c *Client) Health(ctx context.Context) (wire.HealthJSON, error) {
+	var out wire.HealthJSON
 	err := c.attemptJSON(ctx, c.Endpoint(), http.MethodGet, "/v1/healthz", &out)
 	return out, err
 }
@@ -771,8 +719,8 @@ func (c *Client) Promote(ctx context.Context) (cluster.PromoteJSON, error) {
 }
 
 // Metrics fetches the metrics counters in their JSON form.
-func (c *Client) Metrics(ctx context.Context) (server.MetricsJSON, error) {
-	var out server.MetricsJSON
+func (c *Client) Metrics(ctx context.Context) (wire.MetricsJSON, error) {
+	var out wire.MetricsJSON
 	err := c.do(ctx, http.MethodGet, "/v1/metricsz", &out)
 	return out, err
 }

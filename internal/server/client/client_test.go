@@ -10,6 +10,7 @@ import (
 
 	"gridbw/internal/server"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 // instant returns Options that never sleep on the real clock and record
@@ -172,7 +173,7 @@ func TestSubmitRetryNeverBooksTwice(t *testing.T) {
 	defer ts.Close()
 
 	c := NewWithOptions(ts.URL, nil, instant(nil))
-	dec, err := c.Submit(context.Background(), server.SubmitRequest{
+	dec, err := c.Submit(context.Background(), wire.SubmitRequest{
 		From: 0, To: 0,
 		VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 100,
 	})
@@ -206,10 +207,10 @@ func TestIdempotencyKeyStable(t *testing.T) {
 
 	c := NewWithOptions(ts.URL, nil, instant(nil))
 	ctx := context.Background()
-	if _, err := c.Submit(ctx, server.SubmitRequest{IdempotencyKey: "fixed"}); err != nil {
+	if _, err := c.Submit(ctx, wire.SubmitRequest{IdempotencyKey: "fixed"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(ctx, server.SubmitRequest{}); err != nil {
+	if _, err := c.Submit(ctx, wire.SubmitRequest{}); err != nil {
 		t.Fatal(err)
 	}
 	if seen[0] != "fixed" {
@@ -249,7 +250,7 @@ func TestSubmitBatchRetryNeverBooksTwice(t *testing.T) {
 	defer ts.Close()
 
 	c := NewWithOptions(ts.URL, nil, instant(nil))
-	results, err := c.SubmitBatch(context.Background(), []server.SubmitRequest{
+	results, err := c.SubmitBatch(context.Background(), []wire.SubmitRequest{
 		{From: 0, To: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 100},
 		{From: 1, To: 0, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 100},
 	})

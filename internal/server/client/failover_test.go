@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"gridbw/internal/cluster"
-	"gridbw/internal/server"
+	"gridbw/internal/wire"
 )
 
 // fakeDaemon is a scriptable endpoint for failover tests: it answers the
@@ -58,7 +58,7 @@ func framedKey(t *testing.T, r *http.Request) string {
 	if err != nil {
 		t.Error(err)
 	}
-	ws, err := server.DecodeBinarySubmitRequest(blob)
+	ws, err := wire.DecodeSubmitRequest(blob)
 	if err != nil {
 		t.Errorf("submit body is not a one-record frame: %v", err)
 	}
@@ -72,12 +72,12 @@ func (d *fakeDaemon) seenKeys() []string {
 }
 
 func acceptSubmit(w http.ResponseWriter, r *http.Request) {
-	json.NewEncoder(w).Encode(server.ReservationJSON{ID: 7, Accepted: true, State: "active"})
+	json.NewEncoder(w).Encode(wire.ReservationJSON{ID: 7, Accepted: true, State: "active"})
 }
 
 func refuseReadOnly(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusForbidden)
-	json.NewEncoder(w).Encode(server.ErrorJSON{Error: "server: read-only follower"})
+	json.NewEncoder(w).Encode(wire.ErrorJSON{Error: "server: read-only follower"})
 }
 
 // TestFailoverOnTransportError: the configured primary is unreachable; the
@@ -89,7 +89,7 @@ func TestFailoverOnTransportError(t *testing.T) {
 	alive := newFakeDaemon(t, "primary", 2, acceptSubmit)
 
 	c := NewWithOptions(dead.URL, nil, instant(nil), alive.ts.URL)
-	r, err := c.Submit(context.Background(), server.SubmitRequest{
+	r, err := c.Submit(context.Background(), wire.SubmitRequest{
 		From: 0, To: 1, VolumeBytes: 1e9, DeadlineS: 100, MaxRateBps: 1e9,
 		IdempotencyKey: "xfer-42",
 	})
@@ -112,7 +112,7 @@ func TestFailoverOnReadOnly(t *testing.T) {
 	primary := newFakeDaemon(t, "primary", 2, acceptSubmit)
 
 	c := NewWithOptions(follower.ts.URL, nil, instant(nil), primary.ts.URL)
-	r, err := c.Submit(context.Background(), server.SubmitRequest{
+	r, err := c.Submit(context.Background(), wire.SubmitRequest{
 		From: 0, To: 1, VolumeBytes: 1e9, DeadlineS: 100, MaxRateBps: 1e9,
 		IdempotencyKey: "xfer-43",
 	})
@@ -133,12 +133,12 @@ func TestFailoverOnReadOnly(t *testing.T) {
 func TestRediscoverPrefersHighestEpoch(t *testing.T) {
 	deposed := newFakeDaemon(t, "primary", 1, func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(server.ErrorJSON{Error: "flapping"})
+		json.NewEncoder(w).Encode(wire.ErrorJSON{Error: "flapping"})
 	})
 	promoted := newFakeDaemon(t, "primary", 2, acceptSubmit)
 
 	c := NewWithOptions(deposed.ts.URL, nil, instant(nil), promoted.ts.URL)
-	r, err := c.Submit(context.Background(), server.SubmitRequest{
+	r, err := c.Submit(context.Background(), wire.SubmitRequest{
 		From: 0, To: 1, VolumeBytes: 1e9, DeadlineS: 100, MaxRateBps: 1e9,
 	})
 	if err != nil || !r.Accepted {
@@ -158,7 +158,7 @@ func TestRediscoverPrefersHighestEpoch(t *testing.T) {
 func TestRediscoverOutwaitsFastStaleClaimant(t *testing.T) {
 	deposed := newFakeDaemon(t, "primary", 1, func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(server.ErrorJSON{Error: "flapping"})
+		json.NewEncoder(w).Encode(wire.ErrorJSON{Error: "flapping"})
 	})
 	follower := newFakeDaemon(t, "follower", 2, refuseReadOnly)
 	promoted := newFakeDaemon(t, "primary", 2, acceptSubmit)
@@ -167,7 +167,7 @@ func TestRediscoverOutwaitsFastStaleClaimant(t *testing.T) {
 	opts := instant(nil)
 	opts.CallTimeout = 2 * time.Second
 	c := NewWithOptions(deposed.ts.URL, nil, opts, follower.ts.URL, promoted.ts.URL)
-	r, err := c.Submit(context.Background(), server.SubmitRequest{
+	r, err := c.Submit(context.Background(), wire.SubmitRequest{
 		From: 0, To: 1, VolumeBytes: 1e9, DeadlineS: 100, MaxRateBps: 1e9,
 		IdempotencyKey: "xfer-45",
 	})
@@ -192,7 +192,7 @@ func TestRotateWhenNoPrimary(t *testing.T) {
 	opts := instant(nil)
 	opts.MaxRetries = 3
 	c := NewWithOptions(a.ts.URL, nil, opts, b.ts.URL)
-	_, err := c.Submit(context.Background(), server.SubmitRequest{
+	_, err := c.Submit(context.Background(), wire.SubmitRequest{
 		From: 0, To: 1, VolumeBytes: 1e9, DeadlineS: 100, MaxRateBps: 1e9,
 	})
 	if !IsReadOnly(err) {
@@ -224,7 +224,7 @@ func TestRediscoverBoundedByHungEndpoint(t *testing.T) {
 	// sequential sweep would stall a full CallTimeout before reaching it.
 	c := NewWithOptions(follower.ts.URL, nil, opts, hung.URL, f2.ts.URL, f3.ts.URL, primary.ts.URL)
 	started := time.Now()
-	r, err := c.Submit(context.Background(), server.SubmitRequest{
+	r, err := c.Submit(context.Background(), wire.SubmitRequest{
 		From: 0, To: 1, VolumeBytes: 1e9, DeadlineS: 100, MaxRateBps: 1e9,
 		IdempotencyKey: "xfer-44",
 	})
@@ -248,7 +248,7 @@ func TestRediscoverBoundedByHungEndpoint(t *testing.T) {
 func TestSingleEndpointReadOnlyFailsFast(t *testing.T) {
 	follower := newFakeDaemon(t, "follower", 1, refuseReadOnly)
 	c := NewWithOptions(follower.ts.URL, nil, instant(nil))
-	_, err := c.Submit(context.Background(), server.SubmitRequest{
+	_, err := c.Submit(context.Background(), wire.SubmitRequest{
 		From: 0, To: 1, VolumeBytes: 1e9, DeadlineS: 100, MaxRateBps: 1e9,
 	})
 	if !IsReadOnly(err) {
@@ -293,7 +293,7 @@ func TestProbeCooldownCachesNegativeSweeps(t *testing.T) {
 
 	submit := func() {
 		t.Helper()
-		_, err := c.Submit(context.Background(), server.SubmitRequest{
+		_, err := c.Submit(context.Background(), wire.SubmitRequest{
 			From: 0, To: 0, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 100,
 		})
 		if err == nil {

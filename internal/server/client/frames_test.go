@@ -16,6 +16,7 @@ import (
 	"gridbw/internal/server"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // TestJSONAnswerToFramedRequest: every call with a body goes out framed,
@@ -23,18 +24,18 @@ import (
 // double, an older daemon — is still understood: the decoder follows the
 // response's Content-Type, not the request's.
 func TestJSONAnswerToFramedRequest(t *testing.T) {
-	reservation := server.ReservationJSON{ID: 7, Accepted: true, State: "active", RateBps: 5e7, Rate: "50MB/s", TauS: 20, Routed: server.RoutedCrossShard}
-	reserved := server.HoldReserveResponseJSON{Hold: "h", Held: true, ID: 3, RateBps: 1e7, TauS: 100, Epoch: 2, NowS: 1}
-	state := server.HoldStateJSON{Hold: "h", State: "confirmed", Side: "in", PeerPoint: 1, Epoch: 2}
+	reservation := wire.ReservationJSON{ID: 7, Accepted: true, State: "active", RateBps: 5e7, Rate: "50MB/s", TauS: 20, Routed: wire.RoutedCrossShard}
+	reserved := wire.HoldReserveResponseJSON{Hold: "h", Held: true, ID: 3, RateBps: 1e7, TauS: 100, Epoch: 2, NowS: 1}
+	state := wire.HoldStateJSON{Hold: "h", State: "confirmed", Side: "in", PeerPoint: 1, Epoch: 2}
 	answers := map[string]any{
 		"/v1/requests": reservation,
-		"/v1/batch":    server.BatchResponse{Results: []server.BatchItemJSON{{Reservation: &reservation}, {Error: "nope"}}},
-		"/v1/reserve":  server.HoldResultsJSON[server.HoldReserveResponseJSON]{Results: []server.HoldReserveResponseJSON{reserved}},
-		"/v1/confirm":  server.HoldResultsJSON[server.HoldStateJSON]{Results: []server.HoldStateJSON{state}},
-		"/v1/abort":    server.HoldResultsJSON[server.HoldStateJSON]{Results: []server.HoldStateJSON{state}},
+		"/v1/batch":    wire.BatchResponse{Results: []wire.BatchItemJSON{{Reservation: &reservation}, {Error: "nope"}}},
+		"/v1/reserve":  wire.HoldResultsJSON[wire.HoldReserveResponseJSON]{Results: []wire.HoldReserveResponseJSON{reserved}},
+		"/v1/confirm":  wire.HoldResultsJSON[wire.HoldStateJSON]{Results: []wire.HoldStateJSON{state}},
+		"/v1/abort":    wire.HoldResultsJSON[wire.HoldStateJSON]{Results: []wire.HoldStateJSON{state}},
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if ct := r.Header.Get("Content-Type"); ct != server.BinaryBatchContentType {
+		if ct := r.Header.Get("Content-Type"); ct != wire.ContentType {
 			t.Errorf("%s arrived as %q, want a frame", r.URL.Path, ct)
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -43,22 +44,22 @@ func TestJSONAnswerToFramedRequest(t *testing.T) {
 	defer ts.Close()
 	c := NewWithOptions(ts.URL, nil, instant(nil))
 	ctx := context.Background()
-	req := server.SubmitRequest{From: 0, To: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 100}
+	req := wire.SubmitRequest{From: 0, To: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 100}
 
 	if got, err := c.Submit(ctx, req); err != nil || got != reservation {
 		t.Errorf("Submit = %+v, %v", got, err)
 	}
-	items, err := c.SubmitBatch(ctx, []server.SubmitRequest{req, req})
+	items, err := c.SubmitBatch(ctx, []wire.SubmitRequest{req, req})
 	if err != nil || len(items) != 2 || items[0].Reservation == nil || *items[0].Reservation != reservation || items[1].Error != "nope" {
 		t.Errorf("SubmitBatch = %+v, %v", items, err)
 	}
-	if got, err := c.HoldReserve(ctx, []server.HoldReserveJSON{{Hold: "h", Side: "in"}}); err != nil || len(got) != 1 || got[0] != reserved {
+	if got, err := c.HoldReserve(ctx, []wire.HoldReserveJSON{{Hold: "h", Side: "in"}}); err != nil || len(got) != 1 || got[0] != reserved {
 		t.Errorf("HoldReserve = %+v, %v", got, err)
 	}
-	if got, err := c.HoldConfirm(ctx, []server.HoldRefJSON{{Hold: "h"}}); err != nil || len(got) != 1 || got[0] != state {
+	if got, err := c.HoldConfirm(ctx, []wire.HoldRefJSON{{Hold: "h"}}); err != nil || len(got) != 1 || got[0] != state {
 		t.Errorf("HoldConfirm = %+v, %v", got, err)
 	}
-	if got, err := c.HoldAbort(ctx, []server.HoldRefJSON{{Hold: "h"}}); err != nil || len(got) != 1 || got[0] != state {
+	if got, err := c.HoldAbort(ctx, []wire.HoldRefJSON{{Hold: "h"}}); err != nil || len(got) != 1 || got[0] != state {
 		t.Errorf("HoldAbort = %+v, %v", got, err)
 	}
 }
@@ -79,14 +80,14 @@ func TestUnframeableRequests(t *testing.T) {
 	defer ts.Close()
 	c := NewWithOptions(ts.URL, nil, instant(nil))
 	ctx := context.Background()
-	good := server.SubmitRequest{From: 0, To: 1, Volume: "1GB", MaxRate: "100MB/s", DeadlineIn: "100s"}
-	bad := server.SubmitRequest{From: 0, To: 1, Volume: "1GB", VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 100}
+	good := wire.SubmitRequest{From: 0, To: 1, Volume: "1GB", MaxRate: "100MB/s", DeadlineIn: "100s"}
+	bad := wire.SubmitRequest{From: 0, To: 1, Volume: "1GB", VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 100}
 
 	_, err = c.Submit(ctx, bad)
 	if ae, ok := err.(*APIError); !ok || ae.StatusCode != http.StatusBadRequest || ae.Message != "both volume and volume_bytes set" {
 		t.Errorf("Submit(unframeable) = %v, want the daemon's 400", err)
 	}
-	items, err := c.SubmitBatch(ctx, []server.SubmitRequest{good, bad, good})
+	items, err := c.SubmitBatch(ctx, []wire.SubmitRequest{good, bad, good})
 	if err != nil || len(items) != 3 {
 		t.Fatalf("SubmitBatch = %+v, %v", items, err)
 	}
@@ -98,7 +99,7 @@ func TestUnframeableRequests(t *testing.T) {
 			t.Errorf("item %d = %+v, want accepted", i, items[i])
 		}
 	}
-	if items, err = c.SubmitBatch(ctx, []server.SubmitRequest{bad}); err != nil || len(items) != 1 || items[0].Error == "" {
+	if items, err = c.SubmitBatch(ctx, []wire.SubmitRequest{bad}); err != nil || len(items) != 1 || items[0].Error == "" {
 		t.Errorf("all-unframeable batch = %+v, %v", items, err)
 	}
 	if st := srv.Status(); st.Stats.Submitted != 2 {
@@ -124,7 +125,7 @@ func TestRetriesResendIdenticalFrames(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		subs, err := server.DecodeBinaryBatchRequest(body, 0)
+		subs, err := wire.DecodeBatchRequest(body, 0)
 		if err != nil {
 			t.Errorf("%s: attempt carried an undecodable frame: %v", r.URL.Path, err)
 			w.WriteHeader(http.StatusBadRequest)
@@ -143,12 +144,12 @@ func TestRetriesResendIdenticalFrames(t *testing.T) {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
-		items := make([]server.BatchItemJSON, len(subs))
+		items := make([]wire.BatchItemJSON, len(subs))
 		for i := range subs {
-			items[i].Reservation = &server.ReservationJSON{ID: subs[i].From, Accepted: true, State: "active", RateBps: float64(subs[i].Volume)}
+			items[i].Reservation = &wire.ReservationJSON{ID: subs[i].From, Accepted: true, State: "active", RateBps: float64(subs[i].Volume)}
 		}
-		w.Header().Set("Content-Type", server.BinaryBatchContentType)
-		w.Write(server.AppendBinaryBatchItems(nil, items))
+		w.Header().Set("Content-Type", wire.ContentType)
+		w.Write(wire.AppendBatchItems(nil, items))
 	}))
 	defer ts.Close()
 	c := NewWithOptions(ts.URL, nil, instant(nil))
@@ -164,9 +165,9 @@ func TestRetriesResendIdenticalFrames(t *testing.T) {
 				// From and the volume name the call, so an answer built from
 				// another call's bytes is told apart.
 				n := 1 + (g+i)%9*(i%7)
-				reqs := make([]server.SubmitRequest, n)
+				reqs := make([]wire.SubmitRequest, n)
 				for j := range reqs {
-					reqs[j] = server.SubmitRequest{
+					reqs[j] = wire.SubmitRequest{
 						From: g*1000 + i, To: j, VolumeBytes: float64(g*1000 + i + 1), MaxRateBps: 1e8, DeadlineS: 100,
 						IdempotencyKey: fmt.Sprintf("g%d-i%d-j%d-%s", g, i, j, strings.Repeat("x", (g*i)%40)),
 					}
@@ -237,17 +238,17 @@ func TestDurableSubmitReportsReplicated(t *testing.T) {
 
 	c := NewWithOptions(ts.URL, nil, instant(nil))
 	ctx := context.Background()
-	req := server.SubmitRequest{From: 0, To: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 3600, Durable: true}
+	req := wire.SubmitRequest{From: 0, To: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 3600, Durable: true}
 	res, err := c.Submit(ctx, req)
-	if err != nil || !res.Accepted || res.Durability != server.DurabilityReplicated {
-		t.Fatalf("durable Submit = %+v, %v; want accepted and %q", res, err, server.DurabilityReplicated)
+	if err != nil || !res.Accepted || res.Durability != wire.DurabilityReplicated {
+		t.Fatalf("durable Submit = %+v, %v; want accepted and %q", res, err, wire.DurabilityReplicated)
 	}
-	items, err := c.SubmitBatch(ctx, []server.SubmitRequest{req, req})
+	items, err := c.SubmitBatch(ctx, []wire.SubmitRequest{req, req})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, it := range items {
-		if it.Reservation == nil || it.Reservation.Durability != server.DurabilityReplicated {
+		if it.Reservation == nil || it.Reservation.Durability != wire.DurabilityReplicated {
 			t.Errorf("durable batch item %d = %+v", i, it)
 		}
 	}

@@ -12,20 +12,27 @@ import (
 	"sync"
 	"time"
 
-	"gridbw/internal/server"
+	"gridbw/internal/wire"
 )
 
-// The client's half of the call stream (server/calls.go): one connection
-// per endpoint, taken over by the first framed call whose upgrade offer the
-// server accepted, and shared by every caller after it. Each call writes a
-// tagged frame and waits for the answer with its tag; one reader goroutine
-// hands the answers out. Nothing on the stream is retried: a failure of
-// the stream fails every call on it, and the retry loop re-sends each over
-// HTTP with its idempotency key.
+// The client's half of the call stream (wire.CallProtocol; the daemon's
+// half is server/calls.go): one connection per endpoint, taken over by the
+// first framed call whose upgrade offer the server accepted, and shared by
+// every caller after it. A daemon or router that takes the offer answers
+// the call as the stream's first frame; from then on every framed call to
+// that endpoint is a tagged frame on that one connection, pipelined with
+// the other callers', instead of an HTTP round trip. A server that ignores
+// the offer answers over HTTP, and the next call offers again. Each call
+// writes a tagged frame and waits for the answer with its tag; one reader
+// goroutine hands the answers out. Nothing on the stream is retried: a
+// stream that fails — a read or write error, the per-attempt deadline, a
+// cancelled context — fails every call pending on it with a transport
+// error, and the retry loop re-sends each over HTTP with its idempotency
+// key, offering again.
 
 var (
 	upgradeHeader      = []string{"Upgrade"}
-	callProtocolHeader = []string{server.CallProtocol}
+	callProtocolHeader = []string{wire.CallProtocol}
 	errClientClosed    = errors.New("client closed")
 )
 
@@ -61,15 +68,15 @@ func (c *Client) offered(base string) {
 // already open.
 func (c *Client) adopt(ctx context.Context, base string, resp *http.Response, jsonOut any, fromFrame func([]byte) error) error {
 	rwc, ok := resp.Body.(io.ReadWriteCloser)
-	if !ok || !strings.EqualFold(resp.Header.Get("Upgrade"), server.CallProtocol) {
+	if !ok || !strings.EqualFold(resp.Header.Get("Upgrade"), wire.CallProtocol) {
 		resp.Body.Close()
-		return fmt.Errorf("gridbwd: upgrade to %q, want %q", resp.Header.Get("Upgrade"), server.CallProtocol)
+		return fmt.Errorf("gridbwd: upgrade to %q, want %q", resp.Header.Get("Upgrade"), wire.CallProtocol)
 	}
 	cs := &callStream{rwc: rwc, br: bufio.NewReader(rwc), pending: map[uint32]*pendingCall{}}
 	stop := context.AfterFunc(ctx, func() { rwc.Close() })
-	buf := server.NewFrameBuf()
+	buf := wire.NewFrameBuf()
 	defer buf.Release()
-	tag, status, codec, body, err := server.ReadAnswer(cs.br, buf)
+	tag, status, codec, body, err := wire.ReadAnswer(cs.br, buf)
 	if !stop() {
 		err = ctx.Err()
 	}
@@ -99,15 +106,24 @@ func (c *Client) adopt(ctx context.Context, base string, resp *http.Response, js
 	return decodeAnswer(status, codec, body, jsonOut, fromFrame)
 }
 
-// decodeAnswer reads one answer of the stream the way attempt reads an HTTP
-// one: a status of 300 or more is an *APIError, a frame goes to fromFrame
-// and JSON to jsonOut.
+// decodeAnswer reads one answer, off the stream or over HTTP: a frame goes
+// to fromFrame and JSON to jsonOut, and a status of 300 or more is an
+// *APIError — the JSON error envelope's text when there is one, otherwise
+// the raw body (a 409 cancel answer carries the reservation, not an
+// envelope), otherwise the status line.
 func decodeAnswer(status int, codec byte, body []byte, jsonOut any, fromFrame func([]byte) error) error {
 	if status >= 300 {
-		return apiError(status, fmt.Sprintf("%d %s", status, http.StatusText(status)), body)
+		ae := &APIError{StatusCode: status, Message: fmt.Sprintf("%d %s", status, http.StatusText(status))}
+		var env wire.ErrorJSON
+		if json.Unmarshal(body, &env) == nil && env.Error != "" {
+			ae.Message, ae.RetryAfter = env.Error, time.Duration(max(env.RetryAfterS, 0))*time.Second
+		} else if len(body) > 0 {
+			ae.Message = strings.TrimSpace(string(body))
+		}
+		return ae
 	}
 	var err error
-	if codec == server.CodecFrame && fromFrame != nil {
+	if codec == wire.CodecFrame && fromFrame != nil {
 		err = fromFrame(body)
 	} else {
 		err = json.Unmarshal(body, jsonOut)
@@ -140,7 +156,7 @@ type pendingCall struct {
 	status int
 	codec  byte
 	body   []byte
-	buf    *server.FrameBuf
+	buf    *wire.FrameBuf
 	err    error
 }
 
@@ -150,7 +166,7 @@ var pendingPool = sync.Pool{New: func() any { return &pendingCall{done: make(cha
 // (timeout, when positive) or the end of ctx fails the whole stream: an
 // answer that did not come in time may never come, and a connection that
 // swallows calls must not take the next ones too.
-func (cs *callStream) call(ctx context.Context, timeout time.Duration, op byte, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
+func (cs *callStream) call(ctx context.Context, timeout time.Duration, op wire.Op, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
 	p := pendingPool.Get().(*pendingCall)
 	cs.mu.Lock()
 	if cs.err != nil {
@@ -175,7 +191,7 @@ func (cs *callStream) call(ctx context.Context, timeout time.Duration, op byte, 
 		defer stop()
 	}
 	cs.wmu.Lock()
-	cs.wbuf = server.AppendCall(cs.wbuf[:0], tag, op, frame)
+	cs.wbuf = wire.AppendCall(cs.wbuf[:0], tag, op, frame)
 	_, err := cs.rwc.Write(cs.wbuf)
 	if cap(cs.wbuf) > 64<<10 {
 		cs.wbuf = nil
@@ -199,8 +215,8 @@ func (cs *callStream) call(ctx context.Context, timeout time.Duration, op byte, 
 // read hands each answer to the call with its tag until the stream fails.
 func (cs *callStream) read() {
 	for {
-		buf := server.NewFrameBuf()
-		tag, status, codec, body, err := server.ReadAnswer(cs.br, buf)
+		buf := wire.NewFrameBuf()
+		tag, status, codec, body, err := wire.ReadAnswer(cs.br, buf)
 		if err != nil {
 			buf.Release()
 			cs.fail(err)

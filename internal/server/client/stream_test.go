@@ -14,6 +14,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // The call stream's failure model: a stream is a faster carrier for the same
@@ -63,12 +64,12 @@ func newStreamRig(t *testing.T, cfg server.Config) *streamRig {
 	return rig
 }
 
-func submitReq(from, to int) server.SubmitRequest {
-	return server.SubmitRequest{From: from, To: to, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 1e4}
+func submitReq(from, to int) wire.SubmitRequest {
+	return wire.SubmitRequest{From: from, To: to, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 1e4}
 }
 
 // mustSubmit submits and fails the test unless the submission is granted.
-func mustSubmit(t *testing.T, c *Client, req server.SubmitRequest) server.ReservationJSON {
+func mustSubmit(t *testing.T, c *Client, req wire.SubmitRequest) wire.ReservationJSON {
 	t.Helper()
 	res, err := c.Submit(context.Background(), req)
 	if err != nil || !res.Accepted {
@@ -93,7 +94,7 @@ func TestStreamCarriesEveryFramedCall(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustSubmit(t, c, submitReq(1, 0))
 	}
-	items, err := c.SubmitBatch(ctx, []server.SubmitRequest{submitReq(0, 0), submitReq(1, 1)})
+	items, err := c.SubmitBatch(ctx, []wire.SubmitRequest{submitReq(0, 0), submitReq(1, 1)})
 	if err != nil || len(items) != 2 || items[0].Reservation == nil || items[1].Reservation == nil {
 		t.Fatalf("batch = %+v, %v", items, err)
 	}
@@ -194,7 +195,7 @@ func parkDurable(t *testing.T, c *Client, srv *server.Server) <-chan error {
 		req := submitReq(0, 0)
 		req.Durable = true
 		res, err := c.Submit(context.Background(), req)
-		if err == nil && res.Durability != server.DurabilityDegraded {
+		if err == nil && res.Durability != wire.DurabilityDegraded {
 			t.Errorf("durable submit = %+v, want it degraded at the sync deadline", res)
 		}
 		done <- err

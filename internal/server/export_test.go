@@ -7,6 +7,7 @@ import (
 
 	"gridbw/internal/hold"
 	"gridbw/internal/topology"
+	"gridbw/internal/wire"
 )
 
 // HoldRows copies the hold table for the external tests: every hold in key
@@ -53,16 +54,9 @@ func (s *Server) LedgerFloors() []float64 {
 	return floors
 }
 
-// The replication stream's codec, for the external tests.
-var (
-	AppendReplBatch  = appendReplBatch
-	AppendReplGone   = appendReplGone
-	AppendReplReseed = appendReplReseed
-	DecodeReplFrame  = decodeReplFrame
-	ReadReplFrame    = readFrame
-	AppendReplAck    = appendPos
-	DecodeReplAck    = decodeReplAck
-)
+// AppendReplReseed is the re-seed a primary streams, for the external
+// tests.
+var AppendReplReseed = appendReplReseed
 
 // FollowStream is the follower's side of one replication stream over rw,
 // as the pull loop runs it once a pull is upgraded: it returns when rw
@@ -81,17 +75,13 @@ func SetStreamClocks(t testing.TB, heartbeat, idle time.Duration) {
 	t.Cleanup(func() { streamHeartbeat, streamIdle = oldHeartbeat, oldIdle })
 }
 
-// The call stream's codec, for the external tests.
-var (
-	ReadCall           = readCall
-	AppendAnswerHeader = appendAnswerHeader
-	AppendJSONFrame    = appendJSONFrame
-	WantsUpgrade       = wantsUpgrade
-)
+// WantsUpgrade reports whether a request offers an upgrade, for the
+// external tests.
+var WantsUpgrade = wantsUpgrade
 
 // PanicOn makes every call of op panic until t ends. Call it before any
 // traffic reaches the servers t uses.
-func PanicOn(t testing.TB, op byte) {
+func PanicOn(t testing.TB, op wire.Op) {
 	saved := serverOps[op]
 	serverOps[op].call = func(*Server, *Call) Reply { panic("kaboom") }
 	t.Cleanup(func() { serverOps[op] = saved })

@@ -14,6 +14,7 @@ import (
 	"gridbw/internal/server"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // The fail-stop contract after a disk fault (the fsyncgate lesson): once
@@ -82,7 +83,7 @@ func TestWALPoisonRefusesDurableUntilRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var health server.HealthJSON
+	var health wire.HealthJSON
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestPoisonedFollowerStopsAcking(t *testing.T) {
 		return res[0]
 	}
 	for i := 0; i < 3; i++ {
-		if res := durable(i); res.Durability != server.DurabilityReplicated {
+		if res := durable(i); res.Durability != wire.DurabilityReplicated {
 			t.Fatalf("healthy follower: submit %d answered %q", i, res.Durability)
 		}
 	}
@@ -208,7 +209,7 @@ func TestPoisonedFollowerStopsAcking(t *testing.T) {
 	// The next frame the follower appends hits a failed fsync.
 	dfs.FailNextFsyncs(1)
 	for i := 3; i < 6; i++ {
-		if res := durable(i); res.Durability != server.DurabilityDegraded {
+		if res := durable(i); res.Durability != wire.DurabilityDegraded {
 			t.Fatalf("submit %d answered %q although its only follower never persisted it", i, res.Durability)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 
 	"gridbw/internal/server"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 // The JSON≡frames proof. Two identical daemons on one fake clock are driven
@@ -46,7 +47,7 @@ func newFaces(t *testing.T, clk *fakeClock) (jsonFace, frameFace *face) {
 func (f *face) post(path string, body []byte) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	if f.framed {
-		req.Header.Set("Content-Type", server.BinaryBatchContentType)
+		req.Header.Set("Content-Type", wire.ContentType)
 	}
 	rec := httptest.NewRecorder()
 	f.h.ServeHTTP(rec, req)
@@ -77,7 +78,7 @@ func call[A any](t testing.TB, f *face, path string, v any, frame []byte,
 	rec := f.post(path, body)
 	ans := answer{code: rec.Code}
 	if rec.Code >= 300 {
-		var env server.ErrorJSON
+		var env wire.ErrorJSON
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == "" {
 			t.Fatalf("%s answered %d without an error envelope: %q", path, rec.Code, rec.Body.String())
 		}
@@ -86,7 +87,7 @@ func call[A any](t testing.TB, f *face, path string, v any, frame []byte,
 	}
 	decode, wantCT := fromJSON, "application/json"
 	if f.framed {
-		decode, wantCT = fromFrame, server.BinaryBatchContentType
+		decode, wantCT = fromFrame, wire.ContentType
 	}
 	if ct := rec.Header().Get("Content-Type"); ct != wantCT {
 		t.Fatalf("%s answered Content-Type %q to a %q request", path, ct, wantCT)
@@ -105,34 +106,34 @@ func unmarshal[A any](b []byte) (A, error) {
 	return v, err
 }
 
-func (f *face) submit(t testing.TB, req server.SubmitRequest) answer {
+func (f *face) submit(t testing.TB, req wire.SubmitRequest) answer {
 	ws, err := req.Wire()
 	if err != nil {
 		t.Fatalf("schedule generated an unframeable request: %v", err)
 	}
-	ans := call(t, f, "/v1/requests", req, server.AppendBinarySubmitRequest(nil, &ws),
-		unmarshal[server.ReservationJSON], server.DecodeBinarySubmitResponse)
-	if rj, ok := ans.value.(server.ReservationJSON); ok {
+	ans := call(t, f, "/v1/requests", req, wire.AppendSubmitRequest(nil, &ws),
+		unmarshal[wire.ReservationJSON], wire.DecodeSubmitResponse)
+	if rj, ok := ans.value.(wire.ReservationJSON); ok {
 		rj.Rate = "" // the human string is JSON's alone
 		ans.value = rj
 	}
 	return ans
 }
 
-func (f *face) batch(t testing.TB, reqs []server.SubmitRequest) answer {
-	subs := make([]server.WireSubmission, len(reqs))
+func (f *face) batch(t testing.TB, reqs []wire.SubmitRequest) answer {
+	subs := make([]wire.Submission, len(reqs))
 	for i, req := range reqs {
 		var err error
 		if subs[i], err = req.Wire(); err != nil {
 			t.Fatalf("schedule generated an unframeable request: %v", err)
 		}
 	}
-	ans := call(t, f, "/v1/batch", server.BatchRequest{Requests: reqs}, server.AppendBinaryBatchRequest(nil, subs),
-		func(b []byte) ([]server.BatchItemJSON, error) {
-			resp, err := unmarshal[server.BatchResponse](b)
+	ans := call(t, f, "/v1/batch", wire.BatchRequest{Requests: reqs}, wire.AppendBatchRequest(nil, subs),
+		func(b []byte) ([]wire.BatchItemJSON, error) {
+			resp, err := unmarshal[wire.BatchResponse](b)
 			return resp.Results, err
-		}, server.DecodeBinaryBatchResponse)
-	if items, ok := ans.value.([]server.BatchItemJSON); ok {
+		}, wire.DecodeBatchResponse)
+	if items, ok := ans.value.([]wire.BatchItemJSON); ok {
 		flat := make([]any, len(items))
 		for i, it := range items {
 			if it.Reservation == nil {
@@ -149,18 +150,18 @@ func (f *face) batch(t testing.TB, reqs []server.SubmitRequest) answer {
 }
 
 func holdResults[A any](b []byte) ([]A, error) {
-	resp, err := unmarshal[server.HoldResultsJSON[A]](b)
+	resp, err := unmarshal[wire.HoldResultsJSON[A]](b)
 	return resp.Results, err
 }
 
-func (f *face) reserve(t testing.TB, reqs []server.HoldReserveJSON) answer {
-	return call(t, f, "/v1/reserve", server.HoldListJSON[server.HoldReserveJSON]{Holds: reqs},
-		server.AppendHoldReserveList(nil, reqs), holdResults[server.HoldReserveResponseJSON], server.DecodeHoldReserveResults)
+func (f *face) reserve(t testing.TB, reqs []wire.HoldReserveJSON) answer {
+	return call(t, f, "/v1/reserve", wire.HoldListJSON[wire.HoldReserveJSON]{Holds: reqs},
+		wire.AppendHoldReserveList(nil, reqs), holdResults[wire.HoldReserveResponseJSON], wire.DecodeHoldReserveResults)
 }
 
-func (f *face) refs(t testing.TB, path string, refs []server.HoldRefJSON) answer {
-	return call(t, f, path, server.HoldListJSON[server.HoldRefJSON]{Holds: refs},
-		server.AppendHoldRefList(nil, refs), holdResults[server.HoldStateJSON], server.DecodeHoldStates)
+func (f *face) refs(t testing.TB, path string, refs []wire.HoldRefJSON) answer {
+	return call(t, f, path, wire.HoldListJSON[wire.HoldRefJSON]{Holds: refs},
+		wire.AppendHoldRefList(nil, refs), holdResults[wire.HoldStateJSON], wire.DecodeHoldStates)
 }
 
 // schedule reads a call schedule off a byte string; exhausted, it yields
@@ -190,8 +191,8 @@ func (sc *schedule) point() int { return pickOf(sc, 0, 1, 0, 1, 0, 1, -1, 2) }
 // quantities feasible and not, in base units or — where JSON has a human
 // spelling that parses to exactly the same float — spelled out; a small key
 // alphabet so that schedules replay keys.
-func (sc *schedule) submission() server.SubmitRequest {
-	req := server.SubmitRequest{From: sc.point(), To: sc.point()}
+func (sc *schedule) submission() wire.SubmitRequest {
+	req := wire.SubmitRequest{From: sc.point(), To: sc.point()}
 	switch v := sc.next() % 8; v {
 	case 0:
 		req.Volume = "10GB"
@@ -230,8 +231,8 @@ func (sc *schedule) holdKey() string {
 	return ""
 }
 
-func (sc *schedule) holdReserve() server.HoldReserveJSON {
-	return server.HoldReserveJSON{
+func (sc *schedule) holdReserve() wire.HoldReserveJSON {
+	return wire.HoldReserveJSON{
 		Hold: sc.holdKey(), Side: pickOf(sc, "in", "eg", "in", "eg", "", "sideways"),
 		Point: sc.point(), PeerPoint: sc.next() % 2,
 		TTLS: pickOf[float64](sc, 0, 0.5, 5, 1000), RelTimes: sc.next()%2 == 0,
@@ -241,8 +242,8 @@ func (sc *schedule) holdReserve() server.HoldReserveJSON {
 	}
 }
 
-func (sc *schedule) holdRef() server.HoldRefJSON {
-	ref := server.HoldRefJSON{Hold: sc.holdKey()}
+func (sc *schedule) holdRef() wire.HoldRefJSON {
+	ref := wire.HoldRefJSON{Hold: sc.holdKey()}
 	switch v := sc.next() % 32; {
 	case v == 0:
 		ref.Epoch = 2 // fences the whole confirm off
@@ -279,14 +280,14 @@ func runSchedule(t *testing.T, data []byte) {
 			what = fmt.Sprintf("submit %+v", req)
 			ja, fa = jf.submit(t, req), ff.submit(t, req)
 		case 1:
-			reqs := make([]server.SubmitRequest, sc.listLen())
+			reqs := make([]wire.SubmitRequest, sc.listLen())
 			for i := range reqs {
 				reqs[i] = sc.submission()
 			}
 			what, sized = fmt.Sprintf("batch %+v", reqs), len(reqs) >= 1 && len(reqs) <= faceMaxBatch
 			ja, fa = jf.batch(t, reqs), ff.batch(t, reqs)
 		case 2:
-			reqs := make([]server.HoldReserveJSON, sc.listLen())
+			reqs := make([]wire.HoldReserveJSON, sc.listLen())
 			for i := range reqs {
 				reqs[i] = sc.holdReserve()
 			}
@@ -294,7 +295,7 @@ func runSchedule(t *testing.T, data []byte) {
 			ja, fa = jf.reserve(t, reqs), ff.reserve(t, reqs)
 		case 3, 4:
 			path := pickOf(sc, "/v1/confirm", "/v1/confirm", "/v1/confirm", "/v1/abort")
-			refs := make([]server.HoldRefJSON, sc.listLen())
+			refs := make([]wire.HoldRefJSON, sc.listLen())
 			for i := range refs {
 				refs[i] = sc.holdRef()
 			}
@@ -370,21 +371,21 @@ func TestMalformedFrameBooksNothing(t *testing.T) {
 	_, ff := newFaces(t, clk)
 	id := 0
 	valid := map[string][]byte{
-		"/v1/requests": server.AppendBinarySubmitRequest(nil, &server.WireSubmission{
+		"/v1/requests": wire.AppendSubmitRequest(nil, &wire.Submission{
 			From: 0, To: 1, Volume: 1e9, MaxRate: 1e8, Deadline: 100, IdempotencyKey: "k"}),
-		"/v1/batch": server.AppendBinaryBatchRequest(nil, []server.WireSubmission{
+		"/v1/batch": wire.AppendBatchRequest(nil, []wire.Submission{
 			{From: 0, To: 1, Volume: 1e9, MaxRate: 1e8, Deadline: 100, IdempotencyKey: "a"},
 			{From: 1, To: 0, Volume: 1e9, MaxRate: 1e8, Deadline: 100}}),
-		"/v1/reserve": server.AppendHoldReserveList(nil, []server.HoldReserveJSON{
+		"/v1/reserve": wire.AppendHoldReserveList(nil, []wire.HoldReserveJSON{
 			{Hold: "h", Side: "in", Point: 0, PeerPoint: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 100}}),
-		"/v1/confirm": server.AppendHoldRefList(nil, []server.HoldRefJSON{{Hold: "h", Epoch: 1}}),
-		"/v1/abort":   server.AppendHoldRefList(nil, []server.HoldRefJSON{{Hold: "h"}, {ID: &id}}),
+		"/v1/confirm": wire.AppendHoldRefList(nil, []wire.HoldRefJSON{{Hold: "h", Epoch: 1}}),
+		"/v1/abort":   wire.AppendHoldRefList(nil, []wire.HoldRefJSON{{Hold: "h"}, {ID: &id}}),
 	}
 	before := bookingsOf(ff.srv)
 	refused := func(path, what string, body []byte) {
 		t.Helper()
 		rec := ff.post(path, body)
-		var env server.ErrorJSON
+		var env wire.ErrorJSON
 		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error == "" {
 			t.Fatalf("%s: %s answered %d %q, want 400 with an error envelope", path, what, rec.Code, rec.Body.String())
 		}
@@ -407,11 +408,11 @@ func TestMalformedFrameBooksNothing(t *testing.T) {
 	}
 	// A well-formed frame whose numbers are not: JSON cannot say NaN, the
 	// frame can (nonfinite_test.go goes through every field).
-	refused("/v1/requests", "NaN volume", server.AppendBinarySubmitRequest(nil, &server.WireSubmission{
+	refused("/v1/requests", "NaN volume", wire.AppendSubmitRequest(nil, &wire.Submission{
 		From: 0, To: 1, Volume: units.Volume(math.NaN()), MaxRate: 1e8, Deadline: 100, IdempotencyKey: "nan"}))
-	two := server.AppendBinaryBatchRequest(nil, make([]server.WireSubmission, 2))
+	two := wire.AppendBatchRequest(nil, make([]wire.Submission, 2))
 	refused("/v1/requests", "two-record frame", two)
-	big := server.AppendBinaryBatchRequest(nil, make([]server.WireSubmission, faceMaxBatch+1))
+	big := wire.AppendBatchRequest(nil, make([]wire.Submission, faceMaxBatch+1))
 	refused("/v1/batch", "oversized batch", big)
 	// And the valid frames are not refused: the harness above would pass
 	// vacuously against a daemon that refuses everything.

@@ -58,6 +58,7 @@ import (
 	"gridbw/internal/topology"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 const (
@@ -72,114 +73,16 @@ const (
 // (TTL lapse or explicit abort) — the router must abort the peer side.
 var ErrHoldAborted = errors.New("server: hold already aborted")
 
-// HoldReserveJSON is the POST /v1/reserve body. The ingress side carries
-// the submission (this shard takes the one-sided admission step and
-// proposes the grant); the egress side carries the proposed grant for an
-// authoritative one-sided check.
-type HoldReserveJSON struct {
-	Hold string `json:"hold"`
-	Side string `json:"side"` // "in" or "eg"
-	// Point is the local access point to book; PeerPoint the other
-	// side's index on its owning shard.
-	Point     int     `json:"point"`
-	PeerPoint int     `json:"peer_point"`
-	TTLS      float64 `json:"ttl_s,omitempty"`
-	// RelTimes marks every time field as an offset from this shard's
-	// current service clock instead of an absolute instant. Shard groups
-	// keep independent service clocks, so a router spanning them converts
-	// one shard's absolute window into offsets (via the NowS it answered)
-	// before presenting it to the other.
-	RelTimes bool `json:"rel_times,omitempty"`
-	// Submission fields (ingress side).
-	VolumeBytes float64 `json:"volume_bytes,omitempty"`
-	MaxRateBps  float64 `json:"max_rate_bps,omitempty"`
-	NotBeforeS  float64 `json:"not_before_s,omitempty"`
-	DeadlineS   float64 `json:"deadline_s,omitempty"`
-	// Proposed grant (egress side).
-	RateBps float64 `json:"rate_bps,omitempty"`
-	SigmaS  float64 `json:"sigma_s,omitempty"`
-	TauS    float64 `json:"tau_s,omitempty"`
-}
-
-// HoldReserveResponseJSON is the POST /v1/reserve answer. Held=false is
-// a domain refusal (200), not a transport failure.
-type HoldReserveResponseJSON struct {
-	Hold string `json:"hold"`
-	Held bool   `json:"held"`
-	// ID is the ingress-side local request ID backing the pair; -1 on
-	// the egress side.
-	ID      int     `json:"id"`
-	RateBps float64 `json:"rate_bps,omitempty"`
-	SigmaS  float64 `json:"sigma_s,omitempty"`
-	TauS    float64 `json:"tau_s,omitempty"`
-	// Epoch is this shard's fencing epoch at reserve time; the router
-	// presents it on CONFIRM so a failover mid-hold is detected.
-	Epoch uint64 `json:"epoch"`
-	// NowS is this shard's service clock at answer time, so the caller
-	// can convert the absolute grant window into offsets for the peer
-	// shard (whose service clock is independent).
-	NowS   float64 `json:"now_s"`
-	Reason string  `json:"reason,omitempty"`
-	// Code and Error report this item's own failure as the HTTP status and
-	// message a one-item call would have answered (400: malformed); zero
-	// when the item was decided.
-	Code  int    `json:"code,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-// HoldRefJSON addresses a hold on POST /v1/confirm and /v1/abort: by key,
-// or (abort only) by the ingress-side local request ID a cancel resolved.
-type HoldRefJSON struct {
-	Hold string `json:"hold,omitempty"`
-	// ID is a pointer because 0 is a valid request ID: absent and zero
-	// must stay distinguishable on the wire.
-	ID *int `json:"id,omitempty"`
-	// Epoch, when non-zero on confirm, must match the shard's current
-	// fencing epoch — a confirm aimed at a deposed lineage is refused.
-	Epoch uint64 `json:"epoch,omitempty"`
-}
-
-// HoldStateJSON answers confirm and abort.
-type HoldStateJSON struct {
-	Hold  string `json:"hold"`
-	State string `json:"state"`
-	// Released reports whether this call returned booked capacity.
-	Released bool `json:"released"`
-	// Side/PeerPoint let an abort-by-ID caller find the other half of
-	// the pair.
-	Side      string `json:"side,omitempty"`
-	PeerPoint int    `json:"peer_point"`
-	Epoch     uint64 `json:"epoch"`
-	// Code and Error report this item's own failure (400: no key or id,
-	// 404: unknown hold, 409: confirm of a hold that already rolled back —
-	// the caller must abort the peer side); zero when the item was applied.
-	Code  int    `json:"code,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-// HoldListJSON is the body of POST /v1/reserve (T = HoldReserveJSON) and
-// of POST /v1/confirm and /v1/abort (T = HoldRefJSON): every hold one
-// caller has for this shard, decided in list order.
-type HoldListJSON[T any] struct {
-	Holds []T `json:"holds"`
-}
-
-// HoldResultsJSON answers a HoldListJSON, one result per hold in list
-// order (HoldReserveResponseJSON for reserve, HoldStateJSON otherwise).
-type HoldResultsJSON[T any] struct {
-	Results []T `json:"results"`
-}
-
 // HoldReserve places (or idempotently re-answers) one-sided holds, in
 // list order under one pass of the service clock.
-func (s *Server) HoldReserve(reqs []HoldReserveJSON) ([]HoldReserveResponseJSON, error) {
+func (s *Server) HoldReserve(reqs []wire.HoldReserveJSON) ([]wire.HoldReserveResponseJSON, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
 		return nil, err
 	}
 	s.advanceLocked()
-	out := make([]HoldReserveResponseJSON, len(reqs))
+	out := make([]wire.HoldReserveResponseJSON, len(reqs))
 	for i, req := range reqs {
 		if s.wal != nil && s.wal.Poisoned() != nil {
 			// A hold that cannot be WAL-logged would vanish on failover while
@@ -193,7 +96,7 @@ func (s *Server) HoldReserve(reqs []HoldReserveJSON) ([]HoldReserveResponseJSON,
 			return s.holdDecideLocked(req)
 		}})
 		if err != nil {
-			out[i] = HoldReserveResponseJSON{Hold: req.Hold, ID: -1, Code: http.StatusBadRequest, Error: err.Error()}
+			out[i] = wire.HoldReserveResponseJSON{Hold: req.Hold, ID: -1, Code: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
 		out[i] = s.holdReserveAnswerLocked(res)
@@ -206,11 +109,11 @@ func (s *Server) HoldReserve(reqs []HoldReserveJSON) ([]HoldReserveResponseJSON,
 // A key the table already has answers what its first RESERVE decided
 // (idempotent re-delivery); a refusal holds no capacity but is filed and
 // logged, reason and all, so duplicates answer identically on every replay.
-func (s *Server) holdDecideLocked(req HoldReserveJSON) (hold.Entry, error) {
+func (s *Server) holdDecideLocked(req wire.HoldReserveJSON) (hold.Entry, error) {
 	if req.Hold == "" {
 		return hold.Entry{}, fmt.Errorf("server: reserve without hold key")
 	}
-	if err := CheckKey("server: hold key", req.Hold); err != nil {
+	if err := wire.CheckKey("server: hold key", req.Hold); err != nil {
 		return hold.Entry{}, err
 	}
 	if !finite(req.TTLS) {
@@ -242,9 +145,9 @@ func (s *Server) holdDecideLocked(req HoldReserveJSON) (hold.Entry, error) {
 	return h, err
 }
 
-func (s *Server) holdReserveAnswerLocked(res hold.Result) HoldReserveResponseJSON {
+func (s *Server) holdReserveAnswerLocked(res hold.Result) wire.HoldReserveResponseJSON {
 	e := res.Entry
-	resp := HoldReserveResponseJSON{
+	resp := wire.HoldReserveResponseJSON{
 		Hold: e.Key, ID: int(e.ID), Epoch: s.repl.epoch,
 		NowS: float64(s.sim.Now()), Reason: e.Reason,
 	}
@@ -265,7 +168,7 @@ func (s *Server) holdReserveAnswerLocked(res hold.Result) HoldReserveResponseJSO
 // owner's authoritative check of the grant proposed here is the second
 // RESERVE of the protocol. It fills h's point, request ID and grant, or
 // h.Reason with why it refused: an empty reason means the grant is booked.
-func (s *Server) holdProposeLocked(h *hold.Entry, req HoldReserveJSON, now units.Time) error {
+func (s *Server) holdProposeLocked(h *hold.Entry, req wire.HoldReserveJSON, now units.Time) error {
 	if req.Point < 0 || req.Point >= s.net.NumIngress() {
 		return fmt.Errorf("server: ingress %d out of range [0,%d)", req.Point, s.net.NumIngress())
 	}
@@ -307,7 +210,7 @@ func (s *Server) holdProposeLocked(h *hold.Entry, req HoldReserveJSON, now units
 // holdCheckLocked is the egress side of a RESERVE: it checks the proposed
 // grant against the egress profile and books it tentatively, or fills
 // h.Reason if it does not fit.
-func (s *Server) holdCheckLocked(h *hold.Entry, req HoldReserveJSON, now units.Time) error {
+func (s *Server) holdCheckLocked(h *hold.Entry, req wire.HoldReserveJSON, now units.Time) error {
 	if req.Point < 0 || req.Point >= s.net.NumEgress() {
 		return fmt.Errorf("server: egress %d out of range [0,%d)", req.Point, s.net.NumEgress())
 	}
@@ -341,7 +244,7 @@ func (s *Server) holdCheckLocked(h *hold.Entry, req HoldReserveJSON, now units.T
 // router must abort the peer); an unknown key its 404. A non-zero epoch
 // that does not match the shard's fences the whole call off — the reserve
 // was placed on a deposed lineage, and the caller refreshes and re-sends.
-func (s *Server) HoldConfirm(refs []HoldRefJSON) ([]HoldStateJSON, error) {
+func (s *Server) HoldConfirm(refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
@@ -353,10 +256,10 @@ func (s *Server) HoldConfirm(refs []HoldRefJSON) ([]HoldStateJSON, error) {
 		}
 	}
 	s.advanceLocked()
-	out := make([]HoldStateJSON, len(refs))
+	out := make([]wire.HoldStateJSON, len(refs))
 	for i, ref := range refs {
 		if ref.Hold == "" {
-			out[i] = HoldStateJSON{Code: http.StatusBadRequest, Error: "server: confirm without hold key"}
+			out[i] = wire.HoldStateJSON{Code: http.StatusBadRequest, Error: "server: confirm without hold key"}
 			continue
 		}
 		out[i] = s.holdStateLocked(hold.Msg{Kind: hold.Confirm, Key: ref.Hold})
@@ -373,24 +276,24 @@ func (s *Server) HoldConfirm(refs []HoldRefJSON) ([]HoldStateJSON, error) {
 // to converge both sides. A ref without a key names the ingress-side local
 // request ID instead — the cancel path: the router resolves a client
 // cancel of a cross-shard reservation into an abort on both owners.
-func (s *Server) HoldAbort(refs []HoldRefJSON) ([]HoldStateJSON, error) {
+func (s *Server) HoldAbort(refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
 		return nil, err
 	}
 	s.advanceLocked()
-	out := make([]HoldStateJSON, len(refs))
+	out := make([]wire.HoldStateJSON, len(refs))
 	for i, ref := range refs {
 		key := ref.Hold
 		if key == "" {
 			if ref.ID == nil || *ref.ID < 0 {
-				out[i] = HoldStateJSON{Code: http.StatusBadRequest, Error: "server: abort needs a hold key or id"}
+				out[i] = wire.HoldStateJSON{Code: http.StatusBadRequest, Error: "server: abort needs a hold key or id"}
 				continue
 			}
 			var ok bool
 			if key, ok = s.holds.KeyOf(request.ID(*ref.ID)); !ok {
-				out[i] = HoldStateJSON{Code: http.StatusNotFound, Error: ErrNotFound.Error()}
+				out[i] = wire.HoldStateJSON{Code: http.StatusNotFound, Error: ErrNotFound.Error()}
 				continue
 			}
 		}
@@ -425,13 +328,13 @@ func (s *Server) holdStepLocked(m hold.Msg) (hold.Result, error) {
 // holdStateLocked steps one CONFIRM or ABORT and answers it: 404 for a key
 // the table does not know, 409 for a CONFIRM of a hold that already rolled
 // back (the router must abort the peer side).
-func (s *Server) holdStateLocked(m hold.Msg) HoldStateJSON {
+func (s *Server) holdStateLocked(m hold.Msg) wire.HoldStateJSON {
 	res, _ := s.holdStepLocked(m)
 	if res.Answer == hold.NotFound {
-		return HoldStateJSON{Hold: m.Key, Code: http.StatusNotFound, Error: ErrNotFound.Error()}
+		return wire.HoldStateJSON{Hold: m.Key, Code: http.StatusNotFound, Error: ErrNotFound.Error()}
 	}
 	e := res.Entry
-	st := HoldStateJSON{
+	st := wire.HoldStateJSON{
 		Hold: e.Key, State: e.State.String(), Released: res.Released,
 		Side: e.Side, PeerPoint: e.Peer, Epoch: s.repl.epoch,
 	}

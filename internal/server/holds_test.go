@@ -15,6 +15,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // holdConfig is a 2-point platform where one full-capacity hold saturates
@@ -29,8 +30,8 @@ func holdConfig(clk *fakeClock, sink trace.DecisionSink) server.Config {
 	}
 }
 
-func fullReserve(hold string) server.HoldReserveJSON {
-	return server.HoldReserveJSON{
+func fullReserve(hold string) wire.HoldReserveJSON {
+	return wire.HoldReserveJSON{
 		Hold: hold, Side: trace.HoldSideIngress,
 		Point: 0, PeerPoint: 1, TTLS: 5,
 		VolumeBytes: 1e10, MaxRateBps: 1e9, DeadlineS: 10,
@@ -40,7 +41,7 @@ func fullReserve(hold string) server.HoldReserveJSON {
 // fullReserveRel is fullReserve with the window expressed as an offset
 // from the shard's current service clock — for probes issued after the
 // test has advanced time past the absolute window of fullReserve.
-func fullReserveRel(hold string) server.HoldReserveJSON {
+func fullReserveRel(hold string) wire.HoldReserveJSON {
 	r := fullReserve(hold)
 	r.RelTimes = true
 	return r
@@ -48,26 +49,26 @@ func fullReserveRel(hold string) server.HoldReserveJSON {
 
 // reserve1, confirm1 and abort1 drive the list-shaped hold calls with a
 // single hold.
-func reserve1(s *server.Server, req server.HoldReserveJSON) (server.HoldReserveResponseJSON, error) {
-	out, err := s.HoldReserve([]server.HoldReserveJSON{req})
+func reserve1(s *server.Server, req wire.HoldReserveJSON) (wire.HoldReserveResponseJSON, error) {
+	out, err := s.HoldReserve([]wire.HoldReserveJSON{req})
 	if err != nil {
-		return server.HoldReserveResponseJSON{}, err
+		return wire.HoldReserveResponseJSON{}, err
 	}
 	return out[0], nil
 }
 
-func confirm1(s *server.Server, hold string, epoch uint64) (server.HoldStateJSON, error) {
-	out, err := s.HoldConfirm([]server.HoldRefJSON{{Hold: hold, Epoch: epoch}})
+func confirm1(s *server.Server, hold string, epoch uint64) (wire.HoldStateJSON, error) {
+	out, err := s.HoldConfirm([]wire.HoldRefJSON{{Hold: hold, Epoch: epoch}})
 	if err != nil {
-		return server.HoldStateJSON{}, err
+		return wire.HoldStateJSON{}, err
 	}
 	return out[0], nil
 }
 
-func abort1(s *server.Server, hold string) (server.HoldStateJSON, error) {
-	out, err := s.HoldAbort([]server.HoldRefJSON{{Hold: hold}})
+func abort1(s *server.Server, hold string) (wire.HoldStateJSON, error) {
+	out, err := s.HoldAbort([]wire.HoldRefJSON{{Hold: hold}})
 	if err != nil {
-		return server.HoldStateJSON{}, err
+		return wire.HoldStateJSON{}, err
 	}
 	return out[0], nil
 }
@@ -324,7 +325,7 @@ func TestHoldEgressRelTimes(t *testing.T) {
 	clk.advance(100 * time.Second) // egress shard service clock well past 0
 	s.Now()
 
-	st, err := reserve1(s, server.HoldReserveJSON{
+	st, err := reserve1(s, wire.HoldReserveJSON{
 		Hold: "h1", Side: trace.HoldSideEgress,
 		Point: 0, PeerPoint: 1, TTLS: 5, RelTimes: true,
 		RateBps: 1e9, SigmaS: 0, TauS: 10,
@@ -342,7 +343,7 @@ func TestHoldEgressRelTimes(t *testing.T) {
 	}
 	// The booking is authoritative: a second saturating egress check on
 	// the same point must refuse while the first window is held.
-	st2, err := reserve1(s, server.HoldReserveJSON{
+	st2, err := reserve1(s, wire.HoldReserveJSON{
 		Hold: "h2", Side: trace.HoldSideEgress,
 		Point: 0, PeerPoint: 1, TTLS: 5, RelTimes: true,
 		RateBps: 1e9, SigmaS: 0, TauS: 10,
@@ -389,7 +390,7 @@ func TestHoldReserveListOrder(t *testing.T) {
 
 	bad := fullReserve("bad")
 	bad.Point = 99
-	out, err := s.HoldReserve([]server.HoldReserveJSON{
+	out, err := s.HoldReserve([]wire.HoldReserveJSON{
 		fullReserve("h1"), bad, fullReserve("h2"), fullReserve("h1"),
 	})
 	if err != nil {
@@ -432,7 +433,7 @@ func TestHoldConfirmListPartial(t *testing.T) {
 	short.TTLS = 1
 	other := fullReserve("long")
 	other.Point, other.TTLS = 1, 30
-	rs, err := s.HoldReserve([]server.HoldReserveJSON{short, other})
+	rs, err := s.HoldReserve([]wire.HoldReserveJSON{short, other})
 	if err != nil || !rs[0].Held || !rs[1].Held {
 		t.Fatalf("reserve: %v %+v", err, rs)
 	}
@@ -440,7 +441,7 @@ func TestHoldConfirmListPartial(t *testing.T) {
 	s.Now()
 
 	var fenced *server.FencedError
-	if _, err := s.HoldConfirm([]server.HoldRefJSON{
+	if _, err := s.HoldConfirm([]wire.HoldRefJSON{
 		{Hold: "long"}, {Hold: "short", Epoch: rs[0].Epoch + 3},
 	}); !errors.As(err, &fenced) {
 		t.Fatalf("confirm list with a stale epoch: %v, want FencedError", err)
@@ -449,7 +450,7 @@ func TestHoldConfirmListPartial(t *testing.T) {
 		t.Fatalf("fenced call confirmed %d holds, want none", confirmed)
 	}
 
-	out, err := s.HoldConfirm([]server.HoldRefJSON{
+	out, err := s.HoldConfirm([]wire.HoldRefJSON{
 		{Hold: "short", Epoch: rs[0].Epoch}, {Hold: "long", Epoch: rs[1].Epoch}, {Hold: "ghost"},
 	})
 	if err != nil {
@@ -471,7 +472,7 @@ func TestHoldConfirmListPartial(t *testing.T) {
 	// The peer-side abort of the failed pair travels in one list with an
 	// abort by request ID (the cancel path) of the committed one.
 	id := rs[1].ID
-	ab, err := s.HoldAbort([]server.HoldRefJSON{{Hold: "short"}, {ID: &id}, {}})
+	ab, err := s.HoldAbort([]wire.HoldRefJSON{{Hold: "short"}, {ID: &id}, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,14 +523,14 @@ func TestHoldHTTPList(t *testing.T) {
 		}
 		return resp.StatusCode
 	}
-	var rs server.HoldResultsJSON[server.HoldReserveResponseJSON]
+	var rs wire.HoldResultsJSON[wire.HoldReserveResponseJSON]
 	code := post("/v1/reserve", `{"holds":[
 		{"hold":"a","side":"in","point":0,"peer_point":1,"volume_bytes":1e9,"max_rate_bps":1e8,"deadline_s":100},
 		{"hold":"b","side":"eg","point":1,"peer_point":0,"rate_bps":1e8,"sigma_s":0,"tau_s":10}]}`, &rs)
 	if code != http.StatusOK || len(rs.Results) != 2 || !rs.Results[0].Held || !rs.Results[1].Held {
 		t.Fatalf("reserve = %d %+v", code, rs)
 	}
-	var st server.HoldResultsJSON[server.HoldStateJSON]
+	var st wire.HoldResultsJSON[wire.HoldStateJSON]
 	if code := post("/v1/confirm", `{"holds":[{"hold":"a"},{"hold":"b"}]}`, &st); code != http.StatusOK ||
 		len(st.Results) != 2 || st.Results[0].State != "confirmed" || st.Results[1].State != "confirmed" {
 		t.Fatalf("confirm = %d %+v", code, st)
@@ -562,8 +563,8 @@ func TestHoldReserveListPoisonedMidway(t *testing.T) {
 	cfg.WAL = l
 	s := newTestServer(t, cfg)
 
-	list := make([]server.HoldReserveJSON, 3)
-	refs := make([]server.HoldRefJSON, len(list))
+	list := make([]wire.HoldReserveJSON, 3)
+	refs := make([]wire.HoldRefJSON, len(list))
 	for i := range list {
 		list[i] = fullReserve(string(rune('a' + i)))
 		list[i].VolumeBytes = 1e9 // all three fit side by side
@@ -597,13 +598,13 @@ func TestHoldLiveEqualsReplay(t *testing.T) {
 			t.Fatalf("reserve %s: %v %+v, want held=%v", key, err, r, held)
 		}
 	}
-	call := func(t *testing.T, op func(*server.Server, string) (server.HoldStateJSON, error), s *server.Server, key string) {
+	call := func(t *testing.T, op func(*server.Server, string) (wire.HoldStateJSON, error), s *server.Server, key string) {
 		t.Helper()
 		if st, err := op(s, key); err != nil || st.Code != 0 {
 			t.Fatalf("%s: %v %+v", key, err, st)
 		}
 	}
-	confirm := func(s *server.Server, key string) (server.HoldStateJSON, error) { return confirm1(s, key, 0) }
+	confirm := func(s *server.Server, key string) (wire.HoldStateJSON, error) { return confirm1(s, key, 0) }
 	paths := []struct {
 		name  string
 		drive func(t *testing.T, s *server.Server, clk *fakeClock)

@@ -11,29 +11,24 @@ import (
 	"strings"
 	"time"
 
-	"gridbw/internal/cluster"
 	"gridbw/internal/metrics"
 	"gridbw/internal/topology"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
-// The HTTP/JSON surface of gridbwd. Seven endpoints:
+// The HTTP surface of gridbwd: the request plane's seven routes, whose
+// methods and paths are the rows of internal/wire's op table (submit,
+// batch, the three hold lists, lookup and cancel by id), then status,
+// metricsz (JSON, or Prometheus text under Accept: text/plain), healthz
+// (503 while draining) and the replication routes.
 //
-//	POST   /v1/requests       submit a reservation request
-//	POST   /v1/batch          submit many requests, decided in one pass
-//	GET    /v1/requests/{id}  look up one reservation
-//	DELETE /v1/requests/{id}  cancel a live reservation
-//	GET    /v1/status         platform occupancy + lifetime counters
-//	GET    /v1/metricsz       counters as JSON, or Prometheus text under
-//	                          Accept: text/plain
-//	GET    /v1/healthz        readiness probe (503 while draining)
-//
-// Each request-plane endpoint is a call (calls.go): JSON is a codec in
-// front of it (jsonface.go), the internal wire's frames are the call as it
-// is. A body of either is read under MaxBinaryBatchBytes (8 MiB) before
-// anything else. Submissions may carry an Idempotency-Key header (or the
-// equivalent body field) of at most MaxKeyBytes, making retries safe, and
-// the submissions and RESERVE are bounded by the server's in-flight limit:
+// Each request-plane route is a call (calls.go): JSON is a codec in front
+// of it (jsonface.go), the internal wire's frames are the call as it is. A
+// body of either is read under wire.MaxFrameBytes (8 MiB) before anything
+// else. Submissions may carry an Idempotency-Key header (or the equivalent
+// body field) of at most wire.MaxKeyBytes, making retries safe, and the
+// submissions and RESERVE are bounded by the server's in-flight limit:
 // excess calls get 429 with a Retry-After hint instead of queueing without
 // bound.
 //
@@ -44,143 +39,20 @@ import (
 // key behaves like a fresh one and books again — so clients should not
 // retry across more than FinishedRetention intervening submissions.
 //
-// Quantities accept both base-unit numbers (volume_bytes, max_rate_bps,
-// deadline_s) and human-readable strings (volume "500GB", max_rate
-// "1GB/s", deadline_in "1h" relative to the service clock), so the API is
-// usable from curl without arithmetic.
-
-// SubmitRequest is the POST /v1/requests body.
-type SubmitRequest struct {
-	From int `json:"from"`
-	To   int `json:"to"`
-	// VolumeBytes or Volume ("500GB") set the transfer size.
-	VolumeBytes float64 `json:"volume_bytes,omitempty"`
-	Volume      string  `json:"volume,omitempty"`
-	// MaxRateBps or MaxRate ("1GB/s") set the host transmission cap.
-	MaxRateBps float64 `json:"max_rate_bps,omitempty"`
-	MaxRate    string  `json:"max_rate,omitempty"`
-	// NotBeforeS/DeadlineS are absolute service time (seconds since the
-	// daemon epoch); StartIn/DeadlineIn ("90s", "1h") are relative to now.
-	NotBeforeS float64 `json:"not_before_s,omitempty"`
-	StartIn    string  `json:"start_in,omitempty"`
-	DeadlineS  float64 `json:"deadline_s,omitempty"`
-	DeadlineIn string  `json:"deadline_in,omitempty"`
-	// IdempotencyKey makes the submission retryable; the Idempotency-Key
-	// request header is an equivalent spelling.
-	IdempotencyKey string `json:"idempotency_key,omitempty"`
-	// Durable parks the response until the decision is replicated to the
-	// configured follower-ack count, even when the daemon's sync mode is
-	// off (see -repl-sync); the wait degrades to async at the deadline.
-	Durable bool `json:"durable,omitempty"`
-}
-
-// ReservationJSON is the wire form of a Decision.
-type ReservationJSON struct {
-	ID       int     `json:"id"`
-	Accepted bool    `json:"accepted"`
-	State    string  `json:"state"`
-	RateBps  float64 `json:"rate_bps,omitempty"`
-	Rate     string  `json:"rate,omitempty"`
-	SigmaS   float64 `json:"sigma_s,omitempty"`
-	TauS     float64 `json:"tau_s,omitempty"`
-	Reason   string  `json:"reason,omitempty"`
-	// Durability is the sync-ack outcome when the decision waited on
-	// follower acks: "replicated" (enough followers persisted it) or
-	// "degraded" (the deadline lapsed; it is only locally durable).
-	// Absent when no synchronous replication applied.
-	Durability string `json:"durability,omitempty"`
-	// Routed is set by the router tier: "cross_shard" when the decision
-	// went through the two-phase hold protocol because the pair's ingress
-	// and egress points live on different shards. Absent on direct or
-	// same-shard answers.
-	Routed string `json:"routed,omitempty"`
-}
-
-// RoutedCrossShard is ReservationJSON.Routed's value on decisions the
-// router drove through the cross-shard two-phase protocol.
-const RoutedCrossShard = "cross_shard"
-
-// PointJSON is the wire form of a PointStatus.
-type PointJSON struct {
-	Dir         string  `json:"dir"`
-	Point       int     `json:"point"`
-	CapacityBps float64 `json:"capacity_bps"`
-	UsedBps     float64 `json:"used_bps"`
-	Utilization float64 `json:"utilization"`
-}
-
-// StatusJSON is the GET /v1/status body.
-type StatusJSON struct {
-	NowS           float64 `json:"now_s"`
-	Policy         string  `json:"policy"`
-	Role           string  `json:"role"`
-	Epoch          uint64  `json:"epoch"`
-	Booked         int     `json:"booked"`
-	Active         int     `json:"active"`
-	Submitted      uint64  `json:"submitted"`
-	Accepted       uint64  `json:"accepted"`
-	Rejected       uint64  `json:"rejected"`
-	Cancelled      uint64  `json:"cancelled"`
-	Expired        uint64  `json:"expired"`
-	Shed           uint64  `json:"shed"`
-	IdempotentHits uint64  `json:"idempotent_hits"`
-	Panics         uint64  `json:"panics"`
-	Batches        uint64  `json:"batches"`
-	BatchRequests  uint64  `json:"batch_requests"`
-	AcceptRate     float64 `json:"accept_rate"`
-	MeanGrantedBps float64 `json:"mean_granted_rate_bps"`
-	// LogAppendFailures and DurabilityDegraded surface WAL or decision-sink
-	// appends that failed: the daemon keeps serving, but its log has a hole
-	// a crash could turn into forgotten decisions.
-	LogAppendFailures  uint64      `json:"log_append_failures"`
-	DurabilityDegraded bool        `json:"durability_degraded"`
-	Points             []PointJSON `json:"points"`
-}
-
-// BatchRequest is the POST /v1/batch body: up to MaxBatch submissions
-// decided in one pass. Items competing for the same scarce window are
-// decided in (ingress, egress, input) order, not strictly input order.
-type BatchRequest struct {
-	Requests []SubmitRequest `json:"requests"`
-}
-
-// BatchItemJSON is one submission's outcome within a batch response:
-// exactly one of Reservation or Error is set.
-type BatchItemJSON struct {
-	Reservation *ReservationJSON `json:"reservation,omitempty"`
-	Error       string           `json:"error,omitempty"`
-}
-
-// BatchResponse is the POST /v1/batch body: one result per submitted
-// request, in input order.
-type BatchResponse struct {
-	Results []BatchItemJSON `json:"results"`
-}
-
-// ErrorJSON is the body of every non-2xx response.
-type ErrorJSON struct {
-	Error string `json:"error"`
-	// RetryAfterS is a 429's backoff hint on the call stream, which has no
-	// headers; over HTTP the Retry-After header carries it.
-	RetryAfterS int `json:"retry_after_s,omitempty"`
-}
+// The request and answer shapes, and the control plane's pages, are
+// internal/wire's.
 
 // Handler returns the daemon's HTTP API: the route mux behind the
-// panic-recovery middleware. The seven request-plane routes are calls
-// (CallRoute): a framed one goes through Call as it is and may take its
-// connection over for the call stream, a JSON one through its op's codec in
-// front of Call.
+// panic-recovery middleware. The seven request-plane routes are the op
+// table's, each a call (CallRoute): a framed one goes through Call as it is
+// and may take its connection over for the call stream, a JSON one through
+// its op's codec in front of Call.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	face := JSONFace{MaxBatch: s.maxBatch}
-	call := func(op byte) http.Handler { return CallRoute(&s.conns, s.Call, op, face) }
-	mux.Handle("POST /v1/requests", call(OpSubmit))
-	mux.Handle("POST /v1/batch", call(OpBatch))
-	mux.Handle("POST /v1/reserve", call(OpReserve))
-	mux.Handle("POST /v1/confirm", call(OpConfirm))
-	mux.Handle("POST /v1/abort", call(OpAbort))
-	mux.Handle("GET /v1/requests/{id}", call(OpGet))
-	mux.Handle("DELETE /v1/requests/{id}", call(OpCancel))
+	for op := wire.OpSubmit; op.Valid(); op++ {
+		mux.Handle(op.Pattern(), CallRoute(&s.conns, s.Call, op, face))
+	}
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	mux.HandleFunc("GET /v1/metricsz", s.handleMetricsz)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
@@ -218,28 +90,9 @@ func (s *Server) shedReply() Reply {
 	return rep
 }
 
-// HealthJSON is the GET /v1/healthz body.
-type HealthJSON struct {
-	Status      string  `json:"status"` // "ok", "degraded" or "draining"
-	NowS        float64 `json:"now_s"`
-	Role        string  `json:"role"`
-	Epoch       uint64  `json:"epoch"`
-	InFlight    int     `json:"in_flight"`
-	MaxInFlight int     `json:"max_in_flight"`
-	Shed        uint64  `json:"shed_total"`
-	// DurabilityDegraded reports WAL or decision-sink append failures; the
-	// daemon still serves (200), but its log has a hole.
-	DurabilityDegraded bool `json:"durability_degraded"`
-	// WALPoisoned reports a fail-stopped WAL: durable admissions are
-	// refused (503 with ErrDurabilityLost) until the daemon restarts.
-	WALPoisoned bool `json:"wal_poisoned,omitempty"`
-	// ReplicationLagBytes is how far a follower runs behind its primary.
-	ReplicationLagBytes int64 `json:"replication_lag_bytes,omitempty"`
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.Status()
-	body := HealthJSON{
+	body := wire.HealthJSON{
 		Status:             "ok",
 		NowS:               float64(st.Now),
 		Role:               st.Role,
@@ -268,7 +121,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // nothing. Shared by all responses and never written to.
 var (
 	jsonContentType  = []string{"application/json"}
-	frameContentType = []string{BinaryBatchContentType}
+	frameContentType = []string{wire.ContentType}
 )
 
 // WriteJSON answers with v as a JSON body.
@@ -280,27 +133,14 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 
 // WriteError answers with the ErrorJSON envelope of every non-2xx response.
 func WriteError(w http.ResponseWriter, code int, err error) {
-	WriteJSON(w, code, ErrorJSON{Error: err.Error()})
+	WriteJSON(w, code, wire.ErrorJSON{Error: err.Error()})
 }
 
-// Framed reports whether the caller speaks the internal wire (wire.go)
+// Framed reports whether the caller speaks the internal wire's frames
 // rather than JSON; the answer goes back in the same codec. Errors answer
 // as JSON envelopes either way — status codes carry the contract.
 func Framed(r *http.Request) bool {
-	return strings.HasPrefix(r.Header.Get("Content-Type"), BinaryBatchContentType)
-}
-
-// WriteFrame answers with an encoded frame.
-func WriteFrame(w http.ResponseWriter, code int, frame []byte) {
-	h := w.Header()
-	h["Content-Type"] = frameContentType
-	// net/http computes the length itself of a body that fits its 2 KiB
-	// write buffer; beyond that, saying it up front avoids chunking.
-	if len(frame) > 2048 {
-		h["Content-Length"] = []string{strconv.Itoa(len(frame))}
-	}
-	w.WriteHeader(code)
-	_, _ = w.Write(frame)
+	return strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType)
 }
 
 // decodeJSON is the strict JSON decode of a request body; what names the
@@ -318,7 +158,7 @@ func decodeJSON(body io.Reader, what string, v any) error {
 // request header, the equivalent spelling: either may be absent, but two
 // that disagree are an error.
 func mergeKey(headerKey, bodyKey string) (string, error) {
-	if err := CheckKey("Idempotency-Key header", headerKey); err != nil {
+	if err := wire.CheckKey("Idempotency-Key header", headerKey); err != nil {
 		return "", err
 	}
 	if headerKey == "" {
@@ -333,9 +173,9 @@ func mergeKey(headerKey, bodyKey string) (string, error) {
 // nowFor reads the service clock once for the records of one call, so they
 // share a consistent "now" — and only if one of them carries a relative
 // time: a call without any never takes the clock's lock.
-func (s *Server) nowFor(wire ...WireSubmission) units.Time {
-	for i := range wire {
-		if wire[i].RelNotBefore || wire[i].RelDeadline {
+func (s *Server) nowFor(subs ...wire.Submission) units.Time {
+	for i := range subs {
+		if subs[i].RelNotBefore || subs[i].RelDeadline {
 			return s.Now()
 		}
 	}
@@ -346,8 +186,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, statusJSON(s.Status()))
 }
 
-func statusJSON(st Status) StatusJSON {
-	body := StatusJSON{
+func statusJSON(st Status) wire.StatusJSON {
+	body := wire.StatusJSON{
 		NowS:               float64(st.Now),
 		Policy:             st.Policy,
 		Role:               st.Role,
@@ -370,7 +210,7 @@ func statusJSON(st Status) StatusJSON {
 		DurabilityDegraded: st.Stats.DurabilityDegraded(),
 	}
 	for _, p := range st.Points {
-		body.Points = append(body.Points, PointJSON{
+		body.Points = append(body.Points, wire.PointJSON{
 			Dir:         p.Dir.String(),
 			Point:       int(p.Point),
 			CapacityBps: float64(p.Capacity),
@@ -379,30 +219,6 @@ func statusJSON(st Status) StatusJSON {
 		})
 	}
 	return body
-}
-
-// MetricsJSON is the default GET /v1/metricsz body: the status counters
-// plus the replication and watchdog gauges the Prometheus rendering
-// carries.
-type MetricsJSON struct {
-	StatusJSON
-	Reseeds             uint64 `json:"reseeds"`
-	ReplicationLagBytes int64  `json:"replication_lag_bytes"`
-	AppliedRecords      uint64 `json:"applied_records"`
-	// SyncDegraded counts sync-ack waits that hit their deadline and
-	// degraded to async durability.
-	SyncDegraded uint64 `json:"sync_degraded"`
-	// Followers is the primary's per-follower replication progress.
-	Followers map[string]cluster.FollowerStatus `json:"followers,omitempty"`
-	// AdmitLatency is the server-side admission-latency percentile ladder —
-	// time spent in the decide pipeline per submission — the counterpart of
-	// what gridbwload observes from the client side of the wire. With a
-	// synchronous-ack mode on, the parked replication wait is part of it.
-	AdmitLatency metrics.LatencySummary `json:"admit_latency"`
-	// WatchdogState is the in-process failover watchdog's position in the
-	// follower → suspect → promoting → primary ladder; empty
-	// when no watchdog runs in this daemon.
-	WatchdogState string `json:"watchdog_state,omitempty"`
 }
 
 // handleMetricsz negotiates the metrics encoding: Prometheus text
@@ -415,7 +231,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.Status()
 	rs := s.ReplicationStatus()
-	body := MetricsJSON{
+	body := wire.MetricsJSON{
 		StatusJSON:          statusJSON(st),
 		Reseeds:             st.Stats.Reseeds,
 		ReplicationLagBytes: rs.LagBytes,

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 // The JSON face of the request plane — what curl speaks — is a codec in
@@ -32,14 +32,14 @@ type JSONFace struct {
 // answered without one.
 type jsonOp func(r *http.Request, c *Call, call func() Reply, face JSONFace) Reply
 
-var jsonOps = [numOps]jsonOp{
-	OpSubmit:  jsonSubmit,
-	OpBatch:   jsonBatch,
-	OpReserve: jsonHolds(checkHoldReserve, AppendHoldReserveList, DecodeHoldReserveResults),
-	OpConfirm: jsonHolds(checkHoldRef, AppendHoldRefList, DecodeHoldStates),
-	OpAbort:   jsonHolds(checkHoldRef, AppendHoldRefList, DecodeHoldStates),
-	OpGet:     jsonByID,
-	OpCancel:  jsonByID,
+var jsonOps = [...]jsonOp{
+	wire.OpSubmit:  jsonSubmit,
+	wire.OpBatch:   jsonBatch,
+	wire.OpReserve: jsonHolds((*wire.HoldReserveJSON).Check, wire.AppendHoldReserveList, wire.DecodeHoldReserveResults),
+	wire.OpConfirm: jsonHolds((*wire.HoldRefJSON).Check, wire.AppendHoldRefList, wire.DecodeHoldStates),
+	wire.OpAbort:   jsonHolds((*wire.HoldRefJSON).Check, wire.AppendHoldRefList, wire.DecodeHoldStates),
+	wire.OpGet:     jsonByID,
+	wire.OpCancel:  jsonByID,
 }
 
 // rendered is rep with the answer frame in c.Buf rendered as its JSON body.
@@ -59,19 +59,18 @@ func rendered(rep Reply, c *Call, render func([]byte) (any, error)) Reply {
 
 // spellDecision spells a decision decoded from a frame as the JSON face
 // always has: the granted rate and window only on a grant, and with human
-// set, the human rate, which no frame carries, on a grant one shard
-// decided (a cross-shard decision never had one).
-func spellDecision(rj *ReservationJSON, human bool) {
+// set, the human rate (wire.ReservationJSON.SpellRate).
+func spellDecision(rj *wire.ReservationJSON, human bool) {
 	if !rj.Accepted {
 		rj.RateBps, rj.SigmaS, rj.TauS = 0, 0, 0
-	} else if human && rj.Routed == "" {
-		rj.Rate = units.Bandwidth(rj.RateBps).String()
+	} else if human {
+		rj.SpellRate()
 	}
 }
 
 // renderDecision renders a one-decision answer frame.
 func renderDecision(b []byte) (any, error) {
-	rj, err := DecodeBinarySubmitResponse(b)
+	rj, err := wire.DecodeSubmitResponse(b)
 	spellDecision(&rj, true)
 	return rj, err
 }
@@ -79,8 +78,8 @@ func renderDecision(b []byte) (any, error) {
 // jsonSubmit is the JSON face of POST /v1/requests: the body's key merged
 // with the Idempotency-Key header before the call.
 func jsonSubmit(r *http.Request, c *Call, call func() Reply, _ JSONFace) Reply {
-	var body SubmitRequest
-	var ws WireSubmission
+	var body wire.SubmitRequest
+	var ws wire.Submission
 	err := decodeJSON(bytes.NewReader(c.Buf.B), "request", &body)
 	if err == nil {
 		ws, err = body.Wire()
@@ -91,18 +90,16 @@ func jsonSubmit(r *http.Request, c *Call, call func() Reply, _ JSONFace) Reply {
 	if err != nil {
 		return ErrorReply(http.StatusBadRequest, err)
 	}
-	c.Buf.B = AppendBinarySubmitRequest(c.Buf.B[:0], &ws)
+	c.Buf.B = wire.AppendSubmitRequest(c.Buf.B[:0], &ws)
 	return rendered(call(), c, renderDecision)
 }
 
-// jsonBatch is the JSON face of POST /v1/batch. An item whose quantities do
-// not parse fails in its own slot and the rest are sent; a batch with no
-// item left is answered without a call. Only an empty or oversized batch or
-// an undecodable body fail the whole call before it. (A framed batch has no
-// such salvage: a malformed frame fails the whole call, since salvaging a
-// broken binary stream would decide requests the client never meant.)
+// jsonBatch is the JSON face of POST /v1/batch. An item that cannot be
+// framed fails in its own slot and the rest are sent (wire.SplitBatch); a
+// batch with no item left is answered without a call. Only an empty or
+// oversized batch or an undecodable body fail the whole call before it.
 func jsonBatch(_ *http.Request, c *Call, call func() Reply, face JSONFace) Reply {
-	var body BatchRequest
+	var body wire.BatchRequest
 	err := decodeJSON(bytes.NewReader(c.Buf.B), "request", &body)
 	switch n := len(body.Requests); {
 	case err != nil:
@@ -114,47 +111,35 @@ func jsonBatch(_ *http.Request, c *Call, call func() Reply, face JSONFace) Reply
 	if err != nil {
 		return ErrorReply(http.StatusBadRequest, err)
 	}
-	out := BatchResponse{Results: make([]BatchItemJSON, len(body.Requests))}
-	wire := make([]WireSubmission, 0, len(body.Requests))
-	for i, req := range body.Requests {
-		ws, err := req.Wire()
-		if err != nil {
-			out.Results[i].Error = err.Error()
-			continue
-		}
-		wire = append(wire, ws)
+	out, subs := wire.SplitBatch(body.Requests)
+	if len(subs) == 0 {
+		return Reply{Status: http.StatusOK, JSON: wire.BatchResponse{Results: out}}
 	}
-	if len(wire) == 0 {
-		return Reply{Status: http.StatusOK, JSON: out}
-	}
-	c.Buf.B = AppendBinaryBatchRequest(c.Buf.B[:0], wire)
+	c.Buf.B = wire.AppendBatchRequest(c.Buf.B[:0], subs)
 	return rendered(call(), c, func(b []byte) (any, error) {
-		items, err := DecodeBinaryBatchResponse(b)
-		if err == nil && len(items) != len(wire) {
-			err = fmt.Errorf("batch answered %d items for %d requests", len(items), len(wire))
+		items, err := wire.DecodeBatchResponse(b)
+		if err == nil {
+			err = wire.MergeBatch(out, items)
 		}
 		if err != nil {
 			return nil, err
 		}
-		for i := range out.Results {
-			if out.Results[i].Error == "" {
-				out.Results[i], items = items[0], items[1:]
-				if rj := out.Results[i].Reservation; rj != nil {
-					spellDecision(rj, !face.BareBatch)
-				}
+		for _, it := range out {
+			if it.Reservation != nil {
+				spellDecision(it.Reservation, !face.BareBatch)
 			}
 		}
-		return out, nil
+		return wire.BatchResponse{Results: out}, nil
 	})
 }
 
 // jsonHolds is the JSON face of one list-shaped hold call: the list is
-// bounded like a batch, and a hold the frame cannot carry fails the whole
-// call before it.
+// bounded like a batch, and a hold the frame cannot carry (check) fails the
+// whole call before it.
 func jsonHolds[Q, A any](check func(*Q) error, encode func([]byte, []Q) []byte,
 	decode func([]byte) ([]A, error)) jsonOp {
 	return func(_ *http.Request, c *Call, call func() Reply, face JSONFace) Reply {
-		var body HoldListJSON[Q]
+		var body wire.HoldListJSON[Q]
 		err := decodeJSON(bytes.NewReader(c.Buf.B), "holds", &body)
 		if n := len(body.Holds); err == nil && (n == 0 || n > face.MaxBatch) {
 			err = fmt.Errorf("hold list of %d outside [1,%d]", n, face.MaxBatch)
@@ -170,22 +155,10 @@ func jsonHolds[Q, A any](check func(*Q) error, encode func([]byte, []Q) []byte,
 		c.Buf.B = encode(c.Buf.B[:0], body.Holds)
 		return rendered(call(), c, func(b []byte) (any, error) {
 			results, err := decode(b)
-			return HoldResultsJSON[A]{Results: results}, err
+			return wire.HoldResultsJSON[A]{Results: results}, err
 		})
 	}
 }
-
-func checkHoldReserve(q *HoldReserveJSON) error {
-	for _, err := range [...]error{CheckKey("hold key", q.Hold), CheckKey("hold side", q.Side),
-		checkPoint("point", q.Point), checkPoint("peer_point", q.PeerPoint)} {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func checkHoldRef(ref *HoldRefJSON) error { return CheckKey("hold key", ref.Hold) }
 
 // jsonByID is the JSON face of a lookup or cancel; CallRoute put the path's
 // id in the request frame.

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"gridbw/internal/server/client"
 	"gridbw/internal/trace"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // TestKeysPastTheBoundAreRefused: a key no frame can carry is refused with
@@ -79,10 +81,10 @@ func TestKeysPastTheBoundAreRefused(t *testing.T) {
 	// (b) Two 70,000-byte keys that differ past byte 65,535, on two pairs.
 	long := strings.Repeat("k", 70000)
 	for i, key := range []string{long + "a", long + "b"} {
-		_, err := c.Submit(ctx, server.SubmitRequest{From: i, To: i, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 400, IdempotencyKey: key})
+		_, err := c.Submit(ctx, wire.SubmitRequest{From: i, To: i, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 400, IdempotencyKey: key})
 		refused("client submit with a 70,000-byte key", apiCode(err))
 	}
-	_, err := c.SubmitBatchWire(ctx, []server.WireSubmission{{From: 0, To: 1, Volume: 1e9, MaxRate: 1e8, Deadline: 400, IdempotencyKey: long}})
+	_, err := c.SubmitBatchWire(ctx, []wire.Submission{{From: 0, To: 1, Volume: 1e9, MaxRate: 1e8, Deadline: 400, IdempotencyKey: long}})
 	refused("client batch with a 70,000-byte key", apiCode(err))
 	if _, err := s.Submit(server.Submission{From: 0, To: 1, Volume: 1e9, MaxRate: 1e8, Deadline: 400, IdempotencyKey: long}); err == nil {
 		t.Fatal("the core accepted a 70,000-byte key")
@@ -93,10 +95,10 @@ func TestKeysPastTheBoundAreRefused(t *testing.T) {
 	refused("JSON reserve with a 70,000-byte hold key", post("/v1/reserve",
 		`{"holds":[{"hold":"`+long+`","side":"in","point":0,"peer_point":1,"volume_bytes":1e9,"max_rate_bps":1e8,"deadline_s":1000}]}`))
 	refused("JSON confirm with a 70,000-byte hold key", post("/v1/confirm", `{"holds":[{"hold":"`+long+`"}]}`))
-	hold := server.HoldReserveJSON{Hold: long, Side: trace.HoldSideIngress, Point: 0, PeerPoint: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 1000}
-	_, err = c.HoldReserve(ctx, []server.HoldReserveJSON{hold})
+	hold := wire.HoldReserveJSON{Hold: long, Side: trace.HoldSideIngress, Point: 0, PeerPoint: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 1000}
+	_, err = c.HoldReserve(ctx, []wire.HoldReserveJSON{hold})
 	refused("client reserve with a 70,000-byte hold key", apiCode(err))
-	resps, err := s.HoldReserve([]server.HoldReserveJSON{hold})
+	resps, err := s.HoldReserve([]wire.HoldReserveJSON{hold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +110,10 @@ func TestKeysPastTheBoundAreRefused(t *testing.T) {
 
 	// Keys at the bound are whole on either face: two that differ only in
 	// their last byte are two submissions, and each replays as itself.
-	atBound := strings.Repeat("k", server.MaxKeyBytes-1)
+	atBound := strings.Repeat("k", wire.MaxKeyBytes-1)
 	var ids []int
 	for i, key := range []string{atBound + "a", atBound + "b", atBound + "a", atBound + "b"} {
-		res, err := c.Submit(ctx, server.SubmitRequest{From: i % 2, To: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 400, IdempotencyKey: key})
+		res, err := c.Submit(ctx, wire.SubmitRequest{From: i % 2, To: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 400, IdempotencyKey: key})
 		if err != nil || !res.Accepted {
 			t.Fatalf("submit with a key at the bound: %+v, %v", res, err)
 		}
@@ -131,7 +133,7 @@ func TestKeysPastTheBoundAreRefused(t *testing.T) {
 // as a frame lets it be, and whose every other field is at its widest,
 // still appends.
 func TestRecordWithEveryStringAtTheBoundFitsTheWAL(t *testing.T) {
-	s := strings.Repeat("s", server.MaxKeyBytes)
+	s := strings.Repeat("s", wire.MaxKeyBytes)
 	ev := trace.Event{
 		Kind: trace.EventHoldReserve, Request: math.MinInt64, Ingress: math.MinInt64, Egress: math.MinInt64,
 		At: math.MaxFloat64, RateBps: math.MaxFloat64, SigmaS: math.MaxFloat64, TauS: math.MaxFloat64,
@@ -151,25 +153,46 @@ func TestRecordWithEveryStringAtTheBoundFitsTheWAL(t *testing.T) {
 }
 
 // TestFramesCarryNoPointPastThirtyTwoBits: a point index travels in 32 bits,
-// so one past them is refused before it is framed as some other point.
-// Before, the client framed point 2^32 as point 0 and booked it.
+// so one past them is refused before it is framed as some other point, on
+// every client call that frames one; so is a hold side a frame would cut.
+// Before, the client framed point 2^32 as point 0 and booked it, and
+// SubmitWire, SubmitBatchWire and HoldReserve, which checked only keys,
+// still booked point 2^32+1 as point 1.
 func TestFramesCarryNoPointPastThirtyTwoBits(t *testing.T) {
 	s := newTestServer(t, uniformConfig(nil))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := client.New(ts.URL, ts.Client())
 	defer c.Close()
+	ctx := context.Background()
 	before := bookingsOf(s)
-	for _, req := range []server.SubmitRequest{
+	refused := func(what string, err error) {
+		t.Helper()
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s answered %v, want a 400", what, err)
+		}
+		if after := bookingsOf(s); after != before {
+			t.Fatalf("%s was refused but left %+v, was %+v", what, after, before)
+		}
+	}
+	for _, req := range []wire.SubmitRequest{
 		{From: 1 << 32, To: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 400},
 		{From: 0, To: 1<<32 + 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 400},
 	} {
-		_, err := c.Submit(context.Background(), req)
-		var ae *client.APIError
-		if !errors.As(err, &ae) || ae.StatusCode != http.StatusBadRequest {
-			t.Fatalf("submit of %d→%d answered %v, want a 400", req.From, req.To, err)
-		}
+		_, err := c.Submit(ctx, req)
+		refused(fmt.Sprintf("submit of %d→%d", req.From, req.To), err)
 	}
+	_, err := c.SubmitWire(ctx, wire.Submission{From: 1<<32 + 1, To: 0, Volume: 1e9, MaxRate: 1e8, Deadline: 400})
+	refused("SubmitWire of 2^32+1→0", err)
+	_, err = c.SubmitBatchWire(ctx, []wire.Submission{{From: 0, To: 1<<32 + 1, Volume: 1e9, MaxRate: 1e8, Deadline: 400}})
+	refused("SubmitBatchWire of 0→2^32+1", err)
+	hold := wire.HoldReserveJSON{Hold: "h", Side: trace.HoldSideIngress, Point: 1<<32 + 1, PeerPoint: 0, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 1000}
+	_, err = c.HoldReserve(ctx, []wire.HoldReserveJSON{hold})
+	refused("HoldReserve of point 2^32+1", err)
+	hold.Point, hold.Side = 1, strings.Repeat("s", wire.MaxKeyBytes+1)
+	_, err = c.HoldReserve(ctx, []wire.HoldReserveJSON{hold})
+	refused("HoldReserve with a 65,536-byte side", err)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reserve", strings.NewReader(
 		`{"holds":[{"hold":"h","side":"in","point":4294967296,"peer_point":1,"volume_bytes":1e9,"max_rate_bps":1e8,"deadline_s":1000}]}`)))

@@ -8,6 +8,7 @@ import (
 
 	"gridbw/internal/server"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 // A batch is decided in (ingress, egress, input) order at one instant —
@@ -177,7 +178,7 @@ func TestDecidedAtOneInstant(t *testing.T) {
 			t.Errorf("batch item %d: %+v, %v; want accepted=%v", i, d, res[i].Err, wantAccepted)
 		}
 	}
-	holds, err := srv.HoldReserve([]server.HoldReserveJSON{
+	holds, err := srv.HoldReserve([]wire.HoldReserveJSON{
 		{Hold: "now", Side: "in", Point: 0, PeerPoint: 1, VolumeBytes: 10e9, MaxRateBps: 1e9, DeadlineS: 1000},
 		{Hold: "later", Side: "in", Point: 0, PeerPoint: 1, VolumeBytes: 10e9, MaxRateBps: 1e9, NotBeforeS: 100, DeadlineS: 1000},
 	})

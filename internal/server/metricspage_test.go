@@ -13,6 +13,7 @@ import (
 	"gridbw/internal/metrics"
 	"gridbw/internal/metrics/promtest"
 	"gridbw/internal/server"
+	"gridbw/internal/wire"
 )
 
 // scrape fetches the daemon's text page the way a scraper does.
@@ -75,7 +76,7 @@ func metricsFixture(t *testing.T) (*server.Server, *httptest.Server) {
 	if _, err := s.Cancel(gone.ID); err != nil {
 		t.Fatal(err)
 	}
-	held, err := s.HoldReserve([]server.HoldReserveJSON{{
+	held, err := s.HoldReserve([]wire.HoldReserveJSON{{
 		Hold: "h1", Side: "in", Point: 1, PeerPoint: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 1000,
 	}})
 	if err != nil || !held[0].Held {

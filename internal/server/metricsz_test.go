@@ -11,6 +11,7 @@ import (
 
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
+	"gridbw/internal/wire"
 )
 
 // TestMetricszContentNegotiation pins the dual shape of /v1/metricsz:
@@ -34,7 +35,7 @@ func TestMetricszContentNegotiation(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
 		t.Fatalf("default content type = %q, want JSON", ct)
 	}
-	var m server.MetricsJSON
+	var m wire.MetricsJSON
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 	"net/http"
 	"testing"
 
-	"gridbw/internal/server"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 // Frames carry raw float64 bits, so NaN and ±Inf reach the daemon although
@@ -30,11 +30,11 @@ func TestNonFiniteQuantitiesBookNothing(t *testing.T) {
 	walRecords := func() uint64 { return srv.ReplicationStatus().WALRecords }
 	nextKey := 0
 	key := func() string { nextKey++; return fmt.Sprintf("k%d", nextKey) }
-	good := func() server.WireSubmission {
-		return server.WireSubmission{From: 0, To: 1, Volume: 1e6, MaxRate: 1e5, Deadline: 1e4, IdempotencyKey: key()}
+	good := func() wire.Submission {
+		return wire.Submission{From: 0, To: 1, Volume: 1e6, MaxRate: 1e5, Deadline: 1e4, IdempotencyKey: key()}
 	}
-	goodHold := func(side string) server.HoldReserveJSON {
-		h := server.HoldReserveJSON{Hold: key(), Side: side, Point: 1, PeerPoint: 0, TTLS: 5, VolumeBytes: 1e6, MaxRateBps: 1e5}
+	goodHold := func(side string) wire.HoldReserveJSON {
+		h := wire.HoldReserveJSON{Hold: key(), Side: side, Point: 1, PeerPoint: 0, TTLS: 5, VolumeBytes: 1e6, MaxRateBps: 1e5}
 		if side == "in" {
 			h.NotBeforeS, h.DeadlineS = 40, 1e4
 		} else {
@@ -43,27 +43,27 @@ func TestNonFiniteQuantitiesBookNothing(t *testing.T) {
 		return h
 	}
 
-	subFields := map[string]func(*server.WireSubmission, float64){
-		"volume":     func(ws *server.WireSubmission, x float64) { ws.Volume = units.Volume(x) },
-		"max_rate":   func(ws *server.WireSubmission, x float64) { ws.MaxRate = units.Bandwidth(x) },
-		"not_before": func(ws *server.WireSubmission, x float64) { ws.NotBefore = units.Time(x) },
-		"deadline":   func(ws *server.WireSubmission, x float64) { ws.Deadline = units.Time(x) },
+	subFields := map[string]func(*wire.Submission, float64){
+		"volume":     func(ws *wire.Submission, x float64) { ws.Volume = units.Volume(x) },
+		"max_rate":   func(ws *wire.Submission, x float64) { ws.MaxRate = units.Bandwidth(x) },
+		"not_before": func(ws *wire.Submission, x float64) { ws.NotBefore = units.Time(x) },
+		"deadline":   func(ws *wire.Submission, x float64) { ws.Deadline = units.Time(x) },
 	}
-	holdFields := map[string]map[string]func(*server.HoldReserveJSON) *float64{
+	holdFields := map[string]map[string]func(*wire.HoldReserveJSON) *float64{
 		"in": {
-			"ttl_s":        func(h *server.HoldReserveJSON) *float64 { return &h.TTLS },
-			"volume_bytes": func(h *server.HoldReserveJSON) *float64 { return &h.VolumeBytes },
-			"max_rate_bps": func(h *server.HoldReserveJSON) *float64 { return &h.MaxRateBps },
-			"not_before_s": func(h *server.HoldReserveJSON) *float64 { return &h.NotBeforeS },
-			"deadline_s":   func(h *server.HoldReserveJSON) *float64 { return &h.DeadlineS },
+			"ttl_s":        func(h *wire.HoldReserveJSON) *float64 { return &h.TTLS },
+			"volume_bytes": func(h *wire.HoldReserveJSON) *float64 { return &h.VolumeBytes },
+			"max_rate_bps": func(h *wire.HoldReserveJSON) *float64 { return &h.MaxRateBps },
+			"not_before_s": func(h *wire.HoldReserveJSON) *float64 { return &h.NotBeforeS },
+			"deadline_s":   func(h *wire.HoldReserveJSON) *float64 { return &h.DeadlineS },
 		},
 		"eg": {
-			"ttl_s":        func(h *server.HoldReserveJSON) *float64 { return &h.TTLS },
-			"volume_bytes": func(h *server.HoldReserveJSON) *float64 { return &h.VolumeBytes },
-			"max_rate_bps": func(h *server.HoldReserveJSON) *float64 { return &h.MaxRateBps },
-			"rate_bps":     func(h *server.HoldReserveJSON) *float64 { return &h.RateBps },
-			"sigma_s":      func(h *server.HoldReserveJSON) *float64 { return &h.SigmaS },
-			"tau_s":        func(h *server.HoldReserveJSON) *float64 { return &h.TauS },
+			"ttl_s":        func(h *wire.HoldReserveJSON) *float64 { return &h.TTLS },
+			"volume_bytes": func(h *wire.HoldReserveJSON) *float64 { return &h.VolumeBytes },
+			"max_rate_bps": func(h *wire.HoldReserveJSON) *float64 { return &h.MaxRateBps },
+			"rate_bps":     func(h *wire.HoldReserveJSON) *float64 { return &h.RateBps },
+			"sigma_s":      func(h *wire.HoldReserveJSON) *float64 { return &h.SigmaS },
+			"tau_s":        func(h *wire.HoldReserveJSON) *float64 { return &h.TauS },
 		},
 	}
 
@@ -77,8 +77,8 @@ func TestNonFiniteQuantitiesBookNothing(t *testing.T) {
 
 				// Alone: the call's 400.
 				before, records := bookingsOf(srv), walRecords()
-				rec := ff.post("/v1/requests", server.AppendBinarySubmitRequest(nil, &ws))
-				var env server.ErrorJSON
+				rec := ff.post("/v1/requests", wire.AppendSubmitRequest(nil, &ws))
+				var env wire.ErrorJSON
 				if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error == "" {
 					t.Fatalf("single %s: answered %d %q, want 400 with an error envelope", what, rec.Code, rec.Body.String())
 				}
@@ -89,8 +89,8 @@ func TestNonFiniteQuantitiesBookNothing(t *testing.T) {
 
 				// Between two good neighbours: its own error, theirs decided.
 				ws.IdempotencyKey = key()
-				rec = ff.post("/v1/batch", server.AppendBinaryBatchRequest(nil, []server.WireSubmission{good(), ws, good()}))
-				items, err := server.DecodeBinaryBatchResponse(rec.Body.Bytes())
+				rec = ff.post("/v1/batch", wire.AppendBatchRequest(nil, []wire.Submission{good(), ws, good()}))
+				items, err := wire.DecodeBatchResponse(rec.Body.Bytes())
 				if rec.Code != http.StatusOK || err != nil || len(items) != 3 {
 					t.Fatalf("batch %s: answered %d, %v", what, rec.Code, err)
 				}
@@ -115,8 +115,8 @@ func TestNonFiniteQuantitiesBookNothing(t *testing.T) {
 					*at(&h) = bad
 					neighbour := goodHold(side)
 					before, records := bookingsOf(srv), walRecords()
-					rec := ff.post("/v1/reserve", server.AppendHoldReserveList(nil, []server.HoldReserveJSON{neighbour, h}))
-					resps, err := server.DecodeHoldReserveResults(rec.Body.Bytes())
+					rec := ff.post("/v1/reserve", wire.AppendHoldReserveList(nil, []wire.HoldReserveJSON{neighbour, h}))
+					resps, err := wire.DecodeHoldReserveResults(rec.Body.Bytes())
 					if rec.Code != http.StatusOK || err != nil || len(resps) != 2 {
 						t.Fatalf("%s: answered %d, %v", what, rec.Code, err)
 					}
@@ -132,7 +132,7 @@ func TestNonFiniteQuantitiesBookNothing(t *testing.T) {
 					// The refused key left no tombstone: the same key, repaired, books.
 					h = goodHold(side)
 					h.Hold = resps[1].Hold
-					if out, err := srv.HoldReserve([]server.HoldReserveJSON{h}); err != nil || !out[0].Held {
+					if out, err := srv.HoldReserve([]wire.HoldReserveJSON{h}); err != nil || !out[0].Held {
 						t.Fatalf("%s: repaired retry: %+v, %v", what, out, err)
 					}
 				}
@@ -143,8 +143,8 @@ func TestNonFiniteQuantitiesBookNothing(t *testing.T) {
 	// A far deadline is finite and keeps working.
 	far := good()
 	far.Deadline = 1e300
-	rec := ff.post("/v1/requests", server.AppendBinarySubmitRequest(nil, &far))
-	if rj, err := server.DecodeBinarySubmitResponse(rec.Body.Bytes()); rec.Code != http.StatusCreated || err != nil || !rj.Accepted {
+	rec := ff.post("/v1/requests", wire.AppendSubmitRequest(nil, &far))
+	if rj, err := wire.DecodeSubmitResponse(rec.Body.Bytes()); rec.Code != http.StatusCreated || err != nil || !rj.Accepted {
 		t.Fatalf("deadline 1e300: answered %d %+v, %v", rec.Code, rj, err)
 	}
 	if srv.Status().Stats.LogAppendFailures != 0 {

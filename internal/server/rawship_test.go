@@ -19,6 +19,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // pullBody GETs one replication batch the way a follower does (without
@@ -91,7 +92,7 @@ func TestFollowerWALIsByteIdenticalToPrimarys(t *testing.T) {
 	}
 	reserve := func(key string) {
 		t.Helper()
-		r, err := reserve1(primary, server.HoldReserveJSON{
+		r, err := reserve1(primary, wire.HoldReserveJSON{
 			Hold: key, Side: trace.HoldSideIngress, Point: 0, PeerPoint: 1,
 			TTLS: 5, RelTimes: true, VolumeBytes: 1e11, MaxRateBps: 1e9, DeadlineS: 2000,
 		})
@@ -194,7 +195,7 @@ func TestShippedBatchWireShapeIsUnchanged(t *testing.T) {
 
 	// This version → this version: the golden body applies, and the
 	// follower logs the records it was sent, not a re-encoding.
-	var golden server.ShippedBatch
+	var golden wire.ShippedBatch
 	if err := json.Unmarshal([]byte(goldenBody), &golden); err != nil {
 		t.Fatalf("golden batch does not decode: %v", err)
 	}
@@ -273,7 +274,7 @@ func TestApplyShippedRefusesMalformedBatchWhole(t *testing.T) {
 	// byte past the end, of an unknown version or of an unknown kind.
 	for _, bad := range []string{`{"t_s":`, `{"kind":7}`, `[]`, ``,
 		string(good[:len(good)-1]), string(good) + "x", "\x02" + string(good[1:]), "\x01\x0c" + string(good[2:])} {
-		err := f.ApplyShipped(server.ShippedBatch{
+		err := f.ApplyShipped(wire.ShippedBatch{
 			Epoch: 1, Next: wal.Pos{Seg: 1, Off: 500},
 			Events: [][]byte{good, []byte(bad)},
 		})
@@ -286,7 +287,7 @@ func TestApplyShippedRefusesMalformedBatchWhole(t *testing.T) {
 				bad, st.Active, rs.Applied, rs.Cursor, fcfg.WAL.Records())
 		}
 	}
-	if err := f.ApplyShipped(server.ShippedBatch{Epoch: 1, Next: wal.Pos{Seg: 1, Off: 500}, Events: [][]byte{good}}); err != nil {
+	if err := f.ApplyShipped(wire.ShippedBatch{Epoch: 1, Next: wal.Pos{Seg: 1, Off: 500}, Events: [][]byte{good}}); err != nil {
 		t.Fatalf("the well-formed batch: %v", err)
 	}
 	if st := f.Status(); st.Active != 1 || fcfg.WAL.Records() != 1 {
@@ -325,7 +326,7 @@ func TestFollowerAppendsParentRecordsAsReceived(t *testing.T) {
 		for _, p := range batch {
 			next = wal.Pos{Seg: 1, Off: next.Off + int64(len(wal.AppendFrame(nil, p)))}
 		}
-		stream = server.AppendReplBatch(stream, &server.ShippedBatch{Epoch: 1, From: pos, Next: next, End: next, Events: batch})
+		stream = wire.AppendReplBatch(stream, &wire.ShippedBatch{Epoch: 1, From: pos, Next: next, End: next, Events: batch})
 		pos = next
 	}
 

@@ -15,6 +15,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // TestRecoveryRoutesAgree pins the one recovery path: a single recorded
@@ -56,8 +57,8 @@ type recoveryHistory struct {
 // recoveryHold is the hold request of the history. Rates are sized so that
 // everything recorded fits whichever rate the policy picks between MinRate
 // and MaxRate.
-func recoveryHold(key string) server.HoldReserveJSON {
-	return server.HoldReserveJSON{
+func recoveryHold(key string) wire.HoldReserveJSON {
+	return wire.HoldReserveJSON{
 		Hold: key, Side: trace.HoldSideIngress, Point: 0, PeerPoint: 1,
 		TTLS: 5, RelTimes: true, VolumeBytes: 1e11, MaxRateBps: 1e8, DeadlineS: 2000,
 	}
@@ -199,7 +200,7 @@ func recoveryRoutesAgree(t *testing.T, policy string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream = server.AppendReplBatch(stream, &server.ShippedBatch{
+	stream = wire.AppendReplBatch(stream, &wire.ShippedBatch{
 		Epoch: donor.Epoch(), From: mid.WALPos(), Next: end, End: end, Events: frames(t, suffix...),
 	})
 	var acks bytes.Buffer
@@ -209,7 +210,7 @@ func recoveryRoutesAgree(t *testing.T, policy string) {
 	}{bytes.NewReader(stream), &acks}); !errors.Is(err, io.EOF) {
 		t.Fatalf("stream ended with %v, want EOF after the suffix", err)
 	}
-	wantAcks := append(server.AppendReplAck(nil, mid.WALPos()), server.AppendReplAck(nil, end)...)
+	wantAcks := append(wire.AppendPos(nil, mid.WALPos()), wire.AppendPos(nil, end)...)
 	if !bytes.Equal(acks.Bytes(), wantAcks) {
 		t.Fatalf("follower acked %x, want the checkpoint's frontier %v then %v", acks.Bytes(), mid.WALPos(), end)
 	}
@@ -532,7 +533,7 @@ func TestRawByteKeysSurviveRecovery(t *testing.T) {
 	fcfg.WAL = openTestWAL(t)
 	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
 	follower := newTestServer(t, fcfg)
-	stream := server.AppendReplBatch(nil, &server.ShippedBatch{Epoch: donor.Epoch(), From: start, Next: next, End: next, Events: payloads})
+	stream := wire.AppendReplBatch(nil, &wire.ShippedBatch{Epoch: donor.Epoch(), From: start, Next: next, End: next, Events: payloads})
 	if err := follower.FollowStream(struct {
 		io.Reader
 		io.Writer

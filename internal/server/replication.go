@@ -58,19 +58,17 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // Pull-loop tuning: the long-poll window the follower asks for, the batch
 // bound, and the backoff band for transport errors.
 const (
-	pullWait       = 2 * time.Second
-	pullMaxRecords = 512
-	// pullClampRecords is the most records one batch may carry, whatever a
-	// pull asks for.
-	pullClampRecords = 4096
-	pullMaxBytes     = 1 << 20
-	pullBaseBackoff  = 50 * time.Millisecond
-	pullMaxBackoff   = 2 * time.Second
+	pullWait        = 2 * time.Second
+	pullMaxRecords  = 512
+	pullMaxBytes    = 1 << 20
+	pullBaseBackoff = 50 * time.Millisecond
+	pullMaxBackoff  = 2 * time.Second
 	// refollowAfter is how many consecutive transport failures against the
 	// pull source a follower tolerates before probing the peer list for the
 	// epoch-dominant live primary and re-pointing the loop. Three failures
@@ -82,8 +80,6 @@ const (
 	// maxFollowerIDLen is the longest id a pull may present; a -repl-id is a
 	// host name or a base URL.
 	maxFollowerIDLen = 128
-	// replProtocol is the Upgrade token of the replication stream.
-	replProtocol = "gridbw-repl/1"
 )
 
 // The stream's clocks: the primary sends an empty batch after
@@ -113,22 +109,6 @@ type replState struct {
 	// node, so a crash-restart cannot endorse a second candidate.
 	votedEpoch uint64
 	votedFor   string
-}
-
-// ShippedBatch is one pull answer: the records between From and Next,
-// fenced by the sender's epoch. End is the sender's append frontier and
-// LagBytes the exact committed bytes between Next and End, so the
-// follower can report how far behind it runs without guessing at segment
-// sizes it cannot see. Events are the sender's WAL payloads verbatim, each
-// one trace record (trace.AppendRecord); the JSON pull carries them as
-// base64 strings.
-type ShippedBatch struct {
-	Epoch    uint64   `json:"epoch"`
-	From     wal.Pos  `json:"from"`
-	Next     wal.Pos  `json:"next"`
-	End      wal.Pos  `json:"end"`
-	LagBytes int64    `json:"lag_bytes"`
-	Events   [][]byte `json:"events"`
 }
 
 // initRepl resolves the fencing epoch — the largest of the explicit
@@ -207,7 +187,7 @@ func (s *Server) stopPullLocked() chan struct{} {
 // across a crash re-delivers harmlessly. Every element is decoded before
 // anything is touched: a malformed one fails the batch with nothing
 // applied and nothing appended.
-func (s *Server) ApplyShipped(b ShippedBatch) error {
+func (s *Server) ApplyShipped(b wire.ShippedBatch) error {
 	events, err := decodeEvents(b.Events)
 	if err != nil {
 		return err
@@ -237,7 +217,7 @@ func (s *Server) ApplyShipped(b ShippedBatch) error {
 	return nil
 }
 
-func (s *Server) applyShippedLocked(b ShippedBatch, events []trace.Event) error {
+func (s *Server) applyShippedLocked(b wire.ShippedBatch, events []trace.Event) error {
 	if err := s.followingLocked(); err != nil {
 		return err
 	}
@@ -712,7 +692,7 @@ func (s *Server) pullExchange(ctx context.Context, hc *http.Client, source strin
 		return fmt.Errorf("server: pull: %w", err)
 	}
 	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", replProtocol)
+	req.Header.Set("Upgrade", wire.ReplProtocol)
 	resp, err := hc.Do(req)
 	if err != nil {
 		return fmt.Errorf("server: pull: %w", err)
@@ -721,15 +701,15 @@ func (s *Server) pullExchange(ctx context.Context, hc *http.Client, source strin
 	switch resp.StatusCode {
 	case http.StatusSwitchingProtocols:
 		rw, ok := resp.Body.(io.ReadWriter)
-		if !ok || !strings.EqualFold(resp.Header.Get("Upgrade"), replProtocol) {
-			return fmt.Errorf("server: pull: upgrade to %q, want %q", resp.Header.Get("Upgrade"), replProtocol)
+		if !ok || !strings.EqualFold(resp.Header.Get("Upgrade"), wire.ReplProtocol) {
+			return fmt.Errorf("server: pull: upgrade to %q, want %q", resp.Header.Get("Upgrade"), wire.ReplProtocol)
 		}
 		// Ending the session — the loop stopping, or the watchdog — closes
 		// the connection under a blocked read.
 		defer context.AfterFunc(ctx, func() { resp.Body.Close() })()
 		return s.followStream(rw, watchdog, applied)
 	case http.StatusOK:
-		var b ShippedBatch
+		var b wire.ShippedBatch
 		if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
 			return fmt.Errorf("server: pull: decode: %w", err)
 		}
@@ -743,7 +723,7 @@ func (s *Server) pullExchange(ctx context.Context, hc *http.Client, source strin
 		// version, or cannot take the connection over. Retry until it can.
 		return fmt.Errorf("server: pull: cursor %v compacted away on %s, which did not stream; a re-seed needs both ends on the replication stream", cur, source)
 	}
-	var apiErr ErrorJSON
+	var apiErr wire.ErrorJSON
 	msg := resp.Status
 	blob, _ := io.ReadAll(io.LimitReader(resp.Body, 64*1024))
 	if json.Unmarshal(blob, &apiErr) == nil && apiErr.Error != "" {
@@ -758,14 +738,14 @@ func (s *Server) pullExchange(ctx context.Context, hc *http.Client, source strin
 // follower at the position it covers; batches from there follow.
 func (s *Server) followStream(rw io.ReadWriter, watchdog *time.Timer, applied func()) error {
 	var frame []byte
-	var ack [wireAckBytes]byte
+	var ack [wire.AckBytes]byte
 	for {
 		var err error
-		if frame, err = readFrame(rw, frame); err != nil {
+		if frame, err = wire.ReadFrame(rw, frame); err != nil {
 			return fmt.Errorf("server: pull: stream: %w", err)
 		}
 		watchdog.Reset(streamIdle)
-		b, gone, err := decodeReplFrame(frame)
+		b, gone, err := wire.DecodeReplFrame(frame)
 		if err != nil {
 			return fmt.Errorf("server: pull: stream: %w", err)
 		}
@@ -782,7 +762,7 @@ func (s *Server) followStream(rw io.ReadWriter, watchdog *time.Timer, applied fu
 			return &applyError{err}
 		}
 		applied()
-		if _, err := rw.Write(appendPos(ack[:0], b.Next)); err != nil {
+		if _, err := rw.Write(wire.AppendPos(ack[:0], b.Next)); err != nil {
 			return fmt.Errorf("server: pull: stream: %w", err)
 		}
 	}
@@ -894,7 +874,7 @@ func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 
 // handleReplPull serves GET /v1/replication/pull?seg=&off=&max=&wait_ms=:
 // the records past (seg, off). A pull that offers to upgrade to
-// replProtocol, at a cursor this WAL still holds, gets the stream: the
+// wire.ReplProtocol, at a cursor this WAL still holds, gets the stream: the
 // connection is taken over and serveStream ships batches down it as they
 // are appended. Every other pull — an older follower's, or one through a
 // ResponseWriter that cannot be taken over — gets one JSON batch,
@@ -916,7 +896,7 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	seg, off, maxRecords, waitMs := v[0], v[1], v[2], v[3]
-	if maxRecords == 0 || maxRecords > pullClampRecords {
+	if maxRecords == 0 || maxRecords > wire.MaxShippedRecords {
 		maxRecords = pullMaxRecords
 	}
 	if waitMs > 60_000 {
@@ -938,14 +918,14 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	if pos.IsZero() {
 		pos = wal.Pos{Seg: 1}
 	}
-	if wantsUpgrade(r, replProtocol) {
+	if wantsUpgrade(r, wire.ReplProtocol) {
 		// The first batch is read before the connection is taken over: a
 		// compacted cursor gets the stream, which re-seeds it, and any other
 		// cursor this WAL cannot serve gets the JSON path's answer.
 		b, err := s.shipFrom(pos, int(maxRecords))
 		gone := errors.Is(err, wal.ErrCompacted)
 		if err == nil || gone {
-			if st, ok := s.conns.upgrade(w, r, replProtocol); ok {
+			if st, ok := s.conns.upgrade(w, r, wire.ReplProtocol); ok {
 				s.serveStream(st, b, gone, id, int(maxRecords))
 				return
 			}
@@ -996,22 +976,29 @@ func (s *Server) recordAck(id string, pos wal.Pos) {
 }
 
 // shipFrom reads the batch a pull at pos is answered with.
-func (s *Server) shipFrom(pos wal.Pos, maxRecords int) (ShippedBatch, error) {
+func (s *Server) shipFrom(pos wal.Pos, maxRecords int) (wire.ShippedBatch, error) {
 	// The payloads ship as they sit in the WAL: the follower appends the
 	// same bytes, and only it ever decodes them.
 	events, start, next, err := s.wal.ReadFrom(pos, maxRecords, pullMaxBytes)
 	if err != nil {
-		return ShippedBatch{}, err
+		return wire.ShippedBatch{}, err
 	}
 	end := s.wal.End()
 	lag, err := s.wal.SizeBetween(next, end)
 	if err != nil {
 		lag = 0
 	}
-	return ShippedBatch{
+	return wire.ShippedBatch{
 		Epoch: s.Epoch(), From: start, Next: next, End: end,
 		LagBytes: lag, Events: events,
 	}, nil
+}
+
+// appendReplReseed appends a re-seed: the gone frame, then snap's
+// checkpoint frames, which the follower installs before the batches from
+// the position snap covers.
+func appendReplReseed(dst []byte, snap *Snapshot) ([]byte, error) {
+	return snap.appendFrames(wire.AppendReplGone(dst))
 }
 
 // serveStream runs one replication stream on a taken-over connection: it
@@ -1023,16 +1010,16 @@ func (s *Server) shipFrom(pos wal.Pos, maxRecords int) (ShippedBatch, error) {
 // and the server's Close. A cursor compacted away, at the start or
 // mid-stream, gets the gone frame and a fresh checkpoint (appendReplReseed),
 // and the stream goes on from the position the checkpoint covers.
-func (s *Server) serveStream(st *stream, b ShippedBatch, gone bool, id string, maxRecords int) {
+func (s *Server) serveStream(st *stream, b wire.ShippedBatch, gone bool, id string, maxRecords int) {
 	defer st.end()
 	st.goRun(func() {
 		defer st.hangUp()
-		var ack [wireAckBytes]byte
+		var ack [wire.AckBytes]byte
 		for {
 			if _, err := io.ReadFull(st.reader, ack[:]); err != nil {
 				return
 			}
-			p, err := decodeReplAck(ack[:])
+			p, err := wire.DecodeReplAck(ack[:])
 			if err != nil {
 				return
 			}
@@ -1046,9 +1033,9 @@ func (s *Server) serveStream(st *stream, b ShippedBatch, gone bool, id string, m
 		if gone {
 			snap := s.Snapshot()
 			buf, err = appendReplReseed(buf[:0], snap)
-			b = ShippedBatch{Next: snap.WALPos()}
+			b = wire.ShippedBatch{Next: snap.WALPos()}
 		} else {
-			buf = appendReplBatch(buf[:0], &b)
+			buf = wire.AppendReplBatch(buf[:0], &b)
 		}
 		if err != nil || st.write(buf) != nil {
 			return

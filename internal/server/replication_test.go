@@ -17,6 +17,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 func openTestWAL(t testing.TB) *wal.Log {
@@ -120,7 +121,7 @@ func TestReplicationFollowerLifecycle(t *testing.T) {
 	defer fts.Close()
 	fc := client.NewWithOptions(fts.URL, fts.Client(), client.Options{MaxRetries: -1})
 	ctx := context.Background()
-	if _, err := fc.Submit(ctx, server.SubmitRequest{From: 0, To: 1, VolumeBytes: 1e9, DeadlineS: 100, MaxRateBps: 1e9}); !client.IsReadOnly(err) {
+	if _, err := fc.Submit(ctx, wire.SubmitRequest{From: 0, To: 1, VolumeBytes: 1e9, DeadlineS: 100, MaxRateBps: 1e9}); !client.IsReadOnly(err) {
 		t.Fatalf("HTTP submit on follower: err = %v, want 403 read-only", err)
 	}
 	if _, err := fc.Cancel(ctx, ids[0]); !client.IsReadOnly(err) {
@@ -221,7 +222,7 @@ func TestSyncAckDurabilityOnTheWire(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	submitDurable := func() server.ReservationJSON {
+	submitDurable := func() wire.ReservationJSON {
 		t.Helper()
 		body := `{"from":0,"to":1,"volume_bytes":1e9,"deadline_s":3600,"max_rate_bps":1e9,"durable":true}`
 		resp, err := ts.Client().Post(ts.URL+"/v1/requests", "application/json", strings.NewReader(body))
@@ -229,7 +230,7 @@ func TestSyncAckDurabilityOnTheWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var rj server.ReservationJSON
+		var rj wire.ReservationJSON
 		if err := json.NewDecoder(resp.Body).Decode(&rj); err != nil {
 			t.Fatal(err)
 		}
@@ -241,9 +242,9 @@ func TestSyncAckDurabilityOnTheWire(t *testing.T) {
 
 	// No follower is attached: the wait must lapse, and the degradation
 	// must be visible in this result, not just a global counter.
-	if rj := submitDurable(); rj.Durability != server.DurabilityDegraded {
+	if rj := submitDurable(); rj.Durability != wire.DurabilityDegraded {
 		t.Fatalf("durability with no follower = %q, want %q (rogue ack must not count)",
-			rj.Durability, server.DurabilityDegraded)
+			rj.Durability, wire.DurabilityDegraded)
 	}
 
 	// Attach a real named follower; once its pull cursor covers the next
@@ -259,9 +260,9 @@ func TestSyncAckDurabilityOnTheWire(t *testing.T) {
 	waitFor(t, "follower catch-up", func() bool {
 		return follower.ReplicationStatus().LagBytes == 0
 	})
-	if rj := submitDurable(); rj.Durability != server.DurabilityReplicated {
+	if rj := submitDurable(); rj.Durability != wire.DurabilityReplicated {
 		t.Fatalf("durability with an acking follower = %q, want %q",
-			rj.Durability, server.DurabilityReplicated)
+			rj.Durability, wire.DurabilityReplicated)
 	}
 
 	// The batch endpoint carries the same per-result field.
@@ -271,15 +272,15 @@ func TestSyncAckDurabilityOnTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var br server.BatchResponse
+	var br wire.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
 	}
 	if len(br.Results) != 1 || br.Results[0].Reservation == nil {
 		t.Fatalf("batch response: %+v", br)
 	}
-	if got := br.Results[0].Reservation.Durability; got != server.DurabilityReplicated {
-		t.Fatalf("batch durability = %q, want %q", got, server.DurabilityReplicated)
+	if got := br.Results[0].Reservation.Durability; got != wire.DurabilityReplicated {
+		t.Fatalf("batch durability = %q, want %q", got, wire.DurabilityReplicated)
 	}
 }
 
@@ -292,7 +293,7 @@ func TestReplicationFencing(t *testing.T) {
 	cfg.Epoch = 5
 	s := newTestServer(t, cfg)
 
-	err := s.ApplyShipped(server.ShippedBatch{Epoch: 3})
+	err := s.ApplyShipped(wire.ShippedBatch{Epoch: 3})
 	var fenced *server.FencedError
 	if !errors.As(err, &fenced) {
 		t.Fatalf("low-epoch batch: err = %v, want FencedError", err)
@@ -303,7 +304,7 @@ func TestReplicationFencing(t *testing.T) {
 
 	// A higher epoch means a newer primary: adopt it.
 	next := wal.Pos{Seg: 1, Off: 100}
-	if err := s.ApplyShipped(server.ShippedBatch{Epoch: 7, Next: next}); err != nil {
+	if err := s.ApplyShipped(wire.ShippedBatch{Epoch: 7, Next: next}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Epoch(); got != 7 {
@@ -311,7 +312,7 @@ func TestReplicationFencing(t *testing.T) {
 	}
 
 	// A batch that does not start at the cursor is a gap, not progress.
-	err = s.ApplyShipped(server.ShippedBatch{Epoch: 7, From: wal.Pos{Seg: 1, Off: 50}})
+	err = s.ApplyShipped(wire.ShippedBatch{Epoch: 7, From: wal.Pos{Seg: 1, Off: 50}})
 	if err == nil || !strings.Contains(err.Error(), "replication gap") {
 		t.Fatalf("gap batch: err = %v, want replication gap", err)
 	}
@@ -319,7 +320,7 @@ func TestReplicationFencing(t *testing.T) {
 	// A primary refuses shipped batches outright.
 	pcfg := uniformConfig(nil)
 	p := newTestServer(t, pcfg)
-	if err := p.ApplyShipped(server.ShippedBatch{Epoch: 99}); !errors.Is(err, server.ErrNotFollower) {
+	if err := p.ApplyShipped(wire.ShippedBatch{Epoch: 99}); !errors.Is(err, server.ErrNotFollower) {
 		t.Fatalf("primary ApplyShipped err = %v, want ErrNotFollower", err)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // openSmallWAL opens a WAL with tiny segments so a handful of events
@@ -267,7 +268,7 @@ func TestReseedRefusals(t *testing.T) {
 func TestReseedCarriesHolds(t *testing.T) {
 	clk := &fakeClock{}
 	donor := newTestServer(t, holdConfig(clk, nil))
-	onPoint := func(hold string, point int) server.HoldReserveJSON {
+	onPoint := func(hold string, point int) wire.HoldReserveJSON {
 		r := fullReserve(hold)
 		r.Point, r.PeerPoint = point, 1-point
 		return r
@@ -288,7 +289,7 @@ func TestReseedCarriesHolds(t *testing.T) {
 	f := newTestServer(t, fcfg)
 	// History the re-seed displaces: a hold shipped before the cursor was
 	// compacted away, which the donor's snapshot no longer knows.
-	if err := f.ApplyShipped(server.ShippedBatch{Epoch: 1, Events: frames(t, trace.Event{
+	if err := f.ApplyShipped(wire.ShippedBatch{Epoch: 1, Events: frames(t, trace.Event{
 		Kind: trace.EventHoldReserve, Request: -1, Ingress: 1, Egress: 0,
 		Hold: "stale", Side: trace.HoldSideEgress, RateBps: 1e9, SigmaS: 0, TauS: 10, ExpireS: 5,
 	})}); err != nil {
@@ -315,7 +316,7 @@ func TestReseedCarriesHolds(t *testing.T) {
 		t.Fatalf("reserve over the held capacity: %v %+v, want a refusal", err, r)
 	}
 	// The displaced hold's egress point is free again.
-	if r, err := reserve1(f, server.HoldReserveJSON{
+	if r, err := reserve1(f, wire.HoldReserveJSON{
 		Hold: "egress-free", Side: trace.HoldSideEgress, Point: 0, PeerPoint: 1, TTLS: 1,
 		RateBps: 1e9, SigmaS: 0, TauS: 10,
 	}); err != nil || !r.Held {
@@ -354,7 +355,7 @@ func TestReseedStreamCutAtEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gone := len(server.AppendReplGone(nil))
+	gone := len(wire.AppendReplGone(nil))
 	for cut := gone; cut <= len(stream); cut++ {
 		l, _, err := wal.Open(t.TempDir(), wal.Options{})
 		if err != nil {
@@ -411,7 +412,7 @@ func TestCheckpointWritesSerializeWithReseed(t *testing.T) {
 		f := newTestServer(t, fcfg)
 		// A large state to displace makes the periodic writes slow, which
 		// is when an unserialized one lands after the re-seed's.
-		if err := f.ApplyShipped(server.ShippedBatch{Epoch: 1, Events: frames(t, bulk...)}); err != nil {
+		if err := f.ApplyShipped(wire.ShippedBatch{Epoch: 1, Events: frames(t, bulk...)}); err != nil {
 			t.Fatal(err)
 		}
 		stop := make(chan struct{})

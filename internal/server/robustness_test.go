@@ -11,6 +11,7 @@ import (
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 // TestIdempotentSubmit: the same idempotency key returns the original
@@ -143,7 +144,7 @@ func TestLoadShedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var health server.HealthJSON
+	var health wire.HealthJSON
 	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestHealthzDraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var health server.HealthJSON
+	var health wire.HealthJSON
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestIdempotencyHeaderSpellings(t *testing.T) {
 	if resp := post("hk", good); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("header-keyed submit = %d", resp.StatusCode)
 	}
-	var first server.ReservationJSON
+	var first wire.ReservationJSON
 	resp := post("hk", good)
 	if err := json.NewDecoder(resp.Body).Decode(&first); err != nil {
 		t.Fatal(err)

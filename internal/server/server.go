@@ -56,6 +56,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // Config describes the platform a Server admits onto.
@@ -145,20 +146,15 @@ const (
 	defaultSyncTimeout       = 2 * time.Second
 )
 
-// State is a reservation's lifecycle position.
+// State is a reservation's lifecycle position, named as the wire names it.
 type State string
 
 const (
-	// StateBooked: accepted, σ(r) still in the future (book-ahead).
-	StateBooked State = "booked"
-	// StateActive: accepted and transmitting (σ ≤ now < τ).
-	StateActive State = "active"
-	// StateExpired: τ(r) passed; capacity returned.
-	StateExpired State = "expired"
-	// StateCancelled: revoked by the client before τ(r).
-	StateCancelled State = "cancelled"
-	// StateRejected: never admitted; only appears in Decisions.
-	StateRejected State = "rejected"
+	StateBooked    State = wire.StateBooked
+	StateActive    State = wire.StateActive
+	StateExpired   State = wire.StateExpired
+	StateCancelled State = wire.StateCancelled
+	StateRejected  State = wire.StateRejected
 )
 
 // Submission is an online reservation request. Times are absolute service
@@ -601,7 +597,7 @@ func (s *Server) validateSubmission(sub Submission) error {
 	if sub.To < 0 || sub.To >= s.net.NumEgress() {
 		return fmt.Errorf("server: egress %d out of range [0,%d)", sub.To, s.net.NumEgress())
 	}
-	return CheckKey("server: idempotency key", sub.IdempotencyKey)
+	return wire.CheckKey("server: idempotency key", sub.IdempotencyKey)
 }
 
 // Submit decides a reservation request against the live ledger. The

@@ -18,6 +18,7 @@ import (
 	"gridbw/internal/server/client"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 // fakeClock is a manually advanced wall clock shared by a server and its
@@ -81,7 +82,7 @@ func TestE2ELifecycle(t *testing.T) {
 	ctx := context.Background()
 
 	// 100 GB in a 400 s window at up to 1 GB/s: MinRate is 250 MB/s.
-	d, err := c.Submit(ctx, server.SubmitRequest{
+	d, err := c.Submit(ctx, wire.SubmitRequest{
 		From: 0, To: 1, VolumeBytes: 100e9, DeadlineS: 400, MaxRateBps: 1e9,
 	})
 	if err != nil {
@@ -141,7 +142,7 @@ func TestE2ELifecycle(t *testing.T) {
 	}
 
 	// The freed point admits a full-rate transfer again.
-	d2, err := c.Submit(ctx, server.SubmitRequest{
+	d2, err := c.Submit(ctx, wire.SubmitRequest{
 		From: 0, To: 1, Volume: "100GB", DeadlineIn: "100s", MaxRate: "1GB/s",
 	})
 	if err != nil {
@@ -178,7 +179,7 @@ func TestBookAheadRigid(t *testing.T) {
 	ctx := context.Background()
 
 	// 100 GB over exactly [1000, 1100] at 1 GB/s: MinRate = MaxRate.
-	rigid := server.SubmitRequest{
+	rigid := wire.SubmitRequest{
 		From: 0, To: 0, VolumeBytes: 100e9,
 		NotBeforeS: 1000, DeadlineS: 1100, MaxRateBps: 1e9,
 	}
@@ -233,7 +234,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 
 	// Conflicting dual fields and bad unit strings.
-	for _, req := range []server.SubmitRequest{
+	for _, req := range []wire.SubmitRequest{
 		{From: 0, To: 0, VolumeBytes: 1e9, Volume: "1GB", DeadlineS: 10, MaxRateBps: 1e9},
 		{From: 0, To: 0, Volume: "1 parsec", DeadlineS: 10, MaxRateBps: 1e9},
 		{From: 9, To: 0, VolumeBytes: 1e9, DeadlineS: 10, MaxRateBps: 1e9},
@@ -259,7 +260,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 
 	// Double cancel conflicts.
-	d, err := c.Submit(ctx, server.SubmitRequest{From: 0, To: 0, VolumeBytes: 1e9, DeadlineS: 100, MaxRateBps: 1e9})
+	d, err := c.Submit(ctx, wire.SubmitRequest{From: 0, To: 0, VolumeBytes: 1e9, DeadlineS: 100, MaxRateBps: 1e9})
 	if err != nil || !d.Accepted {
 		t.Fatalf("seed submission: %v %+v", err, d)
 	}
@@ -271,7 +272,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 
 	// Domain rejections are 200 answers, not errors.
-	dr, err := c.Submit(ctx, server.SubmitRequest{From: 0, To: 0, VolumeBytes: 1e12, DeadlineS: 10, MaxRateBps: 1e9})
+	dr, err := c.Submit(ctx, wire.SubmitRequest{From: 0, To: 0, VolumeBytes: 1e12, DeadlineS: 10, MaxRateBps: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 
 	// A closed server answers 503.
 	s.Close()
-	if _, err := c.Submit(ctx, server.SubmitRequest{From: 0, To: 0, VolumeBytes: 1e9, DeadlineS: 10, MaxRateBps: 1e9}); err == nil {
+	if _, err := c.Submit(ctx, wire.SubmitRequest{From: 0, To: 0, VolumeBytes: 1e9, DeadlineS: 10, MaxRateBps: 1e9}); err == nil {
 		t.Error("submit after Close did not error")
 	} else if ae, ok := err.(*client.APIError); !ok || ae.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("submit after Close = %v, want 503", err)

@@ -16,6 +16,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // SnapshotVersion is bumped on incompatible checkpoint changes. It is the
@@ -278,7 +279,7 @@ func readCheckpoint(fr *wal.FrameReader) (*Snapshot, error) {
 		err = json.Unmarshal(p, &h)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("server: checkpoint header: %w", noEOF(err))
+		return nil, fmt.Errorf("server: checkpoint header: %w", wire.NoEOF(err))
 	}
 	if snap.Version != SnapshotVersion {
 		return nil, unsupportedVersion(snap.Version)
@@ -294,7 +295,7 @@ func readCheckpoint(fr *wal.FrameReader) (*Snapshot, error) {
 			err = trace.DecodeRecord(p, &ev)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("server: checkpoint: event %d of %d: %w", i, h.Events, noEOF(err))
+			return nil, fmt.Errorf("server: checkpoint: event %d of %d: %w", i, h.Events, wire.NoEOF(err))
 		}
 		snap.Events = append(snap.Events, ev)
 	}

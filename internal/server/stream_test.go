@@ -3,7 +3,6 @@ package server_test
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -20,6 +19,7 @@ import (
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // The replication stream: a pull that offers to upgrade gets one connection
@@ -85,7 +85,7 @@ func TestStreamShipsWithoutRoundTrips(t *testing.T) {
 	startFollower(t, ts.URL, "f1")
 
 	for i := 0; i < 20; i++ {
-		if res := durableOn(t, primary, i); res.Durability != server.DurabilityReplicated {
+		if res := durableOn(t, primary, i); res.Durability != wire.DurabilityReplicated {
 			t.Fatalf("submit %d answered %q", i, res.Durability)
 		}
 	}
@@ -142,7 +142,7 @@ func TestWrappedHandlerFallsBackToJSON(t *testing.T) {
 	pulls.Store(0)
 	startFollower(t, ts.URL, "f1")
 	for i := 0; i < 5; i++ {
-		if res := durableOn(t, primary, i); res.Durability != server.DurabilityReplicated {
+		if res := durableOn(t, primary, i); res.Durability != wire.DurabilityReplicated {
 			t.Fatalf("submit %d answered %q", i, res.Durability)
 		}
 	}
@@ -183,17 +183,17 @@ func openRawStream(t *testing.T, base, query string) *rawStream {
 }
 
 // next reads one frame; gone reports the gone frame.
-func (r *rawStream) next() (b server.ShippedBatch, gone bool, err error) {
+func (r *rawStream) next() (b wire.ShippedBatch, gone bool, err error) {
 	r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if r.buf, err = server.ReadReplFrame(r.br, r.buf); err != nil {
+	if r.buf, err = wire.ReadFrame(r.br, r.buf); err != nil {
 		return b, false, err
 	}
-	return server.DecodeReplFrame(r.buf)
+	return wire.DecodeReplFrame(r.buf)
 }
 
 func (r *rawStream) ack(p wal.Pos) {
 	r.t.Helper()
-	if _, err := r.conn.Write(server.AppendReplAck(nil, p)); err != nil {
+	if _, err := r.conn.Write(wire.AppendPos(nil, p)); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -219,8 +219,8 @@ func TestStreamAckPastFrontierIsNotRecorded(t *testing.T) {
 	if got := primary.FollowerAcks()["rogue"].Pos; got != (wal.Pos{Seg: 1}) {
 		t.Fatalf("ack table holds %v for the rogue stream, want 1:0", got)
 	}
-	if res := durableOn(t, primary, 0); res.Durability != server.DurabilityDegraded {
-		t.Fatalf("durable submit with only a rogue stream answered %q, want %q", res.Durability, server.DurabilityDegraded)
+	if res := durableOn(t, primary, 0); res.Durability != wire.DurabilityDegraded {
+		t.Fatalf("durable submit with only a rogue stream answered %q, want %q", res.Durability, wire.DurabilityDegraded)
 	}
 	// The stream shipped the decision all the same.
 	if b, _, err := rs.next(); err != nil || len(b.Events) != 1 || b.Next != pcfg.WAL.End() {
@@ -471,84 +471,24 @@ func TestFollowerAbandonsSilentPrimary(t *testing.T) {
 	}
 }
 
-// TestReplFramesRoundTripAndRefuse pins the stream codec: a batch and the
-// gone frame decode to what was encoded, and the decoder refuses a count
-// above the pull clamp, a record length of zero or past the WAL's record
-// bound, and every truncation.
-func TestReplFramesRoundTripAndRefuse(t *testing.T) {
-	ev := frames(t,
-		trace.Event{Kind: trace.EventAccept, Request: 3, RateBps: 1e8, TauS: 100, VolumeB: 1e10, MaxRateBps: 1e9},
-		trace.Event{Kind: trace.EventCancel, Request: 3, At: 5})
-	b := server.ShippedBatch{
-		Epoch: 7, From: wal.Pos{Seg: 2, Off: 10}, Next: wal.Pos{Seg: 3, Off: 40},
-		End: wal.Pos{Seg: 4, Off: 1}, LagBytes: 99, Events: ev,
-	}
-	frame := server.AppendReplBatch(nil, &b)
-	got, gone, err := server.DecodeReplFrame(frame)
-	if err != nil || gone {
-		t.Fatalf("decode: %v gone=%v", err, gone)
-	}
-	if blob, _ := json.Marshal(got); string(blob) != string(mustJSON(t, b)) {
-		t.Fatalf("round trip: got %s, want %s", blob, mustJSON(t, b))
-	}
-	for n := range frame {
-		if _, _, err := server.DecodeReplFrame(frame[:n]); err == nil {
-			t.Fatalf("%d-byte prefix of a %d-byte frame decoded", n, len(frame))
-		}
-	}
-	if _, gone, err := server.DecodeReplFrame(server.AppendReplGone(nil)); err != nil || !gone {
-		t.Fatalf("gone frame: gone=%v %v", gone, err)
-	}
-
-	many := make([][]byte, 4097)
-	for i := range many {
-		many[i] = []byte("1")
-	}
-	if _, _, err := server.DecodeReplFrame(server.AppendReplBatch(nil, &server.ShippedBatch{Events: many[:4096]})); err != nil {
-		t.Fatalf("a batch at the clamp: %v", err)
-	}
-	for name, events := range map[string][][]byte{
-		"count above the clamp": many,
-		"empty record":          {[]byte("1"), {}},
-		"oversized record":      {bytes.Repeat([]byte{'1'}, wal.MaxRecordBytes+1)},
-	} {
-		if _, _, err := server.DecodeReplFrame(server.AppendReplBatch(nil, &server.ShippedBatch{Events: events})); err == nil {
-			t.Errorf("%s: decoded", name)
-		}
-	}
-	if _, err := server.DecodeReplAck(server.AppendReplAck(nil, wal.Pos{Seg: 1, Off: -1})); err == nil {
-		t.Error("cursor frame with a negative offset decoded")
-	}
-}
-
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	blob, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
-}
-
-// FuzzReplFrames: over arbitrary bytes the stream's decoders never panic,
-// what they accept is within the bounds the primary ships under, and it
-// re-encodes to the same bytes. Played down a follower's stream, the same
-// bytes never panic either: a gone frame's checkpoint installs only whole
-// and on the follower's platform, and what installs passes the audit.
+// FuzzReplFrames plays arbitrary bytes down a follower's replication
+// stream: they never panic it, a gone frame's checkpoint installs only
+// whole and on the follower's platform, and what installs passes the
+// audit. (internal/wire's FuzzReplFrames fuzzes the stream's decoders.)
 func FuzzReplFrames(f *testing.F) {
-	f.Add(server.AppendReplBatch(nil, &server.ShippedBatch{
+	f.Add(wire.AppendReplBatch(nil, &wire.ShippedBatch{
 		Epoch: 2, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1, Off: 9}, End: wal.Pos{Seg: 1, Off: 9},
 		Events: [][]byte{[]byte(`{"kind":"reject"}`)},
 	}))
-	f.Add(server.AppendReplBatch(nil, &server.ShippedBatch{
+	f.Add(wire.AppendReplBatch(nil, &wire.ShippedBatch{
 		Epoch: 2, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1, Off: 150}, End: wal.Pos{Seg: 1, Off: 150},
 		Events: frames(f,
 			trace.Event{Kind: trace.EventAccept, Ingress: 0, Egress: 1, RateBps: 1e8, TauS: 100, VolumeB: 1e10, MaxRateBps: 1e9, Key: "k"},
 			trace.Event{At: 1, Kind: trace.EventCancel}),
 	}))
-	f.Add(server.AppendReplBatch(nil, &server.ShippedBatch{Epoch: 1, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1}}))
-	f.Add(server.AppendReplGone(nil))
-	f.Add(server.AppendReplAck(nil, wal.Pos{Seg: 3, Off: 4096}))
+	f.Add(wire.AppendReplBatch(nil, &wire.ShippedBatch{Epoch: 1, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1}}))
+	f.Add(wire.AppendReplGone(nil))
+	f.Add(wire.AppendPos(nil, wal.Pos{Seg: 3, Off: 4096}))
 	// A re-seed: the gone frame, a donor's checkpoint, and the batch after.
 	donor := newTestServer(f, uniformConfig(nil))
 	if d, err := donor.Submit(submission(0, false)); err != nil || !d.Accepted {
@@ -561,7 +501,7 @@ func FuzzReplFrames(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(reseed)
-	f.Add(server.AppendReplBatch(reseed, &server.ShippedBatch{Epoch: snap.Epoch, From: snap.WALPos(), Next: snap.WALPos()}))
+	f.Add(wire.AppendReplBatch(reseed, &wire.ShippedBatch{Epoch: snap.Epoch, From: snap.WALPos(), Next: snap.WALPos()}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := uniformConfig(nil)
 		cfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
@@ -576,38 +516,6 @@ func FuzzReplFrames(f *testing.F) {
 			t.Fatalf("the follower's state after the stream fails the audit: %v", err)
 		}
 		follower.Close()
-
-		b, gone, err := server.DecodeReplFrame(data)
-		switch {
-		case err != nil:
-		case gone:
-			if !bytes.Equal(data, server.AppendReplGone(nil)) {
-				t.Fatalf("gone frame %x is not the canonical one", data)
-			}
-		default:
-			if len(b.Events) > 4096 {
-				t.Fatalf("decoded %d records", len(b.Events))
-			}
-			for i, ev := range b.Events {
-				if len(ev) == 0 || len(ev) > wal.MaxRecordBytes {
-					t.Fatalf("record %d of %d bytes decoded", i, len(ev))
-				}
-			}
-			if re := server.AppendReplBatch(nil, &b); !bytes.Equal(re, data) {
-				t.Fatalf("re-encoding differs:\n got %x\nwant %x", re, data)
-			}
-		}
-		if err == nil {
-			frame, rerr := server.ReadReplFrame(bytes.NewReader(data), nil)
-			if rerr != nil || !bytes.Equal(frame, data) {
-				t.Fatalf("framing off a stream: %x, %v", frame, rerr)
-			}
-		}
-		if p, err := server.DecodeReplAck(data); err == nil {
-			if re := server.AppendReplAck(nil, p); !bytes.Equal(re, data) {
-				t.Fatalf("cursor %v re-encodes to %x, not %x", p, re, data)
-			}
-		}
 	})
 }
 

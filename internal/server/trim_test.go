@@ -15,6 +15,7 @@ import (
 	"gridbw/internal/request"
 	"gridbw/internal/server"
 	"gridbw/internal/units"
+	"gridbw/internal/wire"
 )
 
 // ledgerBreakpoints reads the gridbwd_ledger_breakpoints gauge off the
@@ -211,15 +212,15 @@ func TestEarlyGiveBackNeverTrimsAheadOfTheClock(t *testing.T) {
 	if _, err := srv.Cancel(ahead.ID); err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range []server.HoldReserveJSON{
+	for _, h := range []wire.HoldReserveJSON{
 		{Hold: "in", Side: "in", Point: 0, PeerPoint: 1, VolumeBytes: 1e10, MaxRateBps: 1e9, NotBeforeS: 700, DeadlineS: 800},
 		{Hold: "eg", Side: "eg", Point: 0, PeerPoint: 1, VolumeBytes: 1e10, MaxRateBps: 1e9, RateBps: 1e9, SigmaS: 700, TauS: 710},
 	} {
-		held, err := srv.HoldReserve([]server.HoldReserveJSON{h})
+		held, err := srv.HoldReserve([]wire.HoldReserveJSON{h})
 		if err != nil || !held[0].Held {
 			t.Fatalf("booked-ahead hold %s = %+v, %v", h.Hold, held, err)
 		}
-		if got, err := srv.HoldAbort([]server.HoldRefJSON{{Hold: h.Hold}}); err != nil || !got[0].Released {
+		if got, err := srv.HoldAbort([]wire.HoldRefJSON{{Hold: h.Hold}}); err != nil || !got[0].Released {
 			t.Fatalf("abort of hold %s = %+v, %v", h.Hold, got, err)
 		}
 	}
@@ -262,7 +263,7 @@ func TestHoldWindowBehindTheFloorIsRefused(t *testing.T) {
 		{5, 15, true},  // straddles it: checked from the floor on
 	} {
 		key := fmt.Sprintf("eg-%v-%v", tc.sigma, tc.tau)
-		got, err := srv.HoldReserve([]server.HoldReserveJSON{{
+		got, err := srv.HoldReserve([]wire.HoldReserveJSON{{
 			Hold: key, Side: "eg", Point: 1, PeerPoint: 0,
 			VolumeBytes: 1e9, MaxRateBps: 1e9, RateBps: 1e8, SigmaS: tc.sigma, TauS: tc.tau,
 		}})
