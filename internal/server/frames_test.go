@@ -19,7 +19,7 @@ import (
 
 // The JSON≡frames proof. Two identical daemons on one fake clock are driven
 // through the same schedule of submits, batches, reserves, confirms and
-// aborts — one in JSON, the way curl speaks, one in the frames of wire.go,
+// aborts — one in JSON, the way curl speaks, one in the frames of internal/wire,
 // the way gridbw processes speak — and must give the same answer to every
 // call: status, decisions field for field, idempotent replays included.
 // Schedules come from bytes, so one harness serves the seeded test and the

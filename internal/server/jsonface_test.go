@@ -48,7 +48,7 @@ func (ft *faceTranscript) do(h http.Handler, name, method, path, body string, he
 }
 
 // TestJSONFaceGolden pins the JSON face of the request plane — what curl
-// sees — byte for byte: the frames of wire.go became the wire between
+// sees — byte for byte: the frames of internal/wire became the wire between
 // gridbw processes, and JSON must not have moved in the process. The golden
 // file was captured by running this same script on the commit before the
 // handlers learned frames (PR 15, with -update-json-face).

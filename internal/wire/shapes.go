@@ -91,11 +91,12 @@ func (req SubmitRequest) Wire() (Submission, error) {
 		IdempotencyKey: req.IdempotencyKey,
 	}
 	ws.RelNotBefore, ws.RelDeadline = req.StartIn != "", req.DeadlineIn != ""
-	return ws, firstErr(ws.Check(),
+	err := firstErr(ws.Check(),
 		spelled(req.Volume, req.VolumeBytes, "volume and volume_bytes", units.ParseVolume, &ws.Volume),
 		spelled(req.MaxRate, req.MaxRateBps, "max_rate and max_rate_bps", units.ParseBandwidth, &ws.MaxRate),
 		spelled(req.StartIn, req.NotBeforeS, "start_in and not_before_s", units.ParseTime, &ws.NotBefore),
 		spelled(req.DeadlineIn, req.DeadlineS, "deadline_in and deadline_s", units.ParseTime, &ws.Deadline))
+	return ws, err
 }
 
 // spelled parses a quantity's human spelling s into *q, when there is one;

@@ -189,13 +189,13 @@ func second[T any](_ T, err error) error { return err }
 // open slots in order; a count that does not line up is refused.
 func TestSplitAndMergeBatch(t *testing.T) {
 	reqs := []SubmitRequest{
-		{From: 0, To: 1, VolumeBytes: 1},
+		{From: 0, To: 1, Volume: "1GB", DeadlineIn: "90s"},
 		{From: 0, To: 1, Volume: "x"},
 		{From: 1, To: 0, VolumeBytes: 2},
 		{From: 1 << 32},
 	}
 	items, subs := SplitBatch(reqs)
-	if len(subs) != 2 || subs[0].Volume != 1 || subs[1].Volume != 2 {
+	if len(subs) != 2 || subs[0].Volume != 1e9 || subs[0].Deadline != 90 || !subs[0].RelDeadline || subs[1].Volume != 2 {
 		t.Fatalf("sent %+v", subs)
 	}
 	if items[1].Error == "" || items[3].Error == "" || items[0].Error != "" || items[2].Error != "" {
