@@ -315,14 +315,15 @@ func TestCrossShardBlackholeAbortBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
-	// The ingress owner cuts the egress owner's link the moment its first
-	// RESERVE list is decided: wave two walks into the void.
+	// The egress owner's link is cut the moment the ingress owner is first
+	// called, before it answers: wave two walks into the void. The first
+	// call may be the batch's same-shard slice rather than the RESERVE
+	// list, and the call stream it opens then carries the list past this
+	// handler; cutting after the list was decided missed it then.
 	var cut sync.Once
 	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cut.Do(func() { proxy.SetRules(chaosnet.Rules{CutToTarget: true, CutToClient: true}) })
 		wt.servers[inIdx].Handler().ServeHTTP(w, r)
-		if r.URL.Path == "/v1/reserve" {
-			cut.Do(func() { proxy.SetRules(chaosnet.Rules{CutToTarget: true, CutToClient: true}) })
-		}
 	}))
 	defer front.Close()
 	shards := make([]ShardConfig, 2)
