@@ -13,12 +13,36 @@ import (
 
 // TestWireClientAndLoadgenDoNotLinkTheDaemon keeps the cut internal/wire
 // makes: the byte formats, the client and the load generator build without
-// the daemon. It reads the imports of every non-test file in the module and
-// fails if any of the packages below reaches the daemon, its hold table,
-// the admission step or the core facade, however indirectly.
+// the daemon. It fails if any of the packages below reaches the daemon, its
+// hold table, the admission step or the core facade, however indirectly.
 func TestWireClientAndLoadgenDoNotLinkTheDaemon(t *testing.T) {
+	imports := moduleImports(t)
+	forbidden := []string{"internal/server", "internal/hold", "internal/admit", "internal/core"}
+	for _, root := range []string{"internal/wire", "internal/server/client", "internal/loadgen", "cmd/gridbwload"} {
+		checkUnreachable(t, imports, root, forbidden)
+	}
+}
+
+// TestStateMachineStandsAlone keeps the cut internal/state makes: the
+// reservation state machine reaches the daemon only through the two seams
+// the daemon sets, so it imports neither the WAL, the replication group's
+// rules nor HTTP, and reaches neither the daemon nor the router at any depth.
+func TestStateMachineStandsAlone(t *testing.T) {
+	imports := moduleImports(t)
+	for _, dep := range imports["internal/state"] {
+		if slices.Contains([]string{"internal/wal", "internal/cluster", "net/http"}, dep) {
+			t.Errorf("internal/state imports %s", dep)
+		}
+	}
+	checkUnreachable(t, imports, "internal/state", []string{"internal/server", "internal/router"})
+}
+
+// moduleImports reads the imports of every non-test file in the module:
+// package dir → what it imports, the module's own packages by their dir.
+func moduleImports(t *testing.T) map[string][]string {
+	t.Helper()
 	const module = "gridbw/"
-	imports := map[string][]string{} // package dir → the module's packages it imports
+	imports := map[string][]string{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
@@ -36,8 +60,9 @@ func TestWireClientAndLoadgenDoNotLinkTheDaemon(t *testing.T) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		for _, spec := range f.Imports {
 			p, _ := strconv.Unquote(spec.Path.Value)
-			if dep, ok := strings.CutPrefix(p, module); ok && !slices.Contains(imports[dir], dep) {
-				imports[dir] = append(imports[dir], dep)
+			p = strings.TrimPrefix(p, module)
+			if !slices.Contains(imports[dir], p) {
+				imports[dir] = append(imports[dir], p)
 			}
 		}
 		return nil
@@ -45,36 +70,40 @@ func TestWireClientAndLoadgenDoNotLinkTheDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forbidden := []string{"internal/server", "internal/hold", "internal/admit", "internal/core"}
-	for _, root := range []string{"internal/wire", "internal/server/client", "internal/loadgen", "cmd/gridbwload"} {
-		if _, ok := imports[root]; !ok {
-			t.Errorf("%s: no such package", root)
+	return imports
+}
+
+// checkUnreachable fails t for every package of forbidden that root
+// reaches in imports, naming the chain.
+func checkUnreachable(t *testing.T, imports map[string][]string, root string, forbidden []string) {
+	t.Helper()
+	if _, ok := imports[root]; !ok {
+		t.Errorf("%s: no such package", root)
+		return
+	}
+	// Walk the import graph from root, remembering how each package was
+	// reached so a failure names the chain.
+	via := map[string]string{root: ""}
+	queue := []string{root}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		for _, dep := range imports[p] {
+			if _, seen := via[dep]; !seen {
+				via[dep] = p
+				queue = append(queue, dep)
+			}
+		}
+	}
+	for _, bad := range forbidden {
+		if _, ok := via[bad]; !ok {
 			continue
 		}
-		// Walk the import graph from root, remembering how each package was
-		// reached so a failure names the chain.
-		via := map[string]string{root: ""}
-		queue := []string{root}
-		for len(queue) > 0 {
-			p := queue[0]
-			queue = queue[1:]
-			for _, dep := range imports[p] {
-				if _, seen := via[dep]; !seen {
-					via[dep] = p
-					queue = append(queue, dep)
-				}
-			}
+		chain := []string{bad}
+		for p := via[bad]; p != ""; p = via[p] {
+			chain = append(chain, p)
 		}
-		for _, bad := range forbidden {
-			if _, ok := via[bad]; !ok {
-				continue
-			}
-			chain := []string{bad}
-			for p := via[bad]; p != ""; p = via[p] {
-				chain = append(chain, p)
-			}
-			slices.Reverse(chain)
-			t.Errorf("%s links %s: %s", root, bad, strings.Join(chain, " → "))
-		}
+		slices.Reverse(chain)
+		t.Errorf("%s links %s: %s", root, bad, strings.Join(chain, " → "))
 	}
 }

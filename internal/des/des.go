@@ -140,7 +140,11 @@ func (s *Simulator) After(delay units.Time, fn Event) Handle {
 // Cancel prevents a scheduled event from firing. Cancelling an already
 // fired or already cancelled event is a no-op; Cancel reports whether the
 // event was actually descheduled.
-func (s *Simulator) Cancel(h Handle) bool {
+func (s *Simulator) Cancel(h Handle) bool { return h.Cancel() }
+
+// Cancel is Simulator.Cancel for a holder of h that does not hold the
+// simulator: a handle reaches the one item it schedules.
+func (h Handle) Cancel() bool {
 	if h.item == nil || h.item.gen != h.gen || h.item.cancelled || h.item.index == -1 {
 		return false
 	}

@@ -412,10 +412,10 @@ func (ru *runner) arrival(r request.Request) {
 }
 
 // egressOnReserve runs the authoritative check exactly once per request,
-// booking from now until τ as the daemon's holdCheckLocked books a proposed
-// grant — a RESERVE landing at or after τ has nothing left to book and is
-// refused; duplicate RESERVE copies re-send the recorded answer without
-// touching the ledger (idempotent commit).
+// booking from now until τ as the daemon's egress side (state.Machine)
+// books a proposed grant — a RESERVE landing at or after τ has nothing left
+// to book and is refused; duplicate RESERVE copies re-send the recorded
+// answer without touching the ledger (idempotent commit).
 func (ru *runner) egressOnReserve(p *ingPending) {
 	res, _ := ru.eg.Step(hold.Msg{Kind: hold.Reserve, Key: p.hold.Key, Decide: func() (hold.Entry, error) {
 		h := hold.Entry{

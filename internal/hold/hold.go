@@ -2,7 +2,7 @@
 // ABORT protocol: the hold table one side of a cross-point admission keeps,
 // and Step, the one function that picks the transition a message takes and
 // takes it. Both users of the protocol change hold state through Step and
-// nothing else — the daemon's cross-shard holds (internal/server, one table per
+// nothing else — the daemon's cross-shard holds (internal/state, one table per
 // shard: its live calls and timers, its WAL replay and its snapshot install)
 // and the §7 distributed-admission simulator (internal/distributed, one table
 // per side). They interpret the Result: answer, arm the timer it names, log

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -10,8 +9,8 @@ import (
 	"gridbw/internal/admit"
 	"gridbw/internal/alloc"
 	"gridbw/internal/request"
+	"gridbw/internal/state"
 	"gridbw/internal/topology"
-	"gridbw/internal/units"
 	"gridbw/internal/wal"
 	"gridbw/internal/wire"
 )
@@ -59,8 +58,8 @@ type batchItem struct {
 	idx  int
 	sub  Submission
 	r    request.Request
-	ent  *idemEntry // placeholder this call must fill, if keyed
-	wait *idemEntry // existing slot to resolve instead of admitting
+	ent  *state.Slot // slot this call claimed and must settle, if keyed
+	wait *state.Slot // existing slot to resolve instead of admitting
 
 	// pending marks items that entered the phase-2 admission step.
 	pending bool
@@ -151,16 +150,6 @@ func (s *Server) submitOne(sub Submission) (BatchResult, error) {
 	return res, nil
 }
 
-// clampStart is max(notBefore, now): a request cannot start in the past.
-// A notBefore of −Inf is kept as it is, for admit.Check to refuse like any
-// other non-finite quantity instead of passing as "now".
-func clampStart(notBefore, now units.Time) units.Time {
-	if notBefore < now && !math.IsInf(float64(notBefore), -1) {
-		return now
-	}
-	return notBefore
-}
-
 // byPair orders phase-2 survivors by (ingress, egress) so consecutive
 // items share one shard-pair lock acquisition. Kept a named function so
 // the sort call carries no closure.
@@ -191,8 +180,8 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		s.mu.Unlock()
 		return err
 	}
-	s.advanceLocked()
-	now := s.sim.Now()
+	now := s.advanceLocked()
+	ledger := s.st.Ledger() // phase 2 books through it without s.mu
 	// A poisoned WAL cannot persist anything this call decides. Refusing
 	// here — before idempotency slots or IDs are claimed — means a NACKed
 	// durable submission leaves no trace and can be retried verbatim
@@ -209,7 +198,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		r := request.Request{
 			Ingress: topology.PointID(sub.From),
 			Egress:  topology.PointID(sub.To),
-			Start:   clampStart(sub.NotBefore, now),
+			Start:   state.ClampStart(sub.NotBefore, now),
 			Finish:  sub.Deadline,
 			Volume:  sub.Volume,
 			MaxRate: sub.MaxRate,
@@ -224,24 +213,23 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 			continue
 		}
 		if key := sub.IdempotencyKey; key != "" {
-			if e, ok := s.idem[key]; ok {
+			sl, filed := s.st.Claim(key)
+			if filed {
 				// A retry (or a concurrent duplicate still in flight):
 				// never book again, answer from the original decision.
-				s.stats.RecordIdempotentHit()
-				it.wait = e
+				it.wait = sl
 				sc.waiting = append(sc.waiting, it)
 				continue
 			}
-			it.ent = &idemEntry{done: make(chan struct{})}
-			s.remember(key, it.ent)
+			it.ent = sl
 		}
-		r.ID = s.nextID
-		s.nextID++
+		r.ID = s.st.NextID
+		s.st.NextID++
 		it.r = r
 		if checked.Cause != admit.Admitted {
 			// An empty window or a volume MaxRate cannot move in it is a
 			// decision, not an API error, and needs no capacity lookup.
-			d := s.rejectLocked(r, checked.Err.Error(), sub.IdempotencyKey)
+			d := s.st.Reject(now, r, checked.Err.Error(), sub.IdempotencyKey)
 			s.settleLocked(it, d, nil)
 			results[i].Decision = d
 			sc.decided = append(sc.decided, i)
@@ -265,7 +253,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 			locked = false
 		}
 		if !locked {
-			s.ledger.LockPair(tx, it.r.Ingress, it.r.Egress)
+			ledger.LockPair(tx, it.r.Ingress, it.r.Egress)
 			locked = true
 		}
 		s.admitTx(tx, it)
@@ -285,7 +273,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		}
 	}
 	s.mu.Lock()
-	s.advanceLocked()
+	now = s.advanceLocked()
 	for i := range sc.items {
 		it := &sc.items[i]
 		if !it.pending {
@@ -295,7 +283,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 			// The server drained between phases; an accepted grant must
 			// not outlive a stopped expiry loop, so give it back.
 			if it.accepted {
-				s.ledger.Revoke(it.r, s.sim.Now())
+				ledger.Revoke(it.r, now)
 			}
 			s.settleLocked(it, Decision{}, ErrClosed)
 			results[it.idx].Err = ErrClosed
@@ -303,9 +291,9 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		}
 		var d Decision
 		if it.accepted {
-			d = s.acceptLocked(it.r, it.g, it.sub.IdempotencyKey)
+			d = s.st.Accept(now, it.r, it.g, it.sub.IdempotencyKey)
 		} else {
-			d = s.rejectLocked(it.r, it.reason, it.sub.IdempotencyKey)
+			d = s.st.Reject(now, it.r, it.reason, it.sub.IdempotencyKey)
 		}
 		s.settleLocked(it, d, nil)
 		results[it.idx].Decision = d
@@ -363,10 +351,10 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		// The acks never came inside the deadline: answer anyway (the
 		// decision is locally durable) but flip the degraded signal — the
 		// caller was promised replicated durability it did not get.
-		s.stats.RecordSyncDegraded()
+		s.st.Stats.RecordSyncDegraded()
 	}
 	for i := 0; i < decided; i++ {
-		s.stats.RecordAdmitLatency(elapsed)
+		s.st.Stats.RecordAdmitLatency(elapsed)
 	}
 	s.mu.Unlock()
 
@@ -404,38 +392,20 @@ func (s *Server) admitTx(tx *alloc.PairTx, it *batchItem) {
 	}
 }
 
-// settleLocked fills the item's idempotency slot, waking every retry
-// blocked on it. Decisions stay cached; API errors are dropped from the
-// cache so a corrected retry re-attempts instead of replaying the error.
+// settleLocked settles the item's idempotency slot, if it claimed one
+// (state.Machine.Settle).
 func (s *Server) settleLocked(it *batchItem, d Decision, err error) {
-	if it.ent == nil {
-		return
-	}
-	it.ent.d, it.ent.err = d, err
-	close(it.ent.done)
-	if err != nil {
-		if cur, ok := s.idem[it.sub.IdempotencyKey]; ok && cur == it.ent {
-			delete(s.idem, it.sub.IdempotencyKey)
-		}
+	if it.ent != nil {
+		s.st.Settle(it.sub.IdempotencyKey, it.ent, d, err)
 	}
 }
 
-// resolveIdem waits for an idempotency slot to settle and re-derives the
-// state of an accepted reservation, exactly like a fresh Lookup; one the
-// registry no longer retains finished long ago.
-func (s *Server) resolveIdem(e *idemEntry) BatchResult {
-	<-e.done
+// resolveIdem waits for an idempotency slot to settle and answers it like a
+// fresh Lookup (state.Machine.Resolve).
+func (s *Server) resolveIdem(sl *state.Slot) BatchResult {
+	sl.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.advanceLocked()
-	if e.err != nil {
-		return BatchResult{Err: e.err}
-	}
-	d := e.d
-	if le, live := s.resv[d.ID]; live && d.Accepted {
-		d = s.decisionLocked(le)
-	} else if d.Accepted {
-		d.State = StateExpired
-	}
-	return BatchResult{Decision: d}
+	d, err := s.st.Resolve(s.advanceLocked(), sl)
+	return BatchResult{Decision: d, Err: err}
 }

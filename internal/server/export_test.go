@@ -15,26 +15,16 @@ import (
 func (s *Server) HoldRows() (all, retired []hold.Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.holds.All() {
-		all = append(all, *e)
-	}
-	for _, e := range s.holds.Retired() {
-		retired = append(retired, *e)
-	}
-	return all, retired
+	return s.st.HoldRows()
 }
 
 // IdemOrder lists the filed idempotency keys in the order the cache evicts
-// them.
+// them: a snapshot lists the keyed decisions first, in that order.
 func (s *Server) IdemOrder() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var keys []string
-	seen := make(map[string]bool)
-	for _, key := range s.idemOrder {
-		if _, ok := s.idem[key]; ok && !seen[key] {
-			seen[key] = true
-			keys = append(keys, key)
+	for _, ev := range s.Snapshot().Events {
+		if ev.Key != "" {
+			keys = append(keys, ev.Key)
 		}
 	}
 	return keys
@@ -43,12 +33,11 @@ func (s *Server) IdemOrder() []string {
 // LedgerFloors reports each point's profile floor, ingress points first:
 // the instant before which the point has forgotten its bookings.
 func (s *Server) LedgerFloors() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	ledger := s.ledger()
 	var floors []float64
 	for dir, n := range []int{s.net.NumIngress(), s.net.NumEgress()} {
 		for p := range n {
-			floors = append(floors, float64(s.ledger.Floor(topology.Direction(dir), topology.PointID(p))))
+			floors = append(floors, float64(ledger.Floor(topology.Direction(dir), topology.PointID(p))))
 		}
 	}
 	return floors

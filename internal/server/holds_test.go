@@ -191,6 +191,30 @@ func TestHoldTTLExpiry(t *testing.T) {
 	}
 }
 
+// TestHoldTTLIsCappedAtAMinute: a TTL past the cap holds for the cap, 60 s,
+// however large it is — also one too large for a time.Duration.
+func TestHoldTTLIsCappedAtAMinute(t *testing.T) {
+	for _, ttl := range []float64{600, 1e12} {
+		clk := &fakeClock{}
+		s := newTestServer(t, holdConfig(clk, nil))
+		req := fullReserve("h1")
+		req.TTLS = ttl
+		if r, err := reserve1(s, req); err != nil || !r.Held {
+			t.Fatalf("TTL %g: reserve: %v %+v", ttl, err, r)
+		}
+		for _, step := range []struct {
+			advance time.Duration
+			held    int
+		}{{59 * time.Second, 1}, {2 * time.Second, 0}} {
+			clk.advance(step.advance)
+			s.Now()
+			if held, _ := s.HoldStats(); held != step.held {
+				t.Fatalf("TTL %g: %d holds held at %v, want %d", ttl, held, s.Now(), step.held)
+			}
+		}
+	}
+}
+
 // TestHoldAbortTombstone: aborting an unknown key leaves a refusal
 // tombstone, so a delayed RESERVE retry cannot resurrect a pair the
 // router already rolled back.

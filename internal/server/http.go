@@ -282,7 +282,7 @@ func (s *Server) writeMetricsText(w http.ResponseWriter) {
 	for _, sh := range shards {
 		e.Set(sh.Contended, point(sh.Dir, sh.Point)...)
 	}
-	e.Gauge("gridbwd_ledger_breakpoints", "Breakpoints stored over every access point's capacity profile: bounded by the live reservations, since a profile forgets what lies behind the clock.").Set(s.ledger.Breakpoints())
+	e.Gauge("gridbwd_ledger_breakpoints", "Breakpoints stored over every access point's capacity profile: bounded by the live reservations, since a profile forgets what lies behind the clock.").Set(s.ledger().Breakpoints())
 	e.Gauge("gridbwd_service_clock_seconds", "The service clock: seconds since this daemon's time zero.").Set(float64(st.Now))
 	if lat := st.Stats.AdmitLatency; lat != nil {
 		e.Summary("gridbwd_admit_latency_seconds", "Time a submission spends in the decide pipeline, a sync-ack wait included.").Latency(lat)

@@ -20,10 +20,8 @@ package server
 //   - Idempotent apply: the follower's pull cursor is recorded after the
 //     applied records (wal/cursor.go), so a crash can rewind it — and boot
 //     refuses a record that outran the local log, so nothing can carry it
-//     past them. Re-delivered accepts that match the applied grant
-//     byte-for-byte are skipped, and cancels or expires of missing/terminal
-//     reservations are tolerated; replay from any earlier cursor converges
-//     on the same state.
+//     past them. Replay converges from any earlier cursor
+//     (state.Machine.Apply).
 //   - Verbatim frames: the primary ships its WAL payloads as they are and
 //     the follower appends the bytes it received, so every member's log
 //     holds the same frames and positions are comparable across the group
@@ -43,7 +41,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -52,9 +49,6 @@ import (
 	"unicode/utf8"
 
 	"gridbw/internal/cluster"
-	"gridbw/internal/hold"
-	"gridbw/internal/request"
-	"gridbw/internal/topology"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
@@ -210,7 +204,7 @@ func (s *Server) ApplyShipped(b wire.ShippedBatch) error {
 	if record {
 		if err := s.wal.SaveCursor(b.Next, localEnd); err != nil {
 			s.mu.Lock()
-			s.stats.RecordLogAppendFailure()
+			s.st.Stats.RecordLogAppendFailure()
 			s.mu.Unlock()
 		}
 	}
@@ -228,7 +222,7 @@ func (s *Server) applyShippedLocked(b wire.ShippedBatch, events []trace.Event) e
 		s.repl.epoch = b.Epoch
 		if s.wal != nil {
 			if err := s.wal.SaveEpoch(b.Epoch); err != nil {
-				s.stats.RecordLogAppendFailure()
+				s.st.Stats.RecordLogAppendFailure()
 			}
 		}
 	}
@@ -255,11 +249,9 @@ func (s *Server) applyShippedLocked(b wire.ShippedBatch, events []trace.Event) e
 	return nil
 }
 
-// ApplyEvents tolerantly replays recovered events — the WAL suffix past a
-// snapshot, or the whole WAL onto a fresh server — for primaries and
-// followers alike. Every accept and hold is booked through the ledger's
-// capacity check, so a log that over-commits a point is refused. The
-// events are not re-recorded: they already live in the local WAL.
+// ApplyEvents replays recovered events — the WAL suffix past a snapshot, or
+// the whole WAL onto a fresh server — for primaries and followers alike
+// (state.Machine.Apply). They are not re-recorded: the local WAL has them.
 func (s *Server) ApplyEvents(events []trace.Event) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -276,135 +268,19 @@ func (s *Server) ApplyEvents(events []trace.Event) (int, error) {
 	return applied, nil
 }
 
-// applyEventLocked replays one shipped, recovered or snapshotted event — the
-// only code that turns a record into state: decode the record, then the same
-// booking-and-transition the live path ends in (state.go), filing the
-// idempotency key a decision carried, then the timer the new state waits on —
-// unless following: the primary's shipped events retire what a follower
-// holds, and Promote arms the timers when it takes over. Duplicates — re-deliveries of
-// already-applied history — are skipped before they can double-book capacity
-// or re-enter the local WAL, so replay converges from any cursor. frame is
-// the payload a shipped event arrived as, appended to the local WAL as
-// received; nil for a recovered event, which the local WAL already holds.
+// applyEventLocked replays one event and pulls the clock forward to it. A
+// record Apply skips never re-enters the local WAL. frame is the payload a
+// shipped event arrived as, appended to the local WAL as received; nil for a
+// recovered event.
 func (s *Server) applyEventLocked(ev trace.Event, frame []byte) error {
-	switch ev.Kind {
-	case trace.EventAccept:
-		r, g := grantFromEvent(ev)
-		if e, ok := s.resv[r.ID]; ok {
-			if e.req == r && e.grant == g {
-				return nil // duplicate delivery of an applied accept
-			}
-			return fmt.Errorf("server: apply: reservation %d already exists with a different grant", r.ID)
-		}
-		// A snapshot files each key as the decision it answers with; for an
-		// accept that is an accept without a route, which books nothing.
-		// Anywhere else restore refuses an unrouted accept.
-		if s.installing && ev.Ingress < 0 {
-			if ev.Key == "" {
-				return fmt.Errorf("server: apply: reservation %d has neither a route nor a key", r.ID)
-			}
-			if err := r.Validate(); err != nil {
-				return fmt.Errorf("server: apply: %w", err)
-			}
-		} else {
-			e, err := s.restore(r, g)
-			if err != nil {
-				return fmt.Errorf("server: apply: %w", err)
-			}
-			if !s.repl.following {
-				s.armExpiryLocked(e)
-			}
-		}
-		// The state a re-send answers is derived when it comes (resolveIdem).
-		s.fileKey(ev.Key, Decision{ID: r.ID, Accepted: true, Rate: g.Bandwidth, Sigma: g.Sigma, Tau: g.Tau})
-	case trace.EventReject:
-		s.stats.RecordReject()
-		s.fileKey(ev.Key, Decision{ID: request.ID(ev.Request), State: StateRejected, Reason: ev.Reason})
-	case trace.EventCancel, trace.EventExpire:
-		e, ok := s.resv[request.ID(ev.Request)]
-		if !ok || e.state != StateActive {
-			return nil // duplicate, or history before this replica's horizon
-		}
-		s.sim.Cancel(e.expire)
-		to := StateExpired
-		if ev.Kind == trace.EventCancel {
-			to = StateCancelled
-		}
-		s.finish(e, to, units.Time(ev.At))
-	case trace.EventHoldReserve, trace.EventHoldConfirm, trace.EventHoldAbort, trace.EventHoldExpire, trace.EventHoldRelease:
-		m := hold.Msg{Kind: hold.Kind(slices.Index(holdEvents[:], ev.Kind)), Key: ev.Hold, Reason: ev.Reason}
-		if m.Kind == hold.Reserve {
-			m.Decide = func() (hold.Entry, error) { return s.bookHold(holdFromEvent(ev)) }
-		}
-		res, err := s.holds.Step(m)
-		switch {
-		case err != nil:
-			return fmt.Errorf("server: apply: %w", err)
-		case m.Kind == hold.Reserve && !res.Log:
-			return nil // duplicate delivery
-		case !s.repl.following:
-			s.armHoldLocked(res.Entry, res.Arm)
-		}
-	case trace.EventRestore, trace.EventPanic, trace.EventPromote:
-		// Markers carry no reservation state.
-	default:
-		return fmt.Errorf("server: apply: unknown event kind %q", ev.Kind)
-	}
-	if ev.Request >= int(s.nextID) {
-		s.nextID = request.ID(ev.Request + 1)
+	if fresh, err := s.st.Apply(ev); err != nil || !fresh {
+		return err
 	}
 	s.reanchorLocked(ev.At)
 	if frame != nil {
 		s.appendFrameLocked(ev, frame)
 	}
 	return nil
-}
-
-// grantFromEvent decodes the request and grant an accept event recorded,
-// re-deriving the submission echo older logs omitted (the daemon's grants
-// always satisfy vol = bw·(τ−σ) exactly).
-func grantFromEvent(ev trace.Event) (request.Request, request.Grant) {
-	id := request.ID(ev.Request)
-	g := request.Grant{
-		Request:   id,
-		Bandwidth: units.Bandwidth(ev.RateBps),
-		Sigma:     units.Time(ev.SigmaS),
-		Tau:       units.Time(ev.TauS),
-	}
-	vol := units.Volume(ev.VolumeB)
-	maxRate := units.Bandwidth(ev.MaxRateBps)
-	if vol <= 0 {
-		vol = g.Bandwidth.For(g.Tau - g.Sigma)
-		maxRate = g.Bandwidth
-	}
-	return request.Request{
-		ID:      id,
-		Ingress: topology.PointID(ev.Ingress), Egress: topology.PointID(ev.Egress),
-		Start: g.Sigma, Finish: g.Tau,
-		Volume: vol, MaxRate: maxRate,
-	}, g
-}
-
-// armTimersLocked schedules everything a follower defers to its primary's
-// shipped events: the expiry of every live reservation at τ, the TTL
-// rollback of every held hold and the on-time release of every confirmed
-// one. Instants already past fire on the next clock advance. It reports
-// how many timers it armed.
-func (s *Server) armTimersLocked() int {
-	armed := 0
-	for _, e := range s.resv {
-		if e.state == StateActive {
-			s.armExpiryLocked(e)
-			armed++
-		}
-	}
-	for _, e := range s.holds.All() {
-		if k := e.Waits(); k != 0 {
-			s.armHoldLocked(e, k)
-			armed++
-		}
-	}
-	return armed
 }
 
 // reanchorLocked pulls the service clock forward to the primary's event
@@ -455,7 +331,7 @@ func (s *Server) Promote() (uint64, error) {
 		// each vote.
 		tally := cluster.CollectVotes(context.TODO(), &http.Client{Timeout: refollowProbeTTL}, me.Bid(), s.HandleVote, s.peers)
 		s.mu.Lock()
-		s.stats.RecordVoteRound(tally.Granted, tally.Denied, tally.Quorum)
+		s.st.Stats.RecordVoteRound(tally.Granted, tally.Denied, tally.Quorum)
 		s.mu.Unlock()
 		if err := tally.Err(); err != nil {
 			return me.Epoch, err
@@ -487,10 +363,10 @@ func (s *Server) Promote() (uint64, error) {
 	if s.wal != nil {
 		if err := s.wal.SaveEpoch(epoch); err != nil {
 			// The fence is not durable; keep serving, but flag it loudly.
-			s.stats.RecordLogAppendFailure()
+			s.st.Stats.RecordLogAppendFailure()
 		}
 	}
-	armed := s.armTimersLocked()
+	armed := s.st.ArmTimers()
 	s.appendEventLocked(trace.Event{
 		At: float64(s.sim.Now()), Kind: trace.EventPromote, Request: -1,
 		Reason: fmt.Sprintf("epoch %d, %d live reservations", epoch, armed),
@@ -852,7 +728,7 @@ func (s *Server) HandleVote(req cluster.VoteRequest) cluster.VoteResponse {
 		if err := s.wal.SaveVote(wal.Vote{Epoch: next.VotedEpoch, Candidate: next.VotedFor}); err != nil {
 			// A vote that cannot be made durable must not be cast: a
 			// crash could forget it and endorse a rival next boot.
-			s.stats.RecordLogAppendFailure()
+			s.st.Stats.RecordLogAppendFailure()
 			reason = "vote persistence failed"
 			break
 		}

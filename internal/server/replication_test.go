@@ -374,6 +374,45 @@ func TestApplyEventsIdempotent(t *testing.T) {
 	}
 }
 
+// TestFollowerArmsNoTimerUntilPromoted: a follower's state is retired by
+// its primary's shipped events alone. A replayed grant and a replayed hold
+// whose instants have passed stay booked on a follower, which logs nothing
+// of its own, until Promote arms their timers and they fire.
+func TestFollowerArmsNoTimerUntilPromoted(t *testing.T) {
+	clk := &fakeClock{}
+	sink := &eventSink{}
+	cfg := uniformConfig(clk)
+	cfg.Follow, cfg.Decisions = "http://127.0.0.1:1", sink
+	f := newTestServer(t, cfg)
+	if _, err := f.ApplyEvents([]trace.Event{
+		{Kind: trace.EventAccept, Request: 0, Ingress: 0, Egress: 1, RateBps: 1e9, TauS: 10, VolumeB: 1e10, MaxRateBps: 1e9},
+		{Kind: trace.EventHoldReserve, Request: 1, Ingress: 1, Egress: 0, RateBps: 1e9, TauS: 10, VolumeB: 1e10, MaxRateBps: 1e9,
+			ExpireS: 5, Hold: "h", Side: trace.HoldSideIngress},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(20 * time.Second)
+	if live, held := len(f.LiveReservations()), first(f.HoldStats()); live != 1 || held != 1 || len(sink.Events()) != 0 {
+		t.Fatalf("follower past τ and the TTL: %d live, %d held, logged %+v; want both booked and nothing logged", live, held, sink.Events())
+	}
+	if _, err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(time.Millisecond) // the timers of instants past fire on the next advance
+	if live, held := len(f.LiveReservations()), first(f.HoldStats()); live != 0 || held != 0 {
+		t.Fatalf("after promotion: %d live, %d held; want the armed timers fired", live, held)
+	}
+	var kinds []string
+	for _, ev := range sink.Events() {
+		kinds = append(kinds, ev.Kind)
+	}
+	if want := []string{trace.EventPromote, trace.EventExpire, trace.EventHoldExpire}; strings.Join(kinds, " ") != strings.Join(want, " ") {
+		t.Fatalf("logged %v, want %v", kinds, want)
+	}
+}
+
+func first(a, _ int) int { return a }
+
 // TestApplyEventsReportsTheCapacityRefusalInFull: the admission path
 // throws a refusal's text away, but a log that does not fit the platform
 // (a replica configured with less capacity than its primary) must say

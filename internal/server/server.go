@@ -7,9 +7,10 @@
 // keeps one lock per ingress/egress profile and an admission only holds
 // the two shards its route touches — submissions through disjoint point
 // pairs decide fully in parallel. What remains global — the service
-// clock, the expiry event queue, the reservation registry, ID allocation
-// and the idempotency cache — lives behind one small mutex (s.mu) whose
-// critical sections are map operations, never admission steps.
+// clock, the expiry event queue and the reservation state machine
+// (internal/state: registry, holds, ID allocation, idempotency cache) —
+// lives behind one small mutex (s.mu) whose critical sections are map
+// operations, never admission steps.
 //
 // Lock order: s.mu first, shard locks second (the expiry and cancel paths
 // revoke through the sharded ledger while holding s.mu). The admission
@@ -31,11 +32,10 @@
 // WAL-framed checkpoint, so a restarted daemon resumes without ever
 // violating the capacity constraint of equation (1): restore replays the
 // live grants and holds into a fresh ledger, which re-checks the constraint
-// system. State is only ever rebuilt two ways — one snapshot installer
-// (snapshot.go: NewFromSnapshot and a follower's Reseed) and one event
-// replayer (replication.go: ApplyEvents for a boot's WAL suffix,
-// ApplyShipped for a follower's stream) — and both, like the live paths,
-// change it through the one set of transitions in state.go.
+// system. A snapshot install (NewFromSnapshot, a follower's Reseed), a
+// boot's WAL suffix (ApplyEvents) and a follower's stream (ApplyShipped) all
+// rebuild state through state.Machine's one replay function; the machine
+// reaches this package through the two seams bindLocked sets.
 package server
 
 import (
@@ -48,10 +48,10 @@ import (
 	"gridbw/internal/alloc"
 	"gridbw/internal/core"
 	"gridbw/internal/des"
-	"gridbw/internal/hold"
 	"gridbw/internal/metrics"
 	"gridbw/internal/policy"
 	"gridbw/internal/request"
+	"gridbw/internal/state"
 	"gridbw/internal/topology"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
@@ -147,14 +147,14 @@ const (
 )
 
 // State is a reservation's lifecycle position, named as the wire names it.
-type State string
+type State = state.State
 
 const (
-	StateBooked    State = wire.StateBooked
-	StateActive    State = wire.StateActive
-	StateExpired   State = wire.StateExpired
-	StateCancelled State = wire.StateCancelled
-	StateRejected  State = wire.StateRejected
+	StateBooked    = state.Booked
+	StateActive    = state.Active
+	StateExpired   = state.Expired
+	StateCancelled = state.Cancelled
+	StateRejected  = state.Rejected
 )
 
 // Submission is an online reservation request. Times are absolute service
@@ -182,35 +182,17 @@ type Submission struct {
 }
 
 // Decision is the server's answer to a Submission or Lookup.
-type Decision struct {
-	ID       request.ID
-	Accepted bool
-	State    State
-	// Rate, Sigma and Tau describe the grant of an accepted reservation.
-	Rate  units.Bandwidth
-	Sigma units.Time
-	Tau   units.Time
-	// Reason explains a rejection.
-	Reason string
-}
-
-// Reservation is the full record of one live grant, exposed for
-// independent verification (tests replay these into a fresh ledger).
-type Reservation struct {
-	Req   request.Request
-	Grant request.Grant
-	State State
-}
+type Decision = state.Decision
 
 // Errors mapped to HTTP statuses by the handler layer.
 var (
 	// ErrClosed reports a submission or cancel on a draining/closed server.
 	ErrClosed = errors.New("server: closed")
 	// ErrNotFound reports an unknown (or evicted) reservation ID.
-	ErrNotFound = errors.New("server: no such reservation")
+	ErrNotFound = state.ErrNotFound
 	// ErrFinished reports a cancel of an already expired or cancelled
 	// reservation.
-	ErrFinished = errors.New("server: reservation already finished")
+	ErrFinished = state.ErrFinished
 	// ErrReadOnly reports a write on a follower replica: it applies the
 	// primary's shipped decisions and refuses its own until promoted.
 	ErrReadOnly = errors.New("server: read-only replica (promote to accept writes)")
@@ -236,16 +218,6 @@ func (e *FencedError) Error() string {
 	return fmt.Sprintf("server: batch epoch %d fenced off (current epoch %d)", e.Batch, e.Current)
 }
 
-// idemEntry is one idempotency-cache slot. It is created as a placeholder
-// the moment a keyed submission enters the pipeline — a concurrent retry
-// with the same key waits on done instead of booking a second time — and
-// filled with the decision (or error) when the submission settles.
-type idemEntry struct {
-	done chan struct{} // closed once d/err are valid
-	d    Decision
-	err  error
-}
-
 // Server is the concurrent admission-control plane.
 type Server struct {
 	net        *topology.Network
@@ -255,6 +227,7 @@ type Server struct {
 	decisions  trace.DecisionSink
 	wal        *wal.Log
 	maxBatch   int
+	retention  int // of every machine this server builds (state.New)
 
 	// Sync-ack durability: acks tracks each follower's pull cursor (its
 	// durability acknowledgement); syncNeed is the follower count every
@@ -270,13 +243,13 @@ type Server struct {
 	peers       []string // the other group members' base URLs, immutable
 
 	// mu is the small global section: the service clock and expiry queue
-	// and the reservation state (state.go: registry, holds, idempotency
-	// cache, ID allocation, counters). Admission steps never run under it;
-	// the state's ledger has its own per-point locks and is the one part the
+	// and the reservation state machine (registry, holds, idempotency cache,
+	// ID allocation, counters). Admission steps never run under it; the
+	// machine's ledger has its own per-point locks and is the one part the
 	// admission step touches without mu (see the package comment for the
 	// lock order).
-	mu sync.Mutex
-	state
+	mu     sync.Mutex
+	st     *state.Machine
 	sim    *des.Simulator
 	epoch  time.Time // wall instant of service time 0
 	repl   replState // replication role, fencing epoch, pull cursor
@@ -284,10 +257,6 @@ type Server struct {
 	// record is the WAL record buffer appendEventLocked encodes into, reused
 	// under mu: wal.Append copies the bytes it is given.
 	record []byte
-	// installing marks the scratch server a snapshot replays onto
-	// (replaySnapshot), the one replayer that takes an accept without a
-	// route: a decision the snapshot keeps for its idempotency key alone.
-	installing bool
 
 	// promoting serializes Promote calls; it is taken before mu and held
 	// across the vote round, which mu is not.
@@ -400,12 +369,7 @@ func newServer(cfg Config, net *topology.Network, policyName string) (*Server, e
 	if syncTimeout <= 0 {
 		syncTimeout = defaultSyncTimeout
 	}
-	// Every entry is born here with its expiry callback bound, so whichever
-	// route registers it — admission, replay, snapshot install — it can be
-	// armed without a new closure.
-	entries := new(sync.Pool)
 	s := &Server{
-		state:      *newState(net, retention, entries),
 		net:        net,
 		pol:        pol,
 		policyName: policyName,
@@ -414,6 +378,7 @@ func newServer(cfg Config, net *topology.Network, policyName string) (*Server, e
 		decisions:  cfg.Decisions,
 		wal:        cfg.WAL,
 		maxBatch:   maxBatch,
+		retention:  retention,
 		acks:       wal.NewAcks(clock),
 		syncMode:   syncMode,
 		syncNeed:   syncNeed,
@@ -432,12 +397,23 @@ func newServer(cfg Config, net *topology.Network, policyName string) (*Server, e
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
-	entries.New = func() any {
-		e := new(entry)
-		e.fire = func(*des.Simulator) { s.fireExpire(e) }
-		return e
-	}
+	s.bindLocked(state.New(net, pol, retention))
 	return s, nil
+}
+
+// bindLocked makes m this server's state and sets its seams to the expiry
+// queue and the WAL. Here and only here is it decided that a follower arms
+// nothing: its primary's shipped events retire what it holds, and Promote
+// arms every pending timer.
+func (s *Server) bindLocked(m *state.Machine) {
+	m.Arm = func(at units.Time, fn des.Event) des.Handle {
+		if s.repl.following {
+			return des.Handle{}
+		}
+		return s.armLocked(at, fn)
+	}
+	m.Log = s.appendEventLocked
+	s.st = m
 }
 
 // SetWatchdogState registers a callback reporting the in-process failover
@@ -498,8 +474,7 @@ func (s *Server) MaxBatch() int { return s.maxBatch }
 func (s *Server) Now() units.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.advanceLocked()
-	return s.sim.Now()
+	return s.advanceLocked()
 }
 
 // wallNow maps the wall clock onto service time.
@@ -508,11 +483,12 @@ func (s *Server) wallNow() units.Time {
 }
 
 // advanceLocked moves the service clock to wall time, firing due expiry
-// events. Callers hold s.mu.
-func (s *Server) advanceLocked() {
+// events, and returns it. Callers hold s.mu.
+func (s *Server) advanceLocked() units.Time {
 	if t := s.wallNow(); t > s.sim.Now() {
 		s.sim.RunUntil(t)
 	}
+	return s.sim.Now()
 }
 
 // loop is the wall-clock expiry driver: it sleeps until the next grant's
@@ -541,10 +517,10 @@ func (s *Server) loop() {
 		}
 		sleep := time.Hour
 		if ok {
-			sleep = epoch.Add(time.Duration(float64(next) * float64(time.Second))).Sub(s.clock())
-			if sleep < 0 {
-				sleep = 0
-			}
+			// Capped in seconds before the conversion: a τ far enough out
+			// overflows a Duration negative, which would sleep 0 and spin.
+			ahead := float64(next) - s.clock().Sub(epoch).Seconds()
+			sleep = time.Duration(max(min(ahead, time.Hour.Seconds()), 0) * float64(time.Second))
 		}
 		timer.Reset(sleep)
 
@@ -611,23 +587,6 @@ func (s *Server) Submit(sub Submission) (Decision, error) {
 	return res.Decision, err
 }
 
-// acceptLocked publishes an admitted reservation: the grant was already
-// committed to the sharded ledger by the admission phase; here the entry
-// becomes visible, its expiry is scheduled and the accept is audited with
-// the idempotency key it was submitted under.
-func (s *Server) acceptLocked(r request.Request, g request.Grant, key string) Decision {
-	e := s.register(r, g)
-	s.armExpiryLocked(e)
-	s.logLocked(trace.EventAccept, e.req, g, "", key)
-	return s.decisionLocked(e)
-}
-
-func (s *Server) rejectLocked(r request.Request, reason, key string) Decision {
-	s.stats.RecordReject()
-	s.logLocked(trace.EventReject, r, request.Grant{}, reason, key)
-	return Decision{ID: r.ID, State: StateRejected, Reason: reason}
-}
-
 // armLocked schedules fn at service time at — or now, if the clock already
 // passed it (while an admission ran outside s.mu, or while this replica
 // followed): the event then fires on the next advance instead of panicking
@@ -642,46 +601,6 @@ func (s *Server) armLocked(at units.Time, fn des.Event) des.Handle {
 		s.poke()
 	}
 	return h
-}
-
-// One arming helper per timer the state waits on, for the live path, replay
-// and armTimersLocked alike; a follower arms none.
-
-// armExpiryLocked schedules a live reservation's expiry at τ.
-func (s *Server) armExpiryLocked(e *entry) { e.expire = s.armLocked(e.grant.Tau, e.fire) }
-
-// armHoldLocked schedules the timer of hold e that delivers k — the
-// rollback at its TTL or the on-time release at τ — through the live hold
-// step; a zero k arms nothing.
-func (s *Server) armHoldLocked(e *hold.Entry, k hold.Kind) {
-	if k != 0 {
-		m := hold.Msg{Kind: k, Key: e.Key}
-		s.armLocked(e.Due(k), func(*des.Simulator) { s.holdStepLocked(m) })
-	}
-}
-
-// fireExpire retires the reservation held by e when its τ(r) passes. It
-// runs with s.mu held: every sim.RunUntil call site is inside
-// advanceLocked. Revoking takes the route's shard locks while holding
-// s.mu — the one permitted nesting direction. The registry identity check
-// guards against stale events on recycled entries.
-func (s *Server) fireExpire(e *entry) {
-	if cur, ok := s.resv[e.req.ID]; !ok || cur != e || e.state != StateActive {
-		return
-	}
-	s.finish(e, StateExpired, s.sim.Now())
-	s.logLocked(trace.EventExpire, e.req, e.grant, "", "")
-}
-
-// liveStateLocked derives booked vs active from the clock.
-func (s *Server) liveStateLocked(e *entry) State {
-	if e.state != StateActive {
-		return e.state
-	}
-	if s.sim.Now() < e.grant.Sigma {
-		return StateBooked
-	}
-	return StateActive
 }
 
 // writableLocked is the gate of every call that writes — submit, cancel and
@@ -720,37 +639,14 @@ func (s *Server) Cancel(id request.ID) (Decision, error) {
 	if err := s.writableLocked(); err != nil {
 		return Decision{}, err
 	}
-	s.advanceLocked()
-	e, ok := s.resv[id]
-	if !ok {
-		return Decision{}, ErrNotFound
-	}
-	if e.state != StateActive {
-		return s.decisionLocked(e), ErrFinished
-	}
-	s.sim.Cancel(e.expire)
-	s.finish(e, StateCancelled, s.sim.Now())
-	s.logLocked(trace.EventCancel, e.req, e.grant, "", "")
-	return s.decisionLocked(e), nil
+	return s.st.Cancel(s.advanceLocked(), id)
 }
 
 // Lookup reports the decision record of a known reservation.
 func (s *Server) Lookup(id request.ID) (Decision, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.advanceLocked()
-	e, ok := s.resv[id]
-	if !ok {
-		return Decision{}, ErrNotFound
-	}
-	return s.decisionLocked(e), nil
-}
-
-func (s *Server) decisionLocked(e *entry) Decision {
-	return Decision{
-		ID: e.req.ID, Accepted: true, State: s.liveStateLocked(e),
-		Rate: e.grant.Bandwidth, Sigma: e.grant.Sigma, Tau: e.grant.Tau,
-	}
+	return s.st.Lookup(s.advanceLocked(), id)
 }
 
 // PointStatus is the live occupancy of one access point.
@@ -777,20 +673,18 @@ type Status struct {
 func (s *Server) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.advanceLocked()
 	st := Status{
-		Now: s.sim.Now(), Policy: s.policyName,
-		Role: s.roleLocked(), Epoch: s.repl.epoch, Stats: s.stats,
+		Now: s.advanceLocked(), Policy: s.policyName,
+		Role: s.roleLocked(), Epoch: s.repl.epoch, Stats: s.st.Stats,
 	}
-	for _, e := range s.resv {
-		switch s.liveStateLocked(e) {
-		case StateBooked:
+	for _, r := range s.st.Live(st.Now) {
+		if r.State == StateBooked {
 			st.Booked++
-		case StateActive:
+		} else {
 			st.Active++
 		}
 	}
-	in, eg := s.ledger.UsageAt(s.sim.Now())
+	in, eg := s.st.Ledger().UsageAt(st.Now)
 	for i, used := range in {
 		st.Points = append(st.Points, pointStatus(topology.Ingress, i, s.net.Bin(topology.PointID(i)), used))
 	}
@@ -809,28 +703,29 @@ func pointStatus(dir topology.Direction, i int, cap, used units.Bandwidth) Point
 }
 
 // ShardStats reports the sharded ledger's per-point lock traffic.
-func (s *Server) ShardStats() []alloc.ShardStat { return s.ledger.Stats() }
+func (s *Server) ShardStats() []alloc.ShardStat { return s.ledger().Stats() }
+
+// ledger is the state machine's capacity ledger, which a re-seed replaces.
+func (s *Server) ledger() *alloc.Sharded {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.st.Ledger()
+}
 
 // LiveReservations returns the requests and grants currently holding
 // capacity, in ID order — the input for independent feasibility replay.
-func (s *Server) LiveReservations() []Reservation {
+func (s *Server) LiveReservations() []state.Reservation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.advanceLocked()
-	var out []Reservation
-	for _, id := range s.liveIDs() {
-		e := s.resv[id]
-		out = append(out, Reservation{Req: e.req, Grant: e.grant, State: s.liveStateLocked(e)})
-	}
-	return out
+	return s.st.Live(s.advanceLocked())
 }
 
 // VerifyInvariant audits equation (1) across every shard and against the
-// live registry (state.verify).
+// live registry (state.Machine.Verify).
 func (s *Server) VerifyInvariant() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.verify()
+	return s.st.Verify()
 }
 
 // Closed reports whether the server is draining (readiness probe input).
@@ -871,14 +766,14 @@ func (s *Server) release() {
 func (s *Server) recordShed() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.RecordShed()
+	s.st.Stats.RecordShed()
 }
 
 // recordBatch counts one served batch call and the submissions it carried.
 func (s *Server) recordBatch(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.RecordBatch(n)
+	s.st.Stats.RecordBatch(n)
 }
 
 // recordPanic counts a recovered handler panic and records it in the WAL,
@@ -886,29 +781,12 @@ func (s *Server) recordBatch(n int) {
 func (s *Server) recordPanic(where string, val any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.advanceLocked()
-	s.stats.RecordPanic()
+	s.st.Stats.RecordPanic()
 	s.appendEventLocked(trace.Event{
-		At: float64(s.sim.Now()), Kind: trace.EventPanic,
+		At: float64(s.advanceLocked()), Kind: trace.EventPanic,
 		Request: -1, Ingress: -1, Egress: -1,
 		Reason: fmt.Sprintf("%s: %v", where, val),
 	})
-}
-
-func (s *Server) logLocked(kind string, r request.Request, g request.Grant, reason, key string) {
-	s.appendEventLocked(resvEvent(s.sim.Now(), kind, r, g, reason, key))
-}
-
-// resvEvent is the one encoder of a reservation record — grantFromEvent
-// reads it back — for the live log and the snapshot alike.
-func resvEvent(at units.Time, kind string, r request.Request, g request.Grant, reason, key string) trace.Event {
-	return trace.Event{
-		At: float64(at), Kind: kind, Request: int(r.ID),
-		Ingress: int(r.Ingress), Egress: int(r.Egress),
-		RateBps: float64(g.Bandwidth), SigmaS: float64(g.Sigma), TauS: float64(g.Tau),
-		VolumeB: float64(r.Volume), MaxRateBps: float64(r.MaxRate),
-		Reason: reason, Key: key,
-	}
 }
 
 // appendEventLocked records one decision event in the durability chain:
@@ -921,7 +799,7 @@ func (s *Server) appendEventLocked(ev trace.Event) {
 	if s.wal != nil {
 		var err error
 		if s.record, err = trace.AppendRecord(s.record[:0], &ev); err != nil {
-			s.stats.RecordLogAppendFailure()
+			s.st.Stats.RecordLogAppendFailure()
 		} else {
 			frame = s.record
 		}
@@ -935,12 +813,12 @@ func (s *Server) appendEventLocked(ev trace.Event) {
 func (s *Server) appendFrameLocked(ev trace.Event, frame []byte) {
 	if s.wal != nil && frame != nil {
 		if _, err := s.wal.Append(frame); err != nil {
-			s.stats.RecordLogAppendFailure()
+			s.st.Stats.RecordLogAppendFailure()
 		}
 	}
 	if s.decisions != nil {
 		if err := s.decisions.Append(ev); err != nil {
-			s.stats.RecordLogAppendFailure()
+			s.st.Stats.RecordLogAppendFailure()
 		}
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"path/filepath"
 	"slices"
 
-	"gridbw/internal/hold"
 	"gridbw/internal/metrics"
 	"gridbw/internal/request"
+	"gridbw/internal/state"
 	"gridbw/internal/topology"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
@@ -54,15 +54,9 @@ type Snapshot struct {
 	// this position, and compaction may drop whole segments before it.
 	WALSeg uint64 `json:"wal_seg,omitempty"`
 	WALOff int64  `json:"wal_off,omitempty"`
-	// Events come in an order that books every record feasibly. First the
-	// records that book nothing any more, each booking and then releasing on
-	// its own: every idempotency key in the cache's FIFO order, each on the
-	// decision it answers with (a reject, or an accept without a route, which
-	// books nothing), then finished reservations in finish order and
-	// resolved holds in retirement order. Then the live reservations in ID
-	// order and the live holds in key order. Every event is stamped NowS, and
-	// the installer refuses any other stamp: a cancel gives its capacity back
-	// at that instant.
+	// Events are state.Machine.Events: an order that books every record
+	// feasibly. Every event is stamped NowS, and the installer refuses any
+	// other stamp: a cancel gives its capacity back at that instant.
 	Events []trace.Event `json:"events"`
 }
 
@@ -71,95 +65,21 @@ type Snapshot struct {
 func (s *Server) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.advanceLocked()
-	now := s.sim.Now()
-	snap := &Snapshot{
-		Version:  SnapshotVersion,
-		Policy:   s.policyName,
-		NowS:     float64(now),
-		NextID:   int(s.nextID),
-		Counters: s.stats,
-		Epoch:    s.repl.epoch,
-	}
+	now := s.advanceLocked()
+	// Appends happen under s.mu, so the frontier read here is exactly the
+	// boundary between history this snapshot covers and the WAL suffix boot
+	// must replay on top of it.
+	var walEnd wal.Pos
 	if s.wal != nil {
-		// Appends happen under s.mu, so the frontier read here is exactly
-		// the boundary between history this snapshot covers and the WAL
-		// suffix boot must replay on top of it.
-		end := s.wal.End()
-		snap.WALSeg, snap.WALOff = end.Seg, end.Off
+		walEnd = s.wal.End()
 	}
-	snap.IngressBps, snap.EgressBps = capacitiesBps(s.net)
-	resv := func(kind string, r request.Request, g request.Grant, reason, key string) {
-		snap.Events = append(snap.Events, resvEvent(now, kind, r, g, reason, key))
-	}
-	holds := func(e *hold.Entry, kinds ...string) {
-		for _, kind := range kinds {
-			snap.Events = append(snap.Events, holdEvent(now, kind, e))
-		}
-	}
-
-	// Every settled key comes first, in the cache's FIFO order, as the
-	// decision it answers with, booking nothing (an accept without a route):
-	// replay files the keys in the order the donor evicts them.
-	seen := make(map[string]bool)
-	for _, key := range s.idemOrder {
-		ie, ok := s.idem[key]
-		if !ok || seen[key] || !isClosed(ie.done) || ie.err != nil {
-			continue // evicted, listed already, still in flight, or failed
-		}
-		seen[key] = true
-		d := ie.d
-		unrouted := request.Request{ID: d.ID, Ingress: -1, Egress: -1}
-		if d.Accepted {
-			resv(trace.EventAccept, unrouted, request.Grant{Bandwidth: d.Rate, Sigma: d.Sigma, Tau: d.Tau}, "", key)
-		} else {
-			resv(trace.EventReject, unrouted, request.Grant{}, d.Reason, key)
-		}
-	}
-	for _, id := range s.finished {
-		e := s.resv[id]
-		end := trace.EventExpire
-		if e.state == StateCancelled {
-			end = trace.EventCancel
-		}
-		resv(trace.EventAccept, e.req, e.grant, "", "")
-		resv(end, e.req, e.grant, "", "")
-	}
-	// Each resolved hold is retired again by the messages that retired it.
-	for _, e := range s.holds.Retired() {
-		switch {
-		case e.Booked:
-			// A key filed again after its first record was evicted: live.
-		case e.Side == "":
-			holds(e, trace.EventHoldAbort) // an ABORT that beat its RESERVE
-		case e.Reason != "":
-			holds(e, trace.EventHoldReserve) // a refused RESERVE
-		case e.State == hold.Confirmed:
-			holds(e, trace.EventHoldReserve, trace.EventHoldConfirm, trace.EventHoldRelease)
-		default:
-			holds(e, trace.EventHoldReserve, trace.EventHoldAbort)
-		}
-	}
-	for _, id := range s.liveIDs() {
-		e := s.resv[id]
-		resv(trace.EventAccept, e.req, e.grant, "", "")
-	}
-	for _, e := range s.holds.All() {
-		if e.Booked && e.State == hold.Confirmed {
-			holds(e, trace.EventHoldReserve, trace.EventHoldConfirm)
-		} else if e.Booked {
-			holds(e, trace.EventHoldReserve)
-		}
-	}
-	return snap
-}
-
-func isClosed(c chan struct{}) bool {
-	select {
-	case <-c:
-		return true
-	default:
-		return false
+	in, eg := capacitiesBps(s.net)
+	return &Snapshot{
+		Version: SnapshotVersion, Policy: s.policyName, NowS: float64(now),
+		NextID: int(s.st.NextID), Counters: s.st.Stats, Epoch: s.repl.epoch,
+		WALSeg: walEnd.Seg, WALOff: walEnd.Off,
+		IngressBps: in, EgressBps: eg,
+		Events: s.st.Events(now),
 	}
 }
 
@@ -332,100 +252,52 @@ func NewFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: restore: %w", err)
 	}
-	st, err := s.replaySnapshot(snap)
+	m, err := s.replaySnapshot(snap)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.initRepl(cfg, snap.Epoch); err != nil {
 		return nil, err
 	}
-	s.adoptLocked(snap, st)
+	s.adoptLocked(snap, m)
 	s.appendEventLocked(trace.Event{
 		At: snap.NowS, Kind: trace.EventRestore, Request: -1,
-		Reason: fmt.Sprintf("%d live reservations", len(s.liveIDs())),
+		Reason: fmt.Sprintf("%d live reservations", len(s.st.Live(s.sim.Now()))),
 	})
 	go s.loop()
 	return s, nil
 }
 
-// replaySnapshot is the one snapshot installer's fallible half. It replays
-// snap's events through applyEventLocked — the WAL's replayer, with every
-// check it runs on a record: request.Validate, known kinds and sides, and
-// equation (1) on the fresh ledger — onto a scratch follower of s's platform
-// and policy, which arms no timers and is the one replayer that takes an
-// accept without a route. It adds what only a snapshot can get wrong: the
-// version, an event ID not below next_id, an event not stamped now_s, a
-// non-finite quantity, a point whose profile forgot past now_s (a give-back
-// at a τ still ahead), and a rebuilt state that fails the invariant audit.
-// Nothing of s is touched, so a snapshot that fails leaves nothing
-// half-installed; adoptLocked is the infallible half.
-func (s *Server) replaySnapshot(snap *Snapshot) (*state, error) {
+// replaySnapshot is the snapshot installer's fallible half: snap's events
+// onto a bare state machine of s's platform and policy. Nothing of s is
+// touched, so a snapshot that fails leaves nothing half-installed.
+func (s *Server) replaySnapshot(snap *Snapshot) (*state.Machine, error) {
 	if snap.Version != SnapshotVersion {
 		return nil, unsupportedVersion(snap.Version)
 	}
 	if !(snap.NowS >= 0) || snap.NextID < 0 {
 		return nil, fmt.Errorf("server: restore: negative clock or ID counter")
 	}
-	sc, err := newServer(Config{Clock: s.clock, FinishedRetention: s.retention}, s.net, s.policyName)
-	if err != nil {
-		return nil, err
-	}
-	// Entries come from s's pool: their expiry callbacks fire on s once the
-	// state is adopted.
-	sc.state = *newState(s.net, s.retention, s.entries)
-	sc.repl.following, sc.installing = true, true
-	for i, ev := range snap.Events {
-		var err error
-		switch {
-		case ev.Request >= snap.NextID || ev.Kind == trace.EventAccept && ev.Request < 0:
-			err = fmt.Errorf("request %d not in [0, next_id %d)", ev.Request, snap.NextID)
-		case !finite(ev.At, ev.RateBps, ev.SigmaS, ev.TauS, ev.VolumeB, ev.MaxRateBps, ev.ExpireS):
-			err = fmt.Errorf("non-finite quantity")
-		case ev.At != snap.NowS:
-			err = fmt.Errorf("stamped %g, not now_s %g", ev.At, snap.NowS)
-		default:
-			err = sc.applyEventLocked(ev, nil)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("server: restore: event %d (%s): %w", i, ev.Kind, err)
-		}
-	}
-	for dir, n := range []int{sc.net.NumIngress(), sc.net.NumEgress()} {
-		for p := range n {
-			d := topology.Direction(dir)
-			if floor := sc.ledger.Floor(d, topology.PointID(p)); floor > units.Time(snap.NowS) {
-				return nil, fmt.Errorf("server: restore: %s point %d gave capacity back at %g, past now_s %g",
-					d, p, float64(floor), snap.NowS)
-			}
-		}
-	}
-	if err := sc.verify(); err != nil {
+	m := state.New(s.net, s.pol, s.retention)
+	if err := m.Install(snap.Events, units.Time(snap.NowS), request.ID(snap.NextID), snap.Counters); err != nil {
 		return nil, fmt.Errorf("server: restore: %w", err)
 	}
-	// The counters and the ID allocator are the snapshot's own, not a count
-	// of the events it replays.
-	sc.stats, sc.nextID = snap.Counters, request.ID(snap.NextID)
-	return &sc.state, nil
+	return m, nil
 }
 
-// adoptLocked is the installer's infallible half: st replaces the ledger,
-// the registry, the hold table and the idempotency cache wholesale — so
-// nothing of the state it displaces stays booked against a ledger that is
-// gone — and the clock anchor resumes from snap. Expiry, TTL and release
-// timers are armed unless following: a follower's are retired by the
-// primary's shipped events and armed by Promote.
-func (s *Server) adoptLocked(snap *Snapshot, st *state) {
+// adoptLocked is the installer's infallible half: m replaces the state
+// machine wholesale, the clock anchor resumes from snap and m's timers are
+// armed (none on a follower).
+func (s *Server) adoptLocked(snap *Snapshot, m *state.Machine) {
 	// The ID allocator never moves back, and append failures and the latency
 	// histogram describe this process, not the state it adopts.
-	next, failures, latency := s.nextID, s.stats.LogAppendFailures, s.stats.AdmitLatency
-	s.state = *st
-	s.nextID = max(s.nextID, next)
-	s.stats.LogAppendFailures += failures
-	s.stats.AdmitLatency = latency
+	old := s.st
+	m.NextID = max(m.NextID, old.NextID)
+	m.Stats.LogAppendFailures += old.Stats.LogAppendFailures
+	m.Stats.AdmitLatency = old.Stats.AdmitLatency
+	s.bindLocked(m)
 	s.reanchorLocked(snap.NowS)
-	if !s.repl.following {
-		s.armTimersLocked()
-	}
+	m.ArmTimers()
 }
 
 // Reseed replaces a follower's entire control-plane state with snap — the
@@ -464,7 +336,7 @@ func (s *Server) Reseed(snap *Snapshot) error {
 
 	// Phase 1 — replay and validate everything fallibly, touching no
 	// shared state.
-	st, err := s.replaySnapshot(snap)
+	m, err := s.replaySnapshot(snap)
 	if err != nil {
 		return fmt.Errorf("server: reseed: %w", err)
 	}
@@ -484,24 +356,24 @@ func (s *Server) Reseed(snap *Snapshot) error {
 		}
 		if snap.Epoch > s.repl.epoch {
 			if err := s.wal.SaveEpoch(snap.Epoch); err != nil {
-				s.stats.RecordLogAppendFailure()
+				s.st.Stats.RecordLogAppendFailure()
 			}
 		}
 		if err := s.wal.SaveCursor(snap.WALPos(), localStart); err != nil {
-			s.stats.RecordLogAppendFailure()
+			s.st.Stats.RecordLogAppendFailure()
 		}
 		if _, err := s.wal.CompactBefore(localStart); err != nil {
-			s.stats.RecordLogAppendFailure()
+			s.st.Stats.RecordLogAppendFailure()
 		}
 	}
 
 	// Phase 3 — swap, infallibly. A follower arms no timers, so the state
 	// displaced here leaves none behind. The re-seed count is this
 	// follower's own history, not the donor's.
-	reseeds := s.stats.Reseeds
-	s.adoptLocked(snap, st)
-	s.stats.Reseeds = reseeds
-	s.stats.RecordReseed()
+	reseeds := s.st.Stats.Reseeds
+	s.adoptLocked(snap, m)
+	s.st.Stats.Reseeds = reseeds
+	s.st.Stats.RecordReseed()
 	if snap.Epoch > s.repl.epoch {
 		s.repl.epoch = snap.Epoch
 	}
@@ -511,7 +383,7 @@ func (s *Server) Reseed(snap *Snapshot) error {
 	s.appendEventLocked(trace.Event{
 		At: snap.NowS, Kind: trace.EventRestore, Request: -1,
 		Reason: fmt.Sprintf("reseed: epoch %d, %d live reservations, cursor %v",
-			s.repl.epoch, len(s.liveIDs()), s.repl.cursor),
+			s.repl.epoch, len(s.st.Live(s.sim.Now())), s.repl.cursor),
 	})
 	return nil
 }

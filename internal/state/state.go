@@ -1,0 +1,425 @@
+// Package state is gridbwd's reservation state machine: everything one WAL
+// event describes — the capacity ledger, the reservation registry, the
+// cross-shard hold table, the idempotency cache, the ID allocator and the
+// counters — and the one function per transition that changes it. The live
+// calls (Accept, Reject, Cancel, HoldReserve, HoldStep and the timers they
+// arm) and the one replay function (Apply), which a follower, every boot and
+// every snapshot install run on records, are the only writers, so a primary
+// and the follower that will replace it run the same code for every change.
+// Hold state changes through internal/hold's Step alone.
+//
+// The machine knows nothing of HTTP, the WAL, the replication role or the
+// wall clock: transitions take the service time they happen at, and the
+// daemon reaches it through two seams, Arm and Log. Callers serialize;
+// error texts keep the daemon's "server:" prefix, since clients see them.
+package state
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+
+	"gridbw/internal/alloc"
+	"gridbw/internal/des"
+	"gridbw/internal/hold"
+	"gridbw/internal/metrics"
+	"gridbw/internal/policy"
+	"gridbw/internal/request"
+	"gridbw/internal/topology"
+	"gridbw/internal/trace"
+	"gridbw/internal/units"
+	"gridbw/internal/wire"
+)
+
+// State is a reservation's lifecycle position, named as the wire names it.
+type State string
+
+const (
+	Booked    State = wire.StateBooked
+	Active    State = wire.StateActive
+	Expired   State = wire.StateExpired
+	Cancelled State = wire.StateCancelled
+	Rejected  State = wire.StateRejected
+)
+
+// Decision is the answer to a submission or a lookup.
+type Decision struct {
+	ID       request.ID
+	Accepted bool
+	State    State
+	// Rate, Sigma and Tau describe the grant of an accepted reservation.
+	Rate  units.Bandwidth
+	Sigma units.Time
+	Tau   units.Time
+	// Reason explains a rejection.
+	Reason string
+}
+
+// Reservation is the full record of one live grant, exposed for
+// independent verification (tests replay these into a fresh ledger).
+type Reservation struct {
+	Req   request.Request
+	Grant request.Grant
+	State State
+}
+
+var (
+	// ErrNotFound reports an unknown (or evicted) reservation ID.
+	ErrNotFound = errors.New("server: no such reservation")
+	// ErrFinished reports a cancel of an already expired or cancelled
+	// reservation.
+	ErrFinished = errors.New("server: reservation already finished")
+)
+
+type entry struct {
+	// req is the request as granted: its window is the grant's [σ, τ] on
+	// every route, whatever window the submission asked for.
+	req    request.Request
+	grant  request.Grant
+	state  State // Active while live (Booked derived from the clock), else terminal
+	expire des.Handle
+	// fire is this entry's expiry callback, bound once when the pool creates
+	// the entry, so an accept schedules no new closure.
+	fire des.Event
+}
+
+// Slot is one idempotency-cache slot: filed unsettled when a keyed
+// submission claims its key, so a concurrent retry waits instead of booking
+// twice, and settled with the decision (or error).
+type Slot struct {
+	done chan struct{} // closed once d/err are valid
+	d    Decision
+	err  error
+}
+
+// Wait blocks until the slot is settled. Callers must not hold the lock
+// that serializes the machine: the settling submission needs it.
+func (sl *Slot) Wait() { <-sl.done }
+
+func (sl *Slot) settled() bool {
+	select {
+	case <-sl.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// settled is the done channel every decision filed from a record shares: a
+// recorded decision is settled from the start.
+var settled = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// Machine is the reservation state of one daemon and its transitions.
+type Machine struct {
+	// Arm schedules fn at service time at and returns the handle that
+	// cancels it; Log records the event a live transition decided. The
+	// daemon sets both once; a machine nothing set them on (one a snapshot
+	// installs onto) arms and logs nothing.
+	Arm func(at units.Time, fn des.Event) des.Handle
+	Log func(ev trace.Event)
+
+	// Stats are the lifetime counters, the daemon's own counts included.
+	Stats  metrics.Online
+	NextID request.ID // the next request ID to allocate
+
+	// ledger has one lock per access point: the admission step books
+	// through it without the caller's lock.
+	ledger *alloc.Sharded
+	pol    policy.Policy // the ingress side of a hold proposes with it
+	// entries recycles evicted entries: the steady-state accept path
+	// allocates nothing.
+	entries sync.Pool
+	// retention bounds the finished FIFO, the resolved-hold FIFO and the
+	// idempotency cache.
+	retention int
+
+	resv      map[request.ID]*entry
+	finished  []request.ID // FIFO eviction queue of terminal IDs
+	holds     *hold.Table
+	idem      map[string]*Slot
+	idemOrder []string // FIFO eviction queue of idem
+}
+
+// New returns an empty machine for net that proposes holds with pol and
+// retains retention finished reservations, resolved holds and keys.
+func New(net *topology.Network, pol policy.Policy, retention int) *Machine {
+	ledger := alloc.NewSharded(net)
+	m := &Machine{
+		Arm:       func(units.Time, des.Event) des.Handle { return des.Handle{} },
+		Log:       func(trace.Event) {},
+		ledger:    ledger,
+		pol:       pol,
+		retention: retention,
+		resv:      make(map[request.ID]*entry),
+		holds:     hold.NewTable(ledger, retention),
+		idem:      make(map[string]*Slot),
+	}
+	m.entries.New = func() any {
+		e := new(entry)
+		e.fire = func(sim *des.Simulator) { m.expire(e, sim.Now()) }
+		return e
+	}
+	return m
+}
+
+// Ledger is the capacity ledger the admission step books through.
+func (m *Machine) Ledger() *alloc.Sharded { return m.ledger }
+
+// Accept publishes an admitted reservation whose grant the admission step
+// already booked: the entry becomes visible, its expiry is armed at τ and the
+// accept is logged with the idempotency key it was submitted under.
+func (m *Machine) Accept(now units.Time, r request.Request, g request.Grant, key string) Decision {
+	e := m.register(r, g)
+	m.armExpiry(e)
+	m.Log(resvEvent(now, trace.EventAccept, e.req, g, "", key))
+	return m.decision(e, now)
+}
+
+// Reject counts and logs a refused request.
+func (m *Machine) Reject(now units.Time, r request.Request, reason, key string) Decision {
+	m.Stats.RecordReject()
+	m.Log(resvEvent(now, trace.EventReject, r, request.Grant{}, reason, key))
+	return Decision{ID: r.ID, State: Rejected, Reason: reason}
+}
+
+// Cancel revokes live reservation id at now, returning what is left of its
+// grant: ErrNotFound for an ID the registry does not hold, ErrFinished (with
+// its decision) for one already expired or cancelled.
+func (m *Machine) Cancel(now units.Time, id request.ID) (Decision, error) {
+	e, ok := m.resv[id]
+	if !ok {
+		return Decision{}, ErrNotFound
+	}
+	if e.state != Active {
+		return m.decision(e, now), ErrFinished
+	}
+	m.finish(e, Cancelled, now)
+	m.Log(resvEvent(now, trace.EventCancel, e.req, e.grant, "", ""))
+	return m.decision(e, now), nil
+}
+
+// expire is e's timer at τ. The identity check guards against a stale event
+// on a recycled entry.
+func (m *Machine) expire(e *entry, now units.Time) {
+	if cur, ok := m.resv[e.req.ID]; !ok || cur != e || e.state != Active {
+		return
+	}
+	m.finish(e, Expired, now)
+	m.Log(resvEvent(now, trace.EventExpire, e.req, e.grant, "", ""))
+}
+
+// Lookup reports the decision record of a known reservation.
+func (m *Machine) Lookup(now units.Time, id request.ID) (Decision, error) {
+	e, ok := m.resv[id]
+	if !ok {
+		return Decision{}, ErrNotFound
+	}
+	return m.decision(e, now), nil
+}
+
+func (m *Machine) decision(e *entry, now units.Time) Decision {
+	return Decision{
+		ID: e.req.ID, Accepted: true, State: liveState(e, now),
+		Rate: e.grant.Bandwidth, Sigma: e.grant.Sigma, Tau: e.grant.Tau,
+	}
+}
+
+// liveState derives booked vs active from the clock.
+func liveState(e *entry, now units.Time) State {
+	if e.state != Active {
+		return e.state
+	}
+	if now < e.grant.Sigma {
+		return Booked
+	}
+	return Active
+}
+
+// Live returns the requests and grants holding capacity, in ID order.
+func (m *Machine) Live(now units.Time) []Reservation {
+	var out []Reservation
+	for _, e := range m.resv {
+		if e.state == Active {
+			out = append(out, Reservation{Req: e.req, Grant: e.grant, State: liveState(e, now)})
+		}
+	}
+	slices.SortFunc(out, func(a, b Reservation) int { return cmp.Compare(a.Req.ID, b.Req.ID) })
+	return out
+}
+
+// ArmTimers arms every timer the state waits on — each live reservation's
+// expiry, each held hold's TTL, each confirmed hold's release at τ — for a
+// daemon taking over state built while it armed nothing. It reports how
+// many it asked Arm for.
+func (m *Machine) ArmTimers() int {
+	armed := 0
+	for _, e := range m.resv {
+		if e.state == Active {
+			m.armExpiry(e)
+			armed++
+		}
+	}
+	for _, e := range m.holds.All() {
+		if k := e.Waits(); k != 0 {
+			m.armHold(e, k)
+			armed++
+		}
+	}
+	return armed
+}
+
+func (m *Machine) armExpiry(e *entry) { e.expire = m.Arm(e.grant.Tau, e.fire) }
+
+// Claim returns the slot filed under key and true, or files a fresh
+// unsettled slot under it and returns that and false: the caller owns the
+// decision and must Settle it.
+func (m *Machine) Claim(key string) (*Slot, bool) {
+	if sl, ok := m.idem[key]; ok {
+		m.Stats.RecordIdempotentHit()
+		return sl, true
+	}
+	sl := &Slot{done: make(chan struct{})}
+	m.remember(key, sl)
+	return sl, false
+}
+
+// Settle fills the slot claimed under key, waking every retry blocked on
+// it. Decisions stay cached; an error is dropped from the cache so a
+// corrected retry re-attempts instead of replaying it.
+func (m *Machine) Settle(key string, sl *Slot, d Decision, err error) {
+	sl.d, sl.err = d, err
+	close(sl.done)
+	if err != nil {
+		if cur, ok := m.idem[key]; ok && cur == sl {
+			delete(m.idem, key)
+		}
+	}
+}
+
+// Resolve answers a settled slot at now the way a fresh Lookup would: an
+// accepted reservation the registry still holds reports its state now, one
+// it no longer retains finished long ago.
+func (m *Machine) Resolve(now units.Time, sl *Slot) (Decision, error) {
+	if sl.err != nil {
+		return Decision{}, sl.err
+	}
+	d := sl.d
+	if e, live := m.resv[d.ID]; live && d.Accepted {
+		d = m.decision(e, now)
+	} else if d.Accepted {
+		d.State = Expired
+	}
+	return d, nil
+}
+
+// remember files an idempotency-cache slot under its key, bounded by the
+// same FIFO retention as finished reservations.
+func (m *Machine) remember(key string, sl *Slot) {
+	m.idem[key] = sl
+	m.idemOrder = append(m.idemOrder, key)
+	for len(m.idemOrder) > m.retention {
+		evict := m.idemOrder[0]
+		m.idemOrder = m.idemOrder[1:]
+		delete(m.idem, evict)
+	}
+}
+
+// fileKey files a recorded decision under the key it carried, unless the key
+// is already filed (a re-delivered record).
+func (m *Machine) fileKey(key string, d Decision) {
+	if key == "" {
+		return
+	}
+	if _, ok := m.idem[key]; !ok {
+		m.remember(key, &Slot{done: settled, d: d})
+	}
+}
+
+// register files a granted reservation whose capacity is booked — by the
+// live admission step under its pair lock, or by restore.
+func (m *Machine) register(r request.Request, g request.Grant) *entry {
+	e := m.entries.Get().(*entry)
+	r.Start, r.Finish = g.Sigma, g.Tau
+	e.req, e.grant, e.state = r, g, Active
+	m.resv[r.ID] = e
+	m.Stats.RecordAccept(g.Bandwidth, r.Volume)
+	return e
+}
+
+// restore books a recorded grant and registers it: how replay re-creates a
+// reservation. The ledger re-checks equation (1), so a record that
+// over-commits a point is refused with nothing changed.
+func (m *Machine) restore(r request.Request, g request.Grant) (*entry, error) {
+	net := m.ledger.Network()
+	if r.Ingress < 0 || int(r.Ingress) >= net.NumIngress() || r.Egress < 0 || int(r.Egress) >= net.NumEgress() {
+		return nil, fmt.Errorf("reservation %d routed through unknown point", r.ID)
+	}
+	if !(g.Bandwidth > 0 && g.Tau > g.Sigma) {
+		return nil, fmt.Errorf("reservation %d has degenerate grant", r.ID)
+	}
+	// The request as granted: its window is the grant's (register).
+	r.Start, r.Finish = g.Sigma, g.Tau
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
+	if err := m.ledger.Reserve(r, g); err != nil {
+		return nil, err
+	}
+	return m.register(r, g), nil
+}
+
+// finish ends a live reservation — to is Cancelled or Expired — cancels its
+// timer and returns its capacity: a cancel what is left of the grant from
+// now, an expiry at τ, where its whole span lies behind the profiles' new
+// floor and nothing is walked (alloc.Sharded.Revoke).
+func (m *Machine) finish(e *entry, to State, now units.Time) {
+	e.expire.Cancel()
+	at := now
+	if to == Expired {
+		at = e.grant.Tau
+	}
+	m.ledger.Revoke(e.req, at)
+	e.state = to
+	if to == Cancelled {
+		m.Stats.RecordCancel()
+	} else {
+		m.Stats.RecordExpire()
+	}
+	m.finished = append(m.finished, e.req.ID)
+	for len(m.finished) > m.retention {
+		evict := m.finished[0]
+		m.finished = m.finished[1:]
+		if old, ok := m.resv[evict]; ok {
+			delete(m.resv, evict)
+			// Terminal and evicted: its expiry event fired or was cancelled,
+			// and nothing outside the caller's lock holds entries, so the
+			// record can be recycled.
+			old.req, old.grant, old.state, old.expire = request.Request{}, request.Grant{}, "", des.Handle{}
+			m.entries.Put(old)
+		}
+	}
+}
+
+// Verify audits equation (1) twice over: first the sharded profiles
+// themselves (all shards locked in the global order, one consistent cut),
+// then an independent replay of the live registry into a fresh
+// single-threaded ledger — if the recorded grants could not be re-admitted,
+// the shards and the registry have diverged.
+func (m *Machine) Verify() error {
+	if err := m.ledger.CheckInvariant(); err != nil {
+		return err
+	}
+	fresh := alloc.NewLedger(m.ledger.Network())
+	for _, r := range m.Live(0) {
+		if err := fresh.Reserve(r.Req, r.Grant); err != nil {
+			return fmt.Errorf("server: live registry fails replay: %w", err)
+		}
+	}
+	return fresh.CheckInvariant()
+}
