@@ -32,10 +32,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -1456,4 +1458,135 @@ func BenchmarkStages(b *testing.B) {
 			buf = server.AppendBinaryBatchResponse(buf[:0], res)
 		}
 	})
+	b.Run("loopback", benchLoopback)
+	// The call plumbing: one lookup, the cheapest call there is (its core is
+	// a map read and the one-item answer frame), from client.Client down the
+	// call stream to Server.Call and back.
+	lookupLoop := func(b *testing.B, url string, hc *http.Client) {
+		srv := newSrv(b)
+		d, err := srv.Submit(server.Submission{From: 0, To: 1, Volume: 1e9, MaxRate: 2e8, Deadline: 1e6})
+		if err != nil || !d.Accepted {
+			b.Fatalf("submit = %+v, %v", d, err)
+		}
+		hs := &http.Server{Handler: srv.Handler()}
+		if url == "" {
+			ts := httptest.NewServer(srv.Handler())
+			b.Cleanup(ts.Close)
+			url = ts.URL
+		} else {
+			l := newPipeListener()
+			hc.Transport = &http.Transport{DialContext: l.dial}
+			go hs.Serve(l)
+			b.Cleanup(func() { hs.Close() })
+		}
+		c := client.New(url, hc)
+		defer c.Close()
+		ctx := context.Background()
+		for i := 0; i < 2; i++ { // the first call upgrades; the second is on the stream
+			if _, err := c.Get(ctx, int(d.ID)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Get(ctx, int(d.ID)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("call-pipe", func(b *testing.B) { lookupLoop(b, "http://pipe", &http.Client{}) })
+	b.Run("call-tcp", func(b *testing.B) { lookupLoop(b, "", nil) })
 }
+
+// benchLoopback is the kernel floor of a call: a 64-byte ping-pong over a
+// loopback TCP connection to an echo goroutine.
+func benchLoopback(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	echoed := make(chan struct{})
+	go func() {
+		defer close(echoed)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var buf [64]byte
+		for {
+			if _, err := io.ReadFull(conn, buf[:]); err != nil {
+				return
+			}
+			if _, err := conn.Write(buf[:]); err != nil {
+				return
+			}
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	msg := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Write(msg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	conn.Close()
+	<-echoed
+}
+
+// pipeListener is a net.Listener whose connections are net.Pipe ends: dial
+// hands the far end of each new pipe to Accept.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) dial(ctx context.Context, _, _ string) (net.Conn, error) {
+	cli, srv := net.Pipe()
+	select {
+	case l.conns <- srv:
+		return cli, nil
+	case <-l.done:
+	case <-ctx.Done():
+	}
+	cli.Close()
+	srv.Close()
+	return nil, net.ErrClosed
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }

@@ -612,34 +612,44 @@ func (rt *Router) batch(ctx context.Context, subs []wire.Submission) []wire.Batc
 		}
 	}
 	rt.met.observeBatch(len(groups), len(cross))
+	forward := func(shardIdx int, idxs []int) {
+		sh := rt.shards[shardIdx]
+		slice := make([]wire.Submission, len(idxs))
+		for j, i := range idxs {
+			slice[j] = subs[i]
+		}
+		t0 := time.Now()
+		res, err := sh.c.SubmitBatchWire(ctx, slice)
+		sh.met.observe(time.Since(t0), err)
+		if err != nil {
+			msg := err.Error()
+			for _, i := range idxs {
+				items[i] = wire.BatchItemJSON{Error: msg}
+			}
+			return
+		}
+		for j, i := range idxs {
+			it := res[j]
+			if it.Reservation != nil {
+				it.Reservation.ID = rt.visibleID(it.Reservation.ID, shardIdx)
+			}
+			items[i] = it
+		}
+	}
+	// With no cross-shard items the caller only waits, so the last group
+	// runs on its goroutine, as perShard's last shard does.
+	n := len(groups)
 	var wg sync.WaitGroup
 	for shardIdx, idxs := range groups {
+		if n--; n == 0 && len(cross) == 0 {
+			forward(shardIdx, idxs)
+			break
+		}
 		wg.Add(1)
-		go func(shardIdx int, idxs []int) {
+		go func() {
 			defer wg.Done()
-			sh := rt.shards[shardIdx]
-			slice := make([]wire.Submission, len(idxs))
-			for j, i := range idxs {
-				slice[j] = subs[i]
-			}
-			t0 := time.Now()
-			res, err := sh.c.SubmitBatchWire(ctx, slice)
-			sh.met.observe(time.Since(t0), err)
-			if err != nil {
-				msg := err.Error()
-				for _, i := range idxs {
-					items[i] = wire.BatchItemJSON{Error: msg}
-				}
-				return
-			}
-			for j, i := range idxs {
-				it := res[j]
-				if it.Reservation != nil {
-					it.Reservation.ID = rt.visibleID(it.Reservation.ID, shardIdx)
-				}
-				items[i] = it
-			}
-		}(shardIdx, idxs)
+			forward(shardIdx, idxs)
+		}()
 	}
 	if len(cross) > 0 {
 		rt.crossShard(ctx, crossItems)

@@ -23,10 +23,12 @@ import (
 // Any framed call offers Connection: Upgrade, Upgrade: gridbw-call/1. A
 // daemon or router that can take the connection over answers the call,
 // writes 101 and the answer as the first frame of the call stream, and
-// serves tagged calls on that connection from then on, each on its own
-// goroutine (internal/wire has the format). A writer that cannot be taken
-// over, or a request without the offer, is answered over plain HTTP, byte
-// for byte as before.
+// serves tagged calls on that connection from then on (internal/wire has
+// the format). Each call runs on a worker of its own as soon as it is read:
+// the stream keeps a few workers, whose goroutines and grown stacks outlive
+// their calls, and starts another only when none is idle (callServer). A
+// writer that cannot be taken over, or a request without the offer, is
+// answered over plain HTTP, byte for byte as before.
 
 // callIdle is how long a call stream with nothing in flight waits for its
 // next call before hanging up; the client's next call then goes over HTTP
@@ -108,7 +110,7 @@ func pathID(r *http.Request) (int, error) {
 // serveCall answers one call that came over HTTP, and takes the connection
 // over for the call stream when the request offered it: the answer is then
 // the stream's first frame, tag 0, and the stream serves later calls
-// through h on a goroutine of its own, so the handler returns at once.
+// through h on workers of its own, so the handler returns at once.
 func serveCall(w http.ResponseWriter, r *http.Request, ss *Streams, h CallHandler, c *Call) {
 	rep := h(r.Context(), c)
 	if st, ok := ss.upgrade(w, r, wire.CallProtocol); ok {
@@ -166,33 +168,67 @@ func writeAnswer(st *stream, tag uint32, rep Reply, buf *wire.FrameBuf) error {
 
 // serveCalls serves calls on st until it ends — the caller hung up or sent
 // what cannot be read, the set closed, a write failed, or nothing was in
-// flight for callIdle — answering each on its own goroutine, so a durable
+// flight for callIdle — answering each on a worker of its own, so a durable
 // submit parked on a quorum ack holds up no lookup behind it. Answers go
 // out in the order their calls finish. A call still running when the
 // stream ends finds its context cancelled, and its answer goes nowhere: the
 // caller retries it by its key.
 func serveCalls(st *stream, h CallHandler) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cs := &callServer{st: st, h: h, ctx: ctx}
+	cs := &callServer{st: st, h: h, ctx: ctx, turn: make(chan struct{})}
 	st.goRun(func() {
 		<-st.done()
 		cancel()
 	})
-	st.goRun(cs.next)
+	st.goRun(cs.work)
 }
 
-// callServer is the state the goroutines of one call stream share.
+// callIdleWorkers is how many idle workers a call stream keeps; a worker
+// that finds that many already idle when it finishes its call exits.
+const callIdleWorkers = 8
+
+// callServer is the state the workers of one call stream share. One worker
+// at a time reads; it hands the next read to an idle worker, or to a new
+// one when none is idle, answers the call it read and then waits idle for
+// its next turn. A worker keeps its goroutine, and the stack that goroutine
+// grew, from one call to the next.
 type callServer struct {
 	st       *stream
 	h        CallHandler
 	ctx      context.Context
 	inflight atomic.Int32
+	// turn hands the read to an idle worker: a send succeeds only when one
+	// is waiting on it.
+	turn chan struct{}
+	idle atomic.Int32
 }
 
-// next reads one call, hands the reading of the one after it to a fresh
-// goroutine and answers its own call: each call runs on a goroutine of its
-// own, and none waits for a hand-off before it starts.
-func (cs *callServer) next() {
+// work serves calls until the stream ends. It starts holding the turn to
+// read, and no call waits for a worker before it starts.
+func (cs *callServer) work() {
+	for {
+		tag, c, ok := cs.read()
+		if !ok {
+			return
+		}
+		cs.inflight.Add(1)
+		select {
+		case cs.turn <- struct{}{}:
+		default:
+			cs.st.goRun(cs.work)
+		}
+		_ = writeAnswer(cs.st, tag, recovered(cs.ctx, cs.h, &c), c.Buf)
+		c.Buf.Release()
+		cs.inflight.Add(-1)
+		if !cs.rejoin() {
+			return
+		}
+	}
+}
+
+// read reads the next call. A read that times out with calls in flight
+// reads on; any other failure hangs the stream up and answers false.
+func (cs *callServer) read() (uint32, Call, bool) {
 	st := cs.st
 	buf := wire.NewFrameBuf()
 	for {
@@ -200,19 +236,30 @@ func (cs *callServer) next() {
 		tag, op, frame, err := wire.ReadCall(st.reader, buf.B[:0])
 		buf.B = frame
 		if err == nil {
-			cs.inflight.Add(1)
-			defer cs.inflight.Add(-1)
-			st.goRun(cs.next)
-			c := Call{Op: op, Buf: buf}
-			_ = writeAnswer(st, tag, recovered(cs.ctx, cs.h, &c), buf)
-			buf.Release()
-			return
+			return tag, Call{Op: op, Buf: buf}, true
 		}
 		if !isTimeout(err) || cs.inflight.Load() == 0 {
 			buf.Release()
 			st.hangUp()
-			return
+			return 0, Call{}, false
 		}
+	}
+}
+
+// rejoin waits idle for the next turn to read, and reports false when the
+// worker should exit instead: enough workers are idle already, or the
+// stream ended.
+func (cs *callServer) rejoin() bool {
+	if cs.idle.Add(1) > callIdleWorkers {
+		cs.idle.Add(-1)
+		return false
+	}
+	defer cs.idle.Add(-1)
+	select {
+	case <-cs.turn:
+		return true
+	case <-cs.st.done():
+		return false
 	}
 }
 

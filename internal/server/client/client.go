@@ -439,7 +439,7 @@ var frameContentType = []string{wire.ContentType}
 func (c *Client) attempt(ctx context.Context, base string, rt route, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
 	if rt.op != 0 {
 		if cs := c.stream(base); cs != nil {
-			return cs.call(ctx, c.opts.CallTimeout, rt.op, frame, jsonOut, fromFrame)
+			return cs.call(ctx, rt.op, frame, jsonOut, fromFrame)
 		}
 	}
 	if c.opts.CallTimeout > 0 {

@@ -24,11 +24,12 @@ import (
 // the other callers', instead of an HTTP round trip. A server that ignores
 // the offer answers over HTTP, and the next call offers again. Each call
 // writes a tagged frame and waits for the answer with its tag; one reader
-// goroutine hands the answers out. Nothing on the stream is retried: a
-// stream that fails — a read or write error, the per-attempt deadline, a
-// cancelled context — fails every call pending on it with a transport
-// error, and the retry loop re-sends each over HTTP with its idempotency
-// key, offering again.
+// goroutine hands the answers out, and one watchdog timer holds the oldest
+// pending call to the per-attempt deadline. Nothing on the stream is
+// retried: a stream that fails — a read or write error, a call past the
+// per-attempt deadline, a cancelled context — fails every call pending on
+// it with a transport error, and the retry loop re-sends each over HTTP
+// with its idempotency key, offering again.
 
 var (
 	upgradeHeader      = []string{"Upgrade"}
@@ -72,7 +73,7 @@ func (c *Client) adopt(ctx context.Context, base string, resp *http.Response, js
 		resp.Body.Close()
 		return fmt.Errorf("gridbwd: upgrade to %q, want %q", resp.Header.Get("Upgrade"), wire.CallProtocol)
 	}
-	cs := &callStream{rwc: rwc, br: bufio.NewReader(rwc), pending: map[uint32]*pendingCall{}}
+	cs := &callStream{rwc: rwc, br: bufio.NewReader(rwc), pending: map[uint32]*pendingCall{}, timeout: c.opts.CallTimeout}
 	stop := context.AfterFunc(ctx, func() { rwc.Close() })
 	buf := wire.NewFrameBuf()
 	defer buf.Release()
@@ -148,11 +149,22 @@ type callStream struct {
 	pending map[uint32]*pendingCall
 	next    uint32
 	err     error // why the stream failed; nil while it is open
+
+	// timeout is the per-attempt deadline (Options.CallTimeout), which
+	// every call on the stream shares; when it is positive, watch is the
+	// one timer that enforces it. The first call that finds watch unarmed
+	// arms it for timeout; when it fires it fails the stream if the oldest
+	// pending call is that old, re-arms for what that call has left
+	// otherwise, and stays unarmed when nothing is pending.
+	timeout time.Duration
+	watch   *time.Timer
+	armed   bool
 }
 
 // pendingCall is one call waiting for its answer, or for the stream to fail.
 type pendingCall struct {
 	done   chan struct{}
+	sent   time.Time // when the call was registered; the watchdog reads it
 	status int
 	codec  byte
 	body   []byte
@@ -163,10 +175,10 @@ type pendingCall struct {
 var pendingPool = sync.Pool{New: func() any { return &pendingCall{done: make(chan struct{}, 1)} }}
 
 // call sends one call and waits for its answer. The attempt's deadline
-// (timeout, when positive) or the end of ctx fails the whole stream: an
-// answer that did not come in time may never come, and a connection that
-// swallows calls must not take the next ones too.
-func (cs *callStream) call(ctx context.Context, timeout time.Duration, op wire.Op, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
+// (the stream's timeout, when positive) or the end of ctx fails the whole
+// stream: an answer that did not come in time may never come, and a
+// connection that swallows calls must not take the next ones too.
+func (cs *callStream) call(ctx context.Context, op wire.Op, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
 	p := pendingPool.Get().(*pendingCall)
 	cs.mu.Lock()
 	if cs.err != nil {
@@ -180,12 +192,14 @@ func (cs *callStream) call(ctx context.Context, timeout time.Duration, op wire.O
 	}
 	tag := cs.next
 	cs.pending[tag] = p
+	if cs.timeout > 0 {
+		p.sent = time.Now()
+		if !cs.armed {
+			cs.armWatchLocked(cs.timeout)
+		}
+	}
 	cs.mu.Unlock()
 
-	if timeout > 0 {
-		t := time.AfterFunc(timeout, func() { cs.fail(context.DeadlineExceeded) })
-		defer t.Stop()
-	}
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() { cs.fail(ctx.Err()) })
 		defer stop()
@@ -210,6 +224,40 @@ func (cs *callStream) call(ctx context.Context, timeout time.Duration, op wire.O
 		return fmt.Errorf("gridbwd: call stream: %w", p.err)
 	}
 	return decodeAnswer(p.status, p.codec, p.body, jsonOut, fromFrame)
+}
+
+// armWatchLocked arms the watchdog to fire in d; the stream's mu is held.
+func (cs *callStream) armWatchLocked(d time.Duration) {
+	cs.armed = true
+	if cs.watch == nil {
+		cs.watch = time.AfterFunc(d, cs.watchdog)
+		return
+	}
+	cs.watch.Reset(d)
+}
+
+// watchdog fails the stream when its oldest pending call has waited the
+// whole timeout, and otherwise re-arms for the time that call has left.
+func (cs *callStream) watchdog() {
+	cs.mu.Lock()
+	cs.armed = false
+	if cs.err != nil || len(cs.pending) == 0 {
+		cs.mu.Unlock()
+		return
+	}
+	var oldest time.Time
+	for _, p := range cs.pending {
+		if oldest.IsZero() || p.sent.Before(oldest) {
+			oldest = p.sent
+		}
+	}
+	if left := cs.timeout - time.Since(oldest); left > 0 {
+		cs.armWatchLocked(left)
+		cs.mu.Unlock()
+		return
+	}
+	cs.mu.Unlock()
+	cs.fail(context.DeadlineExceeded)
 }
 
 // read hands each answer to the call with its tag until the stream fails.
@@ -247,6 +295,9 @@ func (cs *callStream) fail(err error) {
 	cs.err = err
 	pending := cs.pending
 	cs.pending = nil
+	if cs.watch != nil {
+		cs.watch.Stop()
+	}
 	cs.mu.Unlock()
 	cs.rwc.Close()
 	if cs.gone != nil {

@@ -1,15 +1,20 @@
 package client
 
 import (
+	"bufio"
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"path"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gridbw/internal/chaosnet"
+	"gridbw/internal/request"
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
@@ -332,5 +337,145 @@ func TestServerCloseEndsCallStreams(t *testing.T) {
 	}
 	if c.stream(rig.proxy.URL()) != nil {
 		t.Error("the client still holds a stream to a closed daemon")
+	}
+}
+
+// scriptedPeer is a call-stream server over net.Pipe: it takes the upgrade
+// offer of each connection's first call, then answers every lookup on the
+// stream with the id it names — except silent, which it never answers.
+type scriptedPeer struct {
+	silent int
+	dials  atomic.Int64
+}
+
+func (p *scriptedPeer) client(opts Options) *Client {
+	dial := func(context.Context, string, string) (net.Conn, error) {
+		cli, srv := net.Pipe()
+		p.dials.Add(1)
+		go p.serve(srv)
+		return cli, nil
+	}
+	return NewWithOptions("http://peer", &http.Client{Transport: &http.Transport{DialContext: dial}}, opts)
+}
+
+func (p *scriptedPeer) serve(conn net.Conn) {
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	req, err := http.ReadRequest(br)
+	if err != nil {
+		return
+	}
+	id, _ := strconv.Atoi(path.Base(req.URL.Path))
+	answer := func(out []byte, tag uint32, id int) []byte {
+		out = wire.AppendAnswerHeader(out, tag, http.StatusOK, wire.CodecFrame)
+		d := server.Decision{ID: request.ID(id), Accepted: true, State: server.StateActive}
+		return server.AppendBinaryBatchResponse(out, []server.BatchResult{{Decision: d}})
+	}
+	hello := "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + wire.CallProtocol + "\r\n\r\n"
+	if _, err := conn.Write(answer([]byte(hello), 0, id)); err != nil {
+		return
+	}
+	var frame []byte
+	for {
+		var tag uint32
+		tag, _, frame, err = wire.ReadCall(br, frame[:0])
+		if err != nil {
+			return
+		}
+		if id, _ := wire.DecodeIDFrame(frame); id != p.silent {
+			if _, err := conn.Write(answer(nil, tag, id)); err != nil {
+				return
+			}
+		}
+	}
+}
+
+// TestStreamWatchdogFailsTheOldestCall: a call the peer never answers fails
+// the stream when it has waited the call timeout, give or take the
+// watchdog's slack — not sooner, though the watchdog was armed before it,
+// and not later, though the calls beside it on the same stream keep getting
+// answers.
+func TestStreamWatchdogFailsTheOldestCall(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	p := &scriptedPeer{silent: 666}
+	opts := instant(nil)
+	opts.CallTimeout, opts.MaxRetries = timeout, -1
+	c := p.client(opts)
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.Get(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	cs := c.stream("http://peer")
+	if cs == nil {
+		t.Fatal("the first call did not upgrade")
+	}
+	// The watchdog fires once with nothing pending, is armed again by the
+	// next call, and is half through its timeout when the unanswered call
+	// starts.
+	for _, pause := range []time.Duration{timeout + 100*time.Millisecond, timeout / 2} {
+		if _, err := c.Get(ctx, 2); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(pause)
+	}
+	silent := make(chan error, 1)
+	t0 := time.Now()
+	go func() {
+		_, err := c.Get(ctx, p.silent)
+		silent <- err
+	}()
+	answered := 0
+	for {
+		select {
+		case err := <-silent:
+			took := time.Since(t0)
+			if err == nil || !retryable(err) {
+				t.Fatalf("the unanswered call returned %v, want a retryable transport error", err)
+			}
+			if took < timeout || took > timeout+200*time.Millisecond {
+				t.Errorf("the unanswered call failed after %v, want the %v call timeout", took, timeout)
+			}
+			if answered < 10 {
+				t.Errorf("%d calls answered beside the unanswered one, want them to go on", answered)
+			}
+			if c.stream("http://peer") == cs {
+				t.Error("the client kept the stream the watchdog failed")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Since(t0) > 5*time.Second {
+			t.Fatal("the unanswered call never failed")
+		}
+		if c.stream("http://peer") == cs {
+			if _, err := c.Get(ctx, 2); err == nil {
+				answered++
+			}
+		}
+	}
+}
+
+// TestStreamWatchdogSparesAnIdleStream: a stream with nothing pending
+// outlives the call timeout many times over.
+func TestStreamWatchdogSparesAnIdleStream(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	p := &scriptedPeer{silent: -1}
+	opts := instant(nil)
+	opts.CallTimeout, opts.MaxRetries = timeout, -1
+	c := p.client(opts)
+	defer c.Close()
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		if _, err := c.Get(ctx, i); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(4 * timeout)
+	}
+	if c.stream("http://peer") == nil {
+		t.Error("an idle stream was failed")
+	}
+	if n := p.dials.Load(); n != 1 {
+		t.Errorf("%d connections, want every call on the first", n)
 	}
 }

@@ -75,3 +75,6 @@ func PanicOn(t testing.TB, op wire.Op) {
 	serverOps[op].call = func(*Server, *Call) Reply { panic("kaboom") }
 	t.Cleanup(func() { serverOps[op] = saved })
 }
+
+// CallIdleWorkers is how many idle workers a call stream keeps.
+const CallIdleWorkers = callIdleWorkers

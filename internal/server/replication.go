@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -287,12 +288,17 @@ func (s *Server) applyEventLocked(ev trace.Event, frame []byte) error {
 // time: a replica that booted later than its primary would otherwise sit
 // hours behind, and promotion would misread every booked window. Only the
 // epoch anchor moves — due expiries fire on the next ordinary advance,
-// never in the middle of an apply.
+// never in the middle of an apply. The instant is capped in seconds at
+// maxAnchorS before it becomes a Duration, which would overflow past it.
 func (s *Server) reanchorLocked(at float64) {
-	if units.Time(at) > s.wallNow() {
+	if at = min(at, maxAnchorS); units.Time(at) > s.wallNow() {
 		s.epoch = s.clock().Add(-time.Duration(at * float64(time.Second)))
 	}
 }
+
+// maxAnchorS is the furthest service time the clock can be anchored at: the
+// whole seconds a time.Duration holds.
+const maxAnchorS = float64(math.MaxInt64 / int64(time.Second))
 
 // memberLocked is this node as the election rules of internal/cluster see
 // it.

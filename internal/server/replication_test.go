@@ -413,6 +413,31 @@ func TestFollowerArmsNoTimerUntilPromoted(t *testing.T) {
 
 func first(a, _ int) int { return a }
 
+// TestFarEventAnchorsTheClockInRange: an event stamped past what a
+// time.Duration holds (~9.22e9 s) pulls the service clock to the last whole
+// second a Duration holds, and the clock runs on from there. Converting the
+// instant before capping it overflowed; on amd64 the anchor then landed at
+// the very end of the range, where the clock stands still.
+func TestFarEventAnchorsTheClockInRange(t *testing.T) {
+	clk := &fakeClock{}
+	cfg := uniformConfig(clk)
+	cfg.Follow = "http://127.0.0.1:1"
+	f := newTestServer(t, cfg)
+	if _, err := f.ApplyEvents([]trace.Event{
+		{At: 1e10, Kind: trace.EventAccept, Request: 0, Ingress: 0, Egress: 1, RateBps: 1e9, SigmaS: 1e10, TauS: 1e10 + 10, VolumeB: 1e10, MaxRateBps: 1e9},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const limit = 9223372036 // whole seconds in a Duration
+	if now := f.Now(); now != limit {
+		t.Fatalf("clock after an event at 1e10 s = %v, want %v", float64(now), float64(limit))
+	}
+	clk.advance(500 * time.Millisecond)
+	if now := f.Now(); now != limit+0.5 {
+		t.Fatalf("clock 500ms later = %v, want %v", float64(now), limit+0.5)
+	}
+}
+
 // TestApplyEventsReportsTheCapacityRefusalInFull: the admission path
 // throws a refusal's text away, but a log that does not fit the platform
 // (a replica configured with less capacity than its primary) must say

@@ -6,14 +6,15 @@
 #
 # Runs the stage benchmarks (BenchmarkStages: decode, the global section,
 # the idempotency lookup, admit.At on a dense pair, the WAL record's encode,
-# WAL append, the record's decode, encode) and
-# the wholes they add up to (RouterDirectSubmit, RouterSameShardSubmit,
-# ReplSyncAckAdmit) in one go through scripts/bench.sh, and merges the run
-# into BENCH_stages.json as the column named COLUMN (e.g. "parent" on a
-# checkout of the parent commit, "change" on the change), replacing a
-# column of that name. Each column carries, per path, the sum of its stages,
-# the measured whole and the residue: what the stages do not account for,
-# the transport's share. Sums and wholes of a column come from the same run.
+# WAL append, the record's decode, encode; the loopback floor and the call
+# plumbing over net.Pipe and over loopback) and the wholes they add up to
+# (RouterDirectSubmit, RouterSameShardSubmit, ReplSyncAckAdmit) in one go
+# through scripts/bench.sh, and merges the run into BENCH_stages.json as the
+# column named COLUMN (e.g. "parent" on a checkout of the parent commit,
+# "change" on the change), replacing a column of that name. Each column
+# carries, per path, the loopback floor, the call plumbing and the named
+# stages it passes through, the measured whole and the remainder: what none
+# of them accounts for. Sums and wholes of a column come from the same run.
 #
 # Environment: BENCHTIME (default 2000x) and COUNT (default 3), as for
 # scripts/bench.sh. The derivation lives in stages_test.go, whose

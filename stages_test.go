@@ -6,6 +6,7 @@ import (
 	"flag"
 	"math"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -13,9 +14,9 @@ import (
 // one column per run, each a scripts/bench.sh snapshot of the stage
 // benchmarks and the wholes, plus the derived lines below. TestStagesSnapshot
 // merges a run into the file when given -stages-column, and otherwise only
-// checks that the file is well-formed: every path's sum is its stages' sum
-// and its residue the whole minus that sum, all from the column's own run.
-// No timing is gated.
+// checks that the file is well-formed: every path's whole is its floor, its
+// plumbing, its named stages and its remainder, each sum from the column's
+// own run. No timing is gated.
 
 var (
 	stagesColumn = flag.String("stages-column", "", "merge the run in -stages-from into BENCH_stages.json as this column")
@@ -24,19 +25,33 @@ var (
 
 const stagesFile = "BENCH_stages.json"
 
-// stagePaths are the paths a submit can take that a whole measures, and the
-// stages each passes through. "global" is not summed: "idempotency" times
-// the same section with the cache lookup in it. A routed submit is decoded
-// and encoded once more, by the router. A quorum submit's decision is
-// encoded as a WAL record by the primary and decoded by the follower before
-// it acks.
+// stagePaths are the paths a submit can take that a whole measures, and
+// what each passes through: the floor is one loopback round trip per hop
+// ("loopback"), the plumbing one call down the call stream per call
+// ("call-pipe": the client, the stream and Server.Call without the kernel),
+// and the stages the named work of the daemon. "global" is not summed:
+// "idempotency" times the same section with the cache lookup in it. A routed
+// submit is two calls, client to router and router to shard, and is decoded
+// and encoded once more, by the router. A quorum submit is Server.Submit in
+// process — no call — whose decision is encoded as a WAL record by the
+// primary, shipped over one loopback round trip and decoded by the follower
+// before it acks. What is left of the whole is the remainder.
 var stagePaths = []struct {
-	path, whole string
-	stages      []string
+	path, whole             string
+	floor, plumbing, stages []string
 }{
-	{"direct", "RouterDirectSubmit", []string{"Stages/decode", "Stages/idempotency", "Stages/admit", "Stages/encode"}},
-	{"routed", "RouterSameShardSubmit", []string{"Stages/decode", "Stages/decode", "Stages/idempotency", "Stages/admit", "Stages/encode", "Stages/encode"}},
-	{"quorum", "ReplSyncAckAdmit/fsync=interval", []string{"Stages/decode", "Stages/idempotency", "Stages/admit", "Stages/record-encode", "Stages/wal-append", "Stages/record-decode", "Stages/encode"}},
+	{"direct", "RouterDirectSubmit",
+		[]string{"Stages/loopback"},
+		[]string{"Stages/call-pipe"},
+		[]string{"Stages/decode", "Stages/idempotency", "Stages/admit", "Stages/encode"}},
+	{"routed", "RouterSameShardSubmit",
+		[]string{"Stages/loopback", "Stages/loopback"},
+		[]string{"Stages/call-pipe", "Stages/call-pipe"},
+		[]string{"Stages/decode", "Stages/decode", "Stages/idempotency", "Stages/admit", "Stages/encode", "Stages/encode"}},
+	{"quorum", "ReplSyncAckAdmit/fsync=interval",
+		[]string{"Stages/loopback"},
+		[]string{},
+		[]string{"Stages/idempotency", "Stages/admit", "Stages/record-encode", "Stages/wal-append", "Stages/record-decode"}},
 }
 
 type stageBench struct {
@@ -48,12 +63,16 @@ type stageBench struct {
 }
 
 type stageLine struct {
-	Path      string   `json:"path"`
-	Stages    []string `json:"stages"`
-	SumNs     float64  `json:"sum_ns"`
-	Whole     string   `json:"whole"`
-	WholeNs   float64  `json:"whole_ns"`
-	ResidueNs float64  `json:"residue_ns"`
+	Path        string   `json:"path"`
+	Floor       []string `json:"floor"`
+	FloorNs     float64  `json:"floor_ns"`
+	Plumbing    []string `json:"plumbing"`
+	PlumbingNs  float64  `json:"plumbing_ns"`
+	Stages      []string `json:"stages"`
+	SumNs       float64  `json:"sum_ns"`
+	Whole       string   `json:"whole"`
+	WholeNs     float64  `json:"whole_ns"`
+	RemainderNs float64  `json:"remainder_ns"`
 }
 
 type stageColumn struct {
@@ -76,22 +95,35 @@ func derivePaths(col *stageColumn) ([]stageLine, error) {
 	for _, b := range col.Benchmarks {
 		ns[b.Name] = b.NsPerOp
 	}
+	sum := func(names []string) (float64, error) {
+		var total float64
+		for _, name := range names {
+			v, ok := ns[name]
+			if !ok {
+				return 0, errors.New("column " + col.Name + " has no " + name)
+			}
+			total += v
+		}
+		return math.Round(total*100) / 100, nil
+	}
 	var lines []stageLine
 	for _, p := range stagePaths {
 		whole, ok := ns[p.whole]
 		if !ok {
 			return nil, errors.New("column " + col.Name + " has no " + p.whole)
 		}
-		line := stageLine{Path: p.path, Stages: p.stages, Whole: p.whole, WholeNs: whole}
-		for _, st := range p.stages {
-			v, ok := ns[st]
-			if !ok {
-				return nil, errors.New("column " + col.Name + " has no " + st)
-			}
-			line.SumNs += v
+		line := stageLine{Path: p.path, Floor: p.floor, Plumbing: p.plumbing, Stages: p.stages, Whole: p.whole, WholeNs: whole}
+		var err error
+		if line.FloorNs, err = sum(p.floor); err != nil {
+			return nil, err
 		}
-		line.SumNs = math.Round(line.SumNs*100) / 100
-		line.ResidueNs = math.Round((whole-line.SumNs)*100) / 100
+		if line.PlumbingNs, err = sum(p.plumbing); err != nil {
+			return nil, err
+		}
+		if line.SumNs, err = sum(p.stages); err != nil {
+			return nil, err
+		}
+		line.RemainderNs = math.Round((whole-line.FloorNs-line.PlumbingNs-line.SumNs)*100) / 100
 		lines = append(lines, line)
 	}
 	return lines, nil
@@ -156,8 +188,7 @@ func TestStagesSnapshot(t *testing.T) {
 			continue
 		}
 		for j, w := range want {
-			g := col.Paths[j]
-			if g.Path != w.Path || g.Whole != w.Whole || g.SumNs != w.SumNs || g.WholeNs != w.WholeNs || g.ResidueNs != w.ResidueNs {
+			if g := col.Paths[j]; !reflect.DeepEqual(g, w) {
 				t.Errorf("column %s path %s = %+v, want %+v from the column's own run", col.Name, w.Path, g, w)
 			}
 		}
