@@ -76,11 +76,11 @@ func runChaosCycle(t *testing.T, cycle, netMode, diskMode int, seed int64, submi
 		t.Fatal(err)
 	}
 	pbc := walBootConfig(pwal)
-	pbc.base.ReplID = "p"
-	pbc.base.SyncMode = "quorum"
-	pbc.base.SyncAcks = 1
-	pbc.base.SyncTimeout = 8 * time.Second
-	primary, _, err := bootServer(pbc)
+	pbc.ReplID = "p"
+	pbc.SyncMode = "quorum"
+	pbc.SyncAcks = 1
+	pbc.SyncTimeout = 8 * time.Second
+	primary, _, err := startRoute(pbc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +111,9 @@ func runChaosCycle(t *testing.T, cycle, netMode, diskMode int, seed int64, submi
 		t.Fatal(err)
 	}
 	f1bc := walBootConfig(f1wal)
-	f1bc.follow = linkF1.URL()
-	f1bc.base.ReplID = "f1"
-	f1, _, err := bootServer(f1bc)
+	f1bc.Follow = linkF1.URL()
+	f1bc.ReplID = "f1"
+	f1, _, err := startRoute(f1bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +123,9 @@ func runChaosCycle(t *testing.T, cycle, netMode, diskMode int, seed int64, submi
 		t.Fatal(err)
 	}
 	f2bc := walBootConfig(f2wal)
-	f2bc.follow = linkF2.URL()
-	f2bc.base.ReplID = "f2"
-	f2, _, err := bootServer(f2bc)
+	f2bc.Follow = linkF2.URL()
+	f2bc.ReplID = "f2"
+	f2, _, err := startRoute(f2bc)
 	if err != nil {
 		t.Fatal(err)
 	}

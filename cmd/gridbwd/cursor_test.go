@@ -45,7 +45,7 @@ func newCursorRig(t *testing.T, policy wal.SyncPolicy) *cursorRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.pwal.Close() })
-	if r.primary, _, err = bootServer(walBootConfig(r.pwal)); err != nil {
+	if r.primary, _, err = startRoute(walBootConfig(r.pwal)); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.primary.Close() })
@@ -56,7 +56,7 @@ func newCursorRig(t *testing.T, policy wal.SyncPolicy) *cursorRig {
 	if r.fwal, _, err = wal.Open(r.fdir, r.opt); err != nil {
 		t.Fatal(err)
 	}
-	cfg := walBootConfig(r.fwal).platformConfig()
+	cfg := walBootConfig(r.fwal)
 	cfg.Follow = r.url // never started: the first life is driven by hand
 	if r.follower, err = server.New(cfg); err != nil {
 		t.Fatal(err)
@@ -113,9 +113,10 @@ func (r *cursorRig) crash() {
 	r.fwal.Close()
 }
 
-// reboot boots the follower's directory through bootServer, which starts
-// the real pull loop, and waits until it has converged on the primary. It
-// returns the cursor the boot resumed from and what recovery reported.
+// reboot boots the follower's directory as the daemon does (start), which
+// starts the real pull loop, and waits until it has converged on the
+// primary. It returns the cursor the boot resumed from and what recovery
+// reported.
 func (r *cursorRig) reboot() (wal.Pos, wal.Recovery) {
 	r.t.Helper()
 	l, rec, err := wal.Open(r.fdir, r.opt)
@@ -131,8 +132,8 @@ func (r *cursorRig) reboot() (wal.Pos, wal.Recovery) {
 		r.t.Fatalf("resumed cursor %v is past the recovered local frontier %v (%v)", resumed, l.End(), rec)
 	}
 	bc := walBootConfig(l)
-	bc.follow = r.url
-	f, how, err := bootServer(bc)
+	bc.Follow = r.url
+	f, how, err := startRoute(bc)
 	if err != nil {
 		r.t.Fatal(err)
 	}

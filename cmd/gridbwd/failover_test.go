@@ -24,15 +24,13 @@ import (
 // lost, no reservation is booked twice, and the ledger passes the
 // capacity invariant.
 
-func walBootConfig(l *wal.Log) bootConfig {
-	bc := bootConfig{
-		ingress: []units.Bandwidth{1 * units.GBps, 1 * units.GBps},
-		egress:  []units.Bandwidth{1 * units.GBps, 1 * units.GBps},
-		policy:  "minbw",
-		wal:     l,
+func walBootConfig(l *wal.Log) server.Config {
+	return server.Config{
+		Ingress: []units.Bandwidth{1 * units.GBps, 1 * units.GBps},
+		Egress:  []units.Bandwidth{1 * units.GBps, 1 * units.GBps},
+		Policy:  "minbw",
+		WAL:     l,
 	}
-	bc.base.WAL = l
-	return bc
 }
 
 // seedWAL runs a primary against a fresh WAL in dir, books accepts and
@@ -44,7 +42,7 @@ func seedWAL(t *testing.T, dir string, accepts, cancels int, segBytes int64) []t
 		t.Fatal(err)
 	}
 	bc := walBootConfig(l)
-	srv, err := server.New(bc.platformConfig())
+	srv, err := server.New(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +149,7 @@ func checkRecovery(t *testing.T, dir string, oracle []trace.Event, segBytes int6
 		}
 	}
 
-	srv, how, err := bootServer(walBootConfig(l))
+	srv, how, err := startRoute(walBootConfig(l))
 	if err != nil {
 		t.Fatalf("boot after crash (%d survivors): %v", len(survivors), err)
 	}
@@ -260,11 +258,11 @@ func TestSyncAckZeroLossAcrossKillPromote(t *testing.T) {
 			t.Fatal(err)
 		}
 		pbc := walBootConfig(pwal)
-		pbc.base.ReplID = "p"
-		pbc.base.SyncMode = "quorum"
-		pbc.base.SyncAcks = 1 // one follower: the whole replica set must ack
-		pbc.base.SyncTimeout = 10 * time.Second
-		primary, _, err := bootServer(pbc)
+		pbc.ReplID = "p"
+		pbc.SyncMode = "quorum"
+		pbc.SyncAcks = 1 // one follower: the whole replica set must ack
+		pbc.SyncTimeout = 10 * time.Second
+		primary, _, err := startRoute(pbc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,9 +273,9 @@ func TestSyncAckZeroLossAcrossKillPromote(t *testing.T) {
 			t.Fatal(err)
 		}
 		fbc := walBootConfig(fwal)
-		fbc.follow = ts.URL
-		fbc.base.ReplID = "f1"
-		follower, _, err := bootServer(fbc)
+		fbc.Follow = ts.URL
+		fbc.ReplID = "f1"
+		follower, _, err := startRoute(fbc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +354,7 @@ func TestSyncAckZeroLossAcrossKillPromote(t *testing.T) {
 }
 
 // TestFollowerCrashRestartAndPromotion runs the warm-standby lifecycle at
-// the boot-ladder level: a follower catches up, dies, reboots from its own
+// the boot level: a follower catches up, dies, reboots from its own
 // WAL and persisted cursor, catches up again, and is promoted — ending
 // with the primary's exact live set and a working write path.
 func TestFollowerCrashRestartAndPromotion(t *testing.T) {
@@ -365,7 +363,7 @@ func TestFollowerCrashRestartAndPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pwal.Close()
-	primary, _, err := bootServer(walBootConfig(pwal))
+	primary, _, err := startRoute(walBootConfig(pwal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,8 +403,8 @@ func TestFollowerCrashRestartAndPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	fbc := walBootConfig(fwal)
-	fbc.follow = ts.URL
-	follower, how, err := bootServer(fbc)
+	fbc.Follow = ts.URL
+	follower, how, err := startRoute(fbc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,8 +427,8 @@ func TestFollowerCrashRestartAndPromotion(t *testing.T) {
 		t.Fatalf("follower WAL kept %d records across the crash, want >= 4", rec.Records)
 	}
 	fbc2 := walBootConfig(fwal2)
-	fbc2.follow = ts.URL
-	follower2, how, err := bootServer(fbc2)
+	fbc2.Follow = ts.URL
+	follower2, how, err := startRoute(fbc2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,9 @@
 // control-plane state in one format: a segmented, CRC-framed write-ahead
 // log of every admission decision, and beside the segments a checkpoint in
 // the same frames (-snapshot-every) that lets compaction (-wal-compact)
-// drop the segments it covers. Every boot, primary or follower, is
-// "install the checkpoint (or a fresh server), then replay the WAL past
-// it": the checkpoint plus the WAL suffix, else the whole WAL, else fresh.
+// drop the segments it covers. server.New boots from that directory,
+// primary or follower alike: the checkpoint plus the WAL past it, else the
+// whole WAL, else fresh; the daemon logs the route it took ("boot: …").
 // `gridbwctl tail -wal DIR` prints the logged decisions as JSON lines.
 //
 // With -follow the daemon is a warm standby: it boots the same way from
@@ -101,34 +101,30 @@ func run(args []string) error {
 		return errors.New("-snapshot-every requires -wal: the checkpoint lives in the WAL directory")
 	}
 
-	peerList := cluster.SplitURLs(*peers)
-	id := *replID
-	if id == "" {
-		id = *addr
+	cfg := server.Config{
+		Policy:      *policy,
+		Follow:      *follow,
+		MaxInFlight: *maxInFlight,
+		RetryAfter:  *retryAfter,
+		MaxBatch:    *maxBatch,
+		ReplID:      *replID,
+		SyncMode:    *replSync,
+		SyncTimeout: *replSyncTimeout,
+		Peers:       cluster.SplitURLs(*peers),
 	}
-	bc := bootConfig{
-		policy: *policy,
-		follow: *follow,
-		base: server.Config{
-			MaxInFlight: *maxInFlight,
-			RetryAfter:  *retryAfter,
-			MaxBatch:    *maxBatch,
-			ReplID:      id,
-			SyncMode:    *replSync,
-			SyncTimeout: *replSyncTimeout,
-			Peers:       peerList,
-		},
+	if cfg.ReplID == "" {
+		cfg.ReplID = *addr
 	}
-	if len(peerList) > 0 {
+	if len(cfg.Peers) > 0 {
 		// In a group of G = peers+1 members, replicated durability means a
 		// majority holds the frame: the primary plus the rest of it.
-		bc.base.SyncAcks = cluster.Majority(len(peerList)+1) - 1
+		cfg.SyncAcks = cluster.Majority(len(cfg.Peers)+1) - 1
 	}
 	var err error
-	if bc.ingress, err = units.ParseBandwidths(*ingress); err != nil {
+	if cfg.Ingress, err = units.ParseBandwidths(*ingress); err != nil {
 		return fmt.Errorf("-ingress: %w", err)
 	}
-	if bc.egress, err = units.ParseBandwidths(*egress); err != nil {
+	if cfg.Egress, err = units.ParseBandwidths(*egress); err != nil {
 		return fmt.Errorf("-egress: %w", err)
 	}
 	if *walDir != "" {
@@ -153,15 +149,14 @@ func run(args []string) error {
 		}
 		defer l.Close()
 		log.Printf("wal %s: %s", *walDir, rec)
-		bc.wal = l
-		bc.base.WAL = l
+		cfg.WAL = l
 	}
 
-	srv, how, err := bootServer(bc)
+	srv, err := start(cfg)
 	if err != nil {
 		return err
 	}
-	log.Printf("boot: %s", how)
+	log.Printf("boot: %s", srv.BootRoute())
 	defer srv.Close()
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -202,7 +197,7 @@ func run(args []string) error {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
-					if err := persistSnapshot(srv, bc.wal, *walCompact); err != nil {
+					if err := persistSnapshot(srv, cfg.WAL, *walCompact); err != nil {
 						log.Printf("periodic checkpoint: %v", err)
 					}
 				}
@@ -227,10 +222,10 @@ func run(args []string) error {
 	}
 	srv.Close()
 	if *snapshotEvery > 0 {
-		if err := persistSnapshot(srv, bc.wal, *walCompact); err != nil {
+		if err := persistSnapshot(srv, cfg.WAL, *walCompact); err != nil {
 			return fmt.Errorf("final checkpoint: %w", err)
 		}
-		log.Printf("wrote %s", filepath.Join(bc.wal.Dir(), server.CheckpointName))
+		log.Printf("wrote %s", filepath.Join(cfg.WAL.Dir(), server.CheckpointName))
 	}
 	return nil
 }
@@ -264,128 +259,17 @@ func newInProcessWatchdog(srv *server.Server, primary string, cfg cluster.Config
 	return wd, nil
 }
 
-// bootConfig gathers everything bootServer needs to bring a server up.
-// base carries the runtime wiring (WAL, limits); the platform flags live
-// beside it because a restore takes the platform from the checkpoint
-// while a fresh server requires them.
-type bootConfig struct {
-	ingress, egress []units.Bandwidth
-	policy          string
-	follow          string
-	wal             *wal.Log
-	base            server.Config
-}
-
-// platformConfig returns base with the flag platform filled in.
-func (bc bootConfig) platformConfig() server.Config {
-	cfg := bc.base
-	cfg.Ingress, cfg.Egress, cfg.Policy = bc.ingress, bc.egress, bc.policy
-	return cfg
-}
-
-// legacyReseedName is the JSON snapshot a follower of an older version
-// wrote into its WAL directory when it re-seeded. Its WAL starts at that
-// re-seed, and this version reads no JSON snapshot, so no boot can rebuild
-// its state.
-const legacyReseedName = "reseed.snap.json"
-
-// bootServer brings up the control plane and reports how. Every boot,
-// primary or follower, is the same three steps — install a base (the WAL
-// directory's checkpoint, or a fresh server), replay the WAL past the
-// position the base covers, start pulling if following — and the only
-// choice is the base: the checkpoint with its WAL suffix, else a fresh
-// server with the whole WAL, which is a plain fresh boot when there is no
-// WAL history. The whole WAL must reach back to its first segment, so a
-// checkpoint that is unusable where compaction (or a re-seed) dropped the
-// WAL's head refuses the boot rather than rebuilding a part of the state.
-func bootServer(bc bootConfig) (*server.Server, string, error) {
-	bc.base.Follow = bc.follow
-	var snap *server.Snapshot
-	var snapErr error
-	var snapPath string
-	if bc.wal != nil {
-		snapPath = filepath.Join(bc.wal.Dir(), server.CheckpointName)
-		if f, err := os.Open(snapPath); err == nil {
-			snap, snapErr = server.ReadSnapshot(f)
-			f.Close()
-		} else if !errors.Is(err, os.ErrNotExist) {
-			snapErr = err
-		}
+// start boots the server (server.New) and, on a follower, starts pulling.
+func start(cfg server.Config) (*server.Server, error) {
+	srv, err := server.New(cfg)
+	if err != nil || cfg.Follow == "" {
+		return srv, err
 	}
-
-	boot := func(base *server.Snapshot) (*server.Server, string, error) {
-		var srv *server.Server
-		var err error
-		var how string
-		// No checkpoint means all of history: a compacted prefix must
-		// answer ErrCompacted, not be skipped as a silent gap.
-		from := wal.Pos{Seg: 1}
-		if base == nil {
-			srv, err = server.New(bc.platformConfig())
-			how = "fresh server"
-		} else {
-			srv, err = server.NewFromSnapshot(base, bc.base) // the checkpoint carries the platform
-			how = fmt.Sprintf("restored checkpoint %s (clock at %s)", snapPath, units.Time(base.NowS))
-			from = base.WALPos()
-		}
-		if err != nil {
-			return nil, "", err
-		}
-		if bc.wal != nil {
-			events, _, err := server.ReadWALEvents(bc.wal, from)
-			if err == nil {
-				_, err = srv.ApplyEvents(events)
-			}
-			if err != nil {
-				srv.Close()
-				return nil, "", fmt.Errorf("replay WAL %s from %v: %w", bc.wal.Dir(), from, err)
-			}
-			if len(events) > 0 {
-				how += fmt.Sprintf(", replayed %d WAL events from %v", len(events), from)
-			}
-		}
-		if bc.follow != "" {
-			// The cursor is the one WAL recovery accepted: after a crash it
-			// may sit a batch (after a power loss, more) behind the local log.
-			resume := srv.ReplicationStatus().Cursor
-			if err := srv.StartFollowing(); err != nil {
-				srv.Close()
-				return nil, "", err
-			}
-			how = fmt.Sprintf("following %s at epoch %d from cursor %v: %s", bc.follow, srv.Epoch(), resume, how)
-		}
-		return srv, fmt.Sprintf("%s; %s, policy %s, %d live reservations",
-			how, srv.Network(), srv.PolicyName(), len(srv.LiveReservations())), nil
+	if err := srv.StartFollowing(); err != nil {
+		srv.Close()
+		return nil, err
 	}
-
-	if snap != nil {
-		srv, how, err := boot(snap)
-		if err == nil {
-			return srv, how, nil
-		}
-		snapErr = err
-	}
-	if snapErr != nil {
-		// Refusing to start would keep the whole control plane down over
-		// one bad file; the whole WAL, if it still reaches its head,
-		// carries enough to rebuild.
-		snapErr = fmt.Errorf("checkpoint %s unusable (%w)", snapPath, snapErr)
-		if bc.wal.Records() == 0 {
-			// A fresh boot would silently discard what the checkpoint held.
-			return nil, "", fmt.Errorf("%w and no WAL history to rebuild from", snapErr)
-		}
-		log.Printf("%v; falling back to full WAL replay", snapErr)
-	} else if bc.wal != nil {
-		if _, err := os.Stat(filepath.Join(bc.wal.Dir(), legacyReseedName)); err == nil {
-			return nil, "", fmt.Errorf("%s holds %s, the re-seed of an older version, which this version does not read: wipe the WAL directory and let the follower re-seed",
-				bc.wal.Dir(), legacyReseedName)
-		}
-	}
-	srv, how, err := boot(nil)
-	if err != nil && snapErr != nil {
-		return nil, "", fmt.Errorf("%v and the whole WAL cannot rebuild the state: %w", snapErr, err)
-	}
-	return srv, how, err
+	return srv, nil
 }
 
 // persistSnapshot writes the checkpoint durably into the WAL directory

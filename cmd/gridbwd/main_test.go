@@ -17,40 +17,49 @@ import (
 	"gridbw/internal/wire"
 )
 
+// startRoute starts cfg as run does and reports the route its boot took.
+func startRoute(cfg server.Config) (*server.Server, string, error) {
+	srv, err := start(cfg)
+	if err != nil {
+		return nil, "", err
+	}
+	return srv, srv.BootRoute(), nil
+}
+
 // testBootConfig is a one-point platform booting from the WAL directory
 // dir.
-func testBootConfig(t *testing.T, dir string) bootConfig {
+func testBootConfig(t *testing.T, dir string) server.Config {
 	t.Helper()
-	bc := bootConfig{
-		ingress: []units.Bandwidth{1 * units.GBps},
-		egress:  []units.Bandwidth{1 * units.GBps},
-		policy:  "minbw",
+	bc := server.Config{
+		Ingress: []units.Bandwidth{1 * units.GBps},
+		Egress:  []units.Bandwidth{1 * units.GBps},
+		Policy:  "minbw",
 	}
 	return withWAL(t, bc, dir)
 }
 
 // withWAL opens the WAL in dir for bc's boot.
-func withWAL(t *testing.T, bc bootConfig, dir string) bootConfig {
+func withWAL(t *testing.T, bc server.Config, dir string) server.Config {
 	t.Helper()
 	l, _, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	bc.wal, bc.base.WAL = l, l
+	bc.WAL = l
 	return bc
 }
 
 // checkpointPath is where bc's boot looks for its checkpoint.
-func checkpointPath(bc bootConfig) string {
-	return filepath.Join(bc.wal.Dir(), server.CheckpointName)
+func checkpointPath(bc server.Config) string {
+	return filepath.Join(bc.WAL.Dir(), server.CheckpointName)
 }
 
 // seedState runs a short daemon lifetime, leaving a checkpoint on disk with
 // one live reservation.
-func seedState(t *testing.T, bc bootConfig) server.Decision {
+func seedState(t *testing.T, bc server.Config) server.Decision {
 	t.Helper()
-	s, err := server.New(bc.platformConfig())
+	s, err := server.New(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +70,7 @@ func seedState(t *testing.T, bc bootConfig) server.Decision {
 	if err != nil || !d.Accepted {
 		t.Fatalf("seed submission: %v %+v", err, d)
 	}
-	if err := persistSnapshot(s, bc.wal, false); err != nil {
+	if err := persistSnapshot(s, bc.WAL, false); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -69,7 +78,7 @@ func seedState(t *testing.T, bc bootConfig) server.Decision {
 
 func TestBootFreshWhenNoSnapshot(t *testing.T) {
 	bc := testBootConfig(t, t.TempDir())
-	srv, how, err := bootServer(bc)
+	srv, how, err := startRoute(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +91,7 @@ func TestBootFreshWhenNoSnapshot(t *testing.T) {
 func TestBootRestoresSnapshot(t *testing.T) {
 	bc := testBootConfig(t, t.TempDir())
 	want := seedState(t, bc)
-	srv, how, err := bootServer(bc)
+	srv, how, err := startRoute(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +113,7 @@ func TestBootFailsWithoutAnyRecoveryPath(t *testing.T) {
 	if err := os.WriteFile(checkpointPath(bc), []byte("{ not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := bootServer(bc)
+	_, _, err := startRoute(bc)
 	if err == nil {
 		t.Fatal("boot succeeded with no usable state source")
 	}
@@ -117,14 +126,14 @@ func TestBootFailsWithoutAnyRecoveryPath(t *testing.T) {
 // kind a shard behind gridbwrouter logs — accept, cancel, hold_reserve,
 // hold_confirm, hold_abort — with one grant live and one hold confirmed.
 // It returns the live grant's decision.
-func seedHoldWAL(t *testing.T, bc bootConfig, dir string) server.Decision {
+func seedHoldWAL(t *testing.T, bc server.Config, dir string) server.Decision {
 	t.Helper()
 	l, _, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	cfg := bc.platformConfig()
+	cfg := bc
 	cfg.WAL = l
 	s, err := server.New(cfg)
 	if err != nil {
@@ -189,14 +198,14 @@ func TestBootFullWALWithHolds(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			l := bc.wal
+			l := bc.WAL
 
-			srv, how, err := bootServer(bc)
+			srv, how, err := startRoute(bc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !strings.Contains(how, "fresh") || !strings.Contains(how, "WAL events") {
-				t.Errorf("recovery path = %q, want the full-WAL rung", how)
+				t.Errorf("recovery path = %q, want the full-WAL route", how)
 			}
 			live := srv.LiveReservations()
 			if len(live) != 1 || live[0].Req.ID != kept.ID || live[0].Grant.Bandwidth != kept.Rate {
@@ -222,7 +231,7 @@ func TestBootFullWALWithHolds(t *testing.T) {
 			if _, err := l.Append(tampered); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = bootServer(bc)
+			_, _, err = startRoute(bc)
 			if err == nil {
 				t.Fatal("boot succeeded from a WAL that over-commits a point")
 			}
@@ -244,7 +253,7 @@ func TestBootRefusesCompactedFullWAL(t *testing.T) {
 	}
 	defer l.Close()
 	bc := walBootConfig(l)
-	srv, err := server.New(bc.platformConfig())
+	srv, err := server.New(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +266,7 @@ func TestBootRefusesCompactedFullWAL(t *testing.T) {
 	if dropped, err := l.CompactBefore(l.End()); err != nil || dropped == 0 {
 		t.Fatalf("compaction dropped %d segments (%v), want > 0", dropped, err)
 	}
-	if _, _, err := bootServer(bc); !errors.Is(err, wal.ErrCompacted) {
+	if _, _, err := startRoute(bc); !errors.Is(err, wal.ErrCompacted) {
 		t.Fatalf("boot from a compacted WAL: err = %v, want ErrCompacted", err)
 	}
 }
@@ -273,7 +282,7 @@ func TestFollowerRestartsAfterCompactingCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pwal.Close() })
-	primary, _, err := bootServer(walBootConfig(pwal))
+	primary, _, err := startRoute(walBootConfig(pwal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +297,8 @@ func TestFollowerRestartsAfterCompactingCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	fbc := walBootConfig(fwal)
-	fbc.follow = pts.URL
-	follower, _, err := bootServer(fbc)
+	fbc.Follow = pts.URL
+	follower, _, err := startRoute(fbc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +323,8 @@ func TestFollowerRestartsAfterCompactingCheckpoint(t *testing.T) {
 	}
 	t.Cleanup(func() { fwal2.Close() })
 	fbc2 := walBootConfig(fwal2)
-	fbc2.follow = pts.URL
-	follower2, how, err := bootServer(fbc2)
+	fbc2.Follow = pts.URL
+	follower2, how, err := startRoute(fbc2)
 	if err != nil {
 		t.Fatalf("follower reboot after checkpoint and compaction: %v", err)
 	}
@@ -358,7 +367,7 @@ func TestUpgradeRules(t *testing.T) {
 	}
 	defer l.Close()
 	bc := walBootConfig(l)
-	srv, err := server.New(bc.platformConfig())
+	srv, err := server.New(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,11 +380,14 @@ func TestUpgradeRules(t *testing.T) {
 	if dropped, err := l.CompactBefore(l.End()); err != nil || dropped == 0 {
 		t.Fatalf("compaction dropped %d segments (%v), want > 0", dropped, err)
 	}
+	// The JSON snapshot a follower of an older version wrote when it
+	// re-seeded.
+	const legacyReseedName = "reseed.snap.json"
 	if err := os.WriteFile(filepath.Join(dir, legacyReseedName), []byte(`{"version":4,"events":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bc.follow = "http://127.0.0.1:0" // never dialed: the boot refuses first
-	_, _, err = bootServer(bc)
+	bc.Follow = "http://127.0.0.1:0" // never dialed: the boot refuses first
+	_, _, err = startRoute(bc)
 	if err == nil || !strings.Contains(err.Error(), legacyReseedName) || !strings.Contains(err.Error(), "wipe the WAL directory") {
 		t.Fatalf("boot with a leftover %s: %v, want a refusal naming it and the rule", legacyReseedName, err)
 	}
@@ -384,7 +396,7 @@ func TestUpgradeRules(t *testing.T) {
 // TestBootMixedLogAfterUpgrade: an earlier build wrote the head of this WAL
 // as JSON records (json.Marshal(trace.Event) is exactly its encoder) and a
 // checkpoint in its format; this build went on with binary records. Both
-// rungs of the boot, the checkpoint plus the WAL past it and the whole WAL,
+// routes of the boot, the checkpoint plus the WAL past it and the whole WAL,
 // reach the state the all-binary log of the same history boots to.
 func TestBootMixedLogAfterUpgrade(t *testing.T) {
 	bdir := t.TempDir()
@@ -394,8 +406,8 @@ func TestBootMixedLogAfterUpgrade(t *testing.T) {
 	}
 	defer bl.Close()
 	bc := walBootConfig(bl)
-	bc.base.Clock = frozenClock()
-	srv, err := server.New(bc.platformConfig())
+	bc.Clock = frozenClock()
+	srv, err := server.New(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,9 +449,9 @@ func TestBootMixedLogAfterUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	boot := func(bc bootConfig, wantHow string) []trace.Event {
+	boot := func(bc server.Config, wantHow string) []trace.Event {
 		t.Helper()
-		s, how, err := bootServer(bc)
+		s, how, err := startRoute(bc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -496,15 +508,15 @@ func TestBootMixedLogAfterUpgrade(t *testing.T) {
 		checkpoint = wal.AppendFrame(checkpoint, p)
 	}
 	mbc := walBootConfig(ml)
-	mbc.base.Clock = frozenClock()
+	mbc.Clock = frozenClock()
 	if err := os.WriteFile(checkpointPath(mbc), checkpoint, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for rung, wantHow := range []string{"restored checkpoint", "fresh server"} {
+	for route, wantHow := range []string{"restored checkpoint", "fresh server"} {
 		if got := boot(mbc, wantHow); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: booted\n %+v\nwant the all-binary log's\n %+v", wantHow, got, want)
 		}
-		if rung == 0 {
+		if route == 0 {
 			if err := os.Remove(checkpointPath(mbc)); err != nil {
 				t.Fatal(err)
 			}

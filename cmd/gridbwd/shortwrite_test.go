@@ -43,8 +43,8 @@ func runTornAppend(t *testing.T, dir string, policy wal.SyncPolicy, keep int64) 
 		t.Fatal(err)
 	}
 	bc := walBootConfig(l)
-	bc.base.Clock = frozenClock()
-	srv, err := server.New(bc.platformConfig())
+	bc.Clock = frozenClock()
+	srv, err := server.New(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestShortWriteEveryOffsetRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			bcp := walBootConfig(lp)
-			bcp.base.Clock = frozenClock()
-			srvp, err := server.New(bcp.platformConfig())
+			bcp.Clock = frozenClock()
+			srvp, err := server.New(bcp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,8 +180,8 @@ func tornCheckpointEveryOffset(t *testing.T, compact bool) {
 	}
 	defer l.Close()
 	bc := walBootConfig(l)
-	bc.base.Clock = frozenClock()
-	srv, err := server.New(bc.platformConfig())
+	bc.Clock = frozenClock()
+	srv, err := server.New(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func tornCheckpointEveryOffset(t *testing.T, compact bool) {
 		if err := os.WriteFile(path, blob[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, how, err := bootServer(bc)
+		s, how, err := startRoute(bc)
 		if err != nil {
 			return "", err
 		}

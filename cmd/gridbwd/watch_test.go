@@ -38,7 +38,7 @@ func TestWatchedFailoverSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pwal.Close() })
-	primary, _, err := bootServer(walBootConfig(pwal))
+	primary, _, err := startRoute(walBootConfig(pwal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +52,8 @@ func TestWatchedFailoverSmoke(t *testing.T) {
 	}
 	t.Cleanup(func() { fwal.Close() })
 	fbc := walBootConfig(fwal)
-	fbc.follow = pts.URL
-	standby, how, err := bootServer(fbc)
+	fbc.Follow = pts.URL
+	standby, how, err := startRoute(fbc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestBootFollowerFromReseedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pwal.Close() })
-	primary, _, err := bootServer(walBootConfig(pwal))
+	primary, _, err := startRoute(walBootConfig(pwal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,8 @@ func TestBootFollowerFromReseedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	fbc := walBootConfig(fwal)
-	fbc.follow = pts.URL
-	follower, _, err := bootServer(fbc)
+	fbc.Follow = pts.URL
+	follower, _, err := startRoute(fbc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +179,8 @@ func TestBootFollowerFromReseedSnapshot(t *testing.T) {
 	}
 	t.Cleanup(func() { fwal2.Close() })
 	fbc2 := walBootConfig(fwal2)
-	fbc2.follow = pts.URL
-	follower2, how, err := bootServer(fbc2)
+	fbc2.Follow = pts.URL
+	follower2, how, err := startRoute(fbc2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,23 @@ import (
 
 	"gridbw/internal/hold"
 	"gridbw/internal/topology"
+	"gridbw/internal/trace"
 	"gridbw/internal/wire"
 )
+
+// NewFromSnapshot is the checkpoint install of New's boot alone, running:
+// snap's platform, policy and state, and no WAL replayed past it.
+func NewFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
+	s, err := newFromSnapshot(snap, cfg)
+	if err != nil {
+		return nil, err
+	}
+	go s.loop()
+	return s, nil
+}
+
+// ApplyEvents replays recovered events as New's boot replays the WAL.
+func (s *Server) ApplyEvents(events []trace.Event) (int, error) { return s.applyEvents(events) }
 
 // HoldRows copies the hold table for the external tests: every hold in key
 // order, then the resolved ones in the order retention evicts them.

@@ -63,7 +63,7 @@ func (s *Server) HoldReserve(reqs []wire.HoldReserveJSON) ([]wire.HoldReserveRes
 func (s *Server) holdReserveAnswerLocked(res hold.Result) wire.HoldReserveResponseJSON {
 	e := res.Entry
 	resp := wire.HoldReserveResponseJSON{
-		Hold: e.Key, ID: int(e.ID), Epoch: s.repl.epoch,
+		Hold: e.Key, ID: int(e.ID), Epoch: s.repl.Epoch,
 		NowS: float64(s.sim.Now()), Reason: e.Reason,
 	}
 	if res.Answer == hold.Granted {
@@ -90,8 +90,8 @@ func (s *Server) HoldConfirm(refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, err
 		return nil, err
 	}
 	for _, ref := range refs {
-		if ref.Epoch != 0 && ref.Epoch != s.repl.epoch {
-			return nil, &FencedError{Batch: ref.Epoch, Current: s.repl.epoch}
+		if ref.Epoch != 0 && ref.Epoch != s.repl.Epoch {
+			return nil, &FencedError{Batch: ref.Epoch, Current: s.repl.Epoch}
 		}
 	}
 	s.advanceLocked()
@@ -152,7 +152,7 @@ func (s *Server) holdStateLocked(m hold.Msg) wire.HoldStateJSON {
 	e := res.Entry
 	st := wire.HoldStateJSON{
 		Hold: e.Key, State: e.State.String(), Released: res.Released,
-		Side: e.Side, PeerPoint: e.Peer, Epoch: s.repl.epoch,
+		Side: e.Side, PeerPoint: e.Peer, Epoch: s.repl.Epoch,
 	}
 	if res.Answer == hold.Conflict {
 		st.Code, st.Error = http.StatusConflict, ErrHoldAborted.Error()

@@ -560,3 +560,64 @@ func TestRawByteKeysSurviveRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestNewBootsTheLogsHistory: New over a WAL directory boots the history it
+// holds, so each life of a daemon goes on from the last one. A server used
+// to start fresh over a log holding an accept: the second life booked
+// nothing of it, answered the next accept with ID 0 again, and the third
+// boot of that log was refused, reservation 0 having two grants.
+func TestNewBootsTheLogsHistory(t *testing.T) {
+	dir := t.TempDir()
+	clk := &fakeClock{}
+	life := func() (*server.Server, func()) {
+		t.Helper()
+		l, _, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := uniformConfig(clk)
+		cfg.WAL = l
+		s, err := server.New(cfg)
+		if err != nil {
+			l.Close()
+			t.Fatal(err)
+		}
+		return s, func() { s.Close(); l.Close() }
+	}
+	accept := func(s *server.Server, from, to int) server.Decision {
+		t.Helper()
+		d, err := s.Submit(server.Submission{From: from, To: to, Volume: 100 * units.GB, Deadline: 4000, MaxRate: 500 * units.MBps})
+		if err != nil || !d.Accepted {
+			t.Fatalf("submit %d->%d: %v %+v", from, to, err, d)
+		}
+		return d
+	}
+	holds := func(s *server.Server, want ...server.Decision) {
+		t.Helper()
+		live := s.LiveReservations()
+		if len(live) != len(want) {
+			t.Fatalf("%d live reservations, want %d", len(live), len(want))
+		}
+		for i, d := range want {
+			if g := live[i].Grant; live[i].Req.ID != d.ID || g.Bandwidth != d.Rate || g.Sigma != d.Sigma || g.Tau != d.Tau {
+				t.Fatalf("live[%d] = %+v, want the grant %+v", i, live[i], d)
+			}
+		}
+	}
+
+	s, end := life()
+	first := accept(s, 0, 1)
+	end()
+
+	s, end = life()
+	holds(s, first)
+	second := accept(s, 1, 0)
+	if second.ID != first.ID+1 {
+		t.Fatalf("the second life answered ID %d, want %d", second.ID, first.ID+1)
+	}
+	end()
+
+	s, end = life()
+	defer end()
+	holds(s, first, second)
+}

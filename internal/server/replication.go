@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -88,65 +87,53 @@ var (
 
 // replState is the replication role of one server, guarded by s.mu.
 type replState struct {
-	following bool
-	source    string  // primary base URL while following
-	epoch     uint64  // fencing epoch; grows on every promotion
-	cursor    wal.Pos // next position to pull from the primary
-	applied   uint64  // records applied since this process started
-	lagBytes  int64   // primary bytes not yet applied, from the last batch
-	lastPull  time.Time
-	lastErr   string
-	stopPull  context.CancelFunc // cancels the pull loop's context
-	pullDone  chan struct{}
-	// votedEpoch/votedFor is the durable vote-once record: the highest
-	// epoch this node granted a promotion vote in and the candidate it
-	// endorsed. Persisted (wal.SaveVote) before any grant leaves the
-	// node, so a crash-restart cannot endorse a second candidate.
-	votedEpoch uint64
-	votedFor   string
+	// Member is this node as the election rules of internal/cluster see it:
+	// its ReplID, whether it follows, the fencing epoch (grows on every
+	// promotion), the next position to pull from the primary, and the
+	// durable vote-once record — the highest epoch this node granted a
+	// promotion vote in and the candidate it endorsed, persisted
+	// (wal.SaveVote) before any grant leaves the node, so a crash-restart
+	// cannot endorse a second candidate.
+	cluster.Member
+	source   string // primary base URL while following
+	applied  uint64 // records applied since this process started
+	lagBytes int64  // primary bytes not yet applied, from the last batch
+	lastPull time.Time
+	lastErr  string
+	stopPull context.CancelFunc // cancels the pull loop's context
+	pullDone chan struct{}
 }
 
 // initRepl resolves the fencing epoch — the largest of the explicit
 // config, the snapshot's recorded value and the WAL directory's saved one,
-// defaulting to 1 — and, when following, resumes from the pull cursor the
-// WAL recovered. Called before the server goes concurrent.
+// defaulting to 1 — loads the vote record and, when following, resumes
+// from the pull cursor the WAL recovered. Called before the server goes
+// concurrent.
 func (s *Server) initRepl(cfg Config, snapEpoch uint64) error {
-	epoch := cfg.Epoch
-	if snapEpoch > epoch {
-		epoch = snapEpoch
+	s.repl.ID, s.repl.Epoch = cfg.ReplID, max(cfg.Epoch, snapEpoch, 1)
+	s.repl.Following = cfg.Follow != ""
+	s.repl.source = strings.TrimRight(cfg.Follow, "/")
+	if s.wal == nil {
+		return nil
 	}
-	if s.wal != nil {
-		saved, err := s.wal.LoadEpoch()
-		if err != nil {
-			return err
-		}
-		if saved > epoch {
-			epoch = saved
-		}
+	saved, err := s.wal.LoadEpoch()
+	if err != nil {
+		return err
 	}
-	if epoch == 0 {
-		epoch = 1
+	v, err := s.wal.LoadVote()
+	if err != nil {
+		return err
 	}
-	s.repl.epoch = epoch
-	if s.wal != nil {
-		v, err := s.wal.LoadVote()
-		if err != nil {
-			return err
-		}
-		s.repl.votedEpoch, s.repl.votedFor = v.Epoch, v.Candidate
-	}
-	if cfg.Follow != "" {
-		s.repl.following = true
-		s.repl.source = strings.TrimRight(cfg.Follow, "/")
-		if s.wal != nil {
-			s.repl.cursor = s.wal.Cursor()
-		}
+	s.repl.Epoch = max(s.repl.Epoch, saved)
+	s.repl.VotedEpoch, s.repl.VotedFor = v.Epoch, v.Candidate
+	if s.repl.Following {
+		s.repl.Cursor = s.wal.Cursor()
 	}
 	return nil
 }
 
 func (s *Server) roleLocked() string {
-	if s.repl.following {
+	if s.repl.Following {
 		return "follower"
 	}
 	return "primary"
@@ -156,14 +143,14 @@ func (s *Server) roleLocked() string {
 func (s *Server) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.repl.epoch
+	return s.repl.Epoch
 }
 
 // Following reports whether the server is a read-only follower.
 func (s *Server) Following() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.repl.following
+	return s.repl.Following
 }
 
 // stopPullLocked signals the pull loop to exit and returns its done
@@ -216,19 +203,19 @@ func (s *Server) applyShippedLocked(b wire.ShippedBatch, events []trace.Event) e
 	if err := s.followingLocked(); err != nil {
 		return err
 	}
-	if b.Epoch < s.repl.epoch {
-		return &FencedError{Batch: b.Epoch, Current: s.repl.epoch}
+	if b.Epoch < s.repl.Epoch {
+		return &FencedError{Batch: b.Epoch, Current: s.repl.Epoch}
 	}
-	if b.Epoch > s.repl.epoch {
-		s.repl.epoch = b.Epoch
+	if b.Epoch > s.repl.Epoch {
+		s.repl.Epoch = b.Epoch
 		if s.wal != nil {
 			if err := s.wal.SaveEpoch(b.Epoch); err != nil {
 				s.st.Stats.RecordLogAppendFailure()
 			}
 		}
 	}
-	if !s.repl.cursor.IsZero() && b.From != s.repl.cursor {
-		return fmt.Errorf("server: replication gap: batch starts at %v, cursor at %v", b.From, s.repl.cursor)
+	if !s.repl.Cursor.IsZero() && b.From != s.repl.Cursor {
+		return fmt.Errorf("server: replication gap: batch starts at %v, cursor at %v", b.From, s.repl.Cursor)
 	}
 	for i, ev := range events {
 		if err := s.applyEventLocked(ev, b.Events[i]); err != nil {
@@ -243,30 +230,11 @@ func (s *Server) applyShippedLocked(b wire.ShippedBatch, events []trace.Event) e
 		// — which re-reads what is really on disk — clears it.
 		return ErrDurabilityLost
 	}
-	s.repl.cursor = b.Next
+	s.repl.Cursor = b.Next
 	s.repl.applied += uint64(len(events))
 	s.repl.lagBytes = b.LagBytes
 	s.repl.lastPull = s.clock()
 	return nil
-}
-
-// ApplyEvents replays recovered events — the WAL suffix past a snapshot, or
-// the whole WAL onto a fresh server — for primaries and followers alike
-// (state.Machine.Apply). They are not re-recorded: the local WAL has them.
-func (s *Server) ApplyEvents(events []trace.Event) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	applied := 0
-	for _, ev := range events {
-		if err := s.applyEventLocked(ev, nil); err != nil {
-			return applied, err
-		}
-		applied++
-	}
-	return applied, nil
 }
 
 // applyEventLocked replays one event and pulls the clock forward to it. A
@@ -288,24 +256,11 @@ func (s *Server) applyEventLocked(ev trace.Event, frame []byte) error {
 // time: a replica that booted later than its primary would otherwise sit
 // hours behind, and promotion would misread every booked window. Only the
 // epoch anchor moves — due expiries fire on the next ordinary advance,
-// never in the middle of an apply. The instant is capped in seconds at
-// maxAnchorS before it becomes a Duration, which would overflow past it.
+// never in the middle of an apply. Replay refuses an instant the clock
+// cannot run from, so at converts to a Duration without overflow.
 func (s *Server) reanchorLocked(at float64) {
-	if at = min(at, maxAnchorS); units.Time(at) > s.wallNow() {
+	if units.Time(at) > s.wallNow() {
 		s.epoch = s.clock().Add(-time.Duration(at * float64(time.Second)))
-	}
-}
-
-// maxAnchorS is the furthest service time the clock can be anchored at: the
-// whole seconds a time.Duration holds.
-const maxAnchorS = float64(math.MaxInt64 / int64(time.Second))
-
-// memberLocked is this node as the election rules of internal/cluster see
-// it.
-func (s *Server) memberLocked() cluster.Member {
-	return cluster.Member{
-		ID: s.replID, Following: s.repl.following, Epoch: s.repl.epoch, Cursor: s.repl.cursor,
-		VotedEpoch: s.repl.votedEpoch, VotedFor: s.repl.votedFor,
 	}
 }
 
@@ -329,7 +284,7 @@ func (s *Server) Promote() (uint64, error) {
 	s.promoting.Lock()
 	defer s.promoting.Unlock()
 	s.mu.Lock()
-	me, closed := s.memberLocked(), s.closed
+	me, closed := s.repl.Member, s.closed
 	s.mu.Unlock()
 	var won uint64
 	if len(s.peers) > 0 && me.Following && !closed {
@@ -349,22 +304,22 @@ func (s *Server) Promote() (uint64, error) {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if !s.repl.following {
-		epoch := s.repl.epoch
+	if !s.repl.Following {
+		epoch := s.repl.Epoch
 		s.mu.Unlock()
 		return epoch, ErrNotFollower
 	}
-	epoch, err := s.memberLocked().Install(won)
+	epoch, err := s.repl.Install(won)
 	if err != nil {
 		// Stay a follower; the next attempt bids past the vote record.
-		epoch = s.repl.epoch
+		epoch = s.repl.Epoch
 		s.mu.Unlock()
 		return epoch, err
 	}
 	s.advanceLocked()
-	s.repl.following = false
+	s.repl.Following = false
 	s.repl.source = ""
-	s.repl.epoch = epoch
+	s.repl.Epoch = epoch
 	done := s.stopPullLocked()
 	if s.wal != nil {
 		if err := s.wal.SaveEpoch(epoch); err != nil {
@@ -406,10 +361,11 @@ func (s *Server) StartFollowing() error {
 	return nil
 }
 
-func (s *Server) cursorNow() wal.Pos {
+// pullFrom reports the cursor a pull asks from and the id it presents.
+func (s *Server) pullFrom() (wal.Pos, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.repl.cursor
+	return s.repl.Cursor, s.repl.ID
 }
 
 func (s *Server) setPullError(err error) {
@@ -527,7 +483,7 @@ func (s *Server) rediscoverPrimary(ctx context.Context, hc *http.Client) (string
 // surface in sync with what the pull loop actually polls.
 func (s *Server) retarget(source string) {
 	s.mu.Lock()
-	if s.repl.following {
+	if s.repl.Following {
 		s.repl.source = source
 	}
 	s.mu.Unlock()
@@ -566,9 +522,9 @@ func (s *Server) pullSession(ctx context.Context, hc *http.Client, source string
 }
 
 func (s *Server) pullExchange(ctx context.Context, hc *http.Client, source string, watchdog *time.Timer, applied func()) error {
-	cur := s.cursorNow()
+	cur, id := s.pullFrom()
 	u := fmt.Sprintf("%s/v1/replication/pull?seg=%d&off=%d&max=%d&wait_ms=%d&id=%s",
-		source, cur.Seg, cur.Off, pullMaxRecords, pullWait.Milliseconds(), url.QueryEscape(s.replID))
+		source, cur.Seg, cur.Off, pullMaxRecords, pullWait.Milliseconds(), url.QueryEscape(id))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return fmt.Errorf("server: pull: %w", err)
@@ -654,10 +610,10 @@ func (s *Server) followStream(rw io.ReadWriter, watchdog *time.Timer, applied fu
 func (s *Server) ReplicationStatus() cluster.ReplicationStatus {
 	s.mu.Lock()
 	rs := cluster.ReplicationStatus{
-		Role: s.roleLocked(), ID: s.replID, Epoch: s.repl.epoch, Source: s.repl.source,
-		Cursor: s.repl.cursor, Applied: s.repl.applied, LagBytes: s.repl.lagBytes,
+		Role: s.roleLocked(), ID: s.repl.ID, Epoch: s.repl.Epoch, Source: s.repl.source,
+		Cursor: s.repl.Cursor, Applied: s.repl.applied, LagBytes: s.repl.lagBytes,
 		LastError:  s.repl.lastErr,
-		VotedEpoch: s.repl.votedEpoch, VotedFor: s.repl.votedFor,
+		VotedEpoch: s.repl.VotedEpoch, VotedFor: s.repl.VotedFor,
 	}
 	if !s.repl.lastPull.IsZero() {
 		rs.LastPullS = s.clock().Sub(s.repl.lastPull).Seconds()
@@ -719,7 +675,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) HandleVote(req cluster.VoteRequest) cluster.VoteResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	me := s.memberLocked()
+	me := s.repl.Member
 	next, reason := me.Grant(req)
 	switch {
 	case s.closed:
@@ -738,7 +694,7 @@ func (s *Server) HandleVote(req cluster.VoteRequest) cluster.VoteResponse {
 			reason = "vote persistence failed"
 			break
 		}
-		s.repl.votedEpoch, s.repl.votedFor = next.VotedEpoch, next.VotedFor
+		s.repl.Member = next
 	}
 	return cluster.VoteResponse{Granted: reason == "", Voter: me.ID, Epoch: me.Epoch, Cursor: me.Cursor, Reason: reason}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -413,28 +414,39 @@ func TestFollowerArmsNoTimerUntilPromoted(t *testing.T) {
 
 func first(a, _ int) int { return a }
 
-// TestFarEventAnchorsTheClockInRange: an event stamped past what a
-// time.Duration holds (~9.22e9 s) pulls the service clock to the last whole
-// second a Duration holds, and the clock runs on from there. Converting the
-// instant before capping it overflowed; on amd64 the anchor then landed at
-// the very end of the range, where the clock stands still.
+// TestFarEventAnchorsTheClockInRange: replay refuses a record stamped at or
+// past half of what a time.Duration holds (~4.6e9 s), where the service
+// clock, anchored there, would soon have no range left to run in. The
+// refused record applies nothing and leaves the clock where it stood; an
+// in-range record after it still applies and anchors the clock, which runs
+// on from there. Replay used to take a record at 1e10 s and pin the clock
+// at the end of the range, where it stopped 0.85 s later.
 func TestFarEventAnchorsTheClockInRange(t *testing.T) {
 	clk := &fakeClock{}
 	cfg := uniformConfig(clk)
 	cfg.Follow = "http://127.0.0.1:1"
 	f := newTestServer(t, cfg)
-	if _, err := f.ApplyEvents([]trace.Event{
-		{At: 1e10, Kind: trace.EventAccept, Request: 0, Ingress: 0, Egress: 1, RateBps: 1e9, SigmaS: 1e10, TauS: 1e10 + 10, VolumeB: 1e10, MaxRateBps: 1e9},
-	}); err != nil {
-		t.Fatal(err)
+	accept := func(at float64) trace.Event {
+		return trace.Event{At: at, Kind: trace.EventAccept, Request: 0, Ingress: 0, Egress: 1,
+			RateBps: 1e9, SigmaS: at, TauS: at + 10, VolumeB: 1e10, MaxRateBps: 1e9}
 	}
-	const limit = 9223372036 // whole seconds in a Duration
-	if now := f.Now(); now != limit {
-		t.Fatalf("clock after an event at 1e10 s = %v, want %v", float64(now), float64(limit))
+	for _, at := range []float64{1e10, float64(math.MaxInt64/2) / 1e9} {
+		if n, err := f.ApplyEvents([]trace.Event{accept(at)}); n != 0 || err == nil {
+			t.Fatalf("an event at %g s: applied %d, %v; want it refused", at, n, err)
+		}
+		if now, live := f.Now(), len(f.LiveReservations()); now != 0 || live != 0 {
+			t.Fatalf("after the refusal at %g s: clock %v, %d live; want 0 and none", at, float64(now), live)
+		}
+	}
+	if n, err := f.ApplyEvents([]trace.Event{accept(1000)}); n != 1 || err != nil {
+		t.Fatalf("an event at 1000 s: applied %d, %v", n, err)
+	}
+	if now := f.Now(); now != 1000 {
+		t.Fatalf("clock after an event at 1000 s = %v, want 1000", float64(now))
 	}
 	clk.advance(500 * time.Millisecond)
-	if now := f.Now(); now != limit+0.5 {
-		t.Fatalf("clock 500ms later = %v, want %v", float64(now), limit+0.5)
+	if now := f.Now(); now != 1000.5 {
+		t.Fatalf("clock 500ms later = %v, want 1000.5", float64(now))
 	}
 }
 

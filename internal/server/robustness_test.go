@@ -279,7 +279,7 @@ func TestIdempotencyHeaderSpellings(t *testing.T) {
 }
 
 // TestReplayFullLog rebuilds the daemon from its decision history alone —
-// a fresh server plus ApplyEvents, the full-WAL boot rung — and checks the
+// a fresh server plus ApplyEvents, the full-WAL boot route — and checks the
 // result against the live server it mirrors.
 func TestReplayFullLog(t *testing.T) {
 	log := &eventSink{}

@@ -32,10 +32,12 @@
 // WAL-framed checkpoint, so a restarted daemon resumes without ever
 // violating the capacity constraint of equation (1): restore replays the
 // live grants and holds into a fresh ledger, which re-checks the constraint
-// system. A snapshot install (NewFromSnapshot, a follower's Reseed), a
-// boot's WAL suffix (ApplyEvents) and a follower's stream (ApplyShipped) all
-// rebuild state through state.Machine's one replay function; the machine
-// reaches this package through the two seams bindLocked sets.
+// system. New is the one boot: over a WAL directory it installs the
+// checkpoint and replays the WAL past it, else replays the whole WAL. A
+// snapshot install (a boot's checkpoint, a follower's Reseed), a boot's WAL
+// replay and a follower's stream (ApplyShipped) all rebuild state through
+// state.Machine's one replay function; the machine reaches this package
+// through the two seams bindLocked sets.
 package server
 
 import (
@@ -74,7 +76,9 @@ type Config struct {
 	Decisions trace.DecisionSink
 	// WAL, when non-nil, is the durable framed decision log: every event
 	// is appended to it (under the fsync policy the WAL was opened with)
-	// and it doubles as the replication stream a follower pulls. The
+	// and it doubles as the replication stream a follower pulls. New boots
+	// from it: the checkpoint in its directory, whose platform and policy
+	// replace the ones above, and the WAL past it; else the whole WAL. The
 	// server does not own it — the caller opens and closes it.
 	WAL *wal.Log
 	// Follow, when non-empty, boots the server as a read-only follower of
@@ -227,19 +231,18 @@ type Server struct {
 	decisions  trace.DecisionSink
 	wal        *wal.Log
 	maxBatch   int
-	retention  int // of every machine this server builds (state.New)
+	retention  int    // of every machine this server builds (state.New)
+	route      string // how New booted it (BootRoute)
 
 	// Sync-ack durability: acks tracks each follower's pull cursor (its
 	// durability acknowledgement); syncNeed is the follower count every
 	// submission waits for (0: only Durable-flagged ones wait, for
-	// durableNeed followers) within syncTimeout. replID names this node
-	// in its replication group.
+	// durableNeed followers) within syncTimeout.
 	acks        *wal.Acks
 	syncMode    string
 	syncNeed    int
 	durableNeed int
 	syncTimeout time.Duration
-	replID      string
 	peers       []string // the other group members' base URLs, immutable
 
 	// mu is the small global section: the service clock and expiry queue
@@ -292,28 +295,25 @@ type Server struct {
 	conns Streams
 }
 
-// New validates cfg and starts a server with the service clock at 0.
-// Callers must Close it to stop the expiry loop.
-func New(cfg Config) (*Server, error) {
+// newServer builds an idle server with the service clock at 0 and its
+// replication role resolved, on snap's platform, policy and epoch (cfg's
+// when snap is nil); no expiry loop runs yet. The policy defaults to
+// "minbw".
+func newServer(cfg Config, snap *Snapshot) (*Server, error) {
+	policyName, epoch := cfg.Policy, uint64(0)
+	if snap != nil {
+		for _, c := range snap.IngressBps {
+			cfg.Ingress = append(cfg.Ingress, units.Bandwidth(c))
+		}
+		for _, c := range snap.EgressBps {
+			cfg.Egress = append(cfg.Egress, units.Bandwidth(c))
+		}
+		policyName, epoch = snap.Policy, snap.Epoch
+	}
 	net, err := topology.New(topology.Config{Ingress: cfg.Ingress, Egress: cfg.Egress})
 	if err != nil {
 		return nil, err
 	}
-	s, err := newServer(cfg, net, cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.initRepl(cfg, 0); err != nil {
-		return nil, err
-	}
-	go s.loop()
-	return s, nil
-}
-
-// newServer builds an idle server for net with the service clock at 0: no
-// replication role resolved yet, no expiry loop running. policyName
-// defaults to "minbw".
-func newServer(cfg Config, net *topology.Network, policyName string) (*Server, error) {
 	if policyName == "" {
 		policyName = "minbw"
 	}
@@ -387,7 +387,6 @@ func newServer(cfg Config, net *topology.Network, policyName string) (*Server, e
 		// one knob (SyncAcks) regardless of mode.
 		durableNeed: syncAcks,
 		syncTimeout: syncTimeout,
-		replID:      cfg.ReplID,
 		peers:       cfg.Peers,
 		sim:         des.New(),
 		inflight:    inflight,
@@ -398,6 +397,9 @@ func newServer(cfg Config, net *topology.Network, policyName string) (*Server, e
 		done:        make(chan struct{}),
 	}
 	s.bindLocked(state.New(net, pol, retention))
+	if err := s.initRepl(cfg, epoch); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -407,7 +409,7 @@ func newServer(cfg Config, net *topology.Network, policyName string) (*Server, e
 // arms every pending timer.
 func (s *Server) bindLocked(m *state.Machine) {
 	m.Arm = func(at units.Time, fn des.Event) des.Handle {
-		if s.repl.following {
+		if s.repl.Following {
 			return des.Handle{}
 		}
 		return s.armLocked(at, fn)
@@ -610,7 +612,7 @@ func (s *Server) writableLocked() error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.repl.following {
+	if s.repl.Following {
 		return ErrReadOnly
 	}
 	return nil
@@ -622,7 +624,7 @@ func (s *Server) followingLocked() error {
 	if s.closed {
 		return ErrClosed
 	}
-	if !s.repl.following {
+	if !s.repl.Following {
 		return ErrNotFollower
 	}
 	return nil
@@ -675,7 +677,7 @@ func (s *Server) Status() Status {
 	defer s.mu.Unlock()
 	st := Status{
 		Now: s.advanceLocked(), Policy: s.policyName,
-		Role: s.roleLocked(), Epoch: s.repl.epoch, Stats: s.st.Stats,
+		Role: s.roleLocked(), Epoch: s.repl.Epoch, Stats: s.st.Stats,
 	}
 	for _, r := range s.st.Live(st.Now) {
 		if r.State == StateBooked {

@@ -76,7 +76,7 @@ func (s *Server) Snapshot() *Snapshot {
 	in, eg := capacitiesBps(s.net)
 	return &Snapshot{
 		Version: SnapshotVersion, Policy: s.policyName, NowS: float64(now),
-		NextID: int(s.st.NextID), Counters: s.st.Stats, Epoch: s.repl.epoch,
+		NextID: int(s.st.NextID), Counters: s.st.Stats, Epoch: s.repl.Epoch,
 		WALSeg: walEnd.Seg, WALOff: walEnd.Off,
 		IngressBps: in, EgressBps: eg,
 		Events: s.st.Events(now),
@@ -227,47 +227,6 @@ func unsupportedVersion(v int) error {
 		v, SnapshotVersion)
 }
 
-// NewFromSnapshot restores a server from snap. Platform capacities and
-// policy come from the snapshot; cfg supplies the runtime wiring (Clock,
-// Decisions, FinishedRetention — its Ingress/Egress/Policy fields must be
-// empty). The snapshot's events replay through the ledger, so a tampered or
-// inconsistent snapshot fails restore instead of admitting an infeasible
-// state.
-func NewFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
-	if len(cfg.Ingress) != 0 || len(cfg.Egress) != 0 || cfg.Policy != "" {
-		return nil, fmt.Errorf("server: restore takes platform and policy from the snapshot")
-	}
-	tcfg := topology.Config{}
-	for _, c := range snap.IngressBps {
-		tcfg.Ingress = append(tcfg.Ingress, units.Bandwidth(c))
-	}
-	for _, c := range snap.EgressBps {
-		tcfg.Egress = append(tcfg.Egress, units.Bandwidth(c))
-	}
-	net, err := topology.New(tcfg)
-	if err != nil {
-		return nil, fmt.Errorf("server: restore: %w", err)
-	}
-	s, err := newServer(cfg, net, snap.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("server: restore: %w", err)
-	}
-	m, err := s.replaySnapshot(snap)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.initRepl(cfg, snap.Epoch); err != nil {
-		return nil, err
-	}
-	s.adoptLocked(snap, m)
-	s.appendEventLocked(trace.Event{
-		At: snap.NowS, Kind: trace.EventRestore, Request: -1,
-		Reason: fmt.Sprintf("%d live reservations", len(s.st.Live(s.sim.Now()))),
-	})
-	go s.loop()
-	return s, nil
-}
-
 // replaySnapshot is the snapshot installer's fallible half: snap's events
 // onto a bare state machine of s's platform and policy. Nothing of s is
 // touched, so a snapshot that fails leaves nothing half-installed.
@@ -303,7 +262,7 @@ func (s *Server) adoptLocked(snap *Snapshot, m *state.Machine) {
 // Reseed replaces a follower's entire control-plane state with snap — the
 // recovery from a compacted-away pull cursor, whose checkpoint arrives on
 // the replication stream right after the gone frame. It is the snapshot
-// installer NewFromSnapshot uses, with persistence between its two halves:
+// installer a boot uses, with persistence between its two halves:
 // the snapshot's events are replayed through a fresh sharded ledger
 // (re-checking equation (1)), then the pull cursor jumps to the WAL
 // position the snapshot covers and the fencing epoch is adopted — a
@@ -327,8 +286,8 @@ func (s *Server) Reseed(snap *Snapshot) error {
 	if err := s.followingLocked(); err != nil {
 		return err
 	}
-	if snap.Epoch < s.repl.epoch {
-		return &FencedError{Batch: snap.Epoch, Current: s.repl.epoch}
+	if snap.Epoch < s.repl.Epoch {
+		return &FencedError{Batch: snap.Epoch, Current: s.repl.Epoch}
 	}
 	if err := s.checkPlatformLocked(snap); err != nil {
 		return err
@@ -354,7 +313,7 @@ func (s *Server) Reseed(snap *Snapshot) error {
 		if err := local.WriteFileFS(wal.OSFS{}, filepath.Join(s.wal.Dir(), CheckpointName)); err != nil {
 			return fmt.Errorf("server: reseed: persist checkpoint: %w", err)
 		}
-		if snap.Epoch > s.repl.epoch {
+		if snap.Epoch > s.repl.Epoch {
 			if err := s.wal.SaveEpoch(snap.Epoch); err != nil {
 				s.st.Stats.RecordLogAppendFailure()
 			}
@@ -374,16 +333,16 @@ func (s *Server) Reseed(snap *Snapshot) error {
 	s.adoptLocked(snap, m)
 	s.st.Stats.Reseeds = reseeds
 	s.st.Stats.RecordReseed()
-	if snap.Epoch > s.repl.epoch {
-		s.repl.epoch = snap.Epoch
+	if snap.Epoch > s.repl.Epoch {
+		s.repl.Epoch = snap.Epoch
 	}
-	s.repl.cursor = snap.WALPos()
+	s.repl.Cursor = snap.WALPos()
 	s.repl.lagBytes = 0
 	s.repl.lastPull = s.clock()
 	s.appendEventLocked(trace.Event{
 		At: snap.NowS, Kind: trace.EventRestore, Request: -1,
 		Reason: fmt.Sprintf("reseed: epoch %d, %d live reservations, cursor %v",
-			s.repl.epoch, len(s.st.Live(s.sim.Now())), s.repl.cursor),
+			s.repl.Epoch, len(s.st.Live(s.sim.Now())), s.repl.Cursor),
 	})
 	return nil
 }

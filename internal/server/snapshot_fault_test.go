@@ -114,7 +114,7 @@ func TestSnapshotCreateFaultLeavesNothing(t *testing.T) {
 	dfs.FailNextENOSPC(1)
 	snap := snapshotOf(t, 2)
 	// ENOSPC fires on the temp file's first write; with no previous
-	// snapshot the boot ladder must find a clean directory, not a stub.
+	// snapshot a boot must find a clean directory, not a stub.
 	if err := snap.WriteFileFS(dfs, path); err == nil {
 		t.Fatal("torn first write reported success")
 	}

@@ -277,6 +277,21 @@ func ClampStart(notBefore, now units.Time) units.Time {
 	return notBefore
 }
 
+// maxInstantS bounds the instant a record may be stamped at: half of the
+// seconds a time.Duration holds (~4.6e9 s), so the service clock anchored at
+// any instant below it runs on for another ~146 years before its offset
+// overflows.
+const maxInstantS = float64(math.MaxInt64/2) / float64(time.Second)
+
+// checkInstant refuses an instant the service clock cannot run from: one
+// that is not finite, or at or past maxInstantS.
+func checkInstant(at float64) error {
+	if !finite(at) || at >= maxInstantS {
+		return fmt.Errorf("instant %g s is not in the service clock's range (finite, below %g s)", at, maxInstantS)
+	}
+	return nil
+}
+
 // finite reports whether none of xs is NaN or ±Inf: frames carry raw float
 // bits, and a comparison like x <= 0 lets a NaN through.
 func finite(xs ...float64) bool {

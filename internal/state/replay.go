@@ -16,15 +16,19 @@ import (
 // turns a record into state. It takes the booking and transition the live
 // path ends in — through the ledger's capacity check, so a log that
 // over-commits a point is refused — files the key a decision carried and
-// arms the timer the new state waits on; it logs nothing. It reports false
-// for a record that changed nothing and must not be recorded again (a
-// re-delivery, or a retirement before this replica's horizon), so replay
-// converges from any cursor.
+// arms the timer the new state waits on; it logs nothing. It refuses a record
+// stamped at an instant the service clock cannot run from (checkInstant). It
+// reports false for a record that changed nothing and must not be recorded
+// again (a re-delivery, or a retirement before this replica's horizon), so
+// replay converges from any cursor.
 func (m *Machine) Apply(ev trace.Event) (bool, error) { return m.apply(ev, false) }
 
 // apply is Apply; snapshot, set by Install alone, also takes an accept
 // without a route: a decision a snapshot keeps for its idempotency key.
 func (m *Machine) apply(ev trace.Event, snapshot bool) (bool, error) {
+	if err := checkInstant(ev.At); err != nil {
+		return false, fmt.Errorf("server: apply: %s: %w", ev.Kind, err)
+	}
 	switch ev.Kind {
 	case trace.EventAccept:
 		r, g := grantFromEvent(ev)
@@ -87,12 +91,15 @@ func (m *Machine) apply(ev trace.Event, snapshot bool) (bool, error) {
 }
 
 // Install rebuilds a snapshot's state on m, a fresh machine, through the
-// replay function. It adds the checks only a snapshot needs: an event ID not
-// below nextID, an event not stamped now, a non-finite quantity, a point
-// whose profile forgot past now (a give-back at a τ still ahead), and a
-// state that fails the audit. The counters and the ID allocator become the
-// snapshot's own.
+// replay function. It adds the checks only a snapshot needs: a now the
+// service clock cannot run from, an event ID not below nextID, an event not
+// stamped now, a non-finite quantity, a point whose profile forgot past now
+// (a give-back at a τ still ahead), and a state that fails the audit. The
+// counters and the ID allocator become the snapshot's own.
 func (m *Machine) Install(events []trace.Event, now units.Time, nextID request.ID, counters metrics.Online) error {
+	if err := checkInstant(float64(now)); err != nil {
+		return fmt.Errorf("now_s: %w", err)
+	}
 	for i, ev := range events {
 		var err error
 		switch {

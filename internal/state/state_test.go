@@ -1,6 +1,7 @@
 package state
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -253,5 +254,27 @@ func TestStateTransitions(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReplayRefusesAnInstantTheClockCannotRunFrom: Apply refuses a record
+// stamped at or past maxInstantS, or at no finite instant, and Install a
+// snapshot whose now is; either leaves the machine as it was.
+func TestReplayRefusesAnInstantTheClockCannotRunFrom(t *testing.T) {
+	m := New(testNet(t), policy.MinRate(), 0)
+	for _, at := range []float64{maxInstantS, 1e10, math.Inf(1), math.NaN()} {
+		ev := trace.Event{At: at, Kind: trace.EventCancel, Request: 5}
+		if fresh, err := m.Apply(ev); fresh || err == nil {
+			t.Errorf("Apply at %g s: %v, %v; want a refusal", at, fresh, err)
+		}
+		if err := New(testNet(t), policy.MinRate(), 0).Install(nil, units.Time(at), 0, m.Stats); err == nil {
+			t.Errorf("Install at now %g s succeeded", at)
+		}
+	}
+	if m.NextID != 0 {
+		t.Errorf("NextID %d after refused records, want 0", m.NextID)
+	}
+	if fresh, err := m.Apply(trace.Event{At: maxInstantS - 1, Kind: trace.EventReject, Request: 5}); !fresh || err != nil {
+		t.Errorf("Apply just below the bound: %v, %v", fresh, err)
 	}
 }
