@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -1222,17 +1223,15 @@ func BenchmarkAblationAdmissionTest(b *testing.B) {
 	})
 	b.Run("ledger", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			l := alloc.NewLedger(net)
+			l := alloc.NewSharded(net)
 			accepted := 0
 			for _, r := range all {
 				g, err := request.NewGrant(r, r.Start, r.MinRate())
 				if err != nil {
 					continue
 				}
-				if l.Fits(r, g) {
-					if l.Reserve(r, g) == nil {
-						accepted++
-					}
+				if l.Reserve(r, g) == nil {
+					accepted++
 				}
 			}
 			if accepted == 0 {
@@ -1383,26 +1382,36 @@ func BenchmarkStages(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		l := alloc.NewLedger(net)
+		l := alloc.NewSharded(net)
 		pol := policy.FractionMaxRate(0.5)
 		rng := rand.New(rand.NewSource(1))
 		// A dense pair: a few hundred live grants, as on batch_dense.
+		var tx alloc.PairTx
 		for id := 0; id < 400; id++ {
 			t0 := units.Time(rng.Float64() * 4000)
 			r := request.Request{ID: request.ID(id), Start: t0, Finish: t0 + 1000, Volume: 1e10, MaxRate: 2e7}
-			if _, no := admit.At(l, pol, r, t0); no.Cause != admit.Admitted {
+			l.LockPair(&tx, 0, 0)
+			_, no := admit.At(&tx, pol, r, t0)
+			tx.Unlock()
+			if no.Cause != admit.Admitted {
 				b.Fatalf("seed grant %d: %v", id, no)
 			}
 		}
+		// Each step books through a pair transaction, as admitTx does, and
+		// gives its grant back whole (at −∞) so the pair stays as dense.
+		never := units.Time(math.Inf(-1))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			t0 := units.Time(rng.Float64() * 3600)
 			r := request.Request{ID: request.ID(400 + i), Start: t0, Finish: t0 + 1000, Volume: 1e10, MaxRate: 2e7}
-			if _, no := admit.At(l, pol, r, t0); no.Cause != admit.Admitted {
+			l.LockPair(&tx, 0, 0)
+			g, no := admit.At(&tx, pol, r, max(t0, tx.Floor()))
+			tx.Unlock()
+			if no.Cause != admit.Admitted {
 				b.Fatalf("grant %d: %v", i, no)
 			}
-			l.Revoke(r)
+			l.Revoke(r, g, never)
 		}
 	})
 	// The record of one accepted submit, as the primary logs it.

@@ -3,10 +3,10 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -346,9 +346,11 @@ func TestFollowerRestartsAfterCompactingCheckpoint(t *testing.T) {
 
 // TestUpgradeRules pins what an older deployment meets: the command lines
 // of the two deleted flags fail parsing, -snapshot-every without the -wal
-// directory its checkpoint lives in is refused, and a WAL directory holding
-// an older version's re-seed snapshot, whose WAL head is gone, refuses to
-// boot with an error that names the file and the way out.
+// directory its checkpoint lives in is refused, a WAL directory holding an
+// older version's re-seed snapshot, whose WAL head is gone, refuses to boot
+// with an error that names the file and the way out, and so does a WAL of
+// JSON records, written below the upgrade floor, with one that names the
+// floor.
 func TestUpgradeRules(t *testing.T) {
 	for _, args := range [][]string{
 		{"-snapshot", "gridbwd.snap.json"},
@@ -391,13 +393,35 @@ func TestUpgradeRules(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), legacyReseedName) || !strings.Contains(err.Error(), "wipe the WAL directory") {
 		t.Fatalf("boot with a leftover %s: %v, want a refusal naming it and the rule", legacyReseedName, err)
 	}
+
+	jdir := t.TempDir()
+	jl, _, err := wal.Open(jdir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	record, err := json.Marshal(trace.Event{Kind: trace.EventAccept, Ingress: 0, Egress: 1, RateBps: 1e8, TauS: 100, VolumeB: 1e10, MaxRateBps: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jl.Append(record); err != nil {
+		t.Fatal(err)
+	}
+	if s, _, err := startRoute(walBootConfig(jl)); err == nil || !strings.Contains(err.Error(), "upgrade floor") || !strings.Contains(err.Error(), "wipe the WAL directory") {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("boot over a WAL of JSON records: %v, want a refusal naming the upgrade floor and the way out", err)
+	}
 }
 
-// TestBootMixedLogAfterUpgrade: an earlier build wrote the head of this WAL
-// as JSON records (json.Marshal(trace.Event) is exactly its encoder) and a
-// checkpoint in its format; this build went on with binary records. Both
-// routes of the boot, the checkpoint plus the WAL past it and the whole WAL,
-// reach the state the all-binary log of the same history boots to.
+// TestBootMixedLogAfterUpgrade: a build below the upgrade floor wrote the
+// head of this WAL as JSON records (json.Marshal(trace.Event) is exactly its
+// encoder) and a checkpoint in its format; a later build went on with
+// binary records. Neither route of the boot, the checkpoint plus the WAL
+// past it or the whole WAL, reads it: the boot refuses with the error that
+// names the floor and the way out, and leaves every file in the directory
+// as it was.
 func TestBootMixedLogAfterUpgrade(t *testing.T) {
 	bdir := t.TempDir()
 	bl, _, err := wal.Open(bdir, wal.Options{})
@@ -449,23 +473,9 @@ func TestBootMixedLogAfterUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	boot := func(bc server.Config, wantHow string) []trace.Event {
-		t.Helper()
-		s, how, err := startRoute(bc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if !strings.Contains(how, wantHow) {
-			t.Fatalf("boot %q, want %q", how, wantHow)
-		}
-		return s.Snapshot().Events
-	}
-	want := boot(bc, "fresh server")
-
-	// The same history: the first cut records as the earlier build wrote
-	// them, the rest as this build does, and the earlier build's checkpoint
-	// of the state after the cut.
+	// The history: the first cut records as the older build wrote them, the
+	// rest as a later one does, and the older build's checkpoint of the
+	// state after the cut.
 	mdir := t.TempDir()
 	ml, _, err := wal.Open(mdir, wal.Options{})
 	if err != nil {
@@ -512,14 +522,41 @@ func TestBootMixedLogAfterUpgrade(t *testing.T) {
 	if err := os.WriteFile(checkpointPath(mbc), checkpoint, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for route, wantHow := range []string{"restored checkpoint", "fresh server"} {
-		if got := boot(mbc, wantHow); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: booted\n %+v\nwant the all-binary log's\n %+v", wantHow, got, want)
-		}
-		if route == 0 {
+	for _, route := range []string{"checkpoint and WAL", "whole WAL"} {
+		if route == "whole WAL" {
 			if err := os.Remove(checkpointPath(mbc)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		before := dirFiles(t, mdir)
+		s, _, err := startRoute(mbc)
+		if s != nil {
+			s.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "upgrade floor") || !strings.Contains(err.Error(), "wipe the WAL directory") {
+			t.Fatalf("%s: boot over JSON records: %v, want the upgrade-floor refusal", route, err)
+		}
+		t.Logf("%s: %v", route, err)
+		if after := dirFiles(t, mdir); !maps.Equal(after, before) {
+			t.Fatalf("%s: the refused boot changed the directory: %d files before, %d after", route, len(before), len(after))
+		}
 	}
+}
+
+// dirFiles reads every file of dir, name to contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
 }

@@ -165,10 +165,16 @@ func main() {
 	fmt.Printf("failover submit landed on %s: #%d (re-sent key answered #%d — same booking)\n\n",
 		c.Endpoint(), r.ID, again.ID)
 
-	// The deposed primary's late batch is fenced off the new lineage.
+	// The deposed primary's late batch is fenced off the new lineage: a
+	// replica whose WAL directory records the new epoch refuses it.
+	rwal := openWAL("replica")
+	defer rwal.Close()
+	if err := rwal.SaveEpoch(standby.Epoch()); err != nil {
+		log.Fatal(err)
+	}
 	fcfg := platform()
 	fcfg.Follow = standbyURL
-	fcfg.Epoch = standby.Epoch()
+	fcfg.WAL = rwal
 	replica, err := server.New(fcfg)
 	if err != nil {
 		log.Fatal(err)

@@ -19,8 +19,9 @@ import (
 )
 
 // Booker is a capacity store: it books grant g for request r whole, or
-// changes nothing and says why. *alloc.Counters, *alloc.Ledger,
-// *alloc.PairTx and *alloc.PointTx are the four in the tree.
+// changes nothing and says why. *alloc.Counters (instantaneous occupancy),
+// *alloc.PairTx (both time profiles of a route, locked) and *alloc.PointTx
+// (one profile, locked) are the three in the tree.
 type Booker interface {
 	Reserve(r request.Request, g request.Grant) error
 }

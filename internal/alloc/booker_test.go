@@ -12,9 +12,9 @@ import (
 	"gridbw/internal/units"
 )
 
-// booker is one of the four stores behind admit.At, with a rendering of
-// everything a refusal could have disturbed: usage, breakpoints, the grant
-// index, and what Counters still owes a later AdvanceTo.
+// booker is one of the three stores behind admit.At, with a rendering of
+// everything a refusal could have disturbed: usage, breakpoints, and what
+// Counters still owes a later AdvanceTo.
 type booker struct {
 	name     string
 	b        admit.Booker
@@ -34,7 +34,6 @@ func profileState(ps ...*Profile) string {
 func bookers(t *testing.T) []booker {
 	net := testNet()
 	counters := NewCounters(net)
-	ledger := NewLedger(net)
 	pairTx := NewSharded(net).Pair(0, 1)
 	t.Cleanup(pairTx.Unlock)
 	pointTx := NewSharded(net).LockPoint(topology.Ingress, 0)
@@ -43,18 +42,13 @@ func bookers(t *testing.T) []booker {
 		{name: "Counters", b: counters, state: func() string {
 			return fmt.Sprintf("ali %v ale %v, %d ends", counters.ali, counters.ale, len(counters.ends))
 		}},
-		{name: "Ledger", b: ledger, state: func() string {
-			return fmt.Sprintf("%d granted %s", ledger.NumGranted(), profileState(ledger.Ingress(0), ledger.Egress(1)))
-		}},
-		{name: "PairTx", b: pairTx, state: func() string {
-			return fmt.Sprintf("%d granted %s", len(pairTx.in.granted), profileState(pairTx.Ingress(), pairTx.Egress()))
-		}},
-		{name: "PointTx", b: pointTx, oneSided: true, state: func() string { return profileState(pointTx.sh.p) }},
+		{name: "PairTx", b: pairTx, state: func() string { return profileState(pairTx.Ingress(), pairTx.Egress()) }},
+		{name: "PointTx", b: pointTx, oneSided: true, state: func() string { return profileState(pointTx.Profile()) }},
 	}
 }
 
 // TestEveryBookerEveryCause drives admit.At into each of its causes on each
-// of the four stores: a refusal of any kind leaves the store exactly as it
+// of the three stores: a refusal of any kind leaves the store exactly as it
 // was, and an admission books exactly the grant At returns.
 func TestEveryBookerEveryCause(t *testing.T) {
 	for _, bk := range bookers(t) {
@@ -67,7 +61,7 @@ func TestEveryBookerEveryCause(t *testing.T) {
 		}
 		booked := bk.state()
 		if bk.oneSided {
-			if p := bk.b.(*PointTx).sh.p; p.UsedAt(50) != g.Bandwidth || p.UsedAt(100) != 0 {
+			if p := bk.b.(*PointTx).Profile(); p.UsedAt(50) != g.Bandwidth || p.UsedAt(100) != 0 {
 				t.Fatalf("%s: booked %s, want %v on [0, 100)", bk.name, booked, g.Bandwidth)
 			}
 		}

@@ -4,10 +4,10 @@
 // simulated time. Schedulers reserve [t0, t1) × bw rectangles and the
 // profile enforces the capacity constraint of the paper's equation (1):
 // at every instant the sum of allocated bandwidths stays within the
-// point's capacity. A Ledger bundles the profiles of an entire network and
-// performs the two-sided (ingress + egress) reservation of a grant
-// atomically — both sides are checked before either is booked. Sharded is
-// the same ledger with one lock per access point, for the daemon.
+// point's capacity. Sharded, the ledger, bundles the profiles of an entire
+// network, one lock per access point, and performs the two-sided (ingress
+// + egress) reservation of a grant atomically — both sides are checked
+// before either is booked.
 //
 // A profile stores its breakpoints in fixed-capacity blocks under a small
 // directory of per-block maxima, so a reservation over a profile thousands

@@ -10,11 +10,17 @@ import (
 	"gridbw/internal/units"
 )
 
-// Sharded is the concurrent counterpart of Ledger: one lock per access
-// point instead of one lock around the whole network. The paper's
-// equation (1) constrains each ingress and egress point independently, so
-// a reservation only ever needs the two profiles it routes through —
-// submissions through disjoint point pairs admit fully in parallel.
+// Sharded is the capacity ledger: one Profile per access point of a
+// network, each behind its own lock, booking a grant two-sided — on its
+// ingress and its egress point over its assigned window, or on neither.
+// The paper's equation (1) constrains each ingress and egress point
+// independently, so a reservation only ever needs the two profiles it
+// routes through — submissions through disjoint point pairs admit fully in
+// parallel. Single-threaded callers (the planner, the exact solvers, the
+// audits) pay one uncontended lock per call.
+//
+// The ledger keeps no registry of the grants it booked: whoever booked a
+// grant holds it, and hands it back to Revoke.
 //
 // Deadlock freedom comes from a global lock order: every ingress shard
 // ranks before every egress shard, and shards of the same direction rank
@@ -30,21 +36,12 @@ type Sharded struct {
 	eg  []*shard
 }
 
-// shard is one access point's profile behind its own lock. Ingress shards
-// additionally index the grants routed through them (a grant has exactly
-// one ingress, so the index is a partition, not a copy).
+// shard is one access point's profile behind its own lock.
 type shard struct {
 	mu        sync.Mutex
 	locks     atomic.Uint64
 	contended atomic.Uint64
 	p         *Profile
-	granted   map[request.ID]grantRecord // ingress shards only
-}
-
-// grantRecord remembers enough of a reservation to release both sides.
-type grantRecord struct {
-	egress topology.PointID
-	grant  request.Grant
 }
 
 // lock acquires the shard, counting whether it had to wait.
@@ -58,15 +55,11 @@ func (sh *shard) lock() {
 
 func (sh *shard) unlock() { sh.mu.Unlock() }
 
-// NewSharded returns an empty sharded ledger over net, on the same
-// profiles as Ledger.
+// NewSharded returns an empty ledger over net.
 func NewSharded(net *topology.Network) *Sharded {
 	l := &Sharded{net: net}
 	for i := 0; i < net.NumIngress(); i++ {
-		l.in = append(l.in, &shard{
-			p:       NewProfile(net.Bin(topology.PointID(i))),
-			granted: make(map[request.ID]grantRecord),
-		})
+		l.in = append(l.in, &shard{p: NewProfile(net.Bin(topology.PointID(i)))})
 	}
 	for e := 0; e < net.NumEgress(); e++ {
 		l.eg = append(l.eg, &shard{p: NewProfile(net.Bout(topology.PointID(e)))})
@@ -133,13 +126,16 @@ func (tx *PairTx) Reserve(r request.Request, g request.Grant) error {
 	if g.Request != r.ID {
 		return fmt.Errorf("alloc: grant for request %d applied to request %d", g.Request, r.ID)
 	}
-	if _, dup := tx.in.granted[r.ID]; dup {
-		return fmt.Errorf("alloc: request %d already granted", r.ID)
+	if e := tx.in.p.refusal(g.Sigma, g.Tau, g.Bandwidth); e != nil {
+		e.Dir, e.Point = topology.Ingress, r.Ingress
+		return e
 	}
-	if err := reservePair(tx.in.p, tx.eg.p, r, g); err != nil {
-		return err
+	if e := tx.eg.p.refusal(g.Sigma, g.Tau, g.Bandwidth); e != nil {
+		e.Dir, e.Point = topology.Egress, r.Egress
+		return e
 	}
-	tx.in.granted[r.ID] = grantRecord{egress: r.Egress, grant: g}
+	tx.in.p.add(g.Sigma, g.Tau, g.Bandwidth)
+	tx.eg.p.add(g.Sigma, g.Tau, g.Bandwidth)
 	return nil
 }
 
@@ -177,9 +173,9 @@ func (l *Sharded) LockPoint(dir topology.Direction, p topology.PointID) *PointTx
 	return &PointTx{sh: sh, dir: dir, point: p}
 }
 
-// Reserve books g on the locked point only, or changes nothing. The grant
-// is not indexed by request: the hold that asked for it remembers it and
-// gives it back through HoldRelease.
+// Reserve books g on the locked point only, or changes nothing. The hold
+// that asked for it remembers the grant and gives it back through
+// HoldRelease.
 func (tx *PointTx) Reserve(_ request.Request, g request.Grant) error {
 	if e := tx.sh.p.refusal(g.Sigma, g.Tau, g.Bandwidth); e != nil {
 		e.Dir, e.Point = tx.dir, tx.point
@@ -188,6 +184,9 @@ func (tx *PointTx) Reserve(_ request.Request, g request.Grant) error {
 	tx.sh.p.add(g.Sigma, g.Tau, g.Bandwidth)
 	return nil
 }
+
+// Profile returns the locked point's profile.
+func (tx *PointTx) Profile() *Profile { return tx.sh.p }
 
 // Unlock releases the point. Unlocking twice panics, like sync.Mutex.
 func (tx *PointTx) Unlock() {
@@ -242,50 +241,22 @@ func (l *Sharded) Reserve(r request.Request, g request.Grant) error {
 	return tx.Reserve(r, g)
 }
 
-// Revoke undoes a previously reserved grant (both sides) at instant at,
-// which the caller's clock has reached — τ for an expiry, now for a cancel,
-// never a future σ: both points forget their past before at
-// (Profile.TrimBefore) and the grant is released over [max(σ, at), τ), so a
-// booked-ahead grant cancelled before σ is released whole. Revoking an
-// unknown request is a scheduler bug and panics, like Ledger.Revoke.
-func (l *Sharded) Revoke(r request.Request, at units.Time) request.Grant {
-	in := l.in[int(r.Ingress)]
+// Revoke gives back grant g, which the caller booked for r, on both of r's
+// points at instant at, which the caller's clock has reached — τ for an
+// expiry, now for a cancel, never a future σ: both points forget their
+// past before at (Profile.TrimBefore) and the grant is released over
+// [max(σ, at), τ), so a booked-ahead grant cancelled before σ is released
+// whole. A caller with no clock passes −∞: nothing is forgotten and the
+// whole grant is released. Revoking a grant that is not booked is the
+// caller's bug; it panics once a point's usage would go negative.
+func (l *Sharded) Revoke(r request.Request, g request.Grant, at units.Time) {
+	in, eg := l.in[int(r.Ingress)], l.eg[int(r.Egress)]
 	in.lock()
-	rec, ok := in.granted[r.ID]
-	if !ok {
-		in.unlock()
-		panic(fmt.Sprintf("alloc: revoking ungranted request %d", r.ID))
-	}
-	eg := l.eg[int(rec.egress)]
 	eg.lock()
-	g := rec.grant
 	giveBack(in.p, g.Sigma, g.Tau, g.Bandwidth, at)
 	giveBack(eg.p, g.Sigma, g.Tau, g.Bandwidth, at)
-	delete(in.granted, r.ID)
 	eg.unlock()
 	in.unlock()
-	return g
-}
-
-// Grant reports the grant recorded for a request routed through ingress
-// point in, if any.
-func (l *Sharded) Grant(in topology.PointID, id request.ID) (request.Grant, bool) {
-	sh := l.in[int(in)]
-	sh.lock()
-	defer sh.unlock()
-	rec, ok := sh.granted[id]
-	return rec.grant, ok
-}
-
-// NumGranted reports the number of committed grants across all shards.
-func (l *Sharded) NumGranted() int {
-	n := 0
-	for _, sh := range l.in {
-		sh.lock()
-		n += len(sh.granted)
-		sh.unlock()
-	}
-	return n
 }
 
 // Breakpoints reports the breakpoints stored over every point's profile:
@@ -326,8 +297,7 @@ func (l *Sharded) UsageAt(t units.Time) (in, eg []units.Bandwidth) {
 
 // CheckInvariant audits equation (1) for every point under a full stop:
 // all shards are locked in the global order, so the audit sees one
-// consistent cross-shard state. It also cross-checks the grant index —
-// every recorded grant must route through a known egress point.
+// consistent cross-shard state.
 func (l *Sharded) CheckInvariant() error {
 	for _, sh := range l.in {
 		sh.lock()
@@ -346,11 +316,6 @@ func (l *Sharded) CheckInvariant() error {
 	for i, sh := range l.in {
 		if err := sh.p.CheckInvariant(); err != nil {
 			return fmt.Errorf("ingress %d: %w", i, err)
-		}
-		for id, rec := range sh.granted {
-			if int(rec.egress) < 0 || int(rec.egress) >= len(l.eg) {
-				return fmt.Errorf("ingress %d: grant %d routed through unknown egress %d", i, id, rec.egress)
-			}
 		}
 	}
 	for e, sh := range l.eg {

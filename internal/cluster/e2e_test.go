@@ -34,6 +34,17 @@ func e2eWAL(t *testing.T, segBytes int64) *wal.Log {
 	return l
 }
 
+// e2eEpochWAL is an e2eWAL whose directory records the fencing epoch: a
+// server booted over it resumes that lineage.
+func e2eEpochWAL(t *testing.T, epoch uint64) *wal.Log {
+	t.Helper()
+	l := e2eWAL(t, 1<<20)
+	if err := l.SaveEpoch(epoch); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func e2eWait(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

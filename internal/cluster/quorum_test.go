@@ -32,7 +32,6 @@ func member(t *testing.T, id string, peers []string) *server.Server {
 	cfg := e2eConfig()
 	cfg.WAL = e2eWAL(t, 1<<20)
 	cfg.Follow = "http://127.0.0.1:0"
-	cfg.Epoch = 1
 	cfg.ReplID = id
 	cfg.Peers = peers
 	s, err := server.New(cfg)
@@ -272,7 +271,7 @@ func TestWatchdogQuorumPartitionSeeds(t *testing.T) {
 			// no node admits epoch-1 batches once the new epoch exists.
 			rcfg := e2eConfig()
 			rcfg.Follow = "http://127.0.0.1:0"
-			rcfg.Epoch = won
+			rcfg.WAL = e2eEpochWAL(t, won)
 			replica, err := server.New(rcfg)
 			if err != nil {
 				t.Fatal(err)
@@ -417,7 +416,7 @@ func TestWatchdogPartitionFencing(t *testing.T) {
 	// must refuse them — that refusal is the whole split-brain defence.
 	fcfg := e2eConfig()
 	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
-	fcfg.Epoch = 2
+	fcfg.WAL = e2eEpochWAL(t, 2)
 	replica, err := server.New(fcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -67,10 +67,9 @@ func TestWatchdogResumeSurvivesSuccessiveFailovers(t *testing.T) {
 	defer cts.Close()
 	mkFollower := func(id, source string, epoch uint64, peers ...string) *server.Server {
 		cfg := e2eConfig()
-		cfg.WAL = e2eWAL(t, 1<<20)
+		cfg.WAL = e2eEpochWAL(t, max(epoch, 1))
 		cfg.ReplID = id
 		cfg.Follow = source
-		cfg.Epoch = epoch
 		cfg.Peers = peers
 		s, err := server.New(cfg)
 		if err != nil {
@@ -184,7 +183,7 @@ func TestWatchdogResumeSurvivesSuccessiveFailovers(t *testing.T) {
 	// Both deposed lineages are fenced on any replica of the new one.
 	rcfg := e2eConfig()
 	rcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
-	rcfg.Epoch = 3
+	rcfg.WAL = e2eEpochWAL(t, 3)
 	replica, err := server.New(rcfg)
 	if err != nil {
 		t.Fatal(err)

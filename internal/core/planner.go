@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"gridbw/internal/admit"
@@ -14,7 +15,7 @@ import (
 
 // Planner is the book-ahead (advance-reservation) service: unlike System,
 // which decides against instantaneous occupancy, the Planner keeps full
-// time profiles of every access point (alloc.Ledger) and can reserve
+// time profiles of every access point (alloc.Sharded) and can reserve
 // transfers that start in the future — the "book-ahead periods" studied
 // by the related work the paper compares against (§6, Burchard et al.).
 //
@@ -24,12 +25,19 @@ import (
 type Planner struct {
 	net    *topology.Network
 	pol    policy.Policy
-	ledger *alloc.Ledger
+	ledger *alloc.Sharded
 	now    units.Time
 	nextID request.ID
-	booked map[request.ID]request.Request
+	booked map[request.ID]booking
 
 	submitted, accepted int
+}
+
+// booking is an accepted reservation: the request and the grant the
+// ledger booked for it, which Cancel gives back.
+type booking struct {
+	r request.Request
+	g request.Grant
 }
 
 // AdvanceTransfer is a transfer request that may start in the future.
@@ -71,8 +79,8 @@ func NewPlanner(cfg Config) (*Planner, error) {
 	}
 	return &Planner{
 		net: net, pol: pol,
-		ledger: alloc.NewLedger(net),
-		booked: make(map[request.ID]request.Request),
+		ledger: alloc.NewSharded(net),
+		booked: make(map[request.ID]booking),
 	}, nil
 }
 
@@ -143,12 +151,12 @@ func (p *Planner) tryReserve(r request.Request) (Reservation, bool) {
 	if latest < r.Start {
 		return Reservation{Reason: "window shorter than minimal transfer time"}, false
 	}
-	in := p.ledger.Ingress(r.Ingress)
-	eg := p.ledger.Egress(r.Egress)
+	tx := p.ledger.Pair(r.Ingress, r.Egress)
+	defer tx.Unlock()
 
 	candidates := []units.Time{r.Start}
-	candidates = append(candidates, in.BreakpointTimes(r.Start, latest)...)
-	candidates = append(candidates, eg.BreakpointTimes(r.Start, latest)...)
+	candidates = append(candidates, tx.Ingress().BreakpointTimes(r.Start, latest)...)
+	candidates = append(candidates, tx.Egress().BreakpointTimes(r.Start, latest)...)
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
 
 	var reason string
@@ -156,10 +164,10 @@ func (p *Planner) tryReserve(r request.Request) (Reservation, bool) {
 		if i > 0 && sigma == candidates[i-1] {
 			continue
 		}
-		g, no := admit.At(p.ledger, p.pol, r, sigma)
+		g, no := admit.At(tx, p.pol, r, sigma)
 		switch no.Cause {
 		case admit.Admitted:
-			p.booked[r.ID] = r
+			p.booked[r.ID] = booking{r, g}
 			return Reservation{
 				Accepted: true, ID: r.ID,
 				Rate: g.Bandwidth, Start: g.Sigma, Finish: g.Tau,
@@ -178,11 +186,13 @@ func (p *Planner) tryReserve(r request.Request) (Reservation, bool) {
 // error. A reservation may be cancelled even after its start — the grid
 // job it served may have been aborted — releasing the remaining window.
 func (p *Planner) Cancel(id request.ID) error {
-	r, ok := p.booked[id]
+	b, ok := p.booked[id]
 	if !ok {
 		return fmt.Errorf("core: no reservation %d", id)
 	}
-	p.ledger.Revoke(r)
+	// The planner's clock only forbids the past: nothing is forgotten, and
+	// the whole grant goes back.
+	p.ledger.Revoke(b.r, b.g, units.Time(math.Inf(-1)))
 	delete(p.booked, id)
 	p.accepted--
 	return nil
@@ -190,13 +200,16 @@ func (p *Planner) Cancel(id request.ID) error {
 
 // Lookup reports the committed grant of a reservation, if any.
 func (p *Planner) Lookup(id request.ID) (request.Grant, bool) {
-	return p.ledger.Grant(id)
+	b, ok := p.booked[id]
+	return b.g, ok
 }
 
 // UtilizationIn reports the time-max utilization of ingress i over
 // [from, to).
 func (p *Planner) UtilizationIn(i int, from, to units.Time) float64 {
-	prof := p.ledger.Ingress(topology.PointID(i))
+	tx := p.ledger.LockPoint(topology.Ingress, topology.PointID(i))
+	defer tx.Unlock()
+	prof := tx.Profile()
 	if prof.Capacity() == 0 {
 		return 0
 	}

@@ -148,7 +148,7 @@ func TestFaultInjectionInvariants(t *testing.T) {
 				if err := rep.Outcome.Verify(); err != nil {
 					t.Errorf("outcome verify: %v", err)
 				}
-				ledger := alloc.NewLedger(net)
+				ledger := alloc.NewSharded(net)
 				for _, rec := range rep.Records {
 					if rec.Verdict != Accepted {
 						continue
@@ -293,7 +293,7 @@ func TestConflictRollbackReleasesExactShare(t *testing.T) {
 	// Replay the hold's lifetime through a ledger and interrogate it with
 	// UsageAt: the share is present strictly inside [hold, release) and
 	// gone from the release instant on.
-	ledger := alloc.NewLedger(net)
+	ledger := alloc.NewSharded(net)
 	r := request.Request{
 		ID: 1, Ingress: 1, Egress: 0,
 		Start: loserHold.At, Finish: loserFree.At,

@@ -13,11 +13,13 @@ package exact
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"gridbw/internal/alloc"
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
+	"gridbw/internal/units"
 )
 
 // MaxRigid finds the maximum number of acceptable requests in a rigid set
@@ -43,7 +45,7 @@ func MaxRigid(net *topology.Network, reqs *request.Set, nodeLimit int) (int, []r
 		return all[i].ID < all[j].ID
 	})
 
-	ledger := alloc.NewLedger(net)
+	ledger := alloc.NewSharded(net)
 	best := -1
 	var bestSet []request.ID
 	var current []request.ID
@@ -67,19 +69,15 @@ func MaxRigid(net *topology.Network, reqs *request.Set, nodeLimit int) (int, []r
 			return nil
 		}
 		r := all[idx]
-		// Branch 1: accept, if feasible.
-		if g, err := request.NewGrant(r, r.Start, r.MinRate()); err == nil {
-			if ledger.Fits(r, g) {
-				if err := ledger.Reserve(r, g); err != nil {
-					return err
-				}
-				current = append(current, r.ID)
-				if err := dfs(idx+1, accepted+1); err != nil {
-					return err
-				}
-				current = current[:len(current)-1]
-				ledger.Revoke(r)
+		// Branch 1: accept, if feasible. The frame holds the grant it
+		// booked and gives it back whole on the way out.
+		if g, err := request.NewGrant(r, r.Start, r.MinRate()); err == nil && ledger.Reserve(r, g) == nil {
+			current = append(current, r.ID)
+			if err := dfs(idx+1, accepted+1); err != nil {
+				return err
 			}
+			current = current[:len(current)-1]
+			ledger.Revoke(r, g, units.Time(math.Inf(-1)))
 		}
 		// Branch 2: reject.
 		return dfs(idx+1, accepted)

@@ -62,7 +62,7 @@ func (FCFS) Schedule(net *topology.Network, reqs *request.Set) (*sched.Outcome, 
 		}
 		return a.ID < b.ID
 	})
-	ledger := alloc.NewLedger(net)
+	ledger := alloc.NewSharded(net)
 	for _, r := range order {
 		g, err := request.NewGrant(r, r.Start, r.MinRate())
 		if err != nil {

@@ -121,7 +121,7 @@ func (o *Outcome) Grants() []request.Grant {
 // containment, and per-point capacity at every instant. A nil error
 // certifies the outcome is feasible.
 func (o *Outcome) Verify() error {
-	ledger := alloc.NewLedger(o.Network)
+	ledger := alloc.NewSharded(o.Network)
 	// Replay in a deterministic order independent of acceptance order.
 	grants := o.Grants()
 	sort.Slice(grants, func(i, j int) bool { return grants[i].Request < grants[j].Request })

@@ -283,7 +283,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 			// The server drained between phases; an accepted grant must
 			// not outlive a stopped expiry loop, so give it back.
 			if it.accepted {
-				ledger.Revoke(it.r, now)
+				ledger.Revoke(it.r, it.g, now)
 			}
 			s.settleLocked(it, Decision{}, ErrClosed)
 			results[it.idx].Err = ErrClosed

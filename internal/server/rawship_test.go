@@ -270,8 +270,8 @@ func TestApplyShippedRefusesMalformedBatchWhole(t *testing.T) {
 		Kind: trace.EventAccept, Request: 0, Ingress: 0, Egress: 1,
 		RateBps: 1e8, TauS: 100, VolumeB: 1e10, MaxRateBps: 1e9,
 	})[0]
-	// Legacy JSON that fails to decode, and binary records cut short, with a
-	// byte past the end, of an unknown version or of an unknown kind.
+	// JSON records (below the upgrade floor), and binary records cut short,
+	// with a byte past the end, of an unknown version or of an unknown kind.
 	for _, bad := range []string{`{"t_s":`, `{"kind":7}`, `[]`, ``,
 		string(good[:len(good)-1]), string(good) + "x", "\x02" + string(good[1:]), "\x01\x0c" + string(good[2:])} {
 		err := f.ApplyShipped(wire.ShippedBatch{
@@ -295,11 +295,11 @@ func TestApplyShippedRefusesMalformedBatchWhole(t *testing.T) {
 	}
 }
 
-// TestFollowerAppendsParentRecordsAsReceived: an earlier build's primary
-// streams JSON records, and after its failover this build's primary goes on
-// with binary ones. A follower of this build applies both batches and
-// appends every record exactly as received, so its log stays the
-// primary's byte for byte across the upgrade.
+// TestFollowerAppendsParentRecordsAsReceived: a follower of this build
+// appends every record its primary streams exactly as received, so its log
+// stays the primary's byte for byte. A batch of JSON records, as a primary
+// below the upgrade floor streams them, is refused whole: nothing is
+// applied or appended, and the error names the floor.
 func TestFollowerAppendsParentRecordsAsReceived(t *testing.T) {
 	clk := &fakeClock{}
 	events := []trace.Event{
@@ -308,36 +308,49 @@ func TestFollowerAppendsParentRecordsAsReceived(t *testing.T) {
 		{At: 1, Kind: trace.EventAccept, Request: 2, Ingress: 1, Egress: 1, RateBps: 1e8, SigmaS: 1, TauS: 50, VolumeB: 4.9e9, MaxRateBps: 1e9},
 		{At: 2, Kind: trace.EventCancel, Request: 2, Ingress: 1, Egress: 1},
 	}
-	var payloads [][]byte
-	for i, ev := range events {
-		p, err := json.Marshal(ev)
-		if i >= 2 {
-			p, err = trace.AppendRecord(nil, &ev)
+	stream := func(encode func(ev *trace.Event) ([]byte, error)) ([]byte, [][]byte, wal.Pos) {
+		var payloads [][]byte
+		for i := range events {
+			p, err := encode(&events[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads = append(payloads, p)
 		}
-		if err != nil {
-			t.Fatal(err)
+		var stream []byte
+		var pos wal.Pos
+		for _, batch := range [][][]byte{payloads[:2], payloads[2:]} {
+			next := pos
+			for _, p := range batch {
+				next = wal.Pos{Seg: 1, Off: next.Off + int64(len(wal.AppendFrame(nil, p)))}
+			}
+			stream = wire.AppendReplBatch(stream, &wire.ShippedBatch{Epoch: 1, From: pos, Next: next, End: next, Events: batch})
+			pos = next
 		}
-		payloads = append(payloads, p)
-	}
-	var stream []byte
-	var pos wal.Pos
-	for _, batch := range [][][]byte{payloads[:2], payloads[2:]} {
-		next := pos
-		for _, p := range batch {
-			next = wal.Pos{Seg: 1, Off: next.Off + int64(len(wal.AppendFrame(nil, p)))}
-		}
-		stream = wire.AppendReplBatch(stream, &wire.ShippedBatch{Epoch: 1, From: pos, Next: next, End: next, Events: batch})
-		pos = next
+		return stream, payloads, pos
 	}
 
 	fcfg := uniformConfig(clk)
 	fcfg.WAL = openTestWAL(t)
 	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
 	f := newTestServer(t, fcfg)
+	old, _, _ := stream(func(ev *trace.Event) ([]byte, error) { return json.Marshal(ev) })
 	if err := f.FollowStream(struct {
 		io.Reader
 		io.Writer
-	}{bytes.NewReader(stream), io.Discard}); !errors.Is(err, io.EOF) {
+	}{bytes.NewReader(old), io.Discard}); err == nil || !strings.Contains(err.Error(), "upgrade floor") {
+		t.Fatalf("stream of JSON records ended with %v, want the upgrade-floor refusal", err)
+	}
+	if rs := f.ReplicationStatus(); rs.Applied != 0 || !rs.Cursor.IsZero() || fcfg.WAL.Records() != 0 || f.Status().Active != 0 {
+		t.Fatalf("after the JSON batch: %d applied, cursor %v, %d WAL records, %d active; want all zero",
+			rs.Applied, rs.Cursor, fcfg.WAL.Records(), f.Status().Active)
+	}
+
+	cur, payloads, pos := stream(func(ev *trace.Event) ([]byte, error) { return trace.AppendRecord(nil, ev) })
+	if err := f.FollowStream(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(cur), io.Discard}); !errors.Is(err, io.EOF) {
 		t.Fatalf("stream ended with %v, want EOF after both batches", err)
 	}
 	logged, _, end, err := fcfg.WAL.ReadFrom(wal.Pos{}, 0, 0)

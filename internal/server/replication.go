@@ -104,13 +104,13 @@ type replState struct {
 	pullDone chan struct{}
 }
 
-// initRepl resolves the fencing epoch — the largest of the explicit
-// config, the snapshot's recorded value and the WAL directory's saved one,
-// defaulting to 1 — loads the vote record and, when following, resumes
-// from the pull cursor the WAL recovered. Called before the server goes
-// concurrent.
+// initRepl resolves the fencing epoch — the larger of the snapshot's
+// recorded value and the WAL directory's saved one, defaulting to 1; a
+// promotion increments and persists it — loads the vote record and, when
+// following, resumes from the pull cursor the WAL recovered. Called before
+// the server goes concurrent.
 func (s *Server) initRepl(cfg Config, snapEpoch uint64) error {
-	s.repl.ID, s.repl.Epoch = cfg.ReplID, max(cfg.Epoch, snapEpoch, 1)
+	s.repl.ID, s.repl.Epoch = cfg.ReplID, max(snapEpoch, 1)
 	s.repl.Following = cfg.Follow != ""
 	s.repl.source = strings.TrimRight(cfg.Follow, "/")
 	if s.wal == nil {

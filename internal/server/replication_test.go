@@ -179,7 +179,6 @@ func TestReplicationFollowerLifecycle(t *testing.T) {
 func TestVoteRequiresDurableStore(t *testing.T) {
 	cfg := uniformConfig(nil)
 	cfg.Follow = "http://127.0.0.1:0"
-	cfg.Epoch = 1
 	s := newTestServer(t, cfg)
 	resp := s.HandleVote(cluster.VoteRequest{Candidate: "b", NewEpoch: 2, Epoch: 1})
 	if resp.Granted || !strings.Contains(resp.Reason, "durable") {
@@ -190,7 +189,6 @@ func TestVoteRequiresDurableStore(t *testing.T) {
 	dcfg := uniformConfig(nil)
 	dcfg.WAL = openTestWAL(t)
 	dcfg.Follow = "http://127.0.0.1:0"
-	dcfg.Epoch = 1
 	durable := newTestServer(t, dcfg)
 	if resp := durable.HandleVote(cluster.VoteRequest{Candidate: "b", NewEpoch: 2, Epoch: 1}); !resp.Granted {
 		t.Fatalf("durable voter denied: %+v", resp)
@@ -291,7 +289,10 @@ func TestSyncAckDurabilityOnTheWire(t *testing.T) {
 func TestReplicationFencing(t *testing.T) {
 	cfg := uniformConfig(nil)
 	cfg.Follow = "http://127.0.0.1:0" // never started; ApplyShipped is driven directly
-	cfg.Epoch = 5
+	cfg.WAL = openTestWAL(t)
+	if err := cfg.WAL.SaveEpoch(5); err != nil {
+		t.Fatal(err)
+	}
 	s := newTestServer(t, cfg)
 
 	err := s.ApplyShipped(wire.ShippedBatch{Epoch: 3})

@@ -220,7 +220,10 @@ func TestReseedRefusals(t *testing.T) {
 	// backwards.
 	fcfg := uniformConfig(nil)
 	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
-	fcfg.Epoch = 5
+	fcfg.WAL = openTestWAL(t)
+	if err := fcfg.WAL.SaveEpoch(5); err != nil { // the follower's lineage is at epoch 5
+		t.Fatal(err)
+	}
 	f := newTestServer(t, fcfg)
 	err := f.Reseed(snap)
 	var fenced *server.FencedError

@@ -98,9 +98,6 @@ type Config struct {
 	// the node itself is tolerated and counts for nothing — in a survey it
 	// answers as a follower, in a vote round its grant is ignored.
 	Peers []string
-	// Epoch seeds the fencing epoch; 0 loads it from the WAL directory
-	// (or starts at 1). Promotion increments and persists it.
-	Epoch uint64
 	// FinishedRetention bounds how many expired/cancelled reservations
 	// stay queryable via Lookup before the oldest are evicted; <= 0 means
 	// the default of 4096. The idempotency cache shares the same bound.

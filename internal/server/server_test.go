@@ -524,7 +524,7 @@ func TestConcurrentAdmissionStress(t *testing.T) {
 
 	// Independent replay: a fresh ledger must admit every surviving grant.
 	live := s.LiveReservations()
-	fresh := alloc.NewLedger(s.Network())
+	fresh := alloc.NewSharded(s.Network())
 	for _, rec := range live {
 		if rec.Grant.Bandwidth > rec.Req.MaxRate*(1+units.Eps) {
 			t.Errorf("request %d granted %v above MaxRate %v", rec.Req.ID, rec.Grant.Bandwidth, rec.Req.MaxRate)

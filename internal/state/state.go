@@ -384,7 +384,7 @@ func (m *Machine) finish(e *entry, to State, now units.Time) {
 	if to == Expired {
 		at = e.grant.Tau
 	}
-	m.ledger.Revoke(e.req, at)
+	m.ledger.Revoke(e.req, e.grant, at)
 	e.state = to
 	if to == Cancelled {
 		m.Stats.RecordCancel()
@@ -408,14 +408,14 @@ func (m *Machine) finish(e *entry, to State, now units.Time) {
 
 // Verify audits equation (1) twice over: first the sharded profiles
 // themselves (all shards locked in the global order, one consistent cut),
-// then an independent replay of the live registry into a fresh
-// single-threaded ledger — if the recorded grants could not be re-admitted,
-// the shards and the registry have diverged.
+// then an independent replay of the live registry into a fresh ledger — if
+// the recorded grants could not be re-admitted, the shards and the registry
+// have diverged.
 func (m *Machine) Verify() error {
 	if err := m.ledger.CheckInvariant(); err != nil {
 		return err
 	}
-	fresh := alloc.NewLedger(m.ledger.Network())
+	fresh := alloc.NewSharded(m.ledger.Network())
 	for _, r := range m.Live(0) {
 		if err := fresh.Reserve(r.Req, r.Grant); err != nil {
 			return fmt.Errorf("server: live registry fails replay: %w", err)

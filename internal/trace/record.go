@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -26,15 +25,14 @@ import (
 //
 // Every field has exactly one encoding, so a record the decoder accepts
 // re-encodes to the same bytes.
-//
-// A record whose first byte is '{' is a JSON-encoded Event, the format of
-// earlier builds. No writer produces one; DecodeRecord reads it so that a
-// WAL, a checkpoint or a replication stream written by such a build still
-// replays.
 
-// RecordVersion is the first byte of a binary record. It can never be '{',
-// the first byte of a legacy JSON record.
+// RecordVersion is the first byte of a record.
 const RecordVersion = 0x01
+
+// errJSONRecord refuses a record whose first byte is '{': a JSON-encoded
+// Event, as builds older than the binary record wrote them. Those builds
+// are below the upgrade floor, and their log is not read.
+var errJSONRecord = errors.New("trace: record: a JSON record from a build older than the binary WAL record (version 1), the upgrade floor: wipe the WAL directory and re-seed the node from a current primary")
 
 // recordKinds lists the event kinds a record can carry; a record stores
 // the index. Append only: the index is on disk.
@@ -93,16 +91,13 @@ func AppendRecord(dst []byte, ev *Event) ([]byte, error) {
 }
 
 // DecodeRecord decodes one WAL record into ev, overwriting all of it. A
-// binary record is checked field by field: a bound, a kind, a float or a
+// record is checked field by field: a bound, a kind, a float or a
 // varint out of its one encoding, or a byte past the last field, refuses
 // it. Strings are copied out of p, which the caller may reuse.
 func DecodeRecord(p []byte, ev *Event) error {
 	*ev = Event{}
 	if len(p) > 0 && p[0] == '{' {
-		if err := json.Unmarshal(p, ev); err != nil {
-			return fmt.Errorf("trace: legacy JSON record: %w", err)
-		}
-		return nil
+		return errJSONRecord
 	}
 	r := recordReader{p: p}
 	if v := r.byte(); r.err == nil && v != RecordVersion {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -95,8 +96,9 @@ func TestRecordRefusesWhatItCannotCarry(t *testing.T) {
 	}
 }
 
-// A JSON record, as earlier builds wrote it, still decodes to the event
-// json.Unmarshal reads from it.
+// A JSON record, as builds below the upgrade floor wrote them, is refused
+// with an error that names the floor and the way out, and leaves nothing
+// decoded.
 func TestRecordReadsLegacyJSON(t *testing.T) {
 	for _, ev := range recordSamples() {
 		if ev.Key != "" && !strings.HasPrefix(ev.Key, "k") {
@@ -106,12 +108,13 @@ func TestRecordReadsLegacyJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want, got Event
-		if err := json.Unmarshal(legacy, &want); err != nil {
-			t.Fatal(err)
+		got := Event{Kind: EventAccept, Request: 7}
+		err = DecodeRecord(legacy, &got)
+		if !errors.Is(err, errJSONRecord) || !strings.Contains(err.Error(), "upgrade floor") || !strings.Contains(err.Error(), "wipe the WAL directory") {
+			t.Fatalf("legacy %s: %v, want the upgrade-floor refusal", legacy, err)
 		}
-		if err := DecodeRecord(legacy, &got); err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("legacy %s: %+v, %v; want %+v", legacy, got, err, want)
+		if got != (Event{}) {
+			t.Fatalf("legacy %s decoded to %+v, want nothing", legacy, got)
 		}
 	}
 }
@@ -142,7 +145,11 @@ func FuzzRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, kind uint8, request, ingress, egress int64,
 		at, rate, sigma, tau, vol, maxRate, expire float64, reason, key, hold, side string) {
 		var ev Event
-		if err := DecodeRecord(data, &ev); err == nil && data[0] != '{' {
+		err := DecodeRecord(data, &ev)
+		if err == nil && data[0] == '{' {
+			t.Fatalf("JSON record %q accepted", data)
+		}
+		if err == nil {
 			again, err := AppendRecord(nil, &ev)
 			if err != nil || !bytes.Equal(again, data) {
 				t.Fatalf("accepted record %x re-encodes to %x, %v", data, again, err)
