@@ -500,9 +500,14 @@ func BenchmarkServerAdmit(b *testing.B) {
 // share the small global section; the per-op gap between the two is the
 // tentpole's win. "batch" submits the same disjoint traffic 16 at a time
 // through SubmitBatch, amortizing lock traffic across a pair-sorted pass.
+// The "fsync=always" arms run on a WAL that fsyncs what every locked
+// section logs, as gridbwd does by default: "serial" one submitter,
+// "disjoint-pairs" and "batch" as above. There an op's cost is mostly its
+// fsyncs — one per submission, and one per batch, since a batch's
+// decisions reach the log in one write.
 func BenchmarkServerParallelSubmit(b *testing.B) {
 	const points = 8
-	newSrv := func(b *testing.B) (*server.Server, *atomic.Int64) {
+	newSrv := func(b *testing.B, l *wal.Log) (*server.Server, *atomic.Int64) {
 		var caps []units.Bandwidth
 		for i := 0; i < points; i++ {
 			caps = append(caps, 10*units.GBps)
@@ -511,12 +516,21 @@ func BenchmarkServerParallelSubmit(b *testing.B) {
 		srv, err := server.New(server.Config{
 			Ingress: caps, Egress: caps, Policy: "f=0.5",
 			Clock: func() time.Time { return time.Unix(0, ns.Load()) },
+			WAL:   l,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { srv.Close() })
 		return srv, ns
+	}
+	walAlways := func(b *testing.B) *wal.Log {
+		l, _, err := wal.Open(b.TempDir(), wal.Options{Policy: wal.SyncAlways})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { l.Close() })
+		return l
 	}
 	// 1 GB at f·MaxRate = 100 MB/s occupies a route for 10 s; advancing
 	// the shared clock 2 s per op keeps steady-state occupancy far below
@@ -536,18 +550,8 @@ func BenchmarkServerParallelSubmit(b *testing.B) {
 		}
 		ns.Add(int64(2 * time.Second))
 	}
-
-	b.Run("single-pair", func(b *testing.B) {
-		srv, ns := newSrv(b)
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				submit(b, srv, ns, 0)
-			}
-		})
-	})
-	b.Run("disjoint-pairs", func(b *testing.B) {
-		srv, ns := newSrv(b)
+	disjoint := func(b *testing.B, l *wal.Log) {
+		srv, ns := newSrv(b, l)
 		var nextRoute atomic.Int64
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
@@ -556,10 +560,10 @@ func BenchmarkServerParallelSubmit(b *testing.B) {
 				submit(b, srv, ns, route)
 			}
 		})
-	})
-	b.Run("batch", func(b *testing.B) {
+	}
+	batched := func(b *testing.B, l *wal.Log) {
 		const batch = 16
-		srv, ns := newSrv(b)
+		srv, ns := newSrv(b, l)
 		var nextRoute atomic.Int64
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
@@ -587,6 +591,29 @@ func BenchmarkServerParallelSubmit(b *testing.B) {
 			}
 		})
 		b.ReportMetric(batch, "submissions/op")
+	}
+
+	b.Run("single-pair", func(b *testing.B) {
+		srv, ns := newSrv(b, nil)
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				submit(b, srv, ns, 0)
+			}
+		})
+	})
+	b.Run("disjoint-pairs", func(b *testing.B) { disjoint(b, nil) })
+	b.Run("batch", func(b *testing.B) { batched(b, nil) })
+	b.Run("fsync=always", func(b *testing.B) {
+		b.Run("serial", func(b *testing.B) {
+			srv, ns := newSrv(b, walAlways(b))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				submit(b, srv, ns, i%points)
+			}
+		})
+		b.Run("disjoint-pairs", func(b *testing.B) { disjoint(b, walAlways(b)) })
+		b.Run("batch", func(b *testing.B) { batched(b, walAlways(b)) })
 	})
 }
 
@@ -1318,11 +1345,13 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 // "global" the section under the server's lock that every submit takes (a
 // submission refused there: lock, clock, checks), "idempotency" a submit
 // answered from the idempotency cache (that section plus the lookup),
-// "admit" admit.At on a dense pair with its booking, "record-encode" that
-// accept's WAL record, "wal-append" the record appended under the interval
-// fsync policy the benchmark's WAL workloads run, "record-decode" the
-// record as a follower decodes it before it acks, and "encode" the
-// one-item answer frame. The sums of these beside the measured wholes of
+// "admit" admit.At with its booking on a dense pair (batch_dense's
+// reference) and "admit-sparse" on a sparse one (what the wholes admit on),
+// "record-encode" that accept's WAL record, "wal-append" the record
+// appended under the interval fsync policy the benchmark's WAL workloads
+// run, "ship-read" the primary's stream reading it back to ship it,
+// "record-decode" the record as a follower decodes it before it acks, and
+// "encode" the one-item answer frame. The sums of these beside the measured wholes of
 // each path — the residue is the transport's share — are BENCH_stages.json
 // (scripts/stages.sh).
 func BenchmarkStages(b *testing.B) {
@@ -1375,7 +1404,11 @@ func BenchmarkStages(b *testing.B) {
 			}
 		}
 	})
-	b.Run("admit", func(b *testing.B) {
+	// admitOn times admit.At on one pair that holds live grants of the
+	// requests req(id) for id < live: each step books through a pair
+	// transaction, as admitTx does, and gives its grant back whole (at −∞)
+	// so the pair stays as dense.
+	admitOn := func(b *testing.B, live int, req func(rng *rand.Rand, id int) request.Request) {
 		net, err := topology.New(topology.Config{
 			Ingress: []units.Bandwidth{10 * units.GBps}, Egress: []units.Bandwidth{10 * units.GBps},
 		})
@@ -1385,34 +1418,45 @@ func BenchmarkStages(b *testing.B) {
 		l := alloc.NewSharded(net)
 		pol := policy.FractionMaxRate(0.5)
 		rng := rand.New(rand.NewSource(1))
-		// A dense pair: a few hundred live grants, as on batch_dense.
 		var tx alloc.PairTx
-		for id := 0; id < 400; id++ {
-			t0 := units.Time(rng.Float64() * 4000)
-			r := request.Request{ID: request.ID(id), Start: t0, Finish: t0 + 1000, Volume: 1e10, MaxRate: 2e7}
+		for id := 0; id < live; id++ {
+			r := req(rng, id)
 			l.LockPair(&tx, 0, 0)
-			_, no := admit.At(&tx, pol, r, t0)
+			_, no := admit.At(&tx, pol, r, r.Start)
 			tx.Unlock()
 			if no.Cause != admit.Admitted {
 				b.Fatalf("seed grant %d: %v", id, no)
 			}
 		}
-		// Each step books through a pair transaction, as admitTx does, and
-		// gives its grant back whole (at −∞) so the pair stays as dense.
 		never := units.Time(math.Inf(-1))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			t0 := units.Time(rng.Float64() * 3600)
-			r := request.Request{ID: request.ID(400 + i), Start: t0, Finish: t0 + 1000, Volume: 1e10, MaxRate: 2e7}
+			r := req(rng, live+i)
 			l.LockPair(&tx, 0, 0)
-			g, no := admit.At(&tx, pol, r, max(t0, tx.Floor()))
+			g, no := admit.At(&tx, pol, r, max(r.Start, tx.Floor()))
 			tx.Unlock()
 			if no.Cause != admit.Admitted {
 				b.Fatalf("grant %d: %v", i, no)
 			}
 			l.Revoke(r, g, never)
 		}
+	}
+	// A dense pair: a few hundred live grants, as on batch_dense.
+	b.Run("admit", func(b *testing.B) {
+		admitOn(b, 400, func(rng *rand.Rand, id int) request.Request {
+			t0 := units.Time(rng.Float64() * 4000)
+			return request.Request{ID: request.ID(id), Start: t0, Finish: t0 + 1000, Volume: 1e10, MaxRate: 2e7}
+		})
+	})
+	// A sparse pair, as the direct, routed and quorum wholes admit on: the
+	// submit of their loops (1 GB at f·MaxRate = 100 MB/s, a 100 s window)
+	// every 2 s of the shared clock keeps about five grants live per pair.
+	b.Run("admit-sparse", func(b *testing.B) {
+		admitOn(b, 5, func(rng *rand.Rand, id int) request.Request {
+			t0 := units.Time(rng.Float64() * 10)
+			return request.Request{ID: request.ID(id), Start: t0, Finish: t0 + 100, Volume: 1e9, MaxRate: 2e8}
+		})
 	})
 	// The record of one accepted submit, as the primary logs it.
 	ev := trace.Event{
@@ -1446,6 +1490,33 @@ func BenchmarkStages(b *testing.B) {
 			if _, err := l.Append(payload); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	// What a replication stream caught up on the log pays to read the
+	// batch it ships, here the one record just appended: the read alone is
+	// timed, the append (wal-append) is not.
+	b.Run("ship-read", func(b *testing.B) {
+		l, _, err := wal.Open(b.TempDir(), wal.Options{Policy: wal.SyncInterval})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		rd := l.NewReader()
+		defer rd.Close()
+		pos := l.End()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if _, err := l.Append(payload); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			got, _, next, err := rd.Read(pos, 512, 0)
+			if err != nil || len(got) != 1 {
+				b.Fatalf("read at %v: %d records, %v", pos, len(got), err)
+			}
+			pos = next
 		}
 	})
 	b.Run("record-decode", func(b *testing.B) {

@@ -28,7 +28,8 @@ import (
 //     instead of once per submission. Disjoint pairs from other calls
 //     proceed in parallel throughout this phase.
 //  3. Under s.mu again: publish the accepted entries, schedule expiries,
-//     audit the decision log and fill the idempotency slots.
+//     fill the idempotency slots and log the decisions, all of them in one
+//     WAL write (beginGroupLocked).
 //
 // Capacity is claimed in phase 2 in pair order, not input order; two
 // submissions of one batch competing for the same scarce window are
@@ -180,6 +181,9 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		s.mu.Unlock()
 		return err
 	}
+	// The expiries the advance fires and the refusals settled here reach
+	// the WAL in one write, at the flush that ends the phase.
+	s.beginGroupLocked()
 	now := s.advanceLocked()
 	ledger := s.st.Ledger() // phase 2 books through it without s.mu
 	// A poisoned WAL cannot persist anything this call decides. Refusing
@@ -238,6 +242,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		it.pending = true
 		sc.pending = append(sc.pending, it)
 	}
+	s.flushGroupLocked()
 	s.mu.Unlock()
 
 	// Phase 2: admission steps under shard pair locks only. Sorting by
@@ -273,6 +278,9 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		}
 	}
 	s.mu.Lock()
+	// Every record this section logs — the decisions and whatever expiries
+	// the clock fires — reaches the WAL in one write, at the flush below.
+	s.beginGroupLocked()
 	now = s.advanceLocked()
 	for i := range sc.items {
 		it := &sc.items[i]
@@ -299,9 +307,10 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		results[it.idx].Decision = d
 		sc.decided = append(sc.decided, it.idx)
 	}
+	s.flushGroupLocked()
 	// Synchronous-ack durability: the decisions just published were WAL'd
-	// under s.mu, so the append frontier now covers every frame of this
-	// call. If the mode (or a Durable flag) asks for follower acks, park
+	// under s.mu by the flush, so the append frontier now covers every frame
+	// of this call. If the mode (or a Durable flag) asks for follower acks, park
 	// until enough follower cursors pass that frontier — outside s.mu, so
 	// admissions keep flowing while this response waits on replication.
 	var syncPos wal.Pos

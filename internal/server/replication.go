@@ -217,11 +217,14 @@ func (s *Server) applyShippedLocked(b wire.ShippedBatch, events []trace.Event) e
 	if !s.repl.Cursor.IsZero() && b.From != s.repl.Cursor {
 		return fmt.Errorf("server: replication gap: batch starts at %v, cursor at %v", b.From, s.repl.Cursor)
 	}
+	s.beginGroupLocked()
 	for i, ev := range events {
 		if err := s.applyEventLocked(ev, b.Events[i]); err != nil {
+			s.flushGroupLocked()
 			return err
 		}
 	}
+	s.flushGroupLocked()
 	if s.wal != nil && s.wal.Poisoned() != nil {
 		// The cursor this node sends back is its ack: moved past frames
 		// the local log never took, it would let a quorum submit be
@@ -756,15 +759,17 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	if pos.IsZero() {
 		pos = wal.Pos{Seg: 1}
 	}
+	rd := s.wal.NewReader()
+	defer rd.Close()
 	if wantsUpgrade(r, wire.ReplProtocol) {
 		// The first batch is read before the connection is taken over: a
 		// compacted cursor gets the stream, which re-seeds it, and any other
 		// cursor this WAL cannot serve gets the JSON path's answer.
-		b, err := s.shipFrom(pos, int(maxRecords))
+		b, err := s.shipFrom(rd, pos, int(maxRecords))
 		gone := errors.Is(err, wal.ErrCompacted)
 		if err == nil || gone {
 			if st, ok := s.conns.upgrade(w, r, wire.ReplProtocol); ok {
-				s.serveStream(st, b, gone, id, int(maxRecords))
+				s.serveStream(st, rd, b, gone, id, int(maxRecords))
 				return
 			}
 		}
@@ -787,7 +792,7 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 		}()
 		s.wal.Wait(wake, pos, time.Duration(waitMs)*time.Millisecond)
 	}
-	b, err := s.shipFrom(pos, int(maxRecords))
+	b, err := s.shipFrom(rd, pos, int(maxRecords))
 	switch {
 	case errors.Is(err, wal.ErrCompacted):
 		WriteError(w, http.StatusGone, err)
@@ -813,11 +818,12 @@ func (s *Server) recordAck(id string, pos wal.Pos) {
 	}
 }
 
-// shipFrom reads the batch a pull at pos is answered with.
-func (s *Server) shipFrom(pos wal.Pos, maxRecords int) (wire.ShippedBatch, error) {
+// shipFrom reads the batch a pull at pos is answered with through rd; its
+// Events alias rd's buffer until rd's next read.
+func (s *Server) shipFrom(rd *wal.Reader, pos wal.Pos, maxRecords int) (wire.ShippedBatch, error) {
 	// The payloads ship as they sit in the WAL: the follower appends the
 	// same bytes, and only it ever decodes them.
-	events, start, next, err := s.wal.ReadFrom(pos, maxRecords, pullMaxBytes)
+	events, start, next, err := rd.Read(pos, maxRecords, pullMaxBytes)
 	if err != nil {
 		return wire.ShippedBatch{}, err
 	}
@@ -847,8 +853,9 @@ func appendReplReseed(dst []byte, snap *Snapshot) ([]byte, error) {
 // that stopped reading — ends it, as do a broken connection, a closed WAL,
 // and the server's Close. A cursor compacted away, at the start or
 // mid-stream, gets the gone frame and a fresh checkpoint (appendReplReseed),
-// and the stream goes on from the position the checkpoint covers.
-func (s *Server) serveStream(st *stream, b wire.ShippedBatch, gone bool, id string, maxRecords int) {
+// and the stream goes on from the position the checkpoint covers. Every
+// batch is read through rd, which keeps the segment open and its buffer.
+func (s *Server) serveStream(st *stream, rd *wal.Reader, b wire.ShippedBatch, gone bool, id string, maxRecords int) {
 	defer st.end()
 	st.goRun(func() {
 		defer st.hangUp()
@@ -879,7 +886,7 @@ func (s *Server) serveStream(st *stream, b wire.ShippedBatch, gone bool, id stri
 			return
 		}
 		if !gone {
-			s.wal.Wait(st.done(), b.Next, streamHeartbeat)
+			rd.Wait(st.done(), b.Next, streamHeartbeat)
 		}
 		select {
 		case <-st.done():
@@ -889,7 +896,7 @@ func (s *Server) serveStream(st *stream, b wire.ShippedBatch, gone bool, id stri
 		if s.wal.Closed() {
 			return
 		}
-		if b, err = s.shipFrom(b.Next, maxRecords); err != nil && !errors.Is(err, wal.ErrCompacted) {
+		if b, err = s.shipFrom(rd, b.Next, maxRecords); err != nil && !errors.Is(err, wal.ErrCompacted) {
 			return
 		}
 		gone = err != nil

@@ -255,8 +255,12 @@ type Server struct {
 	repl   replState // replication role, fencing epoch, pull cursor
 	closed bool
 	// record is the WAL record buffer appendEventLocked encodes into, reused
-	// under mu: wal.Append copies the bytes it is given.
+	// under mu: wal.Append and wal.Batch.Add copy the bytes they are given.
 	record []byte
+	// group collects the WAL records of a locked section that logs several,
+	// while grouping is set (beginGroupLocked), for one write at its flush.
+	group    wal.Batch
+	grouping bool
 
 	// promoting serializes Promote calls; it is taken before mu and held
 	// across the vote round, which mu is not.
@@ -485,7 +489,13 @@ func (s *Server) wallNow() units.Time {
 // events, and returns it. Callers hold s.mu.
 func (s *Server) advanceLocked() units.Time {
 	if t := s.wallNow(); t > s.sim.Now() {
+		// The expiries due by t reach the WAL in one write: this group's,
+		// or that of the section the advance runs in.
+		own := s.beginGroupLocked()
 		s.sim.RunUntil(t)
+		if own {
+			s.flushGroupLocked()
+		}
 	}
 	return s.sim.Now()
 }
@@ -810,7 +820,11 @@ func (s *Server) appendEventLocked(ev trace.Event) {
 // already exists: a follower appends the frame its primary shipped, not a
 // re-encoding of it, so the two logs hold the same bytes.
 func (s *Server) appendFrameLocked(ev trace.Event, frame []byte) {
-	if s.wal != nil && frame != nil {
+	switch {
+	case s.wal == nil || frame == nil:
+	case s.grouping:
+		s.group.Add(frame)
+	default:
 		if _, err := s.wal.Append(frame); err != nil {
 			s.st.Stats.RecordLogAppendFailure()
 		}
@@ -819,5 +833,36 @@ func (s *Server) appendFrameLocked(ev trace.Event, frame []byte) {
 		if err := s.decisions.Append(ev); err != nil {
 			s.st.Stats.RecordLogAppendFailure()
 		}
+	}
+}
+
+// beginGroupLocked starts a group unless one is open, and reports whether
+// it did: until the starter's flushGroupLocked, the records the section
+// logs collect in s.group instead of going to the WAL one write each. The
+// sections that log several records group them — the two phases of a batch
+// under s.mu, a follower's apply of a shipped batch, and a clock advance
+// that fires expiries — so a decided batch costs the log one write, and
+// under -wal-fsync=always one fsync. A section that reads the WAL's
+// frontier or its poisoned flag does so after the flush.
+func (s *Server) beginGroupLocked() bool {
+	if s.grouping {
+		return false
+	}
+	s.grouping = true
+	return true
+}
+
+// flushGroupLocked ends the group and appends its records in one
+// wal.AppendBatch; a failure counts once per record, as the appends one by
+// one would have.
+func (s *Server) flushGroupLocked() {
+	s.grouping = false
+	if n := s.group.Len(); n > 0 {
+		if _, err := s.wal.AppendBatch(&s.group); err != nil {
+			for range n {
+				s.st.Stats.RecordLogAppendFailure()
+			}
+		}
+		s.group.Reset()
 	}
 }

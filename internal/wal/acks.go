@@ -22,10 +22,13 @@ type FollowerAck struct {
 // waiters park on it for up to a sync-ack deadline while admissions
 // continue.
 type Acks struct {
-	mu     sync.Mutex
-	acked  map[string]FollowerAck
-	notify chan struct{}
-	now    func() time.Time
+	mu    sync.Mutex
+	acked map[string]FollowerAck
+	// notify is closed and replaced when an ack moves forward and waiting
+	// says a Wait took it since the last time.
+	notify  chan struct{}
+	waiting bool
+	now     func() time.Time
 }
 
 // maxAckRows bounds the ack table. A group has a handful of followers, but
@@ -71,9 +74,13 @@ func (a *Acks) Record(id string, pos Pos) {
 	}
 	if !ok || prev.Pos.Less(pos) {
 		a.acked[id] = FollowerAck{Pos: pos, Seen: a.now()}
-		// Broadcast: close-and-recreate, same pattern as Log.Append.
-		close(a.notify)
-		a.notify = make(chan struct{})
+		// Broadcast to the parked waiters, if any: close-and-recreate, the
+		// same pattern as Log.Append.
+		if a.waiting {
+			close(a.notify)
+			a.notify = make(chan struct{})
+			a.waiting = false
+		}
 	} else {
 		prev.Seen = a.now()
 		a.acked[id] = prev
@@ -130,11 +137,13 @@ func (a *Acks) Wait(done <-chan struct{}, pos Pos, k int, timeout time.Duration)
 	for {
 		a.mu.Lock()
 		q := a.quorumLocked(k)
-		ch := a.notify
-		a.mu.Unlock()
 		if !q.IsZero() && !q.Less(pos) {
+			a.mu.Unlock()
 			return true
 		}
+		ch := a.notify
+		a.waiting = true
+		a.mu.Unlock()
 		select {
 		case <-ch:
 		case <-deadline.C:

@@ -211,3 +211,36 @@ func TestAcksQuorumAllocFreeKthLargest(t *testing.T) {
 		t.Fatalf("Quorum allocates %.1f objects, want 0", n)
 	}
 }
+
+// TestAcksRecordWakesOnlyWaiters: an ack that moves forward with no waiter
+// parked allocates nothing — there is no wake channel to replace — and a
+// parked Wait is still woken by the one that reaches its position.
+func TestAcksRecordWakesOnlyWaiters(t *testing.T) {
+	a := NewAcks(nil)
+	off := int64(0)
+	a.Record("f1", Pos{Seg: 1, Off: off})
+	if n := testing.AllocsPerRun(100, func() {
+		off++
+		a.Record("f1", Pos{Seg: 1, Off: off})
+	}); n != 0 {
+		t.Fatalf("Record with no waiter allocates %.1f objects, want 0", n)
+	}
+	target := Pos{Seg: 2}
+	done := make(chan bool, 1)
+	go func() { done <- a.Wait(nil, target, 1, 5*time.Second) }()
+	for parked := false; !parked; {
+		time.Sleep(time.Millisecond)
+		a.mu.Lock()
+		parked = a.waiting
+		a.mu.Unlock()
+	}
+	a.Record("f1", target)
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("the parked Wait returned false after its ack")
+		}
+	case <-time.After(4 * time.Second):
+		t.Fatal("the parked Wait was never woken")
+	}
+}

@@ -48,8 +48,8 @@ type cursorRec struct {
 	primary, local Pos
 }
 
-func (r cursorRec) encode() []byte {
-	b := make([]byte, cursorRecBytes)
+// encode writes the record into b.
+func (r cursorRec) encode(b *[cursorRecBytes]byte) {
 	binary.LittleEndian.PutUint32(b[0:], cursorMagic)
 	binary.LittleEndian.PutUint64(b[4:], r.seq)
 	binary.LittleEndian.PutUint64(b[12:], r.primary.Seg)
@@ -57,7 +57,6 @@ func (r cursorRec) encode() []byte {
 	binary.LittleEndian.PutUint64(b[28:], r.local.Seg)
 	binary.LittleEndian.PutUint64(b[36:], uint64(r.local.Off))
 	binary.LittleEndian.PutUint32(b[44:], crc32.Checksum(b[:44], castagnoli))
-	return b
 }
 
 func decodeCursorRec(b []byte) (cursorRec, bool) {
@@ -92,7 +91,8 @@ func (l *Log) loadCursor(rec *Recovery) error {
 			l.curSeq = r.seq
 		}
 		if frontier.Less(r.local) {
-			if err := l.writeCursorSlot(slot, make([]byte, cursorRecBytes)); err != nil {
+			clear(l.curBuf[:])
+			if err := l.writeCursorSlot(slot, l.curBuf[:]); err != nil {
 				return fmt.Errorf("wal: erase cursor record past the recovered frontier: %w", err)
 			}
 			rec.StaleCursors++
@@ -156,7 +156,8 @@ func (l *Log) SaveCursor(primary, local Pos) error {
 		return ErrClosed
 	}
 	rec := cursorRec{seq: l.curSeq + 1, primary: primary, local: local}
-	if err := l.writeCursorSlot(l.curSlot, rec.encode()); err != nil {
+	rec.encode(&l.curBuf)
+	if err := l.writeCursorSlot(l.curSlot, l.curBuf[:]); err != nil {
 		return fmt.Errorf("wal: write cursor record: %w", err)
 	}
 	l.curSeq, l.curSlot, l.cursor = rec.seq, 1-l.curSlot, primary

@@ -14,6 +14,11 @@
 // checkpoint (AppendFrame), and one read-only reader (FrameReader,
 // ReadDir) serves every reader that must not repair what it reads.
 //
+// A live log pays per batch, not per record: AppendBatch writes a group
+// of records in one write (and under SyncAlways one fsync), and a
+// replication stream reads through one Reader, which keeps its segment
+// open and its buffer. Appends wake only the readers parked in Wait.
+//
 // The log rotates into numbered segment files at a size threshold, so
 // compaction after a snapshot is an O(1) unlink of whole segments rather
 // than a rewrite, and replication readers address records by stable
@@ -51,7 +56,8 @@ const (
 
 	defaultSegmentBytes = 8 << 20
 	defaultSyncInterval = 100 * time.Millisecond
-	// readBufferBytes bounds the buffer ReadFrom reads a segment through.
+	// readBufferBytes bounds one read of a segment: ReadDir's buffer, and
+	// how far a Reader reads ahead.
 	readBufferBytes = 256 << 10
 )
 
@@ -221,12 +227,15 @@ type Log struct {
 	firstSeg uint64 // oldest segment still on disk
 	synced   Pos    // durable up to here
 	records  uint64 // complete records in the log (recovered + appended)
+	// notify is closed and replaced when the frontier moves and waiting
+	// says a Wait took it since the last time.
 	notify   chan struct{}
+	waiting  bool
 	closed   bool
 	poisoned error // sticky fail-stop cause; nil while healthy
-	// frame is Append's frame buffer, reused under mu: File.Write keeps no
-	// reference to the bytes it is given.
-	frame []byte
+	// one is Append's batch, reused under mu: File.Write keeps no reference
+	// to the bytes it is given.
+	one Batch
 
 	stopSync chan struct{}
 	syncDone chan struct{}
@@ -234,9 +243,10 @@ type Log struct {
 	// The follower's cursor record (cursor.go), guarded by curMu, which is
 	// never held together with mu.
 	curMu     sync.Mutex
-	curF      File   // the record file, opened by the first write
-	curSeq    uint64 // sequence of the newest record written
-	curSlot   int    // slot the next record goes to
+	curF      File                 // the record file, opened by the first write
+	curSeq    uint64               // sequence of the newest record written
+	curSlot   int                  // slot the next record goes to
+	curBuf    [cursorRecBytes]byte // the record being written
 	cursor    Pos
 	curClosed bool
 }
@@ -507,47 +517,115 @@ func readSegment(fsys FS, path string, pos *Pos, last bool, fn func([]byte, Pos)
 	}
 }
 
+// Batch is a group of records framed back to back, for one AppendBatch:
+// a locked section that logs several records hands the log one write. The
+// zero Batch is empty; Reset empties one and keeps its buffers.
+type Batch struct {
+	buf  []byte // the frames
+	ends []int  // where each frame ends in buf
+}
+
+// Add frames payload onto the batch.
+func (b *Batch) Add(payload []byte) {
+	b.buf = AppendFrame(b.buf, payload)
+	b.ends = append(b.ends, len(b.buf))
+}
+
+// Len reports how many records the batch holds.
+func (b *Batch) Len() int { return len(b.ends) }
+
+// Reset empties the batch.
+func (b *Batch) Reset() { b.buf, b.ends = b.buf[:0], b.ends[:0] }
+
 // Append frames payload into the log and returns the end position after
 // the record — everything strictly before the returned Pos is complete.
 // Under SyncAlways the record is durable when Append returns.
 func (l *Log) Append(payload []byte) (Pos, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.one.Reset()
+	l.one.Add(payload)
+	return l.appendLocked(&l.one)
+}
+
+// AppendBatch appends b's records in order, as many Appends would, and
+// returns the end position after the last. The log takes them in one write
+// per segment they land in, and under SyncAlways one fsync: they are all
+// durable when AppendBatch returns. A record out of bounds refuses the
+// whole batch before anything is written.
+func (l *Log) AppendBatch(b *Batch) (Pos, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appendLocked(b)
+}
+
+func (l *Log) appendLocked(b *Batch) (Pos, error) {
 	if l.closed {
 		return Pos{}, ErrClosed
 	}
 	if l.poisoned != nil {
 		return Pos{}, l.poisoned
 	}
-	if len(payload) == 0 || len(payload) > l.opt.MaxRecordBytes {
-		return Pos{}, fmt.Errorf("%w: %d bytes (bound %d, empty records forbidden)",
-			ErrTooLarge, len(payload), l.opt.MaxRecordBytes)
+	if len(b.ends) == 0 {
+		return Pos{l.seg, l.off}, nil
 	}
-	frame := int64(headerSize + len(payload))
-	if l.off > 0 && l.off+frame > l.opt.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return Pos{}, err
+	prev := 0
+	for _, end := range b.ends {
+		if n := end - prev - headerSize; n <= 0 || n > l.opt.MaxRecordBytes {
+			return Pos{}, fmt.Errorf("%w: %d bytes (bound %d, empty records forbidden)",
+				ErrTooLarge, n, l.opt.MaxRecordBytes)
 		}
+		prev = end
 	}
-	l.frame = AppendFrame(l.frame[:0], payload)
-	if _, err := l.f.Write(l.frame); err != nil {
-		// A short or failed write leaves the file offset somewhere inside
-		// a half-written frame; a further append would interleave garbage
-		// into the framing. Fail-stop.
-		return Pos{}, l.poisonLocked(fmt.Errorf("wal: append: %w", err))
+	// The frames go down in runs. A run ends at the record an Append of its
+	// own would rotate before, so the segment files come out byte for byte
+	// as one Append per record leaves them.
+	run, prev := 0, 0 // first byte of the run; end of the frame before
+	for _, end := range b.ends {
+		if at := l.off + int64(prev-run); at > 0 && at+int64(end-prev) > l.opt.SegmentBytes {
+			if err := l.writeLocked(b.buf[run:prev]); err != nil {
+				return Pos{}, err
+			}
+			if err := l.rotateLocked(); err != nil {
+				return Pos{}, err
+			}
+			run = prev
+		}
+		prev = end
 	}
-	l.off += frame
-	l.records++
+	if err := l.writeLocked(b.buf[run:]); err != nil {
+		return Pos{}, err
+	}
+	l.records += uint64(len(b.ends))
 	if l.opt.Policy == SyncAlways {
 		if err := l.f.Sync(); err != nil {
 			return Pos{}, l.poisonLocked(fmt.Errorf("wal: fsync: %w", err))
 		}
 		l.synced = Pos{l.seg, l.off}
 	}
-	// Wake long-poll readers (replication pull) blocked in Wait.
-	close(l.notify)
-	l.notify = make(chan struct{})
+	// Wake the readers parked in Wait (replication streams, the JSON long
+	// poll), if any are: with none, there is no channel to replace.
+	if l.waiting {
+		close(l.notify)
+		l.notify = make(chan struct{})
+		l.waiting = false
+	}
 	return Pos{l.seg, l.off}, nil
+}
+
+// writeLocked writes whole frames at the append offset.
+func (l *Log) writeLocked(frames []byte) error {
+	if len(frames) == 0 {
+		return nil
+	}
+	if _, err := l.f.Write(frames); err != nil {
+		// A short or failed write leaves the file offset somewhere inside
+		// a half-written frame; a further append would interleave garbage
+		// into the framing. Fail-stop.
+		return l.poisonLocked(fmt.Errorf("wal: append: %w", err))
+	}
+	l.off += int64(len(frames))
+	return nil
 }
 
 // poisonLocked records the first fatal I/O error and fail-stops the
@@ -706,124 +784,35 @@ func (l *Log) Close() error {
 
 // Wait blocks until the append frontier moves past pos, the timeout
 // lapses, or done is closed; it reports whether records past pos exist.
-// Replication waits here: the stream's sender, and the JSON long poll.
+// Replication waits here: the JSON long poll, and a stream through its
+// Reader's Wait.
 func (l *Log) Wait(done <-chan struct{}, pos Pos, timeout time.Duration) bool {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
+	return l.wait(done, pos, deadline.C)
+}
+
+// wait is Wait until deadline ticks.
+func (l *Log) wait(done <-chan struct{}, pos Pos, deadline <-chan time.Time) bool {
 	for {
 		l.mu.Lock()
 		end := Pos{l.seg, l.off}
-		ch := l.notify
 		closed := l.closed
+		ch := l.notify
+		if pos.Less(end) || closed {
+			l.mu.Unlock()
+			return pos.Less(end)
+		}
+		l.waiting = true
 		l.mu.Unlock()
-		if pos.Less(end) {
-			return true
-		}
-		if closed {
-			return false
-		}
 		select {
 		case <-ch:
-		case <-deadline.C:
+		case <-deadline:
 			return false
 		case <-done:
 			return false
 		}
 	}
-}
-
-// ReadFrom returns up to maxRecords record payloads starting at pos
-// (zero Pos means the oldest data still on disk), the resolved start
-// position, and the position after the last returned record. It reads
-// only committed bytes, so it is safe against a concurrent appender; a
-// bad frame inside the committed range is real corruption and errors.
-func (l *Log) ReadFrom(pos Pos, maxRecords int, maxBytes int64) (payloads [][]byte, start, next Pos, err error) {
-	l.mu.Lock()
-	end := Pos{l.seg, l.off}
-	first := l.firstSeg
-	l.mu.Unlock()
-	if maxRecords <= 0 {
-		maxRecords = 512
-	}
-	if maxBytes <= 0 {
-		maxBytes = 1 << 20
-	}
-	if pos.IsZero() {
-		pos = Pos{first, 0}
-	}
-	start = pos
-	if pos.Seg < first {
-		return nil, start, pos, ErrCompacted
-	}
-	if end.Less(pos) {
-		return nil, start, pos, fmt.Errorf("wal: read position %v beyond end %v", pos, end)
-	}
-	var read int64
-	for pos.Less(end) && len(payloads) < maxRecords && read < maxBytes {
-		limit, err := l.segmentLimit(pos.Seg, end)
-		if err != nil {
-			return nil, start, pos, err
-		}
-		if pos.Off >= limit {
-			pos = Pos{pos.Seg + 1, 0}
-			continue
-		}
-		batch, n, err := readFrames(l.fs, l.segPath(pos.Seg), pos.Off, limit, maxRecords-len(payloads), maxBytes-read, l.opt.MaxRecordBytes)
-		if err != nil {
-			return nil, start, pos, err
-		}
-		payloads = append(payloads, batch...)
-		pos.Off += n
-		read += n
-	}
-	return payloads, start, pos, nil
-}
-
-// segmentLimit bounds reads of one segment to committed bytes: the whole
-// file for finished segments, the append frontier for the current one.
-func (l *Log) segmentLimit(seg uint64, end Pos) (int64, error) {
-	if seg == end.Seg {
-		return end.Off, nil
-	}
-	size, err := fileSize(l.fs, l.segPath(seg))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, ErrCompacted
-		}
-		return 0, err
-	}
-	return size, nil
-}
-
-func readFrames(fsys FS, path string, off, limit int64, maxRecords int, maxBytes int64, maxRecord int) ([][]byte, int64, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, 0, ErrCompacted
-		}
-		return nil, 0, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return nil, 0, fmt.Errorf("wal: %w", err)
-	}
-	// One buffer over the committed range, so a batch costs a constant
-	// number of reads instead of two per record. A payload longer than the
-	// buffer is read straight into its own slice.
-	fr := NewFrameReader(bufio.NewReaderSize(f, int(min(limit-off, readBufferBytes))), maxRecord)
-	var out [][]byte
-	for off+fr.Off < limit && len(out) < maxRecords && fr.Off < maxBytes {
-		at := off + fr.Off
-		payload, err := fr.Next()
-		if err == nil && off+fr.Off > limit {
-			err = fmt.Errorf("%w: frame ends past the committed %d", ErrTorn, limit)
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("wal: corrupt committed frame in %s at %d: %w", filepath.Base(path), at, err)
-		}
-		out = append(out, payload)
-	}
-	return out, fr.Off, nil
 }
 
 // CompactBefore unlinks every segment wholly before pos — typically the

@@ -417,8 +417,9 @@ func TestAppendBounds(t *testing.T) {
 	}
 }
 
-// Append reuses one frame buffer, so the only allocation left is the wake
-// channel it replaces for the next Wait.
+// Append reuses one frame buffer, and replaces the wake channel only when a
+// Wait took it: with no reader parked it allocates nothing, and a parked one
+// is still woken.
 func TestAppendAllocatesOnlyTheWakeChannel(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{})
 	payload := payloadN(1)
@@ -427,8 +428,29 @@ func TestAppendAllocatesOnlyTheWakeChannel(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n != 1 {
-		t.Fatalf("Append allocates %.1f objects, want 1", n)
+	if n != 0 {
+		t.Fatalf("Append with no reader waiting allocates %.1f objects, want 0", n)
+	}
+	// A parked Wait is still woken.
+	pos := l.End()
+	woke := make(chan bool, 1)
+	go func() { woke <- l.Wait(nil, pos, 5*time.Second) }()
+	for parked := false; !parked; {
+		time.Sleep(time.Millisecond)
+		l.mu.Lock()
+		parked = l.waiting
+		l.mu.Unlock()
+	}
+	if _, err := l.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ok := <-woke:
+		if !ok {
+			t.Fatal("the parked Wait returned false after an append")
+		}
+	case <-time.After(4 * time.Second):
+		t.Fatal("the parked Wait was never woken")
 	}
 }
 

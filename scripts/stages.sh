@@ -5,9 +5,10 @@
 #   scripts/stages.sh COLUMN
 #
 # Runs the stage benchmarks (BenchmarkStages: decode, the global section,
-# the idempotency lookup, admit.At on a dense pair, the WAL record's encode,
-# WAL append, the record's decode, encode; the loopback floor and the call
-# plumbing over net.Pipe and over loopback) and the wholes they add up to
+# the idempotency lookup, admit.At on a dense and on a sparse pair, the WAL
+# record's encode, WAL append, the stream's read of the record, the
+# record's decode, encode; the loopback floor and the call plumbing over
+# net.Pipe and over loopback) and the wholes they add up to
 # (RouterDirectSubmit, RouterSameShardSubmit, ReplSyncAckAdmit) in one go
 # through scripts/bench.sh, and merges the run into BENCH_stages.json as the
 # column named COLUMN (e.g. "parent" on a checkout of the parent commit,
