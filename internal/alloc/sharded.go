@@ -163,25 +163,43 @@ type PointTx struct {
 
 // LockPoint locks the shard of one point in the given direction.
 func (l *Sharded) LockPoint(dir topology.Direction, p topology.PointID) *PointTx {
-	var sh *shard
+	tx := new(PointTx)
+	l.LockPointTx(tx, dir, p)
+	return tx
+}
+
+// LockPointTx re-initializes tx onto the point of the given direction and
+// locks its shard, as LockPair does for a PairTx: a hot path reuses a
+// caller-owned PointTx instead of allocating one per step. tx must not be
+// currently locked.
+func (l *Sharded) LockPointTx(tx *PointTx, dir topology.Direction, p topology.PointID) {
+	*tx = PointTx{sh: l.point(dir, p), dir: dir, point: p}
+	tx.sh.lock()
+}
+
+// point is the shard of one point in the given direction.
+func (l *Sharded) point(dir topology.Direction, p topology.PointID) *shard {
 	if dir == topology.Ingress {
-		sh = l.in[int(p)]
-	} else {
-		sh = l.eg[int(p)]
+		return l.in[int(p)]
 	}
-	sh.lock()
-	return &PointTx{sh: sh, dir: dir, point: p}
+	return l.eg[int(p)]
 }
 
 // Reserve books g on the locked point only, or changes nothing. The hold
 // that asked for it remembers the grant and gives it back through
 // HoldRelease.
 func (tx *PointTx) Reserve(_ request.Request, g request.Grant) error {
-	if e := tx.sh.p.refusal(g.Sigma, g.Tau, g.Bandwidth); e != nil {
-		e.Dir, e.Point = tx.dir, tx.point
+	return tx.sh.book(tx.dir, tx.point, g.Sigma, g.Tau, g.Bandwidth)
+}
+
+// book books bw over [sigma, tau] on the locked shard of point p, or
+// refuses naming p and changes nothing.
+func (sh *shard) book(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth) error {
+	if e := sh.p.refusal(sigma, tau, bw); e != nil {
+		e.Dir, e.Point = dir, p
 		return e
 	}
-	tx.sh.p.add(g.Sigma, g.Tau, g.Bandwidth)
+	sh.p.add(sigma, tau, bw)
 	return nil
 }
 
@@ -201,26 +219,29 @@ func (tx *PointTx) Unlock() {
 // tentative half of a cross-shard admission. It fails without booking if
 // the span does not fit.
 func (l *Sharded) HoldReserve(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth) error {
-	tx := l.LockPoint(dir, p)
-	defer tx.Unlock()
-	return tx.Reserve(request.Request{}, request.Grant{Bandwidth: bw, Sigma: sigma, Tau: tau})
+	sh := l.point(dir, p)
+	sh.lock()
+	defer sh.unlock()
+	return sh.book(dir, p, sigma, tau, bw)
 }
 
 // Floor reports the floor of one point's profile: it has forgotten
 // everything before it (Profile.TrimBefore).
 func (l *Sharded) Floor(dir topology.Direction, p topology.PointID) units.Time {
-	tx := l.LockPoint(dir, p)
-	defer tx.Unlock()
-	return tx.sh.p.floor
+	sh := l.point(dir, p)
+	sh.lock()
+	defer sh.unlock()
+	return sh.p.floor
 }
 
 // HoldRelease returns a one-sided booking made by HoldReserve at instant
 // at, as Revoke does: the point forgets its past before at, and the booking
 // is released from max(sigma, at) on. An at of −∞ forgets nothing.
 func (l *Sharded) HoldRelease(dir topology.Direction, p topology.PointID, sigma, tau units.Time, bw units.Bandwidth, at units.Time) {
-	tx := l.LockPoint(dir, p)
-	defer tx.Unlock()
-	giveBack(tx.sh.p, sigma, tau, bw, at)
+	sh := l.point(dir, p)
+	sh.lock()
+	defer sh.unlock()
+	giveBack(sh.p, sigma, tau, bw, at)
 }
 
 // giveBack trims p to at and releases bw over what is left of [sigma, tau).
@@ -275,9 +296,10 @@ func (l *Sharded) Breakpoints() int {
 
 // UsedAt reports the allocated bandwidth of one point at instant t.
 func (l *Sharded) UsedAt(dir topology.Direction, p topology.PointID, t units.Time) units.Bandwidth {
-	tx := l.LockPoint(dir, p)
-	defer tx.Unlock()
-	return tx.sh.p.UsedAt(t)
+	sh := l.point(dir, p)
+	sh.lock()
+	defer sh.unlock()
+	return sh.p.UsedAt(t)
 }
 
 // UsageAt reports the allocated bandwidth of every point at instant t.

@@ -505,3 +505,67 @@ func TestShardedExpiryIsBoundedByWhatIsLive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOnePointCallsAllocateNothing: the one-point calls of the cross-shard
+// hold path — a hold's booking and release, the floor check before it, the
+// status page's usage read and a caller-owned PointTx — allocate nothing.
+func TestOnePointCallsAllocateNothing(t *testing.T) {
+	l := NewSharded(testNet())
+	var tx PointTx
+	var floor units.Time
+	var used units.Bandwidth
+	allocs := map[string]float64{
+		"HoldReserve+HoldRelease": testing.AllocsPerRun(100, func() {
+			if err := l.HoldReserve(topology.Egress, 1, 10, 20, 100*units.MBps); err != nil {
+				t.Fatal(err)
+			}
+			l.HoldRelease(topology.Egress, 1, 10, 20, 100*units.MBps, units.Time(math.Inf(-1)))
+		}),
+		"Floor":  testing.AllocsPerRun(100, func() { floor = l.Floor(topology.Ingress, 0) }),
+		"UsedAt": testing.AllocsPerRun(100, func() { used = l.UsedAt(topology.Egress, 1, 15) }),
+		"LockPointTx": testing.AllocsPerRun(100, func() {
+			l.LockPointTx(&tx, topology.Ingress, 1)
+			_ = tx.Profile()
+			tx.Unlock()
+		}),
+	}
+	for name, n := range allocs {
+		if n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, n)
+		}
+	}
+	if floor > 0 || used != 0 {
+		t.Errorf("floor %v, used %v after a released hold: want an untouched point", floor, used)
+	}
+	if err := l.CheckInvariant(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLockPointTxBooksOnePoint: a reused PointTx books on the point it was
+// last locked onto, refuses naming that point, and its Unlock lets the
+// next LockPointTx re-lock it.
+func TestLockPointTxBooksOnePoint(t *testing.T) {
+	l := NewSharded(testNet())
+	var tx PointTx
+	r := req(0, 0, 1)
+	g := grant(t, r, 600*units.MBps)
+	for _, p := range []topology.PointID{0, 1} {
+		l.LockPointTx(&tx, topology.Egress, p)
+		if err := tx.Reserve(r, g); err != nil {
+			t.Fatalf("egress %d: %v", p, err)
+		}
+		tx.Unlock()
+	}
+	l.LockPointTx(&tx, topology.Egress, 1)
+	err := tx.Reserve(r, g)
+	tx.Unlock()
+	var ce *CapacityError
+	if !errors.As(err, &ce) || ce.Dir != topology.Egress || ce.Point != 1 {
+		t.Fatalf("second booking on egress 1: %v, want a *CapacityError naming egress 1", err)
+	}
+	in, eg := l.UsageAt(10)
+	if in[0] != 0 || in[1] != 0 || eg[0] != 600*units.MBps || eg[1] != 600*units.MBps {
+		t.Errorf("usage in=%v eg=%v, want 600MB/s on both egress points only", in, eg)
+	}
+}

@@ -207,7 +207,8 @@ func (p *Planner) Lookup(id request.ID) (request.Grant, bool) {
 // UtilizationIn reports the time-max utilization of ingress i over
 // [from, to).
 func (p *Planner) UtilizationIn(i int, from, to units.Time) float64 {
-	tx := p.ledger.LockPoint(topology.Ingress, topology.PointID(i))
+	var tx alloc.PointTx
+	p.ledger.LockPointTx(&tx, topology.Ingress, topology.PointID(i))
 	defer tx.Unlock()
 	prof := tx.Profile()
 	if prof.Capacity() == 0 {

@@ -2,8 +2,8 @@ package router
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 )
 
 // defaultReplicas is the vnode count per shard: enough that the point
@@ -56,7 +56,7 @@ func NewRing(shards []string, seed uint64, replicas int) (*Ring, error) {
 	vns := make([]vnode, 0, len(shards)*replicas)
 	for idx, name := range shards {
 		for v := 0; v < replicas; v++ {
-			vns = append(vns, vnode{hash64(fmt.Sprintf("%d|%s|%d", seed, name, v)), idx})
+			vns = append(vns, vnode{hash64(fmt.Appendf(nil, "%d|%s|%d", seed, name, v)), idx})
 		}
 	}
 	// Ties (two vnodes at one hash) break by shard index so the mapping
@@ -81,14 +81,21 @@ func (r *Ring) NumShards() int { return len(r.shards) }
 func (r *Ring) ShardName(idx int) string { return r.shards[idx] }
 
 // OwnerIn reports the shard owning ingress point p.
-func (r *Ring) OwnerIn(p int) int { return r.owner(fmt.Sprintf("in|%d", p)) }
+func (r *Ring) OwnerIn(p int) int { return r.pointOwner("in|", p) }
 
 // OwnerEg reports the shard owning egress point p.
-func (r *Ring) OwnerEg(p int) int { return r.owner(fmt.Sprintf("eg|%d", p)) }
+func (r *Ring) OwnerEg(p int) int { return r.pointOwner("eg|", p) }
 
-// owner maps a key to the first vnode at or clockwise of its hash.
-func (r *Ring) owner(key string) int {
-	h := hash64(key)
+// pointOwner hashes a point's key — the direction's prefix and the point's
+// decimal index, "in|17" — from a stack buffer, so a lookup allocates
+// nothing.
+func (r *Ring) pointOwner(prefix string, p int) int {
+	var buf [24]byte
+	return r.owner(hash64(strconv.AppendInt(append(buf[:0], prefix...), int64(p), 10)))
+}
+
+// owner maps a key's hash to the first vnode at or clockwise of it.
+func (r *Ring) owner(h uint64) int {
 	i := sort.Search(len(r.keys), func(i int) bool { return r.keys[i] >= h })
 	if i == len(r.keys) {
 		i = 0
@@ -96,11 +103,21 @@ func (r *Ring) owner(key string) int {
 	return r.owners[i]
 }
 
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return mix64(h.Sum64())
+// hash64 is FNV-1a over key, finished by mix64.
+func hash64(key []byte) uint64 {
+	h := uint64(fnvOffset64)
+	for _, c := range key {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return mix64(h)
 }
+
+// The FNV-1a 64-bit parameters (hash/fnv's).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // mix64 is the splitmix64 finalizer. FNV-1a's upper bits avalanche
 // poorly on short near-sequential keys ("in|17", "0|s4|63"), and ring

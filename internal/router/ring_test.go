@@ -1,6 +1,9 @@
 package router
 
 import (
+	"fmt"
+	"hash/fnv"
+	"sort"
 	"testing"
 )
 
@@ -149,4 +152,52 @@ func TestRingValidation(t *testing.T) {
 	if _, err := NewRing([]string{"a", "b", "a"}, 0, 0); err == nil {
 		t.Error("duplicate shard name accepted")
 	}
+}
+
+// formattedOwner is the ring lookup as it was first written: the point's
+// key formatted as "in|17" or "eg|17", hashed by hash/fnv and mixed, and
+// searched among the vnodes.
+func formattedOwner(r *Ring, prefix string, p int) int {
+	h := fnv.New64a()
+	h.Write([]byte(fmt.Sprintf("%s|%d", prefix, p)))
+	key := mix64(h.Sum64())
+	i := sort.Search(len(r.keys), func(i int) bool { return r.keys[i] >= key })
+	if i == len(r.keys) {
+		i = 0
+	}
+	return r.owners[i]
+}
+
+// TestRingOwnersMatchFormattedKeys: hashing a point's key from a stack
+// buffer moves no owner — for every seed, ring size and point below 4096
+// the owner is the one the formatted key names, or a routed workload's
+// cross share and accept rate would silently change — and a lookup
+// allocates nothing.
+func TestRingOwnersMatchFormattedKeys(t *testing.T) {
+	names := []string{"s0", "s1", "s2", "s3", "s4"}
+	for _, seed := range []uint64{1, 7, 42} {
+		for n := 1; n <= len(names); n++ {
+			r, err := NewRing(names[:n], seed, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < 4096; p++ {
+				if got, want := r.OwnerIn(p), formattedOwner(r, "in", p); got != want {
+					t.Fatalf("seed %d, %d shards: ingress %d owned by %d, want %d", seed, n, p, got, want)
+				}
+				if got, want := r.OwnerEg(p), formattedOwner(r, "eg", p); got != want {
+					t.Fatalf("seed %d, %d shards: egress %d owned by %d, want %d", seed, n, p, got, want)
+				}
+			}
+		}
+	}
+	r, err := NewRing(names, 42, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := 0
+	if n := testing.AllocsPerRun(100, func() { owned += r.OwnerIn(4095) + r.OwnerEg(123456789) }); n != 0 {
+		t.Errorf("an owner lookup allocates %v times, want 0", n)
+	}
+	_ = owned
 }

@@ -23,6 +23,11 @@
 // TTL, so a router crash between the two RESERVEs or CONFIRMs can delay
 // capacity reuse but never leak it.
 //
+// A call's cross-shard items run in one pooled scratch (crossCall), and each
+// wave's shard calls carry their deadline themselves rather than in a
+// context, so a wave allocates no context, timer, closure or list: a call
+// allocates per call, and its shards per hold, not per item, side and wave.
+//
 // Each shard is addressed through a failover-aware server/client over its
 // group members, so primary rediscovery, fencing-epoch preference, and
 // the probe-cooldown negative cache all apply per shard, and the shard
@@ -41,6 +46,7 @@ import (
 	"sync"
 	"time"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/metrics"
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
@@ -101,6 +107,8 @@ type Router struct {
 	met      *routerMetrics
 	// streams is the call streams this router serves; Close ends them.
 	streams server.Streams
+	// calls pools the scratch of the calls the router routes (crossCall).
+	calls sync.Pool
 }
 
 // New builds a router over the configured shard groups.
@@ -139,6 +147,7 @@ func New(cfg Config) (*Router, error) {
 	if rt.maxBatch <= 0 {
 		rt.maxBatch = defaultMaxBatch
 	}
+	rt.calls.New = rt.makeCrossCall
 	for i, sc := range cfg.Shards {
 		rt.shards = append(rt.shards, &shard{
 			name: sc.Name,
@@ -256,9 +265,12 @@ func upstreamReply(err error) server.Reply {
 func (rt *Router) submit(ctx context.Context, ws wire.Submission) (wire.ReservationJSON, error) {
 	inIdx, egIdx := rt.ring.OwnerIn(ws.From), rt.ring.OwnerEg(ws.To)
 	if inIdx != egIdx {
-		it := &crossItem{ws: ws, owner: [2]int{inIdx, egIdx}}
-		rt.crossShard(ctx, []*crossItem{it})
-		return it.res, it.err
+		cc := rt.newCrossCall(ctx)
+		cc.add(ws, inIdx, egIdx, 0)
+		cc.crossShard()
+		res, err := cc.items[0].res, cc.items[0].err
+		cc.release()
+		return res, err
 	}
 	sh := rt.shards[inIdx]
 	t0 := time.Now()
@@ -278,6 +290,7 @@ const (
 // which settles it with an answer (res) or a shard-side failure (err).
 type crossItem struct {
 	ws    wire.Submission
+	slot  int    // the item's place in its client call
 	owner [2]int // owning shard index, per side
 	hold  string
 	// resv is each side's RESERVE answer, cerr its CONFIRM failure, and
@@ -317,49 +330,166 @@ type side struct {
 	which int // ingress or egress
 }
 
-// unsettled lists one side of every item still in the protocol, in
-// request order.
-func unsettled(items []*crossItem, which int) []side {
-	var out []side
-	for _, it := range items {
-		if !it.settled {
-			out = append(out, side{it, which})
-		}
-	}
-	return out
+// crossCall is one client call on its way through the router, and the
+// scratch it runs in: its cross-shard items, and per shard the sides a wave
+// hands that shard, the hold lists it sends and the answers they decode
+// into, and a batch's same-shard slice. Routers pool them (Router.calls),
+// the way the daemon pools its batch scratch, so once the pool is warm a
+// call allocates none of this, whatever its items, sides and waves.
+type crossCall struct {
+	rt *Router
+	// ctx is the client call's context, which a same-shard forward runs
+	// under; holdCtx is the same without its cancellation, for the hold
+	// calls, which their waves' deadlines bound instead (crossShard).
+	ctx, holdCtx context.Context
+	items        []crossItem
+	shards       []shardCall
+	// The current wave: the side a RESERVE wave places, the deadline every
+	// shard's call is held to, and step, its work on one shard. run[i] runs
+	// step on shard i on a goroutine of its own and marks it done on wg;
+	// each is bound once, when the pool makes the call.
+	which    int
+	deadline time.Time
+	step     func(cc *crossCall, shard int)
+	run      []func()
+	wg       sync.WaitGroup
+	// A batch: its submissions and the answers they get, and fwd[i], which
+	// forwards shard i's same-shard slice on a goroutine, marked on fwg.
+	subs []wire.Submission
+	out  []wire.BatchItemJSON
+	fwd  []func()
+	fwg  sync.WaitGroup
+	// rollback marks a call with sides to abort; abort runs the aborts
+	// detached, and then returns the call to the pool.
+	rollback bool
+	abort    func()
 }
 
-// perShard runs call once per shard owning any of sides, handing it that
-// shard's sides in the order given, all shards in parallel, and returns
-// once every call has. A call touches only the sides it is handed. The last
-// shard runs on the caller's goroutine: both RESERVE steps of a single
-// submit have one shard each, and need no goroutine at all.
-func (rt *Router) perShard(ctx context.Context, sides []side, call func(ctx context.Context, sh *shard, sides []side)) {
-	groups := make([][]side, len(rt.shards))
-	n := 0
-	for _, sd := range sides {
-		i := sd.it.owner[sd.which]
-		if groups[i] == nil {
-			n++
+// shardCall is one shard's scratch in a crossCall.
+type shardCall struct {
+	sides []side
+	reqs  []wire.HoldReserveJSON
+	resv  []wire.HoldReserveResponseJSON
+	refs  []wire.HoldRefJSON
+	sts   []wire.HoldStateJSON
+	// idxs are the batch slots of the same-shard items this shard owns, and
+	// subs the slice forwarded to it.
+	idxs []int
+	subs []wire.Submission
+}
+
+// newCrossCall takes a crossCall from the pool for one client call.
+func (rt *Router) newCrossCall(ctx context.Context) *crossCall {
+	cc := rt.calls.Get().(*crossCall)
+	cc.ctx = ctx
+	return cc
+}
+
+// makeCrossCall is the pool's constructor: it sizes the scratch to the ring
+// and binds the per-shard goroutine bodies once.
+func (rt *Router) makeCrossCall() any {
+	n := len(rt.shards)
+	cc := &crossCall{rt: rt, shards: make([]shardCall, n), run: make([]func(), n), fwd: make([]func(), n)}
+	for i := range n {
+		cc.run[i] = func() {
+			defer cc.wg.Done()
+			cc.step(cc, i)
 		}
-		groups[i] = append(groups[i], sd)
+		cc.fwd[i] = func() {
+			defer cc.fwg.Done()
+			cc.forward(i)
+		}
 	}
-	var wg sync.WaitGroup
-	for i, group := range groups {
-		if group == nil {
+	cc.abort = func() {
+		cc.abortSides()
+		cc.put()
+	}
+	return cc
+}
+
+// add appends one cross-shard submission, the one at slot of its call.
+func (cc *crossCall) add(ws wire.Submission, inIdx, egIdx, slot int) {
+	cc.items = append(cc.items, crossItem{ws: ws, slot: slot, owner: [2]int{inIdx, egIdx}})
+}
+
+// release ends the caller's use of the call once it has read the items'
+// answers: the call goes back to the pool, or first rolls back the sides
+// crossShard left booked, on a goroutine of its own.
+func (cc *crossCall) release() {
+	if cc.rollback {
+		go cc.abort()
+		return
+	}
+	cc.put()
+}
+
+// put clears the call — it keeps no submission, key or answer alive in
+// the pool — and returns it there.
+func (cc *crossCall) put() {
+	clear(cc.items)
+	cc.items = cc.items[:0]
+	for i := range cc.shards {
+		sc := &cc.shards[i]
+		clear(sc.sides)
+		clear(sc.reqs)
+		clear(sc.resv)
+		clear(sc.refs)
+		clear(sc.sts)
+		clear(sc.subs)
+		sc.sides, sc.reqs, sc.resv, sc.refs, sc.sts = sc.sides[:0], sc.reqs[:0], sc.resv[:0], sc.refs[:0], sc.sts[:0]
+		sc.idxs, sc.subs = sc.idxs[:0], sc.subs[:0]
+	}
+	cc.ctx, cc.holdCtx, cc.step, cc.subs, cc.out = nil, nil, nil, nil, nil
+	cc.rollback = false
+	cc.rt.calls.Put(cc)
+}
+
+// group hands each shard the given side of every item still in the
+// protocol that it owns, in request order: behind the sides it already
+// holds when add is set, in their place otherwise.
+func (cc *crossCall) group(which int, add bool) {
+	if !add {
+		for i := range cc.shards {
+			cc.shards[i].sides = cc.shards[i].sides[:0]
+		}
+	}
+	for k := range cc.items {
+		if it := &cc.items[k]; !it.settled {
+			sc := &cc.shards[it.owner[which]]
+			sc.sides = append(sc.sides, side{it, which})
+		}
+	}
+}
+
+// perShard runs step once per shard the current grouping hands any sides,
+// all shards in parallel, and returns once every one has. A step touches
+// only its own shard's sides. The last shard runs on the caller's
+// goroutine: both RESERVE steps of a single submit have one shard each,
+// and need no goroutine at all.
+func (cc *crossCall) perShard(step func(cc *crossCall, shard int)) {
+	cc.step = step
+	if last := fanOut(len(cc.shards), func(i int) bool { return len(cc.shards[i].sides) > 0 }, cc.run, &cc.wg); last >= 0 {
+		step(cc, last)
+	}
+	cc.wg.Wait()
+}
+
+// fanOut starts run[i], counted on wg, for every shard i that busy names,
+// but the last: that one it returns (−1 when there is none), for the
+// caller to run on its own goroutine.
+func fanOut(n int, busy func(int) bool, run []func(), wg *sync.WaitGroup) int {
+	last := -1
+	for i := range n {
+		if !busy(i) {
 			continue
 		}
-		if n--; n == 0 {
-			call(ctx, rt.shards[i], group)
-			break
+		if last >= 0 {
+			wg.Add(1)
+			go run[last]()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			call(ctx, rt.shards[i], group)
-		}()
+		last = i
 	}
-	wg.Wait()
+	return last
 }
 
 // itemError lifts the per-item failure of a list-shaped hold call back
@@ -368,20 +498,34 @@ func itemError(code int, msg string) error {
 	return &client.APIError{StatusCode: code, Message: msg}
 }
 
-// crossShard drives the cross-shard items of one client call (a single
-// submit is the one-item case) through the two-phase hold protocol in
-// three waves, each one list-shaped call per shard involved: RESERVE on
-// the ingress owners, RESERVE on the egress owners carrying the grants the
-// first wave proposed, CONFIRM on every owner carrying its ingress-side
-// and egress-side keys alike. Lists keep request order, so a shard decides
-// its items in the order one-at-a-time submission would. Sides that booked
-// but did not commit as a pair are rolled back by one detached ABORT call
-// per shard. With S shards that is at most 3·S hold trips per client call
-// instead of four per item. A shard that does not answer within a wave's
-// deadline costs the items that touch it, not the rest of the call.
-func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
-	t0 := time.Now()
-	for _, it := range items {
+// crossShard drives the call's cross-shard items (a single submit is the
+// one-item case) through the two-phase hold protocol in three waves, each
+// one list-shaped call per shard involved: RESERVE on the ingress owners,
+// RESERVE on the egress owners carrying the grants the first wave
+// proposed, CONFIRM on every owner carrying its ingress-side and
+// egress-side keys alike. Lists keep request order, so a shard decides its
+// items in the order one-at-a-time submission would. Sides that booked but
+// did not commit as a pair are marked for rollback: release aborts them,
+// detached, one call per shard. With S shards that is at most 3·S hold
+// trips per client call instead of four per item. A shard that does not
+// answer within a wave's deadline costs the items that touch it, not the
+// rest of the call.
+//
+// Each wave's shard calls are held to a deadline a quarter of the hold TTL
+// after the wave starts: a shard that stops answering fails its own items
+// (for the caller to retry) after that long, and the three waves still
+// reach CONFIRM with every other shard's first holds live. The deadline
+// rides the calls themselves (client.HoldReserve and its siblings): a
+// call stream's watchdog enforces it and ends a stream that misses it, as a
+// lapsed context ends it, so a wave costs no context and no timer. The
+// client call's own cancellation does not reach the hold calls: a caller
+// that hangs up mid-protocol leaves the waves to finish within their
+// deadlines, and a retry under its key finds the holds they placed.
+func (cc *crossCall) crossShard() {
+	rt, t0 := cc.rt, time.Now()
+	cc.holdCtx = context.WithoutCancel(cc.ctx)
+	for k := range cc.items {
+		it := &cc.items[k]
 		ws := &it.ws
 		// Relative and absolute times cannot mix across shards: RelTimes
 		// marks the whole window as offsets from the deciding shard's clock,
@@ -406,89 +550,19 @@ func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
 		}
 	}
 
-	// The calls of a wave return together, so each wave runs under its own
-	// deadline, a quarter of the hold TTL: a shard that stops answering fails
-	// its own items (for the caller to retry) after that long, and the three
-	// waves still reach CONFIRM with every other shard's first holds live.
-	wave := func(sides []side, call func(ctx context.Context, sh *shard, sides []side)) {
-		ctx, cancel := context.WithTimeout(ctx, rt.holdTTL/4)
-		defer cancel()
-		rt.perShard(ctx, sides, call)
-	}
-	reserve := func(which int, request func(*crossItem) wire.HoldReserveJSON) {
-		wave(unsettled(items, which), func(ctx context.Context, sh *shard, sides []side) {
-			reqs := make([]wire.HoldReserveJSON, len(sides))
-			for j, sd := range sides {
-				reqs[j] = request(sd.it)
-			}
-			resps, err := sh.reserve(ctx, reqs)
-			for j, sd := range sides {
-				it := sd.it
-				switch {
-				case err != nil:
-					// The call may have landed all the same, and on a retry
-					// of an acknowledged pair the other side is confirmed:
-					// roll back both, or the pair is cancelled on one side.
-					it.abort = [2]bool{true, true}
-					it.fail(err)
-				case resps[j].Code != 0:
-					it.fail(itemError(resps[j].Code, resps[j].Error))
-				case !resps[j].Held:
-					// A refused hold books nothing on this side.
-					it.resv[which] = resps[j]
-					rt.reject(it, resps[j].Reason)
-				default:
-					it.resv[which] = resps[j]
-				}
-				if it.settled && which == egress {
-					it.abort[ingress] = true // proposed and booked, never to commit
-				}
-			}
-		})
-	}
 	// Wave 1: each ingress owner takes the one-sided step and proposes.
-	reserve(ingress, func(it *crossItem) wire.HoldReserveJSON {
-		ws := &it.ws
-		return wire.HoldReserveJSON{
-			Hold: it.hold, Side: trace.HoldSideIngress,
-			Point: ws.From, PeerPoint: ws.To,
-			TTLS: rt.holdTTL.Seconds(), RelTimes: ws.RelNotBefore || ws.RelDeadline,
-			VolumeBytes: float64(ws.Volume), MaxRateBps: float64(ws.MaxRate),
-			NotBeforeS: float64(ws.NotBefore), DeadlineS: float64(ws.Deadline),
-		}
-	})
-	// Wave 2: each egress owner checks the proposals. A grant window
-	// crosses clocks as offsets from the ingress shard's NowS; the egress
-	// shard resolves them against its own clock.
-	reserve(egress, func(it *crossItem) wire.HoldReserveJSON {
-		ws, rin := &it.ws, &it.resv[ingress]
-		return wire.HoldReserveJSON{
-			Hold: it.hold, Side: trace.HoldSideEgress,
-			Point: ws.To, PeerPoint: ws.From,
-			TTLS: rt.holdTTL.Seconds(), RelTimes: true,
-			RateBps: rin.RateBps,
-			SigmaS:  rin.SigmaS - rin.NowS, TauS: rin.TauS - rin.NowS,
-			VolumeBytes: float64(ws.Volume), MaxRateBps: float64(ws.MaxRate),
-		}
-	})
-	// Wave 3: every owner commits, all at once — abort compensates a
-	// confirmed side, so committing the ingress side first buys nothing.
-	wave(append(unsettled(items, ingress), unsettled(items, egress)...), func(ctx context.Context, sh *shard, sides []side) {
-		refs := make([]wire.HoldRefJSON, len(sides))
-		for j, sd := range sides {
-			refs[j] = wire.HoldRefJSON{Hold: sd.it.hold, Epoch: sd.it.resv[sd.which].Epoch}
-		}
-		sts, err := sh.confirm(ctx, refs)
-		for j, sd := range sides {
-			sd.it.cerr[sd.which] = err
-			if err == nil && sts[j].Code != 0 {
-				sd.it.cerr[sd.which] = itemError(sts[j].Code, sts[j].Error)
-			}
-		}
-	})
+	// Wave 2: each egress owner checks the proposals.
+	cc.reserve(ingress)
+	cc.reserve(egress)
+	// Wave 3: every owner commits, all at once, its ingress sides and then
+	// its egress sides in one list — abort compensates a confirmed side, so
+	// committing the ingress side first buys nothing.
+	cc.group(ingress, false)
+	cc.group(egress, true)
+	cc.wave((*crossCall).confirmOn)
 
-	var rollback []side
-	for _, it := range items {
+	for k := range cc.items {
+		it := &cc.items[k]
 		if !it.settled {
 			err := it.cerr[ingress]
 			if err == nil {
@@ -517,36 +591,147 @@ func (rt *Router) crossShard(ctx context.Context, items []*crossItem) {
 			}
 		}
 		rt.met.observeCross(time.Since(t0), it.err, it.err == nil && it.res.Accepted)
+		cc.rollback = cc.rollback || it.abort[ingress] || it.abort[egress]
+	}
+}
+
+// reserve is the RESERVE wave of one side of the items still in the
+// protocol.
+func (cc *crossCall) reserve(which int) {
+	cc.group(which, false)
+	cc.which = which
+	cc.wave((*crossCall).reserveOn)
+}
+
+// wave runs step on every shard the current grouping hands sides, under
+// the wave's own deadline.
+func (cc *crossCall) wave(step func(cc *crossCall, shard int)) {
+	cc.deadline = time.Now().Add(cc.rt.holdTTL / 4)
+	cc.perShard(step)
+}
+
+// holdRequest is the RESERVE of one side of an item. The ingress side
+// carries the submission; the egress side carries the grant the ingress
+// owner proposed, its window as offsets from the ingress shard's NowS,
+// which the egress shard resolves against its own clock.
+func (rt *Router) holdRequest(it *crossItem, which int) wire.HoldReserveJSON {
+	ws := &it.ws
+	if which == ingress {
+		return wire.HoldReserveJSON{
+			Hold: it.hold, Side: trace.HoldSideIngress,
+			Point: ws.From, PeerPoint: ws.To,
+			TTLS: rt.holdTTL.Seconds(), RelTimes: ws.RelNotBefore || ws.RelDeadline,
+			VolumeBytes: float64(ws.Volume), MaxRateBps: float64(ws.MaxRate),
+			NotBeforeS: float64(ws.NotBefore), DeadlineS: float64(ws.Deadline),
+		}
+	}
+	rin := &it.resv[ingress]
+	return wire.HoldReserveJSON{
+		Hold: it.hold, Side: trace.HoldSideEgress,
+		Point: ws.To, PeerPoint: ws.From,
+		TTLS: rt.holdTTL.Seconds(), RelTimes: true,
+		RateBps: rin.RateBps,
+		SigmaS:  rin.SigmaS - rin.NowS, TauS: rin.TauS - rin.NowS,
+		VolumeBytes: float64(ws.Volume), MaxRateBps: float64(ws.MaxRate),
+	}
+}
+
+// reserveOn is a RESERVE wave's step on shard i: one list of the current
+// side's holds, each answer settling or carrying its item.
+func (cc *crossCall) reserveOn(i int) {
+	rt, sc, which := cc.rt, &cc.shards[i], cc.which
+	sc.reqs, sc.resv = sc.reqs[:0], sc.resv[:0]
+	for _, sd := range sc.sides {
+		sc.reqs = append(sc.reqs, rt.holdRequest(sd.it, which))
+		sc.resv = append(sc.resv, wire.HoldReserveResponseJSON{Hold: sd.it.hold})
+	}
+	resps, err := rt.shards[i].reserve(cc.holdCtx, cc.deadline, sc.reqs, sc.resv)
+	if err == nil {
+		sc.resv = resps
+	}
+	for j, sd := range sc.sides {
+		it := sd.it
+		switch {
+		case err != nil:
+			// The call may have landed all the same, and on a retry
+			// of an acknowledged pair the other side is confirmed:
+			// roll back both, or the pair is cancelled on one side.
+			it.abort = [2]bool{true, true}
+			it.fail(err)
+		case resps[j].Code != 0:
+			it.fail(itemError(resps[j].Code, resps[j].Error))
+		case !resps[j].Held:
+			// A refused hold books nothing on this side.
+			it.resv[which] = resps[j]
+			rt.reject(it, resps[j].Reason)
+		default:
+			it.resv[which] = resps[j]
+		}
+		if it.settled && which == egress {
+			it.abort[ingress] = true // proposed and booked, never to commit
+		}
+	}
+}
+
+// confirmOn is the CONFIRM wave's step on shard i: one list of every hold
+// the shard placed for the items still in the protocol.
+func (cc *crossCall) confirmOn(i int) {
+	sc := &cc.shards[i]
+	sc.refs, sc.sts = sc.refs[:0], sc.sts[:0]
+	for _, sd := range sc.sides {
+		sc.refs = append(sc.refs, wire.HoldRefJSON{Hold: sd.it.hold, Epoch: sd.it.resv[sd.which].Epoch})
+		sc.sts = append(sc.sts, wire.HoldStateJSON{Hold: sd.it.hold})
+	}
+	sts, err := cc.rt.shards[i].confirm(cc.holdCtx, cc.deadline, sc.refs, sc.sts)
+	if err == nil {
+		sc.sts = sts
+	}
+	for j, sd := range sc.sides {
+		sd.it.cerr[sd.which] = err
+		if err == nil && sts[j].Code != 0 {
+			sd.it.cerr[sd.which] = itemError(sts[j].Code, sts[j].Error)
+		}
+	}
+}
+
+// abortSides converges the sides crossShard marked to aborted, one call per
+// shard, best-effort and detached from the client call (its caller may be
+// gone). Failures are tolerable: the shard-side TTL is the backstop that
+// actually guarantees no capacity leaks.
+func (cc *crossCall) abortSides() {
+	for i := range cc.shards {
+		cc.shards[i].sides = cc.shards[i].sides[:0]
+	}
+	for k := range cc.items {
+		it := &cc.items[k]
 		for which, on := range it.abort {
 			if on {
-				rollback = append(rollback, side{it, which})
+				sc := &cc.shards[it.owner[which]]
+				sc.sides = append(sc.sides, side{it, which})
 			}
 		}
 	}
-	if len(rollback) > 0 {
-		go rt.abortSides(rollback)
+	cc.holdCtx, cc.deadline = context.Background(), time.Now().Add(abortTimeout)
+	cc.perShard((*crossCall).abortOn)
+}
+
+// abortTimeout bounds the detached aborts of a call's rolled-back sides.
+const abortTimeout = 3 * time.Second
+
+// abortOn is abortSides' step on shard i.
+func (cc *crossCall) abortOn(i int) {
+	sc := &cc.shards[i]
+	sc.refs, sc.sts = sc.refs[:0], sc.sts[:0]
+	for _, sd := range sc.sides {
+		sc.refs = append(sc.refs, wire.HoldRefJSON{Hold: sd.it.hold})
+		sc.sts = append(sc.sts, wire.HoldStateJSON{Hold: sd.it.hold})
 	}
+	_, _ = cc.rt.shards[i].abort(cc.holdCtx, cc.deadline, sc.refs, sc.sts)
 }
 
-// abortSides converges the given holds to aborted, one call per shard,
-// best-effort and detached from the request context (the client may be
-// gone). Failures are tolerable: the shard-side TTL is the backstop that
-// actually guarantees no capacity leaks.
-func (rt *Router) abortSides(sides []side) {
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	rt.perShard(ctx, sides, func(ctx context.Context, sh *shard, sides []side) {
-		refs := make([]wire.HoldRefJSON, len(sides))
-		for j, sd := range sides {
-			refs[j] = wire.HoldRefJSON{Hold: sd.it.hold}
-		}
-		_, _ = sh.abort(ctx, refs)
-	})
-}
-
-func (sh *shard) reserve(ctx context.Context, reqs []wire.HoldReserveJSON) ([]wire.HoldReserveResponseJSON, error) {
+func (sh *shard) reserve(ctx context.Context, deadline time.Time, reqs []wire.HoldReserveJSON, into []wire.HoldReserveResponseJSON) ([]wire.HoldReserveResponseJSON, error) {
 	t0 := time.Now()
-	resps, err := sh.c.HoldReserve(ctx, reqs)
+	resps, err := sh.c.HoldReserve(ctx, deadline, reqs, into)
 	sh.met.observeHold(wire.OpReserve, len(reqs), time.Since(t0), err)
 	return resps, err
 }
@@ -556,18 +741,18 @@ func (sh *shard) reserve(ctx context.Context, reqs []wire.HoldReserveJSON) ([]wi
 // lineage changed (a reserve-time epoch is fenced) — refresh the epoch
 // from the new primary and present it once. The promoted follower replayed
 // the holds from the WAL, so the confirm lands on real state.
-func (sh *shard) confirm(ctx context.Context, refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error) {
+func (sh *shard) confirm(ctx context.Context, deadline time.Time, refs []wire.HoldRefJSON, into []wire.HoldStateJSON) ([]wire.HoldStateJSON, error) {
 	t0 := time.Now()
-	sts, err := sh.c.HoldConfirm(ctx, refs)
+	sts, err := sh.c.HoldConfirm(ctx, deadline, refs, into)
 	if err != nil && client.IsReadOnly(err) {
-		if rs, rerr := sh.c.Replication(ctx); rerr == nil && rs.Role == "primary" {
+		if rs, rerr := sh.replication(ctx, deadline); rerr == nil && rs.Role == "primary" {
 			stale := false
 			for j := range refs {
 				stale = stale || refs[j].Epoch != rs.Epoch
 				refs[j].Epoch = rs.Epoch
 			}
 			if stale {
-				sts, err = sh.c.HoldConfirm(ctx, refs)
+				sts, err = sh.c.HoldConfirm(ctx, deadline, refs, into)
 			}
 		}
 	}
@@ -575,9 +760,16 @@ func (sh *shard) confirm(ctx context.Context, refs []wire.HoldRefJSON) ([]wire.H
 	return sts, err
 }
 
-func (sh *shard) abort(ctx context.Context, refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error) {
+// replication asks the shard for its replication status within deadline.
+func (sh *shard) replication(ctx context.Context, deadline time.Time) (cluster.ReplicationStatus, error) {
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
+	return sh.c.Replication(ctx)
+}
+
+func (sh *shard) abort(ctx context.Context, deadline time.Time, refs []wire.HoldRefJSON, into []wire.HoldStateJSON) ([]wire.HoldStateJSON, error) {
 	t0 := time.Now()
-	sts, err := sh.c.HoldAbort(ctx, refs)
+	sts, err := sh.c.HoldAbort(ctx, deadline, refs, into)
 	sh.met.observeHold(wire.OpAbort, len(refs), time.Since(t0), err)
 	return sts, err
 }
@@ -599,70 +791,74 @@ func (rt *Router) batch(ctx context.Context, subs []wire.Submission) []wire.Batc
 	// Every goroutine writes only its own result slots; gather is by index,
 	// so the response preserves request order no matter the completion
 	// order.
-	groups := make(map[int][]int)
-	var cross []int
-	var crossItems []*crossItem
+	cc := rt.newCrossCall(ctx)
+	cc.subs, cc.out = subs, items
+	groups := 0
 	for i := range subs {
 		inIdx, egIdx := rt.ring.OwnerIn(subs[i].From), rt.ring.OwnerEg(subs[i].To)
-		if inIdx == egIdx {
-			groups[inIdx] = append(groups[inIdx], i)
-		} else {
-			cross = append(cross, i)
-			crossItems = append(crossItems, &crossItem{ws: subs[i], owner: [2]int{inIdx, egIdx}})
+		if inIdx != egIdx {
+			cc.add(subs[i], inIdx, egIdx, i)
+			continue
 		}
+		sc := &cc.shards[inIdx]
+		if len(sc.idxs) == 0 {
+			groups++
+		}
+		sc.idxs = append(sc.idxs, i)
 	}
-	rt.met.observeBatch(len(groups), len(cross))
-	forward := func(shardIdx int, idxs []int) {
-		sh := rt.shards[shardIdx]
-		slice := make([]wire.Submission, len(idxs))
-		for j, i := range idxs {
-			slice[j] = subs[i]
-		}
-		t0 := time.Now()
-		res, err := sh.c.SubmitBatchWire(ctx, slice)
-		sh.met.observe(time.Since(t0), err)
-		if err != nil {
-			msg := err.Error()
-			for _, i := range idxs {
-				items[i] = wire.BatchItemJSON{Error: msg}
-			}
-			return
-		}
-		for j, i := range idxs {
-			it := res[j]
-			if it.Reservation != nil {
-				it.Reservation.ID = rt.visibleID(it.Reservation.ID, shardIdx)
-			}
-			items[i] = it
-		}
-	}
+	rt.met.observeBatch(groups, len(cc.items))
 	// With no cross-shard items the caller only waits, so the last group
 	// runs on its goroutine, as perShard's last shard does.
-	n := len(groups)
-	var wg sync.WaitGroup
-	for shardIdx, idxs := range groups {
-		if n--; n == 0 && len(cross) == 0 {
-			forward(shardIdx, idxs)
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			forward(shardIdx, idxs)
-		}()
+	last := fanOut(len(cc.shards), func(i int) bool { return len(cc.shards[i].idxs) > 0 }, cc.fwd, &cc.fwg)
+	if last >= 0 && len(cc.items) == 0 {
+		cc.forward(last)
+	} else if last >= 0 {
+		cc.fwg.Add(1)
+		go cc.fwd[last]()
 	}
-	if len(cross) > 0 {
-		rt.crossShard(ctx, crossItems)
-		for j, i := range cross {
-			if it := crossItems[j]; it.err != nil {
-				items[i] = wire.BatchItemJSON{Error: it.err.Error()}
+	if len(cc.items) > 0 {
+		cc.crossShard()
+		// The answers outlive the pooled items: one array holds them all.
+		res := make([]wire.ReservationJSON, len(cc.items))
+		for k := range cc.items {
+			if it := &cc.items[k]; it.err != nil {
+				items[it.slot] = wire.BatchItemJSON{Error: it.err.Error()}
 			} else {
-				items[i] = wire.BatchItemJSON{Reservation: &it.res}
+				res[k] = it.res
+				items[it.slot] = wire.BatchItemJSON{Reservation: &res[k]}
 			}
 		}
 	}
-	wg.Wait()
+	cc.fwg.Wait()
+	cc.release()
 	return items
+}
+
+// forward sends shard i's same-shard slice of a batch on as one wire batch
+// and files each answer in its slot.
+func (cc *crossCall) forward(i int) {
+	sh, sc := cc.rt.shards[i], &cc.shards[i]
+	sc.subs = sc.subs[:0]
+	for _, k := range sc.idxs {
+		sc.subs = append(sc.subs, cc.subs[k])
+	}
+	t0 := time.Now()
+	res, err := sh.c.SubmitBatchWire(cc.ctx, sc.subs)
+	sh.met.observe(time.Since(t0), err)
+	if err != nil {
+		msg := err.Error()
+		for _, k := range sc.idxs {
+			cc.out[k] = wire.BatchItemJSON{Error: msg}
+		}
+		return
+	}
+	for j, k := range sc.idxs {
+		it := res[j]
+		if it.Reservation != nil {
+			it.Reservation.ID = cc.rt.visibleID(it.Reservation.ID, i)
+		}
+		cc.out[k] = it
+	}
 }
 
 // get looks a visible ID up on its owning shard.
@@ -693,7 +889,7 @@ func (rt *Router) cancel(ctx context.Context, visible int) (wire.ReservationJSON
 	if !client.IsNotFound(err) {
 		return res, err
 	}
-	sts, aerr := sh.abort(ctx, []wire.HoldRefJSON{{ID: &local}})
+	sts, aerr := sh.abort(ctx, time.Time{}, []wire.HoldRefJSON{{ID: &local}}, nil)
 	if aerr == nil && sts[0].Code != 0 {
 		aerr = itemError(sts[0].Code, sts[0].Error)
 	}
@@ -708,9 +904,7 @@ func (rt *Router) cancel(ctx context.Context, visible int) (wire.ReservationJSON
 	st := sts[0]
 	peer := rt.shards[rt.ring.OwnerEg(st.PeerPoint)]
 	if peer != sh {
-		ctx, cancel := context.WithTimeout(ctx, 3*time.Second)
-		defer cancel()
-		_, _ = peer.abort(ctx, []wire.HoldRefJSON{{Hold: st.Hold}})
+		_, _ = peer.abort(ctx, time.Now().Add(abortTimeout), []wire.HoldRefJSON{{Hold: st.Hold}}, nil)
 	}
 	return wire.ReservationJSON{
 		ID: visible, Accepted: true, State: wire.StateCancelled,

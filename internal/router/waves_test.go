@@ -597,3 +597,110 @@ func TestRetryTimeoutAbortsBothSides(t *testing.T) {
 	waitHolds(t, tier.servers[inIdx], shards[inIdx].Name, 0, 0)
 	waitHolds(t, tier.servers[egIdx], shards[egIdx].Name, 0, 0)
 }
+
+// TestConcurrentCallsKeepTheirOwnScratch: callers submitting and batching
+// through one router at once, cross-shard and same-shard pairs mixed and
+// the egress points short enough that some proposals are refused and rolled
+// back, each get the answers of their own items — every accepted visible ID
+// once — and once the detached aborts land, every shard books exactly the
+// confirmed holds of the cross-shard admissions it owns a side of. A call
+// that shared its pooled scratch with another would answer, confirm or
+// abort someone else's items.
+func TestConcurrentCallsKeepTheirOwnScratch(t *testing.T) {
+	tier := newTier(t, 2, 300*units.MBps)
+	ring := tier.rt.Ring()
+	post := func(path string, v any, out any) error {
+		body, _ := json.Marshal(v)
+		resp, err := http.Post(tier.web.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
+			return fmt.Errorf("%s answered %d", path, resp.StatusCode)
+		}
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+
+	type answer struct {
+		req wire.SubmitRequest
+		res wire.ReservationJSON
+	}
+	const callers, calls = 4, 12
+	answers := make([][]answer, callers)
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range calls {
+				var reqs []wire.SubmitRequest
+				for k := range 1 + c%4 {
+					req := submitReq((g+c+k)%testPoints, (g*3+c+2*k)%testPoints)
+					req.DeadlineS = 12 // ≥ 83 MB/s: an egress point holds three
+					reqs = append(reqs, req)
+				}
+				if len(reqs) == 1 {
+					var res wire.ReservationJSON
+					if err := post("/v1/requests", reqs[0], &res); err != nil {
+						t.Errorf("caller %d call %d: %v", g, c, err)
+						return
+					}
+					answers[g] = append(answers[g], answer{reqs[0], res})
+					continue
+				}
+				var out wire.BatchResponse
+				if err := post("/v1/batch", wire.BatchRequest{Requests: reqs}, &out); err != nil || len(out.Results) != len(reqs) {
+					t.Errorf("caller %d call %d: %d results for %d requests, %v", g, c, len(out.Results), len(reqs), err)
+					return
+				}
+				for k, it := range out.Results {
+					if it.Error != "" {
+						t.Errorf("caller %d call %d item %d: %s", g, c, k, it.Error)
+						return
+					}
+					answers[g] = append(answers[g], answer{reqs[k], *it.Reservation})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	seen := map[int]bool{}
+	confirmed := make([]int, ring.NumShards())
+	accepted, refused := 0, 0
+	for _, as := range answers {
+		for _, a := range as {
+			inIdx, egIdx := ring.OwnerIn(a.req.From), ring.OwnerEg(a.req.To)
+			if cross := inIdx != egIdx; cross != (a.res.Routed == wire.RoutedCrossShard) {
+				t.Errorf("%d->%d answered %+v: its routing marker belongs to another pair", a.req.From, a.req.To, a.res)
+			}
+			if !a.res.Accepted {
+				refused++
+				continue
+			}
+			accepted++
+			if seen[a.res.ID] {
+				t.Errorf("visible ID %d answered twice", a.res.ID)
+			}
+			seen[a.res.ID] = true
+			if _, shard := tier.rt.splitID(a.res.ID); shard != inIdx {
+				t.Errorf("%d->%d answered ID %d, which names shard %d, not its ingress owner %d", a.req.From, a.req.To, a.res.ID, shard, inIdx)
+			}
+			if inIdx != egIdx {
+				confirmed[inIdx]++
+				confirmed[egIdx]++
+			}
+		}
+	}
+	t.Logf("%d accepted, %d refused", accepted, refused)
+	if accepted == 0 || refused == 0 {
+		t.Fatalf("%d accepted, %d refused: the load does not exercise both the commit and the rollback", accepted, refused)
+	}
+	for i, srv := range tier.servers {
+		waitHolds(t, srv, fmt.Sprintf("s%d", i), 0, confirmed[i])
+	}
+}

@@ -204,11 +204,15 @@ type callServer struct {
 }
 
 // work serves calls until the stream ends. It starts holding the turn to
-// read, and no call waits for a worker before it starts.
+// read, and no call waits for a worker before it starts. The worker's one
+// Call carries each call it serves: the handler takes its address, so a
+// Call per call would be one more allocation per call.
 func (cs *callServer) work() {
+	var c Call
 	for {
-		tag, c, ok := cs.read()
-		if !ok {
+		var tag uint32
+		var ok bool
+		if tag, c, ok = cs.read(); !ok {
 			return
 		}
 		cs.inflight.Add(1)

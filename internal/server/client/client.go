@@ -35,6 +35,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -213,7 +214,9 @@ func (c *Client) rotate() {
 	c.mu.Unlock()
 }
 
-// NewIdempotencyKey returns a fresh random submission key.
+// NewIdempotencyKey returns a fresh random submission key: 32 lowercase
+// hex digits, encoded on the stack so the key string is its one
+// allocation.
 func NewIdempotencyKey() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -221,7 +224,9 @@ func NewIdempotencyKey() string {
 		// a time-derived key rather than sending duplicate-prone calls.
 		return fmt.Sprintf("t-%d", time.Now().UnixNano())
 	}
-	return hex.EncodeToString(b[:])
+	var h [2 * len(b)]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // APIError is a non-2xx daemon answer.
@@ -328,35 +333,74 @@ type route struct {
 // a lookup or cancel.
 func framed(op wire.Op, id int) route { return route{op.Method(), op.Path(id), op} }
 
-// do runs one retrying body-less call answered in JSON.
-func (c *Client) do(ctx context.Context, method, path string, out any) error {
-	return c.call(ctx, route{method: method, path: path}, nil, out, nil)
+// An exchange is one call as the retry loop runs it: how it travels, the
+// request frame every attempt re-sends (nil for a body-less call), and the
+// deadline it is held to.
+type exchange struct {
+	rt    route
+	frame []byte
+	// deadline, when set, bounds the whole call — its attempts, the
+	// rediscovery between them and the backoff — as a context deadline
+	// would, but without a context or a timer of its own: an attempt on a
+	// call stream is held to it by the stream's watchdog, which ends the
+	// stream when it lapses as a lapsed context does, and an HTTP attempt
+	// by the context it derives for its per-attempt deadline anyway.
+	deadline time.Time
 }
 
-// call is the one retry/failover loop under every method. frame is the
-// encoded request (nil for a body-less call) and the same bytes are re-sent
-// per attempt, so every retry carries the complete request (including the
-// same idempotency key). The answer lands in jsonOut when the daemon
-// answers JSON, else in whatever fromFrame decodes it into. On a
-// failover-worthy error a multi-endpoint client re-discovers the primary
-// before the next attempt, which makes the error itself worth that attempt
-// even when it is not transiently retryable (a 403 from a follower will
-// not heal by waiting, but it will by moving).
-func (c *Client) call(ctx context.Context, rt route, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
+// An answer is where one call's answer lands: fromJSON decodes one that
+// comes as JSON, and fromFrame one that comes as a frame (nil: the call
+// reads JSON only). It travels apart from the exchange, whose contents
+// reach the heap (a request, a context), so that the decoders — closures
+// over the caller's locals — and those locals stay on the caller's stack.
+type answer struct {
+	fromJSON, fromFrame func([]byte) error
+}
+
+// jsonInto is the answer of a call that reads JSON into out.
+func jsonInto(out any) *answer {
+	return &answer{fromJSON: func(b []byte) error { return json.Unmarshal(b, out) }}
+}
+
+// decodeJSON decodes a JSON answer into *out through a fresh T: out, a
+// caller's local the answer's frame decoder also writes, then stays on the
+// caller's stack, and only a JSON answer allocates.
+func decodeJSON[T any](b []byte, out *T) error {
+	v := new(T)
+	err := json.Unmarshal(b, v)
+	*out = *v
+	return err
+}
+
+// do runs one retrying body-less call answered in JSON.
+func (c *Client) do(ctx context.Context, method, path string, out any) error {
+	return c.call(ctx, &exchange{rt: route{method: method, path: path}}, jsonInto(out))
+}
+
+// call is the one retry/failover loop under every method. The same frame
+// is re-sent per attempt, so every retry carries the complete request
+// (including the same idempotency key). On a failover-worthy error a
+// multi-endpoint client re-discovers the primary before the next attempt,
+// which makes the error itself worth that attempt even when it is not
+// transiently retryable (a 403 from a follower will not heal by waiting,
+// but it will by moving). Neither the context's end nor the exchange's
+// deadline is waited out: a backoff that would outlast the deadline is not
+// slept.
+func (c *Client) call(ctx context.Context, ex *exchange, ans *answer) error {
 	retries := c.opts.MaxRetries
 	if retries < 0 {
 		retries = 0
 	}
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = c.attempt(ctx, c.Endpoint(), rt, frame, jsonOut, fromFrame)
+		err = c.attempt(ctx, c.Endpoint(), ex, ans)
 		if err == nil {
 			return nil
 		}
 		moved := false
 		if c.multi() && failoverWorthy(err) {
 			moved = true
-			c.rediscover(ctx)
+			c.rediscover(ctx, ex.deadline)
 		}
 		if (!retryable(err) && !moved) || attempt >= retries {
 			return err
@@ -364,18 +408,45 @@ func (c *Client) call(ctx context.Context, rt route, frame []byte, jsonOut any, 
 		if ctx.Err() != nil {
 			return err
 		}
-		if serr := c.opts.Sleep(ctx, c.backoff(attempt, err)); serr != nil {
+		wait := c.backoff(attempt, err)
+		if !ex.deadline.IsZero() && time.Until(ex.deadline) <= wait {
+			return err
+		}
+		if serr := c.opts.Sleep(ctx, wait); serr != nil {
 			return err
 		}
 	}
 }
 
+// bounded derives the context of one attempt, or of one rediscovery, that
+// ends when it is due (dueBy). The cancel func is nil when nothing bounds
+// it.
+func (c *Client) bounded(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc) {
+	due := dueBy(c.opts.CallTimeout, deadline)
+	if due.IsZero() {
+		return ctx, nil
+	}
+	return context.WithDeadline(ctx, due)
+}
+
+// dueBy is when an attempt that starts now must be done: timeout from now
+// (the per-attempt deadline, when positive), or the call's deadline when
+// that comes first; zero when neither bounds it.
+func dueBy(timeout time.Duration, deadline time.Time) time.Time {
+	if timeout > 0 {
+		if at := time.Now().Add(timeout); deadline.IsZero() || at.Before(deadline) {
+			return at
+		}
+	}
+	return deadline
+}
+
 // rediscover surveys every endpoint's replication status (cluster.Survey:
 // concurrent, waiting out a fast answer from a deposed primary, bounded by
-// the per-attempt timeout) and re-targets the epoch-dominant primary. When
-// nothing answers as primary the client just rotates, so repeated retries
-// still sweep the list.
-func (c *Client) rediscover(ctx context.Context) {
+// the per-attempt timeout and the call's deadline) and re-targets the
+// epoch-dominant primary. When nothing answers as primary the client just
+// rotates, so repeated retries still sweep the list.
+func (c *Client) rediscover(ctx context.Context, deadline time.Time) {
 	c.mu.Lock()
 	blocked := c.opts.ProbeCooldown > 0 && c.opts.Now().Before(c.probeBlockUntil)
 	c.mu.Unlock()
@@ -386,9 +457,8 @@ func (c *Client) rediscover(ctx context.Context) {
 		c.rotate()
 		return
 	}
-	if c.opts.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
+	ctx, cancel := c.bounded(ctx, deadline)
+	if cancel != nil {
 		defer cancel()
 	}
 	primary, _, found := cluster.Survey(ctx, c.hc, c.endpoints).Primary(0)
@@ -413,43 +483,45 @@ func (c *Client) rediscover(ctx context.Context) {
 	}
 }
 
-// encodeFrame encodes one request into the bytes every attempt of its call
-// sends. The encoder runs in pooled scratch, so a long list costs no
-// growth reallocations, and the result is one exact-size copy that the
-// garbage collector owns: net/http may still be reading a request body
-// after RoundTrip has returned (an answer can overtake the write; only the
-// body's Close says otherwise), and a body type that reports Close is one
-// net/http no longer recognises as in-memory, which makes it flush the
-// request line and headers in a write of their own before the body —
-// a second syscall per call, more than the copy costs.
-func encodeFrame[T any](encode func([]byte, T) []byte, v T) []byte {
-	scratch := wire.NewFrameBuf()
-	defer scratch.Release()
-	scratch.B = encode(scratch.B, v)
-	return bytes.Clone(scratch.B)
+// encodeFrame encodes one request into pooled scratch, which holds the
+// bytes every attempt of its call sends until the caller releases it once
+// the call has returned. A call stream copies the frame into its own write
+// buffer, and an HTTP attempt sends a copy of its own (attempt).
+func encodeFrame[T any](encode func([]byte, T) []byte, v T) *wire.FrameBuf {
+	fb := wire.NewFrameBuf()
+	fb.B = encode(fb.B, v)
+	return fb
 }
 
 var frameContentType = []string{wire.ContentType}
 
-// attempt runs one call against base under the per-attempt deadline: on
-// the endpoint's call stream when one is open, otherwise as an HTTP round
-// trip whose answer is read as a stream's is (decodeAnswer), its codec
-// told by its own Content-Type. Error responses carry the JSON envelope
-// whatever the request's codec and surface as *APIError.
-func (c *Client) attempt(ctx context.Context, base string, rt route, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
+// attempt runs one call against base under the per-attempt deadline and
+// the exchange's: on the endpoint's call stream when one is open, otherwise
+// as an HTTP round trip whose answer is read as a stream's is
+// (decodeAnswer), its codec told by its own Content-Type. Error responses
+// carry the JSON envelope whatever the request's codec and surface as
+// *APIError.
+func (c *Client) attempt(ctx context.Context, base string, ex *exchange, ans *answer) error {
+	rt := ex.rt
 	if rt.op != 0 {
 		if cs := c.stream(base); cs != nil {
-			return cs.call(ctx, rt.op, frame, jsonOut, fromFrame)
+			return cs.call(ctx, ex, ans)
 		}
 	}
-	if c.opts.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
+	ctx, cancel := c.bounded(ctx, ex.deadline)
+	if cancel != nil {
 		defer cancel()
 	}
 	var body io.Reader
 	if rt.op != 0 && !rt.op.ByID() {
-		body = bytes.NewReader(frame)
+		// The body is an exact-size copy that the garbage collector owns:
+		// net/http may still be reading a request body after RoundTrip has
+		// returned (an answer can overtake the write; only the body's Close
+		// says otherwise), and a body type that reports Close is one net/http
+		// no longer recognises as in-memory, which makes it flush the request
+		// line and headers in a write of their own before the body — a second
+		// syscall per call, more than the copy costs.
+		body = bytes.NewReader(bytes.Clone(ex.frame))
 	}
 	req, err := http.NewRequestWithContext(ctx, rt.method, base+rt.path, body)
 	if err != nil {
@@ -470,7 +542,7 @@ func (c *Client) attempt(ctx context.Context, base string, rt route, frame []byt
 		return fmt.Errorf("gridbwd: %w", err)
 	}
 	if resp.StatusCode == http.StatusSwitchingProtocols {
-		return c.adopt(ctx, base, resp, jsonOut, fromFrame) // it owns the connection
+		return c.adopt(ctx, base, resp, ans) // it owns the connection
 	}
 	defer resp.Body.Close()
 	codec := wire.CodecJSON
@@ -482,7 +554,7 @@ func (c *Client) attempt(ctx context.Context, base string, rt route, frame []byt
 	if err := buf.ReadBody(resp.Body, resp.ContentLength); err != nil && resp.StatusCode < 300 {
 		return fmt.Errorf("gridbwd: decode response: %w", err)
 	}
-	err = decodeAnswer(resp.StatusCode, codec, buf.B, jsonOut, fromFrame)
+	err = decodeAnswer(resp.StatusCode, codec, buf.B, ans)
 	if ae, ok := err.(*APIError); ok {
 		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
 			ae.RetryAfter = time.Duration(secs) * time.Second
@@ -494,7 +566,7 @@ func (c *Client) attempt(ctx context.Context, base string, rt route, frame []byt
 // attemptJSON is one unretried attempt of a body-less JSON call — the
 // probes that want the current truth of one endpoint.
 func (c *Client) attemptJSON(ctx context.Context, base, method, path string, out any) error {
-	return c.attempt(ctx, base, route{method: method, path: path}, nil, out, nil)
+	return c.attempt(ctx, base, &exchange{rt: route{method: method, path: path}}, jsonInto(out))
 }
 
 // Submit posts a reservation request and returns the daemon's decision.
@@ -523,11 +595,16 @@ func (c *Client) SubmitWire(ctx context.Context, ws wire.Submission) (wire.Reser
 	if err := ws.Check(); err != nil {
 		return wire.ReservationJSON{}, badRequest(err)
 	}
-	frame := encodeFrame(wire.AppendSubmitRequest, &ws)
+	frame := wire.NewFrameBuf()
+	defer frame.Release()
+	frame.B = wire.AppendSubmitRequest(frame.B, &ws)
 	var out wire.ReservationJSON
-	err := c.call(ctx, framed(wire.OpSubmit, 0), frame, &out, func(b []byte) (err error) {
-		out, err = wire.DecodeSubmitResponse(b)
-		return err
+	err := c.call(ctx, &exchange{rt: framed(wire.OpSubmit, 0), frame: frame.B}, &answer{
+		fromJSON: func(b []byte) error { return decodeJSON(b, &out) },
+		fromFrame: func(b []byte) (err error) {
+			out, err = wire.DecodeSubmitResponse(b)
+			return err
+		},
 	})
 	return out, err
 }
@@ -576,10 +653,14 @@ func (c *Client) SubmitBatchWire(ctx context.Context, subs []wire.Submission) ([
 		return nil, err
 	}
 	frame := encodeFrame(wire.AppendBatchRequest, subs)
+	defer frame.Release()
 	var out wire.BatchResponse
-	err := c.call(ctx, framed(wire.OpBatch, 0), frame, &out, func(b []byte) (err error) {
-		out.Results, err = wire.DecodeBatchResponse(b)
-		return err
+	err := c.call(ctx, &exchange{rt: framed(wire.OpBatch, 0), frame: frame.B}, &answer{
+		fromJSON: func(b []byte) error { return decodeJSON(b, &out) },
+		fromFrame: func(b []byte) (err error) {
+			out.Results, err = wire.DecodeBatchResponse(b)
+			return err
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -608,35 +689,51 @@ func (c *Client) Cancel(ctx context.Context, id int) (wire.ReservationJSON, erro
 // offer too when the server could not take the connection over; it
 // carries no human rate string, filled in here as the JSON face spells it.
 func (c *Client) byID(ctx context.Context, op wire.Op, id int) (wire.ReservationJSON, error) {
+	var frame [wire.IDFrameBytes]byte
 	var out wire.ReservationJSON
-	err := c.call(ctx, framed(op, id), wire.AppendIDFrame(nil, id), &out, func(b []byte) (err error) {
-		out, err = wire.DecodeSubmitResponse(b)
-		out.SpellRate()
-		return err
+	err := c.call(ctx, &exchange{rt: framed(op, id), frame: wire.AppendIDFrame(frame[:0], id)}, &answer{
+		fromJSON: func(b []byte) error { return decodeJSON(b, &out) },
+		fromFrame: func(b []byte) (err error) {
+			out, err = wire.DecodeSubmitResponse(b)
+			out.SpellRate()
+			return err
+		},
 	})
 	return out, err
 }
 
-// holdCall posts one list-shaped hold call and checks the answer lines up
-// with the list. The call retries and fails over like any write; hold
-// keys make the retries idempotent on the daemon.
-func holdCall[Q, A any](ctx context.Context, c *Client, op wire.Op, holds []Q, check func(*Q) error,
-	encode func([]byte, []Q) []byte, decode func([]byte) ([]A, error)) ([]A, error) {
+// holdCall posts one list-shaped hold call, held to deadline (zero: none),
+// and checks the answer lines up with the list. A framed answer decodes
+// over into's backing array (wire's ...Into decoders). The call retries and
+// fails over like any write; hold keys make the retries idempotent on the
+// daemon.
+func holdCall[Q, A any](ctx context.Context, c *Client, op wire.Op, deadline time.Time, holds []Q, into []A,
+	check func(*Q) error, encode func([]byte, []Q) []byte, decode func([]byte, []A) ([]A, error)) ([]A, error) {
 	if err := checkAll(holds, check); err != nil {
 		return nil, err
 	}
-	var out wire.HoldResultsJSON[A]
-	err := c.call(ctx, framed(op, 0), encodeFrame(encode, holds), &out, func(b []byte) (err error) {
-		out.Results, err = decode(b)
-		return err
+	frame := encodeFrame(encode, holds)
+	defer frame.Release()
+	var out []A
+	err := c.call(ctx, &exchange{rt: framed(op, 0), frame: frame.B, deadline: deadline}, &answer{
+		fromJSON: func(b []byte) error {
+			var res wire.HoldResultsJSON[A]
+			err := json.Unmarshal(b, &res)
+			out = res.Results
+			return err
+		},
+		fromFrame: func(b []byte) (err error) {
+			out, err = decode(b, into)
+			return err
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if len(out.Results) != len(holds) {
-		return nil, fmt.Errorf("gridbwd: %s answered %d results for %d holds", op, len(out.Results), len(holds))
+	if len(out) != len(holds) {
+		return nil, fmt.Errorf("gridbwd: %s answered %d results for %d holds", op, len(out), len(holds))
 	}
-	return out.Results, nil
+	return out, nil
 }
 
 // checkAll refuses, before encoding, a list with an item a frame cannot
@@ -659,8 +756,17 @@ func badRequest(err error) *APIError {
 // HoldReserve places one side each of a list of cross-shard two-phase
 // admissions, decided in list order; one answer per hold. An answer with
 // Code set is that item's own failure, not the call's.
-func (c *Client) HoldReserve(ctx context.Context, reqs []wire.HoldReserveJSON) ([]wire.HoldReserveResponseJSON, error) {
-	return holdCall(ctx, c, wire.OpReserve, reqs, (*wire.HoldReserveJSON).Check, wire.AppendHoldReserveList, wire.DecodeHoldReserveResults)
+//
+// A non-zero deadline bounds the whole call, retries included, the way a
+// context deadline would: the call fails once it passes, and a call stream
+// the attempt waits on ends as a lapsed context ends it. The answers decode
+// over into's backing array when it holds them all (nil: a new one). An
+// element whose Hold already names its request's key keeps that string for
+// the echo (wire.DecodeHoldReserveResultsInto), so a caller that reuses
+// into from call to call and fills in the keys decodes the answers without
+// allocating.
+func (c *Client) HoldReserve(ctx context.Context, deadline time.Time, reqs []wire.HoldReserveJSON, into []wire.HoldReserveResponseJSON) ([]wire.HoldReserveResponseJSON, error) {
+	return holdCall(ctx, c, wire.OpReserve, deadline, reqs, into, (*wire.HoldReserveJSON).Check, wire.AppendHoldReserveList, wire.DecodeHoldReserveResultsInto)
 }
 
 // HoldConfirm commits held reservations. A non-zero epoch on a ref must
@@ -668,18 +774,18 @@ func (c *Client) HoldReserve(ctx context.Context, reqs []wire.HoldReserveJSON) (
 // a 403 after the built-in failover retries means the shard changed
 // lineage mid-hold — refresh the epoch via Replication and confirm once
 // more, or abort both sides. A per-item 409 is a hold that rolled back
-// before the commit.
-func (c *Client) HoldConfirm(ctx context.Context, refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error) {
-	return holdCall(ctx, c, wire.OpConfirm, refs, (*wire.HoldRefJSON).Check, wire.AppendHoldRefList, wire.DecodeHoldStates)
+// before the commit. deadline and into are HoldReserve's.
+func (c *Client) HoldConfirm(ctx context.Context, deadline time.Time, refs []wire.HoldRefJSON, into []wire.HoldStateJSON) ([]wire.HoldStateJSON, error) {
+	return holdCall(ctx, c, wire.OpConfirm, deadline, refs, into, (*wire.HoldRefJSON).Check, wire.AppendHoldRefList, wire.DecodeHoldStatesInto)
 }
 
 // HoldAbort rolls holds back, by key or (the cancel path of a cross-shard
 // reservation) by the ingress-side local request ID, whose answer names
 // the hold key and the peer point so the caller can abort the other side
 // too. Always safe: aborting an unknown or already-aborted key is a
-// recorded no-op on the daemon.
-func (c *Client) HoldAbort(ctx context.Context, refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error) {
-	return holdCall(ctx, c, wire.OpAbort, refs, (*wire.HoldRefJSON).Check, wire.AppendHoldRefList, wire.DecodeHoldStates)
+// recorded no-op on the daemon. deadline and into are HoldReserve's.
+func (c *Client) HoldAbort(ctx context.Context, deadline time.Time, refs []wire.HoldRefJSON, into []wire.HoldStateJSON) ([]wire.HoldStateJSON, error) {
+	return holdCall(ctx, c, wire.OpAbort, deadline, refs, into, (*wire.HoldRefJSON).Check, wire.AppendHoldRefList, wire.DecodeHoldStatesInto)
 }
 
 // Status fetches the live control-plane view.
@@ -730,9 +836,8 @@ func (c *Client) Metrics(ctx context.Context) (wire.MetricsJSON, error) {
 // read, so a stalled scrape (slow-loris daemon, wedged proxy) returns
 // an error instead of hanging the poller.
 func (c *Client) Metricsz(ctx context.Context) (string, error) {
-	if c.opts.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
+	ctx, cancel := c.bounded(ctx, time.Time{})
+	if cancel != nil {
 		defer cancel()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Endpoint()+"/v1/metricsz", nil)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -222,6 +223,30 @@ func TestIdempotencyKeyStable(t *testing.T) {
 	if k := NewIdempotencyKey(); k == NewIdempotencyKey() {
 		t.Errorf("generated keys collide: %q", k)
 	}
+}
+
+// TestNewIdempotencyKeyShape: a generated key is 32 lowercase hex digits,
+// 10k of them are distinct, and making one allocates only the key.
+func TestNewIdempotencyKeyShape(t *testing.T) {
+	seen := make(map[string]bool, 10000)
+	for i := 0; i < 10000; i++ {
+		k := NewIdempotencyKey()
+		if len(k) != 32 || strings.Trim(k, "0123456789abcdef") != "" {
+			t.Fatalf("key %q is not 32 lowercase hex digits", k)
+		}
+		if seen[k] {
+			t.Fatalf("key %q generated twice in %d", k, i+1)
+		}
+		seen[k] = true
+	}
+	if raceEnabled {
+		return // allocation counts are meaningless under -race
+	}
+	var k string
+	if n := testing.AllocsPerRun(100, func() { k = NewIdempotencyKey() }); n != 1 {
+		t.Errorf("NewIdempotencyKey allocates %v times, want 1 (the key)", n)
+	}
+	_ = k
 }
 
 // TestSubmitBatchRetryNeverBooksTwice: a dropped batch response is

@@ -53,13 +53,13 @@ func TestJSONAnswerToFramedRequest(t *testing.T) {
 	if err != nil || len(items) != 2 || items[0].Reservation == nil || *items[0].Reservation != reservation || items[1].Error != "nope" {
 		t.Errorf("SubmitBatch = %+v, %v", items, err)
 	}
-	if got, err := c.HoldReserve(ctx, []wire.HoldReserveJSON{{Hold: "h", Side: "in"}}); err != nil || len(got) != 1 || got[0] != reserved {
+	if got, err := c.HoldReserve(ctx, time.Time{}, []wire.HoldReserveJSON{{Hold: "h", Side: "in"}}, nil); err != nil || len(got) != 1 || got[0] != reserved {
 		t.Errorf("HoldReserve = %+v, %v", got, err)
 	}
-	if got, err := c.HoldConfirm(ctx, []wire.HoldRefJSON{{Hold: "h"}}); err != nil || len(got) != 1 || got[0] != state {
+	if got, err := c.HoldConfirm(ctx, time.Time{}, []wire.HoldRefJSON{{Hold: "h"}}, nil); err != nil || len(got) != 1 || got[0] != state {
 		t.Errorf("HoldConfirm = %+v, %v", got, err)
 	}
-	if got, err := c.HoldAbort(ctx, []wire.HoldRefJSON{{Hold: "h"}}); err != nil || len(got) != 1 || got[0] != state {
+	if got, err := c.HoldAbort(ctx, time.Time{}, []wire.HoldRefJSON{{Hold: "h"}}, nil); err != nil || len(got) != 1 || got[0] != state {
 		t.Errorf("HoldAbort = %+v, %v", got, err)
 	}
 }

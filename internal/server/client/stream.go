@@ -24,12 +24,13 @@ import (
 // the other callers', instead of an HTTP round trip. A server that ignores
 // the offer answers over HTTP, and the next call offers again. Each call
 // writes a tagged frame and waits for the answer with its tag; one reader
-// goroutine hands the answers out, and one watchdog timer holds the oldest
-// pending call to the per-attempt deadline. Nothing on the stream is
-// retried: a stream that fails — a read or write error, a call past the
-// per-attempt deadline, a cancelled context — fails every call pending on
-// it with a transport error, and the retry loop re-sends each over HTTP
-// with its idempotency key, offering again.
+// goroutine hands the answers out, and one watchdog timer holds every
+// pending call to its due instant: the per-attempt deadline, or its
+// exchange's deadline when that comes first. Nothing on the stream is
+// retried: a stream that fails — a read or write error, a call past its
+// due instant, a cancelled context — fails every call pending on it with a
+// transport error, and the retry loop re-sends each over HTTP with its
+// idempotency key, offering again.
 
 var (
 	upgradeHeader      = []string{"Upgrade"}
@@ -67,7 +68,7 @@ func (c *Client) offered(base string) {
 // the call's own answer, the stream's first frame, under the attempt's
 // deadline, and keeps the stream for later calls to base unless one is
 // already open.
-func (c *Client) adopt(ctx context.Context, base string, resp *http.Response, jsonOut any, fromFrame func([]byte) error) error {
+func (c *Client) adopt(ctx context.Context, base string, resp *http.Response, ans *answer) error {
 	rwc, ok := resp.Body.(io.ReadWriteCloser)
 	if !ok || !strings.EqualFold(resp.Header.Get("Upgrade"), wire.CallProtocol) {
 		resp.Body.Close()
@@ -104,15 +105,15 @@ func (c *Client) adopt(ctx context.Context, base string, resp *http.Response, js
 		c.mu.Unlock()
 		go cs.read()
 	}
-	return decodeAnswer(status, codec, body, jsonOut, fromFrame)
+	return decodeAnswer(status, codec, body, ans)
 }
 
 // decodeAnswer reads one answer, off the stream or over HTTP: a frame goes
-// to fromFrame and JSON to jsonOut, and a status of 300 or more is an
-// *APIError — the JSON error envelope's text when there is one, otherwise
-// the raw body (a 409 cancel answer carries the reservation, not an
-// envelope), otherwise the status line.
-func decodeAnswer(status int, codec byte, body []byte, jsonOut any, fromFrame func([]byte) error) error {
+// to ans.fromFrame and JSON to ans.fromJSON, and a status of 300
+// or more is an *APIError — the JSON error envelope's text when there is
+// one, otherwise the raw body (a 409 cancel answer carries the reservation,
+// not an envelope), otherwise the status line.
+func decodeAnswer(status int, codec byte, body []byte, ans *answer) error {
 	if status >= 300 {
 		ae := &APIError{StatusCode: status, Message: fmt.Sprintf("%d %s", status, http.StatusText(status))}
 		var env wire.ErrorJSON
@@ -124,10 +125,10 @@ func decodeAnswer(status int, codec byte, body []byte, jsonOut any, fromFrame fu
 		return ae
 	}
 	var err error
-	if codec == wire.CodecFrame && fromFrame != nil {
-		err = fromFrame(body)
+	if codec == wire.CodecFrame && ans.fromFrame != nil {
+		err = ans.fromFrame(body)
 	} else {
-		err = json.Unmarshal(body, jsonOut)
+		err = ans.fromJSON(body)
 	}
 	if err != nil {
 		return fmt.Errorf("gridbwd: decode response: %w", err)
@@ -151,20 +152,24 @@ type callStream struct {
 	err     error // why the stream failed; nil while it is open
 
 	// timeout is the per-attempt deadline (Options.CallTimeout), which
-	// every call on the stream shares; when it is positive, watch is the
-	// one timer that enforces it. The first call that finds watch unarmed
-	// arms it for timeout; when it fires it fails the stream if the oldest
-	// pending call is that old, re-arms for what that call has left
-	// otherwise, and stays unarmed when nothing is pending.
+	// every call on the stream shares; a call's due instant is that long
+	// after it was sent, or its exchange's deadline when that comes first.
+	// watch is the one timer that enforces them all: armed, it fires at
+	// watchAt, no later than the earliest due instant pending. A call due
+	// before watchAt (or finding watch unarmed) moves it to its own due
+	// instant; when it fires it fails the stream if a pending call is due,
+	// re-arms for the earliest one otherwise, and stays unarmed when none
+	// is pending.
 	timeout time.Duration
 	watch   *time.Timer
 	armed   bool
+	watchAt time.Time
 }
 
 // pendingCall is one call waiting for its answer, or for the stream to fail.
 type pendingCall struct {
 	done   chan struct{}
-	sent   time.Time // when the call was registered; the watchdog reads it
+	due    time.Time // when the call fails the stream; zero: never
 	status int
 	codec  byte
 	body   []byte
@@ -174,11 +179,12 @@ type pendingCall struct {
 
 var pendingPool = sync.Pool{New: func() any { return &pendingCall{done: make(chan struct{}, 1)} }}
 
-// call sends one call and waits for its answer. The attempt's deadline
-// (the stream's timeout, when positive) or the end of ctx fails the whole
-// stream: an answer that did not come in time may never come, and a
-// connection that swallows calls must not take the next ones too.
-func (cs *callStream) call(ctx context.Context, op wire.Op, frame []byte, jsonOut any, fromFrame func([]byte) error) error {
+// call sends one call and waits for its answer. Passing its due instant
+// (the stream's timeout after now, or the exchange's deadline when that
+// comes first) or the end of ctx fails the whole stream: an answer that did
+// not come in time may never come, and a connection that swallows calls
+// must not take the next ones too.
+func (cs *callStream) call(ctx context.Context, ex *exchange, ans *answer) error {
 	p := pendingPool.Get().(*pendingCall)
 	cs.mu.Lock()
 	if cs.err != nil {
@@ -192,11 +198,8 @@ func (cs *callStream) call(ctx context.Context, op wire.Op, frame []byte, jsonOu
 	}
 	tag := cs.next
 	cs.pending[tag] = p
-	if cs.timeout > 0 {
-		p.sent = time.Now()
-		if !cs.armed {
-			cs.armWatchLocked(cs.timeout)
-		}
+	if p.due = dueBy(cs.timeout, ex.deadline); !p.due.IsZero() && (!cs.armed || p.due.Before(cs.watchAt)) {
+		cs.armWatchLocked(p.due)
 	}
 	cs.mu.Unlock()
 
@@ -205,7 +208,7 @@ func (cs *callStream) call(ctx context.Context, op wire.Op, frame []byte, jsonOu
 		defer stop()
 	}
 	cs.wmu.Lock()
-	cs.wbuf = wire.AppendCall(cs.wbuf[:0], tag, op, frame)
+	cs.wbuf = wire.AppendCall(cs.wbuf[:0], tag, ex.rt.op, ex.frame)
 	_, err := cs.rwc.Write(cs.wbuf)
 	if cap(cs.wbuf) > 64<<10 {
 		cs.wbuf = nil
@@ -223,36 +226,40 @@ func (cs *callStream) call(ctx context.Context, op wire.Op, frame []byte, jsonOu
 	if p.err != nil {
 		return fmt.Errorf("gridbwd: call stream: %w", p.err)
 	}
-	return decodeAnswer(p.status, p.codec, p.body, jsonOut, fromFrame)
+	return decodeAnswer(p.status, p.codec, p.body, ans)
 }
 
-// armWatchLocked arms the watchdog to fire in d; the stream's mu is held.
-func (cs *callStream) armWatchLocked(d time.Duration) {
-	cs.armed = true
+// armWatchLocked arms the watchdog to fire at at; the stream's mu is held.
+func (cs *callStream) armWatchLocked(at time.Time) {
+	cs.armed, cs.watchAt = true, at
 	if cs.watch == nil {
-		cs.watch = time.AfterFunc(d, cs.watchdog)
+		cs.watch = time.AfterFunc(time.Until(at), cs.watchdog)
 		return
 	}
-	cs.watch.Reset(d)
+	cs.watch.Reset(time.Until(at))
 }
 
-// watchdog fails the stream when its oldest pending call has waited the
-// whole timeout, and otherwise re-arms for the time that call has left.
+// watchdog fails the stream when a pending call is due, and otherwise
+// re-arms for the earliest due instant pending.
 func (cs *callStream) watchdog() {
 	cs.mu.Lock()
 	cs.armed = false
-	if cs.err != nil || len(cs.pending) == 0 {
+	if cs.err != nil {
 		cs.mu.Unlock()
 		return
 	}
-	var oldest time.Time
+	var first time.Time
 	for _, p := range cs.pending {
-		if oldest.IsZero() || p.sent.Before(oldest) {
-			oldest = p.sent
+		if !p.due.IsZero() && (first.IsZero() || p.due.Before(first)) {
+			first = p.due
 		}
 	}
-	if left := cs.timeout - time.Since(oldest); left > 0 {
-		cs.armWatchLocked(left)
+	if first.IsZero() {
+		cs.mu.Unlock()
+		return
+	}
+	if time.Until(first) > 0 {
+		cs.armWatchLocked(first)
 		cs.mu.Unlock()
 		return
 	}

@@ -3,6 +3,7 @@ package client
 import (
 	"bufio"
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -342,7 +343,8 @@ func TestServerCloseEndsCallStreams(t *testing.T) {
 
 // scriptedPeer is a call-stream server over net.Pipe: it takes the upgrade
 // offer of each connection's first call, then answers every lookup on the
-// stream with the id it names — except silent, which it never answers.
+// stream with the id it names — except silent, which it never answers, and
+// never any other call.
 type scriptedPeer struct {
 	silent int
 	dials  atomic.Int64
@@ -382,7 +384,7 @@ func (p *scriptedPeer) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if id, _ := wire.DecodeIDFrame(frame); id != p.silent {
+		if id, err := wire.DecodeIDFrame(frame); err == nil && id != p.silent {
 			if _, err := conn.Write(answer(nil, tag, id)); err != nil {
 				return
 			}
@@ -477,5 +479,49 @@ func TestStreamWatchdogSparesAnIdleStream(t *testing.T) {
 	}
 	if n := p.dials.Load(); n != 1 {
 		t.Errorf("%d connections, want every call on the first", n)
+	}
+}
+
+// TestStreamDeadlineEndsTheCallAndTheStream: a hold call held to a deadline
+// well inside the call timeout fails at that deadline, as a call under a
+// context with that deadline did: with a retryable transport error, the
+// stream it waited on ended and forgotten, no retry or backoff after it —
+// the deadline bounds the whole call — and the next call on a fresh stream.
+func TestStreamDeadlineEndsTheCallAndTheStream(t *testing.T) {
+	const deadline = 150 * time.Millisecond
+	var backoffs []time.Duration
+	p := &scriptedPeer{silent: -1}
+	opts := instant(&backoffs)
+	opts.CallTimeout = 10 * time.Second
+	c := p.client(opts)
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.Get(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	cs := c.stream("http://peer")
+	if cs == nil {
+		t.Fatal("the first call did not upgrade")
+	}
+	t0 := time.Now()
+	_, err := c.HoldConfirm(ctx, t0.Add(deadline), []wire.HoldRefJSON{{Hold: "h"}}, nil)
+	took := time.Since(t0)
+	if err == nil || !retryable(err) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("the unanswered hold call returned %v, want a retryable deadline error", err)
+	}
+	if took < deadline || took > deadline+200*time.Millisecond {
+		t.Errorf("the unanswered hold call failed after %v, want its %v deadline", took, deadline)
+	}
+	if len(backoffs) != 0 {
+		t.Errorf("backed off %v after the deadline passed, want no retry", backoffs)
+	}
+	if c.stream("http://peer") == cs {
+		t.Error("the client kept the stream the deadline ended")
+	}
+	if _, err := c.Get(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.dials.Load(); n != 2 {
+		t.Errorf("%d connections, want a second one after the first ended", n)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
@@ -96,7 +97,7 @@ func TestKeysPastTheBoundAreRefused(t *testing.T) {
 		`{"holds":[{"hold":"`+long+`","side":"in","point":0,"peer_point":1,"volume_bytes":1e9,"max_rate_bps":1e8,"deadline_s":1000}]}`))
 	refused("JSON confirm with a 70,000-byte hold key", post("/v1/confirm", `{"holds":[{"hold":"`+long+`"}]}`))
 	hold := wire.HoldReserveJSON{Hold: long, Side: trace.HoldSideIngress, Point: 0, PeerPoint: 1, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 1000}
-	_, err = c.HoldReserve(ctx, []wire.HoldReserveJSON{hold})
+	_, err = c.HoldReserve(ctx, time.Time{}, []wire.HoldReserveJSON{hold}, nil)
 	refused("client reserve with a 70,000-byte hold key", apiCode(err))
 	resps, err := s.HoldReserve([]wire.HoldReserveJSON{hold})
 	if err != nil {
@@ -188,10 +189,10 @@ func TestFramesCarryNoPointPastThirtyTwoBits(t *testing.T) {
 	_, err = c.SubmitBatchWire(ctx, []wire.Submission{{From: 0, To: 1<<32 + 1, Volume: 1e9, MaxRate: 1e8, Deadline: 400}})
 	refused("SubmitBatchWire of 0→2^32+1", err)
 	hold := wire.HoldReserveJSON{Hold: "h", Side: trace.HoldSideIngress, Point: 1<<32 + 1, PeerPoint: 0, VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 1000}
-	_, err = c.HoldReserve(ctx, []wire.HoldReserveJSON{hold})
+	_, err = c.HoldReserve(ctx, time.Time{}, []wire.HoldReserveJSON{hold}, nil)
 	refused("HoldReserve of point 2^32+1", err)
 	hold.Point, hold.Side = 1, strings.Repeat("s", wire.MaxKeyBytes+1)
-	_, err = c.HoldReserve(ctx, []wire.HoldReserveJSON{hold})
+	_, err = c.HoldReserve(ctx, time.Time{}, []wire.HoldReserveJSON{hold}, nil)
 	refused("HoldReserve with a 65,536-byte side", err)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reserve", strings.NewReader(

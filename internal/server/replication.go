@@ -882,7 +882,7 @@ func (s *Server) serveStream(st *stream, rd *wal.Reader, b wire.ShippedBatch, go
 		} else {
 			buf = wire.AppendReplBatch(buf[:0], &b)
 		}
-		if err != nil || st.write(buf) != nil {
+		if err != nil || st.write(nil, buf) != nil {
 			return
 		}
 		if !gone {

@@ -154,21 +154,17 @@ func (st *stream) release() { st.set.wg.Done() }
 // done is closed once the stream hung up.
 func (st *stream) done() <-chan struct{} { return st.quit }
 
-// write sends one frame, the parts of it in order and in one piece, behind
-// the 101 if nothing went out yet. A peer that takes none of it within
-// streamIdle — it stopped reading — ends the stream.
-func (st *stream) write(parts ...[]byte) error {
+// write sends one frame in one piece — head, which may be nil, then body —
+// behind the 101 if nothing went out yet. head is copied, never kept, so a
+// caller's head array stays on its stack. A peer that takes none of it
+// within streamIdle — it stopped reading — ends the stream.
+func (st *stream) write(head, body []byte) error {
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
-	var buf []byte
-	if len(parts) == 1 && st.hello == nil {
-		buf = parts[0]
-	} else {
-		buf = append(st.wbuf[:0], st.hello...)
+	buf := body
+	if head != nil || st.hello != nil {
+		buf = append(append(append(st.wbuf[:0], st.hello...), head...), body...)
 		st.hello = nil
-		for _, p := range parts {
-			buf = append(buf, p...)
-		}
 		if cap(buf) <= 64<<10 {
 			st.wbuf = buf // a rare huge answer should not stay pinned
 		}

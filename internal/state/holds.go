@@ -37,9 +37,16 @@ var holdEvents = [...]string{
 // HoldReserve steps one RESERVE at now. An error is the request's fault and
 // files nothing.
 func (m *Machine) HoldReserve(now units.Time, req wire.HoldReserveJSON) (hold.Result, error) {
-	return m.step(now, hold.Msg{Kind: hold.Reserve, Key: req.Hold, Decide: func() (hold.Entry, error) {
-		return m.decide(now, req)
-	}}, true)
+	m.reserving = reserving{now: now, req: req}
+	defer func() { m.reserving = reserving{} }()
+	return m.step(now, hold.Msg{Kind: hold.Reserve, Key: req.Hold, Decide: m.decideReserving}, true)
+}
+
+// reserving is the live RESERVE being stepped: decideReserving, the step's
+// Decide, reads it, so that a RESERVE allocates no closure of its own.
+type reserving struct {
+	now units.Time
+	req wire.HoldReserveJSON
 }
 
 // HoldStep steps one CONFIRM or ABORT at now.
@@ -86,8 +93,44 @@ func (m *Machine) step(now units.Time, msg hold.Msg, live bool) (hold.Result, er
 // armHold arms e's timer that delivers k — the TTL lapse or the release at
 // τ — through the live step.
 func (m *Machine) armHold(e *hold.Entry, k hold.Kind) {
-	msg := hold.Msg{Kind: k, Key: e.Key}
-	m.Arm(e.Due(k), func(sim *des.Simulator) { m.step(sim.Now(), msg, true) })
+	t := m.holdTimer()
+	t.msg = hold.Msg{Kind: k, Key: e.Key}
+	if m.Arm(e.Due(k), t.fire) == (des.Handle{}) {
+		m.putTimer(t) // nothing was scheduled: a follower arms nothing
+	}
+}
+
+// holdTimer is one armed timer of a hold: it delivers msg through the live
+// step when it fires. Hold timers are never cancelled, so each one that is
+// scheduled fires once and then goes back on the machine's free list, with
+// its callback bound when it was made: once the list is warm, arming a
+// timer allocates nothing.
+type holdTimer struct {
+	msg  hold.Msg
+	fire des.Event
+}
+
+// holdTimer takes a timer off the free list, or makes one.
+func (m *Machine) holdTimer() *holdTimer {
+	if n := len(m.timers); n > 0 {
+		t := m.timers[n-1]
+		m.timers = m.timers[:n-1]
+		return t
+	}
+	t := new(holdTimer)
+	t.fire = func(sim *des.Simulator) {
+		msg := t.msg
+		m.putTimer(t)
+		m.step(sim.Now(), msg, true)
+	}
+	return t
+}
+
+// putTimer returns a timer that fired, or was never scheduled, to the free
+// list.
+func (m *Machine) putTimer(t *holdTimer) {
+	t.msg = hold.Msg{}
+	m.timers = append(m.timers, t)
 }
 
 // decide is this side's step of a RESERVE for a key the table does not know:
@@ -157,7 +200,8 @@ func (m *Machine) propose(h *hold.Entry, req wire.HoldReserveJSON, now units.Tim
 		h.Reason = checked.Err.Error()
 		return nil
 	}
-	tx := m.ledger.LockPoint(topology.Ingress, h.Point)
+	tx := &m.ptx
+	m.ledger.LockPointTx(tx, topology.Ingress, h.Point)
 	defer tx.Unlock()
 	g, no := admit.At(tx, m.pol, r, r.Start)
 	switch no.Cause {

@@ -132,6 +132,15 @@ type Machine struct {
 	// through it without the caller's lock.
 	ledger *alloc.Sharded
 	pol    policy.Policy // the ingress side of a hold proposes with it
+	// ptx is the point lock a proposal books through, reused from one
+	// RESERVE to the next.
+	ptx alloc.PointTx
+	// reserving is the live RESERVE HoldReserve is stepping, and
+	// decideReserving its decision, bound once.
+	reserving       reserving
+	decideReserving func() (hold.Entry, error)
+	// timers are the hold timers that fired, free for the next arm.
+	timers []*holdTimer
 	// entries recycles evicted entries: the steady-state accept path
 	// allocates nothing.
 	entries sync.Pool
@@ -160,6 +169,7 @@ func New(net *topology.Network, pol policy.Policy, retention int) *Machine {
 		holds:     hold.NewTable(ledger, retention),
 		idem:      make(map[string]*Slot),
 	}
+	m.decideReserving = func() (hold.Entry, error) { return m.decide(m.reserving.now, m.reserving.req) }
 	m.entries.New = func() any {
 		e := new(entry)
 		e.fire = func(sim *des.Simulator) { m.expire(e, sim.Now()) }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -70,7 +71,10 @@ func AppendSubmitRequest(dst []byte, ws *Submission) []byte {
 // MaxBatch; pass 0 for no bound).
 func DecodeBatchRequest(data []byte, maxCount int) ([]Submission, error) {
 	// A keyless record is 43 bytes.
-	return decodeList(data, reqMagic, 43, 1, maxCount, readSubmission)
+	return decodeList(data, nil, reqMagic, 43, 1, maxCount, func(r reader, ws *Submission) reader {
+		readSubmission(&r, ws)
+		return r
+	})
 }
 
 // DecodeSubmitRequest parses the one-record frame of a single submit; any
@@ -196,7 +200,10 @@ func readItem(r *reader, it *item) {
 // allocation.
 func DecodeBatchResponse(data []byte) ([]BatchItemJSON, error) {
 	// kind + u16 length is the 3-byte minimum item.
-	items, err := decodeList(data, respMagic, 3, 0, 0, readItem)
+	items, err := decodeList(data, nil, respMagic, 3, 0, 0, func(r reader, it *item) reader {
+		readItem(&r, it)
+		return r
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +256,7 @@ func AppendHoldReserveList(dst []byte, reqs []HoldReserveJSON) []byte {
 // DecodeHoldReserveList parses a framed POST /v1/reserve body of at most
 // maxCount holds.
 func DecodeHoldReserveList(data []byte, maxCount int) ([]HoldReserveJSON, error) {
-	return decodeList(data, reserveMagic, 77, 1, maxCount, func(r *reader, q *HoldReserveJSON) {
+	return decodeList(data, nil, reserveMagic, 77, 1, maxCount, func(r reader, q *HoldReserveJSON) reader {
 		q.RelTimes = r.u8("flags")&1 != 0
 		q.Hold = r.str16("hold")
 		q.Side = r.str16("side")
@@ -258,6 +265,7 @@ func DecodeHoldReserveList(data []byte, maxCount int) ([]HoldReserveJSON, error)
 		for _, v := range [...]*float64{&q.TTLS, &q.VolumeBytes, &q.MaxRateBps, &q.NotBeforeS, &q.DeadlineS, &q.RateBps, &q.SigmaS, &q.TauS} {
 			*v = r.f64("quantity")
 		}
+		return r
 	})
 }
 
@@ -280,9 +288,18 @@ func AppendHoldReserveResults(dst []byte, resps []HoldReserveResponseJSON) []byt
 
 // DecodeHoldReserveResults parses a framed POST /v1/reserve answer.
 func DecodeHoldReserveResults(data []byte) ([]HoldReserveResponseJSON, error) {
-	return decodeList(data, reservedMagic, 57, 0, 0, func(r *reader, a *HoldReserveResponseJSON) {
-		a.Held = r.u8("flags")&1 != 0
-		a.Hold = r.str16("hold")
+	return DecodeHoldReserveResultsInto(data, nil)
+}
+
+// DecodeHoldReserveResultsInto is DecodeHoldReserveResults over into's
+// backing array, when it holds every answer. An answer whose hold key is the
+// Hold its element already names keeps that string: a caller that fills
+// each element's Hold with its request's key decodes the echoes without
+// allocating.
+func DecodeHoldReserveResultsInto(data []byte, into []HoldReserveResponseJSON) ([]HoldReserveResponseJSON, error) {
+	return decodeList(data, into, reservedMagic, 57, 0, 0, func(r reader, a *HoldReserveResponseJSON) reader {
+		held := r.u8("flags")&1 != 0
+		*a = HoldReserveResponseJSON{Held: held, Hold: r.str16Known("hold", a.Hold)}
 		a.ID = int(int64(r.u64("id")))
 		a.RateBps = r.f64("rate")
 		a.SigmaS = r.f64("sigma")
@@ -292,6 +309,7 @@ func DecodeHoldReserveResults(data []byte) ([]HoldReserveResponseJSON, error) {
 		a.Reason = r.str16("reason")
 		a.Code = int(r.u16("code"))
 		a.Error = r.str16("error")
+		return r
 	})
 }
 
@@ -312,14 +330,15 @@ func AppendHoldRefList(dst []byte, refs []HoldRefJSON) []byte {
 // DecodeHoldRefList parses a framed POST /v1/confirm or /v1/abort body of
 // at most maxCount refs.
 func DecodeHoldRefList(data []byte, maxCount int) ([]HoldRefJSON, error) {
-	return decodeList(data, refMagic, 19, 1, maxCount, func(r *reader, ref *HoldRefJSON) {
+	return decodeList(data, nil, refMagic, 19, 1, maxCount, func(r reader, ref *HoldRefJSON) reader {
 		hasID := r.u8("flags")&1 != 0
-		ref.Hold = r.str16("hold")
+		*ref = HoldRefJSON{Hold: r.str16("hold")}
 		if v := int(int64(r.u64("id"))); hasID {
 			id := v
 			ref.ID = &id
 		}
 		ref.Epoch = r.u64("epoch")
+		return r
 	})
 }
 
@@ -339,19 +358,31 @@ func AppendHoldStates(dst []byte, sts []HoldStateJSON) []byte {
 
 // DecodeHoldStates parses a framed POST /v1/confirm or /v1/abort answer.
 func DecodeHoldStates(data []byte) ([]HoldStateJSON, error) {
-	return decodeList(data, stateMagic, 23, 0, 0, func(r *reader, st *HoldStateJSON) {
-		st.Released = r.u8("flags")&1 != 0
-		st.Hold = r.str16("hold")
+	return DecodeHoldStatesInto(data, nil)
+}
+
+// DecodeHoldStatesInto is DecodeHoldStates over into's backing array, and
+// keeps an element's Hold string for an answer that echoes it, as
+// DecodeHoldReserveResultsInto does.
+func DecodeHoldStatesInto(data []byte, into []HoldStateJSON) ([]HoldStateJSON, error) {
+	return decodeList(data, into, stateMagic, 23, 0, 0, func(r reader, st *HoldStateJSON) reader {
+		released := r.u8("flags")&1 != 0
+		*st = HoldStateJSON{Released: released, Hold: r.str16Known("hold", st.Hold)}
 		st.State = r.str16("state")
 		st.Side = r.str16("side")
 		st.PeerPoint = r.i32("peer_point")
 		st.Epoch = r.u64("epoch")
 		st.Code = int(r.u16("code"))
 		st.Error = r.str16("error")
+		return r
 	})
 }
 
 // --- lookups and cancels by id -------------------------------------------
+
+// IDFrameBytes is the size of the request frame of a lookup or cancel:
+// the frame's head and one id.
+const IDFrameBytes = len(idMagic) + 4 + 4 + 8
 
 // AppendIDFrame appends the request frame of a lookup or cancel of id.
 func AppendIDFrame(dst []byte, id int) []byte {
@@ -458,15 +489,18 @@ func AppendCall(dst []byte, tag uint32, op Op, frame []byte) []byte {
 // unknown op, a frame past MaxFrameBytes or a truncated call is an error:
 // the stream cannot be read on behind it.
 func ReadCall(r io.Reader, buf []byte) (tag uint32, op Op, frame []byte, err error) {
-	var hdr [callHeaderSize]byte
-	if n, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The head is read into buf, which the frame then overwrites: a head
+	// array of its own would escape through r to the heap, once per call.
+	buf = slices.Grow(buf[:0], callHeaderSize)
+	hdr := buf[:callHeaderSize]
+	if n, err := io.ReadFull(r, hdr); err != nil {
 		if n > 0 {
 			// Not a deadline between calls: the stream is out of step.
 			err = fmt.Errorf("wire: call header cut after %d bytes: %v", n, err)
 		}
 		return 0, 0, buf, err
 	}
-	tag, op = binary.LittleEndian.Uint32(hdr[:]), Op(hdr[4])
+	tag, op = binary.LittleEndian.Uint32(hdr), Op(hdr[4])
 	if !op.Valid() {
 		return tag, op, buf, fmt.Errorf("wire: unknown op %d", op)
 	}
@@ -498,11 +532,13 @@ func AppendJSONFrame(dst []byte, v any) []byte {
 // text for CodecJSON. An unknown codec, a body past MaxFrameBytes or a
 // truncated answer is an error.
 func ReadAnswer(r io.Reader, fb *FrameBuf) (tag uint32, status int, codec byte, body []byte, err error) {
-	var hdr [AnswerHeaderBytes]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	// The head is read into fb, which the frame then overwrites (ReadCall).
+	fb.B = slices.Grow(fb.B[:0], AnswerHeaderBytes)
+	hdr := fb.B[:AnswerHeaderBytes]
+	if _, err = io.ReadFull(r, hdr); err != nil {
 		return 0, 0, 0, nil, err
 	}
-	tag = binary.LittleEndian.Uint32(hdr[:])
+	tag = binary.LittleEndian.Uint32(hdr)
 	status = int(binary.LittleEndian.Uint16(hdr[4:]))
 	codec = hdr[6]
 	if codec != CodecFrame && codec != CodecJSON {

@@ -279,7 +279,23 @@ func (r *reader) bytes(n int, what string) []byte {
 // itself defines (hold sides and states) come back as constants, without
 // allocating.
 func (r *reader) str16(what string) string {
+	return intern(r.bytes(int(r.u16(what)), what))
+}
+
+// str16Known is str16 for a string the caller expects to read: when the
+// bytes spell known, known itself comes back, without allocating — an
+// answer that echoes its request's hold key shares the request's string.
+func (r *reader) str16Known(what, known string) string {
 	b := r.bytes(int(r.u16(what)), what)
+	if string(b) == known {
+		return known
+	}
+	return intern(b)
+}
+
+// intern is b as a string: one of the protocol's own words as its
+// constant, anything else as a copy.
+func intern(b []byte) string {
 	switch string(b) {
 	case "":
 		return ""
@@ -334,12 +350,18 @@ func (r *reader) finish(count int) error {
 	return r.err
 }
 
-// decodeList parses one frame into its records. Its count must lie in
+// decodeList parses one frame into its records, over into's backing array
+// when it holds them all and into a new one otherwise. Its count must lie in
 // [minCount, maxCount] (maxCount 0: no bound), checked before any
 // allocation, and minRecord is the shortest encoding of one record, so a
 // count the body cannot hold is rejected before allocating for it too. A
 // request list has minCount 1: an empty one is malformed.
-func decodeList[T any](data []byte, magic string, minRecord, minCount, maxCount int, record func(*reader, *T)) ([]T, error) {
+//
+// record reads one record over the element it is handed, which holds what
+// into held there (zero in a new array), and must set every field. The
+// reader travels by value, in and out, so that it stays on the stack of a
+// decode that allocates nothing.
+func decodeList[T any](data []byte, into []T, magic string, minRecord, minCount, maxCount int, record func(reader, *T) reader) ([]T, error) {
 	r, count, err := openFrame(data, magic)
 	switch {
 	case err != nil:
@@ -351,9 +373,13 @@ func decodeList[T any](data []byte, magic string, minRecord, minCount, maxCount 
 	case count > len(r.data)/minRecord:
 		return nil, fmt.Errorf("wire: count %d exceeds body capacity", count)
 	}
-	out := make([]T, count)
+	out := into[:0]
+	if out == nil || cap(out) < count {
+		out = make([]T, 0, count)
+	}
+	out = out[:count]
 	for i := range out {
-		record(&r, &out[i])
+		r = record(r, &out[i])
 		if r.err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, r.err)
 		}

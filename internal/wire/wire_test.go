@@ -62,6 +62,8 @@ func TestBinaryBatchRequestRoundTrip(t *testing.T) {
 func TestHoldListFramesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pick := func(ss ...string) string { return ss[rng.Intn(len(ss))] }
+	var staleResps []HoldReserveResponseJSON
+	var staleSts []HoldStateJSON
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(20)
 		reqs := make([]HoldReserveJSON, n)
@@ -118,6 +120,17 @@ func TestHoldListFramesRoundTrip(t *testing.T) {
 		if got, err := DecodeHoldStates(AppendHoldStates(nil, sts)); err != nil || !reflect.DeepEqual(got, sts) {
 			t.Fatalf("trial %d: hold states: %v\n got %+v\nwant %+v", trial, err, got, sts)
 		}
+		// Decoded over the last trial's answers, nothing of them survives.
+		got, err := DecodeHoldReserveResultsInto(AppendHoldReserveResults(nil, resps), staleResps)
+		if err != nil || !reflect.DeepEqual(got, resps) {
+			t.Fatalf("trial %d: reserve results into %d stale: %v\n got %+v\nwant %+v", trial, len(staleResps), err, got, resps)
+		}
+		staleResps = got
+		gotSts, err := DecodeHoldStatesInto(AppendHoldStates(nil, sts), staleSts)
+		if err != nil || !reflect.DeepEqual(gotSts, sts) {
+			t.Fatalf("trial %d: hold states into %d stale: %v\n got %+v\nwant %+v", trial, len(staleSts), err, gotSts, sts)
+		}
+		staleSts = gotSts
 		if got, err := DecodeBatchResponse(AppendBatchItems(nil, items)); err != nil || !reflect.DeepEqual(got, items) {
 			t.Fatalf("trial %d: items: %v\n got %+v\nwant %+v", trial, err, got, items)
 		}
@@ -310,4 +323,48 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return blob
+}
+
+// TestHoldAnswersDecodeIntoReusedSlices: answers decoded over a slice
+// whose elements already name their hold keys reuse its array and those
+// key strings, so a decode allocates nothing; an element naming another
+// key gets the answer's own.
+func TestHoldAnswersDecodeIntoReusedSlices(t *testing.T) {
+	keys := []string{"x-0123456789abcdef", "x-fedcba9876543210"}
+	resps := make([]HoldReserveResponseJSON, len(keys))
+	sts := make([]HoldStateJSON, len(keys))
+	for i, k := range keys {
+		resps[i] = HoldReserveResponseJSON{Hold: k, Held: true, ID: i, Epoch: 3, Reason: ""}
+		sts[i] = HoldStateJSON{Hold: k, State: "confirmed", Side: "in", PeerPoint: i}
+	}
+	resvFrame, stFrame := AppendHoldReserveResults(nil, resps), AppendHoldStates(nil, sts)
+	intoResv := make([]HoldReserveResponseJSON, len(keys))
+	intoSts := make([]HoldStateJSON, len(keys))
+	fill := func() {
+		for i, k := range keys {
+			intoResv[i] = HoldReserveResponseJSON{Hold: k}
+			intoSts[i] = HoldStateJSON{Hold: k}
+		}
+	}
+	var err error
+	n := testing.AllocsPerRun(100, func() {
+		fill()
+		if _, err = DecodeHoldReserveResultsInto(resvFrame, intoResv); err != nil {
+			return
+		}
+		_, err = DecodeHoldStatesInto(stFrame, intoSts)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 && !raceEnabled {
+		t.Errorf("decoding answers whose keys the slices name allocates %v times, want 0", n)
+	}
+	if !reflect.DeepEqual(intoResv, resps) || !reflect.DeepEqual(intoSts, sts) {
+		t.Fatalf("decoded %+v / %+v, want %+v / %+v", intoResv, intoSts, resps, sts)
+	}
+	intoSts[1].Hold = "x-other"
+	if got, err := DecodeHoldStatesInto(stFrame, intoSts); err != nil || got[1].Hold != keys[1] {
+		t.Fatalf("an element naming another key decoded to %q (%v), want %q", got[1].Hold, err, keys[1])
+	}
 }

@@ -9,7 +9,8 @@
 # record's encode, WAL append, the stream's read of the record, the
 # record's decode, encode; the loopback floor and the call plumbing over
 # net.Pipe and over loopback) and the wholes they add up to
-# (RouterDirectSubmit, RouterSameShardSubmit, ReplSyncAckAdmit) in one go
+# (RouterDirectSubmit, RouterSameShardSubmit, RouterCrossShardSubmit,
+# ReplSyncAckAdmit) in one go
 # through scripts/bench.sh, and merges the run into BENCH_stages.json as the
 # column named COLUMN (e.g. "parent" on a checkout of the parent commit,
 # "change" on the change), replacing a column of that name. Each column
@@ -24,7 +25,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 COLUMN="${1:?usage: scripts/stages.sh COLUMN}"
-REGEX='BenchmarkStages|BenchmarkRouterDirectSubmit|BenchmarkRouterSameShardSubmit|BenchmarkReplSyncAckAdmit'
+REGEX='BenchmarkStages|BenchmarkRouterDirectSubmit|BenchmarkRouterSameShardSubmit|BenchmarkRouterCrossShardSubmit|BenchmarkReplSyncAckAdmit'
 RUN="stages-run-${COLUMN}"
 trap 'rm -f "BENCH_${RUN}.json"' EXIT
 

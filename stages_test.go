@@ -36,8 +36,14 @@ const stagesFile = "BENCH_stages.json"
 // and encoded once more, by the router. A quorum submit is Server.Submit in
 // process — no call — whose decision is encoded as a WAL record by the
 // primary, read back by its replication stream, shipped over one loopback
-// round trip and decoded by the follower before it acks. All three admit
-// on sparse pairs. What is left of the whole is the remainder.
+// round trip and decoded by the follower before it acks. A cross-shard
+// submit is four calls one after another — client to router, then the
+// router's three hold waves: RESERVE on the ingress owner, RESERVE on the
+// egress owner, CONFIRM on both at once — whose named work is the router's
+// decode of the submit, the ingress owner's admission step and the router's
+// encode of the answer; the hold lists' codecs, the egress check, the
+// confirms and the hold records are its remainder. All four admit on sparse
+// pairs. What is left of the whole is the remainder.
 var stagePaths = []struct {
 	path, whole             string
 	floor, plumbing, stages []string
@@ -54,6 +60,10 @@ var stagePaths = []struct {
 		[]string{"Stages/loopback"},
 		[]string{},
 		[]string{"Stages/idempotency", "Stages/admit-sparse", "Stages/record-encode", "Stages/wal-append", "Stages/ship-read", "Stages/record-decode"}},
+	{"cross", "RouterCrossShardSubmit",
+		[]string{"Stages/loopback", "Stages/loopback", "Stages/loopback", "Stages/loopback"},
+		[]string{"Stages/call-pipe", "Stages/call-pipe", "Stages/call-pipe", "Stages/call-pipe"},
+		[]string{"Stages/decode", "Stages/admit-sparse", "Stages/encode"}},
 }
 
 // remainderMargin is how far below zero a path's remainder may fall, as a
