@@ -23,6 +23,25 @@ func TestWireClientAndLoadgenDoNotLinkTheDaemon(t *testing.T) {
 	}
 }
 
+// TestRouterDoesNotLinkTheDaemon keeps the cut internal/callplane makes:
+// the router is a proxy and links none of the daemon, its state machine,
+// its hold table, the admission step or the core facade, and the call
+// plane both of them serve calls through links none of them either. The
+// call plane imports neither the WAL nor the replication group's rules; it
+// reaches both only through internal/wire, whose replication frames carry
+// WAL positions and whose metrics page carries the followers' table.
+func TestRouterDoesNotLinkTheDaemon(t *testing.T) {
+	imports := moduleImports(t)
+	daemon := []string{"internal/server", "internal/state", "internal/core", "internal/hold", "internal/admit"}
+	checkUnreachable(t, imports, "internal/router", daemon)
+	checkUnreachable(t, imports, "internal/callplane", daemon)
+	for _, dep := range imports["internal/callplane"] {
+		if dep == "internal/wal" || dep == "internal/cluster" {
+			t.Errorf("internal/callplane imports %s", dep)
+		}
+	}
+}
+
 // TestStateMachineStandsAlone keeps the cut internal/state makes: the
 // reservation state machine reaches the daemon only through the two seams
 // the daemon sets, so it imports neither the WAL, the replication group's

@@ -31,11 +31,12 @@
 // Each shard is addressed through a failover-aware server/client over its
 // group members, so primary rediscovery, fencing-epoch preference, and
 // the probe-cooldown negative cache all apply per shard, and the shard
-// calls ride that client's call stream to each member (server/calls.go).
-// The router serves the same stream to its own callers: submit, batch,
-// get and cancel are one function each (Call), whichever carrier brought
-// the call. The router itself keeps no durable state: any instance with
-// the same static configuration routes identically.
+// calls ride that client's call stream to each member. The router serves
+// the same stream to its own callers through internal/callplane, as the
+// daemon does: submit, batch, get and cancel are one function each (Call),
+// whichever carrier brought the call. The router itself keeps no durable
+// state: any instance with the same static configuration routes
+// identically.
 package router
 
 import (
@@ -46,9 +47,9 @@ import (
 	"sync"
 	"time"
 
+	"gridbw/internal/callplane"
 	"gridbw/internal/cluster"
 	"gridbw/internal/metrics"
-	"gridbw/internal/server"
 	"gridbw/internal/server/client"
 	"gridbw/internal/trace"
 	"gridbw/internal/wire"
@@ -106,7 +107,7 @@ type Router struct {
 	maxBatch int
 	met      *routerMetrics
 	// streams is the call streams this router serves; Close ends them.
-	streams server.Streams
+	streams callplane.Streams
 	// calls pools the scratch of the calls the router routes (crossCall).
 	calls sync.Pool
 }
@@ -173,13 +174,13 @@ func (rt *Router) splitID(visible int) (local, shardIdx int) {
 }
 
 // Handler returns the router's HTTP surface: the op table's routes of the
-// four ops Call answers (server.CallRoute: framed, or through the JSON
-// codec the daemon's routes share), health, and the router's own metrics.
+// four ops Call answers (callplane.CallRoute, as the daemon's: framed, or
+// through the op's JSON codec), health, and the router's own metrics.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	face := server.JSONFace{MaxBatch: rt.maxBatch, BareBatch: true}
+	face := callplane.JSONFace{MaxBatch: rt.maxBatch, BareBatch: true}
 	for _, op := range [...]wire.Op{wire.OpSubmit, wire.OpBatch, wire.OpGet, wire.OpCancel} {
-		mux.Handle(op.Pattern(), server.CallRoute(&rt.streams, rt.Call, op, face))
+		mux.Handle(op.Pattern(), callplane.CallRoute(&rt.streams, rt.Call, op, face))
 	}
 	mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
@@ -201,14 +202,18 @@ func (rt *Router) Close() error {
 // route, encode.
 // The hold calls are the shards' business; the router answers them as its
 // mux answers the paths it does not serve.
-func (rt *Router) Call(ctx context.Context, c *server.Call) server.Reply {
+// The shard calls drop ctx's cancellation: a forward shares its shard's
+// call stream with other callers', and a cancelled context fails the whole
+// stream. The client's call timeout and stream watchdog bound them instead.
+func (rt *Router) Call(ctx context.Context, c *callplane.Call) callplane.Reply {
+	ctx = context.WithoutCancel(ctx)
 	var items []wire.BatchItemJSON
 	status := http.StatusOK
 	switch c.Op {
 	case wire.OpSubmit:
 		ws, err := c.DecodeSubmit()
 		if err != nil {
-			return server.ErrorReply(http.StatusBadRequest, err)
+			return callplane.ErrorReply(http.StatusBadRequest, err)
 		}
 		res, err := rt.submit(ctx, ws)
 		if err != nil {
@@ -221,13 +226,13 @@ func (rt *Router) Call(ctx context.Context, c *server.Call) server.Reply {
 	case wire.OpBatch:
 		subs, err := wire.DecodeBatchRequest(c.Buf.B, rt.maxBatch)
 		if err != nil {
-			return server.ErrorReply(http.StatusBadRequest, err)
+			return callplane.ErrorReply(http.StatusBadRequest, err)
 		}
 		items = rt.batch(ctx, subs)
 	case wire.OpGet, wire.OpCancel:
 		visible, err := wire.DecodeIDFrame(c.Buf.B)
 		if err != nil {
-			return server.ErrorReply(http.StatusBadRequest, err)
+			return callplane.ErrorReply(http.StatusBadRequest, err)
 		}
 		find := rt.get
 		if c.Op == wire.OpCancel {
@@ -239,25 +244,25 @@ func (rt *Router) Call(ctx context.Context, c *server.Call) server.Reply {
 		}
 		items = []wire.BatchItemJSON{{Reservation: &res}}
 	default:
-		return server.ErrorReply(http.StatusNotFound, errors.New("404 page not found"))
+		return callplane.ErrorReply(http.StatusNotFound, errors.New("404 page not found"))
 	}
 	c.Buf.B = wire.AppendBatchItems(c.Buf.B[:0], items)
-	return server.Reply{Status: status}
+	return callplane.Reply{Status: status}
 }
 
 // upstreamReply relays a shard-side failure: API answers pass through
 // with their status (and Retry-After hint), transport-level failures
 // become 502 — the shard may be mid-failover.
-func upstreamReply(err error) server.Reply {
+func upstreamReply(err error) callplane.Reply {
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		rep := server.Reply{Status: ae.StatusCode, JSON: wire.ErrorJSON{Error: ae.Message}}
+		rep := callplane.Reply{Status: ae.StatusCode, JSON: wire.ErrorJSON{Error: ae.Message}}
 		if ae.RetryAfter > 0 {
 			rep.RetryAfter = int((ae.RetryAfter + time.Second - 1) / time.Second)
 		}
 		return rep
 	}
-	return server.ErrorReply(http.StatusBadGateway, err)
+	return callplane.ErrorReply(http.StatusBadGateway, err)
 }
 
 // submit routes one submission: a same-shard record travels on to its
@@ -338,12 +343,12 @@ type side struct {
 // call allocates none of this, whatever its items, sides and waves.
 type crossCall struct {
 	rt *Router
-	// ctx is the client call's context, which a same-shard forward runs
-	// under; holdCtx is the same without its cancellation, for the hold
-	// calls, which their waves' deadlines bound instead (crossShard).
-	ctx, holdCtx context.Context
-	items        []crossItem
-	shards       []shardCall
+	// ctx is the client call's context without its cancellation
+	// (Router.Call), which every shard call runs under; the waves' deadlines
+	// bound the hold calls (crossShard).
+	ctx    context.Context
+	items  []crossItem
+	shards []shardCall
 	// The current wave: the side a RESERVE wave places, the deadline every
 	// shard's call is held to, and step, its work on one shard. run[i] runs
 	// step on shard i on a goroutine of its own and marks it done on wg;
@@ -439,7 +444,7 @@ func (cc *crossCall) put() {
 		sc.sides, sc.reqs, sc.resv, sc.refs, sc.sts = sc.sides[:0], sc.reqs[:0], sc.resv[:0], sc.refs[:0], sc.sts[:0]
 		sc.idxs, sc.subs = sc.idxs[:0], sc.subs[:0]
 	}
-	cc.ctx, cc.holdCtx, cc.step, cc.subs, cc.out = nil, nil, nil, nil, nil
+	cc.ctx, cc.step, cc.subs, cc.out = nil, nil, nil, nil
 	cc.rollback = false
 	cc.rt.calls.Put(cc)
 }
@@ -518,12 +523,12 @@ func itemError(code int, msg string) error {
 // rides the calls themselves (client.HoldReserve and its siblings): a
 // call stream's watchdog enforces it and ends a stream that misses it, as a
 // lapsed context ends it, so a wave costs no context and no timer. The
-// client call's own cancellation does not reach the hold calls: a caller
-// that hangs up mid-protocol leaves the waves to finish within their
-// deadlines, and a retry under its key finds the holds they placed.
+// client call's own cancellation does not reach the hold calls (Router.Call
+// drops it): a caller that hangs up mid-protocol leaves the waves to finish
+// within their deadlines, and a retry under its key finds the holds they
+// placed.
 func (cc *crossCall) crossShard() {
 	rt, t0 := cc.rt, time.Now()
-	cc.holdCtx = context.WithoutCancel(cc.ctx)
 	for k := range cc.items {
 		it := &cc.items[k]
 		ws := &it.ws
@@ -645,7 +650,7 @@ func (cc *crossCall) reserveOn(i int) {
 		sc.reqs = append(sc.reqs, rt.holdRequest(sd.it, which))
 		sc.resv = append(sc.resv, wire.HoldReserveResponseJSON{Hold: sd.it.hold})
 	}
-	resps, err := rt.shards[i].reserve(cc.holdCtx, cc.deadline, sc.reqs, sc.resv)
+	resps, err := rt.shards[i].reserve(cc.ctx, cc.deadline, sc.reqs, sc.resv)
 	if err == nil {
 		sc.resv = resps
 	}
@@ -682,7 +687,7 @@ func (cc *crossCall) confirmOn(i int) {
 		sc.refs = append(sc.refs, wire.HoldRefJSON{Hold: sd.it.hold, Epoch: sd.it.resv[sd.which].Epoch})
 		sc.sts = append(sc.sts, wire.HoldStateJSON{Hold: sd.it.hold})
 	}
-	sts, err := cc.rt.shards[i].confirm(cc.holdCtx, cc.deadline, sc.refs, sc.sts)
+	sts, err := cc.rt.shards[i].confirm(cc.ctx, cc.deadline, sc.refs, sc.sts)
 	if err == nil {
 		sc.sts = sts
 	}
@@ -711,7 +716,7 @@ func (cc *crossCall) abortSides() {
 			}
 		}
 	}
-	cc.holdCtx, cc.deadline = context.Background(), time.Now().Add(abortTimeout)
+	cc.deadline = time.Now().Add(abortTimeout)
 	cc.perShard((*crossCall).abortOn)
 }
 
@@ -726,7 +731,7 @@ func (cc *crossCall) abortOn(i int) {
 		sc.refs = append(sc.refs, wire.HoldRefJSON{Hold: sd.it.hold})
 		sc.sts = append(sc.sts, wire.HoldStateJSON{Hold: sd.it.hold})
 	}
-	_, _ = cc.rt.shards[i].abort(cc.holdCtx, cc.deadline, sc.refs, sc.sts)
+	_, _ = cc.rt.shards[i].abort(cc.ctx, cc.deadline, sc.refs, sc.sts)
 }
 
 func (sh *shard) reserve(ctx context.Context, deadline time.Time, reqs []wire.HoldReserveJSON, into []wire.HoldReserveResponseJSON) ([]wire.HoldReserveResponseJSON, error) {
@@ -925,7 +930,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for i := range names {
 		names[i] = rt.ring.ShardName(i)
 	}
-	server.WriteJSON(w, http.StatusOK, RouterHealthJSON{Status: "ok", Shards: names})
+	callplane.WriteJSON(w, http.StatusOK, RouterHealthJSON{Status: "ok", Shards: names})
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -10,9 +10,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"gridbw/internal/callplane"
 	"gridbw/internal/chaosnet"
 	"gridbw/internal/request"
 	"gridbw/internal/server"
@@ -76,7 +78,7 @@ type testTier struct {
 func (tier *testTier) recording(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		codec := "json"
-		if server.Framed(r) {
+		if callplane.Framed(r) {
 			codec = "framed"
 		}
 		tier.mu.Lock()
@@ -672,5 +674,92 @@ func TestCrossShardBlackholeAbort(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated || !res.Accepted {
 		t.Fatalf("post-heal submit = %d %+v, want accepted", resp.StatusCode, res)
+	}
+}
+
+// TestCallerHangUpLeavesTheShardStream: two callers share the router's
+// call stream to a shard. Caller A hanging up while the shard holds both
+// calls must not end that stream under caller B: the shard answers B's
+// call once, on the one stream it upgraded, and never sees it again.
+func TestCallerHangUpLeavesTheShardStream(t *testing.T) {
+	var (
+		ss      callplane.Streams
+		offers  atomic.Int64
+		mu      sync.Mutex
+		calls   = map[string]int{} // the shard's calls, by idempotency key
+		parked  = make(chan string, 8)
+		release = make(chan struct{})
+	)
+	h := func(_ context.Context, c *callplane.Call) callplane.Reply {
+		ws, err := c.DecodeSubmit()
+		if err != nil {
+			return callplane.ErrorReply(http.StatusBadRequest, err)
+		}
+		mu.Lock()
+		calls[ws.IdempotencyKey]++
+		mu.Unlock()
+		if ws.IdempotencyKey != "warm" {
+			parked <- ws.IdempotencyKey
+			<-release
+		}
+		res := wire.ReservationJSON{ID: 1, Accepted: true, State: wire.StateActive}
+		c.Buf.B = wire.AppendBatchItems(c.Buf.B[:0], []wire.BatchItemJSON{{Reservation: &res}})
+		return callplane.Reply{Status: http.StatusCreated}
+	}
+	route := callplane.CallRoute(&ss, h, wire.OpSubmit, callplane.JSONFace{})
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if callplane.WantsUpgrade(r, wire.CallProtocol) {
+			offers.Add(1)
+		}
+		route.ServeHTTP(w, r)
+	}))
+	defer shard.Close()
+	defer ss.Close()
+	rt, err := New(Config{
+		Shards: []ShardConfig{{Name: "s0", Endpoints: []string{shard.URL}}},
+		Client: client.Options{BaseBackoff: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	releaseAll := sync.OnceFunc(func() { close(release) })
+	defer releaseAll()
+
+	submit := func(ctx context.Context, key string) callplane.Reply {
+		ws := wire.Submission{From: 0, To: 1, Volume: 1e9, MaxRate: 1e8, Deadline: 60, RelDeadline: true, IdempotencyKey: key}
+		c := callplane.Call{Op: wire.OpSubmit, Buf: wire.NewFrameBuf()}
+		defer c.Buf.Release()
+		c.Buf.B = wire.AppendSubmitRequest(c.Buf.B, &ws)
+		return rt.Call(ctx, &c)
+	}
+	if rep := submit(context.Background(), "warm"); rep.Status != http.StatusCreated {
+		t.Fatalf("warm-up submit answered %d %v", rep.Status, rep.JSON)
+	}
+	ctxA, hangUp := context.WithCancel(context.Background())
+	repA, repB := make(chan callplane.Reply, 1), make(chan callplane.Reply, 1)
+	go func() { repA <- submit(ctxA, "a") }()
+	go func() { repB <- submit(context.Background(), "b") }()
+	for range 2 {
+		<-parked
+	}
+	hangUp()
+	select {
+	case key := <-parked:
+		t.Errorf("the shard saw %q again after caller A hung up", key)
+	case <-time.After(300 * time.Millisecond):
+	}
+	releaseAll()
+	if rep := <-repB; rep.Status != http.StatusCreated {
+		t.Errorf("caller B answered %d %v, want 201", rep.Status, rep.JSON)
+	}
+	<-repA
+	mu.Lock()
+	defer mu.Unlock()
+	if calls["b"] != 1 {
+		t.Errorf("the shard answered caller B's call %d times, want once", calls["b"])
+	}
+	if n := offers.Load(); n != 1 {
+		t.Errorf("the shard saw %d call-stream offers, want the warm-up's alone", n)
 	}
 }

@@ -15,8 +15,8 @@ import (
 	"gridbw/internal/wire"
 )
 
-// The client's half of the call stream (wire.CallProtocol; the daemon's
-// half is server/calls.go): one connection per endpoint, taken over by the
+// The client's half of the call stream (wire.CallProtocol; the serving
+// half, the daemon's and the router's, is internal/callplane): one connection per endpoint, taken over by the
 // first framed call whose upgrade offer the server accepted, and shared by
 // every caller after it. A daemon or router that takes the offer answers
 // the call as the stream's first frame; from then on every framed call to

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gridbw/internal/callplane"
 	"gridbw/internal/hold"
 	"gridbw/internal/topology"
 	"gridbw/internal/trace"
@@ -79,17 +80,10 @@ func SetStreamClocks(t testing.TB, heartbeat, idle time.Duration) {
 	t.Cleanup(func() { streamHeartbeat, streamIdle = oldHeartbeat, oldIdle })
 }
 
-// WantsUpgrade reports whether a request offers an upgrade, for the
-// external tests.
-var WantsUpgrade = wantsUpgrade
-
 // PanicOn makes every call of op panic until t ends. Call it before any
 // traffic reaches the servers t uses.
 func PanicOn(t testing.TB, op wire.Op) {
 	saved := serverOps[op]
-	serverOps[op].call = func(*Server, *Call) Reply { panic("kaboom") }
+	serverOps[op].call = func(*Server, *callplane.Call) callplane.Reply { panic("kaboom") }
 	t.Cleanup(func() { serverOps[op] = saved })
 }
-
-// CallIdleWorkers is how many idle workers a call stream keeps.
-const CallIdleWorkers = callIdleWorkers

@@ -1,36 +1,25 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
+	"gridbw/internal/callplane"
 	"gridbw/internal/metrics"
 	"gridbw/internal/topology"
 	"gridbw/internal/units"
 	"gridbw/internal/wire"
 )
 
-// The HTTP surface of gridbwd: the request plane's seven routes, whose
-// methods and paths are the rows of internal/wire's op table (submit,
-// batch, the three hold lists, lookup and cancel by id), then status,
-// metricsz (JSON, or Prometheus text under Accept: text/plain), healthz
-// (503 while draining) and the replication routes.
-//
-// Each request-plane route is a call (calls.go): JSON is a codec in front
-// of it (jsonface.go), the internal wire's frames are the call as it is. A
-// body of either is read under wire.MaxFrameBytes (8 MiB) before anything
-// else. Submissions may carry an Idempotency-Key header (or the equivalent
-// body field) of at most wire.MaxKeyBytes, making retries safe, and the
-// submissions and RESERVE are bounded by the server's in-flight limit:
-// excess calls get 429 with a Retry-After hint instead of queueing without
-// bound.
+// The HTTP surface of gridbwd: the request plane's seven routes, one per
+// row of internal/wire's op table, each a call internal/callplane serves
+// through Server.Call (calls.go); then status, metricsz (JSON, or
+// Prometheus text under Accept: text/plain), healthz (503 while draining)
+// and the replication routes. The submissions and RESERVE are bounded by
+// the server's in-flight limit: excess calls get 429 with a Retry-After
+// hint instead of queueing without bound.
 //
 // Lookup and cancel answer from bounded caches: a reservation stays
 // queryable after it expires or is cancelled only until FinishedRetention
@@ -38,20 +27,17 @@ import (
 // return 404. The idempotency cache is bounded the same way — an evicted
 // key behaves like a fresh one and books again — so clients should not
 // retry across more than FinishedRetention intervening submissions.
-//
-// The request and answer shapes, and the control plane's pages, are
-// internal/wire's.
 
 // Handler returns the daemon's HTTP API: the route mux behind the
 // panic-recovery middleware. The seven request-plane routes are the op
-// table's, each a call (CallRoute): a framed one goes through Call as it is
-// and may take its connection over for the call stream, a JSON one through
-// its op's codec in front of Call.
+// table's, each a call (callplane.CallRoute): a framed one goes through
+// Call as it is and may take its connection over for the call stream, a
+// JSON one through its op's codec in front of Call.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	face := JSONFace{MaxBatch: s.maxBatch}
+	face := callplane.JSONFace{MaxBatch: s.maxBatch}
 	for op := wire.OpSubmit; op.Valid(); op++ {
-		mux.Handle(op.Pattern(), CallRoute(&s.conns, s.Call, op, face))
+		mux.Handle(op.Pattern(), callplane.CallRoute(&s.conns, s.Call, op, face))
 	}
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	mux.HandleFunc("GET /v1/metricsz", s.handleMetricsz)
@@ -72,22 +58,11 @@ func (s *Server) Recoverer(next http.Handler) http.Handler {
 		defer func() {
 			if v := recover(); v != nil {
 				s.recordPanic(r.Method+" "+r.URL.Path, v)
-				WriteError(w, http.StatusInternalServerError, fmt.Errorf("internal error"))
+				callplane.WriteError(w, http.StatusInternalServerError, callplane.ErrInternal)
 			}
 		}()
 		next.ServeHTTP(w, r)
 	})
-}
-
-var errOverloaded = errors.New("server: overloaded, retry later")
-
-// shedReply is the answer to a call over the in-flight limit: 429 with the
-// Retry-After hint, so overload degrades into fast, explicit backpressure
-// instead of queueing without bound.
-func (s *Server) shedReply() Reply {
-	rep := ErrorReply(http.StatusTooManyRequests, errOverloaded)
-	rep.RetryAfter = int((s.retryAfter + time.Second - 1) / time.Second)
-	return rep
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -114,60 +89,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body.Status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	WriteJSON(w, code, body)
-}
-
-// Header values every answer sets, preset so that setting one allocates
-// nothing. Shared by all responses and never written to.
-var (
-	jsonContentType  = []string{"application/json"}
-	frameContentType = []string{wire.ContentType}
-)
-
-// WriteJSON answers with v as a JSON body.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// WriteError answers with the ErrorJSON envelope of every non-2xx response.
-func WriteError(w http.ResponseWriter, code int, err error) {
-	WriteJSON(w, code, wire.ErrorJSON{Error: err.Error()})
-}
-
-// Framed reports whether the caller speaks the internal wire's frames
-// rather than JSON; the answer goes back in the same codec. Errors answer
-// as JSON envelopes either way — status codes carry the contract.
-func Framed(r *http.Request) bool {
-	return strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType)
-}
-
-// decodeJSON is the strict JSON decode of a request body; what names the
-// body in the error.
-func decodeJSON(body io.Reader, what string, v any) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decode %s: %w", what, err)
-	}
-	return nil
-}
-
-// mergeKey merges a submission's body key with its Idempotency-Key
-// request header, the equivalent spelling: either may be absent, but two
-// that disagree are an error.
-func mergeKey(headerKey, bodyKey string) (string, error) {
-	if err := wire.CheckKey("Idempotency-Key header", headerKey); err != nil {
-		return "", err
-	}
-	if headerKey == "" {
-		return bodyKey, nil
-	}
-	if bodyKey != "" && bodyKey != headerKey {
-		return "", fmt.Errorf("idempotency_key body field and Idempotency-Key header disagree")
-	}
-	return headerKey, nil
+	callplane.WriteJSON(w, code, body)
 }
 
 // nowFor reads the service clock once for the records of one call, so they
@@ -183,7 +105,7 @@ func (s *Server) nowFor(subs ...wire.Submission) units.Time {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, statusJSON(s.Status()))
+	callplane.WriteJSON(w, http.StatusOK, statusJSON(s.Status()))
 }
 
 func statusJSON(st Status) wire.StatusJSON {
@@ -241,7 +163,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		AdmitLatency:        st.Stats.AdmitLatencySummary(),
 		WatchdogState:       s.watchdogStateNow(),
 	}
-	WriteJSON(w, http.StatusOK, body)
+	callplane.WriteJSON(w, http.StatusOK, body)
 }
 
 // writeMetricsText is the list of what gridbwd exports, in page order. How a

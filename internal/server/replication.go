@@ -48,6 +48,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"gridbw/internal/callplane"
 	"gridbw/internal/cluster"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
@@ -655,19 +656,19 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var refused *cluster.Refusal
 	switch {
 	case errors.Is(err, ErrClosed):
-		WriteError(w, http.StatusServiceUnavailable, err)
+		callplane.WriteError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrNotFollower), err == nil:
 		// Already the primary, or just became it: idempotent success.
-		WriteJSON(w, http.StatusOK, cluster.PromoteJSON{Role: "primary", Epoch: epoch})
+		callplane.WriteJSON(w, http.StatusOK, cluster.PromoteJSON{Role: "primary", Epoch: epoch})
 	case errors.As(err, &refused):
-		WriteJSON(w, http.StatusConflict, refused)
+		callplane.WriteJSON(w, http.StatusConflict, refused)
 	default:
-		WriteError(w, http.StatusInternalServerError, err)
+		callplane.WriteError(w, http.StatusInternalServerError, err)
 	}
 }
 
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.ReplicationStatus())
+	callplane.WriteJSON(w, http.StatusOK, s.ReplicationStatus())
 }
 
 // HandleVote decides one promotion-vote request by the grant rules of
@@ -706,11 +707,11 @@ func (s *Server) HandleVote(req cluster.VoteRequest) cluster.VoteResponse {
 // 200 — denial is a protocol answer, not a transport failure.
 func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 	var req cluster.VoteRequest
-	if err := decodeJSON(r.Body, "vote request", &req); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+	if err := callplane.DecodeJSON(r.Body, "vote request", &req); err != nil {
+		callplane.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, s.HandleVote(req))
+	callplane.WriteJSON(w, http.StatusOK, s.HandleVote(req))
 }
 
 // handleReplPull serves GET /v1/replication/pull?seg=&off=&max=&wait_ms=:
@@ -724,7 +725,7 @@ func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 // answered 410 Gone anywhere else.
 func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	if s.wal == nil {
-		WriteError(w, http.StatusConflict, errors.New("server: replication requires a WAL"))
+		callplane.WriteError(w, http.StatusConflict, errors.New("server: replication requires a WAL"))
 		return
 	}
 	q := r.URL.Query()
@@ -732,7 +733,7 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	for i, name := range [...]string{"seg", "off", "max", "wait_ms"} {
 		var err error
 		if v[i], err = queryUint(q.Get(name)); err != nil {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", name, err))
+			callplane.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", name, err))
 			return
 		}
 	}
@@ -748,7 +749,7 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	// the ack table and a label on the metrics page: bound what it can be.
 	id := q.Get("id")
 	if len(id) > maxFollowerIDLen || !utf8.ValidString(id) || strings.ContainsFunc(id, unicode.IsControl) {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad id: want at most %d bytes of UTF-8 without control characters", maxFollowerIDLen))
+		callplane.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad id: want at most %d bytes of UTF-8 without control characters", maxFollowerIDLen))
 		return
 	}
 	s.recordAck(id, pos)
@@ -761,14 +762,14 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	}
 	rd := s.wal.NewReader()
 	defer rd.Close()
-	if wantsUpgrade(r, wire.ReplProtocol) {
+	if callplane.WantsUpgrade(r, wire.ReplProtocol) {
 		// The first batch is read before the connection is taken over: a
 		// compacted cursor gets the stream, which re-seeds it, and any other
 		// cursor this WAL cannot serve gets the JSON path's answer.
 		b, err := s.shipFrom(rd, pos, int(maxRecords))
 		gone := errors.Is(err, wal.ErrCompacted)
 		if err == nil || gone {
-			if st, ok := s.conns.upgrade(w, r, wire.ReplProtocol); ok {
+			if st, ok := s.conns.Upgrade(w, r, wire.ReplProtocol, streamIdle); ok {
 				s.serveStream(st, rd, b, gone, id, int(maxRecords))
 				return
 			}
@@ -795,13 +796,13 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	b, err := s.shipFrom(rd, pos, int(maxRecords))
 	switch {
 	case errors.Is(err, wal.ErrCompacted):
-		WriteError(w, http.StatusGone, err)
+		callplane.WriteError(w, http.StatusGone, err)
 		return
 	case err != nil:
-		WriteError(w, http.StatusInternalServerError, err)
+		callplane.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, b)
+	callplane.WriteJSON(w, http.StatusOK, b)
 }
 
 // recordAck takes a presented cursor as follower id's durability ack: the
@@ -855,13 +856,13 @@ func appendReplReseed(dst []byte, snap *Snapshot) ([]byte, error) {
 // mid-stream, gets the gone frame and a fresh checkpoint (appendReplReseed),
 // and the stream goes on from the position the checkpoint covers. Every
 // batch is read through rd, which keeps the segment open and its buffer.
-func (s *Server) serveStream(st *stream, rd *wal.Reader, b wire.ShippedBatch, gone bool, id string, maxRecords int) {
-	defer st.end()
-	st.goRun(func() {
-		defer st.hangUp()
+func (s *Server) serveStream(st *callplane.Stream, rd *wal.Reader, b wire.ShippedBatch, gone bool, id string, maxRecords int) {
+	defer st.End()
+	st.Go(func() {
+		defer st.HangUp()
 		var ack [wire.AckBytes]byte
 		for {
-			if _, err := io.ReadFull(st.reader, ack[:]); err != nil {
+			if _, err := io.ReadFull(st, ack[:]); err != nil {
 				return
 			}
 			p, err := wire.DecodeReplAck(ack[:])
@@ -882,14 +883,14 @@ func (s *Server) serveStream(st *stream, rd *wal.Reader, b wire.ShippedBatch, go
 		} else {
 			buf = wire.AppendReplBatch(buf[:0], &b)
 		}
-		if err != nil || st.write(nil, buf) != nil {
+		if err != nil || st.Write(nil, buf) != nil {
 			return
 		}
 		if !gone {
-			rd.Wait(st.done(), b.Next, streamHeartbeat)
+			rd.Wait(st.Done(), b.Next, streamHeartbeat)
 		}
 		select {
-		case <-st.done():
+		case <-st.Done():
 			return
 		default:
 		}

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"gridbw/internal/alloc"
+	"gridbw/internal/callplane"
 	"gridbw/internal/core"
 	"gridbw/internal/des"
 	"gridbw/internal/metrics"
@@ -293,7 +294,7 @@ type Server struct {
 	// conns is every connection taken over from net/http: the replication
 	// streams served and the call streams. Close ends them and waits,
 	// since the HTTP server forgets a connection once it is taken over.
-	conns Streams
+	conns callplane.Streams
 }
 
 // newServer builds an idle server with the service clock at 0 and its

@@ -8,7 +8,7 @@
 // in length-prefixed binary frames when the request Content-Type is
 // ContentType, and is answered in them: encoding/json on both ends cost
 // more than the admission it carried. JSON, for curl, is a codec in front
-// of the same call (the daemon's jsonface.go).
+// of the same call (internal/callplane's JSONFace).
 //
 // Every frame (all integers little-endian):
 //
