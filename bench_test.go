@@ -45,6 +45,7 @@ import (
 
 	"gridbw/internal/admit"
 	"gridbw/internal/alloc"
+	"gridbw/internal/cluster"
 	"gridbw/internal/experiment"
 	"gridbw/internal/figures"
 	"gridbw/internal/fluidtcp"
@@ -1107,14 +1108,14 @@ func BenchmarkReplApplyShipped(b *testing.B) {
 		}
 		ns.Add(int64(2 * time.Second))
 	}
-	var batches []wire.ShippedBatch
+	var batches []cluster.ShippedBatch
 	pos := wal.Pos{Seg: 1}
 	for left := b.N; left > 0; {
 		payloads, start, next, err := pwal.ReadFrom(pos, min(perBatch, left), 0)
 		if err != nil || len(payloads) == 0 {
 			b.Fatalf("read primary WAL at %v: %d records, %v", pos, len(payloads), err)
 		}
-		batches = append(batches, wire.ShippedBatch{Epoch: 1, From: start, Next: next, End: next, Events: payloads})
+		batches = append(batches, cluster.ShippedBatch{Epoch: 1, From: start, Next: next, End: next, Events: payloads})
 		pos, left = next, left-len(payloads)
 	}
 

@@ -9,13 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/faults"
 	"gridbw/internal/request"
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
-	"gridbw/internal/wire"
 )
 
 // The crash-restart property these tests pin down: whatever byte the
@@ -463,7 +463,7 @@ func TestFollowerCrashRestartAndPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The deposed primary's stream is fenced off the new lineage.
-	if err := follower2.ApplyShipped(wire.ShippedBatch{Epoch: 1}); err == nil {
+	if err := follower2.ApplyShipped(cluster.ShippedBatch{Epoch: 1}); err == nil {
 		t.Fatal("promoted daemon accepted a deposed primary's batch")
 	}
 }

@@ -179,7 +179,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = replica.ApplyShipped(wire.ShippedBatch{Epoch: 1})
+	err = replica.ApplyShipped(cluster.ShippedBatch{Epoch: 1})
 	var fenced *server.FencedError
 	if errors.As(err, &fenced) {
 		fmt.Printf("deposed primary's batch refused: %v\n\n", fenced)

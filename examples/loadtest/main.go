@@ -29,10 +29,10 @@ import (
 	"strings"
 	"time"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/loadgen"
 	"gridbw/internal/server"
 	"gridbw/internal/units"
-	"gridbw/internal/wire"
 )
 
 const promAddr = "127.0.0.1:9815"
@@ -127,7 +127,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m wire.MetricsJSON
+	var m cluster.MetricsJSON
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		log.Fatal(err)
 	}

@@ -23,22 +23,26 @@ func TestWireClientAndLoadgenDoNotLinkTheDaemon(t *testing.T) {
 	}
 }
 
-// TestRouterDoesNotLinkTheDaemon keeps the cut internal/callplane makes:
-// the router is a proxy and links none of the daemon, its state machine,
-// its hold table, the admission step or the core facade, and the call
-// plane both of them serve calls through links none of them either. The
-// call plane imports neither the WAL nor the replication group's rules; it
-// reaches both only through internal/wire, whose replication frames carry
-// WAL positions and whose metrics page carries the followers' table.
+// TestRouterDoesNotLinkTheDaemon keeps the cuts internal/callplane and
+// internal/wire make: the router is a proxy and links none of the daemon,
+// its state machine, its hold table, the admission step or the core facade;
+// and the request plane both of them serve calls through stands alone:
+// internal/wire and internal/callplane reach no module package but
+// internal/units and each other, so they link neither the WAL, the
+// replication group nor the metrics behind the daemon's pages.
 func TestRouterDoesNotLinkTheDaemon(t *testing.T) {
 	imports := moduleImports(t)
-	daemon := []string{"internal/server", "internal/state", "internal/core", "internal/hold", "internal/admit"}
-	checkUnreachable(t, imports, "internal/router", daemon)
-	checkUnreachable(t, imports, "internal/callplane", daemon)
-	for _, dep := range imports["internal/callplane"] {
-		if dep == "internal/wal" || dep == "internal/cluster" {
-			t.Errorf("internal/callplane imports %s", dep)
+	checkUnreachable(t, imports, "internal/router", []string{"internal/server", "internal/state", "internal/core", "internal/hold", "internal/admit"})
+	plane := []string{"internal/wire", "internal/callplane", "internal/units"}
+	var rest []string
+	for p := range imports {
+		if !slices.Contains(plane, p) {
+			rest = append(rest, p)
 		}
+	}
+	slices.Sort(rest)
+	for _, root := range plane[:2] {
+		checkUnreachable(t, imports, root, rest)
 	}
 }
 

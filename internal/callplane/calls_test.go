@@ -201,7 +201,7 @@ func streamWorkers() (all, idle int) {
 func appendGrant(dst []byte, id int) []byte {
 	dst, at := wire.BeginAnswer(dst, 1)
 	dst = wire.AppendDecision(dst, &wire.ReservationJSON{ID: id, Accepted: true, State: wire.StateActive})
-	return wire.EndAnswer(dst, at)
+	return wire.EndFrame(dst, at)
 }
 
 // waitFor polls cond until it holds, failing t after five seconds.

@@ -244,7 +244,7 @@ func TestSelfDrivingFailover(t *testing.T) {
 
 	// The deposed primary's late batch: epoch 1 against the new lineage's
 	// epoch 2 is fenced at every replica, no matter its cursor.
-	err = follower2.ApplyShipped(wire.ShippedBatch{Epoch: 1})
+	err = follower2.ApplyShipped(cluster.ShippedBatch{Epoch: 1})
 	var fenced *server.FencedError
 	if !errors.As(err, &fenced) {
 		t.Fatalf("deposed-epoch batch: err = %v, want FencedError", err)

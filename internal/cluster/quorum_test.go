@@ -17,7 +17,6 @@ import (
 	"gridbw/internal/faults"
 	"gridbw/internal/server"
 	"gridbw/internal/units"
-	"gridbw/internal/wire"
 )
 
 // The election sits with the candidate daemon, so these tests hand the
@@ -277,7 +276,7 @@ func TestWatchdogQuorumPartitionSeeds(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer replica.Close()
-			err = replica.ApplyShipped(wire.ShippedBatch{Epoch: 1})
+			err = replica.ApplyShipped(cluster.ShippedBatch{Epoch: 1})
 			var fenced *server.FencedError
 			if !errors.As(err, &fenced) {
 				t.Fatalf("deposed primary's batch: err = %v, want FencedError", err)
@@ -422,7 +421,7 @@ func TestWatchdogPartitionFencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer replica.Close()
-	err = replica.ApplyShipped(wire.ShippedBatch{Epoch: 1})
+	err = replica.ApplyShipped(cluster.ShippedBatch{Epoch: 1})
 	var fenced *server.FencedError
 	if !errors.As(err, &fenced) {
 		t.Fatalf("deposed primary's batch: err = %v, want FencedError", err)

@@ -12,7 +12,6 @@ import (
 	"gridbw/internal/cluster"
 	"gridbw/internal/request"
 	"gridbw/internal/server"
-	"gridbw/internal/wire"
 )
 
 // swapHandler lets one stable URL change identity mid-test: the slot a
@@ -190,7 +189,7 @@ func TestWatchdogResumeSurvivesSuccessiveFailovers(t *testing.T) {
 	}
 	defer replica.Close()
 	for _, epoch := range []uint64{1, 2} {
-		err := replica.ApplyShipped(wire.ShippedBatch{Epoch: epoch})
+		err := replica.ApplyShipped(cluster.ShippedBatch{Epoch: epoch})
 		var fenced *server.FencedError
 		if !errors.As(err, &fenced) {
 			t.Fatalf("epoch-%d batch on the new lineage: err = %v, want FencedError", epoch, err)

@@ -105,7 +105,7 @@ func AppendBinaryBatchResponse(dst []byte, results []BatchResult) []byte {
 		rj.Durability = res.Durability
 		dst = wire.AppendDecision(dst, &rj)
 	}
-	return wire.EndAnswer(dst, at)
+	return wire.EndFrame(dst, at)
 }
 
 // reservationOf is d in the item shape, as a decision item carries it.

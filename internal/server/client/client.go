@@ -825,8 +825,8 @@ func (c *Client) Promote(ctx context.Context) (cluster.PromoteJSON, error) {
 }
 
 // Metrics fetches the metrics counters in their JSON form.
-func (c *Client) Metrics(ctx context.Context) (wire.MetricsJSON, error) {
-	var out wire.MetricsJSON
+func (c *Client) Metrics(ctx context.Context) (cluster.MetricsJSON, error) {
+	var out cluster.MetricsJSON
 	err := c.do(ctx, http.MethodGet, "/v1/metricsz", &out)
 	return out, err
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"gridbw/internal/callplane"
+	"gridbw/internal/cluster"
 	"gridbw/internal/metrics"
 	"gridbw/internal/topology"
 	"gridbw/internal/units"
@@ -153,7 +154,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.Status()
 	rs := s.ReplicationStatus()
-	body := wire.MetricsJSON{
+	body := cluster.MetricsJSON{
 		StatusJSON:          statusJSON(st),
 		Reseeds:             st.Stats.Reseeds,
 		ReplicationLagBytes: rs.LagBytes,

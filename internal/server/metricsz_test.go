@@ -9,9 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
-	"gridbw/internal/wire"
 )
 
 // TestMetricszContentNegotiation pins the dual shape of /v1/metricsz:
@@ -35,7 +35,7 @@ func TestMetricszContentNegotiation(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
 		t.Fatalf("default content type = %q, want JSON", ct)
 	}
-	var m wire.MetricsJSON
+	var m cluster.MetricsJSON
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}

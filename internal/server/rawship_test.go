@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
@@ -195,7 +196,7 @@ func TestShippedBatchWireShapeIsUnchanged(t *testing.T) {
 
 	// This version → this version: the golden body applies, and the
 	// follower logs the records it was sent, not a re-encoding.
-	var golden wire.ShippedBatch
+	var golden cluster.ShippedBatch
 	if err := json.Unmarshal([]byte(goldenBody), &golden); err != nil {
 		t.Fatalf("golden batch does not decode: %v", err)
 	}
@@ -274,7 +275,7 @@ func TestApplyShippedRefusesMalformedBatchWhole(t *testing.T) {
 	// with a byte past the end, of an unknown version or of an unknown kind.
 	for _, bad := range []string{`{"t_s":`, `{"kind":7}`, `[]`, ``,
 		string(good[:len(good)-1]), string(good) + "x", "\x02" + string(good[1:]), "\x01\x0c" + string(good[2:])} {
-		err := f.ApplyShipped(wire.ShippedBatch{
+		err := f.ApplyShipped(cluster.ShippedBatch{
 			Epoch: 1, Next: wal.Pos{Seg: 1, Off: 500},
 			Events: [][]byte{good, []byte(bad)},
 		})
@@ -287,7 +288,7 @@ func TestApplyShippedRefusesMalformedBatchWhole(t *testing.T) {
 				bad, st.Active, rs.Applied, rs.Cursor, fcfg.WAL.Records())
 		}
 	}
-	if err := f.ApplyShipped(wire.ShippedBatch{Epoch: 1, Next: wal.Pos{Seg: 1, Off: 500}, Events: [][]byte{good}}); err != nil {
+	if err := f.ApplyShipped(cluster.ShippedBatch{Epoch: 1, Next: wal.Pos{Seg: 1, Off: 500}, Events: [][]byte{good}}); err != nil {
 		t.Fatalf("the well-formed batch: %v", err)
 	}
 	if st := f.Status(); st.Active != 1 || fcfg.WAL.Records() != 1 {
@@ -324,7 +325,7 @@ func TestFollowerAppendsParentRecordsAsReceived(t *testing.T) {
 			for _, p := range batch {
 				next = wal.Pos{Seg: 1, Off: next.Off + int64(len(wal.AppendFrame(nil, p)))}
 			}
-			stream = wire.AppendReplBatch(stream, &wire.ShippedBatch{Epoch: 1, From: pos, Next: next, End: next, Events: batch})
+			stream = cluster.AppendReplBatch(stream, &cluster.ShippedBatch{Epoch: 1, From: pos, Next: next, End: next, Events: batch})
 			pos = next
 		}
 		return stream, payloads, pos

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/hold"
 	"gridbw/internal/request"
 	"gridbw/internal/server"
@@ -200,7 +201,7 @@ func recoveryRoutesAgree(t *testing.T, policy string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream = wire.AppendReplBatch(stream, &wire.ShippedBatch{
+	stream = cluster.AppendReplBatch(stream, &cluster.ShippedBatch{
 		Epoch: donor.Epoch(), From: mid.WALPos(), Next: end, End: end, Events: frames(t, suffix...),
 	})
 	var acks bytes.Buffer
@@ -210,7 +211,7 @@ func recoveryRoutesAgree(t *testing.T, policy string) {
 	}{bytes.NewReader(stream), &acks}); !errors.Is(err, io.EOF) {
 		t.Fatalf("stream ended with %v, want EOF after the suffix", err)
 	}
-	wantAcks := append(wire.AppendPos(nil, mid.WALPos()), wire.AppendPos(nil, end)...)
+	wantAcks := append(cluster.AppendPos(nil, mid.WALPos()), cluster.AppendPos(nil, end)...)
 	if !bytes.Equal(acks.Bytes(), wantAcks) {
 		t.Fatalf("follower acked %x, want the checkpoint's frontier %v then %v", acks.Bytes(), mid.WALPos(), end)
 	}
@@ -533,7 +534,7 @@ func TestRawByteKeysSurviveRecovery(t *testing.T) {
 	fcfg.WAL = openTestWAL(t)
 	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
 	follower := newTestServer(t, fcfg)
-	stream := wire.AppendReplBatch(nil, &wire.ShippedBatch{Epoch: donor.Epoch(), From: start, Next: next, End: next, Events: payloads})
+	stream := cluster.AppendReplBatch(nil, &cluster.ShippedBatch{Epoch: donor.Epoch(), From: start, Next: next, End: next, Events: payloads})
 	if err := follower.FollowStream(struct {
 		io.Reader
 		io.Writer

@@ -169,8 +169,12 @@ func (s *Server) stopPullLocked() chan struct{} {
 // deposed primary) and the apply is idempotent, so a cursor that rewound
 // across a crash re-delivers harmlessly. Every element is decoded before
 // anything is touched: a malformed one fails the batch with nothing
-// applied and nothing appended.
-func (s *Server) ApplyShipped(b wire.ShippedBatch) error {
+// applied and nothing appended. So does a negative lag, which only a corrupt
+// batch reports and which the watchdog's promote gate would pass.
+func (s *Server) ApplyShipped(b cluster.ShippedBatch) error {
+	if b.LagBytes < 0 {
+		return fmt.Errorf("server: batch reports a negative lag of %d bytes", b.LagBytes)
+	}
 	events, err := decodeEvents(b.Events)
 	if err != nil {
 		return err
@@ -200,7 +204,7 @@ func (s *Server) ApplyShipped(b wire.ShippedBatch) error {
 	return nil
 }
 
-func (s *Server) applyShippedLocked(b wire.ShippedBatch, events []trace.Event) error {
+func (s *Server) applyShippedLocked(b cluster.ShippedBatch, events []trace.Event) error {
 	if err := s.followingLocked(); err != nil {
 		return err
 	}
@@ -534,7 +538,7 @@ func (s *Server) pullExchange(ctx context.Context, hc *http.Client, source strin
 		return fmt.Errorf("server: pull: %w", err)
 	}
 	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", wire.ReplProtocol)
+	req.Header.Set("Upgrade", cluster.ReplProtocol)
 	resp, err := hc.Do(req)
 	if err != nil {
 		return fmt.Errorf("server: pull: %w", err)
@@ -543,15 +547,15 @@ func (s *Server) pullExchange(ctx context.Context, hc *http.Client, source strin
 	switch resp.StatusCode {
 	case http.StatusSwitchingProtocols:
 		rw, ok := resp.Body.(io.ReadWriter)
-		if !ok || !strings.EqualFold(resp.Header.Get("Upgrade"), wire.ReplProtocol) {
-			return fmt.Errorf("server: pull: upgrade to %q, want %q", resp.Header.Get("Upgrade"), wire.ReplProtocol)
+		if !ok || !strings.EqualFold(resp.Header.Get("Upgrade"), cluster.ReplProtocol) {
+			return fmt.Errorf("server: pull: upgrade to %q, want %q", resp.Header.Get("Upgrade"), cluster.ReplProtocol)
 		}
 		// Ending the session — the loop stopping, or the watchdog — closes
 		// the connection under a blocked read.
 		defer context.AfterFunc(ctx, func() { resp.Body.Close() })()
 		return s.followStream(rw, watchdog, applied)
 	case http.StatusOK:
-		var b wire.ShippedBatch
+		var b cluster.ShippedBatch
 		if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
 			return fmt.Errorf("server: pull: decode: %w", err)
 		}
@@ -580,14 +584,14 @@ func (s *Server) pullExchange(ctx context.Context, hc *http.Client, source strin
 // follower at the position it covers; batches from there follow.
 func (s *Server) followStream(rw io.ReadWriter, watchdog *time.Timer, applied func()) error {
 	var frame []byte
-	var ack [wire.AckBytes]byte
+	var ack [cluster.AckBytes]byte
 	for {
 		var err error
 		if frame, err = wire.ReadFrame(rw, frame); err != nil {
 			return fmt.Errorf("server: pull: stream: %w", err)
 		}
 		watchdog.Reset(streamIdle)
-		b, gone, err := wire.DecodeReplFrame(frame)
+		b, gone, err := cluster.DecodeReplFrame(frame)
 		if err != nil {
 			return fmt.Errorf("server: pull: stream: %w", err)
 		}
@@ -604,7 +608,7 @@ func (s *Server) followStream(rw io.ReadWriter, watchdog *time.Timer, applied fu
 			return &applyError{err}
 		}
 		applied()
-		if _, err := rw.Write(wire.AppendPos(ack[:0], b.Next)); err != nil {
+		if _, err := rw.Write(cluster.AppendPos(ack[:0], b.Next)); err != nil {
 			return fmt.Errorf("server: pull: stream: %w", err)
 		}
 	}
@@ -716,7 +720,7 @@ func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 
 // handleReplPull serves GET /v1/replication/pull?seg=&off=&max=&wait_ms=:
 // the records past (seg, off). A pull that offers to upgrade to
-// wire.ReplProtocol, at a cursor this WAL still holds, gets the stream: the
+// cluster.ReplProtocol, at a cursor this WAL still holds, gets the stream: the
 // connection is taken over and serveStream ships batches down it as they
 // are appended. Every other pull — an older follower's, or one through a
 // ResponseWriter that cannot be taken over — gets one JSON batch,
@@ -738,7 +742,7 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	seg, off, maxRecords, waitMs := v[0], v[1], v[2], v[3]
-	if maxRecords == 0 || maxRecords > wire.MaxShippedRecords {
+	if maxRecords == 0 || maxRecords > cluster.MaxShippedRecords {
 		maxRecords = pullMaxRecords
 	}
 	if waitMs > 60_000 {
@@ -762,14 +766,14 @@ func (s *Server) handleReplPull(w http.ResponseWriter, r *http.Request) {
 	}
 	rd := s.wal.NewReader()
 	defer rd.Close()
-	if callplane.WantsUpgrade(r, wire.ReplProtocol) {
+	if callplane.WantsUpgrade(r, cluster.ReplProtocol) {
 		// The first batch is read before the connection is taken over: a
 		// compacted cursor gets the stream, which re-seeds it, and any other
 		// cursor this WAL cannot serve gets the JSON path's answer.
 		b, err := s.shipFrom(rd, pos, int(maxRecords))
 		gone := errors.Is(err, wal.ErrCompacted)
 		if err == nil || gone {
-			if st, ok := s.conns.Upgrade(w, r, wire.ReplProtocol, streamIdle); ok {
+			if st, ok := s.conns.Upgrade(w, r, cluster.ReplProtocol, streamIdle); ok {
 				s.serveStream(st, rd, b, gone, id, int(maxRecords))
 				return
 			}
@@ -821,19 +825,19 @@ func (s *Server) recordAck(id string, pos wal.Pos) {
 
 // shipFrom reads the batch a pull at pos is answered with through rd; its
 // Events alias rd's buffer until rd's next read.
-func (s *Server) shipFrom(rd *wal.Reader, pos wal.Pos, maxRecords int) (wire.ShippedBatch, error) {
+func (s *Server) shipFrom(rd *wal.Reader, pos wal.Pos, maxRecords int) (cluster.ShippedBatch, error) {
 	// The payloads ship as they sit in the WAL: the follower appends the
 	// same bytes, and only it ever decodes them.
 	events, start, next, err := rd.Read(pos, maxRecords, pullMaxBytes)
 	if err != nil {
-		return wire.ShippedBatch{}, err
+		return cluster.ShippedBatch{}, err
 	}
 	end := s.wal.End()
 	lag, err := s.wal.SizeBetween(next, end)
 	if err != nil {
 		lag = 0
 	}
-	return wire.ShippedBatch{
+	return cluster.ShippedBatch{
 		Epoch: s.Epoch(), From: start, Next: next, End: end,
 		LagBytes: lag, Events: events,
 	}, nil
@@ -843,7 +847,7 @@ func (s *Server) shipFrom(rd *wal.Reader, pos wal.Pos, maxRecords int) (wire.Shi
 // checkpoint frames, which the follower installs before the batches from
 // the position snap covers.
 func appendReplReseed(dst []byte, snap *Snapshot) ([]byte, error) {
-	return snap.appendFrames(wire.AppendReplGone(dst))
+	return snap.appendFrames(cluster.AppendReplGone(dst))
 }
 
 // serveStream runs one replication stream on a taken-over connection: it
@@ -856,16 +860,16 @@ func appendReplReseed(dst []byte, snap *Snapshot) ([]byte, error) {
 // mid-stream, gets the gone frame and a fresh checkpoint (appendReplReseed),
 // and the stream goes on from the position the checkpoint covers. Every
 // batch is read through rd, which keeps the segment open and its buffer.
-func (s *Server) serveStream(st *callplane.Stream, rd *wal.Reader, b wire.ShippedBatch, gone bool, id string, maxRecords int) {
+func (s *Server) serveStream(st *callplane.Stream, rd *wal.Reader, b cluster.ShippedBatch, gone bool, id string, maxRecords int) {
 	defer st.End()
 	st.Go(func() {
 		defer st.HangUp()
-		var ack [wire.AckBytes]byte
+		var ack [cluster.AckBytes]byte
 		for {
 			if _, err := io.ReadFull(st, ack[:]); err != nil {
 				return
 			}
-			p, err := wire.DecodeReplAck(ack[:])
+			p, err := cluster.DecodeReplAck(ack[:])
 			if err != nil {
 				return
 			}
@@ -879,9 +883,9 @@ func (s *Server) serveStream(st *callplane.Stream, rd *wal.Reader, b wire.Shippe
 		if gone {
 			snap := s.Snapshot()
 			buf, err = appendReplReseed(buf[:0], snap)
-			b = wire.ShippedBatch{Next: snap.WALPos()}
+			b = cluster.ShippedBatch{Next: snap.WALPos()}
 		} else {
-			buf = wire.AppendReplBatch(buf[:0], &b)
+			buf = cluster.AppendReplBatch(buf[:0], &b)
 		}
 		if err != nil || st.Write(nil, buf) != nil {
 			return

@@ -295,7 +295,7 @@ func TestReplicationFencing(t *testing.T) {
 	}
 	s := newTestServer(t, cfg)
 
-	err := s.ApplyShipped(wire.ShippedBatch{Epoch: 3})
+	err := s.ApplyShipped(cluster.ShippedBatch{Epoch: 3})
 	var fenced *server.FencedError
 	if !errors.As(err, &fenced) {
 		t.Fatalf("low-epoch batch: err = %v, want FencedError", err)
@@ -306,7 +306,7 @@ func TestReplicationFencing(t *testing.T) {
 
 	// A higher epoch means a newer primary: adopt it.
 	next := wal.Pos{Seg: 1, Off: 100}
-	if err := s.ApplyShipped(wire.ShippedBatch{Epoch: 7, Next: next}); err != nil {
+	if err := s.ApplyShipped(cluster.ShippedBatch{Epoch: 7, Next: next}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Epoch(); got != 7 {
@@ -314,7 +314,7 @@ func TestReplicationFencing(t *testing.T) {
 	}
 
 	// A batch that does not start at the cursor is a gap, not progress.
-	err = s.ApplyShipped(wire.ShippedBatch{Epoch: 7, From: wal.Pos{Seg: 1, Off: 50}})
+	err = s.ApplyShipped(cluster.ShippedBatch{Epoch: 7, From: wal.Pos{Seg: 1, Off: 50}})
 	if err == nil || !strings.Contains(err.Error(), "replication gap") {
 		t.Fatalf("gap batch: err = %v, want replication gap", err)
 	}
@@ -322,8 +322,30 @@ func TestReplicationFencing(t *testing.T) {
 	// A primary refuses shipped batches outright.
 	pcfg := uniformConfig(nil)
 	p := newTestServer(t, pcfg)
-	if err := p.ApplyShipped(wire.ShippedBatch{Epoch: 99}); !errors.Is(err, server.ErrNotFollower) {
+	if err := p.ApplyShipped(cluster.ShippedBatch{Epoch: 99}); !errors.Is(err, server.ErrNotFollower) {
 		t.Fatalf("primary ApplyShipped err = %v, want ErrNotFollower", err)
+	}
+}
+
+// TestFollowerRefusesANegativeLag: a batch that reports a negative lag is
+// corrupt, and the watchdog's promote gate would pass it however far behind
+// the follower runs, so it is refused whole: no event applied, no epoch
+// adopted, the cursor and the reported lag where they were.
+func TestFollowerRefusesANegativeLag(t *testing.T) {
+	cfg := uniformConfig(nil)
+	cfg.Follow = "http://127.0.0.1:0" // never started; ApplyShipped is driven directly
+	s := newTestServer(t, cfg)
+	next := wal.Pos{Seg: 1, Off: 100}
+	if err := s.ApplyShipped(cluster.ShippedBatch{Epoch: 1, Next: next, LagBytes: 7}); err != nil {
+		t.Fatal(err)
+	}
+	err := s.ApplyShipped(cluster.ShippedBatch{Epoch: 2, From: next, Next: wal.Pos{Seg: 1, Off: 200}, LagBytes: -1,
+		Events: frames(t, trace.Event{Kind: trace.EventAccept, Request: 0, Ingress: 0, Egress: 1,
+			RateBps: 1e8, TauS: 100, VolumeB: 1e10, MaxRateBps: 1e9})})
+	rs, active := s.ReplicationStatus(), s.Status().Active
+	if err == nil || rs.LagBytes != 7 || rs.Applied != 0 || active != 0 || rs.Cursor != next || rs.Epoch != 1 {
+		t.Fatalf("batch with lag -1: err %v; lag %d, %d applied, %d active, cursor %v, epoch %d; want refused, 7, 0, 0, %v, 1",
+			err, rs.LagBytes, rs.Applied, active, rs.Cursor, rs.Epoch, next)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/request"
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
@@ -292,7 +293,7 @@ func TestReseedCarriesHolds(t *testing.T) {
 	f := newTestServer(t, fcfg)
 	// History the re-seed displaces: a hold shipped before the cursor was
 	// compacted away, which the donor's snapshot no longer knows.
-	if err := f.ApplyShipped(wire.ShippedBatch{Epoch: 1, Events: frames(t, trace.Event{
+	if err := f.ApplyShipped(cluster.ShippedBatch{Epoch: 1, Events: frames(t, trace.Event{
 		Kind: trace.EventHoldReserve, Request: -1, Ingress: 1, Egress: 0,
 		Hold: "stale", Side: trace.HoldSideEgress, RateBps: 1e9, SigmaS: 0, TauS: 10, ExpireS: 5,
 	})}); err != nil {
@@ -358,7 +359,7 @@ func TestReseedStreamCutAtEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gone := len(wire.AppendReplGone(nil))
+	gone := len(cluster.AppendReplGone(nil))
 	for cut := gone; cut <= len(stream); cut++ {
 		l, _, err := wal.Open(t.TempDir(), wal.Options{})
 		if err != nil {
@@ -415,7 +416,7 @@ func TestCheckpointWritesSerializeWithReseed(t *testing.T) {
 		f := newTestServer(t, fcfg)
 		// A large state to displace makes the periodic writes slow, which
 		// is when an unserialized one lands after the re-seed's.
-		if err := f.ApplyShipped(wire.ShippedBatch{Epoch: 1, Events: frames(t, bulk...)}); err != nil {
+		if err := f.ApplyShipped(cluster.ShippedBatch{Epoch: 1, Events: frames(t, bulk...)}); err != nil {
 			t.Fatal(err)
 		}
 		stop := make(chan struct{})

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
@@ -183,17 +184,17 @@ func openRawStream(t *testing.T, base, query string) *rawStream {
 }
 
 // next reads one frame; gone reports the gone frame.
-func (r *rawStream) next() (b wire.ShippedBatch, gone bool, err error) {
+func (r *rawStream) next() (b cluster.ShippedBatch, gone bool, err error) {
 	r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if r.buf, err = wire.ReadFrame(r.br, r.buf); err != nil {
 		return b, false, err
 	}
-	return wire.DecodeReplFrame(r.buf)
+	return cluster.DecodeReplFrame(r.buf)
 }
 
 func (r *rawStream) ack(p wal.Pos) {
 	r.t.Helper()
-	if _, err := r.conn.Write(wire.AppendPos(nil, p)); err != nil {
+	if _, err := r.conn.Write(cluster.AppendPos(nil, p)); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -474,21 +475,21 @@ func TestFollowerAbandonsSilentPrimary(t *testing.T) {
 // FuzzReplFrames plays arbitrary bytes down a follower's replication
 // stream: they never panic it, a gone frame's checkpoint installs only
 // whole and on the follower's platform, and what installs passes the
-// audit. (internal/wire's FuzzReplFrames fuzzes the stream's decoders.)
+// audit. (internal/cluster's FuzzReplFrames fuzzes the stream's decoders.)
 func FuzzReplFrames(f *testing.F) {
-	f.Add(wire.AppendReplBatch(nil, &wire.ShippedBatch{
+	f.Add(cluster.AppendReplBatch(nil, &cluster.ShippedBatch{
 		Epoch: 2, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1, Off: 9}, End: wal.Pos{Seg: 1, Off: 9},
 		Events: [][]byte{[]byte(`{"kind":"reject"}`)},
 	}))
-	f.Add(wire.AppendReplBatch(nil, &wire.ShippedBatch{
+	f.Add(cluster.AppendReplBatch(nil, &cluster.ShippedBatch{
 		Epoch: 2, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1, Off: 150}, End: wal.Pos{Seg: 1, Off: 150},
 		Events: frames(f,
 			trace.Event{Kind: trace.EventAccept, Ingress: 0, Egress: 1, RateBps: 1e8, TauS: 100, VolumeB: 1e10, MaxRateBps: 1e9, Key: "k"},
 			trace.Event{At: 1, Kind: trace.EventCancel}),
 	}))
-	f.Add(wire.AppendReplBatch(nil, &wire.ShippedBatch{Epoch: 1, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1}}))
-	f.Add(wire.AppendReplGone(nil))
-	f.Add(wire.AppendPos(nil, wal.Pos{Seg: 3, Off: 4096}))
+	f.Add(cluster.AppendReplBatch(nil, &cluster.ShippedBatch{Epoch: 1, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1}}))
+	f.Add(cluster.AppendReplGone(nil))
+	f.Add(cluster.AppendPos(nil, wal.Pos{Seg: 3, Off: 4096}))
 	// A re-seed: the gone frame, a donor's checkpoint, and the batch after.
 	donor := newTestServer(f, uniformConfig(nil))
 	if d, err := donor.Submit(submission(0, false)); err != nil || !d.Accepted {
@@ -501,7 +502,7 @@ func FuzzReplFrames(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(reseed)
-	f.Add(wire.AppendReplBatch(reseed, &wire.ShippedBatch{Epoch: snap.Epoch, From: snap.WALPos(), Next: snap.WALPos()}))
+	f.Add(cluster.AppendReplBatch(reseed, &cluster.ShippedBatch{Epoch: snap.Epoch, From: snap.WALPos(), Next: snap.WALPos()}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := uniformConfig(nil)
 		cfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed

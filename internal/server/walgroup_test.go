@@ -10,10 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"gridbw/internal/cluster"
 	"gridbw/internal/server"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
-	"gridbw/internal/wire"
 )
 
 // countingFS counts the writes and fsyncs that reach the WAL's segment
@@ -128,7 +128,7 @@ func TestFollowerApplyIsOneWALWrite(t *testing.T) {
 	fcfg.WAL, fcfg.Follow = fwal, "http://127.0.0.1:0" // never started: the batch is applied directly
 	follower := newTestServer(t, fcfg)
 	w0, s0 := fsys.counts()
-	if err := follower.ApplyShipped(wire.ShippedBatch{Epoch: 1, From: start, Next: next, End: next, Events: payloads}); err != nil {
+	if err := follower.ApplyShipped(cluster.ShippedBatch{Epoch: 1, From: start, Next: next, End: next, Events: payloads}); err != nil {
 		t.Fatal(err)
 	}
 	if w, s := fsys.counts(); w-w0 != 1 || s-s0 != 1 || fwal.Records() != 16 {

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"gridbw/internal/units"
-	"gridbw/internal/wal"
 )
 
 const (
@@ -62,8 +61,8 @@ func AppendBatchRequest(dst []byte, subs []Submission) []byte {
 
 // AppendSubmitRequest appends the one-record frame a submit takes.
 func AppendSubmitRequest(dst []byte, ws *Submission) []byte {
-	dst, lenAt := beginFrame(dst, reqMagic, 1)
-	return endFrame(appendSubmission(dst, ws), lenAt)
+	dst, lenAt := BeginFrame(dst, reqMagic, 1)
+	return EndFrame(appendSubmission(dst, ws), lenAt)
 }
 
 // DecodeBatchRequest parses a framed batch request. maxCount bounds the
@@ -136,11 +135,8 @@ func AppendDecision(dst []byte, rj *ReservationJSON) []byte {
 
 // BeginAnswer starts the answer frame of n items — to a submit, a batch, a
 // lookup or a cancel — on dst: append each item with AppendDecision or
-// AppendErrorItem, then close the frame with EndAnswer(dst, at).
-func BeginAnswer(dst []byte, n int) (out []byte, at int) { return beginFrame(dst, respMagic, n) }
-
-// EndAnswer closes the answer frame BeginAnswer started at.
-func EndAnswer(dst []byte, at int) []byte { return endFrame(dst, at) }
+// AppendErrorItem, then close the frame with EndFrame(dst, at).
+func BeginAnswer(dst []byte, n int) (out []byte, at int) { return BeginFrame(dst, respMagic, n) }
 
 // AppendBatchItems appends the answer frame for items already in the JSON
 // item shape — the router's gather format: shard answers arrive as
@@ -157,7 +153,7 @@ func AppendBatchItems(dst []byte, items []BatchItemJSON) []byte {
 			dst = AppendErrorItem(dst, "no result")
 		}
 	}
-	return EndAnswer(dst, at)
+	return EndFrame(dst, at)
 }
 
 // item is one decoded answer item, before it takes the pointer shape of
@@ -386,8 +382,8 @@ const IDFrameBytes = len(idMagic) + 4 + 4 + 8
 
 // AppendIDFrame appends the request frame of a lookup or cancel of id.
 func AppendIDFrame(dst []byte, id int) []byte {
-	dst, lenAt := beginFrame(dst, idMagic, 1)
-	return endFrame(appendU64(dst, uint64(id)), lenAt)
+	dst, lenAt := BeginFrame(dst, idMagic, 1)
+	return EndFrame(appendU64(dst, uint64(id)), lenAt)
 }
 
 // DecodeIDFrame parses the request frame of a lookup or cancel.
@@ -524,7 +520,7 @@ func AppendJSONFrame(dst []byte, v any) []byte {
 	if err != nil {
 		blob, _ = json.Marshal(ErrorJSON{Error: err.Error()})
 	}
-	return endFrame(append(dst, blob...), lenAt)
+	return EndFrame(append(dst, blob...), lenAt)
 }
 
 // ReadAnswer reads one answer of the stream off r into fb, grown as
@@ -552,124 +548,4 @@ func ReadAnswer(r io.Reader, fb *FrameBuf) (tag uint32, status int, codec byte, 
 		body, err = frameBody(body, jsonMagic)
 	}
 	return tag, status, codec, body, err
-}
-
-// --- replication stream --------------------------------------------------
-
-// MaxShippedRecords is the most records one shipped batch may carry,
-// whatever a pull asks for.
-const MaxShippedRecords = 4096
-
-// AckBytes is the size of a follower's cursor frame.
-const AckBytes = 16
-
-// ShippedBatch is one pull answer: the records between From and Next,
-// fenced by the sender's epoch. End is the sender's append frontier and
-// LagBytes the exact committed bytes between Next and End, so the
-// follower can report how far behind it runs without guessing at segment
-// sizes it cannot see. Events are the sender's WAL payloads verbatim, each
-// one trace record (trace.AppendRecord); the JSON pull carries them as
-// base64 strings.
-type ShippedBatch struct {
-	Epoch    uint64   `json:"epoch"`
-	From     wal.Pos  `json:"from"`
-	Next     wal.Pos  `json:"next"`
-	End      wal.Pos  `json:"end"`
-	LagBytes int64    `json:"lag_bytes"`
-	Events   [][]byte `json:"events"`
-}
-
-// AppendPos appends a position: the follower's cursor frame, and the
-// positions of a batch's header.
-func AppendPos(dst []byte, p wal.Pos) []byte {
-	return appendU64(appendU64(dst, p.Seg), uint64(p.Off))
-}
-
-func readPos(r *reader, what string) wal.Pos {
-	p := wal.Pos{Seg: r.u64(what), Off: int64(r.u64(what))}
-	if r.err == nil && p.Off < 0 {
-		r.err = fmt.Errorf("wire: negative %s offset", what)
-	}
-	return p
-}
-
-// AppendReplBatch appends the stream frame of one shipped batch.
-func AppendReplBatch(dst []byte, b *ShippedBatch) []byte {
-	dst, lenAt := beginFrame(dst, batchMagic, len(b.Events))
-	dst = appendU64(dst, b.Epoch)
-	dst = AppendPos(dst, b.From)
-	dst = AppendPos(dst, b.Next)
-	dst = AppendPos(dst, b.End)
-	dst = appendU64(dst, uint64(b.LagBytes))
-	for _, ev := range b.Events {
-		dst = append(appendU32(dst, uint32(len(ev))), ev...)
-	}
-	return endFrame(dst, lenAt)
-}
-
-// AppendReplGone appends the frame that tells a follower its cursor was
-// compacted away.
-func AppendReplGone(dst []byte) []byte {
-	dst, lenAt := beginFrame(dst, goneMagic, 0)
-	return endFrame(dst, lenAt)
-}
-
-// DecodeReplFrame parses one stream frame: a shipped batch of at most
-// MaxShippedRecords records, each 1 to wal.MaxRecordBytes long, or the gone
-// frame. The batch's events alias frame.
-func DecodeReplFrame(frame []byte) (b ShippedBatch, gone bool, err error) {
-	if len(frame) >= len(goneMagic) && string(frame[:len(goneMagic)]) == goneMagic {
-		r, count, err := openFrame(frame, goneMagic)
-		if err == nil {
-			err = r.finish(count)
-		}
-		if err == nil && count != 0 {
-			err = fmt.Errorf("wire: gone frame declares %d records", count)
-		}
-		return b, err == nil, err
-	}
-	r, count, err := openFrame(frame, batchMagic)
-	if err != nil {
-		return b, false, err
-	}
-	if count > MaxShippedRecords {
-		return b, false, fmt.Errorf("wire: batch of %d records exceeds limit %d", count, MaxShippedRecords)
-	}
-	b.Epoch = r.u64("epoch")
-	b.From = readPos(&r, "from")
-	b.Next = readPos(&r, "next")
-	b.End = readPos(&r, "end")
-	b.LagBytes = int64(r.u64("lag"))
-	// A record is a u32 length and at least one byte.
-	if r.err == nil && count > (len(r.data)-r.off)/5 {
-		r.err = fmt.Errorf("wire: count %d exceeds body capacity", count)
-	}
-	if r.err != nil {
-		return ShippedBatch{}, false, r.err
-	}
-	b.Events = make([][]byte, count)
-	for i := range b.Events {
-		n := r.u32("record length")
-		if r.err == nil && (n == 0 || n > wal.MaxRecordBytes) {
-			r.err = fmt.Errorf("wire: record length %d outside [1, %d]", n, wal.MaxRecordBytes)
-		}
-		b.Events[i] = r.bytes(int(n), "record")
-		if r.err != nil {
-			return ShippedBatch{}, false, fmt.Errorf("record %d: %w", i, r.err)
-		}
-	}
-	if err := r.finish(count); err != nil {
-		return ShippedBatch{}, false, err
-	}
-	return b, false, nil
-}
-
-// DecodeReplAck parses a follower's cursor frame, which AppendPos writes.
-func DecodeReplAck(b []byte) (wal.Pos, error) {
-	if len(b) != AckBytes {
-		return wal.Pos{}, fmt.Errorf("wire: cursor frame of %d bytes, want %d", len(b), AckBytes)
-	}
-	r := reader{data: b}
-	p := readPos(&r, "cursor")
-	return p, r.err
 }

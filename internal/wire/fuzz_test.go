@@ -7,9 +7,7 @@ import (
 	"net/http"
 	"testing"
 
-	"gridbw/internal/trace"
 	"gridbw/internal/units"
-	"gridbw/internal/wal"
 )
 
 // FuzzDecodeBinaryBatch throws arbitrary bytes at every request-plane
@@ -192,59 +190,6 @@ func FuzzCallFrames(f *testing.F) {
 				t.Fatal("an answer cut by one byte was accepted")
 			}
 			off = end
-		}
-	})
-}
-
-// FuzzReplFrames: over arbitrary bytes the replication stream's decoders
-// never panic, what they accept is within the bounds the primary ships
-// under, and it re-encodes to the same bytes. (The daemon's FuzzReplFrames
-// plays the same kind of bytes down a follower's stream.)
-func FuzzReplFrames(f *testing.F) {
-	f.Add(AppendReplBatch(nil, &ShippedBatch{
-		Epoch: 2, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1, Off: 9}, End: wal.Pos{Seg: 1, Off: 9},
-		Events: [][]byte{[]byte(`{"kind":"reject"}`)},
-	}))
-	f.Add(AppendReplBatch(nil, &ShippedBatch{
-		Epoch: 2, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1, Off: 150}, End: wal.Pos{Seg: 1, Off: 150},
-		Events: records(f,
-			trace.Event{Kind: trace.EventAccept, Ingress: 0, Egress: 1, RateBps: 1e8, TauS: 100, VolumeB: 1e10, MaxRateBps: 1e9, Key: "k"},
-			trace.Event{At: 1, Kind: trace.EventCancel}),
-	}))
-	f.Add(AppendReplBatch(nil, &ShippedBatch{Epoch: 1, From: wal.Pos{Seg: 1}, Next: wal.Pos{Seg: 1}}))
-	f.Add(AppendReplGone(nil))
-	f.Add(AppendPos(nil, wal.Pos{Seg: 3, Off: 4096}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, gone, err := DecodeReplFrame(data)
-		switch {
-		case err != nil:
-		case gone:
-			if !bytes.Equal(data, AppendReplGone(nil)) {
-				t.Fatalf("gone frame %x is not the canonical one", data)
-			}
-		default:
-			if len(b.Events) > MaxShippedRecords {
-				t.Fatalf("decoded %d records", len(b.Events))
-			}
-			for i, ev := range b.Events {
-				if len(ev) == 0 || len(ev) > wal.MaxRecordBytes {
-					t.Fatalf("record %d of %d bytes decoded", i, len(ev))
-				}
-			}
-			if re := AppendReplBatch(nil, &b); !bytes.Equal(re, data) {
-				t.Fatalf("re-encoding differs:\n got %x\nwant %x", re, data)
-			}
-		}
-		if err == nil {
-			frame, rerr := ReadFrame(bytes.NewReader(data), nil)
-			if rerr != nil || !bytes.Equal(frame, data) {
-				t.Fatalf("framing off a stream: %x, %v", frame, rerr)
-			}
-		}
-		if p, err := DecodeReplAck(data); err == nil {
-			if re := AppendPos(nil, p); !bytes.Equal(re, data) {
-				t.Fatalf("cursor %v re-encodes to %x, not %x", p, re, data)
-			}
 		}
 	})
 }

@@ -3,8 +3,6 @@ package wire
 import (
 	"fmt"
 
-	"gridbw/internal/cluster"
-	"gridbw/internal/metrics"
 	"gridbw/internal/units"
 )
 
@@ -403,28 +401,4 @@ type HealthJSON struct {
 	WALPoisoned bool `json:"wal_poisoned,omitempty"`
 	// ReplicationLagBytes is how far a follower runs behind its primary.
 	ReplicationLagBytes int64 `json:"replication_lag_bytes,omitempty"`
-}
-
-// MetricsJSON is the default GET /v1/metricsz body: the status counters
-// plus the replication and watchdog gauges the Prometheus rendering
-// carries.
-type MetricsJSON struct {
-	StatusJSON
-	Reseeds             uint64 `json:"reseeds"`
-	ReplicationLagBytes int64  `json:"replication_lag_bytes"`
-	AppliedRecords      uint64 `json:"applied_records"`
-	// SyncDegraded counts sync-ack waits that hit their deadline and
-	// degraded to async durability.
-	SyncDegraded uint64 `json:"sync_degraded"`
-	// Followers is the primary's per-follower replication progress.
-	Followers map[string]cluster.FollowerStatus `json:"followers,omitempty"`
-	// AdmitLatency is the server-side admission-latency percentile ladder —
-	// time spent in the decide pipeline per submission — the counterpart of
-	// what gridbwload observes from the client side of the wire. With a
-	// synchronous-ack mode on, the parked replication wait is part of it.
-	AdmitLatency metrics.LatencySummary `json:"admit_latency"`
-	// WatchdogState is the in-process failover watchdog's position in the
-	// follower → suspect → promoting → primary ladder; empty
-	// when no watchdog runs in this daemon.
-	WatchdogState string `json:"watchdog_state,omitempty"`
 }

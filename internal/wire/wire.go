@@ -1,8 +1,10 @@
-// Package wire is the byte formats gridbw processes speak to each other:
-// the request plane's frames, its call stream, the replication stream, the
-// request and answer shapes both faces carry, and the op table that names
-// each call's code, method and path once. It holds pure codecs, no server:
-// the client and the load generator link it without linking the daemon.
+// Package wire is the request plane's byte formats: its frames, its call
+// stream, the request and answer shapes both faces carry, and the op table
+// that names each call's code, method and path once. It holds pure codecs,
+// no server, and links no other gridbw package but units: the client and
+// the load generator link it without linking the daemon, the WAL or the
+// replication group. The replication stream (internal/cluster) is framed
+// in the same envelope, with BeginFrame, EndFrame, OpenFrame and ReadFrame.
 //
 // Every call one gridbw process makes on another's request plane travels
 // in length-prefixed binary frames when the request Content-Type is
@@ -79,19 +81,6 @@
 // status is the HTTP status the same call would get, so every rule the
 // client keys on holds on either carrier. A frame longer than
 // MaxFrameBytes, an unknown op or a truncated call ends the stream.
-//
-// The replication stream — GET /v1/replication/pull upgraded to
-// ReplProtocol — carries one frame per shipped batch from the primary, and
-// a bare 16-byte cursor back from the follower after each:
-//
-//	"GRB1" record: u32 length | payload    (the WAL payload, verbatim)
-//	       header: u32 count | u64 epoch | pos from | pos next | pos end
-//	               | i64 lagBytes, then count records
-//	"GRG1" (gone): u32 count = 0 — the cursor was compacted away; a
-//	               checkpoint follows (the daemon's snapshot.go: WAL
-//	               frames, the header declaring its event count), then
-//	               batches from the position the checkpoint covers
-//	ack:           pos                      pos: u64 seg | i64 off
 package wire
 
 import (
@@ -101,19 +90,14 @@ import (
 	"math"
 	"slices"
 	"sync"
-
-	"gridbw/internal/trace"
 )
 
 // ContentType is the request Content-Type that selects the frames on every
 // route that has them; the answer carries it back.
 const ContentType = "application/x-gridbw-batch"
 
-// The Upgrade tokens of the two streams.
-const (
-	CallProtocol = "gridbw-call/1"
-	ReplProtocol = "gridbw-repl/1"
-)
+// CallProtocol is the Upgrade token of the call stream.
+const CallProtocol = "gridbw-call/1"
 
 // MaxFrameBytes caps a framed body, and any one frame on either stream:
 // generous for any in-limit list (records are ~50-80 bytes plus keys),
@@ -135,8 +119,6 @@ const (
 	reservedMagic = "GHA1"
 	refMagic      = "GHF1"
 	stateMagic    = "GHS1"
-	batchMagic    = "GRB1"
-	goneMagic     = "GRG1"
 	idMagic       = "GBI1"
 	jsonMagic     = "GBJ1"
 
@@ -182,27 +164,29 @@ func flagIf(on bool, bit byte) byte {
 	return 0
 }
 
-// beginFrame appends a frame header for count records and returns the
-// offset of its length prefix, which endFrame fills in.
-func beginFrame(dst []byte, magic string, count int) ([]byte, int) {
+// BeginFrame appends the header of a frame of count records and returns
+// the offset of its length prefix, which EndFrame fills in once the records
+// are appended.
+func BeginFrame(dst []byte, magic string, count int) ([]byte, int) {
 	dst = append(dst, magic...)
 	lenAt := len(dst)
 	dst = appendU32(dst, 0)
 	return appendU32(dst, uint32(count)), lenAt
 }
 
-func endFrame(dst []byte, lenAt int) []byte {
+// EndFrame closes the frame BeginFrame started at lenAt.
+func EndFrame(dst []byte, lenAt int) []byte {
 	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	return dst
 }
 
 // appendList appends the frame of items, each by record.
 func appendList[T any](dst []byte, magic string, items []T, record func([]byte, *T) []byte) []byte {
-	dst, lenAt := beginFrame(dst, magic, len(items))
+	dst, lenAt := BeginFrame(dst, magic, len(items))
 	for i := range items {
 		dst = record(dst, &items[i])
 	}
-	return endFrame(dst, lenAt)
+	return EndFrame(dst, lenAt)
 }
 
 // reader walks a frame body with bounds checks; after any failure r.err is
@@ -294,15 +278,17 @@ func (r *reader) str16Known(what, known string) string {
 }
 
 // intern is b as a string: one of the protocol's own words as its
-// constant, anything else as a copy.
+// constant, anything else as a copy. The hold sides are trace's
+// HoldSideIngress and HoldSideEgress, spelled out so that wire need not
+// link trace.
 func intern(b []byte) string {
 	switch string(b) {
 	case "":
 		return ""
-	case trace.HoldSideIngress:
-		return trace.HoldSideIngress
-	case trace.HoldSideEgress:
-		return trace.HoldSideEgress
+	case "in":
+		return "in"
+	case "eg":
+		return "eg"
 	case "held":
 		return "held"
 	case "confirmed":
@@ -339,6 +325,13 @@ func openFrame(data []byte, magic string) (reader, int, error) {
 	}
 	count := int(r.u32("count"))
 	return r, count, r.err
+}
+
+// OpenFrame checks a frame's header against magic and returns the body
+// behind its record count, and the count.
+func OpenFrame(data []byte, magic string) (body []byte, count int, err error) {
+	r, count, err := openFrame(data, magic)
+	return r.data[r.off:], count, err
 }
 
 // finish reports what went wrong reading a frame's count records, a frame
@@ -405,7 +398,7 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return buf, err
 	}
-	n := binary.LittleEndian.Uint32(buf[len(batchMagic):])
+	n := binary.LittleEndian.Uint32(buf[frameHeaderSize-4:])
 	if n > MaxFrameBytes {
 		return buf, fmt.Errorf("wire: frame of %d bytes exceeds %d", n, MaxFrameBytes)
 	}

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,7 +9,6 @@ import (
 
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
-	"gridbw/internal/wal"
 )
 
 func randSubmission(rng *rand.Rand) Submission {
@@ -252,79 +249,6 @@ func TestOpTable(t *testing.T) {
 	}
 }
 
-// TestReplFramesRoundTripAndRefuse pins the stream codec: a batch and the
-// gone frame decode to what was encoded, and the decoder refuses a count
-// above the pull clamp, a record length of zero or past the WAL's record
-// bound, and every truncation.
-func TestReplFramesRoundTripAndRefuse(t *testing.T) {
-	ev := records(t,
-		trace.Event{Kind: trace.EventAccept, Request: 3, RateBps: 1e8, TauS: 100, VolumeB: 1e10, MaxRateBps: 1e9},
-		trace.Event{Kind: trace.EventCancel, Request: 3, At: 5})
-	b := ShippedBatch{
-		Epoch: 7, From: wal.Pos{Seg: 2, Off: 10}, Next: wal.Pos{Seg: 3, Off: 40},
-		End: wal.Pos{Seg: 4, Off: 1}, LagBytes: 99, Events: ev,
-	}
-	frame := AppendReplBatch(nil, &b)
-	got, gone, err := DecodeReplFrame(frame)
-	if err != nil || gone {
-		t.Fatalf("decode: %v gone=%v", err, gone)
-	}
-	if blob, _ := json.Marshal(got); string(blob) != string(mustJSON(t, b)) {
-		t.Fatalf("round trip: got %s, want %s", blob, mustJSON(t, b))
-	}
-	for n := range frame {
-		if _, _, err := DecodeReplFrame(frame[:n]); err == nil {
-			t.Fatalf("%d-byte prefix of a %d-byte frame decoded", n, len(frame))
-		}
-	}
-	if _, gone, err := DecodeReplFrame(AppendReplGone(nil)); err != nil || !gone {
-		t.Fatalf("gone frame: gone=%v %v", gone, err)
-	}
-
-	many := make([][]byte, MaxShippedRecords+1)
-	for i := range many {
-		many[i] = []byte("1")
-	}
-	if _, _, err := DecodeReplFrame(AppendReplBatch(nil, &ShippedBatch{Events: many[:MaxShippedRecords]})); err != nil {
-		t.Fatalf("a batch at the clamp: %v", err)
-	}
-	for name, events := range map[string][][]byte{
-		"count above the clamp": many,
-		"empty record":          {[]byte("1"), {}},
-		"oversized record":      {bytes.Repeat([]byte{'1'}, wal.MaxRecordBytes+1)},
-	} {
-		if _, _, err := DecodeReplFrame(AppendReplBatch(nil, &ShippedBatch{Events: events})); err == nil {
-			t.Errorf("%s: decoded", name)
-		}
-	}
-	if _, err := DecodeReplAck(AppendPos(nil, wal.Pos{Seg: 1, Off: -1})); err == nil {
-		t.Error("cursor frame with a negative offset decoded")
-	}
-}
-
-// records encodes events as the WAL payloads a batch ships.
-func records(t testing.TB, events ...trace.Event) [][]byte {
-	t.Helper()
-	out := make([][]byte, len(events))
-	for i := range events {
-		blob, err := trace.AppendRecord(nil, &events[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = blob
-	}
-	return out
-}
-
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	blob, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
-}
-
 // TestHoldAnswersDecodeIntoReusedSlices: answers decoded over a slice
 // whose elements already name their hold keys reuse its array and those
 // key strings, so a decode allocates nothing; an element naming another
@@ -366,5 +290,24 @@ func TestHoldAnswersDecodeIntoReusedSlices(t *testing.T) {
 	intoSts[1].Hold = "x-other"
 	if got, err := DecodeHoldStatesInto(stFrame, intoSts); err != nil || got[1].Hold != keys[1] {
 		t.Fatalf("an element naming another key decoded to %q (%v), want %q", got[1].Hold, err, keys[1])
+	}
+}
+
+// TestInternKnowsTheTraceHoldSides: intern spells the hold sides as
+// literals; decoding a reserve list whose sides are trace's constants must
+// return those exact strings and allocate for neither, so the two spellings
+// cannot drift apart unnoticed.
+func TestInternKnowsTheTraceHoldSides(t *testing.T) {
+	frame := AppendHoldReserveList(nil, []HoldReserveJSON{
+		{Side: trace.HoldSideIngress, VolumeBytes: 1e9}, {Side: trace.HoldSideEgress, VolumeBytes: 1e9}})
+	var got []HoldReserveJSON
+	var err error
+	n := testing.AllocsPerRun(100, func() { got, err = DecodeHoldReserveList(frame, 0) })
+	if err != nil || len(got) != 2 || got[0].Side != trace.HoldSideIngress || got[1].Side != trace.HoldSideEgress {
+		t.Fatalf("decoded %+v, %v", got, err)
+	}
+	// The one allocation is the list's array.
+	if n != 1 && !raceEnabled {
+		t.Errorf("decoding a reserve list with the protocol's sides allocates %v times, want 1", n)
 	}
 }
