@@ -1,7 +1,9 @@
-// Command gridbwctl is the operations tool for a gridbwd replication
-// group. It is the out-of-process counterpart of the daemon's -watch flag:
-// the same cluster.Watchdog, run from an operator box (or a third machine,
-// where it doubles as an external arbiter). And it reads a daemon's WAL.
+// Command gridbwctl is the operator tool for a gridbwd deployment. It is
+// the out-of-process counterpart of the daemon's -watch flag: the same
+// cluster.Watchdog, run from an operator box (or a third machine, where it
+// doubles as an external arbiter). It reads a daemon's WAL, fronts a group
+// with TCP chaos links, and audits a chaos run's client history against
+// the surviving WALs.
 //
 //	gridbwctl status  http://a:8080 http://b:8081     replication view of each endpoint
 //	gridbwctl promote http://b:8081                   promote a standby by hand
@@ -10,6 +12,9 @@
 //	gridbwctl watch -resume -endpoints http://a:8080,http://b:8081,http://c:8082
 //	                                                  guard the group across successive failovers
 //	gridbwctl tail -wal waldir [-from 3:4096]         print the logged decisions as JSON lines
+//	gridbwctl chaos -admin 127.0.0.1:7800 -link 'a->b=>127.0.0.1:17801=>127.0.0.1:8081'
+//	                                                  TCP chaos proxies with an HTTP admin API
+//	gridbwctl check -history ops.jsonl -wal waldir    audit a chaos run; exit 1 on any violation
 //
 // Whether a promotion needs a majority is decided by the daemon being
 // promoted, not here: a gridbwd started with -peers holds its own vote
@@ -55,7 +60,7 @@ func main() {
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return errors.New("usage: gridbwctl <status|promote|watch|tail> ...")
+		return errors.New("usage: gridbwctl <status|promote|watch|tail|chaos|check> ...")
 	}
 	switch args[0] {
 	case "status":
@@ -66,8 +71,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return runWatch(ctx, args[1:], out)
 	case "tail":
 		return runTail(args[1:], out)
+	case "chaos":
+		return runChaos(ctx, args[1:], out)
+	case "check":
+		return runCheck(args[1:], out)
 	default:
-		return fmt.Errorf("unknown command %q (want status, promote, watch or tail)", args[0])
+		return fmt.Errorf("unknown command %q (want status, promote, watch, tail, chaos or check)", args[0])
 	}
 }
 

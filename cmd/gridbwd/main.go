@@ -175,7 +175,7 @@ func run(args []string) error {
 		if *follow == "" {
 			return errors.New("-watch requires -follow (only a standby can watch its primary)")
 		}
-		wd, err := newInProcessWatchdog(srv, *follow, cluster.Config{
+		wd, err := newInProcessWatchdog(srv, cluster.Config{
 			Interval: *watchInterval, Misses: *watchMisses, MaxLagBytes: *watchMaxLag,
 		})
 		if err != nil {
@@ -233,10 +233,15 @@ func run(args []string) error {
 // newInProcessWatchdog builds the watchdog a watched standby runs inside
 // its own process: the primary is probed over HTTP, but the standby-side
 // seams call straight into the local server — its own replication status
-// and its own Promote — instead of looping back through the listener. The
-// watchdog's state is surfaced on the daemon's /v1/metricsz.
-func newInProcessWatchdog(srv *server.Server, primary string, cfg cluster.Config) (*cluster.Watchdog, error) {
-	cfg.Primary = primary
+// and its own Promote — instead of looping back through the listener. Each
+// tick probes the primary the server follows then, not the -follow URL it
+// booted with: once the pull loop re-points at an election winner, the dead
+// primary's silence must not keep driving vote rounds against the live one.
+// The watchdog's state is surfaced on the daemon's /v1/metricsz.
+func newInProcessWatchdog(srv *server.Server, cfg cluster.Config) (*cluster.Watchdog, error) {
+	cfg.Probe = func(ctx context.Context) error {
+		return cluster.ProbeHealthz(ctx, nil, srv.ReplicationStatus().Source)
+	}
 	cfg.StandbyStatus = func(ctx context.Context) (cluster.ReplicationStatus, error) {
 		return srv.ReplicationStatus(), nil
 	}

@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,7 +69,7 @@ func TestWatchedFailoverSmoke(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	wd, err := newInProcessWatchdog(standby, pts.URL, cluster.Config{
+	wd, err := newInProcessWatchdog(standby, cluster.Config{
 		Interval: 10 * time.Millisecond, Misses: 2, MaxLagBytes: 1 << 20,
 	})
 	if err != nil {
@@ -203,5 +206,123 @@ func TestBootFollowerFromReseedSnapshot(t *testing.T) {
 	})
 	if err := follower2.VerifyInvariant(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLosingWatchdogStandsDownOnTheWinner: in a three-member group
+// whose two followers both run the in-process watchdog, killing the primary
+// promotes one of them, and the other's pull loop re-points at the winner.
+// From then on the loser's watchdog probes the winner, which answers, so it
+// stands down: no further vote rounds, no further self-votes burning epoch
+// numbers in its durable vote record, however many ticks go by.
+func TestLosingWatchdogStandsDownOnTheWinner(t *testing.T) {
+	var srv [3]atomic.Pointer[server.Server]
+	var url [3]string
+	for i := range srv {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			s := srv[i].Load()
+			if s == nil {
+				http.Error(w, "not up yet", http.StatusServiceUnavailable)
+				return
+			}
+			s.Handler().ServeHTTP(w, r)
+		}))
+		defer ts.Close()
+		url[i] = ts.URL
+	}
+	others := func(i int) []string {
+		var out []string
+		for j, u := range url {
+			if j != i {
+				out = append(out, u)
+			}
+		}
+		return out
+	}
+	boot := func(i int, follow string) *server.Server {
+		l, _, err := wal.Open(t.TempDir(), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		cfg := walBootConfig(l)
+		cfg.ReplID, cfg.Peers, cfg.Follow = url[i], others(i), follow
+		s, _, err := startRoute(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		srv[i].Store(s)
+		return s
+	}
+	primary := boot(0, "")
+	followers := []*server.Server{boot(1, url[0]), boot(2, url[0])}
+
+	d, err := primary.Submit(server.Submission{From: 0, To: 1, Volume: 5 * units.GB, Deadline: 40000, MaxRate: 50 * units.MBps})
+	if err != nil || !d.Accepted {
+		t.Fatalf("seed submit: %v %+v", err, d)
+	}
+	for _, f := range followers {
+		waitUntil(t, "follower catch-up", func() bool {
+			rs := f.ReplicationStatus()
+			return rs.Applied >= 1 && rs.LagBytes == 0
+		})
+	}
+
+	const interval = 10 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	wds := make([]*cluster.Watchdog, len(followers))
+	for i, f := range followers {
+		wd, err := newInProcessWatchdog(f, cluster.Config{Interval: interval, Misses: 2, MaxLagBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wds[i] = wd
+		wg.Add(1)
+		go func() { defer wg.Done(); wd.Run(ctx) }()
+	}
+
+	srv[0].Store(nil)
+	primary.Close()
+
+	win := -1
+	waitUntil(t, "one follower promoted", func() bool {
+		for i, f := range followers {
+			if !f.Following() {
+				win = i
+				return true
+			}
+		}
+		return false
+	})
+	winner, loser, loserWD := url[1+win], followers[1-win], wds[1-win]
+	waitUntil(t, "the loser re-pointed at the winner", func() bool {
+		return loser.ReplicationStatus().Source == winner
+	})
+	// Let a tick that was already under way when the source moved finish.
+	deadline := time.Now().Add(2 * time.Second)
+	for loserWD.State() != cluster.StateFollower.String() && time.Now().Before(deadline) {
+		time.Sleep(interval)
+	}
+
+	rounds, voted := loser.Status().Stats.VoteRounds, loser.ReplicationStatus().VotedEpoch
+	probes := loserWD.Status().Stats.Probes
+	waitUntil(t, "50 more ticks of the loser's watchdog", func() bool {
+		return loserWD.Status().Stats.Probes >= probes+50
+	})
+	if got := loser.Status().Stats.VoteRounds; got != rounds {
+		t.Errorf("the loser ran %d more vote rounds while following the live winner", got-rounds)
+	}
+	if got := loser.ReplicationStatus().VotedEpoch; got != voted {
+		t.Errorf("the loser's vote record moved from epoch %d to %d while following the live winner", voted, got)
+	}
+	if st := loserWD.Status(); st.State != cluster.StateFollower.String() {
+		t.Errorf("the loser's watchdog is %s (%s), want follower", st.State, st.LastError)
+	}
+	if !loser.Following() || loser.ReplicationStatus().Source != winner {
+		t.Errorf("the loser left the winner: following %v, source %s", loser.Following(), loser.ReplicationStatus().Source)
 	}
 }

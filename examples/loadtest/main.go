@@ -19,7 +19,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -29,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"gridbw/internal/cluster"
 	"gridbw/internal/loadgen"
 	"gridbw/internal/server"
 	"gridbw/internal/units"
@@ -121,16 +119,10 @@ func main() {
 
 	// The daemon kept its own server-side admission-latency histogram —
 	// the counterpart of the client-side percentiles above, split by the
-	// wire.
-	resp, err := http.Get(ts.URL + "/v1/metricsz")
-	if err != nil {
-		log.Fatal(err)
+	// wire — read here in-process.
+	if lat := s.Status().Stats.AdmitLatency; lat != nil {
+		sum := lat.Summary()
+		fmt.Printf("\nserver-side admit latency over %d decisions: p50=%.3fms p99=%.3fms max=%.3fms\n",
+			sum.Count, sum.P50Ms, sum.P99Ms, sum.MaxMs)
 	}
-	defer resp.Body.Close()
-	var m cluster.MetricsJSON
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nserver-side admit latency over %d decisions: p50=%.3fms p99=%.3fms max=%.3fms\n",
-		m.AdmitLatency.Count, m.AdmitLatency.P50Ms, m.AdmitLatency.P99Ms, m.AdmitLatency.MaxMs)
 }

@@ -9,9 +9,7 @@ import (
 	"net/http"
 	"strings"
 
-	"gridbw/internal/metrics"
 	"gridbw/internal/wal"
-	"gridbw/internal/wire"
 )
 
 // FollowerStatus is one follower's replication progress as seen from its
@@ -47,31 +45,6 @@ type ReplicationStatus struct {
 	// VotedEpoch/VotedFor expose the durable vote-once record.
 	VotedEpoch uint64 `json:"voted_epoch,omitempty"`
 	VotedFor   string `json:"voted_for,omitempty"`
-}
-
-// MetricsJSON is the default GET /v1/metricsz body: the status counters
-// plus the replication and watchdog gauges the Prometheus rendering
-// carries. Its lag, applied-records and followers fields are those of the
-// daemon's ReplicationStatus.
-type MetricsJSON struct {
-	wire.StatusJSON
-	Reseeds             uint64 `json:"reseeds"`
-	ReplicationLagBytes int64  `json:"replication_lag_bytes"`
-	AppliedRecords      uint64 `json:"applied_records"`
-	// SyncDegraded counts sync-ack waits that hit their deadline and
-	// degraded to async durability.
-	SyncDegraded uint64 `json:"sync_degraded"`
-	// Followers is the primary's per-follower replication progress.
-	Followers map[string]FollowerStatus `json:"followers,omitempty"`
-	// AdmitLatency is the server-side admission-latency percentile ladder —
-	// time spent in the decide pipeline per submission — the counterpart of
-	// what gridbwload observes from the client side of the wire. With a
-	// synchronous-ack mode on, the parked replication wait is part of it.
-	AdmitLatency metrics.LatencySummary `json:"admit_latency"`
-	// WatchdogState is the in-process failover watchdog's position in the
-	// follower → suspect → promoting → primary ladder; empty
-	// when no watchdog runs in this daemon.
-	WatchdogState string `json:"watchdog_state,omitempty"`
 }
 
 // PromoteJSON is the 200 body of POST /v1/replication/promote.
@@ -175,9 +148,16 @@ func call(ctx context.Context, hc *http.Client, method, base, path string, in, o
 
 // ProbeHealthz counts any transport error or non-200 answer as a miss: a
 // draining daemon (503) is going away and a degraded one still answers
-// 200, so the probe tracks exactly "can this primary serve".
+// 200, so the probe tracks exactly "can this primary serve". A miss names
+// the member probed. A nil hc uses the watchdog's default probe client.
 func ProbeHealthz(ctx context.Context, hc *http.Client, base string) error {
-	return call(ctx, hc, http.MethodGet, base, "/v1/healthz", nil, nil)
+	if hc == nil {
+		hc = probeClient
+	}
+	if err := call(ctx, hc, http.MethodGet, base, "/v1/healthz", nil, nil); err != nil {
+		return fmt.Errorf("%s: %w", base, err)
+	}
+	return nil
 }
 
 // FetchStatus GETs one member's replication status.

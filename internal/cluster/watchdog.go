@@ -19,11 +19,15 @@ const (
 	defaultProbeTimeout = 2 * time.Second
 )
 
-// Config wires a Watchdog to its cluster. Only Primary is mandatory when
-// the probe/status/promote seams are injected; HTTP deployments also set
-// Standby.
+// probeClient is the watchdog's probe transport when Config.HTTP is nil.
+var probeClient = &http.Client{Timeout: defaultProbeTimeout}
+
+// Config wires a Watchdog to its cluster. HTTP deployments set Primary and
+// Standby; a seam injected below stands in for the URL it would dial.
 type Config struct {
 	// Primary is the base URL whose /v1/healthz the watchdog probes.
+	// Unused when Probe is injected (the in-process watchdog inside gridbwd
+	// probes whichever primary its server follows at each tick).
 	Primary string
 	// Standby is the base URL promoted when the primary is declared dead.
 	// Unused when StandbyStatus and Promote are injected (the in-process
@@ -112,7 +116,7 @@ func New(cfg Config) (*Watchdog, error) {
 		cfg.MaxLagBytes = defaultMaxLagBytes
 	}
 	if cfg.HTTP == nil {
-		cfg.HTTP = &http.Client{Timeout: defaultProbeTimeout}
+		cfg.HTTP = probeClient
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = func(ctx context.Context, d time.Duration) error {
@@ -232,7 +236,7 @@ func (w *Watchdog) Tick(ctx context.Context) State {
 	w.stats.RecordProbe(miss)
 	w.mu.Unlock()
 	if miss {
-		w.setErr(fmt.Errorf("probe %s: %w", w.cfg.Primary, err))
+		w.setErr(fmt.Errorf("probe: %w", err))
 		state = w.step(ProbeMiss)
 	} else {
 		w.setErr(nil)

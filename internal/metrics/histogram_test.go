@@ -130,12 +130,12 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestOnlineAdmitLatencyLazyInit(t *testing.T) {
 	var o Online
-	if s := o.AdmitLatencySummary(); s.Count != 0 {
-		t.Fatalf("zero Online reported %+v", s)
+	if o.AdmitLatency != nil {
+		t.Fatalf("zero Online holds a histogram: %+v", o.AdmitLatency.Summary())
 	}
 	o.RecordAdmitLatency(3 * time.Millisecond)
 	o.RecordAdmitLatency(5 * time.Millisecond)
-	s := o.AdmitLatencySummary()
+	s := o.AdmitLatency.Summary()
 	if s.Count != 2 || s.MaxMs < 4 {
 		t.Fatalf("summary %+v after two records", s)
 	}
@@ -143,7 +143,7 @@ func TestOnlineAdmitLatencyLazyInit(t *testing.T) {
 	restored := o
 	restored.AdmitLatency = nil
 	restored.RecordAdmitLatency(time.Millisecond)
-	if restored.AdmitLatencySummary().Count != 1 {
+	if restored.AdmitLatency.Summary().Count != 1 {
 		t.Fatal("restored Online did not re-create its histogram")
 	}
 }

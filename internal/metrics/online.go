@@ -136,15 +136,6 @@ func (o *Online) RecordAdmitLatency(d time.Duration) {
 	o.AdmitLatency.Record(d)
 }
 
-// AdmitLatencySummary digests the admission-latency histogram; the zero
-// summary before any decision was timed.
-func (o *Online) AdmitLatencySummary() LatencySummary {
-	if o.AdmitLatency == nil {
-		return LatencySummary{}
-	}
-	return o.AdmitLatency.Summary()
-}
-
 // DurabilityDegraded reports whether any decision fell short of its
 // durability promise — a failed audit-log append, or a sync-ack wait
 // that timed out — the health signal operators page on.

@@ -824,13 +824,6 @@ func (c *Client) Promote(ctx context.Context) (cluster.PromoteJSON, error) {
 	return out, err
 }
 
-// Metrics fetches the metrics counters in their JSON form.
-func (c *Client) Metrics(ctx context.Context) (cluster.MetricsJSON, error) {
-	var out cluster.MetricsJSON
-	err := c.do(ctx, http.MethodGet, "/v1/metricsz", &out)
-	return out, err
-}
-
 // Metricsz fetches the Prometheus-format metrics page verbatim. The
 // per-attempt deadline applies to the whole exchange including the body
 // read, so a stalled scrape (slow-loris daemon, wedged proxy) returns
@@ -844,8 +837,6 @@ func (c *Client) Metricsz(ctx context.Context) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("gridbwd: %w", err)
 	}
-	// The daemon negotiates the metrics encoding; ask for the text form.
-	req.Header.Set("Accept", "text/plain")
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return "", fmt.Errorf("gridbwd: %w", err)

@@ -105,12 +105,7 @@ func TestWALPoisonRefusesDurableUntilRestart(t *testing.T) {
 	}
 
 	// The Prometheus surface carries the same signal for alerting.
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/metricsz", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "text/plain")
-	resp, err = http.DefaultClient.Do(req)
+	resp, err = http.Get(ts.URL + "/v1/metricsz")
 	if err != nil {
 		t.Fatal(err)
 	}

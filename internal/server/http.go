@@ -4,10 +4,8 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 
 	"gridbw/internal/callplane"
-	"gridbw/internal/cluster"
 	"gridbw/internal/metrics"
 	"gridbw/internal/topology"
 	"gridbw/internal/units"
@@ -16,9 +14,8 @@ import (
 
 // The HTTP surface of gridbwd: the request plane's seven routes, one per
 // row of internal/wire's op table, each a call internal/callplane serves
-// through Server.Call (calls.go); then status, metricsz (JSON, or
-// Prometheus text under Accept: text/plain), healthz (503 while draining)
-// and the replication routes. The submissions and RESERVE are bounded by
+// through Server.Call (calls.go); then status, metricsz (Prometheus text),
+// healthz (503 while draining) and the replication routes. The submissions and RESERVE are bounded by
 // the server's in-flight limit: excess calls get 429 with a Retry-After
 // hint instead of queueing without bound.
 //
@@ -144,32 +141,10 @@ func statusJSON(st Status) wire.StatusJSON {
 	return body
 }
 
-// handleMetricsz negotiates the metrics encoding: Prometheus text
-// exposition when the caller asks for text/plain (what a scraper sends),
-// JSON otherwise.
-func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "text/plain") {
-		s.writeMetricsText(w)
-		return
-	}
-	st := s.Status()
-	rs := s.ReplicationStatus()
-	body := cluster.MetricsJSON{
-		StatusJSON:          statusJSON(st),
-		Reseeds:             st.Stats.Reseeds,
-		ReplicationLagBytes: rs.LagBytes,
-		AppliedRecords:      rs.Applied,
-		SyncDegraded:        st.Stats.SyncDegraded,
-		Followers:           rs.Followers,
-		AdmitLatency:        st.Stats.AdmitLatencySummary(),
-		WatchdogState:       s.watchdogStateNow(),
-	}
-	callplane.WriteJSON(w, http.StatusOK, body)
-}
-
-// writeMetricsText is the list of what gridbwd exports, in page order. How a
+// handleMetricsz is the list of what gridbwd exports, in page order: one
+// Prometheus text page, whatever the caller's Accept header says. How a
 // page is spelled is internal/metrics' business (Exposition).
-func (s *Server) writeMetricsText(w http.ResponseWriter) {
+func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	st, rs := s.Status(), s.ReplicationStatus()
 	w.Header().Set("Content-Type", metrics.ContentType)
 	e := metrics.NewExposition(w)

@@ -19,9 +19,7 @@ import (
 // scrape fetches the daemon's text page the way a scraper does.
 func scrape(t *testing.T, ts *httptest.Server) string {
 	t.Helper()
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/metricsz", nil)
-	req.Header.Set("Accept", "text/plain")
-	resp, err := ts.Client().Do(req)
+	resp, err := ts.Client().Get(ts.URL + "/v1/metricsz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,23 @@
 package server_test
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
-	"gridbw/internal/cluster"
+	"gridbw/internal/metrics"
+	"gridbw/internal/metrics/promtest"
 	"gridbw/internal/server"
-	"gridbw/internal/server/client"
 )
 
-// TestMetricszContentNegotiation pins the dual shape of /v1/metricsz:
-// JSON by default (machine consumers), Prometheus text exposition when
-// the scraper asks with Accept: text/plain.
+// TestMetricszContentNegotiation pins that /v1/metricsz negotiates nothing:
+// it answers the one Prometheus text page, with the same values, whatever
+// Accept says, and every field its former JSON shape carried can still be
+// read on /v1/status, /v1/replication/status or that page.
 func TestMetricszContentNegotiation(t *testing.T) {
 	s := newTestServer(t, uniformConfig(nil))
 	s.SetWatchdogState(func() string { return "follower" })
@@ -25,58 +26,115 @@ func TestMetricszContentNegotiation(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	for _, accept := range []string{"", "application/json", "text/plain", "*/*"} {
+		text := getMetricsz(t, ts, accept)
+		lines := strings.Split(text, "\n")
+		for _, want := range []string{
+			"gridbwd_replication_is_follower 0",
+			"gridbwd_replication_epoch 1",
+			"gridbwd_reservations_active 1",
+			"gridbwd_reseeds_total 0",
+			`gridbwd_watchdog_state{state="follower"} 1`,
+			`gridbwd_watchdog_state{state="primary"} 0`,
+			"gridbwd_admit_latency_seconds_count 1",
+		} {
+			if !slices.Contains(lines, want) {
+				t.Errorf("Accept %q: page has no line %q:\n%s", accept, want, text)
+			}
+		}
+		if !strings.Contains(text, "\n"+`gridbwd_admit_latency_seconds{quantile="0.99"} `) {
+			t.Errorf("Accept %q: page has no admit-latency p99:\n%s", accept, text)
+		}
+	}
 
-	// Default: JSON.
-	resp, err := http.Get(ts.URL + "/v1/metricsz")
+	_, ts = metricsFixture(t)
+	page := promtest.Check(t, getMetricsz(t, ts, ""), "gridbwd")
+	status := jsonKeys(t, ts, "/v1/status")
+	repl := jsonKeys(t, ts, "/v1/replication/status")
+	for _, f := range []struct{ former, surface, name string }{
+		{"now_s", "status", "now_s"},
+		{"policy", "status", "policy"},
+		{"role", "status", "role"},
+		{"epoch", "status", "epoch"},
+		{"booked", "status", "booked"},
+		{"active", "status", "active"},
+		{"submitted", "status", "submitted"},
+		{"accepted", "status", "accepted"},
+		{"rejected", "status", "rejected"},
+		{"cancelled", "status", "cancelled"},
+		{"expired", "status", "expired"},
+		{"shed", "status", "shed"},
+		{"idempotent_hits", "status", "idempotent_hits"},
+		{"panics", "status", "panics"},
+		{"batches", "status", "batches"},
+		{"batch_requests", "status", "batch_requests"},
+		{"accept_rate", "status", "accept_rate"},
+		{"mean_granted_rate_bps", "status", "mean_granted_rate_bps"},
+		{"log_append_failures", "status", "log_append_failures"},
+		{"durability_degraded", "status", "durability_degraded"},
+		{"points", "status", "points"},
+		{"replication_lag_bytes", "replication", "lag_bytes"},
+		{"applied_records", "replication", "applied_records"},
+		{"followers", "replication", "followers"},
+		{"reseeds", "metricsz", "gridbwd_reseeds_total"},
+		{"sync_degraded", "metricsz", "gridbwd_sync_degraded_total"},
+		{"admit_latency", "metricsz", `gridbwd_admit_latency_seconds{quantile="0.99"}`},
+		{"watchdog_state", "metricsz", `gridbwd_watchdog_state{state="suspect"}`},
+	} {
+		var found bool
+		switch f.surface {
+		case "status":
+			found = status[f.name]
+		case "replication":
+			found = repl[f.name]
+		case "metricsz":
+			found = slices.Contains(page.Series, f.name)
+		}
+		if !found {
+			t.Errorf("former metricsz field %q: no %s on the %s surface", f.former, f.name, f.surface)
+		}
+	}
+}
+
+// getMetricsz GETs /v1/metricsz with the given Accept header ("" sends
+// none), checks the answer is the text exposition and returns its body.
+func getMetricsz(t *testing.T, ts *httptest.Server, accept string) string {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/metricsz", nil)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Fatalf("default content type = %q, want JSON", ct)
-	}
-	var m cluster.MetricsJSON
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Role != "primary" || m.Epoch != 1 || m.Active != 1 {
-		t.Fatalf("metrics JSON = %+v, want primary epoch 1 with one active", m)
-	}
-	if m.WatchdogState != "follower" {
-		t.Fatalf("watchdog_state = %q, want the installed hook's answer", m.WatchdogState)
-	}
-	if m.AdmitLatency.Count != 1 || m.AdmitLatency.MaxMs <= 0 {
-		t.Fatalf("admit_latency = %+v, want one timed admission", m.AdmitLatency)
-	}
-
-	// Accept: text/plain switches to Prometheus exposition.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/metricsz", nil)
-	req.Header.Set("Accept", "text/plain")
-	tresp, err := http.DefaultClient.Do(req)
+	blob, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tresp.Body.Close()
-	blob, _ := io.ReadAll(tresp.Body)
-	page := string(blob)
-	for _, want := range []string{
-		"gridbwd_replication_is_follower 0",
-		"gridbwd_replication_epoch 1",
-		"gridbwd_reseeds_total 0",
-		`gridbwd_watchdog_state{state="follower"} 1`,
-		`gridbwd_watchdog_state{state="primary"} 0`,
-		`gridbwd_admit_latency_seconds{quantile="0.99"}`,
-		"gridbwd_admit_latency_seconds_count 1",
-	} {
-		if !strings.Contains(page, want) {
-			t.Errorf("text exposition missing %q:\n%s", want, page)
-		}
+	if ct := resp.Header.Get("Content-Type"); ct != metrics.ContentType {
+		t.Errorf("Accept %q: Content-Type = %q, want %q", accept, ct, metrics.ContentType)
 	}
+	return string(blob)
+}
 
-	// The typed client helper reads the JSON shape.
-	c := client.NewWithOptions(ts.URL, nil, client.Options{MaxRetries: -1})
-	got, err := c.Metrics(context.Background())
-	if err != nil || got.Active != 1 || got.WatchdogState != "follower" {
-		t.Fatalf("client.Metrics = %+v, %v", got, err)
+// jsonKeys reports the top-level keys of the JSON object a GET of path
+// answers.
+func jsonKeys(t *testing.T, ts *httptest.Server, path string) map[string]bool {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	var obj map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&obj); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	keys := make(map[string]bool, len(obj))
+	for k := range obj {
+		keys[k] = true
+	}
+	return keys
 }

@@ -23,7 +23,6 @@ import (
 func ledgerBreakpoints(t *testing.T, srv *server.Server) int {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, "/v1/metricsz", nil)
-	req.Header.Set("Accept", "text/plain")
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, req)
 	for _, line := range strings.Split(rec.Body.String(), "\n") {

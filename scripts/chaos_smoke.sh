@@ -3,17 +3,17 @@
 # group with every boundary perturbed at once:
 #
 #   1. primary on :18280 with -repl-sync=quorum; follower f1 pulls its
-#      replication stream THROUGH a gridbwchaos TCP proxy and runs with
+#      replication stream THROUGH a gridbwctl chaos TCP proxy and runs with
 #      -chaos-disk armed (seeded fsync failures and short writes on its
 #      own WAL); follower f2 pulls through a second, healthy proxy
 #   2. gridbwload drives durable submissions through a third chaos proxy
 #      in front of the primary, recording every client-observed
 #      operation with -history
 #   3. mid-plateau the f1 replication link gets latency+jitter, then a
-#      full partition, then heals — all via the gridbwchaos admin API
+#      full partition, then heals — all via the gridbwctl chaos admin API
 #   4. while the primary still runs, gridbwctl tail reads its live WAL
 #      directory: the output must be non-empty JSON lines, one event each
-#   5. after the run, gridbwcheck replays the client history against the
+#   5. after the run, gridbwctl check replays the client history against the
 #      primary's WAL: every "replicated" ack must be in the log, no
 #      idempotency key admitted twice, no capacity oversubscribed
 #
@@ -58,12 +58,10 @@ chaos_rules() { # link, json rules
 echo "== build (daemon race-enabled) =="
 go build -race -o "${WORK}/gridbwd" ./cmd/gridbwd
 go build -o "${WORK}/gridbwload" ./cmd/gridbwload
-go build -o "${WORK}/gridbwchaos" ./cmd/gridbwchaos
-go build -o "${WORK}/gridbwcheck" ./cmd/gridbwcheck
 go build -o "${WORK}/gridbwctl" ./cmd/gridbwctl
 
 echo "== start the chaos proxies =="
-"${WORK}/gridbwchaos" -admin "${CHAOS_ADMIN}" \
+"${WORK}/gridbwctl" chaos -admin "${CHAOS_ADMIN}" \
 	-link "client=>${CLIENT_LINK}=>${P_ADDR}" \
 	-link "pull-f1=>${F1_LINK}=>${P_ADDR}" \
 	-link "pull-f2=>${F2_LINK}=>${P_ADDR}" \
@@ -146,7 +144,7 @@ kill ${PIDS[@]+"${PIDS[@]}"} 2>/dev/null || true
 wait 2>/dev/null || true
 PIDS=()
 
-if ! "${WORK}/gridbwcheck" -history "${WORK}/history.jsonl" -wal "${WORK}/pwal" \
+if ! "${WORK}/gridbwctl" check -history "${WORK}/history.jsonl" -wal "${WORK}/pwal" \
 	-ingress 1GB/s,1GB/s -egress 1GB/s,1GB/s; then
 	echo "invariant checker found violations; daemon logs:" >&2
 	tail -20 "${WORK}/p.log" "${WORK}/f1.log" >&2

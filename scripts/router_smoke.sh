@@ -11,7 +11,7 @@
 #   3. s0's primary is SIGKILLed mid-plateau: the router's failover
 #      client must re-converge on the majority-promoted follower and the
 #      load gate must stay green
-#   4. gridbwcheck replays the client history against BOTH surviving
+#   4. gridbwctl check replays the client history against BOTH surviving
 #      WALs (promoted follower's + s1's, in ring order): per-shard
 #      no-oversubscription and idempotency on decoded local IDs, every
 #      cross-shard hold committed on both owners or neither, every
@@ -19,8 +19,10 @@
 #
 # The script exits nonzero on a failed promotion, a promoted follower that
 # is not at fencing epoch 2, a second s0 follower claiming primary two
-# seconds later (split brain), a bare promote of the losing s0 follower
-# answered anything but 409, a tripped load gate, any checker violation, or
+# seconds later (split brain), a losing s0 follower whose vote record
+# (voted_epoch) still moves once it follows the winner, a bare promote of
+# the losing s0 follower answered anything but 409, a tripped load gate,
+# any checker violation, or
 # a run that exercised no cross-shard pair (which would mean the ring or
 # the marker plumbing is broken). It is the one real-process smoke of a
 # quorum group failing over.
@@ -66,7 +68,7 @@ echo "== build (daemon and router race-enabled) =="
 go build -race -o "${WORK}/gridbwd" ./cmd/gridbwd
 go build -race -o "${WORK}/gridbwrouter" ./cmd/gridbwrouter
 go build -o "${WORK}/gridbwload" ./cmd/gridbwload
-go build -o "${WORK}/gridbwcheck" ./cmd/gridbwcheck
+go build -o "${WORK}/gridbwctl" ./cmd/gridbwctl
 
 echo "== start shard s0: 3-node quorum group =="
 "${WORK}/gridbwd" -addr "${P_ADDR}" -wal "${WORK}/pwal" \
@@ -164,6 +166,25 @@ if repl_status "${OTHER}" | grep -q '"role":"primary"'; then
 	repl_status "${F2}" >&2
 	exit 1
 fi
+# ... and stops campaigning once it follows the winner: its watchdog probes
+# the primary its pull loop follows, not the dead -follow URL, so no more
+# vote rounds run and its durable vote record holds still ...
+voted_epoch() {
+	repl_status "$1" | python3 -c 'import json, sys; print(json.load(sys.stdin).get("voted_epoch", 0))'
+}
+for _ in $(seq 1 100); do
+	repl_status "${OTHER}" | grep -q "\"source\":\"${NEW}\"" && break
+	sleep 0.1
+done
+V0="$(voted_epoch "${OTHER}")"
+sleep 2
+V1="$(voted_epoch "${OTHER}")"
+if [ "${V0}" != "${V1}" ]; then
+	echo "the losing s0 follower kept voting for itself: voted_epoch ${V0} -> ${V1} in 2s" >&2
+	repl_status "${OTHER}" >&2
+	exit 1
+fi
+echo "losing s0 follower settled: voted_epoch ${V1} held for 2s"
 # ... and stays one when an operator leans on it: its bare promote runs the
 # same vote round, the winner is a live primary and votes no, 409.
 CODE="$(curl -s -o "${WORK}/bare_promote.json" -w '%{http_code}' -X POST "${OTHER}/v1/replication/promote")"
@@ -189,7 +210,7 @@ echo "cross-shard admissions observed: $(grep -c '"routed":"cross_shard"' "${WOR
 echo "== replay the client history against both surviving WALs =="
 # Ring order = the router's -shard order: s0 (the promoted follower's
 # replicated WAL is its history of record), then s1.
-"${WORK}/gridbwcheck" -history "${WORK}/history.jsonl" \
+"${WORK}/gridbwctl" check -history "${WORK}/history.jsonl" \
 	-wal "${NEW_WAL}" -wal "${WORK}/s1wal" \
 	-ingress "${CAPS}" -egress "${CAPS}"
 
