@@ -857,7 +857,7 @@ func BenchmarkBatchCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 			buf = wire.AppendHoldRefList(buf[:0], refs)
-			gotRefs, err := wire.DecodeHoldRefList(buf, nHolds)
+			gotRefs, err := wire.DecodeHoldRefs(buf, nHolds)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -986,12 +986,18 @@ func postJSONBatch(b *testing.B, ts *httptest.Server, reqs []wire.SubmitRequest)
 // extra p99-ns/op metric is the tail the sync-ack SLO is written against.
 // Both WALs run one fsync policy: "always" times mostly the follower's
 // fsync per shipped batch, "interval" (what the quorum_durable workload
-// runs) the replication path itself.
+// runs) the replication path itself. Both ends retain 16 finished
+// reservations, so that the steady state the benchmark times recycles
+// their entries as a long-running daemon's does.
 func BenchmarkReplSyncAckAdmit(b *testing.B) {
 	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval} {
 		b.Run("fsync="+policy.String(), func(b *testing.B) { benchReplSyncAckAdmit(b, policy) })
 	}
 }
+
+// replBenchRetention is the finished-reservation retention of the
+// replication benchmarks' servers.
+const replBenchRetention = 16
 
 func benchReplSyncAckAdmit(b *testing.B, policy wal.SyncPolicy) {
 	pwal, _, err := wal.Open(b.TempDir(), wal.Options{Policy: policy})
@@ -1008,6 +1014,7 @@ func benchReplSyncAckAdmit(b *testing.B, policy wal.SyncPolicy) {
 		WAL:      pwal,
 		ReplID:   "bench-primary",
 		SyncMode: "one", SyncTimeout: 10 * time.Second,
+		FinishedRetention: replBenchRetention,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -1022,11 +1029,12 @@ func benchReplSyncAckAdmit(b *testing.B, policy wal.SyncPolicy) {
 	}
 	defer fwal.Close()
 	follower, err := server.New(server.Config{
-		Ingress: []units.Bandwidth{10 * units.GBps, 10 * units.GBps},
-		Egress:  []units.Bandwidth{10 * units.GBps, 10 * units.GBps},
-		WAL:     fwal,
-		Follow:  ts.URL,
-		ReplID:  "bench-follower",
+		Ingress:           []units.Bandwidth{10 * units.GBps, 10 * units.GBps},
+		Egress:            []units.Bandwidth{10 * units.GBps, 10 * units.GBps},
+		WAL:               fwal,
+		Follow:            ts.URL,
+		ReplID:            "bench-follower",
+		FinishedRetention: replBenchRetention,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -1082,6 +1090,8 @@ func benchReplSyncAckAdmit(b *testing.B, policy wal.SyncPolicy) {
 // handler reads them. The WAL fsyncs on its interval, as the end-to-end
 // benchmark's followers do, so the figure is the layer's own CPU and
 // page-cache cost — what is left of a sync-ack wait besides the HTTP trip.
+// The follower retains 16 finished reservations, so that applying an
+// accept reuses the entry an evicted one left.
 func BenchmarkReplApplyShipped(b *testing.B) {
 	const perBatch = 26
 	caps := []units.Bandwidth{10 * units.GBps, 10 * units.GBps}
@@ -1126,7 +1136,8 @@ func BenchmarkReplApplyShipped(b *testing.B) {
 	defer fwal.Close()
 	follower, err := server.New(server.Config{
 		Ingress: caps, Egress: caps, Clock: clock, WAL: fwal,
-		Follow: "http://127.0.0.1:0", // never started: batches are applied directly
+		Follow:            "http://127.0.0.1:0", // never started: batches are applied directly
+		FinishedRetention: replBenchRetention,
 	})
 	if err != nil {
 		b.Fatal(err)

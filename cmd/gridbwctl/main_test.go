@@ -243,10 +243,10 @@ func TestCtlTailPrintsTheSinkEvents(t *testing.T) {
 			t.Fatalf("reserve %s: %v %+v", key, err, res)
 		}
 	}
-	if res, err := s.HoldConfirm([]wire.HoldRefJSON{{Hold: "confirmed"}}); err != nil || res[0].Code != 0 {
+	if res, err := s.HoldConfirm([]wire.HoldRef{{Key: []byte("confirmed")}}); err != nil || res[0].Code != 0 {
 		t.Fatalf("confirm: %v %+v", err, res)
 	}
-	if res, err := s.HoldAbort([]wire.HoldRefJSON{{Hold: "aborted"}}); err != nil || !res[0].Released {
+	if res, err := s.HoldAbort([]wire.HoldRef{{Key: []byte("aborted")}}); err != nil || !res[0].Released {
 		t.Fatalf("abort: %v %+v", err, res)
 	}
 	now.Store(int64(20 * time.Second)) // past the first grant's τ = 10

@@ -162,10 +162,10 @@ func seedHoldWAL(t *testing.T, bc server.Config, dir string) server.Decision {
 			t.Fatalf("reserve %s: %v %+v", key, err, res)
 		}
 	}
-	if res, err := s.HoldConfirm([]wire.HoldRefJSON{{Hold: "confirmed"}}); err != nil || res[0].Code != 0 {
+	if res, err := s.HoldConfirm([]wire.HoldRef{{Key: []byte("confirmed")}}); err != nil || res[0].Code != 0 {
 		t.Fatalf("confirm: %v %+v", err, res)
 	}
-	if res, err := s.HoldAbort([]wire.HoldRefJSON{{Hold: "aborted"}}); err != nil || !res[0].Released {
+	if res, err := s.HoldAbort([]wire.HoldRef{{Key: []byte("aborted")}}); err != nil || !res[0].Released {
 		t.Fatalf("abort: %v %+v", err, res)
 	}
 	return kept
@@ -462,7 +462,7 @@ func TestBootMixedLogAfterUpgrade(t *testing.T) {
 	}
 	cut := int(bl.Records())
 	mid := srv.Snapshot()
-	if ref, err := srv.HoldConfirm([]wire.HoldRefJSON{{Hold: "h"}}); err != nil || ref[0].Code != 0 {
+	if ref, err := srv.HoldConfirm([]wire.HoldRef{{Key: []byte("h")}}); err != nil || ref[0].Code != 0 {
 		t.Fatalf("confirm: %v %+v", err, ref)
 	}
 	submit(3, "tail-3", true)

@@ -88,46 +88,59 @@ func AppendReplGone(dst []byte) []byte {
 // MaxShippedRecords records, each 1 to wal.MaxRecordBytes long, or the gone
 // frame. The batch's events alias frame.
 func DecodeReplFrame(frame []byte) (b ShippedBatch, gone bool, err error) {
+	if gone, err = DecodeReplFrameInto(frame, &b); err != nil {
+		return ShippedBatch{}, false, err
+	}
+	return b, gone, nil
+}
+
+// DecodeReplFrameInto is DecodeReplFrame into *b, whose Events backing
+// array it reuses: a follower decodes every frame of its stream into one
+// batch. A gone frame, or a frame it refuses, leaves *b empty.
+func DecodeReplFrameInto(frame []byte, b *ShippedBatch) (gone bool, err error) {
+	*b = ShippedBatch{Events: b.Events[:0]}
 	if len(frame) >= len(goneMagic) && string(frame[:len(goneMagic)]) == goneMagic {
 		body, count, err := wire.OpenFrame(frame, goneMagic)
 		if err == nil && (count != 0 || len(body) != 0) {
 			err = fmt.Errorf("cluster: gone frame declares %d records and %d more bytes", count, len(body))
 		}
-		return b, err == nil, err
+		return err == nil, err
 	}
 	body, count, err := wire.OpenFrame(frame, batchMagic)
 	switch {
 	case err != nil:
-		return b, false, err
+		return false, err
 	case count > MaxShippedRecords:
-		return b, false, fmt.Errorf("cluster: batch of %d records exceeds limit %d", count, MaxShippedRecords)
+		return false, fmt.Errorf("cluster: batch of %d records exceeds limit %d", count, MaxShippedRecords)
 	case len(body) < batchHeaderBytes:
-		return b, false, fmt.Errorf("cluster: batch header cut at %d bytes", len(body))
+		return false, fmt.Errorf("cluster: batch header cut at %d bytes", len(body))
 	// A record is a u32 length and at least one byte.
 	case count > (len(body)-batchHeaderBytes)/5:
-		return b, false, fmt.Errorf("cluster: count %d exceeds body capacity", count)
+		return false, fmt.Errorf("cluster: count %d exceeds body capacity", count)
 	}
-	b.Epoch, b.From, b.Next, b.End = le.Uint64(body), readPos(body[8:]), readPos(body[24:]), readPos(body[40:])
-	if min(b.From.Off, b.Next.Off, b.End.Off) < 0 {
-		return ShippedBatch{}, false, fmt.Errorf("cluster: negative offset in batch positions %v, %v, %v", b.From, b.Next, b.End)
+	head := ShippedBatch{
+		Epoch: le.Uint64(body), From: readPos(body[8:]), Next: readPos(body[24:]), End: readPos(body[40:]),
+		LagBytes: int64(le.Uint64(body[56:])), Events: b.Events,
 	}
-	b.LagBytes = int64(le.Uint64(body[56:]))
+	if min(head.From.Off, head.Next.Off, head.End.Off) < 0 {
+		return false, fmt.Errorf("cluster: negative offset in batch positions %v, %v, %v", head.From, head.Next, head.End)
+	}
 	body = body[batchHeaderBytes:]
-	b.Events = make([][]byte, count)
-	for i := range b.Events {
+	for i := range count {
 		if len(body) < 4 {
-			return ShippedBatch{}, false, fmt.Errorf("cluster: record %d: length cut", i)
+			return false, fmt.Errorf("cluster: record %d: length cut", i)
 		}
 		n := int(le.Uint32(body))
 		if n == 0 || n > wal.MaxRecordBytes || n > len(body)-4 {
-			return ShippedBatch{}, false, fmt.Errorf("cluster: record %d: length %d outside [1, %d] or past the frame", i, n, wal.MaxRecordBytes)
+			return false, fmt.Errorf("cluster: record %d: length %d outside [1, %d] or past the frame", i, n, wal.MaxRecordBytes)
 		}
-		b.Events[i], body = body[4:4+n], body[4+n:]
+		head.Events, body = append(head.Events, body[4:4+n]), body[4+n:]
 	}
 	if len(body) != 0 {
-		return ShippedBatch{}, false, fmt.Errorf("cluster: %d trailing bytes after %d records", len(body), count)
+		return false, fmt.Errorf("cluster: %d trailing bytes after %d records", len(body), count)
 	}
-	return b, false, nil
+	*b = head
+	return false, nil
 }
 
 // DecodeReplAck parses a follower's cursor frame, which AppendPos writes.

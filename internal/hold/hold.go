@@ -217,6 +217,17 @@ func (t *Table) Get(key string) (*Entry, bool) {
 	return e, ok
 }
 
+// Key returns the key filed under the bytes of b: the table's own string,
+// which a caller holding the key as bytes off a frame uses without copying
+// it.
+func (t *Table) Key(b []byte) (string, bool) {
+	e, ok := t.byKey[string(b)]
+	if !ok {
+		return "", false
+	}
+	return e.Key, true
+}
+
 // KeyOf returns the key of the hold that allocated request id.
 func (t *Table) KeyOf(id request.ID) (string, bool) {
 	key, ok := t.byID[id]

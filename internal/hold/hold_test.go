@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"gridbw/internal/topology"
 	"gridbw/internal/trace"
@@ -263,6 +264,29 @@ func TestStepOnAKnownKeyAllocatesNothing(t *testing.T) {
 			if n := testing.AllocsPerRun(100, func() { tb.Step(next) }); n != 0 {
 				t.Errorf("%v after %v: %v allocs, want 0", m, path, n)
 			}
+		}
+	}
+}
+
+// TestKeyResolvesBytesToTheFiledString: a key read off a frame as bytes
+// resolves to the string the table filed, without a copy; an unknown one
+// does not resolve.
+func TestKeyResolvesBytesToTheFiledString(t *testing.T) {
+	c := newCounter(t)
+	tb := NewTable(c, 100)
+	step(tb, c, 0, reserveFits)
+	e, _ := tb.Get(message(c, 0, reserveFits).Key)
+	frame := []byte("head:" + e.Key)
+	key, ok := tb.Key(frame[len("head:"):])
+	if !ok || key != e.Key || unsafe.StringData(key) != unsafe.StringData(e.Key) {
+		t.Fatalf("Key resolved %q, %v; want the filed string %q", key, ok, e.Key)
+	}
+	if _, ok := tb.Key([]byte("unknown")); ok {
+		t.Fatal("an unknown key resolved")
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { tb.Key(frame[len("head:"):]) }); n != 0 {
+			t.Fatalf("resolving a known key allocates %v times", n)
 		}
 	}
 }

@@ -403,7 +403,7 @@ func TestConfirmListPartialConflict(t *testing.T) {
 	// CONFIRM list that names it.
 	front := httptest.NewServer(pinHTTP(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/confirm" {
-			if _, err := wt.servers[egIdx].HoldAbort([]wire.HoldRefJSON{{Hold: "x-victim"}}); err != nil {
+			if _, err := wt.servers[egIdx].HoldAbort([]wire.HoldRef{{Key: []byte("x-victim")}}); err != nil {
 				t.Error(err)
 			}
 		}

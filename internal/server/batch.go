@@ -36,9 +36,9 @@ import (
 // decided in (ingress, egress, input) order.
 //
 // Every per-call structure — the item table, the pending/waiting lists,
-// the pair transaction — lives in a pooled batchScratch, so the
-// steady-state pipeline performs no heap allocation of its own: Submit
-// runs allocation-free end to end.
+// the pair transaction, the sync-ack deadline — lives in a pooled
+// batchScratch, so the steady-state pipeline performs no heap allocation
+// of its own: Submit runs allocation-free end to end.
 
 // BatchResult is one submission's outcome within a batch: either a
 // Decision or a per-item error (malformed submission, or ErrClosed when
@@ -80,6 +80,9 @@ type batchScratch struct {
 	waiting []*batchItem  // idempotent hits resolved in phase 4
 	decided []int         // input indices whose decision this call published
 	tx      alloc.PairTx  // reusable pair transaction
+	// deadline times the sync-ack wait, re-armed by every call that
+	// waits.
+	deadline wal.Deadline
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -337,7 +340,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		}
 	}
 	if !syncPos.IsZero() {
-		degraded = !s.acks.Wait(s.stop, syncPos, need, s.syncTimeout)
+		degraded = !s.acks.Wait(s.stop, syncPos, need, s.syncTimeout, &sc.deadline)
 		// The wait's outcome is part of each answer, not just a global
 		// counter: a caller that asked for replicated durability must be
 		// able to see when its specific ack was not replicated in time.

@@ -25,8 +25,8 @@ var serverOps = [...]serverOp{
 	wire.OpSubmit:  {(*Server).callSubmit, true},
 	wire.OpBatch:   {(*Server).callBatch, true},
 	wire.OpReserve: {holdCall(wire.DecodeHoldReserveList, (*Server).HoldReserve, wire.AppendHoldReserveResults), true},
-	wire.OpConfirm: {holdCall(wire.DecodeHoldRefList, (*Server).HoldConfirm, wire.AppendHoldStates), false},
-	wire.OpAbort:   {holdCall(wire.DecodeHoldRefList, (*Server).HoldAbort, wire.AppendHoldStates), false},
+	wire.OpConfirm: {holdCall(wire.DecodeHoldRefs, (*Server).HoldConfirm, wire.AppendHoldStates), false},
+	wire.OpAbort:   {holdCall(wire.DecodeHoldRefs, (*Server).HoldAbort, wire.AppendHoldStates), false},
 	wire.OpGet:     {byIDCall((*Server).Lookup), false},
 	wire.OpCancel:  {byIDCall((*Server).Cancel), false},
 }

@@ -83,7 +83,7 @@ func (s *Server) holdReserveAnswerLocked(res hold.Result) wire.HoldReserveRespon
 // router must abort the peer); an unknown key its 404. A non-zero epoch
 // that does not match the shard's fences the whole call off — the reserve
 // was placed on a deposed lineage, and the caller refreshes and re-sends.
-func (s *Server) HoldConfirm(refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error) {
+func (s *Server) HoldConfirm(refs []wire.HoldRef) ([]wire.HoldStateJSON, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
@@ -97,11 +97,11 @@ func (s *Server) HoldConfirm(refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, err
 	s.advanceLocked()
 	out := make([]wire.HoldStateJSON, len(refs))
 	for i, ref := range refs {
-		if ref.Hold == "" {
+		if len(ref.Key) == 0 {
 			out[i] = wire.HoldStateJSON{Code: http.StatusBadRequest, Error: "server: confirm without hold key"}
 			continue
 		}
-		out[i] = s.holdStateLocked(hold.Msg{Kind: hold.Confirm, Key: ref.Hold})
+		out[i] = s.holdStateLocked(hold.Msg{Kind: hold.Confirm, Key: s.holdKeyLocked(ref.Key)})
 	}
 	return out, nil
 }
@@ -115,7 +115,7 @@ func (s *Server) HoldConfirm(refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, err
 // to converge both sides. A ref without a key names the ingress-side local
 // request ID instead — the cancel path: the router resolves a client
 // cancel of a cross-shard reservation into an abort on both owners.
-func (s *Server) HoldAbort(refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error) {
+func (s *Server) HoldAbort(refs []wire.HoldRef) ([]wire.HoldStateJSON, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
@@ -124,14 +124,14 @@ func (s *Server) HoldAbort(refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error
 	s.advanceLocked()
 	out := make([]wire.HoldStateJSON, len(refs))
 	for i, ref := range refs {
-		key := ref.Hold
+		key := s.holdKeyLocked(ref.Key)
 		if key == "" {
-			if ref.ID == nil || *ref.ID < 0 {
+			if !ref.HasID || ref.ID < 0 {
 				out[i] = wire.HoldStateJSON{Code: http.StatusBadRequest, Error: "server: abort needs a hold key or id"}
 				continue
 			}
 			var ok bool
-			if key, ok = s.st.HoldKeyOf(request.ID(*ref.ID)); !ok {
+			if key, ok = s.st.HoldKeyOf(request.ID(ref.ID)); !ok {
 				out[i] = wire.HoldStateJSON{Code: http.StatusNotFound, Error: ErrNotFound.Error()}
 				continue
 			}
@@ -139,6 +139,17 @@ func (s *Server) HoldAbort(refs []wire.HoldRefJSON) ([]wire.HoldStateJSON, error
 		out[i] = s.holdStateLocked(hold.Msg{Kind: hold.Abort, Key: key, Reason: "aborted before reserve"})
 	}
 	return out, nil
+}
+
+// holdKeyLocked is the key a ref's bytes name: the hold table's own string
+// for a key it knows, so that resolving one copies nothing, and a copy off
+// the frame for one it does not (an ABORT files it as a tombstone). The
+// refs alias the call's frame, which its answer is encoded over.
+func (s *Server) holdKeyLocked(b []byte) string {
+	if key, ok := s.st.HoldKey(b); ok {
+		return key
+	}
+	return string(b)
 }
 
 // holdStateLocked steps one CONFIRM or ABORT and answers it: 404 for a key

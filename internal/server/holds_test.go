@@ -58,7 +58,7 @@ func reserve1(s *server.Server, req wire.HoldReserveJSON) (wire.HoldReserveRespo
 }
 
 func confirm1(s *server.Server, hold string, epoch uint64) (wire.HoldStateJSON, error) {
-	out, err := s.HoldConfirm([]wire.HoldRefJSON{{Hold: hold, Epoch: epoch}})
+	out, err := s.HoldConfirm([]wire.HoldRef{{Key: []byte(hold), Epoch: epoch}})
 	if err != nil {
 		return wire.HoldStateJSON{}, err
 	}
@@ -66,7 +66,7 @@ func confirm1(s *server.Server, hold string, epoch uint64) (wire.HoldStateJSON, 
 }
 
 func abort1(s *server.Server, hold string) (wire.HoldStateJSON, error) {
-	out, err := s.HoldAbort([]wire.HoldRefJSON{{Hold: hold}})
+	out, err := s.HoldAbort([]wire.HoldRef{{Key: []byte(hold)}})
 	if err != nil {
 		return wire.HoldStateJSON{}, err
 	}
@@ -465,8 +465,8 @@ func TestHoldConfirmListPartial(t *testing.T) {
 	s.Now()
 
 	var fenced *server.FencedError
-	if _, err := s.HoldConfirm([]wire.HoldRefJSON{
-		{Hold: "long"}, {Hold: "short", Epoch: rs[0].Epoch + 3},
+	if _, err := s.HoldConfirm([]wire.HoldRef{
+		{Key: []byte("long")}, {Key: []byte("short"), Epoch: rs[0].Epoch + 3},
 	}); !errors.As(err, &fenced) {
 		t.Fatalf("confirm list with a stale epoch: %v, want FencedError", err)
 	}
@@ -474,8 +474,8 @@ func TestHoldConfirmListPartial(t *testing.T) {
 		t.Fatalf("fenced call confirmed %d holds, want none", confirmed)
 	}
 
-	out, err := s.HoldConfirm([]wire.HoldRefJSON{
-		{Hold: "short", Epoch: rs[0].Epoch}, {Hold: "long", Epoch: rs[1].Epoch}, {Hold: "ghost"},
+	out, err := s.HoldConfirm([]wire.HoldRef{
+		{Key: []byte("short"), Epoch: rs[0].Epoch}, {Key: []byte("long"), Epoch: rs[1].Epoch}, {Key: []byte("ghost")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -496,7 +496,7 @@ func TestHoldConfirmListPartial(t *testing.T) {
 	// The peer-side abort of the failed pair travels in one list with an
 	// abort by request ID (the cancel path) of the committed one.
 	id := rs[1].ID
-	ab, err := s.HoldAbort([]wire.HoldRefJSON{{Hold: "short"}, {ID: &id}, {}})
+	ab, err := s.HoldAbort([]wire.HoldRef{{Key: []byte("short")}, {ID: id, HasID: true}, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,11 +588,11 @@ func TestHoldReserveListPoisonedMidway(t *testing.T) {
 	s := newTestServer(t, cfg)
 
 	list := make([]wire.HoldReserveJSON, 3)
-	refs := make([]wire.HoldRefJSON, len(list))
+	refs := make([]wire.HoldRef, len(list))
 	for i := range list {
 		list[i] = fullReserve(string(rune('a' + i)))
 		list[i].VolumeBytes = 1e9 // all three fit side by side
-		refs[i].Hold = list[i].Hold
+		refs[i].Key = []byte(list[i].Hold)
 	}
 	dfs.FailNextFsyncs(1)
 	if _, err := s.HoldReserve(list); !errors.Is(err, server.ErrDurabilityLost) {

@@ -41,6 +41,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -172,39 +173,74 @@ func (s *Server) stopPullLocked() chan struct{} {
 // applied and nothing appended. So does a negative lag, which only a corrupt
 // batch reports and which the watchdog's promote gate would pass.
 func (s *Server) ApplyShipped(b cluster.ShippedBatch) error {
-	if b.LagBytes < 0 {
-		return fmt.Errorf("server: batch reports a negative lag of %d bytes", b.LagBytes)
-	}
-	events, err := decodeEvents(b.Events)
+	var sc shipScratch
+	localEnd, err := s.applyShipped(&b, &sc)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if err := s.applyShippedLocked(b, events); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	// The cursor record says "everything before Next is in my log, which
-	// ended here" — true, or applyShippedLocked would have refused the batch
-	// on a poisoned log — and is written outside s.mu: it is ordered after
-	// the appends by the local end it carries, not by a lock or an fsync.
-	record := s.wal != nil
-	var localEnd wal.Pos
-	if record {
-		localEnd = s.wal.End()
-	}
-	s.mu.Unlock()
-	if record {
-		if err := s.wal.SaveCursor(b.Next, localEnd); err != nil {
-			s.mu.Lock()
-			s.st.Stats.RecordLogAppendFailure()
-			s.mu.Unlock()
-		}
-	}
+	s.saveCursor(b.Next, localEnd)
 	return nil
 }
 
-func (s *Server) applyShippedLocked(b cluster.ShippedBatch, events []trace.Event) error {
+// shipScratch is what a follower decodes shipped batches into. A stream
+// keeps one for its life, so that a batch's payload list, its events and
+// the refusal reasons they repeat are not allocated again per frame.
+type shipScratch struct {
+	batch  cluster.ShippedBatch
+	events []trace.Event
+	dec    trace.Decoder
+}
+
+// decode decodes the WAL payloads a primary shipped into sc's events,
+// refusing the whole list on the first malformed one.
+func (sc *shipScratch) decode(payloads [][]byte) ([]trace.Event, error) {
+	sc.events = slices.Grow(sc.events[:0], len(payloads))[:len(payloads)]
+	for i, p := range payloads {
+		if err := sc.dec.Decode(p, &sc.events[i]); err != nil {
+			return nil, fmt.Errorf("server: WAL record: %w", err)
+		}
+	}
+	return sc.events, nil
+}
+
+// applyShipped is ApplyShipped without the cursor record: it decodes b into
+// sc, applies it and returns the local end the cursor record carries.
+func (s *Server) applyShipped(b *cluster.ShippedBatch, sc *shipScratch) (wal.Pos, error) {
+	if b.LagBytes < 0 {
+		return wal.Pos{}, fmt.Errorf("server: batch reports a negative lag of %d bytes", b.LagBytes)
+	}
+	events, err := sc.decode(b.Events)
+	if err != nil {
+		return wal.Pos{}, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.applyShippedLocked(b, events); err != nil {
+		return wal.Pos{}, err
+	}
+	if s.wal == nil {
+		return wal.Pos{}, nil
+	}
+	return s.wal.End(), nil
+}
+
+// saveCursor writes the cursor record after an applied batch: "everything
+// before next is in my log, which ended at localEnd" — true, or the apply
+// would have refused the batch on a poisoned log. It is written outside
+// s.mu: it is ordered after the appends by the local end it carries, not by
+// a lock or an fsync.
+func (s *Server) saveCursor(next, localEnd wal.Pos) {
+	if s.wal == nil {
+		return
+	}
+	if err := s.wal.SaveCursor(next, localEnd); err != nil {
+		s.mu.Lock()
+		s.st.Stats.RecordLogAppendFailure()
+		s.mu.Unlock()
+	}
+}
+
+func (s *Server) applyShippedLocked(b *cluster.ShippedBatch, events []trace.Event) error {
 	if err := s.followingLocked(); err != nil {
 		return err
 	}
@@ -581,36 +617,50 @@ func (s *Server) pullExchange(ctx context.Context, hc *http.Client, source strin
 // followStream applies the batches a primary streams down rw, writing the
 // cursor back after each one, until a frame fails to arrive, decode or
 // apply. A gone frame is followed by a checkpoint, which re-seeds the
-// follower at the position it covers; batches from there follow.
+// follower at the position it covers; batches from there follow. Every
+// frame is decoded into the same scratch.
+//
+// The cursor frame goes back as soon as the batch is applied: it vouches
+// for the appends the apply made, not for the cursor record, which only
+// lets a restart resume past them (a restart that finds an older one
+// re-pulls, and replay converges). So the record is written after the ack,
+// off the primary's sync-ack wait.
 func (s *Server) followStream(rw io.ReadWriter, watchdog *time.Timer, applied func()) error {
 	var frame []byte
 	var ack [cluster.AckBytes]byte
+	var sc shipScratch
+	b := &sc.batch
 	for {
 		var err error
 		if frame, err = wire.ReadFrame(rw, frame); err != nil {
 			return fmt.Errorf("server: pull: stream: %w", err)
 		}
 		watchdog.Reset(streamIdle)
-		b, gone, err := cluster.DecodeReplFrame(frame)
+		gone, err := cluster.DecodeReplFrameInto(frame, b)
 		if err != nil {
 			return fmt.Errorf("server: pull: stream: %w", err)
 		}
+		var localEnd wal.Pos
 		if gone {
 			snap, err := readCheckpoint(wal.NewFrameReader(rw, 0))
 			if err != nil {
 				return fmt.Errorf("server: pull: stream: re-seed: %w", err)
 			}
-			if err := s.Reseed(snap); err != nil {
+			if err := s.Reseed(snap); err != nil { // writes its own cursor record
 				return &applyError{err}
 			}
 			b.Next = snap.WALPos()
-		} else if err := s.ApplyShipped(b); err != nil {
+		} else if localEnd, err = s.applyShipped(b, &sc); err != nil {
 			return &applyError{err}
 		}
-		applied()
-		if _, err := rw.Write(cluster.AppendPos(ack[:0], b.Next)); err != nil {
+		_, err = rw.Write(cluster.AppendPos(ack[:0], b.Next))
+		if !gone {
+			s.saveCursor(b.Next, localEnd)
+		}
+		if err != nil {
 			return fmt.Errorf("server: pull: stream: %w", err)
 		}
+		applied()
 	}
 }
 
@@ -913,18 +963,6 @@ func queryUint(v string) (uint64, error) {
 		return 0, nil
 	}
 	return strconv.ParseUint(v, 10, 64)
-}
-
-// decodeEvents decodes the WAL payloads a primary shipped, refusing the
-// whole list on the first malformed one.
-func decodeEvents(payloads [][]byte) ([]trace.Event, error) {
-	events := make([]trace.Event, len(payloads))
-	for i, p := range payloads {
-		if err := trace.DecodeRecord(p, &events[i]); err != nil {
-			return nil, fmt.Errorf("server: WAL record: %w", err)
-		}
-	}
-	return events, nil
 }
 
 // ReadWALDir decodes the events of the WAL in dir from `from` on without

@@ -219,7 +219,7 @@ func TestEarlyGiveBackNeverTrimsAheadOfTheClock(t *testing.T) {
 		if err != nil || !held[0].Held {
 			t.Fatalf("booked-ahead hold %s = %+v, %v", h.Hold, held, err)
 		}
-		if got, err := srv.HoldAbort([]wire.HoldRefJSON{{Hold: h.Hold}}); err != nil || !got[0].Released {
+		if got, err := srv.HoldAbort([]wire.HoldRef{{Key: []byte(h.Hold)}}); err != nil || !got[0].Released {
 			t.Fatalf("abort of hold %s = %+v, %v", h.Hold, got, err)
 		}
 	}

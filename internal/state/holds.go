@@ -55,6 +55,10 @@ func (m *Machine) HoldStep(now units.Time, msg hold.Msg) hold.Result {
 	return res
 }
 
+// HoldKey returns the key of the hold filed under the bytes of b, as the
+// table filed it.
+func (m *Machine) HoldKey(b []byte) (string, bool) { return m.holds.Key(b) }
+
 // HoldKeyOf returns the key of the hold that allocated request id.
 func (m *Machine) HoldKeyOf(id request.ID) (string, bool) { return m.holds.KeyOf(id) }
 
@@ -296,7 +300,7 @@ func holdEvent(at units.Time, kind string, e *hold.Entry) trace.Event {
 
 // holdFromEvent decodes the hold a RESERVE record files: holdEvent read
 // backwards.
-func holdFromEvent(ev trace.Event) hold.Entry {
+func holdFromEvent(ev *trace.Event) hold.Entry {
 	h := hold.Entry{
 		Key: ev.Hold, Side: ev.Side, Point: topology.PointID(ev.Ingress), Peer: ev.Egress,
 		ID:    request.ID(ev.Request),

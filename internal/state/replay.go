@@ -68,16 +68,8 @@ func (m *Machine) apply(ev trace.Event, snapshot bool) (bool, error) {
 		}
 		m.finish(e, to, units.Time(ev.At))
 	case trace.EventHoldReserve, trace.EventHoldConfirm, trace.EventHoldAbort, trace.EventHoldExpire, trace.EventHoldRelease:
-		msg := hold.Msg{Kind: hold.Kind(slices.Index(holdEvents[:], ev.Kind)), Key: ev.Hold, Reason: ev.Reason}
-		if msg.Kind == hold.Reserve {
-			msg.Decide = func() (hold.Entry, error) { return m.bookHold(holdFromEvent(ev)) }
-		}
-		res, err := m.step(units.Time(ev.At), msg, false)
-		if err != nil {
-			return false, fmt.Errorf("server: apply: %w", err)
-		}
-		if msg.Kind == hold.Reserve && !res.Log {
-			return false, nil // duplicate delivery
+		if fresh, err := m.applyHold(&ev); err != nil || !fresh {
+			return false, err
 		}
 	case trace.EventRestore, trace.EventPanic, trace.EventPromote:
 		// Markers carry no reservation state.
@@ -86,6 +78,25 @@ func (m *Machine) apply(ev trace.Event, snapshot bool) (bool, error) {
 	}
 	if ev.Request >= int(m.NextID) {
 		m.NextID = request.ID(ev.Request + 1)
+	}
+	return true, nil
+}
+
+// applyHold replays one hold record through the step. A RESERVE's Decide
+// captures only the hold it books, so the record itself stays on its
+// caller's stack.
+func (m *Machine) applyHold(ev *trace.Event) (bool, error) {
+	msg := hold.Msg{Kind: hold.Kind(slices.Index(holdEvents[:], ev.Kind)), Key: ev.Hold, Reason: ev.Reason}
+	if msg.Kind == hold.Reserve {
+		h := holdFromEvent(ev)
+		msg.Decide = func() (hold.Entry, error) { return m.bookHold(h) }
+	}
+	res, err := m.step(units.Time(ev.At), msg, false)
+	if err != nil {
+		return false, fmt.Errorf("server: apply: %w", err)
+	}
+	if msg.Kind == hold.Reserve && !res.Log {
+		return false, nil // duplicate delivery
 	}
 	return true, nil
 }
@@ -150,15 +161,15 @@ func (m *Machine) Events(now units.Time) []trace.Event {
 		}
 	}
 
-	// Replay files the keys in the order the donor evicts them.
-	seen := make(map[string]bool)
-	for _, key := range m.idemOrder {
-		sl, ok := m.idem[key]
-		if !ok || seen[key] || !sl.settled() || sl.err != nil {
-			continue // evicted, listed already, still in flight, or failed
+	// Replay files the keys in the order the donor evicts them: each filed
+	// key at the queue entry that filed its slot.
+	for i := range m.idemOrder.len() {
+		f := m.idemOrder.at(i)
+		sl := f.sl
+		if m.idem[f.key] != sl || !sl.settled() || sl.err != nil {
+			continue // filed again since, still in flight, or failed
 		}
-		seen[key] = true
-		d := sl.d
+		key, d := f.key, sl.d
 		unrouted := request.Request{ID: d.ID, Ingress: -1, Egress: -1}
 		if d.Accepted {
 			resv(trace.EventAccept, unrouted, request.Grant{Bandwidth: d.Rate, Sigma: d.Sigma, Tau: d.Tau}, "", key)
@@ -166,8 +177,8 @@ func (m *Machine) Events(now units.Time) []trace.Event {
 			resv(trace.EventReject, unrouted, request.Grant{}, d.Reason, key)
 		}
 	}
-	for _, id := range m.finished {
-		e := m.resv[id]
+	for i := range m.finished.len() {
+		e := m.resv[m.finished.at(i)]
 		end := trace.EventExpire
 		if e.state == Cancelled {
 			end = trace.EventCancel

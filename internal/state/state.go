@@ -87,11 +87,21 @@ type entry struct {
 
 // Slot is one idempotency-cache slot: filed unsettled when a keyed
 // submission claims its key, so a concurrent retry waits instead of booking
-// twice, and settled with the decision (or error).
+// twice, and settled with the decision (or error). Slots are recycled: a
+// slot goes back on the machine's free list once it is settled and nothing
+// holds it any more (release), so filing a key allocates nothing once the
+// cache is warm.
 type Slot struct {
-	done chan struct{} // closed once d/err are valid
+	// done is closed once d/err are valid. Claim makes it only when a
+	// duplicate waits on the unsettled slot; a slot settled with no waiter,
+	// and every slot filed from a record, shares settled instead.
+	done chan struct{}
 	d    Decision
 	err  error
+	// refs counts the slot's holders, under the caller's lock: its entry in
+	// the eviction queue, the claiming submission until it settles the slot,
+	// and each duplicate until it has resolved it.
+	refs int
 }
 
 // Wait blocks until the slot is settled. Callers must not hold the lock
@@ -100,20 +110,29 @@ func (sl *Slot) Wait() { <-sl.done }
 
 func (sl *Slot) settled() bool {
 	select {
-	case <-sl.done:
+	case <-sl.done: // a nil done (unsettled, nobody waiting) never receives
 		return true
 	default:
 		return false
 	}
 }
 
-// settled is the done channel every decision filed from a record shares: a
+// settled is the done channel every slot settled with no waiter shares: a
 // recorded decision is settled from the start.
 var settled = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
 	return c
 }()
+
+// filed is one entry of the idempotency cache's eviction queue: the key and
+// the slot this entry filed under it. The key may have been filed again
+// since (a retry after an error settled the first slot), so eviction drops
+// the map entry only while it still points at this slot.
+type filed struct {
+	key string
+	sl  *Slot
+}
 
 // Machine is the reservation state of one daemon and its transitions.
 type Machine struct {
@@ -144,15 +163,18 @@ type Machine struct {
 	// entries recycles evicted entries: the steady-state accept path
 	// allocates nothing.
 	entries sync.Pool
+	// slots are idempotency slots nothing holds any more, free for the next
+	// key filed.
+	slots []*Slot
 	// retention bounds the finished FIFO, the resolved-hold FIFO and the
 	// idempotency cache.
 	retention int
 
 	resv      map[request.ID]*entry
-	finished  []request.ID // FIFO eviction queue of terminal IDs
+	finished  fifo[request.ID] // eviction queue of terminal IDs
 	holds     *hold.Table
 	idem      map[string]*Slot
-	idemOrder []string // FIFO eviction queue of idem
+	idemOrder fifo[filed] // eviction queue of idem
 }
 
 // New returns an empty machine for net that proposes holds with pol and
@@ -288,38 +310,52 @@ func (m *Machine) armExpiry(e *entry) { e.expire = m.Arm(e.grant.Tau, e.fire) }
 
 // Claim returns the slot filed under key and true, or files a fresh
 // unsettled slot under it and returns that and false: the caller owns the
-// decision and must Settle it.
+// decision and must Settle it. A caller handed a filed slot holds it until
+// it Resolves it.
 func (m *Machine) Claim(key string) (*Slot, bool) {
 	if sl, ok := m.idem[key]; ok {
 		m.Stats.RecordIdempotentHit()
+		if sl.done == nil {
+			sl.done = make(chan struct{}) // the first duplicate to wait on it
+		}
+		sl.refs++
 		return sl, true
 	}
-	sl := &Slot{done: make(chan struct{})}
+	sl := m.slot()
+	sl.refs = 1
 	m.remember(key, sl)
 	return sl, false
 }
 
 // Settle fills the slot claimed under key, waking every retry blocked on
-// it. Decisions stay cached; an error is dropped from the cache so a
-// corrected retry re-attempts instead of replaying it.
+// it, and ends the claimer's hold on it. Decisions stay cached; an error is
+// dropped from the cache so a corrected retry re-attempts instead of
+// replaying it.
 func (m *Machine) Settle(key string, sl *Slot, d Decision, err error) {
 	sl.d, sl.err = d, err
-	close(sl.done)
+	if sl.done == nil {
+		sl.done = settled
+	} else {
+		close(sl.done)
+	}
 	if err != nil {
 		if cur, ok := m.idem[key]; ok && cur == sl {
 			delete(m.idem, key)
 		}
 	}
+	m.release(sl)
 }
 
 // Resolve answers a settled slot at now the way a fresh Lookup would: an
 // accepted reservation the registry still holds reports its state now, one
-// it no longer retains finished long ago.
+// it no longer retains finished long ago. It ends the caller's hold on sl,
+// which Claim handed it.
 func (m *Machine) Resolve(now units.Time, sl *Slot) (Decision, error) {
-	if sl.err != nil {
-		return Decision{}, sl.err
+	d, err := sl.d, sl.err
+	m.release(sl)
+	if err != nil {
+		return Decision{}, err
 	}
-	d := sl.d
 	if e, live := m.resv[d.ID]; live && d.Accepted {
 		d = m.decision(e, now)
 	} else if d.Accepted {
@@ -328,15 +364,38 @@ func (m *Machine) Resolve(now units.Time, sl *Slot) (Decision, error) {
 	return d, nil
 }
 
+// slot takes a slot off the free list, or makes one.
+func (m *Machine) slot() *Slot {
+	if n := len(m.slots); n > 0 {
+		sl := m.slots[n-1]
+		m.slots = m.slots[:n-1]
+		return sl
+	}
+	return new(Slot)
+}
+
+// release drops one hold on sl; the last one puts it back on the free list.
+// Only a settled slot can lose its last hold: the claimer's ends at Settle.
+func (m *Machine) release(sl *Slot) {
+	if sl.refs--; sl.refs == 0 {
+		*sl = Slot{}
+		m.slots = append(m.slots, sl)
+	}
+}
+
 // remember files an idempotency-cache slot under its key, bounded by the
-// same FIFO retention as finished reservations.
+// same FIFO retention as finished reservations. The queue entry holds the
+// slot until it is evicted.
 func (m *Machine) remember(key string, sl *Slot) {
 	m.idem[key] = sl
-	m.idemOrder = append(m.idemOrder, key)
-	for len(m.idemOrder) > m.retention {
-		evict := m.idemOrder[0]
-		m.idemOrder = m.idemOrder[1:]
-		delete(m.idem, evict)
+	sl.refs++
+	m.idemOrder.push(filed{key, sl})
+	for m.idemOrder.len() > m.retention {
+		old := m.idemOrder.pop()
+		if m.idem[old.key] == old.sl {
+			delete(m.idem, old.key)
+		}
+		m.release(old.sl)
 	}
 }
 
@@ -347,7 +406,9 @@ func (m *Machine) fileKey(key string, d Decision) {
 		return
 	}
 	if _, ok := m.idem[key]; !ok {
-		m.remember(key, &Slot{done: settled, d: d})
+		sl := m.slot()
+		sl.done, sl.d = settled, d
+		m.remember(key, sl)
 	}
 }
 
@@ -401,10 +462,9 @@ func (m *Machine) finish(e *entry, to State, now units.Time) {
 	} else {
 		m.Stats.RecordExpire()
 	}
-	m.finished = append(m.finished, e.req.ID)
-	for len(m.finished) > m.retention {
-		evict := m.finished[0]
-		m.finished = m.finished[1:]
+	m.finished.push(e.req.ID)
+	for m.finished.len() > m.retention {
+		evict := m.finished.pop()
 		if old, ok := m.resv[evict]; ok {
 			delete(m.resv, evict)
 			// Terminal and evicted: its expiry event fired or was cancelled,

@@ -202,8 +202,8 @@ func TestStateTransitions(t *testing.T) {
 		}, []string{trace.EventAccept, trace.EventCancel}},
 		{"accept, expire", func(t *testing.T, m *Machine, b booker) {
 			b.finish(t, m, b.accept(t, m), Expired)
-			if m.Stats.Expired != 1 || len(m.finished) != 1 {
-				t.Fatalf("after expiry: %+v, finished %v", m.Stats, m.finished)
+			if m.Stats.Expired != 1 || m.finished.len() != 1 {
+				t.Fatalf("after expiry: %+v, finished %d", m.Stats, m.finished.len())
 			}
 		}, []string{trace.EventAccept, trace.EventExpire}},
 		{"retention evicts and recycles", func(t *testing.T, m *Machine, b booker) {

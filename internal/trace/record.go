@@ -95,6 +95,22 @@ func AppendRecord(dst []byte, ev *Event) ([]byte, error) {
 // varint out of its one encoding, or a byte past the last field, refuses
 // it. Strings are copied out of p, which the caller may reuse.
 func DecodeRecord(p []byte, ev *Event) error {
+	var d Decoder
+	return d.Decode(p, ev)
+}
+
+// Decoder is DecodeRecord for a stream of records: a record whose reason or
+// hold side spells the last one it decoded gets that string back instead of
+// a copy. A replica's stream repeats a handful of refusal reasons and the
+// two sides, so a decoder kept for the stream soon copies nothing but keys
+// and hold keys. The zero Decoder is ready; it is not safe for concurrent
+// use.
+type Decoder struct {
+	reason, side string
+}
+
+// Decode decodes one WAL record into ev, as DecodeRecord does.
+func (d *Decoder) Decode(p []byte, ev *Event) error {
 	*ev = Event{}
 	if len(p) > 0 && p[0] == '{' {
 		return errJSONRecord
@@ -126,10 +142,10 @@ func DecodeRecord(p []byte, ev *Event) error {
 			r.err = fmt.Errorf("float %d has bits %#x", i, bits)
 		}
 	}
-	ev.Reason = r.string()
+	ev.Reason = r.stringLike(&d.reason)
 	ev.Key = r.string()
 	ev.Hold = r.string()
-	ev.Side = r.string()
+	ev.Side = r.stringLike(&d.side)
 	if r.err == nil && len(r.p) != 0 {
 		r.err = fmt.Errorf("%d bytes past the last field", len(r.p))
 	}
@@ -201,16 +217,33 @@ func (r *recordReader) int() int {
 	return int(v)
 }
 
-func (r *recordReader) string() string {
+func (r *recordReader) string() string { return string(r.bytes()) }
+
+// stringLike reads a string, handing back *last when it spells the same
+// bytes, and keeps a new non-empty string in *last.
+func (r *recordReader) stringLike(last *string) string {
+	b := r.bytes()
+	if string(b) == *last {
+		return *last
+	}
+	s := string(b)
+	if s != "" {
+		*last = s
+	}
+	return s
+}
+
+// bytes reads a length-prefixed field, aliasing the record.
+func (r *recordReader) bytes() []byte {
 	n := r.uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(r.p)) {
 		r.err = errRecordShort
-		return ""
+		return nil
 	}
-	s := string(r.p[:n])
+	b := r.p[:n]
 	r.p = r.p[n:]
-	return s
+	return b
 }

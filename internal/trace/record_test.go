@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // recordSamples holds one event of every kind, with the shapes the daemon
@@ -99,6 +100,45 @@ func TestRecordRefusesWhatItCannotCarry(t *testing.T) {
 // A JSON record, as builds below the upgrade floor wrote them, is refused
 // with an error that names the floor and the way out, and leaves nothing
 // decoded.
+// TestDecoderSharesRepeatedStrings decodes a stream of records through one
+// Decoder: every event equals DecodeRecord's, a reason or side that repeats
+// the last one comes back as the same string, and a repeated refusal then
+// costs only its key's copy. Keys are never shared: the caller keeps them.
+func TestDecoderSharesRepeatedStrings(t *testing.T) {
+	var d Decoder
+	for _, want := range recordSamples() {
+		p, err := AppendRecord(nil, &want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, ref Event
+		if err := d.Decode(p, &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeRecord(p, &ref); err != nil || !reflect.DeepEqual(got, ref) {
+			t.Fatalf("decoder: %+v, DecodeRecord: %+v, %v", got, ref, err)
+		}
+	}
+	reject := Event{At: 3, Kind: EventReject, Request: 7, Ingress: 1, Egress: 0, Reason: "capacity saturated", Key: "k-7"}
+	p, err := AppendRecord(nil, &reject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, second Event
+	if d.Decode(p, &first) != nil || d.Decode(p, &second) != nil {
+		t.Fatal("decode failed")
+	}
+	if unsafe.StringData(first.Reason) != unsafe.StringData(second.Reason) {
+		t.Fatal("a repeated reason was copied again")
+	}
+	if unsafe.StringData(first.Key) == unsafe.StringData(second.Key) {
+		t.Fatal("two records share a key string")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = d.Decode(p, &second) }); n != 1 {
+		t.Fatalf("a repeated refusal allocates %v times, want 1 (its key)", n)
+	}
+}
+
 func TestRecordReadsLegacyJSON(t *testing.T) {
 	for _, ev := range recordSamples() {
 		if ev.Key != "" && !strings.HasPrefix(ev.Key, "k") {

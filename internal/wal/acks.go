@@ -127,31 +127,46 @@ func (a *Acks) quorumLocked(k int) Pos {
 // beyond, the timeout lapses, or done closes; it reports whether the
 // quorum was reached. Stale entries from followers that rebooted under a
 // new id can only make the wait harder (they hold an old position),
-// never satisfy it falsely.
-func (a *Acks) Wait(done <-chan struct{}, pos Pos, k int, timeout time.Duration) bool {
+// never satisfy it falsely. The timeout runs on dl, which a caller that
+// waits again and again keeps (a nil dl is a fresh one); a quorum already
+// reached arms nothing.
+func (a *Acks) Wait(done <-chan struct{}, pos Pos, k int, timeout time.Duration, dl *Deadline) bool {
 	if k <= 0 || pos.IsZero() {
 		return true // nothing to replicate, or no follower required
 	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
+	ch, ok := a.watch(pos, k)
+	if ok {
+		return true
+	}
+	if dl == nil {
+		dl = new(Deadline)
+	}
+	expired := dl.Arm(timeout)
+	defer dl.Disarm()
 	for {
-		a.mu.Lock()
-		q := a.quorumLocked(k)
-		if !q.IsZero() && !q.Less(pos) {
-			a.mu.Unlock()
-			return true
-		}
-		ch := a.notify
-		a.waiting = true
-		a.mu.Unlock()
 		select {
 		case <-ch:
-		case <-deadline.C:
+		case <-expired:
 			return false
 		case <-done:
 			return false
 		}
+		if ch, ok = a.watch(pos, k); ok {
+			return true
+		}
 	}
+}
+
+// watch reports whether k followers have acknowledged pos, and if not, the
+// channel the next ack that moves forward closes.
+func (a *Acks) watch(pos Pos, k int) (<-chan struct{}, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if q := a.quorumLocked(k); !q.IsZero() && !q.Less(pos) {
+		return nil, true
+	}
+	a.waiting = true
+	return a.notify, false
 }
 
 // Snapshot returns a copy of the per-follower ack table for status and

@@ -24,9 +24,9 @@ type Reader struct {
 	// buf holds the bytes the current Read took from the log, segment run
 	// after segment run; out the payloads, which alias buf (or, after buf
 	// grew, the array it grew from).
-	buf   []byte
-	out   [][]byte
-	timer *time.Timer // Wait's deadline, reused
+	buf      []byte
+	out      [][]byte
+	deadline Deadline // Wait's
 }
 
 // NewReader returns a reader of l. Close it when done.
@@ -198,23 +198,11 @@ func (r *Reader) seek(at Pos) error {
 	return nil
 }
 
-// Wait is Log.Wait with the reader's one deadline timer, which it reuses
-// from call to call: a stream waits between every two batches it ships.
+// Wait is Log.Wait with the reader's one deadline, which it re-arms from
+// call to call: a stream waits between every two batches it ships.
 func (r *Reader) Wait(done <-chan struct{}, pos Pos, timeout time.Duration) bool {
-	if r.timer == nil {
-		r.timer = time.NewTimer(timeout)
-	} else {
-		r.timer.Reset(timeout)
-	}
-	ok := r.l.wait(done, pos, r.timer.C)
-	if !r.timer.Stop() {
-		// It fired; take the tick wait left behind, if it did, so the next
-		// Reset starts a clean deadline.
-		select {
-		case <-r.timer.C:
-		default:
-		}
-	}
+	ok := r.l.wait(done, pos, r.deadline.Arm(timeout))
+	r.deadline.Disarm()
 	return ok
 }
 

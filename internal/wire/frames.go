@@ -323,15 +323,25 @@ func AppendHoldRefList(dst []byte, refs []HoldRefJSON) []byte {
 	})
 }
 
-// DecodeHoldRefList parses a framed POST /v1/confirm or /v1/abort body of
-// at most maxCount refs.
-func DecodeHoldRefList(data []byte, maxCount int) ([]HoldRefJSON, error) {
-	return decodeList(data, nil, refMagic, 19, 1, maxCount, func(r reader, ref *HoldRefJSON) reader {
+// HoldRef is one ref of a framed POST /v1/confirm or /v1/abort body as the
+// daemon reads it: Key aliases the frame, so that a ref the hold table
+// knows is resolved to the key it filed without a copy; ID counts only when
+// HasID is set.
+type HoldRef struct {
+	Key   []byte
+	ID    int
+	HasID bool
+	Epoch uint64
+}
+
+// DecodeHoldRefs parses a framed POST /v1/confirm or /v1/abort body of at
+// most maxCount refs. Each Key aliases data.
+func DecodeHoldRefs(data []byte, maxCount int) ([]HoldRef, error) {
+	return decodeList(data, nil, refMagic, 19, 1, maxCount, func(r reader, ref *HoldRef) reader {
 		hasID := r.u8("flags")&1 != 0
-		*ref = HoldRefJSON{Hold: r.str16("hold")}
+		*ref = HoldRef{Key: r.bytes(int(r.u16("hold")), "hold"), HasID: hasID}
 		if v := int(int64(r.u64("id"))); hasID {
-			id := v
-			ref.ID = &id
+			ref.ID = v
 		}
 		ref.Epoch = r.u64("epoch")
 		return r

@@ -36,7 +36,7 @@ func FuzzDecodeBinaryBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch := func(b []byte) ([]Submission, error) { return DecodeBatchRequest(b, 1024) }
 		reserve := func(b []byte) ([]HoldReserveJSON, error) { return DecodeHoldReserveList(b, 1024) }
-		refs := func(b []byte) ([]HoldRefJSON, error) { return DecodeHoldRefList(b, 1024) }
+		refs := func(b []byte) ([]HoldRefJSON, error) { return decodeRefList(b, 1024) }
 		single := func(dst []byte, ws Submission) []byte { return AppendSubmitRequest(dst, &ws) }
 		reencodes(t, "batch request", data, batch, AppendBatchRequest)
 		reencodes(t, "single submit", data, DecodeSubmitRequest, single)
@@ -109,7 +109,7 @@ func reencode(op Op, frame []byte) (out []byte, ok bool) {
 		}
 	case OpConfirm, OpAbort:
 		var refs []HoldRefJSON
-		if refs, err = DecodeHoldRefList(frame, 0); err == nil {
+		if refs, err = decodeRefList(frame, 0); err == nil {
 			out = AppendHoldRefList(nil, refs)
 		}
 	case OpGet, OpCancel:

@@ -417,8 +417,9 @@ func NoEOF(err error) error {
 
 // FrameBuf is a pooled byte buffer for one framed exchange: a handler reads
 // the request body into B and — the decoders having copied every string
-// out — encodes its answer over the same bytes; the client encodes requests
-// in one and reads answers into one.
+// out, and the daemon having resolved every hold ref's key (DecodeHoldRefs)
+// to its own string — encodes its answer over the same bytes; the client
+// encodes requests in one and reads answers into one.
 type FrameBuf struct{ B []byte }
 
 var frameBufPool = sync.Pool{New: func() any { return &FrameBuf{B: make([]byte, 0, 1024)} }}
