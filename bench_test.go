@@ -46,6 +46,7 @@ import (
 	"gridbw/internal/admit"
 	"gridbw/internal/alloc"
 	"gridbw/internal/cluster"
+	"gridbw/internal/des"
 	"gridbw/internal/experiment"
 	"gridbw/internal/figures"
 	"gridbw/internal/fluidtcp"
@@ -58,6 +59,7 @@ import (
 	"gridbw/internal/sched/rigid"
 	"gridbw/internal/server"
 	"gridbw/internal/server/client"
+	"gridbw/internal/state"
 	"gridbw/internal/topology"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
@@ -444,6 +446,31 @@ func BenchmarkProfileReserveRelease(b *testing.B) {
 			p.Release(t0, t1, 1*units.MBps)
 		}
 	})
+}
+
+// BenchmarkEventQueue times the event queue of internal/des alone, the one
+// every grant's expiry at τ waits in: arm one event and fire the earliest,
+// with 1k and with 20k events pending (batch_dense's daemon holds about 19k
+// live grants, each with its expiry queued).
+func BenchmarkEventQueue(b *testing.B) {
+	for _, n := range []int{1000, 20000} {
+		b.Run(fmt.Sprintf("pending=%dk", n/1000), func(b *testing.B) {
+			sim := des.New()
+			rng := rand.New(rand.NewSource(1))
+			fn := func(*des.Simulator) {}
+			for range n {
+				sim.At(units.Time(rng.Float64()*1000), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.At(sim.Now()+units.Time(rng.Float64()*1000), fn)
+				if !sim.Step() {
+					b.Fatal("nothing fired")
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkServerAdmit times one gridbwd admission end to end — request
@@ -1362,8 +1389,11 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 // "record-encode" that accept's WAL record, "wal-append" the record
 // appended under the interval fsync policy the benchmark's WAL workloads
 // run, "ship-read" the primary's stream reading it back to ship it,
-// "record-decode" the record as a follower decodes it before it acks, and
-// "encode" the one-item answer frame. The sums of these beside the measured wholes of
+// "record-decode" the record as a follower decodes it before it acks,
+// "encode" the one-item answer frame, and "expire" one grant's release at τ
+// on a machine that holds about 20k live grants. Like "global", "expire"
+// is summed into no path: a submit does not wait for it, but the daemon's
+// lock does. The sums of these beside the measured wholes of
 // each path — the residue is the transport's share — are BENCH_stages.json
 // (scripts/stages.sh).
 func BenchmarkStages(b *testing.B) {
@@ -1548,6 +1578,49 @@ func BenchmarkStages(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			buf = server.AppendBinaryBatchResponse(buf[:0], res)
+		}
+	})
+	// One expiry fired on a state machine holding 20k live grants, as
+	// batch_dense's daemon does (live_reservations_after_warmup ≈ 19k on 10
+	// points): the queue's pop, the expiry, its give-back at τ and the
+	// eviction of the oldest finished entry. Each fired grant is replaced,
+	// untimed, by one granted from now, so the machine stays as full.
+	b.Run("expire", func(b *testing.B) {
+		const points, live, span = 10, 20000, 1000.0
+		caps := make([]units.Bandwidth, points)
+		for i := range caps {
+			caps[i] = 10 * units.GBps
+		}
+		net, err := topology.New(topology.Config{Ingress: caps, Egress: caps})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := state.New(net, policy.FractionMaxRate(0.5), 4096)
+		sim := des.New()
+		m.Arm = func(at units.Time, fn des.Event) des.Handle { return sim.At(max(at, sim.Now()), fn) }
+		rng := rand.New(rand.NewSource(1))
+		accept := func(now units.Time) {
+			id := int(m.NextID)
+			if _, err := m.Apply(trace.Event{
+				At: float64(now), Kind: trace.EventAccept, Request: id,
+				Ingress: id % points, Egress: id / points % points,
+				RateBps: 1e6, SigmaS: float64(now), TauS: float64(now) + span*(0.05+rng.Float64()),
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for range live {
+			accept(0)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !sim.Step() {
+				b.Fatal("no expiry pending")
+			}
+			b.StopTimer()
+			accept(sim.Now())
+			b.StartTimer()
 		}
 	})
 	b.Run("loopback", benchLoopback)

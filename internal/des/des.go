@@ -4,7 +4,8 @@
 // control plane of §5.4 and the fluid-TCP baseline are all event-driven
 // processes: request arrivals, interval ticks, transfer completions and
 // signalling messages. This kernel gives them a shared clock and a stable
-// priority queue of timed events.
+// priority queue of timed events: a 4-ary min-heap of (instant, item)
+// slots.
 //
 // Determinism: events scheduled for the same instant fire in scheduling
 // order (FIFO among ties), so simulation runs are reproducible regardless
@@ -13,7 +14,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 
 	"gridbw/internal/units"
@@ -33,48 +33,32 @@ type Handle struct {
 }
 
 type item struct {
-	at        units.Time
-	seq       uint64
+	seq       uint64 // scheduling order: breaks a tie of instants
 	fn        Event
 	cancelled bool
-	index     int    // heap index, -1 once popped
+	queued    bool   // in the queue; false once popped
 	gen       uint64 // bumped on recycle; Handles carry the gen they saw
 	next      *item  // free-list link
 }
 
-type eventHeap []*item
+// slot is one entry of the queue: the event's instant beside its item, so a
+// sift compares instants without leaving the queue's array and reads an
+// item only to break a tie.
+type slot struct {
+	at units.Time
+	it *item
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	it := x.(*item)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.index = -1
-	*h = old[:n-1]
-	return it
+// before is the queue's order: by instant, then by scheduling order, so
+// that events at one instant fire FIFO.
+func (a slot) before(b slot) bool {
+	return a.at < b.at || a.at == b.at && a.it.seq < b.it.seq
 }
 
 // Simulator owns the event queue and the simulated clock.
 type Simulator struct {
 	now     units.Time
-	queue   eventHeap
+	queue   []slot // a 4-ary min-heap in (instant, scheduling order)
 	seq     uint64
 	running bool
 	stopped bool
@@ -91,6 +75,63 @@ func (s *Simulator) recycle(it *item) {
 	it.fn = nil
 	it.next = s.free
 	s.free = it
+}
+
+// arity is the queue's fan-out. A 4-ary heap is half as deep as a binary
+// one, and the four children a sift-down compares are 64 adjacent bytes of
+// the queue's array, where a heap of item pointers chases one item per
+// comparison.
+const arity = 4
+
+// push adds e to the queue, sifting it up from the end.
+func (s *Simulator) push(e slot) {
+	q := append(s.queue, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / arity
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	s.queue = q
+}
+
+// pop removes and returns the head of a non-empty queue: the last slot
+// takes its place and sifts down.
+func (s *Simulator) pop() slot {
+	q := s.queue
+	head := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = slot{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := arity*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j := c + 1; j < min(c+arity, n); j++ {
+				if q[j].before(q[m]) {
+					m = j
+				}
+			}
+			if !q[m].before(last) {
+				break
+			}
+			q[i] = q[m]
+			i = m
+		}
+		q[i] = last
+	}
+	s.queue = q
+	head.it.queued = false
+	return head
 }
 
 // New returns a simulator with the clock at 0.
@@ -120,12 +161,12 @@ func (s *Simulator) At(at units.Time, fn Event) Handle {
 	it := s.free
 	if it != nil {
 		s.free = it.next
-		*it = item{at: at, seq: s.seq, fn: fn, gen: it.gen}
+		*it = item{seq: s.seq, fn: fn, queued: true, gen: it.gen}
 	} else {
-		it = &item{at: at, seq: s.seq, fn: fn}
+		it = &item{seq: s.seq, fn: fn, queued: true}
 	}
 	s.seq++
-	heap.Push(&s.queue, it)
+	s.push(slot{at, it})
 	return Handle{item: it, gen: it.gen}
 }
 
@@ -145,7 +186,7 @@ func (s *Simulator) Cancel(h Handle) bool { return h.Cancel() }
 // Cancel is Simulator.Cancel for a holder of h that does not hold the
 // simulator: a handle reaches the one item it schedules.
 func (h Handle) Cancel() bool {
-	if h.item == nil || h.item.gen != h.gen || h.item.cancelled || h.item.index == -1 {
+	if h.item == nil || h.item.gen != h.gen || h.item.cancelled || !h.item.queued {
 		return false
 	}
 	h.item.cancelled = true
@@ -158,8 +199,8 @@ func (h Handle) Cancel() bool {
 // the next deadline instead of polling.
 func (s *Simulator) Next() (units.Time, bool) {
 	for len(s.queue) > 0 {
-		if s.queue[0].cancelled {
-			s.recycle(heap.Pop(&s.queue).(*item))
+		if s.queue[0].it.cancelled {
+			s.recycle(s.pop().it)
 			continue
 		}
 		return s.queue[0].at, true
@@ -188,23 +229,11 @@ func (s *Simulator) RunUntil(horizon units.Time) units.Time {
 	s.stopped = false
 	defer func() { s.running = false }()
 	for len(s.queue) > 0 && !s.stopped {
-		next := s.queue[0]
-		if horizon >= 0 && next.at > horizon {
+		if horizon >= 0 && s.queue[0].at > horizon {
 			s.now = horizon
 			return s.now
 		}
-		heap.Pop(&s.queue)
-		if next.cancelled {
-			s.recycle(next)
-			continue
-		}
-		s.now = next.at
-		if s.Trace != nil {
-			s.Trace(s.now)
-		}
-		s.fired++
-		next.fn(s)
-		s.recycle(next)
+		s.fire(s.pop())
 	}
 	if horizon >= 0 && s.now < horizon && !s.stopped {
 		s.now = horizon
@@ -216,21 +245,28 @@ func (s *Simulator) RunUntil(horizon units.Time) units.Time {
 // whether one fired.
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
-		next := heap.Pop(&s.queue).(*item)
-		if next.cancelled {
-			s.recycle(next)
-			continue
+		if s.fire(s.pop()) {
+			return true
 		}
-		s.now = next.at
-		if s.Trace != nil {
-			s.Trace(s.now)
-		}
-		s.fired++
-		next.fn(s)
-		s.recycle(next)
-		return true
 	}
 	return false
+}
+
+// fire runs a popped event, unless it was cancelled, and recycles its item;
+// it reports whether the event ran.
+func (s *Simulator) fire(e slot) bool {
+	if e.it.cancelled {
+		s.recycle(e.it)
+		return false
+	}
+	s.now = e.at
+	if s.Trace != nil {
+		s.Trace(s.now)
+	}
+	s.fired++
+	e.it.fn(s)
+	s.recycle(e.it)
+	return true
 }
 
 // Ticker schedules fn at start, start+period, ... until fn returns false or

@@ -1,6 +1,9 @@
 package des
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -309,5 +312,210 @@ func TestNext(t *testing.T) {
 	}
 	if _, ok := s.Next(); ok {
 		t.Error("Next after drain reported an event")
+	}
+}
+
+// refEvent is one event of refSim, the reference FuzzEventOrder holds the
+// kernel to.
+type refEvent struct {
+	id        int
+	at        units.Time
+	cancelled bool
+}
+
+// refSim is the queue's contract written the slow way: the events pending
+// in scheduling order, stable-sorted by instant whenever the head is asked
+// for, so that ties fire in scheduling order. A cancelled event stays
+// pending until it reaches the head, where the kernel drains it.
+type refSim struct {
+	now     units.Time
+	pending []refEvent
+	fired   []int
+	child   []bool // by id: scheduled by a firing event
+	stopped bool
+	sorted  bool // pending is in firing order: nothing was scheduled since the sort
+}
+
+func (r *refSim) at(at units.Time, child bool) {
+	r.pending = append(r.pending, refEvent{id: len(r.child), at: at})
+	r.child = append(r.child, child)
+	r.sorted = false
+}
+
+func (r *refSim) head() *refEvent {
+	if !r.sorted {
+		slices.SortStableFunc(r.pending, func(a, b refEvent) int { return cmp.Compare(a.at, b.at) })
+		r.sorted = true
+	}
+	return &r.pending[0]
+}
+
+// pop removes the head and fires it unless it was cancelled, reporting
+// whether it fired.
+func (r *refSim) pop() bool {
+	e := *r.head()
+	r.pending = r.pending[1:]
+	if e.cancelled {
+		return false
+	}
+	r.now = e.at
+	r.fired = append(r.fired, e.id)
+	if spawns(e.id, r.child[e.id]) {
+		r.at(r.now+1, true)
+	}
+	if stops(e.id) {
+		r.stopped = true
+	}
+	return true
+}
+
+func (r *refSim) cancel(id int) bool {
+	for i := range r.pending {
+		if e := &r.pending[i]; e.id == id {
+			ok := !e.cancelled
+			e.cancelled = true
+			return ok
+		}
+	}
+	return false // fired or drained
+}
+
+func (r *refSim) runUntil(horizon units.Time) units.Time {
+	r.stopped = false
+	for len(r.pending) > 0 && !r.stopped {
+		if horizon >= 0 && r.head().at > horizon {
+			r.now = horizon
+			return r.now
+		}
+		r.pop()
+	}
+	if horizon >= 0 && r.now < horizon && !r.stopped {
+		r.now = horizon
+	}
+	return r.now
+}
+
+func (r *refSim) step() bool {
+	for len(r.pending) > 0 {
+		if r.pop() {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refSim) next() (units.Time, bool) {
+	for len(r.pending) > 0 {
+		if e := r.head(); !e.cancelled {
+			return e.at, true
+		}
+		r.pending = r.pending[1:]
+	}
+	return 0, false
+}
+
+// spawns reports whether event id schedules a child one instant on when it
+// fires: every third event the driver scheduled does, no child does.
+func spawns(id int, child bool) bool { return !child && id%3 == 0 }
+
+// stops reports whether event id stops the run when it fires.
+func stops(id int) bool { return id%11 == 10 }
+
+// FuzzEventOrder drives the kernel and refSim through one sequence of At,
+// Cancel, RunUntil, Step and Next, with instants on a grid of eight so that
+// many events tie, and with events that schedule children or stop the run
+// as they fire. The firing order, Now, Pending and every answer must match
+// after each operation.
+func FuzzEventOrder(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 3, 0, 0, 4, 2, 1, 0, 3, 5})
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 1, 1, 4, 0, 0, 2, 2, 2, 3, 0})
+	f.Add([]byte{0, 7, 0, 0, 0, 9, 1, 2, 0, 2, 3, 1, 4, 2, 0, 4, 2, 15, 1, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := New()
+		ref := &refSim{}
+		var handles []Handle // by id
+		var child []bool     // by id
+		var fired []int
+		var event func(id int) Event
+		at := func(sim *Simulator, at units.Time, isChild bool) {
+			id := len(handles)
+			child = append(child, isChild)
+			handles = append(handles, sim.At(at, event(id)))
+		}
+		event = func(id int) Event {
+			return func(sim *Simulator) {
+				fired = append(fired, id)
+				if spawns(id, child[id]) {
+					at(sim, sim.Now()+1, true)
+				}
+				if stops(id) {
+					sim.Stop()
+				}
+			}
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i]%5, int(ops[i+1])
+			switch op {
+			case 0: // At, on the grid from now
+				when := s.Now() + units.Time(arg%8)
+				at(s, when, false)
+				ref.at(when, false)
+			case 1: // Cancel, of any handle ever returned: a stale one too
+				if len(handles) == 0 {
+					continue
+				}
+				id := arg % len(handles)
+				if g, w := s.Cancel(handles[id]), ref.cancel(id); g != w {
+					t.Fatalf("op %d: Cancel(%d) = %v, want %v", i, id, g, w)
+				}
+			case 2: // RunUntil a horizon on the grid, or with none
+				horizon := s.Now() + units.Time(arg%8)
+				if arg%16 == 15 {
+					horizon = -1
+				}
+				if g, w := s.RunUntil(horizon), ref.runUntil(horizon); g != w {
+					t.Fatalf("op %d: RunUntil(%v) = %v, want %v", i, horizon, g, w)
+				}
+			case 3:
+				if g, w := s.Step(), ref.step(); g != w {
+					t.Fatalf("op %d: Step = %v, want %v", i, g, w)
+				}
+			case 4:
+				g, gok := s.Next()
+				if w, wok := ref.next(); g != w || gok != wok {
+					t.Fatalf("op %d: Next = %v, %v; want %v, %v", i, g, gok, w, wok)
+				}
+			}
+			if !slices.Equal(fired, ref.fired) {
+				t.Fatalf("op %d: fired %v, want %v", i, fired, ref.fired)
+			}
+			if s.Now() != ref.now || s.Pending() != len(ref.pending) {
+				t.Fatalf("op %d: Now %v, Pending %d; want %v, %d", i, s.Now(), s.Pending(), ref.now, len(ref.pending))
+			}
+		}
+	})
+}
+
+// TestArmAndFireAllocateNothing: with 20k events pending, arming one event
+// and firing one allocates nothing — the queue's array has its room and the
+// fired item is recycled for the next arm.
+func TestArmAndFireAllocateNothing(t *testing.T) {
+	s := New()
+	src := rand.New(rand.NewSource(1))
+	fn := func(*Simulator) {}
+	for range 20000 {
+		s.At(units.Time(src.Float64()*1000), fn)
+	}
+	n := testing.AllocsPerRun(1000, func() {
+		s.At(s.Now()+units.Time(src.Float64()*1000), fn)
+		if !s.Step() {
+			panic("nothing fired")
+		}
+	})
+	if n != 0 {
+		t.Fatalf("arming and firing one event allocates %.1f objects, want 0", n)
+	}
+	if s.Pending() != 20000 {
+		t.Fatalf("Pending = %d, want 20000", s.Pending())
 	}
 }

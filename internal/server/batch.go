@@ -80,9 +80,10 @@ type batchScratch struct {
 	waiting []*batchItem  // idempotent hits resolved in phase 4
 	decided []int         // input indices whose decision this call published
 	tx      alloc.PairTx  // reusable pair transaction
-	// deadline times the sync-ack wait, re-armed by every call that
-	// waits.
+	// deadline times the sync-ack wait and wake is the channel it parks,
+	// both re-armed by every call that waits.
 	deadline wal.Deadline
+	wake     wal.Wake
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -340,7 +341,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 		}
 	}
 	if !syncPos.IsZero() {
-		degraded = !s.acks.Wait(s.stop, syncPos, need, s.syncTimeout, &sc.deadline)
+		degraded = !s.acks.Wait(s.stop, syncPos, need, s.syncTimeout, &sc.deadline, &sc.wake)
 		// The wait's outcome is part of each answer, not just a global
 		// counter: a caller that asked for replicated durability must be
 		// able to see when its specific ack was not replicated in time.

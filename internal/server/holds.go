@@ -12,7 +12,9 @@ package server
 //
 // The calls are list-shaped: one call carries every hold the router has for
 // this shard in the current wave and steps them in order under one pass of
-// the clock, one WAL event per hold. A failure of the whole call (closed,
+// the clock, one WAL event per hold. A RESERVE list appends hold by hold, so
+// that it stops at the first that poisons the WAL; a CONFIRM or ABORT list
+// reaches the WAL in one write. A failure of the whole call (closed,
 // read-only, poisoned WAL, fenced epoch) is an error; a failure of one item
 // is that item's Code/Error. This file is the gate and the answers; each
 // step is the state machine's (internal/state), which replay runs too, so a
@@ -83,6 +85,11 @@ func (s *Server) holdReserveAnswerLocked(res hold.Result) wire.HoldReserveRespon
 // router must abort the peer); an unknown key its 404. A non-zero epoch
 // that does not match the shard's fences the whole call off — the reserve
 // was placed on a deposed lineage, and the caller refreshes and re-sends.
+//
+// A poisoned WAL refuses the whole call with ErrDurabilityLost, before the
+// list and again after its one append: a CONFIRM whose record may not
+// survive a failover would leave this side aborted and the peer committed.
+// The refusal makes the router abort both sides.
 func (s *Server) HoldConfirm(refs []wire.HoldRef) ([]wire.HoldStateJSON, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -94,6 +101,10 @@ func (s *Server) HoldConfirm(refs []wire.HoldRef) ([]wire.HoldStateJSON, error) 
 			return nil, &FencedError{Batch: ref.Epoch, Current: s.repl.Epoch}
 		}
 	}
+	if s.WALPoisoned() {
+		return nil, ErrDurabilityLost
+	}
+	s.beginGroupLocked()
 	s.advanceLocked()
 	out := make([]wire.HoldStateJSON, len(refs))
 	for i, ref := range refs {
@@ -102,6 +113,10 @@ func (s *Server) HoldConfirm(refs []wire.HoldRef) ([]wire.HoldStateJSON, error) 
 			continue
 		}
 		out[i] = s.holdStateLocked(hold.Msg{Kind: hold.Confirm, Key: s.holdKeyLocked(ref.Key)})
+	}
+	s.flushGroupLocked()
+	if s.WALPoisoned() {
+		return nil, ErrDurabilityLost
 	}
 	return out, nil
 }
@@ -121,6 +136,7 @@ func (s *Server) HoldAbort(refs []wire.HoldRef) ([]wire.HoldStateJSON, error) {
 	if err := s.writableLocked(); err != nil {
 		return nil, err
 	}
+	s.beginGroupLocked()
 	s.advanceLocked()
 	out := make([]wire.HoldStateJSON, len(refs))
 	for i, ref := range refs {
@@ -138,6 +154,7 @@ func (s *Server) HoldAbort(refs []wire.HoldRef) ([]wire.HoldStateJSON, error) {
 		}
 		out[i] = s.holdStateLocked(hold.Msg{Kind: hold.Abort, Key: key, Reason: "aborted before reserve"})
 	}
+	s.flushGroupLocked()
 	return out, nil
 }
 

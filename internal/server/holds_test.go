@@ -609,6 +609,49 @@ func TestHoldReserveListPoisonedMidway(t *testing.T) {
 	}
 }
 
+// TestHoldConfirmListPoisoned: a CONFIRM list whose one WAL append meets an
+// fsync fault answers ErrDurabilityLost, not "confirmed" — its records may
+// not survive a failover, and the refusal makes the router abort both sides
+// — and so does every CONFIRM after it, before it steps anything. ABORT
+// still converges the holds.
+func TestHoldConfirmListPoisoned(t *testing.T) {
+	dfs := faults.NewDiskFS(nil, faults.DiskConfig{Seed: 1})
+	l, _, err := wal.Open(t.TempDir(), wal.Options{FS: dfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := uniformConfig(nil)
+	cfg.WAL = l
+	s := newTestServer(t, cfg)
+
+	list := make([]wire.HoldReserveJSON, 3)
+	refs := make([]wire.HoldRef, len(list))
+	for i := range list {
+		list[i] = fullReserve(string(rune('a' + i)))
+		list[i].VolumeBytes = 1e9 // all three fit side by side
+		refs[i].Key = []byte(list[i].Hold)
+	}
+	if _, err := s.HoldReserve(list); err != nil {
+		t.Fatal(err)
+	}
+	dfs.FailNextFsyncs(1)
+	if sts, err := s.HoldConfirm(refs); !errors.Is(err, server.ErrDurabilityLost) {
+		t.Fatalf("confirm list across the fault: %+v, %v; want ErrDurabilityLost", sts, err)
+	}
+	if !s.WALPoisoned() {
+		t.Fatal("the fault did not poison the WAL")
+	}
+	if _, err := confirm1(s, "a", 0); !errors.Is(err, server.ErrDurabilityLost) {
+		t.Fatalf("confirm on the poisoned WAL: %v, want ErrDurabilityLost", err)
+	}
+	if _, err := s.HoldAbort(refs); err != nil {
+		t.Fatal(err)
+	}
+	if held, confirmed := s.HoldStats(); held != 0 || confirmed != 0 {
+		t.Fatalf("after the abort: %d held / %d confirmed, want 0/0", held, confirmed)
+	}
+}
+
 // TestHoldLiveEqualsReplay: on each start path of internal/hold's truth
 // table, a daemon driven through its hold calls and its clock, a second
 // daemon rebuilt from nothing but the first one's WAL, and a third restored

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,8 +13,10 @@ import (
 
 	"gridbw/internal/cluster"
 	"gridbw/internal/server"
+	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
+	"gridbw/internal/wire"
 )
 
 // countingFS counts the writes and fsyncs that reach the WAL's segment
@@ -98,6 +101,67 @@ func TestBatchIsOneWALWrite(t *testing.T) {
 					t.Fatalf("round %d: %d fsyncs, want %d", round, s-s0, want)
 				}
 				clk.advance(30 * time.Second)
+			}
+		})
+	}
+}
+
+// TestHoldListIsOneWALWrite: a CONFIRM list of eight holds hands the WAL
+// one write, and under -wal-fsync=always one fsync; so does the ABORT list
+// that releases them. A RESERVE list appends hold by hold, so that it stops
+// at the first hold a fault poisons the WAL on.
+func TestHoldListIsOneWALWrite(t *testing.T) {
+	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval} {
+		t.Run(policy.String(), func(t *testing.T) {
+			fsys := &countingFS{}
+			l, _, err := wal.Open(t.TempDir(), wal.Options{Policy: policy, FS: fsys, Interval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			cfg := uniformConfig(&fakeClock{})
+			cfg.WAL = l
+			srv := newTestServer(t, cfg)
+			const n = 8
+			list := make([]wire.HoldReserveJSON, n)
+			refs := make([]wire.HoldRef, n)
+			for i := range list {
+				list[i] = wire.HoldReserveJSON{
+					Hold: fmt.Sprintf("h%d", i), Side: trace.HoldSideIngress,
+					Point: 0, PeerPoint: 1, TTLS: 5,
+					VolumeBytes: 1e9, MaxRateBps: 1e8, DeadlineS: 100,
+				}
+				refs[i].Key = []byte(list[i].Hold)
+			}
+			w0, _ := fsys.counts()
+			if _, err := srv.HoldReserve(list); err != nil {
+				t.Fatal(err)
+			}
+			if w, _ := fsys.counts(); w-w0 != n {
+				t.Fatalf("a reserve list of %d holds took %d writes, want %d", n, w-w0, n)
+			}
+			wantSyncs := map[wal.SyncPolicy]int64{wal.SyncAlways: 1}[policy]
+			for _, call := range []struct {
+				name string
+				run  func([]wire.HoldRef) ([]wire.HoldStateJSON, error)
+				want string
+			}{{"confirm", srv.HoldConfirm, "confirmed"}, {"abort", srv.HoldAbort, "aborted"}} {
+				w0, s0 := fsys.counts()
+				r0 := l.Records()
+				sts, err := call.run(refs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, st := range sts {
+					if st.Code != 0 || st.State != call.want {
+						t.Fatalf("%s item %d: %+v", call.name, i, st)
+					}
+				}
+				w, s := fsys.counts()
+				if logged := l.Records() - r0; logged != n || w-w0 != 1 || s-s0 != wantSyncs {
+					t.Fatalf("%s list: %d records in %d writes with %d fsyncs, want %d in 1 with %d",
+						call.name, logged, w-w0, s-s0, n, wantSyncs)
+				}
 			}
 		})
 	}

@@ -178,7 +178,7 @@ func (m *Machine) Events(now units.Time) []trace.Event {
 		}
 	}
 	for i := range m.finished.len() {
-		e := m.resv[m.finished.at(i)]
+		e := m.finished.at(i)
 		end := trace.EventExpire
 		if e.state == Cancelled {
 			end = trace.EventCancel

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"gridbw/internal/alloc"
 	"gridbw/internal/des"
@@ -76,12 +75,15 @@ var (
 type entry struct {
 	// req is the request as granted: its window is the grant's [σ, τ] on
 	// every route, whatever window the submission asked for.
-	req    request.Request
-	grant  request.Grant
-	state  State // Active while live (Booked derived from the clock), else terminal
+	req   request.Request
+	grant request.Grant
+	state State // Active while live (Booked derived from the clock), else terminal
+	// expire is the entry's one live expiry timer, if any: arming cancels
+	// the timer it replaces and finish cancels it, so a timer that fires
+	// belongs to the entry's current life (expire).
 	expire des.Handle
-	// fire is this entry's expiry callback, bound once when the pool creates
-	// the entry, so an accept schedules no new closure.
+	// fire is this entry's expiry callback, bound once when the entry is
+	// made, so an accept schedules no new closure.
 	fire des.Event
 }
 
@@ -160,9 +162,9 @@ type Machine struct {
 	decideReserving func() (hold.Entry, error)
 	// timers are the hold timers that fired, free for the next arm.
 	timers []*holdTimer
-	// entries recycles evicted entries: the steady-state accept path
-	// allocates nothing.
-	entries sync.Pool
+	// entries are evicted entries, free for the next reservation: the
+	// steady-state accept path allocates nothing.
+	entries []*entry
 	// slots are idempotency slots nothing holds any more, free for the next
 	// key filed.
 	slots []*Slot
@@ -171,7 +173,7 @@ type Machine struct {
 	retention int
 
 	resv      map[request.ID]*entry
-	finished  fifo[request.ID] // eviction queue of terminal IDs
+	finished  fifo[*entry] // eviction queue of terminal entries
 	holds     *hold.Table
 	idem      map[string]*Slot
 	idemOrder fifo[filed] // eviction queue of idem
@@ -192,11 +194,6 @@ func New(net *topology.Network, pol policy.Policy, retention int) *Machine {
 		idem:      make(map[string]*Slot),
 	}
 	m.decideReserving = func() (hold.Entry, error) { return m.decide(m.reserving.now, m.reserving.req) }
-	m.entries.New = func() any {
-		e := new(entry)
-		e.fire = func(sim *des.Simulator) { m.expire(e, sim.Now()) }
-		return e
-	}
 	return m
 }
 
@@ -236,10 +233,13 @@ func (m *Machine) Cancel(now units.Time, id request.ID) (Decision, error) {
 	return m.decision(e, now), nil
 }
 
-// expire is e's timer at τ. The identity check guards against a stale event
-// on a recycled entry.
+// expire is e's timer at τ. It probes no map: the timer that fires is e's
+// one live timer (entry.expire) — finish cancels it and arming cancels the
+// one it replaces — so e is in its current life, the registry's entry for
+// its ID. The state check keeps a timer an Arm seam could not cancel a
+// no-op.
 func (m *Machine) expire(e *entry, now units.Time) {
-	if cur, ok := m.resv[e.req.ID]; !ok || cur != e || e.state != Active {
+	if e.state != Active {
 		return
 	}
 	m.finish(e, Expired, now)
@@ -306,7 +306,13 @@ func (m *Machine) ArmTimers() int {
 	return armed
 }
 
-func (m *Machine) armExpiry(e *entry) { e.expire = m.Arm(e.grant.Tau, e.fire) }
+// armExpiry arms e's expiry at τ in place of the timer e held, if any, so
+// that an entry never has two live timers: ArmTimers re-arms every live
+// entry, also one a primary armed already.
+func (m *Machine) armExpiry(e *entry) {
+	e.expire.Cancel()
+	e.expire = m.Arm(e.grant.Tau, e.fire)
+}
 
 // Claim returns the slot filed under key and true, or files a fresh
 // unsettled slot under it and returns that and false: the caller owns the
@@ -412,10 +418,23 @@ func (m *Machine) fileKey(key string, d Decision) {
 	}
 }
 
+// entry takes an evicted entry off the free list, or makes one with its
+// expiry callback bound.
+func (m *Machine) entry() *entry {
+	if n := len(m.entries); n > 0 {
+		e := m.entries[n-1]
+		m.entries = m.entries[:n-1]
+		return e
+	}
+	e := new(entry)
+	e.fire = func(sim *des.Simulator) { m.expire(e, sim.Now()) }
+	return e
+}
+
 // register files a granted reservation whose capacity is booked — by the
 // live admission step under its pair lock, or by restore.
 func (m *Machine) register(r request.Request, g request.Grant) *entry {
-	e := m.entries.Get().(*entry)
+	e := m.entry()
 	r.Start, r.Finish = g.Sigma, g.Tau
 	e.req, e.grant, e.state = r, g, Active
 	m.resv[r.ID] = e
@@ -462,17 +481,17 @@ func (m *Machine) finish(e *entry, to State, now units.Time) {
 	} else {
 		m.Stats.RecordExpire()
 	}
-	m.finished.push(e.req.ID)
+	m.finished.push(e)
 	for m.finished.len() > m.retention {
-		evict := m.finished.pop()
-		if old, ok := m.resv[evict]; ok {
-			delete(m.resv, evict)
-			// Terminal and evicted: its expiry event fired or was cancelled,
-			// and nothing outside the caller's lock holds entries, so the
-			// record can be recycled.
-			old.req, old.grant, old.state, old.expire = request.Request{}, request.Grant{}, "", des.Handle{}
-			m.entries.Put(old)
-		}
+		// A finished entry stays the registry's until its eviction: an ID
+		// is registered again only after that.
+		old := m.finished.pop()
+		delete(m.resv, old.req.ID)
+		// Terminal and evicted: its expiry timer fired or was cancelled
+		// (finish), and nothing outside the caller's lock holds entries, so
+		// the record can be recycled.
+		old.req, old.grant, old.state, old.expire = request.Request{}, request.Grant{}, "", des.Handle{}
+		m.entries = append(m.entries, old)
 	}
 }
 

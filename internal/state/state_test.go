@@ -278,3 +278,74 @@ func TestReplayRefusesAnInstantTheClockCannotRunFrom(t *testing.T) {
 		t.Errorf("Apply just below the bound: %v, %v", fresh, err)
 	}
 }
+
+// acceptAt applies the accept record of reservation id, granted bw on
+// ingress 0 and egress 1 over [σ, τ], at service time now: the machine books
+// it and arms its expiry.
+func acceptAt(t *testing.T, m *Machine, now units.Time, id request.ID, sigma, tau units.Time) *entry {
+	t.Helper()
+	r := request.Request{ID: id, Ingress: 0, Egress: 1, Volume: units.MBps.For(tau - sigma), MaxRate: units.MBps}
+	g := request.Grant{Request: id, Bandwidth: units.MBps, Sigma: sigma, Tau: tau}
+	if _, err := m.Apply(resvEvent(now, trace.EventAccept, r, g, "", "")); err != nil {
+		t.Fatal(err)
+	}
+	return m.resv[id]
+}
+
+// TestArmTimersKeepsOneTimerPerEntry: ArmTimers on a machine whose entries
+// are armed already re-arms each in place, so every live entry holds one
+// live expiry timer however often it runs, and each fires once.
+func TestArmTimersKeepsOneTimerPerEntry(t *testing.T) {
+	m := New(testNet(t), policy.MinRate(), 16)
+	sim := des.New()
+	m.Arm = sim.At
+	var expired []int
+	m.Log = func(ev trace.Event) { expired = append(expired, ev.Request) }
+	const n = 5
+	for id := range request.ID(n) {
+		acceptAt(t, m, 0, id, 0, units.Time(10+id))
+	}
+	for range 2 {
+		if armed := m.ArmTimers(); armed != n {
+			t.Fatalf("ArmTimers armed %d timers, want %d", armed, n)
+		}
+	}
+	sim.Run()
+	if sim.Fired() != n || !slices.Equal(expired, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("%d timers fired, expiring %v; want one per entry, %d", sim.Fired(), expired, n)
+	}
+}
+
+// TestRecycledEntryOutlivesItsPreviousLife: a reservation is cancelled, its
+// entry evicted and reused for a new reservation; the timer of the entry's
+// previous life never expires the new one, which expires at its own τ.
+func TestRecycledEntryOutlivesItsPreviousLife(t *testing.T) {
+	m := New(testNet(t), policy.MinRate(), 1)
+	sim := des.New()
+	m.Arm = sim.At
+	var expired []int
+	m.Log = func(ev trace.Event) {
+		if ev.Kind == trace.EventExpire {
+			expired = append(expired, ev.Request)
+		}
+	}
+	first := acceptAt(t, m, 0, 1, 0, 10)
+	if _, err := m.Cancel(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	acceptAt(t, m, 1, 2, 1, 100)
+	if _, err := m.Cancel(2, 2); err != nil { // retention 1: reservation 1 is evicted
+		t.Fatal(err)
+	}
+	if e := acceptAt(t, m, 2, 3, 2, 50); e != first {
+		t.Fatal("the evicted entry was not reused")
+	}
+	sim.RunUntil(20)
+	if d, err := m.Lookup(20, 3); err != nil || d.State != Active || len(expired) != 0 {
+		t.Fatalf("at 20: reservation 3 is %+v, %v; expired %v", d, err, expired)
+	}
+	sim.RunUntil(60)
+	if d, _ := m.Lookup(60, 3); d.State != Expired || !slices.Equal(expired, []int{3}) || sim.Now() != 60 {
+		t.Fatalf("at 60: reservation 3 is %+v; expired %v", d, expired)
+	}
+}

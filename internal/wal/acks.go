@@ -24,10 +24,8 @@ type FollowerAck struct {
 type Acks struct {
 	mu    sync.Mutex
 	acked map[string]FollowerAck
-	// notify is closed and replaced when an ack moves forward and waiting
-	// says a Wait took it since the last time.
-	notify  chan struct{}
-	waiting bool
+	// waiters are the Waits parked on the next ack that moves forward.
+	waiters parked
 	now     func() time.Time
 }
 
@@ -46,9 +44,8 @@ func NewAcks(now func() time.Time) *Acks {
 		now = time.Now
 	}
 	return &Acks{
-		acked:  make(map[string]FollowerAck),
-		notify: make(chan struct{}),
-		now:    now,
+		acked: make(map[string]FollowerAck),
+		now:   now,
 	}
 }
 
@@ -74,13 +71,7 @@ func (a *Acks) Record(id string, pos Pos) {
 	}
 	if !ok || prev.Pos.Less(pos) {
 		a.acked[id] = FollowerAck{Pos: pos, Seen: a.now()}
-		// Broadcast to the parked waiters, if any: close-and-recreate, the
-		// same pattern as Log.Append.
-		if a.waiting {
-			close(a.notify)
-			a.notify = make(chan struct{})
-			a.waiting = false
-		}
+		a.waiters.wake()
 	} else {
 		prev.Seen = a.now()
 		a.acked[id] = prev
@@ -127,14 +118,17 @@ func (a *Acks) quorumLocked(k int) Pos {
 // beyond, the timeout lapses, or done closes; it reports whether the
 // quorum was reached. Stale entries from followers that rebooted under a
 // new id can only make the wait harder (they hold an old position),
-// never satisfy it falsely. The timeout runs on dl, which a caller that
-// waits again and again keeps (a nil dl is a fresh one); a quorum already
-// reached arms nothing.
-func (a *Acks) Wait(done <-chan struct{}, pos Pos, k int, timeout time.Duration, dl *Deadline) bool {
+// never satisfy it falsely. The timeout runs on dl and the wait parks wk,
+// which a caller that waits again and again keeps (nil ones are fresh); a
+// quorum already reached arms and parks nothing.
+func (a *Acks) Wait(done <-chan struct{}, pos Pos, k int, timeout time.Duration, dl *Deadline, wk *Wake) bool {
 	if k <= 0 || pos.IsZero() {
 		return true // nothing to replicate, or no follower required
 	}
-	ch, ok := a.watch(pos, k)
+	if wk == nil {
+		wk = new(Wake)
+	}
+	ch, ok := a.watch(pos, k, wk)
 	if ok {
 		return true
 	}
@@ -147,26 +141,36 @@ func (a *Acks) Wait(done <-chan struct{}, pos Pos, k int, timeout time.Duration,
 		select {
 		case <-ch:
 		case <-expired:
+			a.unpark(ch)
 			return false
 		case <-done:
+			a.unpark(ch)
 			return false
 		}
-		if ch, ok = a.watch(pos, k); ok {
+		if ch, ok = a.watch(pos, k, wk); ok {
 			return true
 		}
 	}
 }
 
-// watch reports whether k followers have acknowledged pos, and if not, the
-// channel the next ack that moves forward closes.
-func (a *Acks) watch(pos Pos, k int) (<-chan struct{}, bool) {
+// watch reports whether k followers have acknowledged pos, and if not,
+// parks wk on the next ack that moves forward and returns its channel.
+func (a *Acks) watch(pos Pos, k int, wk *Wake) (chan struct{}, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if q := a.quorumLocked(k); !q.IsZero() && !q.Less(pos) {
 		return nil, true
 	}
-	a.waiting = true
-	return a.notify, false
+	ch := wk.park()
+	a.waiters.add(ch)
+	return ch, false
+}
+
+// unpark forgets a wait that stopped before it was woken.
+func (a *Acks) unpark(ch chan struct{}) {
+	a.mu.Lock()
+	a.waiters.drop(ch)
+	a.mu.Unlock()
 }
 
 // Snapshot returns a copy of the per-follower ack table for status and

@@ -55,14 +55,14 @@ func TestAcksWaitSatisfiedImmediately(t *testing.T) {
 	a := NewAcks(nil)
 	a.Record("f1", Pos{Seg: 1, Off: 64})
 	a.Record("f2", Pos{Seg: 1, Off: 64})
-	if !a.Wait(nil, Pos{Seg: 1, Off: 64}, 2, time.Millisecond, nil) {
+	if !a.Wait(nil, Pos{Seg: 1, Off: 64}, 2, time.Millisecond, nil, nil) {
 		t.Fatal("already-acked position did not satisfy the wait")
 	}
 	// k<=0 and the zero position are trivially replicated.
-	if !a.Wait(nil, Pos{Seg: 5, Off: 5}, 0, 0, nil) {
+	if !a.Wait(nil, Pos{Seg: 5, Off: 5}, 0, 0, nil, nil) {
 		t.Fatal("k=0 wait blocked")
 	}
-	if !a.Wait(nil, Pos{}, 3, 0, nil) {
+	if !a.Wait(nil, Pos{}, 3, 0, nil, nil) {
 		t.Fatal("zero-pos wait blocked")
 	}
 }
@@ -75,7 +75,7 @@ func TestAcksWaitWakesOnRecord(t *testing.T) {
 	ready.Add(1)
 	go func() {
 		ready.Done()
-		done <- a.Wait(nil, target, 2, 5*time.Second, nil)
+		done <- a.Wait(nil, target, 2, 5*time.Second, nil, nil)
 	}()
 	ready.Wait()
 	a.Record("f1", target)
@@ -99,7 +99,7 @@ func TestAcksWaitTimesOut(t *testing.T) {
 	a := NewAcks(nil)
 	a.Record("f1", Pos{Seg: 1, Off: 10})
 	start := time.Now()
-	if a.Wait(nil, Pos{Seg: 1, Off: 999}, 1, 30*time.Millisecond, nil) {
+	if a.Wait(nil, Pos{Seg: 1, Off: 999}, 1, 30*time.Millisecond, nil, nil) {
 		t.Fatal("unreplicated position satisfied the wait")
 	}
 	if time.Since(start) < 25*time.Millisecond {
@@ -111,7 +111,7 @@ func TestAcksWaitHonorsDone(t *testing.T) {
 	a := NewAcks(nil)
 	stop := make(chan struct{})
 	close(stop)
-	if a.Wait(stop, Pos{Seg: 1, Off: 1}, 1, time.Minute, nil) {
+	if a.Wait(stop, Pos{Seg: 1, Off: 1}, 1, time.Minute, nil, nil) {
 		t.Fatal("closed done channel reported quorum")
 	}
 }
@@ -179,11 +179,11 @@ func TestAcksTableIsBounded(t *testing.T) {
 	if _, ok := rows["stranger-0"]; ok {
 		t.Fatal("the least recently seen row survived the flood")
 	}
-	if a.Wait(nil, target, 1, 0, nil) {
+	if a.Wait(nil, target, 1, 0, nil, nil) {
 		t.Fatal("wait satisfied before the follower acked the target")
 	}
 	a.Record("follower", target)
-	if !a.Wait(nil, target, 1, time.Second, nil) {
+	if !a.Wait(nil, target, 1, time.Second, nil, nil) {
 		t.Fatal("the follower's ack no longer satisfies the wait")
 	}
 	if q := a.Quorum(maxAckRows + 1); !q.IsZero() {
@@ -227,11 +227,11 @@ func TestAcksRecordWakesOnlyWaiters(t *testing.T) {
 	}
 	target := Pos{Seg: 2}
 	done := make(chan bool, 1)
-	go func() { done <- a.Wait(nil, target, 1, 5*time.Second, nil) }()
+	go func() { done <- a.Wait(nil, target, 1, 5*time.Second, nil, nil) }()
 	for parked := false; !parked; {
 		time.Sleep(time.Millisecond)
 		a.mu.Lock()
-		parked = a.waiting
+		parked = len(a.waiters) > 0
 		a.mu.Unlock()
 	}
 	a.Record("f1", target)
@@ -253,19 +253,20 @@ func TestAcksWaitReusesItsDeadline(t *testing.T) {
 	a := NewAcks(nil)
 	a.Record("f1", Pos{Seg: 1, Off: 64})
 	var dl Deadline
+	var wk Wake
 	if n := testing.AllocsPerRun(100, func() {
-		if !a.Wait(nil, Pos{Seg: 1, Off: 64}, 1, time.Second, &dl) {
+		if !a.Wait(nil, Pos{Seg: 1, Off: 64}, 1, time.Second, &dl, &wk) {
 			panic("an acked position did not satisfy the wait")
 		}
 	}); n != 0 {
 		t.Fatalf("a satisfied Wait allocates %.1f objects, want 0", n)
 	}
-	if dl.t != nil {
-		t.Fatal("a satisfied Wait armed the deadline")
+	if dl.t != nil || wk.c != nil {
+		t.Fatal("a satisfied Wait armed the deadline or parked")
 	}
 	target := Pos{Seg: 1, Off: 999}
 	for range 3 {
-		if a.Wait(nil, target, 1, time.Millisecond, &dl) {
+		if a.Wait(nil, target, 1, time.Millisecond, &dl, &wk) {
 			t.Fatal("a wait on an unacked position succeeded")
 		}
 	}
@@ -274,7 +275,7 @@ func TestAcksWaitReusesItsDeadline(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		a.Record("f1", target)
 	}()
-	if !a.Wait(nil, target, 1, 5*time.Second, &dl) {
+	if !a.Wait(nil, target, 1, 5*time.Second, &dl, &wk) {
 		t.Fatal("a stale tick of the reused deadline ended the wait before its ack")
 	}
 }

@@ -27,6 +27,7 @@ type Reader struct {
 	buf      []byte
 	out      [][]byte
 	deadline Deadline // Wait's
+	wake     Wake     // Wait's
 }
 
 // NewReader returns a reader of l. Close it when done.
@@ -198,10 +199,11 @@ func (r *Reader) seek(at Pos) error {
 	return nil
 }
 
-// Wait is Log.Wait with the reader's one deadline, which it re-arms from
-// call to call: a stream waits between every two batches it ships.
+// Wait is Log.Wait with the reader's one deadline and wake channel, which
+// it re-arms from call to call: a stream waits between every two batches it
+// ships.
 func (r *Reader) Wait(done <-chan struct{}, pos Pos, timeout time.Duration) bool {
-	ok := r.l.wait(done, pos, r.deadline.Arm(timeout))
+	ok := r.l.wait(done, pos, r.deadline.Arm(timeout), &r.wake)
 	r.deadline.Disarm()
 	return ok
 }

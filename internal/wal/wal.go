@@ -227,10 +227,8 @@ type Log struct {
 	firstSeg uint64 // oldest segment still on disk
 	synced   Pos    // durable up to here
 	records  uint64 // complete records in the log (recovered + appended)
-	// notify is closed and replaced when the frontier moves and waiting
-	// says a Wait took it since the last time.
-	notify   chan struct{}
-	waiting  bool
+	// waiters are the Waits parked on the next move of the frontier.
+	waiters  parked
 	closed   bool
 	poisoned error // sticky fail-stop cause; nil while healthy
 	// one is Append's batch, reused under mu: File.Write keeps no reference
@@ -260,7 +258,7 @@ func (l *Log) segPath(seg uint64) string { return filepath.Join(l.dir, segName(s
 // it, so the survivor set is always a prefix of what was appended.
 func Open(dir string, opt Options) (*Log, Recovery, error) {
 	opt = opt.withDefaults()
-	l := &Log{dir: dir, opt: opt, fs: opt.FS, notify: make(chan struct{})}
+	l := &Log{dir: dir, opt: opt, fs: opt.FS}
 	var rec Recovery
 	if err := l.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, rec, fmt.Errorf("wal: %w", err)
@@ -604,12 +602,8 @@ func (l *Log) appendLocked(b *Batch) (Pos, error) {
 		l.synced = Pos{l.seg, l.off}
 	}
 	// Wake the readers parked in Wait (replication streams, the JSON long
-	// poll), if any are: with none, there is no channel to replace.
-	if l.waiting {
-		close(l.notify)
-		l.notify = make(chan struct{})
-		l.waiting = false
-	}
+	// poll), if any are.
+	l.waiters.wake()
 	return Pos{l.seg, l.off}, nil
 }
 
@@ -789,29 +783,31 @@ func (l *Log) Close() error {
 func (l *Log) Wait(done <-chan struct{}, pos Pos, timeout time.Duration) bool {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
-	return l.wait(done, pos, deadline.C)
+	return l.wait(done, pos, deadline.C, new(Wake))
 }
 
-// wait is Wait until deadline ticks.
-func (l *Log) wait(done <-chan struct{}, pos Pos, deadline <-chan time.Time) bool {
+// wait is Wait until deadline ticks, parking wk.
+func (l *Log) wait(done <-chan struct{}, pos Pos, deadline <-chan time.Time, wk *Wake) bool {
 	for {
 		l.mu.Lock()
 		end := Pos{l.seg, l.off}
-		closed := l.closed
-		ch := l.notify
-		if pos.Less(end) || closed {
+		if pos.Less(end) || l.closed {
 			l.mu.Unlock()
 			return pos.Less(end)
 		}
-		l.waiting = true
+		ch := wk.park()
+		l.waiters.add(ch)
 		l.mu.Unlock()
 		select {
 		case <-ch:
+			continue
 		case <-deadline:
-			return false
 		case <-done:
-			return false
 		}
+		l.mu.Lock()
+		l.waiters.drop(ch)
+		l.mu.Unlock()
+		return false
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -417,9 +418,10 @@ func TestAppendBounds(t *testing.T) {
 	}
 }
 
-// Append reuses one frame buffer, and replaces the wake channel only when a
-// Wait took it: with no reader parked it allocates nothing, and a parked one
-// is still woken.
+// Append reuses one frame buffer and signals the wake channel its waiter
+// parked, which the waiter made once: with no reader parked it allocates
+// nothing, and with a reader parked before every append, woken by each one
+// and parking again, neither side allocates.
 func TestAppendAllocatesOnlyTheWakeChannel(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{})
 	payload := payloadN(1)
@@ -431,26 +433,44 @@ func TestAppendAllocatesOnlyTheWakeChannel(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("Append with no reader waiting allocates %.1f objects, want 0", n)
 	}
-	// A parked Wait is still woken.
-	pos := l.End()
-	woke := make(chan bool, 1)
-	go func() { woke <- l.Wait(nil, pos, 5*time.Second) }()
-	for parked := false; !parked; {
-		time.Sleep(time.Millisecond)
-		l.mu.Lock()
-		parked = l.waiting
-		l.mu.Unlock()
-	}
-	if _, err := l.Append(payload); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ok := <-woke:
-		if !ok {
-			t.Fatal("the parked Wait returned false after an append")
+	r := l.NewReader()
+	defer r.Close()
+	woke := make(chan bool)
+	stop := make(chan struct{})
+	go func() {
+		defer close(woke)
+		for pos := l.End(); ; pos = l.End() {
+			ok := r.Wait(stop, pos, 5*time.Second)
+			select {
+			case woke <- ok:
+			case <-stop:
+				return
+			}
 		}
-	case <-time.After(4 * time.Second):
-		t.Fatal("the parked Wait was never woken")
+	}()
+	defer func() {
+		close(stop)
+		for range woke {
+		}
+	}()
+	parked := func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.waiters) > 0
+	}
+	n = testing.AllocsPerRun(100, func() {
+		for !parked() {
+			runtime.Gosched()
+		}
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		if !<-woke { // a Wait never woken times out: false
+			t.Fatal("the parked Wait was not woken by an append")
+		}
+	})
+	if n != 0 {
+		t.Fatalf("Append with a reader parked allocates %.1f objects, want 0", n)
 	}
 }
 

@@ -34,7 +34,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 NAME="${1:-server}"
-REGEX="${2:-BenchmarkServerAdmit|BenchmarkServerParallelSubmit|BenchmarkServerBatchHTTP|BenchmarkClientSubmitRetry|BenchmarkProfileReserveRelease|BenchmarkProfileMaxUsed|BenchmarkBatchCodec}"
+REGEX="${2:-BenchmarkServerAdmit|BenchmarkServerParallelSubmit|BenchmarkServerBatchHTTP|BenchmarkClientSubmitRetry|BenchmarkProfileReserveRelease|BenchmarkProfileMaxUsed|BenchmarkBatchCodec|BenchmarkEventQueue}"
 BENCHTIME="${BENCHTIME:-200x}"
 COUNT="${COUNT:-3}"
 OUT="BENCH_${NAME}.json"
